@@ -8,7 +8,9 @@ records one gated row in ``BENCH_worlds.json``:
   depth, synonym spellings, rules, terms) — gated for **exact**
   equality by ``check_bench_regression.py``: a generated world that
   silently changes shape invalidates every number measured on it;
-* ``batch_predicate_evaluations`` (upper-gated) and ``probes_saved`` /
+* ``batch_predicate_evaluations`` and ``closure_fill_steps`` (terms
+  the concept table's descent kernel settled for the subscribes and
+  the publish passes; both upper-gated) and ``probes_saved`` /
   ``candidates_pruned`` (lower-gated) for a seeded publish pass — the
   same deterministic cost/savings proxies the publish gate uses;
 * record-only wall-clock: build seconds, cold/warm events-per-second,
@@ -82,6 +84,8 @@ def _sweep_world(name: str, *, subscriptions: int, events: int) -> dict[str, obj
     assert warm_matches == cold_matches, f"warm pass diverged on {name}"
 
     interest = engine.interest_info()
+    # read before the churn storm below fills through the same table
+    closure_fill_steps = world.kb.concept_table().stats()["closure_fill_steps"]
     churn_report = FlashCrowdDriver(
         world.generator(seed=WORKLOAD_SEED + 1), CHURN
     ).run(SToPSS(world.kb))
@@ -97,6 +101,7 @@ def _sweep_world(name: str, *, subscriptions: int, events: int) -> dict[str, obj
         **world.counters,
         # deterministic publish counters — tolerance-gated
         "batch_predicate_evaluations": batch_evals,
+        "closure_fill_steps": closure_fill_steps,
         "probes_saved": engine.matcher.stats.probes_saved,
         "candidates_pruned": interest["candidates_pruned"],
         # record-only wall-clock and trajectories
@@ -153,8 +158,9 @@ def test_world_build_publish_and_churn(benchmark, capsys):
         "cpu_count": os.cpu_count(),
         "gate_model": (
             "world_* shape counters are exact-gated; "
-            "batch_predicate_evaluations upper- and probes_saved/"
-            "candidates_pruned lower-gated at the standard tolerance; "
+            "batch_predicate_evaluations/closure_fill_steps upper- and "
+            "probes_saved/candidates_pruned lower-gated at the standard "
+            "tolerance; "
             "build/publish/churn wall-clock and the large_worlds "
             "section are record-only (large rows regenerate only under "
             "STOPSS_WORLDS_LARGE=1)"

@@ -28,7 +28,11 @@ And ``BENCH_worlds.json`` (written by ``bench_worlds.py``): its
 ``world:*`` rows carry the deterministic world-build shape counters
 (``world_concepts``, ``world_edges``, …), which are gated for **exact**
 equality — a generated world that silently changes shape invalidates
-every number measured against it, so no tolerance applies.
+every number measured against it, so no tolerance applies — and
+``closure_fill_steps``, the terms the concept table's descent kernel
+settled during the sweep, bound above like the predicate evaluations:
+a rise means closures are being filled again that one pass used to
+cover.
 
 Counters are deterministic and machine-independent, so the tolerance
 only absorbs intentional drift; tighten it if rows start flapping.
@@ -67,6 +71,7 @@ MIN_BASELINE = 20
 #: rows legitimately lack them).
 UPPER_FIELDS = (
     "batch_predicate_evaluations",
+    "closure_fill_steps",
     "rows_evaluated",
     "scalar_fallbacks",
 )

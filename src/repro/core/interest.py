@@ -42,11 +42,14 @@ mapping rules are never relevance-skipped.  Reachability:
   interning is on, :func:`~repro.model.values.canonical_value_key`
   otherwise — PR 3's fallback rule);
 * *reachability* is pre-closed over the stage graph once per attribute:
-  the union of the accepted terms' **descent closures**
-  (:func:`~repro.ontology.concept_table.descent_closure` — taxonomy
-  descent composed with distance-0 value-synonym hops), recording each
-  spelling's minimum climb distance, filtered per query by the chain
-  budget remaining after the candidate's own step;
+  the union of the accepted terms' **descent closures** (taxonomy
+  descent composed with distance-0 value-synonym hops — one
+  multi-source :meth:`~repro.ontology.concept_table.ConceptTable.
+  descent_depths` pass on ids, or
+  :func:`~repro.ontology.concept_table.descent_closure` per term on
+  the ``interning=False`` string path), recording each spelling's
+  minimum climb distance, filtered per query by the chain budget
+  remaining after the candidate's own step;
 * non-enumerable predicates (``NE``, orderings, ranges, string
   operators, ``EXISTS``) accept open value sets, so they mark their
   attribute **wildcard** — never pruned;
@@ -424,18 +427,22 @@ class InterestIndex:
                 spellings.add(value)
             else:
                 closure[canonical_value_key(value)] = 0
-        table = self._kb.concept_table() if self._config.interning else None
-        for value in spellings:
-            if table is not None:
-                depths = table.descent_map(value, None)
-            else:
+        if self._config.interning:
+            # one multi-source pass over the region the accepted terms
+            # can reach, keyed like _value_key; the few non-string keys
+            # above (all at depth 0, the minimum) are folded into it
+            reached = self._kb.concept_table().descent_depths(spellings)
+            reached.update(closure)
+            closure = reached
+        else:
+            for value in spellings:
                 depths = descent_closure(self._kb, value, None)
                 depths.setdefault(value, 0)
-            for spelling, depth in depths.items():
-                key = self._value_key(spelling)
-                known = closure.get(key)
-                if known is None or known > depth:
-                    closure[key] = depth
+                for spelling, depth in depths.items():
+                    key = self._value_key(spelling)
+                    known = closure.get(key)
+                    if known is None or known > depth:
+                        closure[key] = depth
         self._closures[attribute] = closure
         return closure
 

@@ -5,10 +5,10 @@ by substituting "each term with an internal identifier" at subscription
 and publication time, so synonym and taxonomy handling become identifier
 lookups instead of string work.  :class:`ConceptTable` is that layer: a
 knowledge-base snapshot that assigns **dense integer IDs** to every
-term (by normalized term key) and every exact display spelling, plus
-lazily memoized ancestor/descendant **closure arrays** of ``(id,
-depth)`` pairs, so the publish hot path never re-runs a per-event BFS
-or re-normalizes a string it has seen before.
+term (by normalized term key) and every exact display spelling, holds
+the **value graph** over those ids, and serves the two closures the
+semantic stages ask for without re-normalizing a string it has seen
+before.
 
 Two id spaces, deliberately distinct:
 
@@ -21,13 +21,40 @@ Two id spaces, deliberately distinct:
   would make a subscription on ``"phd"`` match an event carrying
   ``"PhD"``, which the string path correctly rejects.
 
+Two closure semantics, deliberately distinct:
+
+* **descent** (:meth:`ConceptTable.descent`, :meth:`~ConceptTable.
+  descent_depths`) is *transitive and synonym-bridged*: the spellings an
+  event may carry to reach a term, across every domain, where a
+  value-synonym hop costs 0 and an is-a edge costs 1.  It is a 0-1
+  shortest path, and it runs on ids: construction builds, per term id,
+  the child term ids (union over domains), the value-synonym peer term
+  ids and the spelling ids the string path reports for the term
+  (taxonomy display per domain, synonym display) — sorted, so the walk
+  is the same under every hash seed — and a fill is one breadth-first
+  pass over those tuples that interns nothing.  :func:`descent_closure`
+  is the string reference of the same closure: the
+  ``interning=False`` path and the test oracle.
+* **ancestors** (:meth:`ConceptTable.ancestors`) is *per-domain and not
+  transitive across synonyms*: the upward walks of each domain from the
+  seed's equivalents, merged by minimum
+  (:meth:`KnowledgeBase.generalizations <repro.ontology.knowledge_base.
+  KnowledgeBase.generalizations>`); cross-domain chains compose in the
+  pipeline's fixpoint instead.  It stays on the string path on purpose:
+  those semantics differ from the graph's, its enumeration order decides
+  which candidates survive ``max_derived_events`` truncation, and it is
+  a few percent of a cold start.
+
 A table is an immutable snapshot: it records the knowledge-base
 ``version`` it was built from and :meth:`KnowledgeBase.concept_table
 <repro.ontology.knowledge_base.KnowledgeBase.concept_table>` rebuilds
 it whenever that version moves, so holders that re-fetch per operation
-(the engine does, once per publish) can never observe a stale id space.
-Closure arrays are filled lazily on first access — large ontologies
-only pay for the terms their traffic actually touches.
+(the engine does, once per publish) can never observe a stale id space
+or a stale graph.  Per-term closures are memoized on first access —
+large ontologies only pay for the terms their traffic actually touches
+— and the multi-source :meth:`~ConceptTable.descent_depths` is not
+memoized here at all (the interest index keeps its one result per
+attribute).
 
 One snapshot may be shared by many engine replicas publishing
 concurrently (the sharded broker's thread fan-out), so the lazy fills
@@ -37,7 +64,8 @@ closure built against the first id would disagree with
 :meth:`value_key` returning the second — silently breaking matcher
 equality and interest-index probes.  Reads of already-memoized entries
 stay lock-free (dict/list access is atomic under the interpreter
-lock, and memoized values are immutable tuples).
+lock, and memoized values are immutable tuples); the graph is written
+once, before the table is published, and only read afterwards.
 
 Values that intern to nothing (free text, numbers, spellings added to
 the knowledge base after the snapshot) transparently fall back to the
@@ -51,7 +79,7 @@ from __future__ import annotations
 import array
 import threading
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import SnapshotMismatchError
 from repro.model.attributes import normalize_attribute
@@ -76,13 +104,14 @@ def descent_closure(kb: "KnowledgeBase", term: str, bound: int | None) -> dict[s
     in domain B is charged its summed hierarchy distance exactly as the
     event-side engine charges it.
 
-    The single implementation behind both paths: the subscription-side
-    string path (``subexpand._descend``) calls it per predicate with
-    the live bound; :meth:`ConceptTable.descent` memoizes the unbounded
-    closure once per term and serves bounded queries by depth-filtering
-    it — equivalent because the recorded depths are minimal, so any
-    spelling within the bound is reachable by a path whose prefix
-    depths also stay within it.
+    The string reference: the ``interning=False`` paths
+    (``subexpand._descend``, the interest index) call it per term with
+    the live bound, and the differential tests hold
+    :meth:`ConceptTable.descent` — the same closure on dense ids — to
+    it.  The interned side computes the unbounded closure and serves
+    bounded queries by depth-filtering — equivalent because the
+    recorded depths are minimal, so any spelling within the bound is
+    reachable by a path whose prefix depths also stay within it.
     """
     taxonomies = [kb.taxonomy(domain) for domain in kb.domains()]
     depths: dict[str, int] = {}
@@ -131,9 +160,9 @@ class ConceptTable:
 
     Construction enumerates every known term and spelling (taxonomy
     concepts across all domains, value- and attribute-synonym group
-    members) into dense id ranges; the per-term generalization and
-    descent closures are computed on demand and memoized for the life
-    of the snapshot.
+    members) into dense id ranges and wires the value graph over them;
+    the per-term generalization and descent closures are computed on
+    demand and memoized for the life of the snapshot.
     """
 
     __slots__ = (
@@ -145,7 +174,10 @@ class ConceptTable:
         "_spellings",
         "_sid_by_spelling",
         "attribute_roots",
-        "_value_terms",
+        "_children",
+        "_peers",
+        "_term_sids",
+        "_fill_steps",
         "_canonical_sid",
         "_up_closure",
         "_down_closure",
@@ -171,12 +203,21 @@ class ConceptTable:
         #: normalized attribute name -> normalized root attribute (only
         #: synonym-group members; the stage skips identical entries)
         self.attribute_roots: dict[str, str] = {}
-        #: term ids known to the *value* substrate (taxonomies and
-        #: value-synonym groups).  Attribute-synonym spellings are
-        #: interned too (for the stage-1 rewrite), but the string path
-        #: never unifies value spellings through attribute synonyms —
+        #: the value graph descent runs on, one sorted tuple per term
+        #: id: specializations (union over domains), value-synonym
+        #: peers, and the spellings the string path reports for the
+        #: term (taxonomy display per domain, synonym display).  Only
+        #: terms of the *value* substrate (taxonomies, value-synonym
+        #: groups) report any: attribute-synonym spellings are interned
+        #: too (for the stage-1 rewrite), but the string path never
+        #: unifies value spellings through attribute synonyms, so
         #: descent/subscription expansion must not either.
-        self._value_terms: set[int] = set()
+        self._children: list[tuple[int, ...]] = []
+        self._peers: list[tuple[int, ...]] = []
+        self._term_sids: list[tuple[int, ...]] = []
+        #: terms settled by descent fills so far — a deterministic work
+        #: counter (same operations, same count, any machine)
+        self._fill_steps = 0
         #: term id -> canonical display spelling id (-1 = none), lazy
         self._canonical_sid: dict[int, int] = {}
         #: term id -> ((spelling id, min distance), ...) ancestors, lazy
@@ -213,8 +254,9 @@ class ConceptTable:
             self._sid_by_spelling[spelling] = sid
         return sid
 
-    def _intern_term(self, spelling: str) -> int:
-        key = term_key(spelling)
+    def _intern_term(self, spelling: str, key: str | None = None) -> int:
+        if key is None:
+            key = term_key(spelling)
         tid = self._tid_by_key.get(key)
         if tid is None:
             tid = len(self._term_display)
@@ -225,18 +267,42 @@ class ConceptTable:
         return tid
 
     def _populate(self, kb: "KnowledgeBase") -> None:
+        sid_of = self._sid_by_spelling
+        tid_of = self._tid_by_key
+        #: (term id, spelling id) the string path reports, and the graph
+        #: edges, collected as pairs while the id space is still growing
+        reported: list[tuple[int, int]] = []
+        isa: list[tuple[int, int]] = []
+        synsets: list[tuple[int, ...]] = []
         for domain in kb.domains():
-            for concept in kb.taxonomy(domain):
-                self._value_terms.add(self._intern_term(concept.term))
+            taxonomy = kb.taxonomy(domain)
+            # a concept's key is the term key of its display spelling
+            for concept in taxonomy:
+                tid = self._intern_term(concept.term, concept.key)
+                reported.append((tid, sid_of[concept.term]))
+            isa.extend((tid_of[parent], tid_of[child]) for child, parent in taxonomy.isa_edges())
         for group in kb.value_synonym_groups():
+            members = set()
             for spelling in sorted(group):
-                self._value_terms.add(self._intern_term(spelling))
+                tid = self._intern_term(spelling)
+                members.add(tid)
+                reported.append((tid, sid_of[spelling]))
+            synsets.append(tuple(sorted(members)))
         for group in kb.attribute_synonym_groups():
             spellings = sorted(group)
             root = kb.root_attribute(spellings[0])
             for spelling in spellings:
                 self._intern_term(spelling)
                 self.attribute_roots[normalize_attribute(spelling)] = root
+        terms = len(self._term_display)
+        self._children = _adjacency(terms, isa)
+        # synonym groups are disjoint: every member shares its group's
+        # one tuple (itself included — walks skip settled terms anyway)
+        self._peers = [()] * terms
+        for synset in synsets:
+            for tid in synset:
+                self._peers[tid] = synset
+        self._term_sids = _adjacency(terms, reported)
 
     # -- identity lookups --------------------------------------------------------
 
@@ -261,6 +327,14 @@ class ConceptTable:
 
     def term_id_of_key(self, key: str) -> int | None:
         return self._tid_by_key.get(key)
+
+    def _value_term_id(self, value: str) -> int | None:
+        """:meth:`term_id_of_value` restricted to the value substrate:
+        ``None`` too for terms known only as attribute synonyms."""
+        tid = self.term_id_of_value(value)
+        if tid is None or not self._term_sids[tid]:
+            return None
+        return tid
 
     def spelling(self, sid: int) -> str:
         return self._spellings[sid]
@@ -352,11 +426,41 @@ class ConceptTable:
                     self._attr_form[sid] = form
         return form
 
+    def _descend(self, sources: Iterable[int]) -> tuple[dict[int, int], int]:
+        """``{spelling id: min depth}`` below the *sources* term ids,
+        and how many terms the walk settled: a 0-1 breadth-first search
+        over the value graph.  Value-synonym hops weigh 0 and synonym
+        groups are cliques, so settling a term settles its peers on the
+        same level and one level-by-level pass finds the shortest
+        paths; child edges weigh 1 and open the next level.  Reads the
+        immutable graph only — safe without the fill lock; the caller
+        adds the settled count to ``_fill_steps`` under it."""
+        children, peers = self._children, self._peers
+        settled: dict[int, int] = {}
+        level = list(sources)
+        depth = 0
+        while level:
+            frontier = []
+            for tid in level:
+                if tid in settled:
+                    continue
+                settled[tid] = depth
+                frontier.append(tid)
+                for peer in peers[tid]:
+                    if peer not in settled:
+                        settled[peer] = depth
+                        frontier.append(peer)
+            level = [child for tid in frontier for child in children[tid] if child not in settled]
+            depth += 1
+        term_sids = self._term_sids
+        depths = {sid: depth for tid, depth in settled.items() for sid in term_sids[tid]}
+        return depths, len(settled)
+
     def descent(self, tid: int) -> tuple[tuple[int, int], ...]:
         """``(spelling id, min total depth)`` pairs for every spelling
-        an event may carry to reach the term — the unbounded
-        :func:`descent_closure`, memoized once per term.  Bounded
-        queries filter by depth."""
+        an event may carry to reach the term — the unbounded closure
+        :func:`descent_closure` defines, computed on ids and memoized
+        once per term.  Bounded queries filter by depth."""
         closure = self._down_closure.get(tid)
         if closure is None:
             with self._fill_lock:
@@ -365,13 +469,32 @@ class ConceptTable:
                     if self._snapshot is not None:
                         closure = self._snapshot.down_closure(tid)
                     if closure is None:
-                        depths = descent_closure(self._kb, self._term_display[tid], None)
-                        closure = tuple(
-                            (self._intern_spelling(spelling), depth)
-                            for spelling, depth in depths.items()
-                        )
+                        depths, steps = self._descend((tid,))
+                        self._fill_steps += steps
+                        # the string BFS seeds from the literal term too
+                        depths.setdefault(self._sid_by_spelling[self._term_display[tid]], 0)
+                        closure = tuple(depths.items())
                     self._down_closure[tid] = closure
         return closure
+
+    def descent_depths(self, terms: Iterable[str]) -> dict:
+        """``{value key: min depth}`` of every spelling an event may
+        carry to reach *any* of *terms*: the key-wise minimum over the
+        terms' :meth:`descent_map`, found in one multi-source pass (every
+        known value term seeded at depth 0) instead of one closure per
+        term.  Keys are :meth:`value_key` identities; each literal term
+        reports itself at depth 0, which is all an unknown or
+        attribute-synonym-only term contributes — exactly as
+        :meth:`descent_map` has it.  Nothing is memoized here: the one
+        caller (the interest index) keeps the result per attribute."""
+        terms = tuple(terms)
+        sources = [tid for tid in map(self._value_term_id, terms) if tid is not None]
+        depths, steps = self._descend(sources)
+        with self._fill_lock:
+            self._fill_steps += steps
+        for term in terms:
+            depths[self.value_key(term)] = 0
+        return depths
 
     def descent_map(self, term: str, bound: int | None) -> dict[str, int]:
         """``{spelling: min depth}`` within *bound* for *term* — the
@@ -382,8 +505,8 @@ class ConceptTable:
         the string path's seeds (``value_equivalents``) never consult
         attribute synonyms, so unifying a spelling variant through one
         would rewrite predicates the reference path leaves alone."""
-        tid = self.term_id_of_value(term)
-        if tid is None or tid not in self._value_terms:
+        tid = self._value_term_id(term)
+        if tid is None:
             return {term: 0}
         spellings = self._spellings
         result = {
@@ -404,7 +527,9 @@ class ConceptTable:
         :meth:`export_shared` so a snapshot carries the whole id space
         instead of whatever traffic happened to touch."""
         filled = 0
-        for tid in sorted(self._value_terms):
+        for tid, sids in enumerate(self._term_sids):
+            if not sids:
+                continue  # attribute-synonym-only: no value closures
             if up and tid not in self._up_closure:
                 self.ancestors(tid)
                 filled += 1
@@ -454,7 +579,25 @@ class ConceptTable:
             "attribute_roots": len(self.attribute_roots),
             "up_closures": len(self._up_closure),
             "down_closures": len(self._down_closure),
+            "closure_fill_steps": self._fill_steps,
         }
+
+
+def _adjacency(terms: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Per-term sorted neighbour tuples from ``(term id, neighbour)``
+    pairs — sorted so graph walks enumerate in one order under every
+    hash seed, de-duplicated because domains may repeat an edge."""
+    found: dict[int, list[int]] = {}
+    for tid, neighbour in pairs:
+        row = found.get(tid)
+        if row is None:
+            found[tid] = [neighbour]
+        else:
+            row.append(neighbour)
+    rows: list[tuple[int, ...]] = [()] * terms
+    for tid, row in found.items():
+        rows[tid] = (row[0],) if len(row) == 1 else tuple(sorted(set(row)))
+    return rows
 
 
 class SharedClosureSnapshot:

@@ -193,7 +193,10 @@ class KnowledgeBase:
         equivalences are reported by :meth:`value_equivalents`.
         """
         merged: dict[str, int] = {}
-        seeds = self.value_equivalents(term) if isinstance(term, str) else {term}
+        # sorted: the enumeration order of the result decides which
+        # candidates a truncated expansion constructs first, and must
+        # not follow the hash order of a set of strings
+        seeds = sorted(self.value_equivalents(term)) if isinstance(term, str) else [term]
         for taxonomy in self._taxonomies_for(domain):
             for seed in seeds:
                 if seed not in taxonomy:

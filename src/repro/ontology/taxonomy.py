@@ -41,8 +41,13 @@ class Taxonomy:
     def __init__(self, domain: str = "") -> None:
         self.domain = domain
         self._concepts: dict[str, Concept] = {}
-        self._parents: dict[str, set[str]] = {}
-        self._children: dict[str, set[str]] = {}
+        #: key -> neighbour keys as an insertion-ordered set (a dict with
+        #: ``None`` values): walks enumerate edges in the order they were
+        #: declared, never in the hash order of a set of strings — which
+        #: candidates a truncated expansion reaches must not depend on
+        #: ``PYTHONHASHSEED``
+        self._parents: dict[str, dict[str, None]] = {}
+        self._children: dict[str, dict[str, None]] = {}
         self.version = 0
 
     # -- construction ----------------------------------------------------------
@@ -56,8 +61,8 @@ class Taxonomy:
             return existing
         concept = Concept(normalize_term(term), key, self.domain, description)
         self._concepts[key] = concept
-        self._parents[key] = set()
-        self._children[key] = set()
+        self._parents[key] = {}
+        self._children[key] = {}
         self.version += 1
         return concept
 
@@ -75,10 +80,13 @@ class Taxonomy:
             raise DuplicateConceptError(f"concept {child.term!r} cannot be its own generalization")
         if parent.key in self._parents[child.key]:
             return
-        if self._reaches(parent.key, child.key):
+        # a child nobody specializes yet is no one's ancestor, so the
+        # new edge cannot close a cycle: skip the upward walk (exact,
+        # and what keeps leaf-by-leaf builds of deep spines linear)
+        if self._children[child.key] and self._reaches(parent.key, child.key):
             raise TaxonomyCycleError(f"edge {child.term!r} -> {parent.term!r} would create a cycle")
-        self._parents[child.key].add(parent.key)
-        self._children[parent.key].add(child.key)
+        self._parents[child.key][parent.key] = None
+        self._children[parent.key][child.key] = None
         self.version += 1
 
     def add_chain(self, *terms: str) -> None:
@@ -141,6 +149,14 @@ class Taxonomy:
         node = self.concept(term)
         return tuple(sorted(self._concepts[k].term for k in self._children[node.key]))
 
+    def isa_edges(self) -> Iterator[tuple[str, str]]:
+        """Every is-a edge as a ``(specialized key, generalized key)``
+        pair of :attr:`Concept.key` values, in declaration order — the
+        bulk export the concept table builds its id graph from."""
+        for key, parents in self._parents.items():
+            for parent in parents:
+                yield key, parent
+
     def roots(self) -> tuple[str, ...]:
         """Concepts without generalizations (hierarchy tops)."""
         return tuple(sorted(c.term for k, c in self._concepts.items() if not self._parents[k]))
@@ -152,7 +168,7 @@ class Taxonomy:
     # -- traversal -------------------------------------------------------------------
 
     def _walk(
-        self, term: str, edges: dict[str, set[str]], max_distance: int | None
+        self, term: str, edges: dict[str, dict[str, None]], max_distance: int | None
     ) -> dict[str, int]:
         start = self.concept(term)
         distances: dict[str, int] = {}
@@ -244,7 +260,7 @@ class Taxonomy:
             for parent in parents:
                 if parent not in self._concepts:
                     problems.append(f"dangling parent {parent!r} of {key!r}")
-                if key not in self._children.get(parent, set()):
+                if key not in self._children.get(parent, ()):
                     problems.append(f"asymmetric edge {key!r} -> {parent!r}")
         # cycle check via DFS coloring
         WHITE, GRAY, BLACK = 0, 1, 2

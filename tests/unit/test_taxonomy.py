@@ -44,6 +44,32 @@ class TestConstruction:
         with pytest.raises(TaxonomyCycleError):
             t.add_isa("d", "a")
 
+    def test_cycle_through_child_with_descendants_rejected(self, degrees):
+        # "graduate degree" already has specializations, so the upward
+        # walk must still run and find "doctorate" below it
+        with pytest.raises(TaxonomyCycleError):
+            degrees.add_isa("graduate degree", "doctorate")
+        assert degrees.validate() == []
+
+    def test_attaching_a_fresh_leaf_walks_nothing(self, degrees, monkeypatch):
+        calls = []
+        reaches = Taxonomy._reaches
+
+        def counting(self, start_key, target_key):
+            calls.append((start_key, target_key))
+            return reaches(self, start_key, target_key)
+
+        monkeypatch.setattr(Taxonomy, "_reaches", counting)
+        # a child nobody specializes cannot be anyone's ancestor
+        degrees.add_isa("DPhil", "doctorate")
+        degrees.add_isa("DPhil", "graduate degree")
+        degrees.add_isa("research degree", "degree")
+        degrees.add_isa("MPhil", "research degree")
+        assert calls == []
+        # an inner node does pay the walk
+        degrees.add_isa("doctorate", "research degree")
+        assert calls == [("research degree", "doctorate")]
+
     def test_duplicate_edge_tolerated(self, degrees):
         version = degrees.version
         degrees.add_isa("PhD", "doctorate")

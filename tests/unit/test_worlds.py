@@ -6,6 +6,7 @@ matcher memos, and the expansion cache)."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -156,14 +157,30 @@ print(hashlib.sha256("\\n".join(parts).encode()).hexdigest())
 """
 
 
-def _digest_under_hash_seed(hash_seed: str) -> str:
+#: a fixed subscribe + publish script, then the concept table's own
+#: counters: what was filled must not depend on set iteration order
+_TABLE_STATS_SCRIPT = """
+import json
+from repro.core.engine import SToPSS
+from repro.workload.worlds import build_world
+world = build_world("mega-small")
+engine = SToPSS(world.kb)
+generator = world.generator(seed=11)
+for subscription in generator.subscriptions(80):
+    engine.subscribe(subscription)
+matches = [sorted(m.subscription.sub_id for m in engine.publish(e)) for e in generator.events(25)]
+print(json.dumps([world.kb.concept_table().stats(), matches], sort_keys=True))
+"""
+
+
+def _stdout_under_hash_seed(hash_seed: str, script: str = _DIGEST_SCRIPT) -> str:
     env = {
         **os.environ,
         "PYTHONHASHSEED": hash_seed,
         "PYTHONPATH": str(_REPO_ROOT / "src"),
     }
     result = subprocess.run(
-        [sys.executable, "-c", _DIGEST_SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         cwd=_REPO_ROOT,
         capture_output=True,
@@ -178,8 +195,19 @@ def test_world_build_is_hash_seed_independent():
     world (taxonomy, leaf pools, synonyms, rules) and generates the
     same workload under wildly different ``PYTHONHASHSEED`` values —
     i.e. no set/dict iteration order ever feeds the rng."""
-    digests = {_digest_under_hash_seed(seed) for seed in ("0", "4242")}
+    digests = {_stdout_under_hash_seed(seed) for seed in ("0", "4242")}
     assert len(digests) == 1, "world build depends on the hash seed"
+
+
+def test_concept_table_fills_are_hash_seed_independent():
+    """The same script fills the same closures and settles the same
+    number of terms (``closure_fill_steps``) under any hash seed: the
+    table's graph is stored in sorted-id order and taxonomy edges in
+    declaration order, so no walk enumerates a set of strings."""
+    outputs = {_stdout_under_hash_seed(seed, _TABLE_STATS_SCRIPT) for seed in ("0", "4242")}
+    assert len(outputs) == 1, "concept-table fills depend on the hash seed"
+    stats, _ = json.loads(outputs.pop())
+    assert stats["closure_fill_steps"] > 0 and stats["up_closures"] > 0
 
 
 class TestFlashCrowd:
