@@ -12,7 +12,13 @@ behind.  Recorded per leg:
   the number ``docs/PERFORMANCE.md`` quotes, not a gate);
 * the journal counters: appends, bytes, bytes/event, compactions;
 * for the recovery legs: ``recover_seconds``, records replayed,
-  deliveries dedup'd.
+  deliveries dedup'd;
+* memory, from a separate ``tracemalloc`` pass (tracing slows what it
+  watches, so the timed legs run untraced): ``recover_peak_traced_mb``
+  per recovery source, and on the compacting leg ``snapshot_bytes`` and
+  ``compact_peak_traced_mb`` — the traced peak of one ``checkpoint()``
+  over the recovered state.  Both are a few records' worth since the
+  snapshot is a record stream, whatever ``snapshot_bytes`` is.
 
 Results land in ``BENCH_durability.json``
 (``STOPSS_BENCH_DURABILITY_OUTPUT`` redirects a fresh run).  Wall-clock
@@ -30,9 +36,10 @@ import os
 import pathlib
 import tempfile
 import time
+import tracemalloc
 
 from repro.broker.broker import Broker
-from repro.broker.durability import Durability, recover
+from repro.broker.durability import SNAPSHOT_NAME, Durability, recover
 from repro.metrics import Table
 from repro.model.subscriptions import Subscription
 from repro.workload.generator import SemanticSpec, SemanticWorkloadGenerator
@@ -89,6 +96,29 @@ def _time_recover(jobs_kb, directory):
     finally:
         broker.close()
     return elapsed, report, frontiers
+
+
+def _traced_peaks(jobs_kb, directory):
+    """``(recover_peak_mb, compact_peak_mb, snapshot_bytes)``: traced
+    peak of recovering *directory*, then of one ``checkpoint()`` of the
+    recovered broker (above what was live when it began), and the size
+    of the snapshot that checkpoint wrote.  Rewrites the directory's
+    snapshot, so it runs after the timed recoveries."""
+    tracemalloc.start()
+    try:
+        broker = recover(directory, jobs_kb, matcher=MATCHER)
+        try:
+            recover_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            broker.checkpoint()
+            compact_peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            broker.close()
+    finally:
+        tracemalloc.stop()
+    snapshot_bytes = (pathlib.Path(directory) / SNAPSHOT_NAME).stat().st_size
+    return recover_peak / 2**20, compact_peak / 2**20, snapshot_bytes
 
 
 def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
@@ -239,6 +269,15 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
             # must dedup all of them; the compacted one folded most of
             # its history into the snapshot instead
             assert payload["recoveries"][0]["dedup_drops"] > 0
+
+            for entry, directory in zip(
+                payload["recoveries"], (root / "journal", root / "compacted")
+            ):
+                recover_peak, compact_peak, snapshot_bytes = _traced_peaks(jobs_kb, directory)
+                entry["recover_peak_traced_mb"] = recover_peak
+            # the last pass checkpointed the compacting leg's directory
+            payload["legs"][-1]["snapshot_bytes"] = snapshot_bytes
+            payload["legs"][-1]["compact_peak_traced_mb"] = compact_peak
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     out_path = pathlib.Path(

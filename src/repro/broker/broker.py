@@ -16,6 +16,7 @@ after a crash.  See ``docs/DURABILITY.md``.
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
 from repro.broker.clients import Client, ClientKind, ClientRegistry
 from repro.broker.dispatcher import EventDispatcher, PublishReport
@@ -109,22 +110,25 @@ class Broker:
         durability.append(record)
         durability.note_op()
 
-    def _durable_state(self) -> dict:
-        """The broker's complete durable state, snapshot-shaped."""
-        subscriptions = []
+    def _durable_state(self) -> Iterator[dict]:
+        """The broker's complete durable state as the content records of
+        a snapshot, in the order recovery applies them: one ``broker``
+        record, the clients, the subscriptions, then the notification
+        engine's counters and per-subscription delivery logs."""
+        config = getattr(self.engine, "config", None)
+        yield {
+            "k": "broker",
+            "next_op_index": self._op_index,
+            "config": _encode_config(config) if config is not None else None,
+        }
+        for client in self.registry.clients():
+            yield _encode_client(client)
         for subscription in self.engine.subscriptions():
             client_id = self.dispatcher._subscriber_of.get(subscription.sub_id)
             if client_id is None:  # engine-only subscription (tests)
                 continue
-            subscriptions.append(_encode_subscription(subscription, client_id))
-        config = getattr(self.engine, "config", None)
-        return {
-            "next_op_index": self._op_index,
-            "config": _encode_config(config) if config is not None else None,
-            "clients": [_encode_client(client) for client in self.registry.clients()],
-            "subscriptions": subscriptions,
-            "notifier": self.notifier.durable_state(),
-        }
+            yield _encode_subscription(subscription, client_id)
+        yield from self.notifier.durable_state()
 
     def checkpoint(self) -> None:
         """Fold current state into a compacted snapshot now (automatic

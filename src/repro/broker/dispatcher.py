@@ -63,6 +63,10 @@ class EventDispatcher:
     publication (content-identical, but its intermediate auto ids are
     the original derivation's — the same reuse the engine's expansion
     cache performs).  ``result_cache_size=0`` disables the cache.
+
+    The dispatcher keeps no per-publication history: the caller holds
+    the :class:`PublishReport`, and ``stats()`` totals are running
+    counters.
     """
 
     def __init__(
@@ -78,7 +82,9 @@ class EventDispatcher:
         self.notifier = notifier if notifier is not None else NotificationEngine()
         #: sub_id -> subscriber client_id
         self._subscriber_of: dict[str, str] = {}
-        self.reports: list[PublishReport] = []
+        self.publications = 0
+        self.matches = 0
+        self.deliveries = 0
         self.result_cache_size = result_cache_size
         #: cache key -> tuple[SemanticMatch, ...] in LRU order
         self._result_cache: OrderedDict[tuple, tuple[SemanticMatch, ...]] = OrderedDict()
@@ -106,7 +112,9 @@ class EventDispatcher:
         if sub_id not in self._subscriber_of:
             raise UnknownSubscriptionError(f"no subscription {sub_id!r}")
         del self._subscriber_of[sub_id]
-        return self.engine.unsubscribe(sub_id)
+        removed = self.engine.unsubscribe(sub_id)
+        self.notifier.forget(sub_id)
+        return removed
 
     def subscriptions_of(self, client_id: str) -> list[Subscription]:
         return [
@@ -167,7 +175,9 @@ class EventDispatcher:
             subscriber: Client = self.registry.get(subscriber_id)
             outcomes.append(self.notifier.notify(subscriber, match))
         report = PublishReport(stamped, tuple(matches), tuple(outcomes))
-        self.reports.append(report)
+        self.publications += 1
+        self.matches += report.match_count
+        self.deliveries += report.delivered_count
         return report
 
     # -- reporting ---------------------------------------------------------------------
@@ -192,9 +202,9 @@ class EventDispatcher:
         return {
             "clients": len(self.registry),
             "subscriptions": len(self.engine),
-            "publications": len(self.reports),
-            "matches": sum(r.match_count for r in self.reports),
-            "deliveries": sum(r.delivered_count for r in self.reports),
+            "publications": self.publications,
+            "matches": self.matches,
+            "deliveries": self.deliveries,
             # batched publish-path headline counters, surfaced at the
             # top level so operators need not dig through the engine:
             "batches": matcher_stats.get("batches", 0),

@@ -19,11 +19,14 @@ Three design rules keep recovery boring:
    garbage, and counts one ``torn_tail_truncations``.  A crash mid
    ``write(2)`` therefore costs at most the record being written.
 2. **Snapshots compact, sequence numbers reconcile.**  Every
-   ``snapshot_every`` appends the broker folds its full state into
-   ``snapshot.json`` (written to a temp file, then atomically renamed)
-   and restarts the journal.  Each record carries a monotonic ``i``;
-   the snapshot records the last one folded in, so a crash between
-   rename and truncate merely makes replay skip already-folded records.
+   ``snapshot_every`` operations the broker folds its full state into
+   ``snapshot.json`` — a stream of small CRC-framed records between a
+   head and a counting trailer, written to a temp file as they are
+   produced, then atomically renamed — and restarts the journal.  Each
+   journal record carries a monotonic ``i``; the snapshot records the
+   last one folded in, so a crash between rename and truncate merely
+   makes replay skip already-folded records.  A snapshot that fails
+   any check anywhere is discarded whole before any of it is applied.
 3. **Deliveries are at-least-once, dedup'd by sequence.**  The
    notification engine journals an outbox record (with the
    per-subscription delivery sequence and the rendered message) before
@@ -44,11 +47,13 @@ Full prose: ``docs/DURABILITY.md``.
 from __future__ import annotations
 
 import dataclasses
+import io
+import itertools
 import json
 import os
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from repro.broker.clients import Client, ClientKind
 from repro.broker.supervision import FaultPlan
@@ -78,7 +83,9 @@ __all__ = [
 
 JOURNAL_NAME = "journal.log"
 SNAPSHOT_NAME = "snapshot.json"
-FORMAT_VERSION = 1
+#: snapshot layout: 2 is the record stream (head, content records,
+#: counting trailer); a file of any other format is discarded
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -140,36 +147,61 @@ def _encode_record(payload: dict) -> bytes:
     return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
 
 
+def _decode_line(line: bytes) -> dict | None:
+    """The record framed in *line* (terminator included), or ``None``
+    for an incomplete line, a malformed frame, a checksum mismatch or a
+    non-object body."""
+    if len(line) < 11 or line[8:9] != b" " or line[-1:] != b"\n":
+        return None
+    try:
+        expected = int(line[:8], 16)
+    except ValueError:
+        return None
+    body = line[9:-1]
+    if zlib.crc32(body) & 0xFFFFFFFF != expected:
+        return None
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+class _RecordReader:
+    """Iterates the records of an open binary *handle* one line at a
+    time, so memory is one record however long the file.  Iteration
+    stops at the first line :func:`_decode_line` rejects — everything
+    from there on is a torn tail — or, with *limit*, once that many
+    bytes were read.  Afterwards ``clean_length`` is the byte offset
+    where the clean prefix ends and ``torn`` says whether it ended at a
+    bad line."""
+
+    def __init__(self, handle: BinaryIO, limit: int | None = None) -> None:
+        self._handle = handle
+        self._limit = limit
+        self.clean_length = 0
+        self.torn = False
+
+    def __iter__(self) -> Iterator[dict]:
+        limit = self._limit
+        for line in self._handle:
+            if limit is not None and self.clean_length >= limit:
+                return
+            payload = _decode_line(line)
+            if payload is None:
+                self.torn = True
+                return
+            self.clean_length += len(line)
+            yield payload
+
+
 def _scan_records(raw: bytes) -> tuple[list[dict], int, bool]:
-    """Parse *raw* journal bytes: ``(records, clean_length, torn)``.
-    Stops at the first incomplete line, malformed frame, checksum
-    mismatch, or non-object body — everything from there on is a torn
-    tail (*clean_length* is where it starts)."""
-    records: list[dict] = []
-    offset = 0
-    while offset < len(raw):
-        end = raw.find(b"\n", offset)
-        if end < 0:
-            return records, offset, True
-        line = raw[offset:end]
-        if len(line) < 10 or line[8:9] != b" ":
-            return records, offset, True
-        try:
-            expected = int(line[:8], 16)
-        except ValueError:
-            return records, offset, True
-        body = line[9:]
-        if zlib.crc32(body) & 0xFFFFFFFF != expected:
-            return records, offset, True
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return records, offset, True
-        if not isinstance(payload, dict):
-            return records, offset, True
-        records.append(payload)
-        offset = end + 1
-    return records, offset, False
+    """Parse *raw* journal bytes: ``(records, clean_length, torn)`` —
+    :class:`_RecordReader` over an in-memory buffer, for tests and
+    tools that already hold the bytes."""
+    reader = _RecordReader(io.BytesIO(raw))
+    records = list(reader)
+    return records, reader.clean_length, reader.torn
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +384,27 @@ class Durability:
 
     # -- snapshots ---------------------------------------------------------------
 
-    def compact(self, state: dict) -> None:
-        """Fold *state* (the broker's full durable state) into an
-        atomically-replaced snapshot, then restart the journal.  Safe
-        against a crash at any point: replay skips journal records whose
-        sequence the snapshot already folded in."""
+    def compact(self, records: Iterable[dict]) -> None:
+        """Fold the broker's full durable state — *records*, a stream of
+        small content records — into an atomically-replaced snapshot,
+        then restart the journal.  Each record is framed and written as
+        it is produced, between a head (``format``, ``last_seq``) and a
+        trailer (content record count, ``last_seq``), so the cost in
+        memory is one record.  Safe against a crash at any point: replay
+        skips journal records whose sequence the snapshot already folded
+        in, and a snapshot without its trailer is never loaded."""
         if self._crashed:
             raise DurabilityError("journal crashed; recover() the directory")
-        payload = {"format": FORMAT_VERSION, "last_seq": self._seq, "state": state}
         tmp_path = self.snapshot_path.with_suffix(".tmp")
+        count = 0
         with open(tmp_path, "wb") as handle:
-            handle.write(_encode_record(payload))
+            handle.write(
+                _encode_record({"k": "snapshot", "format": FORMAT_VERSION, "last_seq": self._seq})
+            )
+            for record in records:
+                handle.write(_encode_record(record))
+                count += 1
+            handle.write(_encode_record({"k": "end", "records": count, "last_seq": self._seq}))
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
@@ -373,41 +415,86 @@ class Durability:
         self.stats.snapshot_compactions += 1
         self._ops_since_snapshot = 0
 
-    def load_snapshot(self) -> tuple[dict | None, bool]:
-        """``(snapshot_payload, discarded)`` — a missing snapshot is
-        ``(None, False)``; an unreadable one is ``(None, True)`` (never
-        refuse to start)."""
+    def load_snapshot(self) -> tuple[Iterator[dict] | None, int, bool]:
+        """``(content_records, last_seq, discarded)`` — a missing
+        snapshot is ``(None, 0, False)``; an unreadable one is
+        ``(None, 0, True)`` (never refuse to start).  One pass checks
+        the framing and CRC of every line, the head's format and that
+        the trailer counts exactly the records before it; only a file
+        that passes is handed on, as a second line-at-a-time iterator
+        over its content records."""
         try:
-            raw = self.snapshot_path.read_bytes()
+            handle = open(self.snapshot_path, "rb")
         except OSError:
-            return None, False
-        records, _, torn = _scan_records(raw)
-        if torn or len(records) != 1 or records[0].get("format") != FORMAT_VERSION:
-            return None, True
-        return records[0], False
+            return None, 0, False
+        with handle:
+            reader = _RecordReader(handle)
+            head = last = None
+            count = 0
+            for record in reader:
+                if head is None:
+                    head = record
+                last = record
+                count += 1
+        if (
+            reader.torn
+            or count < 2
+            or head.get("k") != "snapshot"
+            or head.get("format") != FORMAT_VERSION
+            or not isinstance(head.get("last_seq"), int)
+            or last.get("k") != "end"
+            or last.get("records") != count - 2
+            or last.get("last_seq") != head["last_seq"]
+        ):
+            return None, 0, True
+        return self._snapshot_content(count - 2), head["last_seq"], False
+
+    def _snapshot_content(self, count: int) -> Iterator[dict]:
+        with open(self.snapshot_path, "rb") as handle:
+            yield from itertools.islice(_RecordReader(handle), 1, 1 + count)
 
     # -- reading / attaching ------------------------------------------------------
 
-    def attach(self) -> tuple[dict | None, list[dict], bool]:
-        """Open existing state for recovery: load the snapshot, read the
-        journal (skipping records the snapshot already folded in),
-        physically truncate any torn tail, and position the sequence
-        counter so new appends continue the stream.  Returns
-        ``(snapshot, journal_records, snapshot_discarded)``."""
-        snapshot, discarded = self.load_snapshot()
-        floor = snapshot["last_seq"] if snapshot is not None else 0
+    def attach(self) -> tuple[Iterator[dict] | None, bool, int, int]:
+        """Open existing state for recovery: validate the snapshot, walk
+        the journal once to find where its clean prefix ends (physically
+        truncating any torn tail), and position the sequence counter so
+        new appends continue the stream.  Returns ``(snapshot_content,
+        snapshot_discarded, floor, end)``: the last sequence the snapshot
+        folded in and the journal's clean length, which
+        :meth:`journal_tail` takes to read the records to replay."""
+        snapshot, floor, discarded = self.load_snapshot()
+        seq = floor
+        end = 0
         try:
-            raw = self.journal_path.read_bytes()
+            handle = open(self.journal_path, "rb")
         except OSError:
-            raw = b""
-        records, clean_length, torn = _scan_records(raw)
-        if torn:
-            with open(self.journal_path, "r+b") as handle:
-                handle.truncate(clean_length)
-            self.stats.torn_tail_truncations += 1
-        records = [record for record in records if record.get("i", 0) > floor]
-        self._seq = max(floor, records[-1]["i"] if records else 0)
-        return snapshot, records, discarded
+            pass
+        else:
+            with handle:
+                reader = _RecordReader(handle)
+                for record in reader:
+                    seq = max(seq, record.get("i", 0))
+            if reader.torn:
+                with open(self.journal_path, "r+b") as handle:
+                    handle.truncate(reader.clean_length)
+                self.stats.torn_tail_truncations += 1
+            end = reader.clean_length
+        self._seq = seq
+        return snapshot, discarded, floor, end
+
+    def journal_tail(self, floor: int, end: int) -> Iterator[dict]:
+        """The journal records recovery replays, streamed from the file:
+        those with a sequence above *floor* (the snapshot has not folded
+        them in) within the first *end* bytes — where the journal ended
+        at :meth:`attach`; recovery's own re-sends append acks beyond
+        that point while this is being read."""
+        if not end:
+            return
+        with open(self.journal_path, "rb") as handle:
+            for record in _RecordReader(handle, limit=end):
+                if record.get("i", 0) > floor:
+                    yield record
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -420,6 +507,16 @@ class Durability:
 # ---------------------------------------------------------------------------
 # recovery
 # ---------------------------------------------------------------------------
+
+def _register_client(broker: "Broker", record: dict) -> None:
+    """Apply one ``client`` record (snapshot content or journal)."""
+    broker.registry.register(
+        record["name"],
+        kind=ClientKind(record["kind"]),
+        addresses=tuple((t, a) for t, a in record["addr"]),
+        client_id=record["id"],
+    )
+
 
 def recover(
     directory: str | os.PathLike,
@@ -457,7 +554,7 @@ def recover(
     from repro.broker.broker import Broker
 
     durability = Durability(directory, snapshot_every=snapshot_every, fsync=fsync)
-    snapshot, records, snapshot_discarded = durability.attach()
+    snapshot, snapshot_discarded, floor, end = durability.attach()
     report = RecoveryReport(
         snapshot_loaded=snapshot is not None,
         snapshot_discarded=snapshot_discarded,
@@ -467,48 +564,32 @@ def recover(
     factory = broker_factory if broker_factory is not None else Broker
     broker = factory(kb, durability=durability, **broker_kwargs)
     try:
-        # 1. the compacted baseline
-        if snapshot is not None:
-            state = snapshot["state"]
-            if state.get("config") is not None:
-                broker.engine.reconfigure(_decode_config(state["config"]))
-            for entry in state.get("clients", ()):
-                broker.registry.register(
-                    entry["name"],
-                    kind=ClientKind(entry["kind"]),
-                    addresses=tuple((t, a) for t, a in entry["addr"]),
-                    client_id=entry["id"],
-                )
-            for entry in state.get("subscriptions", ()):
-                broker.dispatcher.subscribe(entry["cid"], _decode_subscription(entry))
-            broker.notifier.restore(state.get("notifier", {}))
-            broker._op_index = state.get("next_op_index", 0)
+        # 1. the compacted baseline, one validated record at a time (the
+        #    stream's order — configuration, clients, subscriptions,
+        #    delivery logs — is the order they must be applied in)
+        for record in snapshot or ():
+            kind = record["k"]
+            if kind == "broker":
+                if record["config"] is not None:
+                    broker.engine.reconfigure(_decode_config(record["config"]))
+                broker._op_index = record["next_op_index"]
+            elif kind == "client":
+                _register_client(broker, record)
+            elif kind == "sub":
+                broker.dispatcher.subscribe(record["cid"], _decode_subscription(record))
+            elif kind in ("notifier", "log"):
+                broker.notifier.restore(record)
 
         # 2. delivery ledger from the journal tail: what was outboxed
         #    and what was acked, per subscription in append order
-        ledger: dict[str, list] = {}
-        for record in records:
-            kind = record["k"]
-            if kind == "out":
-                entry = broker.notifier.adopt_journal_entry(record)
-                ledger.setdefault(record["sid"], []).append(entry)
-            elif kind == "ack":
-                broker.notifier.settle_journal_entry(
-                    record["sid"], record["n"], delivered=record["ok"]
-                )
-        broker.notifier.begin_replay(ledger, durability.stats)
+        broker.notifier.begin_replay(durability.journal_tail(floor, end), durability.stats)
 
         # 3. replay the operation records through the normal paths
-        for record in records:
+        for record in durability.journal_tail(floor, end):
             kind = record["k"]
             try:
                 if kind == "client":
-                    broker.registry.register(
-                        record["name"],
-                        kind=ClientKind(record["kind"]),
-                        addresses=tuple((t, a) for t, a in record["addr"]),
-                        client_id=record["id"],
-                    )
+                    _register_client(broker, record)
                 elif kind == "remove":
                     broker.remove_client(record["id"])
                 elif kind == "sub":
@@ -519,15 +600,16 @@ def recover(
                     broker.engine.reconfigure(_decode_config(record["cfg"]))
                 elif kind == "pub":
                     broker.publish(record["cid"], _decode_event(record))
+                else:  # out / ack: the ledger pass took them
+                    continue
             except ReproError:
                 # the same operation failed the same way live (or only
                 # half-applied before the crash); deterministic replay
                 # converges to the same state by skipping it
                 durability.stats.replay_skips += 1
-            if kind in ("client", "remove", "sub", "unsub", "config", "pub"):
-                report.records_replayed += 1
-                if "oi" in record:
-                    broker._op_index = max(broker._op_index, record["oi"] + 1)
+            report.records_replayed += 1
+            if "oi" in record:
+                broker._op_index = max(broker._op_index, record["oi"] + 1)
 
         # 4. anything journaled-but-unacked that replay did not
         #    regenerate (snapshot-compacted publishes, divergent tails)

@@ -19,13 +19,22 @@ dropped, un-acked ones re-sent).  ``replay_from`` re-delivers the
 retained log from a sequence number for reconnecting subscribers, who
 dedup by ``(sub_id, sequence)``.
 
+Everything kept per delivery is a ``deque(maxlen=history_limit)``, and
+everything kept per subscription (log, sequence counter, frontier) is
+dropped by :meth:`NotificationEngine.forget` when it unsubscribes, so
+the engine's footprint follows the live subscriptions and the window,
+not the number of notifications ever sent.
+
 The notification-id counter is engine-owned (not module-global) and
 restorable from a snapshot, so ids stay unique across a crash-restart.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from sys import intern
+from typing import Iterator
 
 from repro.broker.clients import Client
 from repro.broker.transports import (
@@ -76,11 +85,13 @@ class DeliveryOutcome:
     error: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryEntry:
     """One row of the per-subscription delivery log: everything needed
     to re-send without the original match object (the journal stores the
-    rendered message, so replay works across restarts)."""
+    rendered message, so replay works across restarts).  Rows decoded
+    from JSON go through :meth:`restored`, so a client's or an event's
+    rows share one id string as live rows do."""
 
     sequence: int
     notification_id: str
@@ -89,6 +100,10 @@ class DeliveryEntry:
     subject: str
     body: str
     status: str = "pending"  # pending | acked | dead
+
+    @classmethod
+    def restored(cls, seq, nid, client_id, event_id, subject, body, status) -> "DeliveryEntry":
+        return cls(seq, nid, intern(client_id), intern(event_id), subject, body, intern(status))
 
 
 @dataclass
@@ -149,32 +164,62 @@ class NotificationEngine:
         self.raise_on_dead_letter = raise_on_dead_letter
         self.history_limit = history_limit
         self.durability = durability
-        self.outcomes: list[DeliveryOutcome] = []
-        self.dead_letters: list[Notification] = []
+        self.outcomes: deque[DeliveryOutcome] = deque(maxlen=history_limit)
+        self.dead_letters: deque[Notification] = deque(maxlen=history_limit)
         self.stats = _EngineStats()
         #: engine-owned, snapshot-restorable id counter (a module global
         #: would restart at 1 after recovery and collide)
         self._next_notification = 1
         self._next_seq: dict[str, int] = {}
-        self._delivery_log: dict[str, list[DeliveryEntry]] = {}
+        self._delivery_log: dict[str, deque[DeliveryEntry]] = {}
         self._frontier: dict[str, int] = {}
-        #: pending entries restored from a snapshot (their publishes were
-        #: compacted away, so recovery re-sends them directly)
-        self._restored_pending: list[tuple[str, DeliveryEntry]] = []
-        self._replay_ledger: dict[str, list[DeliveryEntry]] | None = None
+        #: pending entries restored from a snapshot, per subscription
+        #: (their publishes were compacted away, so recovery re-sends
+        #: them directly)
+        self._restored_pending: dict[str, list[DeliveryEntry]] = {}
+        #: recovery only: per subscription id, the journaled outbox
+        #: entries in append order with one ``None`` per journaled
+        #: unsubscribe of that id, delivery or not.  A replayed
+        #: unsubscribe pops through the first ``None``; whatever remains
+        #: belongs to a later subscription that re-used the id
+        self._replay_ledger: dict[str, deque[DeliveryEntry | None]] | None = None
         self._replay_stats = None
 
     # -- bounded history ---------------------------------------------------------
 
-    def _bounded_append(self, store, item) -> None:
-        if len(store) >= self.history_limit:
-            del store[0]
+    def _bounded_append(self, store: deque, item) -> None:
+        """Append to a ``maxlen=history_limit`` deque, counting the
+        entry it pushes out."""
+        if len(store) == self.history_limit:
             self.stats.history_evictions += 1
         store.append(item)
 
     def _log_entry(self, sub_id: str, entry: DeliveryEntry) -> None:
-        log = self._delivery_log.setdefault(sub_id, [])
+        log = self._delivery_log.get(sub_id)
+        if log is None:
+            log = self._delivery_log[sub_id] = deque(maxlen=self.history_limit)
         self._bounded_append(log, entry)
+
+    def forget(self, sub_id: str) -> None:
+        """Drop what is kept for a subscription that unsubscribed: its
+        delivery log, sequence counter and frontier (an id subscribed
+        again later starts a new stream at sequence 1).
+
+        While recovery replays a journaled unsubscribe, the ended
+        stream's part of the replay ledger goes first, so
+        :meth:`finish_replay` cannot re-send it; if more remains, the
+        state is a later stream's, already adopted by the ledger pass,
+        and is left alone."""
+        if self._replay_ledger is not None:
+            queue = self._replay_ledger.get(sub_id)
+            while queue and queue.popleft() is not None:
+                pass
+            if queue:
+                return
+        self._delivery_log.pop(sub_id, None)
+        self._next_seq.pop(sub_id, None)
+        self._frontier.pop(sub_id, None)
+        self._restored_pending.pop(sub_id, None)
 
     # -- delivery --------------------------------------------------------------
 
@@ -185,8 +230,8 @@ class NotificationEngine:
         sub_id = match.subscription.sub_id
         if self._replay_ledger is not None:
             queue = self._replay_ledger.get(sub_id)
-            if queue:
-                entry = queue.pop(0)
+            if queue and queue[0] is not None:
+                entry = queue.popleft()
                 notification = Notification(
                     entry.notification_id, client, match, sub_id=sub_id, sequence=entry.sequence
                 )
@@ -356,39 +401,48 @@ class NotificationEngine:
 
     # -- crash-recovery protocol (driven by durability.recover) --------------------
 
-    def adopt_journal_entry(self, record: dict) -> DeliveryEntry:
-        """Restore one journaled outbox record into the delivery log and
-        the sequence/id counters; returns the entry for the ledger."""
-        entry = DeliveryEntry(
-            record["n"],
-            record["nid"],
-            record["cid"],
-            record.get("eid", ""),
-            record.get("subject", ""),
-            record.get("body", ""),
-        )
-        sub_id = record["sid"]
-        self._log_entry(sub_id, entry)
-        self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), entry.sequence + 1)
-        nid = entry.notification_id
-        if nid.startswith("n") and nid[1:].isdigit():
-            self._next_notification = max(self._next_notification, int(nid[1:]) + 1)
-        return entry
-
-    def settle_journal_entry(self, sub_id: str, sequence: int, *, delivered: bool) -> None:
-        """Apply one journaled ack: the send reached its terminal state
-        before the crash."""
-        for entry in reversed(self._delivery_log.get(sub_id, ())):
-            if entry.sequence == sequence:
-                entry.status = "acked" if delivered else "dead"
-                break
-        if delivered:
-            self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
-
-    def begin_replay(self, ledger: dict[str, list[DeliveryEntry]], stats) -> None:
-        """Enter reconciliation mode: regenerated matches consume
-        *ledger* (per-subscription journaled outbox entries, in append
-        order) instead of drawing fresh sequences."""
+    def begin_replay(self, records, stats) -> None:
+        """The ledger pass, then reconciliation mode.  *records* is the
+        journal tail in append order: every ``out`` is adopted into the
+        delivery log and the sequence/id counters and queued on its
+        subscription's ledger, every ``ack`` settles its entry (the send
+        reached its terminal state before the crash), and every
+        ``unsub`` forgets the subscription as the live call did, leaving
+        a ``None`` on its ledger queue where it ended.  From here until
+        :meth:`finish_replay`, regenerated matches consume the ledger
+        instead of drawing fresh sequences."""
+        ledger: dict[str, deque[DeliveryEntry | None]] = {}
+        for record in records:
+            kind = record["k"]
+            if kind == "out":
+                sub_id = record["sid"]
+                entry = DeliveryEntry.restored(
+                    record["n"],
+                    record["nid"],
+                    record["cid"],
+                    record.get("eid", ""),
+                    record.get("subject", ""),
+                    record.get("body", ""),
+                    "pending",
+                )
+                self._log_entry(sub_id, entry)
+                self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), entry.sequence + 1)
+                nid = entry.notification_id
+                if nid.startswith("n") and nid[1:].isdigit():
+                    self._next_notification = max(self._next_notification, int(nid[1:]) + 1)
+                ledger.setdefault(sub_id, deque()).append(entry)
+            elif kind == "ack":
+                sub_id, sequence = record["sid"], record["n"]
+                for entry in reversed(self._delivery_log.get(sub_id, ())):
+                    if entry.sequence == sequence:
+                        entry.status = "acked" if record["ok"] else "dead"
+                        break
+                if record["ok"]:
+                    self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
+            elif kind == "unsub":
+                sub_id = record["sid"]
+                self.forget(sub_id)
+                ledger.setdefault(sub_id, deque()).append(None)
         self._replay_ledger = ledger
         self._replay_stats = stats
 
@@ -396,48 +450,66 @@ class NotificationEngine:
         """Leave reconciliation mode; any journaled-but-unacked entry
         replay did not regenerate (snapshot-compacted publishes) is
         re-sent directly from its stored message — at-least-once."""
-        leftovers = list(self._restored_pending)
-        if self._replay_ledger is not None:
-            for sub_id, queue in self._replay_ledger.items():
-                for entry in queue:
-                    if entry.status == "pending":
-                        leftovers.append((sub_id, entry))
+        leftovers = [
+            (sub_id, entry)
+            for sub_id, entries in self._restored_pending.items()
+            for entry in entries
+        ]
+        for sub_id, queue in self._replay_ledger.items():
+            for entry in queue:
+                if entry is not None and entry.status == "pending":
+                    leftovers.append((sub_id, entry))
         self._replay_ledger = None
+        self._restored_pending = {}
         for sub_id, entry in leftovers:
             self._redeliver(sub_id, entry, registry)
-        self._restored_pending = []
         self._replay_stats = None
 
     # -- durable state -------------------------------------------------------------
 
-    def durable_state(self) -> dict:
-        """Snapshot-side state: counters, per-subscription sequences,
-        delivered frontiers, and the retained delivery log."""
-        subs = {}
-        for sub_id in set(self._next_seq) | set(self._delivery_log) | set(self._frontier):
-            subs[sub_id] = {
-                "next_seq": self._next_seq.get(sub_id, 1),
+    def durable_state(self) -> Iterator[dict]:
+        """Snapshot-side state as a stream of small records: one
+        ``notifier`` record (the id counter), then one ``log`` record per
+        subscription (sequence counter, delivered frontier, retained
+        delivery log) — at most ``history_limit`` entries each, so no
+        record grows with the number of deliveries ever made."""
+        yield {"k": "notifier", "next_notification": self._next_notification}
+        # every subscription with a log or a frontier drew a sequence first
+        for sub_id, next_seq in self._next_seq.items():
+            yield {
+                "k": "log",
+                "sid": sub_id,
+                "next_seq": next_seq,
                 "frontier": self._frontier.get(sub_id, 0),
                 "entries": [
-                    [e.sequence, e.notification_id, e.client_id, e.event_id, e.subject, e.body, e.status]
+                    [
+                        e.sequence,
+                        e.notification_id,
+                        e.client_id,
+                        e.event_id,
+                        e.subject,
+                        e.body,
+                        e.status,
+                    ]
                     for e in self._delivery_log.get(sub_id, ())
                 ],
             }
-        return {"next_notification": self._next_notification, "subs": subs}
 
-    def restore(self, state: dict) -> None:
-        """Rebuild counters and the delivery log from
-        :meth:`durable_state` output; pending entries are queued for
-        re-send when recovery finishes."""
-        self._next_notification = int(state.get("next_notification", 1))
-        for sub_id, data in state.get("subs", {}).items():
-            self._next_seq[sub_id] = int(data.get("next_seq", 1))
-            self._frontier[sub_id] = int(data.get("frontier", 0))
-            for seq, nid, cid, eid, subject, body, status in data.get("entries", ()):
-                entry = DeliveryEntry(seq, nid, cid, eid, subject, body, status)
-                self._log_entry(sub_id, entry)
-                if status == "pending":
-                    self._restored_pending.append((sub_id, entry))
+    def restore(self, record: dict) -> None:
+        """Apply one :meth:`durable_state` record; pending entries are
+        queued for re-send when recovery finishes."""
+        if record["k"] == "notifier":
+            self._next_notification = int(record["next_notification"])
+            return
+        sub_id = record["sid"]
+        self._next_seq[sub_id] = int(record["next_seq"])
+        if record["frontier"]:
+            self._frontier[sub_id] = int(record["frontier"])
+        for fields in record["entries"]:
+            entry = DeliveryEntry.restored(*fields)
+            self._log_entry(sub_id, entry)
+            if entry.status == "pending":
+                self._restored_pending.setdefault(sub_id, []).append(entry)
 
     # -- reporting ----------------------------------------------------------------
 

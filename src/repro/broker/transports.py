@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -45,6 +46,11 @@ _message_counter = itertools.count(1)
 DELIVERED = "delivered"
 DROPPED = "dropped"
 FAILED = "failed"
+
+#: How many recent records a transport keeps (``journal``, ``sent_mail``);
+#: equal to the notification engine's ``history_limit`` default.  Totals
+#: come from per-status counters, so nothing is lost with the window.
+JOURNAL_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,9 @@ class Transport:
             raise TransportError(f"failure_rate must be in [0, 1), got {failure_rate}")
         self.failure_rate = failure_rate
         self.rng = random.Random(seed)
-        self.journal: list[DeliveryRecord] = []
+        #: the most recent ``JOURNAL_WINDOW`` records, oldest first
+        self.journal: deque[DeliveryRecord] = deque(maxlen=JOURNAL_WINDOW)
+        self._counts = {DELIVERED: 0, DROPPED: 0, FAILED: 0}
         self._forced_failures = 0
 
     # -- test / chaos hooks ---------------------------------------------------
@@ -109,15 +117,18 @@ class Transport:
         (the notification engine owns retry policy)."""
         if self._forced_failures > 0:
             self._forced_failures -= 1
-            record = DeliveryRecord(message, FAILED, self.base_latency_ms, "forced failure")
-            self.journal.append(record)
+            self._record(DeliveryRecord(message, FAILED, self.base_latency_ms, "forced failure"))
             raise TransportError(f"{self.name}: forced failure for {message.address!r}")
         if self.failure_rate and self.rng.random() < self.failure_rate:
-            record = DeliveryRecord(message, FAILED, self.base_latency_ms, "transient failure")
-            self.journal.append(record)
+            self._record(
+                DeliveryRecord(message, FAILED, self.base_latency_ms, "transient failure")
+            )
             raise TransportError(f"{self.name}: transient failure for {message.address!r}")
-        record = self._transmit(message)
+        return self._record(self._transmit(message))
+
+    def _record(self, record: DeliveryRecord) -> DeliveryRecord:
         self.journal.append(record)
+        self._counts[record.status] += 1
         return record
 
     def _transmit(self, message: OutboundMessage) -> DeliveryRecord:
@@ -131,20 +142,22 @@ class Transport:
     # -- journal -----------------------------------------------------------------------
 
     def delivered(self) -> Iterator[DeliveryRecord]:
+        """Delivered records still inside the recent window."""
         return (r for r in self.journal if r.status == DELIVERED)
 
     def delivered_count(self) -> int:
-        return sum(1 for _ in self.delivered())
+        """Every delivered send since construction or :meth:`reset`."""
+        return self._counts[DELIVERED]
 
     def stats(self) -> dict[str, int]:
-        counts = {DELIVERED: 0, DROPPED: 0, FAILED: 0}
-        for record in self.journal:
-            counts[record.status] = counts.get(record.status, 0) + 1
-        counts["total"] = len(self.journal)
+        """Cumulative per-status send counts (not limited to the window)."""
+        counts = dict(self._counts)
+        counts["total"] = sum(self._counts.values())
         return counts
 
     def reset(self) -> None:
         self.journal.clear()
+        self._counts = dict.fromkeys(self._counts, 0)
         self._forced_failures = 0
 
 
@@ -181,7 +194,8 @@ class SmtpTransport(Transport):
 
     def __init__(self, *, failure_rate: float = 0.05, seed: int = 0) -> None:
         super().__init__(failure_rate=failure_rate, seed=seed)
-        self.sent_mail: list[str] = []
+        #: the most recent ``JOURNAL_WINDOW`` rendered mails, oldest first
+        self.sent_mail: deque[str] = deque(maxlen=JOURNAL_WINDOW)
 
     def _transmit(self, message: OutboundMessage) -> DeliveryRecord:
         mail = (

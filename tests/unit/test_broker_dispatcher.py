@@ -99,11 +99,25 @@ class TestPublishing:
         report = broker.publish(candidate.client_id, parse_event("(degree, PhD)"))
         assert report.match_count == 1
 
-    def test_reports_accumulate(self, broker):
+    def test_publications_counted_not_kept(self, broker):
+        """The caller holds the PublishReport; the dispatcher keeps
+        three running totals and no per-publication container."""
+        company = broker.register_subscriber("Initech", email="hr@x")
+        broker.subscribe(company.client_id, "(degree = PhD)")
         candidate = broker.register_publisher("Ada")
-        broker.publish(candidate.client_id, "(a, 1)")
-        broker.publish(candidate.client_id, "(a, 2)")
-        assert len(broker.dispatcher.reports) == 2
+        reports = [broker.publish(candidate.client_id, f"(degree, PhD)(n, {i})") for i in range(7)]
+        reports.append(broker.publish(candidate.client_id, "(a, 2)"))
+        stats = broker.dispatcher.stats()
+        assert stats["publications"] == 8
+        assert stats["matches"] == sum(r.match_count for r in reports) == 7
+        assert stats["deliveries"] == sum(r.delivered_count for r in reports) == 7
+        assert not hasattr(broker.dispatcher, "reports")
+        grown = [
+            name
+            for name, value in vars(broker.dispatcher).items()
+            if isinstance(value, (list, tuple, set)) and len(value) >= 7
+        ]
+        assert grown == []
 
 
 class TestModes:

@@ -7,6 +7,7 @@ import pytest
 from repro.broker.clients import Client, ClientKind
 from repro.broker.notifications import NotificationEngine
 from repro.broker.transports import (
+    JOURNAL_WINDOW,
     SmsTransport,
     SmtpTransport,
     TcpTransport,
@@ -125,7 +126,7 @@ class TestReporting:
         engine.notify(_client(("tcp", "h:1")), _match())
         engine.reset()
         assert engine.snapshot()["notifications"] == 0
-        assert engine.outcomes == []
+        assert not engine.outcomes
 
     def test_notification_rendering(self):
         engine = _engine()
@@ -133,3 +134,75 @@ class TestReporting:
         assert "s1" in outcome.notification.subject()
         assert "e1" in outcome.notification.subject()
         assert "matched" in outcome.notification.body()
+
+
+class TestBoundedRetention:
+    """Nothing the engine keeps grows with the number of notifications
+    sent: every store is a window of ``history_limit`` and every total a
+    counter."""
+
+    LIMIT = 8
+
+    def _sub_match(self, sub_id: str, index: int) -> SemanticMatch:
+        event = Event({"degree": "PhD"}, event_id=f"e{index}")
+        sub = Subscription([Predicate.eq("degree", "PhD")], sub_id=sub_id)
+        return SemanticMatch(sub, event, DerivedEvent.original(event), 0)
+
+    def test_windows_hold_and_counters_stay_cumulative(self):
+        limit = self.LIMIT
+        engine = _engine(history_limit=limit)
+        reachable = _client(("smtp", "hr@x"))
+        unreachable = Client("c2", "Nowhere", ClientKind.SUBSCRIBER, (("pigeon", "coop"),))
+        sends = 3 * limit + 1
+        for index in range(sends):
+            assert engine.notify(reachable, self._sub_match("s1", index)).delivered
+            assert engine.notify(reachable, self._sub_match("s2", index)).delivered
+            assert not engine.notify(unreachable, self._sub_match("s3", index)).delivered
+
+        smtp = engine.transports.get("smtp")
+        logs = [engine.delivery_log(sub_id) for sub_id in ("s1", "s2", "s3")]
+        assert [len(store) for store in (engine.outcomes, engine.dead_letters, *logs)] == (
+            [limit] * 5
+        )
+        assert len(smtp.journal) <= JOURNAL_WINDOW and len(smtp.sent_mail) <= JOURNAL_WINDOW
+        # the newest entries are the ones kept
+        assert [e.sequence for e in engine.delivery_log("s1")] == list(
+            range(sends - limit + 1, sends + 1)
+        )
+        assert engine.outcomes[-1].notification.sub_id == "s3"
+
+        # totals are the true cumulative counts, not the window's
+        snapshot = engine.snapshot()
+        assert snapshot["notifications"] == 3 * sends
+        assert snapshot["delivered"] == 2 * sends
+        assert snapshot["dead_lettered"] == sends
+        assert snapshot["dead_letters"] == limit  # the retained window
+        assert snapshot["transports"]["smtp"]["delivered"] == 2 * sends
+        assert smtp.delivered_count() == 2 * sends
+        evicted = (3 * sends - limit) + (sends - limit) + 3 * (sends - limit)
+        assert engine.stats.history_evictions == evicted
+        assert engine.delivery_frontiers() == {"s1": sends, "s2": sends}
+
+    def test_forget_drops_every_per_subscription_key(self):
+        engine = _engine()
+        client = _client(("tcp", "h:1"))
+        engine.notify(client, self._sub_match("kept", 0))
+        before = (set(engine._delivery_log), set(engine._next_seq), set(engine._frontier))
+        for index in range(3):
+            engine.notify(client, self._sub_match("gone", index))
+        engine.forget("gone")
+        assert (set(engine._delivery_log), set(engine._next_seq), set(engine._frontier)) == before
+        assert engine.delivery_log("gone") == []
+        # the id, subscribed again, starts a new stream
+        assert engine.notify(client, self._sub_match("gone", 9)).notification.sequence == 1
+        engine.forget("never-delivered")  # no-op, not an error
+
+    def test_delivery_entries_are_slotted_and_share_ids(self):
+        engine = _engine()
+        client = _client(("tcp", "h:1"))
+        for index in range(2):
+            engine.notify(client, self._sub_match("s1", index))
+        first, second = engine.delivery_log("s1")
+        assert not hasattr(first, "__dict__")
+        assert first.client_id is second.client_id
+        assert first.status is second.status

@@ -8,6 +8,7 @@ from repro.broker.transports import (
     DELIVERED,
     DROPPED,
     FAILED,
+    JOURNAL_WINDOW,
     OutboundMessage,
     SmsTransport,
     SmtpTransport,
@@ -28,7 +29,7 @@ class TestBaseBehaviour:
         transport = TcpTransport()
         record = transport.send(_message())
         assert record.ok and record.status == DELIVERED
-        assert transport.journal == [record]
+        assert list(transport.journal) == [record]
         assert transport.delivered_count() == 1
 
     def test_forced_failure(self):
@@ -66,8 +67,26 @@ class TestBaseBehaviour:
         transport.send(_message())
         transport.fail_next()
         transport.reset()
-        assert transport.journal == []
+        assert not transport.journal
+        assert transport.stats()["total"] == 0
         assert transport.send(_message()).ok  # forced failure cleared
+
+    def test_journal_is_a_recent_window_and_counts_are_cumulative(self):
+        """The journal and the mail store keep the last JOURNAL_WINDOW
+        records; stats() and delivered_count() keep counting."""
+        transport = SmtpTransport(failure_rate=0.0)
+        sends = 3 * JOURNAL_WINDOW
+        transport.fail_next(5)
+        for _ in range(5):
+            with pytest.raises(TransportError):
+                transport.send(_message("smtp"))
+        records = [transport.send(_message("smtp")) for _ in range(sends)]
+        assert len(transport.journal) == JOURNAL_WINDOW
+        assert len(transport.sent_mail) == JOURNAL_WINDOW
+        assert list(transport.journal) == records[-JOURNAL_WINDOW:]
+        assert transport.delivered_count() == sends
+        assert transport.stats() == {DELIVERED: sends, DROPPED: 0, FAILED: 5, "total": sends + 5}
+        assert sum(1 for _ in transport.delivered()) == JOURNAL_WINDOW
 
 
 class TestSms:

@@ -13,11 +13,13 @@ engine-owned notification counters.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
 from repro.broker.broker import Broker
 from repro.broker.durability import (
+    FORMAT_VERSION,
     JOURNAL_NAME,
     SNAPSHOT_NAME,
     Durability,
@@ -67,6 +69,10 @@ def _observable(broker: Broker) -> dict:
         "subs": sorted(sub.sub_id for sub in broker.engine.subscriptions()),
         "frontiers": broker.notifier.delivery_frontiers(),
     }
+
+
+def _frame(records) -> bytes:
+    return b"".join(_encode_record(record) for record in records)
 
 
 class TestRecordFraming:
@@ -158,7 +164,8 @@ class TestRecoveryRoundTrip:
         with Broker(kb, durability=tmp_path) as broker:
             _populate(broker)
             expected = _observable(broker)
-            assert expected["frontiers"] == {"s-a": 1, "s-b": 1}
+            # s-b unsubscribed: its frontier left with it
+            assert expected["frontiers"] == {"s-a": 1}
         recovered = recover(tmp_path, kb)
         try:
             assert _observable(recovered) == expected
@@ -205,12 +212,75 @@ class TestRecoveryRoundTrip:
         journal = tmp_path / JOURNAL_NAME
         records, _, _ = _scan_records(journal.read_bytes())
         kept = [r for r in records if r["k"] != "ack"]
-        journal.write_bytes(b"".join(_encode_record(r) for r in kept))
+        journal.write_bytes(_frame(kept))
         recovered = recover(tmp_path, kb)
         try:
             assert recovered.recovery.replayed_deliveries == 2
             assert recovered.recovery.dedup_drops == 0
-            assert recovered.notifier.delivery_frontiers() == {"s-a": 1, "s-b": 1}
+            # s-b was re-sent too, then forgotten by the replayed unsubscribe
+            assert recovered.notifier.delivery_frontiers() == {"s-a": 1}
+        finally:
+            recovered.close()
+
+
+    def test_resubscribed_id_starts_a_new_stream_and_recovers(self, kb, tmp_path):
+        """Unsubscribing forgets the subscription's sequence stream; the
+        same id subscribed again starts at 1, and recovery — which sees
+        both streams' records under one id — lands where the run did."""
+        with Broker(kb, durability=tmp_path) as broker:
+            broker.register_subscriber("Alice", tcp="alice:9", client_id="cl-a")
+            broker.register_publisher("Press", client_id="cl-p")
+            for event_id in ("e1", "e2", "e3"):
+                broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
+                report = broker.publish("cl-p", Event([("school", "Toronto")], event_id=event_id))
+                assert report.outcomes[0].notification.sequence == 1
+                if event_id != "e3":
+                    broker.unsubscribe("s-a")
+            expected = _observable(broker)
+            expected_log = broker.notifier.delivery_log("s-a")
+            assert expected["frontiers"] == {"s-a": 1}
+            assert [entry.event_id for entry in expected_log] == ["e3"]
+        recovered = recover(tmp_path, kb)
+        try:
+            assert _observable(recovered) == expected
+            assert recovered.notifier.delivery_log("s-a") == expected_log
+            assert recovered.recovery.dedup_drops == 3
+            assert recovered.recovery.replayed_deliveries == 0
+            report = recovered.publish("cl-p", Event([("school", "Toronto")], event_id="e4"))
+            assert report.outcomes[0].notification.sequence == 2
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("first_generation", ["no delivery", "compacted"])
+    def test_resubscribed_id_dedups_when_the_first_stream_left_no_outbox(
+        self, kb, tmp_path, first_generation
+    ):
+        """The first subscription under a re-used id leaves no ``out``
+        record in the journal tail — it never matched, or its delivery
+        was folded into the snapshot.  The replayed unsubscribe must not
+        take the later stream's adopted records with it: the acked
+        delivery is deduplicated, not sent a second time."""
+        with Broker(kb, durability=tmp_path) as broker:
+            broker.register_subscriber("Alice", tcp="alice:9", client_id="cl-a")
+            broker.register_publisher("Press", client_id="cl-p")
+            broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
+            if first_generation == "compacted":
+                broker.publish("cl-p", Event([("school", "Toronto")], event_id="e0"))
+                broker.checkpoint()
+            broker.unsubscribe("s-a")
+            broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
+            report = broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+            assert report.outcomes[0].notification.sequence == 1
+            expected = _observable(broker)
+            expected_log = broker.notifier.delivery_log("s-a")
+            assert [entry.event_id for entry in expected_log] == ["e1"]
+        recovered = recover(tmp_path, kb)
+        try:
+            assert _observable(recovered) == expected
+            assert recovered.notifier.delivery_log("s-a") == expected_log
+            assert recovered.recovery.dedup_drops == 1
+            assert recovered.recovery.replayed_deliveries == 0
+            assert recovered.notifier.transports.get("tcp").delivered_count() == 0
         finally:
             recovered.close()
 
@@ -407,6 +477,210 @@ class TestSnapshots:
             recovered.close()
 
 
+class TestStreamedSnapshot:
+    """Snapshot format 2: a stream of small CRC-framed records between a
+    head and a counting trailer, validated whole before any is applied,
+    written and read one record at a time."""
+
+    def _ghosted(self, kb, directory) -> tuple[list[dict], dict]:
+        """A directory whose snapshot AND journal each hold the full
+        ``_populate`` history (the journal resurrected after the
+        checkpoint), with one extra client only the snapshot knows: a
+        recovery that applied anything from a bad snapshot shows it.
+        Returns the snapshot's records and the journal-only state."""
+        with Broker(kb, durability=directory) as broker:
+            _populate(broker)
+            stale = (directory / JOURNAL_NAME).read_bytes()
+            broker.checkpoint()
+            expected = _observable(broker)
+        (directory / JOURNAL_NAME).write_bytes(stale)
+        records, _, torn = _scan_records((directory / SNAPSHOT_NAME).read_bytes())
+        assert not torn
+        ghost = {"k": "client", "id": "cl-ghost", "name": "Ghost", "kind": "publisher", "addr": []}
+        records.insert(2, ghost)  # after the store's head and the broker record
+        records[-1] = dict(records[-1], records=len(records) - 2)
+        return records, expected
+
+    def test_layout(self, kb, tmp_path):
+        with Broker(kb, durability=tmp_path) as broker:
+            _populate(broker)
+            broker.checkpoint()
+            last_seq = broker.durability.last_seq
+        records, _, torn = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
+        assert not torn
+        assert [record["k"] for record in records] == [
+            "snapshot", "broker", "client", "client", "client", "sub", "notifier", "log", "end",
+        ]  # fmt: skip
+        assert records[0] == {"k": "snapshot", "format": FORMAT_VERSION, "last_seq": last_seq}
+        assert records[-1] == {"k": "end", "records": len(records) - 2, "last_seq": last_seq}
+        # s-b unsubscribed before the checkpoint: no log record for it
+        assert [r["sid"] for r in records if r["k"] == "log"] == ["s-a"]
+
+    def test_valid_snapshot_is_applied(self, kb, tmp_path):
+        records, expected = self._ghosted(kb, tmp_path)
+        (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
+        recovered = recover(tmp_path, kb)
+        try:
+            assert recovered.recovery.snapshot_loaded and not recovered.recovery.snapshot_discarded
+            assert recovered.recovery.records_replayed == 0  # the journal is all folded in
+            assert "cl-ghost" in recovered.registry
+            assert _observable(recovered)["subs"] == expected["subs"]
+            assert _observable(recovered)["frontiers"] == expected["frontiers"]
+        finally:
+            recovered.close()
+
+    def test_any_damage_discards_the_whole_snapshot(self, kb, tmp_path):
+        """Truncation at every record boundary and inside every record,
+        one flipped byte in a middle record, a missing trailer and a
+        miscounting one: each time the file is discarded before any of
+        it is applied, and recovery falls back to the journal."""
+        source = tmp_path / "source"
+        records, expected = self._ghosted(kb, source)
+        journal = (source / JOURNAL_NAME).read_bytes()
+        whole = _frame(records)
+        damaged: dict[str, bytes] = {}
+        offset = 0
+        for index, record in enumerate(records):
+            size = len(_encode_record(record))
+            if index:
+                damaged[f"cut at boundary {index}"] = whole[:offset]
+            damaged[f"cut inside record {index}"] = whole[: offset + size // 2]
+            offset += size
+        damaged["cut before the final newline"] = whole[:-1]
+        middle = len(_frame(records[:3])) + 20
+        flipped = bytearray(whole)
+        flipped[middle] ^= 0x01
+        damaged["byte flipped in a middle record"] = bytes(flipped)
+        damaged["trailer dropped"] = _frame(records[:-1])
+        damaged["trailer counts one more"] = _frame(
+            records[:-1] + [dict(records[-1], records=records[-1]["records"] + 1)]
+        )
+        damaged["content record dropped"] = _frame(records[:3] + records[4:])
+        damaged["trailer names another sequence"] = _frame(
+            records[:-1] + [dict(records[-1], last_seq=records[-1]["last_seq"] + 1)]
+        )
+        damaged["records after the trailer"] = whole + _encode_record(records[2])
+        damaged["format 1 single record"] = _encode_record(
+            {"format": 1, "last_seq": records[0]["last_seq"], "state": {"clients": [records[2]]}}
+        )
+        damaged["unknown format"] = _frame([dict(records[0], format=3)] + records[1:])
+        damaged["empty file"] = b""
+
+        for number, (label, raw) in enumerate(damaged.items()):
+            work = tmp_path / f"case{number}"
+            work.mkdir()
+            (work / JOURNAL_NAME).write_bytes(journal)
+            (work / SNAPSHOT_NAME).write_bytes(raw)
+            recovered = recover(work, kb)
+            try:
+                report = recovered.recovery
+                assert report.snapshot_discarded and not report.snapshot_loaded, label
+                assert "cl-ghost" not in recovered.registry, label
+                assert report.records_replayed > 0, label
+                assert _observable(recovered) == expected, label
+            finally:
+                recovered.close()
+
+    def _mixed_broker(self, kb, directory) -> Broker:
+        """Acked, dead and (forged) pending entries in the logs."""
+        broker = Broker(kb, durability=directory)
+        _populate(broker)
+        broker.registry.register(
+            "Nowhere", addresses=(("carrier-pigeon", "roof"),), client_id="cl-u"
+        )
+        broker.dispatcher.subscribe("cl-u", _sub("degree", "PhD", "s-u"))
+        broker.subscribe("cl-b", _sub("degree", "PhD", "s-b2"))
+        for event_id in ("e3", "e4"):
+            broker.publish("cl-p", Event([("degree", "PhD")], event_id=event_id))
+        broker.publish("cl-p", Event([("school", "Toronto")], event_id="e5"))
+        log = broker.notifier._delivery_log
+        assert {entry.status for entry in log["s-u"]} == {"dead"}
+        assert {entry.status for entry in log["s-b2"]} == {"acked"}
+        log["s-a"][-1].status = "pending"  # forge an in-flight send
+        broker.notifier._frontier["s-a"] = 1
+        return broker
+
+    def test_roundtrip_record_for_record(self, kb, tmp_path):
+        broker = self._mixed_broker(kb, tmp_path)
+        try:
+            written = list(broker._durable_state())
+            broker.checkpoint()
+            # what the file hands back is what the broker produced
+            content, last_seq, discarded = broker.durability.load_snapshot()
+            assert not discarded and last_seq == broker.durability.last_seq
+            assert list(content) == written
+            statuses = {e[6] for r in written if r["k"] == "log" for e in r["entries"]}
+            assert statuses == {"pending", "acked", "dead"}
+            # recovery settles the pending send; do the same here
+            broker.notifier._delivery_log["s-a"][-1].status = "acked"
+            broker.notifier._frontier["s-a"] = 2
+            expected = list(broker.notifier.durable_state())
+        finally:
+            broker.close()
+        recovered = recover(tmp_path, kb)
+        try:
+            assert recovered.recovery.replayed_deliveries == 1
+            assert list(recovered.notifier.durable_state()) == expected
+            assert "cl-u" in recovered.registry
+            first, second = recovered.notifier.delivery_log("s-b2")
+            # rows decoded from JSON share their repeated strings again
+            assert first.client_id is second.client_id and first.status is second.status
+        finally:
+            recovered.close()
+
+    def test_compaction_and_recovery_hold_one_record_not_the_file(self, kb, tmp_path):
+        """≥ 20k logged deliveries: the traced peak during checkpoint()
+        and the transient during load_snapshot() + restore stay within a
+        few of the largest record, far below the snapshot's size (the
+        single-record format peaked at ~2.7x the file)."""
+        subs, per_sub = 24, 1000
+        body = "matched via a derivation chain that renders to a few hundred characters " * 5
+        broker = Broker(kb, durability=tmp_path)
+        broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-f")
+        for index in range(subs):
+            broker.notifier.restore(
+                {
+                    "k": "log",
+                    "sid": f"s{index}",
+                    "next_seq": per_sub + 1,
+                    "frontier": per_sub,
+                    "entries": [
+                        [n, f"n{index}-{n}", "cl-f", f"e{n}", f"subj {n}", f"{n} {body}", "acked"]
+                        for n in range(1, per_sub + 1)
+                    ],
+                }
+            )
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            broker.checkpoint()
+            compact_peak = tracemalloc.get_traced_memory()[1] - baseline
+            broker.close()
+            del broker
+
+            raw_lines = (tmp_path / SNAPSHOT_NAME).read_bytes().splitlines()
+            file_size = sum(len(line) + 1 for line in raw_lines)
+            largest = max(len(line) for line in raw_lines)
+            del raw_lines
+            assert file_size > 15 * largest
+
+            tracemalloc.reset_peak()
+            recovered = recover(tmp_path, kb)
+            live, peak = tracemalloc.get_traced_memory()
+            recover_transient = peak - live
+        finally:
+            tracemalloc.stop()
+        try:
+            assert recovered.recovery.snapshot_loaded
+            assert sum(len(recovered.notifier.delivery_log(f"s{i}")) for i in range(subs)) >= 20_000
+        finally:
+            recovered.close()
+        assert compact_peak < 6 * largest, (compact_peak, largest, file_size)
+        assert recover_transient < 6 * largest, (recover_transient, largest, file_size)
+        assert compact_peak < file_size / 3 and recover_transient < file_size / 3
+
+
 class TestReplayFrom:
     def _delivered(self, kb, durable_dir=None):
         broker = Broker(kb, durability=durable_dir)
@@ -435,12 +709,18 @@ class TestReplayFrom:
 
     def test_replay_for_removed_client_fails_closed(self, kb):
         broker = self._delivered(kb)
-        broker.remove_client("cl-a")
-        # the subscription is gone with the client, but its retained
-        # log remains readable; redelivery fails without a reachable
-        # client instead of raising
+        # the client vanishes from the registry while its subscription
+        # (and so its retained log) stays: redelivery fails without a
+        # reachable client instead of raising
+        broker.registry.remove("cl-a")
         outcomes = broker.replay_from("s-a", 1)
         assert outcomes and not any(o.delivered for o in outcomes)
+
+    def test_unsubscribed_log_is_forgotten(self, kb):
+        broker = self._delivered(kb)
+        broker.remove_client("cl-a")  # unsubscribes s-a first
+        assert broker.replay_from("s-a", 1) == []
+        assert broker.notifier.delivery_frontiers() == {}
 
 
 class TestBoundedHistories:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.broker.broker import Broker
 from repro.core.engine import SToPSS
 from repro.errors import WorkloadError
 from repro.workload import worlds as worlds_module
@@ -248,6 +249,42 @@ class TestFlashCrowd:
         assert report.churn_ops_per_second > 0
         # and the engine footprint helper reports the same live state
         assert engine_footprint(engine) == report.final
+
+    def test_storm_through_a_broker_leaves_no_notifier_residue(self, world):
+        """The same contract one layer up: a crowd subscription that
+        received deliveries and then left must leave nothing in the
+        notification engine's per-subscription stores (delivery log,
+        sequence counter, frontier) — their keys return to residents
+        only, so neither memory nor snapshots grow with churn."""
+        spec = FlashCrowdSpec(residents=30, churn_ops=1_500, burst=40, seed=9)
+        broker = Broker(world.kb)
+        broker.register_subscriber("Crowd", tcp="crowd:1", client_id="cl-s")
+        broker.register_publisher("Feed", client_id="cl-p")
+        notifier = broker.notifier
+        stores = (notifier._delivery_log, notifier._next_seq, notifier._frontier)
+        before_crowd = None
+        crowd_keys_peak = 0
+        for kind, payload in FlashCrowdDriver(world.generator(seed=9), spec).ops():
+            if kind == "subscribe":
+                if before_crowd is None and payload.sub_id.startswith("crowd-"):
+                    before_crowd = [set(store) for store in stores]
+                broker.subscribe("cl-s", payload)
+            elif kind == "unsubscribe":
+                broker.unsubscribe(payload)
+            else:
+                broker.publish("cl-p", payload)
+                crowd_keys_peak = max(
+                    crowd_keys_peak, sum(key.startswith("crowd-") for key in notifier._next_seq)
+                )
+        residents = {sub.sub_id for sub in broker.engine.subscriptions()}
+        assert len(residents) == spec.residents
+        # the storm really delivered to transient subscriptions
+        assert crowd_keys_peak > 0
+        for store, before in zip(stores, before_crowd):
+            # pre-crowd keys plus residents first reached during the storm
+            assert before <= set(store) <= residents
+        # every unsubscribe of the storm's tail forgot its subscription
+        assert not any(key.startswith("crowd-") for store in stores for key in store)
 
     def test_storm_on_cluster_matcher_bounded(self, world):
         """The cluster matcher's residual memo survives churn *by
