@@ -3,18 +3,18 @@
 Runs the full-semantic jobfinder publish stream against a 2-shard
 worker-process fleet, once clean and once per chaos seed under a seeded
 :class:`~repro.broker.supervision.FaultPlan` that kills, hangs, drops,
-corrupts, and snapshot-poisons workers mid-stream, and records per leg:
+and corrupts workers mid-stream, and records per leg:
 
 * ``events_per_second`` — observed wall-clock throughput (record-only,
-  machine-dependent; the chaos legs pay fork-and-rebuild respawns so
-  their number is *expected* to trail the clean leg — the gap is the
-  measured price of recovery, not a regression).
+  machine-dependent; the chaos legs pay respawns and retries so their
+  number is *expected* to trail the clean leg — the gap is the measured
+  price of recovery, not a regression).
 * the supervision counters (``worker_restarts``, ``publish_retries``,
-  ``degraded_publishes``, ``breaker_opens``, ``snapshot_fallbacks``,
+  ``degraded_publishes``, ``breaker_opens``,
   ``stale_replies_discarded``) and the derived operator-facing rates:
   ``restarts_per_1k_events``, ``degraded_publish_rate``, and
-  ``mean_restart_seconds`` (fork + re-subscribe + snapshot re-adopt,
-  the data plane's measured MTTR).
+  ``mean_restart_seconds`` (reap the old worker, fork the parent
+  replica, read its ready reply — the data plane's measured MTTR).
 
 Results land in ``BENCH_faults.json`` (``STOPSS_BENCH_FAULTS_OUTPUT``
 redirects a fresh run).  Wall-clock numbers never gate; the in-test
@@ -51,7 +51,7 @@ CHAOS_SEEDS = (11, 29, 47)
 #: enough that every run exercises respawn, retry, and epoch discard
 FAULTS_PER_LEG = 8
 #: zero backoff/cooldown keeps the timed window dominated by the real
-#: recovery work (fork + rebuild), not by sleeps
+#: recovery work (reap + re-fork), not by sleeps
 POLICY = SupervisionPolicy(backoff_base=0.0, breaker_cooldown=0.0)
 
 
@@ -108,7 +108,6 @@ def test_fault_recovery(benchmark, jobs_kb, capsys):
             "restarts",
             "retries",
             "degraded",
-            "snap-fb",
             "stale-drop",
             "ev/s",
             "rst/1k-ev",
@@ -128,7 +127,7 @@ def test_fault_recovery(benchmark, jobs_kb, capsys):
         "recovery_model": (
             "every chaos leg must reproduce the clean leg's exact per-event "
             "(sub_id, generality) match lists with no publish raising; "
-            "mean_restart_seconds is fork + re-subscribe + snapshot re-adopt "
+            "mean_restart_seconds is reap + re-fork of the parent replica "
             "per respawn (measured MTTR); wall-clock rates are record-only"
         ),
         "legs": [],
@@ -176,7 +175,6 @@ def test_fault_recovery(benchmark, jobs_kb, capsys):
                 restarts,
                 counters["publish_retries"],
                 counters["degraded_publishes"],
-                counters["snapshot_fallbacks"],
                 counters["stale_replies_discarded"],
                 round(rate, 1),
                 round(1000.0 * restarts / EVENTS, 1),

@@ -1,21 +1,20 @@
 """Shard-scaling sweep for the sharded broker (PR 5, executors PR 7).
 
 Grows the full-semantic jobfinder subscription table 100→5000 across an
-executor × shard-count grid — the threaded fan-out at 2/4/8 shards and
-the worker-process data plane at 2/4 — against a 1-shard baseline row,
-and records per ``(subscriptions, executor, shards)`` row:
+executor × shard-count grid — the worker-process data plane at 2/4
+shards — against a 1-shard baseline row, and records per
+``(subscriptions, executor, shards)`` row:
 
-* ``events_per_second`` — **observed** wall-clock throughput.  Threaded
-  shard publish work is pure Python, so on a stock (GIL) interpreter
-  the threads interleave instead of overlapping and that executor's
-  observed number cannot beat one shard; the process executor runs each
-  shard on its own interpreter, so with ≥ shards cores its observed
-  number is the one expected to clear 1.0× (on a single-core runner it
-  honestly will not — IPC overhead with no overlap to pay for it).
+* ``events_per_second`` — **observed** wall-clock throughput.  The
+  process executor runs each shard on its own interpreter, so with
+  ≥ shards cores its observed number is the one expected to clear 1.0×
+  (on a single-core runner it honestly will not — IPC overhead with no
+  overlap to pay for it).
 * ``events_per_second_critical_path`` — throughput over the fan-out's
   **measured critical path**: per publication, the slowest shard's
-  publish CPU (thread time, so GIL interleaving does not inflate it).
-  This is what wall-clock converges to once shards genuinely overlap.
+  publish CPU (thread time: the shard's own work, whatever else ran
+  on its core).  This is what wall-clock converges to once shards
+  genuinely overlap.
 * ``speedup_vs_one_shard`` / ``observed_speedup_vs_one_shard`` —
   critical-path and wall-clock throughput relative to the 1-shard row
   of the same table size.
@@ -32,7 +31,7 @@ runners record without gating).
 Results land in ``BENCH_shards.json`` (``STOPSS_BENCH_SHARDS_OUTPUT``
 redirects a fresh run).  Wall-clock numbers are machine-dependent and
 never gate by themselves; the in-test assertions are deterministic:
-every executor leg — including the full wire-codec/shared-memory
+every executor leg — including the full forked-worker/wire-codec
 process path — reproduces the 1-shard row's exact per-event
 ``(sub_id, generality)`` match lists, and every subscription lands on
 exactly one shard.
@@ -57,9 +56,6 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: speedup baseline for every other leg at the same table size.
 EXECUTOR_LEGS = (
     ("serial", 1),
-    ("threads", 2),
-    ("threads", 4),
-    ("threads", 8),
     ("process", 2),
     ("process", 4),
 )
@@ -109,8 +105,8 @@ def test_shard_scaling(benchmark, jobs_kb, capsys):
             "speedup_vs_one_shard compares events_per_second_critical_path "
             "(per-publication max of per-shard publish CPU, thread time) "
             "against the 1-shard row; observed_speedup_vs_one_shard is the "
-            "wall-clock ratio — GIL-bound for threads, real multicore for "
-            "the process executor given >= shards cores"
+            "wall-clock ratio — real multicore for the process executor "
+            "given >= shards cores"
         ),
         "sweep": [],
     }

@@ -11,14 +11,7 @@ from repro.broker.durability import (
     RecoveryReport,
     recover,
 )
-from repro.broker.sharding import (
-    ProcessExecutor,
-    SerialExecutor,
-    ShardedBroker,
-    ShardedEngine,
-    ThreadedExecutor,
-    default_router,
-)
+from repro.broker.sharding import ShardedBroker, ShardedEngine, default_router
 from repro.broker.supervision import (
     CircuitBreaker,
     FaultAction,
@@ -52,9 +45,6 @@ __all__ = [
     "recover",
     "ShardedBroker",
     "ShardedEngine",
-    "SerialExecutor",
-    "ThreadedExecutor",
-    "ProcessExecutor",
     "default_router",
     "CircuitBreaker",
     "FaultAction",

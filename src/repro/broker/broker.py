@@ -318,12 +318,11 @@ class Broker:
     # -- lifecycle -------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release engine-held resources (executor pools, worker
-        processes, shared-memory segments) and the journal handle.  A
-        plain single-engine broker holds none, so this is a no-op there
-        — having it on the base class means ``with Broker(...)``-style
-        cleanup code works unchanged when the engine is swapped for a
-        sharded one."""
+        """Release engine-held resources (the sharded engine's worker
+        processes) and the journal handle.  A plain single-engine
+        broker holds none, so this is a no-op there — having it on the
+        base class means ``with Broker(...)``-style cleanup code works
+        unchanged when the engine is swapped for a sharded one."""
         closer = getattr(self.engine, "close", None)
         if closer is not None:
             closer()

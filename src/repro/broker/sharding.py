@@ -7,10 +7,10 @@ that scale-out axis: :class:`ShardedEngine` hash-partitions stored
 subscriptions across N independent engine replicas that share one
 :class:`~repro.ontology.knowledge_base.KnowledgeBase` (and therefore
 one version-synced :class:`~repro.ontology.concept_table.ConceptTable`
-snapshot — its lazy closure fills are lock-guarded for exactly this
-use), fans each publication out across the shards through a pluggable
-executor, and merges the per-shard match sets back into the global
-subscription insertion order the single-engine design reports.
+snapshot), fans each publication out across the shards — inline, or
+through one forked worker process per shard — and merges the per-shard
+match sets back into the global subscription insertion order the
+single-engine design reports.
 
 Why this composes without new invariants: a publication's match set is
 a per-subscription minimum, so partitioning subscriptions partitions
@@ -23,13 +23,13 @@ gets *sharper* per shard: fewer live subscriptions mean smaller
 accepted sets and a cheaper per-shard expansion.
 
 Concurrency contract: parallelism is *across shards within one
-publication* — the executor maps the shard engines concurrently, and
-every structure a shard touches during publish is either replica-local
-(matcher, caches, counters, interest index) or a lock-guarded shared
-snapshot (the concept table).  The facade itself is not re-entrant:
-one ``publish``/``subscribe``/``reconfigure`` at a time, exactly the
-discipline the :class:`~repro.broker.dispatcher.EventDispatcher`
-already imposes.
+publication* — the process executor runs the shard engines
+concurrently, and every structure a shard touches during publish is
+either replica-local (matcher, caches, counters, interest index) or a
+lock-guarded shared snapshot (the concept table).  The facade itself is
+not re-entrant: one ``publish``/``subscribe``/``reconfigure`` at a
+time, exactly the discipline the
+:class:`~repro.broker.dispatcher.EventDispatcher` already imposes.
 
 Subscription churn routes to the owning shard (the router is a stable
 content hash of the subscription id, so unsubscribe finds the same
@@ -39,29 +39,27 @@ motion needs no routing at all — each replica's publish path already
 re-syncs against ``kb.version`` through the existing semantic-version/
 epoch plumbing.
 
-Three executors ship, one per concurrency regime
-(``docs/CONCURRENCY.md`` is the full contract):
-:class:`SerialExecutor` runs shards inline;
-:class:`ThreadedExecutor` overlaps them on threads (GIL-bound for this
-pure-Python work — wall-clock on one interpreter does not improve);
-:class:`ProcessExecutor` gives each shard its own worker *process*,
-which is where the 4-shard critical-path gain becomes real wall-clock.
-Processes cannot share the in-memory replicas, so the distributed path
-trades the ``map``-a-closure seam for a data plane: publications cross
-as compact interned-id wire tuples
-(:meth:`Event.to_wire <repro.model.events.Event.to_wire>`), the
-concept table's closure arrays cross *once* as a read-only
-shared-memory snapshot (:class:`~repro.ontology.concept_table.
-SharedClosureSnapshot`), and match results come back as wire tuples
-the parent decodes against its own table.  The parent keeps its local
-replicas as the control plane — the routing/ordering source of truth
-that also lets the fleet be rebuilt from scratch whenever the
-knowledge base moves (forked workers never see parent KB mutations).
+Two executors ship (``docs/CONCURRENCY.md`` is the full contract).
+``"serial"`` runs the shards inline, in order.  ``"process"`` gives
+each shard its own worker *process*, which is where the 4-shard
+critical-path gain becomes real wall-clock.  A worker is a ``fork`` of
+the parent at the moment of launch and serves the parent's own replica
+of its shard, inherited copy-on-write along with the knowledge base
+and every closure the concept table has memoized — nothing is rebuilt,
+re-subscribed or re-shipped.  From then on the two copies meet only on
+a pipe: publications cross as compact interned-id wire tuples
+(:meth:`Event.to_wire <repro.model.events.Event.to_wire>`), control
+operations the parent has already applied to its replica are mirrored
+to the worker's, and match results come back as wire tuples the parent
+decodes against its own table.  The parent's replicas stay the control
+plane — the routing/ordering source of truth — so replacing a worker,
+or the whole fleet when the knowledge base moves (a forked worker never
+sees a parent KB mutation), is a fork of the current replica.
 
 Because the fleet is a disposable cache of the control plane, worker
 failure is never fatal: the data plane runs under a supervisor
 (:mod:`repro.broker.supervision`, prose in ``docs/RESILIENCE.md``)
-that tracks liveness on every round-trip, respawns dead or hung
+that tracks liveness on every round-trip, re-forks dead or hung
 workers from the parent replicas, retries in-flight publishes with
 bounded seeded backoff, and — once a shard's circuit breaker opens —
 routes that shard's publishes inline through its parent replica until
@@ -78,11 +76,9 @@ from __future__ import annotations
 
 import multiprocessing
 import random
-import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from repro.broker.broker import Broker
 from repro.broker.supervision import (
@@ -101,23 +97,20 @@ from repro.matching.base import MatchingAlgorithm
 from repro.metrics.aggregate import merge_stats, stats_from_wire
 from repro.model.events import Event, wire_fallback_count
 from repro.model.subscriptions import Subscription
-from repro.ontology.concept_table import SharedClosureSnapshot
 from repro.ontology.knowledge_base import KnowledgeBase
 
 __all__ = [
     "DEFAULT_REQUEST_TIMEOUT",
+    "EXECUTORS",
     "ShardedBroker",
     "ShardedEngine",
-    "SerialExecutor",
-    "ThreadedExecutor",
-    "ProcessExecutor",
     "default_router",
 ]
 
 #: default bound on one worker round-trip before the shard is presumed
-#: hung and respawned; override end to end via
-#: ``ShardedEngine(request_timeout=...)``, ``ProcessExecutor(
-#: request_timeout=...)``, or ``stopss demo --shard-timeout``.
+#: hung and respawned; override via
+#: ``ShardedEngine(request_timeout=...)`` or ``stopss demo
+#: --shard-timeout``.
 DEFAULT_REQUEST_TIMEOUT = 120.0
 
 
@@ -129,100 +122,9 @@ def default_router(sub_id: str, shards: int) -> int:
     return zlib.crc32(sub_id.encode("utf-8")) % shards
 
 
-class SerialExecutor:
-    """Fan-out executor that runs shard tasks inline, in order.  The
-    zero-dependency baseline: same results as the threaded executor,
-    wall-clock equal to the summed per-shard cost."""
-
-    name = "serial"
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return [fn(item) for item in items]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-class ThreadedExecutor:
-    """Fan-out executor backed by a lazily created
-    :class:`~concurrent.futures.ThreadPoolExecutor`.
-
-    Shard publish work is pure Python, so on a stock (GIL) interpreter
-    threads *interleave* rather than overlap — the wall-clock win
-    appears on free-threaded builds or multi-core machines running
-    subinterpreter/worker deployments; on one core the measured
-    per-shard CPU (``critical_path_seconds`` in the sharding stats) is
-    the honest scale-out signal.  See ``docs/PERFORMANCE.md``.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self._max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-        #: one instance may be borrowed by several engines publishing
-        #: from different threads; the lazy pool creation must not race
-        #: (a lost ThreadPoolExecutor could never be shut down).
-        self._init_lock = threading.Lock()
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        pool = self._pool
-        if pool is None:
-            with self._init_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = self._pool = ThreadPoolExecutor(
-                        max_workers=self._max_workers, thread_name_prefix="stopss-shard"
-                    )
-        return list(pool.map(fn, items))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ProcessExecutor:
-    """Fan-out executor that runs each shard replica in its own worker
-    *process* — the executor that actually breaks the GIL, turning the
-    measured per-shard critical path into wall-clock on >= N cores.
-
-    Worker processes cannot call the engine's bound ``_publish_shard``
-    closure, so :class:`ShardedEngine` detects the ``distributed``
-    marker and routes its traffic through a wire-codec data plane
-    (:class:`_ProcessDataPlane`) instead of ``map``; ``map`` itself
-    only serves third-party callers and runs inline.  The engine owns
-    the worker fleet and tears it down on ``close()`` whether or not it
-    owns this executor object.
-
-    ``start_method`` defaults to ``"fork"`` where available (workers
-    inherit the knowledge base without pickling, so KBs carrying
-    arbitrary mapping functions work); ``"spawn"`` requires the KB,
-    engine factory, and matcher spec to be picklable.  One instance
-    configures one engine's fleet at a time.
-    """
-
-    name = "process"
-    #: tells ShardedEngine to run its cross-process data plane
-    distributed = True
-
-    def __init__(
-        self,
-        start_method: str | None = None,
-        request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-    ) -> None:
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else None
-        self.start_method = start_method
-        self.request_timeout = request_timeout
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        return [fn(item) for item in items]
-
-    def close(self) -> None:
-        """Nothing to release here — worker processes belong to the
-        engine's data plane, which the engine closes."""
+#: how the publish fan-out runs: ``serial`` publishes on each replica
+#: inline, ``process`` on one forked worker process per shard
+EXECUTORS = ("serial", "process")
 
 
 class _ShardFault(BrokerError):
@@ -282,16 +184,15 @@ def _worker_publish(engine, event, table) -> tuple:
     return tuple(derived_wires), rows, span
 
 
-def _shard_worker_main(
-    conn, kb, factory, matcher, config, subscriptions, snapshot_descriptor, ready_epoch
-) -> None:
+def _shard_worker_main(conn, engine, ready_epoch) -> None:
     """Entry point of one shard worker process.
 
-    Builds the replica engine (adopting the parent's shared-memory
-    closure snapshot when it still matches this KB version), subscribes
-    the shard's originals in global insertion order, acknowledges
-    readiness, then serves the request/reply loop until ``stop`` or a
-    closed pipe.
+    *engine* is the parent's own replica of this shard, inherited
+    through ``fork`` with the knowledge base and concept table it reads
+    — already holding every subscription, the current configuration and
+    whatever the parent had memoized.  The worker acknowledges
+    readiness, then serves the request/reply loop on it until ``stop``
+    or a closed pipe.
 
     Every exchange is epoch-tagged: requests arrive as ``(epoch, op,
     payload)`` and are answered with the same epoch — ``(epoch, "ok",
@@ -301,28 +202,8 @@ def _shard_worker_main(
     decode (transport damage, retriable with a clean payload).  The
     parent discards replies whose epoch it is no longer waiting for, so
     an abandoned reply can never satisfy a later request."""
-    snapshot = None
-    adopted = False
-    try:
-        if snapshot_descriptor is not None:
-            try:
-                snapshot = SharedClosureSnapshot.attach(snapshot_descriptor)
-                kb.concept_table().adopt_snapshot(snapshot)
-                adopted = True
-            except Exception:
-                # the snapshot is an optimization, never a correctness
-                # dependency: on any mismatch fall back to local fills.
-                if snapshot is not None:
-                    snapshot.close()
-                snapshot = None
-        engine = factory(kb, matcher=matcher, config=config)
-        for subscription in subscriptions:
-            engine.subscribe(subscription)
-    except BaseException as exc:
-        _send_error(conn, ready_epoch, exc)
-        conn.close()
-        return
-    conn.send((ready_epoch, "ok", {"snapshot_adopted": adopted}))
+    kb = engine.kb
+    conn.send((ready_epoch, "ok", None))
     try:
         while True:
             try:
@@ -363,15 +244,14 @@ def _shard_worker_main(
             except BaseException as exc:
                 _send_error(conn, epoch, exc)
     finally:
-        if snapshot is not None:
-            snapshot.close()
         conn.close()
 
 
 class _ProcessDataPlane:
-    """The worker-process fleet behind a distributed executor: one
-    daemon process per shard, a duplex pipe each, and one shared-memory
-    closure snapshot (see the module docstring for the design).
+    """The worker-process fleet behind the process executor: one daemon
+    process per shard, forked from the parent and serving the parent's
+    replica of that shard, with a duplex pipe each (see the module
+    docstring for the design).
 
     The plane is a disposable cache of the parent's control plane: the
     parent rebuilds it from its local replicas whenever the knowledge
@@ -380,72 +260,40 @@ class _ProcessDataPlane:
     world.
 
     Within one plane's lifetime the same disposability makes worker
-    failure recoverable *per shard*: *replica_spec* hands back the
-    parent's current per-shard state on demand, so a dead, hung, or
-    desynchronized worker is respawned alone (``respawn is the retry``
-    for control traffic — the rebuilt state already includes every
-    applied mutation, so control ops are never re-sent).  Publishes are
-    retried under *policy* with bounded seeded backoff; a shard whose
-    circuit breaker is open answers ``None`` from :meth:`publish` and
-    the engine publishes inline on its parent replica instead.  All
-    recovery counters accumulate into the engine-owned *stats* so they
-    survive plane rebuilds."""
+    failure recoverable *per shard*: a dead, hung, or desynchronized
+    worker is replaced alone by forking the parent's replica as it is
+    now (``respawn is the retry`` for control traffic — that replica
+    already includes every applied mutation, so control ops are never
+    re-sent).  Publishes are retried under *policy* with bounded seeded
+    backoff; a shard whose circuit breaker is open answers ``None``
+    from :meth:`publish` and the engine publishes inline on its parent
+    replica instead.  All recovery counters accumulate into the
+    engine-owned *stats* so they survive plane rebuilds."""
 
     def __init__(
         self,
-        kb,
-        factory,
-        matcher,
-        config,
-        replica_spec,
+        engines,
         *,
-        shards: int,
-        start_method=None,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
         policy: SupervisionPolicy | None = None,
         stats: SupervisionStats | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
-        self._kb = kb
-        self.kb_version = kb.version
-        self._factory = factory
-        self._matcher = matcher
-        self._replica_spec = replica_spec
+        #: the parent's replicas, one per shard — what each worker is a
+        #: fork of, at launch and at every respawn
+        self._engines = engines
+        self.kb_version = engines[0].kb.version
         self.request_timeout = request_timeout
         self._policy = policy if policy is not None else SupervisionPolicy()
         self._stats = stats if stats is not None else SupervisionStats()
         self._fault_plan = fault_plan
         self._rng = random.Random(self._policy.seed)
+        shards = len(engines)
         self._breakers = [
             CircuitBreaker(self._policy.breaker_threshold, self._policy.breaker_cooldown)
             for _ in range(shards)
         ]
         self._closed = False
-        self._snapshot = None
-        self._descriptor = None
-        if config.interning:
-            try:
-                table = kb.concept_table()
-                # the parent never publishes locally under this plane, so
-                # its ancestor closures would stay cold; warm them once
-                # here so the snapshot carries the whole value-term space
-                # (descent closures were already warmed by subscribe-time
-                # expansion wherever the engine design uses them).
-                table.warm_closures(up=True)
-                self._snapshot = table.export_shared()
-                self._descriptor = self._snapshot.descriptor()
-            except Exception:
-                # no shared memory on this platform: workers re-derive.
-                if self._snapshot is not None:
-                    self._snapshot.close()
-                    self._snapshot.unlink()
-                self._snapshot = None
-                self._descriptor = None
-        self._context = (
-            multiprocessing.get_context(start_method)
-            if start_method
-            else multiprocessing.get_context()
-        )
         #: shard index -> (process, conn), or None where the worker is
         #: dead and not yet respawned (the list length never changes)
         self._workers: list = [None] * shards
@@ -459,12 +307,11 @@ class _ProcessDataPlane:
         #: (skipped while its breaker was open, or an ambiguous control
         #: failure) — it must be respawned before serving anything
         self._stale = [False] * shards
-        self._corrupt_next_descriptor = [False] * shards
         try:
             for index in range(shards):
-                self._launch(index, self._descriptor)
+                self._launch(index)
             for index in range(shards):
-                self._await_ready(index)
+                self._finish(index)
         except BaseException:
             self.close()
             raise
@@ -484,22 +331,15 @@ class _ProcessDataPlane:
         self._expected[index] = epoch
         return epoch
 
-    def _launch(self, index: int, descriptor) -> None:
-        config, subscriptions = self._replica_spec(index)
+    def _launch(self, index: int) -> None:
+        """Fork shard *index*'s worker off the parent's replica; its
+        readiness reply is the next thing :meth:`_finish` reads."""
         epoch = self._fresh_epoch(index)
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
+        context = multiprocessing.get_context("fork")
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
             target=_shard_worker_main,
-            args=(
-                child_conn,
-                self._kb,
-                self._factory,
-                self._matcher,
-                config,
-                list(subscriptions),
-                descriptor,
-                epoch,
-            ),
+            args=(child_conn, self._engines[index], epoch),
             daemon=True,
             name=f"stopss-shard-{index}",
         )
@@ -507,14 +347,6 @@ class _ProcessDataPlane:
         child_conn.close()
         self._workers[index] = (process, parent_conn)
         self._deadlines[index] = time.monotonic() + self.request_timeout
-
-    def _await_ready(self, index: int) -> None:
-        payload = self._finish(index)
-        adopted = bool(payload.get("snapshot_adopted")) if isinstance(payload, dict) else False
-        if self._descriptor is not None and not adopted:
-            # the segment exists but this worker could not adopt it —
-            # it came up on local closure fills (correct, just colder)
-            self._stats.snapshot_fallbacks += 1
 
     def _dispose_worker(self, index: int) -> None:
         """Forget shard *index*'s worker: close the pipe, make sure the
@@ -534,22 +366,14 @@ class _ProcessDataPlane:
         process.join(timeout=5.0)
 
     def _respawn(self, index: int) -> None:
-        """Replace shard *index*'s worker with a fresh one rebuilt from
-        the parent's current replica state (config and subscriptions
+        """Replace shard *index*'s worker with a fresh fork of the
+        parent's replica as it is now (config and subscriptions
         included — this is also how a stale worker resyncs)."""
         started = time.monotonic()
         self._dispose_worker(index)
-        descriptor = self._descriptor
-        if descriptor is not None and self._corrupt_next_descriptor[index]:
-            # the "snapshot" fault: hand the replacement a descriptor at
-            # an impossible KB version so adoption fails and the worker
-            # proves the local-fill fallback path
-            descriptor = dict(descriptor)
-            descriptor["version"] = -1
-        self._corrupt_next_descriptor[index] = False
         try:
-            self._launch(index, descriptor)
-            self._await_ready(index)
+            self._launch(index)
+            self._finish(index)
         except BaseException as exc:
             self._dispose_worker(index)
             raise _ShardFault(
@@ -573,9 +397,7 @@ class _ProcessDataPlane:
         kind = self._fault_plan.take(index, slot) if self._fault_plan is not None else None
         epoch = self._fresh_epoch(index)
         self._deadlines[index] = time.monotonic() + self.request_timeout
-        if kind in ("kill", "snapshot"):
-            if kind == "snapshot":
-                self._corrupt_next_descriptor[index] = True
+        if kind == "kill":
             process.kill()
             process.join(timeout=5.0)
             raise _ShardFault(
@@ -753,15 +575,15 @@ class _ProcessDataPlane:
         source of truth and have already applied it, so this never
         raises for transport trouble — and control ops are never re-sent
         after a failure: the worker is disposed or marked stale, and the
-        respawn's full state rebuild *is* the retry (re-sending could
-        double-apply a mutation the worker did receive)."""
+        respawn's fork of the parent replica *is* the retry (re-sending
+        could double-apply a mutation the worker did receive)."""
         targets = range(len(self._workers)) if index is None else (index,)
         for i in targets:
             self._forward_one(i, op, payload)
 
     def _forward_one(self, index: int, op: str, payload) -> None:
         if self._workers[index] is None or self._stale[index]:
-            return  # the next respawn rebuilds state that includes this op
+            return  # the next respawn forks a replica that includes this op
         if not self._breakers[index].allow():
             # breaker open: no worker traffic at all; the worker missed
             # this mutation, so it must resync before serving again
@@ -818,9 +640,8 @@ class _ProcessDataPlane:
         return results
 
     def close(self) -> None:
-        """Stop and reap every worker, then destroy the shared segment.
-        Idempotent, and tolerant of already-dead workers and half-built
-        fleets — exactly one unlink however the plane dies."""
+        """Stop and reap every worker.  Idempotent, and tolerant of
+        already-dead workers and half-built fleets."""
         if self._closed:
             return
         self._closed = True
@@ -847,35 +668,6 @@ class _ProcessDataPlane:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
-        if self._snapshot is not None:
-            self._snapshot.close()
-            self._snapshot.unlink()
-            self._snapshot = None
-
-
-_EXECUTORS = {
-    "serial": SerialExecutor,
-    "threads": ThreadedExecutor,
-    "threaded": ThreadedExecutor,
-    "process": ProcessExecutor,
-    "processes": ProcessExecutor,
-}
-
-
-def _resolve_executor(executor) -> tuple[object, bool]:
-    """``(executor, owned)`` — string specs construct a fresh executor
-    the engine closes on :meth:`ShardedEngine.close`; instances are
-    borrowed and left running."""
-    if isinstance(executor, str):
-        try:
-            return _EXECUTORS[executor](), True
-        except KeyError:
-            raise ConfigError(
-                f"unknown executor {executor!r} (expected one of {sorted(_EXECUTORS)})"
-            ) from None
-    if not callable(getattr(executor, "map", None)):
-        raise ConfigError("executor must provide map(fn, items)")
-    return executor, False
 
 
 class ShardedEngine:
@@ -896,7 +688,7 @@ class ShardedEngine:
         and the same concept-table snapshot.
     shards:
         Replica count (>= 1).  One shard degenerates to a thin wrapper
-        around a plain engine: no executor hop, no merge sort.
+        around a plain engine and never forks, whatever the executor.
     matcher:
         A *registered* matcher name, instantiated once per shard.  A
         :class:`MatchingAlgorithm` instance cannot be shared across
@@ -908,24 +700,22 @@ class ShardedEngine:
         pass :class:`~repro.core.subexpand.SubscriptionExpandingEngine`
         to shard the subscription-side design.
     executor:
-        ``"serial"`` (default), ``"threads"``, ``"process"``, or any
-        object with ``map(fn, items)`` — how the publish fan-out runs.
-        An executor whose ``distributed`` attribute is true routes
-        publishes through the worker-process data plane instead of
-        ``map`` (see :class:`ProcessExecutor`).
+        How the publish fan-out runs: ``"serial"`` (default) publishes
+        on each replica inline; ``"process"`` routes publishes through
+        one forked worker process per shard and needs a platform with
+        the ``fork`` start method.
     router:
         ``router(sub_id, shards) -> shard index`` override; defaults to
         :func:`default_router`.
     request_timeout:
         Bound (seconds) on one worker round-trip before the shard is
-        presumed hung and respawned.  Defaults to the executor's
-        ``request_timeout`` attribute when it has one, else
+        presumed hung and respawned.  Defaults to
         :data:`DEFAULT_REQUEST_TIMEOUT`.  CLI: ``--shard-timeout``.
     supervision:
         :class:`~repro.broker.supervision.SupervisionPolicy` governing
         worker respawn, publish retry/backoff, and the per-shard
         circuit breakers of the process data plane (defaults apply when
-        omitted; irrelevant to in-process executors).
+        omitted; irrelevant to the serial executor).
     fault_plan:
         Optional :class:`~repro.broker.supervision.FaultPlan` injecting
         deterministic worker faults into the data plane — tests, chaos
@@ -940,7 +730,7 @@ class ShardedEngine:
         matcher: str | MatchingAlgorithm = "counting",
         config: SemanticConfig | None = None,
         engine_factory: Callable | None = None,
-        executor: object | str = "serial",
+        executor: str = "serial",
         router: Callable[[str, int], int] | None = None,
         request_timeout: float | None = None,
         supervision: SupervisionPolicy | None = None,
@@ -959,22 +749,26 @@ class ShardedEngine:
             factory(kb, matcher=matcher, config=config) for _ in range(shards)
         )
         self._router = router if router is not None else default_router
-        self._executor, self._owns_executor = _resolve_executor(executor)
-        self._engine_factory = factory
-        self._matcher_spec = matcher
+        if executor not in EXECUTORS:
+            raise ConfigError(
+                f"unknown executor {executor!r} (expected one of {list(EXECUTORS)})"
+            )
+        self._executor = executor
         #: sub_id -> original subscription (the decode table for wire
-        #: match rows, and the restart source for the process plane)
+        #: match rows)
         self._subs_by_id: dict[str, Subscription] = {}
-        #: a distributed executor moves publishes off the .map seam and
-        #: onto the worker-process data plane (built lazily on first
-        #: publish; rebuilt whenever the knowledge base version drifts)
-        self._distributed = (
-            bool(getattr(self._executor, "distributed", False)) and shards > 1
-        )
+        #: the process executor moves publishes onto the worker-process
+        #: data plane (forked lazily on first publish; re-forked
+        #: whenever the knowledge base version drifts)
+        self._distributed = executor == "process" and shards > 1
+        if self._distributed and "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError(
+                'executor="process" needs the fork start method, which this '
+                "platform does not offer: a shard worker is a fork of its "
+                'parent replica (use executor="serial")'
+            )
         self._plane: _ProcessDataPlane | None = None
         self._plane_dirty = False
-        if request_timeout is None:
-            request_timeout = getattr(self._executor, "request_timeout", None)
         if request_timeout is None:
             request_timeout = DEFAULT_REQUEST_TIMEOUT
         if request_timeout <= 0:
@@ -988,19 +782,19 @@ class ShardedEngine:
         self._supervision = SupervisionStats()
         self._fault_plan = fault_plan
         #: running count of values that crossed the wire as string
-        #: fallbacks instead of interned ids (distributed executor only)
+        #: fallbacks instead of interned ids (process executor only)
         self._wire_fallbacks = 0
         #: sub_id -> global insertion sequence (the merge-sort key that
         #: restores single-engine reporting order across shards)
         self._seq_of: dict[str, int] = {}
         self._next_seq = 0
         self.publications = 0
-        #: cumulative per-shard publish CPU (thread time, so a GIL
-        #: interpreter's interleaving does not inflate it)
+        #: cumulative per-shard publish CPU (thread time: the shard's
+        #: own work, not what else ran on its core meanwhile)
         self._busy_cpu_seconds = [0.0] * shards
         #: Σ over publications of the slowest shard's publish CPU —
         #: the fan-out's critical path: what wall-clock converges to
-        #: when the executor genuinely overlaps shards (>= N cores)
+        #: when the process executor has >= N cores to overlap shards on
         self._critical_path_seconds = 0.0
 
     # -- routing -----------------------------------------------------------------
@@ -1075,11 +869,16 @@ class ShardedEngine:
 
     # -- publishing -------------------------------------------------------------------
 
-    def _publish_shard(self, task: tuple[int, Event]) -> tuple[int, list, float]:
-        index, event = task
+    def _publish_local(self, index: int, event: Event) -> tuple[list[SemanticMatch], float]:
+        """Publish on the parent's own replica of shard *index*:
+        ``(matches, publish thread-CPU span)``.  The serial executor's
+        whole fan-out, and the process executor's degraded mode — the
+        replica is the control-plane source of truth, so it always
+        produces exactly what a healthy worker would have returned.
+        Slower there (it shares the parent's core) but never wrong."""
         started = time.thread_time()
         matches = self._engines[index].publish(event)
-        return index, matches, time.thread_time() - started
+        return matches, time.thread_time() - started
 
     def publish(self, event: Event) -> list[SemanticMatch]:
         """Fan one publication out across every shard and merge the
@@ -1088,25 +887,20 @@ class ShardedEngine:
         Every shard sees every event (any shard's subscriptions may
         match), but each works against its own interest index — an
         empty or uninterested shard prunes the expansion to nearly
-        nothing.  Per-shard CPU is measured with thread time so the
-        recorded critical path stays meaningful on GIL interpreters.
+        nothing.  Per-shard CPU is measured with thread time, so the
+        recorded critical path is each shard's own work wherever the
+        shard ran.
         """
         self.publications += 1
-        if len(self._engines) == 1:
-            # degenerate single-shard path: no executor hop, no merge —
-            # shard-local insertion order is already the global order.
-            started = time.thread_time()
-            matches = self._engines[0].publish(event)
-            span = time.thread_time() - started
-            self._busy_cpu_seconds[0] += span
-            self._critical_path_seconds += span
-            return matches
         if self._distributed:
-            return self._publish_distributed(event)
-        tasks = [(index, event) for index in range(len(self._engines))]
+            outcomes = self._publish_distributed(event)
+        else:
+            outcomes = (
+                self._publish_local(index, event) for index in range(len(self._engines))
+            )
         merged: list[SemanticMatch] = []
         slowest = 0.0
-        for index, matches, span in self._executor.map(self._publish_shard, tasks):
+        for index, (matches, span) in enumerate(outcomes):
             merged.extend(matches)
             self._busy_cpu_seconds[index] += span
             slowest = max(slowest, span)
@@ -1121,21 +915,8 @@ class ShardedEngine:
             plane.close()
         self._plane_dirty = False
 
-    def _shard_replica_spec(self, index: int) -> tuple[SemanticConfig, list[Subscription]]:
-        """What shard *index*'s worker must hold right now: the current
-        config and the shard's subscriptions in global insertion order.
-        The data plane reads this at launch *and* at every respawn, so
-        a replacement worker resyncs to the parent's present state —
-        churn and reconfigure included — without replaying any ops."""
-        subscriptions = [
-            self._subs_by_id[sub_id]
-            for sub_id, _ in sorted(self._seq_of.items(), key=lambda item: item[1])
-            if self.shard_of(sub_id) == index
-        ]
-        return self._engines[0].config, subscriptions
-
     def _ensure_plane(self) -> _ProcessDataPlane:
-        """The live worker fleet, rebuilt from the control plane when
+        """The live worker fleet, re-forked from the control plane when
         marked dirty or when the knowledge base version moved since the
         fork (workers hold a fork-time KB copy and cannot observe
         parent mutations — restart *is* the propagation mechanism)."""
@@ -1145,13 +926,7 @@ class ShardedEngine:
             self._discard_plane()
         if self._plane is None:
             self._plane = _ProcessDataPlane(
-                self.kb,
-                self._engine_factory,
-                self._matcher_spec,
-                self._engines[0].config,
-                self._shard_replica_spec,
-                shards=len(self._engines),
-                start_method=getattr(self._executor, "start_method", None),
+                self._engines,
                 request_timeout=self._request_timeout,
                 policy=self._supervision_policy,
                 stats=self._supervision,
@@ -1159,53 +934,36 @@ class ShardedEngine:
             )
         return self._plane
 
-    def _publish_inline_degraded(self, index: int, event: Event) -> tuple[list, float]:
-        """Degraded-mode publish for one shard: run it on the parent's
-        own replica, which is the control-plane source of truth and
-        therefore always produces exactly what a healthy worker would
-        have returned.  Slower (it shares the parent's core) but never
-        wrong — the supervisor already counted the degradation."""
-        started = time.thread_time()
-        matches = self._engines[index].publish(event)
-        return matches, time.thread_time() - started
-
-    def _publish_distributed(self, event: Event) -> list[SemanticMatch]:
-        """The process-executor publish path: encode once, fan the wire
-        form out to every worker, decode the per-shard match rows
-        against the parent's own table, merge as usual.  Matches carry
-        the parent's original subscription and event objects — only the
-        derived events cross the boundary.
+    def _publish_distributed(self, event: Event) -> Iterator[tuple[list[SemanticMatch], float]]:
+        """The process-executor publish path, one ``(matches, publish
+        CPU span)`` per shard: encode once, fan the wire form out to
+        every worker, decode the per-shard match rows against the
+        parent's own table.  Matches carry the parent's original
+        subscription and event objects — only the derived events cross
+        the boundary.
 
         A ``None`` outcome for a shard means its supervisor degraded it
         (breaker open or retry budget spent) — the parent replica
         answers inline, so a publication *never* fails on worker
         trouble."""
-        plane = self._ensure_plane()
+        # the table before the fleet: after a knowledge-base write this
+        # builds the new snapshot once, here, and the fork hands it to
+        # every worker instead of each worker building its own
         table = self.kb.concept_table() if self._engines[0].config.interning else None
+        plane = self._ensure_plane()
         wire = event.to_wire(table)
         self._wire_fallbacks += wire_fallback_count(wire)
-        merged: list[SemanticMatch] = []
-        slowest = 0.0
         subs = self._subs_by_id
         for index, outcome in enumerate(plane.publish(wire)):
             if outcome is None:
-                matches, span = self._publish_inline_degraded(index, event)
-                self._busy_cpu_seconds[index] += span
-                slowest = max(slowest, span)
-                merged.extend(matches)
+                yield self._publish_local(index, event)
                 continue
             derived_wires, rows, span = outcome
-            self._busy_cpu_seconds[index] += span
-            slowest = max(slowest, span)
             decoded = [DerivedEvent.from_wire(item, table) for item in derived_wires]
-            for sub_id, generality, via_index in rows:
-                merged.append(
-                    SemanticMatch(subs[sub_id], event, decoded[via_index], generality)
-                )
-        self._critical_path_seconds += slowest
-        seq = self._seq_of
-        merged.sort(key=lambda match: seq[match.subscription.sub_id])
-        return merged
+            yield [
+                SemanticMatch(subs[sub_id], event, decoded[via_index], generality)
+                for sub_id, generality, via_index in rows
+            ], span
 
     def explain(self, event: Event) -> PipelineResult:
         """The full (deliberately exhaustive) expansion — identical on
@@ -1305,7 +1063,7 @@ class ShardedEngine:
         """Fan-out shape and measured shard-parallel cost."""
         return {
             "shards": len(self._engines),
-            "executor": getattr(self._executor, "name", type(self._executor).__name__),
+            "executor": self._executor,
             # resolved per-shard matcher registry names: each replica
             # resolves its own backend from its config, so a numpy
             # preference surfaces here as e.g. "counting-numpy" (or the
@@ -1319,11 +1077,11 @@ class ShardedEngine:
             "busy_cpu_seconds": list(self._busy_cpu_seconds),
             "critical_path_seconds": self._critical_path_seconds,
             # values that crossed to worker processes as string
-            # fallbacks instead of interned ids (0 for in-process
-            # executors, where nothing crosses a wire at all)
+            # fallbacks instead of interned ids (0 for the serial
+            # executor, where nothing crosses a wire at all)
             "wire_fallbacks": self._wire_fallbacks,
             "request_timeout": self._request_timeout,
-            # recovery counters (all zero for in-process executors and
+            # recovery counters (all zero for the serial executor and
             # for any process run that never hit worker trouble)
             "supervision": self._supervision.snapshot(),
             "breaker_states": (
@@ -1370,12 +1128,8 @@ class ShardedEngine:
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the worker fleet (always engine-owned) and release the
-        executor (owned executors only — instances the caller passed in
-        are theirs to close)."""
+        """Stop the worker fleet, if one is running."""
         self._discard_plane()
-        if self._owns_executor:
-            self._executor.close()
 
     def __enter__(self) -> "ShardedEngine":
         return self
@@ -1411,7 +1165,7 @@ class ShardedBroker(Broker):
         config: SemanticConfig | None = None,
         transports: TransportRegistry | None = None,
         engine_factory: Callable | None = None,
-        executor: object | str = "serial",
+        executor: str = "serial",
         router: Callable[[str, int], int] | None = None,
         request_timeout: float | None = None,
         supervision: SupervisionPolicy | None = None,

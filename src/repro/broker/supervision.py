@@ -4,10 +4,10 @@ PR 7's worker-process fleet made the sharded publish path fast; this
 module makes it survivable.  The model is the supervised
 self-stabilizing topology maintenance of Feldmann et al. and VCube-PS's
 fault-tolerant delivery (both in ``PAPERS.md``): the worker fleet is a
-*disposable cache* of the parent's control-plane replicas, so correct
-recovery from any worker failure is always one rebuild away — the
-supervisor's whole job is to converge back to a healthy fleet without
-ever failing a publish.
+*disposable cache* of the parent's control-plane replicas — each worker
+is a fork of its shard's replica — so correct recovery from any worker
+failure is always one re-fork away: the supervisor's whole job is to
+converge back to a healthy fleet without ever failing a publish.
 
 Three cooperating pieces, all deterministic and dependency-free:
 
@@ -36,10 +36,10 @@ Three cooperating pieces, all deterministic and dependency-free:
 
 :class:`SupervisionStats` is the observable surface: deterministic
 counters (``worker_restarts``, ``publish_retries``,
-``degraded_publishes``, ``breaker_opens``, ``snapshot_fallbacks``) that
-flow through ``sharding_info()`` / ``merge_stats`` into the
-``stopss demo`` health table.  The chaos leg of the sharding
-equivalence suite asserts they are non-zero exactly when faults fired.
+``degraded_publishes``, ``breaker_opens``) that flow through
+``sharding_info()`` / ``merge_stats`` into the ``stopss demo`` health
+table.  The chaos leg of the sharding equivalence suite asserts they
+are non-zero exactly when faults fired.
 
 Full prose: ``docs/RESILIENCE.md``.
 """
@@ -76,10 +76,7 @@ __all__ = [
 #: ``corrupt``   the publish payload is replaced with garbage on the
 #:               wire (the worker answers ``badwire``; retry resends the
 #:               clean payload).
-#: ``snapshot``  kill the worker *and* corrupt the shared-memory
-#:               snapshot descriptor handed to its replacement, forcing
-#:               the respawned worker onto the local-fill fallback.
-DATA_PLANE_FAULT_KINDS = ("kill", "hang", "drop", "corrupt", "snapshot")
+DATA_PLANE_FAULT_KINDS = ("kill", "hang", "drop", "corrupt")
 
 #: every valid fault kind.  ``crash`` is consumed by the durability
 #: layer, not the data plane: the journal writes a *torn* record (a
@@ -269,7 +266,7 @@ class FaultPlan:
         *shards* shards: *faults* slots (default ``rate`` of the grid,
         at least one) chosen and assigned kinds by ``random.Random(seed)``
         — same seed, same plan, on every machine and run.  The default
-        *kinds* are the data-plane five; pass ``("crash",)`` to seed a
+        *kinds* are the data-plane four; pass ``("crash",)`` to seed a
         durability crash schedule."""
         if shards < 1 or ops < 1:
             raise ConfigError("a seeded plan needs shards >= 1 and ops >= 1")
@@ -335,7 +332,6 @@ class SupervisionStats:
         "publish_retries",
         "degraded_publishes",
         "breaker_opens",
-        "snapshot_fallbacks",
         "stale_replies_discarded",
         "restart_seconds",
     )
@@ -345,7 +341,6 @@ class SupervisionStats:
         self.publish_retries = 0
         self.degraded_publishes = 0
         self.breaker_opens = 0
-        self.snapshot_fallbacks = 0
         self.stale_replies_discarded = 0
         self.restart_seconds = 0.0
 

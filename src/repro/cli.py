@@ -30,7 +30,7 @@ import sys
 
 from repro.broker.broker import Broker
 from repro.broker.durability import recover
-from repro.broker.sharding import DEFAULT_REQUEST_TIMEOUT, ShardedBroker
+from repro.broker.sharding import DEFAULT_REQUEST_TIMEOUT, EXECUTORS, ShardedBroker
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
@@ -69,11 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--executor",
-        choices=("serial", "threads", "process"),
-        default="threads",
+        choices=EXECUTORS,
+        default="serial",
         help="publish fan-out executor when --shards > 1: serial = inline, "
-        "threads = GIL-bound thread pool, process = one worker process "
-        "per shard (real multicore wall-clock; see docs/CONCURRENCY.md)",
+        "process = one forked worker process per shard (real multicore "
+        "wall-clock; see docs/CONCURRENCY.md)",
     )
     demo.add_argument(
         "--backend",
@@ -230,7 +230,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             "retries",
             "degraded",
             "breaker-opens",
-            "snap-fb",
             "stale-drop",
             "restart-ms",
             "breakers",
@@ -309,7 +308,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                 health["publish_retries"],
                 health["degraded_publishes"],
                 health["breaker_opens"],
-                health["snapshot_fallbacks"],
                 health["stale_replies_discarded"],
                 round(1000.0 * health["restart_seconds"], 1),
                 "/".join(health["breaker_states"]) or "-",

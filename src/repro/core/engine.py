@@ -28,10 +28,10 @@ subscription's root form and rebuilds the matcher in place.
 
 Shard-safe construction: N engine replicas may be built on one shared
 :class:`~repro.ontology.knowledge_base.KnowledgeBase` and publish
-concurrently, one thread or worker process per replica — the sharded
+concurrently, one forked worker process per replica — the sharded
 broker's fan-out, :mod:`repro.broker.sharding`.  The full contract
-(the replica-local mutation rule, what each executor may share, and
-the cross-process wire codec / shared-memory snapshot lifecycle) lives
+(the replica-local mutation rule, what each executor may share, what
+fork hands a worker and the cross-process wire codec) lives
 in ``docs/CONCURRENCY.md``; the one-line version: everything an engine
 *mutates* during publish is replica-local, and a single engine
 instance is **not** re-entrant.

@@ -27,7 +27,6 @@ __all__ = [
     "UnknownDomainError",
     "DamlImportError",
     "MappingRuleError",
-    "SnapshotMismatchError",
     "MatchingError",
     "DuplicateSubscriptionError",
     "UnknownSubscriptionError",
@@ -133,11 +132,6 @@ class DamlImportError(OntologyError):
 
 class MappingRuleError(OntologyError):
     """A mapping-function definition is malformed."""
-
-
-class SnapshotMismatchError(OntologyError):
-    """A shared-memory concept-table snapshot does not correspond to the
-    adopting table (knowledge-base version or id-space drift)."""
 
 
 # ---------------------------------------------------------------------------

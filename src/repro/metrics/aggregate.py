@@ -195,7 +195,6 @@ def supervision_summary(engine_stats: Mapping[str, object]) -> dict[str, object]
         "publish_retries": retries,
         "degraded_publishes": degraded,
         "breaker_opens": opens,
-        "snapshot_fallbacks": supervision.get("snapshot_fallbacks", 0),
         "stale_replies_discarded": supervision.get("stale_replies_discarded", 0),
         "restart_seconds": supervision.get("restart_seconds", 0.0),
         "breakers_open": sum(1 for state in breaker_states if state != "closed"),

@@ -56,9 +56,10 @@ large ontologies only pay for the terms their traffic actually touches
 memoized here at all (the interest index keeps its one result per
 attribute).
 
-One snapshot may be shared by many engine replicas publishing
-concurrently (the sharded broker's thread fan-out), so the lazy fills
-are guarded by a lock: without it, two threads missing on the same
+One snapshot may be shared by many engines publishing concurrently
+(every engine on a knowledge base holds the same table, and callers
+may drive them from different threads), so the lazy fills are guarded
+by a lock: without it, two threads missing on the same
 spelling could intern it twice under *different* dense ids, and a
 closure built against the first id would disagree with
 :meth:`value_key` returning the second — silently breaking matcher
@@ -76,12 +77,10 @@ string path everywhere: :meth:`term_id_of_value` returns ``None`` and
 
 from __future__ import annotations
 
-import array
 import threading
 from collections import deque
 from typing import TYPE_CHECKING, Iterable
 
-from repro.errors import SnapshotMismatchError
 from repro.model.attributes import normalize_attribute
 from repro.model.values import Value, canonical_value_key
 from repro.ontology.concepts import term_key
@@ -89,7 +88,7 @@ from repro.ontology.concepts import term_key
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kb imports us)
     from repro.ontology.knowledge_base import KnowledgeBase
 
-__all__ = ["ConceptTable", "SharedClosureSnapshot", "descent_closure"]
+__all__ = ["ConceptTable", "descent_closure"]
 
 
 def descent_closure(kb: "KnowledgeBase", term: str, bound: int | None) -> dict[str, int]:
@@ -184,7 +183,6 @@ class ConceptTable:
         "_attr_form",
         "_fill_lock",
         "_wire_base",
-        "_snapshot",
     )
 
     def __init__(self, kb: "KnowledgeBase") -> None:
@@ -237,12 +235,9 @@ class ConceptTable:
         #: construction, deterministically from knowledge-base content —
         #: two tables built from equal-content KBs agree on all of them.
         #: Ids at or above it were interned lazily (closure fills) in
-        #: *this* process and mean nothing elsewhere; the wire codec and
-        #: the shared-memory export both refuse to emit them.
+        #: *this* process and mean nothing elsewhere; the wire codec
+        #: refuses to emit them.
         self._wire_base = len(self._spellings)
-        #: optional read-only :class:`SharedClosureSnapshot` consulted
-        #: on closure-memo misses (worker processes adopt the parent's).
-        self._snapshot: SharedClosureSnapshot | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -399,15 +394,12 @@ class ConceptTable:
             with self._fill_lock:
                 closure = self._up_closure.get(tid)
                 if closure is None:
-                    if self._snapshot is not None:
-                        closure = self._snapshot.up_closure(tid)
-                    if closure is None:
-                        closure = tuple(
-                            (self._intern_spelling(general), distance)
-                            for general, distance in self._kb.generalizations(
-                                self._term_display[tid]
-                            ).items()
-                        )
+                    closure = tuple(
+                        (self._intern_spelling(general), distance)
+                        for general, distance in self._kb.generalizations(
+                            self._term_display[tid]
+                        ).items()
+                    )
                     self._up_closure[tid] = closure
         return closure
 
@@ -466,14 +458,11 @@ class ConceptTable:
             with self._fill_lock:
                 closure = self._down_closure.get(tid)
                 if closure is None:
-                    if self._snapshot is not None:
-                        closure = self._snapshot.down_closure(tid)
-                    if closure is None:
-                        depths, steps = self._descend((tid,))
-                        self._fill_steps += steps
-                        # the string BFS seeds from the literal term too
-                        depths.setdefault(self._sid_by_spelling[self._term_display[tid]], 0)
-                        closure = tuple(depths.items())
+                    depths, steps = self._descend((tid,))
+                    self._fill_steps += steps
+                    # the string BFS seeds from the literal term too
+                    depths.setdefault(self._sid_by_spelling[self._term_display[tid]], 0)
+                    closure = tuple(depths.items())
                     self._down_closure[tid] = closure
         return closure
 
@@ -519,56 +508,6 @@ class ConceptTable:
         result.setdefault(term, 0)
         return result
 
-    # -- shared-memory snapshot protocol ------------------------------------------
-
-    def warm_closures(self, *, up: bool = True, down: bool = False) -> int:
-        """Eagerly fill the memoized closures of every value term,
-        returning how many closures were computed.  Used before
-        :meth:`export_shared` so a snapshot carries the whole id space
-        instead of whatever traffic happened to touch."""
-        filled = 0
-        for tid, sids in enumerate(self._term_sids):
-            if not sids:
-                continue  # attribute-synonym-only: no value closures
-            if up and tid not in self._up_closure:
-                self.ancestors(tid)
-                filled += 1
-            if down and tid not in self._down_closure:
-                self.descent(tid)
-                filled += 1
-        return filled
-
-    def export_shared(self) -> "SharedClosureSnapshot":
-        """Export the currently memoized closure arrays into a POSIX
-        shared-memory segment (see :class:`SharedClosureSnapshot`).
-        Only closures whose spelling ids are all below the wire
-        boundary are exported — process-local lazy ids would decode to
-        the wrong spelling elsewhere.  The caller owns the returned
-        snapshot and must :meth:`~SharedClosureSnapshot.close` and
-        :meth:`~SharedClosureSnapshot.unlink` it."""
-        return SharedClosureSnapshot._export(self)
-
-    def adopt_snapshot(self, snapshot: "SharedClosureSnapshot") -> None:
-        """Serve closure-memo misses from *snapshot* before computing.
-
-        Raises :class:`~repro.errors.SnapshotMismatchError` unless the
-        snapshot was exported from a table with the same knowledge-base
-        version and identical construction-time id space — the
-        precondition for its dense ids to mean the same spellings
-        here."""
-        if (
-            snapshot.version != self.version
-            or snapshot.terms != len(self._term_display)
-            or snapshot.wire_spellings != self._wire_base
-        ):
-            raise SnapshotMismatchError(
-                f"snapshot (version={snapshot.version}, terms={snapshot.terms}, "
-                f"wire_spellings={snapshot.wire_spellings}) does not match table "
-                f"(version={self.version}, terms={len(self._term_display)}, "
-                f"wire_spellings={self._wire_base})"
-            )
-        self._snapshot = snapshot
-
     # -- reporting ----------------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
@@ -599,195 +538,3 @@ def _adjacency(terms: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, 
         rows[tid] = (row[0],) if len(row) == 1 else tuple(sorted(set(row)))
     return rows
 
-
-class SharedClosureSnapshot:
-    """Read-only CSR view of a :class:`ConceptTable`'s closure arrays in
-    a :mod:`multiprocessing.shared_memory` segment.
-
-    The exporting process copies its memoized ``(spelling id, depth)``
-    closure tuples into one segment as three parallel sections per
-    direction — an ``int64`` indptr row per term, a flat ``int32``
-    ``(sid, depth)`` pair array, and a ``uint8`` filled bitmap (a term
-    with an *empty* closure is distinct from one never memoized).
-    Worker processes :meth:`attach` by the picklable :meth:`descriptor`
-    and read the arrays zero-copy through ``memoryview.cast`` — no numpy
-    required, no per-worker re-derivation, no per-worker copy.
-
-    Validity is anchored to the knowledge-base ``version`` and the
-    construction-time id-space size recorded in the descriptor;
-    :meth:`ConceptTable.adopt_snapshot` refuses anything else.  The
-    exporter is the owner: it must call :meth:`unlink` (destroy the
-    segment) as well as :meth:`close` (detach); attachers only
-    :meth:`close`.
-    """
-
-    _VIEWS = (
-        "_up_indptr",
-        "_down_indptr",
-        "_up_data",
-        "_down_data",
-        "_up_filled",
-        "_down_filled",
-    )
-
-    __slots__ = ("version", "terms", "wire_spellings", "_descriptor", "_shm", "_owner", *_VIEWS)
-
-    def __init__(self, shm, descriptor: dict, *, owner: bool) -> None:
-        self._shm = shm
-        self._owner = owner
-        self._descriptor = descriptor
-        self.version = descriptor["version"]
-        self.terms = descriptor["terms"]
-        self.wire_spellings = descriptor["wire_spellings"]
-        offsets = descriptor["offsets"]
-        buf = shm.buf
-        terms = self.terms
-        indptr_bytes = 8 * (terms + 1)
-        self._up_indptr = buf[
-            offsets["up_indptr"] : offsets["up_indptr"] + indptr_bytes
-        ].cast("q")
-        self._down_indptr = buf[
-            offsets["down_indptr"] : offsets["down_indptr"] + indptr_bytes
-        ].cast("q")
-        self._up_data = buf[
-            offsets["up_data"] : offsets["up_data"] + 8 * descriptor["up_pairs"]
-        ].cast("i")
-        self._down_data = buf[
-            offsets["down_data"] : offsets["down_data"] + 8 * descriptor["down_pairs"]
-        ].cast("i")
-        self._up_filled = buf[offsets["up_filled"] : offsets["up_filled"] + terms]
-        self._down_filled = buf[offsets["down_filled"] : offsets["down_filled"] + terms]
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    @classmethod
-    def _export(cls, table: ConceptTable) -> "SharedClosureSnapshot":
-        from multiprocessing import shared_memory
-
-        with table._fill_lock:
-            up = dict(table._up_closure)
-            down = dict(table._down_closure)
-        terms = len(table._term_display)
-        base = table._wire_base
-
-        def build(closures):
-            indptr = array.array("q", bytes(8 * (terms + 1)))
-            data = array.array("i")
-            filled = bytearray(terms)
-            pairs = 0
-            for tid in range(terms):
-                closure = closures.get(tid)
-                if closure is not None and all(sid < base for sid, _ in closure):
-                    filled[tid] = 1
-                    for sid, depth in closure:
-                        data.append(sid)
-                        data.append(depth)
-                    pairs += len(closure)
-                indptr[tid + 1] = pairs
-            return indptr, data, filled, pairs
-
-        up_indptr, up_data, up_filled, up_pairs = build(up)
-        down_indptr, down_data, down_filled, down_pairs = build(down)
-
-        sections = (
-            ("up_indptr", up_indptr.tobytes()),
-            ("down_indptr", down_indptr.tobytes()),
-            ("up_data", up_data.tobytes()),
-            ("down_data", down_data.tobytes()),
-            ("up_filled", bytes(up_filled)),
-            ("down_filled", bytes(down_filled)),
-        )
-        offsets: dict[str, int] = {}
-        cursor = 0
-        for name, raw in sections:
-            offsets[name] = cursor
-            cursor += len(raw)
-        shm = shared_memory.SharedMemory(create=True, size=max(cursor, 1))
-        for name, raw in sections:
-            if raw:
-                shm.buf[offsets[name] : offsets[name] + len(raw)] = raw
-        descriptor = {
-            "name": shm.name,
-            "version": table.version,
-            "terms": terms,
-            "wire_spellings": base,
-            "up_pairs": up_pairs,
-            "down_pairs": down_pairs,
-            "offsets": offsets,
-        }
-        return cls(shm, descriptor, owner=True)
-
-    def descriptor(self) -> dict:
-        """Picklable handle another process passes to :meth:`attach`."""
-        return dict(self._descriptor)
-
-    @classmethod
-    def attach(cls, descriptor: dict) -> "SharedClosureSnapshot":
-        """Map an existing segment read-only in this process.  Raises
-        ``FileNotFoundError`` if the owner already unlinked it."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=descriptor["name"], create=False)
-        try:  # pragma: no cover - tracker internals vary across versions
-            # the owner's resource tracker already accounts for the
-            # segment; double-registration makes the attacher's tracker
-            # unlink it on exit and spam KeyError warnings.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        return cls(shm, descriptor, owner=False)
-
-    def close(self) -> None:
-        """Release the memory views and detach from the segment (the
-        segment itself survives until the owner unlinks it)."""
-        for name in self._VIEWS:
-            view = getattr(self, name, None)
-            if view is not None:
-                view.release()
-                setattr(self, name, None)
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner only; idempotent)."""
-        if not self._owner:
-            return
-        self._owner = False
-        from multiprocessing import shared_memory
-
-        try:
-            segment = shared_memory.SharedMemory(name=self._descriptor["name"], create=False)
-        except FileNotFoundError:
-            return
-        segment.close()
-        segment.unlink()
-
-    # -- lookups -----------------------------------------------------------------
-
-    def up_closure(self, tid: int) -> tuple[tuple[int, int], ...] | None:
-        """The exported ancestors closure of *tid*, ``None`` when it was
-        not memoized at export time."""
-        return self._closure(tid, self._up_filled, self._up_indptr, self._up_data)
-
-    def down_closure(self, tid: int) -> tuple[tuple[int, int], ...] | None:
-        """The exported descent closure of *tid*, ``None`` when it was
-        not memoized at export time."""
-        return self._closure(tid, self._down_filled, self._down_indptr, self._down_data)
-
-    def _closure(self, tid, filled, indptr, data):
-        if tid < 0 or tid >= self.terms or not filled[tid]:
-            return None
-        start, stop = indptr[tid], indptr[tid + 1]
-        return tuple((data[2 * i], data[2 * i + 1]) for i in range(start, stop))
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "version": self.version,
-            "terms": self.terms,
-            "up_pairs": self._descriptor["up_pairs"],
-            "down_pairs": self._descriptor["down_pairs"],
-            "bytes": self._shm.size if self._shm is not None else 0,
-        }

@@ -145,7 +145,9 @@ def test_bridged_world_crosses_domains_and_keeps_spellings_apart():
 def test_fills_intern_nothing():
     kb = build_world("mega-small").kb
     table = kb.concept_table()
-    table.warm_closures(up=True, down=True)
+    for tid in range(len(table)):
+        table.ancestors(tid)
+        table.descent(tid)
     table.descent_depths(sample_terms(kb))
     assert table.spelling_count == table._wire_base
 

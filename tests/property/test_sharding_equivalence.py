@@ -11,10 +11,10 @@ insertion order.
 This suite pins that down across random knowledge bases (the same
 generator the interest-pruning invariant uses: taxonomies, value and
 attribute synonyms, equivalence/REPLACE/computed mapping rules), shard
-counts N ∈ {1, 2, 4}, all three fan-out executors (serial, threaded,
-and the cross-process data plane with its wire codec and shared-memory
-snapshot), both indexed matchers, both engine designs, interning and
-pruning toggles, and subscription churn mid-stream.
+counts N ∈ {1, 2, 4}, both fan-out executors (serial, and the
+cross-process data plane with its forked workers and wire codec), both
+indexed matchers, both engine designs, interning and pruning toggles,
+subscription churn mid-stream, and knowledge-base writes mid-stream.
 
 The chaos leg extends the process-executor invariant under failure:
 with a seeded :class:`~repro.broker.supervision.FaultPlan` killing,
@@ -32,14 +32,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker.sharding import ShardedEngine, ThreadedExecutor
+from repro.broker.sharding import ShardedEngine
 from repro.broker.supervision import FaultPlan, SupervisionPolicy
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.model.subscriptions import Subscription
+from repro.ontology.mappingdefs import MappingRule
 
 from tests.property.test_interest_pruning_equivalence import (
+    _TERMS,
     knowledge_bases,
     term_events,
     term_subscriptions,
@@ -137,34 +139,6 @@ def test_sharded_tracks_churn(kb, subs, evts, shards, design, matcher):
 @settings(deadline=None)
 @given(
     kb=knowledge_bases(),
-    subs=st.lists(term_subscriptions(), min_size=1, max_size=5),
-    evts=st.lists(term_events(), min_size=1, max_size=3),
-    design=st.sampled_from(sorted(_DESIGNS)),
-    matcher=st.sampled_from(["counting", "cluster"]),
-)
-def test_threaded_executor_equals_serial(kb, subs, evts, design, matcher):
-    """The threaded fan-out must agree with the serial one: per-shard
-    publishes run concurrently against the shared knowledge base and
-    concept table, so this doubles as a race check on the snapshot's
-    lock-guarded lazy closures (a torn intern would shift dense ids
-    and diverge the match sets)."""
-    executor = ThreadedExecutor(max_workers=4)
-    try:
-        single, sharded = _build_pair(
-            kb, design, matcher, SemanticConfig(), 4, executor
-        )
-        for index, sub in enumerate(subs):
-            for engine in (single, sharded):
-                engine.subscribe(Subscription(sub.predicates, sub_id=f"s{index}"))
-        for event in evts:
-            assert _match_list(sharded, event) == _match_list(single, event)
-    finally:
-        executor.close()
-
-
-@settings(deadline=None)
-@given(
-    kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=1, max_size=4),
     evts=st.lists(term_events(), min_size=1, max_size=3),
     design=st.sampled_from(sorted(_DESIGNS)),
@@ -172,10 +146,10 @@ def test_threaded_executor_equals_serial(kb, subs, evts, design, matcher):
 )
 def test_process_executor_equals_single_engine(kb, subs, evts, design, matcher):
     """The cross-process data plane must agree with the single engine —
-    match sets AND generalities, in order — through the full wire codec
-    and shared-memory snapshot path, including churn forwarded to the
-    *live* worker fleet (subscribe/unsubscribe after the first publish
-    hits running workers, not a fresh fork)."""
+    match sets AND generalities, in order — through forked workers and
+    the full wire codec, including churn forwarded to the *live* worker
+    fleet (subscribe/unsubscribe after the first publish hits running
+    workers, not a fresh fork)."""
     single, sharded = _build_pair(kb, design, matcher, SemanticConfig(), 2, "process")
     try:
         for index, sub in enumerate(subs):
@@ -212,13 +186,13 @@ def test_process_executor_chaos_equals_single_engine(
     kb, subs, evts, design, matcher, chaos_seed
 ):
     """The chaos invariant (the PR 8 acceptance criterion): under a
-    seeded FaultPlan that kills, hangs, drops, corrupts, and
-    snapshot-poisons shard workers mid-stream, the supervised process
-    data plane still reports match sets and generalities identical to
-    the single engine, in order, and **no publish ever raises** — then
-    keeps agreeing through churn and further publishes after the plan
-    is exhausted.  The recovery counters prove the faults actually
-    fired (non-zero here, zero in the clean leg above)."""
+    seeded FaultPlan that kills, hangs, drops, and corrupts shard
+    workers mid-stream, the supervised process data plane still reports
+    match sets and generalities identical to the single engine, in
+    order, and **no publish ever raises** — then keeps agreeing through
+    churn and further publishes after the plan is exhausted.  The
+    recovery counters prove the faults actually fired (non-zero here,
+    zero in the clean leg above)."""
     # every scheduled fault lands inside the first len(evts) publishes:
     # subscriptions go in before the fleet exists, so early sends are
     # all publishes and each per-shard op counter sweeps every slot
@@ -258,6 +232,96 @@ def test_process_executor_chaos_equals_single_engine(
 
 
 # ---------------------------------------------------------------------------
+# knowledge-base writes mid-stream
+# ---------------------------------------------------------------------------
+
+def _write_kb(kb, kind, subs, term) -> None:
+    """One ontology write of *kind*, shaped so it can change what the
+    generated subscriptions and events mean to each other."""
+    if kind == "attribute-synonyms":
+        # a new group whose root renames an attribute the first
+        # subscription already uses: its stored root form goes stale
+        # ("u" may already sit in an explicitly rooted group, which
+        # cannot be re-rooted — take "v" then)
+        attribute = subs[0].predicates[0].attribute
+        if attribute == "u":
+            attribute = "v"
+        kb.add_attribute_synonyms([attribute, f"{attribute}_renamed"], root=f"{attribute}_renamed")
+    elif kind == "value-synonyms":
+        kb.add_value_synonyms([term, "zzz"])
+    elif kind == "is-a":
+        kb.taxonomy("d").add_isa("free text", term)
+    else:
+        kb.add_rule(MappingRule.equivalence("r-late", {"u": "t1"}, {"v": term}))
+
+
+_KB_WRITES = ("attribute-synonyms", "value-synonyms", "is-a", "rule")
+
+
+def _check_kb_writes_mid_stream(kb, subs, evts, design, matcher, writes, term, executor):
+    """Subscribe → publish → write the knowledge base → publish, once
+    per write, then a late subscription and a refresh: at every step
+    the sharded engine reports what the single engine reports.
+
+    What a single engine *should* do with state derived before the
+    write (a stale root form, a stale subscription-side expansion) is
+    not decided here — only that sharding, and forking, change none of
+    it: a worker that re-derived such state from the new knowledge base
+    would answer differently from the replica it stands in for."""
+    single, sharded = _build_pair(kb, design, matcher, SemanticConfig(), 2, executor)
+    engines = (single, sharded)
+    try:
+        for index, sub in enumerate(subs):
+            for engine in engines:
+                engine.subscribe(Subscription(sub.predicates, sub_id=f"s{index}"))
+        for event in evts:
+            assert _match_list(sharded, event) == _match_list(single, event)
+        for kind in writes:
+            _write_kb(kb, kind, subs, term)
+            for event in evts:
+                assert _match_list(sharded, event) == _match_list(single, event), (
+                    f"divergence after {kind} write on {event.format()}"
+                )
+        # a subscription made under the new ontology sits next to the
+        # ones made under the old one
+        for engine in engines:
+            engine.subscribe(Subscription(subs[0].predicates, sub_id="late"))
+        for event in evts:
+            assert _match_list(sharded, event) == _match_list(single, event)
+        if design == "subscription-side":
+            assert sharded.refresh() == single.refresh()
+            for event in evts:
+                assert _match_list(sharded, event) == _match_list(single, event)
+    finally:
+        sharded.close()
+
+
+_kb_write_cases = given(
+    kb=knowledge_bases(),
+    subs=st.lists(term_subscriptions(), min_size=1, max_size=4),
+    evts=st.lists(term_events(), min_size=1, max_size=3),
+    design=st.sampled_from(sorted(_DESIGNS)),
+    matcher=st.sampled_from(["counting", "cluster"]),
+    writes=st.lists(st.sampled_from(_KB_WRITES), min_size=1, unique=True),
+    term=st.sampled_from(_TERMS),
+)
+
+
+@_kb_write_cases
+def test_sharded_tracks_kb_writes(kb, subs, evts, design, matcher, writes, term):
+    _check_kb_writes_mid_stream(kb, subs, evts, design, matcher, writes, term, "serial")
+
+
+@settings(deadline=None)
+@_kb_write_cases
+def test_process_executor_tracks_kb_writes(kb, subs, evts, design, matcher, writes, term):
+    """Each write makes the next publish discard the fleet and fork a
+    new one from the parent replicas as they are — stale root forms and
+    all."""
+    _check_kb_writes_mid_stream(kb, subs, evts, design, matcher, writes, term, "process")
+
+
+# ---------------------------------------------------------------------------
 # mega-ontology leg (nightly): chaos on a 100k-term generated world
 # ---------------------------------------------------------------------------
 
@@ -268,7 +332,7 @@ def test_process_executor_chaos_equals_single_engine(
 def test_chaos_on_mega_world_equals_single_engine():
     """The chaos invariant at scale: the same seeded fault storm, but
     against a generated 110k-concept world instead of the hypothesis
-    toys — the wire codec, shared-memory snapshot, and degraded inline
+    toys — the forked replicas, the wire codec, and degraded inline
     publish all carry full-size closure state here."""
     from repro.workload.worlds import build_world
 

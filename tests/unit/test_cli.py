@@ -65,8 +65,8 @@ class TestDemo:
         assert demo_table(single) == demo_table(sharded)
 
     def test_demo_process_executor_matches_equal_single_engine(self, capsys):
-        """The full demo through worker processes — wire codec, shared
-        snapshot, and all — must print the exact same match/delivery
+        """The full demo through worker processes — forked replicas,
+        wire codec, and all — must print the exact same match/delivery
         rows as the single engine, and the per-shard view must name the
         executor that did the work."""
         argv = ["demo", "--companies", "3", "--candidates", "8", "--seed", "3"]
@@ -111,6 +111,11 @@ class TestDemo:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["demo", "--backend", "fortran"])
 
+    def test_demo_executor_is_serial_or_process(self):
+        assert build_parser().parse_args(["demo"]).executor == "serial"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["demo", "--executor", "threads"])
+
     def test_demo_shard_timeout_flag_accepted(self, capsys):
         assert (
             main(
@@ -135,7 +140,7 @@ class TestDemo:
         for argv in (
             ["demo", "--companies", "2", "--candidates", "2", "--chaos", "7"],
             ["demo", "--companies", "2", "--candidates", "2", "--shards", "2",
-             "--executor", "threads", "--chaos", "7"],
+             "--executor", "serial", "--chaos", "7"],
         ):
             assert main(argv) == 2
             assert "--chaos needs a worker fleet" in capsys.readouterr().err
@@ -158,7 +163,7 @@ class TestDemo:
         assert "data-plane health" in out
         for row in self._health_rows(out):
             # restarts..stale-drop and restart-ms all zero on a clean run
-            assert set(row[1:8]) == {"0"}
+            assert set(row[1:7]) == {"0"}
 
     def test_demo_chaos_matches_clean_run_and_recovers(self, capsys):
         """The CLI-level chaos invariant: the demo's match/delivery
@@ -178,7 +183,7 @@ class TestDemo:
         main(argv + ["--chaos", "7"])
         again = self._health_rows(capsys.readouterr().out)
         # deterministic columns replay exactly (restart-ms is wall-clock)
-        assert [row[1:7] for row in rows] == [row[1:7] for row in again]
+        assert [row[1:6] for row in rows] == [row[1:6] for row in again]
 
 
 class TestDurable:

@@ -77,6 +77,25 @@ class TestValueKeyFallback:
         assert table.value_key(4) == table.value_key(4.0)
 
 
+class TestWireBoundary:
+    """Which spelling ids may cross to a worker process as bare ints:
+    the construction-time ones, never the lazily interned."""
+
+    def test_construction_spellings_are_wire_safe(self):
+        table = build_kb().concept_table()
+        sid = table.wire_sid("sedan")
+        assert sid is not None and table.spelling(sid) == "sedan"
+        # deterministic across independently built equal-content tables
+        assert build_kb().concept_table().wire_sid("sedan") == sid
+
+    def test_unknown_and_lazy_spellings_are_not(self):
+        table = build_kb().concept_table()
+        assert table.wire_sid("free text") is None
+        lazy_sid = table._intern_spelling("late arrival")
+        assert table.value_key("late arrival") == lazy_sid  # interned...
+        assert table.wire_sid("late arrival") is None  # ...but not wire-safe
+
+
 class TestRebuild:
     def test_table_is_cached_until_version_moves(self):
         kb = build_kb()

@@ -125,7 +125,6 @@ class TestSupervisionSummary:
                         "publish_retries": 3,
                         "degraded_publishes": 1,
                         "breaker_opens": 1,
-                        "snapshot_fallbacks": 4,
                         "stale_replies_discarded": 5,
                         "restart_seconds": 0.25,
                     },
@@ -135,7 +134,6 @@ class TestSupervisionSummary:
         )
         assert summary["worker_restarts"] == 2
         assert summary["recoveries"] == 2 + 3 + 1 + 1  # restarts+retries+degraded+opens
-        assert summary["snapshot_fallbacks"] == 4
         assert summary["stale_replies_discarded"] == 5
         assert summary["restart_seconds"] == 0.25
         assert summary["breakers_open"] == 2  # open + half-open
@@ -155,7 +153,6 @@ class TestSupervisionSummary:
                 "publish_retries",
                 "degraded_publishes",
                 "breaker_opens",
-                "snapshot_fallbacks",
                 "stale_replies_discarded",
             )
         )

@@ -201,7 +201,6 @@ class TestSupervisionStats:
             "publish_retries": 0,
             "degraded_publishes": 0,
             "breaker_opens": 0,
-            "snapshot_fallbacks": 0,
             "stale_replies_discarded": 0,
             "restart_seconds": 0.0,
         }
@@ -213,5 +212,5 @@ class TestSupervisionStats:
         stats.publish_retries = 3
         stats.degraded_publishes = 1
         stats.breaker_opens = 1
-        stats.snapshot_fallbacks = 9  # informational, not an intervention
+        stats.stale_replies_discarded = 9  # informational, not an intervention
         assert stats.recoveries == 7
