@@ -61,8 +61,8 @@ class EventDispatcher:
     event object, so delivery reports always carry the real event id;
     the ``matched_via`` derivation chain is reused from the first
     publication (content-identical, but its intermediate auto ids are
-    the original derivation's — the same reuse the engine's expansion
-    cache performs).  ``result_cache_size=0`` disables the cache.
+    the original derivation's).  ``result_cache_size=0`` disables the
+    cache.
 
     The dispatcher keeps no per-publication history: the caller holds
     the :class:`PublishReport`, and ``stats()`` totals are running
@@ -196,7 +196,6 @@ class EventDispatcher:
     def stats(self) -> dict[str, object]:
         engine_stats = self.engine.stats()
         matcher_stats = engine_stats.get("matcher_stats", {})
-        cache_info = engine_stats.get("expansion_cache", {})
         interest = engine_stats.get("interest", {})
         result_cache = self.result_cache_info()
         return {
@@ -211,7 +210,6 @@ class EventDispatcher:
             "probes_saved": matcher_stats.get("probes_saved", 0),
             "memo_hits": matcher_stats.get("memo_hits", 0),
             "memo_invalidations": matcher_stats.get("memo_invalidations", 0),
-            "expansion_cache_hit_rate": cache_info.get("hit_rate", 0.0),
             "result_cache_hits": result_cache["hits"],
             "result_cache_hit_rate": result_cache["hit_rate"],
             "result_cache": result_cache,

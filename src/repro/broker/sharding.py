@@ -17,7 +17,7 @@ a per-subscription minimum, so partitioning subscriptions partitions
 the match set exactly — the union over shards *is* the single-engine
 result, generality values included (pinned as a hard property test,
 ``tests/property/test_sharding_equivalence.py``).  Each replica keeps
-its own matcher, caches, memos, and
+its own matcher, memos, and
 :class:`~repro.core.interest.InterestIndex`, so demand-driven pruning
 gets *sharper* per shard: fewer live subscriptions mean smaller
 accepted sets and a cheaper per-shard expansion.
@@ -25,7 +25,7 @@ accepted sets and a cheaper per-shard expansion.
 Concurrency contract: parallelism is *across shards within one
 publication* — the process executor runs the shard engines
 concurrently, and every structure a shard touches during publish is
-either replica-local (matcher, caches, counters, interest index) or a
+either replica-local (matcher, memos, counters, interest index) or a
 lock-guarded shared snapshot (the concept table).  The facade itself is
 not re-entrant: one ``publish``/``subscribe``/``reconfigure`` at a
 time, exactly the discipline the

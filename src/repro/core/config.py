@@ -53,10 +53,6 @@ class SemanticConfig:
     present_year:
         Evaluation date for mapping functions (paper's
         ``present_date``).
-    expansion_cache_size:
-        Capacity of the engine's LRU cache of semantic expansions,
-        keyed by root-event signature (workload traces repeat
-        publications).  ``0`` disables the cache.
     interning:
         Whether the publish hot path runs on the knowledge base's
         interned concept-id snapshot (:class:`~repro.ontology.
@@ -104,6 +100,11 @@ class SemanticConfig:
     max_iterations: int = 4
     max_derived_events: int = 512
     present_year: int = DEFAULT_PRESENT_YEAR
+    #: inert since PR 18 (the engine's LRU it sized is deleted; nothing
+    #: reads it).  Still declared because ``bench/verify.py`` passes it
+    #: and snapshots / journaled ``config`` records are
+    #: ``dataclasses.asdict`` of this class; the ``[benchmark]`` PR of
+    #: ROADMAP 4(d/e) removes it.
     expansion_cache_size: int = 128
     interning: bool = True
     interest_pruning: bool = True
@@ -120,8 +121,6 @@ class SemanticConfig:
             raise ConfigError("max_derived_events must be >= 1")
         if not (1900 <= self.present_year <= 2200):
             raise ConfigError("present_year out of plausible range")
-        if self.expansion_cache_size < 0:
-            raise ConfigError("expansion_cache_size must be >= 0")
 
     # -- presets ---------------------------------------------------------------
 

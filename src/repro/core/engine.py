@@ -8,17 +8,14 @@ one :meth:`~repro.matching.base.MatchingAlgorithm.match_batch` pass,
 and the resulting per-subscription minima — filtered by each
 subscriber's generality tolerance — are the semantic match set.
 
-Two publish-path optimizations keep the hot path linear in *new* work
-rather than in the expansion factor:
-
-* batched matching — sibling derivations share every ``(attribute,
-  value)`` pair outside their deltas, so batch-aware matchers probe
-  each distinct pair once per publication (``probes_saved`` in the
-  matcher stats counts the sharing);
-* an LRU expansion cache keyed by root-event signature — workload
-  traces repeat publications, and the semantic expansion depends only
-  on the knowledge base and configuration, so repeats skip the
-  pipeline entirely.
+Batched matching keeps the hot path linear in *new* work rather than
+in the expansion factor: sibling derivations share every ``(attribute,
+value)`` pair outside their deltas, so batch-aware matchers probe each
+distinct pair once per publication (``probes_saved`` in the matcher
+stats counts the sharing).  Nothing the engine derives outlives the
+publication that derived it; a repeated publication is served by the
+dispatcher's result cache (:mod:`repro.broker.dispatcher`) or expanded
+again.
 
 The engine runs in the demo's two modes (paper §4): *semantic* (any
 stage combination enabled) or *syntactic* (no stage runs; the engine
@@ -39,7 +36,6 @@ instance is **not** re-entrant.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterator
 
 from repro.core.config import SemanticConfig
@@ -100,11 +96,9 @@ class SToPSS:
         self._originals: dict[str, tuple[int, Subscription]] = {}
         self._next_seq = 0
         self.publications = 0
-        #: publish-path counters: expansion-cache hits/misses, derived
-        #: totals and the per-publication derived-count histogram.
+        #: publish-path counters: derived totals and the
+        #: per-publication derived-count histogram.
         self.counters = CounterRegistry()
-        #: (root-event signature, publisher_id) -> PipelineResult, LRU order.
-        self._expansion_cache: OrderedDict[tuple, PipelineResult] = OrderedDict()
         #: locally-bumped epoch folded into the semantic version; lets
         #: subscription-side refresh (and tests) force-invalidate every
         #: semantic cache even when ``kb.version`` is unchanged.
@@ -150,11 +144,10 @@ class SToPSS:
         """The interest index when it can actually prune right now —
         ``None`` when pruning is configured off, unsound for the stage
         set, or self-disabled by a mapping rule with an unknown read
-        set.  The expansion handoff and the churn-invalidation rule key
-        off this, so a self-disabled index costs neither per-candidate
-        prune checks nor a cold expansion cache (the index object stays
-        live: removing the offending rule re-enables it through the
-        semantic-version sync)."""
+        set.  The expansion handoff keys off this, so a self-disabled
+        index costs no per-candidate prune checks (the index object
+        stays live: removing the offending rule re-enables it through
+        the semantic-version sync)."""
         interest = self._interest
         if interest is None or not interest.active:
             return None
@@ -186,15 +179,6 @@ class SToPSS:
         self._next_seq += 1
         if self._interest is not None:
             self._interest.add(root)
-        if self.pipeline.has_stateful_stages() or self._active_interest() is not None:
-            # without pruning, the expansion never reads the
-            # subscription table, so churn only matters when a custom
-            # stage keeps state; with pruning active, cached expansions
-            # were pruned against the pre-churn interest set and must
-            # not shadow derivations the new subscription now demands.
-            # (A self-disabled index expands exhaustively, so its cache
-            # stays warm across churn like the pruning-off path.)
-            self._invalidate_expansion_cache()
         return root
 
     def unsubscribe(self, sub_id: str) -> Subscription:
@@ -205,12 +189,6 @@ class SToPSS:
         _, original = self._originals.pop(sub_id)
         if self._interest is not None:
             self._interest.remove(removed_root)
-        if self.pipeline.has_stateful_stages() or self._active_interest() is not None:
-            # dropping interest only widens pruning; cached exhaustive
-            # results would stay *correct*, but keeping them would make
-            # pruning stats (and the collapsed histograms they gate)
-            # depend on publish order — invalidate for determinism.
-            self._invalidate_expansion_cache()
         return original
 
     def __len__(self) -> int:
@@ -231,8 +209,7 @@ class SToPSS:
         subscription insertion order.
 
         The publish hot path is one batched pass: the semantic
-        expansion (served from the LRU cache when this content was
-        published before) goes to the matcher's
+        expansion goes to the matcher's
         :meth:`~repro.matching.base.MatchingAlgorithm.match_batch` as a
         delta-encoded whole.  Each subscription is reported at most
         once, with the *least general* derivation that reached it;
@@ -242,7 +219,7 @@ class SToPSS:
         """
         self.publications += 1
         self._sync_semantic_version()
-        result = self._expand(event)
+        result = self.pipeline.process_event(event, interest=self._active_interest())
         derived_count = len(result.derived)
         self.counters.bump("publish.derived_events", derived_count)
         self.counters.bump(f"publish.derived_histogram.{derived_count}")
@@ -259,12 +236,11 @@ class SToPSS:
     def _sync_semantic_version(self) -> None:
         """Detect knowledge-base mutations (new synonyms, taxonomy
         edges, rules) or local epoch bumps and drop every cache derived
-        under the old version — the engine's expansion cache and the
-        matcher's cross-publication memo alike."""
+        under the old version — the matcher's cross-publication memo,
+        its interned keys and the interest index's closures."""
         current = (self.kb.version, self._epoch)
         if current != self._semantic_version:
             self._semantic_version = current
-            self._invalidate_expansion_cache()
             self._matcher.invalidate_memo("kb-version")
             # a version move means a fresh concept-table snapshot with
             # its own id space: re-key the matcher's interned indexes.
@@ -273,51 +249,15 @@ class SToPSS:
                 self._interest.invalidate_semantics()
 
     def bump_semantic_epoch(self, reason: str = "external") -> None:
-        """Force-invalidate all cached semantic state (expansion cache
-        and matcher memo) even when ``kb.version`` is unchanged — used
-        by the subscription-side engine's ``refresh`` so re-expanded
+        """Force-invalidate all cached semantic state (matcher memo
+        and interest closures) even when ``kb.version`` is unchanged —
+        used by the subscription-side engine's ``refresh`` so re-expanded
         descendant sets can never be shadowed by stale cache entries."""
         self._epoch += 1
         self._semantic_version = (self.kb.version, self._epoch)
-        self._invalidate_expansion_cache()
         self._matcher.invalidate_memo(reason)
         if self._interest is not None:
             self._interest.invalidate_semantics()
-
-    def _expand(self, event: Event) -> PipelineResult:
-        """The semantic expansion for *event*, LRU-cached by content
-        signature (the expansion depends only on the knowledge base and
-        the active configuration, never on the event id)."""
-        capacity = self.config.expansion_cache_size
-        if capacity <= 0:
-            return self.pipeline.process_event(event, interest=self._active_interest())
-        cache = self._expansion_cache
-        # publisher_id is part of the key so a cached derivation chain
-        # is never attributed to a different publisher's equal-content
-        # event (trace repeats come from the same publisher, so this
-        # costs nothing in the workloads the cache targets).
-        key = (event.signature, event.publisher_id)
-        result = cache.get(key)
-        if result is not None:
-            cache.move_to_end(key)
-            self.counters.bump("expansion_cache.hits")
-            return result
-        self.counters.bump("expansion_cache.misses")
-        result = self.pipeline.process_event(event, interest=self._active_interest())
-        cache[key] = result
-        while len(cache) > capacity:
-            cache.popitem(last=False)
-        return result
-
-    def _invalidate_expansion_cache(self) -> None:
-        """Drop cached expansions.  Configuration and knowledge-base
-        changes require this for correctness; subscription churn does
-        not (the expansion never reads the subscription table), so
-        churn only triggers it when a custom extra stage declares
-        itself stateful (see
-        :attr:`~repro.core.interfaces.SemanticStage.stateful`)."""
-        self._expansion_cache.clear()
-        self.counters.bump("expansion_cache.invalidations")
 
     def _admit(self, original: Subscription, generality: int, derived) -> int | None:
         """Per-match tolerance gate: the charged generality of a match,
@@ -382,8 +322,6 @@ class SToPSS:
         fresh one from the registry — preserves instance-provided
         matchers that were never registered under a name, and keeps
         ``engine.matcher`` identity stable across mode switches.
-        Cached expansions are dropped: they were derived under the old
-        configuration.
 
         When the engine was built from a registry name and the new
         configuration resolves it to a *different* registry entry (the
@@ -409,7 +347,6 @@ class SToPSS:
         old_roots = list(matcher.subscriptions())
         self.config = config
         self.pipeline = new_pipeline
-        self._invalidate_expansion_cache()
         # the cluster matcher's memo survives churn by design, but a
         # mode switch is an engine-level reason: drop it explicitly.
         matcher.invalidate_memo("reconfigure")
@@ -462,7 +399,6 @@ class SToPSS:
         self._matcher = matcher
         self._matcher_name = name
         self._bound_table = table
-        self._invalidate_expansion_cache()
         try:
             self._rebuild_interest(roots)
         except BaseException:
@@ -513,7 +449,7 @@ class SToPSS:
     @property
     def semantic_version(self) -> tuple[int, int]:
         """The live ``(knowledge-base version, engine epoch)`` pair —
-        every semantic cache (expansion, matcher memo, and the
+        every semantic cache (matcher memo, interest closures, and the
         dispatcher's result cache) is only valid for one value of it."""
         return (self.kb.version, self._epoch)
 
@@ -525,20 +461,6 @@ class SToPSS:
         table size detects lone unsubscribes.  The dispatcher's result
         cache keys on it so no cached match set survives churn."""
         return (self._next_seq, len(self._originals))
-
-    def expansion_cache_info(self) -> dict[str, object]:
-        """Hit/miss/size/rate of the LRU expansion cache."""
-        hits = self.counters.get("expansion_cache.hits")
-        misses = self.counters.get("expansion_cache.misses")
-        lookups = hits + misses
-        return {
-            "capacity": self.config.expansion_cache_size,
-            "size": len(self._expansion_cache),
-            "hits": hits,
-            "misses": misses,
-            "invalidations": self.counters.get("expansion_cache.invalidations"),
-            "hit_rate": (hits / lookups) if lookups else 0.0,
-        }
 
     def interest_info(self) -> dict[str, object]:
         """Demand-driven pruning counters: how many candidate
@@ -580,7 +502,6 @@ class SToPSS:
             "truncations": self.pipeline.truncation_count,
             "derived_events": self.counters.get("publish.derived_events"),
             "derived_histogram": self.derived_histogram(),
-            "expansion_cache": self.expansion_cache_info(),
             "interest": self.interest_info(),
             "semantic_epoch": self._epoch,
         }

@@ -69,10 +69,6 @@ class HierarchyStage(SemanticStage):
 
     name = STAGE_HIERARCHY
 
-    #: pure function of the knowledge base: cached expansions stay
-    #: valid across subscription churn (see SemanticStage.stateful).
-    stateful = False
-
     #: consults the bound interest view before every construction
     interest_safe = True
 

@@ -247,7 +247,7 @@ class InterestIndex:
         rules.  ``False`` means a rule's unknown read set
         (``reads is None``) forces exhaustive expansion — every query
         would answer "interesting", so the engine should not pay prune
-        checks or churn-driven cache invalidation for this index."""
+        checks for this index."""
         return self._rule_state().disabled_reason is None
 
     def value_interesting(

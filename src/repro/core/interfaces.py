@@ -63,17 +63,6 @@ class SemanticStage(abc.ABC):
     #: Stage identifier used in derivation steps.
     name = "stage"
 
-    #: Whether this stage's output can depend on mutable state beyond
-    #: the knowledge base (e.g. a stage that reads the subscription
-    #: table or keeps per-call history).  Stateless stages declare
-    #: ``stateful = False`` (the built-ins all do), letting the engine
-    #: keep cached semantic expansions warm across subscription churn;
-    #: the default is ``True`` so existing third-party subclasses keep
-    #: the historical conservative behavior — the expansion cache drops
-    #: on every subscribe/unsubscribe — until they opt in.  Duck-typed
-    #: stages without this attribute are likewise treated as stateful.
-    stateful = True
-
     #: Whether demand-driven expansion pruning stays sound with this
     #: stage in the pipeline.  The interest closure only models the
     #: built-in stage graph (synonym/hierarchy/mapping), so a custom

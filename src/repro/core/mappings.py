@@ -48,10 +48,6 @@ class MappingStage(SemanticStage):
 
     name = STAGE_MAPPING
 
-    #: pure function of the knowledge base: cached expansions stay
-    #: valid across subscription churn (see SemanticStage.stateful).
-    stateful = False
-
     #: consults the bound interest view before applying each rule
     interest_safe = True
 

@@ -172,15 +172,6 @@ class SemanticPipeline:
         self.extra_stages = extra_stages
         self.truncation_count = 0
 
-    def has_stateful_stages(self) -> bool:
-        """Whether any extra stage may read state beyond the knowledge
-        base (see :attr:`~repro.core.interfaces.SemanticStage.stateful`).
-        The built-in three are stateless by construction; duck-typed
-        extra stages without the attribute count as stateful, keeping
-        the engine's conservative cache-invalidation behavior for them.
-        """
-        return any(getattr(stage, "stateful", True) for stage in self.extra_stages)
-
     def supports_interest_pruning(self) -> bool:
         """Whether demand-driven pruning is sound for this stage set.
 

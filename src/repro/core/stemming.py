@@ -76,10 +76,6 @@ class StemmingStage(SemanticStage):
 
     name = "stemming"
 
-    #: pure function of the knowledge base: cached expansions stay
-    #: valid across subscription churn (see SemanticStage.stateful).
-    stateful = False
-
     def __init__(self, kb: KnowledgeBase) -> None:
         super().__init__()
         self._kb = kb

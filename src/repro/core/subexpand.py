@@ -340,11 +340,12 @@ class SubscriptionExpandingEngine(SToPSS):
         """Re-expand every stale subscription; returns how many.
 
         Bumps the engine's semantic epoch afterwards, dropping the
-        expansion cache and the matcher's cross-publication memo: both
-        key on the knowledge-base version, but a publish between the KB
-        edit and this refresh re-syncs that version while descendant
-        sets are still stale, so the epoch bump guarantees no cache
-        entry derived alongside a stale expansion survives the refresh.
+        matcher's cross-publication memo (and shifting the dispatcher's
+        result-cache key): both key on the knowledge-base version, but
+        a publish between the KB edit and this refresh re-syncs that
+        version while descendant sets are still stale, so the epoch
+        bump guarantees no cache entry derived alongside a stale
+        expansion survives the refresh.
         """
         stale = self.stale_subscriptions()
         for sub_id in stale:

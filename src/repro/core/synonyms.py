@@ -36,10 +36,6 @@ class SynonymStage(SemanticStage):
 
     name = STAGE_SYNONYM
 
-    #: pure function of the knowledge base: cached expansions stay
-    #: valid across subscription churn (see SemanticStage.stateful).
-    stateful = False
-
     #: The synonym stage accepts the interest view (the pipeline binds
     #: it like any other stage) but never consults it: the root rewrite
     #: is a mandatory in-place normalization, not a candidate

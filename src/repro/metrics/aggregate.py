@@ -143,7 +143,6 @@ def publish_path_summary(
         return value if isinstance(value, Mapping) else {}
 
     matcher = section("matcher_stats")
-    cache = section("expansion_cache")
     interest = section("interest")
     cached = result_cache if result_cache is not None else {}
     batches = matcher.get("batches", 0)
@@ -163,7 +162,6 @@ def publish_path_summary(
         "vectorized_batch_rate": (vectorized / batches) if batches else 0.0,
         "rows_evaluated": matcher.get("rows_evaluated", 0),
         "scalar_fallbacks": matcher.get("scalar_fallbacks", 0),
-        "expansion_cache_hit_rate": cache.get("hit_rate", 0.0),
         "result_cache_hit_rate": cached.get("hit_rate", 0.0),
     }
 

@@ -29,8 +29,8 @@ The flash-crowd driver is the churn leg: it interleaves bursts of
 subscribe/unsubscribe ops with publications mid-stream — the first
 real workout for the refcounted incremental
 :class:`~repro.core.interest.InterestIndex` — and reports whether the
-index, matcher memo, and expansion-cache footprints returned to their
-pre-storm baseline once the crowd left.
+index and matcher memo footprints returned to their pre-storm
+baseline once the crowd left.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator
 
 from repro.errors import WorkloadError
@@ -379,12 +380,11 @@ def build_world(world: str | MegaOntologySpec) -> World:
 
 def engine_footprint(engine) -> dict[str, int]:
     """The engine-side size counters a churn storm must not leak:
-    the refcounted interest index, the matcher's cross-publication
-    memo, and the LRU expansion cache."""
+    the refcounted interest index and the matcher's cross-publication
+    memo."""
     return {
         "interest_index_size": engine.interest_info()["interest_index_size"],
         "matcher_memo_size": engine.matcher.memo_size(),
-        "expansion_cache_size": engine.expansion_cache_info()["size"],
     }
 
 
@@ -465,72 +465,55 @@ class FlashCrowdDriver:
     alternate bursts of transient subscribe/unsubscribe ops with single
     publications; finally drain every transient subscription, republish
     the same warm events, and snapshot the footprint again.  The two
-    snapshots must agree — the refcounted InterestIndex, the counting
-    matcher's satisfaction memo, and the expansion cache all size
-    purely by live state, so a departed crowd must leave no residue.
+    snapshots must agree — the refcounted InterestIndex and the
+    counting matcher's satisfaction memo both size purely by live
+    state, so a departed crowd must leave no residue.
     """
 
     def __init__(self, generator: SemanticWorkloadGenerator, spec: FlashCrowdSpec) -> None:
         self.generator = generator
         self.spec = spec
-        self._rng = random.Random(spec.seed)
 
     def run(self, engine) -> FlashCrowdReport:
+        """Fold :meth:`ops` over *engine*, snapshotting the footprint
+        before the storm and after the drain + warm republish."""
         spec = self.spec
-        generator = self.generator
-        rng = self._rng
-        for subscription in generator.subscriptions(spec.residents):
-            engine.subscribe(subscription)
-        warm = generator.events(spec.warm_events)
+        ops = self.ops()
+        warm = []
         matches = 0
-        for event in warm:
-            matches += len(engine.publish(event))
+        for kind, payload in islice(ops, spec.residents + spec.warm_events):
+            if kind == "subscribe":
+                engine.subscribe(payload)
+            else:
+                warm.append(payload)
+                matches += len(engine.publish(payload))
         baseline = engine_footprint(engine)
 
-        crowd: list[Subscription] = []
-        transient_counter = 0
-        churn_ops = 0
+        crowd = churn_ops = peak_crowd = 0
         publishes = len(warm)
-        peak_crowd = 0
         peak_index = baseline["interest_index_size"]
         churn_seconds = 0.0
-        while churn_ops < spec.churn_ops:
-            started = time.perf_counter()
-            burst = min(spec.burst, spec.churn_ops - churn_ops)
-            for _ in range(burst):
-                drain_only = spec.churn_ops - churn_ops <= len(crowd)
-                if not drain_only and (
-                    not crowd
-                    or (len(crowd) < spec.max_crowd and rng.random() < 0.5)
-                ):
-                    transient_counter += 1
-                    subscription = generator.subscription()
-                    subscription = Subscription(
-                        subscription.predicates,
-                        sub_id=f"crowd-{transient_counter}",
-                        max_generality=subscription.max_generality,
-                    )
-                    engine.subscribe(subscription)
-                    crowd.append(subscription)
-                else:
-                    victim = crowd.pop(rng.randrange(len(crowd)))
-                    engine.unsubscribe(victim.sub_id)
-                churn_ops += 1
-            churn_seconds += time.perf_counter() - started
-            peak_crowd = max(peak_crowd, len(crowd))
-            peak_index = max(
-                peak_index, engine.interest_info()["interest_index_size"]
-            )
-            if churn_ops < spec.churn_ops:
-                matches += len(engine.publish(generator.event()))
-                publishes += 1
-        # drain any stragglers (drain_only guarantees this is empty
-        # unless churn_ops ran out mid-crowd on pathological specs)
         started = time.perf_counter()
-        while crowd:
-            victim = crowd.pop()
-            engine.unsubscribe(victim.sub_id)
-            churn_ops += 1
+        for kind, payload in ops:
+            if kind != "publish":
+                if kind == "subscribe":
+                    engine.subscribe(payload)
+                    crowd += 1
+                else:
+                    engine.unsubscribe(payload)
+                    crowd -= 1
+                churn_ops += 1
+                if churn_ops != spec.churn_ops:
+                    continue
+            # a burst just ended — at a mid-storm publication, or where
+            # the last burst hands over to the straggler drain
+            churn_seconds += time.perf_counter() - started
+            peak_crowd = max(peak_crowd, crowd)
+            peak_index = max(peak_index, engine.interest_info()["interest_index_size"])
+            if kind == "publish":
+                matches += len(engine.publish(payload))
+                publishes += 1
+            started = time.perf_counter()
         churn_seconds += time.perf_counter() - started
         for event in warm:
             matches += len(engine.publish(event))
@@ -550,8 +533,9 @@ class FlashCrowdDriver:
 
     def ops(self) -> Iterator[tuple[str, object]]:
         """The storm as a replayable op stream (``("subscribe", sub)``,
-        ``("unsubscribe", sub_id)``, ``("publish", event)``) for callers
-        that drive a broker or trace recorder instead of an engine."""
+        ``("unsubscribe", sub_id)``, ``("publish", event)``): what
+        :meth:`run` applies to an engine, and what callers driving a
+        broker or trace recorder replay themselves."""
         spec = self.spec
         generator = self.generator
         rng = random.Random(spec.seed)
@@ -584,5 +568,7 @@ class FlashCrowdDriver:
                 churn_ops += 1
             if churn_ops < spec.churn_ops:
                 yield ("publish", generator.event())
+        # drain any stragglers (drain_only guarantees this is empty
+        # unless churn_ops ran out mid-crowd on pathological specs)
         while crowd:
             yield ("unsubscribe", crowd.pop())

@@ -175,7 +175,8 @@ class TestEngineEpoch:
         engine.bump_semantic_epoch("test")
         # the table snapshot is version-keyed, not epoch-keyed
         assert kb.concept_table() is table
-        assert engine.expansion_cache_info()["size"] == 0
+        # ...while every semantic cache keys on the pair that just moved
+        assert engine.semantic_version == (kb.version, 1)
 
     def test_interning_off_is_the_string_path(self):
         kb = build_kb()

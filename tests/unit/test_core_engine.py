@@ -305,9 +305,8 @@ class TestInterestPruning:
     def test_self_disabled_index_costs_nothing(self):
         """A mapping rule with an unknown read set disables pruning —
         and the engine must then behave like interest_pruning=False:
-        no prune checks on the hot path, a warm expansion cache across
-        subscription churn, and enabled=False in stats (the index
-        object stays, so dropping the rule later re-enables it)."""
+        no prune checks on the hot path and enabled=False in stats (the
+        index object stays, so dropping the rule later re-enables it)."""
         kb = _kb()
         kb.add_rule(
             MappingRule.function(
@@ -319,12 +318,8 @@ class TestInterestPruning:
         engine.subscribe(parse_subscription("(degree = graduate_degree)", sub_id="s"))
         event = parse_event("(degree, PhD)")
         engine.publish(event)
-        assert engine.expansion_cache_info()["size"] == 1
-        # churn must NOT cool the cache: expansion was exhaustive
         engine.subscribe(parse_subscription("(degree = doctorate)", sub_id="s2"))
-        assert engine.expansion_cache_info()["size"] == 1
         engine.publish(event)
-        assert engine.expansion_cache_info()["hits"] == 1
         interest = engine.stats()["interest"]
         assert not interest["enabled"]
         assert interest["prune_checks"] == 0

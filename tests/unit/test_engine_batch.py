@@ -1,14 +1,18 @@
-"""Unit tests for the batched publish path: expansion cache behavior,
+"""Unit tests for the batched publish path: republication behavior,
 matcher-instance preservation across ``reconfigure``, and the batch
 counters surfaced through engine/dispatcher stats."""
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
 from repro.broker.broker import Broker
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
+from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.matching import CountingMatcher, MatchingAlgorithm
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.knowledge_base import KnowledgeBase
@@ -32,113 +36,61 @@ def engine() -> SToPSS:
     return SToPSS(_kb(), config=SemanticConfig(present_year=2003))
 
 
-class TestExpansionCache:
-    def test_repeat_publication_hits(self, engine):
+def _pairs(matches):
+    return [(m.subscription.sub_id, m.generality) for m in matches]
+
+
+_PRUNING = pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "full"])
+
+
+class TestRepublish:
+    """The engine keeps nothing between publications, so a republished
+    event is simply expanded and matched again against whatever the
+    subscription table, knowledge base and configuration are *now*."""
+
+    def test_repeat_publication_matches_the_same(self, engine):
         engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
         first = engine.publish(parse_event("(degree, PhD)"))
-        info = engine.expansion_cache_info()
-        assert info["hits"] == 0 and info["misses"] == 1 and info["size"] == 1
         second = engine.publish(parse_event("(degree, PhD)"))
-        info = engine.expansion_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
-        assert info["hit_rate"] == pytest.approx(0.5)
-        assert [(m.subscription.sub_id, m.generality) for m in first] == [
-            (m.subscription.sub_id, m.generality) for m in second
-        ]
+        assert _pairs(first) == _pairs(second) == [("s", 2)]
 
-    def test_distinct_content_misses(self, engine):
-        engine.publish(parse_event("(degree, PhD)"))
-        engine.publish(parse_event("(degree, MSc)"))
-        info = engine.expansion_cache_info()
-        assert info["misses"] == 2 and info["hits"] == 0
+    def test_same_content_different_id_matches_the_same(self, engine):
+        engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
+        first = engine.publish(parse_event("(degree, PhD)", event_id="a"))
+        second = engine.publish(parse_event("(degree, PhD)", event_id="b"))
+        assert _pairs(first) == _pairs(second) == [("s", 2)]
+        assert [m.event.event_id for m in first + second] == ["a", "b"]
 
-    def test_same_content_different_id_hits(self, engine):
-        engine.publish(parse_event("(degree, PhD)", event_id="a"))
-        engine.publish(parse_event("(degree, PhD)", event_id="b"))
-        assert engine.expansion_cache_info()["hits"] == 1
-
-    def test_subscribe_keeps_cache_warm_without_pruning(self):
-        # with interest pruning off the expansion never reads the
-        # subscription table, so with no stateful extra stage churn
-        # keeps cached expansions warm...
+    @_PRUNING
+    def test_late_subscription_matches_republished_event(self, pruning):
+        # demand-driven expansion prunes against the live interest set:
+        # the first publication (nobody subscribed) derives nothing the
+        # late subscription needs, the republication must.
         engine = SToPSS(
-            _kb(), config=SemanticConfig(present_year=2003, interest_pruning=False)
+            _kb(), config=SemanticConfig(present_year=2003, interest_pruning=pruning)
         )
-        engine.publish(parse_event("(degree, PhD)"))
-        assert engine.expansion_cache_info()["size"] == 1
-        engine.subscribe(parse_subscription("(degree exists)", sub_id="late"))
-        assert engine.expansion_cache_info()["size"] == 1
-        # ...without costing correctness: the late subscription is
-        # matched by the republished (cache-hit) event.
-        matches = engine.publish(parse_event("(degree, PhD)"))
-        assert [m.subscription.sub_id for m in matches] == ["late"]
-        assert engine.expansion_cache_info()["hits"] == 1
-
-    def test_subscribe_invalidates_cache_under_pruning(self, engine):
-        # demand-driven expansion prunes against the live interest set,
-        # so a cached expansion must not shadow derivations a late
-        # subscription now demands.
-        engine.publish(parse_event("(degree, PhD)"))
-        assert engine.expansion_cache_info()["size"] == 1
+        assert engine.publish(parse_event("(degree, PhD)")) == []
         engine.subscribe(parse_subscription("(degree = degree)", sub_id="late"))
-        assert engine.expansion_cache_info()["size"] == 0
-        matches = engine.publish(parse_event("(degree, PhD)"))
-        assert [m.subscription.sub_id for m in matches] == ["late"]
+        assert _pairs(engine.publish(parse_event("(degree, PhD)"))) == [("late", 2)]
 
-    def test_unsubscribe_keeps_cache_warm_without_pruning(self):
+    @_PRUNING
+    def test_unsubscribed_is_not_matched_on_republish(self, pruning):
         engine = SToPSS(
-            _kb(), config=SemanticConfig(present_year=2003, interest_pruning=False)
+            _kb(), config=SemanticConfig(present_year=2003, interest_pruning=pruning)
         )
         engine.subscribe(parse_subscription("(degree exists)", sub_id="s"))
-        engine.publish(parse_event("(degree, PhD)"))
-        engine.unsubscribe("s")
-        assert engine.expansion_cache_info()["size"] == 1
-        assert engine.publish(parse_event("(degree, PhD)")) == []
-
-    def test_unsubscribe_under_pruning_stays_correct(self, engine):
-        engine.subscribe(parse_subscription("(degree exists)", sub_id="s"))
-        engine.publish(parse_event("(degree, PhD)"))
+        assert _pairs(engine.publish(parse_event("(degree, PhD)"))) == [("s", 0)]
         engine.unsubscribe("s")
         assert engine.publish(parse_event("(degree, PhD)")) == []
 
-    def test_stateful_extra_stage_restores_churn_invalidation(self):
-        from repro.core.interfaces import SemanticStage
-
-        class StatefulStage(SemanticStage):
-            name = "stateful-extra"
-            stateful = True
-
-        engine = SToPSS(
-            _kb(),
-            config=SemanticConfig(present_year=2003),
-            extra_stages=(StatefulStage(),),
-        )
-        engine.publish(parse_event("(degree, PhD)"))
-        assert engine.expansion_cache_info()["size"] == 1
-        engine.subscribe(parse_subscription("(degree exists)", sub_id="s"))
-        info = engine.expansion_cache_info()
-        assert info["size"] == 0 and info["invalidations"] >= 1
-        engine.publish(parse_event("(degree, PhD)"))
-        engine.unsubscribe("s")
-        assert engine.expansion_cache_info()["size"] == 0
-
-    def test_reconfigure_invalidates(self, engine):
+    def test_reconfigure_is_not_served_stale(self, engine):
         engine.subscribe(parse_subscription("(university = Toronto)", sub_id="s"))
         event = parse_event("(school, Toronto)")
         assert len(engine.publish(event)) == 1  # synonym rewrite
         engine.reconfigure(SemanticConfig.syntactic())
-        assert engine.expansion_cache_info()["size"] == 0
         assert engine.publish(event) == []  # stale expansion would still match
 
-    def test_lru_eviction(self):
-        engine = SToPSS(_kb(), config=SemanticConfig(present_year=2003, expansion_cache_size=2))
-        for value in ("a", "b", "c"):
-            engine.publish(parse_event(f"(k, {value})"))
-        assert engine.expansion_cache_info()["size"] == 2
-        engine.publish(parse_event("(k, a)"))  # evicted: counts as a miss
-        assert engine.expansion_cache_info()["misses"] == 4
-
-    def test_kb_mutation_invalidates(self, engine):
+    def test_kb_write_is_not_served_stale(self, engine):
         engine.subscribe(parse_subscription("(degree = doctorate)", sub_id="s"))
         event = parse_event("(degree, PhD)")
         assert engine.publish(event) == []  # 'doctorate' unknown so far
@@ -146,12 +98,44 @@ class TestExpansionCache:
         matches = engine.publish(event)  # same content: must not be served stale
         assert [m.subscription.sub_id for m in matches] == ["s"]
 
-    def test_zero_capacity_disables(self):
-        engine = SToPSS(_kb(), config=SemanticConfig(present_year=2003, expansion_cache_size=0))
-        engine.publish(parse_event("(degree, PhD)"))
-        engine.publish(parse_event("(degree, PhD)"))
-        info = engine.expansion_cache_info()
-        assert info["hits"] == 0 and info["misses"] == 0 and info["size"] == 0
+    @pytest.mark.parametrize(
+        "engine_class", [SToPSS, SubscriptionExpandingEngine], ids=["SToPSS", "subexpand"]
+    )
+    def test_publication_leaves_no_result_behind(self, engine_class):
+        """No object reachable from an engine holds a publication's
+        ``PipelineResult`` once the caller has dropped the match list."""
+        engine = engine_class(_kb(), config=SemanticConfig(present_year=2003))
+        engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
+        process_event = engine.pipeline.process_event
+        results = []
+
+        def recording(event, **kwargs):
+            result = process_event(event, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        engine.pipeline.process_event = recording
+        matches = engine.publish(parse_event("(degree, PhD)"))
+        assert [m.subscription.sub_id for m in matches] == ["s"]
+        del matches
+        gc.collect()
+        assert len(results) == 1 and results[0]() is None
+
+    def test_broker_serves_the_repeat_from_the_result_cache(self):
+        """The one repeat cache that remains: through a ``Broker`` the
+        same content published twice reaches the engine once."""
+        broker = Broker(_kb(), config=SemanticConfig(present_year=2003))
+        subscriber = broker.register_subscriber("acme", email="a@example.com")
+        subscription = parse_subscription("(degree = degree)", sub_id="s")
+        broker.subscribe(subscriber.client_id, subscription)
+        publisher = broker.register_publisher("ada")
+        first = broker.publish(publisher.client_id, "(degree, PhD)")
+        second = broker.publish(publisher.client_id, "(degree, PhD)")
+        assert _pairs(first.matches) == _pairs(second.matches) == [("s", 2)]
+        stats = broker.dispatcher.stats()
+        assert stats["publications"] == 2
+        assert stats["engine"]["publications"] == 1
+        assert stats["result_cache"]["hits"] == 1
 
 
 class TestReconfigureMatcherInstance:
@@ -251,5 +235,5 @@ class TestBatchCounters:
         broker.publish(publisher.client_id, "(degree, PhD)")
         stats = broker.dispatcher.stats()
         assert stats["batches"] == 1
-        assert "probes_saved" in stats and "expansion_cache_hit_rate" in stats
+        assert "probes_saved" in stats and "result_cache_hit_rate" in stats
         assert stats["derived_events"] >= 1

@@ -2,11 +2,8 @@
 interleavings must drop cached semantic state, and which may keep it
 warm.
 
-Three caches are in play on the publish hot path:
+Two memos are in play on the publish hot path:
 
-* the engine's LRU *expansion cache* (pipeline results, keyed by the
-  knowledge-base version + local epoch; churn-exempt unless a stateful
-  extra stage is installed);
 * the counting matcher's *satisfaction memo* (per-pair subscription
   credits — embeds subscription state, so churn MUST drop it);
 * the cluster matcher's *residual memo* (pure predicate outcomes —
@@ -20,7 +17,6 @@ import pytest
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.core.interfaces import SemanticStage
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.knowledge_base import KnowledgeBase
 
@@ -101,11 +97,10 @@ class TestClusterMemoChurn:
 
 @pytest.mark.parametrize("matcher", ["counting", "cluster"])
 class TestEngineDrivenInvalidation:
-    """Knowledge-base edits and reconfiguration reach every cache."""
+    """Knowledge-base edits and reconfiguration reach every memo."""
 
-    def test_kb_edit_invalidates_memo_and_expansion_cache(self, matcher):
+    def test_kb_edit_invalidates_memo_and_expansion_follows_the_edit(self, matcher):
         engine = _warm_engine(matcher)
-        assert engine.expansion_cache_info()["size"] > 0
         engine.kb.add_value_synonyms(["PhD", "doctorate"], root="PhD")
         # the next publish resyncs the semantic version before matching
         matches = engine.publish(parse_event("(degree, doctorate)(city, Toronto)"))
@@ -116,23 +111,11 @@ class TestEngineDrivenInvalidation:
         engine = _warm_engine(matcher)
         engine.reconfigure(SemanticConfig.syntactic())
         assert _memo_len(engine) == 0
-        assert engine.expansion_cache_info()["size"] == 0
         assert engine.publish(parse_event("(degree, PhD)(city, Toronto)")) != []
 
-    def test_stateless_extra_stage_keeps_expansion_cache_warm(self, matcher):
-        class StatelessStage(SemanticStage):
-            name = "stateless-extra"
-            stateful = False  # opt in: the default is conservative (True)
+    def test_ducktyped_stage_without_flag_counts_as_a_stage(self, matcher):
+        expanded = []
 
-        engine = SToPSS(_kb(), matcher=matcher, extra_stages=(StatelessStage(),))
-        engine.publish(parse_event("(degree, PhD)"))
-        assert engine.expansion_cache_info()["size"] == 1
-        engine.subscribe(parse_subscription("(degree exists)", sub_id="s"))
-        assert engine.expansion_cache_info()["size"] == 1
-        assert len(engine.publish(parse_event("(degree, PhD)"))) == 1
-        assert engine.expansion_cache_info()["hits"] == 1
-
-    def test_ducktyped_stage_without_flag_counts_as_stateful(self, matcher):
         class DuckStage:
             name = "duck"
 
@@ -147,10 +130,13 @@ class TestEngineDrivenInvalidation:
 
             @staticmethod
             def expand(derived, *, generality_budget=None):
+                expanded.append(derived)
                 return ()
 
         engine = SToPSS(_kb(), matcher=matcher, extra_stages=(DuckStage(),))
-        engine.publish(parse_event("(degree, PhD)"))
-        assert engine.expansion_cache_info()["size"] == 1
+        assert engine.publish(parse_event("(degree, PhD)")) == []
+        ran_once = len(expanded)
+        assert ran_once > 0
         engine.subscribe(parse_subscription("(degree exists)", sub_id="s"))
-        assert engine.expansion_cache_info()["size"] == 0
+        assert len(engine.publish(parse_event("(degree, PhD)"))) == 1
+        assert len(expanded) > ran_once  # and again on the republication

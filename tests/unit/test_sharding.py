@@ -292,12 +292,12 @@ class TestStats:
     def test_merge_stats_recomputes_rates_from_sums(self):
         merged = merge_stats(
             [
-                {"expansion_cache": {"hits": 9, "misses": 1, "hit_rate": 0.9}},
-                {"expansion_cache": {"hits": 0, "misses": 10, "hit_rate": 0.0}},
+                {"result_cache": {"hits": 9, "misses": 1, "hit_rate": 0.9}},
+                {"result_cache": {"hits": 0, "misses": 10, "hit_rate": 0.0}},
             ]
         )
-        assert merged["expansion_cache"]["hits"] == 9
-        assert merged["expansion_cache"]["hit_rate"] == pytest.approx(0.45)
+        assert merged["result_cache"]["hits"] == 9
+        assert merged["result_cache"]["hit_rate"] == pytest.approx(0.45)
         merged = merge_stats(
             [
                 {"interest": {"candidates_pruned": 3, "prune_checks": 4, "prune_hit_rate": 0.75}},

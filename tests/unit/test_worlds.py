@@ -232,9 +232,9 @@ class TestFlashCrowd:
 
     def test_storm_returns_to_baseline(self, world):
         """The ≥10k-op leak test on the default (counting) engine: the
-        refcounted InterestIndex, the satisfaction memo, and the
-        expansion cache must all return exactly to the pre-storm
-        footprint once the crowd has left."""
+        refcounted InterestIndex and the satisfaction memo must both
+        return exactly to the pre-storm footprint once the crowd has
+        left."""
         engine = SToPSS(world.kb)
         spec = FlashCrowdSpec(residents=60, churn_ops=10_000, burst=100, seed=5)
         report = FlashCrowdDriver(world.generator(seed=5), spec).run(engine)
@@ -289,13 +289,13 @@ class TestFlashCrowd:
     def test_storm_on_cluster_matcher_bounded(self, world):
         """The cluster matcher's residual memo survives churn *by
         design* (predicate-keyed, capacity-bounded), so it is exempt
-        from strict equality — but the interest index and expansion
-        cache must still drain, and the memo must respect its bound."""
+        from strict equality — but the interest index must still
+        drain, and the memo must respect its bound."""
         engine = SToPSS(world.kb, matcher="cluster")
         spec = FlashCrowdSpec(residents=40, churn_ops=2_000, burst=50, seed=6)
         report = FlashCrowdDriver(world.generator(seed=6), spec).run(engine)
-        for key in ("interest_index_size", "expansion_cache_size"):
-            assert report.final[key] == report.baseline[key], report.as_dict()
+        key = "interest_index_size"
+        assert report.final[key] == report.baseline[key], report.as_dict()
         assert report.final["matcher_memo_size"] <= engine.matcher.memo_capacity
 
     def test_ops_stream_is_deterministic_and_drains(self, world):
@@ -334,3 +334,35 @@ class TestFlashCrowd:
                 matches += len(engine.publish(payload))
         assert len(engine) == spec.residents
         assert matches > 0
+
+    def test_run_is_a_fold_over_the_ops_stream(self, world):
+        """``run()`` applies exactly ``ops()`` plus the closing warm
+        republish: replaying the stream by hand on a second engine ends
+        with the same subscriptions, op counts and match total.  (An
+        odd ``churn_ops`` leaves a straggler for the final drain.)"""
+        spec = FlashCrowdSpec(residents=8, churn_ops=101, burst=10, warm_events=3, seed=8)
+        engine = SToPSS(world.kb)
+        report = FlashCrowdDriver(world.generator(seed=8), spec).run(engine)
+        by_hand = SToPSS(world.kb)
+        published = []
+        matches = churn_ops = 0
+        for kind, payload in FlashCrowdDriver(world.generator(seed=8), spec).ops():
+            if kind == "publish":
+                published.append(payload)
+                matches += len(by_hand.publish(payload))
+                continue
+            if kind == "subscribe":
+                by_hand.subscribe(payload)
+            else:
+                by_hand.unsubscribe(payload)
+            churn_ops += 1
+        warm = published[: spec.warm_events]
+        matches += sum(len(by_hand.publish(event)) for event in warm)
+        assert report.matches == matches > 0
+        assert report.publishes == len(published) + len(warm)
+        assert report.churn_ops == churn_ops - spec.residents == spec.churn_ops + 1
+        assert [sub.sub_id for sub in engine.subscriptions()] == [
+            sub.sub_id for sub in by_hand.subscriptions()
+        ]
+        assert len(engine) == spec.residents
+        assert engine_footprint(by_hand) == report.final == report.baseline
