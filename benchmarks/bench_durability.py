@@ -10,7 +10,10 @@ behind.  Recorded per leg:
 * ``events_per_second`` and the derived ``journal_overhead_pct`` vs the
   in-memory leg (record-only, machine-dependent — the overhead ratio is
   the number ``docs/PERFORMANCE.md`` quotes, not a gate);
-* the journal counters: appends, bytes, bytes/event, compactions;
+* the journal counters: appends, bytes, compactions, and what the
+  publish stream alone cost — ``journal_appends_per_event`` (the
+  ``pub`` record, one ``outs`` and one ``acks`` for an event that
+  delivers) and ``journal_bytes_per_event``, set-up records excluded;
 * for the recovery legs: ``recover_seconds``, records replayed,
   deliveries dedup'd;
 * memory, from a separate ``tracemalloc`` pass (tracing slows what it
@@ -62,10 +65,17 @@ def _fresh_subscription(subscription: Subscription) -> Subscription:
     )
 
 
+def _journal_volume(durability) -> tuple[int, int]:
+    if durability is None:
+        return 0, 0
+    return durability.stats.journal_appends, durability.stats.journal_bytes
+
+
 def _run_leg(jobs_kb, subscriptions, events, durability=None):
     """One publish stream through the broker facade; returns the
-    per-event match lists, the publish wall-clock, and the final
-    delivered frontiers."""
+    per-event match lists, the publish wall-clock, the final delivered
+    frontiers, and the journal ``(appends, bytes)`` the stream itself
+    wrote (``(0, 0)`` in memory)."""
     broker = Broker(jobs_kb, matcher=MATCHER, durability=durability)
     try:
         broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-sub")
@@ -73,6 +83,7 @@ def _run_leg(jobs_kb, subscriptions, events, durability=None):
         for subscription in subscriptions:
             broker.subscribe("cl-sub", _fresh_subscription(subscription))
         match_sets: list[list[tuple[str, int]]] = []
+        appends, volume = _journal_volume(durability)
         started = time.perf_counter()
         for event in events:
             report = broker.publish("cl-pub", event)
@@ -80,10 +91,11 @@ def _run_leg(jobs_kb, subscriptions, events, durability=None):
                 [(m.subscription.sub_id, m.generality) for m in report.matches]
             )
         elapsed = time.perf_counter() - started
+        appends_after, volume_after = _journal_volume(durability)
         frontiers = broker.notifier.delivery_frontiers()
     finally:
         broker.close()
-    return match_sets, elapsed, frontiers
+    return match_sets, elapsed, frontiers, (appends_after - appends, volume_after - volume)
 
 
 def _time_recover(jobs_kb, directory):
@@ -136,6 +148,7 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
             "leg",
             "appends",
             "kb-journal",
+            "appends/ev",
             "bytes/ev",
             "compactions",
             "ev/s",
@@ -172,28 +185,28 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
         payload["recoveries"] = []
         with tempfile.TemporaryDirectory() as scratch:
             root = pathlib.Path(scratch)
-            baseline, memory_elapsed, memory_frontiers = _run_leg(
+            baseline, memory_elapsed, memory_frontiers, stream = _run_leg(
                 jobs_kb, subscriptions, events
             )
-            legs = [("in-memory", None, baseline, memory_elapsed, memory_frontiers)]
+            legs = [("in-memory", None, baseline, memory_elapsed, stream)]
 
             journaled = Durability(root / "journal", snapshot_every=0)
-            match_sets, elapsed, frontiers = _run_leg(
+            match_sets, elapsed, frontiers, stream = _run_leg(
                 jobs_kb, subscriptions, events, durability=journaled
             )
             assert match_sets == baseline, "journaling changed the match lists"
             assert frontiers == memory_frontiers, "journaling moved the frontiers"
-            legs.append(("journaled", journaled, match_sets, elapsed, frontiers))
+            legs.append(("journaled", journaled, match_sets, elapsed, stream))
 
             fsynced = Durability(root / "fsync", snapshot_every=0, fsync=True)
-            fsync_sets, fsync_elapsed, _ = _run_leg(
+            fsync_sets, fsync_elapsed, _, stream = _run_leg(
                 jobs_kb, subscriptions, events[:FSYNC_EVENTS], durability=fsynced
             )
             assert fsync_sets == baseline[:FSYNC_EVENTS]
-            legs.append(("journaled+fsync", fsynced, fsync_sets, fsync_elapsed, None))
+            legs.append(("journaled+fsync", fsynced, fsync_sets, fsync_elapsed, stream))
 
             compacted = Durability(root / "compacted", snapshot_every=100)
-            compact_sets, compact_elapsed, compact_frontiers = _run_leg(
+            compact_sets, compact_elapsed, compact_frontiers, stream = _run_leg(
                 jobs_kb, subscriptions, events, durability=compacted
             )
             assert compact_sets == baseline
@@ -201,11 +214,9 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
             assert compacted.stats.snapshot_compactions > 0, (
                 "the compaction leg never compacted"
             )
-            legs.append(
-                ("compacting", compacted, compact_sets, compact_elapsed, compact_frontiers)
-            )
+            legs.append(("compacting", compacted, compact_sets, compact_elapsed, stream))
 
-            for name, durability, match_sets, elapsed, _ in legs:
+            for name, durability, match_sets, elapsed, (appends_in_stream, bytes_in_stream) in legs:
                 event_count = len(match_sets)
                 rate = event_count / elapsed if elapsed else 0.0
                 stats = durability.stats.snapshot() if durability else {}
@@ -219,7 +230,8 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
                     name,
                     appends,
                     round(journal_bytes / 1024, 1),
-                    round(journal_bytes / event_count, 1) if event_count else 0,
+                    round(appends_in_stream / event_count, 2),
+                    round(bytes_in_stream / event_count, 1),
                     stats.get("snapshot_compactions", 0),
                     round(rate, 1),
                     round(overhead, 1),
@@ -229,6 +241,8 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
                     "events": event_count,
                     "matches": sum(len(per_event) for per_event in match_sets),
                     "journal": stats,
+                    "journal_appends_per_event": appends_in_stream / event_count,
+                    "journal_bytes_per_event": bytes_in_stream / event_count,
                     "publish_seconds": elapsed,
                     "events_per_second": rate,
                     "journal_overhead_pct": overhead,

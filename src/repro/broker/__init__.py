@@ -24,6 +24,7 @@ from repro.broker.notifications import (
     DeliveryOutcome,
     Notification,
     NotificationEngine,
+    PublicationText,
 )
 from repro.broker.transports import (
     DeliveryRecord,
@@ -59,6 +60,7 @@ __all__ = [
     "Notification",
     "NotificationEngine",
     "DeliveryEntry",
+    "PublicationText",
     "DeliveryOutcome",
     "Transport",
     "TransportRegistry",

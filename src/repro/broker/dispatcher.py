@@ -167,13 +167,15 @@ class EventDispatcher:
             raise BrokerError(f"client {client_id!r} is not a publisher")
         stamped = Event(event.items(), event_id=event.event_id, publisher_id=client_id)
         matches = self._matches_for(stamped, client_id)
-        outcomes: list[DeliveryOutcome] = []
+        deliveries: list[tuple[Client, SemanticMatch]] = []
         for match in matches:
             subscriber_id = self._subscriber_of.get(match.subscription.sub_id)
             if subscriber_id is None:  # engine-only subscription (tests)
                 continue
-            subscriber: Client = self.registry.get(subscriber_id)
-            outcomes.append(self.notifier.notify(subscriber, match))
+            deliveries.append((self.registry.get(subscriber_id), match))
+        # the publication's notifications are one unit of work: rendered,
+        # journaled and acked once, sent one by one
+        outcomes = self.notifier.fan_out(deliveries)
         report = PublishReport(stamped, tuple(matches), tuple(outcomes))
         self.publications += 1
         self.matches += report.match_count

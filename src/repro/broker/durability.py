@@ -28,9 +28,10 @@ Three design rules keep recovery boring:
    makes replay skip already-folded records.  A snapshot that fails
    any check anywhere is discarded whole before any of it is applied.
 3. **Deliveries are at-least-once, dedup'd by sequence.**  The
-   notification engine journals an outbox record (with the
-   per-subscription delivery sequence and the rendered message) before
-   every send and an ack after; recovery replays each journaled publish,
+   notification engine journals one ``outs`` record per publication
+   (every delivery's per-subscription sequence, and the text the
+   deliveries share, once) before the first send and one ``acks``
+   record after the last; recovery replays each journaled publish,
    regenerates its matches deterministically, and reconciles them
    against the journaled outbox — already-acked sequences are dropped
    (``dedup_drops``), un-acked ones are re-sent (``replayed_deliveries``).
@@ -83,9 +84,12 @@ __all__ = [
 
 JOURNAL_NAME = "journal.log"
 SNAPSHOT_NAME = "snapshot.json"
-#: snapshot layout: 2 is the record stream (head, content records,
-#: counting trailer); a file of any other format is discarded
-FORMAT_VERSION = 2
+#: snapshot layout, a record stream (head, content records, counting
+#: trailer): 3 is what is written, its delivery-log rows referencing
+#: per-publication ``text`` records; 2, whose rows inline their text, is
+#: still read; a file of any other format is discarded
+FORMAT_VERSION = 3
+READABLE_FORMATS = (2, FORMAT_VERSION)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +444,7 @@ class Durability:
             reader.torn
             or count < 2
             or head.get("k") != "snapshot"
-            or head.get("format") != FORMAT_VERSION
+            or head.get("format") not in READABLE_FORMATS
             or not isinstance(head.get("last_seq"), int)
             or last.get("k") != "end"
             or last.get("records") != count - 2
@@ -577,7 +581,7 @@ def recover(
                 _register_client(broker, record)
             elif kind == "sub":
                 broker.dispatcher.subscribe(record["cid"], _decode_subscription(record))
-            elif kind in ("notifier", "log"):
+            elif kind in ("notifier", "text", "log"):
                 broker.notifier.restore(record)
 
         # 2. delivery ledger from the journal tail: what was outboxed
@@ -600,7 +604,7 @@ def recover(
                     broker.engine.reconfigure(_decode_config(record["cfg"]))
                 elif kind == "pub":
                     broker.publish(record["cid"], _decode_event(record))
-                else:  # out / ack: the ledger pass took them
+                else:  # outs / acks (out / ack): the ledger pass took them
                     continue
             except ReproError:
                 # the same operation failed the same way live (or only

@@ -12,18 +12,27 @@ matcher.
 Delivery is *at-least-once with per-subscription sequences*: every
 notification carries a monotonic ``sequence`` scoped to its
 subscription, the engine keeps a bounded per-subscription delivery log,
-and — when the broker is durable — an outbox record is journaled before
-each send and an ack after, so crash recovery can reconcile regenerated
+and — when the broker is durable — the deliveries of a publication are
+journaled as one ``outs`` record before the first send and one ``acks``
+record after the last, so crash recovery can reconcile regenerated
 matches against what actually went out (already-acked sequences are
 dropped, un-acked ones re-sent).  ``replay_from`` re-delivers the
 retained log from a sequence number for reconnecting subscribers, who
 dedup by ``(sub_id, sequence)``.
 
+The fan-out of a publication is *one unit of work*
+(:meth:`NotificationEngine.fan_out`): the event is rendered once, each
+distinct derivation once, each subscription once for as long as it
+lives, and a delivery-log row holds its ids plus references to those
+shared strings — in memory, in the journal and in the snapshot alike —
+so what the log costs follows the text there is to say, not the number
+of notifications that said it.
+
 Everything kept per delivery is a ``deque(maxlen=history_limit)``, and
-everything kept per subscription (log, sequence counter, frontier) is
-dropped by :meth:`NotificationEngine.forget` when it unsubscribes, so
-the engine's footprint follows the live subscriptions and the window,
-not the number of notifications ever sent.
+everything kept per subscription (log, sequence counter, frontier,
+rendered text) is dropped by :meth:`NotificationEngine.forget` when it
+unsubscribes, so the engine's footprint follows the live subscriptions
+and the window, not the number of notifications ever sent.
 
 The notification-id counter is engine-owned (not module-global) and
 restorable from a snapshot, so ids stay unique across a crash-restart.
@@ -34,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from sys import intern
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.broker.clients import Client
 from repro.broker.transports import (
@@ -44,10 +53,26 @@ from repro.broker.transports import (
     TransportRegistry,
     default_transports,
 )
-from repro.core.provenance import SemanticMatch
+from repro.core.provenance import (
+    DerivedEvent,
+    SemanticMatch,
+    derivation_part,
+    event_part,
+    subscription_part,
+)
 from repro.errors import DeliveryError, TransportError, UnknownClientError
 
-__all__ = ["Notification", "NotificationEngine", "DeliveryOutcome", "DeliveryEntry"]
+__all__ = [
+    "Notification",
+    "NotificationEngine",
+    "DeliveryOutcome",
+    "DeliveryEntry",
+    "PublicationText",
+]
+
+
+def _subject(sub_id: str, event_id: str) -> str:
+    return f"S-ToPSS: subscription {sub_id} matched event {event_id}"
 
 
 @dataclass(frozen=True)
@@ -64,10 +89,7 @@ class Notification:
     def subject(self) -> str:
         if self.match is None:  # replayed from the journal: pre-rendered
             return f"S-ToPSS: replay of {self.notification_id}"
-        return (
-            f"S-ToPSS: subscription {self.match.subscription.sub_id} matched "
-            f"event {self.match.event.event_id}"
-        )
+        return _subject(self.match.subscription.sub_id, self.match.event.event_id)
 
     def body(self) -> str:
         return "" if self.match is None else self.match.explain()
@@ -86,24 +108,71 @@ class DeliveryOutcome:
 
 
 @dataclass(slots=True)
+class PublicationText:
+    """The text the notifications of one publication share: the rendered
+    event (:func:`~repro.core.provenance.event_part`) and one rendered
+    derivation per distinct derived event a subscription accepted
+    (:func:`~repro.core.provenance.derivation_part`).  One object per
+    publication, referenced by each of its delivery-log rows and alive
+    as long as any of them is retained.
+
+    ``subject`` is set only on text decoded from records written before
+    the fan-out was grouped (journal ``out`` records, format-2 snapshot
+    rows): those stored each notification's rendered subject and body
+    whole, and come back as a private text per row whose single ``via``
+    entry is that body."""
+
+    event_id: str
+    event: str
+    via: list[str]
+    subject: str | None = None
+
+
+@dataclass(slots=True)
 class DeliveryEntry:
-    """One row of the per-subscription delivery log: everything needed
-    to re-send without the original match object (the journal stores the
-    rendered message, so replay works across restarts).  Rows decoded
-    from JSON go through :meth:`restored`, so a client's or an event's
-    rows share one id string as live rows do."""
+    """One row of the per-subscription delivery log: its ids plus
+    references to the text it shares with other rows — ``head`` with the
+    rows of its subscription (:func:`~repro.core.provenance
+    .subscription_part`), ``text`` with the rows of its publication —
+    which is everything needed to re-send without the original match
+    object (the journal stores the same parts, so replay works across
+    restarts).  ``subject`` and ``body`` put the message together on
+    demand; nothing retains it per row."""
 
     sequence: int
     notification_id: str
     client_id: str
-    event_id: str
-    subject: str
-    body: str
+    sub_id: str
+    head: str
+    text: PublicationText
+    #: which of ``text.via`` explains this row's match
+    via: int
     status: str = "pending"  # pending | acked | dead
 
     @classmethod
-    def restored(cls, seq, nid, client_id, event_id, subject, body, status) -> "DeliveryEntry":
-        return cls(seq, nid, intern(client_id), intern(event_id), subject, body, intern(status))
+    def stored(
+        cls, sub_id, sequence, nid, client_id, event_id, subject, body, status="pending"
+    ) -> "DeliveryEntry":
+        """A row decoded from a record that stored its rendered message
+        whole (see :class:`PublicationText`); the arguments after
+        *sub_id* are a format-2 snapshot row."""
+        text = PublicationText(intern(event_id), "", [body], subject)
+        return cls(sequence, nid, intern(client_id), sub_id, "", text, 0, intern(status))
+
+    @property
+    def event_id(self) -> str:
+        return self.text.event_id
+
+    @property
+    def subject(self) -> str:
+        stored = self.text.subject
+        return stored if stored is not None else _subject(self.sub_id, self.text.event_id)
+
+    @property
+    def body(self) -> str:
+        """Byte for byte what :meth:`SemanticMatch.explain
+        <repro.core.provenance.SemanticMatch.explain>` rendered."""
+        return self.head + self.text.event + self.text.via[self.via]
 
 
 @dataclass
@@ -142,8 +211,9 @@ class NotificationEngine:
         evicted at capacity (counted in ``history_evictions``), which
         also bounds how far back ``replay_from`` can reach.
     durability: the broker's :class:`~repro.broker.durability
-        .Durability` store, when deliveries should be journaled
-        (outbox-before-send, ack-after).
+        .Durability` store, when deliveries should be journaled (one
+        ``outs`` record per publication before its first send, one
+        ``acks`` record after its last).
     """
 
     def __init__(
@@ -173,10 +243,16 @@ class NotificationEngine:
         self._next_seq: dict[str, int] = {}
         self._delivery_log: dict[str, deque[DeliveryEntry]] = {}
         self._frontier: dict[str, int] = {}
+        #: sub_id -> its subscription part as :meth:`_stage` rendered it,
+        #: the one string every row staged for the subscription references
+        self._heads: dict[str, str] = {}
         #: pending entries restored from a snapshot, per subscription
         #: (their publishes were compacted away, so recovery re-sends
         #: them directly)
         self._restored_pending: dict[str, list[DeliveryEntry]] = {}
+        #: recovery only: the snapshot's ``text`` records in file order,
+        #: which its ``log`` rows reference by position
+        self._restored_texts: list[PublicationText] = []
         #: recovery only: per subscription id, the journaled outbox
         #: entries in append order with one ``None`` per journaled
         #: unsubscribe of that id, delivery or not.  A replayed
@@ -194,22 +270,23 @@ class NotificationEngine:
             self.stats.history_evictions += 1
         store.append(item)
 
-    def _log_entry(self, sub_id: str, entry: DeliveryEntry) -> None:
-        log = self._delivery_log.get(sub_id)
+    def _log_entry(self, entry: DeliveryEntry) -> None:
+        log = self._delivery_log.get(entry.sub_id)
         if log is None:
-            log = self._delivery_log[sub_id] = deque(maxlen=self.history_limit)
+            log = self._delivery_log[entry.sub_id] = deque(maxlen=self.history_limit)
         self._bounded_append(log, entry)
 
     def forget(self, sub_id: str) -> None:
         """Drop what is kept for a subscription that unsubscribed: its
-        delivery log, sequence counter and frontier (an id subscribed
-        again later starts a new stream at sequence 1).
+        delivery log, sequence counter, frontier and rendered text (an
+        id subscribed again later starts a new stream at sequence 1).
 
         While recovery replays a journaled unsubscribe, the ended
         stream's part of the replay ledger goes first, so
         :meth:`finish_replay` cannot re-send it; if more remains, the
         state is a later stream's, already adopted by the ledger pass,
         and is left alone."""
+        self._heads.pop(sub_id, None)
         if self._replay_ledger is not None:
             queue = self._replay_ledger.get(sub_id)
             while queue and queue.popleft() is not None:
@@ -223,77 +300,131 @@ class NotificationEngine:
 
     # -- delivery --------------------------------------------------------------
 
-    def notify(self, client: Client, match: SemanticMatch) -> DeliveryOutcome:
-        """Render and deliver one match to one subscriber.  During
-        crash-recovery replay, regenerated matches are reconciled
-        against the journaled outbox instead of blindly re-sent."""
-        sub_id = match.subscription.sub_id
-        if self._replay_ledger is not None:
-            queue = self._replay_ledger.get(sub_id)
-            if queue and queue[0] is not None:
-                entry = queue.popleft()
-                notification = Notification(
-                    entry.notification_id, client, match, sub_id=sub_id, sequence=entry.sequence
-                )
-                if entry.status != "pending":
-                    # the uncrashed run already settled this sequence:
-                    # idempotent redelivery drops it
-                    self._replay_stats.dedup_drops += 1
-                    return DeliveryOutcome(
-                        notification, None, 0, entry.status == "acked", transport="journal"
-                    )
-                outcome = self._walk_transports(notification, entry.subject, entry.body)
-                self._replay_stats.replayed_deliveries += 1
-                self._settle(sub_id, entry, outcome.delivered)
-                return self._finish(outcome)
-            # no journaled outbox for this match: the crash hit before
-            # the send started — fall through to a fresh delivery
-        sequence = self._next_seq.get(sub_id, 1)
-        self._next_seq[sub_id] = sequence + 1
-        notification = Notification(
-            f"n{self._next_notification}", client, match, sub_id=sub_id, sequence=sequence
-        )
-        self._next_notification += 1
-        subject, body = notification.subject(), notification.body()
-        entry = DeliveryEntry(
-            sequence,
-            notification.notification_id,
-            client.client_id,
-            match.event.event_id,
-            subject,
-            body,
-        )
-        self._log_entry(sub_id, entry)
-        if self.durability is not None:
+    def fan_out(
+        self, deliveries: Sequence[tuple[Client, SemanticMatch]]
+    ) -> list[DeliveryOutcome]:
+        """Deliver one publication's matches, each to its subscriber, as
+        one unit of work: :meth:`_stage` draws the sequences, renders
+        what the notifications share and journals the one ``outs``
+        record; every row is then sent through :meth:`notify`; one
+        ``acks`` record closes the publication — also when a send
+        aborts the fan-out (``raise_on_dead_letter``), so what was
+        settled stays settled across a restart."""
+        staged = self._stage(deliveries)
+        unsettled = [entry for entry in staged if entry.status == "pending"]
+        outcomes = []
+        try:
+            for (client, match), entry in zip(deliveries, staged):
+                outcomes.append(self.notify(client, match, entry))
+        finally:
+            self._journal_acks(unsettled)
+        return outcomes
+
+    def _stage(self, deliveries: Sequence[tuple[Client, SemanticMatch]]) -> list[DeliveryEntry]:
+        """The once-per-publication half of :meth:`fan_out`: one
+        delivery-log row per match, in order.  A new row draws the next
+        sequence of its subscription and references the publication's
+        text — the event rendered once, a derivation once however many
+        subscriptions accepted it (by content, so equal derived events
+        decoded from different shard workers share too), the
+        subscription part once per live subscription — and the new rows
+        go to the journal as a single ``outs`` record.  During
+        crash-recovery replay a regenerated match takes the row the
+        uncrashed run journaled for it instead; only a match without one
+        (the crash came before its ``outs``) is staged anew."""
+        ledger = self._replay_ledger
+        text: PublicationText | None = None
+        via_of: dict[DerivedEvent, int] = {}
+        staged: list[DeliveryEntry] = []
+        fresh: list[DeliveryEntry] = []
+        for client, match in deliveries:
+            subscription = match.subscription
+            sub_id = subscription.sub_id
+            if ledger is not None:
+                queue = ledger.get(sub_id)
+                if queue and queue[0] is not None:
+                    staged.append(queue.popleft())
+                    continue
+            if text is None:
+                text = PublicationText(match.event.event_id, event_part(match.event), [])
+            head = self._heads.get(sub_id)
+            if head is None:
+                head = self._heads[sub_id] = subscription_part(subscription)
+            via = via_of.get(match.matched_via)
+            if via is None:
+                via = via_of[match.matched_via] = len(text.via)
+                text.via.append(derivation_part(match.matched_via))
+            sequence = self._next_seq.get(sub_id, 1)
+            self._next_seq[sub_id] = sequence + 1
+            entry = DeliveryEntry(
+                sequence, f"n{self._next_notification}", client.client_id, sub_id, head, text, via
+            )
+            self._next_notification += 1
+            self._log_entry(entry)
+            staged.append(entry)
+            fresh.append(entry)
+        if fresh and self.durability is not None:
             self.durability.append(
                 {
-                    "k": "out",
-                    "sid": sub_id,
-                    "n": sequence,
-                    "nid": notification.notification_id,
-                    "cid": client.client_id,
-                    "eid": entry.event_id,
-                    "subject": subject,
-                    "body": body,
+                    "k": "outs",
+                    "eid": text.event_id,
+                    "event": text.event,
+                    "via": text.via,
+                    "rows": [
+                        [e.sub_id, e.sequence, e.notification_id, e.client_id, e.head, e.via]
+                        for e in fresh
+                    ],
                 }
             )
-        outcome = self._walk_transports(notification, subject, body)
+        return staged
+
+    def notify(
+        self, client: Client, match: SemanticMatch, entry: DeliveryEntry | None = None
+    ) -> DeliveryOutcome:
+        """Deliver one match to one subscriber.  Called with a match
+        alone this is a fan-out of one; :meth:`fan_out` passes the row it
+        staged for the match, and the call is the send itself.  A row
+        that crash recovery found already settled is dropped, not sent
+        again."""
+        if entry is None:
+            return self.fan_out([(client, match)])[0]
+        notification = Notification(
+            entry.notification_id, client, match, sub_id=entry.sub_id, sequence=entry.sequence
+        )
+        if entry.status != "pending":
+            # the uncrashed run already settled this sequence:
+            # idempotent redelivery drops it
+            self._replay_stats.dedup_drops += 1
+            return DeliveryOutcome(
+                notification, None, 0, entry.status == "acked", transport="journal"
+            )
+        outcome = self._walk_transports(notification, entry.subject, entry.body)
         if self._replay_stats is not None:
             self._replay_stats.replayed_deliveries += 1
-        self._settle(sub_id, entry, outcome.delivered)
+        self._settle(entry, outcome.delivered)
         return self._finish(outcome)
 
-    def _settle(self, sub_id: str, entry: DeliveryEntry, delivered: bool) -> None:
-        """Terminal bookkeeping for one send: log status, delivered
-        frontier, and the journaled ack (``ok=False`` marks a
-        dead-letter terminal so recovery never re-sends it either)."""
+    def _settle(self, entry: DeliveryEntry, delivered: bool) -> None:
+        """Terminal bookkeeping for one send: log status and delivered
+        frontier (a dead letter is terminal too: recovery never re-sends
+        it either)."""
         entry.status = "acked" if delivered else "dead"
         if delivered:
+            sub_id = entry.sub_id
             self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), entry.sequence)
-        if self.durability is not None:
-            self.durability.append(
-                {"k": "ack", "sid": sub_id, "n": entry.sequence, "ok": delivered}
-            )
+
+    def _journal_acks(self, entries: list[DeliveryEntry]) -> None:
+        """One ``acks`` record for those of *entries* that reached a
+        terminal state (``ok=False`` is a dead letter)."""
+        if self.durability is None:
+            return
+        rows = [
+            [entry.sub_id, entry.sequence, entry.status == "acked"]
+            for entry in entries
+            if entry.status != "pending"
+        ]
+        if rows:
+            self.durability.append({"k": "acks", "rows": rows})
 
     def _walk_transports(
         self, notification: Notification, subject: str, rendered_body: str
@@ -371,74 +502,96 @@ class NotificationEngine:
         for entry in list(self._delivery_log.get(sub_id, ())):
             if entry.sequence < sequence:
                 continue
-            outcomes.append(self._redeliver(sub_id, entry, registry))
+            outcomes.append(self._redeliver(entry, registry))
         return outcomes
 
-    def _redeliver(self, sub_id: str, entry: DeliveryEntry, registry) -> DeliveryOutcome:
-        """Re-send one journaled delivery from its stored rendered
-        message (no match object needed)."""
-        notification = Notification(
-            entry.notification_id, None, None, sub_id=sub_id, sequence=entry.sequence
-        )
+    def _redeliver(self, entry: DeliveryEntry, registry) -> DeliveryOutcome:
+        """Re-send one journaled delivery from its stored text (no match
+        object needed); a pending one is settled and acked — a fan-out
+        of one row."""
         try:
             client = registry.get(entry.client_id)
         except UnknownClientError:
+            client = None
+        notification = Notification(
+            entry.notification_id, client, None, sub_id=entry.sub_id, sequence=entry.sequence
+        )
+        if client is None:
             outcome = DeliveryOutcome(
                 notification, None, 0, False, error=f"client {entry.client_id!r} removed"
             )
-            if entry.status == "pending":
-                self._settle(sub_id, entry, False)
-            return outcome
-        notification = Notification(
-            entry.notification_id, client, None, sub_id=sub_id, sequence=entry.sequence
-        )
-        outcome = self._walk_transports(notification, entry.subject, entry.body)
-        if self.durability is not None:
-            self.durability.stats.replayed_deliveries += 1
+        else:
+            outcome = self._walk_transports(notification, entry.subject, entry.body)
+            if self.durability is not None:
+                self.durability.stats.replayed_deliveries += 1
         if entry.status == "pending":
-            self._settle(sub_id, entry, outcome.delivered)
+            self._settle(entry, outcome.delivered)
+            self._journal_acks([entry])
         return outcome
 
     # -- crash-recovery protocol (driven by durability.recover) --------------------
 
     def begin_replay(self, records, stats) -> None:
         """The ledger pass, then reconciliation mode.  *records* is the
-        journal tail in append order: every ``out`` is adopted into the
-        delivery log and the sequence/id counters and queued on its
-        subscription's ledger, every ``ack`` settles its entry (the send
-        reached its terminal state before the crash), and every
-        ``unsub`` forgets the subscription as the live call did, leaving
-        a ``None`` on its ledger queue where it ended.  From here until
+        journal tail in append order: every row of an ``outs`` record
+        is adopted into the delivery log and the sequence/id counters
+        and queued on its subscription's ledger — sharing its
+        publication's text as the row it was staged as did — every row
+        of an ``acks`` record settles its entry (the send reached its
+        terminal state before the crash), and every ``unsub`` forgets
+        the subscription as the live call did, leaving a ``None`` on its
+        ledger queue where it ended.  ``out`` and ``ack`` are the
+        one-delivery records written before the fan-out was grouped;
+        they are read, never written.  From here until
         :meth:`finish_replay`, regenerated matches consume the ledger
         instead of drawing fresh sequences."""
         ledger: dict[str, deque[DeliveryEntry | None]] = {}
+        #: the decoded subscription texts, each once: a subscription's
+        #: rows share one string across the tail's ``outs`` records
+        heads: dict[str, str] = {}
+
+        def adopt(entry: DeliveryEntry) -> None:
+            sub_id = entry.sub_id
+            self._log_entry(entry)
+            self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), entry.sequence + 1)
+            nid = entry.notification_id
+            if nid.startswith("n") and nid[1:].isdigit():
+                self._next_notification = max(self._next_notification, int(nid[1:]) + 1)
+            ledger.setdefault(sub_id, deque()).append(entry)
+
+        def settle(sub_id: str, sequence: int, ok: bool) -> None:
+            for entry in reversed(self._delivery_log.get(sub_id, ())):
+                if entry.sequence == sequence:
+                    entry.status = "acked" if ok else "dead"
+                    break
+            if ok:
+                self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
+
         for record in records:
             kind = record["k"]
-            if kind == "out":
-                sub_id = record["sid"]
-                entry = DeliveryEntry.restored(
-                    record["n"],
-                    record["nid"],
-                    record["cid"],
-                    record.get("eid", ""),
-                    record.get("subject", ""),
-                    record.get("body", ""),
-                    "pending",
+            if kind == "outs":
+                text = PublicationText(record["eid"], record["event"], record["via"])
+                for sub_id, sequence, nid, client_id, head, via in record["rows"]:
+                    sub_id, client_id = intern(sub_id), intern(client_id)
+                    head = heads.setdefault(head, head)
+                    adopt(DeliveryEntry(sequence, nid, client_id, sub_id, head, text, via))
+            elif kind == "acks":
+                for sub_id, sequence, ok in record["rows"]:
+                    settle(sub_id, sequence, ok)
+            elif kind == "out":
+                adopt(
+                    DeliveryEntry.stored(
+                        intern(record["sid"]),
+                        record["n"],
+                        record["nid"],
+                        record["cid"],
+                        record.get("eid", ""),
+                        record.get("subject", ""),
+                        record.get("body", ""),
+                    )
                 )
-                self._log_entry(sub_id, entry)
-                self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), entry.sequence + 1)
-                nid = entry.notification_id
-                if nid.startswith("n") and nid[1:].isdigit():
-                    self._next_notification = max(self._next_notification, int(nid[1:]) + 1)
-                ledger.setdefault(sub_id, deque()).append(entry)
             elif kind == "ack":
-                sub_id, sequence = record["sid"], record["n"]
-                for entry in reversed(self._delivery_log.get(sub_id, ())):
-                    if entry.sequence == sequence:
-                        entry.status = "acked" if record["ok"] else "dead"
-                        break
-                if record["ok"]:
-                    self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
+                settle(record["sid"], record["n"], record["ok"])
             elif kind == "unsub":
                 sub_id = record["sid"]
                 self.forget(sub_id)
@@ -449,65 +602,109 @@ class NotificationEngine:
     def finish_replay(self, registry) -> None:
         """Leave reconciliation mode; any journaled-but-unacked entry
         replay did not regenerate (snapshot-compacted publishes) is
-        re-sent directly from its stored message — at-least-once."""
+        re-sent directly from its stored text — at-least-once."""
         leftovers = [
-            (sub_id, entry)
-            for sub_id, entries in self._restored_pending.items()
-            for entry in entries
+            entry for entries in self._restored_pending.values() for entry in entries
         ]
-        for sub_id, queue in self._replay_ledger.items():
+        for queue in self._replay_ledger.values():
             for entry in queue:
                 if entry is not None and entry.status == "pending":
-                    leftovers.append((sub_id, entry))
+                    leftovers.append(entry)
         self._replay_ledger = None
         self._restored_pending = {}
-        for sub_id, entry in leftovers:
-            self._redeliver(sub_id, entry, registry)
+        self._restored_texts = []
+        for entry in leftovers:
+            self._redeliver(entry, registry)
         self._replay_stats = None
 
     # -- durable state -------------------------------------------------------------
 
     def durable_state(self) -> Iterator[dict]:
         """Snapshot-side state as a stream of small records: one
-        ``notifier`` record (the id counter), then one ``log`` record per
-        subscription (sequence counter, delivered frontier, retained
-        delivery log) — at most ``history_limit`` entries each, so no
-        record grows with the number of deliveries ever made."""
+        ``notifier`` record (the id counter), one ``text`` record per
+        publication a retained row still references (its event id, the
+        rendered event, its rendered derivations), then one ``log``
+        record per subscription (sequence counter, delivered frontier,
+        the subscription's rendered ``heads`` and at most
+        ``history_limit`` rows of ids and references: ``[sequence,
+        notification_id, client_id, head index, text record number,
+        derivation index, status]``) — so no record grows with the
+        number of deliveries ever made, and the file says what is
+        shared."""
         yield {"k": "notifier", "next_notification": self._next_notification}
+        number_of: dict[int, int] = {}  # id(text) -> position among the text records
+        for log in self._delivery_log.values():
+            for entry in log:
+                text = entry.text
+                if id(text) in number_of:
+                    continue
+                number_of[id(text)] = len(number_of)
+                record = {"k": "text", "eid": text.event_id, "event": text.event, "via": text.via}
+                if text.subject is not None:
+                    record["subject"] = text.subject
+                yield record
         # every subscription with a log or a frontier drew a sequence first
         for sub_id, next_seq in self._next_seq.items():
+            heads: dict[str, int] = {}
+            entries = [
+                [
+                    e.sequence,
+                    e.notification_id,
+                    e.client_id,
+                    heads.setdefault(e.head, len(heads)),
+                    number_of[id(e.text)],
+                    e.via,
+                    e.status,
+                ]
+                for e in self._delivery_log.get(sub_id, ())
+            ]
             yield {
                 "k": "log",
                 "sid": sub_id,
                 "next_seq": next_seq,
                 "frontier": self._frontier.get(sub_id, 0),
-                "entries": [
-                    [
-                        e.sequence,
-                        e.notification_id,
-                        e.client_id,
-                        e.event_id,
-                        e.subject,
-                        e.body,
-                        e.status,
-                    ]
-                    for e in self._delivery_log.get(sub_id, ())
-                ],
+                "heads": list(heads),
+                "entries": entries,
             }
 
     def restore(self, record: dict) -> None:
         """Apply one :meth:`durable_state` record; pending entries are
-        queued for re-send when recovery finishes."""
-        if record["k"] == "notifier":
+        queued for re-send when recovery finishes.  A ``log`` record
+        without ``heads`` is a format-2 one, whose rows stored
+        ``[sequence, notification_id, client_id, event_id, subject,
+        body, status]`` whole."""
+        kind = record["k"]
+        if kind == "notifier":
             self._next_notification = int(record["next_notification"])
             return
-        sub_id = record["sid"]
+        if kind == "text":
+            self._restored_texts.append(
+                PublicationText(
+                    record["eid"], record["event"], record["via"], record.get("subject")
+                )
+            )
+            return
+        sub_id = intern(record["sid"])
         self._next_seq[sub_id] = int(record["next_seq"])
         if record["frontier"]:
             self._frontier[sub_id] = int(record["frontier"])
+        heads = record.get("heads")
         for fields in record["entries"]:
-            entry = DeliveryEntry.restored(*fields)
-            self._log_entry(sub_id, entry)
+            if heads is None:
+                entry = DeliveryEntry.stored(sub_id, *fields)
+            else:
+                sequence, nid, client_id, head, text, via, status = fields
+                entry = DeliveryEntry(
+                    sequence,
+                    nid,
+                    intern(client_id),
+                    sub_id,
+                    heads[head],
+                    self._restored_texts[text],
+                    via,
+                    intern(status),
+                )
+            self._log_entry(entry)
             if entry.status == "pending":
                 self._restored_pending.setdefault(sub_id, []).append(entry)
 

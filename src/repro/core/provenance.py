@@ -21,7 +21,14 @@ from dataclasses import dataclass, field
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 
-__all__ = ["DerivationStep", "DerivedEvent", "SemanticMatch"]
+__all__ = [
+    "DerivationStep",
+    "DerivedEvent",
+    "SemanticMatch",
+    "subscription_part",
+    "event_part",
+    "derivation_part",
+]
 
 #: Stage identifiers used in derivation steps.
 STAGE_SYNONYM = "synonym"
@@ -214,3 +221,35 @@ class SemanticMatch:
         if not self.is_semantic:
             return header + " — exact syntactic match"
         return header + "\n" + self.matched_via.explain()
+
+    def explain_parts(self) -> tuple[str, str, str]:
+        """:meth:`explain` as three strings that concatenate to it,
+        split by what each depends on — the subscription, the
+        publication, the derivation — so a fan-out renders the second
+        once and the others once per distinct subscription and
+        derivation instead of once per notification."""
+        return (
+            subscription_part(self.subscription),
+            event_part(self.event),
+            derivation_part(self.matched_via),
+        )
+
+
+def subscription_part(subscription: Subscription) -> str:
+    """What :meth:`SemanticMatch.explain` says up to the event id: the
+    same for every publication the subscription matches."""
+    return f"subscription {subscription.sub_id} [{subscription.format()}] matched event "
+
+
+def event_part(event: Event) -> str:
+    """The publication's id and content: the same for every
+    subscription one publication matches."""
+    return f"{event.event_id} [{event.format()}]"
+
+
+def derivation_part(matched_via: DerivedEvent) -> str:
+    """How the match came about: the same for every subscription that
+    accepted the same derived event."""
+    if matched_via.is_original:
+        return " — exact syntactic match"
+    return "\n" + matched_via.explain()

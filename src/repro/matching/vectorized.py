@@ -52,17 +52,17 @@ scorer's exact semantics.
 numpy is a soft dependency: this module imports cleanly without it, the
 ``*-numpy`` registry names simply do not appear, and
 :func:`~repro.matching.base.resolve_backend` degrades engine requests
-to the scalar names.
+to the scalar names.  It is also a *lazy* one: importing this module
+only asks whether numpy is installed; numpy itself is imported by the
+first vectorized matcher constructed, so the default configuration
+(``Broker(kb)``, scalar kernels) never pays its import time or its
+resident memory.
 """
 
 from __future__ import annotations
 
+from importlib.util import find_spec
 from typing import TYPE_CHECKING
-
-try:  # soft dependency — the scalar backends remain the default
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
 
 from repro.errors import MatchingError
 from repro.matching.base import register_matcher
@@ -76,7 +76,12 @@ if TYPE_CHECKING:
 __all__ = ["HAVE_NUMPY", "VectorizedCountingMatcher", "VectorizedClusterMatcher"]
 
 #: Whether the numpy backends are importable (and hence registered).
-HAVE_NUMPY = np is not None
+HAVE_NUMPY = find_spec("numpy") is not None
+#: the numpy module, bound by the first :func:`_require_numpy` call
+np = None
+#: masked-argmin filler: larger than any (generality, order) key
+#: (bound with ``np``)
+_SENTINEL = None
 
 #: eq-table sentinel: the attribute carries non-equality structures —
 #: its pairs must resolve through the scalar index probe.
@@ -88,17 +93,22 @@ _UNINDEXED = object()
 #: result ("attribute absent from every event in the batch").
 _UNSET = object()
 
-if HAVE_NUMPY:
-    #: masked-argmin filler: larger than any (generality, order) key
-    _SENTINEL = np.iinfo(np.int64).max
-
 
 def _require_numpy(name: str) -> None:
-    if np is None:
+    """Import numpy on behalf of the vectorized matcher *name* being
+    constructed (both constructors call this before anything else)."""
+    global np, _SENTINEL
+    if np is not None:
+        return
+    try:
+        import numpy
+    except ImportError:
         raise MatchingError(
             f"matcher {name!r} requires numpy, which is not installed; "
             f"use the scalar backend instead"
-        )
+        ) from None
+    np = numpy
+    _SENTINEL = numpy.iinfo(numpy.int64).max
 
 
 class VectorizedCountingMatcher(CountingMatcher):

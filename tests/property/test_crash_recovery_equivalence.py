@@ -2,7 +2,9 @@
 invariant #7, the PR 9 acceptance criterion).
 
 A durable broker journals every state-changing operation write-ahead
-and outboxes/acks every delivery.  The invariant: for a seeded trace of
+and outboxes/acks every publication's deliveries (one ``outs`` record
+before the first send, one ``acks`` record after the last).  The
+invariant: for a seeded trace of
 client registrations, subscription churn, reconfiguration, and
 publishes, crashing the journal at *any* append offset, recovering with
 :func:`~repro.broker.durability.recover`, and resuming the trace from
@@ -21,7 +23,11 @@ writes a half record precisely to pin that down.
 Two legs: a deterministic sweep over *every* append offset of a fixed
 trace (exhaustive, so no crash point can hide), and a hypothesis leg
 that re-randomizes the knowledge base, the trace, and the crash offset
-using the same generators as the interest-pruning invariant.
+using the same generators as the interest-pruning invariant.  Then the
+cases the offset axis cannot express by itself: what a half-written
+``outs`` and a half-written ``acks`` each mean, a fan-out a dead letter
+aborts part-way, and input in the shapes written before the fan-out was
+grouped (one ``out`` + ``ack`` per delivery, format-2 snapshots).
 """
 
 from __future__ import annotations
@@ -38,13 +44,15 @@ from hypothesis import strategies as st
 from repro.broker.broker import Broker
 from repro.broker.durability import (
     JOURNAL_NAME,
+    SNAPSHOT_NAME,
     Durability,
+    _encode_record,
     _scan_records,
     recover,
 )
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
-from repro.errors import ReproError, SimulatedCrash
+from repro.errors import DeliveryError, ReproError, SimulatedCrash
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -170,17 +178,33 @@ def _run_crashed(directory, kb, ops, offset, *, snapshot_every=0) -> Broker:
     return recovered
 
 
+def _journal(directory) -> list[dict]:
+    records, _, _ = _scan_records((Path(directory) / JOURNAL_NAME).read_bytes())
+    return records
+
+
+def _ack_rows(records) -> list[tuple[str, int, bool]]:
+    """Every ``(sub_id, sequence, ok)`` the journal acked, in order:
+    the rows of the ``acks`` records, and the one-delivery ``ack``
+    records written before the fan-out was grouped."""
+    rows = []
+    for record in records:
+        if record["k"] == "acks":
+            rows.extend((sid, n, ok) for sid, n, ok in record["rows"])
+        elif record["k"] == "ack":
+            rows.append((record["sid"], record["n"], record["ok"]))
+    return rows
+
+
 def _assert_acked_at_most_once(directory) -> None:
     """Effectively-once settlement: no (sub, sequence) is successfully
     acked twice anywhere in the journal (valid without compaction, when
     the journal retains the full history)."""
-    records, _, _ = _scan_records((Path(directory) / JOURNAL_NAME).read_bytes())
     seen: set[tuple[str, int]] = set()
-    for record in records:
-        if record.get("k") == "ack" and record.get("ok"):
-            key = (record["sid"], record["n"])
-            assert key not in seen, f"sequence acked twice: {key}"
-            seen.add(key)
+    for sid, n, ok in _ack_rows(_journal(directory)):
+        if ok:
+            assert (sid, n) not in seen, f"sequence acked twice: {(sid, n)}"
+            seen.add((sid, n))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +238,7 @@ def test_every_crash_offset_recovers_to_the_uncrashed_state(tmp_path):
     kb = _fixed_kb()
     ops, probe = _fixed_trace()
     expected, total_appends, clean_probe = _run_clean(tmp_path / "clean", kb, ops, probe)
-    assert total_appends > len(ops)  # out/ack records are on the axis too
+    assert total_appends > len(ops)  # outs/acks records are on the axis too
 
     for offset in range(total_appends + 1):
         work = tmp_path / f"crash{offset}"
@@ -254,6 +278,257 @@ def test_crash_sweep_with_aggressive_compaction(tmp_path):
             assert _probe(recovered, probe) == clean_probe
         finally:
             recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# mid-batch cases: what a torn ``outs``, a torn ``acks`` and an aborted
+# fan-out each mean
+# ---------------------------------------------------------------------------
+
+def _fan_out_trace():
+    """Three subscribers whose subscriptions all match the two
+    publications: each publication is one ``outs`` of three rows."""
+    ops: list[tuple] = [
+        ("subscriber", "Ann", "cl-s0"),
+        ("subscriber", "Ben", "cl-s1"),
+        ("subscriber", "Cy", "cl-s2"),
+        ("publisher", "Pia", "cl-p"),
+    ]
+    for index, term in enumerate(("root", "mid", "leaf")):
+        ops.append(
+            ("sub", f"cl-s{index}", Subscription([Predicate.eq("u", term)], sub_id=f"s{index}"))
+        )
+    # "root" is the chain's most specific term: it generalizes to both others
+    ops.append(("pub", "cl-p", Event([("u", "root")], event_id="e0")))
+    ops.append(("pub", "cl-p", Event([("u", "root"), ("v", 1)], event_id="e1")))
+    return ops, Event([("u", "root")], event_id="probe")
+
+
+def _crash_in_first(kind: str, tmp_path):
+    """Run the fan-out trace clean, then again crashing at the append of
+    the first record of *kind*; returns the clean run's observable
+    state and journal, and the crashed broker (closed, its in-memory
+    state still readable) with its directory."""
+    kb = _fixed_kb()
+    ops, probe = _fan_out_trace()
+    expected, _, _ = _run_clean(tmp_path / "clean", kb, ops, probe)
+    clean = _journal(tmp_path / "clean")
+    # without compaction a record's position in the file is its append index
+    offset = next(index for index, record in enumerate(clean) if record["k"] == kind)
+    work = tmp_path / "crash"
+    crashed = Broker(
+        kb, durability=Durability(work, snapshot_every=0, fault_plan=FaultPlan.crash_at(offset))
+    )
+    with pytest.raises(SimulatedCrash):
+        _apply(crashed, ops)
+    crashed.close()
+    return kb, ops, expected, clean, crashed, work
+
+
+def test_half_written_outs_means_no_send_happened(tmp_path):
+    """The ``outs`` record goes to the journal before the first send, so
+    a torn one proves nothing left the broker: recovery delivers the
+    replayed publication fresh, drawing the sequences and ids the
+    uncrashed run drew."""
+    kb, ops, expected, clean, crashed, work = _crash_in_first("outs", tmp_path)
+    assert crashed.notifier.stats.notifications == 0
+    recovered = recover(work, kb, snapshot_every=0)
+    try:
+        assert recovered.recovery.torn_tail_truncations == 1
+        assert recovered.recovery.dedup_drops == 0
+        assert recovered.recovery.replayed_deliveries == 3
+        _apply(recovered, ops, start=recovered.recovery.next_op_index)
+        assert _observable(recovered) == expected
+        # record for record what the uncrashed run journaled
+        assert _journal(work) == clean[: len(_journal(work))]
+        _assert_acked_at_most_once(work)
+    finally:
+        recovered.close()
+
+
+def test_half_written_acks_resends_every_row_once(tmp_path):
+    """``outs`` without a complete ``acks``: every row of the
+    publication is pending, is re-sent once and settled once (the
+    subscribers dedup by ``(sub_id, sequence)``), and the frontiers end
+    where the uncrashed run's did."""
+    kb, ops, expected, clean, crashed, work = _crash_in_first("acks", tmp_path)
+    assert crashed.notifier.stats.notifications == 3  # all three went out before the crash
+    recovered = recover(work, kb, snapshot_every=0)
+    try:
+        assert recovered.recovery.torn_tail_truncations == 1
+        assert recovered.recovery.dedup_drops == 0
+        assert recovered.recovery.replayed_deliveries == 3
+        assert recovered.notifier.stats.notifications == 3
+        _apply(recovered, ops, start=recovered.recovery.next_op_index)
+        assert _observable(recovered) == expected
+        # two publications of three rows (the clean run's probe came after)
+        assert _ack_rows(_journal(work)) == _ack_rows(clean)[:6]
+        _assert_acked_at_most_once(work)
+    finally:
+        recovered.close()
+
+
+def test_dead_letter_abort_mid_fan_out_still_acks_what_it_settled(tmp_path):
+    """``raise_on_dead_letter`` aborts the fan-out at the second of
+    three rows: the ``acks`` record is still written, for the two rows
+    that reached a terminal state, so recovery drops those and re-sends
+    only the row the abort never got to."""
+    kb = _fixed_kb()
+    ops, _ = _fan_out_trace()
+    broker = Broker(kb, durability=tmp_path)
+    broker.notifier.raise_on_dead_letter = True
+    _apply(broker, ops[:4])
+    broker.remove_client("cl-s1")
+    broker.register_subscriber("Ben", sms="+1", client_id="cl-s1")  # one transport, no fallback
+    _apply(broker, ops[4:7])
+    broker.notifier.transports.get("sms").fail_next(broker.notifier.max_attempts)
+    with pytest.raises(DeliveryError):
+        broker.publish("cl-p", Event([("u", "root")], event_id="e0"))
+    records = _journal(tmp_path)
+    (outs,) = [record for record in records if record["k"] == "outs"]
+    assert [row[:2] for row in outs["rows"]] == [["s0", 1], ["s1", 1], ["s2", 1]]
+    assert _ack_rows(records) == [("s0", 1, True), ("s1", 1, False)]
+    assert [entry.status for entry in broker.notifier.delivery_log("s2")] == ["pending"]
+    broker.close()
+
+    recovered = recover(tmp_path, kb)
+    try:
+        assert recovered.recovery.dedup_drops == 2  # the acked row and the dead one
+        assert recovered.recovery.replayed_deliveries == 1
+        assert recovered.notifier.delivery_frontiers() == {"s0": 1, "s2": 1}
+        assert [entry.status for entry in recovered.notifier.delivery_log("s1")] == ["dead"]
+        assert _ack_rows(_journal(tmp_path))[2:] == [("s2", 1, True)]
+        _assert_acked_at_most_once(tmp_path)
+    finally:
+        recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# input written before the fan-out was grouped: ``out``/``ack`` journal
+# records and a format-2 snapshot, every row storing its text whole
+# ---------------------------------------------------------------------------
+
+def test_parent_format_journal_and_snapshot_recover(tmp_path):
+    """A hand-written directory in the parent commit's shapes — a
+    format-2 snapshot whose ``log`` rows inline subject and body (one of
+    them still pending), and a journal tail of ``pub`` / ``out`` /
+    ``ack`` with one un-acked ``out``.  Acked rows deduplicate; each
+    un-acked one is re-sent exactly once, with the text that was stored,
+    not a new rendering; and the state survives being written back in
+    the current format."""
+    from repro.broker.clients import Client, ClientKind
+    from repro.broker.durability import (
+        _encode_client,
+        _encode_config,
+        _encode_event,
+        _encode_subscription,
+    )
+
+    kb = _fixed_kb()
+    clients = [
+        Client("cl-a", "Ann", ClientKind.SUBSCRIBER, (("tcp", "a:1"),)),
+        Client("cl-b", "Ben", ClientKind.SUBSCRIBER, (("tcp", "b:1"),)),
+        Client("cl-p", "Pia", ClientKind.PUBLISHER, ()),
+    ]
+    subs = [
+        _encode_subscription(Subscription([Predicate.eq("u", "leaf")], sub_id="s-a"), "cl-a"),
+        _encode_subscription(Subscription([Predicate.eq("u", "mid")], sub_id="s-b"), "cl-b"),
+    ]
+    content = [
+        {"k": "broker", "next_op_index": 7, "config": _encode_config(SemanticConfig())},
+        *(_encode_client(client) for client in clients),
+        *subs,
+        {"k": "notifier", "next_notification": 3},
+        {
+            "k": "log",
+            "sid": "s-a",
+            "next_seq": 3,
+            "frontier": 1,
+            "entries": [
+                [1, "n1", "cl-a", "e1", "stored subject one", "stored body one", "acked"],
+                [2, "n2", "cl-a", "e2", "stored subject two", "stored body two", "pending"],
+            ],
+        },
+    ]
+    snapshot = [
+        {"k": "snapshot", "format": 2, "last_seq": 10},
+        *content,
+        {"k": "end", "records": len(content), "last_seq": 10},
+    ]
+    tail = [
+        dict(_encode_event(Event([("u", "root")], event_id="e3"), "cl-p"), oi=7),
+        {"k": "out", "sid": "s-a", "n": 3, "nid": "n3", "cid": "cl-a", "eid": "e3",
+         "subject": "stored subject three", "body": "stored body three"},
+        {"k": "ack", "sid": "s-a", "n": 3, "ok": True},
+        {"k": "out", "sid": "s-b", "n": 1, "nid": "n4", "cid": "cl-b", "eid": "e3",
+         "subject": "stored subject four", "body": "stored body four"},
+    ]  # fmt: skip
+    (tmp_path / SNAPSHOT_NAME).write_bytes(b"".join(_encode_record(r) for r in snapshot))
+    (tmp_path / JOURNAL_NAME).write_bytes(
+        b"".join(_encode_record(dict(record, i=11 + n)) for n, record in enumerate(tail))
+    )
+
+    def stored(broker) -> dict:
+        return {
+            (sub_id, entry.sequence): (entry.event_id, entry.subject, entry.body, entry.status)
+            for sub_id in ("s-a", "s-b")
+            for entry in broker.notifier.delivery_log(sub_id)
+        }
+
+    expected = {
+        ("s-a", 1): ("e1", "stored subject one", "stored body one", "acked"),
+        ("s-a", 2): ("e2", "stored subject two", "stored body two", "acked"),
+        ("s-a", 3): ("e3", "stored subject three", "stored body three", "acked"),
+        ("s-b", 1): ("e3", "stored subject four", "stored body four", "acked"),
+    }
+    recovered = recover(tmp_path, kb)
+    try:
+        report = recovered.recovery
+        assert report.snapshot_loaded and not report.snapshot_discarded
+        assert report.dedup_drops == 1  # s-a's third, acked before the crash
+        assert report.replayed_deliveries == 2
+        sent = [
+            (record.message.notification_id, record.message.subject, record.message.body)
+            for record in recovered.notifier.transports.get("tcp").journal
+        ]
+        assert sorted(sent) == [
+            ("n2", "stored subject two", "stored body two"),
+            ("n4", "stored subject four", "stored body four"),
+        ]
+        assert recovered.notifier.delivery_frontiers() == {"s-a": 3, "s-b": 1}
+        assert stored(recovered) == expected
+        # the re-sends were acked in the grouped shape, each once
+        assert sorted(_ack_rows(_journal(tmp_path))[1:]) == [("s-a", 2, True), ("s-b", 1, True)]
+        _assert_acked_at_most_once(tmp_path)
+        # the streams continue where the stored ones ended
+        report = recovered.publish("cl-p", Event([("u", "root")], event_id="e4"))
+        assert [(o.notification.sub_id, o.notification.sequence) for o in report.outcomes] == [
+            ("s-a", 4),
+            ("s-b", 2),
+        ]
+        assert report.outcomes[0].notification.notification_id == "n5"
+        recovered.checkpoint()  # written back as format 3
+    finally:
+        recovered.close()
+
+    again = recover(tmp_path, kb)
+    try:
+        assert again.recovery.snapshot_loaded and again.recovery.replayed_deliveries == 0
+        rows = stored(again)
+        assert {key: rows[key] for key in expected} == expected
+        rendered = (
+            "S-ToPSS: subscription s-a matched event {0}",
+            "subscription s-a [(u = leaf)] matched event {0} [(u, root)]\n"
+            "derived event (u, leaf) via:\n"
+            "  1. [hierarchy] value 'root' of 'u' generalized to 'leaf' (+2 levels)",
+        )
+        assert rows[("s-a", 4)][1:3] == tuple(part.format("e4") for part in rendered)
+        # s-a's log now mixes stored rows and rendered ones: the next
+        # delivery is rendered from the subscription, not from either
+        again.publish("cl-p", Event([("u", "root")], event_id="e5"))
+        assert stored(again)[("s-a", 5)][1:3] == tuple(part.format("e5") for part in rendered)
+    finally:
+        again.close()
 
 
 # ---------------------------------------------------------------------------

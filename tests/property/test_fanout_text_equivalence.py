@@ -1,0 +1,200 @@
+"""Property: the grouped fan-out says, byte for byte, what the
+per-notification rendering it replaced said.
+
+A publication's notifications are staged as one unit of work: the event
+is rendered once, each distinct derivation once, each subscription once,
+and a delivery-log row holds references to those parts.  The oracle is
+the rendering every notification used to get for itself —
+:meth:`Notification.subject` and :meth:`SemanticMatch.explain`, both
+untouched — and the invariant is that every ``OutboundMessage`` handed
+to a transport and every retained ``entry.subject`` / ``entry.body``
+equals it:
+
+* live, for every delivery of a trace;
+* after ``checkpoint()`` + ``recover()`` (the format-3 snapshot's text
+  records), and after a journal-only ``recover()`` (the ``outs``
+  records);
+* through ``replay_from`` on each of those brokers;
+* for deliveries a recovery re-sends from their stored parts.
+
+The traces (the job-finder cast and a generated ``mega-small`` world)
+are driven so that every way of arriving at a row is covered: exact
+syntactic matches, synonym-, hierarchy- and mapping-derived matches,
+result-cache hits (the same content under a new event id: the event
+part must be rendered again, the derivation may be shared), a
+subscriber whose first transport is SMS (``SmsTransport.render``
+truncates subject + body), and a ``ShardedBroker(shards=2)`` whose
+matches carry derived events decoded per shard.
+"""
+
+from __future__ import annotations
+
+import shutil
+
+import pytest
+
+from repro.broker.broker import Broker
+from repro.broker.durability import JOURNAL_NAME, _encode_record, _scan_records, recover
+from repro.broker.sharding import ShardedBroker
+from repro.broker.transports import SmsTransport, TcpTransport, TransportRegistry
+from repro.model.events import Event
+from repro.model.predicates import Predicate
+from repro.model.subscriptions import Subscription
+from repro.ontology.domains import build_jobs_knowledge_base
+from repro.workload.jobfinder import JobFinderScenario, JobFinderSpec
+from repro.workload.worlds import build_world
+
+
+def _jobfinder_cast():
+    kb = build_jobs_knowledge_base()
+    scenario = JobFinderScenario(kb, JobFinderSpec(n_companies=12, n_candidates=10, seed=19))
+    subs = [sub for company in scenario.companies for sub in company.subscriptions]
+    # a subscription every resume satisfies as published: exact syntactic matches
+    subs.append(Subscription([Predicate.ge("salary", 0)]))
+    return kb, subs, [candidate.resume for candidate in scenario.candidates]
+
+
+def _mega_small_cast():
+    world = build_world("mega-small")
+    generator = world.generator(seed=1903)
+    return world.kb, generator.subscriptions(40), generator.events(8)
+
+
+_CASTS = {"jobfinder": _jobfinder_cast, "mega-small": _mega_small_cast}
+_BROKERS = {
+    "single": Broker,
+    "sharded-2": lambda kb, **kwargs: ShardedBroker(kb, shards=2, executor="serial", **kwargs),
+}
+
+
+def _transports() -> TransportRegistry:
+    # no injected failures: which transport carried a message is then
+    # the client's first preference, and the oracle knows what it renders
+    return TransportRegistry([SmsTransport(failure_rate=0.0), TcpTransport()])
+
+
+def _sent(outcome) -> tuple[str, str]:
+    message = outcome.record.message
+    return message.subject, message.body
+
+
+def _on_the_wire(outcome, subject: str, body: str) -> tuple[str, str]:
+    """What the transport that carried *outcome* is handed for a
+    notification rendered as (*subject*, *body*)."""
+    if outcome.transport == "sms":
+        return subject, SmsTransport.render(subject, body)
+    return subject, body
+
+
+def _drive(broker, subs, events) -> tuple[dict, set]:
+    """Run the trace; returns ``{(sub_id, sequence): (subject, body)}``
+    rendered the old way, one notification at a time, and the derivation
+    stages the matches went through (``"exact"`` for none)."""
+    broker.register_subscriber("Wire", tcp="wire:1", client_id="cl-tcp")
+    broker.register_subscriber("Pager", sms="+1-555-0100", tcp="pager:1", client_id="cl-sms")
+    broker.register_publisher("Feed", client_id="cl-p")
+    for index, sub in enumerate(subs):
+        broker.subscribe(
+            ("cl-tcp", "cl-sms")[index % 2],
+            Subscription(sub.predicates, sub_id=f"s{index}", max_generality=sub.max_generality),
+        )
+    expected: dict[tuple[str, int], tuple[str, str]] = {}
+    stages: set[str] = set()
+    for index, event in enumerate(events):
+        again = Event(event.items(), event_id=f"again-{index}")  # a result-cache hit
+        for publication in (Event(event.items(), event_id=f"first-{index}"), again):
+            report = broker.publish("cl-p", publication)
+            assert len(report.outcomes) == len(report.matches)
+            for outcome, match in zip(report.outcomes, report.matches):
+                notification = outcome.notification
+                assert outcome.delivered and notification.match is match
+                subject, body = notification.subject(), match.explain()
+                assert "".join(match.explain_parts()) == body
+                assert _sent(outcome) == _on_the_wire(outcome, subject, body)
+                expected[notification.sub_id, notification.sequence] = (subject, body)
+                stages.update(step.stage for step in match.matched_via.steps)
+                if not match.is_semantic:
+                    stages.add("exact")
+    assert broker.dispatcher.result_cache_hits == len(events)
+    return expected, stages
+
+
+def _assert_retained_text(broker, expected) -> None:
+    """Every retained row reads as the oracle rendered it, and so does
+    every message ``replay_from`` sends from the rows."""
+    retained = {
+        (sub_id, entry.sequence): (entry.subject, entry.body)
+        for sub_id in {sub_id for sub_id, _ in expected}
+        for entry in broker.notifier.delivery_log(sub_id)
+    }
+    assert retained == expected
+    for sub_id in sorted({sub_id for sub_id, _ in expected}):
+        for outcome in broker.replay_from(sub_id, 1):
+            key = (sub_id, outcome.notification.sequence)
+            assert _sent(outcome) == _on_the_wire(outcome, *expected[key]), key
+
+
+@pytest.mark.parametrize("broker_kind", _BROKERS)
+@pytest.mark.parametrize("cast", _CASTS)
+def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, tmp_path):
+    kb, subs, events = _CASTS[cast]()
+    factory = _BROKERS[broker_kind]
+    live_dir, journal_dir, pending_dir = (tmp_path / name for name in ("live", "wal", "pending"))
+
+    broker = factory(kb, durability=live_dir, transports=_transports())
+    try:
+        expected, stages = _drive(broker, subs, events)
+        assert len(expected) > 4 * len(events), "a degenerate trace: hardly any fan-out"
+        assert {"exact", "hierarchy"} <= stages
+        if cast == "jobfinder":
+            assert {"synonym", "mapping"} <= stages
+        _assert_retained_text(broker, expected)
+        shutil.copytree(live_dir, journal_dir)  # the journal alone, before any snapshot
+        broker.checkpoint()
+    finally:
+        broker.close()
+
+    def recovered_from(directory):
+        return recover(directory, kb, broker_factory=factory, transports=_transports())
+
+    # the format-3 snapshot: rows referencing per-publication text records
+    from_snapshot = recovered_from(live_dir)
+    try:
+        assert from_snapshot.recovery.snapshot_loaded
+        assert from_snapshot.recovery.records_replayed == 0
+        _assert_retained_text(from_snapshot, expected)
+    finally:
+        from_snapshot.close()
+
+    # the journal alone: one outs record per publication
+    from_journal = recovered_from(journal_dir)
+    try:
+        assert not from_journal.recovery.snapshot_loaded
+        assert from_journal.recovery.dedup_drops == len(expected)
+        assert from_journal.recovery.replayed_deliveries == 0
+        _assert_retained_text(from_journal, expected)
+    finally:
+        from_journal.close()
+
+    # the journal without its last acks record: that publication's rows
+    # are re-sent by recovery, from the parts its outs record stored
+    records, _, _ = _scan_records((journal_dir / JOURNAL_NAME).read_bytes())
+    last = max(index for index, record in enumerate(records) if record["k"] == "acks")
+    unacked = {(sid, n) for sid, n, _ in records[last]["rows"]}
+    pending_dir.mkdir()
+    (pending_dir / JOURNAL_NAME).write_bytes(
+        b"".join(_encode_record(r) for r in records[:last] + records[last + 1 :])
+    )
+    resending = recovered_from(pending_dir)
+    try:
+        assert resending.recovery.replayed_deliveries == len(unacked)
+        resent = {
+            (o.notification.sub_id, o.notification.sequence): o
+            for o in resending.notifier.outcomes
+        }
+        assert set(resent) == unacked
+        for key, outcome in resent.items():
+            assert _sent(outcome) == _on_the_wire(outcome, *expected[key]), key
+        _assert_retained_text(resending, expected)
+    finally:
+        resending.close()

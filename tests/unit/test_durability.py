@@ -12,8 +12,12 @@ engine-owned notification counters.
 
 from __future__ import annotations
 
+import gc
 import json
+import shutil
+import sys
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -27,7 +31,7 @@ from repro.broker.durability import (
     _scan_records,
     recover,
 )
-from repro.broker.notifications import NotificationEngine
+from repro.broker.notifications import DeliveryEntry, NotificationEngine, PublicationText
 from repro.broker.sharding import ShardedBroker
 from repro.broker.supervision import FaultPlan
 from repro.errors import DeliveryError, DurabilityError, SimulatedCrash
@@ -208,10 +212,11 @@ class TestRecoveryRoundTrip:
         ack) must be re-sent on recovery — at-least-once."""
         with Broker(kb, durability=tmp_path) as broker:
             _populate(broker)
-        # drop the trailing ack records so both deliveries look in-flight
+        # drop the acks records so both deliveries look in-flight
         journal = tmp_path / JOURNAL_NAME
         records, _, _ = _scan_records(journal.read_bytes())
-        kept = [r for r in records if r["k"] != "ack"]
+        kept = [r for r in records if r["k"] != "acks"]
+        assert len(kept) == len(records) - 2
         journal.write_bytes(_frame(kept))
         recovered = recover(tmp_path, kb)
         try:
@@ -478,9 +483,10 @@ class TestSnapshots:
 
 
 class TestStreamedSnapshot:
-    """Snapshot format 2: a stream of small CRC-framed records between a
+    """Snapshot format 3: a stream of small CRC-framed records between a
     head and a counting trailer, validated whole before any is applied,
-    written and read one record at a time."""
+    written and read one record at a time; delivery-log rows reference
+    per-publication ``text`` records instead of inlining their text."""
 
     def _ghosted(self, kb, directory) -> tuple[list[dict], dict]:
         """A directory whose snapshot AND journal each hold the full
@@ -509,12 +515,31 @@ class TestStreamedSnapshot:
         records, _, torn = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
         assert not torn
         assert [record["k"] for record in records] == [
-            "snapshot", "broker", "client", "client", "client", "sub", "notifier", "log", "end",
+            "snapshot", "broker", "client", "client", "client", "sub", "notifier", "text", "log",
+            "end",
         ]  # fmt: skip
+        assert FORMAT_VERSION == 3
         assert records[0] == {"k": "snapshot", "format": FORMAT_VERSION, "last_seq": last_seq}
         assert records[-1] == {"k": "end", "records": len(records) - 2, "last_seq": last_seq}
-        # s-b unsubscribed before the checkpoint: no log record for it
-        assert [r["sid"] for r in records if r["k"] == "log"] == ["s-a"]
+        # s-b unsubscribed before the checkpoint: no log record for it,
+        # and no text record for the publication only it was sent
+        text, log = records[-3], records[-2]
+        assert text == {
+            "k": "text",
+            "eid": "e1",
+            "event": "e1 [(school, Toronto)]",
+            "via": ["\nderived event (university, Toronto) via:\n"
+                    "  1. [synonym] attribute 'school' rewritten to root 'university'"],
+        }  # fmt: skip
+        assert log == {
+            "k": "log",
+            "sid": "s-a",
+            "next_seq": 2,
+            "frontier": 1,
+            "heads": ["subscription s-a [(university = Toronto)] matched event "],
+            # [sequence, nid, client, head index, text number, derivation index, status]
+            "entries": [[1, "n1", "cl-a", 0, 0, 0, "acked"]],
+        }
 
     def test_valid_snapshot_is_applied(self, kb, tmp_path):
         records, expected = self._ghosted(kb, tmp_path)
@@ -563,7 +588,7 @@ class TestStreamedSnapshot:
         damaged["format 1 single record"] = _encode_record(
             {"format": 1, "last_seq": records[0]["last_seq"], "state": {"clients": [records[2]]}}
         )
-        damaged["unknown format"] = _frame([dict(records[0], format=3)] + records[1:])
+        damaged["unknown format"] = _frame([dict(records[0], format=4)] + records[1:])
         damaged["empty file"] = b""
 
         for number, (label, raw) in enumerate(damaged.items()):
@@ -629,56 +654,185 @@ class TestStreamedSnapshot:
             recovered.close()
 
     def test_compaction_and_recovery_hold_one_record_not_the_file(self, kb, tmp_path):
-        """≥ 20k logged deliveries: the traced peak during checkpoint()
-        and the transient during load_snapshot() + restore stay within a
-        few of the largest record, far below the snapshot's size (the
-        single-record format peaked at ~2.7x the file)."""
-        subs, per_sub = 24, 1000
-        body = "matched via a derivation chain that renders to a few hundred characters " * 5
-        broker = Broker(kb, durability=tmp_path)
-        broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-f")
-        for index in range(subs):
-            broker.notifier.restore(
-                {
-                    "k": "log",
-                    "sid": f"s{index}",
-                    "next_seq": per_sub + 1,
-                    "frontier": per_sub,
-                    "entries": [
-                        [n, f"n{index}-{n}", "cl-f", f"e{n}", f"subj {n}", f"{n} {body}", "acked"]
-                        for n in range(1, per_sub + 1)
-                    ],
-                }
-            )
-        tracemalloc.start()
+        """1,000 publications fanned out to 12 and then to 48
+        subscriptions (12k and 48k logged deliveries): the traced peak
+        during checkpoint() and the transient during load_snapshot() +
+        restore are what one record costs plus an index of the
+        publications — the same at both sizes, far below the snapshot's
+        size (the single-record format peaked at ~2.7x the file)."""
+        per_sub = 1000
+        text = "a derivation chain that renders to a few hundred characters " * 5
+
+        def measure(subs: int, directory) -> tuple[int, int, int]:
+            broker = Broker(kb, durability=directory)
+            broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-f")
+            notifier = broker.notifier
+            for n in range(1, per_sub + 1):
+                notifier.restore(
+                    {"k": "text", "eid": f"e{n}", "event": f"e{n} [{text}]",
+                     "via": [" — exact syntactic match", f"\n{n} {text}"]}
+                )  # fmt: skip
+            for index in range(subs):
+                notifier.restore(
+                    {
+                        "k": "log",
+                        "sid": f"s{index}",
+                        "next_seq": per_sub + 1,
+                        "frontier": per_sub,
+                        "heads": [f"subscription s{index} [(a = {index})] matched event "],
+                        "entries": [
+                            [n, f"n{index}-{n}", "cl-f", 0, n - 1, index % 2, "acked"]
+                            for n in range(1, per_sub + 1)
+                        ],
+                    }
+                )
+            notifier._restored_texts = []
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                broker.checkpoint()
+                compact_peak = tracemalloc.get_traced_memory()[1] - baseline
+                broker.close()
+                del broker, notifier
+                tracemalloc.reset_peak()
+                recovered = recover(directory, kb)
+                live, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            try:
+                assert recovered.recovery.snapshot_loaded
+                logged = sum(len(recovered.notifier.delivery_log(f"s{i}")) for i in range(subs))
+                assert logged == subs * per_sub
+                assert recovered.notifier.delivery_log("s1")[6].body == (
+                    f"subscription s1 [(a = 1)] matched event e7 [{text}]\n7 {text}"
+                )
+            finally:
+                recovered.close()
+            return compact_peak, peak - live, (directory / SNAPSHOT_NAME).stat().st_size
+
+        small = measure(12, tmp_path / "small")
+        large = measure(48, tmp_path / "large")
+        assert large[2] > 2 * small[2]  # the file grew with the deliveries ...
+        for name, before, after in zip(("compact", "recover"), small, large):
+            # ... what writing and reading it costs did not
+            assert after < 1.25 * before, (name, small, large)
+            assert after < large[2] / 3, (name, small, large)
+
+
+class TestSharedFanOutText:
+    """A delivery-log row holds its ids and references; the text lives
+    once per subscription, per publication and per distinct derivation,
+    live and after either way of recovering."""
+
+    SUBS, PUBLICATIONS = 8, 30
+
+    @staticmethod
+    def _strings(notifier) -> set[int]:
+        """Identities of every ``str`` reachable from the delivery log."""
+        seen: set[int] = set()
+        strings: set[int] = set()
+        stack: list[object] = [notifier._delivery_log]
+        while stack:
+            item = stack.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            if isinstance(item, str):
+                strings.add(id(item))
+            elif isinstance(item, (dict, deque, list, tuple, DeliveryEntry, PublicationText)):
+                stack.extend(gc.get_referents(item))
+        return strings
+
+    def _fanned_out(self, kb, directory) -> tuple[Broker, int]:
+        """Every publication reaches all ``SUBS`` subscriptions, half of
+        them through a synonym rewrite alone, half through a
+        generalization on top; returns the broker and the number of
+        distinct (publication, derivation) pairs among its matches."""
+        broker = Broker(kb, durability=directory)
+        broker.register_subscriber("Alice", tcp="alice:9", client_id="cl-a")
+        broker.register_subscriber("Bob", tcp="bob:9", client_id="cl-b")
+        broker.register_publisher("Press", client_id="cl-p")
+        for index in range(self.SUBS):
+            attr, value = (("university", "Toronto"), ("degree", "doctorate"))[index % 2]
+            broker.subscribe(("cl-a", "cl-b")[index % 2], _sub(attr, value, f"s{index}"))
+        derivations = 0
+        for index in range(self.PUBLICATIONS):
+            pairs = [("school", "Toronto"), ("degree", "PhD"), ("n", index)]
+            report = broker.publish("cl-p", Event(pairs, event_id=f"e{index}"))
+            assert report.delivered_count == self.SUBS
+            derivations += len({match.matched_via for match in report.matches})
+        return broker, derivations
+
+    def test_strings_follow_the_text_not_the_deliveries(self, kb, tmp_path):
+        subs, publications = self.SUBS, self.PUBLICATIONS
+        rows = subs * publications
+        live_dir, journal_dir = tmp_path / "live", tmp_path / "wal"
+        broker, derivations = self._fanned_out(kb, live_dir)
+        assert derivations == 2 * publications
+        # one rendered part per subscription, publication and derivation;
+        # the ids: a notification id per row, an event id per publication,
+        # a subscription id per subscription, two clients, three statuses
+        text_bound = subs + publications + derivations
+        id_bound = rows + publications + subs + 2 + 3
+        assert text_bound < rows / 2
+
+        def check(notifier):
+            logged = sum(len(notifier.delivery_log(f"s{index}")) for index in range(subs))
+            assert logged == rows
+            assert len(self._strings(notifier)) <= text_bound + id_bound
+
         try:
-            baseline = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
+            check(broker.notifier)
+            shutil.copytree(live_dir, journal_dir)
             broker.checkpoint()
-            compact_peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
             broker.close()
-            del broker
+        for directory, from_snapshot in ((live_dir, True), (journal_dir, False)):
+            recovered = recover(directory, kb)
+            try:
+                assert recovered.recovery.snapshot_loaded is from_snapshot
+                check(recovered.notifier)
+            finally:
+                recovered.close()
 
-            raw_lines = (tmp_path / SNAPSHOT_NAME).read_bytes().splitlines()
-            file_size = sum(len(line) + 1 for line in raw_lines)
-            largest = max(len(line) for line in raw_lines)
-            del raw_lines
-            assert file_size > 15 * largest
+    def test_eviction_and_forget_release_a_publications_text(self):
+        from repro.broker.clients import ClientRegistry
+        from repro.core.provenance import DerivedEvent, SemanticMatch
 
-            tracemalloc.reset_peak()
-            recovered = recover(tmp_path, kb)
-            live, peak = tracemalloc.get_traced_memory()
-            recover_transient = peak - live
-        finally:
-            tracemalloc.stop()
-        try:
-            assert recovered.recovery.snapshot_loaded
-            assert sum(len(recovered.notifier.delivery_log(f"s{i}")) for i in range(subs)) >= 20_000
-        finally:
-            recovered.close()
-        assert compact_peak < 6 * largest, (compact_peak, largest, file_size)
-        assert recover_transient < 6 * largest, (recover_transient, largest, file_size)
-        assert compact_peak < file_size / 3 and recover_transient < file_size / 3
+        client = ClientRegistry().register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
+        engine = NotificationEngine(history_limit=2)
+
+        def publish(event_id: str) -> PublicationText:
+            event = Event([("a", "1")], event_id=event_id)
+            via = DerivedEvent.original(event)
+            engine.fan_out(
+                [
+                    (client, SemanticMatch(_sub("a", "1", sub_id), event, via, 0))
+                    for sub_id in ("s-a", "s-b")
+                ]
+            )
+            first, second = engine.delivery_log("s-a")[-1], engine.delivery_log("s-b")[-1]
+            assert first.text is second.text and first.body == second.body.replace("s-b", "s-a")
+            return first.text
+
+        # a row's reference is the only thing that keeps the text: the
+        # window moving past the publication in both logs releases it
+        text = publish("e0")
+        held = sys.getrefcount(text)
+        publish("e1")
+        assert sys.getrefcount(text) == held
+        publish("e2")  # history_limit=2: e0's row leaves each log
+        assert sys.getrefcount(text) == held - 2
+
+        # and so does forgetting the subscriptions that hold the rows
+        text = publish("e3")
+        held = sys.getrefcount(text)
+        engine.forget("s-a")
+        assert sys.getrefcount(text) == held - 1
+        engine.forget("s-b")
+        assert sys.getrefcount(text) == held - 2
+        assert not engine._heads and not engine._delivery_log
 
 
 class TestReplayFrom:
