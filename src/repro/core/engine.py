@@ -10,12 +10,14 @@ subscriber's generality tolerance — are the semantic match set.
 
 Batched matching keeps the hot path linear in *new* work rather than
 in the expansion factor: sibling derivations share every ``(attribute,
-value)`` pair outside their deltas, so batch-aware matchers probe each
-distinct pair once per publication (``probes_saved`` in the matcher
-stats counts the sharing).  Nothing the engine derives outlives the
-publication that derived it; a repeated publication is served by the
-dispatcher's result cache (:mod:`repro.broker.dispatcher`) or expanded
-again.
+value)`` pair outside their deltas, so a batch of hundreds of derived
+events holds a few dozen distinct pairs, and the default counting
+matcher answers the whole batch from one lookup per distinct pair (one
+bit per derived event; ``probes_saved`` in the matcher stats counts the
+lookups a memo kept warm across publications answered).  Nothing the
+engine derives outlives the publication that derived it; a repeated
+publication is served by the dispatcher's result cache
+(:mod:`repro.broker.dispatcher`) or expanded again.
 
 The engine runs in the demo's two modes (paper §4): *semantic* (any
 stage combination enabled) or *syntactic* (no stage runs; the engine

@@ -82,11 +82,12 @@ class PipelineResult:
     discovery order: entry 0 is the batch root and every later entry
     carries a ``parent`` pointer plus the ``delta`` of attribute names
     it rewrote (see :class:`~repro.core.provenance.DerivedEvent`).
-    Batch matchers walk those parent chains to re-match only each
-    event's delta; parent chains always terminate at a parentless
-    root, and every ancestor's content also appears in ``derived``
-    (possibly under a cheaper provenance — content, keyed by
-    signature, is what matters to matching).
+    The counting matcher reads only the entries' content (it works per
+    distinct pair); the numpy counting backend walks the parent chains
+    to re-count only each event's delta.  Parent chains always
+    terminate at a parentless root, and every ancestor's content also
+    appears in ``derived`` (possibly under a cheaper provenance —
+    content, keyed by signature, is what matters to matching).
     """
 
     original: Event

@@ -73,11 +73,11 @@ class DerivedEvent:
     is the event this one was expanded from (``None`` for the batch
     root) and ``delta`` is the set of attribute names whose
     ``(attribute, value)`` pair differs from the parent's.  Sibling
-    derivations share every pair outside their deltas, which is what
-    lets batch matchers (:meth:`~repro.matching.base.MatchingAlgorithm.
-    match_batch`) re-match only the changed pairs instead of the whole
-    event.  Both fields are excluded from equality/hashing — identity
-    remains (event, steps).
+    derivations share every pair outside their deltas, which is why a
+    batch holds few distinct pairs and batch matchers
+    (:meth:`~repro.matching.base.MatchingAlgorithm.match_batch`) can
+    work per pair instead of per event.  Both fields are excluded from
+    equality/hashing — identity remains (event, steps).
     """
 
     event: Event
@@ -132,22 +132,6 @@ class DerivedEvent:
         of attribute names whose canonical ``(attribute, value)`` pair
         differs between this event and *event*."""
         return DerivedEvent(event, self.steps + (step,), parent=self, delta=delta)
-
-    def removed_pairs(self) -> list[tuple[str, object]]:
-        """The parent's ``(attribute, value)`` pairs this derivation
-        dropped or rewrote (empty for the batch root)."""
-        if self.parent is None:
-            return []
-        parent_event = self.parent.event
-        return [(name, parent_event[name]) for name in self.delta if name in parent_event]
-
-    def added_pairs(self) -> list[tuple[str, object]]:
-        """This event's ``(attribute, value)`` pairs absent from (or
-        rewritten against) the parent (empty for the batch root)."""
-        if self.parent is None:
-            return []
-        event = self.event
-        return [(name, event[name]) for name in self.delta if name in event]
 
     def used_rule(self, rule_name: str) -> bool:
         """Whether *rule_name* already fired along this chain."""

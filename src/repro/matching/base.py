@@ -189,8 +189,8 @@ class MatchingAlgorithm(abc.ABC):
         ``insert``/``remove`` and by the engine with ``"kb-version"`` /
         ``"reconfigure"`` / ``"refresh"`` when the semantic layer's
         inputs move.  Matchers whose memo payloads embed subscription
-        state (the counting matcher's contribution lists) must clear on
-        churn; matchers whose memos are pure functions of predicate
+        state (the counting matcher's per-pair subscription lists) must
+        clear on churn; matchers whose memos are pure functions of predicate
         identity (the cluster matcher's residual outcomes) may keep the
         memo warm across churn and only honor the engine-driven
         reasons.  The default is a no-op: serial matchers keep no memo.

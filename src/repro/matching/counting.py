@@ -13,22 +13,33 @@ Predicate sharing falls out naturally: a predicate used by ten thousand
 subscriptions is evaluated once per event, then credited to each user.
 
 The batched path (:meth:`CountingMatcher._match_batch`) extends the
-sharing *across the semantic expansion and across publications*: each
-distinct ``(attribute, value)`` pair is probed once and flattened into
-a per-subscription contribution list held in a persistent
-:class:`~repro.matching.index.SatisfactionCache`; a derived event's
-counters are then its parent's counters adjusted by just its delta —
-subtract the contributions of rewritten pairs, add the contributions of
-their replacements — instead of a full re-count.  Because the memoized
-contribution lists embed subscription ids and usage counts, the memo is
-invalidated on every subscription insert/remove (and on the
-engine-propagated knowledge-base reasons); between churn events it
-stays warm, so trace replays and sibling publications skip the index
-entirely for repeated pairs.
+sharing *across the semantic expansion and across publications*.  A
+batch of hundreds of derived events holds only a few dozen distinct
+``(attribute, value)`` pairs, so the work is factored by pair, not by
+event: the derived events are ranked least general first and given one
+bit each, every distinct pair gets the bitmask of the events carrying
+it, and each pair is looked up **once** in a persistent
+:class:`~repro.matching.index.SatisfactionCache` whose payload is the
+subscriptions that pair satisfies on its attribute *completely* (all of
+their predicates there).  OR-ing a pair's mask into its subscriptions
+gives, per attribute, the events whose value satisfies each
+subscription; a subscription matches the AND of those masks over the
+attributes it constrains, and the lowest set bit is its least general
+witness.  This is the counting rule, not an approximation of it:
+predicates on different attributes are independent and an event has one
+value per attribute, so a counter reaches the subscription's size
+exactly when every constrained attribute is fully satisfied.  Because
+the memoized payloads embed subscription ids, the memo is invalidated
+on every subscription insert/remove (and on the engine-propagated
+knowledge-base reasons); between churn events it stays warm, so trace
+replays and sibling publications skip the index entirely for repeated
+pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.matching.base import MatchingAlgorithm, register_matcher
@@ -41,6 +52,8 @@ if TYPE_CHECKING:
     from repro.core.provenance import DerivedEvent
 
 __all__ = ["CountingMatcher"]
+
+_generality = attrgetter("generality")
 
 
 class CountingMatcher(MatchingAlgorithm):
@@ -60,17 +73,20 @@ class CountingMatcher(MatchingAlgorithm):
         self._sizes: dict[str, int] = {}
         #: subscriptions with zero predicates match every event
         self._universal: set[str] = set()
-        #: (attribute, canonical value key) -> per-subscription counter
-        #: credits; survives across match_batch calls until churn.
+        #: sub_id -> {attribute: number of predicates on it}
+        self._attribute_sizes: dict[str, dict[str, int]] = {}
+        #: (attribute, canonical value key) -> subscriptions the pair
+        #: satisfies completely on that attribute; survives across
+        #: match_batch calls until churn.
         self._memo = SatisfactionCache(
             self._index,
-            transform=self._pair_contributions,
+            transform=self._fully_satisfied,
             capacity=self.memo_capacity,
         )
 
     def invalidate_memo(self, reason: str = "external") -> None:
-        """The memo payload embeds ``{sub_id: uses}`` credits, so every
-        reason — churn included — must drop it."""
+        """The memo payload embeds subscription ids, so every reason —
+        churn included — must drop it."""
         if self._memo.clear():
             self.stats.memo_invalidations += 1
 
@@ -89,13 +105,17 @@ class CountingMatcher(MatchingAlgorithm):
         if size == 0:
             self._universal.add(subscription.sub_id)
             return
+        per_attribute: dict[str, int] = {}
         for predicate in subscription.predicates:
             self._index.add(predicate)
             self._usages.setdefault(predicate.key, {}).setdefault(subscription.sub_id, 0)
             self._usages[predicate.key][subscription.sub_id] += 1
+            per_attribute[predicate.attribute] = per_attribute.get(predicate.attribute, 0) + 1
+        self._attribute_sizes[subscription.sub_id] = per_attribute
 
     def _on_remove(self, subscription: Subscription) -> None:
         self._sizes.pop(subscription.sub_id, None)
+        self._attribute_sizes.pop(subscription.sub_id, None)
         self._universal.discard(subscription.sub_id)
         for predicate in subscription.predicates:
             self._index.discard(predicate)
@@ -124,91 +144,106 @@ class CountingMatcher(MatchingAlgorithm):
 
     # -- batched matching ---------------------------------------------------------
 
-    def _pair_contributions(self, keys: tuple) -> tuple:
-        """Flatten satisfied predicate keys for one pair into
-        ``(sub_id, uses)`` counter credits (the per-pair payload the
-        batch memoizes)."""
+    def _fully_satisfied(self, attribute: str, keys: tuple) -> tuple:
+        """The subscriptions whose predicates on *attribute* are **all**
+        among the satisfied *keys* of one pair (the per-pair payload
+        the batch memoizes)."""
         self.stats.predicate_evaluations += len(keys)
         usages = self._usages
         credit: dict[str, int] = {}
         for key in keys:
             for sub_id, uses in usages[key].items():
                 credit[sub_id] = credit.get(sub_id, 0) + uses
-        return tuple(credit.items())
+        needed = self._attribute_sizes
+        return tuple(s for s, count in credit.items() if count == needed[s][attribute])
 
     def _match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "DerivedEvent"]]:
         stats = self.stats
         index = self._index
-        sizes = self._sizes
-        universal = self._universal
-        probes_before = index.probes
         cache = self._memo
+        satisfied = cache.satisfied
+        needed = self._attribute_sizes
+        score_fn = self._batch_score
+        probes_before = index.probes
         hits_before, misses_before = cache.hits, cache.misses
         clears_before = cache.invalidations
-        #: event signature -> (counters, matched ids) for that content;
-        #: the matched list rides along so a derived event only
-        #: re-checks the counter-vs-size threshold for the few
-        #: subscriptions its delta credits touched, instead of sweeping
-        #: every candidate per derived event.
-        state_of: dict = {}
-
-        def state_for(derived: "DerivedEvent") -> tuple[dict[str, int], list[str]]:
-            # Walk up the parent chain to the nearest memoized ancestor
-            # (ultimately the parentless batch root), then come back
-            # down applying each delta as a counter adjustment.
-            chain = []
-            node = derived
-            state = None
-            while True:
-                known = state_of.get(node.event.signature)
-                if known is not None:
-                    state = known
-                    break
-                chain.append(node)
-                if node.parent is None:
-                    break
-                node = node.parent
-            for node in reversed(chain):
-                if state is None:  # batch root: full count from its pairs
-                    counts: dict[str, int] = {}
-                    for attribute, value in node.event.items():
-                        for sub_id, uses in cache.satisfied(attribute, value):
-                            counts[sub_id] = counts.get(sub_id, 0) + uses
-                    matched = [s for s, c in counts.items() if c == sizes[s]]
+        #: sub_id -> how many of its constrained attributes some value
+        #: in the batch satisfies completely
+        covered = Counter()
+        ranked = result.derived
+        if len(ranked) == 1:
+            # one event, every mask would be 1: counting attributes is all
+            on_attribute = None
+            for attribute, value in ranked[0].event.items():
+                covered.update(satisfied(attribute, value))
+        else:
+            if score_fn is None:
+                # bit i = i-th least general derivation, discovery order
+                # on ties (the sort is stable): a mask's lowest set bit
+                # is then the witness the serial fold would keep
+                ranked = sorted(ranked, key=_generality)
+            #: (attribute, canonical value key) -> events carrying it
+            carriers: dict[tuple, int] = {}
+            bit = 1
+            for derived in ranked:
+                for pair in derived.event.signature:
+                    carriers[pair] = carriers.get(pair, 0) | bit
+                bit <<= 1
+            #: attribute -> {sub_id: events whose value fully satisfies it}
+            on_attribute: dict[str, dict[str, int]] = {}
+            for (attribute, _), carried in carriers.items():
+                first = ranked[(carried & -carried).bit_length() - 1].event
+                sub_ids = satisfied(attribute, first[attribute])
+                satisfying = on_attribute.get(attribute)
+                if satisfying is None:
+                    on_attribute[attribute] = dict.fromkeys(sub_ids, carried)
                 else:
-                    parent_counts, parent_matched = state
-                    counts = dict(parent_counts)
-                    touched: set[str] = set()
-                    for attribute, value in node.removed_pairs():
-                        for sub_id, uses in cache.satisfied(attribute, value):
-                            remaining = counts.get(sub_id, 0) - uses
-                            if remaining:
-                                counts[sub_id] = remaining
-                            else:
-                                counts.pop(sub_id, None)
-                            touched.add(sub_id)
-                    for attribute, value in node.added_pairs():
-                        for sub_id, uses in cache.satisfied(attribute, value):
-                            counts[sub_id] = counts.get(sub_id, 0) + uses
-                            touched.add(sub_id)
-                    if touched:
-                        matched = [s for s in parent_matched if s not in touched]
-                        matched.extend(s for s in touched if counts.get(s) == sizes[s])
-                    else:
-                        matched = parent_matched
-                state = (counts, matched)
-                state_of[node.event.signature] = state
-            return state
+                    for sub_id in sub_ids:
+                        satisfying[sub_id] = satisfying.get(sub_id, 0) | carried
+            for satisfying in on_attribute.values():
+                covered.update(satisfying.keys())
+        stats.candidates += len(covered)
+        complete = [s for s, count in covered.items() if count == len(needed[s])]
+        #: sub_id -> bitmask of the ranked derived events it matches
+        masks: dict[str, int]
+        if on_attribute is None:
+            masks = dict.fromkeys(complete, 1)
+        else:
+            masks = {}
+            for sub_id in complete:
+                mask = -1
+                for attribute in needed[sub_id]:
+                    mask &= on_attribute[attribute][sub_id]
+                if mask:
+                    masks[sub_id] = mask
+        if self._universal and ranked:
+            masks.update(dict.fromkeys(self._universal, (1 << len(ranked)) - 1))
 
         best: dict[str, tuple[int, "DerivedEvent"]] = {}
-        for derived in result.derived:
-            counts, matched_ids = state_for(derived)
-            stats.events += 1
-            stats.candidates += len(counts)
-            generality = derived.generality
-            matched = self._reduce_batch_matches(best, derived, generality, matched_ids)
-            matched += self._reduce_batch_matches(best, derived, generality, universal)
-            stats.matches += matched
+        matches = 0
+        #: lowest set bit -> the (generality, derived) its subscriptions share
+        witnesses: dict[int, tuple[int, "DerivedEvent"]] = {}
+        for sub_id, mask in masks.items():
+            matches += mask.bit_count()
+            if score_fn is None:
+                low = mask & -mask
+                witness = witnesses.get(low)
+                if witness is None:
+                    derived = ranked[low.bit_length() - 1]
+                    witness = witnesses[low] = (derived.generality, derived)
+                best[sub_id] = witness
+                continue
+            chosen = None
+            while mask:  # discovery order, first of equal scores wins
+                low = mask & -mask
+                mask ^= low
+                derived = ranked[low.bit_length() - 1]
+                score = score_fn(sub_id, derived)
+                if chosen is None or score < chosen[0]:
+                    chosen = (score, derived)
+            best[sub_id] = chosen
+        stats.events += len(ranked)
+        stats.matches += matches
         stats.index_probes += index.probes - probes_before
         hits = cache.hits - hits_before
         stats.probes_saved += hits

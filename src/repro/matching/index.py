@@ -436,19 +436,19 @@ class PredicateIndex:
 class SatisfactionCache:
     """Cross-publication memo of predicate-satisfaction sets.
 
-    A semantic expansion batch probes the index with many derived
-    events that share most of their ``(attribute, value)`` pairs — each
-    sibling differs from its parent by one delta — and workload traces
-    then repeat those pairs across *publications*.  This cache keys the
-    result of :meth:`PredicateIndex.satisfied` (optionally transformed
-    once into a matcher-specific payload, e.g. the counting matcher's
-    per-subscription contribution list) by the pair's canonical
-    identity, so every distinct pair is probed exactly once per memo
-    lifetime, not once per batch.
+    A semantic expansion batch holds many derived events that share
+    most of their ``(attribute, value)`` pairs — each sibling differs
+    from its parent by one delta — and workload traces then repeat
+    those pairs across *publications*.  This cache keys the result of
+    :meth:`PredicateIndex.satisfied` (optionally transformed once into
+    a matcher-specific payload, e.g. the counting matcher's tuple of
+    subscriptions the pair satisfies completely on its attribute) by
+    the pair's canonical identity, so every distinct pair is probed
+    exactly once per memo lifetime, not once per batch.
 
     Lifetime is owned by the matcher: payloads that embed subscription
-    state (the counting matcher's contribution lists) must be dropped
-    via :meth:`clear` on subscription churn, and the engine propagates
+    state (the counting matcher's subscription ids) must be dropped via
+    :meth:`clear` on subscription churn, and the engine propagates
     knowledge-base version changes the same way.  ``capacity`` bounds
     memory: when the pair table would exceed it, the memo self-clears
     (cheap, and the steady-state working set of real traces is far
@@ -478,7 +478,7 @@ class SatisfactionCache:
     def __init__(
         self,
         index: PredicateIndex,
-        transform: Callable[[tuple], object] | None = None,
+        transform: Callable[[str, tuple], object] | None = None,
         *,
         capacity: int = 65536,
     ) -> None:
@@ -508,7 +508,8 @@ class SatisfactionCache:
         if payload is None:
             self.misses += 1
             keys = tuple(self._index.satisfied(attribute, value))
-            payload = keys if self._transform is None else self._transform(keys)
+            transform = self._transform
+            payload = keys if transform is None else transform(attribute, keys)
             if len(self._cache) >= self.capacity:
                 self.clear()
             self._cache[pair] = payload

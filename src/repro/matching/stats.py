@@ -25,17 +25,24 @@ class MatchStats:
         (the dominant cost of naive matching).
     index_probes: hash/bisect probes into predicate indexes.
     candidates: subscriptions examined as potential matches after
-        index filtering.
+        index filtering.  Per serial ``match()``: subscriptions with at
+        least one satisfied predicate.  Per counting ``match_batch()``:
+        subscriptions some value in the batch satisfies completely on
+        at least one attribute, counted once per batch.
     matches: subscriptions returned.
     inserts / removals: subscription table churn.
     batches: number of ``match_batch()`` calls served.
     probes_saved: per-pair index probes / predicate evaluations a
-        batch matcher answered from its cross-derivation memo instead
-        of re-probing (0 for serial matching).
+        batch matcher answered from its memo instead of re-probing (0
+        for serial matching).  The counting matcher looks each distinct
+        pair of a batch up once, so sharing *within* a batch is
+        structural and costs no lookup: its ``probes_saved`` counts
+        reuse across publications only.
     memo_hits / memo_misses: lookups into the matcher's
-        cross-publication satisfaction memo (a strict subset of the
-        work counted by ``probes_saved`` accrues here once the memo
-        survives across ``match_batch`` calls).
+        cross-publication satisfaction memo.  For the counting matcher
+        ``memo_hits + memo_misses`` per batch is the number of distinct
+        ``(attribute, value)`` pairs in the batch and ``memo_hits``
+        equals ``probes_saved``; a miss is at most one index probe.
     memo_invalidations: times the cross-publication memo was dropped
         (subscription churn for payloads that embed subscription state,
         knowledge-base version changes propagated by the engine).

@@ -12,8 +12,8 @@ numpy operations instead:
   subscriptions in insertion order, with a per-column predicate-count
   threshold).  The batch root's row is built by fancy-indexed adds of
   per-pair *credit arrays*; each child row is its parent's row copied
-  and adjusted by just the delta's credits — the same chain walk as the
-  scalar matcher, with dict copies replaced by array copies.  The
+  and adjusted by just the delta's credits — a walk down the batch's
+  parent chains with one array copy per derived event.  The
   matched set for the entire batch then falls out of a single
   ``matrix == sizes`` comparison, and the per-subscription
   least-general-witness reduction is one masked ``argmin`` over a
@@ -258,8 +258,8 @@ class VectorizedCountingMatcher(CountingMatcher):
 
     def _evaluate_batch(self, derived_list, width: int):
         """Counter rows for one batch (the construction path of a plan
-        miss): the scalar matcher's chain walk with dict copies
-        replaced by array copies and fancy-indexed credit adjustments.
+        miss): a walk down the parent chains, one row copy per derived
+        event plus fancy-indexed credit adjustments for its delta.
         Returns ``(matched bool matrix, candidates, matches)``."""
         probes_before = self._index.probes
         pair_credit = self._pair_credit

@@ -66,19 +66,37 @@ def _term_or_scalar(draw):
     )
 
 
+def _conjuncts_on(draw, attr) -> list[Predicate]:
+    """One attribute's conjuncts.  Mostly a single predicate; the other
+    shapes are what a per-attribute matcher has to get right: two
+    predicates one value must satisfy together (a band that may be
+    empty, a bound with a hole, two terms to avoid — which only some
+    ancestors of an event's value manage) and one predicate written
+    twice (``Subscription`` keeps one, so it must count once)."""
+    kind = draw(st.integers(min_value=0, max_value=6))
+    if kind == 0:
+        return [Predicate.eq(attr, _term_or_scalar(draw))]
+    if kind == 1:
+        return [Predicate.exists(attr)]
+    if kind == 2:
+        return [Predicate.ne(attr, _term_or_scalar(draw))]
+    number = st.integers(min_value=0, max_value=5)
+    if kind == 3:
+        return [Predicate.gt(attr, draw(number)), Predicate.lt(attr, draw(number))]
+    if kind == 4:
+        return [Predicate.gt(attr, draw(number)), Predicate.ne(attr, draw(number))]
+    term = st.sampled_from(_TERMS)
+    if kind == 5:
+        return [Predicate.ne(attr, draw(term)), Predicate.ne(attr, draw(term))]
+    twice = Predicate.eq(attr, _term_or_scalar(draw))
+    return [twice, twice]
+
+
 @st.composite
 def term_subscriptions(draw) -> Subscription:
-    count = draw(st.integers(min_value=1, max_value=2))
-    attrs = draw(st.lists(st.sampled_from(_ATTRS), min_size=count, max_size=count, unique=True))
-    predicates = []
-    for attr in attrs:
-        kind = draw(st.integers(min_value=0, max_value=2))
-        if kind == 0:
-            predicates.append(Predicate.eq(attr, _term_or_scalar(draw)))
-        elif kind == 1:
-            predicates.append(Predicate.exists(attr))
-        else:
-            predicates.append(Predicate.ne(attr, _term_or_scalar(draw)))
+    # zero attributes is the universal subscription
+    attrs = draw(st.lists(st.sampled_from(_ATTRS), min_size=0, max_size=2, unique=True))
+    predicates = [predicate for attr in attrs for predicate in _conjuncts_on(draw, attr)]
     max_generality = draw(st.sampled_from([None, None, 0, 1, 2]))
     return Subscription(predicates, max_generality=max_generality)
 

@@ -220,12 +220,30 @@ class TestBatchCounters:
         assert sum(histogram.values()) == 1
         assert all(isinstance(bucket, int) for bucket in histogram)
 
-    def test_counting_probes_saved_on_shared_pairs(self, engine):
-        # two derived events share the 'other' pair; the second probe
-        # of that pair must be served from the batch memo.
+    def test_counting_looks_each_distinct_pair_up_once(self, engine):
+        # three derived events carry the 'other' pair and differ on
+        # 'degree': the batch costs one memo lookup per *distinct*
+        # pair, and a republication of the same content is all hits.
         engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
+        process_event = engine.pipeline.process_event
+        batches = []
+
+        def recording(event, **kwargs):
+            batches.append(process_event(event, **kwargs))
+            return batches[-1]
+
+        engine.pipeline.process_event = recording
+        stats = engine.matcher.stats
         engine.publish(parse_event("(degree, PhD)(other, 1)"))
-        assert engine.matcher.stats.probes_saved > 0
+        distinct = batches[0].distinct_pairs()
+        assert len(batches[0].derived) == 3 and distinct == 4
+        assert stats.memo_hits + stats.memo_misses == distinct
+        assert stats.index_probes <= distinct
+        assert stats.probes_saved == stats.memo_hits == 0
+        engine.publish(parse_event("(degree, PhD)(other, 1)"))
+        assert batches[1].distinct_pairs() == distinct
+        assert (stats.memo_hits, stats.memo_misses) == (distinct, distinct)
+        assert stats.probes_saved == distinct
 
     def test_dispatcher_surfaces_batch_stats(self):
         broker = Broker(_kb(), config=SemanticConfig(present_year=2003))

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+from repro.core.config import SemanticConfig
+from repro.core.pipeline import PipelineResult, SemanticPipeline
+from repro.core.provenance import DerivationStep, DerivedEvent
+from repro.matching.base import MatchingAlgorithm
 from repro.matching.cluster import ClusterMatcher
 from repro.matching.counting import CountingMatcher
 from repro.matching.naive import NaiveMatcher
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
+from repro.ontology.knowledge_base import KnowledgeBase
+from repro.ontology.mappingdefs import MappingRule
+from repro.workload.worlds import build_world
 
 
 def _sub(sub_id, *preds, **kwargs):
@@ -60,6 +67,155 @@ class TestCountingMatcher:
         matcher.insert(_sub("s", Predicate.eq("a", 1)))
         matcher.match(Event({"a": 1, "b": 2}))
         assert matcher.stats.index_probes >= 1
+
+
+class _SerialCounting(CountingMatcher):
+    """The counting matcher on the per-derived-event fallback."""
+
+    name = "serial-counting"
+    _match_batch = MatchingAlgorithm._match_batch
+
+
+def _batch_and_serial(subscriptions, result, score=None):
+    """One batch through the factored kernel and through the serial
+    fold: same subscriptions, same scores, the same witness *objects*.
+    Returns the kernel's answer."""
+    answers = []
+    for matcher in (CountingMatcher(), _SerialCounting()):
+        for subscription in subscriptions:
+            matcher.insert(subscription)
+        answers.append(matcher.match_batch(result, score=score))
+    batch, serial = answers
+    assert batch.keys() == serial.keys()
+    for sub_id, (generality, witness) in batch.items():
+        assert generality == serial[sub_id][0], sub_id
+        assert witness is serial[sub_id][1], sub_id
+    return batch
+
+
+class TestCountingBatchKernel:
+    """Fixed cases for what the factored ``match_batch`` rests on."""
+
+    def test_batches_wider_than_a_machine_word(self):
+        # mega-small publications expand to 81 and to 512 derived
+        # events (truncated): masks of several words, and a batch cut
+        # short by max_derived_events is matched as far as it goes.
+        world = build_world("mega-small")
+        generator = world.generator(seed=20)
+        pipeline = SemanticPipeline(world.kb, SemanticConfig())
+        subscriptions = [
+            pipeline.process_subscription(subscription)
+            for subscription in generator.subscriptions(40)
+        ] + [_sub("everything")]
+        widths = []
+        truncated = 0
+        matched = 0
+        for event in generator.events(12):
+            result = pipeline.process_event(event)
+            widths.append(len(result.derived))
+            truncated += result.truncated
+            best = _batch_and_serial(subscriptions, result)
+            assert best["everything"] == (0, result.derived[0])
+            matched += len(best) - 1
+        assert max(widths) == 512 and truncated
+        assert any(64 < width < 512 for width in widths)
+        assert matched
+
+    def test_truncated_batch(self):
+        kb = KnowledgeBase()
+        kb.add_domain("d").add_chain("a0", "a1", "a2", "a3", "a4")
+        pipeline = SemanticPipeline(kb, SemanticConfig(max_derived_events=6))
+        result = pipeline.process_event(Event({"x": "a0", "y": "a0", "z": "a0"}))
+        assert result.truncated and len(result.derived) == 6
+        subscriptions = [
+            _sub("near", Predicate.eq("x", "a1")),
+            _sub("cut-off", Predicate.eq("x", "a4"), Predicate.eq("y", "a4")),
+            _sub("root", Predicate.eq("z", "a0"), Predicate.exists("y")),
+        ]
+        best = _batch_and_serial(subscriptions, result)
+        assert best["near"][0] == 1 and best["root"][0] == 0
+        assert "cut-off" not in best
+
+    def test_attribute_only_a_mapping_rule_adds(self):
+        kb = KnowledgeBase()
+        kb.add_rule(
+            MappingRule.computed(
+                "exp", "professional_experience", "present_year - graduation_year"
+            )
+        )
+        pipeline = SemanticPipeline(kb, SemanticConfig(present_year=2003))
+        result = pipeline.process_event(Event({"graduation_year": 1990, "school": "Toronto"}))
+        assert "professional_experience" not in result.derived[0].event
+        subscriptions = [
+            _sub("mapped", Predicate.ge("professional_experience", 4)),
+            _sub(
+                "both",
+                Predicate.eq("school", "Toronto"),
+                Predicate.ge("professional_experience", 4),
+                Predicate.lt("professional_experience", 20),
+            ),
+            _sub(
+                "too-long",
+                Predicate.eq("school", "Toronto"),
+                Predicate.gt("professional_experience", 13),
+            ),
+            _sub(
+                "half-a-band",
+                Predicate.ge("professional_experience", 4),
+                Predicate.lt("professional_experience", 10),
+            ),
+            _sub("root-only", Predicate.eq("school", "Toronto")),
+        ]
+        best = _batch_and_serial(subscriptions, result)
+        assert set(best) == {"mapped", "both", "root-only"}
+        assert best["root-only"][1] is result.derived[0]
+        assert best["mapped"][1] is best["both"][1] is not result.derived[0]
+
+    @staticmethod
+    def _tie_batch():
+        """Discovery order: root (0), ``far`` (2), then ``first`` and
+        ``second`` (1 each) — generality does not follow discovery."""
+        root = DerivedEvent.original(Event({"a": "leaf", "b": 1}))
+
+        def child(value, generality):
+            step = DerivationStep("hierarchy", f"a -> {value}", "a", generality)
+            return root.extend(root.event.with_value("a", value), step)
+
+        derived = [root, child("far", 2), child("first", 1), child("second", 1)]
+        return PipelineResult.from_derived(root.event, derived), derived
+
+    def test_ties_go_to_the_first_discovered(self):
+        result, (root, far, first, second) = self._tie_batch()
+        subscriptions = [
+            _sub("not-leaf", Predicate.ne("a", "leaf"), Predicate.eq("b", 1)),
+            _sub("late", Predicate.isin("a", ["second", "far"])),
+            _sub("all"),
+        ]
+        best = _batch_and_serial(subscriptions, result)
+        assert best == {"not-leaf": (1, first), "late": (1, second), "all": (0, root)}
+        assert best["not-leaf"][1] is first
+
+    def test_scorer_sees_discovery_order(self):
+        result, (root, far, first, second) = self._tie_batch()
+        subscriptions = [_sub("not-leaf", Predicate.ne("a", "leaf")), _sub("all")]
+        calls = []
+
+        def flat(sub_id, derived):
+            calls.append((sub_id, derived))
+            return 7
+
+        # equal scores: the first *discovered* match wins, although a
+        # later one is less general
+        best = _batch_and_serial(subscriptions, result, score=flat)
+        assert best["not-leaf"] == (7, far) and best["all"] == (7, root)
+        # (the kernel runs first: its calls head the list)
+        assert [d for s, d in calls if s == "not-leaf"][:3] == [far, first, second]
+
+        def prefers_second(sub_id, derived):
+            return 0 if derived is second else 3
+
+        best = _batch_and_serial(subscriptions, result, score=prefers_second)
+        assert best["not-leaf"] == (0, second) and best["all"] == (0, second)
 
 
 class TestClusterMatcher:
