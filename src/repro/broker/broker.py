@@ -94,17 +94,20 @@ class Broker:
 
     # -- journaling ---------------------------------------------------------------
 
-    def _journal_op(self, payload: dict) -> None:
-        """Journal one broker-level operation (no-op when not durable or
-        while recovery is replaying existing records).  Auto-compaction
-        runs *before* the append, when the in-memory state is consistent
-        with every record already journaled."""
+    def _journal_op(self, encode, *args) -> None:
+        """Journal one broker-level operation as the record
+        ``encode(*args)`` — built only once it is known to be
+        written: a broker without a store, or one whose recovery is
+        replaying existing records, journals nothing and encodes
+        nothing.  Auto-compaction runs *before* the append, when the
+        in-memory state is consistent with every record already
+        journaled."""
         durability = self.durability
         if durability is None or durability.replay_active:
             return
         if durability.should_compact():
             durability.compact(self._durable_state())
-        record = dict(payload)
+        record = encode(*args)
         record["oi"] = self._op_index
         self._op_index += 1
         durability.append(record)
@@ -192,7 +195,7 @@ class Broker:
         client = self.registry.register(
             name, kind=kind, addresses=addresses, client_id=client_id
         )
-        self._journal_op(_encode_client(client))
+        self._journal_op(_encode_client, client)
         return client
 
     def remove_client(self, client_id: str) -> Client:
@@ -201,7 +204,7 @@ class Broker:
         for subscription in self.dispatcher.subscriptions_of(client_id):
             self.unsubscribe(subscription.sub_id)
         client = self.registry.remove(client_id)
-        self._journal_op({"k": "remove", "id": client_id})
+        self._journal_op(lambda: {"k": "remove", "id": client_id})
         return client
 
     @staticmethod
@@ -243,22 +246,25 @@ class Broker:
                 max_generality=max_generality,
             )
         bound = self.dispatcher.subscribe(client_id, subscription)
-        self._journal_op(_encode_subscription(bound, client_id))
+        self._journal_op(_encode_subscription, bound, client_id)
         return bound
 
     def unsubscribe(self, sub_id: str) -> Subscription:
         removed = self.dispatcher.unsubscribe(sub_id)
-        self._journal_op({"k": "unsub", "sid": sub_id})
+        self._journal_op(lambda: {"k": "unsub", "sid": sub_id})
         return removed
 
     def publish(self, client_id: str, event: str | Event) -> PublishReport:
         """Publish from an :class:`Event` or language text.  Durable
         brokers journal the publish *before* matching (write-ahead), so
         a crash mid-fan-out replays the event and reconciles deliveries
-        against the journaled outbox."""
+        against the journaled outbox.  ``report.truncated`` says whether
+        the expansion hit ``max_derived_events`` — the match set may then
+        be short (``None`` from the process-sharded plane, which does
+        not report it)."""
         if isinstance(event, str):
             event = parse_event(event)
-        self._journal_op(_encode_event(event, client_id))
+        self._journal_op(_encode_event, event, client_id)
         return self.dispatcher.publish(client_id, event)
 
     def replay_from(self, sub_id: str, sequence: int) -> list[DeliveryOutcome]:
@@ -278,7 +284,7 @@ class Broker:
         """Swap the engine's semantic configuration (journaled, so a
         recovered broker matches with the same tolerances)."""
         self.engine.reconfigure(config)
-        self._journal_op({"k": "config", "cfg": _encode_config(config)})
+        self._journal_op(lambda: {"k": "config", "cfg": _encode_config(config)})
 
     def set_semantic_mode(self) -> None:
         self.reconfigure(SemanticConfig.semantic())

@@ -30,11 +30,20 @@ __all__ = ["EventDispatcher", "PublishReport"]
 
 @dataclass(frozen=True)
 class PublishReport:
-    """Everything that happened for one publication."""
+    """Everything that happened for one publication.
+
+    ``truncated`` says whether the semantic expansion hit
+    ``max_derived_events``, so ``matches`` may be short of what the
+    knowledge base supports: ``True``/``False`` from a single engine or
+    a serial sharded one (any replica), ``None`` where the engine does
+    not say — the process-sharded plane, whose workers expand on their
+    own and report only matches.  A result-cache hit repeats what the
+    publication that filled the entry saw."""
 
     event: Event
     matches: tuple[SemanticMatch, ...]
     outcomes: tuple[DeliveryOutcome, ...]
+    truncated: bool | None = None
 
     @property
     def match_count(self) -> int:
@@ -83,11 +92,12 @@ class EventDispatcher:
         #: sub_id -> subscriber client_id
         self._subscriber_of: dict[str, str] = {}
         self.publications = 0
+        self.publications_truncated = 0
         self.matches = 0
         self.deliveries = 0
         self.result_cache_size = result_cache_size
-        #: cache key -> tuple[SemanticMatch, ...] in LRU order
-        self._result_cache: OrderedDict[tuple, tuple[SemanticMatch, ...]] = OrderedDict()
+        #: cache key -> (match tuple, truncated) in LRU order
+        self._result_cache: OrderedDict[tuple, tuple] = OrderedDict()
         self.result_cache_hits = 0
         self.result_cache_misses = 0
 
@@ -125,40 +135,47 @@ class EventDispatcher:
 
     # -- publications ---------------------------------------------------------------
 
-    def _matches_for(self, stamped: Event, client_id: str) -> list[SemanticMatch]:
-        """The engine's match set for *stamped*, served from the result
-        cache when this content was already matched under the exact
-        same semantic state."""
-        if self.result_cache_size <= 0:
-            return self.engine.publish(stamped)
-        key = (
-            stamped.signature,
-            client_id,
-            self.engine.semantic_version,
-            self.engine.config,
-            self.engine.subscription_epoch,
-        )
-        cached = self._result_cache.get(key)
-        if cached is not None:
-            self._result_cache.move_to_end(key)
-            self.result_cache_hits += 1
-            # re-stamp onto this publication's event object so delivery
-            # reports carry the real event id, not the first one's.
-            return [
-                SemanticMatch(
-                    subscription=match.subscription,
-                    event=stamped,
-                    matched_via=match.matched_via,
-                    generality=match.generality,
-                )
-                for match in cached
-            ]
-        self.result_cache_misses += 1
-        matches = self.engine.publish(stamped)
-        self._result_cache[key] = tuple(matches)
-        while len(self._result_cache) > self.result_cache_size:
-            self._result_cache.popitem(last=False)
-        return matches
+    def _matches_for(
+        self, stamped: Event, client_id: str
+    ) -> tuple[list[SemanticMatch], bool | None]:
+        """The engine's match set for *stamped* and whether its
+        expansion was truncated, served from the result cache when this
+        content was already matched under the exact same semantic
+        state."""
+        engine = self.engine
+        caching = self.result_cache_size > 0
+        if caching:
+            key = (
+                stamped.signature,
+                client_id,
+                engine.semantic_version,
+                engine.config,
+                engine.subscription_epoch,
+            )
+            cached = self._result_cache.get(key)
+            if cached is not None:
+                self._result_cache.move_to_end(key)
+                self.result_cache_hits += 1
+                # re-stamp onto this publication's event object so
+                # delivery reports carry the real event id, not the
+                # first one's.
+                return [
+                    SemanticMatch(
+                        subscription=match.subscription,
+                        event=stamped,
+                        matched_via=match.matched_via,
+                        generality=match.generality,
+                    )
+                    for match in cached[0]
+                ], cached[1]
+            self.result_cache_misses += 1
+        matches = engine.publish(stamped)
+        truncated = getattr(engine, "last_truncated", None)
+        if caching:
+            self._result_cache[key] = (tuple(matches), truncated)
+            while len(self._result_cache) > self.result_cache_size:
+                self._result_cache.popitem(last=False)
+        return matches, truncated
 
     def publish(self, client_id: str, event: Event) -> PublishReport:
         """Match *event* and notify every matched subscriber."""
@@ -166,7 +183,7 @@ class EventDispatcher:
         if not client.kind.can_publish:
             raise BrokerError(f"client {client_id!r} is not a publisher")
         stamped = Event(event.items(), event_id=event.event_id, publisher_id=client_id)
-        matches = self._matches_for(stamped, client_id)
+        matches, truncated = self._matches_for(stamped, client_id)
         deliveries: list[tuple[Client, SemanticMatch]] = []
         for match in matches:
             subscriber_id = self._subscriber_of.get(match.subscription.sub_id)
@@ -176,8 +193,10 @@ class EventDispatcher:
         # the publication's notifications are one unit of work: rendered,
         # journaled and acked once, sent one by one
         outcomes = self.notifier.fan_out(deliveries)
-        report = PublishReport(stamped, tuple(matches), tuple(outcomes))
+        report = PublishReport(stamped, tuple(matches), tuple(outcomes), truncated)
         self.publications += 1
+        if truncated:
+            self.publications_truncated += 1
         self.matches += report.match_count
         self.deliveries += report.delivered_count
         return report
@@ -204,6 +223,10 @@ class EventDispatcher:
             "clients": len(self.registry),
             "subscriptions": len(self.engine),
             "publications": self.publications,
+            # publications whose expansion hit max_derived_events (their
+            # match sets may be short); the process-sharded plane does
+            # not report it and counts none
+            "publications_truncated": self.publications_truncated,
             "matches": self.matches,
             "deliveries": self.deliveries,
             # batched publish-path headline counters, surfaced at the

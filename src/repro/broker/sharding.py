@@ -789,6 +789,12 @@ class ShardedEngine:
         self._seq_of: dict[str, int] = {}
         self._next_seq = 0
         self.publications = 0
+        #: whether the latest publication's expansion was truncated on
+        #: any replica — known on the serial executor only: the process
+        #: plane's workers expand on their own and reply with matches,
+        #: so it stays ``None`` there (no wire field until expansion
+        #: moves into the parent, ROADMAP item 2)
+        self.last_truncated: bool | None = None
         #: cumulative per-shard publish CPU (thread time: the shard's
         #: own work, not what else ran on its core meanwhile)
         self._busy_cpu_seconds = [0.0] * shards
@@ -905,6 +911,11 @@ class ShardedEngine:
             self._busy_cpu_seconds[index] += span
             slowest = max(slowest, span)
         self._critical_path_seconds += slowest
+        self.last_truncated = (
+            None
+            if self._distributed
+            else any(engine.last_truncated for engine in self._engines)
+        )
         seq = self._seq_of
         merged.sort(key=lambda match: seq[match.subscription.sub_id])
         return merged

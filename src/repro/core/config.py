@@ -104,7 +104,7 @@ class SemanticConfig:
     #: reads it).  Still declared because ``bench/verify.py`` passes it
     #: and snapshots / journaled ``config`` records are
     #: ``dataclasses.asdict`` of this class; the ``[benchmark]`` PR of
-    #: ROADMAP 4(d/e) removes it.
+    #: ROADMAP open item 5(d) removes it.
     expansion_cache_size: int = 128
     interning: bool = True
     interest_pruning: bool = True

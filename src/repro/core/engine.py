@@ -98,6 +98,9 @@ class SToPSS:
         self._originals: dict[str, tuple[int, Subscription]] = {}
         self._next_seq = 0
         self.publications = 0
+        #: whether the latest publication's expansion hit
+        #: ``max_derived_events`` (``None`` before the first)
+        self.last_truncated: bool | None = None
         #: publish-path counters: derived totals and the
         #: per-publication derived-count histogram.
         self.counters = CounterRegistry()
@@ -221,8 +224,16 @@ class SToPSS:
         """
         self.publications += 1
         self._sync_semantic_version()
-        result = self.pipeline.process_event(event, interest=self._active_interest())
-        derived_count = len(result.derived)
+        result = self.pipeline.process_event(
+            event,
+            interest=self._active_interest(),
+            # attributes no mapping rule touches ride beside the core's
+            # fixpoint as alternatives when the matcher can recombine
+            # them and nothing re-scores a derivation after the fact
+            factored=self._derivation_score is None and self._matcher.accepts_factored,
+        )
+        self.last_truncated = result.truncated
+        derived_count = result.materialized()
         self.counters.bump("publish.derived_events", derived_count)
         self.counters.bump(f"publish.derived_histogram.{derived_count}")
         return self._collect_matches(event, result)

@@ -36,7 +36,7 @@ equivalent by the interning property test).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Collection, Iterator
 
 from repro.core.interfaces import SemanticStage
 from repro.core.provenance import STAGE_HIERARCHY, DerivationStep, DerivedEvent
@@ -93,9 +93,15 @@ class HierarchyStage(SemanticStage):
         #: spelling) pairs, checks, pruned): interest admission is a
         #: pure function of the interest set and the concept table, so
         #: it is memoized across publications and keyed to both via
-        #: ``_memo_stamp`` (index generation + snapshot identity)
+        #: ``_memo_stamp`` (index generation + snapshot identity).  The
+        #: pipeline keeps each free pair's alternatives here too, under
+        #: ``(attribute, value)`` — same inputs, same lifetime
         self._admit_memo: dict = {}
         self._memo_stamp: tuple | None = None
+        #: attributes to leave at their root values (set by the
+        #: pipeline for one fixpoint run: the publication's free
+        #: attributes, which it carries as alternatives instead)
+        self.skip: Collection[str] = ()
 
     def begin_publication(self) -> None:
         self._table = self._kb.concept_table() if self._interned else None
@@ -119,7 +125,10 @@ class HierarchyStage(SemanticStage):
         expand_attribute = (
             self._expand_attribute_interned if self._interned else self._expand_attribute
         )
+        skip = self.skip
         for attribute, value in event.items():
+            if attribute in skip:
+                continue
             if isinstance(value, str):
                 produced += yield from expand_value(
                     derived, attribute, value, generality_budget
@@ -228,12 +237,9 @@ class HierarchyStage(SemanticStage):
         the concept-table snapshot changes.  Check/prune counters are
         replayed on every hit so the stats stay exactly what the
         unmemoized per-candidate consultation would have reported."""
-        stamp = (self._interest, self._interest.generation, table)
-        if stamp != self._memo_stamp:
-            self._memo_stamp = stamp
-            self._admit_memo = {}
+        memo = self.memo(interest, table)
         key = (attribute, tid, budget)
-        entry = self._admit_memo.get(key)
+        entry = memo.get(key)
         if entry is None:
             admitted = []
             checks = pruned = 0
@@ -248,14 +254,39 @@ class HierarchyStage(SemanticStage):
                     admitted.append((distance, spelling))
                 else:
                     pruned += 1
-            entry = (tuple(admitted), checks, pruned)
-            self._admit_memo[key] = entry
+            entry = memo[key] = (tuple(admitted), checks, pruned)
         admitted, checks, pruned = entry
         if checks:
             self.stats.bump("prune_checks", checks)
         if pruned:
             self.stats.bump("candidates_pruned", pruned)
         return admitted
+
+    def memo(self, interest, table=None) -> dict:
+        """The cross-publication memo, emptied first if *interest* (the
+        view and its generation) or the concept-table snapshot moved
+        since it was filled (the string path has no snapshot and keys
+        on the knowledge-base version)."""
+        if table is None:
+            table = self._kb.concept_table() if self._interned else self._kb.version
+        stamp = (interest, None if interest is None else interest.generation, table)
+        if stamp != self._memo_stamp:
+            self._memo_stamp = stamp
+            self._admit_memo = {}
+        return self._admit_memo
+
+    def memo_size(self) -> int:
+        """Live entries of the memo: admissions and alternatives."""
+        return len(self._admit_memo)
+
+    def renameable(self, attribute: str) -> bool:
+        """Whether the taxonomy knows a generalization of *attribute*
+        as a name (so :meth:`expand` may rename it)."""
+        if not self._interned:
+            return bool(self._kb.generalizations(attribute))
+        table = self._current_table()
+        tid = table.term_id_of_value(attribute)
+        return tid is not None and bool(table.ancestors(tid))
 
     def _admit(self, interest, attribute: str, value, remaining) -> bool:
         """One un-memoized interest consultation: whether the candidate

@@ -113,7 +113,7 @@ def _operand_values(predicate: Predicate) -> tuple:
     return tuple(predicate.operand)  # IN: frozenset of members
 
 
-def _split_reads(reads: Iterable[str]) -> tuple[set, set]:
+def split_reads(reads: Iterable[str]) -> tuple[set, set]:
     """Partition a rule's read declarations into exact attribute names
     and open prefix families (trailing-``*`` entries, star stripped —
     see :attr:`~repro.ontology.mappingdefs.MappingRule.reads`)."""
@@ -339,7 +339,7 @@ class InterestIndex:
             demanded: set[str] = set()
             demanded_prefixes: set[str] = set()
             for accepted_rule in relevant.values():
-                exact, prefixes = _split_reads(accepted_rule.reads)  # type: ignore[arg-type]
+                exact, prefixes = split_reads(accepted_rule.reads)  # type: ignore[arg-type]
                 demanded |= exact
                 demanded_prefixes |= prefixes
             added = False
@@ -379,7 +379,7 @@ class InterestIndex:
                     enumerable.setdefault(requirement.attribute, []).extend(
                         _operand_values(predicate)
                     )
-            exact, prefixes = _split_reads(rule.reads)  # type: ignore[arg-type]
+            exact, prefixes = split_reads(rule.reads)  # type: ignore[arg-type]
             # a prefix family is an open read by construction: the
             # exact-guard intersection below cannot bound it
             wildcard_prefixes |= prefixes

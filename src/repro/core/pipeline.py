@@ -16,23 +16,59 @@ then a breadth-first fixpoint over {hierarchy, mapping} expansion with
   expansion so lower tolerance is genuinely cheaper),
 * iteration and population caps as safety valves (recorded on the
   result, never silently).
+
+**Factored expansion.**  ``max_iterations`` caps the *substitutions per
+derivation chain* (every stage step is one), so a publication's derived
+set is the step-capped product of what each attribute derives.  Most
+attributes never meet a mapping rule: no rule that can fire reads or
+writes them, and nothing renames them.  For a matcher that declares
+``accepts_factored`` the pipeline therefore runs the fixpoint over the
+event's **core** only — the *free* attributes ride along at their root
+values, skipped by the hierarchy stage — and hands each free attribute
+over as its **alternatives**: what the same fixpoint derives for that
+one pair alone (:class:`Alternative`).  Charges and steps both add over
+independent factors, so the matcher recombines them exactly; the one
+case where a chain's length and charge trade off — a keep-cheaper
+adoption — re-runs the publication with nothing free, which is the same
+loop with an empty free set (what every other matcher and ``explain()``
+always get).  See ``docs/ARCHITECTURE.md``, "Factored expansion".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection, NamedTuple
 
 from repro.core.config import SemanticConfig
 from repro.core.hierarchy import HierarchyStage
+from repro.core.interest import split_reads
 from repro.core.interfaces import SemanticStage
 from repro.core.mappings import MappingStage
-from repro.core.provenance import DerivedEvent
+from repro.core.provenance import DerivationStep, DerivedEvent
 from repro.core.synonyms import SynonymStage
 from repro.model.events import Event, EventSignature
 from repro.model.subscriptions import Subscription
+from repro.model.values import Value, canonical_value_key
 from repro.ontology.knowledge_base import KnowledgeBase
 
-__all__ = ["SemanticPipeline", "PipelineResult", "BatchDedup"]
+__all__ = ["SemanticPipeline", "PipelineResult", "BatchDedup", "Alternative"]
+
+#: distinct root attribute-name sets remembered per knowledge-base
+#: version before the partition memo starts over
+_PARTITION_MEMO_LIMIT = 1024
+
+
+class Alternative(NamedTuple):
+    """One value a free attribute can take, as the hierarchy fixpoint
+    derives it from the root value of that pair alone: the value, the
+    generality its chain charges, the substitutions the chain took
+    (each draws on ``max_iterations``) and the chain itself.  A free
+    attribute's first alternative is its root value at ``(0, 0, ())``."""
+
+    value: Value
+    charge: int
+    depth: int
+    steps: tuple[DerivationStep, ...]
 
 
 class BatchDedup:
@@ -88,12 +124,32 @@ class PipelineResult:
     terminate at a parentless root, and every ancestor's content also
     appears in ``derived`` (possibly under a cheaper provenance —
     content, keyed by signature, is what matters to matching).
+
+    A **factored** result (``free`` non-empty; only handed to matchers
+    that declare ``accepts_factored``) stands for more events than it
+    lists: ``derived`` holds the *core* events, every one carrying the
+    free attributes at their root values, and ``free`` maps each free
+    attribute to its :class:`Alternative` values.  The result denotes
+    every core event with every combination of alternatives whose
+    substitutions — the core event's discovery iteration (its chain
+    depth beyond the root's: the factored path is abandoned on any
+    keep-cheaper adoption, so the two coincide) plus the alternatives'
+    depths — stay within ``step_cap`` and whose summed charge stays
+    within ``budget``.  ``truncated`` then refers to the core events.
     """
 
     original: Event
     derived: list[DerivedEvent]
     iterations: int = 0
     truncated: bool = False
+    #: free attribute -> its alternatives, root value first, in event
+    #: attribute order (empty: ``derived`` is the whole expansion)
+    free: dict[str, tuple[Alternative, ...]] = field(default_factory=dict)
+    #: ``max_iterations`` / ``max_generality`` the expansion ran under
+    step_cap: int = 0
+    budget: int | None = None
+    #: whether a keep-cheaper adoption replaced an entry's provenance
+    adopted: bool = False
     #: signature -> index into ``derived`` (for dedup introspection)
     _by_signature: dict[EventSignature, int] = field(default_factory=dict, repr=False)
     #: parent signature -> indexes of entries derived from it; kept by
@@ -119,6 +175,39 @@ class PipelineResult:
     def __len__(self) -> int:
         return len(self.derived)
 
+    def materialized(self) -> int:
+        """Events and alternatives the expansion built: the derived
+        events plus, when factored, every free attribute's alternatives
+        beyond its root value — a sum where the unfactored expansion
+        pays the product."""
+        return len(self.derived) + sum(len(values) - 1 for values in self.free.values())
+
+    def compose(self, core: DerivedEvent, choice: tuple[int, ...]) -> DerivedEvent:
+        """The derived event a factored result stands for: *core* with
+        the free attributes set to the chosen alternatives (*choice*
+        holds one index per free attribute, in ``free`` order; 0 keeps
+        the root value), its chain extended by theirs."""
+        pairs = None
+        steps = core.steps
+        signature = core.event.signature
+        changed = []
+        for (attribute, alternatives), index in zip(self.free.items(), choice):
+            if not index:
+                continue
+            if pairs is None:
+                pairs = dict(core.event._pairs)
+            alternative = alternatives[index]
+            signature = signature.difference(
+                ((attribute, canonical_value_key(pairs[attribute])),)
+            ).union(((attribute, canonical_value_key(alternative.value)),))
+            pairs[attribute] = alternative.value
+            steps += alternative.steps
+            changed.append(attribute)
+        if pairs is None:
+            return core
+        event = Event._derived(pairs, signature, core.event.publisher_id)
+        return DerivedEvent(event, steps, parent=core, delta=frozenset(changed))
+
     def events(self) -> list[Event]:
         return [d.event for d in self.derived]
 
@@ -139,15 +228,12 @@ class PipelineResult:
             if d.parent is not None
         ]
 
-    def total_pairs(self) -> int:
-        """Attribute pairs summed over all derived events — the work a
-        per-event matcher re-probes from scratch."""
-        return sum(len(d.event) for d in self.derived)
-
     def distinct_pairs(self) -> int:
-        """Distinct ``(attribute, value)`` pairs across the batch — the
-        probe floor for a sharing batch matcher."""
-        return len({pair for d in self.derived for pair in d.event.signature})
+        """Distinct ``(attribute, value)`` pairs across the batch,
+        alternatives included — the probe floor for a sharing batch
+        matcher."""
+        pairs = {pair for d in self.derived for pair in d.event.signature}
+        return len(pairs) + sum(len(values) - 1 for values in self.free.values())
 
 
 class SemanticPipeline:
@@ -172,6 +258,10 @@ class SemanticPipeline:
         self.mappings = MappingStage(kb, self.config.mapping_context())
         self.extra_stages = extra_stages
         self.truncation_count = 0
+        #: root attribute-name set -> its free attributes, for one
+        #: knowledge-base version (see :meth:`_free_attributes`)
+        self._partitions: dict[frozenset, frozenset] = {}
+        self._partition_version = kb.version
 
     def supports_interest_pruning(self) -> bool:
         """Whether demand-driven pruning is sound for this stage set.
@@ -210,7 +300,9 @@ class SemanticPipeline:
         stages.extend(self.extra_stages)
         return stages
 
-    def process_event(self, event: Event, *, interest=None) -> PipelineResult:
+    def process_event(
+        self, event: Event, *, interest=None, factored: bool = False
+    ) -> PipelineResult:
         """Derive the full event set for one publication.
 
         ``interest`` is the engine's live
@@ -222,6 +314,11 @@ class SemanticPipeline:
         Stages without the hook — and every stage when
         ``SemanticConfig(interest_pruning=False)`` — keep today's
         exhaustive behavior.
+
+        ``factored`` says the caller's matcher takes a factored
+        :class:`PipelineResult`: attributes no mapping rule can touch
+        are then carried as alternatives beside the core's fixpoint
+        (see the module docstring) instead of multiplied into it.
         """
         config = self.config
         if not config.interest_pruning:
@@ -231,16 +328,48 @@ class SemanticPipeline:
             root = DerivedEvent(root_event, steps)
         else:
             root = DerivedEvent.original(event)
-
-        result = PipelineResult(original=event, derived=[root])
-        result._by_signature[root.event.signature] = 0
-
         stages = self._expansion_stages()
+        free: dict[str, tuple[Alternative, ...]] = {}
+        if factored and stages and config.enable_hierarchy:
+            names = self._free_attributes(root.event)
+            if names:
+                free = self._alternatives_of(root, names, interest)
+        result = self._fixpoint(event, root, stages, interest, free)
+        if free and result.adopted:
+            # chain length and charge traded off somewhere in the core:
+            # which derivation survives is then path-dependent, so this
+            # publication gets the product it always got
+            free = {}
+            result = self._fixpoint(event, root, stages, interest, free)
+        result.free = free
+        if result.truncated:
+            self.truncation_count += 1
+        return result
+
+    def _fixpoint(
+        self,
+        original: Event,
+        root: DerivedEvent,
+        stages: list[SemanticStage],
+        interest,
+        free: Collection[str],
+    ) -> PipelineResult:
+        """Figure 1's loop from *root* over *stages*; the hierarchy
+        stage leaves the attributes in *free* at their root values."""
+        config = self.config
+        result = PipelineResult(
+            original=original,
+            derived=[root],
+            step_cap=config.max_iterations,
+            budget=config.max_generality,
+        )
+        result._by_signature[root.event.signature] = 0
         if not stages:
             return result
         budget_total = config.max_generality
         frontier: list[int] = [0]
         dedup = BatchDedup(result)
+        self.hierarchy.skip = free
         try:
             for stage in stages:
                 # duck-typed third-party stages may predate the hooks
@@ -287,6 +416,7 @@ class SemanticPipeline:
                     break
                 frontier = next_frontier
         finally:
+            self.hierarchy.skip = ()
             for stage in stages:
                 end = getattr(stage, "end_publication", None)
                 if end is not None:
@@ -296,6 +426,102 @@ class SemanticPipeline:
                     if bind is not None:
                         bind(None)
         return result
+
+    # -- factoring -----------------------------------------------------------------
+
+    def _free_attributes(self, root_event: Event) -> frozenset:
+        """The attributes of *root_event* the fixpoint may leave at
+        their root values, memoized per knowledge-base version and
+        attribute-name set (the configuration is this pipeline's)."""
+        version = self.kb.version
+        if version != self._partition_version or len(self._partitions) >= _PARTITION_MEMO_LIMIT:
+            self._partition_version = version
+            self._partitions = {}
+        names = frozenset(root_event.attributes())
+        free = self._partitions.get(names)
+        if free is None:
+            free = self._partitions[names] = self._partition(names)
+        return free
+
+    def _partition(self, names: frozenset) -> frozenset:
+        """Split attribute *names* into core and free; returns the free.
+
+        A rule is *eligible* when every attribute it requires is
+        present in the event or written by an eligible rule (a closure:
+        presence only ever over-approximates, ``REPLACE`` rules remove
+        names).  An attribute is core if an eligible rule reads or
+        writes it.  Nothing is free when the outcome cannot be bounded:
+        an eligible rule whose reads or outputs are unknown, a custom
+        stage, or — renames compare against every name an event holds —
+        any name in play that the taxonomy can generalize."""
+        if self.extra_stages:
+            return frozenset()
+        present = set(names)
+        core: set[str] = set()
+        families: set[str] = set()
+        if self.config.enable_mappings:
+            pending = list(self.kb.rules())
+            while eligible := [rule for rule in pending if rule.trigger_attributes <= present]:
+                for rule in eligible:
+                    if rule.reads is None or rule.fn is not None:
+                        return frozenset()
+                    pending.remove(rule)
+                    exact, prefixes = split_reads(rule.reads)
+                    written = {attribute for attribute, _ in rule.outputs}
+                    core |= exact | written
+                    families |= prefixes
+                    present |= written
+        if self.config.generalize_attributes and any(
+            map(self.hierarchy.renameable, present)
+        ):
+            return frozenset()
+        return frozenset(
+            name
+            for name in names
+            if name not in core and not any(name.startswith(prefix) for prefix in families)
+        )
+
+    def _alternatives_of(
+        self, root: DerivedEvent, names: frozenset, interest
+    ) -> dict[str, tuple[Alternative, ...]]:
+        """The alternatives of every attribute in *names* that has any
+        beyond its root value, in event order — or nothing when one of
+        them cannot be factored (its own fixpoint adopted a cheaper
+        chain or hit ``max_derived_events``).
+
+        An attribute's alternatives are a pure function of the pair,
+        the budget (this pipeline's ``max_generality``: a root event's
+        synonym steps charge nothing), the interest set and the concept
+        table, so they share the hierarchy stage's admission memo and
+        its stamp (an admission's key is a triple, these are pairs)."""
+        memo = self.hierarchy.memo(interest)
+        free = {}
+        for attribute, value in root.event.items():
+            if attribute not in names or not isinstance(value, str):
+                continue
+            key = (attribute, value)
+            alternatives = memo.get(key)
+            if alternatives is None:
+                alternatives = memo[key] = self._derive_alternatives(attribute, value, interest)
+            if not alternatives:
+                return {}
+            if len(alternatives) > 1:
+                free[attribute] = alternatives
+        return free
+
+    def _derive_alternatives(self, attribute: str, value: str, interest) -> tuple:
+        """Run the hierarchy fixpoint on the pair alone; ``()`` marks a
+        pair that cannot be factored."""
+        pair = Event._derived(
+            {attribute: value}, frozenset(((attribute, canonical_value_key(value)),)), None
+        )
+        alone = self._fixpoint(pair, DerivedEvent.original(pair), [self.hierarchy], interest, ())
+        if alone.adopted or alone.truncated:
+            return ()
+        return tuple(
+            Alternative(derived.event[attribute], derived.generality, derived.depth, derived.steps)
+            for derived in alone.derived
+        )
 
     def _integrate(
         self, result: PipelineResult, candidate: DerivedEvent, next_frontier: list[int]
@@ -308,7 +534,6 @@ class SemanticPipeline:
         if existing_index is None:
             if len(result.derived) >= self.config.max_derived_events:
                 result.truncated = True
-                self.truncation_count += 1
                 return
             index = len(result.derived)
             result._by_signature[signature] = index
@@ -342,6 +567,7 @@ class SemanticPipeline:
         Each descendant keeps its own final step and delta — only the
         inherited prefix changes — so edge deltas stay exact.
         """
+        result.adopted = True
         old = result.derived[index]
         if old.parent is not None:
             siblings = result._children.get(old.parent.event.signature)

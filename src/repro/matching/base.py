@@ -44,6 +44,13 @@ class MatchingAlgorithm(abc.ABC):
     #: Short registry name; subclasses override.
     name = "abstract"
 
+    #: Whether :meth:`match_batch` understands a *factored*
+    #: :class:`~repro.core.pipeline.PipelineResult` (free attributes
+    #: carried as alternatives beside the core events instead of
+    #: multiplied into them).  The engine asks the pipeline for one only
+    #: when this is true; every other matcher gets the exhaustive batch.
+    accepts_factored = False
+
     def __init__(self) -> None:
         self._subscriptions: dict[str, tuple[int, Subscription]] = {}
         self._next_seq = 0

@@ -34,11 +34,24 @@ on every subscription insert/remove (and on the engine-propagated
 knowledge-base reasons); between churn events it stays warm, so trace
 replays and sibling publications skip the index entirely for repeated
 pairs.
+
+A **factored** batch (PR 21, :attr:`CountingMatcher.accepts_factored`)
+carries the attributes no mapping rule can touch beside the derived
+events instead of multiplied into them: the events — the *core* — get a
+bit each as above, and a free attribute contributes, per subscription,
+the cheapest of its alternatives that satisfies the subscription
+completely there, in place of more bits.  A subscription matches a core
+event together with one such alternative per free attribute it
+constrains, provided the substitutions add up within ``max_iterations``
+and the charges within the budget (:meth:`CountingMatcher._recombine`).
+Same answer as matching the product — independent attributes again —
+from a sum-sized input.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -63,6 +76,9 @@ class CountingMatcher(MatchingAlgorithm):
 
     #: pair-table bound of the cross-publication satisfaction memo
     memo_capacity = 65536
+
+    #: :meth:`_match_batch` recombines a factored expansion itself
+    accepts_factored = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -105,13 +121,19 @@ class CountingMatcher(MatchingAlgorithm):
         if size == 0:
             self._universal.add(subscription.sub_id)
             return
+        sub_id = subscription.sub_id
+        usages = self._usages
         per_attribute: dict[str, int] = {}
         for predicate in subscription.predicates:
             self._index.add(predicate)
-            self._usages.setdefault(predicate.key, {}).setdefault(subscription.sub_id, 0)
-            self._usages[predicate.key][subscription.sub_id] += 1
-            per_attribute[predicate.attribute] = per_attribute.get(predicate.attribute, 0) + 1
-        self._attribute_sizes[subscription.sub_id] = per_attribute
+            key = predicate.key
+            users = usages.get(key)
+            if users is None:
+                users = usages[key] = {}
+            users[sub_id] = users.get(sub_id, 0) + 1
+            attribute = predicate.attribute
+            per_attribute[attribute] = per_attribute.get(attribute, 0) + 1
+        self._attribute_sizes[sub_id] = per_attribute
 
     def _on_remove(self, subscription: Subscription) -> None:
         self._sizes.pop(subscription.sub_id, None)
@@ -164,6 +186,9 @@ class CountingMatcher(MatchingAlgorithm):
         satisfied = cache.satisfied
         needed = self._attribute_sizes
         score_fn = self._batch_score
+        #: free attribute -> its alternatives (a factored result; the
+        #: engine never pairs one with a score)
+        free = result.free
         probes_before = index.probes
         hits_before, misses_before = cache.hits, cache.misses
         clears_before = cache.invalidations
@@ -171,7 +196,10 @@ class CountingMatcher(MatchingAlgorithm):
         #: in the batch satisfies completely
         covered = Counter()
         ranked = result.derived
-        if len(ranked) == 1:
+        #: sub_id -> the alternatives it matches through (one index per
+        #: free attribute, 0 = the root value)
+        through: dict[str, tuple[int, ...]] = {}
+        if len(ranked) == 1 and not free:
             # one event, every mask would be 1: counting attributes is all
             on_attribute = None
             for attribute, value in ranked[0].event.items():
@@ -192,6 +220,8 @@ class CountingMatcher(MatchingAlgorithm):
             #: attribute -> {sub_id: events whose value fully satisfies it}
             on_attribute: dict[str, dict[str, int]] = {}
             for (attribute, _), carried in carriers.items():
+                if attribute in free:
+                    continue  # every event carries its root value
                 first = ranked[(carried & -carried).bit_length() - 1].event
                 sub_ids = satisfied(attribute, first[attribute])
                 satisfying = on_attribute.get(attribute)
@@ -202,13 +232,20 @@ class CountingMatcher(MatchingAlgorithm):
                         satisfying[sub_id] = satisfying.get(sub_id, 0) | carried
             for satisfying in on_attribute.values():
                 covered.update(satisfying.keys())
+        #: free attribute -> {sub_id: its cheapest satisfying alternatives}
+        options = {
+            attribute: self._cheapest_alternatives(attribute, alternatives)
+            for attribute, alternatives in free.items()
+        }
+        for cheapest in options.values():
+            covered.update(cheapest.keys())
         stats.candidates += len(covered)
         complete = [s for s, count in covered.items() if count == len(needed[s])]
         #: sub_id -> bitmask of the ranked derived events it matches
         masks: dict[str, int]
         if on_attribute is None:
             masks = dict.fromkeys(complete, 1)
-        else:
+        elif not free:
             masks = {}
             for sub_id in complete:
                 mask = -1
@@ -216,21 +253,28 @@ class CountingMatcher(MatchingAlgorithm):
                     mask &= on_attribute[attribute][sub_id]
                 if mask:
                     masks[sub_id] = mask
+        else:
+            masks, through = self._recombine(result, ranked, complete, on_attribute, options)
         if self._universal and ranked:
             masks.update(dict.fromkeys(self._universal, (1 << len(ranked)) - 1))
 
         best: dict[str, tuple[int, "DerivedEvent"]] = {}
         matches = 0
-        #: lowest set bit -> the (generality, derived) its subscriptions share
-        witnesses: dict[int, tuple[int, "DerivedEvent"]] = {}
+        #: lowest set bit (and choice of alternatives) -> the
+        #: (generality, derived) its subscriptions share
+        witnesses: dict[object, tuple[int, "DerivedEvent"]] = {}
         for sub_id, mask in masks.items():
             matches += mask.bit_count()
             if score_fn is None:
                 low = mask & -mask
-                witness = witnesses.get(low)
+                choice = through.get(sub_id)
+                key = low if choice is None else (low, choice)
+                witness = witnesses.get(key)
                 if witness is None:
                     derived = ranked[low.bit_length() - 1]
-                    witness = witnesses[low] = (derived.generality, derived)
+                    if choice is not None:
+                        derived = result.compose(derived, choice)
+                    witness = witnesses[key] = (derived.generality, derived)
                 best[sub_id] = witness
                 continue
             chosen = None
@@ -254,6 +298,107 @@ class CountingMatcher(MatchingAlgorithm):
         # overflow accounting is the precedent).
         stats.memo_invalidations += cache.invalidations - clears_before
         return best
+
+    # -- factored batches --------------------------------------------------------
+
+    def _cheapest_alternatives(self, attribute: str, alternatives: tuple) -> dict[str, tuple]:
+        """Per subscription, the alternatives of one free attribute
+        that satisfy it completely there and could be its cheapest way
+        to: ``(charge, depth, index)`` entries — usually one; several,
+        by rising depth and falling charge, where more substitutions
+        buy a lower charge (which wins then depends on how many the
+        rest of the match leaves)."""
+        satisfied = self._memo.satisfied
+        cheapest: dict[str, tuple] = {}
+        for position, (value, charge, depth, _) in enumerate(alternatives):
+            entry = ((charge, depth, position),)
+            for sub_id in satisfied(attribute, value):
+                known = cheapest.get(sub_id)
+                if known is None:
+                    cheapest[sub_id] = entry
+                elif charge < known[-1][0]:
+                    # alternatives arrive by depth: one no cheaper than
+                    # a shallower one can never be preferred to it
+                    if known[-1][1] == depth:
+                        known = known[:-1]
+                    cheapest[sub_id] = known + entry
+        return cheapest
+
+    def _recombine(
+        self,
+        result: "PipelineResult",
+        ranked: list,
+        complete: list[str],
+        on_attribute: dict[str, dict[str, int]],
+        options: dict[str, dict[str, tuple]],
+    ) -> tuple[dict[str, int], dict[str, tuple[int, ...]]]:
+        """Match a factored batch: per subscription the core events it
+        matches through (a bitmask over *ranked*) and the alternatives
+        it takes on the free attributes it constrains.
+
+        A core event discovered at iteration *n* combines with
+        alternatives of depths ``d1, d2, …`` iff ``n + Σd`` stays
+        within ``step_cap`` — substitutions add over independent
+        attributes, and the cap counts them per chain — at generality
+        ``core + Σcharge``, gated by ``budget``.  Among a
+        subscription's ways to match, the least generality wins, then
+        the earliest discovery: fewest substitutions, lowest core rank,
+        first alternative."""
+        cap = result.step_cap
+        budget = result.budget
+        # within[k]: the core events discovered by iteration k.  A core
+        # event's chain is the root's plus one step per iteration (the
+        # factored path is never taken after a keep-cheaper adoption,
+        # the one thing that re-chains an entry).
+        base = result.derived[0].depth
+        within = [0] * (cap + 1)
+        bit = 1
+        for derived in ranked:
+            within[derived.depth - base] |= bit
+            bit <<= 1
+        for k in range(1, cap + 1):
+            within[k] |= within[k - 1]
+        slots = {attribute: slot for slot, attribute in enumerate(result.free)}
+        needed = self._attribute_sizes
+        masks: dict[str, int] = {}
+        through: dict[str, tuple[int, ...]] = {}
+        for sub_id in complete:
+            mask = within[cap]
+            picks = []
+            for attribute in needed[sub_id]:
+                cheapest = options.get(attribute)
+                if cheapest is None:
+                    mask &= on_attribute[attribute][sub_id]
+                else:
+                    picks.append((slots[attribute], cheapest[sub_id]))
+            if not mask:
+                continue
+            if not picks:
+                masks[sub_id] = mask
+                continue
+            chosen = None
+            for combination in product(*(entries for _, entries in picks)):
+                depth = sum(entry[1] for entry in combination)
+                if depth > cap:
+                    continue
+                reach = mask & within[cap - depth]
+                if not reach:
+                    continue
+                low = reach & -reach
+                core = ranked[low.bit_length() - 1]
+                charge = core.generality + sum(entry[0] for entry in combination)
+                rank = (charge, core.depth + depth, low)
+                if chosen is None or rank < chosen[0]:
+                    chosen = (rank, reach, combination)
+            if chosen is None or (budget is not None and chosen[0][0] > budget):
+                continue
+            _, reach, combination = chosen
+            choice = [0] * len(slots)
+            for (slot, _), entry in zip(picks, combination):
+                choice[slot] = entry[2]
+            masks[sub_id] = reach
+            through[sub_id] = tuple(choice)
+        return masks, through
 
 
 register_matcher(CountingMatcher.name, CountingMatcher)

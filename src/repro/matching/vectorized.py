@@ -116,6 +116,9 @@ class VectorizedCountingMatcher(CountingMatcher):
 
     name = "counting-numpy"
 
+    #: the columnar kernel counts per derived event: exhaustive batches only
+    accepts_factored = False
+
     #: entry bound of the cross-publication batch-plan memo
     plan_capacity = 512
 

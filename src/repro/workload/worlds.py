@@ -380,11 +380,13 @@ def build_world(world: str | MegaOntologySpec) -> World:
 
 def engine_footprint(engine) -> dict[str, int]:
     """The engine-side size counters a churn storm must not leak:
-    the refcounted interest index and the matcher's cross-publication
-    memo."""
+    the refcounted interest index, the matcher's cross-publication
+    memo, and the hierarchy stage's (interest admissions and free
+    attributes' alternatives, one memo under one stamp)."""
     return {
         "interest_index_size": engine.interest_info()["interest_index_size"],
         "matcher_memo_size": engine.matcher.memo_size(),
+        "expansion_memo_size": engine.pipeline.hierarchy.memo_size(),
     }
 
 

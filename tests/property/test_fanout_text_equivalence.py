@@ -20,11 +20,14 @@ equals it:
 The traces (the job-finder cast and a generated ``mega-small`` world)
 are driven so that every way of arriving at a row is covered: exact
 syntactic matches, synonym-, hierarchy- and mapping-derived matches,
-result-cache hits (the same content under a new event id: the event
-part must be rendered again, the derivation may be shared), a
-subscriber whose first transport is SMS (``SmsTransport.render``
-truncates subject + body), and a ``ShardedBroker(shards=2)`` whose
-matches carry derived events decoded per shard.
+witnesses composed from a core event and free attributes' alternatives
+(PR 21: their chains are concatenated at match time, never integrated
+by the pipeline), result-cache hits (the same content under a new event
+id: the event part must be rendered again, the derivation may be
+shared), a subscriber whose first transport is SMS
+(``SmsTransport.render`` truncates subject + body), and a
+``ShardedBroker(shards=2)`` whose matches carry derived events decoded
+per shard.
 """
 
 from __future__ import annotations
@@ -112,9 +115,14 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
                 assert "".join(match.explain_parts()) == body
                 assert _sent(outcome) == _on_the_wire(outcome, subject, body)
                 expected[notification.sub_id, notification.sequence] = (subject, body)
-                stages.update(step.stage for step in match.matched_via.steps)
+                via = match.matched_via
+                stages.update(step.stage for step in via.steps)
                 if not match.is_semantic:
                     stages.add("exact")
+                # a stage extends a chain by one step; only a witness
+                # composed from alternatives extends its parent by more
+                if via.parent is not None and len(via.steps) - len(via.parent.steps) > 1:
+                    stages.add("composed")
     assert broker.dispatcher.result_cache_hits == len(events)
     return expected, stages
 
@@ -147,7 +155,7 @@ def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, tmp_p
         assert len(expected) > 4 * len(events), "a degenerate trace: hardly any fan-out"
         assert {"exact", "hierarchy"} <= stages
         if cast == "jobfinder":
-            assert {"synonym", "mapping"} <= stages
+            assert {"synonym", "mapping", "composed"} <= stages
         _assert_retained_text(broker, expected)
         shutil.copytree(live_dir, journal_dir)  # the journal alone, before any snapshot
         broker.checkpoint()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.model.values import (
@@ -66,7 +66,12 @@ def test_comparison_transitive(triple):
 
 @given(a=scalar_value, b=scalar_value)
 def test_zero_comparison_matches_equality_for_numbers(a, b):
-    assume(values_comparable(a, b))
+    # two scalars of different type families are not comparable and
+    # have nothing to check; returning (rather than ``assume``, which
+    # tripped the filter_too_much health check about one run in
+    # fifteen) keeps the comparable draws and drops nothing else
+    if not values_comparable(a, b):
+        return
     # Periods order by (start, end) where equality is structural, so the
     # zero-comparison/equality correspondence holds for every type.
     assert (compare_values(a, b) == 0) == values_equal(a, b)
