@@ -6,8 +6,8 @@ partition the *subscription population* across workers.  This module is
 that scale-out axis: :class:`ShardedEngine` hash-partitions stored
 subscriptions across N independent engine replicas that share one
 :class:`~repro.ontology.knowledge_base.KnowledgeBase` (and therefore
-one version-synced :class:`~repro.ontology.concept_table.ConceptTable`
-snapshot), fans each publication out across the shards — inline, or
+one version-synced :class:`~repro.ontology.concept_table.ConceptTable`),
+fans each publication out across the shards — inline, or
 through one forked worker process per shard — and merges the per-shard
 match sets back into the global subscription insertion order the
 single-engine design reports.
@@ -26,7 +26,7 @@ Concurrency contract: parallelism is *across shards within one
 publication* — the process executor runs the shard engines
 concurrently, and every structure a shard touches during publish is
 either replica-local (matcher, memos, counters, interest index) or a
-lock-guarded shared snapshot (the concept table).  The facade itself is
+lock-guarded shared structure (the concept table).  The facade itself is
 not re-entrant: one ``publish``/``subscribe``/``reconfigure`` at a
 time, exactly the discipline the
 :class:`~repro.broker.dispatcher.EventDispatcher` already imposes.
@@ -685,7 +685,7 @@ class ShardedEngine:
     ----------
     kb:
         The shared knowledge base.  All replicas read the same object
-        and the same concept-table snapshot.
+        and the same concept table.
     shards:
         Replica count (>= 1).  One shard degenerates to a thin wrapper
         around a plain engine and never forks, whatever the executor.
@@ -958,8 +958,8 @@ class ShardedEngine:
         answers inline, so a publication *never* fails on worker
         trouble."""
         # the table before the fleet: after a knowledge-base write this
-        # builds the new snapshot once, here, and the fork hands it to
-        # every worker instead of each worker building its own
+        # catches it up once, here, and the fork hands every worker the
+        # table with the ids this publication is encoded under
         table = self.kb.concept_table() if self._engines[0].config.interning else None
         plane = self._ensure_plane()
         wire = event.to_wire(table)

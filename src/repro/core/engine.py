@@ -110,10 +110,11 @@ class SToPSS:
         self._epoch = 0
         #: (kb.version, epoch) the cached semantic state was derived under.
         self._semantic_version = (kb.version, self._epoch)
-        #: concept-table snapshot the matcher's keys were built under
-        #: (None = string path); rebinding re-keys indexes and drops
-        #: memos, so it only happens when this snapshot actually moves.
-        self._bound_table = None
+        #: ``(concept table, its spelling high-water)`` the matcher's
+        #: keys were built under (None = string path); rebinding re-keys
+        #: indexes and drops memos, so it only happens when the value
+        #: identity actually moved.
+        self._bound_interner: tuple | None = None
         self._bind_matcher_interner()
         #: live subscription-interest index driving demand-driven
         #: expansion (None = exhaustive expansion); fed every
@@ -158,19 +159,34 @@ class SToPSS:
             return None
         return interest
 
+    def _interner(self, config: SemanticConfig) -> tuple | None:
+        """What decides the matcher's value identity under *config*:
+        the concept table and how many spellings it knows (``None`` on
+        the string path).  The table follows the knowledge base in
+        place, so its identity alone never moves; ``value_key`` answers
+        differently exactly when a spelling was appended — an operand
+        indexed under its ``canonical_value_key`` fallback is probed
+        under an int id from then on."""
+        if not config.interning:
+            return None
+        table = self.kb.concept_table()
+        return table, table.spelling_count
+
     def _bind_matcher_interner(self) -> None:
         """Hand the matcher the current concept-table value identity
         (or drop it when interning is off).  Matchers that keep
         equality indexes re-key them; the default implementation is a
         no-op, so third-party matchers stay on the string path.
-        Binding is skipped when the effective snapshot is unchanged —
+        Binding is skipped when the effective identity is unchanged —
         ``table.value_key`` is a fresh bound method per access, so the
-        matchers' own identity guards cannot catch the repeat."""
-        table = self.kb.concept_table() if self.config.interning else None
-        if table is self._bound_table:
+        matchers' own identity guards cannot catch the repeat (and,
+        for the same reason, do re-key under the same table once it
+        has learned a spelling)."""
+        interner = self._interner(self.config)
+        if interner == self._bound_interner:
             return
-        self._bound_table = table
-        self._matcher.bind_interner(None if table is None else table.value_key)
+        self._bound_interner = interner
+        self._matcher.bind_interner(None if interner is None else interner[0].value_key)
 
     # -- subscription management ---------------------------------------------------
 
@@ -255,8 +271,8 @@ class SToPSS:
         if current != self._semantic_version:
             self._semantic_version = current
             self._matcher.invalidate_memo("kb-version")
-            # a version move means a fresh concept-table snapshot with
-            # its own id space: re-key the matcher's interned indexes.
+            # a version move may have taught the concept table a
+            # spelling: re-key the matcher's interned indexes if so.
             self._bind_matcher_interner()
             if self._interest is not None:
                 self._interest.invalidate_semantics()
@@ -366,7 +382,7 @@ class SToPSS:
         matcher.clear()
         # rebind only after the clear: flipping the interning toggle
         # then re-keys an empty index instead of structures about to be
-        # rebuilt anyway (no-op when the snapshot is unchanged).
+        # rebuilt anyway (no-op when the value identity is unchanged).
         self._bind_matcher_interner()
         try:
             for root in roots:
@@ -394,9 +410,9 @@ class SToPSS:
         new_pipeline = SemanticPipeline(self.kb, config, extra_stages=self._extra_stages)
         roots = [new_pipeline.process_subscription(sub) for sub in self.subscriptions()]
         matcher = create_matcher(name)
-        table = self.kb.concept_table() if config.interning else None
-        if table is not None:
-            matcher.bind_interner(table.value_key)
+        interner = self._interner(config)
+        if interner is not None:
+            matcher.bind_interner(interner[0].value_key)
         for root in roots:
             matcher.insert(root)
         saved = (
@@ -404,14 +420,14 @@ class SToPSS:
             self.pipeline,
             self._matcher,
             self._matcher_name,
-            self._bound_table,
+            self._bound_interner,
             self._interest,
         )
         self.config = config
         self.pipeline = new_pipeline
         self._matcher = matcher
         self._matcher_name = name
-        self._bound_table = table
+        self._bound_interner = interner
         try:
             self._rebuild_interest(roots)
         except BaseException:
@@ -420,7 +436,7 @@ class SToPSS:
                 self.pipeline,
                 self._matcher,
                 self._matcher_name,
-                self._bound_table,
+                self._bound_interner,
                 self._interest,
             ) = saved
             raise

@@ -85,15 +85,15 @@ class HierarchyStage(SemanticStage):
         self._value_synonyms = value_synonyms
         self._generalize_attributes = generalize_attributes
         self._interned = interned
-        #: concept-table snapshot pinned for one publication (set by
+        #: the concept table, fetched once for one publication (set by
         #: begin_publication); direct expand() callers that never go
-        #: through the pipeline fetch a fresh snapshot per call.
+        #: through the pipeline fetch it per call.
         self._table = None
         #: (attribute, term id, budget) -> (admitted (distance,
         #: spelling) pairs, checks, pruned): interest admission is a
         #: pure function of the interest set and the concept table, so
         #: it is memoized across publications and keyed to both via
-        #: ``_memo_stamp`` (index generation + snapshot identity).  The
+        #: ``_memo_stamp`` (index generation + knowledge-base version).  The
         #: pipeline keeps each free pair's alternatives here too, under
         #: ``(attribute, value)`` — same inputs, same lifetime
         self._admit_memo: dict = {}
@@ -108,7 +108,8 @@ class HierarchyStage(SemanticStage):
 
     def end_publication(self) -> None:
         # drop the pin: a later direct expand() (outside the pipeline)
-        # must fetch a fresh snapshot, not this publication's
+        # must fetch the table itself, which catches it up if the
+        # knowledge base has moved since this publication
         self._table = None
 
     def _current_table(self):
@@ -234,7 +235,7 @@ class HierarchyStage(SemanticStage):
         attribute, term, remaining budget), so each combination is
         decided once; the memo is dropped whenever the interest index's
         generation moves (subscription churn, knowledge-base motion) or
-        the concept-table snapshot changes.  Check/prune counters are
+        the concept table catches up with a write.  Check/prune counters are
         replayed on every hit so the stats stay exactly what the
         unmemoized per-candidate consultation would have reported."""
         memo = self.memo(interest, table)
@@ -264,12 +265,12 @@ class HierarchyStage(SemanticStage):
 
     def memo(self, interest, table=None) -> dict:
         """The cross-publication memo, emptied first if *interest* (the
-        view and its generation) or the concept-table snapshot moved
-        since it was filled (the string path has no snapshot and keys
-        on the knowledge-base version)."""
-        if table is None:
-            table = self._kb.concept_table() if self._interned else self._kb.version
-        stamp = (interest, None if interest is None else interest.generation, table)
+        view and its generation) or the knowledge base moved since it
+        was filled.  The concept table follows the knowledge base in
+        place, so its identity says nothing: the stamp carries the
+        version the entries were derived under."""
+        version = self._kb.version if table is None else table.version
+        stamp = (interest, None if interest is None else interest.generation, version)
         if stamp != self._memo_stamp:
             self._memo_stamp = stamp
             self._admit_memo = {}

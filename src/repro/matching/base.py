@@ -182,8 +182,9 @@ class MatchingAlgorithm(abc.ABC):
         The engine calls this with the concept table's
         :meth:`~repro.ontology.concept_table.ConceptTable.value_key`
         when interning is enabled — once at construction and again
-        whenever the knowledge-base version moves (each table snapshot
-        has its own id space).  Implementations must re-key any
+        whenever the table has learned a spelling since (the function
+        then answers an int id for an operand it used to answer the
+        canonical fallback for).  Implementations must re-key any
         structure built with the previous function and drop memos whose
         keys embed it.  The default is a no-op: third-party matchers
         keep working on plain string/canonical identity unchanged.

@@ -212,7 +212,8 @@ class PredicateIndex:
         """Switch the equality identity function (``None`` restores the
         canonical default) and re-key every installed EQ/IN entry under
         the new function.  Called by interning matchers when the engine
-        hands them a fresh concept-table snapshot."""
+        hands them the concept table's identity function — again, under
+        the same table, whenever it has learned a spelling."""
         new_key = canonical_value_key if value_key is None else value_key
         if new_key is self._value_key:
             return

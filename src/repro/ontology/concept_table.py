@@ -4,8 +4,8 @@ S-ToPSS argues (§3) that semantic matching can approach syntactic speed
 by substituting "each term with an internal identifier" at subscription
 and publication time, so synonym and taxonomy handling become identifier
 lookups instead of string work.  :class:`ConceptTable` is that layer: a
-knowledge-base snapshot that assigns **dense integer IDs** to every
-term (by normalized term key) and every exact display spelling, holds
+table that assigns **dense integer IDs** to every term (by normalized
+term key) and every exact display spelling, holds
 the **value graph** over those ids, and serves the two closures the
 semantic stages ask for without re-normalizing a string it has seen
 before.
@@ -45,31 +45,45 @@ Two closure semantics, deliberately distinct:
   which candidates survive ``max_derived_events`` truncation, and it is
   a few percent of a cold start.
 
-A table is an immutable snapshot: it records the knowledge-base
-``version`` it was built from and :meth:`KnowledgeBase.concept_table
-<repro.ontology.knowledge_base.KnowledgeBase.concept_table>` rebuilds
-it whenever that version moves, so holders that re-fetch per operation
-(the engine does, once per publish) can never observe a stale id space
-or a stale graph.  Per-term closures are memoized on first access —
-large ontologies only pay for the terms their traffic actually touches
-— and the multi-source :meth:`~ConceptTable.descent_depths` is not
-memoized here at all (the interest index keeps its one result per
-attribute).
+A table **follows** its knowledge base; it is not a snapshot of it.
+The knowledge base only ever grows (concepts, is-a edges and synonym
+members are added, never removed), so a ``version`` move is always an
+append: the first :meth:`KnowledgeBase.concept_table
+<repro.ontology.knowledge_base.KnowledgeBase.concept_table>` call builds
+the table and every later one returns that same object, caught up in
+place by :meth:`ConceptTable.catch_up` when the version has moved — new
+term and spelling ids go past the high-water marks, the touched graph
+rows are replaced, and **an id, once handed out, means the same term or
+spelling for the life of the knowledge base**.  No second table is ever
+alive beside the first.  Holders that re-fetch per operation (the engine
+does, once per publish) can never observe a stale id space or a stale
+graph; what a holder derived *from* the graph it must key on
+``table.version`` (or on ``spelling_count``, for value identities), not
+on the table's identity, which no longer changes.  Per-term closures are
+memoized on first access — large ontologies only pay for the terms their
+traffic actually touches — and a catch-up that appended anything drops
+all of them (which closures a write can reach is not worked out); the
+multi-source :meth:`~ConceptTable.descent_depths` is not memoized here
+at all (the interest index keeps its one result per attribute).
+``ConceptTable(kb)`` itself stays a plain full build: it is the first
+build, and the oracle the catch-up is tested against.
 
-One snapshot may be shared by many engines publishing concurrently
-(every engine on a knowledge base holds the same table, and callers
-may drive them from different threads), so the lazy fills are guarded
-by a lock: without it, two threads missing on the same
-spelling could intern it twice under *different* dense ids, and a
-closure built against the first id would disagree with
-:meth:`value_key` returning the second — silently breaking matcher
-equality and interest-index probes.  Reads of already-memoized entries
-stay lock-free (dict/list access is atomic under the interpreter
-lock, and memoized values are immutable tuples); the graph is written
-once, before the table is published, and only read afterwards.
+One table is shared by many engines publishing concurrently (every
+engine on a knowledge base holds it, and callers may drive them from
+different threads), so the lazy fills are guarded by a lock: without
+it, two threads missing on the same spelling could intern it twice
+under *different* dense ids, and a closure built against the first id
+would disagree with :meth:`value_key` returning the second — silently
+breaking matcher equality and interest-index probes.  Reads of
+already-memoized entries stay lock-free (dict/list access is atomic
+under the interpreter lock, and memoized values are immutable tuples).
+A catch-up takes the same lock; it swaps whole rows and whole memo
+dicts, so a lock-free reader sees an old or a new one, never a torn
+one — but a knowledge-base *write* must not overlap a publish at all
+(the knowledge base's own dicts are unguarded; ``docs/CONCURRENCY.md``).
 
-Values that intern to nothing (free text, numbers, spellings added to
-the knowledge base after the snapshot) transparently fall back to the
+Values that intern to nothing (free text, numbers, spellings the
+knowledge base has not been taught yet) transparently fall back to the
 string path everywhere: :meth:`term_id_of_value` returns ``None`` and
 :meth:`value_key` returns the plain
 :func:`~repro.model.values.canonical_value_key`.
@@ -77,8 +91,10 @@ string path everywhere: :meth:`term_id_of_value` returns ``None`` and
 
 from __future__ import annotations
 
+import logging
 import threading
 from collections import deque
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from repro.model.attributes import normalize_attribute
@@ -89,6 +105,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kb imports us)
     from repro.ontology.knowledge_base import KnowledgeBase
 
 __all__ = ["ConceptTable", "descent_closure"]
+
+_log = logging.getLogger(__name__)
 
 
 def descent_closure(kb: "KnowledgeBase", term: str, bound: int | None) -> dict[str, int]:
@@ -155,13 +173,15 @@ def descent_closure(kb: "KnowledgeBase", term: str, bound: int | None) -> dict[s
 
 
 class ConceptTable:
-    """Dense-id snapshot of one knowledge base version.
+    """Dense ids and the value graph of one knowledge base, following
+    it from version to version.
 
     Construction enumerates every known term and spelling (taxonomy
     concepts across all domains, value- and attribute-synonym group
     members) into dense id ranges and wires the value graph over them;
-    the per-term generalization and descent closures are computed on
-    demand and memoized for the life of the snapshot.
+    :meth:`catch_up` appends what the knowledge base has added since.
+    The per-term generalization and descent closures are computed on
+    demand and memoized until the next catch-up.
     """
 
     __slots__ = (
@@ -182,6 +202,7 @@ class ConceptTable:
         "_down_closure",
         "_attr_form",
         "_fill_lock",
+        "_followed",
         "_wire_base",
     )
 
@@ -226,18 +247,37 @@ class ConceptTable:
         #: normalize; the stage falls back to raising exactly as the
         #: string path would), lazy
         self._attr_form: dict[int, str | None] = {}
-        #: guards every lazy fill (interning is append-only and id
-        #: assignment must be race-free when shard replicas share the
-        #: snapshot); the memoized-hit path never takes it.
+        #: guards every lazy fill and a catch-up (interning is
+        #: append-only and id assignment must be race-free when shard
+        #: replicas share the table); the memoized-hit path never
+        #: takes it.
         self._fill_lock = threading.Lock()
-        self._populate(kb)
-        #: spelling ids below this boundary were assigned during
-        #: construction, deterministically from knowledge-base content —
-        #: two tables built from equal-content KBs agree on all of them.
-        #: Ids at or above it were interned lazily (closure fills) in
-        #: *this* process and mean nothing elsewhere; the wire codec
+        #: what following the knowledge base has cost so far (see
+        #: :meth:`catch_up`), reported by :meth:`stats`
+        self._followed = dict.fromkeys(
+            ("catch_ups", "appended_terms", "appended_spellings", "closures_dropped"), 0
+        )
+        taxonomies = [kb.taxonomy(domain) for domain in kb.domains()]
+        self._extend(
+            chain.from_iterable(chain(t, t.isa_edges()) for t in taxonomies),
+            kb.value_synonym_groups(),
+            kb.attribute_synonym_groups(),
+        )
+        #: spelling ids below this boundary were assigned by the build
+        #: or a catch-up, from knowledge-base content — every process
+        #: that holds this table (a shard worker is a fork taken after
+        #: the parent fetched it) agrees on all of them.  Ids at or
+        #: above it were interned lazily (closure fills) in *this*
+        #: process since and mean nothing elsewhere; the wire codec
         #: refuses to emit them.
         self._wire_base = len(self._spellings)
+        _log.debug(
+            "%s built at v%d: %d terms %d spellings",
+            kb.name,
+            self.version,
+            len(self._term_display),
+            len(self._spellings),
+        )
 
     # -- construction -----------------------------------------------------------
 
@@ -261,43 +301,130 @@ class ConceptTable:
         self._intern_spelling(spelling)
         return tid
 
-    def _populate(self, kb: "KnowledgeBase") -> None:
+    def _extend(
+        self,
+        concepts_and_edges: Iterable,
+        value_groups: Iterable[frozenset[str]],
+        attribute_groups: Iterable[frozenset[str]],
+    ) -> None:
+        """Append to the id spaces and the graph — the one routine
+        behind the first build (everything the knowledge base holds)
+        and a catch-up (what it appended since).
+
+        *concepts_and_edges* mixes taxonomy :class:`~repro.ontology.
+        concepts.Concept` nodes with ``(specialized key, generalized
+        key)`` is-a pairs, an edge after both its concepts; the groups
+        are synonym groups as they stand now, whole.  New ids go past
+        the high-water marks; a row that gains a neighbour is replaced
+        by a new sorted tuple, never edited, so a lock-free reader
+        holding the old one finishes on it.
+        """
         sid_of = self._sid_by_spelling
         tid_of = self._tid_by_key
+        known = len(self._term_sids)
         #: (term id, spelling id) the string path reports, and the graph
         #: edges, collected as pairs while the id space is still growing
         reported: list[tuple[int, int]] = []
         isa: list[tuple[int, int]] = []
         synsets: list[tuple[int, ...]] = []
-        for domain in kb.domains():
-            taxonomy = kb.taxonomy(domain)
-            # a concept's key is the term key of its display spelling
-            for concept in taxonomy:
-                tid = self._intern_term(concept.term, concept.key)
-                reported.append((tid, sid_of[concept.term]))
-            isa.extend((tid_of[parent], tid_of[child]) for child, parent in taxonomy.isa_edges())
-        for group in kb.value_synonym_groups():
+        for item in concepts_and_edges:
+            if type(item) is tuple:
+                child, parent = item
+                isa.append((tid_of[parent], tid_of[child]))
+            else:
+                # a concept's key is the term key of its display spelling
+                tid = self._intern_term(item.term, item.key)
+                reported.append((tid, sid_of[item.term]))
+        for group in value_groups:
             members = set()
             for spelling in sorted(group):
                 tid = self._intern_term(spelling)
                 members.add(tid)
                 reported.append((tid, sid_of[spelling]))
             synsets.append(tuple(sorted(members)))
-        for group in kb.attribute_synonym_groups():
+        for group in attribute_groups:
             spellings = sorted(group)
-            root = kb.root_attribute(spellings[0])
+            root = self._kb.root_attribute(spellings[0])
             for spelling in spellings:
                 self._intern_term(spelling)
                 self.attribute_roots[normalize_attribute(spelling)] = root
-        terms = len(self._term_display)
-        self._children = _adjacency(terms, isa)
+        if known:
+            # a term known so far only as an attribute synonym joins the
+            # value substrate: a build reads that substrate first, so
+            # there the term is displayed by its first spelling in it
+            promoted: dict[int, int] = {}
+            for tid, sid in reported:
+                if tid < known and not self._term_sids[tid]:
+                    promoted.setdefault(tid, sid)
+            for tid, sid in promoted.items():
+                self._term_display[tid] = self._spellings[sid]
+        grown = [()] * (len(self._term_display) - known)
+        self._children.extend(grown)
+        self._peers.extend(grown)
+        self._term_sids.extend(grown)
+        _merge_rows(self._children, isa)
         # synonym groups are disjoint: every member shares its group's
         # one tuple (itself included — walks skip settled terms anyway)
-        self._peers = [()] * terms
         for synset in synsets:
             for tid in synset:
                 self._peers[tid] = synset
-        self._term_sids = _adjacency(terms, reported)
+        _merge_rows(self._term_sids, reported)
+
+    def catch_up(
+        self,
+        concepts_and_edges: list,
+        value_groups: list[frozenset[str]],
+        attribute_groups: list[frozenset[str]],
+    ) -> None:
+        """Follow the knowledge base to its current version, given what
+        it appended since this table last looked
+        (:meth:`KnowledgeBase.concept_table` calls this, under its own
+        lock; nobody else should).
+
+        The graph is patched by :meth:`_extend` and the lazy closure
+        memos are dropped whole — which of them a write can reach is
+        not worked out — unless nothing was appended here at all (a
+        mapping rule moves the version and touches no term).
+        ``version`` moves last: a lock-free ``table.version !=
+        kb.version`` fetch that sees the new number sees a finished
+        table."""
+        with self._fill_lock:
+            terms, spellings = len(self._term_display), len(self._spellings)
+            dropped = 0
+            if concepts_and_edges or value_groups or attribute_groups:
+                self._extend(concepts_and_edges, value_groups, attribute_groups)
+                dropped = (
+                    len(self._canonical_sid) + len(self._up_closure) + len(self._down_closure)
+                )
+                self._canonical_sid = {}
+                self._up_closure = {}
+                self._down_closure = {}
+            new_terms = len(self._term_display) - terms
+            new_spellings = len(self._spellings) - spellings
+            self._wire_base = len(self._spellings)
+            followed = self._followed
+            followed["catch_ups"] += 1
+            followed["appended_terms"] += new_terms
+            followed["appended_spellings"] += new_spellings
+            followed["closures_dropped"] += dropped
+            previous, self.version = self.version, self._kb.version
+        if _log.isEnabledFor(logging.DEBUG):
+            edges = sum(type(item) is tuple for item in concepts_and_edges)
+            _log.debug(
+                "%s caught up v%d -> v%d: taxonomies +%d concepts +%d is-a edges, "
+                "%d value-synonym and %d attribute-synonym groups touched; "
+                "appended %d terms %d spellings, dropped %d closures",
+                self._kb.name,
+                previous,
+                self.version,
+                len(concepts_and_edges) - edges,
+                edges,
+                len(value_groups),
+                len(attribute_groups),
+                new_terms,
+                new_spellings,
+                dropped,
+            )
 
     # -- identity lookups --------------------------------------------------------
 
@@ -356,12 +483,13 @@ class ConceptTable:
         """The spelling id of *value* if it is safe to send to another
         process as a bare int, else ``None``.
 
-        Only construction-time ids qualify: they are assigned by
-        :meth:`_populate`'s deterministic enumeration of knowledge-base
-        content, so any table built from an equal-content KB (a forked
-        or respawned worker replica at the same ``version``) decodes
-        them to the identical spelling.  Lazily interned ids are
-        process-local and never cross the wire."""
+        Ids assigned by the build or by a catch-up qualify: they come
+        from knowledge-base content, and every process that decodes
+        them holds this very table — a shard worker is a fork taken
+        *after* the parent fetched it for the publication, and a
+        knowledge-base write discards the fleet, so the boundary may
+        advance with each catch-up.  Ids interned lazily since (a
+        closure fill, in one process only) never cross the wire."""
         sid = self._sid_by_spelling.get(value)
         if sid is not None and sid < self._wire_base:
             return sid
@@ -425,8 +553,9 @@ class ConceptTable:
         groups are cliques, so settling a term settles its peers on the
         same level and one level-by-level pass finds the shortest
         paths; child edges weigh 1 and open the next level.  Reads the
-        immutable graph only — safe without the fill lock; the caller
-        adds the settled count to ``_fill_steps`` under it."""
+        graph's rows only, and a catch-up replaces a row, never edits
+        one — safe without the fill lock; the caller adds the settled
+        count to ``_fill_steps`` under it."""
         children, peers = self._children, self._peers
         settled: dict[int, int] = {}
         level = list(sources)
@@ -519,13 +648,15 @@ class ConceptTable:
             "up_closures": len(self._up_closure),
             "down_closures": len(self._down_closure),
             "closure_fill_steps": self._fill_steps,
+            **self._followed,
         }
 
 
-def _adjacency(terms: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Per-term sorted neighbour tuples from ``(term id, neighbour)``
-    pairs — sorted so graph walks enumerate in one order under every
-    hash seed, de-duplicated because domains may repeat an edge."""
+def _merge_rows(rows: list[tuple[int, ...]], pairs: Iterable[tuple[int, int]]) -> None:
+    """Add ``(term id, neighbour)`` *pairs* to the per-term neighbour
+    tuples *rows*, replacing each touched row with a new tuple —
+    sorted so graph walks enumerate in one order under every hash seed,
+    de-duplicated because domains may repeat an edge."""
     found: dict[int, list[int]] = {}
     for tid, neighbour in pairs:
         row = found.get(tid)
@@ -533,8 +664,6 @@ def _adjacency(terms: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, 
             found[tid] = [neighbour]
         else:
             row.append(neighbour)
-    rows: list[tuple[int, ...]] = [()] * terms
     for tid, row in found.items():
+        row.extend(rows[tid])
         rows[tid] = (row[0],) if len(row) == 1 else tuple(sorted(set(row)))
-    return rows
-

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvalidValueError
 
-__all__ = ["Concept", "term_key", "normalize_term"]
+__all__ = ["Concept", "term_key", "normalize_term", "term_and_key"]
 
 
 def normalize_term(term: str) -> str:
@@ -35,6 +35,12 @@ def term_key(term: str) -> str:
     concept hierarchies cover attributes and values alike.
     """
     return normalize_term(term).replace("_", " ").casefold()
+
+
+def term_and_key(term: str) -> tuple[str, str]:
+    """``(normalize_term(term), term_key(term))`` from one normalization."""
+    display = normalize_term(term)
+    return display, display.replace("_", " ").casefold()
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,19 @@ class Concept:
     def of(cls, term: str, domain: str = "", description: str = "") -> "Concept":
         normalized = normalize_term(term)
         return cls(normalized, term_key(normalized), domain, description)
+
+    @classmethod
+    def _finished(cls, term: str, key: str, domain: str, description: str) -> "Concept":
+        """A concept from an already normalized ``(term, key)`` pair
+        (:func:`term_and_key`): no validation, nothing normalized again
+        — for the taxonomy, which has just done both."""
+        concept = object.__new__(cls)
+        put = object.__setattr__  # the dataclass is frozen
+        put(concept, "term", term)
+        put(concept, "key", key)
+        put(concept, "domain", domain)
+        put(concept, "description", description)
+        return concept
 
     def __str__(self) -> str:
         return self.term

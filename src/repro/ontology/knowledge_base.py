@@ -42,9 +42,9 @@ class KnowledgeBase:
         self._rule_names: set[str] = set()
         self._rules_by_attribute: dict[str, list[MappingRule]] = {}
         self._concept_table: ConceptTable | None = None
-        #: guards the snapshot rebuild: engine replicas sharing one
-        #: knowledge base (the sharded broker) must all observe the
-        #: same :class:`ConceptTable` object per version, or their
+        #: guards the table's build and catch-up: engine replicas
+        #: sharing one knowledge base (the sharded broker) must all
+        #: observe the same :class:`ConceptTable` object, or their
         #: matchers would intern equal spellings under different ids.
         self._concept_table_lock = threading.Lock()
 
@@ -61,19 +61,42 @@ class KnowledgeBase:
         )
 
     def concept_table(self) -> ConceptTable:
-        """The interned-identifier snapshot of this knowledge base (see
-        :class:`~repro.ontology.concept_table.ConceptTable`), rebuilt
-        lazily whenever :attr:`version` moves.  Callers on the publish
-        hot path re-fetch per operation — the fetch is one version
-        compare — so they can never run on a stale id space."""
+        """The interned-identifier table of this knowledge base (see
+        :class:`~repro.ontology.concept_table.ConceptTable`): built on
+        the first call, and from then on the *same object*, caught up
+        in place whenever :attr:`version` has moved — the knowledge
+        base only ever grows, so a move is an append and every id
+        handed out stays valid.  Callers on the publish hot path
+        re-fetch per operation — the fetch is one version compare — so
+        they can never run on a stale id space."""
         table = self._concept_table
         if table is None or table.version != self.version:
             with self._concept_table_lock:
                 table = self._concept_table
-                if table is None or table.version != self.version:
+                if table is None:
                     table = ConceptTable(self)
+                    # the build read everything; start recording what
+                    # is appended from here on
+                    self._take_appended()
                     self._concept_table = table
+                elif table.version != self.version:
+                    table.catch_up(*self._take_appended())
         return table
+
+    def _take_appended(self) -> tuple[list, list, list]:
+        """What the taxonomies and the two thesauri appended since the
+        last call, in the shapes :meth:`ConceptTable.catch_up` takes:
+        concepts and is-a edges, touched value-synonym groups, touched
+        attribute-synonym groups."""
+        concepts_and_edges = [
+            item for taxonomy in self._taxonomies.values() for item in taxonomy.take_appended()
+        ]
+        value, attribute = self._value_synonyms, self._attribute_synonyms
+        return (
+            concepts_and_edges,
+            [value.synonyms_of(root) for root in dict.fromkeys(value.take_appended())],
+            [attribute.synonyms_of(root) for root in dict.fromkeys(attribute.take_appended())],
+        )
 
     # -- domains -------------------------------------------------------------------
 
@@ -82,6 +105,8 @@ class KnowledgeBase:
         taxonomy = self._taxonomies.get(domain)
         if taxonomy is None:
             taxonomy = Taxonomy(domain)
+            if self._concept_table is not None:
+                taxonomy.take_appended()  # the table follows it from birth
             self._taxonomies[domain] = taxonomy
         return taxonomy
 

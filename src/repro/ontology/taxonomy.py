@@ -23,7 +23,7 @@ from repro.errors import (
     TaxonomyCycleError,
     UnknownConceptError,
 )
-from repro.ontology.concepts import Concept, normalize_term, term_key
+from repro.ontology.concepts import Concept, term_and_key, term_key
 
 __all__ = ["Taxonomy"]
 
@@ -49,21 +49,29 @@ class Taxonomy:
         self._parents: dict[str, dict[str, None]] = {}
         self._children: dict[str, dict[str, None]] = {}
         self.version = 0
+        #: what was appended since :meth:`take_appended` last ran — a
+        #: :class:`Concept` per new concept, a ``(specialized key,
+        #: generalized key)`` pair per new edge, in order; ``None``
+        #: until someone follows this taxonomy, so building one logs
+        #: and retains nothing
+        self._appended: list | None = None
 
     # -- construction ----------------------------------------------------------
 
     def add_concept(self, term: str, description: str = "") -> Concept:
         """Register a concept; re-registering the same key is a no-op and
         returns the existing node (first spelling wins)."""
-        key = term_key(term)
+        display, key = term_and_key(term)
         existing = self._concepts.get(key)
         if existing is not None:
             return existing
-        concept = Concept(normalize_term(term), key, self.domain, description)
+        concept = Concept._finished(display, key, self.domain, description)
         self._concepts[key] = concept
         self._parents[key] = {}
         self._children[key] = {}
         self.version += 1
+        if self._appended is not None:
+            self._appended.append(concept)
         return concept
 
     def add_isa(self, specialized: str, generalized: str) -> None:
@@ -88,12 +96,24 @@ class Taxonomy:
         self._parents[child.key][parent.key] = None
         self._children[parent.key][child.key] = None
         self.version += 1
+        if self._appended is not None:
+            self._appended.append((child.key, parent.key))
 
     def add_chain(self, *terms: str) -> None:
         """Convenience: ``add_chain("sedan", "car", "vehicle")`` declares
         each term a specialization of the next."""
         for specialized, generalized in zip(terms, terms[1:]):
             self.add_isa(specialized, generalized)
+
+    def take_appended(self) -> list:
+        """Everything appended since the previous call, in order: a
+        :class:`Concept` per new concept, a ``(specialized key,
+        generalized key)`` pair per new is-a edge (the shapes
+        ``iter(self)`` and :meth:`isa_edges` yield).  The first call
+        starts the recording and hands back nothing — the concept
+        table that follows this taxonomy has just read all of it."""
+        appended, self._appended = self._appended or [], []
+        return appended
 
     def _reaches(self, start_key: str, target_key: str) -> bool:
         """Whether *target* is reachable walking upward from *start*."""

@@ -47,6 +47,10 @@ class Thesaurus:
     def __init__(self) -> None:
         self._group_of: dict[str, _Group] = {}
         self.version = 0
+        #: root spellings of the groups touched since
+        #: :meth:`take_appended` last ran; ``None`` until someone
+        #: follows this thesaurus, so building one logs nothing
+        self._appended: list[str] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -70,6 +74,24 @@ class Thesaurus:
             if group is not None and group not in groups:
                 groups.append(group)
 
+        # both conflict rules are checked before the first mutation, so
+        # a rejected call changes nothing (and logs nothing): the
+        # version would not move, and every cache keyed on it would
+        # keep serving the group as it was
+        explicit = [group for group in groups if group.root_explicit]
+        for other in explicit[1:]:
+            if other.root_key != explicit[0].root_key:
+                raise DuplicateConceptError(
+                    "cannot merge synonym groups with conflicting explicit roots "
+                    f"{explicit[0].display[explicit[0].root_key]!r} and "
+                    f"{other.display[other.root_key]!r}"
+                )
+        if root is not None and explicit and explicit[0].root_key != term_key(root):
+            raise DuplicateConceptError(
+                f"synonym group already has explicit root "
+                f"{explicit[0].display[explicit[0].root_key]!r}; cannot re-root to {root!r}"
+            )
+
         if groups:
             merged = groups[0]
             for other in groups[1:]:
@@ -85,33 +107,35 @@ class Thesaurus:
             self._group_of[key] = merged
 
         if root is not None:
-            root_key = term_key(root)
-            if merged.root_explicit and merged.root_key != root_key:
-                raise DuplicateConceptError(
-                    f"synonym group already has explicit root "
-                    f"{merged.display[merged.root_key]!r}; cannot re-root to {root!r}"
-                )
-            merged.root_key = root_key
+            merged.root_key = term_key(root)
             merged.root_explicit = True
         elif merged.root_key is None:
             merged.root_key = term_key(spellings[0])
 
         self.version += 1
-        return merged.display[merged.root_key]
+        canonical = merged.display[merged.root_key]
+        if self._appended is not None:
+            self._appended.append(canonical)
+        return canonical
 
     def _merge(self, into: _Group, other: _Group) -> None:
-        if into.root_explicit and other.root_explicit and into.root_key != other.root_key:
-            raise DuplicateConceptError(
-                "cannot merge synonym groups with conflicting explicit roots "
-                f"{into.display[into.root_key]!r} and {other.display[other.root_key]!r}"
-            )
-        if other.root_explicit and not into.root_explicit:
+        if other.root_explicit:
             into.root_key = other.root_key
             into.root_explicit = True
         into.members.update(other.members)
         into.display.update(other.display)
         for key in other.members:
             self._group_of[key] = into
+
+    def take_appended(self) -> list[str]:
+        """The root spelling of every group a call touched since the
+        previous call (a group's members, displays and root all live
+        under it — :meth:`synonyms_of` / :meth:`root_of` read the rest),
+        in order, repeats included.  The first call starts the
+        recording and hands back nothing — the concept table that
+        follows this thesaurus has just read all of it."""
+        appended, self._appended = self._appended or [], []
+        return appended
 
     # -- lookup ------------------------------------------------------------------
 

@@ -8,6 +8,13 @@ spellings, same minimum depths — on the shipped worlds and on a small
 hand-built knowledge base that has every awkward case at once: two
 domains, a synonym ring bridging them, spelling variants, an unknown
 term, and a term known only as an attribute synonym.
+
+The delta legs hold the table that *follows* a knowledge base
+(:meth:`ConceptTable.catch_up`, one object for the knowledge base's
+life) to the full build ``ConceptTable(kb)`` after every write of a
+random interleaving — by spelling, since the two assign ids in
+different orders — and an engine that lived through the writes to a
+fresh engine on a freshly built equal-content knowledge base.
 """
 
 from __future__ import annotations
@@ -16,9 +23,18 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.ontology.concept_table import descent_closure
+from repro.core.config import SemanticConfig
+from repro.core.engine import SToPSS
+from repro.errors import OntologyError
+from repro.model.events import Event
+from repro.model.predicates import Predicate
+from repro.model.subscriptions import Subscription
+from repro.ontology.concept_table import ConceptTable, descent_closure
 from repro.ontology.knowledge_base import KnowledgeBase
+from repro.ontology.mappingdefs import MappingRule
 from repro.workload.worlds import build_world
 
 BOUNDS = (0, 1, 3, None)
@@ -152,23 +168,265 @@ def test_fills_intern_nothing():
     assert table.spelling_count == table._wire_base
 
 
-def test_version_bump_builds_a_fresh_graph():
+def test_version_bump_patches_the_graph_in_place():
     kb = bridged_kb()
-    before = kb.concept_table()
-    below_role = before.descent_map("role", None)
+    table = kb.concept_table()
+    below_role = table.descent_map("role", None)
     assert "fellowship" not in below_role
+    postdoc = table.value_key("postdoc")
     kb.add_domain("jobs").add_isa("fellowship", "grant")
     kb.add_value_synonyms(["postdoc", "fellowship"])
-    after = kb.concept_table()
-    assert after is not before and after.version > before.version
-    # the new synonym hop is a distance-0 bridge in the new graph only
-    assert after.descent_map("role", None)["fellowship"] == below_role["postdoc"]
+    assert kb.concept_table() is table and table.version == kb.version
+    assert table.stats()["catch_ups"] == 1 and table.stats()["closures_dropped"] > 0
+    # ids handed out before the write still mean what they meant
+    assert table.value_key("postdoc") == postdoc
+    # the new synonym hop is a distance-0 bridge in the patched graph
+    assert table.descent_map("role", None)["fellowship"] == below_role["postdoc"]
     for term in (*BRIDGED_TERMS, "fellowship", "grant"):
         expected = descent_closure(kb, term, None)
         expected.setdefault(term, 0)
-        assert after.descent_map(term, None) == expected, term
-    # the superseded snapshot still answers from its own graph
-    assert "fellowship" not in before.descent_map("role", None)
+        assert table.descent_map(term, None) == expected, term
+    # appended spellings are wire-safe at once
+    assert table.spelling_count == table._wire_base
+
+
+# ---------------------------------------------------------------------------
+# delta ≡ rebuild
+# ---------------------------------------------------------------------------
+
+#: value spellings the writes draw from: plain terms, case and ``_`` /
+#: space variants of them (one term key, several spellings), and two
+#: attribute names (a term may be an attribute synonym first and join
+#: the value substrate later)
+_SPELLINGS = ["a", "b", "c", "d", "e", "A", "b c", "b_c", "B  C", "syn", "new", "u", "w"]
+_ATTRIBUTES = ["u", "w", "x", "b_c", "new"]
+_DOMAINS = ["d1", "d2"]
+_BOUNDS = (0, 1, None)
+
+_spelling = st.sampled_from(_SPELLINGS)
+
+
+def _simple_writes(spelling, attribute, root):
+    """One write of any kind but ``merge``, as data (see :func:`_apply`)."""
+    domain = st.sampled_from(_DOMAINS)
+    return st.one_of(
+        st.tuples(st.just("concept"), domain, spelling),
+        st.tuples(st.just("isa"), domain, spelling, spelling),
+        st.tuples(st.just("chain"), domain, st.lists(spelling, min_size=2, max_size=4)),
+        # a new group, an extension, or — two known groups named at
+        # once — a merge; a root may conflict, which the thesaurus must
+        # reject whole
+        st.tuples(
+            st.just("value-synonyms"),
+            st.lists(spelling, min_size=1, max_size=3),
+            st.none() | spelling,
+        ),
+        st.tuples(st.just("attribute-synonyms"), st.lists(attribute, min_size=1, max_size=3), root),
+        st.tuples(st.just("rule"), st.integers(0, 3), spelling),
+    )
+
+
+_table_writes = _simple_writes(
+    _spelling, st.sampled_from(_ATTRIBUTES), st.none() | st.sampled_from(_ATTRIBUTES)
+)
+_writes = st.one_of(
+    _table_writes,
+    # a whole knowledge base unioned in, new domain included
+    st.tuples(st.just("merge"), st.lists(_table_writes, min_size=1, max_size=4)),
+)
+
+
+def _apply(kb: KnowledgeBase, write: tuple) -> None:
+    """One write; a rejected one (cycle, self-loop, conflicting roots,
+    duplicate rule name) is part of the interleaving — whatever it
+    appended before raising, it appended to every knowledge base the
+    same write is replayed on."""
+    kind, *args = write
+    try:
+        if kind == "concept":
+            kb.add_domain(args[0]).add_concept(args[1])
+        elif kind == "isa":
+            kb.add_domain(args[0]).add_isa(args[1], args[2])
+        elif kind == "chain":
+            kb.add_domain(args[0]).add_chain(*args[1])
+        elif kind == "value-synonyms":
+            kb.add_value_synonyms(args[0], root=args[1])
+        elif kind == "attribute-synonyms":
+            kb.add_attribute_synonyms(args[0], root=args[1])
+        elif kind == "rule":
+            kb.add_rule(MappingRule.equivalence(f"r{args[0]}", {"u": args[1]}, {"v": "a"}))
+        else:
+            other = KnowledgeBase("other")
+            other.add_domain("d3")
+            for inner in args[0]:
+                _apply(other, inner)
+            kb.merge(other)
+    except (OntologyError, ValueError):
+        pass
+
+
+def _by_spelling(table: ConceptTable) -> dict:
+    """Everything a table answers, with ids resolved to spellings."""
+    spelling = table.spelling
+
+    def named(key):
+        return spelling(key) if isinstance(key, int) else key
+
+    keys = sorted(table._tid_by_key)
+    view: dict = {
+        "terms": keys,
+        "spellings": sorted(table._spellings),
+        "attribute_roots": dict(table.attribute_roots),
+        "interned": [value for value in _SPELLINGS if isinstance(table.value_key(value), int)],
+        "known": [value for value in _SPELLINGS if table.term_id_of_value(value) is not None],
+    }
+    for key in keys:
+        tid = table.term_id_of_key(key)
+        view[key] = (
+            table.canonical_spelling(tid),
+            # in order: it decides which candidates survive truncation
+            [(spelling(sid), distance) for sid, distance in table.ancestors(tid)],
+            # the attribute-synonym-only terms have no value closure
+            as_spellings(table, table.descent(tid)) if table._term_sids[tid] else None,
+        )
+    for term in (*_SPELLINGS, "never heard of it"):
+        view["map", term] = [table.descent_map(term, bound) for bound in _BOUNDS]
+    for terms in (_SPELLINGS, _SPELLINGS[::3], ["a", "never heard of it"]):
+        depths = table.descent_depths(terms)
+        view["depths", tuple(terms)] = {named(key): depth for key, depth in depths.items()}
+    return view
+
+
+@given(
+    before=st.lists(_writes, max_size=6),
+    after=st.lists(_writes, min_size=1, max_size=8),
+)
+def test_catch_up_equals_rebuild(before, after):
+    """Random interleavings of every kind of write, against a live
+    table: after each, the table that followed the knowledge base
+    answers what a full build of it answers."""
+    kb = KnowledgeBase("live")
+    for write in before:
+        _apply(kb, write)
+    table = kb.concept_table()
+    catch_ups = 0
+    for write in after:
+        version = kb.version
+        _apply(kb, write)
+        assert kb.concept_table() is table
+        catch_ups += kb.version != version
+        assert table.stats()["catch_ups"] == catch_ups
+        assert table.version == kb.version
+        assert _by_spelling(table) == _by_spelling(ConceptTable(kb)), write
+        # no catch-up and no fill leaves a process-local id behind
+        assert table.spelling_count == table._wire_base
+        ids = [table.value_key(value) for value in _SPELLINGS]
+        interned = [key for key in ids if isinstance(key, int)]
+        assert len(set(interned)) == len(interned)
+        assert [table.spelling(key) for key in interned] == [
+            value for value, key in zip(_SPELLINGS, ids) if isinstance(key, int)
+        ]
+
+
+#: the engine leg draws from a pool small enough that subscriptions,
+#: events and writes keep meeting, and keeps attribute synonyms off the
+#: attributes subscriptions name: a stored root form derived before
+#: such a write is stale in any engine, which is not this suite's
+#: question
+_engine_spelling = st.sampled_from(["a", "b", "c", "A", "b c", "new"])
+_engine_writes = _simple_writes(_engine_spelling, st.sampled_from(["x", "y", "new"]), st.none())
+_pairs = st.lists(
+    st.tuples(st.sampled_from(["u", "v"]), _engine_spelling),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda pair: pair[0],
+)
+
+
+def _engine(kb: KnowledgeBase, matcher: str, subs, pruning: bool = True) -> SToPSS:
+    engine = SToPSS(kb, matcher=matcher, config=SemanticConfig(interest_pruning=pruning))
+    for index, (pairs, bound) in enumerate(subs):
+        engine.subscribe(
+            Subscription(
+                [Predicate.eq(attribute, value) for attribute, value in pairs],
+                sub_id=f"s{index}",
+                max_generality=bound,
+            )
+        )
+    return engine
+
+
+def _match_list(engine: SToPSS, pairs) -> list[tuple[str, int]]:
+    return [(m.subscription.sub_id, m.generality) for m in engine.publish(Event(pairs))]
+
+
+@given(
+    before=st.lists(_engine_writes, max_size=5),
+    after=st.lists(_engine_writes, min_size=1, max_size=5),
+    subs=st.lists(st.tuples(_pairs, st.sampled_from([None, None, 0, 1])), min_size=1, max_size=5),
+    events=st.lists(_pairs, min_size=1, max_size=4),
+    matcher=st.sampled_from(["counting", "cluster"]),
+    pruning=st.booleans(),
+)
+def test_engine_that_lived_through_writes_equals_fresh_engine(
+    before, after, subs, events, matcher, pruning
+):
+    """After each write, an engine whose matcher keys, interest closure
+    and admission memo were all built *before* it reports the match
+    sets and generalities of a fresh engine on a freshly built
+    equal-content knowledge base.  The subscriptions are made first, so
+    an operand the knowledge base does not know yet is indexed under
+    its canonical fallback and must be re-keyed when a write teaches
+    the table its spelling; with pruning off there is no interest
+    generation to move, and the expansion memo's stamp has only the
+    version to go by."""
+    kb = KnowledgeBase("live")
+    for write in before:
+        _apply(kb, write)
+    table = kb.concept_table()
+    engine = _engine(kb, matcher, subs, pruning)
+    for pairs in events:
+        _match_list(engine, pairs)  # warm every memo under the old version
+    for done in range(1, len(after) + 1):
+        _apply(kb, after[done - 1])
+        fresh_kb = KnowledgeBase("fresh")
+        for write in (*before, *after[:done]):
+            _apply(fresh_kb, write)
+        fresh = _engine(fresh_kb, matcher, subs, pruning)
+        for pairs in events:
+            assert _match_list(engine, pairs) == _match_list(fresh, pairs), (after[:done], pairs)
+        assert kb.concept_table() is table
+
+
+@pytest.mark.parametrize("matcher", ["counting", "cluster"])
+def test_operand_learned_after_subscribing_is_rekeyed(matcher):
+    """The re-key hazard, pinned: "lorry" is free text when the
+    subscription is indexed (canonical-key bucket); once the knowledge
+    base learns it, ``value_key("lorry")`` is an int under the *same*
+    table, and an index still holding the old bucket would silently
+    stop matching."""
+    kb = KnowledgeBase("t")
+    kb.add_domain("vehicles").add_chain("truck", "vehicle")
+    engine = _engine(kb, matcher, [([("kind", "lorry")], None), ([("kind", "vehicle")], None)])
+    table = kb.concept_table()
+    assert _match_list(engine, [("kind", "lorry")]) == [("s0", 0)]
+    kb.add_value_synonyms(["truck", "lorry"])
+    assert _match_list(engine, [("kind", "lorry")]) == [("s0", 0), ("s1", 1)]
+    assert _match_list(engine, [("kind", "truck")]) == [("s1", 1)]
+    assert kb.concept_table() is table and table.stats()["appended_spellings"] == 1
+
+
+def test_alternatives_memo_is_stamped_with_the_version():
+    """Pruning off: no interest index, so no generation moves with a
+    write — a free attribute's memoised alternatives must still be
+    re-derived, and the table's identity no longer says so."""
+    kb = KnowledgeBase("t")
+    kb.add_domain("vehicles").add_chain("truck", "vehicle")
+    engine = _engine(kb, "counting", [([("kind", "machine")], None)], pruning=False)
+    assert _match_list(engine, [("kind", "truck")]) == []
+    assert engine.pipeline.hierarchy.memo_size() > 0  # ("kind", "truck") is memoised
+    kb.taxonomy("vehicles").add_isa("vehicle", "machine")
+    assert _match_list(engine, [("kind", "truck")]) == [("s0", 2)]
 
 
 def test_threads_filling_one_shared_table_agree():
@@ -224,3 +482,56 @@ def test_threads_filling_one_shared_table_agree():
     assert table.spelling_count == table._wire_base
     # the per-term memo filled each closure exactly once
     assert table.stats()["down_closures"] == reference.stats()["down_closures"]
+
+
+def test_threads_racing_to_one_catch_up_agree():
+    """After a write, every replica's next fetch finds the version
+    moved at once: exactly one of them catches the table up, under
+    both locks, and every thread — fetching, then filling closures the
+    catch-up dropped — reads what a fresh build answers."""
+    kb = build_world("mega-small").kb
+    table = kb.concept_table()
+    terms = sample_terms(kb, limit=40)
+    for term in terms:
+        table.descent_map(term, None)  # memos for the catch-up to drop
+    root = terms[0]
+    kb.add_value_synonyms([root, f"{root}~late"])
+    kb.add_domain("late").add_chain("late leaf", f"{root}~late")
+    oracle = ConceptTable(kb)
+    terms = [*terms, f"{root}~late", "late leaf"]
+    expected = {term: oracle.descent_map(term, None) for term in terms}
+
+    workers = 8
+    barrier = threading.Barrier(workers)
+    results: list = [None] * workers
+    errors: list = []
+
+    def fetch_and_fill(slot: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            fetched = kb.concept_table()
+            order = terms[slot:] + terms[:slot]
+            results[slot] = (fetched, {term: fetched.descent_map(term, None) for term in order})
+        except Exception as error:  # surfaced by the assert below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=fetch_and_fill, args=(slot,)) for slot in range(workers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(thread.is_alive() for thread in threads)
+    for fetched, maps in results:
+        assert fetched is table
+        assert maps == expected
+    stats = table.stats()
+    assert stats["catch_ups"] == 1 and stats["closures_dropped"] > 0
+    assert table.spelling_count == table._wire_base

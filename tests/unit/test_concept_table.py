@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import logging
+
+import pytest
+
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.core.subexpand import SubscriptionExpandingEngine, _descend
@@ -9,7 +13,9 @@ from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
 from repro.model.values import canonical_value_key
+from repro.ontology.concept_table import ConceptTable
 from repro.ontology.knowledge_base import KnowledgeBase
+from repro.ontology.mappingdefs import MappingRule
 
 
 def build_kb() -> KnowledgeBase:
@@ -96,23 +102,148 @@ class TestWireBoundary:
         assert table.wire_sid("late arrival") is None  # ...but not wire-safe
 
 
-class TestRebuild:
+class TestWireBoundaryFollows:
+    def test_catch_up_advances_the_boundary(self):
+        """An appended spelling is wire-safe at once: every process that
+        decodes it is a fork of this one, taken after the catch-up."""
+        kb = build_kb()
+        table = kb.concept_table()
+        assert table.wire_sid("lorry") is None
+        kb.add_value_synonyms(["truck", "lorry"])
+        assert kb.concept_table() is table
+        sid = table.wire_sid("lorry")
+        assert sid is not None and table.spelling(sid) == "lorry"
+        assert table.spelling_count == table._wire_base
+
+
+def _new_domain(kb):
+    kb.add_domain("boats").add_chain("dinghy", "boat")
+
+
+def _merged_kb(kb):
+    other = KnowledgeBase("other")
+    other.add_domain("vehicles").add_chain("moped", "vehicle")
+    other.add_value_synonyms(["moped", "scooter"])
+    other.add_attribute_synonyms(["colour", "color"])
+    kb.merge(other)
+
+
+#: one of every kind of write a knowledge base accepts
+WRITES = {
+    "add_concept": lambda kb: kb.taxonomy("vehicles").add_concept("tram"),
+    "add_isa": lambda kb: kb.taxonomy("vehicles").add_isa("coupe", "vehicle"),
+    "add_chain": lambda kb: kb.taxonomy("vehicles").add_chain("pickup", "truck", "vehicle"),
+    "new value group": lambda kb: kb.add_value_synonyms(["truck", "lorry"]),
+    "extend value group": lambda kb: kb.add_value_synonyms(["car", "motorcar"]),
+    "merge value groups": lambda kb: (
+        kb.add_value_synonyms(["wagon", "estate"]),
+        kb.add_value_synonyms(["estate", "auto"]),
+    ),
+    "add_attribute_synonyms": lambda kb: kb.add_attribute_synonyms(["college", "school"]),
+    "add_rule": lambda kb: kb.add_rule(
+        MappingRule.equivalence("sedans-are-family-cars", {"kind": "sedan"}, {"use": "family"})
+    ),
+    "add_domain": _new_domain,
+    "merge": _merged_kb,
+}
+
+
+class TestFollowsTheKnowledgeBase:
     def test_table_is_cached_until_version_moves(self):
         kb = build_kb()
         first = kb.concept_table()
         assert kb.concept_table() is first
+        assert first.stats()["catch_ups"] == 0
 
-    def test_rebuild_on_version_bump(self):
+    @pytest.mark.parametrize("kind", WRITES)
+    def test_every_kind_of_write_catches_the_same_table_up(self, kind):
+        kb = build_kb()
+        first = kb.concept_table()
+        ids = {s: first.value_key(s) for s in ("sedan", "car", "auto", "vehicle")}
+        WRITES[kind](kb)
+        assert first.version != kb.version
+        assert kb.concept_table() is first
+        assert first.version == kb.version
+        assert first.stats()["catch_ups"] == 1
+        # ids are for the life of the knowledge base
+        assert {s: first.value_key(s) for s in ids} == ids
+
+    def test_all_writes_in_a_row_never_build_a_second_table(self):
+        kb = build_kb()
+        first = kb.concept_table()
+        for write in WRITES.values():
+            write(kb)
+            assert kb.concept_table() is first
+        stats = first.stats()
+        assert stats["catch_ups"] == len(WRITES)
+        assert stats["appended_terms"] == stats["terms"] - len(build_kb().concept_table())
+        assert stats["appended_spellings"] > 0
+
+    def test_catch_up_on_version_bump(self):
         kb = build_kb()
         first = kb.concept_table()
         assert first.term_id_of_value("truck") is None
+        sedan = first.term_id_of_value("sedan")
+        assert first.ancestors(sedan)  # a memoized closure the write must drop
         kb.taxonomy("vehicles").add_chain("truck", "vehicle")
-        second = kb.concept_table()
-        assert second is not first
-        assert second.version == kb.version
-        tid = second.term_id_of_value("truck")
-        closure = {second.spelling(sid): d for sid, d in second.ancestors(tid)}
+        assert kb.concept_table() is first
+        assert first.version == kb.version
+        stats = first.stats()
+        assert (stats["catch_ups"], stats["appended_terms"], stats["appended_spellings"]) == (
+            1,
+            1,
+            1,
+        )
+        assert stats["closures_dropped"] == 1 and stats["up_closures"] == 0
+        tid = first.term_id_of_value("truck")
+        closure = {first.spelling(sid): d for sid, d in first.ancestors(tid)}
         assert closure == {"vehicle": 1}
+
+    def test_a_mapping_rule_moves_the_version_and_drops_nothing(self):
+        kb = build_kb()
+        table = kb.concept_table()
+        table.ancestors(table.term_id_of_value("sedan"))
+        WRITES["add_rule"](kb)
+        assert kb.concept_table().version == kb.version
+        stats = table.stats()
+        assert stats["catch_ups"] == 1 and stats["closures_dropped"] == 0
+        assert stats["up_closures"] == 1
+
+    def test_each_build_and_catch_up_logs_its_cause(self, caplog):
+        kb = build_kb()
+        with caplog.at_level(logging.DEBUG, logger="repro.ontology.concept_table"):
+            kb.concept_table()
+            kb.taxonomy("vehicles").add_chain("truck", "vehicle")
+            kb.add_value_synonyms(["truck", "lorry"])
+            kb.concept_table()
+        built, caught_up = [record.getMessage() for record in caplog.records]
+        assert built == "t built at v9: 8 terms 8 spellings"
+        assert "+1 concepts +1 is-a edges" in caught_up
+        assert "1 value-synonym and 0 attribute-synonym groups" in caught_up
+        assert "appended 2 terms 2 spellings" in caught_up
+
+    def test_a_fresh_build_does_not_steal_the_live_tables_delta(self):
+        """``ConceptTable(kb)`` is the oracle: building one beside the
+        live table must leave the pending appends for the live one."""
+        kb = build_kb()
+        live = kb.concept_table()
+        kb.add_value_synonyms(["truck", "lorry"])
+        oracle = ConceptTable(kb)
+        assert oracle.term_id_of_value("lorry") is not None
+        assert kb.concept_table() is live
+        assert live.term_id_of_value("lorry") is not None
+
+    def test_an_attribute_synonym_that_becomes_a_value_is_displayed_as_one(self):
+        kb = build_kb()
+        table = kb.concept_table()
+        tid = table.term_id_of_value("school")
+        assert table.term_display(tid) == "school"
+        kb.taxonomy("vehicles").add_chain("School", "vehicle")
+        table = kb.concept_table()
+        oracle = ConceptTable(kb)
+        assert oracle.term_display(oracle.term_id_of_value("school")) == "School"
+        assert table.term_display(tid) == "School"
+        assert table.descent_map("School", None) == {"School": 0}
 
     def test_engine_sees_new_knowledge_through_rebuild(self):
         kb = build_kb()
@@ -173,7 +304,7 @@ class TestEngineEpoch:
         engine = SToPSS(kb)
         table = kb.concept_table()
         engine.bump_semantic_epoch("test")
-        # the table snapshot is version-keyed, not epoch-keyed
+        # the table follows the knowledge base's version, not the epoch
         assert kb.concept_table() is table
         # ...while every semantic cache keys on the pair that just moved
         assert engine.semantic_version == (kb.version, 1)

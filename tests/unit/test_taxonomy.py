@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DuplicateConceptError, TaxonomyCycleError, UnknownConceptError
+from repro.errors import (
+    DuplicateConceptError,
+    InvalidValueError,
+    TaxonomyCycleError,
+    UnknownConceptError,
+)
+from repro.ontology.concepts import Concept
 from repro.ontology.taxonomy import Taxonomy
 
 
@@ -29,6 +35,39 @@ class TestConstruction:
         t.add_concept("Graduate Degree")
         t.add_concept("graduate degree")
         assert t.canonical("GRADUATE DEGREE") == "Graduate Degree"
+
+    def test_new_concept_is_normalized_once_and_equal_to_a_validated_one(self, monkeypatch):
+        """The taxonomy normalizes a new term once and hands ``Concept``
+        the finished pair; the node equals what the validating
+        constructors build, and malformed terms are still rejected."""
+        import repro.ontology.concepts as concepts
+
+        calls = []
+        real = concepts.normalize_term
+        monkeypatch.setattr(
+            concepts, "normalize_term", lambda term: calls.append(term) or real(term)
+        )
+        node = Taxonomy("jobs").add_concept("  Graduate_Degree  ", "a gloss")
+        assert calls == ["  Graduate_Degree  "]
+        assert node == Concept.of("Graduate_Degree", "jobs", "a gloss")
+        assert node == Concept("Graduate_Degree", "", "jobs", "a gloss")
+        assert (node.term, node.key) == ("Graduate_Degree", "graduate degree")
+        assert hash(node) == hash(Concept.of("Graduate_Degree", "jobs", "a gloss"))
+        for malformed in ("   ", 7):
+            with pytest.raises(InvalidValueError):
+                Taxonomy().add_concept(malformed)
+
+    def test_take_appended_hands_over_concepts_and_edges_in_order(self):
+        t = Taxonomy("jobs")
+        t.add_isa("PhD", "doctorate")  # before anyone follows: not recorded
+        assert t.take_appended() == []
+        t.add_chain("postdoc", "PhD", "doctorate")  # one new concept, one new edge
+        t.add_concept("phd")  # known: nothing appended
+        with pytest.raises(TaxonomyCycleError):
+            t.add_isa("doctorate", "postdoc")
+        appended = t.take_appended()
+        assert appended == [t.concept("postdoc"), ("postdoc", "phd")]
+        assert t.take_appended() == []
 
     def test_self_loop_rejected(self, degrees):
         with pytest.raises(DuplicateConceptError):

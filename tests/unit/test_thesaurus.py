@@ -82,6 +82,48 @@ class TestMerging:
         with pytest.raises(DuplicateConceptError):
             t.add_synonyms(["b"], root="b")
 
+    def test_rejected_re_root_changes_nothing(self):
+        """Regression: the re-root conflict used to be detected *after*
+        the new members were installed and without a version bump, so a
+        rejected call left "motorcar" rooted at "car" while every
+        version-keyed cache still said it was unknown."""
+        from repro.ontology.knowledge_base import KnowledgeBase
+
+        kb = KnowledgeBase("t")
+        kb.add_value_synonyms(["car", "automobile"], root="car")
+        table = kb.concept_table()
+        version = kb.version
+        with pytest.raises(DuplicateConceptError):
+            kb.add_value_synonyms(["automobile", "motorcar"], root="automobile")
+        assert kb.value_root("motorcar") is None
+        assert kb.value_equivalents("car") == {"car", "automobile"}
+        assert kb.version == version
+        assert kb.concept_table().term_id_of_value("motorcar") is None
+        assert table.stats()["catch_ups"] == 0
+
+    def test_rejected_merge_changes_nothing(self):
+        t = Thesaurus()
+        t.add_synonyms(["a", "a2"], root="root1")
+        t.add_synonyms(["b"], root="root2")
+        t.add_synonyms(["c", "c2"])
+        t.take_appended()  # start recording
+        version = t.version
+        with pytest.raises(DuplicateConceptError):
+            t.add_synonyms(["c", "a", "b", "new"])
+        assert t.version == version and t.take_appended() == []
+        assert t.group_count() == 3 and "new" not in t
+        assert t.synonyms_of("c") == {"c", "c2"} and t.root_of("c") == "c"
+        assert t.synonyms_of("a") == {"a", "a2", "root1"}
+
+    def test_take_appended_names_the_touched_groups(self):
+        t = Thesaurus()
+        t.add_synonyms(["a", "b"])  # before anyone follows: not recorded
+        assert t.take_appended() == []
+        t.add_synonyms(["x", "y"])
+        t.add_synonyms(["b", "c"], root="c")
+        assert t.take_appended() == ["x", "c"]
+        assert t.take_appended() == []
+
     def test_same_explicit_root_twice_ok(self):
         t = Thesaurus()
         t.add_synonyms(["a", "b"], root="a")
