@@ -23,12 +23,10 @@ from repro.model.subscriptions import Subscription
 SIZES = (1_000, 5_000, 20_000)
 MATCHERS = ("naive", "counting", "cluster")
 #: batch-capable matchers across kernels; without an engine-bound
-#: interner the numpy rows measure the scalar-fallback path plus the
+#: interner the numpy row runs on canonical value keys plus the
 #: batch-plan cache (the interned kernel is measured by the C1 kernel
 #: benchmark, which runs a full engine)
-BATCH_MATCHERS = ("counting", "cluster") + (
-    ("counting-numpy", "cluster-numpy") if HAVE_NUMPY else ()
-)
+BATCH_MATCHERS = ("counting", "cluster") + (("cluster-numpy",) if HAVE_NUMPY else ())
 
 
 def _load(matcher, subscriptions):
@@ -108,10 +106,9 @@ _BATCH_WIDTH = 8  # siblings per publication, each rewriting one pair
 
 
 def _synthetic_batches(events, width=_BATCH_WIDTH):
-    """Delta-encoded expansion batches shaped like the semantic
-    pipeline's output: each sibling rewrites exactly one attribute of
-    the root (values borrowed from other events, so probes stay
-    realistic)."""
+    """Expansion batches shaped like the semantic pipeline's output:
+    each sibling rewrites exactly one attribute of the root (values
+    borrowed from other events, so probes stay realistic)."""
     pools: dict[str, list] = {}
     for event in events:
         for attribute, value in event.items():
@@ -155,26 +152,25 @@ def test_a1_batch_throughput(benchmark, synthetic_workload, name, size):
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 def test_a1_backend_batch_equivalence(synthetic_workload):
-    """The numpy variants reproduce the scalar batch results exactly on
-    the synthetic workload — including here, where no interner is bound
-    and every pair resolves through the scalar-fallback path."""
+    """``cluster-numpy`` reproduces the scalar ``cluster`` batch results
+    exactly on the synthetic workload — including here, where no
+    interner is bound and every value keys canonically."""
     subscriptions, events = synthetic_workload
     batches = _synthetic_batches(events[:20])
-    for scalar_name in ("counting", "cluster"):
-        scalar = create_matcher(scalar_name)
-        vectorized = create_matcher(f"{scalar_name}-numpy")
-        _load(scalar, subscriptions[:5_000])
-        _load(vectorized, subscriptions[:5_000])
-        for batch in batches:
-            expected = {
-                sub_id: generality
-                for sub_id, (generality, _) in scalar.match_batch(batch).items()
-            }
-            observed = {
-                sub_id: generality
-                for sub_id, (generality, _) in vectorized.match_batch(batch).items()
-            }
-            assert observed == expected, f"{scalar_name} backend divergence"
+    scalar = create_matcher("cluster")
+    vectorized = create_matcher("cluster-numpy")
+    _load(scalar, subscriptions[:5_000])
+    _load(vectorized, subscriptions[:5_000])
+    for batch in batches:
+        expected = {
+            sub_id: generality
+            for sub_id, (generality, _) in scalar.match_batch(batch).items()
+        }
+        observed = {
+            sub_id: generality
+            for sub_id, (generality, _) in vectorized.match_batch(batch).items()
+        }
+        assert observed == expected, "cluster-numpy diverged from cluster"
 
 
 def test_a1_batch_vs_serial_table(benchmark, synthetic_workload, capsys):

@@ -18,9 +18,10 @@ baseline, per ``(configuration, matcher)`` row:
   expansion (same 10% policy as the predicate-eval counters).
 
 The same gate serves ``BENCH_kernel.json`` (written by
-``test_c1_kernel_backends``): its rows add the vectorized kernel's
-deterministic counters — ``rows_evaluated`` / ``scalar_fallbacks``
-bound above, ``vectorized_batches`` bound below — and every field is
+``test_c1_kernel_backends``): one row per matcher name (``counting``,
+``cluster``, ``cluster-numpy``), and the ``cluster-numpy`` row adds
+the vectorized kernel's deterministic counters — ``rows_evaluated``
+bound above, ``vectorized_batches`` bound below.  Every field is
 ``.get``-checked against the baseline row, so scalar rows (which
 legitimately lack kernel counters) and old baselines never KeyError.
 
@@ -67,13 +68,12 @@ MIN_BASELINE = 20
 #: looked up with ``.get`` and skipped when absent from the baseline
 #: row, so one gate serves both payload families — ``BENCH_publish``
 #: rows carry the predicate-evaluation counter, ``BENCH_kernel`` rows
-#: add the vectorized kernel's deterministic work counters (scalar
-#: rows legitimately lack them).
+#: add the vectorized kernel's deterministic work counter (scalar
+#: rows carry it as 0).
 UPPER_FIELDS = (
     "batch_predicate_evaluations",
     "closure_fill_steps",
     "rows_evaluated",
-    "scalar_fallbacks",
 )
 
 #: savings counters: must not *decrease* past tolerance.

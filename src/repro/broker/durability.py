@@ -217,6 +217,13 @@ def _encode_config(config: SemanticConfig) -> dict:
 
 
 def _decode_config(data: dict) -> SemanticConfig:
+    # Records written while a kernel could be picked by configuration
+    # carry the retired ``matching_backend`` preference; it never moved
+    # a match set, so it is dropped whatever its value.  Any other
+    # unknown key stays a TypeError, which replay does not catch:
+    # recover() fails rather than running on the old configuration.
+    data = dict(data)
+    data.pop("matching_backend", None)
     return SemanticConfig(**data)
 
 

@@ -1075,10 +1075,8 @@ class ShardedEngine:
         return {
             "shards": len(self._engines),
             "executor": self._executor,
-            # resolved per-shard matcher registry names: each replica
-            # resolves its own backend from its config, so a numpy
-            # preference surfaces here as e.g. "counting-numpy" (or the
-            # scalar name where the preference degraded).
+            # per-shard matcher names (every replica is built from the
+            # same matcher name, so these agree)
             "matchers": [
                 getattr(getattr(engine, "matcher", None), "name", "?")
                 for engine in self._engines

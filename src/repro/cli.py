@@ -76,13 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         "wall-clock; see docs/CONCURRENCY.md)",
     )
     demo.add_argument(
-        "--backend",
-        choices=("python", "numpy"),
-        default="python",
-        help="matching kernel preference (numpy degrades to the scalar "
-        "backend when numpy is not installed)",
-    )
-    demo.add_argument(
         "--shard-timeout",
         type=float,
         default=None,
@@ -201,8 +194,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             "pred-evals",
             "probes-saved",
             "memo-hits",
-            "vec-batch%",
-            "scalar-fb",
             "result-hit%",
         ],
     )
@@ -239,8 +230,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         ["mode", "appends", "bytes", "compactions", "torn", "replayed", "dedup"],
     )
     for mode, config in (
-        ("semantic", SemanticConfig.semantic(matching_backend=args.backend)),
-        ("syntactic", SemanticConfig.syntactic(matching_backend=args.backend)),
+        ("semantic", SemanticConfig.semantic()),
+        ("syntactic", SemanticConfig.syntactic()),
     ):
         durability = os.path.join(args.durable, mode) if args.durable else None
         scenario = JobFinderScenario(build_jobs_knowledge_base(), spec)
@@ -293,8 +284,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             summary["predicate_evaluations"],
             summary["probes_saved"],
             summary["memo_hits"],
-            round(100.0 * summary["vectorized_batch_rate"], 1),
-            summary["scalar_fallbacks"],
             round(100.0 * summary["result_cache_hit_rate"], 1),
         )
         sharding = engine_stats.get("sharding")

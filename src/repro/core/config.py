@@ -76,19 +76,6 @@ class SemanticConfig:
         Pruning also disables itself automatically when it cannot be
         proven sound: when a custom extra stage does not declare
         ``interest_safe``, or a mapping rule's read set is unknown.
-    matching_backend:
-        Kernel preference for the engine's matcher when it is named by
-        registry string: ``"python"`` (default) uses the scalar
-        matchers; ``"numpy"`` resolves ``"counting"``/``"cluster"`` to
-        their vectorized variants (``"counting-numpy"`` /
-        ``"cluster-numpy"``) — identical match sets and generalities
-        (a hard property invariant), columnar kernels.  The preference
-        degrades cleanly: with numpy not installed, or for matchers
-        without a vectorized variant, the scalar name is used; with
-        ``interning=False`` the scalar backend is forced (the kernels
-        key on interned ids).  Matcher *instances* passed to the engine
-        are never swapped, and explicitly requesting a ``*-numpy``
-        registry name without numpy installed is still an error.
     """
 
     enable_synonyms: bool = True
@@ -108,11 +95,8 @@ class SemanticConfig:
     expansion_cache_size: int = 128
     interning: bool = True
     interest_pruning: bool = True
-    matching_backend: str = "python"
 
     def __post_init__(self) -> None:
-        if self.matching_backend not in ("python", "numpy"):
-            raise ConfigError("matching_backend must be 'python' or 'numpy'")
         if self.max_generality is not None and self.max_generality < 0:
             raise ConfigError("max_generality must be >= 0 or None")
         if self.max_iterations < 1:
@@ -133,7 +117,7 @@ class SemanticConfig:
     def syntactic(cls, **overrides) -> "SemanticConfig":
         """The demo's *syntactic* mode: the unmodified matching
         algorithm — no stage runs.  *overrides* adjust the non-stage
-        knobs (the CLI threads ``matching_backend`` through here)."""
+        knobs."""
         return cls(
             enable_synonyms=False,
             enable_hierarchy=False,

@@ -2,21 +2,21 @@
 
 This is the component Figure 1 depicts: subscriptions pass through the
 synonym stage and land in the (unmodified) matching algorithm; each
-publication is expanded by the semantic pipeline into a delta-encoded
-batch of derived events, the whole batch is matched syntactically in
-one :meth:`~repro.matching.base.MatchingAlgorithm.match_batch` pass,
+publication is expanded by the semantic pipeline into a batch of
+derived events, the whole batch is matched syntactically in one
+:meth:`~repro.matching.base.MatchingAlgorithm.match_batch` pass,
 and the resulting per-subscription minima — filtered by each
 subscriber's generality tolerance — are the semantic match set.
 
 Batched matching keeps the hot path linear in *new* work rather than
 in the expansion factor: sibling derivations share every ``(attribute,
-value)`` pair outside their deltas, so a batch of hundreds of derived
-events holds a few dozen distinct pairs, and the default counting
-matcher answers the whole batch from one lookup per distinct pair (one
-bit per derived event; ``probes_saved`` in the matcher stats counts the
-lookups a memo kept warm across publications answered).  Nothing the
-engine derives outlives the publication that derived it; a repeated
-publication is served by the dispatcher's result cache
+value)`` pair outside the one they rewrote, so a batch of hundreds
+of derived events holds a few dozen distinct pairs, and the default
+counting matcher answers the whole batch from one lookup per distinct
+pair (one bit per derived event; ``probes_saved`` in the matcher stats
+counts the lookups a memo kept warm across publications answered).
+Nothing the engine derives outlives the publication that derived it; a
+repeated publication is served by the dispatcher's result cache
 (:mod:`repro.broker.dispatcher`) or expanded again.
 
 The engine runs in the demo's two modes (paper §4): *semantic* (any
@@ -45,7 +45,7 @@ from repro.core.interest import InterestIndex
 from repro.core.pipeline import PipelineResult, SemanticPipeline
 from repro.core.provenance import SemanticMatch
 from repro.errors import UnknownSubscriptionError
-from repro.matching.base import MatchingAlgorithm, create_matcher, resolve_backend
+from repro.matching.base import MatchingAlgorithm, create_matcher
 from repro.metrics.counters import CounterRegistry
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
@@ -63,9 +63,10 @@ class SToPSS:
         The knowledge base (synonyms, taxonomies, mapping rules).
     matcher:
         A registered matcher name (``"naive"``, ``"counting"``,
-        ``"cluster"``) or a :class:`MatchingAlgorithm` instance.  The
-        engine never inspects it beyond the public interface — the
-        paper's "minimize the changes to the algorithms" goal.
+        ``"cluster"``, ``"cluster-numpy"`` when numpy is installed) or a
+        :class:`MatchingAlgorithm` instance.  The engine never inspects
+        it beyond the public interface — the paper's "minimize the
+        changes to the algorithms" goal.
     config:
         Stage toggles and tolerance knobs; defaults to full semantic
         mode.
@@ -82,14 +83,9 @@ class SToPSS:
         self.kb = kb
         self.config = config if config is not None else SemanticConfig()
         if isinstance(matcher, str):
-            #: registry request kept verbatim so reconfigure can
-            #: re-resolve the backend under a new config; ``None`` for
-            #: instance-provided matchers, which are never swapped.
-            self._requested_matcher = matcher
-            self._matcher_name = self._resolve_matcher(matcher, self.config)
-            self._matcher = create_matcher(self._matcher_name)
+            self._matcher_name = matcher
+            self._matcher = create_matcher(matcher)
         else:
-            self._requested_matcher = None
             self._matcher_name = matcher.name
             self._matcher = matcher
         self._extra_stages = tuple(extra_stages)
@@ -122,19 +118,6 @@ class SToPSS:
         #: publish, rebuilt by reconfigure.
         self._interest = self._build_interest()
 
-    @staticmethod
-    def _resolve_matcher(name: str, config: SemanticConfig) -> str:
-        """The registry name a matcher request resolves to under
-        *config*: the configured ``matching_backend`` variant when one
-        is registered, degrading to the scalar name when it is not
-        (numpy absent, or no vectorized variant for this matcher).
-        ``interning=False`` forces the scalar backend — the vectorized
-        kernels key on interned concept ids.  Explicit backend-specific
-        names (``"counting-numpy"``) pass through unchanged, so asking
-        for one without its dependency stays a hard error."""
-        backend = config.matching_backend if config.interning else "python"
-        return resolve_backend(name, backend)
-
     def _build_interest(self) -> InterestIndex | None:
         """A fresh interest index under the active configuration, or
         ``None`` when pruning is off, pointless (syntactic mode), or
@@ -159,30 +142,26 @@ class SToPSS:
             return None
         return interest
 
-    def _interner(self, config: SemanticConfig) -> tuple | None:
-        """What decides the matcher's value identity under *config*:
-        the concept table and how many spellings it knows (``None`` on
-        the string path).  The table follows the knowledge base in
-        place, so its identity alone never moves; ``value_key`` answers
-        differently exactly when a spelling was appended — an operand
-        indexed under its ``canonical_value_key`` fallback is probed
-        under an int id from then on."""
-        if not config.interning:
-            return None
-        table = self.kb.concept_table()
-        return table, table.spelling_count
-
     def _bind_matcher_interner(self) -> None:
         """Hand the matcher the current concept-table value identity
         (or drop it when interning is off).  Matchers that keep
         equality indexes re-key them; the default implementation is a
         no-op, so third-party matchers stay on the string path.
-        Binding is skipped when the effective identity is unchanged —
-        ``table.value_key`` is a fresh bound method per access, so the
-        matchers' own identity guards cannot catch the repeat (and,
-        for the same reason, do re-key under the same table once it
-        has learned a spelling)."""
-        interner = self._interner(self.config)
+
+        The identity is the concept table and how many spellings it
+        knows.  The table follows the knowledge base in place, so its
+        identity alone never moves; ``value_key`` answers differently
+        exactly when a spelling was appended — an operand indexed under
+        its ``canonical_value_key`` fallback is probed under an int id
+        from then on.  Binding is skipped when that identity is
+        unchanged — ``table.value_key`` is a fresh bound method per
+        access, so the matchers' own identity guards cannot catch the
+        repeat (and, for the same reason, do re-key under the same
+        table once it has learned a spelling)."""
+        interner = None
+        if self.config.interning:
+            table = self.kb.concept_table()
+            interner = (table, table.spelling_count)
         if interner == self._bound_interner:
             return
         self._bound_interner = interner
@@ -231,9 +210,9 @@ class SToPSS:
 
         The publish hot path is one batched pass: the semantic
         expansion goes to the matcher's
-        :meth:`~repro.matching.base.MatchingAlgorithm.match_batch` as a
-        delta-encoded whole.  Each subscription is reported at most
-        once, with the *least general* derivation that reached it;
+        :meth:`~repro.matching.base.MatchingAlgorithm.match_batch` as
+        one batch.  Each subscription is reported at most once, with
+        the *least general* derivation that reached it;
         subscriptions whose personal ``max_generality`` is tighter than
         the match's generality are dropped (paper §3.2's per-user
         information-loss control).
@@ -350,21 +329,10 @@ class SToPSS:
         Resetting the existing instance — rather than instantiating a
         fresh one from the registry — preserves instance-provided
         matchers that were never registered under a name, and keeps
-        ``engine.matcher`` identity stable across mode switches.
-
-        When the engine was built from a registry name and the new
-        configuration resolves it to a *different* registry entry (the
-        ``matching_backend`` or ``interning`` toggle moved), the
-        matcher is replaced rather than reset — the replacement is
-        built and filled completely before anything is committed, so a
-        failure leaves the engine running on the old matcher untouched.
-        Instance-provided matchers are never swapped.
+        ``engine.matcher`` identity stable across every reconfigure:
+        the matcher is chosen by name at construction, never by
+        configuration.
         """
-        if self._requested_matcher is not None:
-            resolved = self._resolve_matcher(self._requested_matcher, config)
-            if resolved != self._matcher_name:
-                self._reconfigure_with_matcher(config, resolved)
-                return
         new_pipeline = SemanticPipeline(self.kb, config, extra_stages=self._extra_stages)
         ordered = list(self.subscriptions())
         # Derive every new root form *before* touching the matcher, so
@@ -399,46 +367,6 @@ class SToPSS:
             for root in old_roots:
                 matcher.insert(root)
             self._rebuild_interest(old_roots)
-            raise
-
-    def _reconfigure_with_matcher(self, config: SemanticConfig, name: str) -> None:
-        """Reconfigure onto a different registry matcher (the resolved
-        backend changed).  The replacement is constructed, bound to the
-        effective concept-table identity, and filled with the new root
-        forms *before* any engine state moves, so any failure raises
-        with the engine still fully functional on the old matcher."""
-        new_pipeline = SemanticPipeline(self.kb, config, extra_stages=self._extra_stages)
-        roots = [new_pipeline.process_subscription(sub) for sub in self.subscriptions()]
-        matcher = create_matcher(name)
-        interner = self._interner(config)
-        if interner is not None:
-            matcher.bind_interner(interner[0].value_key)
-        for root in roots:
-            matcher.insert(root)
-        saved = (
-            self.config,
-            self.pipeline,
-            self._matcher,
-            self._matcher_name,
-            self._bound_interner,
-            self._interest,
-        )
-        self.config = config
-        self.pipeline = new_pipeline
-        self._matcher = matcher
-        self._matcher_name = name
-        self._bound_interner = interner
-        try:
-            self._rebuild_interest(roots)
-        except BaseException:
-            (
-                self.config,
-                self.pipeline,
-                self._matcher,
-                self._matcher_name,
-                self._bound_interner,
-                self._interest,
-            ) = saved
             raise
 
     def _rebuild_interest(self, roots) -> None:

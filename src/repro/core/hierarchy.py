@@ -159,7 +159,6 @@ class HierarchyStage(SemanticStage):
         if tid is None:
             return count
         event = derived.event
-        delta = frozenset((attribute,))
         generality = derived.generality
         depth = derived.depth + 1
         #: the substituted pair is the only one that changes, so every
@@ -197,7 +196,7 @@ class HierarchyStage(SemanticStage):
                 attribute=attribute,
                 generality=distance,
             )
-            return derived.extend_delta(child, step, delta)
+            return derived.extend(child, step)
 
         if self._value_synonyms:
             canonical = table.canonical_spelling(tid)

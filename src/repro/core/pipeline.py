@@ -114,16 +114,14 @@ class BatchDedup:
 class PipelineResult:
     """Everything the semantic stage produced for one publication.
 
-    ``derived`` is a delta-encoded derivation DAG flattened in
-    discovery order: entry 0 is the batch root and every later entry
-    carries a ``parent`` pointer plus the ``delta`` of attribute names
-    it rewrote (see :class:`~repro.core.provenance.DerivedEvent`).
-    The counting matcher reads only the entries' content (it works per
-    distinct pair); the numpy counting backend walks the parent chains
-    to re-count only each event's delta.  Parent chains always
-    terminate at a parentless root, and every ancestor's content also
-    appears in ``derived`` (possibly under a cheaper provenance —
-    content, keyed by signature, is what matters to matching).
+    ``derived`` is a derivation DAG flattened in discovery order:
+    entry 0 is the batch root and every later entry carries a
+    ``parent`` pointer (see :class:`~repro.core.provenance.DerivedEvent`).
+    Matchers read only the entries' content; the parent chains are
+    provenance.  They always terminate at a parentless root, and every
+    ancestor's content also appears in ``derived`` (possibly under a
+    cheaper provenance — content, keyed by signature, is what matters
+    to matching).
 
     A **factored** result (``free`` non-empty; only handed to matchers
     that declare ``accepts_factored``) stands for more events than it
@@ -190,7 +188,6 @@ class PipelineResult:
         pairs = None
         steps = core.steps
         signature = core.event.signature
-        changed = []
         for (attribute, alternatives), index in zip(self.free.items(), choice):
             if not index:
                 continue
@@ -202,11 +199,10 @@ class PipelineResult:
             ).union(((attribute, canonical_value_key(alternative.value)),))
             pairs[attribute] = alternative.value
             steps += alternative.steps
-            changed.append(attribute)
         if pairs is None:
             return core
         event = Event._derived(pairs, signature, core.event.publisher_id)
-        return DerivedEvent(event, steps, parent=core, delta=frozenset(changed))
+        return DerivedEvent(event, steps, parent=core)
 
     def events(self) -> list[Event]:
         return [d.event for d in self.derived]
@@ -219,11 +215,11 @@ class PipelineResult:
         index = self._by_signature.get(signature)
         return None if index is None else self.derived[index]
 
-    def dag_edges(self) -> list[tuple[EventSignature, EventSignature, frozenset]]:
-        """``(parent_signature, child_signature, delta)`` triples of
-        the derivation DAG (introspection/tests)."""
+    def dag_edges(self) -> list[tuple[EventSignature, EventSignature]]:
+        """``(parent_signature, child_signature)`` pairs of the
+        derivation DAG (introspection/tests)."""
         return [
-            (d.parent.event.signature, d.event.signature, d.delta)
+            (d.parent.event.signature, d.event.signature)
             for d in self.derived
             if d.parent is not None
         ]
@@ -564,8 +560,8 @@ class SemanticPipeline:
         parent pointers, steps, and generality still reflect the more
         expensive chain; leaving them would let ``dag_edges``/``explain``
         disagree with the per-entry chains (and overcharge descendants).
-        Each descendant keeps its own final step and delta — only the
-        inherited prefix changes — so edge deltas stay exact.
+        Each descendant keeps its own final step — only the inherited
+        prefix changes.
         """
         result.adopted = True
         old = result.derived[index]
@@ -589,7 +585,6 @@ class SemanticPipeline:
                     child.event,
                     parent_entry.steps + (child.steps[-1],),
                     parent=parent_entry,
-                    delta=child.delta,
                 )
                 stack.append(child_index)
 

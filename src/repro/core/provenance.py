@@ -69,21 +69,15 @@ class DerivedEvent:
     two different chains reaching the same content are one derived
     event (the cheaper chain is kept).
 
-    Derived events are *delta-encoded* against their parent: ``parent``
-    is the event this one was expanded from (``None`` for the batch
-    root) and ``delta`` is the set of attribute names whose
-    ``(attribute, value)`` pair differs from the parent's.  Sibling
-    derivations share every pair outside their deltas, which is why a
-    batch holds few distinct pairs and batch matchers
-    (:meth:`~repro.matching.base.MatchingAlgorithm.match_batch`) can
-    work per pair instead of per event.  Both fields are excluded from
-    equality/hashing — identity remains (event, steps).
+    ``parent`` is the event this one was expanded from (``None`` for
+    the batch root); the pipeline's keep-cheaper adoption and
+    :meth:`~repro.core.pipeline.PipelineResult.dag_edges` walk it.  It
+    is excluded from equality/hashing — identity remains (event, steps).
     """
 
     event: Event
     steps: tuple[DerivationStep, ...] = ()
     parent: "DerivedEvent | None" = field(default=None, compare=False, repr=False)
-    delta: frozenset = field(default_factory=frozenset, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # computed once: the publish hot path reads it per budget
@@ -112,26 +106,9 @@ class DerivedEvent:
         return len(self.steps)
 
     def extend(self, event: Event, step: DerivationStep) -> "DerivedEvent":
-        """The derived event obtained by applying one more step.
-
-        The child records this event as its ``parent`` and the set of
-        attribute names whose pair changed as its ``delta`` (computed
-        from the canonical signatures, so ``4`` → ``4.0`` is no
-        change)."""
-        changed = frozenset(name for name, _ in self.event.signature ^ event.signature)
-        return DerivedEvent(event, self.steps + (step,), parent=self, delta=changed)
-
-    def extend_delta(
-        self, event: Event, step: DerivationStep, delta: frozenset
-    ) -> "DerivedEvent":
-        """:meth:`extend` for callers that already know which attribute
-        pairs changed (the interned hierarchy stage substitutes exactly
-        one value, so its delta is the substituted attribute) — skips
-        the signature symmetric-difference :meth:`extend` pays to
-        recover the delta after the fact.  *delta* must equal the set
-        of attribute names whose canonical ``(attribute, value)`` pair
-        differs between this event and *event*."""
-        return DerivedEvent(event, self.steps + (step,), parent=self, delta=delta)
+        """The derived event obtained by applying one more step; the
+        child records this event as its ``parent``."""
+        return DerivedEvent(event, self.steps + (step,), parent=self)
 
     def used_rule(self, rule_name: str) -> bool:
         """Whether *rule_name* already fired along this chain."""
@@ -142,10 +119,10 @@ class DerivedEvent:
     def to_wire(self, table=None) -> tuple:
         """Compact picklable encoding: the event's wire form (see
         :meth:`Event.to_wire <repro.model.events.Event.to_wire>`) plus
-        the derivation chain as flat step tuples.  ``parent``/``delta``
-        are deliberately dropped — they exist for in-process batch
-        matching (delta re-matching) and are excluded from equality;
-        a decoded derived event re-enters neither."""
+        the derivation chain as flat step tuples.  ``parent`` is
+        deliberately dropped — it exists for in-process provenance and
+        is excluded from equality; a decoded derived event is a batch
+        root."""
         return (
             self.event.to_wire(table),
             tuple(
@@ -157,7 +134,7 @@ class DerivedEvent:
     @classmethod
     def from_wire(cls, wire: tuple, table=None) -> "DerivedEvent":
         """Rebuild a derived event encoded by :meth:`to_wire` (as a
-        batch root: no parent, empty delta)."""
+        batch root: no parent)."""
         event_wire, step_rows = wire
         return cls(
             Event.from_wire(event_wire, table),

@@ -37,11 +37,11 @@ expansion now report their true generality instead of 0.
 The publish path is the engine's batched hot path unchanged: synonym
 rewriting and mapping-function derivations (inherently event-side —
 they *compute* new values) run through the semantic pipeline, and the
-resulting delta-encoded :class:`~repro.core.provenance.DerivedEvent`
-batch goes to :meth:`~repro.matching.base.MatchingAlgorithm.match_batch`
-in one pass, sharing per-``(attribute, value)`` predicate satisfaction
-across the batch and — via the matchers' cross-publication memos —
-across publications.
+resulting :class:`~repro.core.provenance.DerivedEvent` batch goes to
+:meth:`~repro.matching.base.MatchingAlgorithm.match_batch` in one pass,
+sharing per-``(attribute, value)`` predicate satisfaction across the
+batch and — via the matchers' cross-publication memos — across
+publications.
 
 Remaining trade-offs (measured by ablation A3/A4):
 

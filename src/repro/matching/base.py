@@ -28,7 +28,6 @@ __all__ = [
     "register_matcher",
     "create_matcher",
     "matcher_names",
-    "resolve_backend",
 ]
 
 
@@ -151,7 +150,7 @@ class MatchingAlgorithm(abc.ABC):
         per derived event, so any third-party matcher keeps working
         unchanged; indexed matchers override :meth:`_match_batch` to
         share per-``(attribute, value)`` predicate satisfaction across
-        the batch's delta-encoded derivations.
+        the batch's derivations.
         """
         self.stats.batches += 1
         self.stats.batch_derived += len(result.derived)
@@ -288,21 +287,3 @@ def create_matcher(name: str) -> MatchingAlgorithm:
 
 def matcher_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-def resolve_backend(name: str, backend: str | None = "python") -> str:
-    """The registry name for matcher *name* under *backend*.
-
-    ``"python"`` (or ``None``) is the scalar default and returns *name*
-    unchanged.  Any other backend tries ``"{name}-{backend}"`` and
-    degrades to the plain scalar name when no such registration exists —
-    either because the backend's dependency is absent (numpy not
-    installed) or because the matcher has no variant for it (naive).
-    Explicitly requesting an unregistered name through
-    :func:`create_matcher` still raises; degradation is reserved for
-    backend *preferences* expressed through configuration.
-    """
-    if backend in (None, "python"):
-        return name
-    candidate = f"{name}-{backend}"
-    return candidate if candidate in _REGISTRY else name

@@ -15,7 +15,7 @@ benchmark quantifies the sensitivity).
 The batched path (:meth:`ClusterMatcher._match_batch`) memoizes
 residual-predicate outcomes per ``(predicate, value)`` across the
 semantic expansion *and across publications*: sibling derivations
-differ from their parent by one delta, and workload traces repeat
+differ from their parent in one pair, and workload traces repeat
 pairs across events, so nearly every residual evaluation repeats
 verbatim and is answered from the persistent memo instead of
 re-evaluated.  Sound because predicate keys and canonical value keys

@@ -248,37 +248,6 @@ class PredicateIndex:
         interned spelling ids after :meth:`rebind_value_key`)."""
         return self._value_key
 
-    def equality_profile(
-        self, attribute: str
-    ) -> tuple[dict[object, set[PredicateKey]], bool] | None:
-        """The equality bucket table for one attribute, paired with
-        whether equalities are the *only* structures installed on it —
-        the precondition for compiling the attribute into a sorted-id
-        lookup array (the vectorized backend's fast path).  ``None``
-        when the attribute is unindexed.  The mapping is live: callers
-        must not hold it across index mutations.
-
-        Purity is conservative: trie nodes are not pruned on removal,
-        so an attribute that ever carried a prefix/suffix predicate
-        stays impure — which only costs the caller speed (scalar
-        probes), never correctness.
-        """
-        index = self._attributes.get(normalize_attribute(attribute))
-        if index is None:
-            return None
-        pure = not (
-            index.not_equals
-            or index.orderings
-            or index.ranges
-            or index.contains
-            or index.exists
-            or index.prefix_trie.children
-            or index.prefix_trie.terminal
-            or index.suffix_trie.children
-            or index.suffix_trie.terminal
-        )
-        return index.equalities, pure
-
     # -- maintenance -----------------------------------------------------------
 
     def add(self, predicate: Predicate) -> None:
@@ -439,7 +408,7 @@ class SatisfactionCache:
 
     A semantic expansion batch holds many derived events that share
     most of their ``(attribute, value)`` pairs — each sibling differs
-    from its parent by one delta — and workload traces then repeat
+    from its parent in one pair — and workload traces then repeat
     those pairs across *publications*.  This cache keys the result of
     :meth:`PredicateIndex.satisfied` (optionally transformed once into
     a matcher-specific payload, e.g. the counting matcher's tuple of

@@ -155,13 +155,12 @@ def publish_path_summary(
         "predicate_evaluations": matcher.get("predicate_evaluations", 0),
         "probes_saved": matcher.get("probes_saved", 0),
         "memo_hits": matcher.get("memo_hits", 0),
-        # kernel counters: only the vectorized backends bump these, so
+        # kernel counters: only the vectorized matcher bumps these, so
         # scalar (and mixed-shard) snapshots render as zeros, never
         # KeyError — exactly the defensive contract of this layer.
         "vectorized_batches": vectorized,
         "vectorized_batch_rate": (vectorized / batches) if batches else 0.0,
         "rows_evaluated": matcher.get("rows_evaluated", 0),
-        "scalar_fallbacks": matcher.get("scalar_fallbacks", 0),
         "result_cache_hit_rate": cached.get("hit_rate", 0.0),
     }
 

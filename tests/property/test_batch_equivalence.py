@@ -162,7 +162,7 @@ def test_match_batch_equals_serial_match(matcher_name, kb, subs, events, config_
 
 
 # ---------------------------------------------------------------------------
-# Vectorized backend ≡ scalar backend (the PR 6 invariant)
+# cluster-numpy ≡ cluster (and ≡ counting)
 # ---------------------------------------------------------------------------
 
 
@@ -172,7 +172,7 @@ def _published(engine, event) -> dict[str, int]:
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("engine_factory", [SToPSS, SubscriptionExpandingEngine])
-@pytest.mark.parametrize("matcher", ["counting", "cluster"])
+@pytest.mark.parametrize("scalar_matcher", ["counting", "cluster"])
 @given(
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
@@ -182,22 +182,20 @@ def _published(engine, event) -> dict[str, int]:
     bound=st.sampled_from([None, 0, 1, 2]),
 )
 def test_vectorized_backend_equals_scalar(
-    engine_factory, matcher, kb, subs, events, interning, pruning, bound
+    engine_factory, scalar_matcher, kb, subs, events, interning, pruning, bound
 ):
-    """``matching_backend="numpy"`` must publish the exact match sets
-    *and* generalities of the scalar backend — both engine designs,
-    interning/pruning toggles (with ``interning=False`` the preference
-    degrades to scalar, which must also agree), and subscription churn
-    between publications (plans, layouts, and eq tables invalidate)."""
+    """``matcher="cluster-numpy"`` must publish the exact match sets
+    *and* generalities of ``matcher="cluster"`` — its scalar twin — and
+    of ``matcher="counting"``, whose factored expansion builds a
+    different batch: both engine designs, interning/pruning toggles
+    (two different kernels on every leg, ``interning=False`` included),
+    tolerance bounds, and subscription churn between publications
+    (batch plans invalidate)."""
+    config = SemanticConfig(interning=interning, interest_pruning=pruning, max_generality=bound)
     engines = []
-    for backend in ("python", "numpy"):
-        config = SemanticConfig(
-            interning=interning,
-            interest_pruning=pruning,
-            max_generality=bound,
-            matching_backend=backend,
-        )
+    for matcher in (scalar_matcher, "cluster-numpy"):
         engine = engine_factory(kb, matcher=matcher, config=config)
+        assert engine.matcher.name == matcher
         for index, sub in enumerate(subs):
             engine.subscribe(
                 Subscription(
@@ -212,8 +210,7 @@ def test_vectorized_backend_equals_scalar(
     # churn mid-stream: drop one subscription, add a fresh one
     scalar.unsubscribe("s0")
     vectorized.unsubscribe("s0")
-    fresh = Subscription(subs[0].predicates, sub_id="fresh")
-    scalar.subscribe(fresh)
+    scalar.subscribe(Subscription(subs[0].predicates, sub_id="fresh"))
     vectorized.subscribe(Subscription(subs[0].predicates, sub_id="fresh"))
     for event in events[half:]:
         assert _published(scalar, event) == _published(vectorized, event)

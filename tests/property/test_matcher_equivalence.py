@@ -69,14 +69,10 @@ def test_agreement_survives_removals(subs, evts, removals):
     removals=st.data(),
 )
 def test_vectorized_matchers_match_naive_through_churn(subs, evts, removals):
-    """The numpy backends stay agreed with the oracle across
-    subscription churn happening *between* matched events — their
-    compiled layouts, eq tables, and batch plans must all invalidate."""
-    matchers = [
-        NaiveMatcher(),
-        create_matcher("counting-numpy"),
-        create_matcher("cluster-numpy"),
-    ]
+    """The numpy cluster matcher stays agreed with the oracle across
+    subscription churn happening *between* matched events — its batch
+    plans must invalidate."""
+    matchers = [NaiveMatcher(), create_matcher("cluster-numpy")]
     for sub in subs:
         for matcher in matchers:
             matcher.insert(sub)

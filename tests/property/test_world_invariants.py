@@ -184,23 +184,19 @@ def test_process_executor_equals_single_engine(world, workload):
         sharded.close()
 
 
-# -- 5. vectorized backend --------------------------------------------------------
+# -- 5. vectorized kernel ---------------------------------------------------------
 
 
 def test_vectorized_backend_equivalence(world, workload):
-    if "counting-numpy" not in matcher_names():
-        pytest.skip("numpy not installed; vectorized kernels unregistered")
+    if "cluster-numpy" not in matcher_names():
+        pytest.skip("numpy not installed; cluster-numpy unregistered")
     subs, evts = workload
-    scalar = _loaded(
-        SToPSS(world.kb, config=SemanticConfig(matching_backend="python")), subs
-    )
-    vectorized = _loaded(
-        SToPSS(world.kb, config=SemanticConfig(matching_backend="numpy")), subs
-    )
-    assert vectorized.stats()["matcher"] == "counting-numpy"
+    scalar = _loaded(SToPSS(world.kb, matcher="cluster"), subs)
+    vectorized = _loaded(SToPSS(world.kb, matcher="cluster-numpy"), subs)
+    assert vectorized.stats()["matcher"] == "cluster-numpy"
     for event in evts:
         assert _match_list(vectorized, event) == _match_list(scalar, event), (
-            f"vectorized backend diverged on {world.name}"
+            f"cluster-numpy diverged from cluster on {world.name}"
         )
 
 

@@ -156,6 +156,34 @@ class TestMatcherPlugability:
         engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
         assert len(engine.publish(parse_event("(degree, PhD)"))) == 1
 
+    @pytest.mark.parametrize("name", sorted(matcher_names()))
+    def test_reconfigure_keeps_named_matcher(self, name):
+        """Whatever its name, the matcher is reset in place on
+        reconfigure — never swapped — and then matches exactly like an
+        engine built fresh under the new configuration."""
+        subscriptions = ("(school = Toronto)", "(degree = degree)", "(degree = PhD)")
+        events = ("(school, Toronto)", "(degree, PhD)(university, York)")
+
+        def loaded(config: SemanticConfig) -> SToPSS:
+            engine = SToPSS(_kb(), matcher=name, config=config)
+            for index, text in enumerate(subscriptions):
+                engine.subscribe(parse_subscription(text, sub_id=f"s{index}"))
+            return engine
+
+        def observed(engine: SToPSS) -> list[list[tuple[str, int]]]:
+            return [
+                [(m.subscription.sub_id, m.generality) for m in engine.publish(parse_event(text))]
+                for text in events
+            ]
+
+        engine = loaded(SemanticConfig(present_year=2003))
+        matcher = engine.matcher
+        for config in (SemanticConfig.syntactic(), SemanticConfig(max_generality=1)):
+            engine.reconfigure(config)
+            assert engine.matcher is matcher
+            assert engine.matcher.name == name
+            assert observed(engine) == observed(loaded(config))
+
     def test_matcher_instance_accepted(self):
         matcher = CountingMatcher()
         engine = SToPSS(_kb(), matcher=matcher)

@@ -161,6 +161,20 @@ class TestResultViews:
         stats = pipeline.stage_stats()
         assert set(stats) == {"synonym", "hierarchy", "mapping"}
 
+    def test_dag_edges_are_parent_child_pairs(self):
+        """One ``(parent, child)`` signature pair per derived event:
+        the hierarchy stage derives each ancestor of PhD from PhD."""
+        pipeline = SemanticPipeline(_kb(), SemanticConfig.hierarchy_only())
+        result = pipeline.process_event(Event({"degree": "PhD"}))
+        signature = {
+            value: Event({"degree": value}).signature
+            for value in ("PhD", "graduate degree", "degree")
+        }
+        assert result.dag_edges() == [
+            (signature["PhD"], signature["graduate degree"]),
+            (signature["PhD"], signature["degree"]),
+        ]
+
 
 class TestStageToggles:
     def test_syntactic_mode_is_identity(self):
@@ -198,7 +212,7 @@ def _assert_provenance_consistent(result) -> None:
             f"replaced provenance"
         )
         assert derived.steps[: len(derived.steps) - 1] == live_parent.steps
-    for parent_sig, child_sig, _ in result.dag_edges():
+    for parent_sig, child_sig in result.dag_edges():
         assert result.lookup(parent_sig) is not None
         assert result.lookup(child_sig) is not None
 

@@ -27,6 +27,8 @@ from repro.broker.durability import (
     JOURNAL_NAME,
     SNAPSHOT_NAME,
     Durability,
+    _decode_config,
+    _encode_config,
     _encode_record,
     _scan_records,
     recover,
@@ -34,6 +36,7 @@ from repro.broker.durability import (
 from repro.broker.notifications import DeliveryEntry, NotificationEngine, PublicationText
 from repro.broker.sharding import ShardedBroker
 from repro.broker.supervision import FaultPlan
+from repro.core.config import SemanticConfig
 from repro.errors import DeliveryError, DurabilityError, SimulatedCrash
 from repro.model.events import Event
 from repro.model.predicates import Predicate
@@ -961,6 +964,94 @@ class TestEngineOwnedCounters:
             assert recovered.notifier._next_notification == next_id
         finally:
             recovered.close()
+
+
+class TestRetiredConfigKey:
+    """Directories written while ``SemanticConfig`` still had a
+    ``matching_backend`` field carry it in every config dict (the codec
+    is ``dataclasses.asdict``).  Recovery drops exactly that key: the
+    recovered broker matches like a live one.  Any other unknown key
+    still fails ``recover()`` instead of being skipped as a replay
+    error and leaving the broker on the old configuration."""
+
+    CONFIG = SemanticConfig(max_generality=2)
+
+    def _history(self, broker: Broker) -> None:
+        _populate(broker)
+        broker.subscribe("cl-b", _sub("degree", "doctorate", "s-d1"))
+        broker.subscribe("cl-b", _sub("degree", "degree", "s-d3"))
+        # observable: (degree, PhD) reaches "degree" at generality 3
+        broker.reconfigure(self.CONFIG)
+
+    @staticmethod
+    def _probe(broker: Broker) -> list[tuple[str, int]]:
+        event = Event([("school", "Toronto"), ("degree", "PhD")], event_id="probe")
+        report = broker.publish("cl-p", event)
+        return [(match.subscription.sub_id, match.generality) for match in report.matches]
+
+    def _written(self, kb, directory, *, checkpoint: bool) -> None:
+        with Broker(kb, durability=directory) as broker:
+            self._history(broker)
+            if checkpoint:
+                broker.checkpoint()
+
+    @staticmethod
+    def _add_key(path, kind: str, field: str, key: str, value) -> None:
+        records, _, torn = _scan_records(path.read_bytes())
+        assert not torn
+        touched = 0
+        for record in records:
+            if record["k"] == kind:
+                record[field] = dict(record[field], **{key: value})
+                touched += 1
+        assert touched == 1
+        path.write_bytes(_frame(records))
+
+    def _live(self, kb) -> list[tuple[str, int]]:
+        with Broker(kb) as broker:
+            self._history(broker)
+            expected = self._probe(broker)
+        assert expected == [("s-a", 0), ("s-d1", 1)]
+        return expected
+
+    def _assert_recovers_like_live(self, kb, directory) -> None:
+        recovered = recover(directory, kb)
+        try:
+            assert recovered.recovery.replay_skips == 0
+            assert recovered.engine.config == self.CONFIG
+            assert self._probe(recovered) == self._live(kb)
+        finally:
+            recovered.close()
+
+    def test_snapshot_broker_record(self, kb, tmp_path):
+        self._written(kb, tmp_path, checkpoint=True)
+        self._add_key(tmp_path / SNAPSHOT_NAME, "broker", "config", "matching_backend", "numpy")
+        self._assert_recovers_like_live(kb, tmp_path)
+
+    def test_journal_config_record(self, kb, tmp_path):
+        self._written(kb, tmp_path, checkpoint=False)
+        self._add_key(tmp_path / JOURNAL_NAME, "config", "cfg", "matching_backend", "python")
+        self._assert_recovers_like_live(kb, tmp_path)
+
+    def test_other_unknown_key_fails_recovery(self, kb, tmp_path):
+        self._written(kb, tmp_path, checkpoint=False)
+        self._add_key(tmp_path / JOURNAL_NAME, "config", "cfg", "vector_width", 8)
+        with pytest.raises(TypeError, match="vector_width"):
+            recover(tmp_path, kb)
+
+    def test_other_unknown_key_in_snapshot_fails_recovery(self, kb, tmp_path):
+        self._written(kb, tmp_path, checkpoint=True)
+        self._add_key(tmp_path / SNAPSHOT_NAME, "broker", "config", "vector_width", 8)
+        with pytest.raises(TypeError, match="vector_width"):
+            recover(tmp_path, kb)
+
+    def test_retired_key_dropped_whatever_its_value(self):
+        encoded = _encode_config(self.CONFIG)
+        for value in ("python", "numpy", None, "fortran"):
+            data = dict(encoded, matching_backend=value)
+            assert _decode_config(data) == self.CONFIG
+            # the record's own dict is left as read
+            assert data["matching_backend"] == value
 
 
 class TestShardedRecovery:

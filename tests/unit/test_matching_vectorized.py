@@ -1,15 +1,16 @@
-"""Unit tests for the numpy matching backends (repro.matching.vectorized).
+"""Unit tests for the numpy cluster matcher (repro.matching.vectorized).
 
-The property suites pin backend equivalence end to end; this file pins
-the edges that random workloads rarely isolate — registry/config
-resolution, compile/rebind/invalidation lifecycles, the scalar-fallback
-triggers, batch-plan signature verification (the explain-vs-publish
-aliasing hazard), and the kernel counters' journey through stats
-merging and the demo summary.
+The property suites pin ``cluster`` ≡ ``cluster-numpy`` end to end;
+this file pins the edges that random workloads rarely isolate — the
+registry name, the lazy numpy import, the one reconfigure path,
+compile/invalidation lifecycles, batch-plan signature verification (the
+explain-vs-publish aliasing hazard), and the kernel counters' journey
+through stats merging and the demo summary.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,22 +22,15 @@ import pytest
 from repro.broker.sharding import ShardedEngine
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.errors import ConfigError, MatchingError
-from repro.matching import create_matcher, matcher_names, resolve_backend
+from repro.errors import MatchingError
+from repro.matching import create_matcher, matcher_names
 from repro.matching.cluster import ClusterMatcher
-from repro.matching.counting import CountingMatcher
-from repro.matching.vectorized import (
-    HAVE_NUMPY,
-    VectorizedClusterMatcher,
-    VectorizedCountingMatcher,
-)
+from repro.matching.vectorized import HAVE_NUMPY, VectorizedClusterMatcher
 from repro.metrics.aggregate import merge_stats, publish_path_summary
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.knowledge_base import KnowledgeBase
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-VECTORIZED = (VectorizedCountingMatcher, VectorizedClusterMatcher)
 
 
 def _kb() -> KnowledgeBase:
@@ -46,48 +40,69 @@ def _kb() -> KnowledgeBase:
     return kb
 
 
-def _engine(matcher="counting", backend="numpy", **overrides) -> SToPSS:
-    config = SemanticConfig(matching_backend=backend, **overrides)
-    return SToPSS(_kb(), matcher=matcher, config=config)
+def _engine(matcher="cluster-numpy", **overrides) -> SToPSS:
+    return SToPSS(_kb(), matcher=matcher, config=SemanticConfig(**overrides))
+
+
+def _run_script(script: str) -> None:
+    source = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(source), *sys.path]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _matches(engine, text: str) -> list[tuple[str, int]]:
+    return [(m.subscription.sub_id, m.generality) for m in engine.publish(parse_event(text))]
 
 
 class TestRegistryAndResolution:
     def test_vectorized_names_registered(self):
-        assert {"counting-numpy", "cluster-numpy"} <= set(matcher_names())
+        names = set(matcher_names())
+        assert "cluster-numpy" in names
+        assert "counting-numpy" not in names
 
     def test_create_by_name(self):
-        assert isinstance(create_matcher("counting-numpy"), VectorizedCountingMatcher)
         assert isinstance(create_matcher("cluster-numpy"), VectorizedClusterMatcher)
+        assert _engine().matcher.name == "cluster-numpy"
 
-    def test_resolve_backend(self):
-        assert resolve_backend("counting", "numpy") == "counting-numpy"
-        assert resolve_backend("cluster", "numpy") == "cluster-numpy"
-        # no vectorized variant -> scalar name
-        assert resolve_backend("naive", "numpy") == "naive"
-        # scalar backend passes through
-        assert resolve_backend("counting", "python") == "counting"
-        assert resolve_backend("counting", None) == "counting"
+    def test_retired_name_is_unknown(self):
+        with pytest.raises(MatchingError, match="unknown matcher 'counting-numpy'"):
+            create_matcher("counting-numpy")
+        with pytest.raises(MatchingError, match="unknown matcher 'counting-numpy'"):
+            _engine("counting-numpy")
 
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ConfigError):
-            SemanticConfig(matching_backend="fortran")
+    def test_config_has_no_backend_field(self):
+        """A kernel is chosen by matcher name; the configuration has no
+        field that could pick one."""
+        assert "matching_backend" not in {f.name for f in dataclasses.fields(SemanticConfig)}
+        with pytest.raises(TypeError, match="matching_backend"):
+            SemanticConfig(matching_backend="numpy")
 
-    def test_engine_resolves_backend(self):
-        assert _engine("counting").matcher.name == "counting-numpy"
-        assert _engine("cluster").matcher.name == "cluster-numpy"
-        assert _engine("naive").matcher.name == "naive"
-        assert _engine("counting", backend="python").matcher.name == "counting"
-
-    def test_interning_off_forces_scalar(self):
-        # the kernels key on interned ids; without them the preference
-        # degrades rather than running the fallback-heavy path
-        engine = _engine("counting", interning=False)
-        assert engine.matcher.name == "counting"
+    def test_interning_off_keeps_named_kernel(self):
+        """Without interning the named kernel still runs — nothing
+        degrades to a scalar matcher — and it agrees with ``cluster``."""
+        vectorized = _engine(interning=False)
+        scalar = _engine("cluster", interning=False)
+        assert vectorized.matcher.name == "cluster-numpy"
+        for engine in (vectorized, scalar):
+            engine.subscribe(parse_subscription("(degree = degree)", sub_id="s1"))
+            engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s2"))
+        observed = _matches(vectorized, "(degree, PhD)")
+        assert observed == _matches(scalar, "(degree, PhD)")
+        assert sorted(observed) == [("s1", 2), ("s2", 0)]
+        assert vectorized.matcher.stats.snapshot()["vectorized_batches"] >= 1
 
     def test_matcher_instance_never_swapped(self):
-        instance = CountingMatcher()
-        engine = SToPSS(_kb(), matcher=instance, config=SemanticConfig(matching_backend="numpy"))
-        assert engine.matcher is instance
+        for config in (SemanticConfig(), SemanticConfig(interning=False)):
+            instance = VectorizedClusterMatcher()
+            engine = SToPSS(_kb(), matcher=instance, config=config)
+            assert engine.matcher is instance
 
     def test_require_numpy_error(self, monkeypatch):
         import repro.matching.vectorized as vectorized
@@ -97,18 +112,17 @@ class TestRegistryAndResolution:
         monkeypatch.setattr(vectorized, "np", None)
         monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(MatchingError, match="requires numpy"):
-            VectorizedCountingMatcher()
+            VectorizedClusterMatcher()
 
     def test_default_configuration_never_imports_numpy(self):
         """``import repro.broker.broker`` and a default ``Broker(kb)``
         publish leave numpy unimported (16 MB resident and 0.12 s of
         import otherwise, once per forked shard worker too); asking for
-        the numpy backend imports it then, and it matches."""
-        script = textwrap.dedent(
+        ``matcher="cluster-numpy"`` imports it then, and it matches."""
+        _run_script(
             """
             import sys
             from repro.broker.broker import Broker
-            from repro.core.config import SemanticConfig
             from repro.ontology.domains import build_jobs_knowledge_base
 
             def publish(**kwargs):
@@ -122,107 +136,105 @@ class TestRegistryAndResolution:
             assert "numpy" not in sys.modules, "imported with the package"
             assert publish() == ("counting", 1)
             assert "numpy" not in sys.modules, "imported by the default configuration"
-            vectorized = publish(config=SemanticConfig(matching_backend="numpy"))
-            assert vectorized == ("counting-numpy", 1), vectorized
+            vectorized = publish(matcher="cluster-numpy")
+            assert vectorized == ("cluster-numpy", 1), vectorized
             assert "numpy" in sys.modules
             """
         )
-        source = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(source), *sys.path]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+
+    def test_unregistered_without_numpy(self):
+        """With numpy unimportable the package still imports, the name
+        is simply absent, and asking for it is the unknown-name error."""
+        _run_script(
+            """
+            import sys
+            sys.modules["numpy"] = None  # makes ``import numpy`` raise
+            from repro.core.engine import SToPSS
+            from repro.errors import MatchingError
+            from repro.matching import HAVE_NUMPY, matcher_names
+            from repro.ontology.knowledge_base import KnowledgeBase
+
+            assert not HAVE_NUMPY
+            assert matcher_names() == ("cluster", "counting", "naive"), matcher_names()
+            try:
+                SToPSS(KnowledgeBase(), matcher="cluster-numpy")
+            except MatchingError as error:
+                assert "unknown matcher 'cluster-numpy'" in str(error), error
+            else:
+                raise AssertionError("cluster-numpy constructed without numpy")
+            """
         )
-        assert done.returncode == 0, done.stderr
 
 
-class TestReconfigureSwap:
-    def test_backend_swap_preserves_subscriptions(self):
-        engine = _engine("counting", backend="python")
-        engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
-        assert engine.matcher.name == "counting"
-        engine.reconfigure(SemanticConfig(matching_backend="numpy"))
-        assert engine.matcher.name == "counting-numpy"
-        assert "s1" in engine
-        matches = engine.publish(parse_event("(degree, PhD)"))
-        assert [m.subscription.sub_id for m in matches] == ["s1"]
-        # and back
-        engine.reconfigure(SemanticConfig(matching_backend="python"))
-        assert engine.matcher.name == "counting"
-        assert engine.publish(parse_event("(degree, PhD)"))
+class TestReconfigure:
+    def test_reconfigure_resets_the_same_matcher(self):
+        """A reconfigure has one path: the matcher chosen by name at
+        construction is reset in place, whatever the new config says."""
+        engine = _engine()
+        matcher = engine.matcher
+        engine.subscribe(parse_subscription("(degree = degree)", sub_id="s1"))
+        for config in (
+            SemanticConfig(interning=False),
+            SemanticConfig.syntactic(),
+            SemanticConfig(),
+        ):
+            engine.reconfigure(config)
+            assert engine.matcher is matcher
+            assert "s1" in engine
+        assert _matches(engine, "(degree, PhD)") == [("s1", 2)]
 
     def test_instance_engine_reconfigure_keeps_instance(self):
+        """An unregistered instance survives reconfigure (the engine
+        never looks a matcher up again) and matches under the new
+        configuration."""
         instance = ClusterMatcher()
         engine = SToPSS(_kb(), matcher=instance, config=SemanticConfig())
-        engine.reconfigure(SemanticConfig(matching_backend="numpy"))
+        engine.subscribe(parse_subscription("(degree = degree)", sub_id="s1"))
+        engine.reconfigure(SemanticConfig.syntactic())
         assert engine.matcher is instance
+        assert _matches(engine, "(degree, PhD)") == []
+        engine.reconfigure(SemanticConfig())
+        assert engine.matcher is instance
+        assert _matches(engine, "(degree, PhD)") == [("s1", 2)]
 
 
-@pytest.mark.parametrize("matcher_cls", VECTORIZED, ids=lambda c: c.name)
 class TestInvalidation:
-    def test_churn_drops_compiled_state(self, matcher_cls):
-        engine = _engine("counting" if matcher_cls is VectorizedCountingMatcher else "cluster")
+    def test_churn_drops_compiled_state(self):
+        engine = _engine()
         engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
         matcher = engine.matcher
         engine.publish(parse_event("(degree, PhD)"))
         assert matcher._batch_plans
         engine.subscribe(parse_subscription("(degree = MSc)", sub_id="s2"))
         assert not matcher._batch_plans
-        if matcher_cls is VectorizedCountingMatcher:
-            assert matcher._layout is None
-            assert not matcher._eq_tables
-            assert not matcher._pair_credits
         # a post-churn publish sees the new subscription
         matches = engine.publish(parse_event("(degree, MSc)"))
         assert any(m.subscription.sub_id == "s2" for m in matches)
 
-    def test_engine_reasons_drop_plans(self, matcher_cls):
-        matcher = matcher_cls()
+    def test_engine_reasons_drop_plans(self):
+        matcher = VectorizedClusterMatcher()
         matcher._batch_plans["sig"] = ("sig",)
         matcher.invalidate_memo("kb-version")
         assert not matcher._batch_plans
 
 
-class TestCountingFallbacks:
-    def test_uninterned_value_takes_scalar_path(self):
-        engine = _engine("counting")
-        engine.subscribe(parse_subscription("(score = 42)", sub_id="s1"))
-        # integers are not taxonomy concepts: their canonical keys are
-        # tuples, which the searchsorted tables cannot answer
-        matches = engine.publish(parse_event("(score, 42)"))
-        assert [m.subscription.sub_id for m in matches] == ["s1"]
-        assert engine.matcher.stats.extra.get("scalar_fallbacks", 0) > 0
-
-    def test_impure_attribute_takes_scalar_path(self):
-        engine = _engine("counting")
-        engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
-        engine.subscribe(parse_subscription("(degree != MSc)", sub_id="s2"))
-        matches = engine.publish(parse_event("(degree, PhD)"))
-        assert {m.subscription.sub_id for m in matches} == {"s1", "s2"}
-        assert engine.matcher.stats.extra.get("scalar_fallbacks", 0) > 0
-
-    def test_unindexed_attribute_is_empty_credit(self):
-        engine = _engine("counting")
-        engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
-        matches = engine.publish(parse_event("(degree, PhD)(noise, x)"))
-        assert [m.subscription.sub_id for m in matches] == ["s1"]
-        # the unindexed pair must not force the scalar probe
-        assert engine.matcher.stats.extra.get("scalar_fallbacks", 0) == 0
-
+class TestScanPool:
     def test_universal_subscription_matches_everything(self):
-        engine = _engine("counting")
+        engine = _engine()
         engine.subscribe(parse_subscription("(degree exists)", sub_id="s1"))
         matches = engine.publish(parse_event("(degree, PhD)"))
         assert [m.subscription.sub_id for m in matches] == ["s1"]
 
 
-@pytest.mark.parametrize("matcher", ["counting", "cluster"])
 class TestBatchPlanVerification:
+    @pytest.mark.parametrize("matcher", ["counting", "cluster"])
     def test_explain_then_publish_same_root(self, matcher):
         """An exhaustive ``explain`` batch and an interest-pruned
         publish batch share a root signature but differ in content; the
-        cached plan must verify the full signature tuple, never alias."""
-        scalar = _engine(matcher, backend="python")
-        vectorized = _engine(matcher)
+        cached plan must verify the full signature tuple, never alias —
+        checked against either scalar kernel."""
+        scalar = _engine(matcher)
+        vectorized = _engine()
         for engine in (scalar, vectorized):
             engine.subscribe(parse_subscription("(degree = degree)", sub_id="s1"))
         event = parse_event("(degree, PhD)")
@@ -233,8 +245,8 @@ class TestBatchPlanVerification:
         observed = {(m.subscription.sub_id, m.generality) for m in vectorized.publish(event)}
         assert observed == expected
 
-    def test_repeat_publish_hits_plan(self, matcher):
-        engine = _engine(matcher)
+    def test_repeat_publish_hits_plan(self):
+        engine = _engine()
         engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
         event = parse_event("(degree, PhD)")
         first = [(m.subscription.sub_id, m.generality) for m in engine.publish(event)]
@@ -246,7 +258,7 @@ class TestBatchPlanVerification:
 
 class TestKernelCounters:
     def test_vectorized_stats_present(self):
-        engine = _engine("counting")
+        engine = _engine()
         engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
         engine.publish(parse_event("(degree, PhD)"))
         snapshot = engine.matcher.stats.snapshot()
@@ -254,14 +266,14 @@ class TestKernelCounters:
         assert snapshot["rows_evaluated"] >= 1
 
     def test_scalar_stats_lack_kernel_keys(self):
-        engine = _engine("counting", backend="python")
+        engine = _engine("counting")
         engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
         engine.publish(parse_event("(degree, PhD)"))
         snapshot = engine.matcher.stats.snapshot()
         assert "vectorized_batches" not in snapshot
 
     def test_summary_exposes_kernel_fields(self):
-        engine = _engine("cluster")
+        engine = _engine()
         engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
         engine.publish(parse_event("(degree, PhD)"))
         summary = publish_path_summary(engine.stats())
@@ -269,19 +281,31 @@ class TestKernelCounters:
         assert 0.0 < summary["vectorized_batch_rate"] <= 1.0
 
     def test_summary_defaults_for_scalar(self):
-        engine = _engine("counting", backend="python")
+        engine = _engine("counting")
         engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
         engine.publish(parse_event("(degree, PhD)"))
         summary = publish_path_summary(engine.stats())
         assert summary["vectorized_batches"] == 0
         assert summary["vectorized_batch_rate"] == 0.0
-        assert summary["scalar_fallbacks"] == 0
+
+    def test_summary_keys_are_kernel_neutral(self):
+        """Every kernel renders the same summary columns (the demo
+        table reads them by key); no scalar-fallback counter remains."""
+        summaries = []
+        for matcher in ("cluster-numpy", "counting"):
+            engine = _engine(matcher)
+            engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
+            engine.publish(parse_event("(degree, PhD)"))
+            summaries.append(publish_path_summary(engine.stats()))
+        vectorized, scalar = summaries
+        assert set(vectorized) == set(scalar)
+        assert "scalar_fallbacks" not in vectorized
 
     def test_merge_tolerates_mixed_backends(self):
         """A numpy shard and a scalar shard merge without KeyError:
-        backend-specific counters sum over the shards that have them."""
-        numpy_engine = _engine("counting")
-        scalar_engine = _engine("counting", backend="python")
+        kernel-specific counters sum over the shards that have them."""
+        numpy_engine = _engine()
+        scalar_engine = _engine("cluster")
         for engine in (numpy_engine, scalar_engine):
             engine.subscribe(parse_subscription("(degree = PhD)", sub_id="s1"))
             engine.publish(parse_event("(degree, PhD)"))
@@ -295,19 +319,15 @@ class TestKernelCounters:
 
 class TestShardedBackend:
     def test_per_shard_matchers_reported(self):
-        engine = ShardedEngine(
-            _kb(), shards=2, matcher="counting", config=SemanticConfig(matching_backend="numpy")
-        )
+        engine = ShardedEngine(_kb(), shards=2, matcher="cluster-numpy")
         try:
             info = engine.sharding_info()
-            assert info["matchers"] == ["counting-numpy", "counting-numpy"]
+            assert info["matchers"] == ["cluster-numpy", "cluster-numpy"]
         finally:
             engine.close()
 
     def test_sharded_publish_and_stats_merge(self):
-        engine = ShardedEngine(
-            _kb(), shards=2, matcher="cluster", config=SemanticConfig(matching_backend="numpy")
-        )
+        engine = ShardedEngine(_kb(), shards=2, matcher="cluster-numpy")
         try:
             for index in range(4):
                 engine.subscribe(parse_subscription("(degree = PhD)", sub_id=f"s{index}"))
