@@ -38,12 +38,17 @@ def term_key(term: str) -> str:
 
 
 def term_and_key(term: str) -> tuple[str, str]:
-    """``(normalize_term(term), term_key(term))`` from one normalization."""
+    """``(normalize_term(term), term_key(term))`` from one normalization.
+
+    When the two are equal (any lower-case term without underscores)
+    the key *is* the display string, so a concept holds one string, not
+    two equal ones."""
     display = normalize_term(term)
-    return display, display.replace("_", " ").casefold()
+    key = display.replace("_", " ").casefold()
+    return display, display if key == display else key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concept:
     """A node in a domain taxonomy.
 

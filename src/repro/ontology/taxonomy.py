@@ -16,7 +16,7 @@ upward/downward traversals report the *minimum* hop distance — the
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import (
     DuplicateConceptError,
@@ -41,13 +41,14 @@ class Taxonomy:
     def __init__(self, domain: str = "") -> None:
         self.domain = domain
         self._concepts: dict[str, Concept] = {}
-        #: key -> neighbour keys as an insertion-ordered set (a dict with
-        #: ``None`` values): walks enumerate edges in the order they were
-        #: declared, never in the hash order of a set of strings — which
-        #: candidates a truncated expansion reaches must not depend on
-        #: ``PYTHONHASHSEED``
-        self._parents: dict[str, dict[str, None]] = {}
-        self._children: dict[str, dict[str, None]] = {}
+        #: key -> neighbour keys in the order the edges were declared
+        #: (walks never enumerate in the hash order of a set of strings —
+        #: which candidates a truncated expansion reaches must not depend
+        #: on ``PYTHONHASHSEED``).  Sparse: a concept without parents has
+        #: no ``_parents`` entry, one without children no ``_children``
+        #: entry, so storage grows with edges, not with concepts
+        self._parents: dict[str, tuple[str, ...]] = {}
+        self._children: dict[str, list[str]] = {}
         self.version = 0
         #: what was appended since :meth:`take_appended` last ran — a
         #: :class:`Concept` per new concept, a ``(specialized key,
@@ -67,8 +68,6 @@ class Taxonomy:
             return existing
         concept = Concept._finished(display, key, self.domain, description)
         self._concepts[key] = concept
-        self._parents[key] = {}
-        self._children[key] = {}
         self.version += 1
         if self._appended is not None:
             self._appended.append(concept)
@@ -86,15 +85,16 @@ class Taxonomy:
         parent = self.add_concept(generalized)
         if child.key == parent.key:
             raise DuplicateConceptError(f"concept {child.term!r} cannot be its own generalization")
-        if parent.key in self._parents[child.key]:
+        parents = self._parents.get(child.key, ())
+        if parent.key in parents:
             return
         # a child nobody specializes yet is no one's ancestor, so the
         # new edge cannot close a cycle: skip the upward walk (exact,
         # and what keeps leaf-by-leaf builds of deep spines linear)
-        if self._children[child.key] and self._reaches(parent.key, child.key):
+        if child.key in self._children and self._reaches(parent.key, child.key):
             raise TaxonomyCycleError(f"edge {child.term!r} -> {parent.term!r} would create a cycle")
-        self._parents[child.key][parent.key] = None
-        self._children[parent.key][child.key] = None
+        self._parents[child.key] = parents + (parent.key,)
+        self._children.setdefault(parent.key, []).append(child.key)
         self.version += 1
         if self._appended is not None:
             self._appended.append((child.key, parent.key))
@@ -162,33 +162,35 @@ class Taxonomy:
     def parents(self, term: str) -> tuple[str, ...]:
         """Immediate generalizations, canonical spelling."""
         node = self.concept(term)
-        return tuple(sorted(self._concepts[k].term for k in self._parents[node.key]))
+        return tuple(sorted(self._concepts[k].term for k in self._parents.get(node.key, ())))
 
     def children(self, term: str) -> tuple[str, ...]:
         """Immediate specializations, canonical spelling."""
         node = self.concept(term)
-        return tuple(sorted(self._concepts[k].term for k in self._children[node.key]))
+        return tuple(sorted(self._concepts[k].term for k in self._children.get(node.key, ())))
 
     def isa_edges(self) -> Iterator[tuple[str, str]]:
         """Every is-a edge as a ``(specialized key, generalized key)``
         pair of :attr:`Concept.key` values, in declaration order — the
-        bulk export the concept table builds its id graph from."""
-        for key, parents in self._parents.items():
-            for parent in parents:
+        bulk export the concept table builds its id graph from, grouped
+        by specialized concept in registration order."""
+        parents_of = self._parents
+        for key in self._concepts:
+            for parent in parents_of.get(key, ()):
                 yield key, parent
 
     def roots(self) -> tuple[str, ...]:
         """Concepts without generalizations (hierarchy tops)."""
-        return tuple(sorted(c.term for k, c in self._concepts.items() if not self._parents[k]))
+        return tuple(sorted(c.term for k, c in self._concepts.items() if k not in self._parents))
 
     def leaves(self) -> tuple[str, ...]:
         """Concepts without specializations."""
-        return tuple(sorted(c.term for k, c in self._concepts.items() if not self._children[k]))
+        return tuple(sorted(c.term for k, c in self._concepts.items() if k not in self._children))
 
     # -- traversal -------------------------------------------------------------------
 
     def _walk(
-        self, term: str, edges: dict[str, dict[str, None]], max_distance: int | None
+        self, term: str, edges: Mapping[str, Sequence[str]], max_distance: int | None
     ) -> dict[str, int]:
         start = self.concept(term)
         distances: dict[str, int] = {}
@@ -235,19 +237,28 @@ class Taxonomy:
         return self.ancestors(specific).get(g.term)
 
     def depth(self) -> int:
-        """Length of the longest is-a chain in the hierarchy."""
-        memo: dict[str, int] = {}
+        """Length of the longest is-a chain in the hierarchy.
 
-        def height(key: str) -> int:
-            if key in memo:
-                return memo[key]
-            memo[key] = 0  # cycle guard (structure is acyclic by construction)
-            parents = self._parents[key]
-            result = 0 if not parents else 1 + max(height(p) for p in parents)
-            memo[key] = result
-            return result
-
-        return max((height(k) for k in self._concepts), default=0)
+        Iterative post-order over the parent edges, so a chain of any
+        length costs heap, not interpreter stack."""
+        parents_of = self._parents
+        height: dict[str, int] = {}
+        for start in self._concepts:
+            if start in height:
+                continue
+            # (key, parents settled?) — a key is finished after all of
+            # its parents, which sit above it on the stack
+            stack = [(start, False)]
+            while stack:
+                key, settled = stack.pop()
+                parents = parents_of.get(key, ())
+                if settled:
+                    height[key] = 1 + max(height[p] for p in parents) if parents else 0
+                elif key not in height:
+                    height[key] = 0  # cycle guard (structure is acyclic by construction)
+                    stack.append((key, True))
+                    stack.extend((p, False) for p in parents if p not in height)
+        return max(height.values(), default=0)
 
     def lowest_common_ancestor(self, a: str, b: str) -> str | None:
         """A nearest common generalization of *a* and *b* (canonical
@@ -276,40 +287,48 @@ class Taxonomy:
         """Structural diagnostics (empty = healthy).  The invariants are
         enforced at construction; this re-checks them for tests."""
         problems: list[str] = []
+        down = {(child, parent) for parent, children in self._children.items() for child in children}
         for key, parents in self._parents.items():
             for parent in parents:
                 if parent not in self._concepts:
                     problems.append(f"dangling parent {parent!r} of {key!r}")
-                if key not in self._children.get(parent, ()):
+                if (key, parent) not in down:
                     problems.append(f"asymmetric edge {key!r} -> {parent!r}")
-        # cycle check via DFS coloring
+        # cycle check via DFS coloring, iterative: one stack frame per
+        # level would overflow on deep chains
         WHITE, GRAY, BLACK = 0, 1, 2
         color = dict.fromkeys(self._concepts, WHITE)
-
-        def dfs(node: str) -> bool:
-            color[node] = GRAY
-            for parent in self._parents[node]:
-                if color[parent] == GRAY:
-                    return False
-                if color[parent] == WHITE and not dfs(parent):
-                    return False
-            color[node] = BLACK
-            return True
-
-        for node in self._concepts:
-            if color[node] == WHITE and not dfs(node):
-                problems.append(f"cycle reachable from {node!r}")
-                break
+        for start in self._concepts:
+            if color[start] != WHITE:
+                continue
+            color[start] = GRAY
+            stack = [(start, iter(self._parents.get(start, ())))]
+            while stack:
+                node, pending = stack[-1]
+                for parent in pending:
+                    shade = color.get(parent, BLACK)  # dangling: reported above
+                    if shade == GRAY:
+                        problems.append(f"cycle reachable from {start!r}")
+                        return problems
+                    if shade == WHITE:
+                        color[parent] = GRAY
+                        stack.append((parent, iter(self._parents.get(parent, ()))))
+                        break
+                else:
+                    color[node] = BLACK
+                    stack.pop()
         return problems
 
     def stats(self) -> dict[str, int]:
-        """Size metrics used by the taxonomy-shape ablation (A3)."""
-        edge_count = sum(len(p) for p in self._parents.values())
+        """Size metrics used by the taxonomy-shape ablation (A3); roots
+        and leaves are the concepts the sparse adjacency has no entry
+        for, counted without listing them."""
+        concepts = len(self._concepts)
         return {
-            "concepts": len(self._concepts),
-            "edges": edge_count,
-            "roots": len(self.roots()),
-            "leaves": len(self.leaves()),
+            "concepts": concepts,
+            "edges": sum(map(len, self._parents.values())),
+            "roots": concepts - len(self._parents),
+            "leaves": concepts - len(self._children),
             "depth": self.depth(),
         }
 

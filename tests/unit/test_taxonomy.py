@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -26,8 +30,11 @@ def degrees() -> Taxonomy:
 class TestConstruction:
     def test_add_concept_idempotent(self, degrees):
         first = degrees.add_concept("PhD")
+        version = degrees.version
         again = degrees.add_concept("phd")
         assert first is again
+        assert degrees.add_concept("  PHD ", "a gloss") is first
+        assert first.description == "" and degrees.version == version
         assert degrees.canonical("PHD") == "PhD"
 
     def test_first_spelling_wins(self):
@@ -205,11 +212,19 @@ class TestMaintenance:
     def test_validate_clean(self, degrees):
         assert degrees.validate() == []
 
-    def test_stats(self, degrees):
-        stats = degrees.stats()
-        assert stats["concepts"] == 8
-        assert stats["depth"] == 3
-        assert stats["roots"] == 1
+    def test_stats(self, degrees, monkeypatch):
+        def listing(self):
+            raise AssertionError("stats() counts roots and leaves, it does not list them")
+
+        monkeypatch.setattr(Taxonomy, "roots", listing)
+        monkeypatch.setattr(Taxonomy, "leaves", listing)
+        assert degrees.stats() == {
+            "concepts": 8,
+            "edges": 7,
+            "roots": 1,
+            "leaves": 3,
+            "depth": 3,
+        }
 
     def test_from_chains(self):
         t = Taxonomy.from_chains("v", [("sedan", "car", "vehicle"), ("suv", "car")])
@@ -220,3 +235,114 @@ class TestMaintenance:
         v0 = t.version
         t.add_concept("a")
         assert t.version > v0
+
+    @pytest.mark.parametrize("order", ["specific-first", "general-first"])
+    def test_deep_chain_depth_and_validate_do_not_recurse(self, order):
+        """``depth()`` / ``validate()`` / ``stats()`` walk with an explicit
+        stack: a 5,000-level chain (far past the interpreter's recursion
+        limit) is measured, not a ``RecursionError``."""
+        levels = 5_000
+        t = Taxonomy("deep")
+        if order == "specific-first":
+            for i in range(levels):
+                t.add_isa(f"c{i}", f"c{i + 1}")
+        else:
+            for i in range(levels, 0, -1):
+                t.add_isa(f"c{i - 1}", f"c{i}")
+        assert t.depth() == levels
+        assert t.validate() == []
+        assert t.stats() == {
+            "concepts": levels + 1,
+            "edges": levels,
+            "roots": 1,
+            "leaves": 1,
+            "depth": levels,
+        }
+        assert t.roots() == (f"c{levels}",) and t.leaves() == ("c0",)
+
+    def test_validate_still_finds_a_cycle(self, degrees):
+        # the structure refuses cycles, so plant one behind its back
+        degrees._parents["degree"] = ("phd",)
+        degrees._children["phd"] = ["degree"]
+        problems = degrees.validate()
+        assert len(problems) == 1 and problems[0].startswith("cycle reachable from")
+
+
+class TestCompactStorage:
+    """A relation a concept lacks has no container; declaration order
+    is kept; the first spelling wins."""
+
+    def test_add_concept_allocates_no_adjacency(self):
+        t = Taxonomy("jobs")
+        t.add_concept("PhD")
+        t.add_concept("degree")
+        assert t._parents == {} and t._children == {}
+        t.add_isa("PhD", "degree")
+        assert t._parents == {"phd": ("degree",)}
+        assert t._children == {"degree": ["phd"]}
+
+    def test_adjacency_keeps_declaration_order(self):
+        t = Taxonomy()
+        t.add_isa("wagon", "car")
+        t.add_isa("wagon", "family vehicle")
+        t.add_isa("sedan", "car")
+        t.add_isa("wagon", "car")  # duplicate: no second entry
+        assert t._parents["wagon"] == ("car", "family vehicle")
+        assert t._children["car"] == ["wagon", "sedan"]
+        assert list(t.descendants("car")) == ["wagon", "sedan"]
+        assert list(t.isa_edges()) == [
+            ("wagon", "car"),
+            ("wagon", "family vehicle"),
+            ("sedan", "car"),
+        ]
+
+    def test_isa_edges_follow_concept_registration_order(self):
+        # "b" is registered before "a" but gains its parent after it:
+        # edges are grouped by specialized concept in registration order
+        t = Taxonomy()
+        t.add_concept("b")
+        t.add_isa("a", "top")
+        t.add_isa("b", "top")
+        assert list(t.isa_edges()) == [("b", "top"), ("a", "top")]
+
+    def test_normalized_term_shares_its_key_string(self):
+        t = Taxonomy()
+        plain = t.add_concept("graduate degree")
+        assert plain.key is plain.term
+        spelled = t.add_concept("Master_Degree")
+        assert (spelled.term, spelled.key) == ("Master_Degree", "master degree")
+
+
+class TestConceptSlots:
+    def test_no_instance_dict(self):
+        concept = Concept.of("PhD", "jobs")
+        assert not hasattr(concept, "__dict__")
+        # refused either way; CPython 3.11's frozen+slots __setattr__
+        # reports a non-field name as TypeError rather than AttributeError
+        with pytest.raises((AttributeError, TypeError)):
+            concept.extra = 1  # type: ignore[attr-defined]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            concept.term = "MSc"  # type: ignore[misc]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_round_trips(self, clone):
+        concept = Taxonomy("jobs").add_concept("Graduate_Degree", "a gloss")
+        again = clone(concept)
+        assert again == concept and hash(again) == hash(concept)
+        assert (again.term, again.key, again.domain, again.description) == (
+            "Graduate_Degree",
+            "graduate degree",
+            "jobs",
+            "a gloss",
+        )
+
+    def test_dataclasses_replace(self):
+        concept = Taxonomy("jobs").add_concept("PhD")
+        glossed = dataclasses.replace(concept, description="doctor of philosophy")
+        assert (glossed.term, glossed.key, glossed.domain) == ("PhD", "phd", "jobs")
+        assert glossed.description == "doctor of philosophy"
+        assert concept.description == ""

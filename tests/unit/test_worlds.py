@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,36 @@ class TestBuilder:
         assert world.spec is None and world.leaf_pools is None
         assert world.counters["world_concepts"] > 0
         assert world.generator(seed=2).events(3)
+
+
+class TestCompactOntology:
+    @pytest.mark.parametrize("name", world_names())
+    def test_stats_counts_agree_with_the_sorted_listings(self, name):
+        """``Taxonomy.stats()`` counts roots and leaves from the sparse
+        adjacency without building either listing; the counts are the
+        listings' lengths on every catalog world."""
+        kb = build_world(name).kb
+        for domain in kb.domains():
+            taxonomy = kb.taxonomy(domain)
+            stats = taxonomy.stats()
+            assert stats["roots"] == len(taxonomy.roots())
+            assert stats["leaves"] == len(taxonomy.leaves())
+            assert stats["edges"] == sum(1 for _ in taxonomy.isa_edges())
+
+    def test_mega_small_footprint_per_concept(self):
+        """The ontology stores what a concept has, not a container per
+        relation it might have: a whole ``mega-small`` world (taxonomy,
+        synonym rings, rules) stays within 420 bytes per concept.  A
+        dict-set per concept and direction cost ~685."""
+        build_world("mega-small")  # imports and one-time caches out of the count
+        tracemalloc.start()
+        try:
+            world = build_world("mega-small")
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_concept = allocated / world.counters["world_concepts"]
+        assert per_concept <= 420, f"{per_concept:.0f} B per concept"
 
 
 _DIGEST_SCRIPT = """
