@@ -23,16 +23,29 @@ dedup by ``(sub_id, sequence)``.
 The fan-out of a publication is *one unit of work*
 (:meth:`NotificationEngine.fan_out`): the event is rendered once, each
 distinct derivation once, each subscription once for as long as it
-lives, and a delivery-log row holds its ids plus references to those
-shared strings — in memory, in the journal and in the snapshot alike —
-so what the log costs follows the text there is to say, not the number
-of notifications that said it.
+lives, and a retained delivery holds its numbers plus a reference to
+the publication's shared text — in memory, in the journal and in the
+snapshot alike — so what the log costs follows the text there is to
+say, not the number of notifications that said it.
 
-Everything kept per delivery is a ``deque(maxlen=history_limit)``, and
-everything kept per subscription (log, sequence counter, frontier,
-rendered text) is dropped by :meth:`NotificationEngine.forget` when it
-unsubscribes, so the engine's footprint follows the live subscriptions
-and the window, not the number of notifications ever sent.
+A subscription's retained log is a ring of at most ``history_limit``
+rows stored as columns (:class:`_DeliveryLog`): sequence and
+notification number in ``array('q')``, the derivation index in an
+``array('I')``, the status as one byte, the text as one reference —
+29 bytes of columns a row, ~40 with its share of the publication's
+text — while its subscription id, client id and
+rendered subscription part are kept once per log.  The ``n<N>`` id is
+rendered when a row is sent or exported.  :class:`DeliveryEntry`
+remains the row type callers see: :meth:`NotificationEngine
+.delivery_log` and ``replay_from`` hand out copies, and the rows in
+flight (one fan-out's staged rows, recovery's ledger and restored
+pending rows) are transient entries whose settling writes the status
+column through.  The outcome journal and the dead-letter list are
+``deque(maxlen=history_limit)``; everything kept per subscription (log,
+sequence counter, frontier, rendered text) is dropped by
+:meth:`NotificationEngine.forget` when it unsubscribes, so the engine's
+footprint follows the live subscriptions and the window, not the number
+of notifications ever sent.
 
 The notification-id counter is engine-owned (not module-global) and
 restorable from a snapshot, so ids stay unique across a crash-restart.
@@ -40,8 +53,10 @@ restorable from a snapshot, so ids stay unique across a crash-restart.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from sys import intern
 from typing import Iterator, Sequence
 
@@ -175,6 +190,170 @@ class DeliveryEntry:
         return self.head + self.text.event + self.text.via[self.via]
 
 
+#: a row's status, stored in its log as the index into this tuple
+_STATUSES = ("pending", "acked", "dead")
+_CODE = {status: code for code, status in enumerate(_STATUSES)}
+
+
+def _nid_number(nid: str) -> int | None:
+    """*N* of a notification id the engine drew (``f"n{N}"``), else None."""
+    if nid[:1] == "n":
+        try:
+            number = int(nid[1:])
+        except ValueError:
+            return None
+        if f"n{number}" == nid and -(2**63) <= number < 2**63:
+            return number
+    return None
+
+
+class _DeliveryLog:
+    """One subscription's retained delivery rows, stored as columns.
+
+    A ring of at most ``capacity`` rows: until it is full a row is
+    appended, after that it takes the oldest row's slot and ``start``
+    moves on to the next-oldest.  ``sub_id``, ``client_id`` and
+    ``head`` are the log's, not the row's; a row they do not describe,
+    or whose notification id is not the engine's ``n<N>`` (both only
+    decoded from records written elsewhere), keeps its own in ``odd``.
+
+    :meth:`NotificationEngine.retained_log` hands it to tests: its
+    :meth:`set_status` is the one way a row's status changes, and
+    :meth:`columns` lists every object it holds."""
+
+    __slots__ = (
+        "sub_id", "client_id", "head", "capacity", "start",
+        "sequences", "numbers", "vias", "statuses", "texts", "odd",
+    )  # fmt: skip
+
+    def __init__(self, sub_id: str, client_id: str, head: str, capacity: int) -> None:
+        self.sub_id = sub_id
+        self.client_id = client_id
+        self.head = head
+        self.capacity = capacity
+        self.start = 0
+        self.sequences = array("q")
+        #: N of each row's notification id ``n<N>``
+        self.numbers = array("q")
+        self.vias = array("I")
+        #: indexes into :data:`_STATUSES`
+        self.statuses = bytearray()
+        self.texts: list[PublicationText] = []
+        #: slot -> (notification id, client id, head) of a row the
+        #: columns and the log's own fields do not describe
+        self.odd: dict[int, tuple[str, str, str]] | None = None
+
+    def push(self, sequence: int, number: int, via: int, text: PublicationText, status=0) -> bool:
+        """Store a row; True when the log was full and it took the
+        oldest row's slot."""
+        count = len(self.texts)
+        if count < self.capacity:
+            self.sequences.append(sequence)
+            self.numbers.append(number)
+            self.vias.append(via)
+            self.statuses.append(status)
+            self.texts.append(text)
+            return False
+        slot = self.start
+        self.start = (slot + 1) % count
+        self.sequences[slot] = sequence
+        self.numbers[slot] = number
+        self.vias[slot] = via
+        self.statuses[slot] = status
+        self.texts[slot] = text
+        if self.odd:
+            self.odd.pop(slot, None)
+        return True
+
+    def newest(self) -> int:
+        """The slot :meth:`push` wrote last."""
+        return (self.start - 1) % len(self.texts)
+
+    def keep_own(self, slot: int, nid: str, client_id: str, head: str) -> None:
+        """Keep the ids of the row at *slot*, which the log's do not
+        describe."""
+        if self.odd is None:
+            self.odd = {}
+        self.odd[slot] = (nid, intern(client_id), head)
+
+    def add(self, sequence, nid, client_id, head, text, via, status=0) -> bool:
+        """:meth:`push` for a row decoded from a record, whose id and
+        owners may not be the log's."""
+        number = _nid_number(nid)
+        evicted = self.push(sequence, 0 if number is None else number, via, text, status)
+        if number is None or client_id != self.client_id or head != self.head:
+            self.keep_own(self.newest(), nid, client_id, head)
+        return evicted
+
+    def _slots(self) -> Iterator[int]:
+        """Slots oldest row first."""
+        return chain(range(self.start, len(self.texts)), range(self.start))
+
+    def ordered_texts(self) -> Iterator[PublicationText]:
+        return (self.texts[slot] for slot in self._slots())
+
+    def rows(self) -> Iterator[tuple]:
+        """``(sequence, notification_id, client_id, head, text, via,
+        status)`` per row, oldest first."""
+        odd = self.odd or {}
+        numbers, sequences, texts, vias, statuses = (
+            self.numbers, self.sequences, self.texts, self.vias, self.statuses
+        )  # fmt: skip
+        for slot in self._slots():
+            nid, client_id, head = odd.get(slot) or (
+                f"n{numbers[slot]}", self.client_id, self.head
+            )
+            yield (
+                sequences[slot], nid, client_id, head, texts[slot], vias[slot],
+                _STATUSES[statuses[slot]],
+            )  # fmt: skip
+
+    def entries(self) -> list[DeliveryEntry]:
+        """The rows as (detached) :class:`DeliveryEntry` copies."""
+        sub_id = self.sub_id
+        return [
+            DeliveryEntry(sequence, nid, client_id, sub_id, head, text, via, status)
+            for sequence, nid, client_id, head, text, via, status in self.rows()
+        ]
+
+    def set_status(self, sequence: int, status: str, text: PublicationText | None = None) -> bool:
+        """Write the status of the row with *sequence* — only if it
+        references *text*, when given, so a row in flight settles its
+        own retained copy and never a later stream's row that re-used
+        its sequence.  False when no such row is retained.
+
+        A stream's sequences are contiguous, so the row is found by
+        subtraction from the oldest; a log they are not contiguous in
+        (restored from records written elsewhere) is searched newest
+        first."""
+        sequences, start = self.sequences, self.start
+        count = len(sequences)
+        if not count:
+            return False
+        slot = start + sequence - sequences[start]
+        if slot >= count:
+            slot -= count
+        if not (0 <= slot < count and sequences[slot] == sequence):
+            if sequences[start - 1] - sequences[start] == count - 1:
+                return False  # contiguous, and not in range
+            for slot in chain(range(start - 1, -1, -1), range(count - 1, start - 1, -1)):
+                if sequences[slot] == sequence:
+                    break
+            else:
+                return False
+        if text is not None and self.texts[slot] is not text:
+            return False
+        self.statuses[slot] = _CODE[status]
+        return True
+
+    def columns(self) -> tuple:
+        """Every object the log holds."""
+        return (
+            self.sub_id, self.client_id, self.head, self.sequences, self.numbers,
+            self.vias, self.statuses, self.texts, self.odd,
+        )  # fmt: skip
+
+
 @dataclass
 class _EngineStats:
     notifications: int = 0
@@ -241,7 +420,7 @@ class NotificationEngine:
         #: would restart at 1 after recovery and collide)
         self._next_notification = 1
         self._next_seq: dict[str, int] = {}
-        self._delivery_log: dict[str, deque[DeliveryEntry]] = {}
+        self._delivery_log: dict[str, _DeliveryLog] = {}
         self._frontier: dict[str, int] = {}
         #: sub_id -> its subscription part as :meth:`_stage` rendered it,
         #: the one string every row staged for the subscription references
@@ -270,11 +449,29 @@ class NotificationEngine:
             self.stats.history_evictions += 1
         store.append(item)
 
-    def _log_entry(self, entry: DeliveryEntry) -> None:
-        log = self._delivery_log.get(entry.sub_id)
+    def _log_row(self, sub_id, sequence, nid, client_id, head, text, via, status=0) -> None:
+        """Retain a row decoded from a record (the live path is
+        :meth:`_stage`)."""
+        log = self._delivery_log.get(sub_id)
         if log is None:
-            log = self._delivery_log[entry.sub_id] = deque(maxlen=self.history_limit)
-        self._bounded_append(log, entry)
+            client_id = intern(client_id)
+            log = self._delivery_log[sub_id] = _DeliveryLog(
+                sub_id, client_id, head, self.history_limit
+            )
+        if log.add(sequence, nid, client_id, head, text, via, status):
+            self.stats.history_evictions += 1
+
+    def _log_entry(self, entry: DeliveryEntry) -> None:
+        self._log_row(
+            entry.sub_id, entry.sequence, entry.notification_id, entry.client_id,
+            entry.head, entry.text, entry.via, _CODE[entry.status],
+        )  # fmt: skip
+
+    def retained_log(self, sub_id: str) -> _DeliveryLog | None:
+        """The column store behind :meth:`delivery_log` — a test seam:
+        :meth:`_DeliveryLog.set_status` forges a row's status, and
+        :meth:`_DeliveryLog.columns` is what a leak check walks."""
+        return self._delivery_log.get(sub_id)
 
     def forget(self, sub_id: str) -> None:
         """Drop what is kept for a subscription that unsubscribed: its
@@ -322,7 +519,8 @@ class NotificationEngine:
 
     def _stage(self, deliveries: Sequence[tuple[Client, SemanticMatch]]) -> list[DeliveryEntry]:
         """The once-per-publication half of :meth:`fan_out`: one
-        delivery-log row per match, in order.  A new row draws the next
+        delivery-log row per match, in order, retained in the log's
+        columns and returned as an entry in flight.  A new row draws the next
         sequence of its subscription and references the publication's
         text — the event rendered once, a derivation once however many
         subscriptions accepted it (by content, so equal derived events
@@ -333,6 +531,7 @@ class NotificationEngine:
         uncrashed run journaled for it instead; only a match without one
         (the crash came before its ``outs``) is staged anew."""
         ledger = self._replay_ledger
+        logs = self._delivery_log
         text: PublicationText | None = None
         via_of: dict[DerivedEvent, int] = {}
         staged: list[DeliveryEntry] = []
@@ -356,11 +555,18 @@ class NotificationEngine:
                 text.via.append(derivation_part(match.matched_via))
             sequence = self._next_seq.get(sub_id, 1)
             self._next_seq[sub_id] = sequence + 1
-            entry = DeliveryEntry(
-                sequence, f"n{self._next_notification}", client.client_id, sub_id, head, text, via
-            )
-            self._next_notification += 1
-            self._log_entry(entry)
+            number = self._next_notification
+            self._next_notification = number + 1
+            client_id = client.client_id
+            log = logs.get(sub_id)
+            if log is None:
+                log = logs[sub_id] = _DeliveryLog(sub_id, client_id, head, self.history_limit)
+            if log.push(sequence, number, via, text):
+                self.stats.history_evictions += 1
+            nid = f"n{number}"
+            if client_id != log.client_id or head != log.head:
+                log.keep_own(log.newest(), nid, client_id, head)
+            entry = DeliveryEntry(sequence, nid, client_id, sub_id, head, text, via)
             staged.append(entry)
             fresh.append(entry)
         if fresh and self.durability is not None:
@@ -407,10 +613,14 @@ class NotificationEngine:
     def _settle(self, entry: DeliveryEntry, delivered: bool) -> None:
         """Terminal bookkeeping for one send: log status and delivered
         frontier (a dead letter is terminal too: recovery never re-sends
-        it either)."""
-        entry.status = "acked" if delivered else "dead"
+        it either).  *entry* is a row in flight; the status is written
+        through to its retained copy, if the log still holds it."""
+        status = entry.status = "acked" if delivered else "dead"
+        sub_id = entry.sub_id
+        log = self._delivery_log.get(sub_id)
+        if log is not None:
+            log.set_status(entry.sequence, status, entry.text)
         if delivered:
-            sub_id = entry.sub_id
             self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), entry.sequence)
 
     def _journal_acks(self, entries: list[DeliveryEntry]) -> None:
@@ -498,8 +708,9 @@ class NotificationEngine:
         are settled by their re-send; already-settled ones keep their
         status.  Bounded by ``history_limit`` — evicted entries are
         gone."""
+        log = self._delivery_log.get(sub_id)
         outcomes = []
-        for entry in list(self._delivery_log.get(sub_id, ())):
+        for entry in log.entries() if log is not None else ():
             if entry.sequence < sequence:
                 continue
             outcomes.append(self._redeliver(entry, registry))
@@ -538,7 +749,9 @@ class NotificationEngine:
         and queued on its subscription's ledger — sharing its
         publication's text as the row it was staged as did — every row
         of an ``acks`` record settles its entry (the send reached its
-        terminal state before the crash), and every ``unsub`` forgets
+        terminal state before the crash) — the retained row by
+        sequence, its copy in flight even if the row has left the
+        window — and every ``unsub`` forgets
         the subscription as the live call did, leaving a ``None`` on its
         ledger queue where it ended.  ``out`` and ``ack`` are the
         one-delivery records written before the fan-out was grouped;
@@ -559,11 +772,28 @@ class NotificationEngine:
                 self._next_notification = max(self._next_notification, int(nid[1:]) + 1)
             ledger.setdefault(sub_id, deque()).append(entry)
 
-        def settle(sub_id: str, sequence: int, ok: bool) -> None:
-            for entry in reversed(self._delivery_log.get(sub_id, ())):
-                if entry.sequence == sequence:
-                    entry.status = "acked" if ok else "dead"
+        def in_flight(sub_id: str, sequence: int) -> DeliveryEntry | None:
+            """The row's copy in flight: queued since its stream's last
+            ``unsub`` (an ack follows its ``outs`` closely, so newest
+            first), or restored pending."""
+            for entry in reversed(ledger.get(sub_id, ())):
+                if entry is None:
                     break
+                if entry.sequence == sequence:
+                    return entry
+            for entry in self._restored_pending.get(sub_id, ()):
+                if entry.sequence == sequence:
+                    return entry
+            return None
+
+        def settle(sub_id: str, sequence: int, ok: bool) -> None:
+            status = "acked" if ok else "dead"
+            log = self._delivery_log.get(sub_id)
+            if log is not None:
+                log.set_status(sequence, status)
+            entry = in_flight(sub_id, sequence)
+            if entry is not None:
+                entry.status = status
             if ok:
                 self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
 
@@ -634,8 +864,7 @@ class NotificationEngine:
         yield {"k": "notifier", "next_notification": self._next_notification}
         number_of: dict[int, int] = {}  # id(text) -> position among the text records
         for log in self._delivery_log.values():
-            for entry in log:
-                text = entry.text
+            for text in log.ordered_texts():
                 if id(text) in number_of:
                     continue
                 number_of[id(text)] = len(number_of)
@@ -646,17 +875,20 @@ class NotificationEngine:
         # every subscription with a log or a frontier drew a sequence first
         for sub_id, next_seq in self._next_seq.items():
             heads: dict[str, int] = {}
+            log = self._delivery_log.get(sub_id)
             entries = [
                 [
-                    e.sequence,
-                    e.notification_id,
-                    e.client_id,
-                    heads.setdefault(e.head, len(heads)),
-                    number_of[id(e.text)],
-                    e.via,
-                    e.status,
+                    sequence,
+                    nid,
+                    client_id,
+                    heads.setdefault(head, len(heads)),
+                    number_of[id(text)],
+                    via,
+                    status,
                 ]
-                for e in self._delivery_log.get(sub_id, ())
+                for sequence, nid, client_id, head, text, via, status in (
+                    log.rows() if log is not None else ()
+                )
             ]
             yield {
                 "k": "log",
@@ -692,21 +924,17 @@ class NotificationEngine:
         for fields in record["entries"]:
             if heads is None:
                 entry = DeliveryEntry.stored(sub_id, *fields)
+                self._log_entry(entry)
+                if entry.status != "pending":
+                    continue
             else:
                 sequence, nid, client_id, head, text, via, status = fields
-                entry = DeliveryEntry(
-                    sequence,
-                    nid,
-                    intern(client_id),
-                    sub_id,
-                    heads[head],
-                    self._restored_texts[text],
-                    via,
-                    intern(status),
-                )
-            self._log_entry(entry)
-            if entry.status == "pending":
-                self._restored_pending.setdefault(sub_id, []).append(entry)
+                head, text = heads[head], self._restored_texts[text]
+                self._log_row(sub_id, sequence, nid, client_id, head, text, via, _CODE[status])
+                if status != "pending":
+                    continue
+                entry = DeliveryEntry(sequence, nid, intern(client_id), sub_id, head, text, via)
+            self._restored_pending.setdefault(sub_id, []).append(entry)
 
     # -- reporting ----------------------------------------------------------------
 
@@ -726,8 +954,10 @@ class NotificationEngine:
         return dict(self._frontier)
 
     def delivery_log(self, sub_id: str) -> list[DeliveryEntry]:
-        """The retained (bounded) delivery log for one subscription."""
-        return list(self._delivery_log.get(sub_id, ()))
+        """The retained (bounded) delivery log for one subscription, as
+        copies of its rows: a row's status changes only by settling."""
+        log = self._delivery_log.get(sub_id)
+        return log.entries() if log is not None else []
 
     def snapshot(self) -> dict[str, object]:
         data = self.stats.snapshot()

@@ -160,18 +160,24 @@ def _build_mega_world(spec: MegaOntologySpec) -> World:
     term_attributes: list[tuple[str, str]] = []
     subtree_nodes: list[list[str]] = []
     synonym_spellings = 0
+    # the taxonomy's shape counters, kept as it is built: build order is
+    # topological, so a concept's height (its longest is-a chain up) is
+    # final when it is added
+    edges = depth = 0
 
     for index in range(spec.attributes):
         attribute = f"{spec.name}-a{index}"
         root = f"{attribute}-c0"
         nodes: list[str] = []
         child_counts: list[int] = []
+        heights: list[int] = []
         for j in range(per_subtree):
             term = f"{attribute}-c{j}"
             nodes.append(term)
             child_counts.append(0)
             if j == 0:
                 taxonomy.add_concept(term)
+                heights.append(0)
                 continue
             if j < spec.depth:
                 parent = j - 1  # the spine chain
@@ -180,6 +186,7 @@ def _build_mega_world(spec: MegaOntologySpec) -> World:
                 parent = spec.depth - 1 + (j - spec.depth) // spec.branching
             taxonomy.add_isa(term, nodes[parent])
             child_counts[parent] += 1
+            height = heights[parent] + 1
             if (
                 spec.extra_parent_every
                 and j >= spec.depth
@@ -191,6 +198,11 @@ def _build_mega_world(spec: MegaOntologySpec) -> World:
                 if second != parent:
                     taxonomy.add_isa(term, nodes[second])
                     child_counts[second] += 1
+                    edges += 1
+                    height = max(height, heights[second] + 1)
+            heights.append(height)
+        edges += per_subtree - 1
+        depth = max(depth, max(heights, default=0))
         leaves = [nodes[j] for j in range(per_subtree) if child_counts[j] == 0]
         leaf_pools[attribute] = leaves
         term_attributes.append((attribute, root))
@@ -246,16 +258,15 @@ def _build_mega_world(spec: MegaOntologySpec) -> World:
         seed=spec.seed,
     )
     build_seconds = time.perf_counter() - started
-    kb_stats = kb.stats()
-    domain_stats = kb_stats["domains"][spec.domain]  # type: ignore[index]
+    concepts = per_subtree * spec.attributes
     counters = {
-        "world_concepts": domain_stats["concepts"],
-        "world_edges": domain_stats["edges"],
-        "world_leaves": domain_stats["leaves"],
-        "world_depth": domain_stats["depth"],
+        "world_concepts": concepts,
+        "world_edges": edges,
+        "world_leaves": sum(map(len, leaf_pools.values())),
+        "world_depth": depth,
         "world_synonym_spellings": synonym_spellings,
         "world_rules": n_rules,
-        "world_terms": domain_stats["concepts"] + synonym_spellings,
+        "world_terms": concepts + synonym_spellings,
     }
     return World(
         spec=spec,

@@ -1,0 +1,454 @@
+"""Property: the column-stored delivery log keeps what a list of row
+objects would.
+
+Each subscription's retained log is a ring of columns (sequence and
+notification numbers, derivation index, status byte, text reference)
+with the subscription's ids and rendered part kept once.  The reference
+model here is the plain representation: per subscription a list of
+rows, each holding its whole id, client, subject, body and status, at
+most ``history_limit`` of them.  Random sequences of subscribe,
+publish (with dead letters, and fan-outs a dead letter aborts so later
+rows stay pending), ``replay_from``, unsubscribe, re-subscribing the
+same id, checkpoint (``durable_state`` → JSON) and crash (``restore``
+of the checkpoint + the journal tail through ``begin_replay`` /
+``finish_replay``) run against both, at ``history_limit=3`` so the
+ring wraps, and after every step the two agree on ``delivery_log()``,
+``replay_from`` outcomes, the delivered frontiers and the decoded
+``durable_state()`` records — which a fresh engine restores to the
+same records.  A run may start from a parent-format directory: a
+format-2 snapshot row and a journal ``out`` record whose ids are not
+``n<digits>``.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.broker.clients import ClientRegistry
+from repro.broker.notifications import NotificationEngine
+from repro.broker.transports import TcpTransport, TransportRegistry
+from repro.core.provenance import DerivationStep, DerivedEvent, SemanticMatch
+from repro.errors import DeliveryError
+from repro.model.events import Event
+from repro.model.predicates import Predicate
+from repro.model.subscriptions import Subscription
+
+LIMIT = 3
+SUBS = 3
+#: cl-a is reachable; cl-u's only transport is unknown, so every send to
+#: it is a dead letter
+REACHABLE = {"cl-a": True, "cl-u": False}
+
+
+def _subject(sub_id: str, event_id: str) -> str:
+    return f"S-ToPSS: subscription {sub_id} matched event {event_id}"
+
+
+def _json(record):
+    return json.loads(json.dumps(record))
+
+
+class _Journal:
+    """The slice of :class:`~repro.broker.durability.Durability` the
+    engine writes to: records go through JSON, as they do on disk."""
+
+    def __init__(self, records=()) -> None:
+        self.records = [_json(record) for record in records]
+        self.stats = SimpleNamespace(replayed_deliveries=0, dedup_drops=0)
+
+    def append(self, record) -> None:
+        self.records.append(_json(record))
+
+
+@dataclass
+class _Row:
+    sub_id: str
+    sequence: int
+    nid: str
+    client_id: str
+    event_id: str
+    subject: str
+    body: str
+    status: str = "pending"
+    #: staged since the last checkpoint (recovery reads it from the tail)
+    tail: bool = True
+    #: retained and pending at the last checkpoint (restored pending)
+    snapshot_pending: bool = False
+    #: its stream was forgotten: recovery never re-sends it
+    gone: bool = False
+
+    def observed(self) -> tuple:
+        return (
+            self.sequence, self.nid, self.client_id, self.event_id, self.subject, self.body,
+            self.status,
+        )  # fmt: skip
+
+
+class _Model:
+    """Per subscription a list of whole rows, at most ``LIMIT``."""
+
+    def __init__(self) -> None:
+        self.logs: dict[str, list[_Row]] = {}
+        self.every_row: list[_Row] = []
+        self.next_seq: dict[str, int] = {}
+        self.frontier: dict[str, int] = {}
+        self.next_nid = 1
+
+    def stage(self, sub_id: str, client_id: str, event_id: str, body: str) -> _Row:
+        sequence = self.next_seq.get(sub_id, 1)
+        self.next_seq[sub_id] = sequence + 1
+        row = _Row(
+            sub_id, sequence, f"n{self.next_nid}", client_id, event_id,
+            _subject(sub_id, event_id), body,
+        )  # fmt: skip
+        self.next_nid += 1
+        self.keep(row)
+        return row
+
+    def keep(self, row: _Row) -> None:
+        log = self.logs.setdefault(row.sub_id, [])
+        log.append(row)
+        del log[:-LIMIT]
+        self.every_row.append(row)
+
+    def settle(self, row: _Row) -> bool:
+        delivered = REACHABLE[row.client_id]
+        row.status = "acked" if delivered else "dead"
+        if delivered:
+            self.frontier[row.sub_id] = max(self.frontier.get(row.sub_id, 0), row.sequence)
+        return delivered
+
+    def forget(self, sub_id: str) -> None:
+        for row in self.logs.pop(sub_id, ()):
+            row.gone = True
+        for row in self.every_row:
+            if row.sub_id == sub_id:
+                row.gone = True
+        self.next_seq.pop(sub_id, None)
+        self.frontier.pop(sub_id, None)
+
+    def checkpoint(self) -> None:
+        retained = {id(row) for log in self.logs.values() for row in log}
+        for row in self.every_row:
+            row.tail = False
+            row.snapshot_pending = id(row) in retained and row.status == "pending"
+
+    def recover(self) -> int:
+        """What ``finish_replay`` re-sends, unless the row's stream
+        ended: every row the snapshot held pending (settled if it still
+        is), and every row the tail staged that is still pending.
+        Returns how many sends that is."""
+        sends = 0
+        for row in self.every_row:
+            if not row.gone and (row.snapshot_pending or row.tail and row.status == "pending"):
+                sends += 1
+                if row.status == "pending":
+                    self.settle(row)
+        return sends
+
+    def log_records(self) -> dict[str, tuple]:
+        return {
+            sub_id: (
+                next_seq,
+                self.frontier.get(sub_id, 0),
+                [row.observed() for row in self.logs.get(sub_id, ())],
+            )
+            for sub_id, next_seq in self.next_seq.items()
+        }
+
+
+def _decoded(records: list[dict]) -> tuple[int, dict[str, tuple]]:
+    """``durable_state()`` records back to whole rows."""
+    next_notification, texts, logs = None, [], {}
+    for record in records:
+        if record["k"] == "notifier":
+            next_notification = record["next_notification"]
+        elif record["k"] == "text":
+            texts.append(record)
+        else:
+            sub_id, heads, rows = record["sid"], record["heads"], []
+            for sequence, nid, client_id, head, number, via, status in record["entries"]:
+                text = texts[number]
+                subject = text["subject"] if "subject" in text else _subject(sub_id, text["eid"])
+                body = heads[head] + text["event"] + text["via"][via]
+                rows.append((sequence, nid, client_id, text["eid"], subject, body, status))
+            logs[sub_id] = (record["next_seq"], record["frontier"], rows)
+    # every text record is referenced, by a row that follows it
+    referenced = {e[4] for r in records if r["k"] == "log" for e in r["entries"]}
+    assert referenced == set(range(len(texts)))
+    return next_notification, logs
+
+
+#: a parent-format directory: a format-2 snapshot whose one row id is
+#: not ``n<digits>`` (its status is the run's choice), and a journal
+#: tail of one-delivery records
+_FORMAT_2_SNAPSHOT = [
+    {"k": "notifier", "next_notification": 1},
+    {
+        "k": "log",
+        "sid": "s0",
+        "next_seq": 2,
+        "frontier": 1,
+        "entries": [[1, "legacy-1", "cl-a", "e-old", "old subject 1", "old body 1", "acked"]],
+    },
+]
+_FORMAT_2_TAIL = [
+    {"k": "out", "sid": "s0", "n": 2, "nid": "x-2", "cid": "cl-a", "eid": "e-old2",
+     "subject": "old subject 2", "body": "old body 2"},
+    {"k": "ack", "sid": "s0", "n": 2, "ok": True},
+]  # fmt: skip
+#: a format-3 snapshot whose row ids are not the engine's ``n<N>``
+#: although its subscription part is what staging renders: new rows fit
+#: the log's columns and overwrite rows that did not
+_ODD_IDS_SNAPSHOT = [
+    {"k": "notifier", "next_notification": 5},
+    {"k": "text", "eid": "e-old", "event": "e-old [(a, 1)]", "via": [" — exact syntactic match"]},
+    {
+        "k": "log",
+        "sid": "s0",
+        "next_seq": 3,
+        "frontier": 2,
+        "heads": ['subscription s0 [(a = "1")] matched event '],
+        "entries": [[1, "n01", "cl-a", 0, 0, 0, "acked"], [2, "n1_0", "cl-a", 0, 0, 0, "acked"]],
+    },
+]
+
+
+class _Run:
+    """The engine and the model side by side.  *start*, when given, is
+    the directory the run recovers from first: ``"odd ids"``, or the
+    status of the format-2 row in a parent-format one."""
+
+    def __init__(self, start: str | None = None) -> None:
+        self.registry = ClientRegistry()
+        for client_id, reachable in REACHABLE.items():
+            address = ("tcp", "a:1") if reachable else ("carrier-pigeon", "roof")
+            self.registry.register(client_id, addresses=(address,), client_id=client_id)
+        self.model = _Model()
+        self.live: dict[str, str] = {}  # sub_id -> its client
+        self.publications = 0
+        self.snapshot = [{"k": "notifier", "next_notification": 1}]
+        self.journal = _Journal()
+        self.engine = self._engine()
+        if start is None:
+            return
+        self.live["s0"] = "cl-a"
+        if start == "odd ids":
+            self.snapshot = _json(_ODD_IDS_SNAPSHOT)
+            body = 'subscription s0 [(a = "1")] matched event e-old [(a, 1)] — exact syntactic match'
+            old = [
+                _Row("s0", sequence, nid, "cl-a", "e-old", _subject("s0", "e-old"), body,
+                     "acked", tail=False)
+                for sequence, nid in ((1, "n01"), (2, "n1_0"))
+            ]  # fmt: skip
+            self.model.next_nid = 5
+        else:
+            self.snapshot = _json(_FORMAT_2_SNAPSHOT)
+            self.snapshot[1]["entries"][0][-1] = start
+            self.journal = _Journal(_FORMAT_2_TAIL)
+            old = [
+                _Row("s0", 1, "legacy-1", "cl-a", "e-old", "old subject 1", "old body 1", start,
+                     tail=False, snapshot_pending=start == "pending"),
+                _Row("s0", 2, "x-2", "cl-a", "e-old2", "old subject 2", "old body 2", "acked"),
+            ]  # fmt: skip
+        for row in old:
+            self.model.keep(row)
+        self.model.next_seq["s0"] = 3
+        self.model.frontier["s0"] = 2
+        self.crash()
+
+    def _engine(self) -> NotificationEngine:
+        transports = TransportRegistry([TcpTransport()])
+        return NotificationEngine(transports, history_limit=LIMIT, durability=self.journal)
+
+    # -- operations ----------------------------------------------------------
+
+    def subscribe(self, index: int, client_id: str) -> None:
+        self.live.setdefault(f"s{index}", client_id)
+
+    def unsubscribe(self, index: int) -> None:
+        sub_id = f"s{index}"
+        if self.live.pop(sub_id, None) is not None:
+            self.engine.forget(sub_id)
+            self.journal.append({"k": "unsub", "sid": sub_id})
+            self.model.forget(sub_id)
+
+    def publish(self, picks: list[tuple[bool, bool]], abort: bool) -> list:
+        event_id = f"e{self.publications}"
+        self.publications += 1
+        event = Event({"a": "1", "n": self.publications}, event_id=event_id)
+        rewritten = DerivedEvent.original(event).extend(
+            Event({"b": "1", "n": self.publications}, event_id=event_id),
+            DerivationStep("synonym", "attribute 'a' rewritten to root 'b'", "a"),
+        )
+        deliveries, rows = [], []
+        for index, (included, derived) in enumerate(picks):
+            sub_id = f"s{index}"
+            client_id = self.live.get(sub_id)
+            if not included or client_id is None:
+                continue
+            sub = Subscription([Predicate.eq("a", "1")], sub_id=sub_id)
+            match = SemanticMatch(sub, event, rewritten if derived else DerivedEvent.original(event))
+            deliveries.append((self.registry.get(client_id), match))
+            rows.append(self.model.stage(sub_id, client_id, event_id, match.explain()))
+        if not deliveries:
+            return deliveries
+        self.engine.raise_on_dead_letter = abort
+        try:
+            outcomes = self.engine.fan_out(deliveries)
+        except DeliveryError:
+            outcomes = None
+        finally:
+            self.engine.raise_on_dead_letter = False
+        for row in rows:
+            if not self.model.settle(row) and abort:
+                break  # the rest stay pending
+        if outcomes is not None:
+            assert [o.notification.notification_id for o in outcomes] == [r.nid for r in rows]
+        return deliveries
+
+    def replay(self, index: int, sequence: int) -> None:
+        sub_id = f"s{index}"
+        got = [
+            (o.notification.sequence, o.notification.notification_id, o.delivered)
+            for o in self.engine.replay_from(sub_id, sequence, self.registry)
+        ]
+        expected = []
+        for row in self.model.logs.get(sub_id, ()):
+            if row.sequence >= sequence:
+                delivered = REACHABLE[row.client_id]
+                if row.status == "pending":
+                    self.model.settle(row)
+                expected.append((row.sequence, row.nid, delivered))
+        assert got == expected
+
+    def checkpoint(self) -> None:
+        self.snapshot = [_json(record) for record in self.engine.durable_state()]
+        self.journal.records.clear()
+        self.model.checkpoint()
+
+    def crash(self) -> None:
+        """Recover as ``durability.recover`` does, minus the dispatcher:
+        restore the snapshot, the ledger pass over the tail, the tail's
+        unsubscribes replayed, then the re-sends."""
+        tail = list(self.journal.records)
+        self.engine = self._engine()
+        for record in self.snapshot:
+            self.engine.restore(_json(record))
+        self.engine.begin_replay(tail, self.journal.stats)
+        for record in tail:
+            if record["k"] == "unsub":
+                self.engine.forget(record["sid"])
+        sends = self.journal.stats.replayed_deliveries
+        self.engine.finish_replay(self.registry)
+        assert self.journal.stats.replayed_deliveries - sends == self.model.recover()
+
+    # -- the comparison --------------------------------------------------------
+
+    def check(self) -> None:
+        model, engine = self.model, self.engine
+        for index in range(SUBS):
+            sub_id = f"s{index}"
+            got = [
+                (e.sequence, e.notification_id, e.client_id, e.event_id, e.subject, e.body,
+                 e.status)
+                for e in engine.delivery_log(sub_id)
+            ]  # fmt: skip
+            assert got == [row.observed() for row in model.logs.get(sub_id, ())], sub_id
+        assert engine.delivery_frontiers() == model.frontier
+        records = [_json(record) for record in engine.durable_state()]
+        next_notification, logs = _decoded(records)
+        assert next_notification == model.next_nid
+        assert logs == model.log_records()
+        fresh = NotificationEngine(history_limit=LIMIT)
+        for record in records:
+            fresh.restore(_json(record))
+        assert [_json(record) for record in fresh.durable_state()] == records
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("subscribe"), st.integers(0, SUBS - 1), st.sampled_from(sorted(REACHABLE))),
+    st.tuples(st.just("unsubscribe"), st.integers(0, SUBS - 1)),
+    st.tuples(
+        st.just("publish"),
+        st.lists(st.tuples(st.booleans(), st.booleans()), min_size=SUBS, max_size=SUBS),
+        st.booleans(),
+    ),
+    st.tuples(
+        st.just("publish"),
+        st.just([(True, False)] * SUBS),
+        st.just(False),
+    ),
+    st.tuples(st.just("replay"), st.integers(0, SUBS - 1), st.integers(1, 8)),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("crash")),
+)
+
+
+@given(start=st.sampled_from([None, "acked", "pending", "odd ids"]), ops=st.lists(_OPS, max_size=30))
+def test_columnar_log_equals_list_of_rows(start, ops):
+    run = _Run(start)
+    run.check()
+    for op, *args in ops:
+        getattr(run, op)(*args)
+        run.check()
+
+
+@pytest.mark.parametrize("status", ["acked", "pending"])
+def test_legacy_rows_round_trip(status):
+    """A format-2 row and an ``out`` record whose ids are not
+    ``n<digits>`` come back under those ids, beside a new row of the
+    same subscription, through a snapshot and a second recovery (a
+    pending format-2 row is re-sent and settled by the first)."""
+    run = _Run(status)
+    run.publish([(True, True)] + [(False, False)] * (SUBS - 1), False)
+    for step in (run.check, run.checkpoint, run.crash, run.check):
+        step()
+        entries = run.engine.delivery_log("s0")
+        assert [entry.notification_id for entry in entries] == ["legacy-1", "x-2", "n1"]
+        assert [entry.status for entry in entries] == ["acked"] * 3
+
+
+def test_a_replayed_row_of_an_ended_stream_settles_only_itself():
+    """Recovery re-sends a pending row when its publication is replayed,
+    also when its stream ended later in the journal tail; by then the
+    ledger pass has logged the id's next stream, whose row at the same
+    sequence keeps its own status."""
+    run = _Run()
+    run.subscribe(0, "cl-u")
+    run.subscribe(1, "cl-a")
+    # s0's dead letter aborts the fan-out: s1's row stays pending
+    first = run.publish([(True, False), (True, False), (False, False)], True)
+    assert [entry.status for entry in run.engine.delivery_log("s1")] == ["pending"]
+    run.unsubscribe(1)
+    run.subscribe(1, "cl-u")
+    run.publish([(False, False), (True, False), (False, False)], False)
+    assert [(e.sequence, e.status) for e in run.engine.delivery_log("s1")] == [(1, "dead")]
+
+    recovered = run._engine()
+    recovered.begin_replay(list(run.journal.records), run.journal.stats)
+    outcomes = recovered.fan_out(first)  # the first publication, replayed
+    assert [(o.notification.sub_id, o.delivered, o.transport) for o in outcomes] == [
+        ("s0", False, "journal"),  # settled before the crash: dropped
+        ("s1", True, "tcp"),  # re-sent to the ended stream's client
+    ]
+    assert [(e.sequence, e.status) for e in recovered.delivery_log("s1")] == [(1, "dead")]
+
+
+def test_a_log_whose_sequences_have_gaps_is_searched():
+    """Rows are found by subtraction from the oldest sequence; a log
+    restored with gaps (no stream the engine writes has any) is
+    searched instead."""
+    run = _Run("odd ids")
+    log = run.engine.retained_log("s0")
+    for sequence in (5, 9):
+        run.engine._log_row("s0", sequence, f"n{sequence}", "cl-a", log.head, log.texts[0], 0)
+    assert [e.sequence for e in run.engine.delivery_log("s0")] == [2, 5, 9]
+    assert log.set_status(5, "dead") and not log.set_status(4, "dead")
+    assert [e.status for e in run.engine.delivery_log("s0")] == ["acked", "dead", "pending"]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import pytest
 
-from repro.broker.clients import Client, ClientKind
+from repro.broker.clients import Client, ClientKind, ClientRegistry
 from repro.broker.notifications import NotificationEngine
 from repro.broker.transports import (
     JOURNAL_WINDOW,
@@ -206,3 +209,55 @@ class TestBoundedRetention:
         assert not hasattr(first, "__dict__")
         assert first.client_id is second.client_id
         assert first.status is second.status
+
+
+class TestRetainedRowFootprint:
+    """A retained delivery is a column entry: its numbers, a status byte
+    and one reference to its publication's text (the subscription's ids
+    and rendered part are the log's).  Pinned in traced bytes per row,
+    live and after a ``restore()`` from JSON-decoded records; a row
+    object with its own id string cost 172."""
+
+    SUBS, PUBLICATIONS, BOUND = 64, 100, 64
+
+    def _fan_out(self, engine, client) -> None:
+        subs = [
+            Subscription([Predicate.eq("degree", "PhD")], sub_id=f"s{index}")
+            for index in range(self.SUBS)
+        ]
+        for index in range(self.PUBLICATIONS):
+            event = Event({"degree": "PhD", "n": index}, event_id=f"e{index}")
+            via = DerivedEvent.original(event)
+            engine.fan_out([(client, SemanticMatch(sub, event, via, 0)) for sub in subs])
+
+    def _bytes_per_row(self, engine) -> float:
+        """Traced bytes that forgetting every subscription releases, per
+        retained row (tracemalloc must have seen the rows allocated)."""
+        rows = sum(len(engine.delivery_log(f"s{index}")) for index in range(self.SUBS))
+        assert rows == self.SUBS * self.PUBLICATIONS
+        held = tracemalloc.get_traced_memory()[0]
+        for index in range(self.SUBS):
+            engine.forget(f"s{index}")
+        return (held - tracemalloc.get_traced_memory()[0]) / rows
+
+    def test_live_and_restored_rows_cost_at_most_64_bytes(self):
+        registry = ClientRegistry()
+        client = registry.register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
+        tracemalloc.start()
+        try:
+            live = _engine(history_limit=1024)
+            self._fan_out(live, client)
+            records = [json.loads(json.dumps(record)) for record in live.durable_state()]
+            live_bytes = self._bytes_per_row(live)
+
+            restored = _engine(history_limit=1024)
+            for record in records:
+                restored.restore(record)
+            del records
+            restored.begin_replay([], None)
+            restored.finish_replay(registry)
+            restored_bytes = self._bytes_per_row(restored)
+        finally:
+            tracemalloc.stop()
+        assert live_bytes <= self.BOUND, live_bytes
+        assert restored_bytes <= self.BOUND, restored_bytes

@@ -17,7 +17,6 @@ import json
 import shutil
 import sys
 import tracemalloc
-from collections import deque
 
 import pytest
 
@@ -33,7 +32,7 @@ from repro.broker.durability import (
     _scan_records,
     recover,
 )
-from repro.broker.notifications import DeliveryEntry, NotificationEngine, PublicationText
+from repro.broker.notifications import NotificationEngine, PublicationText
 from repro.broker.sharding import ShardedBroker
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
@@ -474,7 +473,7 @@ class TestSnapshots:
         with Broker(kb, durability=tmp_path) as broker:
             _populate(broker)
             # forge in-flight state: mark s-a's delivery un-acked
-            broker.notifier._delivery_log["s-a"][0].status = "pending"
+            assert broker.notifier.retained_log("s-a").set_status(1, "pending")
             broker.notifier._frontier.pop("s-a")
             broker.checkpoint()
         recovered = recover(tmp_path, kb)
@@ -621,10 +620,11 @@ class TestStreamedSnapshot:
         for event_id in ("e3", "e4"):
             broker.publish("cl-p", Event([("degree", "PhD")], event_id=event_id))
         broker.publish("cl-p", Event([("school", "Toronto")], event_id="e5"))
-        log = broker.notifier._delivery_log
-        assert {entry.status for entry in log["s-u"]} == {"dead"}
-        assert {entry.status for entry in log["s-b2"]} == {"acked"}
-        log["s-a"][-1].status = "pending"  # forge an in-flight send
+        notifier = broker.notifier
+        assert {entry.status for entry in notifier.delivery_log("s-u")} == {"dead"}
+        assert {entry.status for entry in notifier.delivery_log("s-b2")} == {"acked"}
+        last = notifier.delivery_log("s-a")[-1].sequence
+        assert notifier.retained_log("s-a").set_status(last, "pending")  # forge an in-flight send
         broker.notifier._frontier["s-a"] = 1
         return broker
 
@@ -640,7 +640,8 @@ class TestStreamedSnapshot:
             statuses = {e[6] for r in written if r["k"] == "log" for e in r["entries"]}
             assert statuses == {"pending", "acked", "dead"}
             # recovery settles the pending send; do the same here
-            broker.notifier._delivery_log["s-a"][-1].status = "acked"
+            last = broker.notifier.delivery_log("s-a")[-1].sequence
+            assert broker.notifier.retained_log("s-a").set_status(last, "acked")
             broker.notifier._frontier["s-a"] = 2
             expected = list(broker.notifier.durable_state())
         finally:
@@ -731,11 +732,13 @@ class TestSharedFanOutText:
     SUBS, PUBLICATIONS = 8, 30
 
     @staticmethod
-    def _strings(notifier) -> set[int]:
-        """Identities of every ``str`` reachable from the delivery log."""
+    def _strings(notifier, sub_ids) -> set[int]:
+        """Identities of every ``str`` reachable from the delivery logs."""
         seen: set[int] = set()
         strings: set[int] = set()
-        stack: list[object] = [notifier._delivery_log]
+        stack: list[object] = [
+            column for sub_id in sub_ids for column in notifier.retained_log(sub_id).columns()
+        ]
         while stack:
             item = stack.pop()
             if id(item) in seen:
@@ -743,7 +746,7 @@ class TestSharedFanOutText:
             seen.add(id(item))
             if isinstance(item, str):
                 strings.add(id(item))
-            elif isinstance(item, (dict, deque, list, tuple, DeliveryEntry, PublicationText)):
+            elif isinstance(item, (dict, list, tuple, PublicationText)):
                 stack.extend(gc.get_referents(item))
         return strings
 
@@ -773,17 +776,18 @@ class TestSharedFanOutText:
         live_dir, journal_dir = tmp_path / "live", tmp_path / "wal"
         broker, derivations = self._fanned_out(kb, live_dir)
         assert derivations == 2 * publications
-        # one rendered part per subscription, publication and derivation;
-        # the ids: a notification id per row, an event id per publication,
-        # a subscription id per subscription, two clients, three statuses
+        # one rendered part per subscription, publication and derivation
         text_bound = subs + publications + derivations
-        id_bound = rows + publications + subs + 2 + 3
+        # the ids: an event id per publication, a subscription id per
+        # subscription, two clients (a row's id and status are numbers)
+        id_bound = publications + subs + 2
         assert text_bound < rows / 2
 
         def check(notifier):
             logged = sum(len(notifier.delivery_log(f"s{index}")) for index in range(subs))
             assert logged == rows
-            assert len(self._strings(notifier)) <= text_bound + id_bound
+            sub_ids = [f"s{index}" for index in range(subs)]
+            assert len(self._strings(notifier, sub_ids)) <= text_bound + id_bound
 
         try:
             check(broker.notifier)

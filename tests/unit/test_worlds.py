@@ -101,6 +101,18 @@ class TestBuilder:
         )
         assert world.build_seconds > 0
 
+    @pytest.mark.parametrize("name", ["mega-small", "mega-deep"])
+    def test_shape_counters_are_the_taxonomys(self, name):
+        """The builder counts the shape as it builds (heights included,
+        second parents and all); the taxonomy's own post-order agrees."""
+        world = build_world(name)
+        taxonomy = world.kb.taxonomy(world.spec.domain)
+        stats = taxonomy.stats()
+        assert world.counters["world_depth"] == taxonomy.depth()
+        assert [world.counters[f"world_{key}"] for key in ("concepts", "edges", "leaves")] == [
+            stats[key] for key in ("concepts", "edges", "leaves")
+        ]
+
     def test_leaf_pools_are_the_taxonomy_leaves(self, world):
         taxonomy = world.kb.taxonomy(world.spec.domain)
         pooled = sorted(term for pool in world.leaf_pools.values() for term in pool)
