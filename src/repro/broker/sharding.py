@@ -33,7 +33,7 @@ time, exactly the discipline the
 
 Subscription churn routes to the owning shard (the router is a stable
 content hash of the subscription id, so unsubscribe finds the same
-shard without a lookup table); ``reconfigure``, ``refresh``, and
+shard without a lookup table); ``reconfigure`` and
 ``bump_semantic_epoch`` route to *every* shard, and knowledge-base
 motion needs no routing at all — each replica's publish path already
 re-syncs against ``kb.version`` through the existing semantic-version/
@@ -234,9 +234,6 @@ def _shard_worker_main(conn, engine, ready_epoch) -> None:
                 elif op == "epoch":
                     engine.bump_semantic_epoch(payload)
                     conn.send((epoch, "ok", None))
-                elif op == "refresh":
-                    refreshed = engine.refresh() if hasattr(engine, "refresh") else 0
-                    conn.send((epoch, "ok", refreshed))
                 elif op == "stats":
                     conn.send((epoch, "ok", engine.stats()))
                 else:
@@ -696,9 +693,7 @@ class ShardedEngine:
         instances are rejected whenever ``shards > 1``.
     engine_factory:
         ``factory(kb, *, matcher=..., config=...) -> engine`` building
-        one replica — defaults to :class:`~repro.core.engine.SToPSS`;
-        pass :class:`~repro.core.subexpand.SubscriptionExpandingEngine`
-        to shard the subscription-side design.
+        one replica — defaults to :class:`~repro.core.engine.SToPSS`.
     executor:
         How the publish fan-out runs: ``"serial"`` (default) publishes
         on each replica inline; ``"process"`` routes publishes through
@@ -1013,40 +1008,6 @@ class ShardedEngine:
         for engine in self._engines:
             engine.bump_semantic_epoch(reason)
         self._forward(None, "epoch", reason)
-
-    def refresh(self) -> int:
-        """Re-expand stale subscriptions on every shard that supports
-        it (the subscription-side design); returns the total count.
-
-        The single engine's ``refresh`` re-subscribes each stale
-        subscription, moving it to the *end* of the insertion order; to
-        keep sharded reporting order identical, the refreshed ids are
-        re-sequenced here in the same global order the single engine
-        would process them (its stale list follows subscribe order)."""
-        stale = set(self.stale_subscriptions())
-        refreshed = sum(
-            engine.refresh()
-            for engine in self._engines
-            if hasattr(engine, "refresh")
-        )
-        if stale:
-            for sub_id, _ in sorted(self._seq_of.items(), key=lambda item: item[1]):
-                if sub_id in stale:
-                    self._seq_of[sub_id] = self._next_seq
-                    self._next_seq += 1
-        if refreshed and self._plane is not None:
-            # refresh only fires after knowledge-base motion, which the
-            # fork-time worker KBs cannot see — rebuild, don't forward.
-            self._plane_dirty = True
-        return refreshed
-
-    def stale_subscriptions(self) -> list[str]:
-        return [
-            sub_id
-            for engine in self._engines
-            if hasattr(engine, "stale_subscriptions")
-            for sub_id in engine.stale_subscriptions()
-        ]
 
     @property
     def semantic_version(self) -> tuple:

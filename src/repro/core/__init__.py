@@ -3,7 +3,9 @@
 Three composable stages (synonyms, concept hierarchy, mapping
 functions), the Figure 1 fixpoint pipeline, and the
 :class:`~repro.core.engine.SToPSS` engine that wraps an unchanged
-syntactic matcher with them.
+syntactic matcher with them.  It is the one engine: events generalize
+at publish time, and subscriptions are only rewritten to their synonym
+roots.
 """
 
 from repro.core.config import SemanticConfig
@@ -14,12 +16,9 @@ from repro.core.mappings import MappingStage
 from repro.core.pipeline import PipelineResult, SemanticPipeline
 from repro.core.provenance import DerivationStep, DerivedEvent, SemanticMatch
 from repro.core.stemming import StemmingStage
-from repro.core.subexpand import SubscriptionExpandingEngine, expand_subscription
 from repro.core.synonyms import SynonymStage
 
 __all__ = [
-    "SubscriptionExpandingEngine",
-    "expand_subscription",
     "StemmingStage",
     "SemanticConfig",
     "SToPSS",

@@ -100,9 +100,9 @@ class SToPSS:
         #: publish-path counters: derived totals and the
         #: per-publication derived-count histogram.
         self.counters = CounterRegistry()
-        #: locally-bumped epoch folded into the semantic version; lets
-        #: subscription-side refresh (and tests) force-invalidate every
-        #: semantic cache even when ``kb.version`` is unchanged.
+        #: locally-bumped epoch folded into the semantic version; lets a
+        #: caller force-invalidate every semantic cache even when
+        #: ``kb.version`` is unchanged.
         self._epoch = 0
         #: (kb.version, epoch) the cached semantic state was derived under.
         self._semantic_version = (kb.version, self._epoch)
@@ -223,9 +223,8 @@ class SToPSS:
             event,
             interest=self._active_interest(),
             # attributes no mapping rule touches ride beside the core's
-            # fixpoint as alternatives when the matcher can recombine
-            # them and nothing re-scores a derivation after the fact
-            factored=self._derivation_score is None and self._matcher.accepts_factored,
+            # fixpoint as alternatives when the matcher can recombine them
+            factored=self._matcher.accepts_factored,
         )
         self.last_truncated = result.truncated
         derived_count = result.materialized()
@@ -241,7 +240,7 @@ class SToPSS:
         independent of who happens to be subscribed right now."""
         return self.pipeline.process_event(event)
 
-    def _sync_semantic_version(self) -> None:
+    def _sync_semantic_version(self, reason: str = "kb-version") -> None:
         """Detect knowledge-base mutations (new synonyms, taxonomy
         edges, rules) or local epoch bumps and drop every cache derived
         under the old version — the matcher's cross-publication memo,
@@ -249,7 +248,7 @@ class SToPSS:
         current = (self.kb.version, self._epoch)
         if current != self._semantic_version:
             self._semantic_version = current
-            self._matcher.invalidate_memo("kb-version")
+            self._matcher.invalidate_memo(reason)
             # a version move may have taught the concept table a
             # spelling: re-key the matcher's interned indexes if so.
             self._bind_matcher_interner()
@@ -257,57 +256,35 @@ class SToPSS:
                 self._interest.invalidate_semantics()
 
     def bump_semantic_epoch(self, reason: str = "external") -> None:
-        """Force-invalidate all cached semantic state (matcher memo
-        and interest closures) even when ``kb.version`` is unchanged —
-        used by the subscription-side engine's ``refresh`` so re-expanded
-        descendant sets can never be shadowed by stale cache entries."""
+        """Force-invalidate all cached semantic state (matcher memo,
+        interned matcher keys and interest closures) even when
+        ``kb.version`` is unchanged.  The bump moves the epoch and runs
+        the one sync every publish runs, so a knowledge-base write
+        folded in by the same sync is never skipped."""
         self._epoch += 1
-        self._semantic_version = (self.kb.version, self._epoch)
-        self._matcher.invalidate_memo(reason)
-        if self._interest is not None:
-            self._interest.invalidate_semantics()
-
-    def _admit(self, original: Subscription, generality: int, derived) -> int | None:
-        """Per-match tolerance gate: the charged generality of a match,
-        or ``None`` to reject it.
-
-        The unified tolerance semantics (shared with the
-        subscription-side engine, which overrides this hook) is a
-        single per-derivation-chain budget: every generalization along
-        the path from the publication to the matching form — wherever
-        it was paid, event-side expansion or subscription-side
-        descendant sets — charges the same budget.  Here the chain
-        generality is already fully charged by the pipeline, so only
-        the subscriber's personal bound remains to check (paper §3.2's
-        per-user information-loss control)."""
-        if original.max_generality is not None and generality > original.max_generality:
-            return None
-        return generality
-
-    #: optional ``(sub_id, derived) -> int`` scorer handed to
-    #: ``match_batch``; ``None`` means the reduction minimizes plain
-    #: chain generality.  The subscription-side engine overrides this
-    #: with its chain-budget scorer so the winning derivation per
-    #: subscription is the one with the lowest *total* charge.
-    _derivation_score = None
+        self._sync_semantic_version(reason)
 
     def _collect_matches(self, event: Event, result: PipelineResult) -> list[SemanticMatch]:
-        best = self._matcher.match_batch(result, score=self._derivation_score)
+        """The matcher's least general derivation per subscription,
+        kept when it is within the subscriber's personal bound — the
+        pipeline has already charged the system-wide budget per chain
+        (paper §3.2's per-user information-loss control)."""
+        best = self._matcher.match_batch(result)
         matches: list[SemanticMatch] = []
         for sub_id, (generality, derived) in best.items():
             seq_original = self._originals.get(sub_id)
             if seq_original is None:  # pragma: no cover - defensive
                 continue
             _, original = seq_original
-            admitted = self._admit(original, generality, derived)
-            if admitted is None:
+            bound = original.max_generality
+            if bound is not None and generality > bound:
                 continue
             matches.append(
                 SemanticMatch(
                     subscription=original,
                     event=event,
                     matched_via=derived,
-                    generality=admitted,
+                    generality=generality,
                 )
             )
         matches.sort(key=lambda match: self._originals[match.subscription.sub_id][0])

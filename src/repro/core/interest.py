@@ -264,8 +264,9 @@ class InterestIndex:
         and ``kb.generalizations`` does not cross those bridges
         transitively, so the intermediate may be the only path to an
         accepted ancestor.  The descent closures bake those bridge hops
-        in (they are built by the same BFS the subscription-side
-        expansion uses), which is what makes "depth within remaining"
+        in (they are built by the same BFS as
+        :func:`~repro.ontology.concept_table.descent_closure`), which is
+        what makes "depth within remaining"
         exactly the right admission test."""
         state = self._rule_state()
         if state.disabled_reason is not None:

@@ -54,9 +54,6 @@ class MatchingAlgorithm(abc.ABC):
         self._subscriptions: dict[str, tuple[int, Subscription]] = {}
         self._next_seq = 0
         self.stats = MatchStats()
-        #: active per-derivation scorer for the current match_batch
-        #: call (see :meth:`match_batch`); ``None`` = chain generality.
-        self._batch_score = None
 
     # -- subscription table ----------------------------------------------------
 
@@ -125,9 +122,7 @@ class MatchingAlgorithm(abc.ABC):
 
     # -- batched matching --------------------------------------------------------
 
-    def match_batch(
-        self, result: "PipelineResult", *, score=None
-    ) -> dict[str, tuple[int, "DerivedEvent"]]:
+    def match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "DerivedEvent"]]:
         """Match one semantic expansion batch in a single pass.
 
         Returns, per matched ``sub_id``, the pair ``(generality,
@@ -135,16 +130,6 @@ class MatchingAlgorithm(abc.ABC):
         the subscription (first derivation wins ties, following the
         batch's discovery order) — exactly the reduction the engine's
         per-event loop used to compute.
-
-        ``score`` optionally replaces the quantity that reduction
-        minimizes (and reports): a ``(sub_id, derived) -> int``
-        callable.  The subscription-side engine passes its chain-budget
-        scorer — chain generality *plus* the subscription's descendant
-        charge — so the winning derivation per subscription is the one
-        with the lowest **total** charge, not merely the lowest
-        event-side generality (a mapping-derived form can be cheaper
-        than the raw event).  Without it the score is the derivation's
-        chain generality, the event-side engine's semantics.
 
         The default implementation falls back to one :meth:`match` call
         per derived event, so any third-party matcher keeps working
@@ -154,25 +139,7 @@ class MatchingAlgorithm(abc.ABC):
         """
         self.stats.batches += 1
         self.stats.batch_derived += len(result.derived)
-        self._batch_score = score
-        try:
-            best = self._match_batch(result)
-        finally:
-            self._batch_score = None
-        if score is not None:
-            # Enforce the contract centrally: a custom _match_batch
-            # override that builds its own best-dict without routing
-            # through _reduce_batch_matches still must never report an
-            # unscored generality (the subscription-side engine gates
-            # tolerance on it).  Re-scoring the chosen witness is
-            # idempotent for conforming reductions; a bypassing matcher
-            # merely loses the cheapest-witness argmin, never the
-            # correctness of the charge.
-            for sub_id, (generality, derived) in best.items():
-                scored = score(sub_id, derived)
-                if scored != generality:
-                    best[sub_id] = (scored, derived)
-        return best
+        return self._match_batch(result)
 
     def bind_interner(self, value_key: Callable | None) -> None:
         """Adopt (or, with ``None``, drop) an interned value-identity
@@ -194,9 +161,10 @@ class MatchingAlgorithm(abc.ABC):
 
         Called with reason ``"subscription-churn"`` after every
         ``insert``/``remove`` and by the engine with ``"kb-version"`` /
-        ``"reconfigure"`` / ``"refresh"`` when the semantic layer's
-        inputs move.  Matchers whose memo payloads embed subscription
-        state (the counting matcher's per-pair subscription lists) must
+        ``"reconfigure"`` (or a ``bump_semantic_epoch`` caller's
+        reason) when the semantic layer's inputs move.  Matchers whose
+        memo payloads embed subscription state (the counting matcher's
+        per-pair subscription lists) must
         clear on churn; matchers whose memos are pure functions of predicate
         identity (the cluster matcher's residual outcomes) may keep the
         memo warm across churn and only honor the engine-driven
@@ -218,7 +186,6 @@ class MatchingAlgorithm(abc.ABC):
             self._reduce_batch_matches(
                 best,
                 derived,
-                derived.generality,
                 (subscription.sub_id for subscription in self.match(derived.event)),
             )
         return best
@@ -227,19 +194,17 @@ class MatchingAlgorithm(abc.ABC):
         self,
         best: dict[str, tuple[int, "DerivedEvent"]],
         derived: "DerivedEvent",
-        generality: int,
         matched_ids,
     ) -> int:
         """Fold one derived event's matched ids into *best* (shared by
         the batch implementations); returns how many ids were seen."""
         count = 0
-        score_fn = self._batch_score
+        generality = derived.generality
         for sub_id in matched_ids:
             count += 1
-            score = generality if score_fn is None else score_fn(sub_id, derived)
             known = best.get(sub_id)
-            if known is None or score < known[0]:
-                best[sub_id] = (score, derived)
+            if known is None or generality < known[0]:
+                best[sub_id] = (generality, derived)
         return count
 
     # -- extension points ------------------------------------------------------------

@@ -23,8 +23,8 @@ identify behavior exactly (``4`` vs ``4.0`` evaluate identically under
 every operator); since ``Predicate.evaluate`` is a pure function of
 that identity, subscription churn cannot stale an entry — the memo
 stays warm across subscribe/unsubscribe and is only dropped on the
-engine-propagated reasons (knowledge-base version changes, refresh,
-reconfigure) and on capacity overflow.
+engine-propagated reasons (knowledge-base version changes, epoch
+bumps, reconfigure) and on capacity overflow.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ class ClusterMatcher(MatchingAlgorithm):
             matched_ids = self._matched_ids(derived.event, residual_check)
             stats.events += 1
             stats.matches += len(matched_ids)
-            self._reduce_batch_matches(best, derived, derived.generality, matched_ids)
+            self._reduce_batch_matches(best, derived, matched_ids)
         return best
 
 

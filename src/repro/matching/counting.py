@@ -185,9 +185,7 @@ class CountingMatcher(MatchingAlgorithm):
         cache = self._memo
         satisfied = cache.satisfied
         needed = self._attribute_sizes
-        score_fn = self._batch_score
-        #: free attribute -> its alternatives (a factored result; the
-        #: engine never pairs one with a score)
+        #: free attribute -> its alternatives (a factored result)
         free = result.free
         probes_before = index.probes
         hits_before, misses_before = cache.hits, cache.misses
@@ -205,11 +203,10 @@ class CountingMatcher(MatchingAlgorithm):
             for attribute, value in ranked[0].event.items():
                 covered.update(satisfied(attribute, value))
         else:
-            if score_fn is None:
-                # bit i = i-th least general derivation, discovery order
-                # on ties (the sort is stable): a mask's lowest set bit
-                # is then the witness the serial fold would keep
-                ranked = sorted(ranked, key=_generality)
+            # bit i = i-th least general derivation, discovery order on
+            # ties (the sort is stable): a mask's lowest set bit is then
+            # the witness the serial fold would keep
+            ranked = sorted(ranked, key=_generality)
             #: (attribute, canonical value key) -> events carrying it
             carriers: dict[tuple, int] = {}
             bit = 1
@@ -265,27 +262,16 @@ class CountingMatcher(MatchingAlgorithm):
         witnesses: dict[object, tuple[int, "DerivedEvent"]] = {}
         for sub_id, mask in masks.items():
             matches += mask.bit_count()
-            if score_fn is None:
-                low = mask & -mask
-                choice = through.get(sub_id)
-                key = low if choice is None else (low, choice)
-                witness = witnesses.get(key)
-                if witness is None:
-                    derived = ranked[low.bit_length() - 1]
-                    if choice is not None:
-                        derived = result.compose(derived, choice)
-                    witness = witnesses[key] = (derived.generality, derived)
-                best[sub_id] = witness
-                continue
-            chosen = None
-            while mask:  # discovery order, first of equal scores wins
-                low = mask & -mask
-                mask ^= low
+            low = mask & -mask
+            choice = through.get(sub_id)
+            key = low if choice is None else (low, choice)
+            witness = witnesses.get(key)
+            if witness is None:
                 derived = ranked[low.bit_length() - 1]
-                score = score_fn(sub_id, derived)
-                if chosen is None or score < chosen[0]:
-                    chosen = (score, derived)
-            best[sub_id] = chosen
+                if choice is not None:
+                    derived = result.compose(derived, choice)
+                witness = witnesses[key] = (derived.generality, derived)
+            best[sub_id] = witness
         stats.events += len(ranked)
         stats.matches += matches
         stats.index_probes += index.probes - probes_before

@@ -17,11 +17,7 @@ computed exactly once per memo lifetime.
 
 It returns bit-identical results to the scalar ``"cluster"`` matcher —
 the equivalence property tests pin match sets *and* reported
-generalities across engine designs and interning/pruning toggles.  When
-a ``score`` function is active (the subscription-side engine's
-chain-budget scorer), the evaluation stays vectorized and only the
-final fold drops to the shared per-derivation reduction, preserving the
-scorer's exact semantics.
+generalities across interning/pruning toggles.
 
 A kernel is chosen by matcher name, never by configuration: ask for
 ``matcher="cluster-numpy"``.  numpy is a soft dependency: this module
@@ -264,21 +260,6 @@ class VectorizedClusterMatcher(ClusterMatcher):
 
         best: dict[str, tuple[int, "DerivedEvent"]] = {}
         matched_total = 0
-        if self._batch_score is not None:
-            # arbitrary per-(sub, derived) scorer: the masks stand, the
-            # fold drops to the shared per-derivation reduction.
-            matched_by_event: list[list[str]] = [[] for _ in range(count)]
-            for mask, sub_ids in rows:
-                positions = np.nonzero(mask)[0]
-                matched_total += len(positions) * len(sub_ids)
-                for position in positions:
-                    matched_by_event[position].extend(sub_ids)
-            stats.matches += matched_total
-            for position, derived in enumerate(derived_list):
-                self._reduce_batch_matches(
-                    best, derived, derived.generality, matched_by_event[position]
-                )
-            return best
         generalities = np.fromiter(
             (derived.generality for derived in derived_list), dtype=np.int64, count=count
         )

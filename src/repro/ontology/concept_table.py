@@ -121,9 +121,9 @@ def descent_closure(kb: "KnowledgeBase", term: str, bound: int | None) -> dict[s
     in domain B is charged its summed hierarchy distance exactly as the
     event-side engine charges it.
 
-    The string reference: the ``interning=False`` paths
-    (``subexpand._descend``, the interest index) call it per term with
-    the live bound, and the differential tests hold
+    The string reference: the ``interning=False`` path of the interest
+    index calls it per term with the live bound, and the differential
+    tests hold
     :meth:`ConceptTable.descent` — the same closure on dense ids — to
     it.  The interned side computes the unbounded closure and serves
     bounded queries by depth-filtering — equivalent because the
@@ -616,7 +616,7 @@ class ConceptTable:
 
     def descent_map(self, term: str, bound: int | None) -> dict[str, int]:
         """``{spelling: min depth}`` within *bound* for *term* — the
-        interned equivalent of the subscription-side ``_descend`` BFS.
+        interned equivalent of the :func:`descent_closure` BFS.
         Unknown terms report themselves at depth 0 (matching the BFS,
         whose seed set always contains the literal term).  Terms known
         *only* as attribute-synonym spellings count as unknown here:

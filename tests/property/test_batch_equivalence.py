@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.matching import matcher_names
 from repro.matching.vectorized import HAVE_NUMPY
 from repro.model.events import Event
@@ -171,7 +170,6 @@ def _published(engine, event) -> dict[str, int]:
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-@pytest.mark.parametrize("engine_factory", [SToPSS, SubscriptionExpandingEngine])
 @pytest.mark.parametrize("scalar_matcher", ["counting", "cluster"])
 @given(
     kb=knowledge_bases(),
@@ -182,19 +180,18 @@ def _published(engine, event) -> dict[str, int]:
     bound=st.sampled_from([None, 0, 1, 2]),
 )
 def test_vectorized_backend_equals_scalar(
-    engine_factory, scalar_matcher, kb, subs, events, interning, pruning, bound
+    scalar_matcher, kb, subs, events, interning, pruning, bound
 ):
     """``matcher="cluster-numpy"`` must publish the exact match sets
     *and* generalities of ``matcher="cluster"`` — its scalar twin — and
     of ``matcher="counting"``, whose factored expansion builds a
-    different batch: both engine designs, interning/pruning toggles
-    (two different kernels on every leg, ``interning=False`` included),
-    tolerance bounds, and subscription churn between publications
-    (batch plans invalidate)."""
+    different batch: interning/pruning toggles (two different kernels
+    on every leg, ``interning=False`` included), tolerance bounds, and
+    subscription churn between publications (batch plans invalidate)."""
     config = SemanticConfig(interning=interning, interest_pruning=pruning, max_generality=bound)
     engines = []
     for matcher in (scalar_matcher, "cluster-numpy"):
-        engine = engine_factory(kb, matcher=matcher, config=config)
+        engine = SToPSS(kb, matcher=matcher, config=config)
         assert engine.matcher.name == matcher
         for index, sub in enumerate(subs):
             engine.subscribe(

@@ -8,8 +8,8 @@ keeps the exhaustive expansion as the reference; this suite pins the
 two together as a hard invariant — identical match sets and identical
 reported generalities across random knowledge bases (taxonomies, value
 and attribute synonyms, equivalence/REPLACE/computed mapping rules) and
-workloads, for both indexed matchers, both engine designs, interning on
-and off, and across subscription churn mid-stream.
+workloads, for both indexed matchers, interning on and off, and across
+subscription churn mid-stream.
 
 The one documented divergence is ``max_derived_events`` truncation: an
 exhaustive run that hits the cap loses derivations a pruned run keeps
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -185,29 +184,6 @@ def test_event_side_pruned_equals_exhaustive(kb, subs, evts, bound, matcher, int
         fast = _published(pruned, event)
         slow = _published(exhaustive, event)
         assert fast == slow, f"pruning divergence on {event.format()}: {fast} != {slow}"
-
-
-@given(
-    kb=knowledge_bases(),
-    subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
-    evts=st.lists(term_events(), min_size=1, max_size=4),
-    bound=st.sampled_from([None, 0, 1, 2]),
-    matcher=st.sampled_from(["counting", "cluster"]),
-    interning=st.booleans(),
-)
-def test_subscription_side_pruned_equals_exhaustive(
-    kb, subs, evts, bound, matcher, interning
-):
-    pruned, exhaustive = _pair(SubscriptionExpandingEngine, kb, bound, interning, matcher)
-    for index, sub in enumerate(subs):
-        for engine in (pruned, exhaustive):
-            engine.subscribe(
-                Subscription(
-                    sub.predicates, sub_id=f"s{index}", max_generality=sub.max_generality
-                )
-            )
-    for event in evts:
-        assert _published(pruned, event) == _published(exhaustive, event)
 
 
 @given(

@@ -6,8 +6,7 @@ memos).  ``SemanticConfig(interning=False)`` keeps the original string
 implementation alive as the reference; this suite pins the two together
 as a hard invariant — identical match sets and identical reported
 generalities across random knowledge bases and workloads, for both
-indexed matchers and both engine designs, with and without tolerance
-bounds.
+indexed matchers, with and without tolerance bounds.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -84,22 +82,6 @@ def _published(engine, event) -> dict[str, int]:
     return {m.subscription.sub_id: m.generality for m in engine.publish(event)}
 
 
-def _assert_equivalent(engine_factory, kb, subs, evts, bound):
-    interned = engine_factory(kb, config=SemanticConfig(max_generality=bound, interning=True))
-    stringly = engine_factory(kb, config=SemanticConfig(max_generality=bound, interning=False))
-    for index, sub in enumerate(subs):
-        interned.subscribe(
-            Subscription(sub.predicates, sub_id=f"s{index}", max_generality=sub.max_generality)
-        )
-        stringly.subscribe(
-            Subscription(sub.predicates, sub_id=f"s{index}", max_generality=sub.max_generality)
-        )
-    for event in evts:
-        fast = _published(interned, event)
-        slow = _published(stringly, event)
-        assert fast == slow, f"interning divergence on {event.format()}: {fast} != {slow}"
-
-
 @given(
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
@@ -108,30 +90,22 @@ def _assert_equivalent(engine_factory, kb, subs, evts, bound):
     matcher=st.sampled_from(["counting", "cluster"]),
 )
 def test_event_side_interned_equals_string(kb, subs, evts, bound, matcher):
-    _assert_equivalent(
-        lambda kb, config: SToPSS(kb, matcher=matcher, config=config),
-        kb,
-        subs,
-        evts,
-        bound,
-    )
+    def build(interning):
+        config = SemanticConfig(max_generality=bound, interning=interning)
+        return SToPSS(kb, matcher=matcher, config=config)
 
-
-@given(
-    kb=knowledge_bases(),
-    subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
-    evts=st.lists(term_events(), min_size=1, max_size=4),
-    bound=st.sampled_from([None, 0, 1, 2]),
-    matcher=st.sampled_from(["counting", "cluster"]),
-)
-def test_subscription_side_interned_equals_string(kb, subs, evts, bound, matcher):
-    _assert_equivalent(
-        lambda kb, config: SubscriptionExpandingEngine(kb, matcher=matcher, config=config),
-        kb,
-        subs,
-        evts,
-        bound,
-    )
+    interned, stringly = build(True), build(False)
+    for index, sub in enumerate(subs):
+        for engine in (interned, stringly):
+            engine.subscribe(
+                Subscription(
+                    sub.predicates, sub_id=f"s{index}", max_generality=sub.max_generality
+                )
+            )
+    for event in evts:
+        fast = _published(interned, event)
+        slow = _published(stringly, event)
+        assert fast == slow, f"interning divergence on {event.format()}: {fast} != {slow}"
 
 
 @given(

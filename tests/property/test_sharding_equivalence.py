@@ -13,7 +13,7 @@ generator the interest-pruning invariant uses: taxonomies, value and
 attribute synonyms, equivalence/REPLACE/computed mapping rules), shard
 counts N ∈ {1, 2, 4}, both fan-out executors (serial, and the
 cross-process data plane with its forked workers and wire codec), both
-indexed matchers, both engine designs, interning and pruning toggles,
+indexed matchers, interning and pruning toggles,
 subscription churn mid-stream, and knowledge-base writes mid-stream.
 
 The chaos leg extends the process-executor invariant under failure:
@@ -36,7 +36,6 @@ from repro.broker.sharding import ShardedEngine
 from repro.broker.supervision import FaultPlan, SupervisionPolicy
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.model.subscriptions import Subscription
 from repro.ontology.mappingdefs import MappingRule
 
@@ -47,8 +46,6 @@ from tests.property.test_interest_pruning_equivalence import (
     term_subscriptions,
 )
 
-_DESIGNS = {"event-side": SToPSS, "subscription-side": SubscriptionExpandingEngine}
-
 
 def _match_list(engine, event) -> list[tuple[str, int]]:
     """(sub_id, generality) pairs in reported order — the full
@@ -56,17 +53,9 @@ def _match_list(engine, event) -> list[tuple[str, int]]:
     return [(m.subscription.sub_id, m.generality) for m in engine.publish(event)]
 
 
-def _build_pair(kb, design, matcher, config, shards, executor):
-    factory = _DESIGNS[design]
-    single = factory(kb, matcher=matcher, config=config)
-    sharded = ShardedEngine(
-        kb,
-        shards=shards,
-        matcher=matcher,
-        config=config,
-        engine_factory=factory,
-        executor=executor,
-    )
+def _build_pair(kb, matcher, config, shards, executor):
+    single = SToPSS(kb, matcher=matcher, config=config)
+    sharded = ShardedEngine(kb, shards=shards, matcher=matcher, config=config, executor=executor)
     return single, sharded
 
 
@@ -75,19 +64,18 @@ def _build_pair(kb, design, matcher, config, shards, executor):
     subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
     evts=st.lists(term_events(), min_size=1, max_size=4),
     shards=st.sampled_from([1, 2, 4]),
-    design=st.sampled_from(sorted(_DESIGNS)),
     matcher=st.sampled_from(["counting", "cluster"]),
     bound=st.sampled_from([None, 0, 1, 2]),
     interning=st.booleans(),
     pruning=st.booleans(),
 )
 def test_sharded_equals_single_engine(
-    kb, subs, evts, shards, design, matcher, bound, interning, pruning
+    kb, subs, evts, shards, matcher, bound, interning, pruning
 ):
     config = SemanticConfig(
         max_generality=bound, interning=interning, interest_pruning=pruning
     )
-    single, sharded = _build_pair(kb, design, matcher, config, shards, "serial")
+    single, sharded = _build_pair(kb, matcher, config, shards, "serial")
     for index, sub in enumerate(subs):
         bound_sub = Subscription(
             sub.predicates, sub_id=f"s{index}", max_generality=sub.max_generality
@@ -98,7 +86,7 @@ def test_sharded_equals_single_engine(
         expected = _match_list(single, event)
         actual = _match_list(sharded, event)
         assert actual == expected, (
-            f"shard divergence (N={shards}, {design}, {matcher}) on "
+            f"shard divergence (N={shards}, {matcher}) on "
             f"{event.format()}: {actual} != {expected}"
         )
 
@@ -108,16 +96,15 @@ def test_sharded_equals_single_engine(
     subs=st.lists(term_subscriptions(), min_size=2, max_size=6),
     evts=st.lists(term_events(), min_size=2, max_size=4),
     shards=st.sampled_from([2, 4]),
-    design=st.sampled_from(sorted(_DESIGNS)),
     matcher=st.sampled_from(["counting", "cluster"]),
 )
-def test_sharded_tracks_churn(kb, subs, evts, shards, design, matcher):
+def test_sharded_tracks_churn(kb, subs, evts, shards, matcher):
     """Subscribe → publish → unsubscribe half → publish → re-subscribe
     under fresh ids → publish: churn must land on the owning shard and
     every per-shard cache/interest index must track it, with the merged
     order still matching the single engine's insertion order."""
     config = SemanticConfig()
-    single, sharded = _build_pair(kb, design, matcher, config, shards, "serial")
+    single, sharded = _build_pair(kb, matcher, config, shards, "serial")
     engines = (single, sharded)
     for index, sub in enumerate(subs):
         for engine in engines:
@@ -141,16 +128,15 @@ def test_sharded_tracks_churn(kb, subs, evts, shards, design, matcher):
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=1, max_size=4),
     evts=st.lists(term_events(), min_size=1, max_size=3),
-    design=st.sampled_from(sorted(_DESIGNS)),
     matcher=st.sampled_from(["counting", "cluster"]),
 )
-def test_process_executor_equals_single_engine(kb, subs, evts, design, matcher):
+def test_process_executor_equals_single_engine(kb, subs, evts, matcher):
     """The cross-process data plane must agree with the single engine —
     match sets AND generalities, in order — through forked workers and
     the full wire codec, including churn forwarded to the *live* worker
     fleet (subscribe/unsubscribe after the first publish hits running
     workers, not a fresh fork)."""
-    single, sharded = _build_pair(kb, design, matcher, SemanticConfig(), 2, "process")
+    single, sharded = _build_pair(kb, matcher, SemanticConfig(), 2, "process")
     try:
         for index, sub in enumerate(subs):
             for engine in (single, sharded):
@@ -178,12 +164,11 @@ def test_process_executor_equals_single_engine(kb, subs, evts, design, matcher):
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=2, max_size=4),
     evts=st.lists(term_events(), min_size=2, max_size=3),
-    design=st.sampled_from(sorted(_DESIGNS)),
     matcher=st.sampled_from(["counting", "cluster"]),
     chaos_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_process_executor_chaos_equals_single_engine(
-    kb, subs, evts, design, matcher, chaos_seed
+    kb, subs, evts, matcher, chaos_seed
 ):
     """The chaos invariant (the PR 8 acceptance criterion): under a
     seeded FaultPlan that kills, hangs, drops, and corrupts shard
@@ -198,14 +183,12 @@ def test_process_executor_chaos_equals_single_engine(
     # all publishes and each per-shard op counter sweeps every slot
     plan = FaultPlan.seeded(chaos_seed, shards=2, ops=len(evts), rate=0.5)
     policy = SupervisionPolicy(backoff_base=0.0, breaker_cooldown=0.0)
-    factory = _DESIGNS[design]
-    single = factory(kb, matcher=matcher, config=SemanticConfig())
+    single = SToPSS(kb, matcher=matcher, config=SemanticConfig())
     sharded = ShardedEngine(
         kb,
         shards=2,
         matcher=matcher,
         config=SemanticConfig(),
-        engine_factory=factory,
         executor="process",
         supervision=policy,
         fault_plan=plan,
@@ -258,17 +241,17 @@ def _write_kb(kb, kind, subs, term) -> None:
 _KB_WRITES = ("attribute-synonyms", "value-synonyms", "is-a", "rule")
 
 
-def _check_kb_writes_mid_stream(kb, subs, evts, design, matcher, writes, term, executor):
+def _check_kb_writes_mid_stream(kb, subs, evts, matcher, writes, term, executor):
     """Subscribe → publish → write the knowledge base → publish, once
-    per write, then a late subscription and a refresh: at every step
-    the sharded engine reports what the single engine reports.
+    per write, then a late subscription: at every step the sharded
+    engine reports what the single engine reports.
 
     What a single engine *should* do with state derived before the
-    write (a stale root form, a stale subscription-side expansion) is
-    not decided here — only that sharding, and forking, change none of
-    it: a worker that re-derived such state from the new knowledge base
-    would answer differently from the replica it stands in for."""
-    single, sharded = _build_pair(kb, design, matcher, SemanticConfig(), 2, executor)
+    write (a stale root form) is not decided here — only that sharding,
+    and forking, change none of it: a worker that re-derived such state
+    from the new knowledge base would answer differently from the
+    replica it stands in for."""
+    single, sharded = _build_pair(kb, matcher, SemanticConfig(), 2, executor)
     engines = (single, sharded)
     try:
         for index, sub in enumerate(subs):
@@ -288,10 +271,6 @@ def _check_kb_writes_mid_stream(kb, subs, evts, design, matcher, writes, term, e
             engine.subscribe(Subscription(subs[0].predicates, sub_id="late"))
         for event in evts:
             assert _match_list(sharded, event) == _match_list(single, event)
-        if design == "subscription-side":
-            assert sharded.refresh() == single.refresh()
-            for event in evts:
-                assert _match_list(sharded, event) == _match_list(single, event)
     finally:
         sharded.close()
 
@@ -300,7 +279,6 @@ _kb_write_cases = given(
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=1, max_size=4),
     evts=st.lists(term_events(), min_size=1, max_size=3),
-    design=st.sampled_from(sorted(_DESIGNS)),
     matcher=st.sampled_from(["counting", "cluster"]),
     writes=st.lists(st.sampled_from(_KB_WRITES), min_size=1, unique=True),
     term=st.sampled_from(_TERMS),
@@ -308,17 +286,17 @@ _kb_write_cases = given(
 
 
 @_kb_write_cases
-def test_sharded_tracks_kb_writes(kb, subs, evts, design, matcher, writes, term):
-    _check_kb_writes_mid_stream(kb, subs, evts, design, matcher, writes, term, "serial")
+def test_sharded_tracks_kb_writes(kb, subs, evts, matcher, writes, term):
+    _check_kb_writes_mid_stream(kb, subs, evts, matcher, writes, term, "serial")
 
 
 @settings(deadline=None)
 @_kb_write_cases
-def test_process_executor_tracks_kb_writes(kb, subs, evts, design, matcher, writes, term):
+def test_process_executor_tracks_kb_writes(kb, subs, evts, matcher, writes, term):
     """Each write makes the next publish discard the fleet and fork a
     new one from the parent replicas as they are — stale root forms and
     all."""
-    _check_kb_writes_mid_stream(kb, subs, evts, design, matcher, writes, term, "process")
+    _check_kb_writes_mid_stream(kb, subs, evts, matcher, writes, term, "process")
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ import pytest
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.core.subexpand import SubscriptionExpandingEngine, _descend
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
 from repro.model.values import canonical_value_key
-from repro.ontology.concept_table import ConceptTable
+from repro.ontology.concept_table import ConceptTable, descent_closure
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 
@@ -257,45 +256,19 @@ class TestFollowsTheKnowledgeBase:
 
 
 class TestDescentClosure:
-    def test_attribute_synonym_spellings_never_expand_subscriptions(self):
-        """Regression: "SCHOOL" is a term_key variant of the attribute
-        synonym spelling "school".  The string path's descent seeds
-        (value_equivalents) never consult attribute synonyms, so the
-        interned path must treat the operand as unknown too — not
-        rewrite the EQ into an IN over {school, SCHOOL}."""
-        from repro.core.subexpand import expand_subscription_charged
-
-        kb = build_kb()
-        sub = Subscription([Predicate.eq("topic", "SCHOOL")], sub_id="x")
-        interned = expand_subscription_charged(sub, kb, interned=True)
-        stringly = expand_subscription_charged(sub, kb, interned=False)
-        assert not interned.changed and not stringly.changed
-        assert interned.subscription.predicates == stringly.subscription.predicates
-        assert kb.concept_table().descent_map("SCHOOL", None) == _descend(kb, "SCHOOL", None)
-        engine = SubscriptionExpandingEngine(kb)
-        engine.subscribe(Subscription([Predicate.eq("topic", "SCHOOL")], sub_id="s1"))
-        assert engine.publish(Event([("topic", "school")])) == []
-
     def test_descent_map_matches_string_bfs(self):
         kb = build_kb()
         table = kb.concept_table()
-        for term in ("vehicle", "car", "auto", "sedan", "unknown term"):
+        # "SCHOOL" is a term_key variant of the attribute synonym
+        # spelling "school": the string path's seeds (value_equivalents)
+        # never consult attribute synonyms, so the interned path must
+        # treat it as unknown too
+        assert table.descent_map("SCHOOL", None) == {"SCHOOL": 0}
+        for term in ("vehicle", "car", "auto", "sedan", "SCHOOL", "unknown term"):
             for bound in (None, 0, 1, 2, 3):
-                assert table.descent_map(term, bound) == _descend(kb, term, bound), (
+                assert table.descent_map(term, bound) == descent_closure(kb, term, bound), (
                     f"descent divergence for {term!r} bound={bound}"
                 )
-
-    def test_refresh_reexpands_through_fresh_table(self):
-        kb = build_kb()
-        engine = SubscriptionExpandingEngine(kb)
-        engine.subscribe(Subscription([Predicate.eq("kind", "vehicle")], sub_id="s1"))
-        assert engine.publish(Event([("kind", "truck")])) == []
-        kb.taxonomy("vehicles").add_chain("truck", "vehicle")
-        assert engine.stale_subscriptions() == ["s1"]
-        assert engine.refresh() == 1
-        matches = engine.publish(Event([("kind", "truck")]))
-        assert [m.subscription.sub_id for m in matches] == ["s1"]
-        assert matches[0].generality == 1
 
 
 class TestEngineEpoch:

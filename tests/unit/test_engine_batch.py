@@ -12,7 +12,6 @@ import pytest
 from repro.broker.broker import Broker
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.matching import CountingMatcher, MatchingAlgorithm
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.knowledge_base import KnowledgeBase
@@ -98,13 +97,9 @@ class TestRepublish:
         matches = engine.publish(event)  # same content: must not be served stale
         assert [m.subscription.sub_id for m in matches] == ["s"]
 
-    @pytest.mark.parametrize(
-        "engine_class", [SToPSS, SubscriptionExpandingEngine], ids=["SToPSS", "subexpand"]
-    )
-    def test_publication_leaves_no_result_behind(self, engine_class):
+    def test_publication_leaves_no_result_behind(self, engine):
         """No object reachable from an engine holds a publication's
         ``PipelineResult`` once the caller has dropped the match list."""
-        engine = engine_class(_kb(), config=SemanticConfig(present_year=2003))
         engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
         process_event = engine.pipeline.process_event
         results = []

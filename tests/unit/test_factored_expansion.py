@@ -16,7 +16,6 @@ from repro.broker.sharding import ShardedBroker
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.core.interfaces import SemanticStage
-from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.matching.counting import CountingMatcher
 from repro.model.events import Event
 from repro.model.parser import parse_event, parse_subscription
@@ -282,11 +281,10 @@ def test_an_ineligible_fn_rule_spoils_nothing():
     "build",
     [
         lambda kb: SToPSS(kb, extra_stages=(_Passive(),)),
-        lambda kb: SubscriptionExpandingEngine(kb),
         lambda kb: SToPSS(kb, matcher="cluster"),
         lambda kb: SToPSS(kb, matcher="naive"),
     ],
-    ids=["extra-stages", "subscription-side", "cluster", "naive"],
+    ids=["extra-stages", "cluster", "naive"],
 )
 def test_other_engines_and_matchers_keep_the_product(build):
     kb = _ladder_kb()
@@ -297,8 +295,7 @@ def test_other_engines_and_matchers_keep_the_product(build):
     product = engine.pipeline.process_event(event, interest=engine.active_interest)
     assert not expansion.free
     assert len(expansion.derived) == len(product.derived)
-    if not isinstance(engine, SubscriptionExpandingEngine):
-        assert len(product.derived) == 6  # (r0 | r1 | r2) x (r0 | r1)
+    assert len(product.derived) == 6  # (r0 | r1 | r2) x (r0 | r1)
     assert _matches(engine, event) == {"s": 3}
 
 

@@ -76,15 +76,15 @@ class _SerialCounting(CountingMatcher):
     _match_batch = MatchingAlgorithm._match_batch
 
 
-def _batch_and_serial(subscriptions, result, score=None):
+def _batch_and_serial(subscriptions, result):
     """One batch through the factored kernel and through the serial
-    fold: same subscriptions, same scores, the same witness *objects*.
-    Returns the kernel's answer."""
+    fold: same subscriptions, same generalities, the same witness
+    *objects*.  Returns the kernel's answer."""
     answers = []
     for matcher in (CountingMatcher(), _SerialCounting()):
         for subscription in subscriptions:
             matcher.insert(subscription)
-        answers.append(matcher.match_batch(result, score=score))
+        answers.append(matcher.match_batch(result))
     batch, serial = answers
     assert batch.keys() == serial.keys()
     for sub_id, (generality, witness) in batch.items():
@@ -194,28 +194,6 @@ class TestCountingBatchKernel:
         best = _batch_and_serial(subscriptions, result)
         assert best == {"not-leaf": (1, first), "late": (1, second), "all": (0, root)}
         assert best["not-leaf"][1] is first
-
-    def test_scorer_sees_discovery_order(self):
-        result, (root, far, first, second) = self._tie_batch()
-        subscriptions = [_sub("not-leaf", Predicate.ne("a", "leaf")), _sub("all")]
-        calls = []
-
-        def flat(sub_id, derived):
-            calls.append((sub_id, derived))
-            return 7
-
-        # equal scores: the first *discovered* match wins, although a
-        # later one is less general
-        best = _batch_and_serial(subscriptions, result, score=flat)
-        assert best["not-leaf"] == (7, far) and best["all"] == (7, root)
-        # (the kernel runs first: its calls head the list)
-        assert [d for s, d in calls if s == "not-leaf"][:3] == [far, first, second]
-
-        def prefers_second(sub_id, derived):
-            return 0 if derived is second else 3
-
-        best = _batch_and_serial(subscriptions, result, score=prefers_second)
-        assert best["not-leaf"] == (0, second) and best["all"] == (0, second)
 
 
 class TestClusterMatcher:

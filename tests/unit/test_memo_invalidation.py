@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.broker.sharding import ShardedEngine
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.model.parser import parse_event, parse_subscription
@@ -97,7 +98,8 @@ class TestClusterMemoChurn:
 
 @pytest.mark.parametrize("matcher", ["counting", "cluster"])
 class TestEngineDrivenInvalidation:
-    """Knowledge-base edits and reconfiguration reach every memo."""
+    """Knowledge-base edits, epoch bumps and reconfiguration reach every
+    memo."""
 
     def test_kb_edit_invalidates_memo_and_expansion_follows_the_edit(self, matcher):
         engine = _warm_engine(matcher)
@@ -106,6 +108,26 @@ class TestEngineDrivenInvalidation:
         matches = engine.publish(parse_event("(degree, doctorate)(city, Toronto)"))
         assert "s1" in {m.subscription.sub_id for m in matches}
         assert engine.matcher.stats.memo_invalidations >= 1
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded-serial"])
+    def test_epoch_bump_after_kb_write_rebinds_interned_keys(self, matcher, sharded):
+        """An epoch bump between an ontology write and the next publish
+        runs the publish path's own sync, so the matcher is re-keyed for
+        a spelling the write taught the concept table (it used to stamp
+        the new version without re-keying, and the publish that
+        followed saw no move)."""
+        kb = KnowledgeBase()
+        kb.add_domain("d").add_concept("top")
+        if sharded:
+            engine = ShardedEngine(kb, shards=2, matcher=matcher)
+        else:
+            engine = SToPSS(kb, matcher=matcher)
+        engine.subscribe(parse_subscription("(x = newterm)", sub_id="s"))
+        engine.publish(parse_event("(x, newterm)"))
+        kb.taxonomy("d").add_isa("newterm", "top")
+        engine.bump_semantic_epoch("test")
+        matches = engine.publish(parse_event("(x, newterm)"))
+        assert [m.subscription.sub_id for m in matches] == ["s"]
 
     def test_reconfigure_invalidates(self, matcher):
         engine = _warm_engine(matcher)

@@ -4,7 +4,7 @@ The equivalence property suite pins sharded ≡ single-engine behavior
 wholesale; these tests pin the routing and plumbing edges individually:
 unsubscribe landing on the owning shard, per-subscription tolerance
 bounds surviving the merge, empty-shard publishes, the single-shard
-degenerate path, reconfigure rollback, refresh fan-out, and the merged
+degenerate path, reconfigure rollback, epoch fan-out, and the merged
 stats shape the CLI prints.
 """
 
@@ -24,7 +24,6 @@ from repro.broker.sharding import (
 from repro.broker.supervision import FaultAction, FaultPlan, SupervisionPolicy
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.core.subexpand import SubscriptionExpandingEngine
 from repro.errors import (
     ConfigError,
     DuplicateSubscriptionError,
@@ -208,54 +207,6 @@ class TestFleetPlumbing:
         after = engine.semantic_version
         assert before != after
         assert all(b != a for b, a in zip(before, after))
-
-    def test_refresh_fans_out_on_subscription_side_shards(self):
-        kb = chain_kb()
-        engine = ShardedEngine(
-            kb,
-            shards=2,
-            engine_factory=SubscriptionExpandingEngine,
-            router=digit_router,
-        )
-        engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
-        engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
-        assert engine.refresh() == 0
-        kb.taxonomy("d").add_isa("deeper", "leaf")
-        assert sorted(engine.stale_subscriptions()) == ["s0", "s1"]
-        assert engine.refresh() == 2
-        matched = {m.subscription.sub_id for m in engine.publish(parse_event("(x, deeper)"))}
-        assert matched == {"s0", "s1"}
-
-    def test_refresh_reorders_like_the_single_engine(self):
-        """The single engine's refresh re-subscribes each stale
-        subscription, moving it to the end of the insertion order; the
-        sharded facade must report the same post-refresh order."""
-        kb_single, kb_sharded = chain_kb(), chain_kb()
-        single = SubscriptionExpandingEngine(kb_single)
-        sharded = ShardedEngine(
-            kb_sharded,
-            shards=2,
-            engine_factory=SubscriptionExpandingEngine,
-            router=digit_router,
-        )
-        pairs = ((single, kb_single), (sharded, kb_sharded))
-        for engine, _ in pairs:
-            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
-        for _, kb in pairs:
-            kb.taxonomy("d").add_isa("deeper", "leaf")
-        for engine, _ in pairs:
-            engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
-        assert single.refresh() == 1 and sharded.refresh() == 1  # only s0 is stale
-        event = parse_event("(x, deeper)")
-        expected = [m.subscription.sub_id for m in single.publish(event)]
-        assert expected == ["s1", "s0"]  # s0 moved to the end
-        assert [m.subscription.sub_id for m in sharded.publish(event)] == expected
-        assert [sub.sub_id for sub in sharded.subscriptions()] == ["s1", "s0"]
-
-    def test_refresh_is_zero_for_event_side_shards(self):
-        engine = ShardedEngine(chain_kb(), shards=2)
-        assert engine.refresh() == 0
-        assert engine.stale_subscriptions() == []
 
     def test_subscription_epoch_moves_on_any_shard_churn(self):
         engine = ShardedEngine(chain_kb(), shards=2, router=digit_router)
