@@ -57,21 +57,29 @@ class PublishReport:
 class EventDispatcher:
     """Subscription records + matching + notification fan-out.
 
-    The dispatcher keeps a bounded LRU **result cache**: match sets
-    memoized by ``(event content signature, publisher, engine semantic
-    version, active configuration, subscription epoch)``.  Workload
-    traces repeat publications, and for a repeated event the entire
-    engine pass — expansion *and* matching — is redundant as long as
-    nothing the match set depends on has moved; every input it does
-    depend on is folded into the key, so knowledge-base edits, epoch
-    bumps (refresh), reconfiguration, and any subscribe/unsubscribe all
-    shift the key and strand stale entries (which age out by LRU).
-    Cached hits re-stamp the match set onto the fresh publication's
-    event object, so delivery reports always carry the real event id;
-    the ``matched_via`` derivation chain is reused from the first
-    publication (content-identical, but its intermediate auto ids are
-    the original derivation's).  ``result_cache_size=0`` disables the
-    cache.
+    The dispatcher keeps a bounded LRU **result cache** of one
+    **generation**: match sets memoized by ``(event content signature,
+    publisher, active configuration)`` under the engine's current
+    ``(semantic_version, subscription_epoch)`` pair.  Workload traces
+    repeat publications, and for a repeated event the entire engine
+    pass — expansion *and* matching — is redundant as long as nothing
+    the match set depends on has moved.  Knowledge-base edits, epoch
+    bumps (refresh) and any subscribe/unsubscribe move the pair, and
+    the next lookup drops every entry before the engine runs: nothing
+    computed under an old generation stays reachable, so a re-forked
+    shard worker inherits an empty cache.  The shipped engines never
+    repeat a pair, so the drop loses no hit; a custom engine's pair need
+    only differ from the one the previous lookup saw whenever its match
+    sets may have changed — returning to an older pair costs hits, never
+    correctness (``docs/EXTENDING.md``).  Reconfiguration does not move
+    the pair — the configuration is in the key, so a round trip A→B→A
+    hits again.  Cached hits re-stamp the match set onto the fresh
+    publication's event object, so delivery reports always carry the
+    real event id; the ``matched_via`` derivation chain is reused from
+    the first publication (content-identical, but its intermediate auto
+    ids are the original derivation's).  ``result_cache_size`` is read
+    at every lookup: ``0`` disables the cache and empties it, a lowered
+    size trims it.
 
     The dispatcher keeps no per-publication history: the caller holds
     the :class:`PublishReport`, and ``stats()`` totals are running
@@ -96,8 +104,12 @@ class EventDispatcher:
         self.matches = 0
         self.deliveries = 0
         self.result_cache_size = result_cache_size
-        #: cache key -> (match tuple, truncated) in LRU order
+        #: cache key -> (match tuple, truncated) in LRU order, all
+        #: computed under ``_generation``
         self._result_cache: OrderedDict[tuple, tuple] = OrderedDict()
+        #: the engine's ``(semantic_version, subscription_epoch)`` the
+        #: cached entries were computed under
+        self._generation: tuple | None = None
         self.result_cache_hits = 0
         self.result_cache_misses = 0
 
@@ -135,6 +147,21 @@ class EventDispatcher:
 
     # -- publications ---------------------------------------------------------------
 
+    def _live_cache(self) -> OrderedDict[tuple, tuple]:
+        """The result cache without what it can no longer serve: every
+        entry once the engine's generation has moved, and the least
+        recently used beyond a capacity lowered (or zeroed) since the
+        last look."""
+        cache = self._result_cache
+        engine = self.engine
+        generation = (engine.semantic_version, engine.subscription_epoch)
+        if generation != self._generation:
+            cache.clear()
+            self._generation = generation
+        while len(cache) > max(self.result_cache_size, 0):
+            cache.popitem(last=False)
+        return cache
+
     def _matches_for(
         self, stamped: Event, client_id: str
     ) -> tuple[list[SemanticMatch], bool | None]:
@@ -143,38 +170,34 @@ class EventDispatcher:
         content was already matched under the exact same semantic
         state."""
         engine = self.engine
-        caching = self.result_cache_size > 0
-        if caching:
-            key = (
-                stamped.signature,
-                client_id,
-                engine.semantic_version,
-                engine.config,
-                engine.subscription_epoch,
-            )
-            cached = self._result_cache.get(key)
-            if cached is not None:
-                self._result_cache.move_to_end(key)
-                self.result_cache_hits += 1
-                # re-stamp onto this publication's event object so
-                # delivery reports carry the real event id, not the
-                # first one's.
-                return [
-                    SemanticMatch(
-                        subscription=match.subscription,
-                        event=stamped,
-                        matched_via=match.matched_via,
-                        generality=match.generality,
-                    )
-                    for match in cached[0]
-                ], cached[1]
-            self.result_cache_misses += 1
+        # before the engine runs, so a fleet re-forked by this publish
+        # inherits no entry of the old generation
+        cache = self._live_cache()
+        capacity = self.result_cache_size
+        if capacity <= 0:
+            return engine.publish(stamped), getattr(engine, "last_truncated", None)
+        key = (stamped.signature, client_id, engine.config)
+        cached = cache.get(key)
+        if cached is not None:
+            cache.move_to_end(key)
+            self.result_cache_hits += 1
+            # re-stamp onto this publication's event object so delivery
+            # reports carry the real event id, not the first one's.
+            return [
+                SemanticMatch(
+                    subscription=match.subscription,
+                    event=stamped,
+                    matched_via=match.matched_via,
+                    generality=match.generality,
+                )
+                for match in cached[0]
+            ], cached[1]
+        self.result_cache_misses += 1
         matches = engine.publish(stamped)
         truncated = getattr(engine, "last_truncated", None)
-        if caching:
-            self._result_cache[key] = (tuple(matches), truncated)
-            while len(self._result_cache) > self.result_cache_size:
-                self._result_cache.popitem(last=False)
+        if len(cache) == capacity:
+            cache.popitem(last=False)
+        cache[key] = (tuple(matches), truncated)
         return matches, truncated
 
     def publish(self, client_id: str, event: Event) -> PublishReport:
@@ -204,11 +227,12 @@ class EventDispatcher:
     # -- reporting ---------------------------------------------------------------------
 
     def result_cache_info(self) -> dict[str, object]:
-        """Hit/miss/size/rate of the dispatcher-level result cache."""
+        """Hit/miss/size/rate of the dispatcher-level result cache
+        (``size`` counts only the entries a lookup could still serve)."""
         lookups = self.result_cache_hits + self.result_cache_misses
         return {
             "capacity": self.result_cache_size,
-            "size": len(self._result_cache),
+            "size": len(self._live_cache()),
             "hits": self.result_cache_hits,
             "misses": self.result_cache_misses,
             "hit_rate": (self.result_cache_hits / lookups) if lookups else 0.0,

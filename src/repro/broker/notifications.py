@@ -90,7 +90,7 @@ def _subject(sub_id: str, event_id: str) -> str:
     return f"S-ToPSS: subscription {sub_id} matched event {event_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Notification:
     """A match destined for one subscriber, stamped with its
     subscription-scoped delivery sequence."""
@@ -110,7 +110,7 @@ class Notification:
         return "" if self.match is None else self.match.explain()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryOutcome:
     """Final fate of one notification."""
 

@@ -674,9 +674,10 @@ class ShardedEngine:
     EventDispatcher` (and therefore :class:`~repro.broker.broker.
     Broker`) needs from an engine — ``subscribe`` / ``unsubscribe`` /
     ``publish`` / ``reconfigure`` / ``subscriptions`` / ``stats`` and
-    the ``semantic_version`` / ``subscription_epoch`` cache-key
-    properties — so the existing dispatcher, result cache, and
-    notification plumbing work unchanged on top of it.
+    the ``semantic_version`` / ``subscription_epoch`` properties that
+    date the result cache's generation — so the existing dispatcher,
+    result cache, and notification plumbing work unchanged on top of
+    it.
 
     Parameters
     ----------
@@ -1011,16 +1012,16 @@ class ShardedEngine:
 
     @property
     def semantic_version(self) -> tuple:
-        """Per-shard semantic versions as one hashable cache key: any
-        shard's knowledge-base sync or epoch bump shifts it, so the
-        dispatcher's result cache can never serve a match set computed
-        under a stale shard."""
+        """Per-shard semantic versions as one hashable value: any
+        shard's knowledge-base sync or epoch bump moves it, so the
+        dispatcher's result cache drops every match set computed under
+        a stale shard."""
         return tuple(engine.semantic_version for engine in self._engines)
 
     @property
     def subscription_epoch(self) -> tuple:
         """Per-shard churn epochs — any subscribe/unsubscribe anywhere
-        shifts the dispatcher's result-cache key."""
+        moves the dispatcher's result-cache generation."""
         return tuple(engine.subscription_epoch for engine in self._engines)
 
     # -- reporting ------------------------------------------------------------------

@@ -53,7 +53,7 @@ FAILED = "failed"
 JOURNAL_WINDOW = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutboundMessage:
     """One message handed to a transport."""
 
@@ -66,7 +66,7 @@ class OutboundMessage:
     message_id: str = field(default_factory=lambda: f"m{next(_message_counter)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryRecord:
     """The transport's verdict on one send."""
 

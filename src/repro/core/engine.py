@@ -392,8 +392,9 @@ class SToPSS:
         """A value that changes on every subscribe *and* every
         unsubscribe: the monotonically increasing insertion sequence
         detects subscribes (and any subscribe+unsubscribe pair), the
-        table size detects lone unsubscribes.  The dispatcher's result
-        cache keys on it so no cached match set survives churn."""
+        table size detects lone unsubscribes.  It never repeats, and
+        the dispatcher's result cache drops every entry when it moves,
+        so no cached match set survives churn."""
         return (self._next_seq, len(self._originals))
 
     def interest_info(self) -> dict[str, object]:

@@ -36,7 +36,7 @@ STAGE_HIERARCHY = "hierarchy"
 STAGE_MAPPING = "mapping"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationStep:
     """One semantic transformation applied to an event.
 
@@ -59,7 +59,7 @@ class DerivationStep:
         return f"[{self.stage}] {self.description}{suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedEvent:
     """An event plus the derivation chain that produced it.
 
@@ -78,11 +78,12 @@ class DerivedEvent:
     event: Event
     steps: tuple[DerivationStep, ...] = ()
     parent: "DerivedEvent | None" = field(default=None, compare=False, repr=False)
+    # computed once: the publish hot path reads it per budget check,
+    # batch reduction, and dedup probe (out of equality/repr, which
+    # remain (event, steps))
+    _generality: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # computed once: the publish hot path reads it per budget
-        # check, batch reduction, and dedup probe (not a field — stays
-        # out of equality/repr, which remain (event, steps))
         object.__setattr__(
             self, "_generality", sum(step.generality for step in self.steps)
         )
@@ -150,7 +151,7 @@ class DerivedEvent:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticMatch:
     """One (subscription, publication) match produced by the engine.
 

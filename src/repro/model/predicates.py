@@ -78,7 +78,7 @@ class Operator(enum.Enum):
         raise PredicateError(f"unknown operator symbol {symbol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Range:
     """A closed interval operand for :attr:`Operator.RANGE`.
 
@@ -143,7 +143,7 @@ def _check_operand(operator: Operator, operand: Operand) -> Operand:
     return operand
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     """An immutable constraint on one attribute.
 

@@ -34,7 +34,7 @@ __all__ = ["Subscription"]
 _sub_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subscription:
     """An immutable conjunctive subscription.
 

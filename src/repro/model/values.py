@@ -55,7 +55,7 @@ __all__ = [
 PRESENT = "present"
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class Period:
     """A closed or right-open interval of years, e.g. ``1994-1997``.
 

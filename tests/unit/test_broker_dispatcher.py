@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.broker.broker import Broker
@@ -280,6 +283,14 @@ class TestResultCache:
         for year in (1, 2, 3):
             broker.publish(candidate.client_id, f"(graduation_year, {year})")
         assert broker.dispatcher.result_cache_info()["size"] == 2
+        # a capacity lowered at runtime trims before the next insert:
+        # the least recently used entry (year 2) goes, year 3 stays
+        broker.dispatcher.result_cache_size = 1
+        assert broker.dispatcher.result_cache_info()["size"] == 1
+        broker.publish(candidate.client_id, "(graduation_year, 3)")
+        broker.publish(candidate.client_id, "(graduation_year, 2)")
+        info = broker.dispatcher.result_cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (1, 4, 1)
 
     def test_zero_capacity_disables(self):
         broker = Broker(build_jobs_knowledge_base())
@@ -290,6 +301,89 @@ class TestResultCache:
         info = broker.dispatcher.result_cache_info()
         assert info["hits"] == 0 and info["misses"] == 0
         assert broker.engine.publications == 2
+        # switched off at runtime, a filled cache lets its entries go
+        broker.dispatcher.result_cache_size = 256
+        for text in ("(degree, PhD)", "(degree, MSc)", "(degree, PhD)"):
+            broker.publish(candidate.client_id, text)
+        assert broker.dispatcher.result_cache_info()["size"] == 2
+        broker.dispatcher.result_cache_size = 0
+        assert broker.dispatcher.result_cache_info()["size"] == 0
+        broker.publish(candidate.client_id, "(degree, PhD)")
+        assert not broker.dispatcher._result_cache
+        info = broker.dispatcher.result_cache_info()
+        assert (info["hits"], info["misses"]) == (1, 2)
+        assert broker.engine.publications == 5
+
+    def test_a_generation_move_drops_every_entry(self, broker):
+        """Churn, a knowledge-base write and an epoch bump each strand
+        every cached match set; the next lookup drops them all instead
+        of leaving them to the LRU."""
+        candidate = self._setup(broker)
+        dispatcher = broker.dispatcher
+        company = broker.register_subscriber("Globex", email="jobs@x")
+
+        def fill() -> None:
+            for text in ("(degree, PhD)", "(degree, MSc)", "(degree, BSc)"):
+                broker.publish(candidate.client_id, text)
+
+        fill()
+        assert len(dispatcher._result_cache) == 3
+        sub = broker.subscribe(company.client_id, "(degree = MSc)")
+        broker.publish(candidate.client_id, "(degree, MSc)")
+        assert len(dispatcher._result_cache) == 1
+        fill()
+        broker.unsubscribe(sub.sub_id)
+        assert dispatcher.result_cache_info()["size"] == 0
+        fill()
+        broker.kb.add_value_synonyms(["PhD", "doctorate"])
+        broker.publish(candidate.client_id, "(degree, PhD)")
+        assert len(dispatcher._result_cache) == 1
+        fill()
+        broker.engine.bump_semantic_epoch()
+        broker.publish(candidate.client_id, "(degree, PhD)")
+        assert len(dispatcher._result_cache) == 1
+        assert dispatcher.result_cache_hits == 2  # both within one generation
+
+    def test_a_reconfigure_round_trip_hits_again(self, broker):
+        """Reconfiguration keeps the generation: the configuration is
+        part of the key, so entries cached under A serve A again."""
+        candidate = self._setup(broker)
+        broker.publish(candidate.client_id, "(diploma, PhD)")
+        broker.set_syntactic_mode()
+        assert broker.publish(candidate.client_id, "(diploma, PhD)").match_count == 0
+        broker.set_semantic_mode()
+        assert broker.publish(candidate.client_id, "(diploma, PhD)").match_count == 1
+        info = broker.dispatcher.result_cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (1, 2, 2)
+
+    def test_stranded_match_sets_are_released(self):
+        """A cached match set lives one generation.  Pinned in traced
+        bytes: of what 200 distinct publications left behind, one
+        subscribe and one publish must release at least 90% (the cache
+        is nearly all of it); an LRU that keeps the stranded entries
+        until they age out released ~5%."""
+        broker = Broker(build_jobs_knowledge_base())
+        candidate = broker.register_publisher("Ada")
+        # engine-only subscriptions: matches are cached, nothing is delivered
+        broker.engine.subscribe(parse_subscription("(degree = degree)", sub_id="wide"))
+        broker.publish(candidate.client_id, "(degree, PhD)(n, -1)")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(200):
+                broker.publish(candidate.client_id, parse_event(f"(degree, PhD)(n, {index})"))
+            gc.collect()
+            filled = tracemalloc.get_traced_memory()[0]
+            broker.engine.subscribe(parse_subscription("(degree = MSc)", sub_id="late"))
+            broker.publish(candidate.client_id, "(degree, MSc)")
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert broker.dispatcher.result_cache_info()["size"] == 1
+        released = (filled - after) / (filled - before)
+        assert released >= 0.9, released
 
     def test_stats_surface_result_cache(self, broker):
         candidate = self._setup(broker)
