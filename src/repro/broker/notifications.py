@@ -26,14 +26,18 @@ distinct derivation once, each subscription once for as long as it
 lives, and a retained delivery holds its numbers plus a reference to
 the publication's shared text — in memory, in the journal and in the
 snapshot alike — so what the log costs follows the text there is to
-say, not the number of notifications that said it.
+say, not the number of notifications that said it.  Once the fan-out
+ends, the text's derivations — most of what a broker retains — are
+packed into one zlib blob (:class:`PublicationText`); they are inflated
+again only to be read, never to be written: records, snapshots and
+every rendered body are as they were.
 
 A subscription's retained log is a ring of at most ``history_limit``
 rows stored as columns (:class:`_DeliveryLog`): sequence and
 notification number in ``array('q')``, the derivation index in an
 ``array('I')``, the status as one byte, the text as one reference —
-29 bytes of columns a row, ~40 with its share of the publication's
-text — while its subscription id, client id and
+29 bytes of columns a row, plus the row's share of its publication's
+packed text — while its subscription id, client id and
 rendered subscription part are kept once per log.  The ``n<N>`` id is
 rendered when a row is sent or exported.  :class:`DeliveryEntry`
 remains the row type callers see: :meth:`NotificationEngine
@@ -53,6 +57,7 @@ restorable from a snapshot, so ids stay unique across a crash-restart.
 
 from __future__ import annotations
 
+import zlib
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -122,6 +127,26 @@ class DeliveryOutcome:
     error: str = ""
 
 
+#: zlib level of a packed :class:`PublicationText`: the derivations of
+#: one publication repeat each other's steps, so the fastest level
+#: already packs them ~12x
+_PACK_LEVEL = 1
+
+
+def _pack(parts: list[str]) -> bytes:
+    """*parts* as one zlib blob that :func:`_unpack` inverts exactly.
+    Each part is UTF-8 (lone surrogates passed through) behind a
+    ``0xFF`` byte, which UTF-8 never produces."""
+    raw = b"".join(b"\xff" + part.encode("utf-8", "surrogatepass") for part in parts)
+    return zlib.compress(raw, _PACK_LEVEL)
+
+
+def _unpack(blob: bytes) -> list[str]:
+    return [
+        part.decode("utf-8", "surrogatepass") for part in zlib.decompress(blob).split(b"\xff")[1:]
+    ]
+
+
 @dataclass(slots=True)
 class PublicationText:
     """The text the notifications of one publication share: the rendered
@@ -131,16 +156,36 @@ class PublicationText:
     publication, referenced by each of its delivery-log rows and alive
     as long as any of them is retained.
 
+    ``via`` is a list of the derivations only while the publication is
+    in flight — staged, journaled in its ``outs`` record, sent, acked.
+    :meth:`pack` then replaces it, in place, with one zlib blob:
+    :meth:`NotificationEngine.fan_out` packs in its ``finally``, and
+    recovery packs a text as it decodes it from an ``outs`` or snapshot
+    ``text`` record.  :meth:`derivations` reads either form; nothing
+    packed is ever written to a record or handed to a transport.
+
     ``subject`` is set only on text decoded from records written before
     the fan-out was grouped (journal ``out`` records, format-2 snapshot
     rows): those stored each notification's rendered subject and body
     whole, and come back as a private text per row whose single ``via``
-    entry is that body."""
+    entry is that body (left unpacked)."""
 
     event_id: str
     event: str
-    via: list[str]
+    via: list[str] | bytes
     subject: str | None = None
+
+    def derivations(self) -> list[str]:
+        """The rendered derivations, inflated if packed."""
+        via = self.via
+        return via if type(via) is list else _unpack(via)
+
+    def pack(self) -> "PublicationText":
+        """Replace the derivation list by its zlib blob (a no-op when
+        already packed); returns the text."""
+        if type(self.via) is list:
+            self.via = _pack(self.via)
+        return self
 
 
 @dataclass(slots=True)
@@ -160,7 +205,7 @@ class DeliveryEntry:
     sub_id: str
     head: str
     text: PublicationText
-    #: which of ``text.via`` explains this row's match
+    #: which of ``text.derivations()`` explains this row's match
     via: int
     status: str = "pending"  # pending | acked | dead
 
@@ -187,7 +232,8 @@ class DeliveryEntry:
     def body(self) -> str:
         """Byte for byte what :meth:`SemanticMatch.explain
         <repro.core.provenance.SemanticMatch.explain>` rendered."""
-        return self.head + self.text.event + self.text.via[self.via]
+        text = self.text
+        return self.head + text.event + text.derivations()[self.via]
 
 
 #: a row's status, stored in its log as the index into this tuple
@@ -515,6 +561,12 @@ class NotificationEngine:
                 outcomes.append(self.notify(client, match, entry))
         finally:
             self._journal_acks(unsettled)
+            # the publication is settled: what its rows keep is packed
+            # (rows replayed from the ledger share texts packed already)
+            text = None
+            for entry in staged:
+                if entry.text is not text:
+                    text = entry.text.pack()
         return outcomes
 
     def _stage(self, deliveries: Sequence[tuple[Client, SemanticMatch]]) -> list[DeliveryEntry]:
@@ -800,7 +852,7 @@ class NotificationEngine:
         for record in records:
             kind = record["k"]
             if kind == "outs":
-                text = PublicationText(record["eid"], record["event"], record["via"])
+                text = PublicationText(record["eid"], record["event"], record["via"]).pack()
                 for sub_id, sequence, nid, client_id, head, via in record["rows"]:
                     sub_id, client_id = intern(sub_id), intern(client_id)
                     head = heads.setdefault(head, head)
@@ -868,7 +920,12 @@ class NotificationEngine:
                 if id(text) in number_of:
                     continue
                 number_of[id(text)] = len(number_of)
-                record = {"k": "text", "eid": text.event_id, "event": text.event, "via": text.via}
+                record = {
+                    "k": "text",
+                    "eid": text.event_id,
+                    "event": text.event,
+                    "via": text.derivations(),
+                }
                 if text.subject is not None:
                     record["subject"] = text.subject
                 yield record
@@ -913,7 +970,7 @@ class NotificationEngine:
             self._restored_texts.append(
                 PublicationText(
                     record["eid"], record["event"], record["via"], record.get("subject")
-                )
+                ).pack()
             )
             return
         sub_id = intern(record["sid"])

@@ -27,6 +27,7 @@ __all__ = [
     "UnknownDomainError",
     "DamlImportError",
     "MappingRuleError",
+    "DetachedTableError",
     "MatchingError",
     "DuplicateSubscriptionError",
     "UnknownSubscriptionError",
@@ -132,6 +133,13 @@ class DamlImportError(OntologyError):
 
 class MappingRuleError(OntologyError):
     """A mapping-function definition is malformed."""
+
+
+class DetachedTableError(OntologyError):
+    """A :class:`~repro.ontology.concept_table.ConceptTable` was asked
+    to read its knowledge base after that knowledge base was freed (the
+    table holds it weakly, so a dropped knowledge base and its table are
+    freed by reference counting)."""
 
 
 # ---------------------------------------------------------------------------

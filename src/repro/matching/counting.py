@@ -93,12 +93,10 @@ class CountingMatcher(MatchingAlgorithm):
         self._attribute_sizes: dict[str, dict[str, int]] = {}
         #: (attribute, canonical value key) -> subscriptions the pair
         #: satisfies completely on that attribute; survives across
-        #: match_batch calls until churn.
-        self._memo = SatisfactionCache(
-            self._index,
-            transform=self._fully_satisfied,
-            capacity=self.memo_capacity,
-        )
+        #: match_batch calls until churn.  Every lookup passes
+        #: :meth:`_fully_satisfied` as the transform: the memo does not
+        #: hold it, so no matcher <-> memo cycle outlives the matcher.
+        self._memo = SatisfactionCache(self._index, capacity=self.memo_capacity)
 
     def invalidate_memo(self, reason: str = "external") -> None:
         """The memo payload embeds subscription ids, so every reason —
@@ -184,6 +182,7 @@ class CountingMatcher(MatchingAlgorithm):
         index = self._index
         cache = self._memo
         satisfied = cache.satisfied
+        fully = self._fully_satisfied
         needed = self._attribute_sizes
         #: free attribute -> its alternatives (a factored result)
         free = result.free
@@ -201,7 +200,7 @@ class CountingMatcher(MatchingAlgorithm):
             # one event, every mask would be 1: counting attributes is all
             on_attribute = None
             for attribute, value in ranked[0].event.items():
-                covered.update(satisfied(attribute, value))
+                covered.update(satisfied(attribute, value, fully))
         else:
             # bit i = i-th least general derivation, discovery order on
             # ties (the sort is stable): a mask's lowest set bit is then
@@ -220,7 +219,7 @@ class CountingMatcher(MatchingAlgorithm):
                 if attribute in free:
                     continue  # every event carries its root value
                 first = ranked[(carried & -carried).bit_length() - 1].event
-                sub_ids = satisfied(attribute, first[attribute])
+                sub_ids = satisfied(attribute, first[attribute], fully)
                 satisfying = on_attribute.get(attribute)
                 if satisfying is None:
                     on_attribute[attribute] = dict.fromkeys(sub_ids, carried)
@@ -294,11 +293,11 @@ class CountingMatcher(MatchingAlgorithm):
         by rising depth and falling charge, where more substitutions
         buy a lower charge (which wins then depends on how many the
         rest of the match leaves)."""
-        satisfied = self._memo.satisfied
+        satisfied, fully = self._memo.satisfied, self._fully_satisfied
         cheapest: dict[str, tuple] = {}
         for position, (value, charge, depth, _) in enumerate(alternatives):
             entry = ((charge, depth, position),)
-            for sub_id in satisfied(attribute, value):
+            for sub_id in satisfied(attribute, value, fully):
                 known = cheapest.get(sub_id)
                 if known is None:
                     cheapest[sub_id] = entry

@@ -416,6 +416,14 @@ class SatisfactionCache:
     the pair's canonical identity, so every distinct pair is probed
     exactly once per memo lifetime, not once per batch.
 
+    The transform is an argument of each :meth:`satisfied` call, not
+    state of the cache: the counting matcher's transform is its own
+    bound method, and a memo its matcher owns that stored it would make
+    a reference cycle — one that keeps a dropped matcher, and every
+    subscription it indexes, alive until a cyclic collection.  It is
+    called only on a miss, and every call within one memo lifetime must
+    pass the same transform (a hit returns what the first miss stored).
+
     Lifetime is owned by the matcher: payloads that embed subscription
     state (the counting matcher's subscription ids) must be dropped via
     :meth:`clear` on subscription churn, and the engine propagates
@@ -437,7 +445,6 @@ class SatisfactionCache:
 
     __slots__ = (
         "_index",
-        "_transform",
         "_cache",
         "capacity",
         "hits",
@@ -445,15 +452,8 @@ class SatisfactionCache:
         "invalidations",
     )
 
-    def __init__(
-        self,
-        index: PredicateIndex,
-        transform: Callable[[str, tuple], object] | None = None,
-        *,
-        capacity: int = 65536,
-    ) -> None:
+    def __init__(self, index: PredicateIndex, *, capacity: int = 65536) -> None:
         self._index = index
-        self._transform = transform
         self._cache: dict[tuple, object] = {}
         self.capacity = capacity
         self.hits = 0
@@ -471,14 +471,19 @@ class SatisfactionCache:
             self.invalidations += 1
         return held
 
-    def satisfied(self, attribute: str, value: Value):
-        """The (transformed) satisfaction set for one pair, memoized."""
+    def satisfied(
+        self,
+        attribute: str,
+        value: Value,
+        transform: Callable[[str, tuple], object] | None = None,
+    ):
+        """The satisfaction set for one pair, memoized — as *transform*
+        made it from the satisfied keys, when given."""
         pair = (attribute, self._index._value_key(value))
         payload = self._cache.get(pair)
         if payload is None:
             self.misses += 1
             keys = tuple(self._index.satisfied(attribute, value))
-            transform = self._transform
             payload = keys if transform is None else transform(attribute, keys)
             if len(self._cache) >= self.capacity:
                 self.clear()

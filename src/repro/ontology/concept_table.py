@@ -68,6 +68,16 @@ at all (the interest index keeps its one result per attribute).
 ``ConceptTable(kb)`` itself stays a plain full build: it is the first
 build, and the oracle the catch-up is tested against.
 
+The knowledge base owns its table and the table holds the knowledge base
+only through a weak reference, so no cycle runs between them: a dropped
+knowledge base is freed by reference counting, table and all, without
+waiting for a cyclic collection.  The table reads the knowledge base
+only while it builds, catches up, or fills a closure the graph does not
+hold (:meth:`ConceptTable.ancestors`,
+:meth:`ConceptTable.canonical_spelling`); a table kept beyond its
+knowledge base serves what it already holds and raises
+:class:`~repro.errors.DetachedTableError` for anything else.
+
 One table is shared by many engines publishing concurrently (every
 engine on a knowledge base holds it, and callers may drive them from
 different threads), so the lazy fills are guarded by a lock: without
@@ -93,10 +103,12 @@ from __future__ import annotations
 
 import logging
 import threading
+import weakref
 from collections import deque
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
+from repro.errors import DetachedTableError
 from repro.model.attributes import normalize_attribute
 from repro.model.values import Value, canonical_value_key
 from repro.ontology.concepts import term_key
@@ -204,10 +216,12 @@ class ConceptTable:
         "_fill_lock",
         "_followed",
         "_wire_base",
+        "__weakref__",
     )
 
     def __init__(self, kb: "KnowledgeBase") -> None:
-        self._kb = kb
+        #: the knowledge base followed, held weakly: it owns this table
+        self._kb = weakref.ref(kb)
         self.version = kb.version
         #: term id -> first-registered display spelling of the term
         self._term_display: list[str] = []
@@ -281,6 +295,14 @@ class ConceptTable:
 
     # -- construction -----------------------------------------------------------
 
+    def _knowledge_base(self) -> "KnowledgeBase":
+        kb = self._kb()
+        if kb is None:
+            raise DetachedTableError(
+                "the knowledge base this concept table followed has been freed"
+            )
+        return kb
+
     def _intern_spelling(self, spelling: str) -> int:
         sid = self._sid_by_spelling.get(spelling)
         if sid is None:
@@ -344,7 +366,7 @@ class ConceptTable:
             synsets.append(tuple(sorted(members)))
         for group in attribute_groups:
             spellings = sorted(group)
-            root = self._kb.root_attribute(spellings[0])
+            root = self._knowledge_base().root_attribute(spellings[0])
             for spelling in spellings:
                 self._intern_term(spelling)
                 self.attribute_roots[normalize_attribute(spelling)] = root
@@ -388,6 +410,7 @@ class ConceptTable:
         ``version`` moves last: a lock-free ``table.version !=
         kb.version`` fetch that sees the new number sees a finished
         table."""
+        kb = self._knowledge_base()
         with self._fill_lock:
             terms, spellings = len(self._term_display), len(self._spellings)
             dropped = 0
@@ -407,14 +430,14 @@ class ConceptTable:
             followed["appended_terms"] += new_terms
             followed["appended_spellings"] += new_spellings
             followed["closures_dropped"] += dropped
-            previous, self.version = self.version, self._kb.version
+            previous, self.version = self.version, kb.version
         if _log.isEnabledFor(logging.DEBUG):
             edges = sum(type(item) is tuple for item in concepts_and_edges)
             _log.debug(
                 "%s caught up v%d -> v%d: taxonomies +%d concepts +%d is-a edges, "
                 "%d value-synonym and %d attribute-synonym groups touched; "
                 "appended %d terms %d spellings, dropped %d closures",
-                self._kb.name,
+                kb.name,
                 previous,
                 self.version,
                 len(concepts_and_edges) - edges,
@@ -506,7 +529,7 @@ class ConceptTable:
             with self._fill_lock:
                 sid = self._canonical_sid.get(tid)
                 if sid is None:
-                    canonical = self._kb.canonical_term(self._term_display[tid])
+                    canonical = self._knowledge_base().canonical_term(self._term_display[tid])
                     sid = -1 if canonical is None else self._intern_spelling(canonical)
                     self._canonical_sid[tid] = sid
         return None if sid < 0 else self._spellings[sid]
@@ -524,7 +547,7 @@ class ConceptTable:
                 if closure is None:
                     closure = tuple(
                         (self._intern_spelling(general), distance)
-                        for general, distance in self._kb.generalizations(
+                        for general, distance in self._knowledge_base().generalizations(
                             self._term_display[tid]
                         ).items()
                     )

@@ -14,8 +14,14 @@ equals it:
 * after ``checkpoint()`` + ``recover()`` (the format-3 snapshot's text
   records), and after a journal-only ``recover()`` (the ``outs``
   records);
-* through ``replay_from`` on each of those brokers;
+* through ``replay_from`` on each of those brokers, and in the
+  ``durable_state()`` records each of them would snapshot;
 * for deliveries a recovery re-sends from their stored parts.
+
+Every retained text holds its derivations packed (one zlib blob per
+publication, once its fan-out has ended or as recovery decodes it), so
+each of those reads goes through the unpacking; a separate property
+holds the packing itself lossless for any list of strings.
 
 The traces (the job-finder cast and a generated ``mega-small`` world)
 are driven so that every way of arriving at a row is covered: exact
@@ -35,9 +41,12 @@ from __future__ import annotations
 import shutil
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.broker.broker import Broker
 from repro.broker.durability import JOURNAL_NAME, _encode_record, _scan_records, recover
+from repro.broker.notifications import PublicationText
 from repro.broker.sharding import ShardedBroker
 from repro.broker.transports import SmsTransport, TcpTransport, TransportRegistry
 from repro.model.events import Event
@@ -127,24 +136,62 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
     return expected, stages
 
 
+def _snapshot_text(notifier) -> dict[tuple[str, int], tuple[str, str]]:
+    """``{(sub_id, sequence): (subject, body)}`` as the notifier's
+    ``durable_state()`` records spell them: a row's head, its text
+    record's event and the derivation it indexes."""
+    texts: list[dict] = []
+    spelled = {}
+    for record in notifier.durable_state():
+        if record["k"] == "text":
+            texts.append(record)
+        elif record["k"] == "log":
+            heads, sub_id = record["heads"], record["sid"]
+            for sequence, _, _, head, number, via, _ in record["entries"]:
+                text = texts[number]
+                subject = f"S-ToPSS: subscription {sub_id} matched event {text['eid']}"
+                body = heads[head] + text["event"] + text["via"][via]
+                spelled[sub_id, sequence] = (subject, body)
+    return spelled
+
+
 def _assert_retained_text(broker, expected) -> None:
-    """Every retained row reads as the oracle rendered it, and so does
-    every message ``replay_from`` sends from the rows."""
+    """Every retained row holds its derivations packed and reads as the
+    oracle rendered it, and so does every snapshot record and every
+    message ``replay_from`` sends from the rows."""
+    sub_ids = sorted({sub_id for sub_id, _ in expected})
+    notifier = broker.notifier
+    texts = [text for sub_id in sub_ids for text in notifier.retained_log(sub_id).ordered_texts()]
+    assert texts and all(type(text.via) is bytes for text in texts)
     retained = {
         (sub_id, entry.sequence): (entry.subject, entry.body)
-        for sub_id in {sub_id for sub_id, _ in expected}
-        for entry in broker.notifier.delivery_log(sub_id)
+        for sub_id in sub_ids
+        for entry in notifier.delivery_log(sub_id)
     }
     assert retained == expected
-    for sub_id in sorted({sub_id for sub_id, _ in expected}):
+    assert _snapshot_text(notifier) == expected
+    for sub_id in sub_ids:
         for outcome in broker.replay_from(sub_id, 1):
             key = (sub_id, outcome.notification.sequence)
             assert _sent(outcome) == _on_the_wire(outcome, *expected[key]), key
 
 
+@given(st.lists(st.text(alphabet=st.characters(exclude_categories=()))))
+@example(["\x00", "a\x00b", "\n\nline\n", ""])
+@example(["\U0001f600", "\ud83d\ude00", "\ud800", "\udfff tail", "\uffff\U0010ffff"])
+@example([])
+@example([""])
+def test_packing_derivations_is_lossless(derivations):
+    text = PublicationText("e", "event", list(derivations)).pack()
+    assert type(text.via) is bytes
+    assert text.derivations() == derivations
+    assert text.pack().derivations() == derivations  # packing twice is a no-op
+
+
+@pytest.mark.parametrize("origin", ["live", "journal", "snapshot"])
 @pytest.mark.parametrize("broker_kind", _BROKERS)
 @pytest.mark.parametrize("cast", _CASTS)
-def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, tmp_path):
+def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, origin, tmp_path):
     kb, subs, events = _CASTS[cast]()
     factory = _BROKERS[broker_kind]
     live_dir, journal_dir, pending_dir = (tmp_path / name for name in ("live", "wal", "pending"))
@@ -156,7 +203,9 @@ def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, tmp_p
         assert {"exact", "hierarchy"} <= stages
         if cast == "jobfinder":
             assert {"synonym", "mapping", "composed"} <= stages
-        _assert_retained_text(broker, expected)
+        if origin == "live":
+            _assert_retained_text(broker, expected)
+            return
         shutil.copytree(live_dir, journal_dir)  # the journal alone, before any snapshot
         broker.checkpoint()
     finally:
@@ -165,14 +214,16 @@ def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, tmp_p
     def recovered_from(directory):
         return recover(directory, kb, broker_factory=factory, transports=_transports())
 
-    # the format-3 snapshot: rows referencing per-publication text records
-    from_snapshot = recovered_from(live_dir)
-    try:
-        assert from_snapshot.recovery.snapshot_loaded
-        assert from_snapshot.recovery.records_replayed == 0
-        _assert_retained_text(from_snapshot, expected)
-    finally:
-        from_snapshot.close()
+    if origin == "snapshot":
+        # the format-3 snapshot: rows referencing per-publication text records
+        from_snapshot = recovered_from(live_dir)
+        try:
+            assert from_snapshot.recovery.snapshot_loaded
+            assert from_snapshot.recovery.records_replayed == 0
+            _assert_retained_text(from_snapshot, expected)
+        finally:
+            from_snapshot.close()
+        return
 
     # the journal alone: one outs record per publication
     from_journal = recovered_from(journal_dir)

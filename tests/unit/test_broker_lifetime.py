@@ -1,0 +1,101 @@
+"""A closed and dropped broker is freed by reference counting.
+
+Nothing a broker builds — its engine or shard replicas, their matchers
+and memos, the knowledge base and its concept table — may sit in a
+reference cycle: a world held by a cycle outlives its last user until
+the next full collection, so a process that builds and closes brokers
+(the benchmark's repeated set-ups, a test suite, a server restarting its
+broker) carries every dropped world in its heap until then.  Two
+ownership rules keep them acyclic: a matcher's satisfaction memo does
+not hold its matcher's bound method (the transform is passed per
+lookup), and a concept table holds its knowledge base weakly.
+
+The check runs with the collector off.  After ``close()`` and ``del``,
+weak references to the knowledge base, its table, the engine and every
+matcher must already be dead, and a collection that saves what it finds
+(``gc.DEBUG_SAVEALL``) must find nothing.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+from repro.broker.broker import Broker
+from repro.broker.sharding import ShardedBroker
+from repro.matching.base import matcher_names
+from repro.model.events import Event
+from repro.model.predicates import Predicate
+from repro.model.subscriptions import Subscription
+from repro.ontology.domains import build_jobs_knowledge_base
+
+try:  # its first import leaves cycles of its own; take them first
+    import numpy  # noqa: F401
+except ImportError:  # pragma: no cover - the no-numpy leg
+    pass
+
+_BROKERS = {
+    **{
+        f"matcher-{name}": (lambda name: lambda kb, _: Broker(kb, matcher=name))(name)
+        for name in matcher_names()
+    },
+    "durable": lambda kb, directory: Broker(kb, durability=directory),
+    "sharded-serial": lambda kb, _: ShardedBroker(kb, shards=2, executor="serial"),
+    "sharded-process": lambda kb, _: ShardedBroker(kb, shards=2, executor="process"),
+}
+
+
+@pytest.fixture
+def collector_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+
+
+def _exercise(broker: Broker, kb) -> None:
+    """Subscribe, publish, write to the knowledge base, publish again."""
+    broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+    broker.register_publisher("P", client_id="cl-p")
+    broker.subscribe("cl-a", Subscription([Predicate.eq("university", "Toronto")], sub_id="s1"))
+    assert broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1")).delivered_count
+    kb.add_domain("lifetime").add_chain("junior", "senior")
+    report = broker.publish("cl-p", Event([("school", "Toronto"), ("n", 1)], event_id="e2"))
+    assert report.delivered_count == 1
+
+
+def _watched(broker: Broker, kb) -> dict[str, weakref.ref]:
+    engine = broker.engine
+    replicas = getattr(engine, "engines", (engine,))
+    refs = {
+        "knowledge base": weakref.ref(kb),
+        "concept table": weakref.ref(kb.concept_table()),
+        "engine": weakref.ref(engine),
+    }
+    for index, replica in enumerate(replicas):
+        refs[f"matcher {index}"] = weakref.ref(replica.matcher)
+    return refs
+
+
+@pytest.mark.parametrize("kind", _BROKERS)
+def test_a_closed_broker_is_freed_without_the_cycle_collector(kind, tmp_path, collector_off):
+    kb = build_jobs_knowledge_base()
+    broker = _BROKERS[kind](kb, tmp_path / "journal")
+    _exercise(broker, kb)
+    refs = _watched(broker, kb)
+    broker.close()
+    del broker, kb
+
+    alive = sorted(name for name, ref in refs.items() if ref() is not None)
+    assert alive == []
+
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.collect()
+    garbage = len(gc.garbage)
+    gc.garbage.clear()
+    assert garbage == 0

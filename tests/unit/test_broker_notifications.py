@@ -17,7 +17,7 @@ from repro.broker.transports import (
     TransportRegistry,
     UdpTransport,
 )
-from repro.core.provenance import DerivedEvent, SemanticMatch
+from repro.core.provenance import DerivationStep, DerivedEvent, SemanticMatch
 from repro.errors import DeliveryError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
@@ -261,3 +261,82 @@ class TestRetainedRowFootprint:
             tracemalloc.stop()
         assert live_bytes <= self.BOUND, live_bytes
         assert restored_bytes <= self.BOUND, restored_bytes
+
+
+class TestPackedDerivationFootprint:
+    """Once a publication's fan-out ends its derivations are kept as one
+    zlib blob.  Pinned in traced bytes: what the retained texts' ``via``
+    fields hold, against the same derivations as the list of rendered
+    strings each text held before packing.  Derivations of one
+    publication repeat its event and each other's steps, as derivations
+    do."""
+
+    SUBS, PUBLICATIONS = 8, 200
+
+    @staticmethod
+    def _derivation(event: Event, index: int) -> DerivedEvent:
+        """Three generalization steps, each on one attribute of *event*."""
+        derived = DerivedEvent.original(event)
+        for attribute in ("degree", "university", "position"):
+            value = f"{attribute}-generalization-{index}"
+            pairs = {**dict(derived.event.items()), attribute: value}
+            step = DerivationStep(
+                "hierarchy", f"{attribute}: {event[attribute]} is-a {value}", attribute, 1
+            )
+            derived = derived.extend(Event(pairs, event_id=event.event_id), step)
+        return derived
+
+    def _fan_out(self, engine, client) -> None:
+        subs = [
+            Subscription([Predicate.eq("degree", f"d{index}")], sub_id=f"s{index}")
+            for index in range(self.SUBS)
+        ]
+        for number in range(self.PUBLICATIONS):
+            event = Event(
+                {
+                    "degree": "PhD",
+                    "university": "Toronto",
+                    "position": "research engineer",
+                    "experience": number % 17,
+                    "n": number,
+                },
+                event_id=f"e{number}",
+            )
+            engine.fan_out(
+                [
+                    (client, SemanticMatch(sub, event, self._derivation(event, index), 3))
+                    for index, sub in enumerate(subs)
+                ]
+            )
+
+    def test_retained_derivations_cost_a_quarter_of_their_text(self):
+        registry = ClientRegistry()
+        client = registry.register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
+        engine = _engine(history_limit=1024)
+        tracemalloc.start()
+        try:
+            self._fan_out(engine, client)
+            texts = list(
+                {
+                    id(text): text
+                    for index in range(self.SUBS)
+                    for text in engine.retained_log(f"s{index}").ordered_texts()
+                }.values()
+            )
+            assert len(texts) == self.PUBLICATIONS
+            assert all(len(text.derivations()) == self.SUBS for text in texts)
+
+            before = tracemalloc.get_traced_memory()[0]
+            unpacked = [text.derivations() for text in texts]
+            unpacked_bytes = tracemalloc.get_traced_memory()[0] - before
+            del unpacked
+
+            held = tracemalloc.get_traced_memory()[0]
+            for text in texts:
+                text.via = b""
+            retained_bytes = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # ~390 characters a derivation (~480 on the benchmark's workloads)
+        assert unpacked_bytes > self.PUBLICATIONS * self.SUBS * 350, unpacked_bytes
+        assert retained_bytes * 4 <= unpacked_bytes, (retained_bytes, unpacked_bytes)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
+from repro.errors import DetachedTableError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -243,6 +244,24 @@ class TestFollowsTheKnowledgeBase:
         assert oracle.term_display(oracle.term_id_of_value("school")) == "School"
         assert table.term_display(tid) == "School"
         assert table.descent_map("School", None) == {"School": 0}
+
+    def test_a_table_holds_its_knowledge_base_weakly(self):
+        kb = build_kb()
+        table = kb.concept_table()
+        sedan, car = table.term_id_of_value("sedan"), table.term_id_of_value("car")
+        filled = table.ancestors(sedan)
+        del kb  # no cycle: reference counting frees it at once
+        # what the table holds still answers ...
+        assert table.ancestors(sedan) == filled
+        assert table.value_key("sedan") == table.term_id_of_value("sedan") is not None
+        assert table.descent_map("car", None)["sedan"] == 1
+        # ... and what it would read from the knowledge base raises
+        with pytest.raises(DetachedTableError):
+            table.ancestors(car)
+        with pytest.raises(DetachedTableError):
+            table.canonical_spelling(car)
+        with pytest.raises(DetachedTableError):
+            table.catch_up([], [], [])
 
     def test_engine_sees_new_knowledge_through_rebuild(self):
         kb = build_kb()

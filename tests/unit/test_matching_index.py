@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.matching.index import PredicateIndex
+import gc
+
+from repro.matching.index import PredicateIndex, SatisfactionCache
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.values import Period
@@ -199,3 +201,26 @@ class TestEventLevel:
             from_index = set(index.satisfied("a", value))
             direct = {p.key for p in preds if p.evaluate(value)}
             assert from_index == direct, f"divergence at value {value!r}"
+
+
+class TestSatisfactionCache:
+    def test_the_transform_is_applied_on_a_miss_and_not_held(self):
+        index = PredicateIndex()
+        p = Predicate.eq("a", 4)
+        index.add(p)
+        cache = SatisfactionCache(index)
+        made = []
+
+        def transform(attribute: str, keys: tuple) -> tuple:
+            made.append((attribute, keys))
+            return ("payload", *keys)
+
+        assert cache.satisfied("a", 4, transform) == ("payload", p.key)
+        # a hit returns what the miss stored, canonically equal values included
+        assert cache.satisfied("a", 4.0, transform) == ("payload", p.key)
+        assert made == [("a", (p.key,))]
+        assert (cache.hits, cache.misses) == (1, 1)
+        # no transform: the satisfied keys themselves
+        assert cache.satisfied("a", 5) == ()
+        held = [cache, *gc.get_referents(cache)]
+        assert all(transform not in gc.get_referents(item) for item in held)
