@@ -1,11 +1,10 @@
 """Ablation A1 — syntactic matcher scaling.
 
 The substrate the semantic layer wraps: brute force vs. the counting
-algorithm (paper ref [1]) vs. the cluster matcher (paper ref [4]) as
-the subscription table grows.  Expected shape: the indexed algorithms
-beat naive by a factor that widens with table size (naive is O(S·P)
-per event; counting/cluster touch only satisfied predicates / probed
-clusters).
+algorithm (paper ref [1]) as the subscription table grows.  Expected
+shape: counting beats naive by a factor that widens with table size
+(naive is O(S·P) per event; counting touches only satisfied
+predicates).
 """
 
 from __future__ import annotations
@@ -16,17 +15,14 @@ import pytest
 
 from repro.core.pipeline import PipelineResult
 from repro.core.provenance import DerivationStep, DerivedEvent
-from repro.matching import HAVE_NUMPY, create_matcher
+from repro.matching import create_matcher
 from repro.metrics import Table
 from repro.model.subscriptions import Subscription
 
 SIZES = (1_000, 5_000, 20_000)
-MATCHERS = ("naive", "counting", "cluster")
-#: batch-capable matchers across kernels; without an engine-bound
-#: interner the numpy row runs on canonical value keys plus the
-#: batch-plan cache (the interned kernel is measured by the C1 kernel
-#: benchmark, which runs a full engine)
-BATCH_MATCHERS = ("counting", "cluster") + (("cluster-numpy",) if HAVE_NUMPY else ())
+MATCHERS = ("naive", "counting")
+#: matchers that share work across a batch's derivations
+BATCH_MATCHERS = ("counting",)
 
 
 def _load(matcher, subscriptions):
@@ -58,9 +54,7 @@ def test_a1_scaling_table(benchmark, synthetic_workload, capsys):
             "subscriptions",
             "naive",
             "counting",
-            "cluster",
             "naive/counting",
-            "naive/cluster",
         ],
     )
     timings: dict[tuple[str, int], float] = {}
@@ -84,9 +78,8 @@ def test_a1_scaling_table(benchmark, synthetic_workload, capsys):
                 else:
                     assert total == reference, f"{name} diverged at {size}"
             table.add(
-                size, row["naive"], row["counting"], row["cluster"],
+                size, row["naive"], row["counting"],
                 row["naive"] / max(row["counting"], 1e-9),
-                row["naive"] / max(row["cluster"], 1e-9),
             )
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -94,10 +87,9 @@ def test_a1_scaling_table(benchmark, synthetic_workload, capsys):
         print()
         table.print()
 
-    # shape: at the largest size the indexed matchers win clearly.
+    # shape: at the largest size the indexed matcher wins clearly.
     largest = SIZES[-1]
     assert timings[("naive", largest)] > timings[("counting", largest)]
-    assert timings[("naive", largest)] > timings[("cluster", largest)]
 
 
 # -- batched matching: cross-derivation predicate sharing -----------------------
@@ -150,29 +142,6 @@ def test_a1_batch_throughput(benchmark, synthetic_workload, name, size):
     assert matches >= 0
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_a1_backend_batch_equivalence(synthetic_workload):
-    """``cluster-numpy`` reproduces the scalar ``cluster`` batch results
-    exactly on the synthetic workload — including here, where no
-    interner is bound and every value keys canonically."""
-    subscriptions, events = synthetic_workload
-    batches = _synthetic_batches(events[:20])
-    scalar = create_matcher("cluster")
-    vectorized = create_matcher("cluster-numpy")
-    _load(scalar, subscriptions[:5_000])
-    _load(vectorized, subscriptions[:5_000])
-    for batch in batches:
-        expected = {
-            sub_id: generality
-            for sub_id, (generality, _) in scalar.match_batch(batch).items()
-        }
-        observed = {
-            sub_id: generality
-            for sub_id, (generality, _) in vectorized.match_batch(batch).items()
-        }
-        assert observed == expected, "cluster-numpy diverged from cluster"
-
-
 def test_a1_batch_vs_serial_table(benchmark, synthetic_workload, capsys):
     """Predicate-evaluation and wall-clock comparison of one
     ``match_batch`` pass against the per-derived-event loop it
@@ -198,7 +167,7 @@ def test_a1_batch_vs_serial_table(benchmark, synthetic_workload, capsys):
     def sweep():
         table.rows.clear()
         ratios.clear()
-        for name in ("counting", "cluster"):
+        for name in BATCH_MATCHERS:
             matcher = create_matcher(name)
             _load(matcher, subscriptions[:size])
 
@@ -247,4 +216,3 @@ def test_a1_batch_vs_serial_table(benchmark, synthetic_workload, capsys):
     # the acceptance bar: cross-derivation sharing at least halves the
     # predicate evaluations on sibling-heavy batches.
     assert ratios["counting"] >= 2.0
-    assert ratios["cluster"] >= 2.0

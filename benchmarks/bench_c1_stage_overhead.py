@@ -16,7 +16,6 @@ import pytest
 
 from benchmarks.conftest import build_engine
 from repro.core.config import SemanticConfig
-from repro.matching import HAVE_NUMPY
 from repro.metrics import Table
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -28,6 +27,9 @@ CONFIGS = {
     "full(g<=2)": SemanticConfig(max_generality=2),
     "full": SemanticConfig(),
 }
+
+#: matcher rows of the batched-publish benchmark (``BENCH_publish.json``)
+PUBLISH_MATCHERS = ("counting",)
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -102,9 +104,9 @@ def _serial_publish_evals(engine, events) -> tuple[int, dict[str, int]]:
 def test_c1_batch_vs_serial_publish(benchmark, jobs_kb, semantic_workload, capsys):
     """The tentpole's proof: one batched publish pass evaluates ≥2x
     fewer predicates than the per-derived-event loop on the jobfinder
-    workload, for every indexed matcher and stage configuration.
+    workload, on the counting matcher in every stage configuration.
     Results (plus a per-event trajectory with the trace replayed once,
-    exercising the matchers' cross-publication memos) are recorded in
+    exercising the matcher's cross-publication memo) are recorded in
     ``BENCH_publish.json``.
     """
     import time
@@ -134,7 +136,7 @@ def test_c1_batch_vs_serial_publish(benchmark, jobs_kb, semantic_workload, capsy
         table.rows.clear()
         payload["configurations"] = []
         for config_name, config in CONFIGS.items():
-            for matcher_name in ("counting", "cluster"):
+            for matcher_name in PUBLISH_MATCHERS:
                 serial_engine = build_engine(jobs_kb, subscriptions, config, matcher=matcher_name)
                 serial_evals, serial_best = _serial_publish_evals(serial_engine, events)
 
@@ -255,25 +257,22 @@ def test_c1_batch_vs_serial_publish(benchmark, jobs_kb, semantic_workload, capsy
             assert entry["evals_ratio"] >= 0.99, entry
 
 
-# -- PR 6: vectorized matching kernel ---------------------------------------------
+# -- the matching kernel alone ----------------------------------------------------
 
 #: kernel benchmark rows: each matcher name with its row key in
-#: ``BENCH_kernel.json`` (``scalar@kernel``, the keys the regression
-#: gate matches against the committed baseline)
-KERNEL_ROWS = {"counting": "counting@python", "cluster": "cluster@python"}
-if HAVE_NUMPY:
-    KERNEL_ROWS["cluster-numpy"] = "cluster@numpy"
+#: ``BENCH_kernel.json`` (the keys the regression gate matches against
+#: the committed baseline)
+KERNEL_ROWS = {"counting": "counting@python"}
 
 
 def test_c1_kernel_backends(benchmark, jobs_kb, semantic_workload, capsys):
-    """Scalar vs vectorized kernel on the full-semantic jobfinder
-    trace — kernel: ``match_batch`` over pre-expanded batches, with
-    kernel memos and batch plans filled by a cold ``publish`` pass
-    (end-to-end throughput is capped by expansion cost, which no
-    matching kernel can touch, so the timed passes leave it out).
-    Emits ``BENCH_kernel.json``: wall-clock ev/s record-only, kernel
-    counters (``rows_evaluated``, ``vectorized_batches``) deterministic
-    and gated by ``check_bench_regression.py``."""
+    """The matching kernel on the full-semantic jobfinder trace:
+    ``match_batch`` over pre-expanded batches, with the matcher memo
+    filled by a cold ``publish`` pass (end-to-end throughput is capped
+    by expansion cost, which no matching kernel can touch, so the timed
+    passes leave it out).  Emits ``BENCH_kernel.json``: wall-clock ev/s
+    record-only, ``probes_saved`` deterministic and gated by
+    ``check_bench_regression.py``."""
     import time
 
     subscriptions, events = semantic_workload
@@ -284,8 +283,6 @@ def test_c1_kernel_backends(benchmark, jobs_kb, semantic_workload, capsys):
             "matcher",
             "cold publish ev/s",
             "kernel ev/s",
-            "rows evaluated",
-            "vec batches",
         ],
     )
     payload: dict[str, object] = {
@@ -295,29 +292,19 @@ def test_c1_kernel_backends(benchmark, jobs_kb, semantic_workload, capsys):
         "events": len(events),
         "configurations": [],
     }
-    warm_rates: dict[str, float] = {}
-    match_sets: dict[str, dict] = {}
 
     def sweep():
         table.rows.clear()
         payload["configurations"] = []
-        warm_rates.clear()
-        match_sets.clear()
         for matcher_name, row_key in KERNEL_ROWS.items():
             engine = build_engine(jobs_kb, subscriptions, SemanticConfig(), matcher=matcher_name)
-            best: dict[str, int] = {}
             started = time.perf_counter()
             for event in events:
-                for match in engine.publish(event):
-                    sub_id = match.subscription.sub_id
-                    known = best.get(sub_id)
-                    if known is None or match.generality < known:
-                        best[sub_id] = match.generality
+                engine.publish(event)
             cold_seconds = time.perf_counter() - started
-            match_sets[matcher_name] = best
             # kernel passes: the same trace expanded once up front,
-            # counters sampled over one pass (deterministic — plans
-            # and memos are hot)
+            # counters sampled over one pass (deterministic — the memo
+            # is hot)
             batches = [
                 engine.pipeline.process_event(event, interest=engine.active_interest)
                 for event in events
@@ -339,14 +326,7 @@ def test_c1_kernel_backends(benchmark, jobs_kb, semantic_workload, capsys):
             }
             cold_rate = len(events) / cold_seconds if cold_seconds else 0.0
             warm_rate = len(events) / warm_seconds if warm_seconds else 0.0
-            warm_rates[matcher_name] = warm_rate
-            table.add(
-                matcher_name,
-                round(cold_rate, 1),
-                round(warm_rate, 1),
-                warm.get("rows_evaluated", 0),
-                warm.get("vectorized_batches", 0),
-            )
+            table.add(matcher_name, round(cold_rate, 1), round(warm_rate, 1))
             payload["configurations"].append({
                 # the regression gate keys rows by (configuration,
                 # matcher); the kernel dimension rides in "matcher"
@@ -354,8 +334,6 @@ def test_c1_kernel_backends(benchmark, jobs_kb, semantic_workload, capsys):
                 "matcher": row_key,
                 "matcher_name": matcher_name,
                 # deterministic kernel counters, one warm pass:
-                "rows_evaluated": warm.get("rows_evaluated", 0),
-                "vectorized_batches": warm.get("vectorized_batches", 0),
                 "batch_predicate_evaluations": warm.get("predicate_evaluations", 0),
                 "probes_saved": warm.get("probes_saved", 0),
                 # wall-clock (record-only in CI): the cold publish
@@ -371,23 +349,8 @@ def test_c1_kernel_backends(benchmark, jobs_kb, semantic_workload, capsys):
     out_path = pathlib.Path(
         os.environ.get("STOPSS_KERNEL_BENCH_OUTPUT", _REPO_ROOT / "BENCH_kernel.json")
     )
-    if HAVE_NUMPY:
-        payload["speedups"] = {
-            "cluster@numpy": warm_rates["cluster-numpy"] / warm_rates["cluster"]
-        }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     with capsys.disabled():
         print()
         table.print()
         print(f"wrote {out_path}")
-
-    if HAVE_NUMPY:
-        # the kernels must agree exactly on the match minima...
-        assert match_sets["cluster-numpy"] == match_sets["cluster"], (
-            "cluster-numpy diverged from cluster"
-        )
-        # ...and the vectorized kernel must beat scalar clearly.  The
-        # committed BENCH_kernel.json reads ~12x; the in-test bar is
-        # looser because wall-clock on shared CI runners is noisy.
-        speedup = payload["speedups"]["cluster@numpy"]
-        assert speedup >= 2.0, f"cluster-numpy warm speedup {speedup:.2f}x"

@@ -35,6 +35,8 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: every count contains the previous count's subscriptions)
 SUBSCRIPTION_COUNTS = (100, 400, 1000, 2000, 5000)
 EVENTS = 40
+#: matcher rows of the sweep (``BENCH_scale.json``)
+PUBLISH_MATCHERS = ("counting",)
 
 
 def test_scale_subscriptions(benchmark, jobs_kb, capsys):
@@ -75,7 +77,7 @@ def test_scale_subscriptions(benchmark, jobs_kb, capsys):
         table.rows.clear()
         payload["sweep"] = []
         for count in SUBSCRIPTION_COUNTS:
-            for matcher_name in ("counting", "cluster"):
+            for matcher_name in PUBLISH_MATCHERS:
                 engine = build_engine(
                     jobs_kb,
                     subscriptions[:count],

@@ -18,12 +18,9 @@ baseline, per ``(configuration, matcher)`` row:
   expansion (same 10% policy as the predicate-eval counters).
 
 The same gate serves ``BENCH_kernel.json`` (written by
-``test_c1_kernel_backends``): one row per matcher name (``counting``,
-``cluster``, ``cluster-numpy``), and the ``cluster-numpy`` row adds
-the vectorized kernel's deterministic counters — ``rows_evaluated``
-bound above, ``vectorized_batches`` bound below.  Every field is
-``.get``-checked against the baseline row, so scalar rows (which
-legitimately lack kernel counters) and old baselines never KeyError.
+``test_c1_kernel_backends``): one ``counting`` row, gated on the same
+counters.  Every field is ``.get``-checked against the baseline row,
+so a row that lacks a counter and old baselines never KeyError.
 
 And ``BENCH_worlds.json`` (written by ``bench_worlds.py``): its
 ``world:*`` rows carry the deterministic world-build shape counters
@@ -66,14 +63,12 @@ MIN_BASELINE = 20
 
 #: cost counters: must not *increase* past tolerance.  Fields are
 #: looked up with ``.get`` and skipped when absent from the baseline
-#: row, so one gate serves both payload families — ``BENCH_publish``
-#: rows carry the predicate-evaluation counter, ``BENCH_kernel`` rows
-#: add the vectorized kernel's deterministic work counter (scalar
-#: rows carry it as 0).
+#: row, so one gate serves every payload family — every row carries
+#: the predicate-evaluation counter, ``BENCH_worlds`` rows add the
+#: closure fill steps.
 UPPER_FIELDS = (
     "batch_predicate_evaluations",
     "closure_fill_steps",
-    "rows_evaluated",
 )
 
 #: savings counters: must not *decrease* past tolerance.
@@ -81,7 +76,6 @@ LOWER_FIELDS = (
     "probes_saved",
     "probes_saved_two_passes",
     "candidates_pruned",
-    "vectorized_batches",
 )
 
 #: deterministic world-build shape counters (``BENCH_worlds`` rows):

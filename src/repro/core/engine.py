@@ -62,9 +62,9 @@ class SToPSS:
     kb:
         The knowledge base (synonyms, taxonomies, mapping rules).
     matcher:
-        A registered matcher name (``"naive"``, ``"counting"``,
-        ``"cluster"``, ``"cluster-numpy"`` when numpy is installed) or a
-        :class:`MatchingAlgorithm` instance.  The engine never inspects
+        A registered matcher name (``"counting"``, the default, or
+        ``"naive"``, the reference) or a :class:`MatchingAlgorithm`
+        instance.  The engine never inspects
         it beyond the public interface — the paper's "minimize the
         changes to the algorithms" goal.
     config:
@@ -321,8 +321,8 @@ class SToPSS:
         old_roots = list(matcher.subscriptions())
         self.config = config
         self.pipeline = new_pipeline
-        # the cluster matcher's memo survives churn by design, but a
-        # mode switch is an engine-level reason: drop it explicitly.
+        # a mode switch is an engine-level reason of its own: drop the
+        # memo even when there is no subscription for clear() to remove.
         matcher.invalidate_memo("reconfigure")
         matcher.clear()
         # rebind only after the clear: flipping the interning toggle

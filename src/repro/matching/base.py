@@ -4,8 +4,8 @@ The paper's design goal: "minimize the changes to the algorithms so that
 we can take advantage of their already efficient event matching
 techniques" (§3.1).  The semantic layer therefore treats a matcher as a
 black box with exactly this interface — insert/remove subscriptions,
-match one event — and never reaches inside, which is what lets any of
-the three implementations (or a user-provided one) slot underneath the
+match one event — and never reaches inside, which is what lets either
+shipped implementation (or a user-provided one) slot underneath the
 semantic stage unchanged.
 """
 
@@ -36,7 +36,7 @@ class MatchingAlgorithm(abc.ABC):
 
     Implementations must return matches in **insertion order** so that
     results are deterministic and directly comparable across
-    algorithms (the property tests assert naive/counting/cluster
+    algorithms (the property tests assert naive/counting
     equivalence).
     """
 
@@ -162,13 +162,10 @@ class MatchingAlgorithm(abc.ABC):
         Called with reason ``"subscription-churn"`` after every
         ``insert``/``remove`` and by the engine with ``"kb-version"`` /
         ``"reconfigure"`` (or a ``bump_semantic_epoch`` caller's
-        reason) when the semantic layer's inputs move.  Matchers whose
-        memo payloads embed subscription state (the counting matcher's
-        per-pair subscription lists) must
-        clear on churn; matchers whose memos are pure functions of predicate
-        identity (the cluster matcher's residual outcomes) may keep the
-        memo warm across churn and only honor the engine-driven
-        reasons.  The default is a no-op: serial matchers keep no memo.
+        reason) when the semantic layer's inputs move.  A matcher must
+        drop every memo entry on any reason, churn included (the
+        counting matcher's per-pair payloads embed subscription state).
+        The default is a no-op: serial matchers keep no memo.
         """
 
     def memo_size(self) -> int:
@@ -183,29 +180,12 @@ class MatchingAlgorithm(abc.ABC):
         """Serial fallback: full re-match per derived event."""
         best: dict[str, tuple[int, "DerivedEvent"]] = {}
         for derived in result.derived:
-            self._reduce_batch_matches(
-                best,
-                derived,
-                (subscription.sub_id for subscription in self.match(derived.event)),
-            )
+            generality = derived.generality
+            for subscription in self.match(derived.event):
+                known = best.get(subscription.sub_id)
+                if known is None or generality < known[0]:
+                    best[subscription.sub_id] = (generality, derived)
         return best
-
-    def _reduce_batch_matches(
-        self,
-        best: dict[str, tuple[int, "DerivedEvent"]],
-        derived: "DerivedEvent",
-        matched_ids,
-    ) -> int:
-        """Fold one derived event's matched ids into *best* (shared by
-        the batch implementations); returns how many ids were seen."""
-        count = 0
-        generality = derived.generality
-        for sub_id in matched_ids:
-            count += 1
-            known = best.get(sub_id)
-            if known is None or generality < known[0]:
-                best[sub_id] = (generality, derived)
-        return count
 
     # -- extension points ------------------------------------------------------------
 

@@ -279,8 +279,7 @@ class CountingMatcher(MatchingAlgorithm):
         stats.memo_hits += hits
         stats.memo_misses += cache.misses - misses_before
         # capacity-overflow self-clears happen inside cache.satisfied;
-        # count them like every other memo drop (the cluster matcher's
-        # overflow accounting is the precedent).
+        # count them like every other memo drop.
         stats.memo_invalidations += cache.invalidations - clears_before
         return best
 

@@ -9,7 +9,7 @@ independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["MatchStats"]
 
@@ -66,11 +66,6 @@ class MatchStats:
     memo_misses: int = 0
     memo_invalidations: int = 0
     batch_derived: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Increment a free-form counter (algorithm-specific metrics)."""
-        self.extra[name] = self.extra.get(name, 0) + amount
 
     def reset(self) -> None:
         self.events = 0
@@ -86,11 +81,10 @@ class MatchStats:
         self.memo_misses = 0
         self.memo_invalidations = 0
         self.batch_derived = 0
-        self.extra.clear()
 
     def snapshot(self) -> dict[str, int]:
         """A flat dict view for reports and assertions."""
-        data = {
+        return {
             "events": self.events,
             "predicate_evaluations": self.predicate_evaluations,
             "index_probes": self.index_probes,
@@ -105,5 +99,3 @@ class MatchStats:
             "memo_invalidations": self.memo_invalidations,
             "batch_derived": self.batch_derived,
         }
-        data.update(self.extra)
-        return data

@@ -145,22 +145,14 @@ def publish_path_summary(
     matcher = section("matcher_stats")
     interest = section("interest")
     cached = result_cache if result_cache is not None else {}
-    batches = matcher.get("batches", 0)
-    vectorized = matcher.get("vectorized_batches", 0)
     return {
-        "batches": batches,
+        "batches": matcher.get("batches", 0),
         "derived": engine_stats.get("derived_events", 0),
         "pruned": interest.get("candidates_pruned", 0),
         "prune_hit_rate": interest.get("prune_hit_rate", 0.0),
         "predicate_evaluations": matcher.get("predicate_evaluations", 0),
         "probes_saved": matcher.get("probes_saved", 0),
         "memo_hits": matcher.get("memo_hits", 0),
-        # kernel counters: only the vectorized matcher bumps these, so
-        # scalar (and mixed-shard) snapshots render as zeros, never
-        # KeyError — exactly the defensive contract of this layer.
-        "vectorized_batches": vectorized,
-        "vectorized_batch_rate": (vectorized / batches) if batches else 0.0,
-        "rows_evaluated": matcher.get("rows_evaluated", 0),
         "result_cache_hit_rate": cached.get("hit_rate", 0.0),
     }
 

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import PredicateError
 from repro.model.events import Event
-from repro.model.predicates import Operator, Predicate
+from repro.model.predicates import Predicate
 
 __all__ = ["Subscription"]
 
@@ -122,15 +122,6 @@ class Subscription:
             if not pred.evaluate(value):  # type: ignore[arg-type]
                 return False
         return True
-
-    def equality_pairs(self) -> dict[str, object]:
-        """The ``attribute -> value`` map of the EQ conjuncts; used by the
-        hash-based access-predicate selection of the cluster matcher."""
-        return {
-            pred.attribute: pred.operand
-            for pred in self.predicates
-            if pred.operator is Operator.EQ
-        }
 
     # -- derivation (synonym stage) ---------------------------------------------
 

@@ -448,10 +448,7 @@ class FlashCrowdReport:
     @property
     def leaked(self) -> bool:
         """True when any footprint counter failed to return to its
-        pre-storm baseline (the cluster matcher's residual memo is
-        exempt by design — it retains predicate-keyed outcomes across
-        churn and is capacity-bounded instead; callers comparing
-        cluster engines should assert the bound, not equality)."""
+        pre-storm baseline, on every shipped matcher."""
         return self.final != self.baseline
 
     def as_dict(self) -> dict[str, object]:

@@ -4,7 +4,8 @@
 produce exactly the per-subscription ``(sub_id, generality)`` minima
 that the per-derived-event ``match()`` loop produces — across random
 knowledge bases (taxonomy shape and synonym sets drawn by Hypothesis),
-stage configurations, tolerance settings, and all registered matchers.
+stage configurations, tolerance settings, all registered matchers, and
+a third-party matcher on the base class's serial fallback.
 The serial fold runs against the *same* matcher instance, so the two
 paths see identical subscription state.
 """
@@ -17,12 +18,12 @@ from hypothesis import strategies as st
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.matching import matcher_names
-from repro.matching.vectorized import HAVE_NUMPY
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
+
+from tests.third_party import MATCHERS, matcher_arg
 
 _TERMS = [f"t{i}" for i in range(8)]
 _ATTRS = ["u", "v", "w"]
@@ -128,7 +129,7 @@ def _serial_best(engine: SToPSS, result) -> dict[str, int]:
     return best
 
 
-@pytest.mark.parametrize("matcher_name", sorted(matcher_names()))
+@pytest.mark.parametrize("matcher_name", MATCHERS)
 @given(
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=0, max_size=6),
@@ -137,7 +138,7 @@ def _serial_best(engine: SToPSS, result) -> dict[str, int]:
 )
 def test_match_batch_equals_serial_match(matcher_name, kb, subs, events, config_index):
     config = _CONFIGS[config_index]
-    engine = SToPSS(kb, matcher=matcher_name, config=config)
+    engine = SToPSS(kb, matcher=matcher_arg(matcher_name), config=config)
     for subscription in subs:
         engine.subscribe(subscription)
     for event in events:
@@ -159,55 +160,3 @@ def test_match_batch_equals_serial_match(matcher_name, kb, subs, events, config_
             expected.add((sub_id, generality))
         assert published == expected
 
-
-# ---------------------------------------------------------------------------
-# cluster-numpy ≡ cluster (and ≡ counting)
-# ---------------------------------------------------------------------------
-
-
-def _published(engine, event) -> dict[str, int]:
-    return {m.subscription.sub_id: m.generality for m in engine.publish(event)}
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-@pytest.mark.parametrize("scalar_matcher", ["counting", "cluster"])
-@given(
-    kb=knowledge_bases(),
-    subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
-    events=st.lists(term_events(), min_size=2, max_size=4),
-    interning=st.booleans(),
-    pruning=st.booleans(),
-    bound=st.sampled_from([None, 0, 1, 2]),
-)
-def test_vectorized_backend_equals_scalar(
-    scalar_matcher, kb, subs, events, interning, pruning, bound
-):
-    """``matcher="cluster-numpy"`` must publish the exact match sets
-    *and* generalities of ``matcher="cluster"`` — its scalar twin — and
-    of ``matcher="counting"``, whose factored expansion builds a
-    different batch: interning/pruning toggles (two different kernels
-    on every leg, ``interning=False`` included), tolerance bounds, and
-    subscription churn between publications (batch plans invalidate)."""
-    config = SemanticConfig(interning=interning, interest_pruning=pruning, max_generality=bound)
-    engines = []
-    for matcher in (scalar_matcher, "cluster-numpy"):
-        engine = SToPSS(kb, matcher=matcher, config=config)
-        assert engine.matcher.name == matcher
-        for index, sub in enumerate(subs):
-            engine.subscribe(
-                Subscription(
-                    sub.predicates, sub_id=f"s{index}", max_generality=sub.max_generality
-                )
-            )
-        engines.append(engine)
-    scalar, vectorized = engines
-    half = len(events) // 2
-    for event in events[:half]:
-        assert _published(scalar, event) == _published(vectorized, event)
-    # churn mid-stream: drop one subscription, add a fresh one
-    scalar.unsubscribe("s0")
-    vectorized.unsubscribe("s0")
-    scalar.subscribe(Subscription(subs[0].predicates, sub_id="fresh"))
-    vectorized.subscribe(Subscription(subs[0].predicates, sub_id="fresh"))
-    for event in events[half:]:
-        assert _published(scalar, event) == _published(vectorized, event)

@@ -37,6 +37,8 @@ from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 from repro.workload.worlds import build_world
 
+from tests.third_party import MATCHERS, matcher_arg
+
 BOUNDS = (0, 1, 3, None)
 
 
@@ -343,7 +345,7 @@ _pairs = st.lists(
 )
 
 
-def _engine(kb: KnowledgeBase, matcher: str, subs, pruning: bool = True) -> SToPSS:
+def _engine(kb: KnowledgeBase, matcher, subs, pruning: bool = True) -> SToPSS:
     engine = SToPSS(kb, matcher=matcher, config=SemanticConfig(interest_pruning=pruning))
     for index, (pairs, bound) in enumerate(subs):
         engine.subscribe(
@@ -365,7 +367,7 @@ def _match_list(engine: SToPSS, pairs) -> list[tuple[str, int]]:
     after=st.lists(_engine_writes, min_size=1, max_size=5),
     subs=st.lists(st.tuples(_pairs, st.sampled_from([None, None, 0, 1])), min_size=1, max_size=5),
     events=st.lists(_pairs, min_size=1, max_size=4),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
     pruning=st.booleans(),
 )
 def test_engine_that_lived_through_writes_equals_fresh_engine(
@@ -398,16 +400,18 @@ def test_engine_that_lived_through_writes_equals_fresh_engine(
         assert kb.concept_table() is table
 
 
-@pytest.mark.parametrize("matcher", ["counting", "cluster"])
+@pytest.mark.parametrize("matcher", MATCHERS)
 def test_operand_learned_after_subscribing_is_rekeyed(matcher):
     """The re-key hazard, pinned: "lorry" is free text when the
     subscription is indexed (canonical-key bucket); once the knowledge
     base learns it, ``value_key("lorry")`` is an int under the *same*
     table, and an index still holding the old bucket would silently
-    stop matching."""
+    stop matching.  The scan leg keeps no index and the default no-op
+    ``bind_interner``: the engine's re-bind must leave it matching."""
     kb = KnowledgeBase("t")
     kb.add_domain("vehicles").add_chain("truck", "vehicle")
-    engine = _engine(kb, matcher, [([("kind", "lorry")], None), ([("kind", "vehicle")], None)])
+    subs = [([("kind", "lorry")], None), ([("kind", "vehicle")], None)]
+    engine = _engine(kb, matcher_arg(matcher), subs)
     table = kb.concept_table()
     assert _match_list(engine, [("kind", "lorry")]) == [("s0", 0)]
     kb.add_value_synonyms(["truck", "lorry"])

@@ -168,7 +168,7 @@ def _pair(engine_factory, kb, bound, interning, matcher):
     subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
     evts=st.lists(term_events(), min_size=1, max_size=4),
     bound=st.sampled_from([None, 0, 1, 2, 3]),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
     interning=st.booleans(),
 )
 def test_event_side_pruned_equals_exhaustive(kb, subs, evts, bound, matcher, interning):
@@ -190,7 +190,7 @@ def test_event_side_pruned_equals_exhaustive(kb, subs, evts, bound, matcher, int
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=2, max_size=6),
     evts=st.lists(term_events(), min_size=2, max_size=4),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
 )
 def test_pruning_tracks_subscription_churn(kb, subs, evts, matcher):
     """Interleaved subscribe → publish → unsubscribe → publish →

@@ -87,7 +87,7 @@ def _published(engine, event) -> dict[str, int]:
     subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
     evts=st.lists(term_events(), min_size=1, max_size=4),
     bound=st.sampled_from([None, 0, 1, 2, 3]),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
 )
 def test_event_side_interned_equals_string(kb, subs, evts, bound, matcher):
     def build(interning):

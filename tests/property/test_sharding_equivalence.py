@@ -64,7 +64,7 @@ def _build_pair(kb, matcher, config, shards, executor):
     subs=st.lists(term_subscriptions(), min_size=1, max_size=6),
     evts=st.lists(term_events(), min_size=1, max_size=4),
     shards=st.sampled_from([1, 2, 4]),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
     bound=st.sampled_from([None, 0, 1, 2]),
     interning=st.booleans(),
     pruning=st.booleans(),
@@ -96,7 +96,7 @@ def test_sharded_equals_single_engine(
     subs=st.lists(term_subscriptions(), min_size=2, max_size=6),
     evts=st.lists(term_events(), min_size=2, max_size=4),
     shards=st.sampled_from([2, 4]),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
 )
 def test_sharded_tracks_churn(kb, subs, evts, shards, matcher):
     """Subscribe → publish → unsubscribe half → publish → re-subscribe
@@ -128,7 +128,7 @@ def test_sharded_tracks_churn(kb, subs, evts, shards, matcher):
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=1, max_size=4),
     evts=st.lists(term_events(), min_size=1, max_size=3),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
 )
 def test_process_executor_equals_single_engine(kb, subs, evts, matcher):
     """The cross-process data plane must agree with the single engine —
@@ -164,7 +164,7 @@ def test_process_executor_equals_single_engine(kb, subs, evts, matcher):
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=2, max_size=4),
     evts=st.lists(term_events(), min_size=2, max_size=3),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
     chaos_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_process_executor_chaos_equals_single_engine(
@@ -279,7 +279,7 @@ _kb_write_cases = given(
     kb=knowledge_bases(),
     subs=st.lists(term_subscriptions(), min_size=1, max_size=4),
     evts=st.lists(term_events(), min_size=1, max_size=3),
-    matcher=st.sampled_from(["counting", "cluster"]),
+    matcher=st.sampled_from(["counting", "naive"]),
     writes=st.lists(st.sampled_from(_KB_WRITES), min_size=1, unique=True),
     term=st.sampled_from(_TERMS),
 )

@@ -12,9 +12,10 @@ budget per derivation chain, whichever attribute climbed.
 :func:`_oracle` computes exactly that, with no pipeline, no matcher and
 no cap, and the engine must report the same ``{sub_id: generality}``
 without truncating.  Fixed cases follow the property, each run on
-every registered matcher: the jobfinder generalizations, the charge a
-match carries per taxonomy level, how the system and subscription
-bounds combine, and the readable budget counterexamples.
+every registered matcher and on a third-party scan matcher: the
+jobfinder generalizations, the charge a match carries per taxonomy
+level, how the system and subscription bounds combine, and the readable
+budget counterexamples.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.matching.base import MatchingAlgorithm, matcher_names
 from repro.model.events import Event
 from repro.model.parser import parse_event, parse_subscription
 from repro.model.predicates import Predicate
@@ -33,6 +33,8 @@ from repro.model.subscriptions import Subscription
 from repro.ontology.domains import build_jobs_knowledge_base
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule, OutputMode
+
+from tests.third_party import MATCHERS, ScanMatcher, matcher_arg
 
 _TERMS = [f"t{i}" for i in range(10)]
 _ATTRS = ["u", "v"]
@@ -100,10 +102,10 @@ def _published(engine, event) -> dict[str, int]:
     subs=st.lists(term_subscriptions(), min_size=1, max_size=8),
     evts=st.lists(term_events(), min_size=1, max_size=5),
     bound=st.sampled_from([None, 0, 1, 2, 3]),
-    matcher=st.sampled_from(["counting", "cluster", "naive"]),
+    matcher=st.sampled_from(MATCHERS),
 )
 def test_engine_matches_the_declarative_rule(kb, subs, evts, bound, matcher):
-    engine = SToPSS(kb, matcher=matcher, config=SemanticConfig(max_generality=bound))
+    engine = SToPSS(kb, matcher=matcher_arg(matcher), config=SemanticConfig(max_generality=bound))
     subscriptions = [
         Subscription(sub.predicates, sub_id=f"e{index}", max_generality=sub.max_generality)
         for index, sub in enumerate(subs)
@@ -119,7 +121,7 @@ def test_engine_matches_the_declarative_rule(kb, subs, evts, bound, matcher):
 
 # -- fixed cases ------------------------------------------------------------------
 
-_MATCHERS = pytest.mark.parametrize("matcher", sorted(matcher_names()))
+_MATCHERS = pytest.mark.parametrize("matcher", MATCHERS)
 
 
 @pytest.mark.parametrize(
@@ -136,7 +138,7 @@ _MATCHERS = pytest.mark.parametrize("matcher", sorted(matcher_names()))
 )
 @_MATCHERS
 def test_jobfinder_generalizations(sub_text, event_text, expected, matcher):
-    engine = SToPSS(build_jobs_knowledge_base(), matcher=matcher)
+    engine = SToPSS(build_jobs_knowledge_base(), matcher=matcher_arg(matcher))
     engine.subscribe(parse_subscription(sub_text, sub_id="s"))
     assert bool(engine.publish(parse_event(event_text))) is expected
 
@@ -155,10 +157,11 @@ def test_multi_attribute_climbs_sum_into_one_budget(matcher):
     kb = _two_chains()
     event = parse_event("(u, x1)(v, y1)")
     for bound, expected in ((0, False), (1, False), (2, True)):
-        engine = SToPSS(kb, matcher=matcher, config=SemanticConfig(max_generality=bound))
+        config = SemanticConfig(max_generality=bound)
+        engine = SToPSS(kb, matcher=matcher_arg(matcher), config=config)
         engine.subscribe(parse_subscription("(u = x0) and (v = y0)", sub_id="s"))
         assert bool(engine.publish(event)) is expected
-    engine = SToPSS(kb, matcher=matcher)
+    engine = SToPSS(kb, matcher=matcher_arg(matcher))
     engine.subscribe(parse_subscription("(u = x0) and (v = y0)", sub_id="s"))
     for event_text, generality in (
         ("(u, x1)(v, y1)", 2),
@@ -171,7 +174,7 @@ def test_multi_attribute_climbs_sum_into_one_budget(matcher):
 
 @_MATCHERS
 def test_per_subscription_bound_is_charged_against_the_chain(matcher):
-    engine = SToPSS(_two_chains(), matcher=matcher)
+    engine = SToPSS(_two_chains(), matcher=matcher_arg(matcher))
     engine.subscribe(parse_subscription("(u = x0) and (v = y0)", sub_id="tight", max_generality=1))
     engine.subscribe(parse_subscription("(u = x0) and (v = y0)", sub_id="open"))
     matches = engine.publish(parse_event("(u, x1)(v, y1)"))
@@ -192,7 +195,8 @@ def test_a_mapping_that_lands_on_the_term_is_the_cheaper_chain(matcher):
         )
     )
     for bound in (2, None):
-        engine = SToPSS(kb, matcher=matcher, config=SemanticConfig(max_generality=bound))
+        config = SemanticConfig(max_generality=bound)
+        engine = SToPSS(kb, matcher=matcher_arg(matcher), config=config)
         engine.subscribe(parse_subscription("(u = A) and (v = B)", sub_id="s"))
         assert _published(engine, parse_event("(u, a2)(v, b1)")) == {"s": 1}
 
@@ -206,7 +210,7 @@ def test_a_mapping_that_lands_on_the_term_is_the_cheaper_chain(matcher):
 )
 @_MATCHERS
 def test_each_taxonomy_level_charges_one(value, generality, matcher):
-    engine = SToPSS(build_jobs_knowledge_base(), matcher=matcher)
+    engine = SToPSS(build_jobs_knowledge_base(), matcher=matcher_arg(matcher))
     engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
     assert _published(engine, parse_event(f"(degree, {value})")) == {"s": generality}
 
@@ -291,17 +295,8 @@ def test_unsubscribe_leaves_no_match_behind():
     assert _published(engine, parse_event("(u, x1)")) == {}
 
 
-class _ScanMatcher(MatchingAlgorithm):
-    """A third-party matcher: a linear scan and the default batch path."""
-
-    name = "scan"
-
-    def _match(self, event):
-        return [sub for sub in self.subscriptions() if sub.matches(event)]
-
-
 def test_a_matcher_with_only_a_scan_gets_the_same_budget():
-    engine = SToPSS(_two_chains(), matcher=_ScanMatcher())
+    engine = SToPSS(_two_chains(), matcher=ScanMatcher())
     engine.subscribe(parse_subscription("(u = x0) and (v = y0)", sub_id="tight", max_generality=1))
     engine.subscribe(parse_subscription("(u = x0) and (v = y0)", sub_id="open"))
     assert _published(engine, parse_event("(u, x1)(v, y1)")) == {"open": 2}

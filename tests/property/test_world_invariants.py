@@ -13,11 +13,12 @@ random taxonomies, ``tests/property/test_tolerance_oracle.py``):
 3. **pruning** — demand-driven interest pruning ≡ exhaustive expansion;
 4. **sharding** — the partitioned broker ≡ the single engine, including
    the cross-process data plane (wire codec + shared-memory snapshot);
-5. **vectorized backend** — the numpy kernels ≡ the scalar kernels;
-6. **chaos** — sharded-under-seeded-faults ≡ the single engine, no
+5. **chaos** — sharded-under-seeded-faults ≡ the single engine, no
    publish ever raises, recoveries actually happened;
-7. **crash-recovery** — recover-and-resume ≡ the run that never
-   crashed, at several journal crash offsets.
+6. **crash-recovery** — recover-and-resume ≡ the run that never
+   crashed, at several journal crash offsets;
+7. **reference matcher** — the counting matcher on its factored
+   expansion ≡ the naive matcher on the exhaustive product.
 
 The parametrized ``world`` fixture is module-scoped so each world (and
 its shared concept-table closure memos) is built once per run.  Small
@@ -37,7 +38,6 @@ from repro.broker.sharding import ShardedEngine
 from repro.broker.supervision import FaultPlan, SupervisionPolicy
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.matching.base import matcher_names
 from repro.model.subscriptions import Subscription
 from repro.workload.worlds import build_world
 
@@ -185,23 +185,7 @@ def test_process_executor_equals_single_engine(world, workload):
         sharded.close()
 
 
-# -- 5. vectorized kernel ---------------------------------------------------------
-
-
-def test_vectorized_backend_equivalence(world, workload):
-    if "cluster-numpy" not in matcher_names():
-        pytest.skip("numpy not installed; cluster-numpy unregistered")
-    subs, evts = workload
-    scalar = _loaded(SToPSS(world.kb, matcher="cluster"), subs)
-    vectorized = _loaded(SToPSS(world.kb, matcher="cluster-numpy"), subs)
-    assert vectorized.stats()["matcher"] == "cluster-numpy"
-    for event in evts:
-        assert _match_list(vectorized, event) == _match_list(scalar, event), (
-            f"cluster-numpy diverged from cluster on {world.name}"
-        )
-
-
-# -- 6. chaos ---------------------------------------------------------------------
+# -- 5. chaos ---------------------------------------------------------------------
 
 
 def test_chaos_equals_single_engine(world, workload):
@@ -233,7 +217,7 @@ def test_chaos_equals_single_engine(world, workload):
         sharded.close()
 
 
-# -- 7. crash-recovery ------------------------------------------------------------
+# -- 6. crash-recovery ------------------------------------------------------------
 
 
 def test_crash_recovery_equals_uncrashed(world, workload, tmp_path):
@@ -260,6 +244,31 @@ def test_crash_recovery_equals_uncrashed(world, workload, tmp_path):
             _assert_acked_at_most_once(work)
         finally:
             recovered.close()
+
+
+# -- 7. reference matcher ---------------------------------------------------------
+
+
+def test_counting_equals_naive_reference(world, workload):
+    """The default matcher against the reference: the counting matcher
+    takes a factored batch (free attributes carried as alternatives),
+    the naive one the exhaustive product it scans derivation by
+    derivation — same matches, generalities and order.  Unbounded, these
+    worlds' products outgrow ``max_derived_events``; the bound leg 1
+    also uses keeps every product whole, so the two must agree exactly."""
+    subs, evts = workload
+    config = SemanticConfig(max_generality=8)
+    counting = _loaded(SToPSS(world.kb, matcher="counting", config=config), subs)
+    naive = _loaded(SToPSS(world.kb, matcher="naive", config=config), subs)
+    matched = 0
+    for event in evts:
+        expected = _match_list(naive, event)
+        assert not naive.last_truncated, f"reference product truncated on {world.name}"
+        assert _match_list(counting, event) == expected, (
+            f"counting diverged from naive on {world.name}"
+        )
+        matched += len(expected)
+    assert matched, f"world {world.name} produced no match to compare"
 
 
 # -- full pipeline smoke: the acceptance clause -----------------------------------

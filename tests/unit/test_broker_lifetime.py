@@ -19,7 +19,11 @@ matcher must already be dead, and a collection that saves what it finds
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -31,16 +35,33 @@ from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
 from repro.ontology.domains import build_jobs_knowledge_base
 
-try:  # its first import leaves cycles of its own; take them first
-    import numpy  # noqa: F401
-except ImportError:  # pragma: no cover - the no-numpy leg
-    pass
+from tests.third_party import ScanMatcher
+
+_REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: import the package, publish through a default broker, and report
+#: whether numpy came along (a fresh interpreter: this process's other
+#: imports must not decide the answer)
+_NUMPY_SCRIPT = """
+import sys
+import repro
+from repro.broker.broker import Broker
+from repro.model.parser import parse_event, parse_subscription
+from repro.ontology.domains import build_jobs_knowledge_base
+broker = Broker(build_jobs_knowledge_base())
+broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+broker.register_publisher("P", client_id="cl-p")
+broker.subscribe("cl-a", parse_subscription("(university = Toronto)", sub_id="s1"))
+assert broker.publish("cl-p", parse_event("(school, Toronto)")).delivered_count == 1
+print("numpy" in sys.modules)
+"""
 
 _BROKERS = {
     **{
         f"matcher-{name}": (lambda name: lambda kb, _: Broker(kb, matcher=name))(name)
         for name in matcher_names()
     },
+    "matcher-third-party": lambda kb, _: Broker(kb, matcher=ScanMatcher()),
     "durable": lambda kb, directory: Broker(kb, durability=directory),
     "sharded-serial": lambda kb, _: ShardedBroker(kb, shards=2, executor="serial"),
     "sharded-process": lambda kb, _: ShardedBroker(kb, shards=2, executor="process"),
@@ -99,3 +120,18 @@ def test_a_closed_broker_is_freed_without_the_cycle_collector(kind, tmp_path, co
     garbage = len(gc.garbage)
     gc.garbage.clear()
     assert garbage == 0
+
+
+def test_the_package_and_a_default_publish_leave_numpy_unimported():
+    """Nothing in the package imports numpy, so the lifetime check above
+    needs no warm-up import to absorb the cycles numpy's first import
+    leaves."""
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(_REPO_ROOT / "src")},
+        cwd=_REPO_ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

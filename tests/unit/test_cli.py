@@ -87,9 +87,8 @@ class TestDemo:
         assert "shards must be >= 1" in capsys.readouterr().err
 
     def test_demo_publish_path_columns(self, capsys):
-        """The publish-path table shows the counters every kernel keeps;
-        the demo runs the default counting matcher, so it has no
-        vectorized-kernel columns."""
+        """The publish-path table shows the counters every matcher
+        keeps, and no kernel-specific columns."""
         assert main(["demo", "--companies", "3", "--candidates", "6"]) == 0
         table = capsys.readouterr().out.split("publish path")[1]
         header = table.splitlines()[2].split()

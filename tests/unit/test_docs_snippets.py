@@ -16,6 +16,8 @@ import re
 
 import pytest
 
+from repro.matching import base as matching_base
+
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 _DOC_FILES = sorted(_REPO_ROOT.glob("docs/*.md")) + [_REPO_ROOT / "README.md"]
 
@@ -44,7 +46,9 @@ def test_relative_links_resolve(doc):
 
 
 @pytest.mark.parametrize("doc", _DOC_FILES, ids=_doc_id)
-def test_python_snippets_execute(doc):
+def test_python_snippets_execute(doc, monkeypatch):
+    # a snippet may register a matcher; keep it out of the other tests
+    monkeypatch.setattr(matching_base, "_REGISTRY", dict(matching_base._REGISTRY))
     blocks = _PYTHON_BLOCK.findall(doc.read_text())
     if not blocks:
         pytest.skip(f"{_doc_id(doc)} has no python blocks")

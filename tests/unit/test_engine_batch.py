@@ -12,7 +12,7 @@ import pytest
 from repro.broker.broker import Broker
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.matching import CountingMatcher, MatchingAlgorithm
+from repro.matching import CountingMatcher, MatchingAlgorithm, matcher_names
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
@@ -42,10 +42,16 @@ def _pairs(matches):
 _PRUNING = pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "full"])
 
 
+@pytest.mark.parametrize("matcher", matcher_names())
 class TestRepublish:
     """The engine keeps nothing between publications, so a republished
     event is simply expanded and matched again against whatever the
-    subscription table, knowledge base and configuration are *now*."""
+    subscription table, knowledge base and configuration are *now* —
+    whether a counting memo sits under it or not."""
+
+    @pytest.fixture
+    def engine(self, matcher) -> SToPSS:
+        return SToPSS(_kb(), matcher=matcher, config=SemanticConfig(present_year=2003))
 
     def test_repeat_publication_matches_the_same(self, engine):
         engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
@@ -61,21 +67,25 @@ class TestRepublish:
         assert [m.event.event_id for m in first + second] == ["a", "b"]
 
     @_PRUNING
-    def test_late_subscription_matches_republished_event(self, pruning):
+    def test_late_subscription_matches_republished_event(self, matcher, pruning):
         # demand-driven expansion prunes against the live interest set:
         # the first publication (nobody subscribed) derives nothing the
         # late subscription needs, the republication must.
         engine = SToPSS(
-            _kb(), config=SemanticConfig(present_year=2003, interest_pruning=pruning)
+            _kb(),
+            matcher=matcher,
+            config=SemanticConfig(present_year=2003, interest_pruning=pruning),
         )
         assert engine.publish(parse_event("(degree, PhD)")) == []
         engine.subscribe(parse_subscription("(degree = degree)", sub_id="late"))
         assert _pairs(engine.publish(parse_event("(degree, PhD)"))) == [("late", 2)]
 
     @_PRUNING
-    def test_unsubscribed_is_not_matched_on_republish(self, pruning):
+    def test_unsubscribed_is_not_matched_on_republish(self, matcher, pruning):
         engine = SToPSS(
-            _kb(), config=SemanticConfig(present_year=2003, interest_pruning=pruning)
+            _kb(),
+            matcher=matcher,
+            config=SemanticConfig(present_year=2003, interest_pruning=pruning),
         )
         engine.subscribe(parse_subscription("(degree exists)", sub_id="s"))
         assert _pairs(engine.publish(parse_event("(degree, PhD)"))) == [("s", 0)]
@@ -116,10 +126,10 @@ class TestRepublish:
         gc.collect()
         assert len(results) == 1 and results[0]() is None
 
-    def test_broker_serves_the_repeat_from_the_result_cache(self):
+    def test_broker_serves_the_repeat_from_the_result_cache(self, matcher):
         """The one repeat cache that remains: through a ``Broker`` the
         same content published twice reaches the engine once."""
-        broker = Broker(_kb(), config=SemanticConfig(present_year=2003))
+        broker = Broker(_kb(), matcher=matcher, config=SemanticConfig(present_year=2003))
         subscriber = broker.register_subscriber("acme", email="a@example.com")
         subscription = parse_subscription("(degree = degree)", sub_id="s")
         broker.subscribe(subscriber.client_id, subscription)

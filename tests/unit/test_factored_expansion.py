@@ -25,6 +25,8 @@ from repro.ontology.domains import build_jobs_knowledge_base
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 
+from tests.third_party import ScanMatcher
+
 
 class _ProductCounting(CountingMatcher):
     name = "counting-product"
@@ -281,10 +283,10 @@ def test_an_ineligible_fn_rule_spoils_nothing():
     "build",
     [
         lambda kb: SToPSS(kb, extra_stages=(_Passive(),)),
-        lambda kb: SToPSS(kb, matcher="cluster"),
         lambda kb: SToPSS(kb, matcher="naive"),
+        lambda kb: SToPSS(kb, matcher=ScanMatcher()),
     ],
-    ids=["extra-stages", "cluster", "naive"],
+    ids=["extra-stages", "naive", "third-party"],
 )
 def test_other_engines_and_matchers_keep_the_product(build):
     kb = _ladder_kb()
@@ -392,8 +394,8 @@ def _over_the_cap(value: str = "r0") -> Event:
 
 
 def test_publish_report_says_truncated_and_the_cache_repeats_it():
-    # the cluster matcher keeps the product, which overflows the cap
-    broker = _wide_broker(Broker(_ladder_kb(), matcher="cluster"))
+    # the naive matcher keeps the product, which overflows the cap
+    broker = _wide_broker(Broker(_ladder_kb(), matcher="naive"))
     first = broker.publish("pub", _over_the_cap())
     again = broker.publish("pub", _over_the_cap())
     small = broker.publish("pub", Event({"w": "r0"}))
@@ -411,11 +413,11 @@ def test_factored_broker_reports_the_same_publication_complete():
 
 
 def test_sharded_brokers_report_truncation_where_they_know_it():
-    with ShardedBroker(_ladder_kb(), shards=2, executor="serial", matcher="cluster") as serial:
+    with ShardedBroker(_ladder_kb(), shards=2, executor="serial", matcher="naive") as serial:
         _wide_broker(serial)
         assert serial.publish("pub", _over_the_cap()).truncated is True
         assert serial.publish("pub", Event({"w": "r0"})).truncated is False
-    with ShardedBroker(_ladder_kb(), shards=2, executor="process", matcher="cluster") as fleet:
+    with ShardedBroker(_ladder_kb(), shards=2, executor="process", matcher="naive") as fleet:
         _wide_broker(fleet)
         assert fleet.publish("pub", _over_the_cap()).truncated is None
         assert fleet.stats()["publications_truncated"] == 0

@@ -1,4 +1,5 @@
-"""Unit tests specific to the counting and cluster matchers."""
+"""Unit tests specific to the counting matcher, and cases both
+matchers must agree on."""
 
 from __future__ import annotations
 
@@ -6,7 +7,6 @@ from repro.core.config import SemanticConfig
 from repro.core.pipeline import PipelineResult, SemanticPipeline
 from repro.core.provenance import DerivationStep, DerivedEvent
 from repro.matching.base import MatchingAlgorithm
-from repro.matching.cluster import ClusterMatcher
 from repro.matching.counting import CountingMatcher
 from repro.matching.naive import NaiveMatcher
 from repro.model.events import Event
@@ -196,62 +196,8 @@ class TestCountingBatchKernel:
         assert best["not-leaf"][1] is first
 
 
-class TestClusterMatcher:
-    def test_access_predicate_clustering(self):
-        matcher = ClusterMatcher()
-        matcher.insert(_sub("s1", Predicate.eq("a", 1), Predicate.ge("b", 5)))
-        matcher.insert(_sub("s2", Predicate.eq("a", 2)))
-        assert ("a", ("num", 1)) in matcher._clusters
-        assert ("a", ("num", 2)) in matcher._clusters
-        assert matcher.match_ids(Event({"a": 1, "b": 9})) == ["s1"]
-        assert matcher.match_ids(Event({"a": 2})) == ["s2"]
-
-    def test_least_popular_access_chosen(self):
-        matcher = ClusterMatcher()
-        # make (hot, 1) popular
-        for i in range(5):
-            matcher.insert(_sub(f"h{i}", Predicate.eq("hot", 1)))
-        matcher.insert(_sub("mixed", Predicate.eq("hot", 1), Predicate.eq("cold", 9)))
-        # the new subscription should cluster on the rarer (cold, 9)
-        assert "mixed" in matcher._clusters[("cold", ("num", 9))]
-
-    def test_scan_pool_for_no_equality(self):
-        matcher = ClusterMatcher()
-        matcher.insert(_sub("rangey", Predicate.ge("x", 10)))
-        assert "rangey" in matcher._scan_pool
-        assert matcher.match_ids(Event({"x": 15})) == ["rangey"]
-        assert matcher.match_ids(Event({"x": 5})) == []
-
-    def test_empty_subscription_in_scan_pool(self):
-        matcher = ClusterMatcher()
-        matcher.insert(_sub("all"))
-        assert matcher.match_ids(Event({"whatever": 0})) == ["all"]
-
-    def test_no_duplicate_matches(self):
-        matcher = ClusterMatcher()
-        matcher.insert(_sub("s", Predicate.eq("a", 1), Predicate.eq("b", 2)))
-        assert matcher.match_ids(Event({"a": 1, "b": 2})) == ["s"]
-
-    def test_removal_cleans_cluster(self):
-        matcher = ClusterMatcher()
-        matcher.insert(_sub("s1", Predicate.eq("a", 1)))
-        matcher.insert(_sub("s2", Predicate.ge("x", 1)))
-        matcher.remove("s1")
-        matcher.remove("s2")
-        assert not matcher._clusters
-        assert not matcher._scan_pool
-        assert not matcher._popularity
-
-    def test_popularity_decrements_on_remove(self):
-        matcher = ClusterMatcher()
-        matcher.insert(_sub("s1", Predicate.eq("a", 1)))
-        matcher.insert(_sub("s2", Predicate.eq("a", 1)))
-        matcher.remove("s1")
-        assert matcher._popularity[("a", ("num", 1))] == 1
-
-
 class TestCrossAlgorithmAgreement:
-    """Hand-picked tricky cases where all three must agree."""
+    """Hand-picked tricky cases where both matchers must agree."""
 
     CASES = [
         # (subscription predicates, event pairs, expected)
@@ -269,7 +215,7 @@ class TestCrossAlgorithmAgreement:
     def test_agreement(self):
         for index, (preds, pairs, expected) in enumerate(self.CASES):
             event = Event(pairs)
-            for matcher_cls in (NaiveMatcher, CountingMatcher, ClusterMatcher):
+            for matcher_cls in (NaiveMatcher, CountingMatcher):
                 matcher = matcher_cls()
                 matcher.insert(Subscription(preds, sub_id=f"case{index}"))
                 got = bool(matcher.match(event))

@@ -1,27 +1,35 @@
-"""Unit tests for repro.matching.base (interface contract, registry)."""
+"""Unit tests for repro.matching.base (interface contract, registry).
+
+The contract classes run on both shipped matchers and on a third-party
+scan matcher that only implements ``_match``."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import SToPSS
 from repro.errors import (
     DuplicateSubscriptionError,
     MatchingError,
     UnknownSubscriptionError,
 )
 from repro.matching import (
-    ClusterMatcher,
     CountingMatcher,
     NaiveMatcher,
     create_matcher,
     matcher_names,
     register_matcher,
 )
+from repro.matching import base as matching_base
 from repro.model.events import Event
 from repro.model.predicates import Predicate
+from repro.model.parser import parse_event, parse_subscription
 from repro.model.subscriptions import Subscription
+from repro.ontology.knowledge_base import KnowledgeBase
 
-ALL_MATCHERS = (NaiveMatcher, CountingMatcher, ClusterMatcher)
+from tests.third_party import ScanMatcher
+
+ALL_MATCHERS = (NaiveMatcher, CountingMatcher, ScanMatcher)
 
 
 def _sub(sub_id: str, *preds) -> Subscription:
@@ -30,12 +38,18 @@ def _sub(sub_id: str, *preds) -> Subscription:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(matcher_names()) >= {"naive", "counting", "cluster"}
+        """Two matchers ship, whether or not numpy is installed: the
+        fast one and the reference."""
+        assert matcher_names() == ("counting", "naive")
 
     def test_create(self):
         assert isinstance(create_matcher("naive"), NaiveMatcher)
         assert isinstance(create_matcher("counting"), CountingMatcher)
-        assert isinstance(create_matcher("cluster"), ClusterMatcher)
+
+    @pytest.mark.parametrize("name", ["cluster", "cluster-numpy", "counting-numpy"])
+    def test_deleted_matchers_are_unknown_names(self, name):
+        with pytest.raises(MatchingError, match=r"\(known: counting, naive\)$"):
+            create_matcher(name)
 
     def test_unknown_name(self):
         with pytest.raises(MatchingError):
@@ -44,6 +58,21 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(MatchingError):
             register_matcher("naive", NaiveMatcher)
+
+    def test_registered_third_party_matcher_runs_by_name(self, monkeypatch):
+        """A registered factory is a name like the shipped ones: listed,
+        created fresh per call, and accepted by the engine."""
+        monkeypatch.setattr(matching_base, "_REGISTRY", dict(matching_base._REGISTRY))
+        register_matcher("scan", ScanMatcher)
+        assert matcher_names() == ("counting", "naive", "scan")
+        assert create_matcher("scan") is not create_matcher("scan")
+        kb = KnowledgeBase()
+        kb.add_domain("d").add_chain("PhD", "degree")
+        engine = SToPSS(kb, matcher="scan")
+        assert isinstance(engine.matcher, ScanMatcher)
+        engine.subscribe(parse_subscription("(degree = degree)", sub_id="s"))
+        matches = engine.publish(parse_event("(degree, PhD)"))
+        assert [(m.subscription.sub_id, m.generality) for m in matches] == [("s", 1)]
 
 
 @pytest.mark.parametrize("matcher_cls", ALL_MATCHERS, ids=lambda c: c.name)

@@ -76,10 +76,6 @@ class TestStructure:
         assert set(grouped) == {"a", "b"}
         assert len(grouped["a"]) == 2
 
-    def test_equality_pairs(self):
-        sub = _sub(Predicate.eq("a", 1), Predicate.ge("b", 2), Predicate.eq("c", "x"))
-        assert sub.equality_pairs() == {"a": 1, "c": "x"}
-
     def test_signature_ignores_ids(self):
         a = _sub(Predicate.eq("a", 1), sub_id="s1")
         b = _sub(Predicate.eq("a", 1), sub_id="s2")

@@ -18,6 +18,7 @@ import pytest
 from repro.broker.broker import Broker
 from repro.core.engine import SToPSS
 from repro.errors import WorkloadError
+from repro.matching import matcher_names
 from repro.workload import worlds as worlds_module
 from repro.workload.worlds import (
     FlashCrowdDriver,
@@ -273,12 +274,13 @@ class TestFlashCrowd:
         with pytest.raises(WorkloadError):
             FlashCrowdSpec(**kwargs)
 
-    def test_storm_returns_to_baseline(self, world):
-        """The ≥10k-op leak test on the default (counting) engine: the
-        refcounted InterestIndex and the satisfaction memo must both
-        return exactly to the pre-storm footprint once the crowd has
-        left."""
-        engine = SToPSS(world.kb)
+    @pytest.mark.parametrize("matcher", matcher_names())
+    def test_storm_returns_to_baseline(self, world, matcher):
+        """The ≥10k-op leak test on every shipped matcher, with no
+        exemption: the refcounted InterestIndex and the matcher memo
+        must both return exactly to the pre-storm footprint once the
+        crowd has left."""
+        engine = SToPSS(world.kb, matcher=matcher)
         spec = FlashCrowdSpec(residents=60, churn_ops=10_000, burst=100, seed=5)
         report = FlashCrowdDriver(world.generator(seed=5), spec).run(engine)
         assert report.churn_ops >= 10_000
@@ -328,18 +330,6 @@ class TestFlashCrowd:
             assert before <= set(store) <= residents
         # every unsubscribe of the storm's tail forgot its subscription
         assert not any(key.startswith("crowd-") for store in stores for key in store)
-
-    def test_storm_on_cluster_matcher_bounded(self, world):
-        """The cluster matcher's residual memo survives churn *by
-        design* (predicate-keyed, capacity-bounded), so it is exempt
-        from strict equality — but the interest index must still
-        drain, and the memo must respect its bound."""
-        engine = SToPSS(world.kb, matcher="cluster")
-        spec = FlashCrowdSpec(residents=40, churn_ops=2_000, burst=50, seed=6)
-        report = FlashCrowdDriver(world.generator(seed=6), spec).run(engine)
-        key = "interest_index_size"
-        assert report.final[key] == report.baseline[key], report.as_dict()
-        assert report.final["matcher_memo_size"] <= engine.matcher.memo_capacity
 
     def test_ops_stream_is_deterministic_and_drains(self, world):
         spec = FlashCrowdSpec(residents=10, churn_ops=200, burst=20, seed=7)
