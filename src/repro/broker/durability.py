@@ -11,7 +11,7 @@ replaying those records through the broker's *normal* code paths (so
 shard routing, the InterestIndex, and respawn specs all rebuild for
 free).
 
-Three design rules keep recovery boring:
+Four design rules keep recovery boring:
 
 1. **Torn tails never refuse to start.**  A record is one line,
    ``<crc32-hex8> <canonical-json>\\n``; the reader stops at the first
@@ -35,6 +35,11 @@ Three design rules keep recovery boring:
    regenerates its matches deterministically, and reconciles them
    against the journaled outbox — already-acked sequences are dropped
    (``dedup_drops``), un-acked ones are re-sent (``replayed_deliveries``).
+4. **One format.**  Recovery reads only what this module writes: a
+   snapshot holding any other format, record kind or configuration key
+   is discarded whole; a journal holding one is refused with
+   :class:`~repro.errors.StateFormatError` before the broker is built or
+   a byte of the directory changes.
 
 Fault injection reuses PR 8's :class:`~repro.broker.supervision
 .FaultPlan`: a ``crash`` action at slot ``(0, append_index)`` makes the
@@ -59,7 +64,7 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 from repro.broker.clients import Client, ClientKind
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
-from repro.errors import DurabilityError, ReproError, SimulatedCrash
+from repro.errors import DurabilityError, ReproError, SimulatedCrash, StateFormatError
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 from repro.ontology.serialization import (
@@ -85,11 +90,13 @@ __all__ = [
 JOURNAL_NAME = "journal.log"
 SNAPSHOT_NAME = "snapshot.json"
 #: snapshot layout, a record stream (head, content records, counting
-#: trailer): 3 is what is written, its delivery-log rows referencing
-#: per-publication ``text`` records; 2, whose rows inline their text, is
-#: still read; a file of any other format is discarded
+#: trailer) whose delivery-log rows reference per-publication ``text``
+#: records; a file of any other format is discarded
 FORMAT_VERSION = 3
-READABLE_FORMATS = (2, FORMAT_VERSION)
+#: the record kinds a snapshot's content and the journal hold
+_SNAPSHOT_KINDS = frozenset({"broker", "client", "sub", "notifier", "text", "log"})
+_JOURNAL_KINDS = frozenset({"client", "remove", "sub", "unsub", "config", "pub", "outs", "acks"})
+_CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(SemanticConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +223,19 @@ def _encode_config(config: SemanticConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def _decode_config(data: dict) -> SemanticConfig:
-    # Records written while a kernel could be picked by configuration
-    # carry the retired ``matching_backend`` preference; it never moved
-    # a match set, so it is dropped whatever its value.  Any other
-    # unknown key stays a TypeError, which replay does not catch:
-    # recover() fails rather than running on the old configuration.
-    data = dict(data)
-    data.pop("matching_backend", None)
-    return SemanticConfig(**data)
+def _stale(record: dict, kinds: frozenset) -> str:
+    """Why *record* is not one this broker writes where *kinds* are
+    written — its kind, or configuration keys that name no
+    :class:`SemanticConfig` field — or ``""`` when it is."""
+    kind = record.get("k")
+    if kind not in kinds:
+        return f"is of kind {kind!r}"
+    config = record.get("config" if kind == "broker" else "cfg")
+    if kind in ("broker", "config") and config is not None:
+        keys = sorted(config.keys() - _CONFIG_FIELDS) if isinstance(config, dict) else [config]
+        if keys:
+            return f"carries config keys {keys}"
+    return ""
 
 
 def _encode_client(client: Client) -> dict:
@@ -430,8 +441,9 @@ class Durability:
         """``(content_records, last_seq, discarded)`` — a missing
         snapshot is ``(None, 0, False)``; an unreadable one is
         ``(None, 0, True)`` (never refuse to start).  One pass checks
-        the framing and CRC of every line, the head's format and that
-        the trailer counts exactly the records before it; only a file
+        the framing and CRC of every line, the head's format, that every
+        record between head and trailer is a content record this broker
+        writes and that the trailer counts exactly those; only a file
         that passes is handed on, as a second line-at-a-time iterator
         over its content records."""
         try:
@@ -441,17 +453,19 @@ class Durability:
         with handle:
             reader = _RecordReader(handle)
             head = last = None
-            count = 0
+            count = content = 0
             for record in reader:
                 if head is None:
                     head = record
                 last = record
                 count += 1
+                content += not _stale(record, _SNAPSHOT_KINDS)
         if (
             reader.torn
             or count < 2
+            or content != count - 2
             or head.get("k") != "snapshot"
-            or head.get("format") not in READABLE_FORMATS
+            or head.get("format") != FORMAT_VERSION
             or not isinstance(head.get("last_seq"), int)
             or last.get("k") != "end"
             or last.get("records") != count - 2
@@ -470,7 +484,9 @@ class Durability:
         """Open existing state for recovery: validate the snapshot, walk
         the journal once to find where its clean prefix ends (physically
         truncating any torn tail), and position the sequence counter so
-        new appends continue the stream.  Returns ``(snapshot_content,
+        new appends continue the stream; a journal record this broker
+        never writes raises :class:`~repro.errors.StateFormatError`
+        before anything is truncated.  Returns ``(snapshot_content,
         snapshot_discarded, floor, end)``: the last sequence the snapshot
         folded in and the journal's clean length, which
         :meth:`journal_tail` takes to read the records to replay."""
@@ -485,6 +501,12 @@ class Durability:
             with handle:
                 reader = _RecordReader(handle)
                 for record in reader:
+                    stale = _stale(record, _JOURNAL_KINDS)
+                    if stale:
+                        raise StateFormatError(
+                            f"journal record i={record.get('i')} {stale}, "
+                            "which this broker does not write"
+                        )
                     seq = max(seq, record.get("i", 0))
             if reader.torn:
                 with open(self.journal_path, "r+b") as handle:
@@ -551,7 +573,9 @@ def recover(
     Journaled records that failed to apply live (e.g. a rejected
     publish) fail identically on replay and are skipped, which also
     covers a partially-applied final record.  An empty directory
-    recovers to a fresh durable broker.
+    recovers to a fresh durable broker.  A step that raises — e.g.
+    :class:`~repro.errors.StateFormatError` for a delivery-log row this
+    broker never writes — closes the broker it built first.
 
     *broker_factory* defaults to :class:`~repro.broker.broker.Broker`;
     pass e.g. ``lambda kb, **kw: ShardedBroker(kb, shards=4, **kw)`` to
@@ -582,13 +606,13 @@ def recover(
             kind = record["k"]
             if kind == "broker":
                 if record["config"] is not None:
-                    broker.engine.reconfigure(_decode_config(record["config"]))
+                    broker.engine.reconfigure(SemanticConfig(**record["config"]))
                 broker._op_index = record["next_op_index"]
             elif kind == "client":
                 _register_client(broker, record)
             elif kind == "sub":
                 broker.dispatcher.subscribe(record["cid"], _decode_subscription(record))
-            elif kind in ("notifier", "text", "log"):
+            else:  # notifier / text / log
                 broker.notifier.restore(record)
 
         # 2. delivery ledger from the journal tail: what was outboxed
@@ -608,10 +632,10 @@ def recover(
                 elif kind == "unsub":
                     broker.unsubscribe(record["sid"])
                 elif kind == "config":
-                    broker.engine.reconfigure(_decode_config(record["cfg"]))
+                    broker.engine.reconfigure(SemanticConfig(**record["cfg"]))
                 elif kind == "pub":
                     broker.publish(record["cid"], _decode_event(record))
-                else:  # outs / acks (out / ack): the ledger pass took them
+                else:  # outs / acks: the ledger pass took them
                     continue
             except ReproError:
                 # the same operation failed the same way live (or only
@@ -626,6 +650,10 @@ def recover(
         #    regenerate (snapshot-compacted publishes, divergent tails)
         #    is re-sent straight from the stored rendered message
         broker.notifier.finish_replay(broker.registry)
+    except BaseException:
+        # a step that raises leaves no journal handle or worker behind
+        broker.close()
+        raise
     finally:
         durability.replay_active = False
     report.replayed_deliveries = durability.stats.replayed_deliveries

@@ -39,7 +39,10 @@ notification number in ``array('q')``, the derivation index in an
 29 bytes of columns a row, plus the row's share of its publication's
 packed text — while its subscription id, client id and
 rendered subscription part are kept once per log.  The ``n<N>`` id is
-rendered when a row is sent or exported.  :class:`DeliveryEntry`
+rendered when a row is sent or exported.  Recovery decodes rows only in
+the form the engine writes them — ``outs`` records and format-3
+snapshot ``log`` rows — and refuses a row that does not fit its log
+with :class:`~repro.errors.StateFormatError`.  :class:`DeliveryEntry`
 remains the row type callers see: :meth:`NotificationEngine
 .delivery_log` and ``replay_from`` hand out copies, and the rows in
 flight (one fan-out's staged rows, recovery's ledger and restored
@@ -80,7 +83,7 @@ from repro.core.provenance import (
     event_part,
     subscription_part,
 )
-from repro.errors import DeliveryError, TransportError, UnknownClientError
+from repro.errors import DeliveryError, StateFormatError, TransportError, UnknownClientError
 
 __all__ = [
     "Notification",
@@ -162,18 +165,11 @@ class PublicationText:
     :meth:`NotificationEngine.fan_out` packs in its ``finally``, and
     recovery packs a text as it decodes it from an ``outs`` or snapshot
     ``text`` record.  :meth:`derivations` reads either form; nothing
-    packed is ever written to a record or handed to a transport.
-
-    ``subject`` is set only on text decoded from records written before
-    the fan-out was grouped (journal ``out`` records, format-2 snapshot
-    rows): those stored each notification's rendered subject and body
-    whole, and come back as a private text per row whose single ``via``
-    entry is that body (left unpacked)."""
+    packed is ever written to a record or handed to a transport."""
 
     event_id: str
     event: str
     via: list[str] | bytes
-    subject: str | None = None
 
     def derivations(self) -> list[str]:
         """The rendered derivations, inflated if packed."""
@@ -209,24 +205,13 @@ class DeliveryEntry:
     via: int
     status: str = "pending"  # pending | acked | dead
 
-    @classmethod
-    def stored(
-        cls, sub_id, sequence, nid, client_id, event_id, subject, body, status="pending"
-    ) -> "DeliveryEntry":
-        """A row decoded from a record that stored its rendered message
-        whole (see :class:`PublicationText`); the arguments after
-        *sub_id* are a format-2 snapshot row."""
-        text = PublicationText(intern(event_id), "", [body], subject)
-        return cls(sequence, nid, intern(client_id), sub_id, "", text, 0, intern(status))
-
     @property
     def event_id(self) -> str:
         return self.text.event_id
 
     @property
     def subject(self) -> str:
-        stored = self.text.subject
-        return stored if stored is not None else _subject(self.sub_id, self.text.event_id)
+        return _subject(self.sub_id, self.text.event_id)
 
     @property
     def body(self) -> str:
@@ -241,27 +226,15 @@ _STATUSES = ("pending", "acked", "dead")
 _CODE = {status: code for code, status in enumerate(_STATUSES)}
 
 
-def _nid_number(nid: str) -> int | None:
-    """*N* of a notification id the engine drew (``f"n{N}"``), else None."""
-    if nid[:1] == "n":
-        try:
-            number = int(nid[1:])
-        except ValueError:
-            return None
-        if f"n{number}" == nid and -(2**63) <= number < 2**63:
-            return number
-    return None
-
-
 class _DeliveryLog:
     """One subscription's retained delivery rows, stored as columns.
 
     A ring of at most ``capacity`` rows: until it is full a row is
     appended, after that it takes the oldest row's slot and ``start``
     moves on to the next-oldest.  ``sub_id``, ``client_id`` and
-    ``head`` are the log's, not the row's; a row they do not describe,
-    or whose notification id is not the engine's ``n<N>`` (both only
-    decoded from records written elsewhere), keeps its own in ``odd``.
+    ``head`` are the log's, not the row's, and a stream's sequences are
+    contiguous; a row decoded from a record must fit that, or it is
+    refused (:meth:`NotificationEngine._log_row`).
 
     :meth:`NotificationEngine.retained_log` hands it to tests: its
     :meth:`set_status` is the one way a row's status changes, and
@@ -269,7 +242,7 @@ class _DeliveryLog:
 
     __slots__ = (
         "sub_id", "client_id", "head", "capacity", "start",
-        "sequences", "numbers", "vias", "statuses", "texts", "odd",
+        "sequences", "numbers", "vias", "statuses", "texts",
     )  # fmt: skip
 
     def __init__(self, sub_id: str, client_id: str, head: str, capacity: int) -> None:
@@ -285,9 +258,6 @@ class _DeliveryLog:
         #: indexes into :data:`_STATUSES`
         self.statuses = bytearray()
         self.texts: list[PublicationText] = []
-        #: slot -> (notification id, client id, head) of a row the
-        #: columns and the log's own fields do not describe
-        self.odd: dict[int, tuple[str, str, str]] | None = None
 
     def push(self, sequence: int, number: int, via: int, text: PublicationText, status=0) -> bool:
         """Store a row; True when the log was full and it took the
@@ -307,29 +277,7 @@ class _DeliveryLog:
         self.vias[slot] = via
         self.statuses[slot] = status
         self.texts[slot] = text
-        if self.odd:
-            self.odd.pop(slot, None)
         return True
-
-    def newest(self) -> int:
-        """The slot :meth:`push` wrote last."""
-        return (self.start - 1) % len(self.texts)
-
-    def keep_own(self, slot: int, nid: str, client_id: str, head: str) -> None:
-        """Keep the ids of the row at *slot*, which the log's do not
-        describe."""
-        if self.odd is None:
-            self.odd = {}
-        self.odd[slot] = (nid, intern(client_id), head)
-
-    def add(self, sequence, nid, client_id, head, text, via, status=0) -> bool:
-        """:meth:`push` for a row decoded from a record, whose id and
-        owners may not be the log's."""
-        number = _nid_number(nid)
-        evicted = self.push(sequence, 0 if number is None else number, via, text, status)
-        if number is None or client_id != self.client_id or head != self.head:
-            self.keep_own(self.newest(), nid, client_id, head)
-        return evicted
 
     def _slots(self) -> Iterator[int]:
         """Slots oldest row first."""
@@ -341,16 +289,13 @@ class _DeliveryLog:
     def rows(self) -> Iterator[tuple]:
         """``(sequence, notification_id, client_id, head, text, via,
         status)`` per row, oldest first."""
-        odd = self.odd or {}
         numbers, sequences, texts, vias, statuses = (
             self.numbers, self.sequences, self.texts, self.vias, self.statuses
         )  # fmt: skip
+        client_id, head = self.client_id, self.head
         for slot in self._slots():
-            nid, client_id, head = odd.get(slot) or (
-                f"n{numbers[slot]}", self.client_id, self.head
-            )
             yield (
-                sequences[slot], nid, client_id, head, texts[slot], vias[slot],
+                sequences[slot], f"n{numbers[slot]}", client_id, head, texts[slot], vias[slot],
                 _STATUSES[statuses[slot]],
             )  # fmt: skip
 
@@ -366,27 +311,19 @@ class _DeliveryLog:
         """Write the status of the row with *sequence* — only if it
         references *text*, when given, so a row in flight settles its
         own retained copy and never a later stream's row that re-used
-        its sequence.  False when no such row is retained.
-
-        A stream's sequences are contiguous, so the row is found by
-        subtraction from the oldest; a log they are not contiguous in
-        (restored from records written elsewhere) is searched newest
-        first."""
+        its sequence.  False when no such row is retained.  A stream's
+        sequences are contiguous, so the row is found by subtraction
+        from the oldest."""
         sequences, start = self.sequences, self.start
         count = len(sequences)
         if not count:
             return False
-        slot = start + sequence - sequences[start]
+        offset = sequence - sequences[start]
+        if not 0 <= offset < count:
+            return False
+        slot = start + offset
         if slot >= count:
             slot -= count
-        if not (0 <= slot < count and sequences[slot] == sequence):
-            if sequences[start - 1] - sequences[start] == count - 1:
-                return False  # contiguous, and not in range
-            for slot in chain(range(start - 1, -1, -1), range(count - 1, start - 1, -1)):
-                if sequences[slot] == sequence:
-                    break
-            else:
-                return False
         if text is not None and self.texts[slot] is not text:
             return False
         self.statuses[slot] = _CODE[status]
@@ -396,7 +333,7 @@ class _DeliveryLog:
         """Every object the log holds."""
         return (
             self.sub_id, self.client_id, self.head, self.sequences, self.numbers,
-            self.vias, self.statuses, self.texts, self.odd,
+            self.vias, self.statuses, self.texts,
         )  # fmt: skip
 
 
@@ -495,23 +432,30 @@ class NotificationEngine:
             self.stats.history_evictions += 1
         store.append(item)
 
-    def _log_row(self, sub_id, sequence, nid, client_id, head, text, via, status=0) -> None:
+    def _log_row(self, sub_id, sequence, nid, client_id, head, text, via, status=0) -> int:
         """Retain a row decoded from a record (the live path is
-        :meth:`_stage`)."""
+        :meth:`_stage`); returns the *N* of its ``n<N>`` id.  A row
+        :meth:`_stage` could not have written — another id, or not the
+        next row of its log — raises :class:`~repro.errors.StateFormatError`."""
+        digits = nid[1:]
+        if nid[:1] != "n" or not digits.isdecimal() or f"n{int(digits)}" != nid:
+            raise StateFormatError(f"delivery-log row of {sub_id!r} has id {nid!r}, not n<N>")
         log = self._delivery_log.get(sub_id)
         if log is None:
-            client_id = intern(client_id)
             log = self._delivery_log[sub_id] = _DeliveryLog(
-                sub_id, client_id, head, self.history_limit
+                sub_id, intern(client_id), head, self.history_limit
             )
-        if log.add(sequence, nid, client_id, head, text, via, status):
+        elif (client_id, head) != (log.client_id, log.head) or (
+            sequence != log.sequences[log.start - 1] + 1
+        ):
+            raise StateFormatError(
+                f"delivery-log row {nid!r} of {sub_id!r} does not continue its log: another "
+                "client or subscription text, or its sequences are not contiguous"
+            )
+        number = int(digits)
+        if log.push(sequence, number, via, text, status):
             self.stats.history_evictions += 1
-
-    def _log_entry(self, entry: DeliveryEntry) -> None:
-        self._log_row(
-            entry.sub_id, entry.sequence, entry.notification_id, entry.client_id,
-            entry.head, entry.text, entry.via, _CODE[entry.status],
-        )  # fmt: skip
+        return number
 
     def retained_log(self, sub_id: str) -> _DeliveryLog | None:
         """The column store behind :meth:`delivery_log` — a test seam:
@@ -615,10 +559,7 @@ class NotificationEngine:
                 log = logs[sub_id] = _DeliveryLog(sub_id, client_id, head, self.history_limit)
             if log.push(sequence, number, via, text):
                 self.stats.history_evictions += 1
-            nid = f"n{number}"
-            if client_id != log.client_id or head != log.head:
-                log.keep_own(log.newest(), nid, client_id, head)
-            entry = DeliveryEntry(sequence, nid, client_id, sub_id, head, text, via)
+            entry = DeliveryEntry(sequence, f"n{number}", client_id, sub_id, head, text, via)
             staged.append(entry)
             fresh.append(entry)
         if fresh and self.durability is not None:
@@ -805,24 +746,13 @@ class NotificationEngine:
         sequence, its copy in flight even if the row has left the
         window — and every ``unsub`` forgets
         the subscription as the live call did, leaving a ``None`` on its
-        ledger queue where it ended.  ``out`` and ``ack`` are the
-        one-delivery records written before the fan-out was grouped;
-        they are read, never written.  From here until
+        ledger queue where it ended.  From here until
         :meth:`finish_replay`, regenerated matches consume the ledger
         instead of drawing fresh sequences."""
         ledger: dict[str, deque[DeliveryEntry | None]] = {}
         #: the decoded subscription texts, each once: a subscription's
         #: rows share one string across the tail's ``outs`` records
         heads: dict[str, str] = {}
-
-        def adopt(entry: DeliveryEntry) -> None:
-            sub_id = entry.sub_id
-            self._log_entry(entry)
-            self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), entry.sequence + 1)
-            nid = entry.notification_id
-            if nid.startswith("n") and nid[1:].isdigit():
-                self._next_notification = max(self._next_notification, int(nid[1:]) + 1)
-            ledger.setdefault(sub_id, deque()).append(entry)
 
         def in_flight(sub_id: str, sequence: int) -> DeliveryEntry | None:
             """The row's copy in flight: queued since its stream's last
@@ -856,24 +786,15 @@ class NotificationEngine:
                 for sub_id, sequence, nid, client_id, head, via in record["rows"]:
                     sub_id, client_id = intern(sub_id), intern(client_id)
                     head = heads.setdefault(head, head)
-                    adopt(DeliveryEntry(sequence, nid, client_id, sub_id, head, text, via))
+                    number = self._log_row(sub_id, sequence, nid, client_id, head, text, via)
+                    self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), sequence + 1)
+                    self._next_notification = max(self._next_notification, number + 1)
+                    ledger.setdefault(sub_id, deque()).append(
+                        DeliveryEntry(sequence, nid, client_id, sub_id, head, text, via)
+                    )
             elif kind == "acks":
                 for sub_id, sequence, ok in record["rows"]:
                     settle(sub_id, sequence, ok)
-            elif kind == "out":
-                adopt(
-                    DeliveryEntry.stored(
-                        intern(record["sid"]),
-                        record["n"],
-                        record["nid"],
-                        record["cid"],
-                        record.get("eid", ""),
-                        record.get("subject", ""),
-                        record.get("body", ""),
-                    )
-                )
-            elif kind == "ack":
-                settle(record["sid"], record["n"], record["ok"])
             elif kind == "unsub":
                 sub_id = record["sid"]
                 self.forget(sub_id)
@@ -920,78 +841,55 @@ class NotificationEngine:
                 if id(text) in number_of:
                     continue
                 number_of[id(text)] = len(number_of)
-                record = {
+                yield {
                     "k": "text",
                     "eid": text.event_id,
                     "event": text.event,
                     "via": text.derivations(),
                 }
-                if text.subject is not None:
-                    record["subject"] = text.subject
-                yield record
         # every subscription with a log or a frontier drew a sequence first
         for sub_id, next_seq in self._next_seq.items():
-            heads: dict[str, int] = {}
             log = self._delivery_log.get(sub_id)
-            entries = [
-                [
-                    sequence,
-                    nid,
-                    client_id,
-                    heads.setdefault(head, len(heads)),
-                    number_of[id(text)],
-                    via,
-                    status,
-                ]
-                for sequence, nid, client_id, head, text, via, status in (
-                    log.rows() if log is not None else ()
-                )
-            ]
             yield {
                 "k": "log",
                 "sid": sub_id,
                 "next_seq": next_seq,
                 "frontier": self._frontier.get(sub_id, 0),
-                "heads": list(heads),
-                "entries": entries,
+                "heads": [] if log is None else [log.head],
+                "entries": [
+                    [sequence, nid, client_id, 0, number_of[id(text)], via, status]
+                    for sequence, nid, client_id, _, text, via, status in (
+                        () if log is None else log.rows()
+                    )
+                ],
             }
 
     def restore(self, record: dict) -> None:
         """Apply one :meth:`durable_state` record; pending entries are
-        queued for re-send when recovery finishes.  A ``log`` record
-        without ``heads`` is a format-2 one, whose rows stored
-        ``[sequence, notification_id, client_id, event_id, subject,
-        body, status]`` whole."""
+        queued for re-send when recovery finishes.  A row that does not
+        fit its log raises :class:`~repro.errors.StateFormatError`
+        (:meth:`_log_row`)."""
         kind = record["k"]
         if kind == "notifier":
             self._next_notification = int(record["next_notification"])
             return
         if kind == "text":
             self._restored_texts.append(
-                PublicationText(
-                    record["eid"], record["event"], record["via"], record.get("subject")
-                ).pack()
+                PublicationText(record["eid"], record["event"], record["via"]).pack()
             )
             return
         sub_id = intern(record["sid"])
         self._next_seq[sub_id] = int(record["next_seq"])
         if record["frontier"]:
             self._frontier[sub_id] = int(record["frontier"])
-        heads = record.get("heads")
-        for fields in record["entries"]:
-            if heads is None:
-                entry = DeliveryEntry.stored(sub_id, *fields)
-                self._log_entry(entry)
-                if entry.status != "pending":
-                    continue
-            else:
-                sequence, nid, client_id, head, text, via, status = fields
-                head, text = heads[head], self._restored_texts[text]
-                self._log_row(sub_id, sequence, nid, client_id, head, text, via, _CODE[status])
-                if status != "pending":
-                    continue
-                entry = DeliveryEntry(sequence, nid, intern(client_id), sub_id, head, text, via)
-            self._restored_pending.setdefault(sub_id, []).append(entry)
+        heads = record["heads"]
+        for sequence, nid, client_id, head, text, via, status in record["entries"]:
+            head, text = heads[head], self._restored_texts[text]
+            self._log_row(sub_id, sequence, nid, client_id, head, text, via, _CODE[status])
+            if status == "pending":
+                self._restored_pending.setdefault(sub_id, []).append(
+                    DeliveryEntry(sequence, nid, intern(client_id), sub_id, head, text, via)
+                )
 
     # -- reporting ----------------------------------------------------------------
 

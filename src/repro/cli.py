@@ -439,7 +439,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             ["snapshot", "torn-tails", "replayed-deliveries", "dedup-drops", "skips"],
         )
         durable.add(
-            "loaded" if report.snapshot_loaded else "none",
+            "loaded" if report.snapshot_loaded
+            else "discarded" if report.snapshot_discarded
+            else "none",
             report.torn_tail_truncations,
             report.replayed_deliveries,
             report.dedup_drops,

@@ -41,6 +41,7 @@ __all__ = [
     "DeliveryError",
     "DurabilityError",
     "SimulatedCrash",
+    "StateFormatError",
     "WebAppError",
     "RoutingError",
     "FormValidationError",
@@ -209,6 +210,13 @@ class SimulatedCrash(DurabilityError):
     record and the broker must be abandoned and recovered.  Raised only
     under a :class:`~repro.broker.supervision.FaultPlan` — never in
     production operation."""
+
+
+class StateFormatError(DurabilityError):
+    """Recovery met durable state in a form this broker never writes: a
+    journal record kind or configuration key it does not know, a
+    delivery-log row whose id is not ``n<N>``, or a log whose sequences
+    are not contiguous.  Refused, never interpreted."""
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ trace (exhaustive, so no crash point can hide), and a hypothesis leg
 that re-randomizes the knowledge base, the trace, and the crash offset
 using the same generators as the interest-pruning invariant.  Then the
 cases the offset axis cannot express by itself: what a half-written
-``outs`` and a half-written ``acks`` each mean, a fan-out a dead letter
-aborts part-way, and input in the shapes written before the fan-out was
-grouped (one ``out`` + ``ack`` per delivery, format-2 snapshots).
+``outs`` and a half-written ``acks`` each mean, and a fan-out a dead
+letter aborts part-way.  (Input in a form this broker never writes is
+refused, not recovered: ``tests/unit/test_durability.py``.)
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ from hypothesis import strategies as st
 from repro.broker.broker import Broker
 from repro.broker.durability import (
     JOURNAL_NAME,
-    SNAPSHOT_NAME,
     Durability,
-    _encode_record,
     _scan_records,
     recover,
 )
@@ -184,16 +182,11 @@ def _journal(directory) -> list[dict]:
 
 
 def _ack_rows(records) -> list[tuple[str, int, bool]]:
-    """Every ``(sub_id, sequence, ok)`` the journal acked, in order:
-    the rows of the ``acks`` records, and the one-delivery ``ack``
-    records written before the fan-out was grouped."""
-    rows = []
-    for record in records:
-        if record["k"] == "acks":
-            rows.extend((sid, n, ok) for sid, n, ok in record["rows"])
-        elif record["k"] == "ack":
-            rows.append((record["sid"], record["n"], record["ok"]))
-    return rows
+    """Every ``(sub_id, sequence, ok)`` the journal's ``acks`` records
+    acked, in order."""
+    return [
+        (sid, n, ok) for record in records if record["k"] == "acks" for sid, n, ok in record["rows"]
+    ]
 
 
 def _assert_acked_at_most_once(directory) -> None:
@@ -401,134 +394,6 @@ def test_dead_letter_abort_mid_fan_out_still_acks_what_it_settled(tmp_path):
         _assert_acked_at_most_once(tmp_path)
     finally:
         recovered.close()
-
-
-# ---------------------------------------------------------------------------
-# input written before the fan-out was grouped: ``out``/``ack`` journal
-# records and a format-2 snapshot, every row storing its text whole
-# ---------------------------------------------------------------------------
-
-def test_parent_format_journal_and_snapshot_recover(tmp_path):
-    """A hand-written directory in the parent commit's shapes — a
-    format-2 snapshot whose ``log`` rows inline subject and body (one of
-    them still pending), and a journal tail of ``pub`` / ``out`` /
-    ``ack`` with one un-acked ``out``.  Acked rows deduplicate; each
-    un-acked one is re-sent exactly once, with the text that was stored,
-    not a new rendering; and the state survives being written back in
-    the current format."""
-    from repro.broker.clients import Client, ClientKind
-    from repro.broker.durability import (
-        _encode_client,
-        _encode_config,
-        _encode_event,
-        _encode_subscription,
-    )
-
-    kb = _fixed_kb()
-    clients = [
-        Client("cl-a", "Ann", ClientKind.SUBSCRIBER, (("tcp", "a:1"),)),
-        Client("cl-b", "Ben", ClientKind.SUBSCRIBER, (("tcp", "b:1"),)),
-        Client("cl-p", "Pia", ClientKind.PUBLISHER, ()),
-    ]
-    subs = [
-        _encode_subscription(Subscription([Predicate.eq("u", "leaf")], sub_id="s-a"), "cl-a"),
-        _encode_subscription(Subscription([Predicate.eq("u", "mid")], sub_id="s-b"), "cl-b"),
-    ]
-    content = [
-        {"k": "broker", "next_op_index": 7, "config": _encode_config(SemanticConfig())},
-        *(_encode_client(client) for client in clients),
-        *subs,
-        {"k": "notifier", "next_notification": 3},
-        {
-            "k": "log",
-            "sid": "s-a",
-            "next_seq": 3,
-            "frontier": 1,
-            "entries": [
-                [1, "n1", "cl-a", "e1", "stored subject one", "stored body one", "acked"],
-                [2, "n2", "cl-a", "e2", "stored subject two", "stored body two", "pending"],
-            ],
-        },
-    ]
-    snapshot = [
-        {"k": "snapshot", "format": 2, "last_seq": 10},
-        *content,
-        {"k": "end", "records": len(content), "last_seq": 10},
-    ]
-    tail = [
-        dict(_encode_event(Event([("u", "root")], event_id="e3"), "cl-p"), oi=7),
-        {"k": "out", "sid": "s-a", "n": 3, "nid": "n3", "cid": "cl-a", "eid": "e3",
-         "subject": "stored subject three", "body": "stored body three"},
-        {"k": "ack", "sid": "s-a", "n": 3, "ok": True},
-        {"k": "out", "sid": "s-b", "n": 1, "nid": "n4", "cid": "cl-b", "eid": "e3",
-         "subject": "stored subject four", "body": "stored body four"},
-    ]  # fmt: skip
-    (tmp_path / SNAPSHOT_NAME).write_bytes(b"".join(_encode_record(r) for r in snapshot))
-    (tmp_path / JOURNAL_NAME).write_bytes(
-        b"".join(_encode_record(dict(record, i=11 + n)) for n, record in enumerate(tail))
-    )
-
-    def stored(broker) -> dict:
-        return {
-            (sub_id, entry.sequence): (entry.event_id, entry.subject, entry.body, entry.status)
-            for sub_id in ("s-a", "s-b")
-            for entry in broker.notifier.delivery_log(sub_id)
-        }
-
-    expected = {
-        ("s-a", 1): ("e1", "stored subject one", "stored body one", "acked"),
-        ("s-a", 2): ("e2", "stored subject two", "stored body two", "acked"),
-        ("s-a", 3): ("e3", "stored subject three", "stored body three", "acked"),
-        ("s-b", 1): ("e3", "stored subject four", "stored body four", "acked"),
-    }
-    recovered = recover(tmp_path, kb)
-    try:
-        report = recovered.recovery
-        assert report.snapshot_loaded and not report.snapshot_discarded
-        assert report.dedup_drops == 1  # s-a's third, acked before the crash
-        assert report.replayed_deliveries == 2
-        sent = [
-            (record.message.notification_id, record.message.subject, record.message.body)
-            for record in recovered.notifier.transports.get("tcp").journal
-        ]
-        assert sorted(sent) == [
-            ("n2", "stored subject two", "stored body two"),
-            ("n4", "stored subject four", "stored body four"),
-        ]
-        assert recovered.notifier.delivery_frontiers() == {"s-a": 3, "s-b": 1}
-        assert stored(recovered) == expected
-        # the re-sends were acked in the grouped shape, each once
-        assert sorted(_ack_rows(_journal(tmp_path))[1:]) == [("s-a", 2, True), ("s-b", 1, True)]
-        _assert_acked_at_most_once(tmp_path)
-        # the streams continue where the stored ones ended
-        report = recovered.publish("cl-p", Event([("u", "root")], event_id="e4"))
-        assert [(o.notification.sub_id, o.notification.sequence) for o in report.outcomes] == [
-            ("s-a", 4),
-            ("s-b", 2),
-        ]
-        assert report.outcomes[0].notification.notification_id == "n5"
-        recovered.checkpoint()  # written back as format 3
-    finally:
-        recovered.close()
-
-    again = recover(tmp_path, kb)
-    try:
-        assert again.recovery.snapshot_loaded and again.recovery.replayed_deliveries == 0
-        rows = stored(again)
-        assert {key: rows[key] for key in expected} == expected
-        rendered = (
-            "S-ToPSS: subscription s-a matched event {0}",
-            "subscription s-a [(u = leaf)] matched event {0} [(u, root)]\n"
-            "derived event (u, leaf) via:\n"
-            "  1. [hierarchy] value 'root' of 'u' generalized to 'leaf' (+2 levels)",
-        )
-        assert rows[("s-a", 4)][1:3] == tuple(part.format("e4") for part in rendered)
-        # s-a's log now mixes stored rows and rendered ones: the next
-        # delivery is rendered from the subscription, not from either
-        again.publish("cl-p", Event([("u", "root")], event_id="e5"))
-        assert stored(again)[("s-a", 5)][1:3] == tuple(part.format("e5") for part in rendered)
-    finally:
-        again.close()
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ of the checkpoint + the journal tail through ``begin_replay`` /
 ring wraps, and after every step the two agree on ``delivery_log()``,
 ``replay_from`` outcomes, the delivered frontiers and the decoded
 ``durable_state()`` records — which a fresh engine restores to the
-same records.  A run may start from a parent-format directory: a
-format-2 snapshot row and a journal ``out`` record whose ids are not
-``n<digits>``.
+same records.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import json
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -58,8 +55,8 @@ class _Journal:
     """The slice of :class:`~repro.broker.durability.Durability` the
     engine writes to: records go through JSON, as they do on disk."""
 
-    def __init__(self, records=()) -> None:
-        self.records = [_json(record) for record in records]
+    def __init__(self) -> None:
+        self.records: list[dict] = []
         self.stats = SimpleNamespace(replayed_deliveries=0, dedup_drops=0)
 
     def append(self, record) -> None:
@@ -175,7 +172,7 @@ def _decoded(records: list[dict]) -> tuple[int, dict[str, tuple]]:
             sub_id, heads, rows = record["sid"], record["heads"], []
             for sequence, nid, client_id, head, number, via, status in record["entries"]:
                 text = texts[number]
-                subject = text["subject"] if "subject" in text else _subject(sub_id, text["eid"])
+                subject = _subject(sub_id, text["eid"])
                 body = heads[head] + text["event"] + text["via"][via]
                 rows.append((sequence, nid, client_id, text["eid"], subject, body, status))
             logs[sub_id] = (record["next_seq"], record["frontier"], rows)
@@ -185,47 +182,10 @@ def _decoded(records: list[dict]) -> tuple[int, dict[str, tuple]]:
     return next_notification, logs
 
 
-#: a parent-format directory: a format-2 snapshot whose one row id is
-#: not ``n<digits>`` (its status is the run's choice), and a journal
-#: tail of one-delivery records
-_FORMAT_2_SNAPSHOT = [
-    {"k": "notifier", "next_notification": 1},
-    {
-        "k": "log",
-        "sid": "s0",
-        "next_seq": 2,
-        "frontier": 1,
-        "entries": [[1, "legacy-1", "cl-a", "e-old", "old subject 1", "old body 1", "acked"]],
-    },
-]
-_FORMAT_2_TAIL = [
-    {"k": "out", "sid": "s0", "n": 2, "nid": "x-2", "cid": "cl-a", "eid": "e-old2",
-     "subject": "old subject 2", "body": "old body 2"},
-    {"k": "ack", "sid": "s0", "n": 2, "ok": True},
-]  # fmt: skip
-#: a format-3 snapshot whose row ids are not the engine's ``n<N>``
-#: although its subscription part is what staging renders: new rows fit
-#: the log's columns and overwrite rows that did not
-_ODD_IDS_SNAPSHOT = [
-    {"k": "notifier", "next_notification": 5},
-    {"k": "text", "eid": "e-old", "event": "e-old [(a, 1)]", "via": [" — exact syntactic match"]},
-    {
-        "k": "log",
-        "sid": "s0",
-        "next_seq": 3,
-        "frontier": 2,
-        "heads": ['subscription s0 [(a = "1")] matched event '],
-        "entries": [[1, "n01", "cl-a", 0, 0, 0, "acked"], [2, "n1_0", "cl-a", 0, 0, 0, "acked"]],
-    },
-]
-
-
 class _Run:
-    """The engine and the model side by side.  *start*, when given, is
-    the directory the run recovers from first: ``"odd ids"``, or the
-    status of the format-2 row in a parent-format one."""
+    """The engine and the model side by side."""
 
-    def __init__(self, start: str | None = None) -> None:
+    def __init__(self) -> None:
         self.registry = ClientRegistry()
         for client_id, reachable in REACHABLE.items():
             address = ("tcp", "a:1") if reachable else ("carrier-pigeon", "roof")
@@ -236,32 +196,6 @@ class _Run:
         self.snapshot = [{"k": "notifier", "next_notification": 1}]
         self.journal = _Journal()
         self.engine = self._engine()
-        if start is None:
-            return
-        self.live["s0"] = "cl-a"
-        if start == "odd ids":
-            self.snapshot = _json(_ODD_IDS_SNAPSHOT)
-            body = 'subscription s0 [(a = "1")] matched event e-old [(a, 1)] — exact syntactic match'
-            old = [
-                _Row("s0", sequence, nid, "cl-a", "e-old", _subject("s0", "e-old"), body,
-                     "acked", tail=False)
-                for sequence, nid in ((1, "n01"), (2, "n1_0"))
-            ]  # fmt: skip
-            self.model.next_nid = 5
-        else:
-            self.snapshot = _json(_FORMAT_2_SNAPSHOT)
-            self.snapshot[1]["entries"][0][-1] = start
-            self.journal = _Journal(_FORMAT_2_TAIL)
-            old = [
-                _Row("s0", 1, "legacy-1", "cl-a", "e-old", "old subject 1", "old body 1", start,
-                     tail=False, snapshot_pending=start == "pending"),
-                _Row("s0", 2, "x-2", "cl-a", "e-old2", "old subject 2", "old body 2", "acked"),
-            ]  # fmt: skip
-        for row in old:
-            self.model.keep(row)
-        self.model.next_seq["s0"] = 3
-        self.model.frontier["s0"] = 2
-        self.crash()
 
     def _engine(self) -> NotificationEngine:
         transports = TransportRegistry([TcpTransport()])
@@ -391,28 +325,13 @@ _OPS = st.one_of(
 )
 
 
-@given(start=st.sampled_from([None, "acked", "pending", "odd ids"]), ops=st.lists(_OPS, max_size=30))
-def test_columnar_log_equals_list_of_rows(start, ops):
-    run = _Run(start)
+@given(ops=st.lists(_OPS, max_size=30))
+def test_columnar_log_equals_list_of_rows(ops):
+    run = _Run()
     run.check()
     for op, *args in ops:
         getattr(run, op)(*args)
         run.check()
-
-
-@pytest.mark.parametrize("status", ["acked", "pending"])
-def test_legacy_rows_round_trip(status):
-    """A format-2 row and an ``out`` record whose ids are not
-    ``n<digits>`` come back under those ids, beside a new row of the
-    same subscription, through a snapshot and a second recovery (a
-    pending format-2 row is re-sent and settled by the first)."""
-    run = _Run(status)
-    run.publish([(True, True)] + [(False, False)] * (SUBS - 1), False)
-    for step in (run.check, run.checkpoint, run.crash, run.check):
-        step()
-        entries = run.engine.delivery_log("s0")
-        assert [entry.notification_id for entry in entries] == ["legacy-1", "x-2", "n1"]
-        assert [entry.status for entry in entries] == ["acked"] * 3
 
 
 def test_a_replayed_row_of_an_ended_stream_settles_only_itself():
@@ -439,16 +358,3 @@ def test_a_replayed_row_of_an_ended_stream_settles_only_itself():
         ("s1", True, "tcp"),  # re-sent to the ended stream's client
     ]
     assert [(e.sequence, e.status) for e in recovered.delivery_log("s1")] == [(1, "dead")]
-
-
-def test_a_log_whose_sequences_have_gaps_is_searched():
-    """Rows are found by subtraction from the oldest sequence; a log
-    restored with gaps (no stream the engine writes has any) is
-    searched instead."""
-    run = _Run("odd ids")
-    log = run.engine.retained_log("s0")
-    for sequence in (5, 9):
-        run.engine._log_row("s0", sequence, f"n{sequence}", "cl-a", log.head, log.texts[0], 0)
-    assert [e.sequence for e in run.engine.delivery_log("s0")] == [2, 5, 9]
-    assert log.set_status(5, "dead") and not log.set_status(4, "dead")
-    assert [e.status for e in run.engine.delivery_log("s0")] == ["acked", "dead", "pending"]

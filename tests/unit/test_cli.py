@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.broker.durability import _encode_record, _scan_records, recover
 from repro.cli import build_parser, main
+from repro.ontology.domains import build_jobs_knowledge_base
 
 
 class TestParser:
@@ -208,6 +210,45 @@ class TestDurable:
         assert main(["recover", str(root / "syntactic"), "--mode", "syntactic",
                      "--shards", "2"]) == 0
         assert "recovered broker state" in capsys.readouterr().out
+
+    @staticmethod
+    def _rewrite(path, edit) -> None:
+        records, _, _ = _scan_records(path.read_bytes())
+        path.write_bytes(b"".join(_encode_record(record) for record in edit(records)))
+
+    def test_recover_reports_a_discarded_snapshot(self, capsys, tmp_path):
+        root = tmp_path / "wal"
+        main(["demo", "--companies", "3", "--candidates", "6", "--durable", str(root)])
+        capsys.readouterr()
+        directory = root / "semantic"
+        with recover(directory, build_jobs_knowledge_base()) as broker:
+            broker.checkpoint()
+        self._rewrite(
+            directory / "snapshot.json",
+            lambda records: [dict(records[0], format=2), *records[1:]],
+        )
+        assert main(["recover", str(directory)]) == 0
+        out = capsys.readouterr().out
+        assert "discarded" in out.split("recovery counters")[1]
+
+    def test_recover_refuses_a_journal_record_it_never_writes(self, capsys, tmp_path):
+        root = tmp_path / "wal"
+        main(["demo", "--companies", "3", "--candidates", "6", "--durable", str(root)])
+        capsys.readouterr()
+        journal = root / "semantic" / "journal.log"
+        self._rewrite(
+            journal,
+            lambda records: [
+                *records,
+                {"k": "out", "sid": "s1", "n": 1, "nid": "n1", "i": records[-1]["i"] + 1},
+            ],
+        )
+        before = journal.read_bytes()
+        assert main(["recover", str(root / "semantic")]) == 2
+        captured = capsys.readouterr()
+        assert "error: journal record i=" in captured.err and "'out'" in captured.err
+        assert captured.out == ""
+        assert journal.read_bytes() == before
 
     def test_recover_command_parses(self):
         args = build_parser().parse_args(["recover", "some/dir"])

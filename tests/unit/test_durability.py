@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
 import shutil
 import sys
 import tracemalloc
@@ -26,7 +27,6 @@ from repro.broker.durability import (
     JOURNAL_NAME,
     SNAPSHOT_NAME,
     Durability,
-    _decode_config,
     _encode_config,
     _encode_record,
     _scan_records,
@@ -36,7 +36,7 @@ from repro.broker.notifications import NotificationEngine, PublicationText
 from repro.broker.sharding import ShardedBroker
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
-from repro.errors import DeliveryError, DurabilityError, SimulatedCrash
+from repro.errors import DeliveryError, DurabilityError, SimulatedCrash, StateFormatError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -608,6 +608,30 @@ class TestStreamedSnapshot:
             finally:
                 recovered.close()
 
+    @pytest.mark.parametrize("form", ["format 2", "unknown kind", "retired config key"])
+    def test_a_snapshot_never_written_is_discarded(self, kb, tmp_path, form):
+        """Intact, but not a form this broker writes: discarded whole
+        like a damaged file, and recovery runs from the journal."""
+        records, expected = self._ghosted(kb, tmp_path)
+        if form == "format 2":
+            records[0] = dict(records[0], format=2)
+        elif form == "unknown kind":
+            records.insert(-1, {"k": "outbox", "rows": []})
+            records[-1] = dict(records[-1], records=len(records) - 2)
+        else:
+            config = dict(records[1]["config"], matching_backend="numpy")
+            records[1] = dict(records[1], config=config)
+        (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
+        recovered = recover(tmp_path, kb)
+        try:
+            report = recovered.recovery
+            assert report.snapshot_discarded and not report.snapshot_loaded
+            assert "cl-ghost" not in recovered.registry
+            assert report.records_replayed > 0
+            assert _observable(recovered) == expected
+        finally:
+            recovered.close()
+
     def _mixed_broker(self, kb, directory) -> Broker:
         """Acked, dead and (forged) pending entries in the logs."""
         broker = Broker(kb, durability=directory)
@@ -658,12 +682,14 @@ class TestStreamedSnapshot:
             recovered.close()
 
     def test_compaction_and_recovery_hold_one_record_not_the_file(self, kb, tmp_path):
-        """1,000 publications fanned out to 12 and then to 48
-        subscriptions (12k and 48k logged deliveries): the traced peak
-        during checkpoint() and the transient during load_snapshot() +
-        restore are what one record costs plus an index of the
-        publications — the same at both sizes, far below the snapshot's
-        size (the single-record format peaked at ~2.7x the file)."""
+        """1,000 publications fanned out to 12 and then to 64
+        subscriptions (12k and 64k logged deliveries, each row with its
+        own ``n<N>`` id, so the rows live in the log's columns): the
+        traced peak during checkpoint() and the transient during
+        load_snapshot() + restore are what one record costs plus an
+        index of the publications — the same at both sizes, far below
+        the snapshot's size (the single-record format peaked at ~2.7x
+        the file)."""
         per_sub = 1000
         text = "a derivation chain that renders to a few hundred characters " * 5
 
@@ -685,7 +711,7 @@ class TestStreamedSnapshot:
                         "frontier": per_sub,
                         "heads": [f"subscription s{index} [(a = {index})] matched event "],
                         "entries": [
-                            [n, f"n{index}-{n}", "cl-f", 0, n - 1, index % 2, "acked"]
+                            [n, f"n{index * per_sub + n}", "cl-f", 0, n - 1, index % 2, "acked"]
                             for n in range(1, per_sub + 1)
                         ],
                     }
@@ -716,7 +742,7 @@ class TestStreamedSnapshot:
             return compact_peak, peak - live, (directory / SNAPSHOT_NAME).stat().st_size
 
         small = measure(12, tmp_path / "small")
-        large = measure(48, tmp_path / "large")
+        large = measure(64, tmp_path / "large")
         assert large[2] > 2 * small[2]  # the file grew with the deliveries ...
         for name, before, after in zip(("compact", "recover"), small, large):
             # ... what writing and reading it costs did not
@@ -970,92 +996,129 @@ class TestEngineOwnedCounters:
             recovered.close()
 
 
-class TestRetiredConfigKey:
-    """Directories written while ``SemanticConfig`` still had a
-    ``matching_backend`` field carry it in every config dict (the codec
-    is ``dataclasses.asdict``).  Recovery drops exactly that key: the
-    recovered broker matches like a live one.  Any other unknown key
-    still fails ``recover()`` instead of being skipped as a replay
-    error and leaving the broker on the old configuration."""
-
-    CONFIG = SemanticConfig(max_generality=2)
-
-    def _history(self, broker: Broker) -> None:
-        _populate(broker)
-        broker.subscribe("cl-b", _sub("degree", "doctorate", "s-d1"))
-        broker.subscribe("cl-b", _sub("degree", "degree", "s-d3"))
-        # observable: (degree, PhD) reaches "degree" at generality 3
-        broker.reconfigure(self.CONFIG)
+class TestOneFormat:
+    """Recovery reads only what this broker writes.  A journal record
+    of any other form is refused before the broker is built, and the
+    directory is left as it was; a delivery-log row that does not fit
+    its log is refused too.  (A snapshot of another form is discarded:
+    ``TestStreamedSnapshot``.)"""
 
     @staticmethod
-    def _probe(broker: Broker) -> list[tuple[str, int]]:
-        event = Event([("school", "Toronto"), ("degree", "PhD")], event_id="probe")
-        report = broker.publish("cl-p", event)
-        return [(match.subscription.sub_id, match.generality) for match in report.matches]
-
-    def _written(self, kb, directory, *, checkpoint: bool) -> None:
+    def _written(kb, directory) -> None:
+        """A checkpointed history and a journal tail after it: s-a has
+        two retained rows, one in the snapshot and one in the tail."""
         with Broker(kb, durability=directory) as broker:
-            self._history(broker)
-            if checkpoint:
-                broker.checkpoint()
+            _populate(broker)
+            broker.checkpoint()
+            broker.publish("cl-p", Event([("school", "Toronto")], event_id="e3"))
+
+    @pytest.mark.parametrize(
+        "record, offender",
+        [
+            ({"k": "out", "sid": "s-a", "n": 3, "nid": "n9", "cid": "cl-a", "eid": "e9",
+              "subject": "stored subject", "body": "stored body"}, "'out'"),
+            ({"k": "ack", "sid": "s-a", "n": 3, "ok": True}, "'ack'"),
+            ({"k": "outbox", "rows": []}, "'outbox'"),
+            ({"k": "config", "cfg": dict(_encode_config(SemanticConfig()), matching_backend="numpy")},
+             "matching_backend"),
+            ({"k": "config", "cfg": dict(_encode_config(SemanticConfig()), vector_width=8)},
+             "vector_width"),
+        ],
+        ids=["out", "ack", "unknown kind", "retired config key", "unknown config key"],
+    )  # fmt: skip
+    def test_a_journal_record_never_written_is_refused(self, kb, tmp_path, record, offender):
+        self._written(kb, tmp_path)
+        journal = tmp_path / JOURNAL_NAME
+        records, _, torn = _scan_records(journal.read_bytes())
+        assert not torn
+        foreign = dict(record, i=records[-1]["i"] + 1)
+        # a torn tail after it: refusing must not truncate it either
+        journal.write_bytes(
+            journal.read_bytes() + _encode_record(foreign) + _encode_record({"k": "pub"})[:9]
+        )
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        built = []
+
+        def factory(kb, **kwargs):
+            built.append(kwargs)
+            return Broker(kb, **kwargs)
+
+        with pytest.raises(StateFormatError) as refused:
+            recover(tmp_path, kb, broker_factory=factory)
+        assert offender in str(refused.value) and f"i={foreign['i']}" in str(refused.value)
+        assert built == []
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @staticmethod
-    def _add_key(path, kind: str, field: str, key: str, value) -> None:
+    def _rewrite(path, edit) -> None:
         records, _, torn = _scan_records(path.read_bytes())
         assert not torn
-        touched = 0
-        for record in records:
-            if record["k"] == kind:
-                record[field] = dict(record[field], **{key: value})
-                touched += 1
-        assert touched == 1
+        edit(records)
         path.write_bytes(_frame(records))
 
-    def _live(self, kb) -> list[tuple[str, int]]:
-        with Broker(kb) as broker:
-            self._history(broker)
-            expected = self._probe(broker)
-        assert expected == [("s-a", 0), ("s-d1", 1)]
-        return expected
+    @pytest.mark.parametrize("where", ["snapshot", "journal"])
+    @pytest.mark.parametrize("fault", ["id n01", "sequence gap"])
+    def test_a_row_that_does_not_fit_its_log_is_refused(self, kb, tmp_path, where, fault):
+        self._written(kb, tmp_path)
+        if where == "snapshot":
+            with recover(tmp_path, kb) as recovered:
+                recovered.checkpoint()  # s-a's second row moves into the snapshot
+            path = tmp_path / SNAPSHOT_NAME
 
-    def _assert_recovers_like_live(self, kb, directory) -> None:
-        recovered = recover(directory, kb)
-        try:
-            assert recovered.recovery.replay_skips == 0
-            assert recovered.engine.config == self.CONFIG
-            assert self._probe(recovered) == self._live(kb)
-        finally:
-            recovered.close()
+            def second_row(records):  # [sequence, nid, ...]
+                (log,) = [record for record in records if record["k"] == "log"]
+                return log["entries"][1], 0
+        else:
+            path = tmp_path / JOURNAL_NAME
 
-    def test_snapshot_broker_record(self, kb, tmp_path):
-        self._written(kb, tmp_path, checkpoint=True)
-        self._add_key(tmp_path / SNAPSHOT_NAME, "broker", "config", "matching_backend", "numpy")
-        self._assert_recovers_like_live(kb, tmp_path)
+            def second_row(records):  # [sub_id, sequence, nid, ...]
+                (outs,) = [record for record in records if record["k"] == "outs"]
+                return outs["rows"][0], 1
 
-    def test_journal_config_record(self, kb, tmp_path):
-        self._written(kb, tmp_path, checkpoint=False)
-        self._add_key(tmp_path / JOURNAL_NAME, "config", "cfg", "matching_backend", "python")
-        self._assert_recovers_like_live(kb, tmp_path)
+        def forge(records):
+            row, at = second_row(records)
+            assert row[at] == 2
+            if fault == "id n01":
+                row[at + 1] = "n01"
+            else:
+                row[at] = 3
 
-    def test_other_unknown_key_fails_recovery(self, kb, tmp_path):
-        self._written(kb, tmp_path, checkpoint=False)
-        self._add_key(tmp_path / JOURNAL_NAME, "config", "cfg", "vector_width", 8)
-        with pytest.raises(TypeError, match="vector_width"):
+        self._rewrite(path, forge)
+        with pytest.raises(StateFormatError, match="'n01'|not contiguous"):
             recover(tmp_path, kb)
 
-    def test_other_unknown_key_in_snapshot_fails_recovery(self, kb, tmp_path):
-        self._written(kb, tmp_path, checkpoint=True)
-        self._add_key(tmp_path / SNAPSHOT_NAME, "broker", "config", "vector_width", 8)
-        with pytest.raises(TypeError, match="vector_width"):
-            recover(tmp_path, kb)
+    @pytest.mark.parametrize("executor", ["single", "process"])
+    def test_a_failed_recovery_releases_the_broker_it_built(self, kb, tmp_path, executor):
+        """The factory takes what a broker may hold by the time a step
+        fails — the journal handle, a forked worker fleet — and the
+        refused snapshot row must not leave either behind."""
+        with Broker(kb, durability=tmp_path) as broker:
+            _populate(broker)
+            broker.checkpoint()
 
-    def test_retired_key_dropped_whatever_its_value(self):
-        encoded = _encode_config(self.CONFIG)
-        for value in ("python", "numpy", None, "fortran"):
-            data = dict(encoded, matching_backend=value)
-            assert _decode_config(data) == self.CONFIG
-            # the record's own dict is left as read
-            assert data["matching_backend"] == value
+        def forge(records):
+            (log,) = [record for record in records if record["k"] == "log"]
+            log["entries"][0][1] = "n01"
+
+        self._rewrite(tmp_path / SNAPSHOT_NAME, forge)
+        built = []
+
+        def factory(kb, **kwargs):
+            if executor == "single":
+                broker = Broker(kb, **kwargs)
+                broker.durability._open()
+            else:
+                broker = ShardedBroker(kb, shards=2, executor="process", **kwargs)
+                broker.engine._ensure_plane()
+                assert multiprocessing.active_children()
+            built.append(broker)
+            return broker
+
+        with pytest.raises(StateFormatError, match="'n01'"):
+            recover(tmp_path, kb, broker_factory=factory)
+        (broker,) = built
+        assert broker.durability._handle is None
+        assert multiprocessing.active_children() == []
 
 
 class TestShardedRecovery:
