@@ -1,4 +1,4 @@
-"""Fault-recovery benchmark for the supervised process data plane (PR 8).
+"""Fault-recovery benchmark for the process data plane.
 
 Runs the full-semantic jobfinder publish stream against a 2-shard
 worker-process fleet, once clean and once per chaos seed under a seeded
@@ -6,15 +6,14 @@ worker-process fleet, once clean and once per chaos seed under a seeded
 and corrupts workers mid-stream, and records per leg:
 
 * ``events_per_second`` — observed wall-clock throughput (record-only,
-  machine-dependent; the chaos legs pay respawns and retries so their
-  number is *expected* to trail the clean leg — the gap is the measured
-  price of recovery, not a regression).
-* the supervision counters (``worker_restarts``, ``publish_retries``,
-  ``degraded_publishes``, ``breaker_opens``,
+  machine-dependent; the chaos legs pay re-forks and inline answers so
+  their number is *expected* to trail the clean leg — the gap is the
+  measured price of recovery, not a regression).
+* the recovery counters (``worker_restarts``, ``degraded_publishes``,
   ``stale_replies_discarded``) and the derived operator-facing rates:
   ``restarts_per_1k_events``, ``degraded_publish_rate``, and
-  ``mean_restart_seconds`` (reap the old worker, fork the parent
-  replica, read its ready reply — the data plane's measured MTTR).
+  ``mean_restart_seconds`` (fork the parent replica, read its ready
+  reply — the data plane's measured MTTR).
 
 Results land in ``BENCH_faults.json`` (``STOPSS_BENCH_FAULTS_OUTPUT``
 redirects a fresh run).  Wall-clock numbers never gate; the in-test
@@ -33,7 +32,7 @@ import pathlib
 import time
 
 from repro.broker.sharding import ShardedEngine
-from repro.broker.supervision import FaultPlan, SupervisionPolicy
+from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
 from repro.metrics import Table
 from repro.model.subscriptions import Subscription
@@ -48,11 +47,8 @@ MATCHER = "counting"
 #: chaos legs; each seed derives a distinct reproducible fault schedule
 CHAOS_SEEDS = (11, 29, 47)
 #: faults scheduled inside the publish window of each chaos leg — dense
-#: enough that every run exercises respawn, retry, and epoch discard
+#: enough that every run exercises disposal, inline answers and re-forks
 FAULTS_PER_LEG = 8
-#: zero backoff/cooldown keeps the timed window dominated by the real
-#: recovery work (reap + re-fork), not by sleeps
-POLICY = SupervisionPolicy(backoff_base=0.0, breaker_cooldown=0.0)
 
 
 def _fresh_subscription(subscription: Subscription) -> Subscription:
@@ -70,7 +66,6 @@ def _run_leg(jobs_kb, subscriptions, events, fault_plan):
         matcher=MATCHER,
         config=SemanticConfig(),
         executor="process",
-        supervision=POLICY,
         fault_plan=fault_plan,
     )
     try:
@@ -106,7 +101,6 @@ def test_fault_recovery(benchmark, jobs_kb, capsys):
             "leg",
             "faults",
             "restarts",
-            "retries",
             "degraded",
             "stale-drop",
             "ev/s",
@@ -127,8 +121,8 @@ def test_fault_recovery(benchmark, jobs_kb, capsys):
         "recovery_model": (
             "every chaos leg must reproduce the clean leg's exact per-event "
             "(sub_id, generality) match lists with no publish raising; "
-            "mean_restart_seconds is reap + re-fork of the parent replica "
-            "per respawn (measured MTTR); wall-clock rates are record-only"
+            "mean_restart_seconds is the re-fork of the parent replica per "
+            "restart (measured MTTR); wall-clock rates are record-only"
         ),
         "legs": [],
     }
@@ -156,12 +150,7 @@ def test_fault_recovery(benchmark, jobs_kb, capsys):
                 seed,
             )
             assert plan.pending == 0, ("a scheduled fault never fired", seed)
-            recoveries = (
-                counters["worker_restarts"]
-                + counters["publish_retries"]
-                + counters["degraded_publishes"]
-                + counters["breaker_opens"]
-            )
+            recoveries = counters["worker_restarts"] + counters["degraded_publishes"]
             assert recoveries > 0, ("faults fired but nothing was recovered", seed)
             legs.append((f"chaos-{seed}", plan, match_sets, elapsed, counters))
         for name, plan, match_sets, elapsed, counters in legs:
@@ -173,7 +162,6 @@ def test_fault_recovery(benchmark, jobs_kb, capsys):
                 name,
                 plan.planned if plan is not None else 0,
                 restarts,
-                counters["publish_retries"],
                 counters["degraded_publishes"],
                 counters["stale_replies_discarded"],
                 round(rate, 1),

@@ -12,13 +12,7 @@ from repro.broker.durability import (
     recover,
 )
 from repro.broker.sharding import ShardedBroker, ShardedEngine, default_router
-from repro.broker.supervision import (
-    CircuitBreaker,
-    FaultAction,
-    FaultPlan,
-    SupervisionPolicy,
-    SupervisionStats,
-)
+from repro.broker.supervision import FaultAction, FaultPlan, SupervisionStats
 from repro.broker.notifications import (
     DeliveryEntry,
     DeliveryOutcome,
@@ -47,10 +41,8 @@ __all__ = [
     "ShardedBroker",
     "ShardedEngine",
     "default_router",
-    "CircuitBreaker",
     "FaultAction",
     "FaultPlan",
-    "SupervisionPolicy",
     "SupervisionStats",
     "Client",
     "ClientKind",

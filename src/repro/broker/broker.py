@@ -302,7 +302,7 @@ class Broker:
 
     def health(self) -> dict[str, object]:
         """Operational health snapshot: the sharded data plane's
-        recovery counters and breaker states in the defensive
+        recovery counters in the defensive
         :func:`~repro.metrics.aggregate.supervision_summary` shape,
         plus the notification dead-letter depth and the
         :func:`~repro.metrics.aggregate.durability_summary` counters.

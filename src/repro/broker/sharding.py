@@ -57,16 +57,15 @@ or the whole fleet when the knowledge base moves (a forked worker never
 sees a parent KB mutation), is a fork of the current replica.
 
 Because the fleet is a disposable cache of the control plane, worker
-failure is never fatal: the data plane runs under a supervisor
-(:mod:`repro.broker.supervision`, prose in ``docs/RESILIENCE.md``)
-that tracks liveness on every round-trip, re-forks dead or hung
-workers from the parent replicas, retries in-flight publishes with
-bounded seeded backoff, and — once a shard's circuit breaker opens —
-routes that shard's publishes inline through its parent replica until
-a cooldown re-arms the breaker.  Every request/reply crossing a pipe
-is epoch-tagged so an abandoned reply (a timed-out op, an engine error
-raised mid-broadcast) can never desynchronize a later round-trip: stale
-epochs are discarded on read.  A seeded
+failure is never fatal, and one rule recovers from all of it (prose in
+``docs/RESILIENCE.md``): **any transport fault on a shard disposes
+that worker.**  The publish that met the fault answers the shard inline
+on its parent replica, and the next publish re-forks every shard with
+no live worker.  Control operations are never re-sent — the re-fork
+already holds them.  Every request/reply crossing a pipe is
+epoch-tagged so an abandoned reply (an engine error raised while other
+shards' replies were still unread) can never desynchronize a later
+round-trip: stale epochs are discarded on read.  A seeded
 :class:`~repro.broker.supervision.FaultPlan` injects deterministic
 worker failures for the chaos leg of the equivalence suite, the
 chaos-soak CI job, and ``stopss demo --chaos``.
@@ -75,18 +74,12 @@ chaos-soak CI job, and ``stopss demo --chaos``.
 from __future__ import annotations
 
 import multiprocessing
-import random
 import time
 import zlib
 from typing import Callable, Iterator
 
 from repro.broker.broker import Broker
-from repro.broker.supervision import (
-    CircuitBreaker,
-    FaultPlan,
-    SupervisionPolicy,
-    SupervisionStats,
-)
+from repro.broker.supervision import FaultPlan, SupervisionStats
 from repro.broker.transports import TransportRegistry
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
@@ -94,7 +87,7 @@ from repro.core.pipeline import PipelineResult
 from repro.core.provenance import DerivedEvent, SemanticMatch
 from repro.errors import BrokerError, ConfigError, UnknownSubscriptionError
 from repro.matching.base import MatchingAlgorithm
-from repro.metrics.aggregate import merge_stats, stats_from_wire
+from repro.metrics.aggregate import merge_stats
 from repro.model.events import Event, wire_fallback_count
 from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
@@ -108,7 +101,7 @@ __all__ = [
 ]
 
 #: default bound on one worker round-trip before the shard is presumed
-#: hung and respawned; override via
+#: hung and its worker disposed; override via
 #: ``ShardedEngine(request_timeout=...)`` or ``stopss demo
 #: --shard-timeout``.
 DEFAULT_REQUEST_TIMEOUT = 120.0
@@ -129,23 +122,16 @@ EXECUTORS = ("serial", "process")
 
 class _ShardFault(BrokerError):
     """Internal: one shard round-trip failed at the *transport* layer
-    (dead worker, timeout, broken pipe, rejected wire payload) — the
-    supervised paths catch this and recover; engine-level errors raised
-    by the worker's replica propagate unwrapped, exactly as the
-    single-engine path would raise them.
-
-    ``respawn`` says whether the worker must be replaced (death,
-    timeout) or is still healthy and merely missed one exchange (a
-    dropped reply, a corrupted payload it rejected)."""
-
-    def __init__(self, message: str, *, respawn: bool) -> None:
-        super().__init__(message)
-        self.respawn = respawn
+    (dead worker, timeout, broken pipe, dropped reply, rejected wire
+    payload).  It is raised only after the worker has been disposed, so
+    catching it is all a caller does; engine-level errors raised by the
+    worker's replica propagate unwrapped, exactly as the single-engine
+    path would raise them."""
 
 
-#: what the ``corrupt`` fault kind puts on the wire instead of the real
-#: publish payload — anything ``Event.from_wire`` must reject; the
-#: worker answers ``badwire`` and the parent retries the clean payload.
+#: what the ``corrupt`` fault kind puts on the wire instead of the
+#: request's op — a request no worker can decode; it answers
+#: ``badwire``, which is a transport fault like any other.
 _CORRUPT_WIRE = "\x00corrupted-wire\x00"
 
 
@@ -198,10 +184,11 @@ def _shard_worker_main(conn, engine, ready_epoch) -> None:
     payload)`` and are answered with the same epoch — ``(epoch, "ok",
     payload)``, ``(epoch, "err", exception-or-text)`` for an engine
     error (the worker never dies on one, only on a broken parent), or
-    ``(epoch, "badwire", text)`` when a publish payload would not even
-    decode (transport damage, retriable with a clean payload).  The
-    parent discards replies whose epoch it is no longer waiting for, so
-    an abandoned reply can never satisfy a later request."""
+    ``(epoch, "badwire", text)`` when the request would not even decode
+    — an unknown op, or a publish payload that is not a wire event
+    (transport damage).  The parent discards replies whose epoch it is
+    no longer waiting for, so an abandoned reply can never satisfy a
+    later request."""
     kb = engine.kb
     conn.send((ready_epoch, "ok", None))
     try:
@@ -237,7 +224,7 @@ def _shard_worker_main(conn, engine, ready_epoch) -> None:
                 elif op == "stats":
                     conn.send((epoch, "ok", engine.stats()))
                 else:
-                    conn.send((epoch, "err", f"unknown op {op!r}"))
+                    conn.send((epoch, "badwire", f"unknown op {op!r}"))
             except BaseException as exc:
                 _send_error(conn, epoch, exc)
     finally:
@@ -256,43 +243,36 @@ class _ProcessDataPlane:
     mutations), so every operation here may assume a version-stable
     world.
 
-    Within one plane's lifetime the same disposability makes worker
-    failure recoverable *per shard*: a dead, hung, or desynchronized
-    worker is replaced alone by forking the parent's replica as it is
-    now (``respawn is the retry`` for control traffic — that replica
-    already includes every applied mutation, so control ops are never
-    re-sent).  Publishes are retried under *policy* with bounded seeded
-    backoff; a shard whose circuit breaker is open answers ``None``
-    from :meth:`publish` and the engine publishes inline on its parent
-    replica instead.  All recovery counters accumulate into the
-    engine-owned *stats* so they survive plane rebuilds."""
+    Within one plane's lifetime the same disposability gives worker
+    failure one rule: **any transport fault on a shard disposes that
+    worker** — death, deadline, broken pipe, a dropped reply, a
+    ``badwire`` answer, or a forwarded op the worker's replica rejected.
+    Nothing is retried.  A publish answers a disposed shard ``None``
+    (the engine publishes inline on its parent replica), and the next
+    publish forks every empty slot from the parent's replica as it is
+    now, which already holds every control op the old worker missed.
+    All recovery counters accumulate into the engine-owned *stats* so
+    they survive plane rebuilds."""
 
     def __init__(
         self,
         engines,
         *,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        policy: SupervisionPolicy | None = None,
         stats: SupervisionStats | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         #: the parent's replicas, one per shard — what each worker is a
-        #: fork of, at launch and at every respawn
+        #: fork of, at launch and at every re-fork
         self._engines = engines
         self.kb_version = engines[0].kb.version
         self.request_timeout = request_timeout
-        self._policy = policy if policy is not None else SupervisionPolicy()
         self._stats = stats if stats is not None else SupervisionStats()
         self._fault_plan = fault_plan
-        self._rng = random.Random(self._policy.seed)
         shards = len(engines)
-        self._breakers = [
-            CircuitBreaker(self._policy.breaker_threshold, self._policy.breaker_cooldown)
-            for _ in range(shards)
-        ]
         self._closed = False
-        #: shard index -> (process, conn), or None where the worker is
-        #: dead and not yet respawned (the list length never changes)
+        #: shard index -> (process, conn), or None where the worker was
+        #: disposed and not yet re-forked (the list length never changes)
         self._workers: list = [None] * shards
         #: the reply epoch each shard's next read must match; anything
         #: older is an abandoned reply and is discarded on sight
@@ -300,15 +280,8 @@ class _ProcessDataPlane:
         self._deadlines = [0.0] * shards
         #: per-shard send counter — the FaultPlan's op axis
         self._op_counts = [0] * shards
-        #: a stale worker is alive but may have missed control traffic
-        #: (skipped while its breaker was open, or an ambiguous control
-        #: failure) — it must be respawned before serving anything
-        self._stale = [False] * shards
         try:
-            for index in range(shards):
-                self._launch(index)
-            for index in range(shards):
-                self._finish(index)
+            self._fork(range(shards))
         except BaseException:
             self.close()
             raise
@@ -316,10 +289,6 @@ class _ProcessDataPlane:
     @property
     def workers(self) -> int:
         return len(self._workers)
-
-    @property
-    def breaker_states(self) -> list[str]:
-        return [breaker.state for breaker in self._breakers]
 
     # -- worker lifecycle --------------------------------------------------------
 
@@ -340,19 +309,46 @@ class _ProcessDataPlane:
             daemon=True,
             name=f"stopss-shard-{index}",
         )
-        process.start()
-        child_conn.close()
+        try:
+            process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
         self._workers[index] = (process, parent_conn)
         self._deadlines[index] = time.monotonic() + self.request_timeout
 
+    def _fork(self, indexes) -> int:
+        """Fork a worker for each shard in *indexes* off the parent's
+        replica as it is now (subscriptions and configuration included)
+        and read every readiness reply; returns how many came up.  A
+        fork that fails leaves its slot empty: that shard answers
+        inline until a later publish forks it again."""
+        for index in indexes:
+            try:
+                self._launch(index)
+            except Exception:
+                pass
+        forked = 0
+        for index in indexes:
+            if self._workers[index] is None:
+                continue
+            try:
+                self._finish(index)
+            except _ShardFault:
+                continue
+            forked += 1
+        return forked
+
     def _dispose_worker(self, index: int) -> None:
         """Forget shard *index*'s worker: close the pipe, make sure the
-        process is gone.  The slot stays None until a respawn."""
+        process is gone.  The slot stays None until the next publish
+        re-forks it."""
         entry = self._workers[index]
         if entry is None:
             return
         self._workers[index] = None
-        self._stale[index] = False
         process, conn = entry
         try:
             conn.close()
@@ -362,33 +358,20 @@ class _ProcessDataPlane:
             process.kill()
         process.join(timeout=5.0)
 
-    def _respawn(self, index: int) -> None:
-        """Replace shard *index*'s worker with a fresh fork of the
-        parent's replica as it is now (config and subscriptions
-        included — this is also how a stale worker resyncs)."""
-        started = time.monotonic()
+    def _fault(self, index: int, message: str) -> _ShardFault:
+        """The one recovery rule: dispose shard *index*'s worker, and
+        hand back the fault for the caller to raise."""
         self._dispose_worker(index)
-        try:
-            self._launch(index)
-            self._finish(index)
-        except BaseException as exc:
-            self._dispose_worker(index)
-            raise _ShardFault(
-                f"shard {index} respawn failed: {exc}", respawn=False
-            ) from exc
-        self._stats.worker_restarts += 1
-        self._stats.restart_seconds += time.monotonic() - started
+        return _ShardFault(message)
 
     # -- the epoch-tagged round-trip ---------------------------------------------
 
     def _begin(self, index: int, op: str, payload=None) -> None:
-        """Send one request to shard *index*, injecting any fault the
-        plan scheduled for this send.  Raises :class:`_ShardFault` when
-        the send itself failed (or a fault made it fail)."""
-        entry = self._workers[index]
-        if entry is None:
-            raise _ShardFault(f"shard {index} has no live worker", respawn=False)
-        process, conn = entry
+        """Send one request to shard *index*'s live worker, injecting any
+        fault the plan scheduled for this send.  Raises
+        :class:`_ShardFault` when the send itself failed (or a fault
+        made it fail)."""
+        process, conn = self._workers[index]
         slot = self._op_counts[index]
         self._op_counts[index] += 1
         kind = self._fault_plan.take(index, slot) if self._fault_plan is not None else None
@@ -397,39 +380,27 @@ class _ProcessDataPlane:
         if kind == "kill":
             process.kill()
             process.join(timeout=5.0)
-            raise _ShardFault(
-                f"shard {index} worker killed by fault plan", respawn=True
-            )
-        wire_payload = payload
-        if kind == "corrupt" and op == "publish":
-            wire_payload = _CORRUPT_WIRE
+            raise self._fault(index, f"shard {index} worker killed by fault plan")
+        if kind == "corrupt":
+            op = _CORRUPT_WIRE
         try:
-            conn.send((epoch, op, wire_payload))
+            conn.send((epoch, op, payload))
         except (OSError, ValueError) as exc:
-            raise _ShardFault(
-                f"shard {index} pipe send failed: {exc}", respawn=True
-            ) from exc
+            raise self._fault(index, f"shard {index} pipe send failed: {exc}") from exc
         if kind == "hang":
             # simulate a hung worker deterministically: the reply may
             # well arrive, but the deadline expires first and the read
-            # path must take the timeout -> respawn branch
+            # path must take the timeout branch
             self._deadlines[index] = time.monotonic()
         elif kind == "drop":
-            # abandon the reply unread; the retry's fresh epoch makes
-            # the stale reply discardable instead of a protocol desync
-            raise _ShardFault(
-                f"shard {index} reply dropped by fault plan", respawn=False
-            )
+            raise self._fault(index, f"shard {index} reply dropped by fault plan")
 
     def _finish(self, index: int):
         """Collect shard *index*'s reply for the epoch :meth:`_begin`
         registered, discarding abandoned replies from earlier epochs.
         Transport trouble raises :class:`_ShardFault`; a worker-side
         engine error re-raises as the original exception."""
-        entry = self._workers[index]
-        if entry is None:
-            raise _ShardFault(f"shard {index} has no live worker", respawn=False)
-        process, conn = entry
+        process, conn = self._workers[index]
         expected = self._expected[index]
         deadline = self._deadlines[index]
         while True:
@@ -437,24 +408,24 @@ class _ProcessDataPlane:
             # must reach this branch even when the real reply is already
             # waiting in the pipe
             if time.monotonic() >= deadline:
-                raise _ShardFault(
+                raise self._fault(
+                    index,
                     f"shard worker {process.name} did not answer within "
                     f"{self.request_timeout:.0f}s",
-                    respawn=True,
                 )
             if not conn.poll(0.05):
                 if not process.is_alive():
-                    raise _ShardFault(
+                    raise self._fault(
+                        index,
                         f"shard worker {process.name} died "
                         f"(exit code {process.exitcode})",
-                        respawn=True,
                     )
                 continue
             try:
                 epoch, status, payload = conn.recv()
             except (EOFError, OSError) as exc:
-                raise _ShardFault(
-                    f"shard worker {process.name} hung up: {exc}", respawn=True
+                raise self._fault(
+                    index, f"shard worker {process.name} hung up: {exc}"
                 ) from exc
             if epoch != expected:
                 self._stats.stale_replies_discarded += 1
@@ -462,179 +433,80 @@ class _ProcessDataPlane:
             if status == "ok":
                 return payload
             if status == "badwire":
-                raise _ShardFault(
-                    f"shard {index} rejected wire payload: {payload}", respawn=False
-                )
+                raise self._fault(index, f"shard {index} rejected the request: {payload}")
             if isinstance(payload, BaseException):
                 raise payload
             raise BrokerError(f"shard worker {process.name} failed: {payload}")
 
-    def _record_failure(self, index: int) -> None:
-        if self._breakers[index].record_failure():
-            self._stats.breaker_opens += 1
+    def _control(self, index: int, op: str, payload=None):
+        """One round-trip that must not fail the caller: the reply, or
+        ``None`` when shard *index* has no live worker or the exchange
+        failed.  Any failure disposes the worker — a transport fault,
+        or the worker's replica rejecting what the parent's accepted,
+        after which the worker's state is unknowable."""
+        if self._workers[index] is None:
+            return None
+        try:
+            self._begin(index, op, payload)
+            return self._finish(index)
+        except BaseException as exc:
+            self._dispose_worker(index)
+            if not isinstance(exc, Exception):
+                raise
+            return None
 
-    # -- supervised operations ----------------------------------------------------
-
-    def _usable_fast(self, index: int) -> bool:
-        """May this shard take the concurrent fast path?  Requires a
-        live, in-sync worker and a *closed* breaker — open and half-open
-        shards go through the serial supervised path so probe failures
-        stay contained."""
-        return (
-            self._workers[index] is not None
-            and not self._stale[index]
-            and self._breakers[index].state == "closed"
-        )
+    # -- operations -----------------------------------------------------------------
 
     def publish(self, wire) -> list:
         """Fan one encoded publication across the fleet; the result has
-        one outcome slot per shard, ``None`` meaning the shard degraded
-        and the caller must publish inline on its parent replica.
+        one outcome slot per shard, ``None`` meaning the shard has no
+        worker this time and the caller must publish inline on its
+        parent replica.
 
-        Phase one is the concurrent fast path: send to every healthy
-        closed-breaker shard, then collect the replies.  Any shard that
-        failed — plus every shard the fast path skipped — goes through
-        the serial supervised path (respawn, bounded backoff retries,
-        breaker bookkeeping).  Under supervision no outcome is ever an
-        exception for *transport* reasons; worker-side engine errors
+        First every empty slot is forked again; then one send loop and
+        one collect loop.  A transport fault disposes the shard's worker
+        and leaves its slot ``None``; worker-side engine errors
         propagate exactly as the single-engine publish would raise
         them."""
         shards = len(self._workers)
-        outcomes = [None] * shards
-        deferred: list[int] = []  # skipped by the fast path; no attempt made yet
-        failed: list[int] = []  # fast-path attempt failed; counts against retries
-        sent: list[int] = []
+        empty = [index for index in range(shards) if self._workers[index] is None]
+        if empty:
+            started = time.monotonic()
+            self._stats.worker_restarts += self._fork(empty)
+            self._stats.restart_seconds += time.monotonic() - started
         for index in range(shards):
-            if not self._usable_fast(index):
-                deferred.append(index)
-                continue
-            try:
-                self._begin(index, "publish", wire)
-            except _ShardFault as fault:
-                self._record_failure(index)
-                if fault.respawn:
-                    self._dispose_worker(index)
-                failed.append(index)
-            else:
-                sent.append(index)
-        for index in sent:
-            try:
-                outcomes[index] = self._finish(index)
-            except _ShardFault as fault:
-                self._record_failure(index)
-                if fault.respawn:
-                    self._dispose_worker(index)
-                failed.append(index)
-            else:
-                self._breakers[index].record_success()
-        for index in failed:
-            outcomes[index] = self._supervised_publish(index, wire, attempts=1)
-        for index in deferred:
-            outcomes[index] = self._supervised_publish(index, wire)
+            if self._workers[index] is not None:
+                try:
+                    self._begin(index, "publish", wire)
+                except _ShardFault:
+                    pass
+        outcomes = [None] * shards
+        for index in range(shards):
+            if self._workers[index] is not None:
+                try:
+                    outcomes[index] = self._finish(index)
+                except _ShardFault:
+                    pass
+        self._stats.degraded_publishes += outcomes.count(None)
         return outcomes
-
-    def _supervised_publish(self, index: int, wire, attempts: int = 0):
-        """Drive one shard's publish to a terminal outcome: a result,
-        or ``None`` (degrade to the parent replica) once the retry
-        budget is spent or the breaker refuses.  *attempts* counts
-        failed attempts already made on this publication."""
-        breaker = self._breakers[index]
-        policy = self._policy
-        while True:
-            if attempts:
-                if attempts > policy.max_retries or not breaker.allow():
-                    self._stats.degraded_publishes += 1
-                    return None
-                self._stats.publish_retries += 1
-                delay = policy.backoff_delay(attempts, self._rng)
-                if delay:
-                    time.sleep(delay)
-            elif not breaker.allow():
-                self._stats.degraded_publishes += 1
-                return None
-            try:
-                if self._workers[index] is None or self._stale[index]:
-                    self._respawn(index)
-                self._begin(index, "publish", wire)
-                result = self._finish(index)
-            except _ShardFault as fault:
-                self._record_failure(index)
-                if fault.respawn:
-                    self._dispose_worker(index)
-                attempts += 1
-                continue
-            breaker.record_success()
-            return result
 
     def forward(self, index: int | None, op: str, payload=None) -> None:
         """Mirror a control-plane mutation onto the fleet (*index*
         ``None`` broadcasts).  The parent's local replicas are the
         source of truth and have already applied it, so this never
-        raises for transport trouble — and control ops are never re-sent
-        after a failure: the worker is disposed or marked stale, and the
-        respawn's fork of the parent replica *is* the retry (re-sending
-        could double-apply a mutation the worker did receive)."""
+        raises, and a failed op is never re-sent: the worker is
+        disposed, and the next publish forks the replica, which holds
+        the op (re-sending could double-apply a mutation the worker did
+        receive)."""
         targets = range(len(self._workers)) if index is None else (index,)
         for i in targets:
-            self._forward_one(i, op, payload)
-
-    def _forward_one(self, index: int, op: str, payload) -> None:
-        if self._workers[index] is None or self._stale[index]:
-            return  # the next respawn forks a replica that includes this op
-        if not self._breakers[index].allow():
-            # breaker open: no worker traffic at all; the worker missed
-            # this mutation, so it must resync before serving again
-            self._stale[index] = True
-            return
-        try:
-            self._begin(index, op, payload)
-            self._finish(index)
-        except _ShardFault as fault:
-            self._record_failure(index)
-            if fault.respawn:
-                self._dispose_worker(index)
-            else:
-                self._stale[index] = True
-            return
-        except BaseException:
-            # the worker's replica rejected a mutation the parent
-            # applied — its state is now unknowable; resync via respawn
-            self._stale[index] = True
-            return
-        self._breakers[index].record_success()
-
-    def request(self, index: int, op: str, payload=None):
-        """One unsupervised round-trip with a single shard worker
-        (diagnostics and tests; the supervised paths above are the
-        production surface)."""
-        self._begin(index, op, payload)
-        return self._finish(index)
-
-    def broadcast(self, op: str, payload=None) -> list:
-        """Unsupervised serial round-trip with every worker."""
-        return [self.request(index, op, payload) for index in range(len(self._workers))]
+            self._control(i, op, payload)
 
     def stats(self) -> list:
-        """Per-shard stats snapshots from the worker replicas, with
-        ``None`` holes for shards that currently have no serviceable
+        """Per-shard stats snapshots from the worker replicas, as
+        received, with ``None`` holes for shards that currently have no
         worker (the engine fills those from its local replicas)."""
-        results: list = []
-        for index in range(len(self._workers)):
-            snapshot = None
-            if self._usable_fast(index):
-                try:
-                    self._begin(index, "stats")
-                    snapshot = self._finish(index)
-                except _ShardFault as fault:
-                    self._record_failure(index)
-                    if fault.respawn:
-                        self._dispose_worker(index)
-                    else:
-                        self._stale[index] = True
-            results.append(
-                stats_from_wire(snapshot) if snapshot is not None else None
-            )
-        return results
+        return [self._control(index, "stats") for index in range(len(self._workers))]
 
     def close(self) -> None:
         """Stop and reap every worker.  Idempotent, and tolerant of
@@ -705,13 +577,8 @@ class ShardedEngine:
         :func:`default_router`.
     request_timeout:
         Bound (seconds) on one worker round-trip before the shard is
-        presumed hung and respawned.  Defaults to
+        presumed hung and its worker disposed.  Defaults to
         :data:`DEFAULT_REQUEST_TIMEOUT`.  CLI: ``--shard-timeout``.
-    supervision:
-        :class:`~repro.broker.supervision.SupervisionPolicy` governing
-        worker respawn, publish retry/backoff, and the per-shard
-        circuit breakers of the process data plane (defaults apply when
-        omitted; irrelevant to the serial executor).
     fault_plan:
         Optional :class:`~repro.broker.supervision.FaultPlan` injecting
         deterministic worker faults into the data plane — tests, chaos
@@ -729,7 +596,6 @@ class ShardedEngine:
         executor: str = "serial",
         router: Callable[[str, int], int] | None = None,
         request_timeout: float | None = None,
-        supervision: SupervisionPolicy | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if shards < 1:
@@ -770,11 +636,8 @@ class ShardedEngine:
         if request_timeout <= 0:
             raise ConfigError("request_timeout must be > 0")
         self._request_timeout = float(request_timeout)
-        self._supervision_policy = (
-            supervision if supervision is not None else SupervisionPolicy()
-        )
         #: engine-owned recovery counters: the plane is disposable (KB
-        #: drift discards it) but its supervision history is not
+        #: drift discards it) but its recovery history is not
         self._supervision = SupervisionStats()
         self._fault_plan = fault_plan
         #: running count of values that crossed the wire as string
@@ -789,7 +652,8 @@ class ShardedEngine:
         #: any replica — known on the serial executor only: the process
         #: plane's workers expand on their own and reply with matches,
         #: so it stays ``None`` there (no wire field until expansion
-        #: moves into the parent, ROADMAP item 2)
+        #: moves into the parent, ROADMAP's truncation-free reference
+        #: semantics item)
         self.last_truncated: bool | None = None
         #: cumulative per-shard publish CPU (thread time: the shard's
         #: own work, not what else ran on its core meanwhile)
@@ -841,10 +705,9 @@ class ShardedEngine:
         (no-op without one).  The local replicas are the source of
         truth, so forwarding can never fail the caller's already-applied
         operation: a knowledge base that moved since the fork marks the
-        whole plane dirty (next publish rebuilds it), and per-worker
-        trouble is the plane supervisor's problem — it disposes or
-        stale-marks the one affected worker and respawns it on next
-        use, leaving the healthy shards' workers warm."""
+        whole plane dirty (next publish rebuilds it), and a failed
+        forward disposes only the one affected worker, which the next
+        publish re-forks, leaving the healthy shards' workers warm."""
         if self._plane is None:
             return
         if self._plane_dirty or self._plane.kb_version != self.kb.version:
@@ -874,8 +737,9 @@ class ShardedEngine:
     def _publish_local(self, index: int, event: Event) -> tuple[list[SemanticMatch], float]:
         """Publish on the parent's own replica of shard *index*:
         ``(matches, publish thread-CPU span)``.  The serial executor's
-        whole fan-out, and the process executor's degraded mode — the
-        replica is the control-plane source of truth, so it always
+        whole fan-out, and the process executor's answer for a shard
+        with no worker — the replica is the control-plane source of
+        truth, so it always
         produces exactly what a healthy worker would have returned.
         Slower there (it shares the parent's core) but never wrong."""
         started = time.thread_time()
@@ -935,7 +799,6 @@ class ShardedEngine:
             self._plane = _ProcessDataPlane(
                 self._engines,
                 request_timeout=self._request_timeout,
-                policy=self._supervision_policy,
                 stats=self._supervision,
                 fault_plan=self._fault_plan,
             )
@@ -949,10 +812,10 @@ class ShardedEngine:
         subscription and event objects — only the derived events cross
         the boundary.
 
-        A ``None`` outcome for a shard means its supervisor degraded it
-        (breaker open or retry budget spent) — the parent replica
-        answers inline, so a publication *never* fails on worker
-        trouble."""
+        A ``None`` outcome for a shard means it has no worker this time
+        (a transport fault disposed it, or its re-fork failed) — the
+        parent replica answers inline, so a publication *never* fails on
+        worker trouble."""
         # the table before the fleet: after a knowledge-base write this
         # catches it up once, here, and the fork hands every worker the
         # table with the ids this publication is encoded under
@@ -1055,11 +918,6 @@ class ShardedEngine:
             # recovery counters (all zero for the serial executor and
             # for any process run that never hit worker trouble)
             "supervision": self._supervision.snapshot(),
-            "breaker_states": (
-                self._plane.breaker_states
-                if self._plane is not None
-                else ["closed"] * len(self._engines)
-            ),
         }
 
     def stats(self) -> dict[str, object]:
@@ -1071,25 +929,18 @@ class ShardedEngine:
         Under a live process plane the per-shard snapshots come from
         the worker replicas (where the publish work actually ran); the
         local control replicas answer otherwise — including for any
-        individual shard whose worker is down or degraded (the plane
-        reports those as ``None`` holes)."""
-        per_shard = None
-        if (
+        individual shard that has no worker (the plane reports those as
+        ``None`` holes)."""
+        live = (
             self._plane is not None
             and not self._plane_dirty
             and self._plane.kb_version == self.kb.version
-        ):
-            try:
-                per_shard = self._plane.stats()
-            except BaseException:
-                self._discard_plane()
-        if per_shard is None:
-            per_shard = [engine.stats() for engine in self._engines]
-        else:
-            per_shard = [
-                snapshot if snapshot is not None else self._engines[index].stats()
-                for index, snapshot in enumerate(per_shard)
-            ]
+        )
+        snapshots = self._plane.stats() if live else [None] * len(self._engines)
+        per_shard = [
+            snapshot if snapshot is not None else engine.stats()
+            for snapshot, engine in zip(snapshots, self._engines)
+        ]
         merged = merge_stats(per_shard)
         sharding = self.sharding_info()
         sharding["shard_stats"] = per_shard
@@ -1139,7 +990,6 @@ class ShardedBroker(Broker):
         executor: str = "serial",
         router: Callable[[str, int], int] | None = None,
         request_timeout: float | None = None,
-        supervision: SupervisionPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         durability=None,
     ) -> None:
@@ -1158,7 +1008,6 @@ class ShardedBroker(Broker):
                 executor=executor,
                 router=router,
                 request_timeout=request_timeout,
-                supervision=supervision,
                 fault_plan=fault_plan,
             ),
         )

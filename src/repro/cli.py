@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="bound on one shard-worker round-trip before the worker is "
-        "presumed hung and respawned (process executor; default "
+        "presumed hung and disposed (process executor; default "
         f"{int(DEFAULT_REQUEST_TIMEOUT)}s)",
     )
     demo.add_argument(
@@ -212,18 +212,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         ],
     )
     health_table = Table(
-        "data-plane health (supervision counters)"
+        "data-plane health (recovery counters)"
         + (f" — chaos seed {args.chaos}" if args.chaos is not None else ""),
-        [
-            "mode",
-            "restarts",
-            "retries",
-            "degraded",
-            "breaker-opens",
-            "stale-drop",
-            "restart-ms",
-            "breakers",
-        ],
+        ["mode", "restarts", "degraded", "stale-drop", "restart-ms"],
     )
     durable_table = Table(
         "durability (write-ahead journal)",
@@ -292,12 +283,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             health_table.add(
                 mode,
                 health["worker_restarts"],
-                health["publish_retries"],
                 health["degraded_publishes"],
-                health["breaker_opens"],
                 health["stale_replies_discarded"],
                 round(1000.0 * health["restart_seconds"], 1),
-                "/".join(health["breaker_states"]) or "-",
             )
             for index, shard_stats in enumerate(sharding.get("shard_stats", ())):
                 shard_summary = publish_path_summary(shard_stats)

@@ -90,8 +90,8 @@ class SemanticConfig:
     #: inert since PR 18 (the engine's LRU it sized is deleted; nothing
     #: reads it).  Still declared because ``bench/verify.py`` passes it
     #: and snapshots / journaled ``config`` records are
-    #: ``dataclasses.asdict`` of this class; the ``[benchmark]`` PR of
-    #: ROADMAP open item 5(d) removes it.
+    #: ``dataclasses.asdict`` of this class; ROADMAP's ``[benchmark]``
+    #: item ("gate deterministic work, one bench tree") removes it.
     expansion_cache_size: int = 128
     interning: bool = True
     interest_pruning: bool = True

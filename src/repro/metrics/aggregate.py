@@ -26,10 +26,8 @@ Merging rules:
 * ``None`` values — a counter a codec-deserialized snapshot simply
   lacks — are skipped rather than poisoning the merge to ``"mixed"``.
 
-Snapshots that crossed a process or serialization boundary (the
-process-executor data plane, recorded JSON payloads) go through
-:func:`stats_from_wire` first, which undoes the key/tuple mangling
-JSON round-trips inflict.
+Snapshots from the process-executor data plane merge as received: they
+cross the pipe by pickle, which keeps int keys and tuples intact.
 
 :func:`publish_path_summary` is the defensive extraction layer on top:
 every field the ``stopss demo`` publish table prints, via ``.get`` with
@@ -45,7 +43,6 @@ from typing import Mapping, Sequence
 __all__ = [
     "merge_stats",
     "publish_path_summary",
-    "stats_from_wire",
     "supervision_summary",
 ]
 
@@ -107,29 +104,6 @@ def merge_stats(snapshots: Sequence[Mapping[str, object]]) -> dict[str, object]:
     return merged
 
 
-def stats_from_wire(snapshot):
-    """Normalize a stats snapshot that crossed a process or JSON
-    boundary back into the in-process shape :func:`merge_stats`
-    expects.
-
-    Pickled snapshots survive intact, but snapshots that round-tripped
-    through JSON (a monitoring pipeline, a recorded payload) come back
-    with every mapping key stringified and every tuple listified; this
-    re-coerces digit-string keys to ints (the ``derived_histogram``
-    buckets) and lists to tuples so merged aggregates stay comparable
-    with native ones.  Non-mapping values pass through untouched."""
-    if isinstance(snapshot, Mapping):
-        normalized = {}
-        for key, value in snapshot.items():
-            if isinstance(key, str) and key.isdigit():
-                key = int(key)
-            normalized[key] = stats_from_wire(value)
-        return normalized
-    if isinstance(snapshot, list):
-        return tuple(stats_from_wire(value) for value in snapshot)
-    return snapshot
-
-
 def publish_path_summary(
     engine_stats: Mapping[str, object],
     result_cache: Mapping[str, object] | None = None,
@@ -159,9 +133,9 @@ def publish_path_summary(
 
 def supervision_summary(engine_stats: Mapping[str, object]) -> dict[str, object]:
     """The ``stopss demo`` health-table row for one engine-stats
-    snapshot: the sharded data plane's recovery counters plus breaker
-    states, with safe defaults for engines that have no ``sharding``
-    section (a plain single engine) or predate the supervision layer.
+    snapshot: the sharded data plane's recovery counters, with safe
+    defaults for engines that have no ``sharding`` section (a plain
+    single engine).
 
     Counters are all zero exactly when the run never needed a recovery
     intervention — the chaos acceptance criteria assert on this."""
@@ -170,25 +144,15 @@ def supervision_summary(engine_stats: Mapping[str, object]) -> dict[str, object]
         value = source.get(name)
         return value if isinstance(value, Mapping) else {}
 
-    sharding = section(engine_stats, "sharding")
-    supervision = section(sharding, "supervision")
-    breaker_states = sharding.get("breaker_states")
-    if not isinstance(breaker_states, (list, tuple)):
-        breaker_states = []
+    supervision = section(section(engine_stats, "sharding"), "supervision")
     restarts = supervision.get("worker_restarts", 0)
-    retries = supervision.get("publish_retries", 0)
     degraded = supervision.get("degraded_publishes", 0)
-    opens = supervision.get("breaker_opens", 0)
     return {
         "worker_restarts": restarts,
-        "publish_retries": retries,
         "degraded_publishes": degraded,
-        "breaker_opens": opens,
         "stale_replies_discarded": supervision.get("stale_replies_discarded", 0),
         "restart_seconds": supervision.get("restart_seconds", 0.0),
-        "breakers_open": sum(1 for state in breaker_states if state != "closed"),
-        "breaker_states": list(breaker_states),
-        "recoveries": restarts + retries + degraded + opens,  # type: ignore[operator]
+        "recoveries": restarts + degraded,  # type: ignore[operator]
     }
 
 

@@ -20,8 +20,8 @@ The chaos leg extends the process-executor invariant under failure:
 with a seeded :class:`~repro.broker.supervision.FaultPlan` killing,
 hanging, and corrupting shard workers mid-stream, match sets and
 generalities must *still* equal the single engine and **no publish may
-ever raise** — supervision (respawn, retry, degraded inline publish)
-is allowed to cost recoveries, never correctness.
+ever raise** — recovery (dispose, inline answer, re-fork) is allowed to
+cost recoveries, never correctness.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broker.sharding import ShardedEngine
-from repro.broker.supervision import FaultPlan, SupervisionPolicy
+from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.model.subscriptions import Subscription
@@ -172,7 +172,7 @@ def test_process_executor_chaos_equals_single_engine(
 ):
     """The chaos invariant (the PR 8 acceptance criterion): under a
     seeded FaultPlan that kills, hangs, drops, and corrupts shard
-    workers mid-stream, the supervised process data plane still reports
+    workers mid-stream, the process data plane still reports
     match sets and generalities identical to the single engine, in
     order, and **no publish ever raises** — then keeps agreeing through
     churn and further publishes after the plan is exhausted.  The
@@ -182,7 +182,6 @@ def test_process_executor_chaos_equals_single_engine(
     # subscriptions go in before the fleet exists, so early sends are
     # all publishes and each per-shard op counter sweeps every slot
     plan = FaultPlan.seeded(chaos_seed, shards=2, ops=len(evts), rate=0.5)
-    policy = SupervisionPolicy(backoff_base=0.0, breaker_cooldown=0.0)
     single = SToPSS(kb, matcher=matcher, config=SemanticConfig())
     sharded = ShardedEngine(
         kb,
@@ -190,7 +189,6 @@ def test_process_executor_chaos_equals_single_engine(
         matcher=matcher,
         config=SemanticConfig(),
         executor="process",
-        supervision=policy,
         fault_plan=plan,
     )
     try:
@@ -204,7 +202,7 @@ def test_process_executor_chaos_equals_single_engine(
             "faults fired but no recovery was recorded"
         )
         # post-chaos convergence: churn then publish again on a fleet
-        # that has been through respawns/degradations — still identical
+        # that has been through disposals and re-forks — still identical
         for engine in (single, sharded):
             engine.unsubscribe("s0")
             engine.subscribe(Subscription(subs[0].predicates, sub_id="r0"))
@@ -319,13 +317,11 @@ def test_chaos_on_mega_world_equals_single_engine():
     subs = generator.subscriptions(16)
     evts = generator.events(5)
     plan = FaultPlan.seeded(1303, shards=2, ops=len(evts), rate=0.5)
-    policy = SupervisionPolicy(backoff_base=0.0, breaker_cooldown=0.0)
     single = SToPSS(world.kb)
     sharded = ShardedEngine(
         world.kb,
         shards=2,
         executor="process",
-        supervision=policy,
         fault_plan=plan,
     )
     try:

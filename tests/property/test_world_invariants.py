@@ -35,7 +35,7 @@ import pytest
 
 from repro.broker.broker import Broker
 from repro.broker.sharding import ShardedEngine
-from repro.broker.supervision import FaultPlan, SupervisionPolicy
+from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.model.subscriptions import Subscription
@@ -189,19 +189,17 @@ def test_process_executor_equals_single_engine(world, workload):
 
 
 def test_chaos_equals_single_engine(world, workload):
-    """Seeded fault storm against the supervised process plane on a
+    """Seeded fault storm against the process plane on a
     generated world: identical match lists, no publish raises, and the
     recovery counters prove the faults fired."""
     subs, evts = workload
     plan = FaultPlan.seeded(world.counters["world_concepts"], shards=2, ops=len(evts), rate=0.5)
-    policy = SupervisionPolicy(backoff_base=0.0, breaker_cooldown=0.0)
     single = _loaded(SToPSS(world.kb), subs)
     sharded = _loaded(
         ShardedEngine(
             world.kb,
             shards=2,
             executor="process",
-            supervision=policy,
             fault_plan=plan,
         ),
         subs,

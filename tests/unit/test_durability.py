@@ -344,14 +344,14 @@ class TestTornTail:
 class TestCrashInjection:
     def test_crash_at_offset_raises_and_poisons_journal(self, kb, tmp_path):
         durability = Durability(tmp_path, fault_plan=FaultPlan.crash_at(2))
-        broker = Broker(kb, durability=durability)
-        broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
-        broker.register_publisher("P", client_id="cl-p")
-        with pytest.raises(SimulatedCrash):
-            broker.subscribe("cl-a", _sub("degree", "PhD", "s-a"))
-        # the crashed journal refuses further appends
-        with pytest.raises(DurabilityError):
-            broker.register_publisher("Q", client_id="cl-q")
+        with Broker(kb, durability=durability) as broker:
+            broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+            broker.register_publisher("P", client_id="cl-p")
+            with pytest.raises(SimulatedCrash):
+                broker.subscribe("cl-a", _sub("degree", "PhD", "s-a"))
+            # the crashed journal refuses further appends
+            with pytest.raises(DurabilityError):
+                broker.register_publisher("Q", client_id="cl-q")
         _, _, torn = _scan_records((tmp_path / JOURNAL_NAME).read_bytes())
         assert torn  # a half-written record is on disk
 
@@ -359,12 +359,12 @@ class TestCrashInjection:
         """Publishes journal write-ahead: a crash on the publish record
         itself recovers to a state where the event was never published."""
         durability = Durability(tmp_path, fault_plan=FaultPlan.crash_at(3))
-        broker = Broker(kb, durability=durability)
-        broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
-        broker.register_publisher("P", client_id="cl-p")
-        broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
-        with pytest.raises(SimulatedCrash):
-            broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+        with Broker(kb, durability=durability) as broker:
+            broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+            broker.register_publisher("P", client_id="cl-p")
+            broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
+            with pytest.raises(SimulatedCrash):
+                broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
         recovered = recover(tmp_path, kb)
         try:
             assert recovered.recovery.torn_tail_truncations == 1
@@ -381,21 +381,21 @@ class TestCrashInjection:
         """A crash between the outbox record and its ack re-sends that
         delivery on recovery (at-least-once), and exactly that one."""
         probe = Durability(tmp_path / "probe")
-        broker = Broker(kb, durability=probe)
-        broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
-        broker.register_publisher("P", client_id="cl-p")
-        broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
-        broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+        with Broker(kb, durability=probe) as broker:
+            broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+            broker.register_publisher("P", client_id="cl-p")
+            broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
+            broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
         ack_offset = probe._append_index - 1  # the final append was the ack
 
         crash_dir = tmp_path / "crash"
         durability = Durability(crash_dir, fault_plan=FaultPlan.crash_at(ack_offset))
-        crashing = Broker(kb, durability=durability)
-        crashing.register_subscriber("A", tcp="a:1", client_id="cl-a")
-        crashing.register_publisher("P", client_id="cl-p")
-        crashing.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
-        with pytest.raises(SimulatedCrash):
-            crashing.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+        with Broker(kb, durability=durability) as crashing:
+            crashing.register_subscriber("A", tcp="a:1", client_id="cl-a")
+            crashing.register_publisher("P", client_id="cl-p")
+            crashing.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
+            with pytest.raises(SimulatedCrash):
+                crashing.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
         recovered = recover(crash_dir, kb)
         try:
             assert recovered.recovery.replayed_deliveries == 1

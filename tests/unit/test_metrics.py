@@ -116,28 +116,26 @@ class TestTable:
 
 
 class TestSupervisionSummary:
-    def test_extracts_counters_and_breaker_states(self):
+    def test_extracts_counters(self):
         summary = supervision_summary(
             {
                 "sharding": {
                     "supervision": {
                         "worker_restarts": 2,
-                        "publish_retries": 3,
-                        "degraded_publishes": 1,
-                        "breaker_opens": 1,
+                        "degraded_publishes": 3,
                         "stale_replies_discarded": 5,
                         "restart_seconds": 0.25,
                     },
-                    "breaker_states": ["open", "closed", "half-open"],
                 }
             }
         )
-        assert summary["worker_restarts"] == 2
-        assert summary["recoveries"] == 2 + 3 + 1 + 1  # restarts+retries+degraded+opens
-        assert summary["stale_replies_discarded"] == 5
-        assert summary["restart_seconds"] == 0.25
-        assert summary["breakers_open"] == 2  # open + half-open
-        assert summary["breaker_states"] == ["open", "closed", "half-open"]
+        assert summary == {
+            "worker_restarts": 2,
+            "degraded_publishes": 3,
+            "stale_replies_discarded": 5,
+            "restart_seconds": 0.25,
+            "recoveries": 2 + 3,  # restarts + degraded
+        }
 
     def test_single_engine_stats_report_all_zero(self):
         """A plain engine has no sharding section; every counter must
@@ -145,24 +143,22 @@ class TestSupervisionSummary:
         means 'nothing needed rescuing'."""
         summary = supervision_summary({"derived_events": 7})
         assert summary["recoveries"] == 0
-        assert summary["breakers_open"] == 0 and summary["breaker_states"] == []
         assert all(
             summary[name] == 0
             for name in (
                 "worker_restarts",
-                "publish_retries",
                 "degraded_publishes",
-                "breaker_opens",
                 "stale_replies_discarded",
             )
         )
 
     def test_partial_sections_default_safely(self):
-        """Sharding sections that predate the supervision layer (or
-        carry malformed values) render as zeros, not crashes."""
+        """Sharding sections without recovery counters (a serial engine
+        from before they existed, or a malformed section) render as
+        zeros, not crashes."""
         summary = supervision_summary({"sharding": {"shards": 2}})
         assert summary["recoveries"] == 0
-        summary = supervision_summary(
-            {"sharding": {"supervision": {"worker_restarts": 1}, "breaker_states": "x"}}
-        )
-        assert summary["worker_restarts"] == 1 and summary["breaker_states"] == []
+        summary = supervision_summary({"sharding": {"supervision": "x"}})
+        assert summary["recoveries"] == 0
+        summary = supervision_summary({"sharding": {"supervision": {"worker_restarts": 1}}})
+        assert summary["worker_restarts"] == 1 and summary["recoveries"] == 1

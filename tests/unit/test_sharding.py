@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -19,18 +20,21 @@ from repro.broker.sharding import (
     DEFAULT_REQUEST_TIMEOUT,
     ShardedBroker,
     ShardedEngine,
+    _ProcessDataPlane,
     default_router,
 )
-from repro.broker.supervision import FaultAction, FaultPlan, SupervisionPolicy
+from repro.broker import supervision
+from repro.broker.supervision import DATA_PLANE_FAULT_KINDS, FaultAction, FaultPlan
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.errors import (
     ConfigError,
     DuplicateSubscriptionError,
+    MatchingError,
     UnknownSubscriptionError,
 )
 from repro.matching.base import create_matcher
-from repro.metrics.aggregate import merge_stats, publish_path_summary, stats_from_wire
+from repro.metrics.aggregate import merge_stats, publish_path_summary, supervision_summary
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.knowledge_base import KnowledgeBase
 
@@ -288,24 +292,6 @@ class TestStats:
         assert merged["memo_hit_rate"] == pytest.approx(0.5)
         assert merge_stats([{"only": None}]) == {"only": None}
 
-    def test_stats_from_wire_restores_int_keys_and_tuples(self):
-        """A stats snapshot that crossed a serialization boundary comes
-        back with stringified int keys and listified tuples —
-        stats_from_wire undoes both, recursively, and leaves everything
-        else alone."""
-        snapshot = {
-            "by_depth": {"0": 5, "2": 1, "label": "x"},
-            "shape": [1, [2, 3]],
-            "nested": {"inner": {"7": [0.5]}},
-            "mode": "semantic",
-        }
-        restored = stats_from_wire(snapshot)
-        assert restored["by_depth"] == {0: 5, 2: 1, "label": "x"}
-        assert restored["shape"] == (1, (2, 3))
-        assert restored["nested"] == {"inner": {7: (0.5,)}}
-        assert restored["mode"] == "semantic"
-        assert stats_from_wire("passthrough") == "passthrough"
-
     def test_publish_path_summary_never_raises_on_sparse_stats(self):
         for stats in ({}, {"matcher_stats": {}}, {"interest": None}, {"derived_events": 7}):
             summary = publish_path_summary(stats)
@@ -469,6 +455,37 @@ class TestProcessExecutor:
         finally:
             engine.close()
 
+    @pytest.mark.parametrize("matcher", ["counting", "naive"])
+    def test_worker_snapshots_merge_as_received(self, matcher):
+        """Worker snapshots cross the pipe by pickle (int histogram keys
+        and tuples intact) and merge untouched: after one trace the
+        process executor reports the serial executor's counters, shard
+        by shard and merged — every section but ``sharding``, whose
+        executor name, wire counter and CPU clocks differ by design."""
+
+        def counters(executor):
+            kb = chain_kb()
+            engine = ShardedEngine(
+                kb, shards=2, matcher=matcher, executor=executor, router=digit_router
+            )
+            try:
+                engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+                engine.subscribe(parse_subscription("(x = mid)", sub_id="s1"))
+                for text in ("(x, leaf)", "(x, mid)", "(y, top)"):
+                    engine.publish(parse_event(text))
+                engine.unsubscribe("s1")
+                engine.subscribe(parse_subscription("(x = leaf)", sub_id="t1"))
+                engine.publish(parse_event("(x, leaf)"))
+                stats = engine.stats()
+            finally:
+                engine.close()
+            sharding = stats.pop("sharding")
+            return stats, sharding["shard_stats"]
+
+        serial, process = counters("serial"), counters("process")
+        assert process == serial
+        assert serial[0]["derived_histogram"]  # the int-keyed map did cross
+
     def test_close_stops_the_workers(self):
         engine = ShardedEngine(chain_kb(), shards=2, executor="process")
         engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
@@ -497,34 +514,99 @@ class TestProcessExecutor:
             engine.close()
 
 
-def _supervised_engine(plan=None, policy=None, **kwargs):
-    """A 2-shard process engine wired for fast, deterministic
-    supervision tests: zero backoff so retries don't sleep, and the
-    digit router so sub ids pin their shard."""
-    if policy is None:
-        policy = SupervisionPolicy(backoff_base=0.0, breaker_cooldown=0.0)
+def _process_engine(plan=None, **kwargs):
+    """A 2-shard process engine wired for deterministic fault tests:
+    the digit router so sub ids pin their shard."""
     return ShardedEngine(
         chain_kb(),
         shards=2,
         executor="process",
         router=digit_router,
-        supervision=policy,
         fault_plan=plan,
         **kwargs,
     )
 
 
-class TestSupervisedDataPlane:
-    """Worker respawn, retry, breaker/degraded mode, and the epoch
-    protocol that fixes the broadcast desync bug.  The chaos equivalence
-    invariant (match sets equal to a single engine while workers die)
-    lives in ``tests/property/test_sharding_equivalence.py``."""
+def _health(engine) -> dict:
+    """The engine's health row without its wall-clock field."""
+    health = supervision_summary(engine.stats())
+    del health["restart_seconds"]
+    return health
+
+
+@pytest.fixture
+def no_sleep(monkeypatch):
+    """Recovery never waits: any ``time.sleep`` fails the test."""
+
+    def refuse(seconds):
+        raise AssertionError(f"the data plane slept {seconds}s")
+
+    monkeypatch.setattr(time, "sleep", refuse)
+
+
+class TestOneRecoveryRule:
+    """Any transport fault disposes the worker it lands on; a publish
+    answers that shard inline on the parent replica; the next publish
+    re-forks every empty slot.  The chaos equivalence invariant (match
+    sets equal to a single engine while workers die) lives in
+    ``tests/property/test_sharding_equivalence.py``."""
+
+    #: shard 0's send slot each op takes in the trace below: publish,
+    #: publish, forwarded subscribe, stats, publish
+    SLOT = {"publish": 1, "subscribe": 2, "stats": 3}
+
+    @pytest.mark.parametrize("op", ["publish", "subscribe", "stats"])
+    @pytest.mark.parametrize("kind", DATA_PLANE_FAULT_KINDS)
+    def test_a_fault_disposes_the_worker_and_the_next_publish_reforks_it(
+        self, kind, op, no_sleep
+    ):
+        plan = FaultPlan([FaultAction(kind, 0, self.SLOT[op])])
+        engine = _process_engine(plan)
+        reference = SToPSS(chain_kb())
+        event = parse_event("(x, leaf)")
+
+        def publish():
+            expected = [m.subscription.sub_id for m in reference.publish(event)]
+            assert [m.subscription.sub_id for m in engine.publish(event)] == expected
+            return expected
+
+        try:
+            for sub_id in ("s0", "s1"):
+                for target in (engine, reference):
+                    target.subscribe(parse_subscription("(x = top)", sub_id=sub_id))
+            publish()
+            plane = engine._plane
+            survivor, _ = plane._workers[1]
+            publish()
+            for target in (engine, reference):
+                target.subscribe(parse_subscription("(x = mid)", sub_id="t0"))
+            stats = engine.stats()
+            assert plan.pending == 0
+            # disposed at the faulted op, and nothing else was touched
+            assert plane._workers[0] is None
+            assert plane._workers[1][0] is survivor and survivor.is_alive()
+            assert stats["subscriptions"] == 3  # the hole answered from the replica
+            assert publish() == ["s0", "s1", "t0"]
+            # the next publish forked the replica again, t0 included
+            assert engine._plane is plane
+            process, _ = plane._workers[0]
+            assert process.is_alive()
+            degraded = 1 if op == "publish" else 0
+            assert _health(engine) == {
+                "worker_restarts": 1,
+                "degraded_publishes": degraded,
+                "stale_replies_discarded": 0,
+                "recoveries": 1 + degraded,
+            }
+            assert publish() == ["s0", "s1", "t0"]
+        finally:
+            engine.close()
 
     def test_killed_worker_0_leaves_worker_1_round_trip_coherent(self):
         # the PR-7 desync pin: before epoch tagging, a failure on worker
         # 0 mid-broadcast left worker 1's reply unread on the pipe, so
         # the *next* request read a stale reply.
-        engine = _supervised_engine()
+        engine = _process_engine()
         try:
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
             engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
@@ -539,47 +621,94 @@ class TestSupervisedDataPlane:
                 m.subscription.sub_id for m in engine.publish(parse_event("(x, leaf)"))
             }
             assert matched == {"s0", "s1"}
+            assert plane._workers[0] is None  # answered inline this time
             # and the next round-trip with worker 1 is still coherent
             matched = {
                 m.subscription.sub_id for m in engine.publish(parse_event("(x, leaf)"))
             }
             assert matched == {"s0", "s1"}
             assert engine._plane is plane  # repaired in place, not rebuilt
-            assert engine.supervision.worker_restarts == 1
+            snapshot = engine.supervision.snapshot()
+            assert snapshot["worker_restarts"] == 1
+            assert snapshot["degraded_publishes"] == 1
         finally:
             engine.close()
 
-    def test_dropped_reply_is_discarded_by_epoch_not_misread(self):
-        # "drop" leaves a completed reply unread on the pipe; the retry
-        # must discard it by epoch and use the fresh reply
-        plan = FaultPlan([FaultAction("drop", 0, 1)])
-        engine = _supervised_engine(plan)
+    def test_an_engine_error_mid_collect_leaves_a_reply_the_next_exchange_discards(self):
+        """An engine error is not a transport fault: it reaches the
+        caller unwrapped and disposes nothing, but the shards after it
+        go uncollected.  Their replies are discarded by epoch on the
+        next exchange instead of being read as its answer."""
+
+        class WorkerRejects(SToPSS):
+            def __init__(self, kb, **kwargs):
+                super().__init__(kb, **kwargs)
+                self.built_in = os.getpid()
+
+            def publish(self, event):
+                if os.getpid() != self.built_in and "boom" in event:
+                    raise MatchingError("rejected in the worker")
+                return super().publish(event)
+
+        engine = _process_engine(engine_factory=WorkerRejects)
         try:
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
             engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
-            for _ in range(3):
-                matched = [
-                    m.subscription.sub_id
-                    for m in engine.publish(parse_event("(x, leaf)"))
-                ]
-                assert matched == ["s0", "s1"]
+            engine.publish(parse_event("(x, leaf)"))
+            plane = engine._plane
+            with pytest.raises(MatchingError, match="rejected in the worker"):
+                engine.publish(parse_event("(x, leaf)(boom, 1)"))
+            matched = [
+                m.subscription.sub_id for m in engine.publish(parse_event("(x, leaf)"))
+            ]
+            assert matched == ["s0", "s1"]
+            assert engine._plane is plane
+            assert all(entry is not None for entry in plane._workers)
             snapshot = engine.supervision.snapshot()
+            # shard 0 raised first; shard 1's answer was left unread
             assert snapshot["stale_replies_discarded"] == 1
-            assert snapshot["publish_retries"] == 1
-            assert snapshot["worker_restarts"] == 0  # the worker never died
+            assert engine.supervision.recoveries == 0
         finally:
             engine.close()
 
-    def test_every_fault_kind_recovers_with_deterministic_counters(self):
-        plan = FaultPlan(
-            [
-                FaultAction("kill", 0, 0),
-                FaultAction("drop", 1, 1),
-                FaultAction("corrupt", 0, 2),
-                FaultAction("hang", 1, 3),
+    def test_a_forwarded_op_the_worker_rejects_disposes_it(self, no_sleep):
+        """The parent's replica accepted the op, the worker's did not:
+        its state is unknowable, so it goes like any faulted worker and
+        the re-fork — which holds the op — answers from then on."""
+
+        class WorkerRejects(SToPSS):
+            def __init__(self, kb, **kwargs):
+                super().__init__(kb, **kwargs)
+                self.built_in = os.getpid()
+
+            def subscribe(self, subscription):
+                if os.getpid() != self.built_in and subscription.sub_id == "t0":
+                    raise MatchingError("rejected in the worker")
+                return super().subscribe(subscription)
+
+        engine = _process_engine(engine_factory=WorkerRejects)
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.publish(parse_event("(x, leaf)"))
+            plane = engine._plane
+            engine.subscribe(parse_subscription("(x = mid)", sub_id="t0"))  # never raises
+            assert plane._workers[0] is None
+            assert plane._workers[1] is not None
+            matched = [
+                m.subscription.sub_id for m in engine.publish(parse_event("(x, leaf)"))
             ]
-        )
-        engine = _supervised_engine(plan)
+            assert matched == ["s0", "t0"]
+            assert engine.supervision.worker_restarts == 1
+            assert engine.supervision.degraded_publishes == 0
+        finally:
+            engine.close()
+
+    def test_a_worker_that_keeps_dying_costs_one_fork_per_publish(self, no_sleep):
+        # the deliberate trade-off: nothing stops re-forking a shard
+        # that dies on every contact; each publish pays one fork and
+        # still answers correctly, inline
+        plan = FaultPlan([FaultAction("kill", 0, op) for op in range(5)])
+        engine = _process_engine(plan)
         try:
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
             engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
@@ -591,75 +720,56 @@ class TestSupervisedDataPlane:
                 assert matched == ["s0", "s1"]
             assert plan.pending == 0
             snapshot = engine.supervision.snapshot()
-            # kill and hang each cost one respawn; all four cost one
-            # retry; drop left one stale reply behind
-            assert snapshot["worker_restarts"] == 2
-            assert snapshot["publish_retries"] == 4
-            assert snapshot["stale_replies_discarded"] == 1
-            assert snapshot["degraded_publishes"] == 0
-            assert snapshot["breaker_opens"] == 0
+            assert snapshot["worker_restarts"] == 4
+            assert snapshot["degraded_publishes"] == 5
         finally:
             engine.close()
 
-    def test_breaker_opens_and_routes_publishes_inline(self):
-        # no retry budget, threshold 2, cooldown too long to re-arm:
-        # two kills open shard 0's breaker and every later publish for
-        # it degrades to the parent replica — correct results, no raise
-        plan = FaultPlan([FaultAction("kill", 0, i) for i in range(4)])
-        policy = SupervisionPolicy(
-            max_retries=0, backoff_base=0.0, breaker_threshold=2, breaker_cooldown=600.0
-        )
-        engine = _supervised_engine(plan, policy)
+    @pytest.mark.parametrize("when", ["first fork", "re-fork"])
+    def test_a_fork_that_fails_leaves_the_shard_inline(self, when, monkeypatch, no_sleep):
+        engine = _process_engine()
+        launch = _ProcessDataPlane._launch
+        failing = {0}
+
+        def flaky_launch(plane, index):
+            if index in failing:
+                raise OSError("fork refused")
+            launch(plane, index)
+
         try:
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
             engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
-            for _ in range(5):
+            if when == "re-fork":
+                engine.publish(parse_event("(x, leaf)"))
+                process_0, _ = engine._plane._workers[0]
+                process_0.kill()
+                process_0.join(timeout=5.0)
+                engine.publish(parse_event("(x, leaf)"))  # disposes worker 0
+            monkeypatch.setattr(_ProcessDataPlane, "_launch", flaky_launch)
+            before = engine.supervision.snapshot()
+            for _ in range(2):
                 matched = [
                     m.subscription.sub_id
                     for m in engine.publish(parse_event("(x, leaf)"))
                 ]
                 assert matched == ["s0", "s1"]
-            snapshot = engine.supervision.snapshot()
-            assert snapshot["breaker_opens"] == 1
-            assert snapshot["degraded_publishes"] >= 3
-            info = engine.sharding_info()
-            assert info["breaker_states"] == ["open", "closed"]
-            # stats still answer, filling the broken shard from the
-            # parent replica instead of raising
-            stats = engine.stats()
-            assert len(stats["sharding"]["shard_stats"]) == 2
-        finally:
-            engine.close()
-
-    def test_breaker_cooldown_rearms_and_probe_closes_it(self):
-        plan = FaultPlan([FaultAction("kill", 0, 0), FaultAction("kill", 0, 1)])
-        policy = SupervisionPolicy(
-            max_retries=0, backoff_base=0.0, breaker_threshold=2, breaker_cooldown=0.0
-        )
-        engine = _supervised_engine(plan, policy)
-        try:
-            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
-            engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
-            for _ in range(3):
-                matched = [
-                    m.subscription.sub_id
-                    for m in engine.publish(parse_event("(x, leaf)"))
-                ]
-                assert matched == ["s0", "s1"]
-            # zero cooldown: the first publish after the open is the
-            # half-open probe; the plan is exhausted so it succeeds and
-            # the breaker closes with a freshly respawned worker
-            assert engine.sharding_info()["breaker_states"] == ["closed", "closed"]
-            assert engine.supervision.breaker_opens == 1
-            assert engine.supervision.worker_restarts >= 1
+            assert engine._plane._workers[0] is None
+            assert engine._plane._workers[1] is not None
+            after = engine.supervision.snapshot()
+            assert after["worker_restarts"] == before["worker_restarts"]
+            assert after["degraded_publishes"] == before["degraded_publishes"] + 2
+            failing.clear()  # the fork works again: the next publish heals
+            engine.publish(parse_event("(x, leaf)"))
+            assert engine._plane._workers[0] is not None
+            assert engine.supervision.worker_restarts == before["worker_restarts"] + 1
         finally:
             engine.close()
 
     def test_churn_while_worker_down_resyncs_on_respawn(self):
         # subscribe/unsubscribe while shard 0's worker is dead: the
-        # respawned worker must rebuild from the *current* parent state
-        # (respawn is the retry — ops are never replayed)
-        engine = _supervised_engine()
+        # re-forked worker must rebuild from the *current* parent state
+        # (the re-fork is the retry — ops are never replayed)
+        engine = _process_engine()
         try:
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
             engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
@@ -685,11 +795,11 @@ class TestSupervisedDataPlane:
             engine.close()
 
     def test_engine_errors_propagate_not_swallowed(self):
-        # supervision rescues *transport* failures only: an engine-level
-        # error from the worker replica must reach the caller exactly
-        # like the single-engine path (here: duplicate subscribe raises
-        # locally before any forwarding — the control plane is truth)
-        engine = _supervised_engine()
+        # recovery covers *transport* failures only: an engine-level
+        # error must reach the caller exactly like the single-engine
+        # path (here: duplicate subscribe raises locally before any
+        # forwarding — the control plane is truth)
+        engine = _process_engine()
         try:
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
             engine.publish(parse_event("(x, leaf)"))
@@ -698,6 +808,136 @@ class TestSupervisedDataPlane:
             assert engine.supervision.recoveries == 0
         finally:
             engine.close()
+
+    def test_every_fault_kind_recovers_with_deterministic_counters(self, no_sleep):
+        plan = FaultPlan(
+            [
+                FaultAction("kill", 0, 0),
+                FaultAction("drop", 1, 1),
+                FaultAction("corrupt", 0, 2),
+                FaultAction("hang", 1, 3),
+            ]
+        )
+        engine = _process_engine(plan)
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
+            for _ in range(5):
+                matched = [
+                    m.subscription.sub_id
+                    for m in engine.publish(parse_event("(x, leaf)"))
+                ]
+                assert matched == ["s0", "s1"]
+            assert plan.pending == 0
+            assert all(entry is not None for entry in engine._plane._workers)
+            # each of the four publishes that met a fault answered one
+            # shard inline; the publish after each re-forked it.  The
+            # dropped reply went with its worker's pipe, unread.
+            assert _health(engine) == {
+                "worker_restarts": 4,
+                "degraded_publishes": 4,
+                "stale_replies_discarded": 0,
+                "recoveries": 8,
+            }
+        finally:
+            engine.close()
+
+    def test_a_fault_mid_broadcast_disposes_only_that_worker(self, no_sleep):
+        # shard 0's worker dies on the forwarded reconfigure; shard 1's
+        # still receives it, and shard 0's re-fork holds it already
+        plan = FaultPlan([FaultAction("kill", 0, 1)])
+        engine = _process_engine(plan)
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
+            engine.publish(parse_event("(x, leaf)"))
+            plane = engine._plane
+            survivor, _ = plane._workers[1]
+            engine.reconfigure(SemanticConfig.syntactic())
+            assert plane._workers[0] is None
+            assert plane._workers[1][0] is survivor
+            assert plane._op_counts == [2, 2]  # one send each, none re-sent
+            assert engine.publish(parse_event("(x, leaf)")) == []  # no taxonomy climb
+            matched = [
+                m.subscription.sub_id for m in engine.publish(parse_event("(x, top)"))
+            ]
+            assert matched == ["s0", "s1"]
+            assert engine._plane is plane
+            assert plane._workers[1][0] is survivor
+            assert engine.supervision.worker_restarts == 1
+            assert engine.supervision.degraded_publishes == 0
+        finally:
+            engine.close()
+
+    def test_only_a_publish_reforks(self, no_sleep):
+        """Control ops and stats skip an empty slot without a send: the
+        parent's replica takes the op, the stats hole is filled from it,
+        and the worker comes back at the next publish only."""
+        engine = _process_engine()
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
+            engine.publish(parse_event("(x, leaf)"))
+            plane = engine._plane
+            process_0, _ = plane._workers[0]
+            process_0.kill()
+            process_0.join(timeout=5.0)
+            engine.subscribe(parse_subscription("(x = mid)", sub_id="t0"))  # disposes
+            sends = plane._op_counts[0]
+            engine.unsubscribe("t0")
+            engine.subscribe(parse_subscription("(x = leaf)", sub_id="u0"))
+            engine.bump_semantic_epoch("test")
+            engine.reconfigure(SemanticConfig.semantic())
+            assert engine.stats()["subscriptions"] == 3
+            assert plane._workers[0] is None
+            assert plane._op_counts[0] == sends  # nothing was sent to the hole
+            assert engine.supervision.worker_restarts == 0
+            matched = [
+                m.subscription.sub_id for m in engine.publish(parse_event("(x, leaf)"))
+            ]
+            assert matched == ["s0", "s1", "u0"]
+            assert plane._workers[0] is not None
+            assert engine.supervision.worker_restarts == 1
+        finally:
+            engine.close()
+
+    def test_restart_seconds_times_only_the_reforks(self):
+        engine = _process_engine(FaultPlan([FaultAction("kill", 1, 1)]))
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
+            for _ in range(2):
+                engine.publish(parse_event("(x, leaf)"))
+            # the first fork builds the plane and counts as no restart;
+            # the kill disposed worker 1 without forking anything yet
+            assert engine.supervision.restart_seconds == 0.0
+            engine.publish(parse_event("(x, leaf)"))
+            assert engine.supervision.worker_restarts == 1
+            assert engine.supervision.restart_seconds > 0.0
+        finally:
+            engine.close()
+
+    def test_sharding_info_carries_only_the_recovery_counters(self):
+        engine = _process_engine()
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.publish(parse_event("(x, leaf)"))
+            info = engine.sharding_info()
+            assert "breaker_states" not in info
+            assert info["supervision"] == {
+                "worker_restarts": 0,
+                "degraded_publishes": 0,
+                "stale_replies_discarded": 0,
+                "restart_seconds": 0.0,
+            }
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("facade", [ShardedEngine, ShardedBroker])
+    def test_there_is_no_supervision_policy_to_pass(self, facade):
+        with pytest.raises(TypeError, match="supervision"):
+            facade(chain_kb(), shards=2, executor="process", supervision=None)
+        for name in ("SupervisionPolicy", "CircuitBreaker"):
+            assert not hasattr(supervision, name)
 
 
 class TestRequestTimeoutPlumbing:
@@ -716,19 +956,22 @@ class TestRequestTimeoutPlumbing:
 
     def test_timeout_fires_and_respawns_the_hung_worker(self):
         # a real (not injected) timeout: the deadline elapses with no
-        # reply and the supervisor replaces the worker — "hang" faults
-        # exercise the same branch without the wall-clock wait
+        # reply and the worker is disposed — "hang" faults exercise the
+        # same branch without the wall-clock wait
         plan = FaultPlan([FaultAction("hang", 0, 1)])
-        engine = _supervised_engine(plan, request_timeout=30.0)
+        engine = _process_engine(plan, request_timeout=30.0)
         try:
             assert engine.sharding_info()["request_timeout"] == 30.0
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
             engine.publish(parse_event("(x, leaf)"))
             assert engine._plane.request_timeout == 30.0  # the engine's knob, end to end
-            matched = [
-                m.subscription.sub_id for m in engine.publish(parse_event("(x, leaf)"))
-            ]
-            assert matched == ["s0"]
+            for _ in range(2):
+                matched = [
+                    m.subscription.sub_id
+                    for m in engine.publish(parse_event("(x, leaf)"))
+                ]
+                assert matched == ["s0"]
+            assert engine.supervision.degraded_publishes == 1
             assert engine.supervision.worker_restarts == 1
         finally:
             engine.close()
@@ -736,7 +979,7 @@ class TestRequestTimeoutPlumbing:
 
 class TestPlaneTeardown:
     def test_close_with_already_dead_worker(self):
-        engine = _supervised_engine()
+        engine = _process_engine()
         engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
         engine.publish(parse_event("(x, leaf)"))
         plane = engine._plane
@@ -748,7 +991,7 @@ class TestPlaneTeardown:
         assert plane._workers == []
 
     def test_double_close_is_idempotent(self):
-        engine = _supervised_engine()
+        engine = _process_engine()
         engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
         engine.publish(parse_event("(x, leaf)"))
         plane = engine._plane
@@ -758,20 +1001,17 @@ class TestPlaneTeardown:
         assert plane._workers == []
 
     def test_close_during_degraded_mode_reaps_the_survivor(self):
-        # breaker open, worker slot empty: close must skip the hole and
-        # reap the survivor, however often it is called
-        plan = FaultPlan([FaultAction("kill", 0, 0), FaultAction("kill", 0, 1)])
-        policy = SupervisionPolicy(
-            max_retries=0, backoff_base=0.0, breaker_threshold=2, breaker_cooldown=600.0
-        )
-        engine = _supervised_engine(plan, policy)
+        # a fault on the last publish leaves shard 0's slot empty:
+        # close must skip the hole and reap the survivor, however often
+        # it is called
+        plan = FaultPlan([FaultAction("kill", 0, 2)])
+        engine = _process_engine(plan)
         engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
         engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
         for _ in range(3):
             engine.publish(parse_event("(x, leaf)"))
         plane = engine._plane
-        assert plane._workers[0] is None  # shard 0 is a degraded hole
-        assert plane.breaker_states[0] == "open"
+        assert plane._workers[0] is None  # shard 0 is a hole
         survivor, _ = plane._workers[1]
         assert survivor.is_alive()
         engine.close()
