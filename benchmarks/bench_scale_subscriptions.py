@@ -90,7 +90,7 @@ def test_scale_subscriptions(benchmark, jobs_kb, capsys):
                     matches += len(engine.publish(event))
                 elapsed = time.perf_counter() - started
                 interest = engine.interest_info()
-                derived = engine.counters.get("publish.derived_events")
+                derived = engine.stats()["derived_events"]
                 table.add(
                     count,
                     matcher_name,

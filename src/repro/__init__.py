@@ -46,7 +46,6 @@ from repro.model import (
 )
 from repro.ontology import (
     KnowledgeBase,
-    KnowledgeBaseBuilder,
     MappingContext,
     MappingRule,
     Taxonomy,
@@ -73,7 +72,6 @@ __all__ = [
     "parse_subscription",
     "parse_predicate",
     "KnowledgeBase",
-    "KnowledgeBaseBuilder",
     "Taxonomy",
     "Thesaurus",
     "MappingRule",

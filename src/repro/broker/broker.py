@@ -204,8 +204,19 @@ class Broker:
         for subscription in self.dispatcher.subscriptions_of(client_id):
             self.unsubscribe(subscription.sub_id)
         client = self.registry.remove(client_id)
+        self._release_addresses(client)
         self._journal_op(lambda: {"k": "remove", "id": client_id})
         return client
+
+    def _release_addresses(self, client: Client) -> None:
+        """Let the transports drop per-address state (open TCP
+        connections) for the removed *client*'s addresses that no live
+        client still uses, so client churn leaves nothing behind."""
+        transports = self.notifier.transports
+        in_use = {pair for other in self.registry.clients() for pair in other.addresses}
+        for name, address in client.addresses:
+            if (name, address) not in in_use and name in transports:
+                transports.get(name).forget(address)
 
     @staticmethod
     def _addresses(

@@ -8,21 +8,22 @@ notification engine must handle:
 
 * **SMS** — tiny payload limit (messages are truncated to 160
   characters) and moderate, injectable failure probability;
-* **SMTP** — full message with headers, occasional transient failures
-  (greylisting) that succeed on retry;
+* **SMTP** — occasional transient failures (greylisting) that succeed
+  on retry;
 * **TCP** — reliable and connection-oriented: per-address connection
   state with setup cost on first use;
 * **UDP** — fire-and-forget: sends never fail, but messages may be
-  *dropped* silently (recorded in the journal, invisible to callers).
+  *dropped* silently (counted, invisible to callers).
 
-All randomness is seeded, so tests and benchmarks are reproducible.
+A transport keeps per-status counters, not the records it sent: each
+send's :class:`DeliveryRecord` goes back to its caller.  All randomness
+is seeded, so tests and benchmarks are reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -42,15 +43,10 @@ __all__ = [
 
 _message_counter = itertools.count(1)
 
-#: Delivery statuses recorded in transport journals.
+#: Delivery statuses a transport counts.
 DELIVERED = "delivered"
 DROPPED = "dropped"
 FAILED = "failed"
-
-#: How many recent records a transport keeps (``journal``, ``sent_mail``);
-#: equal to the notification engine's ``history_limit`` default.  Totals
-#: come from per-status counters, so nothing is lost with the window.
-JOURNAL_WINDOW = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,8 +95,6 @@ class Transport:
             raise TransportError(f"failure_rate must be in [0, 1), got {failure_rate}")
         self.failure_rate = failure_rate
         self.rng = random.Random(seed)
-        #: the most recent ``JOURNAL_WINDOW`` records, oldest first
-        self.journal: deque[DeliveryRecord] = deque(maxlen=JOURNAL_WINDOW)
         self._counts = {DELIVERED: 0, DROPPED: 0, FAILED: 0}
         self._forced_failures = 0
 
@@ -127,7 +121,6 @@ class Transport:
         return self._record(self._transmit(message))
 
     def _record(self, record: DeliveryRecord) -> DeliveryRecord:
-        self.journal.append(record)
         self._counts[record.status] += 1
         return record
 
@@ -139,26 +132,24 @@ class Transport:
         # non-degenerate without importing a distribution substrate.
         return self.base_latency_ms * (0.5 + self.rng.random())
 
-    # -- journal -----------------------------------------------------------------------
-
-    def delivered(self) -> Iterator[DeliveryRecord]:
-        """Delivered records still inside the recent window."""
-        return (r for r in self.journal if r.status == DELIVERED)
+    # -- counters ----------------------------------------------------------------------
 
     def delivered_count(self) -> int:
         """Every delivered send since construction or :meth:`reset`."""
         return self._counts[DELIVERED]
 
     def stats(self) -> dict[str, int]:
-        """Cumulative per-status send counts (not limited to the window)."""
+        """Cumulative per-status send counts."""
         counts = dict(self._counts)
         counts["total"] = sum(self._counts.values())
         return counts
 
     def reset(self) -> None:
-        self.journal.clear()
         self._counts = dict.fromkeys(self._counts, 0)
         self._forced_failures = 0
+
+    def forget(self, address: str) -> None:
+        """Drop whatever this transport keeps for *address*."""
 
 
 class SmsTransport(Transport):
@@ -186,26 +177,13 @@ class SmsTransport(Transport):
 
 
 class SmtpTransport(Transport):
-    """SMTP: header-framed messages, greylisting-style transient
-    failures that succeed on retry."""
+    """SMTP: greylisting-style transient failures that succeed on retry."""
 
     name = "smtp"
     base_latency_ms = 150.0
 
     def __init__(self, *, failure_rate: float = 0.05, seed: int = 0) -> None:
         super().__init__(failure_rate=failure_rate, seed=seed)
-        #: the most recent ``JOURNAL_WINDOW`` rendered mails, oldest first
-        self.sent_mail: deque[str] = deque(maxlen=JOURNAL_WINDOW)
-
-    def _transmit(self, message: OutboundMessage) -> DeliveryRecord:
-        mail = (
-            f"From: stopss@jobfinder.example\n"
-            f"To: {message.address}\n"
-            f"Subject: {message.subject}\n\n"
-            f"{message.body}\n"
-        )
-        self.sent_mail.append(mail)
-        return DeliveryRecord(message, DELIVERED, self._latency())
 
 
 class TcpTransport(Transport):
@@ -217,7 +195,9 @@ class TcpTransport(Transport):
 
     def __init__(self, *, failure_rate: float = 0.0, seed: int = 0) -> None:
         super().__init__(failure_rate=failure_rate, seed=seed)
-        self.connections: dict[str, int] = {}
+        #: addresses with an open connection; the broker closes one when
+        #: the last client using it is removed
+        self.connections: set[str] = set()
 
     def _transmit(self, message: OutboundMessage) -> DeliveryRecord:
         latency = self._latency()
@@ -225,8 +205,11 @@ class TcpTransport(Transport):
         if message.address not in self.connections:
             latency += self.CONNECT_COST_MS
             detail = "connection established"
-        self.connections[message.address] = self.connections.get(message.address, 0) + 1
+            self.connections.add(message.address)
         return DeliveryRecord(message, DELIVERED, latency, detail)
+
+    def forget(self, address: str) -> None:
+        self.connections.discard(address)
 
 
 class UdpTransport(Transport):

@@ -15,7 +15,7 @@ exactly those degrees of freedom:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.ontology.mappingdefs import DEFAULT_PRESENT_YEAR, MappingContext
@@ -151,17 +151,3 @@ class SemanticConfig:
 
     def mapping_context(self) -> MappingContext:
         return MappingContext(present_year=self.present_year)
-
-    def with_tolerance(self, max_generality: int | None) -> "SemanticConfig":
-        """A copy with a different generality bound (C4 sweeps)."""
-        return replace(self, max_generality=max_generality)
-
-    def stage_names(self) -> tuple[str, ...]:
-        names = []
-        if self.enable_synonyms:
-            names.append("synonym")
-        if self.enable_hierarchy:
-            names.append("hierarchy")
-        if self.enable_mappings:
-            names.append("mapping")
-        return tuple(names)

@@ -46,7 +46,6 @@ from repro.core.pipeline import PipelineResult, SemanticPipeline
 from repro.core.provenance import SemanticMatch
 from repro.errors import UnknownSubscriptionError
 from repro.matching.base import MatchingAlgorithm, create_matcher
-from repro.metrics.counters import CounterRegistry
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
@@ -97,9 +96,10 @@ class SToPSS:
         #: whether the latest publication's expansion hit
         #: ``max_derived_events`` (``None`` before the first)
         self.last_truncated: bool | None = None
-        #: publish-path counters: derived totals and the
-        #: per-publication derived-count histogram.
-        self.counters = CounterRegistry()
+        #: derived events built over all publications, and
+        #: ``{derived_count: publications}`` in first-seen bucket order
+        self.derived_events = 0
+        self._derived_histogram: dict[int, int] = {}
         #: locally-bumped epoch folded into the semantic version; lets a
         #: caller force-invalidate every semantic cache even when
         #: ``kb.version`` is unchanged.
@@ -228,8 +228,9 @@ class SToPSS:
         )
         self.last_truncated = result.truncated
         derived_count = result.materialized()
-        self.counters.bump("publish.derived_events", derived_count)
-        self.counters.bump(f"publish.derived_histogram.{derived_count}")
+        self.derived_events += derived_count
+        histogram = self._derived_histogram
+        histogram[derived_count] = histogram.get(derived_count, 0) + 1
         return self._collect_matches(event, result)
 
     def explain(self, event: Event) -> PipelineResult:
@@ -419,12 +420,7 @@ class SToPSS:
     def derived_histogram(self) -> dict[int, int]:
         """Per-publication derived-event-count histogram
         (``{derived_count: publications}``)."""
-        return {
-            int(bucket): count
-            for bucket, count in self.counters.group(
-                "publish.derived_histogram"
-            ).items()
-        }
+        return dict(self._derived_histogram)
 
     def stats(self) -> dict[str, object]:
         return {
@@ -435,7 +431,7 @@ class SToPSS:
             "matcher_stats": self._matcher.stats.snapshot(),
             "stage_stats": self.pipeline.stage_stats(),
             "truncations": self.pipeline.truncation_count,
-            "derived_events": self.counters.get("publish.derived_events"),
+            "derived_events": self.derived_events,
             "derived_histogram": self.derived_histogram(),
             "interest": self.interest_info(),
             "semantic_epoch": self._epoch,

@@ -207,10 +207,6 @@ class PipelineResult:
     def events(self) -> list[Event]:
         return [d.event for d in self.derived]
 
-    def semantic_only(self) -> list[DerivedEvent]:
-        """Derived events beyond the original/root event."""
-        return [d for d in self.derived if not d.is_original]
-
     def lookup(self, signature: EventSignature) -> DerivedEvent | None:
         index = self._by_signature.get(signature)
         return None if index is None else self.derived[index]

@@ -18,8 +18,6 @@ __all__ = [
     "PredicateError",
     "DuplicateAttributeError",
     "ParseError",
-    "SchemaError",
-    "UnknownSchemaError",
     "OntologyError",
     "UnknownConceptError",
     "DuplicateConceptError",
@@ -33,7 +31,6 @@ __all__ = [
     "UnknownSubscriptionError",
     "SemanticError",
     "ConfigError",
-    "PipelineLimitError",
     "BrokerError",
     "UnknownClientError",
     "DuplicateClientError",
@@ -94,14 +91,6 @@ class ParseError(ModelError):
         if self.position >= 0:
             return f"{base} (at position {self.position} in {self.text!r})"
         return base
-
-
-class SchemaError(ModelError):
-    """An event or subscription violates its declared schema."""
-
-
-class UnknownSchemaError(SchemaError):
-    """A schema name was not found in the registry."""
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +158,6 @@ class SemanticError(ReproError):
 
 class ConfigError(SemanticError):
     """A :class:`~repro.core.config.SemanticConfig` value is out of range."""
-
-
-class PipelineLimitError(SemanticError):
-    """The semantic pipeline exceeded its derivation or iteration cap."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Measurement substrate: counters, timers, and report tables used by
-the benchmark/experiment harness."""
+"""Reporting substrate: the stats rollups the CLI and the benchmark
+harness read (:mod:`~repro.metrics.aggregate`) and the plain-text
+tables they print (:mod:`~repro.metrics.report`)."""
 
 from repro.metrics.aggregate import (
     durability_summary,
@@ -7,17 +8,11 @@ from repro.metrics.aggregate import (
     publish_path_summary,
     supervision_summary,
 )
-from repro.metrics.counters import CounterRegistry
 from repro.metrics.report import Table, format_row
-from repro.metrics.timers import Timer, TimingSummary, measure
 
 __all__ = [
-    "CounterRegistry",
     "Table",
     "format_row",
-    "Timer",
-    "TimingSummary",
-    "measure",
     "durability_summary",
     "merge_stats",
     "publish_path_summary",

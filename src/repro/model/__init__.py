@@ -1,5 +1,5 @@
 """Data model substrate: values, attributes, events, predicates,
-subscriptions, the textual language, and domain schemas.
+subscriptions and the textual language that writes them.
 
 This is the layer the paper's "existing matching algorithms" operate on;
 the semantic stages in :mod:`repro.core` derive new instances of these
@@ -9,14 +9,11 @@ types rather than mutating them.
 from repro.model.attributes import normalize_attribute, qualify, split_qualified
 from repro.model.events import Event
 from repro.model.parser import (
-    format_event,
-    format_subscription,
     parse_event,
     parse_predicate,
     parse_subscription,
 )
 from repro.model.predicates import Operator, Predicate, Range
-from repro.model.schema import AttributeSpec, Schema, SchemaRegistry
 from repro.model.subscriptions import Subscription
 from repro.model.values import (
     PRESENT,
@@ -33,17 +30,12 @@ __all__ = [
     "qualify",
     "split_qualified",
     "Event",
-    "format_event",
-    "format_subscription",
     "parse_event",
     "parse_predicate",
     "parse_subscription",
     "Operator",
     "Predicate",
     "Range",
-    "AttributeSpec",
-    "Schema",
-    "SchemaRegistry",
     "Subscription",
     "PRESENT",
     "Period",

@@ -21,7 +21,6 @@ from repro.errors import InvalidAttributeError
 
 __all__ = [
     "normalize_attribute",
-    "is_normalized_attribute",
     "qualify",
     "split_qualified",
     "strip_qualifier",
@@ -71,11 +70,6 @@ def normalize_attribute(name: str) -> str:
             f"(got {collapsed!r})"
         )
     return collapsed
-
-
-def is_normalized_attribute(name: str) -> bool:
-    """Whether *name* is already in canonical form."""
-    return isinstance(name, str) and bool(ATTRIBUTE_PATTERN.match(name))
 
 
 def qualify(domain: str, name: str) -> str:

@@ -121,10 +121,6 @@ class Event:
     def items(self) -> tuple[tuple[str, Value], ...]:
         return tuple(self._pairs.items())
 
-    def to_dict(self) -> dict[str, Value]:
-        """A mutable copy of the attribute map."""
-        return dict(self._pairs)
-
     # -- identity ----------------------------------------------------------
 
     @property

@@ -44,8 +44,6 @@ __all__ = [
     "parse_subscription",
     "parse_event",
     "parse_predicate",
-    "format_subscription",
-    "format_event",
 ]
 
 #: Symbolic operators, longest first so ``<=`` wins over ``<``.
@@ -308,12 +306,3 @@ def parse_event(
     except (InvalidValueError, InvalidAttributeError, DuplicateAttributeError) as exc:
         raise ParseError(str(exc), text, 0) from exc
 
-
-def format_subscription(subscription: Subscription) -> str:
-    """Inverse of :func:`parse_subscription` (round-trips content)."""
-    return subscription.format()
-
-
-def format_event(event: Event) -> str:
-    """Inverse of :func:`parse_event` (round-trips content)."""
-    return event.format()

@@ -98,14 +98,6 @@ class Subscription:
             seen.setdefault(pred.attribute, None)
         return tuple(seen)
 
-    def by_attribute(self) -> dict[str, tuple[Predicate, ...]]:
-        """Predicates grouped by attribute — the layout matching
-        algorithms index."""
-        grouped: dict[str, list[Predicate]] = {}
-        for pred in self.predicates:
-            grouped.setdefault(pred.attribute, []).append(pred)
-        return {attr: tuple(preds) for attr, preds in grouped.items()}
-
     @property
     def signature(self) -> frozenset:
         """Canonical content identity (ignores ids and tolerance)."""

@@ -22,8 +22,8 @@ Supported value types
 
 The module deliberately avoids implicit coercion between strings and
 numbers: a subscription on ``x = "4"`` does not match an event carrying
-``x = 4``.  Workloads that want coercion should normalize at the schema
-layer (:mod:`repro.model.schema`).
+``x = 4``.  Workloads that want coercion should normalize before they
+build the event.
 """
 
 from __future__ import annotations
@@ -78,11 +78,6 @@ class Period:
             if self.end < self.start:
                 raise InvalidValueError(f"period end {self.end} precedes start {self.start}")
 
-    @property
-    def is_open(self) -> bool:
-        """``True`` when the period extends to the present day."""
-        return self.end is None
-
     def duration(self, present_year: int) -> int:
         """Length of the period in years, closing open intervals at
         *present_year*."""
@@ -94,12 +89,6 @@ class Period:
     def closed_end(self, present_year: int) -> int:
         """The end year, substituting *present_year* for ``present``."""
         return self.end if self.end is not None else present_year
-
-    def overlaps(self, other: "Period", present_year: int) -> bool:
-        """Whether two periods share at least one year."""
-        a_end = self.closed_end(present_year)
-        b_end = other.closed_end(present_year)
-        return self.start <= b_end and other.start <= a_end
 
     def sort_key(self) -> tuple[int, int]:
         end = self.end if self.end is not None else 10**9

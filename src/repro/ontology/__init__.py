@@ -6,7 +6,6 @@ DAML+OIL import/export (the paper's future-work item) in
 :mod:`repro.ontology.daml`.
 """
 
-from repro.ontology.builders import DomainBuilder, KnowledgeBaseBuilder
 from repro.ontology.concept_table import ConceptTable
 from repro.ontology.concepts import Concept, normalize_term, term_key
 from repro.ontology.daml import DamlOntology, export_daml, import_daml, parse_daml
@@ -34,8 +33,6 @@ __all__ = [
     "Taxonomy",
     "Thesaurus",
     "KnowledgeBase",
-    "KnowledgeBaseBuilder",
-    "DomainBuilder",
     "Expr",
     "MappingContext",
     "MappingRule",

@@ -13,18 +13,15 @@ from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 from repro.ontology.domains.electronics import (
     build_electronics_knowledge_base,
-    electronics_schema,
     install_electronics_domain,
 )
 from repro.ontology.domains.jobs import (
     build_jobs_knowledge_base,
     install_jobs_domain,
-    jobs_schema,
 )
 from repro.ontology.domains.vehicles import (
     build_vehicles_knowledge_base,
     install_vehicles_domain,
-    vehicles_schema,
 )
 
 __all__ = [
@@ -34,9 +31,6 @@ __all__ = [
     "install_jobs_domain",
     "install_vehicles_domain",
     "install_electronics_domain",
-    "jobs_schema",
-    "vehicles_schema",
-    "electronics_schema",
     "bridge_rules",
     "build_demo_knowledge_base",
 ]

@@ -10,7 +10,6 @@ domain live in :func:`repro.ontology.domains.bridges`.
 from __future__ import annotations
 
 from repro.model.predicates import Predicate
-from repro.model.schema import AttributeSpec, Schema
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 
@@ -18,7 +17,6 @@ __all__ = [
     "DOMAIN",
     "build_electronics_knowledge_base",
     "install_electronics_domain",
-    "electronics_schema",
 ]
 
 DOMAIN = "electronics"
@@ -105,23 +103,3 @@ def build_electronics_knowledge_base() -> KnowledgeBase:
     """A fresh knowledge base holding only the electronics domain."""
     return install_electronics_domain(KnowledgeBase("electronics-kb"))
 
-
-def electronics_schema() -> Schema:
-    """Typed schema for electronics listings."""
-    devices = tuple({term for chain in _CHAINS for term in chain})
-    return Schema(
-        DOMAIN,
-        [
-            AttributeSpec("device", "string", vocabulary=frozenset(devices)),
-            AttributeSpec("cpu", "string"),
-            AttributeSpec("ram", "number", minimum=0),
-            AttributeSpec("storage", "number", minimum=0),
-            AttributeSpec("ssd", "number", minimum=0),
-            AttributeSpec("hdd", "number", minimum=0),
-            AttributeSpec("total_storage", "number", minimum=0),
-            AttributeSpec("price", "number", minimum=0),
-            AttributeSpec("screen_size", "number", minimum=0),
-            AttributeSpec("screen_class", "string"),
-            AttributeSpec("price_band", "string"),
-        ],
-    )

@@ -18,13 +18,12 @@ Encodes every semantic relationship the paper uses:
 from __future__ import annotations
 
 from repro.model.predicates import Predicate
-from repro.model.schema import AttributeSpec, Schema
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingContext, MappingRule
 from repro.model.events import Event
 from repro.model.values import Period
 
-__all__ = ["DOMAIN", "build_jobs_knowledge_base", "install_jobs_domain", "jobs_schema"]
+__all__ = ["DOMAIN", "build_jobs_knowledge_base", "install_jobs_domain"]
 
 DOMAIN = "jobs"
 
@@ -207,25 +206,3 @@ def build_jobs_knowledge_base() -> KnowledgeBase:
     """A fresh knowledge base holding only the job-finder domain."""
     return install_jobs_domain(KnowledgeBase("jobs-kb"))
 
-
-def jobs_schema() -> Schema:
-    """Typed schema for job-finder events and subscriptions."""
-    current_positions = tuple(term for chain in _POSITION_CHAINS for term in chain)
-    specs = [
-        AttributeSpec("name", "string"),
-        AttributeSpec("university", "string"),
-        AttributeSpec("degree", "string"),
-        AttributeSpec("position", "string", vocabulary=frozenset(current_positions)),
-        AttributeSpec("skill", "string"),
-        AttributeSpec("city", "string"),
-        AttributeSpec("salary", "number", minimum=0),
-        AttributeSpec("graduation_year", "int", minimum=1900, maximum=2100),
-        AttributeSpec("professional_experience", "number", minimum=0),
-        AttributeSpec("employment_years", "number", minimum=0),
-        AttributeSpec("work_experience", "bool"),
-        AttributeSpec("era", "period"),
-    ]
-    for i in range(1, 6):
-        specs.append(AttributeSpec(f"job{i}", "string"))
-        specs.append(AttributeSpec(f"period{i}", "period"))
-    return Schema(DOMAIN, specs)

@@ -12,11 +12,10 @@ subscription on the general term receives specialized publications
 from __future__ import annotations
 
 from repro.model.predicates import Predicate
-from repro.model.schema import AttributeSpec, Schema
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 
-__all__ = ["DOMAIN", "build_vehicles_knowledge_base", "install_vehicles_domain", "vehicles_schema"]
+__all__ = ["DOMAIN", "build_vehicles_knowledge_base", "install_vehicles_domain"]
 
 DOMAIN = "vehicles"
 
@@ -116,22 +115,3 @@ def build_vehicles_knowledge_base() -> KnowledgeBase:
     """A fresh knowledge base holding only the vehicles domain."""
     return install_vehicles_domain(KnowledgeBase("vehicles-kb"))
 
-
-def vehicles_schema() -> Schema:
-    """Typed schema for vehicle listings."""
-    body_styles = tuple({term for chain in _CHAINS for term in chain})
-    return Schema(
-        DOMAIN,
-        [
-            AttributeSpec("make", "string"),
-            AttributeSpec("model", "string"),
-            AttributeSpec("body_style", "string", vocabulary=frozenset(body_styles)),
-            AttributeSpec("color", "string"),
-            AttributeSpec("price", "number", minimum=0),
-            AttributeSpec("mileage", "number", minimum=0),
-            AttributeSpec("year", "int", minimum=1900, maximum=2100),
-            AttributeSpec("age", "number", minimum=0),
-            AttributeSpec("price_band", "string"),
-            AttributeSpec("classification", "string"),
-        ],
-    )

@@ -121,9 +121,6 @@ class KnowledgeBase:
     def domains(self) -> tuple[str, ...]:
         return tuple(self._taxonomies)
 
-    def has_domain(self, domain: str) -> bool:
-        return domain in self._taxonomies
-
     def _taxonomies_for(self, domain: str | None) -> Iterator[Taxonomy]:
         if domain is None:
             yield from self._taxonomies.values()
@@ -282,10 +279,6 @@ class KnowledgeBase:
 
     def rules(self) -> tuple[MappingRule, ...]:
         return tuple(self._rules)
-
-    def rules_triggered_by(self, attribute: str) -> tuple[MappingRule, ...]:
-        """Rules requiring *attribute* — one hash probe."""
-        return tuple(self._rules_by_attribute.get(normalize_attribute(attribute), ()))
 
     def candidate_rules(self, event: Event) -> list[MappingRule]:
         """Rules whose required attributes all appear in *event*,

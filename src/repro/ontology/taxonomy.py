@@ -16,7 +16,7 @@ upward/downward traversals report the *minimum* hop distance — the
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.errors import (
     DuplicateConceptError,
@@ -260,19 +260,6 @@ class Taxonomy:
                     stack.extend((p, False) for p in parents if p not in height)
         return max(height.values(), default=0)
 
-    def lowest_common_ancestor(self, a: str, b: str) -> str | None:
-        """A nearest common generalization of *a* and *b* (canonical
-        spelling), or ``None`` when the two share no ancestor.  Ties on
-        combined distance break alphabetically for determinism."""
-        up_a = self.ancestors(a)
-        up_a[self.canonical(a)] = 0
-        up_b = self.ancestors(b)
-        up_b[self.canonical(b)] = 0
-        common = set(up_a) & set(up_b)
-        if not common:
-            return None
-        return min(common, key=lambda t: (up_a[t] + up_b[t], t))
-
     # -- maintenance ----------------------------------------------------------------
 
     def merge(self, other: "Taxonomy") -> None:
@@ -331,11 +318,3 @@ class Taxonomy:
             "leaves": concepts - len(self._children),
             "depth": self.depth(),
         }
-
-    @classmethod
-    def from_chains(cls, domain: str, chains: Iterable[Iterable[str]]) -> "Taxonomy":
-        """Build from specialization chains, most specific first."""
-        taxonomy = cls(domain)
-        for chain in chains:
-            taxonomy.add_chain(*chain)
-        return taxonomy

@@ -3,7 +3,7 @@ client registration, subscription/publication input, mode switching,
 and match inspection over a dependency-free HTTP substrate."""
 
 from repro.webapp.app import JobFinderWebApp
-from repro.webapp.forms import optional, optional_bool, optional_int, required, required_choice
+from repro.webapp.forms import optional, optional_int, required, required_choice
 from repro.webapp.http import App, Request, Response, escape
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "required_choice",
     "optional",
     "optional_int",
-    "optional_bool",
 ]

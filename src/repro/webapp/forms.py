@@ -15,7 +15,6 @@ __all__ = [
     "optional",
     "required_choice",
     "optional_int",
-    "optional_bool",
 ]
 
 
@@ -64,14 +63,3 @@ def optional_int(
     if maximum is not None and value > maximum:
         raise FormValidationError(f"field {field!r} must be <= {maximum}", field=field)
     return value
-
-
-def optional_bool(form: dict[str, str], field: str, default: bool = False) -> bool:
-    raw = form.get(field, "").strip().lower()
-    if not raw:
-        return default
-    if raw in ("true", "yes", "on", "1"):
-        return True
-    if raw in ("false", "no", "off", "0"):
-        return False
-    raise FormValidationError(f"field {field!r} must be a boolean", field=field)

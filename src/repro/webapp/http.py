@@ -109,18 +109,10 @@ class Response:
         )
 
     @classmethod
-    def redirect(cls, location: str) -> "Response":
-        return cls(status=302, headers=(("Location", location),))
-
-    @classmethod
     def bad_request(cls, message: str, *, as_json: bool = False) -> "Response":
         if as_json:
             return cls.json_response({"error": message}, status=400)
         return cls.html(f"<h1>400 Bad Request</h1><p>{escape(message)}</p>", status=400)
-
-    @classmethod
-    def not_found(cls, message: str = "no such page") -> "Response":
-        return cls.html(f"<h1>404 Not Found</h1><p>{escape(message)}</p>", status=404)
 
 
 def escape(text: str) -> str:

@@ -1,11 +1,9 @@
-"""Workload substrate: seeded distributions, synthetic and
+"""Workload substrate: seeded samplers, synthetic and
 knowledge-base-driven pub/sub generators, the job-finder demonstration
-scenario, and trace record/replay (paper §4's workload generator)."""
+scenario (paper §4's workload generator) and the generated worlds with
+their flash-crowd churn driver."""
 
 from repro.workload.distributions import (
-    BernoulliSampler,
-    GaussianIntSampler,
-    IntRangeSampler,
     UniformSampler,
     WeightedSampler,
     ZipfSampler,
@@ -24,7 +22,6 @@ from repro.workload.jobfinder import (
     JobFinderSpec,
     ScenarioReport,
 )
-from repro.workload.trace import Trace, TraceOp
 from repro.workload.worlds import (
     FlashCrowdDriver,
     FlashCrowdReport,
@@ -43,9 +40,6 @@ __all__ = [
     "ZipfSampler",
     "UniformSampler",
     "WeightedSampler",
-    "IntRangeSampler",
-    "GaussianIntSampler",
-    "BernoulliSampler",
     "SyntheticSpec",
     "SyntheticWorkloadGenerator",
     "SemanticSpec",
@@ -55,8 +49,6 @@ __all__ = [
     "Company",
     "Candidate",
     "ScenarioReport",
-    "Trace",
-    "TraceOp",
     "MegaOntologySpec",
     "World",
     "build_world",

@@ -21,9 +21,6 @@ __all__ = [
     "ZipfSampler",
     "UniformSampler",
     "WeightedSampler",
-    "IntRangeSampler",
-    "GaussianIntSampler",
-    "BernoulliSampler",
 ]
 
 T = TypeVar("T")
@@ -111,49 +108,3 @@ class WeightedSampler(Generic[T]):
                 return self._items[index]
         return self._items[-1]  # pragma: no cover - floating guard
 
-
-class IntRangeSampler:
-    """Uniform integer in ``[low, high]`` inclusive."""
-
-    def __init__(self, low: int, high: int, *, rng: random.Random):
-        if low > high:
-            raise WorkloadError(f"empty int range [{low}, {high}]")
-        self._low, self._high = low, high
-        self._rng = rng
-
-    def sample(self) -> int:
-        return self._rng.randint(self._low, self._high)
-
-
-class GaussianIntSampler:
-    """Rounded Gaussian clamped to ``[low, high]`` (salary-like values)."""
-
-    def __init__(self, mean: float, stddev: float, low: int, high: int, *, rng: random.Random):
-        if low > high:
-            raise WorkloadError(f"empty clamp range [{low}, {high}]")
-        if stddev < 0:
-            raise WorkloadError("stddev must be >= 0")
-        self._mean, self._stddev = mean, stddev
-        self._low, self._high = low, high
-        self._rng = rng
-
-    def sample(self) -> int:
-        value = round(self._rng.gauss(self._mean, self._stddev))
-        return max(self._low, min(self._high, value))
-
-
-class BernoulliSampler:
-    """True with probability ``p``."""
-
-    def __init__(self, p: float, *, rng: random.Random):
-        if not 0.0 <= p <= 1.0:
-            raise WorkloadError(f"probability must be in [0, 1], got {p}")
-        self._p = p
-        self._rng = rng
-
-    def sample(self) -> bool:
-        if self._p == 0.0:
-            return False
-        if self._p == 1.0:
-            return True
-        return self._rng.random() < self._p

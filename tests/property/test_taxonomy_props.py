@@ -205,17 +205,3 @@ def test_compact_taxonomy_equals_the_dict_of_dicts_model(operations):
             assert up == model.walk_terms(term, model.up, bound)
             assert down == model.walk_terms(term, model.down, bound)
     assert compact.take_appended() == model.take_appended()
-
-
-@given(taxonomy=random_taxonomies(), data=st.data())
-def test_lca_is_common_ancestor(taxonomy, data):
-    a = data.draw(st.sampled_from(_TERMS))
-    b = data.draw(st.sampled_from(_TERMS))
-    lca = taxonomy.lowest_common_ancestor(a, b)
-    if lca is None:
-        up_a = set(taxonomy.ancestors(a)) | {a}
-        up_b = set(taxonomy.ancestors(b)) | {b}
-        assert not (up_a & up_b)
-    else:
-        for term in (a, b):
-            assert lca == term or taxonomy.is_generalization_of(lca, term)

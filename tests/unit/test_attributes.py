@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import InvalidAttributeError
 from repro.model.attributes import (
-    is_normalized_attribute,
     normalize_attribute,
     qualify,
     split_qualified,
@@ -45,12 +44,6 @@ class TestNormalization:
     def test_rejects_non_string(self):
         with pytest.raises(InvalidAttributeError):
             normalize_attribute(42)  # type: ignore[arg-type]
-
-    def test_is_normalized(self):
-        assert is_normalized_attribute("work_experience")
-        assert is_normalized_attribute("jobs:degree")
-        assert not is_normalized_attribute("Work Experience")
-        assert not is_normalized_attribute("")
 
 
 class TestQualifiers:

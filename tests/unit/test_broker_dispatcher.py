@@ -394,3 +394,62 @@ class TestResultCache:
         assert stats["result_cache_hits"] == 1
         assert stats["result_cache_hit_rate"] == 0.5
         assert stats["result_cache"]["capacity"] == 256
+
+
+class TestClientChurn:
+    """Removing a client closes the transport state only it used, so
+    client churn leaves no per-address residue behind."""
+
+    def test_tcp_connections_follow_live_clients(self, broker):
+        candidate = broker.register_publisher("Ada")
+        for index in range(500):
+            company = broker.register_subscriber(f"Co{index}", tcp=f"co-{index}.example:7000")
+            broker.subscribe(company.client_id, "(degree = PhD)")
+            report = broker.publish(candidate.client_id, f"(degree, PhD)(n, {index})")
+            assert report.delivered_count == 1
+            broker.remove_client(company.client_id)
+        connections = broker.notifier.transports.get("tcp").connections
+        assert len(connections) <= len(broker.registry)
+
+    def test_a_shared_address_stays_open_while_a_client_uses_it(self, broker):
+        first = broker.register_subscriber("A", tcp="shared:1")
+        second = broker.register_subscriber("B", tcp="shared:1")
+        for company in (first, second):
+            broker.subscribe(company.client_id, "(degree = PhD)")
+        candidate = broker.register_publisher("Ada")
+        broker.publish(candidate.client_id, "(degree, PhD)")
+        tcp = broker.notifier.transports.get("tcp")
+        broker.remove_client(first.client_id)
+        assert tcp.connections == {"shared:1"}
+        broker.remove_client(second.client_id)
+        assert tcp.connections == set()
+
+
+def _run_script(broker: Broker) -> list[tuple[str, ...]]:
+    """Drive one fixed register/subscribe/publish script through *broker*;
+    return the matched subscription ids of each publication."""
+    company = broker.register_subscriber("Initech", email="hr@x", client_id="c1")
+    candidate = broker.register_publisher("Ada", client_id="c2")
+    broker.subscribe(company.client_id, parse_subscription("(university = Toronto)", sub_id="s1"))
+    broker.subscribe(company.client_id, parse_subscription("(degree = degree)", sub_id="s2"))
+    publications = ["(school, Toronto)", "(degree, PhD)", "(university, Toronto)(degree, MSc)"]
+    return [
+        tuple(m.subscription.sub_id for m in broker.publish(candidate.client_id, text).matches)
+        for text in publications
+    ]
+
+
+class TestOneScriptTwoModes:
+    """The same operations replayed on fresh brokers: a semantic broker
+    matches what a syntactic one misses, and two fresh brokers agree."""
+
+    def test_semantic_broker_matches_synonyms_and_generalizations(self):
+        assert _run_script(Broker(build_jobs_knowledge_base())) == [("s1",), ("s2",), ("s1", "s2")]
+
+    def test_syntactic_broker_matches_only_exact_pairs(self):
+        broker = Broker(build_jobs_knowledge_base(), config=SemanticConfig.syntactic())
+        assert _run_script(broker) == [(), (), ("s1",)]
+
+    def test_replay_on_a_fresh_broker_reproduces_the_matches(self):
+        first = _run_script(Broker(build_jobs_knowledge_base()))
+        assert _run_script(Broker(build_jobs_knowledge_base())) == first

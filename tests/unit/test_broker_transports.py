@@ -8,7 +8,6 @@ from repro.broker.transports import (
     DELIVERED,
     DROPPED,
     FAILED,
-    JOURNAL_WINDOW,
     OutboundMessage,
     SmsTransport,
     SmtpTransport,
@@ -25,11 +24,10 @@ def _message(transport="tcp", body="hello", address="addr:1") -> OutboundMessage
 
 
 class TestBaseBehaviour:
-    def test_successful_send_journaled(self):
+    def test_successful_send_counted(self):
         transport = TcpTransport()
         record = transport.send(_message())
         assert record.ok and record.status == DELIVERED
-        assert list(transport.journal) == [record]
         assert transport.delivered_count() == 1
 
     def test_forced_failure(self):
@@ -67,26 +65,20 @@ class TestBaseBehaviour:
         transport.send(_message())
         transport.fail_next()
         transport.reset()
-        assert not transport.journal
         assert transport.stats()["total"] == 0
         assert transport.send(_message()).ok  # forced failure cleared
 
-    def test_journal_is_a_recent_window_and_counts_are_cumulative(self):
-        """The journal and the mail store keep the last JOURNAL_WINDOW
-        records; stats() and delivered_count() keep counting."""
+    def test_counts_are_cumulative(self):
+        """A transport keeps per-status counters, not the records it sent."""
         transport = SmtpTransport(failure_rate=0.0)
-        sends = 3 * JOURNAL_WINDOW
+        sends = 3000
         transport.fail_next(5)
         for _ in range(5):
             with pytest.raises(TransportError):
                 transport.send(_message("smtp"))
-        records = [transport.send(_message("smtp")) for _ in range(sends)]
-        assert len(transport.journal) == JOURNAL_WINDOW
-        assert len(transport.sent_mail) == JOURNAL_WINDOW
-        assert list(transport.journal) == records[-JOURNAL_WINDOW:]
+        assert all(transport.send(_message("smtp")).ok for _ in range(sends))
         assert transport.delivered_count() == sends
         assert transport.stats() == {DELIVERED: sends, DROPPED: 0, FAILED: 5, "total": sends + 5}
-        assert sum(1 for _ in transport.delivered()) == JOURNAL_WINDOW
 
 
 class TestSms:
@@ -102,13 +94,13 @@ class TestSms:
 
 
 class TestSmtp:
-    def test_mail_format(self):
+    def test_record_carries_the_message(self):
         transport = SmtpTransport(failure_rate=0.0)
-        transport.send(_message("smtp", address="hr@x.example"))
-        mail = transport.sent_mail[0]
-        assert "To: hr@x.example" in mail
-        assert "Subject: subj" in mail
-        assert mail.endswith("hello\n")
+        record = transport.send(_message("smtp", address="hr@x.example"))
+        assert record.ok
+        assert record.message.address == "hr@x.example"
+        assert record.message.subject == "subj"
+        assert record.message.body == "hello"
 
 
 class TestTcp:
@@ -120,7 +112,16 @@ class TestTcp:
         assert first.detail == "connection established"
         assert second.detail == ""
         assert other.detail == "connection established"
-        assert transport.connections == {"host:1": 2, "host:2": 1}
+        assert transport.connections == {"host:1", "host:2"}
+
+    def test_forget_closes_one_connection(self):
+        transport = TcpTransport()
+        transport.send(_message(address="host:1"))
+        transport.send(_message(address="host:2"))
+        transport.forget("host:1")
+        transport.forget("never-sent")
+        assert transport.connections == {"host:2"}
+        assert transport.send(_message(address="host:1")).detail == "connection established"
 
     def test_connect_latency_higher(self):
         transport = TcpTransport()

@@ -12,18 +12,20 @@ class TestPresets:
     def test_default_is_full_semantic(self):
         config = SemanticConfig()
         assert config.mode == "semantic"
-        assert config.stage_names() == ("synonym", "hierarchy", "mapping")
+        assert config.enable_synonyms and config.enable_hierarchy and config.enable_mappings
 
     def test_syntactic_disables_everything(self):
         config = SemanticConfig.syntactic()
         assert config.is_syntactic
         assert config.mode == "syntactic"
-        assert config.stage_names() == ()
 
     def test_single_stage_presets(self):
-        assert SemanticConfig.synonyms_only().stage_names() == ("synonym",)
-        assert SemanticConfig.hierarchy_only().stage_names() == ("hierarchy",)
-        assert SemanticConfig.mappings_only().stage_names() == ("mapping",)
+        def stages(config):
+            return (config.enable_synonyms, config.enable_hierarchy, config.enable_mappings)
+
+        assert stages(SemanticConfig.synonyms_only()) == (True, False, False)
+        assert stages(SemanticConfig.hierarchy_only()) == (False, True, False)
+        assert stages(SemanticConfig.mappings_only()) == (False, False, True)
 
     def test_semantic_accepts_overrides(self):
         config = SemanticConfig.semantic(max_generality=2)
@@ -52,11 +54,6 @@ class TestValidation:
 
 
 class TestHelpers:
-    def test_with_tolerance(self):
-        base = SemanticConfig()
-        tighter = base.with_tolerance(1)
-        assert tighter.max_generality == 1
-        assert base.max_generality is None  # immutable original
 
     def test_mapping_context_carries_year(self):
         assert SemanticConfig(present_year=1999).mapping_context().present_year == 1999

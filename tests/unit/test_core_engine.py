@@ -213,6 +213,78 @@ class TestReporting:
         assert "matcher_stats" in stats and "stage_stats" in stats
 
 
+_PRESETS = {
+    "semantic": SemanticConfig(present_year=2003),
+    "syntactic": SemanticConfig.syntactic(),
+    "synonyms": SemanticConfig.synonyms_only(),
+    "hierarchy": SemanticConfig.hierarchy_only(),
+    "mappings": SemanticConfig.mappings_only(),
+}
+
+_STREAM = ("(degree, PhD)(graduation_year, 1993)", "(a, 1)", "(degree, PhD)", "(school, Toronto)")
+
+
+class TestDerivedEventAccounting:
+    """``derived_events`` totals the events each publication expanded to;
+    ``derived_histogram`` counts publications by that number, with its
+    buckets in the order they were first seen."""
+
+    def test_fresh_engine_counts_nothing(self, engine):
+        stats = engine.stats()
+        assert stats["derived_events"] == 0
+        assert stats["derived_histogram"] == {}
+
+    @pytest.mark.parametrize("preset", sorted(_PRESETS))
+    def test_total_is_the_histogram_weighted_sum(self, preset):
+        engine = SToPSS(_kb(), config=_PRESETS[preset])
+        engine.subscribe(parse_subscription("(degree exists)", sub_id="s"))
+        for text in _STREAM:
+            engine.publish(parse_event(text))
+        stats = engine.stats()
+        histogram = stats["derived_histogram"]
+        assert sum(histogram.values()) == stats["publications"] == len(_STREAM)
+        assert stats["derived_events"] == sum(n * count for n, count in histogram.items())
+
+    def test_syntactic_mode_derives_only_the_original(self):
+        engine = SToPSS(_kb(), config=SemanticConfig.syntactic())
+        for text in _STREAM:
+            engine.publish(parse_event(text))
+        assert engine.stats()["derived_histogram"] == {1: len(_STREAM)}
+        assert engine.stats()["derived_events"] == len(_STREAM)
+
+    def test_each_publication_adds_its_expansion(self):
+        # the naive matcher takes the exhaustive expansion, the one explain() shows
+        engine = SToPSS(
+            _kb(), matcher="naive", config=SemanticConfig(present_year=2003, interest_pruning=False)
+        )
+        for text in _STREAM:
+            event = parse_event(text)
+            expansion = engine.explain(event).materialized()
+            before = engine.stats()
+            engine.publish(event)
+            after = engine.stats()
+            assert after["derived_events"] - before["derived_events"] == expansion
+            bucket = before["derived_histogram"].get(expansion, 0)
+            assert after["derived_histogram"][expansion] == bucket + 1
+
+    @pytest.mark.parametrize("order", [("(a, 1)", "(degree, PhD)"), ("(degree, PhD)", "(a, 1)")])
+    def test_buckets_keep_first_seen_order(self, engine, order):
+        engine.subscribe(parse_subscription("(degree exists)", sub_id="s"))
+        sizes = []
+        for text in order + order:
+            event = parse_event(text)
+            sizes.append(engine.explain(event).materialized())
+            engine.publish(event)
+        assert sizes[0] != sizes[1]
+        assert list(engine.stats()["derived_histogram"]) == sizes[:2]
+        assert engine.stats()["derived_histogram"] == {sizes[0]: 2, sizes[1]: 2}
+
+    def test_histogram_is_a_copy(self, engine):
+        engine.publish(parse_event("(degree, PhD)"))
+        engine.derived_histogram().clear()
+        assert sum(engine.stats()["derived_histogram"].values()) == 1
+
+
 class TestInterestPruning:
     def test_stats_surface_pruning_counters(self, engine):
         engine.subscribe(parse_subscription("(degree = graduate_degree)", sub_id="s"))
@@ -241,9 +313,7 @@ class TestInterestPruning:
         pruned_ids = [m.subscription.sub_id for m in pruned.publish(event)]
         exhaustive_ids = [m.subscription.sub_id for m in exhaustive.publish(event)]
         assert pruned_ids == exhaustive_ids == ["s"]
-        assert pruned.counters.get("publish.derived_events") < exhaustive.counters.get(
-            "publish.derived_events"
-        )
+        assert pruned.stats()["derived_events"] < exhaustive.stats()["derived_events"]
 
     def test_disabled_config_reports_disabled(self):
         engine = SToPSS(_kb(), config=SemanticConfig(interest_pruning=False))

@@ -144,11 +144,6 @@ class TestBudgets:
 
 
 class TestResultViews:
-    def test_semantic_only_excludes_root(self):
-        pipeline = SemanticPipeline(_kb(), SemanticConfig())
-        result = pipeline.process_event(Event({"degree": "PhD"}))
-        semantic = result.semantic_only()
-        assert all(not d.is_original for d in semantic)
 
     def test_events_view(self):
         pipeline = SemanticPipeline(_kb(), SemanticConfig())

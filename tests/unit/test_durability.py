@@ -405,6 +405,29 @@ class TestCrashInjection:
             recovered.close()
 
 
+class TestReplayedChurn:
+    def test_replayed_remove_closes_the_connection_a_resend_opened(self, kb, tmp_path):
+        """Recovery re-sends an unacked delivery, which opens a TCP
+        connection; the replayed ``remove`` that follows closes it."""
+        with Broker(kb, durability=tmp_path) as broker:
+            broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+            broker.register_publisher("P", client_id="cl-p")
+            broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
+            broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+            broker.remove_client("cl-a")
+            assert broker.notifier.transports.get("tcp").connections == set()
+        journal = tmp_path / JOURNAL_NAME
+        records, _, _ = _scan_records(journal.read_bytes())
+        journal.write_bytes(_frame(r for r in records if r["k"] != "acks"))
+        recovered = recover(tmp_path, kb)
+        try:
+            assert recovered.recovery.replayed_deliveries == 1
+            assert "cl-a" not in recovered.registry
+            assert recovered.notifier.transports.get("tcp").connections == set()
+        finally:
+            recovered.close()
+
+
 class TestSnapshots:
     def test_auto_compaction_folds_state(self, kb, tmp_path):
         durability = Durability(tmp_path, snapshot_every=3)

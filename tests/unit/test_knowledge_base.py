@@ -7,7 +7,7 @@ import pytest
 from repro.errors import UnknownDomainError
 from repro.model.events import Event
 from repro.ontology.knowledge_base import KnowledgeBase
-from repro.ontology.mappingdefs import MappingRule
+from repro.ontology.mappingdefs import MappingContext, MappingRule
 
 
 @pytest.fixture
@@ -37,7 +37,6 @@ class TestDomains:
 
     def test_domains_listing(self, kb):
         assert set(kb.domains()) == {"vehicles", "jobs"}
-        assert kb.has_domain("jobs") and not kb.has_domain("nope")
 
 
 class TestAttributeSynonyms:
@@ -115,9 +114,6 @@ class TestValueKnowledge:
 
 
 class TestRules:
-    def test_rules_triggered_by(self, kb):
-        assert len(kb.rules_triggered_by("graduation_year")) == 1
-        assert kb.rules_triggered_by("unrelated") == ()
 
     def test_candidate_rules(self, kb):
         assert [r.name for r in kb.candidate_rules(Event({"graduation_year": 1990}))] == ["exp"]
@@ -158,3 +154,74 @@ class TestMaintenance:
         stats = kb.stats()
         assert stats["mapping_rules"] == 1
         assert "vehicles" in stats["domains"]
+
+
+class TestDirectConstruction:
+    """Domain modules and world builders assemble a knowledge base by
+    calling its methods directly; the same calls build every kind of
+    knowledge the matcher consults."""
+
+    def test_every_kind_of_knowledge(self):
+        kb = KnowledgeBase("demo")
+        kb.add_attribute_synonyms(["university", "school", "college"])
+        kb.add_value_synonyms(["car", "automobile"], root="car")
+        jobs = kb.add_domain("jobs")
+        jobs.add_chain("PhD", "doctorate", "graduate degree", "degree")
+        jobs.add_isa("MSc", "graduate degree")
+        jobs.add_concept("lonely concept", "a gloss")
+        kb.add_rule(
+            MappingRule.computed(
+                "exp", "professional_experience", "present_year - graduation_year",
+                domain="jobs",
+            )
+        )
+        kb.add_rule(
+            MappingRule.equivalence(
+                "cobol", {"skill": "COBOL"}, {"position": "mainframe developer"},
+                domain="jobs",
+            )
+        )
+        kb.add_domain("vehicles").add_chain("sedan", "car", "vehicle")
+        kb.add_attribute_synonyms(["make", "brand"])
+        assert kb.root_attribute("school") == "university"
+        assert kb.root_attribute("brand") == "make"
+        assert kb.generalization_distance("PhD", "degree") == 3
+        assert kb.generalization_distance("MSc", "graduate degree") == 1
+        assert kb.generalization_distance("automobile", "vehicle") == 1
+        assert [r.domain for r in kb.rules()] == ["jobs", "jobs"]
+        assert kb.taxonomy("jobs").concept("lonely concept").description == "a gloss"
+
+    def test_domains_keep_their_own_hierarchies(self):
+        kb = KnowledgeBase()
+        kb.add_domain("a").add_chain("x", "y")
+        kb.add_domain("b").add_chain("p", "q")
+        assert set(kb.domains()) == {"a", "b"}
+        assert kb.knows_term("x", domain="a") and not kb.knows_term("x", domain="b")
+        assert kb.is_generalization_of("q", "p", domain="b")
+        assert not kb.is_generalization_of("y", "x", domain="b")
+
+    def test_value_synonyms_are_not_domain_scoped(self):
+        kb = KnowledgeBase()
+        kb.add_domain("v")
+        kb.add_value_synonyms(["car", "auto"])
+        assert kb.value_root("auto") == "car"
+
+    def test_added_rule_object_applies(self):
+        kb = KnowledgeBase()
+        kb.add_rule(MappingRule.computed("r", "out", "x + 1", requires=["x"]))
+        derived = kb.rules()[0].apply(Event({"x": 1}), MappingContext())
+        assert derived["out"] == 2
+
+    def test_merge_into_an_empty_base(self):
+        base = KnowledgeBase()
+        base.add_domain("a").add_chain("x", "y")
+        kb = KnowledgeBase("big")
+        kb.merge(base)
+        assert kb.generalization_distance("x", "y") == 1
+        assert kb.domains() == ("a",)
+
+    def test_add_domain_alone_registers_the_domain(self):
+        kb = KnowledgeBase()
+        kb.add_domain("d").add_chain("a", "b")
+        assert kb.domains() == ("d",)
+        assert kb.taxonomy("d").parents("a") == ("b",)

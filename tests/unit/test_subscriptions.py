@@ -70,11 +70,6 @@ class TestMatching:
 
 
 class TestStructure:
-    def test_by_attribute(self):
-        sub = _sub(Predicate.ge("a", 2), Predicate.le("a", 8), Predicate.eq("b", 1))
-        grouped = sub.by_attribute()
-        assert set(grouped) == {"a", "b"}
-        assert len(grouped["a"]) == 2
 
     def test_signature_ignores_ids(self):
         a = _sub(Predicate.eq("a", 1), sub_id="s1")

@@ -193,14 +193,6 @@ class TestTraversal:
     def test_depth(self, degrees):
         assert degrees.depth() == 3
 
-    def test_lca(self, degrees):
-        assert degrees.lowest_common_ancestor("PhD", "MSc") == "graduate degree"
-        assert degrees.lowest_common_ancestor("PhD", "doctorate") == "doctorate"
-        t = Taxonomy()
-        t.add_concept("lonely")
-        t.add_concept("island")
-        assert t.lowest_common_ancestor("lonely", "island") is None
-
 
 class TestMaintenance:
     def test_merge(self, degrees):
@@ -225,10 +217,6 @@ class TestMaintenance:
             "leaves": 3,
             "depth": 3,
         }
-
-    def test_from_chains(self):
-        t = Taxonomy.from_chains("v", [("sedan", "car", "vehicle"), ("suv", "car")])
-        assert t.generalization_distance("suv", "vehicle") == 2
 
     def test_version_bumps(self):
         t = Taxonomy()

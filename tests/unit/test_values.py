@@ -56,17 +56,6 @@ class TestPeriod:
         for period in (Period(1994, 1997), Period(1999, None)):
             assert Period.parse(str(period)) == period
 
-    def test_overlaps(self):
-        assert Period(1994, 1997).overlaps(Period(1996, 2000), 2003)
-        assert not Period(1990, 1992).overlaps(Period(1994, 1997), 2003)
-
-    def test_open_overlap_uses_present(self):
-        assert Period(1999, None).overlaps(Period(2002, 2003), 2003)
-
-    def test_is_open(self):
-        assert Period(1999).is_open
-        assert not Period(1999, 2001).is_open
-
     def test_closed_end(self):
         assert Period(1999).closed_end(2003) == 2003
         assert Period(1999, 2001).closed_end(2003) == 2001
@@ -155,6 +144,11 @@ class TestLiterals:
             ("1999-present", Period(1999, None)),
             ('"1990"', "1990"),
             ("'quoted str'", "quoted str"),
+            ("0", 0),
+            ("  42  ", 42),
+            ("1e3", 1000.0),
+            ("yes", "yes"),
+            ("1994 - 1997", Period(1994, 1997)),
         ],
     )
     def test_parse(self, text, expected):

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import FormValidationError
 from repro.webapp.forms import (
     optional,
-    optional_bool,
     optional_int,
     required,
     required_choice,
@@ -55,30 +54,11 @@ class TestOptionalInt:
         with pytest.raises(FormValidationError):
             optional_int({"n": "11"}, "n", maximum=10)
 
+    def test_whitespace_stripped(self):
+        assert optional_int({"n": " 7 "}, "n") == 7
+        assert optional_int({"n": "   "}, "n", default=3) == 3
+
     def test_non_integer(self):
         with pytest.raises(FormValidationError):
             optional_int({"n": "many"}, "n")
 
-
-class TestOptionalBool:
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("true", True),
-            ("on", True),
-            ("1", True),
-            ("no", False),
-            ("0", False),
-            ("off", False),
-        ],
-    )
-    def test_values(self, raw, expected):
-        assert optional_bool({"b": raw}, "b") is expected
-
-    def test_default(self):
-        assert optional_bool({}, "b") is False
-        assert optional_bool({}, "b", default=True) is True
-
-    def test_invalid(self):
-        with pytest.raises(FormValidationError):
-            optional_bool({"b": "perhaps"}, "b")

@@ -36,11 +36,6 @@ class TestResponse:
         assert response.json() == {"a": 1}
         assert response.content_type == "application/json"
 
-    def test_redirect(self):
-        response = Response.redirect("/там")
-        assert response.status == 302
-        assert ("Location", "/там") in response.headers
-
     def test_escape(self):
         assert escape('<b a="1">&') == "&lt;b a=&quot;1&quot;&gt;&amp;"
 

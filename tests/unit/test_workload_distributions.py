@@ -9,9 +9,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload.distributions import (
-    BernoulliSampler,
-    GaussianIntSampler,
-    IntRangeSampler,
     UniformSampler,
     WeightedSampler,
     ZipfSampler,
@@ -69,6 +66,11 @@ class TestUniformSampler:
         with pytest.raises(WorkloadError):
             UniformSampler([], rng=random.Random(0))
 
+    def test_reproducible(self):
+        a = UniformSampler("abcdef", rng=random.Random(3))
+        b = UniformSampler("abcdef", rng=random.Random(3))
+        assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
+
 
 class TestWeightedSampler:
     def test_respects_weights(self):
@@ -84,41 +86,10 @@ class TestWeightedSampler:
         with pytest.raises(WorkloadError):
             WeightedSampler([("a", 1.0), ("b", -1.0)], rng=random.Random(0))
 
+    def test_zero_weight_item_never_drawn(self):
+        sampler = WeightedSampler([("a", 1.0), ("never", 0.0), ("b", 1.0)], rng=random.Random(0))
+        assert {sampler.sample() for _ in range(500)} == {"a", "b"}
 
-class TestIntRangeSampler:
-    def test_bounds_inclusive(self):
-        sampler = IntRangeSampler(1, 3, rng=random.Random(0))
-        assert {sampler.sample() for _ in range(200)} == {1, 2, 3}
-
-    def test_empty_range_rejected(self):
+    def test_empty_rejected(self):
         with pytest.raises(WorkloadError):
-            IntRangeSampler(5, 4, rng=random.Random(0))
-
-
-class TestGaussianIntSampler:
-    def test_clamped(self):
-        sampler = GaussianIntSampler(0, 100, low=-5, high=5, rng=random.Random(0))
-        assert all(-5 <= sampler.sample() <= 5 for _ in range(200))
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(WorkloadError):
-            GaussianIntSampler(0, -1, low=0, high=1, rng=random.Random(0))
-        with pytest.raises(WorkloadError):
-            GaussianIntSampler(0, 1, low=2, high=1, rng=random.Random(0))
-
-
-class TestBernoulliSampler:
-    def test_extremes(self):
-        always = BernoulliSampler(1.0, rng=random.Random(0))
-        never = BernoulliSampler(0.0, rng=random.Random(0))
-        assert all(always.sample() for _ in range(20))
-        assert not any(never.sample() for _ in range(20))
-
-    def test_probability_respected(self):
-        sampler = BernoulliSampler(0.2, rng=random.Random(0))
-        rate = sum(sampler.sample() for _ in range(5000)) / 5000
-        assert 0.15 < rate < 0.25
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(WorkloadError):
-            BernoulliSampler(1.5, rng=random.Random(0))
+            WeightedSampler([], rng=random.Random(0))
