@@ -31,8 +31,8 @@ runners record without gating).
 Results land in ``BENCH_shards.json`` (``STOPSS_BENCH_SHARDS_OUTPUT``
 redirects a fresh run).  Wall-clock numbers are machine-dependent and
 never gate by themselves; the in-test assertions are deterministic:
-every executor leg — including the full forked-worker/wire-codec
-process path — reproduces the 1-shard row's exact per-event
+every executor leg — including the full forked-worker process path,
+events pickled across its pipes — reproduces the 1-shard row's exact per-event
 ``(sub_id, generality)`` match lists, and every subscription lands on
 exactly one shard.
 """
@@ -198,7 +198,6 @@ def test_shard_scaling(benchmark, jobs_kb, capsys):
                     "candidates_pruned": interest.get("candidates_pruned", 0),
                     "subscriptions_per_shard": sharding["subscriptions_per_shard"],
                     "busy_cpu_seconds": sharding["busy_cpu_seconds"],
-                    "wire_fallbacks": sharding["wire_fallbacks"],
                     "plane_startup_seconds": startup,
                     # wall-clock: record-only, machine-dependent
                     "publish_seconds": elapsed,

@@ -271,8 +271,7 @@ class Broker:
         a crash mid-fan-out replays the event and reconciles deliveries
         against the journaled outbox.  ``report.truncated`` says whether
         the expansion hit ``max_derived_events`` — the match set may then
-        be short (``None`` from the process-sharded plane, which does
-        not report it)."""
+        be short."""
         if isinstance(event, str):
             event = parse_event(event)
         self._journal_op(_encode_event, event, client_id)

@@ -35,10 +35,9 @@ class PublishReport:
     ``truncated`` says whether the semantic expansion hit
     ``max_derived_events``, so ``matches`` may be short of what the
     knowledge base supports: ``True``/``False`` from a single engine or
-    a serial sharded one (any replica), ``None`` where the engine does
-    not say — the process-sharded plane, whose workers expand on their
-    own and report only matches.  A result-cache hit repeats what the
-    publication that filled the entry saw."""
+    a sharded one (any replica), ``None`` from an engine that does not
+    say.  A result-cache hit repeats what the publication that filled
+    the entry saw."""
 
     event: Event
     matches: tuple[SemanticMatch, ...]
@@ -248,8 +247,7 @@ class EventDispatcher:
             "subscriptions": len(self.engine),
             "publications": self.publications,
             # publications whose expansion hit max_derived_events (their
-            # match sets may be short); the process-sharded plane does
-            # not report it and counts none
+            # match sets may be short)
             "publications_truncated": self.publications_truncated,
             "matches": self.matches,
             "deliveries": self.deliveries,

@@ -47,14 +47,15 @@ the parent at the moment of launch and serves the parent's own replica
 of its shard, inherited copy-on-write along with the knowledge base
 and every closure the concept table has memoized — nothing is rebuilt,
 re-subscribed or re-shipped.  From then on the two copies meet only on
-a pipe: publications cross as compact interned-id wire tuples
-(:meth:`Event.to_wire <repro.model.events.Event.to_wire>`), control
-operations the parent has already applied to its replica are mirrored
-to the worker's, and match results come back as wire tuples the parent
-decodes against its own table.  The parent's replicas stay the control
-plane — the routing/ordering source of truth — so replacing a worker,
-or the whole fleet when the knowledge base moves (a forked worker never
-sees a parent KB mutation), is a fork of the current replica.
+a pipe, which pickles whatever crosses it: a publication crosses as the
+:class:`~repro.model.events.Event` itself, control operations the
+parent has already applied to its replica are mirrored to the worker's,
+and match results come back as the distinct derived events plus one
+``(sub_id, generality, index)`` row per match.  The parent's replicas
+stay the control plane — the routing/ordering source of truth — so
+replacing a worker, or the whole fleet when the knowledge base moves (a
+forked worker never sees a parent KB mutation), is a fork of the
+current replica.
 
 Because the fleet is a disposable cache of the control plane, worker
 failure is never fatal, and one rule recovers from all of it (prose in
@@ -88,7 +89,7 @@ from repro.core.provenance import DerivedEvent, SemanticMatch
 from repro.errors import BrokerError, ConfigError, UnknownSubscriptionError
 from repro.matching.base import MatchingAlgorithm
 from repro.metrics.aggregate import merge_stats
-from repro.model.events import Event, wire_fallback_count
+from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
 
@@ -148,26 +149,28 @@ def _send_error(conn, epoch, exc: BaseException) -> None:
             pass
 
 
-def _worker_publish(engine, event, table) -> tuple:
-    """One publication inside a shard worker: publish, encode.
+def _worker_publish(engine, event) -> tuple:
+    """One publication inside a shard worker.
 
     The reply deduplicates derived events — many matches share one
-    ``matched_via`` — as ``(derived wire tuples, (sub_id, generality,
-    derived index) rows, publish thread-CPU span)``."""
+    ``matched_via`` — as ``(derived events, (sub_id, generality,
+    derived index) rows, publish thread-CPU span, truncated)``.  Each
+    derived event crosses without its ``parent``: that chain serves
+    in-process provenance only and is outside equality."""
     started = time.thread_time()
     matches = engine.publish(event)
     span = time.thread_time() - started
-    derived_wires: list = []
+    derived: list = []
     index_of: dict[int, int] = {}
     rows = []
     for match in matches:
-        key = id(match.matched_via)
-        via_index = index_of.get(key)
+        via = match.matched_via
+        via_index = index_of.get(id(via))
         if via_index is None:
-            via_index = index_of[key] = len(derived_wires)
-            derived_wires.append(match.matched_via.to_wire(table))
+            via_index = index_of[id(via)] = len(derived)
+            derived.append(DerivedEvent(via.event, via.steps))
         rows.append((match.subscription.sub_id, match.generality, via_index))
-    return tuple(derived_wires), rows, span
+    return derived, rows, span, engine.last_truncated
 
 
 def _shard_worker_main(conn, engine, ready_epoch) -> None:
@@ -184,12 +187,11 @@ def _shard_worker_main(conn, engine, ready_epoch) -> None:
     payload)`` and are answered with the same epoch — ``(epoch, "ok",
     payload)``, ``(epoch, "err", exception-or-text)`` for an engine
     error (the worker never dies on one, only on a broken parent), or
-    ``(epoch, "badwire", text)`` when the request would not even decode
-    — an unknown op, or a publish payload that is not a wire event
-    (transport damage).  The parent discards replies whose epoch it is
-    no longer waiting for, so an abandoned reply can never satisfy a
-    later request."""
-    kb = engine.kb
+    ``(epoch, "badwire", text)`` when the request makes no sense — an
+    unknown op, or a publish payload that is not an event (transport
+    damage).  The parent discards replies whose epoch it is no longer
+    waiting for, so an abandoned reply can never satisfy a later
+    request."""
     conn.send((ready_epoch, "ok", None))
     try:
         while True:
@@ -202,13 +204,10 @@ def _shard_worker_main(conn, engine, ready_epoch) -> None:
                 break
             try:
                 if op == "publish":
-                    table = kb.concept_table() if engine.config.interning else None
-                    try:
-                        event = Event.from_wire(payload, table)
-                    except Exception as exc:
-                        conn.send((epoch, "badwire", f"{type(exc).__name__}: {exc}"))
+                    if type(payload) is not Event:
+                        conn.send((epoch, "badwire", f"not an event: {type(payload).__name__}"))
                         continue
-                    conn.send((epoch, "ok", _worker_publish(engine, event, table)))
+                    conn.send((epoch, "ok", _worker_publish(engine, payload)))
                 elif op == "subscribe":
                     engine.subscribe(payload)
                     conn.send((epoch, "ok", None))
@@ -457,8 +456,8 @@ class _ProcessDataPlane:
 
     # -- operations -----------------------------------------------------------------
 
-    def publish(self, wire) -> list:
-        """Fan one encoded publication across the fleet; the result has
+    def publish(self, event: Event) -> list:
+        """Fan one publication across the fleet; the result has
         one outcome slot per shard, ``None`` meaning the shard has no
         worker this time and the caller must publish inline on its
         parent replica.
@@ -477,7 +476,7 @@ class _ProcessDataPlane:
         for index in range(shards):
             if self._workers[index] is not None:
                 try:
-                    self._begin(index, "publish", wire)
+                    self._begin(index, "publish", event)
                 except _ShardFault:
                     pass
         outcomes = [None] * shards
@@ -616,8 +615,8 @@ class ShardedEngine:
                 f"unknown executor {executor!r} (expected one of {list(EXECUTORS)})"
             )
         self._executor = executor
-        #: sub_id -> original subscription (the decode table for wire
-        #: match rows)
+        #: sub_id -> original subscription (what a worker's match row
+        #: names)
         self._subs_by_id: dict[str, Subscription] = {}
         #: the process executor moves publishes onto the worker-process
         #: data plane (forked lazily on first publish; re-forked
@@ -640,20 +639,13 @@ class ShardedEngine:
         #: drift discards it) but its recovery history is not
         self._supervision = SupervisionStats()
         self._fault_plan = fault_plan
-        #: running count of values that crossed the wire as string
-        #: fallbacks instead of interned ids (process executor only)
-        self._wire_fallbacks = 0
         #: sub_id -> global insertion sequence (the merge-sort key that
         #: restores single-engine reporting order across shards)
         self._seq_of: dict[str, int] = {}
         self._next_seq = 0
         self.publications = 0
         #: whether the latest publication's expansion was truncated on
-        #: any replica — known on the serial executor only: the process
-        #: plane's workers expand on their own and reply with matches,
-        #: so it stays ``None`` there (no wire field until expansion
-        #: moves into the parent, ROADMAP's truncation-free reference
-        #: semantics item)
+        #: any replica (``None`` before the first)
         self.last_truncated: bool | None = None
         #: cumulative per-shard publish CPU (thread time: the shard's
         #: own work, not what else ran on its core meanwhile)
@@ -734,17 +726,18 @@ class ShardedEngine:
 
     # -- publishing -------------------------------------------------------------------
 
-    def _publish_local(self, index: int, event: Event) -> tuple[list[SemanticMatch], float]:
+    def _publish_local(self, index: int, event: Event) -> tuple[list[SemanticMatch], float, bool]:
         """Publish on the parent's own replica of shard *index*:
-        ``(matches, publish thread-CPU span)``.  The serial executor's
-        whole fan-out, and the process executor's answer for a shard
-        with no worker — the replica is the control-plane source of
-        truth, so it always
-        produces exactly what a healthy worker would have returned.
+        ``(matches, publish thread-CPU span, truncated)``.  The serial
+        executor's whole fan-out, and the process executor's answer for
+        a shard with no worker — the replica is the control-plane source
+        of truth, so it always produces exactly what a healthy worker
+        would have returned.
         Slower there (it shares the parent's core) but never wrong."""
+        engine = self._engines[index]
         started = time.thread_time()
-        matches = self._engines[index].publish(event)
-        return matches, time.thread_time() - started
+        matches = engine.publish(event)
+        return matches, time.thread_time() - started, engine.last_truncated
 
     def publish(self, event: Event) -> list[SemanticMatch]:
         """Fan one publication out across every shard and merge the
@@ -766,16 +759,14 @@ class ShardedEngine:
             )
         merged: list[SemanticMatch] = []
         slowest = 0.0
-        for index, (matches, span) in enumerate(outcomes):
+        truncated = []
+        for index, (matches, span, shard_truncated) in enumerate(outcomes):
             merged.extend(matches)
             self._busy_cpu_seconds[index] += span
             slowest = max(slowest, span)
+            truncated.append(shard_truncated)
         self._critical_path_seconds += slowest
-        self.last_truncated = (
-            None
-            if self._distributed
-            else any(engine.last_truncated for engine in self._engines)
-        )
+        self.last_truncated = any(truncated)
         seq = self._seq_of
         merged.sort(key=lambda match: seq[match.subscription.sub_id])
         return merged
@@ -804,36 +795,36 @@ class ShardedEngine:
             )
         return self._plane
 
-    def _publish_distributed(self, event: Event) -> Iterator[tuple[list[SemanticMatch], float]]:
+    def _publish_distributed(
+        self, event: Event
+    ) -> Iterator[tuple[list[SemanticMatch], float, bool]]:
         """The process-executor publish path, one ``(matches, publish
-        CPU span)`` per shard: encode once, fan the wire form out to
-        every worker, decode the per-shard match rows against the
-        parent's own table.  Matches carry the parent's original
-        subscription and event objects — only the derived events cross
-        the boundary.
+        CPU span, truncated)`` per shard: fan the event out to every
+        worker and rebuild each shard's matches from its rows.  Matches
+        carry the parent's original subscription and event objects —
+        only the derived events come back across the pipe.
 
         A ``None`` outcome for a shard means it has no worker this time
         (a transport fault disposed it, or its re-fork failed) — the
         parent replica answers inline, so a publication *never* fails on
         worker trouble."""
         # the table before the fleet: after a knowledge-base write this
-        # catches it up once, here, and the fork hands every worker the
-        # table with the ids this publication is encoded under
-        table = self.kb.concept_table() if self._engines[0].config.interning else None
+        # catches it up once, here, so the fork hands every worker a
+        # table that has already caught up instead of each catching up
+        # on its own
+        if self._engines[0].config.interning:
+            self.kb.concept_table()
         plane = self._ensure_plane()
-        wire = event.to_wire(table)
-        self._wire_fallbacks += wire_fallback_count(wire)
         subs = self._subs_by_id
-        for index, outcome in enumerate(plane.publish(wire)):
+        for index, outcome in enumerate(plane.publish(event)):
             if outcome is None:
                 yield self._publish_local(index, event)
                 continue
-            derived_wires, rows, span = outcome
-            decoded = [DerivedEvent.from_wire(item, table) for item in derived_wires]
+            derived, rows, span, truncated = outcome
             yield [
-                SemanticMatch(subs[sub_id], event, decoded[via_index], generality)
+                SemanticMatch(subs[sub_id], event, derived[via_index], generality)
                 for sub_id, generality, via_index in rows
-            ], span
+            ], span, truncated
 
     def explain(self, event: Event) -> PipelineResult:
         """The full (deliberately exhaustive) expansion — identical on
@@ -910,10 +901,6 @@ class ShardedEngine:
             "publications": self.publications,
             "busy_cpu_seconds": list(self._busy_cpu_seconds),
             "critical_path_seconds": self._critical_path_seconds,
-            # values that crossed to worker processes as string
-            # fallbacks instead of interned ids (0 for the serial
-            # executor, where nothing crosses a wire at all)
-            "wire_fallbacks": self._wire_fallbacks,
             "request_timeout": self._request_timeout,
             # recovery counters (all zero for the serial executor and
             # for any process run that never hit worker trouble)

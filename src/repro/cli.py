@@ -208,7 +208,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             "pruned",
             "pred-evals",
             "busy-cpu-ms",
-            "wire-fb",
         ],
     )
     health_table = Table(
@@ -298,7 +297,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                     shard_summary["pruned"],
                     shard_summary["predicate_evaluations"],
                     round(1000.0 * sharding["busy_cpu_seconds"][index], 1),
-                    sharding.get("wire_fallbacks", 0),
                 )
         if durability is not None:
             summary = durability_summary(broker.stats())

@@ -30,7 +30,7 @@ Shard-safe construction: N engine replicas may be built on one shared
 concurrently, one forked worker process per replica — the sharded
 broker's fan-out, :mod:`repro.broker.sharding`.  The full contract
 (the replica-local mutation rule, what each executor may share, what
-fork hands a worker and the cross-process wire codec) lives
+fork hands a worker and what crosses its pipe) lives
 in ``docs/CONCURRENCY.md``; the one-line version: everything an engine
 *mutates* during publish is replica-local, and a single engine
 instance is **not** re-entrant.

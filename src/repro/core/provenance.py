@@ -115,33 +115,6 @@ class DerivedEvent:
         """Whether *rule_name* already fired along this chain."""
         return any(step.rule == rule_name for step in self.steps)
 
-    # -- wire codec (cross-process shard transport) -------------------------
-
-    def to_wire(self, table=None) -> tuple:
-        """Compact picklable encoding: the event's wire form (see
-        :meth:`Event.to_wire <repro.model.events.Event.to_wire>`) plus
-        the derivation chain as flat step tuples.  ``parent`` is
-        deliberately dropped — it exists for in-process provenance and
-        is excluded from equality; a decoded derived event is a batch
-        root."""
-        return (
-            self.event.to_wire(table),
-            tuple(
-                (step.stage, step.description, step.attribute, step.generality, step.rule)
-                for step in self.steps
-            ),
-        )
-
-    @classmethod
-    def from_wire(cls, wire: tuple, table=None) -> "DerivedEvent":
-        """Rebuild a derived event encoded by :meth:`to_wire` (as a
-        batch root: no parent)."""
-        event_wire, step_rows = wire
-        return cls(
-            Event.from_wire(event_wire, table),
-            tuple(DerivationStep(*row) for row in step_rows),
-        )
-
     def explain(self) -> str:
         """Multi-line, human-readable derivation trace."""
         if self.is_original:

@@ -17,10 +17,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Iterator, Mapping
 
-from repro.errors import DuplicateAttributeError, InvalidAttributeError, InvalidValueError
+from repro.errors import DuplicateAttributeError, InvalidAttributeError
 from repro.model.attributes import normalize_attribute
 from repro.model.values import (
-    Period,
     Value,
     canonical_value_key,
     check_value,
@@ -28,7 +27,7 @@ from repro.model.values import (
     values_equal,
 )
 
-__all__ = ["Event", "EventSignature", "wire_fallback_count"]
+__all__ = ["Event", "EventSignature"]
 
 #: Hashable canonical identity of an event's content.
 EventSignature = frozenset
@@ -230,59 +229,6 @@ class Event:
         signature = self._signature - {(name, canonical_value_key(self._pairs[name]))}
         return Event._derived(pairs, signature, self.publisher_id)
 
-    # -- wire codec (cross-process shard transport) ---------------------------
-
-    def to_wire(self, table=None) -> tuple:
-        """Compact picklable encoding for crossing a process boundary.
-
-        Each value becomes either a bare ``int`` — the ConceptTable
-        spelling id, emitted only for construction-time ids any
-        same-version table decodes identically (see
-        :meth:`~repro.ontology.concept_table.ConceptTable.wire_sid`) —
-        or a small tagged tuple fallback: ``("s", text)`` for
-        un-interned strings, ``("n", number)``, ``("b", flag)``,
-        ``("p", start, end)`` for periods.  Attribute names stay
-        strings (they are already normalized, shared, and few).
-        :meth:`from_wire` with an equal-content table reconstructs an
-        event equal to this one, with id and publisher preserved.
-        """
-        pairs = []
-        for name, value in self._pairs.items():
-            if type(value) is str:
-                sid = table.wire_sid(value) if table is not None else None
-                pairs.append((name, ("s", value)) if sid is None else (name, sid))
-            elif value is True or value is False:
-                pairs.append((name, ("b", value)))
-            elif isinstance(value, (int, float)):
-                pairs.append((name, ("n", value)))
-            else:
-                pairs.append((name, ("p", value.start, value.end)))
-        return (self.event_id, self.publisher_id, tuple(pairs))
-
-    @classmethod
-    def from_wire(cls, wire: tuple, table=None) -> "Event":
-        """Rebuild an event encoded by :meth:`to_wire`.
-
-        Trusts the encoder: attribute names arrive normalized and
-        values validated, so this skips ``__init__``'s per-pair work
-        (the decode sits on the per-publish worker hot path).  *table*
-        must be id-space-compatible with the encoder's (same
-        knowledge-base version) whenever the wire carries bare ids.
-        """
-        event_id, publisher_id, wire_pairs = wire
-        pairs: dict[str, Value] = {
-            name: _decode_wire_value(token, table) for name, token in wire_pairs
-        }
-        signature = frozenset(
-            (name, canonical_value_key(value)) for name, value in pairs.items()
-        )
-        event = object.__new__(cls)
-        event._pairs = pairs
-        event._signature = signature
-        event.event_id = event_id
-        event.publisher_id = publisher_id
-        return event
-
     # -- presentation --------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -292,27 +238,3 @@ class Event:
         """Render in the paper's event notation:
         ``(school, Toronto)(degree, PhD)``."""
         return "".join(f"({name}, {format_value(value)})" for name, value in self._pairs.items())
-
-
-def _decode_wire_value(token, table) -> Value:
-    if type(token) is int:
-        if table is None:
-            raise InvalidValueError(
-                "wire value is an interned spelling id but no concept table was given"
-            )
-        return table.spelling(token)
-    tag = token[0]
-    if tag == "s" or tag == "n" or tag == "b":
-        return token[1]
-    if tag == "p":
-        return Period(token[1], token[2])
-    raise InvalidValueError(f"unknown wire value tag {tag!r}")
-
-
-def wire_fallback_count(wire: tuple) -> int:
-    """How many values in a :meth:`Event.to_wire` payload missed the
-    interned-id fast path — string values shipped as ``("s", …)``
-    fallbacks (numbers/booleans/periods are native literals, not
-    misses).  The sharded broker surfaces the running total so
-    operators can see when traffic outruns the ontology."""
-    return sum(1 for _, token in wire[2] if type(token) is tuple and token[0] == "s")

@@ -215,7 +215,6 @@ class ConceptTable:
         "_attr_form",
         "_fill_lock",
         "_followed",
-        "_wire_base",
         "__weakref__",
     )
 
@@ -277,14 +276,6 @@ class ConceptTable:
             kb.value_synonym_groups(),
             kb.attribute_synonym_groups(),
         )
-        #: spelling ids below this boundary were assigned by the build
-        #: or a catch-up, from knowledge-base content — every process
-        #: that holds this table (a shard worker is a fork taken after
-        #: the parent fetched it) agrees on all of them.  Ids at or
-        #: above it were interned lazily (closure fills) in *this*
-        #: process since and mean nothing elsewhere; the wire codec
-        #: refuses to emit them.
-        self._wire_base = len(self._spellings)
         _log.debug(
             "%s built at v%d: %d terms %d spellings",
             kb.name,
@@ -424,7 +415,6 @@ class ConceptTable:
                 self._down_closure = {}
             new_terms = len(self._term_display) - terms
             new_spellings = len(self._spellings) - spellings
-            self._wire_base = len(self._spellings)
             followed = self._followed
             followed["catch_ups"] += 1
             followed["appended_terms"] += new_terms
@@ -501,22 +491,6 @@ class ConceptTable:
             if sid is not None:
                 return sid
         return canonical_value_key(value)
-
-    def wire_sid(self, value: str) -> int | None:
-        """The spelling id of *value* if it is safe to send to another
-        process as a bare int, else ``None``.
-
-        Ids assigned by the build or by a catch-up qualify: they come
-        from knowledge-base content, and every process that decodes
-        them holds this very table — a shard worker is a fork taken
-        *after* the parent fetched it for the publication, and a
-        knowledge-base write discards the fleet, so the boundary may
-        advance with each catch-up.  Ids interned lazily since (a
-        closure fill, in one process only) never cross the wire."""
-        sid = self._sid_by_spelling.get(value)
-        if sid is not None and sid < self._wire_base:
-            return sid
-        return None
 
     # -- closure arrays -----------------------------------------------------------
 

@@ -163,11 +163,12 @@ def test_bridged_world_crosses_domains_and_keeps_spellings_apart():
 def test_fills_intern_nothing():
     kb = build_world("mega-small").kb
     table = kb.concept_table()
+    spellings = table.spelling_count
     for tid in range(len(table)):
         table.ancestors(tid)
         table.descent(tid)
     table.descent_depths(sample_terms(kb))
-    assert table.spelling_count == table._wire_base
+    assert table.spelling_count == spellings == ConceptTable(kb).spelling_count
 
 
 def test_version_bump_patches_the_graph_in_place():
@@ -188,8 +189,8 @@ def test_version_bump_patches_the_graph_in_place():
         expected = descent_closure(kb, term, None)
         expected.setdefault(term, 0)
         assert table.descent_map(term, None) == expected, term
-    # appended spellings are wire-safe at once
-    assert table.spelling_count == table._wire_base
+    # the catch-up interned exactly the spellings a full build holds
+    assert table.spelling_count == ConceptTable(kb).spelling_count
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +320,10 @@ def test_catch_up_equals_rebuild(before, after):
         catch_ups += kb.version != version
         assert table.stats()["catch_ups"] == catch_ups
         assert table.version == kb.version
-        assert _by_spelling(table) == _by_spelling(ConceptTable(kb)), write
-        # no catch-up and no fill leaves a process-local id behind
-        assert table.spelling_count == table._wire_base
+        rebuilt = ConceptTable(kb)
+        assert _by_spelling(table) == _by_spelling(rebuilt), write
+        # no catch-up and no fill interns a spelling the KB does not hold
+        assert table.spelling_count == rebuilt.spelling_count
         ids = [table.value_key(value) for value in _SPELLINGS]
         interned = [key for key in ids if isinstance(key, int)]
         assert len(set(interned)) == len(interned)
@@ -436,8 +438,8 @@ def test_alternatives_memo_is_stamped_with_the_version():
 def test_threads_filling_one_shared_table_agree():
     """Many threads missing on the same closures at once: every thread
     must read the same answers a single-threaded fill gives, and no
-    fill may intern a spelling (ids past ``_wire_base`` are
-    process-local and would break the wire codec's boundary)."""
+    fill may intern a spelling (the engine re-keys its matcher
+    whenever ``spelling_count`` moves)."""
     kb = build_world("mega-small").kb
     terms = sample_terms(kb, limit=60)
     reference = build_world("mega-small").kb.concept_table()
@@ -448,6 +450,7 @@ def test_threads_filling_one_shared_table_agree():
     }
 
     table = kb.concept_table()
+    spellings = table.spelling_count
     workers = 8
     barrier = threading.Barrier(workers)
     results: list = [None] * workers
@@ -483,7 +486,7 @@ def test_threads_filling_one_shared_table_agree():
             table.spelling(key) if isinstance(key, int) else key: depth
             for key, depth in depths.items()
         } == expected_depths
-    assert table.spelling_count == table._wire_base
+    assert table.spelling_count == spellings
     # the per-term memo filled each closure exactly once
     assert table.stats()["down_closures"] == reference.stats()["down_closures"]
 
@@ -538,4 +541,4 @@ def test_threads_racing_to_one_catch_up_agree():
         assert maps == expected
     stats = table.stats()
     assert stats["catch_ups"] == 1 and stats["closures_dropped"] > 0
-    assert table.spelling_count == table._wire_base
+    assert table.spelling_count == oracle.spelling_count

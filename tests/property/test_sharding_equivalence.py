@@ -12,7 +12,7 @@ This suite pins that down across random knowledge bases (the same
 generator the interest-pruning invariant uses: taxonomies, value and
 attribute synonyms, equivalence/REPLACE/computed mapping rules), shard
 counts N ∈ {1, 2, 4}, both fan-out executors (serial, and the
-cross-process data plane with its forked workers and wire codec), both
+cross-process data plane with its forked workers and pipes), both
 indexed matchers, interning and pruning toggles,
 subscription churn mid-stream, and knowledge-base writes mid-stream.
 
@@ -133,7 +133,7 @@ def test_sharded_tracks_churn(kb, subs, evts, shards, matcher):
 def test_process_executor_equals_single_engine(kb, subs, evts, matcher):
     """The cross-process data plane must agree with the single engine —
     match sets AND generalities, in order — through forked workers and
-    the full wire codec, including churn forwarded to the *live* worker
+    their pipes, including churn forwarded to the *live* worker
     fleet (subscribe/unsubscribe after the first publish hits running
     workers, not a fresh fork)."""
     single, sharded = _build_pair(kb, matcher, SemanticConfig(), 2, "process")
@@ -308,7 +308,7 @@ def test_process_executor_tracks_kb_writes(kb, subs, evts, matcher, writes, term
 def test_chaos_on_mega_world_equals_single_engine():
     """The chaos invariant at scale: the same seeded fault storm, but
     against a generated 110k-concept world instead of the hypothesis
-    toys — the forked replicas, the wire codec, and degraded inline
+    toys — the forked replicas, their pipes, and degraded inline
     publish all carry full-size closure state here."""
     from repro.workload.worlds import build_world
 

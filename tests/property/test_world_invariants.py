@@ -12,7 +12,7 @@ random taxonomies, ``tests/property/test_tolerance_oracle.py``):
 2. **interning** — dense-id concept-table identity ≡ the string path;
 3. **pruning** — demand-driven interest pruning ≡ exhaustive expansion;
 4. **sharding** — the partitioned broker ≡ the single engine, including
-   the cross-process data plane (wire codec + shared-memory snapshot);
+   the cross-process data plane (forked workers + their pipes);
 5. **chaos** — sharded-under-seeded-faults ≡ the single engine, no
    publish ever raises, recoveries actually happened;
 6. **crash-recovery** — recover-and-resume ≡ the run that never

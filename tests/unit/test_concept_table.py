@@ -83,39 +83,6 @@ class TestValueKeyFallback:
         assert table.value_key(4) == table.value_key(4.0)
 
 
-class TestWireBoundary:
-    """Which spelling ids may cross to a worker process as bare ints:
-    the construction-time ones, never the lazily interned."""
-
-    def test_construction_spellings_are_wire_safe(self):
-        table = build_kb().concept_table()
-        sid = table.wire_sid("sedan")
-        assert sid is not None and table.spelling(sid) == "sedan"
-        # deterministic across independently built equal-content tables
-        assert build_kb().concept_table().wire_sid("sedan") == sid
-
-    def test_unknown_and_lazy_spellings_are_not(self):
-        table = build_kb().concept_table()
-        assert table.wire_sid("free text") is None
-        lazy_sid = table._intern_spelling("late arrival")
-        assert table.value_key("late arrival") == lazy_sid  # interned...
-        assert table.wire_sid("late arrival") is None  # ...but not wire-safe
-
-
-class TestWireBoundaryFollows:
-    def test_catch_up_advances_the_boundary(self):
-        """An appended spelling is wire-safe at once: every process that
-        decodes it is a fork of this one, taken after the catch-up."""
-        kb = build_kb()
-        table = kb.concept_table()
-        assert table.wire_sid("lorry") is None
-        kb.add_value_synonyms(["truck", "lorry"])
-        assert kb.concept_table() is table
-        sid = table.wire_sid("lorry")
-        assert sid is not None and table.spelling(sid) == "lorry"
-        assert table.spelling_count == table._wire_base
-
-
 def _new_domain(kb):
     kb.add_domain("boats").add_chain("dinghy", "boat")
 

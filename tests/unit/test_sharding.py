@@ -28,6 +28,7 @@ from repro.broker.supervision import DATA_PLANE_FAULT_KINDS, FaultAction, FaultP
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.errors import (
+    BrokerError,
     ConfigError,
     DuplicateSubscriptionError,
     MatchingError,
@@ -35,6 +36,7 @@ from repro.errors import (
 )
 from repro.matching.base import create_matcher
 from repro.metrics.aggregate import merge_stats, publish_path_summary, supervision_summary
+from repro.model.events import Event
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.knowledge_base import KnowledgeBase
 
@@ -426,18 +428,101 @@ class TestProcessExecutor:
         finally:
             engine.close()
 
-    def test_wire_fallbacks_counted_for_uninterned_values(self):
+    def test_the_worker_publishes_the_event_itself(self):
+        """The publication crosses the pipe as the :class:`Event`, with
+        its id, publisher and attribute order."""
+
+        class Recording(SToPSS):
+            seen = None
+
+            def publish(self, event):
+                self.seen = (type(event).__name__, event.event_id, event.publisher_id)
+                self.seen += (event.items(), os.getpid())
+                return super().publish(event)
+
+            def stats(self):
+                return {**super().stats(), "seen": self.seen}
+
+        event = Event(
+            [("x", "leaf"), ("note", "free text"), ("n", 4.5), ("flag", True)],
+            event_id="ev-7",
+            publisher_id="pub-1",
+        )
         engine = ShardedEngine(
-            chain_kb(), shards=2, executor="process", router=digit_router
+            chain_kb(), shards=2, executor="process", engine_factory=Recording
         )
         try:
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
-            engine.publish(parse_event("(x, leaf)"))
-            assert engine.sharding_info()["wire_fallbacks"] == 0
-            engine.publish(parse_event("(x, leaf)(note, unmodeled free text)"))
-            assert engine.sharding_info()["wire_fallbacks"] == 1
+            engine.publish(event)
+            for shard_stats in engine.stats()["sharding"]["shard_stats"]:
+                *seen, pid = shard_stats["seen"]
+                assert seen == ["Event", "ev-7", "pub-1", event.items()]
+                assert pid != os.getpid()
         finally:
             engine.close()
+
+    def test_free_text_crosses_to_a_worker_and_matches_as_on_serial(self):
+        # a value the knowledge base never heard of crosses the pipe as
+        # the string it is and matches exactly as it does inline
+        subscriptions = ("(x = top)", "(note = unmodeled free text)", "(note exists)")
+        event = parse_event("(x, leaf)(note, unmodeled free text)")
+        results = {}
+        for executor in ("serial", "process"):
+            with ShardedEngine(
+                chain_kb(), shards=2, executor=executor, router=digit_router
+            ) as engine:
+                for i, text in enumerate(subscriptions):
+                    engine.subscribe(parse_subscription(text, sub_id=f"s{i}"))
+                results[executor] = [
+                    (m.subscription.sub_id, m.generality, m.matched_via, m.event is event)
+                    for m in engine.publish(event)
+                ]
+        assert [row[0] for row in results["process"]] == ["s0", "s1", "s2"]
+        assert results["process"] == results["serial"]
+
+    def test_a_publish_payload_that_is_not_an_event_is_badwire(self):
+        engine = _process_engine()
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.publish(parse_event("(x, leaf)"))
+            plane = engine._plane
+            # what the interned-id codec used to send: a tuple, not an Event
+            plane._begin(0, "publish", ("e1", None, (("x", 0),)))
+            with pytest.raises(BrokerError, match="rejected the request: not an event: tuple"):
+                plane._finish(0)
+            assert plane._workers[0] is None and plane._workers[1] is not None
+            matched = [m.subscription.sub_id for m in engine.publish(parse_event("(x, leaf)"))]
+            assert matched == ["s0"]
+            assert engine.supervision.worker_restarts == 1
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("matcher", ["counting", "naive"])
+    def test_truncation_is_reported_on_both_executors(self, matcher):
+        seen = {}
+        for executor in ("serial", "process"):
+            broker = ShardedBroker(
+                chain_kb(),
+                shards=2,
+                executor=executor,
+                matcher=matcher,
+                router=digit_router,
+                config=SemanticConfig.semantic(max_derived_events=2),
+            )
+            try:
+                company = broker.register_subscriber("c", email="c@example.com")
+                broker.subscribe(company.client_id, "(x = top)")
+                broker.subscribe(company.client_id, "(y exists)")
+                candidate = broker.register_publisher("p")
+                flags = []
+                for text in ("(x, leaf)(y, leaf)", "(x, top)"):
+                    report = broker.publish(candidate.client_id, text)
+                    flags.append((report.truncated, broker.engine.last_truncated))
+                seen[executor] = flags, broker.dispatcher.stats()["publications_truncated"]
+            finally:
+                broker.close()
+        assert seen["serial"] == ([(True, True), (False, False)], 1)
+        assert seen["process"] == seen["serial"]
 
     def test_stats_come_from_the_worker_replicas(self):
         engine = ShardedEngine(
