@@ -36,16 +36,21 @@ equivalent by the interning property test).
 
 from __future__ import annotations
 
-from typing import Collection, Iterator
+import logging
+from array import array
+from typing import Collection, Iterable, Iterator
 
 from repro.core.interfaces import SemanticStage
 from repro.core.provenance import STAGE_HIERARCHY, DerivationStep, DerivedEvent
 from repro.model.attributes import normalize_attribute
 from repro.model.events import Event
 from repro.model.values import canonical_value_key
+from repro.ontology.concept_table import pairs
 from repro.ontology.knowledge_base import KnowledgeBase
 
 __all__ = ["HierarchyStage"]
+
+_log = logging.getLogger(__name__)
 
 
 class HierarchyStage(SemanticStage):
@@ -89,12 +94,13 @@ class HierarchyStage(SemanticStage):
         #: begin_publication); direct expand() callers that never go
         #: through the pipeline fetch it per call.
         self._table = None
-        #: (attribute, term id, budget) -> (admitted (distance,
-        #: spelling) pairs, checks, pruned): interest admission is a
-        #: pure function of the interest set and the concept table, so
-        #: it is memoized across publications and keyed to both via
-        #: ``_memo_stamp`` (index generation + knowledge-base version).  The
-        #: pipeline keeps each free pair's alternatives here too, under
+        #: (attribute, term id, budget) -> packed admission: the
+        #: prune checks it took, then the admitted (distance, spelling
+        #: id) pairs interleaved.  Interest admission is a pure function
+        #: of the interest set and the concept table, so it is memoized
+        #: across publications and keyed to both via ``_memo_stamp``
+        #: (index generation + knowledge-base version).  The pipeline
+        #: keeps each free pair's alternatives here too, under
         #: ``(attribute, value)`` — same inputs, same lifetime
         self._admit_memo: dict = {}
         self._memo_stamp: tuple | None = None
@@ -180,9 +186,9 @@ class HierarchyStage(SemanticStage):
                 )
                 if dedup.should_skip(signature, generality + distance, depth):
                     return None
-                pairs = dict(event._pairs)
-                pairs[attribute] = new_value
-                child = Event._derived(pairs, signature, event.publisher_id)
+                values = dict(event._pairs)
+                values[attribute] = new_value
+                child = Event._derived(values, signature, event.publisher_id)
             if canonicalized:
                 description = (
                     f"value {value!r} of {attribute!r} canonicalized to "
@@ -209,15 +215,16 @@ class HierarchyStage(SemanticStage):
         if budget is not None and budget <= 0:
             return count
         if interest is None:
-            admitted = [
-                (distance, table.spelling(sid))
-                for sid, distance in table.ancestors(tid)
+            admitted = (
+                (distance, sid)
+                for sid, distance in pairs(table.ancestors(tid))
                 if budget is None or distance <= budget
-            ]
+            )
         else:
             admitted = self._admitted_ancestors(interest, table, attribute, tid, budget)
-        for distance, general in admitted:
-            candidate = construct(general, distance, False)
+        spelling = table.spelling
+        for distance, sid in admitted:
+            candidate = construct(spelling(sid), distance, False)
             if candidate is not None:
                 yield candidate
                 count += 1
@@ -225,55 +232,82 @@ class HierarchyStage(SemanticStage):
 
     def _admitted_ancestors(
         self, interest, table, attribute: str, tid: int, budget: int | None
-    ) -> tuple:
-        """Budget-filtered, interest-admitted ``(distance, spelling)``
-        generalizations of one term under one attribute, memoized
+    ) -> Iterable[tuple[int, int]]:
+        """Budget-filtered, interest-admitted ``(distance, spelling
+        id)`` generalizations of one term under one attribute, memoized
         across publications.
 
         Admission is a pure function of (interest set, concept table,
         attribute, term, remaining budget), so each combination is
-        decided once; the memo is dropped whenever the interest index's
-        generation moves (subscription churn, knowledge-base motion) or
-        the concept table catches up with a write.  Check/prune counters are
+        decided once, against the attribute's one
+        :meth:`~repro.core.interest.InterestIndex.reach` — probed by
+        spelling id, which is a known spelling's value key; the memo is
+        dropped whenever the interest index's generation moves
+        (subscription churn, knowledge-base motion) or the concept
+        table catches up with a write.  Check/prune counters are
         replayed on every hit so the stats stay exactly what the
         unmemoized per-candidate consultation would have reported."""
         memo = self.memo(interest, table)
         key = (attribute, tid, budget)
         entry = memo.get(key)
         if entry is None:
-            admitted = []
-            checks = pruned = 0
-            for sid, distance in table.ancestors(tid):
+            reach = interest.reach(attribute)
+            entry = array("i", (0,))
+            checks = 0
+            for sid, distance in pairs(table.ancestors(tid)):
                 if budget is not None and distance > budget:
                     continue
                 checks += 1
-                spelling = table.spelling(sid)
-                if interest.value_interesting(
-                    attribute, spelling, None if budget is None else budget - distance
-                ):
-                    admitted.append((distance, spelling))
-                else:
-                    pruned += 1
-            entry = memo[key] = (tuple(admitted), checks, pruned)
-        admitted, checks, pruned = entry
+                if reach is not None:
+                    depth = reach.get(sid)
+                    if depth is None or (budget is not None and depth > budget - distance):
+                        continue
+                entry.append(distance)
+                entry.append(sid)
+            entry[0] = checks
+            memo[key] = entry
+        checks = entry[0]
         if checks:
             self.stats.bump("prune_checks", checks)
-        if pruned:
-            self.stats.bump("candidates_pruned", pruned)
-        return admitted
+            pruned = checks - len(entry) // 2
+            if pruned:
+                self.stats.bump("candidates_pruned", pruned)
+        admitted = iter(entry)
+        next(admitted)  # the checks
+        return zip(admitted, admitted)
 
     def memo(self, interest, table=None) -> dict:
         """The cross-publication memo, emptied first if *interest* (the
         view and its generation) or the knowledge base moved since it
         was filled.  The concept table follows the knowledge base in
         place, so its identity says nothing: the stamp carries the
-        version the entries were derived under."""
+        version the entries were derived under.  A drop is logged at
+        DEBUG with its cause and the entries it dropped."""
         version = self._kb.version if table is None else table.version
         stamp = (interest, None if interest is None else interest.generation, version)
         if stamp != self._memo_stamp:
+            if self._memo_stamp is not None and _log.isEnabledFor(logging.DEBUG):
+                self._log_drop(stamp)
             self._memo_stamp = stamp
             self._admit_memo = {}
         return self._admit_memo
+
+    def _log_drop(self, stamp: tuple) -> None:
+        interest, generation, version = stamp
+        old_interest, old_generation, old_version = self._memo_stamp
+        causes = []
+        if interest is not old_interest:
+            causes.append("interest index replaced")
+        elif generation != old_generation:
+            causes.append(f"interest generation {old_generation} -> {generation}")
+        if version != old_version:
+            causes.append(f"knowledge base v{old_version} -> v{version}")
+        _log.debug(
+            "%s hierarchy memo dropped (%s): %d entries",
+            self._kb.name,
+            ", ".join(causes),
+            len(self._admit_memo),
+        )
 
     def memo_size(self) -> int:
         """Live entries of the memo: admissions and alternatives."""
@@ -310,7 +344,7 @@ class HierarchyStage(SemanticStage):
         tid = table.term_id_of_value(attribute)
         if tid is None:
             return count
-        for sid, distance in table.ancestors(tid):
+        for sid, distance in pairs(table.ancestors(tid)):
             if budget is not None and distance > budget:
                 continue
             general_attribute = table.attribute_form(sid)

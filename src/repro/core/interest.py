@@ -88,6 +88,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.errors import InvalidAttributeError
 from repro.model.attributes import normalize_attribute
 from repro.model.predicates import Operator, Predicate
 from repro.model.values import Value, canonical_value_key
@@ -268,20 +269,34 @@ class InterestIndex:
         :func:`~repro.ontology.concept_table.descent_closure`), which is
         what makes "depth within remaining"
         exactly the right admission test."""
+        reach = self.reach(attribute)
+        if reach is None:
+            return True
+        if not reach:
+            return False
+        depth = reach.get(self._value_key(value))
+        return depth is not None and (remaining is None or depth <= remaining)
+
+    def reach(self, attribute: str) -> dict | None:
+        """What :meth:`value_interesting` decides for *attribute*, once
+        for all its values: ``None`` when every value is interesting
+        (pruning disabled, an open predicate, a wildcard read), else
+        ``{value key: min climb distance to acceptance}`` — empty when
+        nothing on the attribute can be accepted.  Keys are
+        :meth:`~repro.ontology.concept_table.ConceptTable.value_key`
+        identities when interning is on, so a known spelling's id is
+        its own key."""
         state = self._rule_state()
         if state.disabled_reason is not None:
-            return True
+            return None
         entry = self._attributes.get(attribute)
         if (entry is not None and entry.open) or attribute in state.wildcard:
-            return True
+            return None
         if any(attribute.startswith(prefix) for prefix in state.wildcard_prefixes):
-            return True
+            return None
         if entry is None and attribute not in state.accepted:
-            return False
-        depth = self._closure_for(attribute, state).get(self._value_key(value))
-        if depth is None:
-            return False
-        return remaining is None or depth <= remaining
+            return {}
+        return self._closure_for(attribute, state)
 
     def rule_relevant(self, rule_name: str) -> bool:
         """Whether the named mapping rule's derivations could ever reach
@@ -316,7 +331,7 @@ class InterestIndex:
             for general in self._kb.generalizations(attribute):
                 try:
                     form = normalize_attribute(general.replace(" ", "_"))
-                except Exception:
+                except InvalidAttributeError:
                     continue
                 if form in self._attributes:
                     return True

@@ -45,6 +45,11 @@ Two closure semantics, deliberately distinct:
   which candidates survive ``max_derived_events`` truncation, and it is
   a few percent of a cold start.
 
+Both closures are memoized **packed**: one ``array('i')`` per term with
+``(spelling id, distance)`` interleaved, read pairwise with
+:func:`pairs` — ids are what the table derives, so ids are what it
+keeps.
+
 A table **follows** its knowledge base; it is not a snapshot of it.
 The knowledge base only ever grows (concepts, is-a edges and synonym
 members are added, never removed), so a ``version`` move is always an
@@ -86,7 +91,8 @@ under *different* dense ids, and a closure built against the first id
 would disagree with :meth:`value_key` returning the second — silently
 breaking matcher equality and interest-index probes.  Reads of
 already-memoized entries stay lock-free (dict/list access is atomic
-under the interpreter lock, and memoized values are immutable tuples).
+under the interpreter lock, and a memoized value is never changed once
+stored).
 A catch-up takes the same lock; it swaps whole rows and whole memo
 dicts, so a lock-free reader sees an old or a new one, never a torn
 one — but a knowledge-base *write* must not overlap a publish at all
@@ -104,11 +110,12 @@ from __future__ import annotations
 import logging
 import threading
 import weakref
+from array import array
 from collections import deque
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.errors import DetachedTableError
+from repro.errors import DetachedTableError, InvalidAttributeError
 from repro.model.attributes import normalize_attribute
 from repro.model.values import Value, canonical_value_key
 from repro.ontology.concepts import term_key
@@ -116,9 +123,17 @@ from repro.ontology.concepts import term_key
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kb imports us)
     from repro.ontology.knowledge_base import KnowledgeBase
 
-__all__ = ["ConceptTable", "descent_closure"]
+__all__ = ["ConceptTable", "descent_closure", "pairs"]
 
 _log = logging.getLogger(__name__)
+
+
+def pairs(packed: array) -> Iterator[tuple[int, int]]:
+    """The pairs of a packed closure (:meth:`ConceptTable.ancestors`,
+    :meth:`ConceptTable.descent`), in order: ``(spelling id, distance)``
+    for each entry."""
+    flat = iter(packed)
+    return zip(flat, flat)
 
 
 def descent_closure(kb: "KnowledgeBase", term: str, bound: int | None) -> dict[str, int]:
@@ -207,7 +222,8 @@ class ConceptTable:
         "attribute_roots",
         "_children",
         "_peers",
-        "_term_sids",
+        "_term_sid",
+        "_more_sids",
         "_fill_steps",
         "_canonical_sid",
         "_up_closure",
@@ -226,7 +242,11 @@ class ConceptTable:
         self._term_display: list[str] = []
         #: term key -> term id
         self._tid_by_key: dict[str, int] = {}
-        #: exact spelling -> term id (fast path skipping term_key())
+        #: exact spelling -> term id for the few spellings that are not
+        #: their own term key, and -1 for the few keys that are not
+        #: their own term key ("_a" has the key " a", whose key is "a");
+        #: every other spelling is found in ``_tid_by_key`` as it is — a
+        #: fast path skipping term_key()
         self._tid_by_spelling: dict[str, int] = {}
         #: spelling id -> exact spelling
         self._spellings: list[str] = []
@@ -236,26 +256,30 @@ class ConceptTable:
         #: synonym-group members; the stage skips identical entries)
         self.attribute_roots: dict[str, str] = {}
         #: the value graph descent runs on, one sorted tuple per term
-        #: id: specializations (union over domains), value-synonym
-        #: peers, and the spellings the string path reports for the
-        #: term (taxonomy display per domain, synonym display).  Only
-        #: terms of the *value* substrate (taxonomies, value-synonym
-        #: groups) report any: attribute-synonym spellings are interned
-        #: too (for the stage-1 rewrite), but the string path never
-        #: unifies value spellings through attribute synonyms, so
-        #: descent/subscription expansion must not either.
+        #: id: specializations (union over domains) and value-synonym
+        #: peers ...
         self._children: list[tuple[int, ...]] = []
         self._peers: list[tuple[int, ...]] = []
-        self._term_sids: list[tuple[int, ...]] = []
+        #: ... and the spellings the string path reports for the term
+        #: (taxonomy display per domain, synonym display): the first one
+        #: per term id (-1 = none), and the whole sorted set for the few
+        #: terms that report more than one.  Only terms of the *value*
+        #: substrate (taxonomies, value-synonym groups) report any:
+        #: attribute-synonym spellings are interned too (for the stage-1
+        #: rewrite), but the string path never unifies value spellings
+        #: through attribute synonyms, so descent/subscription
+        #: expansion must not either.
+        self._term_sid = array("i")
+        self._more_sids: dict[int, tuple[int, ...]] = {}
         #: terms settled by descent fills so far — a deterministic work
         #: counter (same operations, same count, any machine)
         self._fill_steps = 0
         #: term id -> canonical display spelling id (-1 = none), lazy
         self._canonical_sid: dict[int, int] = {}
-        #: term id -> ((spelling id, min distance), ...) ancestors, lazy
-        self._up_closure: dict[int, tuple[tuple[int, int], ...]] = {}
-        #: term id -> ((spelling id, min depth), ...) descent set, lazy
-        self._down_closure: dict[int, tuple[tuple[int, int], ...]] = {}
+        #: term id -> packed (spelling id, min distance) ancestors, lazy
+        self._up_closure: dict[int, array] = {}
+        #: term id -> packed (spelling id, min depth) descent set, lazy
+        self._down_closure: dict[int, array] = {}
         #: spelling id -> attribute-normalized form (None = does not
         #: normalize; the stage falls back to raising exactly as the
         #: string path would), lazy
@@ -294,10 +318,12 @@ class ConceptTable:
             )
         return kb
 
-    def _intern_spelling(self, spelling: str) -> int:
+    def _intern_spelling(self, spelling: str, tid: int = -1) -> int:
         sid = self._sid_by_spelling.get(spelling)
         if sid is None:
             sid = len(self._spellings)
+            if sid == tid:
+                sid = tid  # equal ids share one int object
             self._spellings.append(spelling)
             self._sid_by_spelling[spelling] = sid
         return sid
@@ -309,10 +335,33 @@ class ConceptTable:
         if tid is None:
             tid = len(self._term_display)
             self._term_display.append(spelling)
+            self._term_sid.append(-1)
             self._tid_by_key[key] = tid
-        self._tid_by_spelling.setdefault(spelling, tid)
-        self._intern_spelling(spelling)
+            # an edge or doubled underscore leaves spaces term_key trims
+            if "_" in spelling and key != " ".join(key.split()):
+                self._tid_by_spelling[key] = -1
+        if spelling != key:
+            self._tid_by_spelling.setdefault(spelling, tid)
+        self._intern_spelling(spelling, tid)
         return tid
+
+    def _report(self, tid: int, spelling: str, known: int) -> None:
+        """Record that the string path reports *spelling* for the term.
+        A term's first spelling id never changes and a second replaces
+        its whole sorted set in ``_more_sids``, which lock-free readers
+        probe first.  A term among the first *known* that reports its
+        first spelling here was an attribute synonym only: a build reads
+        the value substrate first, so the term takes this display."""
+        sid = self._sid_by_spelling[spelling]
+        first = self._term_sid[tid]
+        if first < 0:
+            if tid < known:
+                self._term_display[tid] = spelling
+            self._term_sid[tid] = sid
+        elif first != sid:
+            sids = self._more_sids.get(tid, (first,))
+            if sid not in sids:
+                self._more_sids[tid] = tuple(sorted((*sids, sid)))
 
     def _extend(
         self,
@@ -330,30 +379,34 @@ class ConceptTable:
         are synonym groups as they stand now, whole.  New ids go past
         the high-water marks; a row that gains a neighbour is replaced
         by a new sorted tuple, never edited, so a lock-free reader
-        holding the old one finishes on it.
+        holding the old one finishes on it.  Each edge and each
+        reported spelling goes straight into its term's row: nothing
+        is collected as pairs first.
         """
-        sid_of = self._sid_by_spelling
         tid_of = self._tid_by_key
-        known = len(self._term_sids)
-        #: (term id, spelling id) the string path reports, and the graph
-        #: edges, collected as pairs while the id space is still growing
-        reported: list[tuple[int, int]] = []
-        isa: list[tuple[int, int]] = []
+        known = len(self._term_display)
+        report = self._report
+        #: parent term id -> child term ids the edges add, in order
+        children: dict[int, list[int]] = {}
         synsets: list[tuple[int, ...]] = []
         for item in concepts_and_edges:
             if type(item) is tuple:
                 child, parent = item
-                isa.append((tid_of[parent], tid_of[child]))
+                parent_tid = tid_of[parent]
+                row = children.get(parent_tid)
+                if row is None:
+                    children[parent_tid] = [tid_of[child]]
+                else:
+                    row.append(tid_of[child])
             else:
                 # a concept's key is the term key of its display spelling
-                tid = self._intern_term(item.term, item.key)
-                reported.append((tid, sid_of[item.term]))
+                report(self._intern_term(item.term, item.key), item.term, known)
         for group in value_groups:
             members = set()
             for spelling in sorted(group):
                 tid = self._intern_term(spelling)
                 members.add(tid)
-                reported.append((tid, sid_of[spelling]))
+                report(tid, spelling, known)
             synsets.append(tuple(sorted(members)))
         for group in attribute_groups:
             spellings = sorted(group)
@@ -361,27 +414,15 @@ class ConceptTable:
             for spelling in spellings:
                 self._intern_term(spelling)
                 self.attribute_roots[normalize_attribute(spelling)] = root
-        if known:
-            # a term known so far only as an attribute synonym joins the
-            # value substrate: a build reads that substrate first, so
-            # there the term is displayed by its first spelling in it
-            promoted: dict[int, int] = {}
-            for tid, sid in reported:
-                if tid < known and not self._term_sids[tid]:
-                    promoted.setdefault(tid, sid)
-            for tid, sid in promoted.items():
-                self._term_display[tid] = self._spellings[sid]
-        grown = [()] * (len(self._term_display) - known)
+        grown = [()] * (len(self._term_display) - len(self._children))
         self._children.extend(grown)
         self._peers.extend(grown)
-        self._term_sids.extend(grown)
-        _merge_rows(self._children, isa)
+        _merge_rows(self._children, children)
         # synonym groups are disjoint: every member shares its group's
         # one tuple (itself included — walks skip settled terms anyway)
         for synset in synsets:
             for tid in synset:
                 self._peers[tid] = synset
-        _merge_rows(self._term_sids, reported)
 
     def catch_up(
         self,
@@ -452,11 +493,16 @@ class ConceptTable:
     def term_id_of_value(self, value: str) -> int | None:
         """The term id for an event/subscription value, ``None`` for
         un-interned values (the string-path fallback).  Exact known
-        spellings resolve in one dict probe; variant spellings pay one
+        spellings resolve by dict probes alone (a spelling that is its
+        own term key is found by key); variant spellings pay one
         :func:`~repro.ontology.concepts.term_key` normalization (which
         raises on malformed terms exactly as the string path does)."""
         tid = self._tid_by_spelling.get(value)
-        if tid is not None:
+        if tid is None:
+            tid = self._tid_by_key.get(value)
+            if tid is not None:
+                return tid
+        elif tid >= 0:
             return tid
         return self._tid_by_key.get(term_key(value))
 
@@ -467,7 +513,7 @@ class ConceptTable:
         """:meth:`term_id_of_value` restricted to the value substrate:
         ``None`` too for terms known only as attribute synonyms."""
         tid = self.term_id_of_value(value)
-        if tid is None or not self._term_sids[tid]:
+        if tid is None or self._term_sid[tid] < 0:
             return None
         return tid
 
@@ -508,23 +554,22 @@ class ConceptTable:
                     self._canonical_sid[tid] = sid
         return None if sid < 0 else self._spellings[sid]
 
-    def ancestors(self, tid: int) -> tuple[tuple[int, int], ...]:
-        """``(spelling id, min distance)`` pairs for every
-        generalization of the term, in the knowledge base's enumeration
-        order — the full (unbounded) closure; budget-bounded callers
-        filter by distance, which is equivalent because distances are
-        minimal."""
+    def ancestors(self, tid: int) -> array:
+        """Every generalization of the term, packed: ``(spelling id, min
+        distance)`` interleaved (read with :func:`pairs`), in the
+        knowledge base's enumeration order — the full (unbounded)
+        closure; budget-bounded callers filter by distance, which is
+        equivalent because distances are minimal."""
         closure = self._up_closure.get(tid)
         if closure is None:
             with self._fill_lock:
                 closure = self._up_closure.get(tid)
                 if closure is None:
-                    closure = tuple(
-                        (self._intern_spelling(general), distance)
-                        for general, distance in self._knowledge_base().generalizations(
-                            self._term_display[tid]
-                        ).items()
-                    )
+                    kb, intern = self._knowledge_base(), self._intern_spelling
+                    closure = array("i")
+                    for general, distance in kb.generalizations(self._term_display[tid]).items():
+                        closure.append(intern(general))
+                        closure.append(distance)
                     self._up_closure[tid] = closure
         return closure
 
@@ -538,7 +583,7 @@ class ConceptTable:
                 if form is False:
                     try:
                         form = normalize_attribute(self._spellings[sid].replace(" ", "_"))
-                    except Exception:
+                    except InvalidAttributeError:
                         form = None
                     self._attr_form[sid] = form
         return form
@@ -570,15 +615,27 @@ class ConceptTable:
                         frontier.append(peer)
             level = [child for tid in frontier for child in children[tid] if child not in settled]
             depth += 1
-        term_sids = self._term_sids
-        depths = {sid: depth for tid, depth in settled.items() for sid in term_sids[tid]}
+        first, more = self._term_sid, self._more_sids
+        depths: dict[int, int] = {}
+        for tid, depth in settled.items():
+            sids = more.get(tid)
+            if sids is None:
+                sid = first[tid]
+                if sid == tid:
+                    depths[tid] = depth  # the shared int: nothing allocated
+                elif sid >= 0:
+                    depths[sid] = depth
+            else:
+                for sid in sids:
+                    depths[sid] = depth
         return depths, len(settled)
 
-    def descent(self, tid: int) -> tuple[tuple[int, int], ...]:
-        """``(spelling id, min total depth)`` pairs for every spelling
-        an event may carry to reach the term — the unbounded closure
-        :func:`descent_closure` defines, computed on ids and memoized
-        once per term.  Bounded queries filter by depth."""
+    def descent(self, tid: int) -> array:
+        """Every spelling an event may carry to reach the term, packed:
+        ``(spelling id, min total depth)`` interleaved (read with
+        :func:`pairs`) — the unbounded closure :func:`descent_closure`
+        defines, computed on ids and memoized once per term.  Bounded
+        queries filter by depth."""
         closure = self._down_closure.get(tid)
         if closure is None:
             with self._fill_lock:
@@ -588,7 +645,7 @@ class ConceptTable:
                     self._fill_steps += steps
                     # the string BFS seeds from the literal term too
                     depths.setdefault(self._sid_by_spelling[self._term_display[tid]], 0)
-                    closure = tuple(depths.items())
+                    closure = array("i", chain.from_iterable(depths.items()))
                     self._down_closure[tid] = closure
         return closure
 
@@ -626,7 +683,7 @@ class ConceptTable:
         spellings = self._spellings
         result = {
             spellings[sid]: depth
-            for sid, depth in self.descent(tid)
+            for sid, depth in pairs(self.descent(tid))
             if bound is None or depth <= bound
         }
         # the BFS seeds from value_equivalents(term) ∪ {term}: the exact
@@ -649,18 +706,11 @@ class ConceptTable:
         }
 
 
-def _merge_rows(rows: list[tuple[int, ...]], pairs: Iterable[tuple[int, int]]) -> None:
-    """Add ``(term id, neighbour)`` *pairs* to the per-term neighbour
+def _merge_rows(rows: list[tuple[int, ...]], found: dict[int, list[int]]) -> None:
+    """Add the neighbours *found* per term id to the per-term neighbour
     tuples *rows*, replacing each touched row with a new tuple —
     sorted so graph walks enumerate in one order under every hash seed,
     de-duplicated because domains may repeat an edge."""
-    found: dict[int, list[int]] = {}
-    for tid, neighbour in pairs:
-        row = found.get(tid)
-        if row is None:
-            found[tid] = [neighbour]
-        else:
-            row.append(neighbour)
     for tid, row in found.items():
         row.extend(rows[tid])
         rows[tid] = (row[0],) if len(row) == 1 else tuple(sorted(set(row)))

@@ -20,6 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 from repro.errors import (
     DuplicateConceptError,
+    InvalidValueError,
     TaxonomyCycleError,
     UnknownConceptError,
 )
@@ -138,7 +139,7 @@ class Taxonomy:
     def __contains__(self, term: str) -> bool:
         try:
             return term_key(term) in self._concepts
-        except Exception:
+        except InvalidValueError:
             return False
 
     def __iter__(self) -> Iterator[Concept]:

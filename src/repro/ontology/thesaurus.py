@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.errors import DuplicateConceptError
+from repro.errors import DuplicateConceptError, InvalidValueError
 from repro.ontology.concepts import normalize_term, term_key
 
 __all__ = ["Thesaurus"]
@@ -142,7 +142,7 @@ class Thesaurus:
     def __contains__(self, term: str) -> bool:
         try:
             return term_key(term) in self._group_of
-        except Exception:
+        except InvalidValueError:
             return False
 
     def __len__(self) -> int:

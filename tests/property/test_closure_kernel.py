@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from array import array
 
 import pytest
 from hypothesis import given
@@ -28,11 +29,12 @@ from hypothesis import strategies as st
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.errors import OntologyError
+from repro.errors import InvalidValueError, OntologyError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
-from repro.ontology.concept_table import ConceptTable, descent_closure
+from repro.ontology.concept_table import ConceptTable, descent_closure, pairs
+from repro.ontology.concepts import term_key
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 from repro.workload.worlds import build_world
@@ -81,10 +83,15 @@ BRIDGED_TERMS = (
 )
 
 
+def is_value_term(table, tid: int) -> bool:
+    """Whether the term is in the value substrate (a taxonomy or a
+    value-synonym group): attribute-synonym-only terms have no canonical
+    value spelling and no value closure to compare."""
+    return table.canonical_spelling(tid) is not None
+
+
 def value_term_ids(table) -> list[int]:
-    """Term ids of the value substrate (attribute-synonym-only terms
-    report no spellings and have no value closure to compare)."""
-    return [tid for tid in range(len(table)) if table._term_sids[tid]]
+    return [tid for tid in range(len(table)) if is_value_term(table, tid)]
 
 
 def sample_terms(kb: KnowledgeBase, limit: int = 120) -> list[str]:
@@ -105,7 +112,7 @@ def world(request):
 
 
 def as_spellings(table, closure) -> dict[str, int]:
-    return {table.spelling(sid): depth for sid, depth in closure}
+    return {table.spelling(sid): depth for sid, depth in pairs(closure)}
 
 
 def test_descent_equals_string_bfs(world):
@@ -137,6 +144,69 @@ def test_multi_source_is_keywise_min_of_single_source(world):
                 key = table.value_key(spelling)
                 expected[key] = min(depth, expected.get(key, depth))
         assert table.descent_depths(chosen) == expected
+
+
+def test_ancestors_are_the_generalizations_in_their_order(world):
+    """The packed closure is ``kb.generalizations`` of the term's display
+    spelling, entry for entry: its order decides what survives
+    ``max_derived_events``."""
+    kb, _ = world
+    table = kb.concept_table()
+    for tid in range(0, len(table), max(1, len(table) // 400)):
+        display = table.term_display(tid)
+        closure = [(table.spelling(sid), distance) for sid, distance in pairs(table.ancestors(tid))]
+        assert closure == list(kb.generalizations(display).items()), display
+
+
+def test_term_ids_of_spellings_keys_and_variants(world):
+    """Every known spelling, its key and its case and underscore
+    variants resolve to the term their key names (or raise as its key
+    does): the exact-spelling fast path never answers differently."""
+    kb, terms = world
+    table = kb.concept_table()
+
+    def by_key(value):
+        try:
+            return table.term_id_of_key(term_key(value))
+        except InvalidValueError:
+            return "raises"
+
+    def by_value(value):
+        try:
+            return table.term_id_of_value(value)
+        except InvalidValueError:
+            return "raises"
+
+    spellings = [table.spelling(sid) for sid in range(table.spelling_count)]
+    for spelling in (*spellings, *terms):
+        for value in (
+            spelling,
+            term_key(spelling),
+            spelling.swapcase(),
+            spelling.replace(" ", "_"),
+            f"_{spelling}_",
+        ):
+            assert by_value(value) == by_key(value), value
+    assert None not in map(table.term_id_of_value, spellings)
+
+
+@pytest.mark.parametrize("name", ["jobfinder", "mega-small", "mega-deep"])
+def test_derived_state_is_packed_after_a_warm_up(name):
+    world = build_world(name)
+    engine = SToPSS(world.kb)
+    generator = world.generator(seed=7)
+    for subscription in generator.subscriptions(40):
+        engine.subscribe(subscription)
+    for event in generator.events(10):
+        engine.publish(event)
+    table = world.kb.concept_table()
+    table.descent(value_term_ids(table)[0])
+    closures = [*table._up_closure.values(), *table._down_closure.values()]
+    admissions = [
+        entry for key, entry in engine.pipeline.hierarchy._admit_memo.items() if len(key) == 3
+    ]
+    assert closures and admissions
+    assert all(type(entry) is array for entry in closures + admissions)
 
 
 def test_bridged_world_crosses_domains_and_keeps_spellings_apart():
@@ -288,9 +358,9 @@ def _by_spelling(table: ConceptTable) -> dict:
         view[key] = (
             table.canonical_spelling(tid),
             # in order: it decides which candidates survive truncation
-            [(spelling(sid), distance) for sid, distance in table.ancestors(tid)],
+            [(spelling(sid), distance) for sid, distance in pairs(table.ancestors(tid))],
             # the attribute-synonym-only terms have no value closure
-            as_spellings(table, table.descent(tid)) if table._term_sids[tid] else None,
+            as_spellings(table, table.descent(tid)) if is_value_term(table, tid) else None,
         )
     for term in (*_SPELLINGS, "never heard of it"):
         view["map", term] = [table.descent_map(term, bound) for bound in _BOUNDS]

@@ -8,12 +8,13 @@ import pytest
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.errors import DetachedTableError
+from repro.errors import DetachedTableError, InvalidAttributeError, InvalidValueError
+from repro.model.attributes import normalize_attribute
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
 from repro.model.values import canonical_value_key
-from repro.ontology.concept_table import ConceptTable, descent_closure
+from repro.ontology.concept_table import ConceptTable, descent_closure, pairs
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 
@@ -43,6 +44,21 @@ class TestIdentity:
         # not the same term id
         assert table.term_id_of_value("auto") != table.term_id_of_value("car")
 
+    def test_a_key_that_is_not_its_own_key_is_normalized(self):
+        kb = KnowledgeBase("t")
+        kb.add_domain("d").add_chain("_x", "top")  # "_x" has the key " x"
+        kb.add_domain("e").add_chain("_", "top")  # "_" has the key " "
+        table = kb.concept_table()
+        x = table.term_id_of_value("_x")
+        assert x is not None and table.term_id_of_key(" x") == x
+        # as the string path has it: " x" normalizes to "x", no term
+        assert table.term_id_of_value(" x") is None
+        with pytest.raises(InvalidValueError):
+            table.term_id_of_value(" ")
+        kb.add_domain("d").add_chain("x", "top")
+        assert kb.concept_table() is table
+        assert table.term_id_of_value(" x") == table.term_id_of_value("x") not in (None, x)
+
     def test_unknown_term_is_uninterned(self):
         table = build_kb().concept_table()
         assert table.term_id_of_value("hovercraft") is None
@@ -59,8 +75,33 @@ class TestIdentity:
         table = kb.concept_table()
         for term in ("sedan", "coupe", "auto", "vehicle"):
             tid = table.term_id_of_value(term)
-            closure = {table.spelling(sid): d for sid, d in table.ancestors(tid)}
-            assert closure == kb.generalizations(term)
+            closure = [(table.spelling(sid), d) for sid, d in pairs(table.ancestors(tid))]
+            # in order: it decides which candidates survive truncation
+            assert closure == list(kb.generalizations(term).items())
+
+
+class TestAttributeForm:
+    def test_a_spelling_that_is_no_attribute_has_no_form(self):
+        kb = build_kb()
+        kb.add_domain("degrees").add_chain("Ph.D.", "graduate degree")
+        table = kb.concept_table()
+        assert table.attribute_form(table.value_key("Ph.D.")) is None
+        assert table.attribute_form(table.value_key("graduate degree")) == "graduate_degree"
+        with pytest.raises(InvalidAttributeError):
+            normalize_attribute("Ph.D.")  # the typed error the form stands for
+
+    def test_an_unrelated_error_propagates(self, monkeypatch):
+        table = build_kb().concept_table()
+        sid = table.value_key("car")
+
+        def broken(name):
+            raise RuntimeError("not an attribute error")
+
+        monkeypatch.setattr("repro.ontology.concept_table.normalize_attribute", broken)
+        with pytest.raises(RuntimeError, match="not an attribute error"):
+            table.attribute_form(sid)
+        monkeypatch.undo()
+        assert table.attribute_form(sid) == "car"  # nothing was memoized
 
 
 class TestValueKeyFallback:
@@ -163,8 +204,8 @@ class TestFollowsTheKnowledgeBase:
         )
         assert stats["closures_dropped"] == 1 and stats["up_closures"] == 0
         tid = first.term_id_of_value("truck")
-        closure = {first.spelling(sid): d for sid, d in first.ancestors(tid)}
-        assert closure == {"vehicle": 1}
+        closure = [(first.spelling(sid), d) for sid, d in pairs(first.ancestors(tid))]
+        assert closure == [("vehicle", 1)]
 
     def test_a_mapping_rule_moves_the_version_and_drops_nothing(self):
         kb = build_kb()

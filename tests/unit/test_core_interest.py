@@ -235,6 +235,47 @@ class TestRuleRelevance:
         assert not index.rule_relevant("r")
 
 
+class TestMalformedGeneralizations:
+    """A generalization that is no attribute name is skipped when rule
+    relevance asks whether an output attribute renames onto a live one;
+    any other error propagates."""
+
+    @staticmethod
+    def _index():
+        kb = _kb()
+        kb.add_domain("d").add_chain("deg", "Ph.D.", "hit")
+        kb.add_rule(MappingRule.equivalence("r", {"a": "x"}, {"deg": "y"}))
+        return _index(kb, None, Subscription([Predicate.exists("hit")], sub_id="s"))
+
+    def test_a_spelling_that_is_no_attribute_is_skipped(self):
+        # "Ph.D." does not normalize; "hit", one level further, does
+        assert self._index().rule_relevant("r")
+
+    def test_an_unrelated_error_propagates(self, monkeypatch):
+        index = self._index()
+
+        def broken(name):
+            raise RuntimeError("not an attribute error")
+
+        monkeypatch.setattr("repro.core.interest.normalize_attribute", broken)
+        with pytest.raises(RuntimeError, match="not an attribute error"):
+            index.rule_relevant("r")
+
+
+class TestReach:
+    def test_reach_decides_every_value_of_an_attribute_at_once(self):
+        index = _index(
+            None,
+            None,
+            Subscription([Predicate.eq("x", "top"), Predicate.ge("n", 4)], sub_id="s"),
+        )
+        table = index._kb.concept_table()
+        reach = index.reach("x")
+        assert reach[table.value_key("leaf")] == 2 and table.value_key("other") not in reach
+        assert index.reach("n") is None  # an open predicate: every value
+        assert not index.reach("nobody")  # nothing can be accepted
+
+
 class TestInterning:
     @pytest.mark.parametrize("interning", [True, False])
     def test_paths_agree(self, interning):

@@ -9,6 +9,9 @@ that declines factored results still gets.
 
 from __future__ import annotations
 
+import logging
+from array import array
+
 import pytest
 
 from repro.broker.broker import Broker
@@ -375,6 +378,45 @@ def test_alternatives_share_the_admission_memos_lifetime():
     kb.add_value_synonyms(["r3", "rung three"], root="r3")  # snapshot moves
     assert _matches(engine, event) == {"s": 2}
     assert hierarchy.memo_size() == filled
+
+
+def test_admissions_are_packed_ids():
+    kb = _ladder_kb()
+    engine = SToPSS(kb)
+    engine.subscribe(Subscription([Predicate.eq("x", "r2")], sub_id="s"))
+    engine.publish(Event({"x": "r0", "w": "r1"}))
+    table, memo = kb.concept_table(), engine.pipeline.hierarchy._admit_memo
+    admissions = {key: entry for key, entry in memo.items() if len(key) == 3}
+    # "w" has no predicate: its four ancestors are checked and pruned
+    entry = admissions["w", table.term_id_of_value("r1"), None]
+    assert type(entry) is array and list(entry) == [4]
+    # "x": five ancestors checked, only r1 and r2 can still reach "r2"
+    entry = admissions["x", table.term_id_of_value("r0"), None]
+    assert entry[0] == 5
+    admitted = [(d, table.spelling(sid)) for d, sid in zip(entry[1::2], entry[2::2])]
+    assert admitted == [(1, "r1"), (2, "r2")]
+
+
+def test_a_memo_drop_is_logged_with_its_cause(caplog):
+    kb = _ladder_kb()
+    engine = SToPSS(kb)
+    engine.subscribe(Subscription([Predicate.eq("x", "r2")], sub_id="s"))
+    hierarchy = engine.pipeline.hierarchy
+    event = Event({"x": "r0", "y": "r0"})
+    with caplog.at_level(logging.DEBUG, logger="repro.core.hierarchy"):
+        engine.publish(event)
+        engine.publish(event)
+        assert caplog.records == []  # a first fill and a hit drop nothing
+        filled = hierarchy.memo_size()
+        engine.subscribe(Subscription([Predicate.eq("y", "r1")], sub_id="t"))
+        engine.publish(event)
+        refilled = hierarchy.memo_size()
+        kb.add_value_synonyms(["r3", "rung three"], root="r3")
+        engine.publish(event)
+    churn, write = [record.getMessage() for record in caplog.records]
+    assert churn.endswith(f": {filled} entries") and "interest generation" in churn
+    assert "knowledge base" not in churn
+    assert write.endswith(f": {refilled} entries") and "knowledge base v" in write
 
 
 # -- satellites: truncation is visible; nothing is encoded for no journal ------------

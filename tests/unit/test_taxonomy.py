@@ -334,3 +334,25 @@ class TestConceptSlots:
         assert (glossed.term, glossed.key, glossed.domain) == ("PhD", "phd", "jobs")
         assert glossed.description == "doctor of philosophy"
         assert concept.description == ""
+
+
+class TestMalformedMembership:
+    """Membership answers ``False`` for a term that does not normalize
+    and lets any other error through."""
+
+    @pytest.mark.parametrize("term", ["", "   ", 3, None])
+    def test_a_malformed_term_is_not_a_member(self, term):
+        taxonomy = Taxonomy("jobs")
+        taxonomy.add_chain("PhD", "degree")
+        assert term not in taxonomy
+
+    def test_an_unrelated_error_propagates(self, monkeypatch):
+        taxonomy = Taxonomy("jobs")
+        taxonomy.add_chain("PhD", "degree")
+
+        def broken(term):
+            raise RuntimeError("not a value error")
+
+        monkeypatch.setattr("repro.ontology.taxonomy.term_key", broken)
+        with pytest.raises(RuntimeError, match="not a value error"):
+            "PhD" in taxonomy

@@ -160,3 +160,25 @@ class TestReporting:
         v0 = t.version
         t.add_synonyms(["a", "b"])
         assert t.version > v0
+
+
+class TestMalformedMembership:
+    """Membership answers ``False`` for a term that does not normalize
+    and lets any other error through."""
+
+    @pytest.mark.parametrize("term", ["", "   ", 3, None])
+    def test_a_malformed_term_is_not_a_member(self, term):
+        t = Thesaurus()
+        t.add_synonyms(["school", "university"])
+        assert term not in t
+
+    def test_an_unrelated_error_propagates(self, monkeypatch):
+        t = Thesaurus()
+        t.add_synonyms(["school", "university"])
+
+        def broken(term):
+            raise RuntimeError("not a value error")
+
+        monkeypatch.setattr("repro.ontology.thesaurus.term_key", broken)
+        with pytest.raises(RuntimeError, match="not a value error"):
+            "school" in t
