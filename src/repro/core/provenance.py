@@ -108,8 +108,15 @@ class DerivedEvent:
 
     def extend(self, event: Event, step: DerivationStep) -> "DerivedEvent":
         """The derived event obtained by applying one more step; the
-        child records this event as its ``parent``."""
-        return DerivedEvent(event, self.steps + (step,), parent=self)
+        child records this event as its ``parent`` and carries its
+        generality forward (one addition, not a re-sum of the chain)."""
+        child = object.__new__(DerivedEvent)
+        put = object.__setattr__  # the dataclass is frozen
+        put(child, "event", event)
+        put(child, "steps", self.steps + (step,))
+        put(child, "parent", self)
+        put(child, "_generality", self._generality + step.generality)
+        return child
 
     def used_rule(self, rule_name: str) -> bool:
         """Whether *rule_name* already fired along this chain."""

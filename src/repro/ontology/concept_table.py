@@ -122,6 +122,7 @@ from repro.ontology.concepts import term_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kb imports us)
     from repro.ontology.knowledge_base import KnowledgeBase
+    from repro.ontology.taxonomy import Taxonomy
 
 __all__ = ["ConceptTable", "descent_closure", "pairs"]
 
@@ -294,9 +295,9 @@ class ConceptTable:
         self._followed = dict.fromkeys(
             ("catch_ups", "appended_terms", "appended_spellings", "closures_dropped"), 0
         )
-        taxonomies = [kb.taxonomy(domain) for domain in kb.domains()]
         self._extend(
-            chain.from_iterable(chain(t, t.isa_edges()) for t in taxonomies),
+            [kb.taxonomy(domain) for domain in kb.domains()],
+            (),
             kb.value_synonym_groups(),
             kb.attribute_synonym_groups(),
         )
@@ -365,6 +366,7 @@ class ConceptTable:
 
     def _extend(
         self,
+        taxonomies: Iterable["Taxonomy"],
         concepts_and_edges: Iterable,
         value_groups: Iterable[frozenset[str]],
         attribute_groups: Iterable[frozenset[str]],
@@ -373,34 +375,49 @@ class ConceptTable:
         behind the first build (everything the knowledge base holds)
         and a catch-up (what it appended since).
 
-        *concepts_and_edges* mixes taxonomy :class:`~repro.ontology.
-        concepts.Concept` nodes with ``(specialized key, generalized
-        key)`` is-a pairs, an edge after both its concepts; the groups
-        are synonym groups as they stand now, whole.  New ids go past
-        the high-water marks; a row that gains a neighbour is replaced
-        by a new sorted tuple, never edited, so a lock-free reader
-        holding the old one finishes on it.  Each edge and each
-        reported spelling goes straight into its term's row: nothing
-        is collected as pairs first.
+        The first build reads whole *taxonomies* through their rows:
+        each concept's ``(display, key)`` and each child row of local
+        indexes, mapped through the term ids the concept pass
+        assigned.  A catch-up passes none and *concepts_and_edges*
+        instead: taxonomy :class:`~repro.ontology.concepts.Concept`
+        nodes mixed with ``(specialized key, generalized key)`` is-a
+        pairs, an edge after both its concepts.  The groups are synonym
+        groups as they stand now, whole.  New ids go past the
+        high-water marks; a row that gains a neighbour is replaced by a
+        new sorted tuple, never edited, so a lock-free reader holding
+        the old one finishes on it.  Each edge and each reported
+        spelling goes straight into its term's row: nothing is
+        collected as pairs first.
         """
         tid_of = self._tid_by_key
         known = len(self._term_display)
-        report = self._report
+        intern, report = self._intern_term, self._report
         #: parent term id -> child term ids the edges add, in order
         children: dict[int, list[int]] = {}
         synsets: list[tuple[int, ...]] = []
+        for taxonomy in taxonomies:
+            tids = []
+            # a concept's key is the term key of its display spelling
+            for display, key in taxonomy.concept_rows():
+                tid = intern(display, key)
+                report(tid, display, known)
+                tids.append(tid)
+            for parent, row in taxonomy.child_rows():
+                parent_tid, added = tids[parent], [tids[child] for child in row]
+                if parent_tid in children:
+                    children[parent_tid].extend(added)
+                else:
+                    children[parent_tid] = added
         for item in concepts_and_edges:
             if type(item) is tuple:
                 child, parent = item
-                parent_tid = tid_of[parent]
-                row = children.get(parent_tid)
+                row = children.get(tid_of[parent])
                 if row is None:
-                    children[parent_tid] = [tid_of[child]]
+                    children[tid_of[parent]] = [tid_of[child]]
                 else:
                     row.append(tid_of[child])
             else:
-                # a concept's key is the term key of its display spelling
-                report(self._intern_term(item.term, item.key), item.term, known)
+                report(intern(item.term, item.key), item.term, known)
         for group in value_groups:
             members = set()
             for spelling in sorted(group):
@@ -447,7 +464,7 @@ class ConceptTable:
             terms, spellings = len(self._term_display), len(self._spellings)
             dropped = 0
             if concepts_and_edges or value_groups or attribute_groups:
-                self._extend(concepts_and_edges, value_groups, attribute_groups)
+                self._extend((), concepts_and_edges, value_groups, attribute_groups)
                 dropped = (
                     len(self._canonical_sid) + len(self._up_closure) + len(self._down_closure)
                 )

@@ -219,15 +219,15 @@ class KnowledgeBase:
         # candidates a truncated expansion constructs first, and must
         # not follow the hash order of a set of strings
         seeds = sorted(self.value_equivalents(term)) if isinstance(term, str) else [term]
+        self_keys = {term_key(s) for s in seeds}
         for taxonomy in self._taxonomies_for(domain):
             for seed in seeds:
-                if seed not in taxonomy:
-                    continue
-                for ancestor, distance in taxonomy.ancestors(seed, max_levels).items():
-                    if ancestor not in merged or merged[ancestor] > distance:
+                # the walk hands over each ancestor's key, the term key
+                # of its display: no spelling is normalized again here
+                for ancestor, key, distance in taxonomy.ancestors_keyed(seed, max_levels):
+                    if key not in self_keys and merged.get(ancestor, distance + 1) > distance:
                         merged[ancestor] = distance
-        self_keys = {term_key(s) for s in seeds}
-        return {t: d for t, d in merged.items() if term_key(t) not in self_keys}
+        return merged
 
     def is_generalization_of(
         self, general: str, specific: str, *, domain: str | None = None

@@ -11,12 +11,17 @@ parent.  Multiple parents are allowed (a "station wagon" is-a "car" and
 is-a "family vehicle"), cycles are rejected at insertion time, and all
 upward/downward traversals report the *minimum* hop distance — the
 "level of match generality" that the tolerance knob bounds.
+
+Storage follows the paper's rule to "substitute each term with an
+internal identifier": a concept is a dense local index in registration
+order, and the is-a relation is rows of indexes in ``array('i')``.  A
+:class:`Concept` is a value built when one is asked for, never stored.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator, Mapping, Sequence
+from array import array
+from typing import Iterator, Sequence
 
 from repro.errors import (
     DuplicateConceptError,
@@ -27,6 +32,25 @@ from repro.errors import (
 from repro.ontology.concepts import Concept, term_and_key, term_key
 
 __all__ = ["Taxonomy"]
+
+
+def _row(first: array, more: dict[int, array], index: int) -> Sequence[int]:
+    """The neighbours of *index* in declaration order: the whole
+    overflow row when it has more than one, else its first slot."""
+    head = first[index]
+    if head < 0:
+        return ()
+    return more.get(index) or (head,)
+
+
+def _append(first: array, more: dict[int, array], index: int, neighbour: int) -> None:
+    head = first[index]
+    if head < 0:
+        first[index] = neighbour
+    elif index in more:
+        more[index].append(neighbour)
+    else:
+        more[index] = array("i", (head, neighbour))
 
 
 class Taxonomy:
@@ -41,15 +65,24 @@ class Taxonomy:
 
     def __init__(self, domain: str = "") -> None:
         self.domain = domain
-        self._concepts: dict[str, Concept] = {}
-        #: key -> neighbour keys in the order the edges were declared
-        #: (walks never enumerate in the hash order of a set of strings —
-        #: which candidates a truncated expansion reaches must not depend
-        #: on ``PYTHONHASHSEED``).  Sparse: a concept without parents has
-        #: no ``_parents`` entry, one without children no ``_children``
-        #: entry, so storage grows with edges, not with concepts
-        self._parents: dict[str, tuple[str, ...]] = {}
-        self._children: dict[str, list[str]] = {}
+        #: term key -> local index; indexes are dense, in registration order
+        self._index: dict[str, int] = {}
+        #: local index -> display spelling and term key (one shared
+        #: string when the two are equal)
+        self._display: list[str] = []
+        self._keys: list[str] = []
+        #: local index -> description, for the concepts that have one
+        self._descriptions: dict[int, str] = {}
+        #: the is-a rows: per concept its first parent / first child
+        #: (-1 = none), and for the few concepts with more than one the
+        #: whole row in an overflow dict.  Rows keep declaration order
+        #: (walks never enumerate in the hash order of a set — which
+        #: candidates a truncated expansion reaches must not depend on
+        #: ``PYTHONHASHSEED``)
+        self._up = array("i")
+        self._up_more: dict[int, array] = {}
+        self._down = array("i")
+        self._down_more: dict[int, array] = {}
         self.version = 0
         #: what was appended since :meth:`take_appended` last ran — a
         #: :class:`Concept` per new concept, a ``(specialized key,
@@ -60,19 +93,29 @@ class Taxonomy:
 
     # -- construction ----------------------------------------------------------
 
+    def _intern(self, term: str, description: str = "") -> int:
+        """The index of *term*'s concept, registering it when new
+        (first spelling and first description win)."""
+        display, key = term_and_key(term)
+        index = self._index.get(key)
+        if index is None:
+            index = len(self._keys)
+            self._index[key] = index
+            self._display.append(display)
+            self._keys.append(key)
+            if description:
+                self._descriptions[index] = description
+            self._up.append(-1)
+            self._down.append(-1)
+            self.version += 1
+            if self._appended is not None:
+                self._appended.append(self._concept(index))
+        return index
+
     def add_concept(self, term: str, description: str = "") -> Concept:
         """Register a concept; re-registering the same key is a no-op and
-        returns the existing node (first spelling wins)."""
-        display, key = term_and_key(term)
-        existing = self._concepts.get(key)
-        if existing is not None:
-            return existing
-        concept = Concept._finished(display, key, self.domain, description)
-        self._concepts[key] = concept
-        self.version += 1
-        if self._appended is not None:
-            self._appended.append(concept)
-        return concept
+        returns an equal node (first spelling wins)."""
+        return self._concept(self._intern(term, description))
 
     def add_isa(self, specialized: str, generalized: str) -> None:
         """Add an is-a edge: *specialized* is a kind of *generalized*.
@@ -82,23 +125,26 @@ class Taxonomy:
         the hierarchy cyclic, and
         :class:`~repro.errors.DuplicateConceptError` for self-loops.
         """
-        child = self.add_concept(specialized)
-        parent = self.add_concept(generalized)
-        if child.key == parent.key:
-            raise DuplicateConceptError(f"concept {child.term!r} cannot be its own generalization")
-        parents = self._parents.get(child.key, ())
-        if parent.key in parents:
+        child, parent = self._intern(specialized), self._intern(generalized)
+        display = self._display
+        if child == parent:
+            raise DuplicateConceptError(
+                f"concept {display[child]!r} cannot be its own generalization"
+            )
+        if parent in _row(self._up, self._up_more, child):
             return
         # a child nobody specializes yet is no one's ancestor, so the
         # new edge cannot close a cycle: skip the upward walk (exact,
         # and what keeps leaf-by-leaf builds of deep spines linear)
-        if child.key in self._children and self._reaches(parent.key, child.key):
-            raise TaxonomyCycleError(f"edge {child.term!r} -> {parent.term!r} would create a cycle")
-        self._parents[child.key] = parents + (parent.key,)
-        self._children.setdefault(parent.key, []).append(child.key)
+        if self._down[child] >= 0 and self._reaches(parent, child):
+            raise TaxonomyCycleError(
+                f"edge {display[child]!r} -> {display[parent]!r} would create a cycle"
+            )
+        _append(self._up, self._up_more, child, parent)
+        _append(self._down, self._down_more, parent, child)
         self.version += 1
         if self._appended is not None:
-            self._appended.append((child.key, parent.key))
+            self._appended.append((self._keys[child], self._keys[parent]))
 
     def add_chain(self, *terms: str) -> None:
         """Convenience: ``add_chain("sedan", "car", "vehicle")`` declares
@@ -116,15 +162,15 @@ class Taxonomy:
         appended, self._appended = self._appended or [], []
         return appended
 
-    def _reaches(self, start_key: str, target_key: str) -> bool:
+    def _reaches(self, start: int, target: int) -> bool:
         """Whether *target* is reachable walking upward from *start*."""
-        if start_key == target_key:
+        if start == target:
             return True
-        stack, seen = [start_key], {start_key}
+        up, more = self._up, self._up_more
+        stack, seen = [start], {start}
         while stack:
-            node = stack.pop()
-            for parent in self._parents.get(node, ()):
-                if parent == target_key:
+            for parent in _row(up, more, stack.pop()):
+                if parent == target:
                     return True
                 if parent not in seen:
                     seen.add(parent)
@@ -133,80 +179,128 @@ class Taxonomy:
 
     # -- lookup ------------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._concepts)
+    def _concept(self, index: int) -> Concept:
+        return Concept._finished(
+            self._display[index],
+            self._keys[index],
+            self.domain,
+            self._descriptions.get(index, ""),
+        )
 
-    def __contains__(self, term: str) -> bool:
+    def _find(self, term: str) -> int | None:
+        """The index of *term*'s concept; ``None`` when unknown or when
+        *term* does not normalize."""
         try:
-            return term_key(term) in self._concepts
+            return self._index.get(term_key(term))
         except InvalidValueError:
-            return False
+            return None
 
-    def __iter__(self) -> Iterator[Concept]:
-        return iter(self._concepts.values())
-
-    def concept(self, term: str) -> Concept:
-        try:
-            return self._concepts[term_key(term)]
-        except KeyError:
+    def _lookup(self, term: str) -> int:
+        index = self._index.get(term_key(term))
+        if index is None:
             raise UnknownConceptError(
                 f"term {term!r} is not in the {self.domain or 'anonymous'} taxonomy"
-            ) from None
+            )
+        return index
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __contains__(self, term: str) -> bool:
+        return self._find(term) is not None
+
+    def __iter__(self) -> Iterator[Concept]:
+        return map(self._concept, range(len(self._keys)))
+
+    def concept(self, term: str) -> Concept:
+        return self._concept(self._lookup(term))
 
     def canonical(self, term: str) -> str:
         """Canonical display spelling of *term*."""
-        return self.concept(term).term
+        return self._display[self._lookup(term)]
 
     def terms(self) -> tuple[str, ...]:
-        return tuple(c.term for c in self._concepts.values())
+        return tuple(self._display)
+
+    def _sorted_terms(self, indexes) -> tuple[str, ...]:
+        display = self._display
+        return tuple(sorted(display[i] for i in indexes))
 
     def parents(self, term: str) -> tuple[str, ...]:
         """Immediate generalizations, canonical spelling."""
-        node = self.concept(term)
-        return tuple(sorted(self._concepts[k].term for k in self._parents.get(node.key, ())))
+        return self._sorted_terms(_row(self._up, self._up_more, self._lookup(term)))
 
     def children(self, term: str) -> tuple[str, ...]:
         """Immediate specializations, canonical spelling."""
-        node = self.concept(term)
-        return tuple(sorted(self._concepts[k].term for k in self._children.get(node.key, ())))
+        return self._sorted_terms(_row(self._down, self._down_more, self._lookup(term)))
+
+    def concept_rows(self) -> Iterator[tuple[str, str]]:
+        """``(display spelling, term key)`` per concept, by local index
+        (registration order) — what the concept table interns."""
+        return zip(self._display, self._keys)
+
+    def child_rows(self) -> Iterator[tuple[int, Sequence[int]]]:
+        """``(index, child indexes)`` for every concept with children,
+        indexes being :meth:`concept_rows` positions — what the concept
+        table's child rows are built from."""
+        down, more = self._down, self._down_more
+        for index, head in enumerate(down):
+            if head >= 0:
+                yield index, more.get(index) or (head,)
+
+    def _edges(self) -> Iterator[tuple[int, int]]:
+        """Every is-a edge as a ``(specialized, generalized)`` index
+        pair, in :meth:`isa_edges` order."""
+        up, more = self._up, self._up_more
+        for index, head in enumerate(up):
+            if head >= 0:
+                for parent in more.get(index) or (head,):
+                    yield index, parent
 
     def isa_edges(self) -> Iterator[tuple[str, str]]:
         """Every is-a edge as a ``(specialized key, generalized key)``
-        pair of :attr:`Concept.key` values, in declaration order — the
-        bulk export the concept table builds its id graph from, grouped
-        by specialized concept in registration order."""
-        parents_of = self._parents
-        for key in self._concepts:
-            for parent in parents_of.get(key, ()):
-                yield key, parent
+        pair of :attr:`Concept.key` values, in declaration order,
+        grouped by specialized concept in registration order."""
+        keys = self._keys
+        for child, parent in self._edges():
+            yield keys[child], keys[parent]
 
     def roots(self) -> tuple[str, ...]:
         """Concepts without generalizations (hierarchy tops)."""
-        return tuple(sorted(c.term for k, c in self._concepts.items() if k not in self._parents))
+        return tuple(sorted(t for t, head in zip(self._display, self._up) if head < 0))
 
     def leaves(self) -> tuple[str, ...]:
         """Concepts without specializations."""
-        return tuple(sorted(c.term for k, c in self._concepts.items() if k not in self._children))
+        return tuple(sorted(t for t, head in zip(self._display, self._down) if head < 0))
 
     # -- traversal -------------------------------------------------------------------
 
     def _walk(
-        self, term: str, edges: Mapping[str, Sequence[str]], max_distance: int | None
-    ) -> dict[str, int]:
-        start = self.concept(term)
-        distances: dict[str, int] = {}
-        queue: deque[tuple[str, int]] = deque([(start.key, 0)])
-        seen = {start.key: 0}
-        while queue:
-            key, dist = queue.popleft()
-            if max_distance is not None and dist >= max_distance:
-                continue
-            for nxt in edges.get(key, ()):
-                if nxt not in seen or seen[nxt] > dist + 1:
-                    seen[nxt] = dist + 1
-                    distances[self._concepts[nxt].term] = dist + 1
-                    queue.append((nxt, dist + 1))
-        return distances
+        self, start: int, first: array, more: dict[int, array], max_distance: int | None
+    ) -> dict[int, int]:
+        """``{index: minimum hop distance}`` of every concept reached
+        from *start* along the rows, in breadth-first discovery order
+        (*start* itself excluded)."""
+        found = {start: 0}
+        level, distance = [start], 0
+        while level and (max_distance is None or distance < max_distance):
+            distance += 1
+            reached = []
+            for node in level:
+                head = first[node]
+                if head < 0:
+                    continue
+                for nxt in more.get(node) or (head,):
+                    if nxt not in found:
+                        found[nxt] = distance
+                        reached.append(nxt)
+            level = reached
+        del found[start]
+        return found
+
+    def _named(self, distances: dict[int, int]) -> dict[str, int]:
+        display = self._display
+        return {display[i]: d for i, d in distances.items()}
 
     def ancestors(self, term: str, max_distance: int | None = None) -> dict[str, int]:
         """All generalizations with their minimum upward hop distance.
@@ -214,93 +308,120 @@ class Taxonomy:
         ``max_distance`` bounds the walk (the tolerance knob); the term
         itself is not included.
         """
-        return self._walk(term, self._parents, max_distance)
+        return self._named(self._walk(self._lookup(term), self._up, self._up_more, max_distance))
+
+    def ancestors_keyed(
+        self, term: str, max_distance: int | None = None
+    ) -> list[tuple[str, str, int]]:
+        """:meth:`ancestors` as ``(display, key, distance)`` triples in
+        the same order — empty when *term* is not a member."""
+        index = self._find(term)
+        if index is None:
+            return []
+        display, keys = self._display, self._keys
+        return [
+            (display[i], keys[i], d)
+            for i, d in self._walk(index, self._up, self._up_more, max_distance).items()
+        ]
 
     def descendants(self, term: str, max_distance: int | None = None) -> dict[str, int]:
         """All specializations with minimum downward hop distance."""
-        return self._walk(term, self._children, max_distance)
+        return self._named(
+            self._walk(self._lookup(term), self._down, self._down_more, max_distance)
+        )
 
     def is_generalization_of(self, general: str, specific: str) -> bool:
         """Paper rule R1's test: is *general* an ancestor of *specific*?"""
         try:
-            g, s = self.concept(general), self.concept(specific)
+            g, s = self._lookup(general), self._lookup(specific)
         except UnknownConceptError:
             return False
-        return self._reaches(s.key, g.key) and g.key != s.key
+        return g != s and self._reaches(s, g)
 
     def generalization_distance(self, specific: str, general: str) -> int | None:
         """Minimum upward hops from *specific* to *general*; ``None`` if
         *general* is not an ancestor.  Distance 0 means the same concept."""
-        s = self.concept(specific)
-        g = self.concept(general)
-        if s.key == g.key:
+        s, g = self._lookup(specific), self._lookup(general)
+        if s == g:
             return 0
-        return self.ancestors(specific).get(g.term)
+        return self._walk(s, self._up, self._up_more, None).get(g)
 
     def depth(self) -> int:
         """Length of the longest is-a chain in the hierarchy.
 
-        Iterative post-order over the parent edges, so a chain of any
+        Iterative post-order over the parent rows, so a chain of any
         length costs heap, not interpreter stack."""
-        parents_of = self._parents
-        height: dict[str, int] = {}
-        for start in self._concepts:
-            if start in height:
+        up, more = self._up, self._up_more
+        height = array("i", [-1]) * len(up)
+        for start in range(len(up)):
+            if height[start] >= 0:
                 continue
-            # (key, parents settled?) — a key is finished after all of
-            # its parents, which sit above it on the stack
+            # (index, parents settled?) — a concept is finished after
+            # all of its parents, which sit above it on the stack
             stack = [(start, False)]
             while stack:
-                key, settled = stack.pop()
-                parents = parents_of.get(key, ())
+                node, settled = stack.pop()
+                parents = _row(up, more, node)
                 if settled:
-                    height[key] = 1 + max(height[p] for p in parents) if parents else 0
-                elif key not in height:
-                    height[key] = 0  # cycle guard (structure is acyclic by construction)
-                    stack.append((key, True))
-                    stack.extend((p, False) for p in parents if p not in height)
-        return max(height.values(), default=0)
+                    height[node] = 1 + max(height[p] for p in parents) if parents else 0
+                elif height[node] < 0:
+                    height[node] = 0  # cycle guard (structure is acyclic by construction)
+                    stack.append((node, True))
+                    stack.extend((p, False) for p in parents if height[p] < 0)
+        return max(height, default=0)
 
     # -- maintenance ----------------------------------------------------------------
 
     def merge(self, other: "Taxonomy") -> None:
-        """Union another taxonomy's concepts and edges into this one."""
-        for concept in other:
-            self.add_concept(concept.term, concept.description)
-        for concept in other:
-            for parent in other.parents(concept.term):
-                self.add_isa(concept.term, parent)
+        """Union another taxonomy's concepts and edges into this one,
+        each concept's parents in the order *other* declared them."""
+        display = other._display
+        for index, term in enumerate(display):
+            self._intern(term, other._descriptions.get(index, ""))
+        for child, parent in other._edges():
+            self.add_isa(display[child], display[parent])
 
     def validate(self) -> list[str]:
         """Structural diagnostics (empty = healthy).  The invariants are
-        enforced at construction; this re-checks them for tests."""
+        enforced at construction; this re-checks them for tests: every
+        row entry names a concept, every edge is in both the parent and
+        the child row, and the parent rows are acyclic."""
         problems: list[str] = []
-        down = {(child, parent) for parent, children in self._children.items() for child in children}
-        for key, parents in self._parents.items():
-            for parent in parents:
-                if parent not in self._concepts:
-                    problems.append(f"dangling parent {parent!r} of {key!r}")
-                if (key, parent) not in down:
-                    problems.append(f"asymmetric edge {key!r} -> {parent!r}")
+        keys, count = self._keys, len(self._keys)
+        up, up_more, down, down_more = self._up, self._up_more, self._down, self._down_more
+        up_edges = list(self._edges())
+        down_edges = [(c, p) for p in range(count) for c in _row(down, down_more, p)]
+        ups, downs = set(up_edges), set(down_edges)
+        for child, parent in up_edges:
+            if not 0 <= parent < count:
+                problems.append(f"dangling parent #{parent} of {keys[child]!r}")
+            elif (child, parent) not in downs:
+                problems.append(f"asymmetric edge {keys[child]!r} -> {keys[parent]!r}")
+        for child, parent in down_edges:
+            if not 0 <= child < count:
+                problems.append(f"dangling child #{child} of {keys[parent]!r}")
+            elif (child, parent) not in ups:
+                problems.append(f"asymmetric edge {keys[child]!r} -> {keys[parent]!r}")
         # cycle check via DFS coloring, iterative: one stack frame per
         # level would overflow on deep chains
         WHITE, GRAY, BLACK = 0, 1, 2
-        color = dict.fromkeys(self._concepts, WHITE)
-        for start in self._concepts:
+        color = bytearray(count)
+        for start in range(count):
             if color[start] != WHITE:
                 continue
             color[start] = GRAY
-            stack = [(start, iter(self._parents.get(start, ())))]
+            stack = [(start, iter(_row(up, up_more, start)))]
             while stack:
                 node, pending = stack[-1]
                 for parent in pending:
-                    shade = color.get(parent, BLACK)  # dangling: reported above
+                    # a dangling parent is reported above
+                    shade = color[parent] if 0 <= parent < count else BLACK
                     if shade == GRAY:
-                        problems.append(f"cycle reachable from {start!r}")
+                        problems.append(f"cycle reachable from {keys[start]!r}")
                         return problems
                     if shade == WHITE:
                         color[parent] = GRAY
-                        stack.append((parent, iter(self._parents.get(parent, ()))))
+                        stack.append((parent, iter(_row(up, up_more, parent))))
                         break
                 else:
                     color[node] = BLACK
@@ -309,13 +430,14 @@ class Taxonomy:
 
     def stats(self) -> dict[str, int]:
         """Size metrics used by the taxonomy-shape ablation (A3); roots
-        and leaves are the concepts the sparse adjacency has no entry
-        for, counted without listing them."""
-        concepts = len(self._concepts)
+        and leaves are the concepts whose first slot is empty, counted
+        without listing them."""
+        concepts = len(self._keys)
+        roots = self._up.count(-1)
         return {
             "concepts": concepts,
-            "edges": sum(map(len, self._parents.values())),
-            "roots": concepts - len(self._parents),
-            "leaves": concepts - len(self._children),
+            "edges": concepts - roots + sum(len(row) - 1 for row in self._up_more.values()),
+            "roots": roots,
+            "leaves": self._down.count(-1),
             "depth": self.depth(),
         }

@@ -94,3 +94,30 @@ def test_derivation_chains_are_sound(kb, event):
     for derived in pipeline.process_event(event).derived:
         assert derived.depth == len(derived.steps)
         assert derived.generality == sum(s.generality for s in derived.steps)
+
+
+@given(
+    kb=knowledge_bases(),
+    event=domain_events(),
+    shortcuts=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=len(_TERMS) - 1),
+            st.integers(min_value=0, max_value=len(_TERMS) - 2),
+        ),
+        max_size=6,
+    ),
+)
+def test_carried_generality_is_the_chain_sum(kb, event, shortcuts):
+    """``DerivedEvent.extend`` adds one step's generality to its
+    parent's instead of re-summing the chain: every entry of a result —
+    extended, adopted by a cheaper chain, or the root — carries exactly
+    the sum over its steps.  Extra edges from a term to any earlier one
+    make multi-parent diamonds, so keep-cheaper adoption fires too."""
+    taxonomy = kb.taxonomy("d")
+    for child, parent in shortcuts:
+        if parent < child:
+            taxonomy.add_isa(_TERMS[child], _TERMS[parent])
+    result = SemanticPipeline(kb, SemanticConfig()).process_event(event)
+    for derived in result.derived:
+        assert derived._generality == sum(step.generality for step in derived.steps)
+        assert derived.generality == derived._generality

@@ -84,6 +84,25 @@ def test_depth_bounds_all_distances(taxonomy):
             assert distance <= depth
 
 
+@given(taxonomy=random_taxonomies(), data=st.data())
+def test_a_merged_taxonomy_equals_its_source(taxonomy, data):
+    """Merging re-declares every edge in the source's order, so the
+    copy enumerates edges and each concept's ancestors exactly as the
+    source does — into an empty taxonomy or one that already holds
+    some of the concepts."""
+    merged = Taxonomy("t")
+    for term in data.draw(st.lists(st.sampled_from(_TERMS), unique=True)):
+        merged.add_concept(term)
+    merged.merge(taxonomy)
+    assert sorted(merged.isa_edges()) == sorted(taxonomy.isa_edges())
+    for term in _TERMS:
+        assert list(merged.ancestors(term).items()) == list(taxonomy.ancestors(term).items())
+    fresh = Taxonomy("t")
+    fresh.merge(taxonomy)
+    assert list(fresh.isa_edges()) == list(taxonomy.isa_edges())
+    assert list(fresh) == list(taxonomy)
+
+
 class _DictOfDictsTaxonomy:
     """The reference model: every concept owns an insertion-ordered
     dict-set of parents and one of children from birth, and every edge

@@ -30,6 +30,20 @@ class TestDerivedEvent:
         assert not two.is_original
         assert root.depth == 0  # immutable chain
 
+    def test_extended_event_is_the_constructed_one(self):
+        """``extend`` builds its child without ``__init__``; the child
+        is equal to, hashes like and prints like the event the
+        constructor makes — ``_generality`` and ``parent`` stay out of
+        ``==`` and ``repr``."""
+        root = DerivedEvent.original(Event({"a": 1}))
+        one = root.extend(Event({"a": 2}), _step(generality=1))
+        two = one.extend(Event({"a": 3}), _step(generality=2))
+        built = DerivedEvent(two.event, two.steps)
+        assert two == built and hash(two) == hash(built) and repr(two) == repr(built)
+        assert "_generality" not in repr(two) and "parent" not in repr(two)
+        assert (two.parent, one.parent, built.parent) == (one, root, None)
+        assert two._generality == built._generality == 3
+
     def test_used_rule(self):
         root = DerivedEvent.original(Event({"a": 1}))
         derived = root.extend(Event({"a": 2}), _step(stage="mapping", rule="r1"))

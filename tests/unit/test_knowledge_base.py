@@ -145,6 +145,23 @@ class TestMaintenance:
         assert kb.generalization_distance("limo", "vehicle") == 3
         assert len(kb.rules()) == 2
 
+    def test_merge_keeps_each_concepts_declared_parent_order(self):
+        """The order of a concept's parents decides the order of its
+        generalizations, and so which candidates survive
+        ``max_derived_events``: a merge re-declares them as the source
+        did, not sorted."""
+        source = KnowledgeBase("source")
+        vehicles = source.add_domain("vehicles")
+        vehicles.add_isa("wagon", "family vehicle")
+        vehicles.add_isa("wagon", "car")
+        vehicles.add_chain("car", "vehicle")
+        merged = KnowledgeBase("merged")
+        merged.merge(source)
+        expected = {"family vehicle": 1, "car": 1, "vehicle": 2}
+        assert list(source.generalizations("wagon").items()) == list(expected.items())
+        assert list(merged.generalizations("wagon").items()) == list(expected.items())
+        assert list(merged.taxonomy("vehicles").isa_edges()) == list(vehicles.isa_edges())
+
     def test_version_monotonic(self, kb):
         v0 = kb.version
         kb.add_value_synonyms(["truck", "lorry"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+from array import array
 
 import pytest
 
@@ -29,11 +30,21 @@ def degrees() -> Taxonomy:
 
 class TestConstruction:
     def test_add_concept_idempotent(self, degrees):
+        """A :class:`Concept` is a value built on read: re-registering a
+        key hands back an equal node on all four fields, and changes
+        nothing — not the spelling, not the description, not the
+        version."""
+
+        def fields(concept):
+            return (concept.term, concept.key, concept.domain, concept.description)
+
         first = degrees.add_concept("PhD")
         version = degrees.version
         again = degrees.add_concept("phd")
-        assert first is again
-        assert degrees.add_concept("  PHD ", "a gloss") is first
+        assert again == first and fields(again) == fields(first) == ("PhD", "phd", "jobs", "")
+        glossed = degrees.add_concept("  PHD ", "a gloss")
+        assert fields(glossed) == fields(first)
+        assert fields(degrees.concept("phd")) == fields(first)
         assert first.description == "" and degrees.version == version
         assert degrees.canonical("PHD") == "PhD"
 
@@ -101,9 +112,11 @@ class TestConstruction:
         calls = []
         reaches = Taxonomy._reaches
 
-        def counting(self, start_key, target_key):
-            calls.append((start_key, target_key))
-            return reaches(self, start_key, target_key)
+        def counting(self, start, target):
+            # the walk runs on indexes, which are registration order
+            keys = [concept.key for concept in self]
+            calls.append((keys[start], keys[target]))
+            return reaches(self, start, target)
 
         monkeypatch.setattr(Taxonomy, "_reaches", counting)
         # a child nobody specializes cannot be anyone's ancestor
@@ -201,6 +214,20 @@ class TestMaintenance:
         degrees.merge(other)
         assert degrees.generalization_distance("MBA", "graduate degree") == 2
 
+    def test_merge_keeps_declared_parent_order(self):
+        source = Taxonomy("vehicles")
+        source.add_concept("car", "a gloss")
+        source.add_concept("wagon", "an estate car")
+        source.add_isa("wagon", "family vehicle")
+        source.add_isa("wagon", "car")
+        merged = Taxonomy("vehicles")
+        merged.add_concept("car")  # already known here: its description stays
+        merged.merge(source)
+        assert list(merged.ancestors("wagon")) == ["family vehicle", "car"]
+        assert list(merged.isa_edges()) == [("wagon", "family vehicle"), ("wagon", "car")]
+        assert merged.concept("car").description == ""
+        assert merged.concept("wagon") == source.concept("wagon")
+
     def test_validate_clean(self, degrees):
         assert degrees.validate() == []
 
@@ -248,26 +275,62 @@ class TestMaintenance:
         }
         assert t.roots() == (f"c{levels}",) and t.leaves() == ("c0",)
 
+    @staticmethod
+    def _index(taxonomy, term):
+        """A concept's row index: its position in registration order."""
+        return [concept.key for concept in taxonomy].index(taxonomy.concept(term).key)
+
     def test_validate_still_finds_a_cycle(self, degrees):
-        # the structure refuses cycles, so plant one behind its back
-        degrees._parents["degree"] = ("phd",)
-        degrees._children["phd"] = ["degree"]
+        # the structure refuses cycles, so plant one in the rows behind
+        # its back: "degree" (a root) is-a "PhD" (a leaf), both rows
+        phd, degree = self._index(degrees, "PhD"), self._index(degrees, "degree")
+        degrees._up[degree] = phd
+        degrees._down[phd] = degree
         problems = degrees.validate()
         assert len(problems) == 1 and problems[0].startswith("cycle reachable from")
 
+    def test_validate_finds_a_cycle_in_an_overflow_row(self, degrees):
+        degree, msc = self._index(degrees, "degree"), self._index(degrees, "MSc")
+        degrees.add_isa("degree", "qualification")
+        top = self._index(degrees, "qualification")
+        degrees._up_more[degree] = array("i", (top, msc))
+        degrees._down[msc] = degree
+        problems = degrees.validate()
+        assert len(problems) == 1 and problems[0].startswith("cycle reachable from")
+
+    def test_validate_reports_dangling_and_asymmetric_edges(self, degrees):
+        degree, bsc = self._index(degrees, "degree"), self._index(degrees, "BSc")
+        degrees._up[degree] = 99  # a parent no concept holds
+        degrees._down[bsc] = degree  # "degree" is-a "BSc" only downward
+        assert degrees.validate() == [
+            "dangling parent #99 of 'degree'",
+            "asymmetric edge 'degree' -> 'bsc'",
+        ]
+
+    def test_validate_reports_an_edge_missing_from_the_child_row(self, degrees):
+        # "MSc" keeps "master's degree" as its parent, but the parent's
+        # row forgets it
+        masters = self._index(degrees, "master's degree")
+        degrees._down[masters] = -1
+        assert degrees.validate() == ["asymmetric edge 'msc' -> \"master's degree\""]
+
 
 class TestCompactStorage:
-    """A relation a concept lacks has no container; declaration order
-    is kept; the first spelling wins."""
+    """A relation a concept lacks costs nothing; declaration order is
+    kept; the first spelling wins — observed through the readers."""
 
     def test_add_concept_allocates_no_adjacency(self):
         t = Taxonomy("jobs")
         t.add_concept("PhD")
         t.add_concept("degree")
-        assert t._parents == {} and t._children == {}
+        assert list(t.isa_edges()) == []
+        assert t.ancestors("PhD") == {} and t.descendants("degree") == {}
+        assert t.stats() == {"concepts": 2, "edges": 0, "roots": 2, "leaves": 2, "depth": 0}
         t.add_isa("PhD", "degree")
-        assert t._parents == {"phd": ("degree",)}
-        assert t._children == {"degree": ["phd"]}
+        assert list(t.isa_edges()) == [("phd", "degree")]
+        assert t.ancestors("PhD") == {"degree": 1}
+        assert t.descendants("degree") == {"PhD": 1}
+        assert t.stats() == {"concepts": 2, "edges": 1, "roots": 1, "leaves": 1, "depth": 1}
 
     def test_adjacency_keeps_declaration_order(self):
         t = Taxonomy()
@@ -275,14 +338,21 @@ class TestCompactStorage:
         t.add_isa("wagon", "family vehicle")
         t.add_isa("sedan", "car")
         t.add_isa("wagon", "car")  # duplicate: no second entry
-        assert t._parents["wagon"] == ("car", "family vehicle")
-        assert t._children["car"] == ["wagon", "sedan"]
-        assert list(t.descendants("car")) == ["wagon", "sedan"]
+        t.add_isa("wagon", "estate")  # a third parent grows the row
+        assert list(t.ancestors("wagon").items()) == [
+            ("car", 1),
+            ("family vehicle", 1),
+            ("estate", 1),
+        ]
+        assert list(t.descendants("car").items()) == [("wagon", 1), ("sedan", 1)]
+        # grouped by specialized concept: all of "wagon"'s rows first
         assert list(t.isa_edges()) == [
             ("wagon", "car"),
             ("wagon", "family vehicle"),
+            ("wagon", "estate"),
             ("sedan", "car"),
         ]
+        assert t.stats() == {"concepts": 5, "edges": 4, "roots": 3, "leaves": 2, "depth": 1}
 
     def test_isa_edges_follow_concept_registration_order(self):
         # "b" is registered before "a" but gains its parent after it:
@@ -292,6 +362,7 @@ class TestCompactStorage:
         t.add_isa("a", "top")
         t.add_isa("b", "top")
         assert list(t.isa_edges()) == [("b", "top"), ("a", "top")]
+        assert list(t.descendants("top")) == ["a", "b"]  # children: declaration order
 
     def test_normalized_term_shares_its_key_string(self):
         t = Taxonomy()

@@ -6,11 +6,13 @@ matcher memos, and the expansion cache)."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,9 @@ import pytest
 from repro.broker.broker import Broker
 from repro.core.engine import SToPSS
 from repro.errors import WorkloadError
+from repro.ontology.concept_table import ConceptTable
+from repro.ontology.concepts import Concept
+from repro.ontology.taxonomy import Taxonomy
 from repro.matching import matcher_names
 from repro.workload import worlds as worlds_module
 from repro.workload.worlds import (
@@ -172,6 +177,22 @@ class TestCompactOntology:
             assert stats["leaves"] == len(taxonomy.leaves())
             assert stats["edges"] == sum(1 for _ in taxonomy.isa_edges())
 
+    def test_a_built_taxonomy_retains_no_concept(self):
+        """A taxonomy stores indexes, strings and int rows; a
+        :class:`Concept` is built when one is read and is not kept —
+        not by the taxonomies, not by the concept table built from
+        them, not by anything else the knowledge base holds."""
+        kb = build_world("mega-small").kb
+        kb.concept_table()
+        reached = list(_reachable(kb))
+        assert any(type(obj) is Taxonomy for obj in reached)
+        assert any(type(obj) is ConceptTable for obj in reached)
+        assert not [obj for obj in reached if isinstance(obj, Concept)]
+        # reading builds values, and they are not retained either
+        for domain in kb.domains():
+            assert all(isinstance(concept, Concept) for concept in kb.taxonomy(domain))
+        assert not [obj for obj in _reachable(kb) if isinstance(obj, Concept)]
+
     def test_mega_small_footprint_per_concept(self):
         """The ontology stores what a concept has, not a container per
         relation it might have: a whole ``mega-small`` world (taxonomy,
@@ -186,6 +207,20 @@ class TestCompactOntology:
             tracemalloc.stop()
         per_concept = allocated / world.counters["world_concepts"]
         assert per_concept <= 420, f"{per_concept:.0f} B per concept"
+
+
+def _reachable(root):
+    """Every object reachable from *root* through references, without
+    entering classes, modules or functions (which reach everything)."""
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
 
 
 _DIGEST_SCRIPT = """
