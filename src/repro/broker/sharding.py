@@ -809,9 +809,9 @@ class ShardedEngine:
         parent replica answers inline, so a publication *never* fails on
         worker trouble."""
         # the table before the fleet: after a knowledge-base write this
-        # catches it up once, here, so the fork hands every worker a
-        # table that has already caught up instead of each catching up
-        # on its own
+        # drops its stale closure memos once, here, so the fork hands
+        # every worker a table that has already dropped them instead of
+        # each dropping them on its own
         if self._engines[0].config.interning:
             self.kb.concept_table()
         plane = self._ensure_plane()

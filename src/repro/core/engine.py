@@ -149,9 +149,9 @@ class SToPSS:
         no-op, so third-party matchers stay on the string path.
 
         The identity is the concept table and how many spellings it
-        knows.  The table follows the knowledge base in place, so its
-        identity alone never moves; ``value_key`` answers differently
-        exactly when a spelling was appended — an operand indexed under
+        knows.  The table is one object for the knowledge base's life,
+        so its identity alone never moves; ``value_key`` answers
+        differently exactly when a write added a spelling — an operand indexed under
         its ``canonical_value_key`` fallback is probed under an int id
         from then on.  Binding is skipped when that identity is
         unchanged — ``table.value_key`` is a fresh bound method per

@@ -114,7 +114,7 @@ class HierarchyStage(SemanticStage):
 
     def end_publication(self) -> None:
         # drop the pin: a later direct expand() (outside the pipeline)
-        # must fetch the table itself, which catches it up if the
+        # must fetch the table itself, which drops its memos if the
         # knowledge base has moved since this publication
         self._table = None
 
@@ -244,7 +244,7 @@ class HierarchyStage(SemanticStage):
         spelling id, which is a known spelling's value key; the memo is
         dropped whenever the interest index's generation moves
         (subscription churn, knowledge-base motion) or the concept
-        table catches up with a write.  Check/prune counters are
+        table's version moves with a write.  Check/prune counters are
         replayed on every hit so the stats stay exactly what the
         unmemoized per-candidate consultation would have reported."""
         memo = self.memo(interest, table)

@@ -25,7 +25,6 @@ __all__ = [
     "UnknownDomainError",
     "DamlImportError",
     "MappingRuleError",
-    "DetachedTableError",
     "MatchingError",
     "DuplicateSubscriptionError",
     "UnknownSubscriptionError",
@@ -123,13 +122,6 @@ class DamlImportError(OntologyError):
 
 class MappingRuleError(OntologyError):
     """A mapping-function definition is malformed."""
-
-
-class DetachedTableError(OntologyError):
-    """A :class:`~repro.ontology.concept_table.ConceptTable` was asked
-    to read its knowledge base after that knowledge base was freed (the
-    table holds it weakly, so a dropped knowledge base and its table are
-    freed by reference counting)."""
 
 
 # ---------------------------------------------------------------------------

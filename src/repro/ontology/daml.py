@@ -227,12 +227,18 @@ def export_daml(
     same concepts and edges.
     """
     lines = [_DAML_HEADER]
+    display = {concept.key: concept.term for concept in taxonomy}
+    # each concept's parents in declaration order, the order its
+    # generalizations are walked in
+    parents: dict[str, list[str]] = {}
+    for child, parent in taxonomy.isa_edges():
+        parents.setdefault(child, []).append(display[parent])
     for concept in taxonomy:
         lines.append(f'  <daml:Class rdf:ID="{_term_to_id(concept.term)}">')
         lines.append(f"    <rdfs:label>{concept.term}</rdfs:label>")
         if concept.description:
             lines.append(f"    <rdfs:comment>{concept.description}</rdfs:comment>")
-        for parent in taxonomy.parents(concept.term):
+        for parent in parents.get(concept.key, ()):
             lines.append(f'    <rdfs:subClassOf rdf:resource="#{_term_to_id(parent)}"/>')
         lines.append("  </daml:Class>")
     for a, b in class_equivalences:

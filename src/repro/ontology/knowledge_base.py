@@ -15,13 +15,12 @@ performance design.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Iterator
 
 from repro.errors import UnknownDomainError
 from repro.model.attributes import normalize_attribute
 from repro.model.events import Event
-from repro.ontology.concept_table import ConceptTable
+from repro.ontology.concept_table import ConceptTable, TermStore
 from repro.ontology.concepts import term_key
 from repro.ontology.mappingdefs import MappingRule
 from repro.ontology.taxonomy import Taxonomy
@@ -35,18 +34,21 @@ class KnowledgeBase:
 
     def __init__(self, name: str = "kb") -> None:
         self.name = name
-        self._attribute_synonyms = Thesaurus()
-        self._value_synonyms = Thesaurus()
+        #: the one term store: every domain and both thesauri intern
+        #: into it and keep only its ids
+        self._terms = TermStore()
+        self._attribute_synonyms = Thesaurus(self._terms)
+        self._value_synonyms = Thesaurus(self._terms)
         self._taxonomies: dict[str, Taxonomy] = {}
         self._rules: list[MappingRule] = []
         self._rule_names: set[str] = set()
         self._rules_by_attribute: dict[str, list[MappingRule]] = {}
-        self._concept_table: ConceptTable | None = None
-        #: guards the table's build and catch-up: engine replicas
-        #: sharing one knowledge base (the sharded broker) must all
-        #: observe the same :class:`ConceptTable` object, or their
-        #: matchers would intern equal spellings under different ids.
-        self._concept_table_lock = threading.Lock()
+        #: built here, once: engine replicas sharing one knowledge base
+        #: (the sharded broker) all hold this one object, so their
+        #: matchers key equal spellings under equal ids
+        self._concept_table = ConceptTable(
+            name, self._terms, self._taxonomies, self._value_synonyms
+        )
 
     # -- versioning ---------------------------------------------------------------
 
@@ -62,41 +64,20 @@ class KnowledgeBase:
 
     def concept_table(self) -> ConceptTable:
         """The interned-identifier table of this knowledge base (see
-        :class:`~repro.ontology.concept_table.ConceptTable`): built on
-        the first call, and from then on the *same object*, caught up
-        in place whenever :attr:`version` has moved — the knowledge
-        base only ever grows, so a move is an append and every id
-        handed out stays valid.  Callers on the publish hot path
-        re-fetch per operation — the fetch is one version compare — so
-        they can never run on a stale id space."""
+        :class:`~repro.ontology.concept_table.ConceptTable`): the *same
+        object* for the knowledge base's life, over the one term store
+        every write interns into.  When a taxonomy or thesaurus write has
+        moved :attr:`version` since the last call, the table drops its
+        closure memos first (a mapping rule moves the version and keeps
+        them) — the knowledge base only ever grows, so every id handed
+        out stays valid.  Callers on the publish hot path re-fetch per
+        operation — the fetch is one version compare — so they can
+        never read a closure derived before a write."""
         table = self._concept_table
-        if table is None or table.version != self.version:
-            with self._concept_table_lock:
-                table = self._concept_table
-                if table is None:
-                    table = ConceptTable(self)
-                    # the build read everything; start recording what
-                    # is appended from here on
-                    self._take_appended()
-                    self._concept_table = table
-                elif table.version != self.version:
-                    table.catch_up(*self._take_appended())
+        version = self.version
+        if table.version != version:
+            table.follow(version, version - len(self._rules))
         return table
-
-    def _take_appended(self) -> tuple[list, list, list]:
-        """What the taxonomies and the two thesauri appended since the
-        last call, in the shapes :meth:`ConceptTable.catch_up` takes:
-        concepts and is-a edges, touched value-synonym groups, touched
-        attribute-synonym groups."""
-        concepts_and_edges = [
-            item for taxonomy in self._taxonomies.values() for item in taxonomy.take_appended()
-        ]
-        value, attribute = self._value_synonyms, self._attribute_synonyms
-        return (
-            concepts_and_edges,
-            [value.synonyms_of(root) for root in dict.fromkeys(value.take_appended())],
-            [attribute.synonyms_of(root) for root in dict.fromkeys(attribute.take_appended())],
-        )
 
     # -- domains -------------------------------------------------------------------
 
@@ -104,10 +85,7 @@ class KnowledgeBase:
         """Get or create the taxonomy for *domain*."""
         taxonomy = self._taxonomies.get(domain)
         if taxonomy is None:
-            taxonomy = Taxonomy(domain)
-            if self._concept_table is not None:
-                taxonomy.take_appended()  # the table follows it from birth
-            self._taxonomies[domain] = taxonomy
+            taxonomy = self._taxonomies[domain] = Taxonomy(domain, self._terms)
         return taxonomy
 
     def taxonomy(self, domain: str) -> Taxonomy:
@@ -134,8 +112,14 @@ class KnowledgeBase:
         attribute in normalized form."""
         normalized = [normalize_attribute(t) for t in terms]
         normalized_root = normalize_attribute(root) if root is not None else None
-        result = self._attribute_synonyms.add_synonyms(normalized, root=normalized_root)
-        return normalize_attribute(result)
+        synonyms = self._attribute_synonyms
+        result = normalize_attribute(synonyms.add_synonyms(normalized, root=normalized_root))
+        # the stage-1 rewrite map: every member of the (possibly merged)
+        # group now rewrites to its root
+        roots = self._concept_table.attribute_roots
+        for member in synonyms.synonyms_of(result):
+            roots[normalize_attribute(member)] = result
+        return result
 
     def root_attribute(self, attribute: str) -> str:
         """The root attribute for *attribute* (itself when unknown) —
@@ -304,7 +288,7 @@ class KnowledgeBase:
         name; duplicate rule names raise)."""
         for group in other._attribute_synonyms.groups():
             root = other._attribute_synonyms.root_of(next(iter(group)))
-            self._attribute_synonyms.add_synonyms(sorted(group), root=root)
+            self.add_attribute_synonyms(sorted(group), root=root)
         for group in other._value_synonyms.groups():
             root = other._value_synonyms.root_of(next(iter(group)))
             self._value_synonyms.add_synonyms(sorted(group), root=root)

@@ -152,16 +152,16 @@ def kb_to_dict(kb: KnowledgeBase, *, skip_unserializable: bool = False) -> dict:
     domains = {}
     for domain in kb.domains():
         taxonomy = kb.taxonomy(domain)
+        display = {concept.key: concept.term for concept in taxonomy}
         domains[domain] = {
             "concepts": [
                 {"term": concept.term, "description": concept.description}
                 for concept in taxonomy
             ],
-            "edges": [
-                [concept.term, parent]
-                for concept in taxonomy
-                for parent in taxonomy.parents(concept.term)
-            ],
+            # in declaration order: a concept's parents are walked in the
+            # order they were declared, and that order decides which
+            # generalizations survive ``max_derived_events``
+            "edges": [[display[child], display[parent]] for child, parent in taxonomy.isa_edges()],
         }
     rules = []
     dropped = []

@@ -13,15 +13,17 @@ upward/downward traversals report the *minimum* hop distance — the
 "level of match generality" that the tolerance knob bounds.
 
 Storage follows the paper's rule to "substitute each term with an
-internal identifier": a concept is a dense local index in registration
-order, and the is-a relation is rows of indexes in ``array('i')``.  A
-:class:`Concept` is a value built when one is asked for, never stored.
+internal identifier": a concept is the id its term has in the
+knowledge base's :class:`~repro.ontology.concept_table.TermStore`
+(shared by every domain and both thesauri), and the is-a relation is
+rows of those ids in ``array('i')``.  A :class:`Concept` is a value
+built when one is asked for, never stored.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Sequence
+from typing import Iterator, KeysView, Sequence
 
 from repro.errors import (
     DuplicateConceptError,
@@ -29,28 +31,35 @@ from repro.errors import (
     TaxonomyCycleError,
     UnknownConceptError,
 )
+from repro.ontology.concept_table import TermStore
 from repro.ontology.concepts import Concept, term_and_key, term_key
 
 __all__ = ["Taxonomy"]
 
 
-def _row(first: array, more: dict[int, array], index: int) -> Sequence[int]:
-    """The neighbours of *index* in declaration order: the whole
-    overflow row when it has more than one, else its first slot."""
-    head = first[index]
+def _row(first: array, more: dict[int, array], tid: int, base: int) -> Sequence[int]:
+    """The neighbours of member *tid* in declaration order: the whole
+    overflow row when it has more than one, else its first slot
+    (``first`` covers the ids from *base* on)."""
+    head = first[tid - base]
     if head < 0:
         return ()
-    return more.get(index) or (head,)
+    return more.get(tid) or (head,)
 
 
-def _append(first: array, more: dict[int, array], index: int, neighbour: int) -> None:
-    head = first[index]
+def _append(first: array, more: dict[int, array], tid: int, base: int, neighbour: int) -> None:
+    slot = tid - base
+    head = first[slot]
     if head < 0:
-        first[index] = neighbour
-    elif index in more:
-        more[index].append(neighbour)
+        first[slot] = neighbour
+    elif tid in more:
+        more[tid].append(neighbour)
     else:
-        more[index] = array("i", (head, neighbour))
+        more[tid] = array("i", (head, neighbour))
+
+
+#: the row slots of an id the domain does not hold
+_ABSENT = -2
 
 
 class Taxonomy:
@@ -63,54 +72,82 @@ class Taxonomy:
     :attr:`version`, bumped on every mutation.
     """
 
-    def __init__(self, domain: str = "") -> None:
+    def __init__(self, domain: str = "", terms: TermStore | None = None) -> None:
         self.domain = domain
-        #: term key -> local index; indexes are dense, in registration order
-        self._index: dict[str, int] = {}
-        #: local index -> display spelling and term key (one shared
-        #: string when the two are equal)
-        self._display: list[str] = []
-        self._keys: list[str] = []
-        #: local index -> description, for the concepts that have one
+        #: the id space concepts are interned into: the knowledge
+        #: base's, or one of its own for a standalone taxonomy
+        self._terms = TermStore() if terms is None else terms
+        #: the member ids in registration order
+        self._order = array("i")
+        #: member id -> this domain's display spelling, where it is not
+        #: the store's (first spelling wins, per domain)
+        self._display: dict[int, str] = {}
+        #: member id -> description, for the concepts that have one
         self._descriptions: dict[int, str] = {}
         #: the is-a rows: per concept its first parent / first child
-        #: (-1 = none), and for the few concepts with more than one the
-        #: whole row in an overflow dict.  Rows keep declaration order
-        #: (walks never enumerate in the hash order of a set — which
-        #: candidates a truncated expansion reaches must not depend on
-        #: ``PYTHONHASHSEED``)
+        #: (-1 = none, -2 = not a member), and for the few concepts with
+        #: more than one the whole row in an overflow dict.  The first
+        #: slots cover only the span of ids this domain holds — slot
+        #: ``tid - _base``; ids outside it are not members — so a domain
+        #: costs its own span, not the whole store.  Rows keep
+        #: declaration order (walks never enumerate in the hash order of
+        #: a set — which candidates a truncated expansion reaches must
+        #: not depend on ``PYTHONHASHSEED``)
+        self._base = 0
         self._up = array("i")
         self._up_more: dict[int, array] = {}
         self._down = array("i")
         self._down_more: dict[int, array] = {}
         self.version = 0
-        #: what was appended since :meth:`take_appended` last ran — a
-        #: :class:`Concept` per new concept, a ``(specialized key,
-        #: generalized key)`` pair per new edge, in order; ``None``
-        #: until someone follows this taxonomy, so building one logs
-        #: and retains nothing
-        self._appended: list | None = None
 
     # -- construction ----------------------------------------------------------
 
     def _intern(self, term: str, description: str = "") -> int:
-        """The index of *term*'s concept, registering it when new
-        (first spelling and first description win)."""
+        """The id of *term*'s concept, registering it when new to this
+        domain (first spelling and first description win)."""
         display, key = term_and_key(term)
-        index = self._index.get(key)
-        if index is None:
-            index = len(self._keys)
-            self._index[key] = index
-            self._display.append(display)
-            self._keys.append(key)
-            if description:
-                self._descriptions[index] = description
-            self._up.append(-1)
-            self._down.append(-1)
-            self.version += 1
-            if self._appended is not None:
-                self._appended.append(self._concept(index))
-        return index
+        terms = self._terms
+        tid = terms.find(key)
+        # a member is looked up, not interned: a write that registers
+        # nothing teaches the store no spelling (the version would not
+        # move, and matchers keyed on spelling ids would not re-key)
+        if tid is not None:
+            up, slot = self._up, tid - self._base
+            if 0 <= slot < len(up) and up[slot] != _ABSENT:
+                return tid
+        tid = terms.intern(display, key)
+        self._open(tid)
+        self._order.append(tid)
+        if display != terms.display(tid):
+            self._display[tid] = display
+        if description:
+            self._descriptions[tid] = description
+        self.version += 1
+        return tid
+
+    def _open(self, tid: int) -> None:
+        """Give *tid* empty rows, widening the first slots to cover it.
+        Growing downward pads by at least the current span, so a domain
+        that registers ids in falling order still copies amortized O(1)."""
+        up, down = self._up, self._down
+        if not self._order:
+            self._base = tid
+        base = self._base
+        if tid < base:
+            start = max(0, min(tid, base - len(up)))
+            pad = array("i", (_ABSENT,)) * (base - start)
+            self._up, self._down = up, down = pad + up, pad + down
+            self._base = base = start
+        slot, size = tid - base, len(up)
+        if slot < size:
+            up[slot] = down[slot] = -1
+            return
+        if slot > size:
+            pad = array("i", (_ABSENT,)) * (slot - size)
+            up.extend(pad)
+            down.extend(pad)
+        up.append(-1)
+        down.append(-1)
 
     def add_concept(self, term: str, description: str = "") -> Concept:
         """Register a concept; re-registering the same key is a no-op and
@@ -126,25 +163,22 @@ class Taxonomy:
         :class:`~repro.errors.DuplicateConceptError` for self-loops.
         """
         child, parent = self._intern(specialized), self._intern(generalized)
-        display = self._display
+        name = self._name
         if child == parent:
-            raise DuplicateConceptError(
-                f"concept {display[child]!r} cannot be its own generalization"
-            )
-        if parent in _row(self._up, self._up_more, child):
+            raise DuplicateConceptError(f"concept {name(child)!r} cannot be its own generalization")
+        base = self._base
+        if parent in _row(self._up, self._up_more, child, base):
             return
         # a child nobody specializes yet is no one's ancestor, so the
         # new edge cannot close a cycle: skip the upward walk (exact,
         # and what keeps leaf-by-leaf builds of deep spines linear)
-        if self._down[child] >= 0 and self._reaches(parent, child):
+        if self._down[child - base] >= 0 and self._reaches(parent, child):
             raise TaxonomyCycleError(
-                f"edge {display[child]!r} -> {display[parent]!r} would create a cycle"
+                f"edge {name(child)!r} -> {name(parent)!r} would create a cycle"
             )
-        _append(self._up, self._up_more, child, parent)
-        _append(self._down, self._down_more, parent, child)
+        _append(self._up, self._up_more, child, base, parent)
+        _append(self._down, self._down_more, parent, base, child)
         self.version += 1
-        if self._appended is not None:
-            self._appended.append((self._keys[child], self._keys[parent]))
 
     def add_chain(self, *terms: str) -> None:
         """Convenience: ``add_chain("sedan", "car", "vehicle")`` declares
@@ -152,24 +186,14 @@ class Taxonomy:
         for specialized, generalized in zip(terms, terms[1:]):
             self.add_isa(specialized, generalized)
 
-    def take_appended(self) -> list:
-        """Everything appended since the previous call, in order: a
-        :class:`Concept` per new concept, a ``(specialized key,
-        generalized key)`` pair per new is-a edge (the shapes
-        ``iter(self)`` and :meth:`isa_edges` yield).  The first call
-        starts the recording and hands back nothing — the concept
-        table that follows this taxonomy has just read all of it."""
-        appended, self._appended = self._appended or [], []
-        return appended
-
     def _reaches(self, start: int, target: int) -> bool:
         """Whether *target* is reachable walking upward from *start*."""
         if start == target:
             return True
-        up, more = self._up, self._up_more
+        up, more, base = self._up, self._up_more, self._base
         stack, seen = [start], {start}
         while stack:
-            for parent in _row(up, more, stack.pop()):
+            for parent in _row(up, more, stack.pop(), base):
                 if parent == target:
                     return True
                 if parent not in seen:
@@ -179,115 +203,145 @@ class Taxonomy:
 
     # -- lookup ------------------------------------------------------------------
 
-    def _concept(self, index: int) -> Concept:
+    def _has(self, tid: int) -> bool:
+        """Whether the term id is a concept of this domain."""
+        up, slot = self._up, tid - self._base
+        return 0 <= slot < len(up) and up[slot] != _ABSENT
+
+    def _name(self, tid: int) -> str:
+        """This domain's display spelling of a member id."""
+        return self._display.get(tid) or self._terms.display(tid)
+
+    def _concept(self, tid: int) -> Concept:
         return Concept._finished(
-            self._display[index],
-            self._keys[index],
+            self._name(tid),
+            self._terms.key(tid),
             self.domain,
-            self._descriptions.get(index, ""),
+            self._descriptions.get(tid, ""),
         )
 
     def _find(self, term: str) -> int | None:
-        """The index of *term*'s concept; ``None`` when unknown or when
-        *term* does not normalize."""
+        """The id of *term*'s concept; ``None`` when not a member or
+        when *term* does not normalize."""
         try:
-            return self._index.get(term_key(term))
+            tid = self._terms.find(term_key(term))
         except InvalidValueError:
             return None
+        return tid if tid is not None and self._has(tid) else None
 
     def _lookup(self, term: str) -> int:
-        index = self._index.get(term_key(term))
-        if index is None:
+        tid = self._terms.find(term_key(term))
+        if tid is None or not self._has(tid):
             raise UnknownConceptError(
                 f"term {term!r} is not in the {self.domain or 'anonymous'} taxonomy"
             )
-        return index
+        return tid
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._order)
 
     def __contains__(self, term: str) -> bool:
         return self._find(term) is not None
 
     def __iter__(self) -> Iterator[Concept]:
-        return map(self._concept, range(len(self._keys)))
+        return map(self._concept, self._order)
 
     def concept(self, term: str) -> Concept:
         return self._concept(self._lookup(term))
 
     def canonical(self, term: str) -> str:
         """Canonical display spelling of *term*."""
-        return self._display[self._lookup(term)]
+        return self._name(self._lookup(term))
 
     def terms(self) -> tuple[str, ...]:
-        return tuple(self._display)
+        return tuple(map(self._name, self._order))
 
-    def _sorted_terms(self, indexes) -> tuple[str, ...]:
-        display = self._display
-        return tuple(sorted(display[i] for i in indexes))
+    def _sorted_terms(self, tids) -> tuple[str, ...]:
+        return tuple(sorted(map(self._name, tids)))
 
     def parents(self, term: str) -> tuple[str, ...]:
         """Immediate generalizations, canonical spelling."""
-        return self._sorted_terms(_row(self._up, self._up_more, self._lookup(term)))
+        return self._sorted_terms(_row(self._up, self._up_more, self._lookup(term), self._base))
 
     def children(self, term: str) -> tuple[str, ...]:
         """Immediate specializations, canonical spelling."""
-        return self._sorted_terms(_row(self._down, self._down_more, self._lookup(term)))
-
-    def concept_rows(self) -> Iterator[tuple[str, str]]:
-        """``(display spelling, term key)`` per concept, by local index
-        (registration order) — what the concept table interns."""
-        return zip(self._display, self._keys)
-
-    def child_rows(self) -> Iterator[tuple[int, Sequence[int]]]:
-        """``(index, child indexes)`` for every concept with children,
-        indexes being :meth:`concept_rows` positions — what the concept
-        table's child rows are built from."""
-        down, more = self._down, self._down_more
-        for index, head in enumerate(down):
-            if head >= 0:
-                yield index, more.get(index) or (head,)
+        return self._sorted_terms(
+            _row(self._down, self._down_more, self._lookup(term), self._base)
+        )
 
     def _edges(self) -> Iterator[tuple[int, int]]:
-        """Every is-a edge as a ``(specialized, generalized)`` index
-        pair, in :meth:`isa_edges` order."""
-        up, more = self._up, self._up_more
-        for index, head in enumerate(up):
+        """Every is-a edge as a ``(specialized, generalized)`` id pair,
+        in :meth:`isa_edges` order."""
+        up, more, base = self._up, self._up_more, self._base
+        for tid in self._order:
+            head = up[tid - base]
             if head >= 0:
-                for parent in more.get(index) or (head,):
-                    yield index, parent
+                for parent in more.get(tid) or (head,):
+                    yield tid, parent
 
     def isa_edges(self) -> Iterator[tuple[str, str]]:
         """Every is-a edge as a ``(specialized key, generalized key)``
         pair of :attr:`Concept.key` values, in declaration order,
         grouped by specialized concept in registration order."""
-        keys = self._keys
+        key = self._terms.key
         for child, parent in self._edges():
-            yield keys[child], keys[parent]
+            yield key(child), key(parent)
 
     def roots(self) -> tuple[str, ...]:
         """Concepts without generalizations (hierarchy tops)."""
-        return tuple(sorted(t for t, head in zip(self._display, self._up) if head < 0))
+        up, base = self._up, self._base
+        return self._sorted_terms(tid for tid in self._order if up[tid - base] < 0)
 
     def leaves(self) -> tuple[str, ...]:
         """Concepts without specializations."""
-        return tuple(sorted(t for t, head in zip(self._display, self._down) if head < 0))
+        down, base = self._down, self._base
+        return self._sorted_terms(tid for tid in self._order if down[tid - base] < 0)
+
+    # -- id reads (the concept table's) -------------------------------------------
+
+    def _respelled(self) -> KeysView[int]:
+        """The member ids this domain spells other than the store
+        displays them (a set-like view)."""
+        return self._display.keys()
+
+    def _children(self, tids: Sequence[int], low: int, high: int) -> list[int]:
+        """The child ids of each of *tids* this domain holds, row by
+        row in declaration order (ids it does not hold add nothing);
+        *low* and *high* are the least and greatest of *tids*, so a
+        domain whose span they miss answers without a scan."""
+        first, more, base = self._down, self._down_more, self._base
+        size = len(first)
+        found: list[int] = []
+        if high < base or low >= base + size:
+            return found
+        for tid in tids:
+            slot = tid - base
+            if 0 <= slot < size:
+                head = first[slot]
+                if head >= 0:
+                    found.extend(more.get(tid) or (head,))
+        return found
+
+    def _ancestor_ids(self, tid: int) -> dict[int, int]:
+        """``{id: minimum hop distance}`` of every generalization of
+        member *tid*, in :meth:`ancestors` order."""
+        return self._walk(tid, self._up, self._up_more, None)
 
     # -- traversal -------------------------------------------------------------------
 
     def _walk(
         self, start: int, first: array, more: dict[int, array], max_distance: int | None
     ) -> dict[int, int]:
-        """``{index: minimum hop distance}`` of every concept reached
+        """``{id: minimum hop distance}`` of every concept reached
         from *start* along the rows, in breadth-first discovery order
         (*start* itself excluded)."""
         found = {start: 0}
-        level, distance = [start], 0
+        level, distance, base = [start], 0, self._base
         while level and (max_distance is None or distance < max_distance):
             distance += 1
             reached = []
             for node in level:
-                head = first[node]
+                head = first[node - base]
                 if head < 0:
                     continue
                 for nxt in more.get(node) or (head,):
@@ -299,8 +353,8 @@ class Taxonomy:
         return found
 
     def _named(self, distances: dict[int, int]) -> dict[str, int]:
-        display = self._display
-        return {display[i]: d for i, d in distances.items()}
+        name = self._name
+        return {name(tid): d for tid, d in distances.items()}
 
     def ancestors(self, term: str, max_distance: int | None = None) -> dict[str, int]:
         """All generalizations with their minimum upward hop distance.
@@ -315,13 +369,13 @@ class Taxonomy:
     ) -> list[tuple[str, str, int]]:
         """:meth:`ancestors` as ``(display, key, distance)`` triples in
         the same order — empty when *term* is not a member."""
-        index = self._find(term)
-        if index is None:
+        tid = self._find(term)
+        if tid is None:
             return []
-        display, keys = self._display, self._keys
+        name, key = self._name, self._terms.key
         return [
-            (display[i], keys[i], d)
-            for i, d in self._walk(index, self._up, self._up_more, max_distance).items()
+            (name(i), key(i), d)
+            for i, d in self._walk(tid, self._up, self._up_more, max_distance).items()
         ]
 
     def descendants(self, term: str, max_distance: int | None = None) -> dict[str, int]:
@@ -351,35 +405,39 @@ class Taxonomy:
 
         Iterative post-order over the parent rows, so a chain of any
         length costs heap, not interpreter stack."""
-        up, more = self._up, self._up_more
+        up, more, base = self._up, self._up_more, self._base
+        # indexed by slot, as the rows are
         height = array("i", [-1]) * len(up)
-        for start in range(len(up)):
-            if height[start] >= 0:
+        for start in self._order:
+            if height[start - base] >= 0:
                 continue
-            # (index, parents settled?) — a concept is finished after
+            # (id, parents settled?) — a concept is finished after
             # all of its parents, which sit above it on the stack
             stack = [(start, False)]
             while stack:
                 node, settled = stack.pop()
-                parents = _row(up, more, node)
+                parents = _row(up, more, node, base)
                 if settled:
-                    height[node] = 1 + max(height[p] for p in parents) if parents else 0
-                elif height[node] < 0:
-                    height[node] = 0  # cycle guard (structure is acyclic by construction)
+                    height[node - base] = (
+                        1 + max(height[p - base] for p in parents) if parents else 0
+                    )
+                elif height[node - base] < 0:
+                    # cycle guard (structure is acyclic by construction)
+                    height[node - base] = 0
                     stack.append((node, True))
-                    stack.extend((p, False) for p in parents if height[p] < 0)
-        return max(height, default=0)
+                    stack.extend((p, False) for p in parents if height[p - base] < 0)
+        return max(height, default=0) if self._order else 0
 
     # -- maintenance ----------------------------------------------------------------
 
     def merge(self, other: "Taxonomy") -> None:
         """Union another taxonomy's concepts and edges into this one,
         each concept's parents in the order *other* declared them."""
-        display = other._display
-        for index, term in enumerate(display):
-            self._intern(term, other._descriptions.get(index, ""))
+        name = other._name
+        for tid in other._order:
+            self._intern(name(tid), other._descriptions.get(tid, ""))
         for child, parent in other._edges():
-            self.add_isa(display[child], display[parent])
+            self.add_isa(name(child), name(parent))
 
     def validate(self) -> list[str]:
         """Structural diagnostics (empty = healthy).  The invariants are
@@ -387,44 +445,44 @@ class Taxonomy:
         row entry names a concept, every edge is in both the parent and
         the child row, and the parent rows are acyclic."""
         problems: list[str] = []
-        keys, count = self._keys, len(self._keys)
+        key, member, base = self._terms.key, self._has, self._base
         up, up_more, down, down_more = self._up, self._up_more, self._down, self._down_more
         up_edges = list(self._edges())
-        down_edges = [(c, p) for p in range(count) for c in _row(down, down_more, p)]
+        down_edges = [(c, p) for p in self._order for c in _row(down, down_more, p, base)]
         ups, downs = set(up_edges), set(down_edges)
         for child, parent in up_edges:
-            if not 0 <= parent < count:
-                problems.append(f"dangling parent #{parent} of {keys[child]!r}")
+            if not member(parent):
+                problems.append(f"dangling parent #{parent} of {key(child)!r}")
             elif (child, parent) not in downs:
-                problems.append(f"asymmetric edge {keys[child]!r} -> {keys[parent]!r}")
+                problems.append(f"asymmetric edge {key(child)!r} -> {key(parent)!r}")
         for child, parent in down_edges:
-            if not 0 <= child < count:
-                problems.append(f"dangling child #{child} of {keys[parent]!r}")
+            if not member(child):
+                problems.append(f"dangling child #{child} of {key(parent)!r}")
             elif (child, parent) not in ups:
-                problems.append(f"asymmetric edge {keys[child]!r} -> {keys[parent]!r}")
+                problems.append(f"asymmetric edge {key(child)!r} -> {key(parent)!r}")
         # cycle check via DFS coloring, iterative: one stack frame per
         # level would overflow on deep chains
         WHITE, GRAY, BLACK = 0, 1, 2
-        color = bytearray(count)
-        for start in range(count):
-            if color[start] != WHITE:
+        color = bytearray(len(up))  # by slot
+        for start in self._order:
+            if color[start - base] != WHITE:
                 continue
-            color[start] = GRAY
-            stack = [(start, iter(_row(up, up_more, start)))]
+            color[start - base] = GRAY
+            stack = [(start, iter(_row(up, up_more, start, base)))]
             while stack:
                 node, pending = stack[-1]
                 for parent in pending:
                     # a dangling parent is reported above
-                    shade = color[parent] if 0 <= parent < count else BLACK
+                    shade = color[parent - base] if member(parent) else BLACK
                     if shade == GRAY:
-                        problems.append(f"cycle reachable from {keys[start]!r}")
+                        problems.append(f"cycle reachable from {key(start)!r}")
                         return problems
                     if shade == WHITE:
-                        color[parent] = GRAY
-                        stack.append((parent, iter(_row(up, up_more, parent))))
+                        color[parent - base] = GRAY
+                        stack.append((parent, iter(_row(up, up_more, parent, base))))
                         break
                 else:
-                    color[node] = BLACK
+                    color[node - base] = BLACK
                     stack.pop()
         return problems
 
@@ -432,7 +490,7 @@ class Taxonomy:
         """Size metrics used by the taxonomy-shape ablation (A3); roots
         and leaves are the concepts whose first slot is empty, counted
         without listing them."""
-        concepts = len(self._keys)
+        concepts = len(self._order)
         roots = self._up.count(-1)
         return {
             "concepts": concepts,

@@ -9,12 +9,12 @@ hand-built knowledge base that has every awkward case at once: two
 domains, a synonym ring bridging them, spelling variants, an unknown
 term, and a term known only as an attribute synonym.
 
-The delta legs hold the table that *follows* a knowledge base
-(:meth:`ConceptTable.catch_up`, one object for the knowledge base's
-life) to the full build ``ConceptTable(kb)`` after every write of a
-random interleaving — by spelling, since the two assign ids in
-different orders — and an engine that lived through the writes to a
-fresh engine on a freshly built equal-content knowledge base.
+The interleaving legs hold a knowledge base whose one table was read
+— closures filled, memos dropped — between every two writes of a
+random sequence to one that took the same writes before its first
+read: same term and spelling ids, same closures, same order; and an
+engine that lived through the writes to a fresh engine on a freshly
+built equal-content knowledge base.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.errors import InvalidValueError, OntologyError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
-from repro.ontology.concept_table import ConceptTable, descent_closure, pairs
+from repro.ontology.concept_table import descent_closure, pairs
 from repro.ontology.concepts import term_key
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
@@ -111,6 +111,12 @@ def world(request):
     return kb, sample_terms(kb)
 
 
+def spelling_ids(table) -> range:
+    """Every spelling id: the odd spellings' negative ones, then the
+    term ids (each naming its term's key)."""
+    return range(len(table) - table.spelling_count, len(table))
+
+
 def as_spellings(table, closure) -> dict[str, int]:
     return {table.spelling(sid): depth for sid, depth in pairs(closure)}
 
@@ -177,7 +183,7 @@ def test_term_ids_of_spellings_keys_and_variants(world):
         except InvalidValueError:
             return "raises"
 
-    spellings = [table.spelling(sid) for sid in range(table.spelling_count)]
+    spellings = [table.spelling(sid) for sid in spelling_ids(table)]
     for spelling in (*spellings, *terms):
         for value in (
             spelling,
@@ -238,7 +244,7 @@ def test_fills_intern_nothing():
         table.ancestors(tid)
         table.descent(tid)
     table.descent_depths(sample_terms(kb))
-    assert table.spelling_count == spellings == ConceptTable(kb).spelling_count
+    assert table.spelling_count == spellings
 
 
 def test_version_bump_patches_the_graph_in_place():
@@ -250,7 +256,7 @@ def test_version_bump_patches_the_graph_in_place():
     kb.add_domain("jobs").add_isa("fellowship", "grant")
     kb.add_value_synonyms(["postdoc", "fellowship"])
     assert kb.concept_table() is table and table.version == kb.version
-    assert table.stats()["catch_ups"] == 1 and table.stats()["closures_dropped"] > 0
+    assert table.stats()["closures_dropped"] > 0
     # ids handed out before the write still mean what they meant
     assert table.value_key("postdoc") == postdoc
     # the new synonym hop is a distance-0 bridge in the patched graph
@@ -259,12 +265,10 @@ def test_version_bump_patches_the_graph_in_place():
         expected = descent_closure(kb, term, None)
         expected.setdefault(term, 0)
         assert table.descent_map(term, None) == expected, term
-    # the catch-up interned exactly the spellings a full build holds
-    assert table.spelling_count == ConceptTable(kb).spelling_count
 
 
 # ---------------------------------------------------------------------------
-# delta ≡ rebuild
+# interleaved reads ≡ reads after the writes
 # ---------------------------------------------------------------------------
 
 #: value spellings the writes draw from: plain terms, case and ``_`` /
@@ -338,68 +342,75 @@ def _apply(kb: KnowledgeBase, write: tuple) -> None:
         pass
 
 
-def _by_spelling(table: ConceptTable) -> dict:
-    """Everything a table answers, with ids resolved to spellings."""
-    spelling = table.spelling
-
-    def named(key):
-        return spelling(key) if isinstance(key, int) else key
-
-    keys = sorted(table._tid_by_key)
+def _view(table) -> dict:
+    """Everything a table answers, on its raw ids."""
+    ids = spelling_ids(table)
     view: dict = {
-        "terms": keys,
-        "spellings": sorted(table._spellings),
+        "spellings": [table.spelling(sid) for sid in ids],
+        "displays": [table.term_display(tid) for tid in range(len(table))],
         "attribute_roots": dict(table.attribute_roots),
-        "interned": [value for value in _SPELLINGS if isinstance(table.value_key(value), int)],
-        "known": [value for value in _SPELLINGS if table.term_id_of_value(value) is not None],
+        "interned": [table.value_key(value) for value in _SPELLINGS],
+        "known": [table.term_id_of_value(value) for value in _SPELLINGS],
     }
-    for key in keys:
-        tid = table.term_id_of_key(key)
-        view[key] = (
+    for tid in range(len(table)):
+        view[tid] = (
             table.canonical_spelling(tid),
             # in order: it decides which candidates survive truncation
-            [(spelling(sid), distance) for sid, distance in pairs(table.ancestors(tid))],
+            list(table.ancestors(tid)),
             # the attribute-synonym-only terms have no value closure
-            as_spellings(table, table.descent(tid)) if is_value_term(table, tid) else None,
+            list(table.descent(tid)) if is_value_term(table, tid) else None,
         )
     for term in (*_SPELLINGS, "never heard of it"):
         view["map", term] = [table.descent_map(term, bound) for bound in _BOUNDS]
     for terms in (_SPELLINGS, _SPELLINGS[::3], ["a", "never heard of it"]):
-        depths = table.descent_depths(terms)
-        view["depths", tuple(terms)] = {named(key): depth for key, depth in depths.items()}
+        view["depths", tuple(terms)] = table.descent_depths(terms)
     return view
 
 
-@given(
-    before=st.lists(_writes, max_size=6),
-    after=st.lists(_writes, min_size=1, max_size=8),
-)
-def test_catch_up_equals_rebuild(before, after):
-    """Random interleavings of every kind of write, against a live
-    table: after each, the table that followed the knowledge base
-    answers what a full build of it answers."""
+#: one term in two domains from the start, so every sequence has a
+#: shared concept for the writes to build on
+_SHARED = [("chain", "d1", ["a", "b"]), ("chain", "d2", ["a", "c"])]
+
+
+@given(writes=st.lists(_writes, min_size=1, max_size=10))
+def test_interleaved_reads_equal_reads_after_the_writes(writes):
+    """Random sequences of every kind of write, with the table read —
+    every closure filled — after each one: the table answers, id for
+    id, what the table of a knowledge base that took the same writes
+    before its first read answers.  Every write interns into the one
+    store, so ids are the order the writes named the terms, however
+    the reads were interleaved."""
     kb = KnowledgeBase("live")
-    for write in before:
-        _apply(kb, write)
     table = kb.concept_table()
-    catch_ups = 0
-    for write in after:
-        version = kb.version
+    done = list(_SHARED)
+    for write in _SHARED:
         _apply(kb, write)
-        assert kb.concept_table() is table
-        catch_ups += kb.version != version
-        assert table.stats()["catch_ups"] == catch_ups
-        assert table.version == kb.version
-        rebuilt = ConceptTable(kb)
-        assert _by_spelling(table) == _by_spelling(rebuilt), write
-        # no catch-up and no fill interns a spelling the KB does not hold
-        assert table.spelling_count == rebuilt.spelling_count
-        ids = [table.value_key(value) for value in _SPELLINGS]
-        interned = [key for key in ids if isinstance(key, int)]
-        assert len(set(interned)) == len(interned)
-        assert [table.spelling(key) for key in interned] == [
-            value for value, key in zip(_SPELLINGS, ids) if isinstance(key, int)
-        ]
+    for write in writes:
+        _view(kb.concept_table())  # fill every memo the write must drop
+        _apply(kb, write)
+        done.append(write)
+        assert kb.concept_table() is table and table.version == kb.version
+        batch = KnowledgeBase("batch")
+        for earlier in done:
+            _apply(batch, earlier)
+        assert _view(table) == _view(batch.concept_table()), write
+        # ... and both answer what the string path answers, in order
+        for tid in range(len(table)):
+            display = table.term_display(tid)
+            assert [
+                (table.spelling(sid), distance) for sid, distance in pairs(table.ancestors(tid))
+            ] == list(kb.generalizations(display).items()), display
+        for term in _SPELLINGS:
+            expected = descent_closure(kb, term, None)
+            expected.setdefault(term, 0)
+            assert table.descent_map(term, None) == expected, term
+    # no write and no fill interns a spelling twice under two ids
+    ids = [table.value_key(value) for value in _SPELLINGS]
+    interned = [key for key in ids if isinstance(key, int)]
+    assert len(set(interned)) == len(interned)
+    assert [table.spelling(key) for key in interned] == [
+        value for value, key in zip(_SPELLINGS, ids) if isinstance(key, int)
+    ]
 
 
 #: the engine leg draws from a pool small enough that subscriptions,
@@ -485,11 +496,12 @@ def test_operand_learned_after_subscribing_is_rekeyed(matcher):
     subs = [([("kind", "lorry")], None), ([("kind", "vehicle")], None)]
     engine = _engine(kb, matcher_arg(matcher), subs)
     table = kb.concept_table()
+    spellings = table.spelling_count
     assert _match_list(engine, [("kind", "lorry")]) == [("s0", 0)]
     kb.add_value_synonyms(["truck", "lorry"])
     assert _match_list(engine, [("kind", "lorry")]) == [("s0", 0), ("s1", 1)]
     assert _match_list(engine, [("kind", "truck")]) == [("s1", 1)]
-    assert kb.concept_table() is table and table.stats()["appended_spellings"] == 1
+    assert kb.concept_table() is table and table.spelling_count == spellings + 1
 
 
 def test_alternatives_memo_is_stamped_with_the_version():
@@ -561,20 +573,28 @@ def test_threads_filling_one_shared_table_agree():
     assert table.stats()["down_closures"] == reference.stats()["down_closures"]
 
 
-def test_threads_racing_to_one_catch_up_agree():
+def _late_writes(kb: KnowledgeBase, root: str) -> None:
+    kb.add_value_synonyms([root, f"{root}~late"])
+    kb.add_domain("late").add_chain("late leaf", f"{root}~late")
+
+
+def test_threads_racing_to_one_memo_drop_agree():
     """After a write, every replica's next fetch finds the version
-    moved at once: exactly one of them catches the table up, under
-    both locks, and every thread — fetching, then filling closures the
-    catch-up dropped — reads what a fresh build answers."""
+    moved at once: exactly one of them drops the memos, under the
+    table's lock, and every thread — fetching, then filling closures
+    the drop took away — reads what a knowledge base that took the
+    write before its first read answers."""
     kb = build_world("mega-small").kb
     table = kb.concept_table()
     terms = sample_terms(kb, limit=40)
     for term in terms:
-        table.descent_map(term, None)  # memos for the catch-up to drop
+        table.descent_map(term, None)  # memos for the drop
+    filled = table.stats()["down_closures"]
     root = terms[0]
-    kb.add_value_synonyms([root, f"{root}~late"])
-    kb.add_domain("late").add_chain("late leaf", f"{root}~late")
-    oracle = ConceptTable(kb)
+    _late_writes(kb, root)
+    batch = build_world("mega-small").kb
+    _late_writes(batch, root)
+    oracle = batch.concept_table()
     terms = [*terms, f"{root}~late", "late leaf"]
     expected = {term: oracle.descent_map(term, None) for term in terms}
 
@@ -609,6 +629,6 @@ def test_threads_racing_to_one_catch_up_agree():
     for fetched, maps in results:
         assert fetched is table
         assert maps == expected
-    stats = table.stats()
-    assert stats["catch_ups"] == 1 and stats["closures_dropped"] > 0
+    # one drop: a second would have taken the refilled memos too
+    assert table.stats()["closures_dropped"] == filled > 0
     assert table.spelling_count == oracle.spelling_count

@@ -33,7 +33,9 @@ _KB = build_jobs_knowledge_base()
 _TABLE = _KB.concept_table()
 
 #: Spellings the jobs table interned from knowledge-base content.
-_INTERNED = sorted(_TABLE.spelling(sid) for sid in range(_TABLE.spelling_count))
+_INTERNED = sorted(
+    _TABLE.spelling(sid) for sid in range(len(_TABLE) - _TABLE.spelling_count, len(_TABLE))
+)
 
 #: Values mixing interned spellings with everything else an event may
 #: carry (free text, numbers, bools, periods).

@@ -17,6 +17,7 @@ from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 from repro.ontology.serialization import kb_from_dict, kb_to_dict
+from repro.ontology.taxonomy import Taxonomy
 
 _TERMS = [f"k{i}" for i in range(8)]
 _ATTRS = ["p", "q", "r"]
@@ -38,7 +39,9 @@ def declarative_kbs(draw) -> KnowledgeBase:
     for term in _TERMS:
         taxonomy.add_concept(term)
     for index in range(1, len(_TERMS)):
-        if draw(st.booleans()):
+        # up to two parents, declared in either order: the round trip
+        # must keep the declaration order, which the walks follow
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
             parent = draw(st.integers(min_value=0, max_value=index - 1))
             taxonomy.add_isa(_TERMS[index], _TERMS[parent])
     # declarative rules
@@ -70,13 +73,35 @@ def test_structure_round_trips(kb):
     original_taxonomy = kb.taxonomy("d")
     cloned_taxonomy = clone.taxonomy("d")
     assert sorted(cloned_taxonomy.terms()) == sorted(original_taxonomy.terms())
+    assert list(cloned_taxonomy.isa_edges()) == list(original_taxonomy.isa_edges())
     for term in _TERMS:
-        assert cloned_taxonomy.ancestors(term) == original_taxonomy.ancestors(term)
+        # in order: it decides which candidates survive truncation
+        assert list(cloned_taxonomy.ancestors(term).items()) == list(
+            original_taxonomy.ancestors(term).items()
+        )
+        assert list(clone.generalizations(term).items()) == list(kb.generalizations(term).items())
     assert {r.name for r in clone.rules()} == {r.name for r in kb.rules()}
     # synonym groups survive with roots intact
     assert sorted(map(sorted, clone.attribute_synonym_groups())) == sorted(
         map(sorted, kb.attribute_synonym_groups())
     )
+
+
+def test_a_multi_parent_concept_keeps_its_parent_order():
+    """The parents are declared against their sorted order: a sorted
+    export would hand them back as "car, family vehicle"."""
+    kb = KnowledgeBase("vehicles")
+    kb.add_domain("vehicles").add_chain("wagon", "family vehicle", "vehicle")
+    kb.taxonomy("vehicles").add_chain("wagon", "car", "motor vehicle")
+    clone = kb_from_dict(kb_to_dict(kb))
+    expected = [("family vehicle", 1), ("car", 1), ("vehicle", 2), ("motor vehicle", 2)]
+    for taxonomy in (kb.taxonomy("vehicles"), clone.taxonomy("vehicles")):
+        assert list(taxonomy.ancestors("wagon").items()) == expected
+    assert list(clone.generalizations("wagon").items()) == expected
+    # a standalone taxonomy merged from the clone keeps it too
+    merged = Taxonomy("vehicles")
+    merged.merge(clone.taxonomy("vehicles"))
+    assert list(merged.ancestors("wagon").items()) == expected
 
 
 @given(

@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import logging
+import weakref
 
 import pytest
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
-from repro.errors import DetachedTableError, InvalidAttributeError, InvalidValueError
+from repro.errors import (
+    DuplicateConceptError,
+    InvalidAttributeError,
+    InvalidValueError,
+    TaxonomyCycleError,
+)
 from repro.model.attributes import normalize_attribute
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
 from repro.model.values import canonical_value_key
-from repro.ontology.concept_table import ConceptTable, descent_closure, pairs
+from repro.ontology.concept_table import descent_closure, pairs
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
 
@@ -80,6 +88,25 @@ class TestIdentity:
             assert closure == list(kb.generalizations(term).items())
 
 
+    def test_ancestors_walk_the_equivalents_in_sorted_spelling_order(self):
+        """Two synonyms in one domain with parents of their own: the
+        walks start from "automobile" before "car", as the string path's
+        sorted seeds do, whichever the term was asked for."""
+        kb = KnowledgeBase("t")
+        vehicles = kb.add_domain("vehicles")
+        vehicles.add_chain("car", "vehicle")
+        vehicles.add_chain("automobile", "machine")
+        kb.add_value_synonyms(["car", "automobile"], root="car")
+        table = kb.concept_table()
+        for term in ("car", "automobile"):
+            closure = [
+                (table.spelling(sid), d)
+                for sid, d in pairs(table.ancestors(table.term_id_of_value(term)))
+            ]
+            assert closure == [("machine", 1), ("vehicle", 1)]
+            assert closure == list(kb.generalizations(term).items())
+
+
 class TestAttributeForm:
     def test_a_spelling_that_is_no_attribute_has_no_form(self):
         kb = build_kb()
@@ -128,6 +155,13 @@ def _new_domain(kb):
     kb.add_domain("boats").add_chain("dinghy", "boat")
 
 
+def _spelled_differently() -> KnowledgeBase:
+    """Part of :func:`build_kb`'s taxonomy, in other spellings."""
+    other = KnowledgeBase("other")
+    other.add_domain("vehicles").add_chain("SEDAN", "Car", "Vehicle")
+    return other
+
+
 def _merged_kb(kb):
     other = KnowledgeBase("other")
     other.add_domain("vehicles").add_chain("moped", "vehicle")
@@ -156,56 +190,35 @@ WRITES = {
 }
 
 
+def _ids(table) -> dict[str, int | None]:
+    return {s: table.term_id_of_value(s) for s in ("sedan", "car", "auto", "vehicle", "tram")}
+
+
 class TestFollowsTheKnowledgeBase:
-    def test_table_is_cached_until_version_moves(self):
-        kb = build_kb()
+    def test_the_table_is_one_object_for_the_knowledge_bases_life(self):
+        kb = KnowledgeBase("t")
         first = kb.concept_table()
-        assert kb.concept_table() is first
-        assert first.stats()["catch_ups"] == 0
-
-    @pytest.mark.parametrize("kind", WRITES)
-    def test_every_kind_of_write_catches_the_same_table_up(self, kind):
-        kb = build_kb()
-        first = kb.concept_table()
-        ids = {s: first.value_key(s) for s in ("sedan", "car", "auto", "vehicle")}
-        WRITES[kind](kb)
-        assert first.version != kb.version
-        assert kb.concept_table() is first
-        assert first.version == kb.version
-        assert first.stats()["catch_ups"] == 1
-        # ids are for the life of the knowledge base
-        assert {s: first.value_key(s) for s in ids} == ids
-
-    def test_all_writes_in_a_row_never_build_a_second_table(self):
-        kb = build_kb()
-        first = kb.concept_table()
+        assert len(first) == 0 and first.version == kb.version == 0
+        kb.merge(build_kb())
         for write in WRITES.values():
             write(kb)
-            assert kb.concept_table() is first
-        stats = first.stats()
-        assert stats["catch_ups"] == len(WRITES)
-        assert stats["appended_terms"] == stats["terms"] - len(build_kb().concept_table())
-        assert stats["appended_spellings"] > 0
+            assert kb.concept_table() is first and first.version == kb.version
 
-    def test_catch_up_on_version_bump(self):
+    @pytest.mark.parametrize("kind", [kind for kind in WRITES if kind != "add_rule"])
+    def test_every_kind_of_write_drops_the_memos_and_keeps_the_ids(self, kind):
         kb = build_kb()
-        first = kb.concept_table()
-        assert first.term_id_of_value("truck") is None
-        sedan = first.term_id_of_value("sedan")
-        assert first.ancestors(sedan)  # a memoized closure the write must drop
-        kb.taxonomy("vehicles").add_chain("truck", "vehicle")
-        assert kb.concept_table() is first
-        assert first.version == kb.version
-        stats = first.stats()
-        assert (stats["catch_ups"], stats["appended_terms"], stats["appended_spellings"]) == (
-            1,
-            1,
-            1,
-        )
-        assert stats["closures_dropped"] == 1 and stats["up_closures"] == 0
-        tid = first.term_id_of_value("truck")
-        closure = [(first.spelling(sid), d) for sid, d in pairs(first.ancestors(tid))]
-        assert closure == [("vehicle", 1)]
+        table = kb.concept_table()
+        ids = {s: table.value_key(s) for s in ("sedan", "car", "auto", "vehicle")}
+        table.ancestors(table.term_id_of_value("sedan"))
+        table.descent(table.term_id_of_value("car"))
+        WRITES[kind](kb)
+        assert table.version != kb.version
+        assert kb.concept_table() is table and table.version == kb.version
+        stats = table.stats()
+        assert stats["closures_dropped"] == 2
+        assert stats["up_closures"] == stats["down_closures"] == 0
+        # ids are for the life of the knowledge base
+        assert {s: table.value_key(s) for s in ids} == ids
 
     def test_a_mapping_rule_moves_the_version_and_drops_nothing(self):
         kb = build_kb()
@@ -214,62 +227,125 @@ class TestFollowsTheKnowledgeBase:
         WRITES["add_rule"](kb)
         assert kb.concept_table().version == kb.version
         stats = table.stats()
-        assert stats["catch_ups"] == 1 and stats["closures_dropped"] == 0
-        assert stats["up_closures"] == 1
+        assert stats["closures_dropped"] == 0 and stats["up_closures"] == 1
+        # ... and the next term write still drops them
+        WRITES["add_concept"](kb)
+        kb.concept_table()
+        assert table.stats()["closures_dropped"] == 1
 
-    def test_each_build_and_catch_up_logs_its_cause(self, caplog):
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda kb: kb.taxonomy("vehicles").add_concept("SEDAN"),
+            lambda kb: kb.taxonomy("vehicles").add_isa("SEDAN", "Car"),
+            lambda kb: kb.taxonomy("vehicles").add_isa("SEDAN", "sedan"),
+            lambda kb: kb.taxonomy("vehicles").add_isa("Vehicle", "SEDAN"),
+            lambda kb: kb.merge(_spelled_differently()),
+        ],
+        ids=["re-register", "existing edge", "self-loop", "cycle", "merge"],
+    )
+    def test_a_write_that_registers_nothing_teaches_no_spelling(self, write):
+        """A no-op or rejected write leaves the version alone, so it
+        must leave the spellings alone too: a matcher keyed on them is
+        re-keyed only when the version moves."""
         kb = build_kb()
+        engine = SToPSS(kb)
+        engine.subscribe(Subscription([Predicate.eq("kind", "SEDAN")], sub_id="s1"))
+        event = Event([("kind", "SEDAN")])
+        assert [m.subscription.sub_id for m in engine.publish(event)] == ["s1"]
+        table = kb.concept_table()
+        version, spellings = kb.version, table.spelling_count
+        with contextlib.suppress(DuplicateConceptError, TaxonomyCycleError):
+            write(kb)
+        assert kb.version == version and table.spelling_count == spellings
+        assert table.value_key("SEDAN") == canonical_value_key("SEDAN")
+        assert [m.subscription.sub_id for m in engine.publish(event)] == ["s1"]
+
+    def test_ids_are_the_order_the_writes_named_the_terms(self):
+        """Reads between the writes change nothing: a knowledge base
+        read after every write holds the ids one read only at the end
+        holds."""
+        live, batch = build_kb(), build_kb()
+        live.concept_table().ancestors(0)
+        for write in WRITES.values():
+            write(live)
+            assert live.concept_table().descent_map("vehicle", None)
+            write(batch)
+        table, reference = live.concept_table(), batch.concept_table()
+        assert len(table) == len(reference) and table.spelling_count == reference.spelling_count
+        n = len(table)
+        for sid in range(n - table.spelling_count, n):
+            assert table.spelling(sid) == reference.spelling(sid)
+        assert [table.term_display(tid) for tid in range(n)] == [
+            reference.term_display(tid) for tid in range(n)
+        ]
+        assert _ids(table) == _ids(reference) and None not in _ids(table).values()
+
+    def test_a_write_is_seen_by_the_next_read(self):
+        kb = build_kb()
+        table = kb.concept_table()
+        assert table.term_id_of_value("truck") is None
+        sedan = table.term_id_of_value("sedan")
+        assert table.ancestors(sedan)  # a memoized closure the write must drop
+        terms, spellings = len(table), table.spelling_count
+        kb.taxonomy("vehicles").add_chain("truck", "vehicle")
+        # interned by the write itself, before anyone reads the table
+        assert (len(table), table.spelling_count) == (terms + 1, spellings + 1)
+        assert table.stats()["up_closures"] == 1
+        assert kb.concept_table() is table and table.version == kb.version
+        stats = table.stats()
+        assert stats["closures_dropped"] == 1 and stats["up_closures"] == 0
+        tid = table.term_id_of_value("truck")
+        closure = [(table.spelling(sid), d) for sid, d in pairs(table.ancestors(tid))]
+        assert closure == [("vehicle", 1)]
+
+    def test_a_memo_drop_logs_its_version_move(self, caplog):
+        kb = build_kb()
+        table = kb.concept_table()
+        table.ancestors(table.term_id_of_value("sedan"))
+        table.descent(table.term_id_of_value("vehicle"))
         with caplog.at_level(logging.DEBUG, logger="repro.ontology.concept_table"):
-            kb.concept_table()
+            kb.concept_table()  # the version has not moved: nothing to drop
             kb.taxonomy("vehicles").add_chain("truck", "vehicle")
             kb.add_value_synonyms(["truck", "lorry"])
             kb.concept_table()
-        built, caught_up = [record.getMessage() for record in caplog.records]
-        assert built == "t built at v9: 8 terms 8 spellings"
-        assert "+1 concepts +1 is-a edges" in caught_up
-        assert "1 value-synonym and 0 attribute-synonym groups" in caught_up
-        assert "appended 2 terms 2 spellings" in caught_up
-
-    def test_a_fresh_build_does_not_steal_the_live_tables_delta(self):
-        """``ConceptTable(kb)`` is the oracle: building one beside the
-        live table must leave the pending appends for the live one."""
-        kb = build_kb()
-        live = kb.concept_table()
-        kb.add_value_synonyms(["truck", "lorry"])
-        oracle = ConceptTable(kb)
-        assert oracle.term_id_of_value("lorry") is not None
-        assert kb.concept_table() is live
-        assert live.term_id_of_value("lorry") is not None
+            kb.concept_table()
+        assert [record.getMessage() for record in caplog.records] == [
+            "t v9 -> v12: dropped 2 closures"
+        ]
 
     def test_an_attribute_synonym_that_becomes_a_value_is_displayed_as_one(self):
         kb = build_kb()
         table = kb.concept_table()
         tid = table.term_id_of_value("school")
-        assert table.term_display(tid) == "school"
+        assert table.canonical_spelling(tid) is None  # an attribute only
         kb.taxonomy("vehicles").add_chain("School", "vehicle")
         table = kb.concept_table()
-        oracle = ConceptTable(kb)
-        assert oracle.term_display(oracle.term_id_of_value("school")) == "School"
-        assert table.term_display(tid) == "School"
+        assert table.term_id_of_value("School") == tid
+        assert table.term_display(tid) == "school"  # the store's first spelling
+        # ... but the value substrate reports its own
+        assert table.canonical_spelling(tid) == "School"
+        assert as_spellings(table, table.descent(tid)) == {"School": 0}
         assert table.descent_map("School", None) == {"School": 0}
+        assert table.descent_map("vehicle", None)["School"] == 1
 
-    def test_a_table_holds_its_knowledge_base_weakly(self):
+    def test_a_dropped_knowledge_base_frees_its_table(self):
+        """Nothing the table holds holds it back: with the cycle
+        collector off, dropping the knowledge base frees the table."""
         kb = build_kb()
         table = kb.concept_table()
-        sedan, car = table.term_id_of_value("sedan"), table.term_id_of_value("car")
-        filled = table.ancestors(sedan)
-        del kb  # no cycle: reference counting frees it at once
-        # what the table holds still answers ...
-        assert table.ancestors(sedan) == filled
-        assert table.value_key("sedan") == table.term_id_of_value("sedan") is not None
-        assert table.descent_map("car", None)["sedan"] == 1
-        # ... and what it would read from the knowledge base raises
-        with pytest.raises(DetachedTableError):
-            table.ancestors(car)
-        with pytest.raises(DetachedTableError):
-            table.canonical_spelling(car)
-        with pytest.raises(DetachedTableError):
-            table.catch_up([], [], [])
+        table.ancestors(table.term_id_of_value("sedan"))
+        table.descent(table.term_id_of_value("car"))
+        watched = weakref.ref(table)
+        del table
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del kb
+            assert watched() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_engine_sees_new_knowledge_through_rebuild(self):
         kb = build_kb()
@@ -280,6 +356,10 @@ class TestFollowsTheKnowledgeBase:
         matches = engine.publish(Event([("kind", "truck")]))
         assert [m.subscription.sub_id for m in matches] == ["s1"]
         assert matches[0].generality == 1
+
+
+def as_spellings(table, closure) -> dict[str, int]:
+    return {table.spelling(sid): depth for sid, depth in pairs(closure)}
 
 
 class TestDescentClosure:

@@ -112,3 +112,15 @@ class TestExport:
         assert reimported.generalization_distance("suv", "car") == 1
         assert kb.root_attribute("school") == kb.root_attribute("university")
         assert kb.value_root("automobile") is not None
+
+    def test_round_trip_keeps_declared_parent_order(self):
+        """The parents are declared against their sorted order: a sorted
+        export would hand them back as "car, family vehicle"."""
+        taxonomy = Taxonomy("vehicles")
+        taxonomy.add_chain("wagon", "family vehicle", "vehicle")
+        taxonomy.add_chain("wagon", "car", "motor vehicle")
+        kb = import_daml(export_daml(taxonomy), KnowledgeBase(), "vehicles")
+        expected = [("family vehicle", 1), ("car", 1), ("vehicle", 2), ("motor vehicle", 2)]
+        assert list(taxonomy.ancestors("wagon").items()) == expected
+        assert list(kb.taxonomy("vehicles").ancestors("wagon").items()) == expected
+        assert list(kb.generalizations("wagon").items()) == expected

@@ -15,6 +15,7 @@ from repro.errors import (
     TaxonomyCycleError,
     UnknownConceptError,
 )
+from repro.ontology.concept_table import TermStore
 from repro.ontology.concepts import Concept
 from repro.ontology.taxonomy import Taxonomy
 
@@ -74,18 +75,6 @@ class TestConstruction:
         for malformed in ("   ", 7):
             with pytest.raises(InvalidValueError):
                 Taxonomy().add_concept(malformed)
-
-    def test_take_appended_hands_over_concepts_and_edges_in_order(self):
-        t = Taxonomy("jobs")
-        t.add_isa("PhD", "doctorate")  # before anyone follows: not recorded
-        assert t.take_appended() == []
-        t.add_chain("postdoc", "PhD", "doctorate")  # one new concept, one new edge
-        t.add_concept("phd")  # known: nothing appended
-        with pytest.raises(TaxonomyCycleError):
-            t.add_isa("doctorate", "postdoc")
-        appended = t.take_appended()
-        assert appended == [t.concept("postdoc"), ("postdoc", "phd")]
-        assert t.take_appended() == []
 
     def test_self_loop_rejected(self, degrees):
         with pytest.raises(DuplicateConceptError):
@@ -277,8 +266,9 @@ class TestMaintenance:
 
     @staticmethod
     def _index(taxonomy, term):
-        """A concept's row index: its position in registration order."""
-        return [concept.key for concept in taxonomy].index(taxonomy.concept(term).key)
+        """A concept's row slot: its term id in the taxonomy's store,
+        less the first id the rows cover."""
+        return taxonomy._terms.find(taxonomy.concept(term).key) - taxonomy._base
 
     def test_validate_still_finds_a_cycle(self, degrees):
         # the structure refuses cycles, so plant one in the rows behind
@@ -370,6 +360,73 @@ class TestCompactStorage:
         assert plain.key is plain.term
         spelled = t.add_concept("Master_Degree")
         assert (spelled.term, spelled.key) == ("Master_Degree", "master degree")
+
+
+class TestSharedStore:
+    """Domains on one term store share its ids and keep their own
+    membership, registration order and spellings."""
+
+    def test_two_domains_share_a_term_id_and_keep_their_spellings(self):
+        terms = TermStore()
+        education, jobs = Taxonomy("education", terms), Taxonomy("jobs", terms)
+        education.add_chain("doctorate", "graduate degree")
+        jobs.add_chain("postdoc", "Graduate_Degree")
+        shared = terms.find("graduate degree")
+        assert len(terms) == 3 and education._has(shared) and jobs._has(shared)
+        assert education.canonical("GRADUATE DEGREE") == "graduate degree"
+        assert jobs.canonical("graduate degree") == "Graduate_Degree"
+        assert jobs.concept("graduate degree") == Concept.of("Graduate_Degree", "jobs")
+        # each domain holds only what it registered, in its own order
+        assert education.terms() == ("doctorate", "graduate degree")
+        assert jobs.terms() == ("postdoc", "Graduate_Degree")
+        assert "postdoc" not in education and "doctorate" not in jobs
+        assert education.stats()["concepts"] == jobs.stats()["concepts"] == 2
+        assert education.roots() == ("graduate degree",)
+        assert jobs.leaves() == ("postdoc",)
+        assert education.validate() == jobs.validate() == []
+
+    def test_a_term_another_domain_holds_is_no_member_here(self):
+        terms = TermStore()
+        first, second = Taxonomy("a", terms), Taxonomy("b", terms)
+        first.add_chain("x", "y")
+        second.add_concept("z")  # past every row slot of "a"
+        assert len(first) == 2 and "z" not in first and list(first.isa_edges()) == [("x", "y")]
+        with pytest.raises(UnknownConceptError):
+            second.ancestors("x")
+        second.add_isa("x", "z")
+        assert second.terms() == ("z", "x") and first.ancestors("x") == {"y": 1}
+        assert second.depth() == first.depth() == 1
+
+    def test_a_domain_rows_cover_only_its_own_span(self):
+        terms = TermStore()
+        big, small = Taxonomy("big", terms), Taxonomy("small", terms)
+        for i in range(1, 500):
+            big.add_isa(f"b{i}", f"b{i - 1}")
+        small.add_chain("s0", "s1", "s2")
+        assert len(small._up) == len(small._down) == 3
+        assert small.ancestors("s0") == {"s1": 1, "s2": 2} and small.validate() == []
+
+    def test_a_domain_that_registers_falling_ids_keeps_every_row(self):
+        """Reaching below the first id the rows cover shifts them down
+        with room to spare; every edge and walk survives the shift."""
+        terms = TermStore()
+        first, late = Taxonomy("first", terms), Taxonomy("late", terms)
+        for i in range(1, 64):
+            first.add_isa(f"t{i}", f"t{i - 1}")
+        late.add_concept("t63")
+        for i in range(62, -1, -1):
+            late.add_isa(f"t{i}", f"t{i + 1}")
+        assert late.validate() == [] and late.depth() == 63
+        assert late.ancestors("t0", 2) == {"t1": 1, "t2": 2}
+        assert late.descendants("t2") == {f"t{i}": 2 - i for i in range(2)}
+        assert late.terms()[:2] == ("t63", "t62") and len(late) == 64
+        assert first.ancestors("t1") == {"t0": 1}
+        assert len(late._up) <= 2 * 64  # room to spare, not a copy per id
+
+    def test_a_standalone_taxonomy_has_a_store_of_its_own(self):
+        one, other = Taxonomy("a"), Taxonomy("b")
+        one.add_concept("p")
+        assert one._terms is not other._terms and len(other._terms) == 0
 
 
 class TestConceptSlots:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import DuplicateConceptError
+from repro.ontology.concept_table import TermStore
 from repro.ontology.thesaurus import Thesaurus
 
 
@@ -98,37 +99,55 @@ class TestMerging:
         assert kb.value_root("motorcar") is None
         assert kb.value_equivalents("car") == {"car", "automobile"}
         assert kb.version == version
-        assert kb.concept_table().term_id_of_value("motorcar") is None
-        assert table.stats()["catch_ups"] == 0
+        assert kb.concept_table() is table and table.version == version
+        assert table.term_id_of_value("motorcar") is None
 
     def test_rejected_merge_changes_nothing(self):
         t = Thesaurus()
         t.add_synonyms(["a", "a2"], root="root1")
         t.add_synonyms(["b"], root="root2")
         t.add_synonyms(["c", "c2"])
-        t.take_appended()  # start recording
-        version = t.version
+        version, terms = t.version, len(t._terms)
         with pytest.raises(DuplicateConceptError):
             t.add_synonyms(["c", "a", "b", "new"])
-        assert t.version == version and t.take_appended() == []
+        # not even the new spelling was interned
+        assert t.version == version and len(t._terms) == terms
         assert t.group_count() == 3 and "new" not in t
         assert t.synonyms_of("c") == {"c", "c2"} and t.root_of("c") == "c"
         assert t.synonyms_of("a") == {"a", "a2", "root1"}
-
-    def test_take_appended_names_the_touched_groups(self):
-        t = Thesaurus()
-        t.add_synonyms(["a", "b"])  # before anyone follows: not recorded
-        assert t.take_appended() == []
-        t.add_synonyms(["x", "y"])
-        t.add_synonyms(["b", "c"], root="c")
-        assert t.take_appended() == ["x", "c"]
-        assert t.take_appended() == []
 
     def test_same_explicit_root_twice_ok(self):
         t = Thesaurus()
         t.add_synonyms(["a", "b"], root="a")
         t.add_synonyms(["c"], root="a")
         assert t.are_synonyms("b", "c")
+
+
+class TestSharedStore:
+    def test_members_are_ids_of_the_shared_store(self):
+        terms = TermStore()
+        values, attributes = Thesaurus(terms), Thesaurus(terms)
+        values.add_synonyms(["car", "Auto"], root="car")
+        attributes.add_synonyms(["auto", "vehicle_type"])
+        # one key, one id, whichever thesaurus named it first
+        assert len(terms) == 3 and terms.find("auto") == 1
+        # each thesaurus reports the spelling it was given
+        assert values.synonyms_of("auto") == {"car", "Auto"}
+        assert attributes.synonyms_of("AUTO") == {"auto", "vehicle_type"}
+        assert attributes.root_of("vehicle type") == "auto"
+        assert not values.are_synonyms("auto", "vehicle_type")
+
+    def test_a_merge_names_the_group_by_its_new_root(self):
+        t = Thesaurus()
+        t.add_synonyms(["a", "b"])
+        t.add_synonyms(["c", "d"], root="c")
+        assert t.add_synonyms(["b", "d"]) == "c"
+        assert t.group_count() == 1 and len(t) == 4
+        assert t.synonyms_of("a") == {"a", "b", "c", "d"}
+        assert {t.root_of(term) for term in "abcd"} == {"c"}
+        # the explicit root survived the merge: re-rooting is refused
+        with pytest.raises(DuplicateConceptError):
+            t.add_synonyms(["a"], root="a")
 
 
 class TestReporting:
