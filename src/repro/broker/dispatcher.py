@@ -14,6 +14,7 @@ only publishers may publish.
 
 from __future__ import annotations
 
+import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -26,6 +27,11 @@ from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 
 __all__ = ["EventDispatcher", "PublishReport"]
+
+_log = logging.getLogger(__name__)
+
+#: what the result cache's generation is made of, in order
+_GENERATION = ("semantic_version", "subscription_epoch")
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,11 @@ class EventDispatcher:
     the pair — the configuration is in the key, so a round trip A→B→A
     hits again.  Cached hits re-stamp the match set onto the fresh
     publication's event object, so delivery reports always carry the
-    real event id; the ``matched_via`` derivation chain is reused from
-    the first publication (content-identical, but its intermediate auto
-    ids are the original derivation's).  ``result_cache_size`` is read
+    real event id; the derivation is the first publication's compact
+    witness, which holds no event or derivation object (``matched_via``
+    builds its chain for the fresh event on read).  A dropped generation
+    is logged at DEBUG on this module's logger with what moved and how
+    many entries went.  ``result_cache_size`` is read
     at every lookup: ``0`` disables the cache and empties it, a lowered
     size trims it.
 
@@ -155,6 +163,13 @@ class EventDispatcher:
         engine = self.engine
         generation = (engine.semantic_version, engine.subscription_epoch)
         if generation != self._generation:
+            if self._generation is not None and _log.isEnabledFor(logging.DEBUG):
+                moved = ", ".join(
+                    f"{name} {old} -> {new}"
+                    for name, old, new in zip(_GENERATION, self._generation, generation)
+                    if old != new
+                )
+                _log.debug("result cache dropped (%s): %d entries", moved, len(cache))
             cache.clear()
             self._generation = generation
         while len(cache) > max(self.result_cache_size, 0):
@@ -183,12 +198,7 @@ class EventDispatcher:
             # re-stamp onto this publication's event object so delivery
             # reports carry the real event id, not the first one's.
             return [
-                SemanticMatch(
-                    subscription=match.subscription,
-                    event=stamped,
-                    matched_via=match.matched_via,
-                    generality=match.generality,
-                )
+                SemanticMatch(match.subscription, stamped, match.via, match.generality)
                 for match in cached[0]
             ], cached[1]
         self.result_cache_misses += 1

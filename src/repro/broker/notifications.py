@@ -77,7 +77,6 @@ from repro.broker.transports import (
     default_transports,
 )
 from repro.core.provenance import (
-    DerivedEvent,
     SemanticMatch,
     derivation_part,
     event_part,
@@ -154,7 +153,7 @@ def _unpack(blob: bytes) -> list[str]:
 class PublicationText:
     """The text the notifications of one publication share: the rendered
     event (:func:`~repro.core.provenance.event_part`) and one rendered
-    derivation per distinct derived event a subscription accepted
+    derivation per distinct witness a subscription accepted
     (:func:`~repro.core.provenance.derivation_part`).  One object per
     publication, referenced by each of its delivery-log rows and alive
     as long as any of them is retained.
@@ -519,7 +518,7 @@ class NotificationEngine:
         columns and returned as an entry in flight.  A new row draws the next
         sequence of its subscription and references the publication's
         text — the event rendered once, a derivation once however many
-        subscriptions accepted it (by content, so equal derived events
+        subscriptions accepted it (by content, so equal witnesses
         decoded from different shard workers share too), the
         subscription part once per live subscription — and the new rows
         go to the journal as a single ``outs`` record.  During
@@ -529,7 +528,7 @@ class NotificationEngine:
         ledger = self._replay_ledger
         logs = self._delivery_log
         text: PublicationText | None = None
-        via_of: dict[DerivedEvent, int] = {}
+        via_of: dict[object, int] = {}
         staged: list[DeliveryEntry] = []
         fresh: list[DeliveryEntry] = []
         for client, match in deliveries:
@@ -545,10 +544,10 @@ class NotificationEngine:
             head = self._heads.get(sub_id)
             if head is None:
                 head = self._heads[sub_id] = subscription_part(subscription)
-            via = via_of.get(match.matched_via)
+            via = via_of.get(match.via)
             if via is None:
-                via = via_of[match.matched_via] = len(text.via)
-                text.via.append(derivation_part(match.matched_via))
+                via = via_of[match.via] = len(text.via)
+                text.via.append(derivation_part(match.via, match.event))
             sequence = self._next_seq.get(sub_id, 1)
             self._next_seq[sub_id] = sequence + 1
             number = self._next_notification

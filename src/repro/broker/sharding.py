@@ -50,7 +50,7 @@ re-subscribed or re-shipped.  From then on the two copies meet only on
 a pipe, which pickles whatever crosses it: a publication crosses as the
 :class:`~repro.model.events.Event` itself, control operations the
 parent has already applied to its replica are mirrored to the worker's,
-and match results come back as the distinct derived events plus one
+and match results come back as the distinct match witnesses plus one
 ``(sub_id, generality, index)`` row per match.  The parent's replicas
 stay the control plane — the routing/ordering source of truth — so
 replacing a worker, or the whole fleet when the knowledge base moves (a
@@ -85,7 +85,7 @@ from repro.broker.transports import TransportRegistry
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.core.pipeline import PipelineResult
-from repro.core.provenance import DerivedEvent, SemanticMatch
+from repro.core.provenance import SemanticMatch
 from repro.errors import BrokerError, ConfigError, UnknownSubscriptionError
 from repro.matching.base import MatchingAlgorithm
 from repro.metrics.aggregate import merge_stats
@@ -152,25 +152,25 @@ def _send_error(conn, epoch, exc: BaseException) -> None:
 def _worker_publish(engine, event) -> tuple:
     """One publication inside a shard worker.
 
-    The reply deduplicates derived events — many matches share one
-    ``matched_via`` — as ``(derived events, (sub_id, generality,
-    derived index) rows, publish thread-CPU span, truncated)``.  Each
-    derived event crosses without its ``parent``: that chain serves
-    in-process provenance only and is outside equality."""
+    The reply deduplicates the matches' witnesses — many matches share
+    one — as ``(witnesses, (sub_id, generality, witness index) rows,
+    publish thread-CPU span, truncated)``.  A
+    :class:`~repro.core.provenance.Witness` is strings, numbers and
+    tuples: it crosses as it is, and the parent's match keeps it."""
     started = time.thread_time()
     matches = engine.publish(event)
     span = time.thread_time() - started
-    derived: list = []
+    witnesses: list = []
     index_of: dict[int, int] = {}
     rows = []
     for match in matches:
-        via = match.matched_via
+        via = match.via
         via_index = index_of.get(id(via))
         if via_index is None:
-            via_index = index_of[id(via)] = len(derived)
-            derived.append(DerivedEvent(via.event, via.steps))
+            via_index = index_of[id(via)] = len(witnesses)
+            witnesses.append(via)
         rows.append((match.subscription.sub_id, match.generality, via_index))
-    return derived, rows, span, engine.last_truncated
+    return witnesses, rows, span, engine.last_truncated
 
 
 def _shard_worker_main(conn, engine, ready_epoch) -> None:
@@ -802,7 +802,7 @@ class ShardedEngine:
         CPU span, truncated)`` per shard: fan the event out to every
         worker and rebuild each shard's matches from its rows.  Matches
         carry the parent's original subscription and event objects —
-        only the derived events come back across the pipe.
+        only the match witnesses come back across the pipe.
 
         A ``None`` outcome for a shard means it has no worker this time
         (a transport fault disposed it, or its re-fork failed) — the
@@ -820,9 +820,9 @@ class ShardedEngine:
             if outcome is None:
                 yield self._publish_local(index, event)
                 continue
-            derived, rows, span, truncated = outcome
+            witnesses, rows, span, truncated = outcome
             yield [
-                SemanticMatch(subs[sub_id], event, derived[via_index], generality)
+                SemanticMatch(subs[sub_id], event, witnesses[via_index], generality)
                 for sub_id, generality, via_index in rows
             ], span, truncated
 

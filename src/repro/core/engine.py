@@ -272,7 +272,7 @@ class SToPSS:
         (paper §3.2's per-user information-loss control)."""
         best = self._matcher.match_batch(result)
         matches: list[SemanticMatch] = []
-        for sub_id, (generality, derived) in best.items():
+        for sub_id, (generality, via) in best.items():
             seq_original = self._originals.get(sub_id)
             if seq_original is None:  # pragma: no cover - defensive
                 continue
@@ -280,14 +280,8 @@ class SToPSS:
             bound = original.max_generality
             if bound is not None and generality > bound:
                 continue
-            matches.append(
-                SemanticMatch(
-                    subscription=original,
-                    event=event,
-                    matched_via=derived,
-                    generality=generality,
-                )
-            )
+            # the match keeps the compact witness, whatever the matcher answered
+            matches.append(SemanticMatch(original, event, result.witness_of(via), generality))
         matches.sort(key=lambda match: self._originals[match.subscription.sub_id][0])
         return matches
 

@@ -31,7 +31,10 @@ the paper's "substitute each term with an internal identifier"
 performance design.  Un-interned values (free text, numbers) take the
 same no-expansion exit the string path takes; ``interned=False`` runs
 the original string path end to end (the comparison baseline, pinned
-equivalent by the interning property test).
+equivalent by the interning property test).  Both paths offer each
+candidate straight to the publication's derivation table
+(:mod:`repro.core.derivation`) as a values tuple and a compact step: no
+event, signature set or description is built for it.
 """
 
 from __future__ import annotations
@@ -40,11 +43,10 @@ import logging
 from array import array
 from typing import Collection, Iterable, Iterator
 
+from repro.core.derivation import PipelineResult
 from repro.core.interfaces import SemanticStage
-from repro.core.provenance import STAGE_HIERARCHY, DerivationStep, DerivedEvent
+from repro.core.provenance import CANON, GENERAL, RENAME, STAGE_HIERARCHY
 from repro.model.attributes import normalize_attribute
-from repro.model.events import Event
-from repro.model.values import canonical_value_key
 from repro.ontology.concept_table import pairs
 from repro.ontology.knowledge_base import KnowledgeBase
 
@@ -58,8 +60,8 @@ class HierarchyStage(SemanticStage):
 
     With an interest view bound (see
     :meth:`~repro.core.interfaces.SemanticStage.bind_interest`), every
-    *value* substitution is checked before the derived event is
-    constructed: a candidate value that cannot reach any live predicate
+    *value* substitution is checked before it is offered to the
+    derivation table: a candidate value that cannot reach any live predicate
     within the chain budget remaining after its own climb is counted in
     ``candidates_pruned`` and skipped.  Because a skipped candidate's
     only new matching power is its substituted pair — its parent
@@ -74,7 +76,7 @@ class HierarchyStage(SemanticStage):
 
     name = STAGE_HIERARCHY
 
-    #: consults the bound interest view before every construction
+    #: consults the bound interest view before every value substitution
     interest_safe = True
 
     def __init__(
@@ -122,98 +124,97 @@ class HierarchyStage(SemanticStage):
         table = self._table
         return self._kb.concept_table() if table is None else table
 
-    def expand(
-        self, derived: DerivedEvent, *, generality_budget: int | None = None
-    ) -> Iterator[DerivedEvent]:
+    def expand_row(self, result: PipelineResult, row: int, budget: int | None) -> None:
+        """Offer every single substitution of *row* to its table, in
+        the row's attribute order: a value's synonym and generalizations,
+        then the attribute name's generalizations."""
         self.stats.events_in += 1
-        event = derived.event
-        produced = 0
-        expand_value = self._expand_value_interned if self._interned else self._expand_value
-        expand_attribute = (
-            self._expand_attribute_interned if self._interned else self._expand_attribute
-        )
+        layout = result._layout[row]
+        values = result._values[row]
+        interned = self._interned
         skip = self.skip
-        for attribute, value in event.items():
+        produced = 0
+        for attribute, index in zip(layout.names, layout.perm):
             if attribute in skip:
                 continue
+            value = values[index]
             if isinstance(value, str):
-                produced += yield from expand_value(
-                    derived, attribute, value, generality_budget
-                )
-            if self._generalize_attributes:
-                produced += yield from expand_attribute(derived, attribute, generality_budget)
+                found = self._value_ids if interned else self._value_names
+                substitutions = found(attribute, value, budget)
+                produced += self._substitute(result, row, index, attribute, substitutions)
+            if self._generalize_attributes and not result.truncated:
+                found = self._attribute_ids if interned else self._attribute_names
+                produced += self._rename(result, row, attribute, found(attribute, budget))
+            if result.truncated:
+                break
         self.stats.events_out += produced
+
+    @staticmethod
+    def _substitute(result, row, index, attribute, substitutions) -> int:
+        """Offer each ``(kind, distance, new value)`` substitution of the
+        value at *index* of *row*; returns how many the table took."""
+        layout, values, keys = result._layout[row], result._values[row], result._keys[row]
+        generality, depth = result.charges[row], result.depths[row] + 1
+        head, tail = values[:index], values[index + 1 :]
+        # a new value is a string, its own key: an all-string row stays one
+        mixed = keys is not values
+        if mixed:
+            key_head, key_tail = keys[:index], keys[index + 1 :]
+        count = 0
+        for kind, distance, new in substitutions:
+            new_values = (*head, new, *tail)
+            new_keys = (*key_head, new, *key_tail) if mixed else new_values
+            step = (kind, attribute, distance, new)
+            if result.offer(row, layout, new_values, new_keys, step, generality + distance, depth):
+                count += 1
+            if result.truncated:
+                break
+        return count
+
+    @staticmethod
+    def _rename(result, row, attribute, renames) -> int:
+        """Offer each ``(distance, new name)`` rename of *attribute* in
+        *row* onto a name it does not hold yet; returns how many the
+        table took.  Never interest-pruned (see the class docstring)."""
+        layout, values, keys = result._layout[row], result._values[row], result._keys[row]
+        count = 0
+        for distance, general in renames:
+            if general == attribute or general in layout.names:
+                continue
+            renamed = result.layout(
+                tuple(general if name == attribute else name for name in layout.names)
+            )
+            # the renamed sorted order, as indexes into this row's
+            at = [layout.perm[index] for index in renamed.order]
+            moved = tuple(map(values.__getitem__, at))
+            new_keys = moved if keys is values else tuple(map(keys.__getitem__, at))
+            step = (RENAME, general, distance, attribute)
+            generality, depth = result.charges[row] + distance, result.depths[row] + 1
+            if result.offer(row, renamed, moved, new_keys, step, generality, depth):
+                count += 1
+            if result.truncated:
+                break
+        return count
 
     # -- interned fast path -------------------------------------------------------
 
-    def _expand_value_interned(
-        self,
-        derived: DerivedEvent,
-        attribute: str,
-        value: str,
-        budget: int | None,
-    ) -> Iterator[DerivedEvent]:
+    def _value_ids(self, attribute: str, value: str, budget: int | None) -> Iterator[tuple]:
         """Closure-array substitutions of one value term: the term
         resolves to a dense id once; canonicalization and every
         generalization are then array/dict reads."""
         table = self._current_table()
         interest = self._interest
-        dedup = self._dedup
-        count = 0
         self.stats.lookups += 1
         tid = table.term_id_of_value(value)
         if tid is None:
-            return count
-        event = derived.event
-        generality = derived.generality
-        depth = derived.depth + 1
-        #: the substituted pair is the only one that changes, so every
-        #: candidate's signature is base ∪ {new pair} — computed here
-        #: once and reused both for the dedup probe and the derived
-        #: Event itself (skipping with_value's re-derivation)
-        base_signature = (
-            None
-            if dedup is None
-            else event.signature.difference(((attribute, canonical_value_key(value)),))
-        )
-
-        def construct(new_value: str, distance: int, canonicalized: bool):
-            if base_signature is None:
-                child = event.with_value(attribute, new_value)
-            else:
-                signature = base_signature.union(
-                    ((attribute, canonical_value_key(new_value)),)
-                )
-                if dedup.should_skip(signature, generality + distance, depth):
-                    return None
-                values = dict(event._pairs)
-                values[attribute] = new_value
-                child = Event._derived(values, signature, event.publisher_id)
-            if canonicalized:
-                description = (
-                    f"value {value!r} of {attribute!r} canonicalized to "
-                    f"synonym {new_value!r}"
-                )
-            else:
-                description = f"value {value!r} of {attribute!r} generalized to {new_value!r}"
-            step = DerivationStep(
-                stage=self.name,
-                description=description,
-                attribute=attribute,
-                generality=distance,
-            )
-            return derived.extend(child, step)
-
+            return
         if self._value_synonyms:
             canonical = table.canonical_spelling(tid)
             if canonical is not None and canonical != value:
                 if interest is None or self._admit(interest, attribute, canonical, budget):
-                    candidate = construct(canonical, 0, True)
-                    if candidate is not None:
-                        yield candidate
-                        count += 1
+                    yield CANON, 0, canonical
         if budget is not None and budget <= 0:
-            return count
+            return
         if interest is None:
             admitted = (
                 (distance, sid)
@@ -224,11 +225,7 @@ class HierarchyStage(SemanticStage):
             admitted = self._admitted_ancestors(interest, table, attribute, tid, budget)
         spelling = table.spelling
         for distance, sid in admitted:
-            candidate = construct(spelling(sid), distance, False)
-            if candidate is not None:
-                yield candidate
-                count += 1
-        return count
+            yield GENERAL, distance, spelling(sid)
 
     def _admitted_ancestors(
         self, interest, table, attribute: str, tid: int, budget: int | None
@@ -332,135 +329,52 @@ class HierarchyStage(SemanticStage):
         self.stats.bump("candidates_pruned")
         return False
 
-    def _expand_attribute_interned(
-        self, derived: DerivedEvent, attribute: str, budget: int | None
-    ) -> Iterator[DerivedEvent]:
-        """Closure-array substitutions of one attribute *name*."""
-        count = 0
+    def _attribute_ids(self, attribute: str, budget: int | None) -> Iterator[tuple]:
+        """Closure-array generalizations of one attribute *name*."""
         if budget is not None and budget <= 0:
-            return count
+            return
         table = self._current_table()
         self.stats.lookups += 1
         tid = table.term_id_of_value(attribute)
         if tid is None:
-            return count
+            return
         for sid, distance in pairs(table.ancestors(tid)):
             if budget is not None and distance > budget:
                 continue
-            general_attribute = table.attribute_form(sid)
-            if general_attribute is None:
+            general = table.attribute_form(sid)
+            if general is None:
                 # the string path would raise here; keep that contract
                 normalize_attribute(table.spelling(sid).replace(" ", "_"))
                 continue  # pragma: no cover - normalize_attribute raised
-            if general_attribute == attribute or general_attribute in derived.event:
-                continue
-            # attribute renames are never interest-pruned: beyond its
-            # carried value, a rename *frees the old name*, which can
-            # unblock a sibling attribute's rename onto it later in the
-            # fixpoint — value reachability alone cannot prove the
-            # candidate worthless
-            value = derived.event[attribute]
-            if self._dedup is not None:
-                value_key = canonical_value_key(value)
-                signature = derived.event.signature.difference(
-                    ((attribute, value_key),)
-                ).union(((general_attribute, value_key),))
-                if self._dedup.should_skip(
-                    signature, derived.generality + distance, derived.depth + 1
-                ):
-                    continue
-            step = DerivationStep(
-                stage=self.name,
-                description=(
-                    f"attribute {attribute!r} generalized to "
-                    f"{general_attribute!r}"
-                ),
-                attribute=general_attribute,
-                generality=distance,
-            )
-            renamed = derived.event.with_renamed_attributes({attribute: general_attribute})
-            yield derived.extend(renamed, step)
-            count += 1
-        return count
+            yield distance, general
 
     # -- string reference path ----------------------------------------------------
 
-    def _expand_value(
-        self,
-        derived: DerivedEvent,
-        attribute: str,
-        value: str,
-        budget: int | None,
-    ) -> Iterator[DerivedEvent]:
-        """Substitutions of one value term; yields and counts."""
+    def _value_names(self, attribute: str, value: str, budget: int | None) -> Iterator[tuple]:
+        """Substitutions of one value term through the knowledge base's
+        string lookups."""
         kb = self._kb
         interest = self._interest
-        count = 0
         self.stats.lookups += 1
         if self._value_synonyms:
             canonical = kb.canonical_term(value)
             if canonical is not None and canonical != value:
                 if interest is None or self._admit(interest, attribute, canonical, budget):
-                    step = DerivationStep(
-                        stage=self.name,
-                        description=(
-                            f"value {value!r} of {attribute!r} canonicalized to "
-                            f"synonym {canonical!r}"
-                        ),
-                        attribute=attribute,
-                        generality=0,
-                    )
-                    yield derived.extend(derived.event.with_value(attribute, canonical), step)
-                    count += 1
+                    yield CANON, 0, canonical
         if budget is not None and budget <= 0:
-            return count
+            return
         for general, distance in kb.generalizations(value, max_levels=budget).items():
             if interest is not None and not self._admit(
-                interest,
-                attribute,
-                general,
-                None if budget is None else budget - distance,
+                interest, attribute, general, None if budget is None else budget - distance
             ):
                 continue
-            step = DerivationStep(
-                stage=self.name,
-                description=(
-                    f"value {value!r} of {attribute!r} generalized to "
-                    f"{general!r}"
-                ),
-                attribute=attribute,
-                generality=distance,
-            )
-            yield derived.extend(derived.event.with_value(attribute, general), step)
-            count += 1
-        return count
+            yield GENERAL, distance, general
 
-    def _expand_attribute(
-        self, derived: DerivedEvent, attribute: str, budget: int | None
-    ) -> Iterator[DerivedEvent]:
-        """Substitutions of one attribute *name*; yields and counts."""
-        kb = self._kb
-        count = 0
+    def _attribute_names(self, attribute: str, budget: int | None) -> Iterator[tuple]:
+        """Generalizations of one attribute *name* through the knowledge
+        base's string lookups."""
         if budget is not None and budget <= 0:
-            return count
+            return
         self.stats.lookups += 1
-        generalizations = kb.generalizations(attribute, max_levels=budget)
-        for general, distance in generalizations.items():
-            general_attribute = normalize_attribute(general.replace(" ", "_"))
-            if general_attribute == attribute or general_attribute in derived.event:
-                continue
-            # never interest-pruned: renaming frees the old attribute
-            # name for later renames (see the interned path)
-            step = DerivationStep(
-                stage=self.name,
-                description=(
-                    f"attribute {attribute!r} generalized to "
-                    f"{general_attribute!r}"
-                ),
-                attribute=general_attribute,
-                generality=distance,
-            )
-            renamed = derived.event.with_renamed_attributes({attribute: general_attribute})
-            yield derived.extend(renamed, step)
-            count += 1
-        return count
+        for general, distance in self._kb.generalizations(attribute, max_levels=budget).items():
+            yield distance, normalize_attribute(general.replace(" ", "_"))

@@ -13,6 +13,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.core.derivation import expand_alone
 from repro.core.provenance import DerivedEvent
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
@@ -80,9 +81,6 @@ class SemanticStage(abc.ABC):
         #: interest view for the current publication (``None`` =
         #: exhaustive); see :meth:`bind_interest`
         self._interest = None
-        #: duplicate probe for the current publication (``None`` =
-        #: always construct); see :meth:`bind_dedup`
-        self._dedup = None
 
     def begin_publication(self) -> None:
         """Hook: called once by the pipeline before each publication's
@@ -107,20 +105,6 @@ class SemanticStage(abc.ABC):
         consult the view keep today's exhaustive behavior."""
         self._interest = interest
 
-    def bind_dedup(self, dedup) -> None:
-        """Hook: receive the pipeline's per-publication duplicate probe
-        (``None`` between publications).
-
-        A stage that can compute a candidate's content signature
-        without constructing it may ask ``dedup.should_skip(...)``
-        whether equal content is already integrated at a
-        cheaper-or-equal chain cost, and skip the construction
-        entirely — a pure work-skip with no behavioral effect, since
-        the pipeline's dedup would have discarded the candidate anyway.
-        The default stores it on ``self._dedup``; stages that ignore it
-        simply construct every candidate as before."""
-        self._dedup = dedup
-
     def rewrite_event(self, event: Event) -> tuple[Event, tuple]:
         """Rewrite *event*, returning ``(new_event, derivation_steps)``.
 
@@ -141,6 +125,13 @@ class SemanticStage(abc.ABC):
         ``generality_budget`` is the remaining hierarchy distance this
         chain may still climb (``None`` = unbounded); stages that do
         not generalize ignore it.  The input event itself must not be
-        re-yielded.
+        re-yielded.  The pipeline builds each row of its derivation
+        table into a :class:`~repro.core.provenance.DerivedEvent` for a
+        custom stage and reads each candidate back into a row; extend
+        *derived* so a candidate keeps its chain (``docs/EXTENDING.md``).
+        A built-in stage writes rows (``expand_row``); called directly,
+        it answers the candidates of *derived* as objects.
         """
-        return ()
+        if getattr(self, "expand_row", None) is None:
+            return ()
+        return expand_alone(self, derived, generality_budget)

@@ -16,10 +16,9 @@ forever inside the Figure 1 fixpoint loop.
 
 from __future__ import annotations
 
-from typing import Iterator
-
+from repro.core.derivation import PipelineResult
 from repro.core.interfaces import SemanticStage
-from repro.core.provenance import STAGE_MAPPING, DerivationStep, DerivedEvent
+from repro.core.provenance import MAPPING, STAGE_MAPPING
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingContext, OutputMode
 
@@ -55,22 +54,31 @@ class MappingStage(SemanticStage):
         super().__init__()
         self._kb = kb
         self._context = context if context is not None else MappingContext()
+        #: attribute names -> candidate rules, for one publication
+        self._candidates: dict[tuple, list] = {}
 
     @property
     def context(self) -> MappingContext:
         return self._context
 
-    def expand(
-        self, derived: DerivedEvent, *, generality_budget: int | None = None
-    ) -> Iterator[DerivedEvent]:
+    def begin_publication(self) -> None:
+        self._candidates = {}
+
+    def expand_row(self, result: PipelineResult, row: int, budget: int | None) -> None:
+        """Offer what each candidate rule derives from *row*: the rules
+        are looked up once per attribute layout of a publication, and the
+        row is built into an event only for a rule that will apply."""
         self.stats.events_in += 1
-        event = derived.event
         interest = self._interest
-        candidates = self._kb.candidate_rules(event)
+        names = result._layout[row].names
+        candidates = self._candidates.get(names)
+        if candidates is None:
+            candidates = self._candidates[names] = self._kb.candidate_rules(names)
         self.stats.lookups += 1
         produced = 0
+        event = None
         for rule in candidates:
-            if derived.used_rule(rule.name):
+            if result.used_rule(row, rule.name):
                 continue
             # REPLACE rules are never relevance-skipped: dropping their
             # input pairs frees attribute names, which can unblock a
@@ -81,18 +89,16 @@ class MappingStage(SemanticStage):
                 if not interest.rule_relevant(rule.name):
                     self.stats.bump("candidates_pruned")
                     continue
+            if event is None:
+                event = result.event(row)
             new_event = rule.apply(event, self._context)
             self.stats.bump("rule_attempts")
             if new_event is None:
                 continue
-            step = DerivationStep(
-                stage=self.name,
-                description=(
-                    f"mapping function {rule.name!r}"
-                    + (f": {rule.description}" if rule.description else "")
-                ),
-                rule=rule.name,
-            )
-            yield derived.extend(new_event, step)
+            step = (MAPPING, "", 0, rule.name, rule.description, new_event.items())
+            content = result._content(new_event)
+            result.offer(row, *content, step, result.charges[row], result.depths[row] + 1)
             produced += 1
+            if result.truncated:
+                break
         self.stats.events_out += produced

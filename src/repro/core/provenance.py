@@ -12,19 +12,29 @@ derivation chain, which powers
   matching" (paper §4), which requires explaining *why* they matched;
 * loop control — the mapping stage refuses to re-fire a rule that
   already appears in an event's own derivation chain.
+
+A derivation is stored compactly and built into objects only when read:
+each step as a small tuple (a *compact step*), a kept match as a
+:class:`Witness`, the chain of its compact steps.
+:func:`derivation_steps` and :meth:`Witness.derived` are the one adapter
+that builds :class:`DerivationStep` / :class:`DerivedEvent` objects from
+them, with the text the stages always produced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
+from repro.model.values import canonical_value_key, format_value
 
 __all__ = [
     "DerivationStep",
     "DerivedEvent",
     "SemanticMatch",
+    "Witness",
     "subscription_part",
     "event_part",
     "derivation_part",
@@ -34,6 +44,15 @@ __all__ = [
 STAGE_SYNONYM = "synonym"
 STAGE_HIERARCHY = "hierarchy"
 STAGE_MAPPING = "mapping"
+
+#: Compact step kinds: a compact step is ``(kind, attribute, generality,
+#: ...)`` followed by the new value (``CANON``, ``GENERAL``), the
+#: old name (``RENAME``, ``SYNONYM``; ``attribute`` is the new one), the
+#: rule's name, description and content (``MAPPING``), a custom stage's
+#: ``(stage, description, attribute, generality, rule)`` step fields and
+#: content (``CUSTOM``), or a factored composition's alternative steps
+#: (``COMPOSE``).  Content is the pairs after the step (``None``: as before).
+CANON, GENERAL, RENAME, SYNONYM, MAPPING, CUSTOM, COMPOSE = range(7)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,10 +83,10 @@ class DerivedEvent:
     """An event plus the derivation chain that produced it.
 
     The *original* publication is the chain-less ``DerivedEvent``; each
-    semantic stage extends the chain by one step.  Identity for
-    pipeline deduplication is the underlying event's signature —
-    two different chains reaching the same content are one derived
-    event (the cheaper chain is kept).
+    semantic stage extends the chain by one step.  Two different
+    chains reaching the same content are one derived event (the
+    pipeline keeps the cheaper chain); equality is the event's
+    signature and the steps.
 
     ``parent`` is the event this one was expanded from (``None`` for
     the batch root); the pipeline's keep-cheaper adoption and
@@ -108,15 +127,8 @@ class DerivedEvent:
 
     def extend(self, event: Event, step: DerivationStep) -> "DerivedEvent":
         """The derived event obtained by applying one more step; the
-        child records this event as its ``parent`` and carries its
-        generality forward (one addition, not a re-sum of the chain)."""
-        child = object.__new__(DerivedEvent)
-        put = object.__setattr__  # the dataclass is frozen
-        put(child, "event", event)
-        put(child, "steps", self.steps + (step,))
-        put(child, "parent", self)
-        put(child, "_generality", self._generality + step.generality)
-        return child
+        child records this event as its ``parent``."""
+        return DerivedEvent(event, self.steps + (step,), parent=self)
 
     def used_rule(self, rule_name: str) -> bool:
         """Whether *rule_name* already fired along this chain."""
@@ -131,7 +143,122 @@ class DerivedEvent:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, slots=True)
+#: description of each single-step kind, formatted with the step and
+#: the value it replaced
+_TEXT = {
+    CANON: "value {4!r} of {1!r} canonicalized to synonym {3!r}",
+    GENERAL: "value {4!r} of {1!r} generalized to {3!r}",
+    RENAME: "attribute {3!r} generalized to {1!r}",
+    SYNONYM: "attribute {3!r} rewritten to root {1!r}",
+}
+
+
+def derivation_steps(step: tuple, before: dict | None = None) -> tuple[DerivationStep, ...]:
+    """The :class:`DerivationStep` objects one compact step stands for
+    (one, except a custom stage's or a composition's several); *before*
+    is the content it applied to (a value step names what it replaced)."""
+    kind = step[0]
+    if kind == CUSTOM:
+        return tuple(DerivationStep(*fields) for fields in step[3])
+    if kind == COMPOSE:
+        made: tuple = ()
+        for part in step[3]:
+            made += derivation_steps(part, before)
+            before = replay(dict(before), part)
+        return made
+    if kind == MAPPING:
+        text = f"mapping function {step[3]!r}" + (f": {step[4]}" if step[4] else "")
+        return (DerivationStep(STAGE_MAPPING, text, rule=step[3]),)
+    stage = STAGE_SYNONYM if kind == SYNONYM else STAGE_HIERARCHY
+    old = before[step[1]] if kind == CANON or kind == GENERAL else None
+    return (DerivationStep(stage, _TEXT[kind].format(*step, old), step[1], step[2]),)
+
+
+def step_count(step: tuple) -> int:
+    """How many :class:`DerivationStep` objects a compact step stands
+    for — what it adds to a chain's depth."""
+    if step[0] == CUSTOM:
+        return len(step[3])
+    return sum(map(step_count, step[3])) if step[0] == COMPOSE else 1
+
+
+def custom_steps(steps: Iterable[DerivationStep], content=None) -> tuple:
+    """Arbitrary steps (a custom stage's) as one compact step in a tuple
+    (empty for no steps) that leaves the pairs as *content*."""
+    fields = tuple((s.stage, s.description, s.attribute, s.generality, s.rule) for s in steps)
+    return ((CUSTOM, "", sum(f[3] for f in fields), fields, content),) if fields else ()
+
+
+def replay(pairs: dict, step: tuple) -> dict:
+    """The event pairs after *step*, given the pairs before it (the
+    argument may be changed in place and is returned)."""
+    kind = step[0]
+    if kind == GENERAL or kind == CANON:
+        pairs[step[1]] = step[3]
+    elif kind == RENAME or kind == SYNONYM:
+        # a root rewrite may merge two names into one (equal values)
+        pairs = {step[1] if name == step[3] else name: v for name, v in pairs.items()}
+    elif kind == COMPOSE:
+        for part in step[3]:
+            pairs = replay(pairs, part)
+    elif step[-1] is not None:
+        pairs = dict(step[-1])
+    return pairs
+
+
+def derived_event(pairs: dict, like: Event) -> Event:
+    """An event of normalized *pairs* with *like*'s id and publisher."""
+    signature = frozenset((name, canonical_value_key(value)) for name, value in pairs.items())
+    return Event._derived(pairs, signature, like.publisher_id, like.event_id)
+
+
+class Witness(tuple):
+    """How a kept match came about: its compact steps, the root's synonym
+    rewrite (the leading ``SYNONYM`` steps, one node) then one per node.
+    It holds strings, numbers and tuples only (pickles as is, compares by
+    content, keeps no event alive): the publication supplies the content."""
+
+    __slots__ = ()
+
+    @property
+    def is_original(self) -> bool:
+        return not self
+
+    @property
+    def generality(self) -> int:
+        return sum(step[2] for step in self)
+
+    def derived(self, event: Event) -> DerivedEvent:
+        """A :class:`DerivedEvent` per node, each the next one's parent,
+        for publication *event* (an unrewritten root is *event* itself)."""
+        roots = next((i for i, step in enumerate(self) if step[0] != SYNONYM), len(self))
+        pairs = dict(event.items())
+        for step in self[:roots]:
+            pairs = replay(pairs, step)
+        root = derived_event(dict(pairs), event) if roots else event
+        node = DerivedEvent(root, tuple(s for step in self[:roots] for s in derivation_steps(step)))
+        for step in self[roots:]:
+            steps = node.steps + derivation_steps(step, pairs)
+            pairs = replay(pairs, step)
+            node = DerivedEvent(derived_event(dict(pairs), event), steps, parent=node)
+        return node
+
+    def explain(self, event: Event) -> str:
+        """:meth:`DerivedEvent.explain` of :meth:`derived`, rendered
+        from the record (the content replayed as pairs, no event built)."""
+        pairs, steps = dict(event.items()), []
+        for step in self:
+            steps += derivation_steps(step, pairs)
+            pairs = replay(pairs, step)
+        shown = "".join(f"({name}, {format_value(value)})" for name, value in pairs.items())
+        if self.is_original:
+            return f"original event {shown}"
+        lines = [f"derived event {shown} via:"]
+        lines.extend(f"  {i + 1}. {step}" for i, step in enumerate(steps))
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SemanticMatch:
     """One (subscription, publication) match produced by the engine.
 
@@ -140,29 +267,39 @@ class SemanticMatch:
     ``matched_via`` the derived event the syntactic matcher accepted
     (equal to ``event`` for purely syntactic matches); ``generality``
     the hierarchy distance of that derivation (0 = exact/synonym/
-    mapping match).
+    mapping match).  The engine's matches keep the derivation as its
+    :class:`Witness` (``via``), and ``matched_via`` builds the chain at
+    every read; a match constructed with a :class:`DerivedEvent` keeps it.
     """
 
     subscription: Subscription
     event: Event
-    matched_via: DerivedEvent = field(compare=False)
+    via: "Witness | DerivedEvent" = field(compare=False, repr=False)
     generality: int = 0
+
+    def __init__(
+        self,
+        subscription: Subscription,
+        event: Event,
+        matched_via: "Witness | DerivedEvent",
+        generality: int = 0,
+    ) -> None:
+        for name, value in zip(self.__slots__, (subscription, event, matched_via, generality)):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
+
+    @property
+    def matched_via(self) -> DerivedEvent:
+        via = self.via
+        return via.derived(self.event) if type(via) is Witness else via
 
     @property
     def is_semantic(self) -> bool:
         """Whether the semantic stage was necessary for this match."""
-        return not self.matched_via.is_original
+        return not self.via.is_original
 
     def explain(self) -> str:
         """Demo-facing narrative: what matched and why."""
-        header = (
-            f"subscription {self.subscription.sub_id} "
-            f"[{self.subscription.format()}] matched event "
-            f"{self.event.event_id} [{self.event.format()}]"
-        )
-        if not self.is_semantic:
-            return header + " — exact syntactic match"
-        return header + "\n" + self.matched_via.explain()
+        return "".join(self.explain_parts())
 
     def explain_parts(self) -> tuple[str, str, str]:
         """:meth:`explain` as three strings that concatenate to it,
@@ -173,7 +310,7 @@ class SemanticMatch:
         return (
             subscription_part(self.subscription),
             event_part(self.event),
-            derivation_part(self.matched_via),
+            derivation_part(self.via, self.event),
         )
 
 
@@ -189,9 +326,9 @@ def event_part(event: Event) -> str:
     return f"{event.event_id} [{event.format()}]"
 
 
-def derivation_part(matched_via: DerivedEvent) -> str:
-    """How the match came about: the same for every subscription that
-    accepted the same derived event."""
-    if matched_via.is_original:
+def derivation_part(via: "Witness | DerivedEvent", event: Event) -> str:
+    """How the match came about for publication *event*: the same for
+    every subscription that accepted the same derivation."""
+    if via.is_original:
         return " — exact syntactic match"
-    return "\n" + matched_via.explain()
+    return "\n" + (via.explain(event) if type(via) is Witness else via.explain())

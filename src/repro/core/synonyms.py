@@ -14,7 +14,7 @@ value-level equivalences are the hierarchy stage's distance-0 case.
 from __future__ import annotations
 
 from repro.core.interfaces import SemanticStage
-from repro.core.provenance import STAGE_SYNONYM, DerivationStep
+from repro.core.provenance import STAGE_SYNONYM, SYNONYM, derivation_steps
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
@@ -65,6 +65,12 @@ class SynonymStage(SemanticStage):
     def rewrite_event(self, event: Event) -> tuple[Event, tuple]:
         """Rename every attribute to its root; reports one derivation
         step per renamed attribute."""
+        rewritten, steps = self.rename_event(event)
+        return rewritten, tuple(s for step in steps for s in derivation_steps(step))
+
+    def rename_event(self, event: Event) -> tuple[Event, tuple]:
+        """:meth:`rewrite_event` with the steps compact (see
+        :mod:`repro.core.provenance`) — what the pipeline keeps."""
         self.stats.events_in += 1
         renames = self._rename_map(event.attributes())
         self.stats.lookups += len(event)
@@ -72,17 +78,9 @@ class SynonymStage(SemanticStage):
             self.stats.events_out += 1
             return event, ()
         rewritten = event.with_renamed_attributes(renames)
-        steps = tuple(
-            DerivationStep(
-                stage=self.name,
-                description=f"attribute {old!r} rewritten to root {new!r}",
-                attribute=new,
-            )
-            for old, new in renames.items()
-        )
         self.stats.rewrites += len(renames)
         self.stats.events_out += 1
-        return rewritten, steps
+        return rewritten, tuple((SYNONYM, new, 0, old) for old, new in renames.items())
 
     def rewrite_subscription(self, subscription: Subscription) -> Subscription:
         """Figure 1's "root subscription": predicate attributes are

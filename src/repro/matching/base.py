@@ -122,23 +122,25 @@ class MatchingAlgorithm(abc.ABC):
 
     # -- batched matching --------------------------------------------------------
 
-    def match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "DerivedEvent"]]:
+    def match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, object]]:
         """Match one semantic expansion batch in a single pass.
 
         Returns, per matched ``sub_id``, the pair ``(generality,
-        derived_event)`` of the *least general* derivation that reached
-        the subscription (first derivation wins ties, following the
-        batch's discovery order) — exactly the reduction the engine's
-        per-event loop used to compute.
+        witness)`` of the *least general* derivation that reached the
+        subscription (first derivation wins ties, following the batch's
+        discovery order) — exactly the reduction the engine's per-event
+        loop used to compute.  The witness is one of ``result.derived``
+        or, from a matcher that reads the table itself, the row's
+        :meth:`~repro.core.pipeline.PipelineResult.witness`.
 
         The default implementation falls back to one :meth:`match` call
-        per derived event, so any third-party matcher keeps working
-        unchanged; indexed matchers override :meth:`_match_batch` to
-        share per-``(attribute, value)`` predicate satisfaction across
-        the batch's derivations.
+        per derived event (``result.derived`` builds them), so any
+        third-party matcher keeps working unchanged; indexed matchers
+        override :meth:`_match_batch` to share per-``(attribute,
+        value)`` predicate satisfaction across the batch's rows.
         """
         self.stats.batches += 1
-        self.stats.batch_derived += len(result.derived)
+        self.stats.batch_derived += len(result)
         return self._match_batch(result)
 
     def bind_interner(self, value_key: Callable | None) -> None:
@@ -176,7 +178,7 @@ class MatchingAlgorithm(abc.ABC):
         pre-storm footprint once a subscriber crowd departs."""
         return 0
 
-    def _match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "DerivedEvent"]]:
+    def _match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, object]]:
         """Serial fallback: full re-match per derived event."""
         best: dict[str, tuple[int, "DerivedEvent"]] = {}
         for derived in result.derived:

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.matching.base import MatchingAlgorithm, register_matcher
@@ -62,11 +61,9 @@ from repro.model.subscriptions import Subscription
 
 if TYPE_CHECKING:
     from repro.core.pipeline import PipelineResult
-    from repro.core.provenance import DerivedEvent
+    from repro.core.provenance import Witness
 
 __all__ = ["CountingMatcher"]
-
-_generality = attrgetter("generality")
 
 
 class CountingMatcher(MatchingAlgorithm):
@@ -177,13 +174,14 @@ class CountingMatcher(MatchingAlgorithm):
         needed = self._attribute_sizes
         return tuple(s for s, count in credit.items() if count == needed[s][attribute])
 
-    def _match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "DerivedEvent"]]:
+    def _match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "Witness"]]:
         stats = self.stats
         index = self._index
         cache = self._memo
         satisfied = cache.satisfied
         fully = self._fully_satisfied
         needed = self._attribute_sizes
+        charges = result.charges
         #: free attribute -> its alternatives (a factored result)
         free = result.free
         probes_before = index.probes
@@ -192,39 +190,46 @@ class CountingMatcher(MatchingAlgorithm):
         #: sub_id -> how many of its constrained attributes some value
         #: in the batch satisfies completely
         covered = Counter()
-        ranked = result.derived
         #: sub_id -> the alternatives it matches through (one index per
         #: free attribute, 0 = the root value)
         through: dict[str, tuple[int, ...]] = {}
-        if len(ranked) == 1 and not free:
+        if len(result) == 1 and not free:
             # one event, every mask would be 1: counting attributes is all
+            ranked = [0]
             on_attribute = None
-            for attribute, value in ranked[0].event.items():
+            for attribute, value in result.pairs(0):
                 covered.update(satisfied(attribute, value, fully))
         else:
-            # bit i = i-th least general derivation, discovery order on
-            # ties (the sort is stable): a mask's lowest set bit is then
-            # the witness the serial fold would keep
-            ranked = sorted(ranked, key=_generality)
-            #: (attribute, canonical value key) -> events carrying it
-            carriers: dict[tuple, int] = {}
+            # bit i = i-th least general row, discovery order on ties
+            # (the sort is stable): a mask's lowest set bit is then the
+            # witness the serial fold would keep
+            ranked = sorted(range(len(result)), key=charges.__getitem__)
+            #: attribute -> {value key: rows carrying the pair}
+            carriers: dict[str, dict] = {}
+            #: layout -> its attributes' carrier dicts, in its key order
+            slots_of: dict = {}
+            layouts, keys = result._layout, result._keys
             bit = 1
-            for derived in ranked:
-                for pair in derived.event.signature:
-                    carriers[pair] = carriers.get(pair, 0) | bit
+            for row in ranked:
+                layout = layouts[row]
+                slots = slots_of.get(layout)
+                if slots is None:
+                    slots = slots_of[layout] = [carriers.setdefault(a, {}) for a in layout.canon]
+                for by_value, key in zip(slots, keys[row]):
+                    by_value[key] = by_value.get(key, 0) | bit
                 bit <<= 1
-            #: attribute -> {sub_id: events whose value fully satisfies it}
+            #: attribute -> {sub_id: rows whose value fully satisfies it}
             on_attribute: dict[str, dict[str, int]] = {}
-            for (attribute, _), carried in carriers.items():
+            for attribute, by_value in carriers.items():
                 if attribute in free:
-                    continue  # every event carries its root value
-                first = ranked[(carried & -carried).bit_length() - 1].event
-                sub_ids = satisfied(attribute, first[attribute], fully)
-                satisfying = on_attribute.get(attribute)
-                if satisfying is None:
-                    on_attribute[attribute] = dict.fromkeys(sub_ids, carried)
-                else:
-                    for sub_id in sub_ids:
+                    continue  # every row carries its root value
+                satisfying = on_attribute[attribute] = {}
+                for key, carried in by_value.items():
+                    value = key
+                    if type(key) is not str:
+                        first = ranked[(carried & -carried).bit_length() - 1]
+                        value = result.value(first, attribute)
+                    for sub_id in satisfied(attribute, value, fully):
                         satisfying[sub_id] = satisfying.get(sub_id, 0) | carried
             for satisfying in on_attribute.values():
                 covered.update(satisfying.keys())
@@ -237,7 +242,7 @@ class CountingMatcher(MatchingAlgorithm):
             covered.update(cheapest.keys())
         stats.candidates += len(covered)
         complete = [s for s, count in covered.items() if count == len(needed[s])]
-        #: sub_id -> bitmask of the ranked derived events it matches
+        #: sub_id -> bitmask of the ranked rows it matches
         masks: dict[str, int]
         if on_attribute is None:
             masks = dict.fromkeys(complete, 1)
@@ -251,14 +256,14 @@ class CountingMatcher(MatchingAlgorithm):
                     masks[sub_id] = mask
         else:
             masks, through = self._recombine(result, ranked, complete, on_attribute, options)
-        if self._universal and ranked:
+        if self._universal:
             masks.update(dict.fromkeys(self._universal, (1 << len(ranked)) - 1))
 
-        best: dict[str, tuple[int, "DerivedEvent"]] = {}
+        best: dict[str, tuple[int, "Witness"]] = {}
         matches = 0
         #: lowest set bit (and choice of alternatives) -> the
-        #: (generality, derived) its subscriptions share
-        witnesses: dict[object, tuple[int, "DerivedEvent"]] = {}
+        #: (generality, witness) its subscriptions share
+        witnesses: dict[object, tuple[int, "Witness"]] = {}
         for sub_id, mask in masks.items():
             matches += mask.bit_count()
             low = mask & -mask
@@ -266,10 +271,12 @@ class CountingMatcher(MatchingAlgorithm):
             key = low if choice is None else (low, choice)
             witness = witnesses.get(key)
             if witness is None:
-                derived = ranked[low.bit_length() - 1]
-                if choice is not None:
-                    derived = result.compose(derived, choice)
-                witness = witnesses[key] = (derived.generality, derived)
+                row = ranked[low.bit_length() - 1]
+                if choice is None:
+                    witness = (charges[row], result.witness(row))
+                else:
+                    witness = result.compose(row, choice)
+                witnesses[key] = witness
             best[sub_id] = witness
         stats.events += len(ranked)
         stats.matches += matches
@@ -316,7 +323,7 @@ class CountingMatcher(MatchingAlgorithm):
         on_attribute: dict[str, dict[str, int]],
         options: dict[str, dict[str, tuple]],
     ) -> tuple[dict[str, int], dict[str, tuple[int, ...]]]:
-        """Match a factored batch: per subscription the core events it
+        """Match a factored batch: per subscription the core rows it
         matches through (a bitmask over *ranked*) and the alternatives
         it takes on the free attributes it constrains.
 
@@ -330,15 +337,16 @@ class CountingMatcher(MatchingAlgorithm):
         first alternative."""
         cap = result.step_cap
         budget = result.budget
-        # within[k]: the core events discovered by iteration k.  A core
-        # event's chain is the root's plus one step per iteration (the
+        charges, depths = result.charges, result.depths
+        # within[k]: the core rows discovered by iteration k.  A core
+        # row's chain is the root's plus one step per iteration (the
         # factored path is never taken after a keep-cheaper adoption,
-        # the one thing that re-chains an entry).
-        base = result.derived[0].depth
+        # the one thing that re-chains a row).
+        base = depths[0]
         within = [0] * (cap + 1)
         bit = 1
-        for derived in ranked:
-            within[derived.depth - base] |= bit
+        for row in ranked:
+            within[depths[row] - base] |= bit
             bit <<= 1
         for k in range(1, cap + 1):
             within[k] |= within[k - 1]
@@ -370,8 +378,8 @@ class CountingMatcher(MatchingAlgorithm):
                     continue
                 low = reach & -reach
                 core = ranked[low.bit_length() - 1]
-                charge = core.generality + sum(entry[0] for entry in combination)
-                rank = (charge, core.depth + depth, low)
+                charge = charges[core] + sum(entry[0] for entry in combination)
+                rank = (charge, depths[core] + depth, low)
                 if chosen is None or rank < chosen[0]:
                     chosen = (rank, reach, combination)
             if chosen is None or (budget is not None and chosen[0][0] > budget):

@@ -49,8 +49,9 @@ class Event:
     event_id:
         Optional stable identifier; auto-assigned (``"e1"``, ``"e2"`` …)
         when omitted.  Identity for dedup purposes is the *signature*,
-        not the id — derived events keep fresh ids but may collide on
-        signature, which is intended.
+        not the id.  An event derived from another (``with_value``,
+        ``with_pairs``, a renaming, ``without``, the semantic stage's)
+        carries its source's id; only a constructed event draws one.
     publisher_id:
         Optional id of the publishing client (used by the broker layer).
     """
@@ -140,17 +141,22 @@ class Event:
 
     @classmethod
     def _derived(
-        cls, pairs: dict[str, Value], signature: EventSignature, publisher_id: str | None
+        cls,
+        pairs: dict[str, Value],
+        signature: EventSignature,
+        publisher_id: str | None,
+        event_id: str,
     ) -> "Event":
         """Internal constructor for derivation helpers whose pairs are
         already normalized/validated (they came out of an existing
         event) and whose signature was maintained incrementally —
-        skipping the per-pair re-normalization ``__init__`` performs,
-        which dominated the semantic expansion's cost."""
+        skipping the per-pair re-normalization ``__init__`` performs.
+        The event takes *event_id* (its source's) and draws nothing
+        from the id counter."""
         event = object.__new__(cls)
         event._pairs = pairs
         event._signature = signature
-        event.event_id = f"e{next(_event_counter)}"
+        event.event_id = event_id
         event.publisher_id = publisher_id
         return event
 
@@ -167,7 +173,7 @@ class Event:
             new_pairs = [(renames(name), value) for name, value in self._pairs.items()]
             if all(new == old for (new, _), old in zip(new_pairs, self._pairs)):
                 return self
-            return Event(new_pairs, publisher_id=self.publisher_id)
+            return Event(new_pairs, event_id=self.event_id, publisher_id=self.publisher_id)
         table = {normalize_attribute(k): normalize_attribute(v) for k, v in renames.items()}
         if not any(table.get(name, name) != name for name in self._pairs):
             return self
@@ -183,7 +189,7 @@ class Event:
         signature = frozenset(
             (name, canonical_value_key(value)) for name, value in pairs.items()
         )
-        return Event._derived(pairs, signature, self.publisher_id)
+        return Event._derived(pairs, signature, self.publisher_id, self.event_id)
 
     def with_value(self, attribute: str, value: Value) -> "Event":
         """A copy with one attribute set (added or replaced)."""
@@ -203,7 +209,7 @@ class Event:
         else:
             signature = self._signature | {new_pair}
         pairs[name] = value
-        return Event._derived(pairs, signature, self.publisher_id)
+        return Event._derived(pairs, signature, self.publisher_id, self.event_id)
 
     def with_pairs(self, extra: Mapping[str, Value] | Iterable[tuple[str, Value]]) -> "Event":
         """A copy augmented with *extra* pairs (replacing on collision) —
@@ -218,7 +224,7 @@ class Event:
                 signature.discard((name, canonical_value_key(pairs[name])))
             pairs[name] = value
             signature.add((name, canonical_value_key(value)))
-        return Event._derived(pairs, frozenset(signature), self.publisher_id)
+        return Event._derived(pairs, frozenset(signature), self.publisher_id, self.event_id)
 
     def without(self, attribute: str) -> "Event":
         """A copy lacking *attribute* (no-op if absent)."""
@@ -227,7 +233,7 @@ class Event:
             return self
         pairs = {k: v for k, v in self._pairs.items() if k != name}
         signature = self._signature - {(name, canonical_value_key(self._pairs[name]))}
-        return Event._derived(pairs, signature, self.publisher_id)
+        return Event._derived(pairs, signature, self.publisher_id, self.event_id)
 
     # -- presentation --------------------------------------------------------
 

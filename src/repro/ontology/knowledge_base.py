@@ -264,14 +264,14 @@ class KnowledgeBase:
     def rules(self) -> tuple[MappingRule, ...]:
         return tuple(self._rules)
 
-    def candidate_rules(self, event: Event) -> list[MappingRule]:
-        """Rules whose required attributes all appear in *event*,
-        located via the per-attribute hash index (each rule is probed at
-        most once; guards are checked by the caller via
-        :meth:`MappingRule.applicable`)."""
+    def candidate_rules(self, event: Event | Iterable[str]) -> list[MappingRule]:
+        """Rules whose required attributes all appear in *event* (an
+        event or its attribute names), located via the per-attribute
+        hash index (each rule is probed at most once; guards are checked
+        by the caller via :meth:`MappingRule.applicable`)."""
         seen: set[str] = set()
         candidates: list[MappingRule] = []
-        event_attrs = set(event.attributes())
+        event_attrs = set(event.attributes() if isinstance(event, Event) else event)
         for attribute in event_attrs:
             for rule in self._rules_by_attribute.get(attribute, ()):
                 if rule.name in seen:

@@ -2,7 +2,7 @@
 
 The process-executor data plane sends every publication to the shard
 workers as the :class:`~repro.model.events.Event` itself, and each
-worker answers with its distinct derived events plus one
+worker answers with its matches' distinct witnesses plus one
 ``(sub_id, generality, index)`` row per match.  The pipe pickles both
 ways (``multiprocessing.connection.Connection.send`` /
 ``recv``), so pickle must round-trip *exactly*: content signature,
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.broker.sharding import _worker_publish
 from repro.core.engine import SToPSS
-from repro.core.provenance import DerivationStep, DerivedEvent
+from repro.core.provenance import DerivationStep, DerivedEvent, Witness
 from repro.model.events import Event
 from repro.model.parser import parse_subscription
 from repro.ontology.domains import build_jobs_knowledge_base
@@ -128,12 +128,16 @@ def test_derived_event_keeps_its_chain_and_loses_its_parent(event, rename, gener
 @given(event=jobs_events())
 def test_worker_reply_rebuilds_the_engine_matches(event):
     """The whole reply crosses and the parent rebuilds from it exactly
-    the matches the replica produced."""
-    expected = [
-        (m.subscription.sub_id, m.generality, m.matched_via) for m in _ENGINE.publish(event)
-    ]
-    derived, rows, _, truncated = _cross(_worker_publish(_ENGINE, event))
+    the matches the replica produced: the same witnesses, which build
+    the same derivation chains for the parent's event."""
+    matches = _ENGINE.publish(event)
+    expected = [(m.subscription.sub_id, m.generality, m.via) for m in matches]
+    witnesses, rows, _, truncated = _cross(_worker_publish(_ENGINE, event))
     assert truncated is _ENGINE.last_truncated is False
-    rebuilt = [(sub_id, generality, derived[index]) for sub_id, generality, index in rows]
+    rebuilt = [(sub_id, generality, witnesses[index]) for sub_id, generality, index in rows]
     assert rebuilt == expected
-    assert all(via.parent is None for via in derived)
+    assert all(type(witness) is Witness for witness in witnesses)
+    for match, (_, _, witness) in zip(matches, rebuilt):
+        via = witness.derived(event)
+        assert via == match.matched_via and via.steps == match.matched_via.steps
+        _assert_same_event(via.event, match.matched_via.event)

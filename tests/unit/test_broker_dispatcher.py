@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import gc
+import logging
 import tracemalloc
+import types
 
 import pytest
 
 from repro.broker.broker import Broker
 from repro.broker.clients import ClientKind
 from repro.core.config import SemanticConfig
+from repro.core.provenance import DerivationStep, DerivedEvent
 from repro.errors import BrokerError, UnknownClientError, UnknownSubscriptionError
+from repro.model.events import Event
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.domains import build_jobs_knowledge_base
+from repro.workload.worlds import build_world
 
 
 @pytest.fixture
@@ -385,6 +390,59 @@ class TestResultCache:
         assert broker.dispatcher.result_cache_info()["size"] == 1
         released = (filled - after) / (filled - before)
         assert released >= 0.9, released
+
+    def test_a_generation_drop_is_logged_with_what_moved(self, broker, caplog):
+        candidate = self._setup(broker)
+        company = broker.register_subscriber("Globex", email="jobs@x")
+        with caplog.at_level(logging.DEBUG, logger="repro.broker.dispatcher"):
+            broker.publish(candidate.client_id, "(degree, PhD)")
+            broker.publish(candidate.client_id, "(degree, MSc)")
+            assert caplog.records == []  # the first generation drops nothing
+            broker.subscribe(company.client_id, "(degree = MSc)")
+            broker.publish(candidate.client_id, "(degree, MSc)")
+            broker.kb.add_value_synonyms(["PhD", "doctorate"])
+            broker.publish(candidate.client_id, "(degree, PhD)")
+        churn, write = [record.getMessage() for record in caplog.records]
+        assert churn.startswith("result cache dropped (subscription_epoch ")
+        assert "semantic_version" not in churn and churn.endswith(": 2 entries")
+        assert write.startswith("result cache dropped (semantic_version ")
+        assert "subscription_epoch" not in write and write.endswith(": 1 entries")
+
+    def test_cached_match_sets_hold_no_derivation_objects(self):
+        """What the cache keeps of a match is its compact witness: no
+        Event, DerivedEvent or DerivationStep is reachable from it but
+        the stamped publication events themselves, and a hit explains
+        itself byte for byte as the miss that filled the entry did."""
+        world = build_world("mega-small")
+        generator = world.generator(seed=7)
+        broker = Broker(world.kb)
+        client = broker.register_client("both").client_id
+        for subscription in generator.subscriptions(60):
+            broker.subscribe(client, subscription)
+        events = generator.events(40)
+        reports = [broker.publish(client, event) for event in events]
+        cache = broker.dispatcher._result_cache
+        assert len(cache) == len({event.signature for event in events}) > 10
+        assert sum(len(matches) for matches, _ in cache.values()) > 100
+        stamped = {id(match.event) for matches, _ in cache.values() for match in matches}
+        seen, stack, events_seen = set(), [cache], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (DerivedEvent, DerivationStep)), obj
+            if isinstance(obj, Event):
+                events_seen.add(id(obj))
+            stack.extend(gc.get_referents(obj))
+        assert events_seen == stamped
+        again = [broker.publish(client, Event(event.items())) for event in events]
+        assert broker.dispatcher.result_cache_hits == len(events)
+        for miss, hit in zip(reports, again):
+            assert [m.explain() for m in hit.matches] == [
+                m.explain().replace(miss.event.event_id, hit.event.event_id, 1)
+                for m in miss.matches
+            ]
 
     def test_stats_surface_result_cache(self, broker):
         candidate = self._setup(broker)

@@ -148,7 +148,9 @@ class TestResultViews:
     def test_events_view(self):
         pipeline = SemanticPipeline(_kb(), SemanticConfig())
         result = pipeline.process_event(Event({"degree": "PhD"}))
-        assert len(result.events()) == len(result)
+        derived = result.derived
+        assert len(derived) == len(result) > 1
+        assert [d.event for d in derived] == [result.event(row) for row in range(len(result))]
 
     def test_stage_stats_shape(self):
         pipeline = SemanticPipeline(_kb(), SemanticConfig())
