@@ -1,8 +1,7 @@
 """Shared fixtures for the experiment/benchmark harness.
 
 Every benchmark prints the table it reproduces (run with ``-s`` to see
-them); EXPERIMENTS.md records the measured shapes against the paper's
-claims.  Workload sizes are chosen so the full suite completes in a few
+them).  Workload sizes are chosen so the full suite completes in a few
 minutes on a laptop while still separating the algorithmic regimes.
 """
 
@@ -13,7 +12,7 @@ import pytest
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.model.subscriptions import Subscription
-from repro.ontology.domains import build_demo_knowledge_base, build_jobs_knowledge_base
+from repro.ontology.domains import build_jobs_knowledge_base
 from repro.workload.generator import (
     SemanticSpec,
     SemanticWorkloadGenerator,
@@ -25,11 +24,6 @@ from repro.workload.generator import (
 @pytest.fixture(scope="session")
 def jobs_kb():
     return build_jobs_knowledge_base()
-
-
-@pytest.fixture(scope="session")
-def demo_kb():
-    return build_demo_knowledge_base()
 
 
 @pytest.fixture(scope="session")

@@ -812,8 +812,7 @@ class ShardedEngine:
         # drops its stale closure memos once, here, so the fork hands
         # every worker a table that has already dropped them instead of
         # each dropping them on its own
-        if self._engines[0].config.interning:
-            self.kb.concept_table()
+        self.kb.concept_table()
         plane = self._ensure_plane()
         subs = self._subs_by_id
         for index, outcome in enumerate(plane.publish(event)):

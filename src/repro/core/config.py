@@ -54,15 +54,16 @@ class SemanticConfig:
         Evaluation date for mapping functions (paper's
         ``present_date``).
     interning:
-        Whether the publish hot path runs on the knowledge base's
-        interned concept-id snapshot (:class:`~repro.ontology.
-        concept_table.ConceptTable`): synonym canonicalization as one
-        id lookup, taxonomy walks as precomputed closure arrays, and
-        matcher equality/memo keys as dense spelling ids.  ``False``
-        forces the reference string path everywhere — same match sets
-        and generalities (the interning equivalence property test is a
-        hard invariant), only slower; it exists as the comparison
-        baseline and an escape hatch.
+        Which stages the semantic expansion runs: ``True`` the ones on
+        the knowledge base's interned concept ids (:class:`~repro.
+        ontology.concept_table.ConceptTable`: synonym canonicalization
+        as one id lookup, taxonomy walks as precomputed closure
+        arrays); ``False`` the reference string-path stages, which
+        expand exhaustively and ignore ``interest_pruning``.  Same
+        match sets and generalities either way (the interning
+        equivalence property test is a hard invariant), only slower;
+        ``False`` exists as the comparison baseline and an escape
+        hatch.  The matcher never sees the setting.
     interest_pruning:
         Whether the semantic expansion is demand-driven: the engine
         keeps a live :class:`~repro.core.interest.InterestIndex` over

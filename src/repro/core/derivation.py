@@ -26,8 +26,9 @@ from repro.core.provenance import (
     derived_event,
     step_count,
 )
+from repro.matching.index import equality_key
 from repro.model.events import Event, EventSignature
-from repro.model.values import Value, canonical_value_key
+from repro.model.values import Value
 
 __all__ = ["PipelineResult", "Alternative"]
 
@@ -86,7 +87,7 @@ class PipelineResult:
         root: Event,
         root_steps: tuple = (),
         *,
-        step_cap: int = 0,
+        step_cap: int | None = None,
         budget: int | None = None,
         limit: int | None = None,
     ) -> None:
@@ -97,6 +98,7 @@ class PipelineResult:
         #: attribute order (empty: the rows are the whole expansion)
         self.free: dict[str, tuple[Alternative, ...]] = {}
         #: ``max_iterations`` / ``max_generality`` the expansion ran under
+        #: (``None``: no cap / no budget)
         self.step_cap = step_cap
         self.budget = budget
         #: whether a keep-cheaper adoption replaced a row's provenance
@@ -123,9 +125,15 @@ class PipelineResult:
         self._children: dict[int, list[int]] = {}
         #: rows added since the fixpoint last took them (its next frontier)
         self.fresh: list[int] = []
+        #: row a longer cheaper chain took to the cap -> its former chain
+        #: from the root, which its own candidates extend (see _rebase)
+        self._basis: dict[int, tuple] = {}
         self._derived: list | None = None
         generality = sum(step[2] for step in root_steps)
-        self._append(-1, *self._content(root), None, generality, sum(map(step_count, root_steps)))
+        depth = sum(map(step_count, root_steps))
+        self._append(-1, *self._content(root), None, generality, depth)
+        #: the deepest chain ``step_cap`` admits
+        self._deepest = None if step_cap is None else depth + step_cap
 
     # -- building -----------------------------------------------------------------
 
@@ -142,7 +150,7 @@ class PipelineResult:
         values = tuple(map(pairs.__getitem__, layout.canon))
         if all(type(value) is str for value in values):
             return layout, values, values
-        keys = tuple(v if type(v) is str else canonical_value_key(v) for v in values)
+        keys = tuple(map(equality_key, values))
         return layout, values, keys
 
     def _append(self, parent, layout, values, keys, step, generality, depth) -> int:
@@ -165,6 +173,11 @@ class PipelineResult:
         strictly cheaper ``(generality, depth)`` is adopted.  Returns
         whether either happened; a candidate over the budget is not even
         counted as offered."""
+        if self._basis and depth > self._deepest and parent in self._basis:
+            rebased = self._rebase(parent, step)
+            if rebased is None:
+                return False
+            parent, step, generality, depth = rebased
         if self.budget is not None and generality > self.budget:
             return False
         self.offered += 1
@@ -201,25 +214,56 @@ class PipelineResult:
     def _adopt(self, index, parent, layout, values, keys, step, generality, depth) -> None:
         """Give row *index* the cheaper candidate's provenance and
         re-chain its descendants (each keeps its own step); the content
-        was expanded already and is not again."""
+        was expanded already and is not again.  A cheaper chain can be a
+        longer one: a descendant it would take past ``step_cap`` keeps
+        its former chain, as one node under the root, and a row it takes
+        to the cap keeps it as the basis of its own candidates."""
         self.adopted = True
-        old = self._parent[index]
-        if old >= 0:
-            self._children[old].remove(index)
-        if parent >= 0:
-            self._children.setdefault(parent, []).append(index)
-        self._parent[index], self._step[index] = parent, step
+        former = None
+        if self._deepest is not None and depth > self.depths[index]:
+            # from the root: a custom stage's parentless chain is outside the cap
+            chain, rooted = self.chain(index)
+            former = chain if rooted else None
+        self._move(index, parent, step)
         self.charges[index], self.depths[index] = generality, depth
         self._layout[index], self._values[index], self._keys[index] = layout, values, keys
-        stack = [index]
+        stack = [(index, former)]
         while stack:
-            top = stack.pop()
-            for child in self._children.get(top, ()):
+            top, above = stack.pop()
+            if above is not None and self.depths[top] == self._deepest:
+                self._basis[top] = above
+            for child in tuple(self._children.get(top, ())):
                 step = self._step[child]
+                chain = None if above is None else (*above, step)
+                reach = self.depths[top] + step_count(step)
+                if chain is not None and reach > self._deepest:
+                    self._move(child, 0, (COMPOSE, "", sum(part[2] for part in chain), chain))
+                    continue
                 self.charges[child] = self.charges[top] + step[2]
-                self.depths[child] = self.depths[top] + step_count(step)
-                stack.append(child)
+                self.depths[child] = reach
+                stack.append((child, chain))
         self._derived = None
+
+    def _move(self, row: int, parent: int, step: tuple) -> None:
+        """Make *parent* the parent row of *row* (-1: none), by *step*."""
+        old = self._parent[row]
+        if old >= 0:
+            self._children[old].remove(row)
+        if parent >= 0:
+            self._children.setdefault(parent, []).append(row)
+        self._parent[row], self._step[row] = parent, step
+
+    def _rebase(self, parent: int, step: tuple) -> tuple | None:
+        """``(parent, step, generality, depth)`` of a candidate that
+        extends row *parent* past the cap, extended from the row's basis
+        instead (one node under the root); ``None`` when that is past
+        the cap too or re-fires a rule the basis fired."""
+        chain = (*self._basis[parent], step)
+        depth = self.depths[0] + sum(map(step_count, chain))
+        if depth > self._deepest or step[0] == MAPPING and _fires(chain[:-1], step[3]):
+            return None
+        charge = sum(part[2] for part in chain)
+        return 0, (COMPOSE, "", charge, chain), self.charges[0] + charge, depth
 
     # -- reading ------------------------------------------------------------------
 
@@ -265,12 +309,7 @@ class PipelineResult:
     def used_rule(self, row: int, name: str) -> bool:
         """Whether rule *name* fired along *row*'s chain."""
         chain, rooted = self.chain(row)
-        for step in self._root_steps + chain if rooted else chain:
-            if step[0] == MAPPING and step[3] == name:
-                return True
-            if step[0] == CUSTOM and any(fields[4] == name for fields in step[3]):
-                return True
-        return False
+        return _fires(self._root_steps + chain if rooted else chain, name)
 
     def compose(self, row: int, choice: tuple[int, ...]) -> tuple[int, Witness]:
         """``(generality, witness)`` of what a factored result stands
@@ -356,6 +395,18 @@ class PipelineResult:
         matcher."""
         pairs = {pair for row in range(len(self)) for pair in self.keyed(row)}
         return len(pairs) + sum(len(values) - 1 for values in self.free.values())
+
+
+def _fires(steps: tuple, name: str) -> bool:
+    """Whether rule *name* fired in the compact *steps*."""
+    for step in steps:
+        if step[0] == MAPPING and step[3] == name:
+            return True
+        if step[0] == CUSTOM and any(fields[4] == name for fields in step[3]):
+            return True
+        if step[0] == COMPOSE and _fires(step[3], name):
+            return True
+    return False
 
 
 def expand_with(stage, result: PipelineResult, row: int, budget: int | None) -> None:

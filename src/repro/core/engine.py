@@ -106,12 +106,6 @@ class SToPSS:
         self._epoch = 0
         #: (kb.version, epoch) the cached semantic state was derived under.
         self._semantic_version = (kb.version, self._epoch)
-        #: ``(concept table, its spelling high-water)`` the matcher's
-        #: keys were built under (None = string path); rebinding re-keys
-        #: indexes and drops memos, so it only happens when the value
-        #: identity actually moved.
-        self._bound_interner: tuple | None = None
-        self._bind_matcher_interner()
         #: live subscription-interest index driving demand-driven
         #: expansion (None = exhaustive expansion); fed every
         #: matcher-inserted root form, handed to the pipeline per
@@ -120,10 +114,12 @@ class SToPSS:
 
     def _build_interest(self) -> InterestIndex | None:
         """A fresh interest index under the active configuration, or
-        ``None`` when pruning is off, pointless (syntactic mode), or
-        unprovable (an extra stage without the interest hook — those
-        keep today's exhaustive behavior)."""
-        if not self.config.interest_pruning or self.config.is_syntactic:
+        ``None`` when pruning is off, pointless (syntactic mode), not
+        wanted (``interning=False`` selects the string stages as the
+        exhaustive reference) or unprovable (an extra stage without the
+        interest hook — those keep today's exhaustive behavior)."""
+        config = self.config
+        if not (config.interest_pruning and config.interning) or config.is_syntactic:
             return None
         if not self.pipeline.supports_interest_pruning():
             return None
@@ -141,31 +137,6 @@ class SToPSS:
         if interest is None or not interest.active:
             return None
         return interest
-
-    def _bind_matcher_interner(self) -> None:
-        """Hand the matcher the current concept-table value identity
-        (or drop it when interning is off).  Matchers that keep
-        equality indexes re-key them; the default implementation is a
-        no-op, so third-party matchers stay on the string path.
-
-        The identity is the concept table and how many spellings it
-        knows.  The table is one object for the knowledge base's life,
-        so its identity alone never moves; ``value_key`` answers
-        differently exactly when a write added a spelling — an operand indexed under
-        its ``canonical_value_key`` fallback is probed under an int id
-        from then on.  Binding is skipped when that identity is
-        unchanged — ``table.value_key`` is a fresh bound method per
-        access, so the matchers' own identity guards cannot catch the
-        repeat (and, for the same reason, do re-key under the same
-        table once it has learned a spelling)."""
-        interner = None
-        if self.config.interning:
-            table = self.kb.concept_table()
-            interner = (table, table.spelling_count)
-        if interner == self._bound_interner:
-            return
-        self._bound_interner = interner
-        self._matcher.bind_interner(None if interner is None else interner[0].value_key)
 
     # -- subscription management ---------------------------------------------------
 
@@ -244,24 +215,21 @@ class SToPSS:
     def _sync_semantic_version(self, reason: str = "kb-version") -> None:
         """Detect knowledge-base mutations (new synonyms, taxonomy
         edges, rules) or local epoch bumps and drop every cache derived
-        under the old version — the matcher's cross-publication memo,
-        its interned keys and the interest index's closures."""
+        under the old version — the matcher's cross-publication memo
+        and the interest index's closures."""
         current = (self.kb.version, self._epoch)
         if current != self._semantic_version:
             self._semantic_version = current
             self._matcher.invalidate_memo(reason)
-            # a version move may have taught the concept table a
-            # spelling: re-key the matcher's interned indexes if so.
-            self._bind_matcher_interner()
             if self._interest is not None:
                 self._interest.invalidate_semantics()
 
     def bump_semantic_epoch(self, reason: str = "external") -> None:
-        """Force-invalidate all cached semantic state (matcher memo,
-        interned matcher keys and interest closures) even when
-        ``kb.version`` is unchanged.  The bump moves the epoch and runs
-        the one sync every publish runs, so a knowledge-base write
-        folded in by the same sync is never skipped."""
+        """Force-invalidate all cached semantic state (matcher memo and
+        interest closures) even when ``kb.version`` is unchanged.  The
+        bump moves the epoch and runs the one sync every publish runs,
+        so a knowledge-base write folded in by the same sync is never
+        skipped."""
         self._epoch += 1
         self._sync_semantic_version(reason)
 
@@ -320,10 +288,6 @@ class SToPSS:
         # memo even when there is no subscription for clear() to remove.
         matcher.invalidate_memo("reconfigure")
         matcher.clear()
-        # rebind only after the clear: flipping the interning toggle
-        # then re-keys an empty index instead of structures about to be
-        # rebuilt anyway (no-op when the value identity is unchanged).
-        self._bind_matcher_interner()
         try:
             for root in roots:
                 matcher.insert(root)
@@ -335,7 +299,6 @@ class SToPSS:
             # itself fail if the KB moved since).
             self.config, self.pipeline = old_config, old_pipeline
             matcher.clear()
-            self._bind_matcher_interner()
             for root in old_roots:
                 matcher.insert(root)
             self._rebuild_interest(old_roots)
@@ -359,12 +322,12 @@ class SToPSS:
     @property
     def interest(self) -> InterestIndex | None:
         """The live subscription-interest index object (``None`` when
-        pruning is configured off or unsound for the stage set) —
-        read-only, for inspection.  Note a live index may still be
-        self-disabled (see :attr:`InterestIndex.active
-        <repro.core.interest.InterestIndex.active>`); to reproduce the
-        exact publish-path expansion, hand :attr:`active_interest` to
-        :meth:`SemanticPipeline.process_event
+        pruning is configured off, interning is off or pruning is
+        unsound for the stage set) — read-only, for inspection.  Note a
+        live index may still be self-disabled (see
+        :attr:`InterestIndex.active <repro.core.interest.InterestIndex.
+        active>`); to reproduce the exact publish-path expansion, hand
+        :attr:`active_interest` to :meth:`SemanticPipeline.process_event
         <repro.core.pipeline.SemanticPipeline.process_event>`."""
         return self._interest
 

@@ -30,11 +30,11 @@ ancestor closure array instead of a per-event breadth-first search —
 the paper's "substitute each term with an internal identifier"
 performance design.  Un-interned values (free text, numbers) take the
 same no-expansion exit the string path takes; ``interned=False`` runs
-the original string path end to end (the comparison baseline, pinned
-equivalent by the interning property test).  Both paths offer each
-candidate straight to the publication's derivation table
-(:mod:`repro.core.derivation`) as a values tuple and a compact step: no
-event, signature set or description is built for it.
+the original string path end to end, unpruned (the exhaustive
+comparison baseline, pinned equivalent by the interning property
+test).  Both paths offer each candidate straight to the publication's
+derivation table (:mod:`repro.core.derivation`) as a values tuple and a
+compact step: no event, signature set or description is built for it.
 """
 
 from __future__ import annotations
@@ -60,15 +60,15 @@ class HierarchyStage(SemanticStage):
 
     With an interest view bound (see
     :meth:`~repro.core.interfaces.SemanticStage.bind_interest`), every
-    *value* substitution is checked before it is offered to the
-    derivation table: a candidate value that cannot reach any live predicate
-    within the chain budget remaining after its own climb is counted in
-    ``candidates_pruned`` and skipped.  Because a skipped candidate's
-    only new matching power is its substituted pair — its parent
-    already matched everything else more cheaply — and the interest
-    closure covers every further built-in step, pruning never changes
-    match sets or generalities (the hard interest-pruning property
-    invariant).  Attribute *renames* are exempt: a rename also frees
+    *value* substitution on the interned path is checked before it is
+    offered to the derivation table: a candidate value that cannot reach
+    any live predicate within the chain budget remaining after its own
+    climb is counted in ``candidates_pruned`` and skipped.  Because a
+    skipped candidate's only new matching power is its substituted pair
+    — its parent already matched everything else more cheaply — and the
+    interest closure covers every further built-in step, pruning never
+    changes match sets or generalities (the hard interest-pruning
+    property invariant).  Attribute *renames* are exempt: a rename also frees
     its old attribute name, which can unblock a sibling attribute's
     rename onto that name later in the fixpoint, so value reachability
     alone cannot prove a rename candidate worthless.
@@ -352,22 +352,17 @@ class HierarchyStage(SemanticStage):
 
     def _value_names(self, attribute: str, value: str, budget: int | None) -> Iterator[tuple]:
         """Substitutions of one value term through the knowledge base's
-        string lookups."""
+        string lookups, never interest-pruned: the engine builds no
+        interest index for the string path."""
         kb = self._kb
-        interest = self._interest
         self.stats.lookups += 1
         if self._value_synonyms:
             canonical = kb.canonical_term(value)
             if canonical is not None and canonical != value:
-                if interest is None or self._admit(interest, attribute, canonical, budget):
-                    yield CANON, 0, canonical
+                yield CANON, 0, canonical
         if budget is not None and budget <= 0:
             return
         for general, distance in kb.generalizations(value, max_levels=budget).items():
-            if interest is not None and not self._admit(
-                interest, attribute, general, None if budget is None else budget - distance
-            ):
-                continue
             yield GENERAL, distance, general
 
     def _attribute_names(self, attribute: str, budget: int | None) -> Iterator[tuple]:

@@ -37,19 +37,17 @@ candidates are never pruned by the hierarchy stage, and ``REPLACE``
 mapping rules are never relevance-skipped.  Reachability:
 
 * *direct acceptance* is spelling-exact — the set of
-  ``EQ``/``IN`` operand identities on the attribute (dense spelling ids
-  via :meth:`~repro.ontology.concept_table.ConceptTable.value_key` when
-  interning is on, :func:`~repro.model.values.canonical_value_key`
-  otherwise — PR 3's fallback rule);
+  ``EQ``/``IN`` operand identities on the attribute (spelling ids via
+  :meth:`~repro.ontology.concept_table.ConceptTable.value_key`, which
+  answers :func:`~repro.model.values.canonical_value_key` for a value
+  the table does not know);
 * *reachability* is pre-closed over the stage graph once per attribute:
   the union of the accepted terms' **descent closures** (taxonomy
   descent composed with distance-0 value-synonym hops — one
   multi-source :meth:`~repro.ontology.concept_table.ConceptTable.
-  descent_depths` pass on ids, or
-  :func:`~repro.ontology.concept_table.descent_closure` per term on
-  the ``interning=False`` string path), recording each spelling's
-  minimum climb distance, filtered per query by the chain budget
-  remaining after the candidate's own step;
+  descent_depths` pass on ids), recording each spelling's minimum climb
+  distance, filtered per query by the chain budget remaining after the
+  candidate's own step;
 * non-enumerable predicates (``NE``, orderings, ranges, string
   operators, ``EXISTS``) accept open value sets, so they mark their
   attribute **wildcard** — never pruned;
@@ -86,13 +84,12 @@ property test (``tests/property/test_interest_pruning_equivalence.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import InvalidAttributeError
 from repro.model.attributes import normalize_attribute
 from repro.model.predicates import Operator, Predicate
 from repro.model.values import Value, canonical_value_key
-from repro.ontology.concept_table import descent_closure
 from repro.ontology.mappingdefs import OutputMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,12 +177,14 @@ class InterestIndex:
 
     def __init__(self, kb: "KnowledgeBase", config: "SemanticConfig") -> None:
         self._kb = kb
+        #: one object for the knowledge base's life (its value keys read
+        #: the live store), so it is fetched once
+        self._table = kb.concept_table()
         self._config = config
         self._attributes: dict[str, _AttributeInterest] = {}
         #: attribute -> {value key: min climb distance to acceptance}
         self._closures: dict[str, dict] = {}
         self._rules: _RuleState | None = None
-        self._key_fn: Callable[[Value], object] | None = None
         #: bumped on every churn/invalidation — stages key their
         #: per-(attribute, term, budget) admission memos on it so a memo
         #: can never serve decisions from a superseded interest set
@@ -232,13 +231,12 @@ class InterestIndex:
 
     def invalidate_semantics(self) -> None:
         """Drop every structure derived from the knowledge base (descent
-        closures, interned key identity, rule analysis).  The engine
+        closures, rule analysis).  The engine
         calls this whenever its semantic version moves; the refcounted
         predicate contributions are pure subscription data and stay."""
         self.generation += 1
         self._closures.clear()
         self._rules = None
-        self._key_fn = None
 
     # -- queries (the prune hook) -----------------------------------------------------
 
@@ -274,7 +272,7 @@ class InterestIndex:
             return True
         if not reach:
             return False
-        depth = reach.get(self._value_key(value))
+        depth = reach.get(self._table.value_key(value))
         return depth is not None and (remaining is None or depth <= remaining)
 
     def reach(self, attribute: str) -> dict | None:
@@ -284,8 +282,7 @@ class InterestIndex:
         ``{value key: min climb distance to acceptance}`` — empty when
         nothing on the attribute can be accepted.  Keys are
         :meth:`~repro.ontology.concept_table.ConceptTable.value_key`
-        identities when interning is on, so a known spelling's id is
-        its own key."""
+        identities, so a known spelling's id is its own key."""
         state = self._rule_state()
         if state.disabled_reason is not None:
             return None
@@ -417,48 +414,27 @@ class InterestIndex:
 
     # -- reachability closures ----------------------------------------------------------
 
-    def _value_key(self, value: Value) -> object:
-        fn = self._key_fn
-        if fn is None:
-            if self._config.interning:
-                fn = self._kb.concept_table().value_key
-            else:
-                fn = canonical_value_key
-            self._key_fn = fn
-        return fn(value)
-
     def _closure_for(self, attribute: str, state: _RuleState) -> dict:
         closure = self._closures.get(attribute)
         if closure is not None:
             return closure
-        closure = {}
+        direct = {}
         spellings: set[str] = set()
         entry = self._attributes.get(attribute)
         if entry is not None:
             spellings.update(entry.spellings)
             for key in entry.direct:
-                closure[key] = 0
+                direct[key] = 0
         for value in state.accepted.get(attribute, ()):
             if isinstance(value, str):
                 spellings.add(value)
             else:
-                closure[canonical_value_key(value)] = 0
-        if self._config.interning:
-            # one multi-source pass over the region the accepted terms
-            # can reach, keyed like _value_key; the few non-string keys
-            # above (all at depth 0, the minimum) are folded into it
-            reached = self._kb.concept_table().descent_depths(spellings)
-            reached.update(closure)
-            closure = reached
-        else:
-            for value in spellings:
-                depths = descent_closure(self._kb, value, None)
-                depths.setdefault(value, 0)
-                for spelling, depth in depths.items():
-                    key = self._value_key(spelling)
-                    known = closure.get(key)
-                    if known is None or known > depth:
-                        closure[key] = depth
+                direct[canonical_value_key(value)] = 0
+        # one multi-source pass over the region the accepted terms can
+        # reach, keyed by value_key; the few non-string keys (all at
+        # depth 0, the minimum) are folded into it
+        closure = self._kb.concept_table().descent_depths(spellings)
+        closure.update(direct)
         self._closures[attribute] = closure
         return closure
 

@@ -50,8 +50,10 @@ STAGE_MAPPING = "mapping"
 #: old name (``RENAME``, ``SYNONYM``; ``attribute`` is the new one), the
 #: rule's name, description and content (``MAPPING``), a custom stage's
 #: ``(stage, description, attribute, generality, rule)`` step fields and
-#: content (``CUSTOM``), or a factored composition's alternative steps
-#: (``COMPOSE``).  Content is the pairs after the step (``None``: as before).
+#: content (``CUSTOM``), or several compact steps as one node
+#: (``COMPOSE``: a factored composition's alternatives, or a chain kept
+#: whole under the root).  Content is the pairs after the step (``None``:
+#: as before).
 CANON, GENERAL, RENAME, SYNONYM, MAPPING, CUSTOM, COMPOSE = range(7)
 
 

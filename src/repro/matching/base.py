@@ -143,21 +143,6 @@ class MatchingAlgorithm(abc.ABC):
         self.stats.batch_derived += len(result)
         return self._match_batch(result)
 
-    def bind_interner(self, value_key: Callable | None) -> None:
-        """Adopt (or, with ``None``, drop) an interned value-identity
-        function for equality indexing and memo keys.
-
-        The engine calls this with the concept table's
-        :meth:`~repro.ontology.concept_table.ConceptTable.value_key`
-        when interning is enabled — once at construction and again
-        whenever the table has learned a spelling since (the function
-        then answers an int id for an operand it used to answer the
-        canonical fallback for).  Implementations must re-key any
-        structure built with the previous function and drop memos whose
-        keys embed it.  The default is a no-op: third-party matchers
-        keep working on plain string/canonical identity unchanged.
-        """
-
     def invalidate_memo(self, reason: str = "external") -> None:
         """Drop any cross-publication memo state this matcher keeps.
 

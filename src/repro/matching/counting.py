@@ -88,7 +88,7 @@ class CountingMatcher(MatchingAlgorithm):
         self._universal: set[str] = set()
         #: sub_id -> {attribute: number of predicates on it}
         self._attribute_sizes: dict[str, dict[str, int]] = {}
-        #: (attribute, canonical value key) -> subscriptions the pair
+        #: (attribute, equality key) -> subscriptions the pair
         #: satisfies completely on that attribute; survives across
         #: match_batch calls until churn.  Every lookup passes
         #: :meth:`_fully_satisfied` as the transform: the memo does not
@@ -103,12 +103,6 @@ class CountingMatcher(MatchingAlgorithm):
 
     def memo_size(self) -> int:
         return len(self._memo)
-
-    def bind_interner(self, value_key) -> None:
-        """Re-key the equality index under the interned identity and
-        drop the memo (its pair keys embed the previous identity)."""
-        self._index.rebind_value_key(value_key)
-        self.invalidate_memo("interner-rebind")
 
     def _on_insert(self, subscription: Subscription) -> None:
         size = len(subscription.predicates)

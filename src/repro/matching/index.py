@@ -33,10 +33,22 @@ from repro.model.values import (
     values_equal,
 )
 
-__all__ = ["PredicateIndex", "PredicateKey", "SatisfactionCache"]
+__all__ = ["PredicateIndex", "PredicateKey", "SatisfactionCache", "equality_key"]
 
 #: Hashable predicate identity (``Predicate.key``).
 PredicateKey = tuple
+
+
+def equality_key(value: Value) -> object:
+    """The hash key under which an EQ operand (or IN member) is indexed
+    and an event value probed: a plain string is its own key, anything
+    else its :func:`~repro.model.values.canonical_value_key` tuple.
+
+    The test is ``type(value) is str``, not ``isinstance``: a ``str``
+    subclass (a ``StrEnum`` member) never :func:`~repro.model.values.
+    values_equal` its plain spelling, so it must not share its key.
+    Strings and tuples never collide, so one table holds both."""
+    return value if type(value) is str else canonical_value_key(value)
 
 
 def _type_bucket(value: Value) -> str | None:
@@ -170,8 +182,7 @@ class _AttributeIndex:
     )
 
     def __init__(self) -> None:
-        #: equality identity key (canonical tuple or interned int id)
-        #: -> predicate keys; see PredicateIndex.rebind_value_key.
+        #: equality_key(operand) -> predicate keys
         self.equalities: dict[object, set[PredicateKey]] = {}
         self.not_equals: dict[PredicateKey, Value] = {}
         # orderings[type_bucket][operator] -> _BoundaryList
@@ -188,52 +199,17 @@ class _AttributeIndex:
 class PredicateIndex:
     """Reference-counted index over predicates of many subscriptions.
 
-    ``value_key`` is the equality identity function: the hash key under
-    which EQ operands (and expanded IN members) are stored and probed.
-    It defaults to :func:`~repro.model.values.canonical_value_key`; an
-    interning engine rebinds it to the concept table's
-    :meth:`~repro.ontology.concept_table.ConceptTable.value_key`, which
-    maps known spellings to dense int ids and transparently falls back
-    to the canonical tuple key for everything else.  Keys of the two
-    shapes never collide (int vs tuple), so one equality table serves
-    interned and un-interned values alike — the only invariant is that
-    install and probe go through the same function, which
-    :meth:`rebind_value_key` maintains by re-keying installed entries.
+    EQ operands (and expanded IN members) are stored and probed under
+    :func:`equality_key`, which depends on the value alone: nothing a
+    knowledge-base write teaches can move a key, so no installed entry
+    ever needs re-keying.
     """
 
     def __init__(self) -> None:
         self._attributes: dict[str, _AttributeIndex] = {}
         self._refcounts: dict[PredicateKey, int] = {}
         self._predicates: dict[PredicateKey, Predicate] = {}
-        self._value_key: Callable[[Value], object] = canonical_value_key
         self.probes = 0
-
-    def rebind_value_key(self, value_key: Callable[[Value], object] | None) -> None:
-        """Switch the equality identity function (``None`` restores the
-        canonical default) and re-key every installed EQ/IN entry under
-        the new function.  Called by interning matchers when the engine
-        hands them the concept table's identity function — again, under
-        the same table, whenever it has learned a spelling."""
-        new_key = canonical_value_key if value_key is None else value_key
-        if new_key is self._value_key:
-            return
-        self._value_key = new_key
-        for attr_index in self._attributes.values():
-            if not attr_index.equalities:
-                continue
-            # an IN predicate occupies one bucket per member: dedup the
-            # predicate keys first so each is re-expanded exactly once
-            installed: set[PredicateKey] = set()
-            installed.update(*attr_index.equalities.values())
-            rekeyed: dict[object, set[PredicateKey]] = {}
-            for key in installed:
-                predicate = self._predicates[key]
-                if predicate.operator is Operator.EQ:
-                    rekeyed.setdefault(new_key(predicate.operand), set()).add(key)
-                else:  # IN: re-expand every member
-                    for member in predicate.operand:
-                        rekeyed.setdefault(new_key(member), set()).add(key)
-            attr_index.equalities = rekeyed
 
     def __len__(self) -> int:
         """Number of distinct predicates indexed."""
@@ -241,12 +217,6 @@ class PredicateIndex:
 
     def predicate(self, key: PredicateKey) -> Predicate:
         return self._predicates[key]
-
-    @property
-    def value_key(self) -> Callable[[Value], object]:
-        """The live equality identity function (canonical tuples, or
-        interned spelling ids after :meth:`rebind_value_key`)."""
-        return self._value_key
 
     # -- maintenance -----------------------------------------------------------
 
@@ -277,11 +247,11 @@ class PredicateIndex:
     def _install(self, index: _AttributeIndex, predicate: Predicate) -> None:
         op, key = predicate.operator, predicate.key
         if op is Operator.EQ:
-            value_key = self._value_key(predicate.operand)  # type: ignore[arg-type]
+            value_key = equality_key(predicate.operand)  # type: ignore[arg-type]
             index.equalities.setdefault(value_key, set()).add(key)
         elif op is Operator.IN:
             for member in predicate.operand:  # type: ignore[union-attr]
-                index.equalities.setdefault(self._value_key(member), set()).add(key)
+                index.equalities.setdefault(equality_key(member), set()).add(key)
         elif op is Operator.NE:
             index.not_equals[key] = predicate.operand  # type: ignore[assignment]
         elif op.is_ordering:
@@ -308,7 +278,7 @@ class PredicateIndex:
     def _uninstall(self, index: _AttributeIndex, predicate: Predicate) -> None:
         op, key = predicate.operator, predicate.key
         if op is Operator.EQ:
-            value_key = self._value_key(predicate.operand)  # type: ignore[arg-type]
+            value_key = equality_key(predicate.operand)  # type: ignore[arg-type]
             bucket_set = index.equalities.get(value_key)
             if bucket_set is not None:
                 bucket_set.discard(key)
@@ -316,7 +286,7 @@ class PredicateIndex:
                     del index.equalities[value_key]
         elif op is Operator.IN:
             for member in predicate.operand:  # type: ignore[union-attr]
-                member_key = self._value_key(member)
+                member_key = equality_key(member)
                 bucket_set = index.equalities.get(member_key)
                 if bucket_set is not None:
                     bucket_set.discard(key)
@@ -356,7 +326,7 @@ class PredicateIndex:
             return
         self.probes += 1
         yield from index.exists
-        eq_hits = index.equalities.get(self._value_key(value))
+        eq_hits = index.equalities.get(equality_key(value))
         if eq_hits:
             yield from eq_hits
         for key, operand in index.not_equals.items():
@@ -413,7 +383,7 @@ class SatisfactionCache:
     :meth:`PredicateIndex.satisfied` (optionally transformed once into
     a matcher-specific payload, e.g. the counting matcher's tuple of
     subscriptions the pair satisfies completely on its attribute) by
-    the pair's canonical identity, so every distinct pair is probed
+    the pair's equality key, so every distinct pair is probed
     exactly once per memo lifetime, not once per batch.
 
     The transform is an argument of each :meth:`satisfied` call, not
@@ -432,15 +402,12 @@ class SatisfactionCache:
     (cheap, and the steady-state working set of real traces is far
     below any sane capacity).
 
-    Caching by ``canonical_value_key`` is sound because canonically
-    equal values (``4`` vs ``4.0``) behave identically under every
-    predicate operator — the same invariant event signatures and
-    predicate keys are already built on.  The cache keys pairs through
-    the wrapped index's live ``value_key`` function, so when the engine
-    rebinds the index to an interned concept table the memo keys become
-    ``(attribute, spelling id)`` int pairs — and because every rebind
-    follows a memo invalidation, keys from two different id spaces can
-    never coexist in one memo lifetime.
+    Pairs are keyed ``(attribute, equality_key(value))``, the index's
+    own key.  That is sound because values with one key (``4`` vs
+    ``4.0``; a plain string and itself) behave identically under every
+    predicate operator — the invariant predicate keys are built on —
+    and a ``str`` subclass keys apart from its plain spelling, as
+    :func:`~repro.model.values.values_equal` sets it apart.
     """
 
     __slots__ = (
@@ -479,7 +446,7 @@ class SatisfactionCache:
     ):
         """The satisfaction set for one pair, memoized — as *transform*
         made it from the satisfied keys, when given."""
-        pair = (attribute, self._index._value_key(value))
+        pair = (attribute, equality_key(value))
         payload = self._cache.get(pair)
         if payload is None:
             self.misses += 1

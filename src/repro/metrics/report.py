@@ -1,8 +1,8 @@
 """Plain-text result tables for the experiment harness.
 
-Every benchmark prints its rows through :class:`Table`, so
-``EXPERIMENTS.md`` and the bench output share one format and the
-paper-vs-measured comparison is copy-pasteable.
+Every benchmark prints its rows through :class:`Table`, so the bench
+outputs share one format and the paper-vs-measured comparison is
+copy-pasteable.
 """
 
 from __future__ import annotations

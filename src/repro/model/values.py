@@ -285,7 +285,9 @@ def canonical_value_key(value: Value) -> tuple[str, object]:
     """A hashable key under which semantically equal values collide.
 
     Used for event deduplication in the semantic pipeline: ``4`` and
-    ``4.0`` produce the same key, ``True`` and ``1`` do not.
+    ``4.0`` produce the same key, ``True`` and ``1`` do not, and nor do
+    a ``str`` subclass (a ``StrEnum`` member) and its plain spelling —
+    :func:`values_equal` requires equal types.
     """
     if isinstance(value, bool):
         return ("bool", value)
@@ -296,4 +298,6 @@ def canonical_value_key(value: Value) -> tuple[str, object]:
         return ("num", as_float)
     if isinstance(value, Period):
         return ("period", (value.start, value.end))
+    if type(value) is not str:
+        return ("str", type(value), value)
     return ("str", value)

@@ -22,8 +22,10 @@ Two id spaces, deliberately distinct:
   term_key` normalization ("PhD" and "phd" share one) — the identity
   the hierarchy/synonym stages operate on;
 * **spelling ids** identify exact strings ("PhD" and "phd" differ) —
-  the identity predicate equality operates on, used by
-  :meth:`ConceptTable.value_key` for matcher-level interning.  A
+  the identity predicate equality operates on, the key
+  :meth:`ConceptTable.value_key` gives the interest index's reach maps
+  (the matcher keys a plain string by itself, which is the same
+  identity: a spelling id stands for exactly one string).  A
   spelling that is its own term key ("phd", "car") has its term's id as
   its spelling id; every other known spelling ("PhD",
   "graduate_degree") has a negative id of its own.  So the common case
@@ -67,13 +69,12 @@ KnowledgeBase.concept_table>` fetch, which drops every closure memo
 DEBUG record saying so — unless only mapping rules were added, which
 touch no term.  Holders that re-fetch per operation (the
 engine does, once per publish) can never observe a stale closure; what
-a holder derived *from* the closures it must key on ``table.version``
-(or on ``spelling_count``, for value identities), not on the table's
-identity, which never changes.  Per-term closures are memoized on first
-access — large ontologies only pay for the terms their traffic actually
-touches — and the multi-source :meth:`~ConceptTable.descent_depths` is
-not memoized here at all (the interest index keeps its one result per
-attribute).
+a holder derived *from* the closures or the value keys it must key on
+``table.version``, not on the table's identity, which never changes.
+Per-term closures are memoized on first access — large ontologies only
+pay for the terms their traffic actually touches — and the multi-source
+:meth:`~ConceptTable.descent_depths` is not memoized here at all (the
+interest index keeps its one result per attribute).
 
 The table holds the store, the taxonomies and the value thesaurus; they
 hold the store and nothing holds the table but its knowledge base, so
@@ -422,15 +423,16 @@ class ConceptTable:
             return tid
         return None
 
-    # -- matcher-level value interning --------------------------------------------
+    # -- value identity ------------------------------------------------------------
 
     def value_key(self, value: Value):
-        """Matching identity of *value*: the spelling id for exactly-known
-        string spellings, the plain
-        :func:`~repro.model.values.canonical_value_key` for everything
-        else.  Int ids and the tuple-shaped canonical keys can never
-        collide, so indexes may mix both key forms in one table as long
-        as every probe goes through the same function."""
+        """Interned identity of *value*, the key of the closures this
+        table derives: the spelling id for exactly-known string
+        spellings, the plain :func:`~repro.model.values.
+        canonical_value_key` for everything else.  Int ids and the
+        tuple-shaped canonical keys can never collide, so a map may mix
+        both key forms as long as every probe goes through this
+        function."""
         if type(value) is str:
             sid = self._terms.spelling_id(value)
             if sid is not None:

@@ -110,7 +110,7 @@ class Taxonomy:
         tid = terms.find(key)
         # a member is looked up, not interned: a write that registers
         # nothing teaches the store no spelling (the version would not
-        # move, and matchers keyed on spelling ids would not re-key)
+        # move, and maps keyed on spelling ids would not be rebuilt)
         if tid is not None:
             up, slot = self._up, tid - self._base
             if 0 <= slot < len(up) and up[slot] != _ABSENT:

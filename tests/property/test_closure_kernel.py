@@ -485,12 +485,11 @@ def test_engine_that_lived_through_writes_equals_fresh_engine(
 
 @pytest.mark.parametrize("matcher", MATCHERS)
 def test_operand_learned_after_subscribing_is_rekeyed(matcher):
-    """The re-key hazard, pinned: "lorry" is free text when the
-    subscription is indexed (canonical-key bucket); once the knowledge
-    base learns it, ``value_key("lorry")`` is an int under the *same*
-    table, and an index still holding the old bucket would silently
-    stop matching.  The scan leg keeps no index and the default no-op
-    ``bind_interner``: the engine's re-bind must leave it matching."""
+    """A learned spelling needs no re-key, pinned: "lorry" is free text
+    when the subscription is indexed; once the knowledge base learns it,
+    ``value_key("lorry")`` is an int under the *same* table, yet the
+    matcher's equality key for a plain string is the string itself, so
+    the subscription indexed before the write must go on matching."""
     kb = KnowledgeBase("t")
     kb.add_domain("vehicles").add_chain("truck", "vehicle")
     subs = [([("kind", "lorry")], None), ([("kind", "vehicle")], None)]

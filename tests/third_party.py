@@ -4,8 +4,8 @@ The paper puts the semantic stages in front of an *unmodified* matcher
 (§3.1), so what holds for the shipped ``counting`` and ``naive`` names
 must also hold for a matcher the package has never seen: an
 unregistered :class:`~repro.matching.base.MatchingAlgorithm` subclass
-with nothing but a linear scan — no index, no memo, no interner, and the
-base class's serial ``match_batch`` fallback.
+with nothing but a linear scan — no index, no memo, and the base
+class's serial ``match_batch`` fallback.
 """
 
 from __future__ import annotations

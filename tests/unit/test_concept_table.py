@@ -392,6 +392,8 @@ class TestEngineEpoch:
     def test_interning_off_is_the_string_path(self):
         kb = build_kb()
         engine = SToPSS(kb, config=SemanticConfig(interning=False))
+        # the string stages are the exhaustive reference: nothing prunes
+        assert engine.interest is None
         engine.subscribe(Subscription([Predicate.eq("kind", "vehicle")], sub_id="s1"))
         matches = engine.publish(Event([("kind", "sedan")]))
         assert [m.subscription.sub_id for m in matches] == ["s1"]

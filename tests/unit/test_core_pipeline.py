@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.core.config import SemanticConfig
+from repro.core.engine import SToPSS
 from repro.core.interest import InterestIndex
 from repro.core.pipeline import SemanticPipeline
 from repro.model.events import Event
@@ -295,6 +296,92 @@ class TestKeepCheaperProvenance:
         assert child.parent is adopted
         assert child.generality == 0
         _assert_provenance_consistent(result)
+
+
+class TestKeepCheaperWithinStepCap:
+    """A keep-cheaper adoption can swap a row's chain for a cheaper but
+    longer one.  ``max_iterations`` caps the substitutions per chain, so
+    neither the row's existing descendants nor the candidates it offers
+    afterwards may run past the cap: they keep the row's former chain."""
+
+    @staticmethod
+    def _rows(result) -> dict:
+        return {d.event.format(): d for d in result.derived}
+
+    @staticmethod
+    def _path(derived) -> list[str]:
+        return [step.rule or step.description for step in derived.steps]
+
+    def test_candidates_of_a_row_adopted_to_the_cap_extend_its_former_chain(self):
+        # (b, t0) costs 3 as one climb, 2 as climb-to-t1 + r-replace; the
+        # cheaper route lands one step from the cap before the row expands
+        kb = KnowledgeBase()
+        kb.add_domain("d").add_chain("t4", "t3", "t1", "t0")
+        kb.add_rule(
+            MappingRule.equivalence("r-replace", {"b": "t1"}, {"b": "t0"}, mode=OutputMode.REPLACE)
+        )
+        kb.add_rule(MappingRule.equivalence("r4", {"a": "t4", "b": "t0"}, {"e": "y"}))
+        pipeline = SemanticPipeline(kb, SemanticConfig(max_iterations=2))
+        result = pipeline.process_event(Event({"a": "t4", "b": "t4"}))
+        assert result.adopted
+        assert max(d.depth for d in result.derived) == 2
+        rows = self._rows(result)
+        adopted = rows["(a, t4)(b, t0)"]
+        assert (adopted.generality, adopted.depth) == (2, 2)
+        assert self._path(adopted) == ["value 't4' of 'b' generalized to 't1'", "r-replace"]
+        both = rows["(a, t0)(b, t0)"]
+        assert (both.generality, both.depth) == (6, 2)
+        assert self._path(both) == [
+            "value 't4' of 'a' generalized to 't0'",
+            "value 't4' of 'b' generalized to 't0'",
+        ]
+        # r4 fires on the adopted row alone: on its cheaper chain that is
+        # a third step, so the one-climb chain is extended instead
+        rebased = rows["(a, t4)(b, t0)(e, y)"]
+        assert (rebased.generality, rebased.depth) == (3, 2)
+        assert self._path(rebased) == ["value 't4' of 'b' generalized to 't0'", "r4"]
+        assert rebased.parent is result.derived[0]
+
+    def test_descendants_the_cheaper_chain_would_take_past_the_cap_keep_theirs(self):
+        # (b, t0)(c, u1) is expanded (r3, the c climb) before the mapping
+        # route r reaches it at generality 1 and depth 2
+        kb = KnowledgeBase()
+        kb.add_domain("d").add_chain("t4", "t3", "t0")
+        kb.add_domain("e").add_chain("u1", "u2")
+        kb.add_rule(
+            MappingRule.equivalence(
+                "r", {"b": "t4", "c": "u2"}, {"b": "t0", "c": "u1"}, mode=OutputMode.REPLACE
+            )
+        )
+        kb.add_rule(MappingRule.equivalence("r3", {"b": "t0"}, {"d": "z"}))
+        pipeline = SemanticPipeline(kb, SemanticConfig(max_iterations=2))
+        result = pipeline.process_event(Event({"b": "t4", "c": "u1"}))
+        assert result.adopted
+        assert max(d.depth for d in result.derived) == 2
+        rows = self._rows(result)
+        adopted = rows["(b, t0)(c, u1)"]
+        assert (adopted.generality, adopted.depth) == (1, 2)
+        assert self._path(adopted) == ["value 'u1' of 'c' generalized to 'u2'", "r"]
+        kept = rows["(b, t0)(c, u1)(d, z)"]
+        assert (kept.generality, kept.depth) == (2, 2)
+        assert self._path(kept) == ["value 't4' of 'b' generalized to 't0'", "r3"]
+        assert kept.parent is result.derived[0]
+        climbed = rows["(b, t0)(c, u2)"]
+        assert (climbed.generality, climbed.depth) == (3, 2)
+
+    def test_a_match_reports_the_chain_within_the_cap(self):
+        kb = KnowledgeBase()
+        kb.add_domain("d").add_chain("t4", "t3", "t1", "t0")
+        kb.add_rule(
+            MappingRule.equivalence("r-replace", {"b": "t1"}, {"b": "t0"}, mode=OutputMode.REPLACE)
+        )
+        engine = SToPSS(kb, config=SemanticConfig(max_iterations=2))
+        engine.subscribe(parse_subscription("(a = t0) and (b = t0)"))
+        event = Event({"a": "t4", "b": "t4"})
+        (match,) = engine.publish(event)
+        assert (match.generality, match.matched_via.depth) == (6, 2)
+        twin = engine.explain(event).lookup(match.matched_via.event.signature)
+        assert twin.steps == match.matched_via.steps
 
 
 class TestTruncationAndPruning:

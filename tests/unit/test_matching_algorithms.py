@@ -3,7 +3,12 @@ matchers must agree on."""
 
 from __future__ import annotations
 
+from enum import StrEnum
+
+import pytest
+
 from repro.core.config import SemanticConfig
+from repro.core.engine import SToPSS
 from repro.core.pipeline import PipelineResult, SemanticPipeline
 from repro.core.provenance import DerivationStep, DerivedEvent
 from repro.matching.base import MatchingAlgorithm
@@ -224,3 +229,50 @@ class TestCrossAlgorithmAgreement:
                 assert got is expected, (
                     f"{matcher_cls.name} case {index}: expected {expected}, got {got}"
                 )
+
+
+class _Kind(StrEnum):
+    LORRY = "lorry"
+
+
+@pytest.mark.parametrize("subclass_on", ["neither", "event", "operand", "both"])
+@pytest.mark.parametrize("known", [True, False], ids=["known", "unknown"])
+@pytest.mark.parametrize("interning", [True, False], ids=["interned", "strings"])
+def test_str_subclass_values_match_as_the_naive_oracle(interning, known, subclass_on):
+    """``values_equal`` requires equal types, so a ``StrEnum`` member
+    never equals its plain-string spelling on the naive reference.  The
+    counting matcher must agree whether or not the spelling is one the
+    knowledge base knows (a known spelling has a concept-table id, an
+    unknown one is free text) and with interning on or off."""
+    kb = KnowledgeBase("t")
+    kb.add_domain("vehicles").add_chain("truck", "vehicle")
+    if known:
+        kb.add_value_synonyms(["truck", "lorry"])
+    operand = _Kind.LORRY if subclass_on in ("operand", "both") else "lorry"
+    value = _Kind.LORRY if subclass_on in ("event", "both") else "lorry"
+    matched = {}
+    for name in ("counting", "naive"):
+        engine = SToPSS(kb, matcher=name, config=SemanticConfig(interning=interning))
+        engine.subscribe(_sub("s", Predicate.eq("kind", operand)))
+        matched[name] = [m.subscription.sub_id for m in engine.publish(Event({"kind": value}))]
+    assert matched["counting"] == matched["naive"]
+    assert matched["naive"] == (["s"] if subclass_on in ("neither", "both") else [])
+
+
+def test_str_subclass_operand_shares_no_predicate_with_its_spelling():
+    """Predicates on a ``StrEnum`` member and on its plain spelling are
+    two predicates: sharing one index entry would make the counting
+    matcher answer one subscription's operand for the other's."""
+    subscriptions = [
+        _sub("enum", Predicate.eq("kind", _Kind.LORRY)),
+        _sub("plain", Predicate.eq("kind", "lorry")),
+        _sub("not-enum", Predicate.ne("kind", _Kind.LORRY)),
+        _sub("not-plain", Predicate.ne("kind", "lorry")),
+    ]
+    for value, expected in (("lorry", ["plain", "not-enum"]), (_Kind.LORRY, ["enum", "not-plain"])):
+        event = Event({"kind": value})
+        for matcher_cls in (NaiveMatcher, CountingMatcher):
+            matcher = matcher_cls()
+            for subscription in subscriptions:
+                matcher.insert(subscription)
+            assert matcher.match_ids(event) == expected, matcher_cls.name

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from enum import StrEnum
+
 import pytest
 
 from repro.errors import IncomparableValuesError, InvalidValueError
@@ -202,3 +204,10 @@ class TestCanonicalKey:
 
     def test_float_fraction_preserved(self):
         assert canonical_value_key(4.5) == ("num", 4.5)
+
+    def test_str_subclass_distinct_from_its_spelling(self):
+        # values_equal requires equal types, so the keys must differ too
+        lorry = StrEnum("Kind", {"LORRY": "lorry"}).LORRY
+        assert not values_equal(lorry, "lorry")
+        assert canonical_value_key(lorry) != canonical_value_key("lorry")
+        assert canonical_value_key(lorry) == canonical_value_key(type(lorry)("lorry"))
