@@ -55,15 +55,16 @@ class SemanticConfig:
         ``present_date``).
     interning:
         Which stages the semantic expansion runs: ``True`` the ones on
-        the knowledge base's interned concept ids (:class:`~repro.
-        ontology.concept_table.ConceptTable`: synonym canonicalization
-        as one id lookup, taxonomy walks as precomputed closure
-        arrays); ``False`` the reference string-path stages, which
-        expand exhaustively and ignore ``interest_pruning``.  Same
+        the knowledge base's concept ids (:class:`~repro.ontology.
+        concept_table.ConceptTable`: synonym canonicalization as one id
+        lookup, taxonomy walks as precomputed closure arrays); ``False``
+        the string reference of :mod:`repro.core.reference`, which
+        expands exhaustively and so ignores ``interest_pruning``.  Same
         match sets and generalities either way (the interning
         equivalence property test is a hard invariant), only slower;
         ``False`` exists as the comparison baseline and an escape
-        hatch.  The matcher never sees the setting.
+        hatch.  :class:`~repro.core.pipeline.SemanticPipeline` is the
+        one reader; the matcher never sees the setting.
     interest_pruning:
         Whether the semantic expansion is demand-driven: the engine
         keeps a live :class:`~repro.core.interest.InterestIndex` over

@@ -114,12 +114,12 @@ class SToPSS:
 
     def _build_interest(self) -> InterestIndex | None:
         """A fresh interest index under the active configuration, or
-        ``None`` when pruning is off, pointless (syntactic mode), not
-        wanted (``interning=False`` selects the string stages as the
-        exhaustive reference) or unprovable (an extra stage without the
-        interest hook — those keep today's exhaustive behavior)."""
+        ``None`` when pruning is off, pointless (syntactic mode) or
+        unprovable for the stage set (the string reference of
+        ``interning=False``, or an extra stage without the interest
+        hook — those keep the exhaustive behavior)."""
         config = self.config
-        if not (config.interest_pruning and config.interning) or config.is_syntactic:
+        if not config.interest_pruning or config.is_syntactic:
             return None
         if not self.pipeline.supports_interest_pruning():
             return None
@@ -322,8 +322,9 @@ class SToPSS:
     @property
     def interest(self) -> InterestIndex | None:
         """The live subscription-interest index object (``None`` when
-        pruning is configured off, interning is off or pruning is
-        unsound for the stage set) — read-only, for inspection.  Note a
+        pruning is configured off or unsound for the stage set — the
+        :mod:`repro.core.reference` stages of ``interning=False`` are
+        never pruned) — read-only, for inspection.  Note a
         live index may still be self-disabled (see
         :attr:`InterestIndex.active <repro.core.interest.InterestIndex.
         active>`); to reproduce the exact publish-path expansion, hand

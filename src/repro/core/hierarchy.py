@@ -22,19 +22,16 @@ distance 0, and — because "a concept hierarchy contains all terms
 within a specific domain, which includes both attributes and values" —
 attribute *names* generalize too when the taxonomy knows them.
 
-With ``interned=True`` (the default) the stage runs on the knowledge
-base's :class:`~repro.ontology.concept_table.ConceptTable`: a value
-resolves to a dense term id in one dict probe, its canonicalization is
-one id lookup, and its generalizations come from the precomputed
-ancestor closure array instead of a per-event breadth-first search —
-the paper's "substitute each term with an internal identifier"
-performance design.  Un-interned values (free text, numbers) take the
-same no-expansion exit the string path takes; ``interned=False`` runs
-the original string path end to end, unpruned (the exhaustive
-comparison baseline, pinned equivalent by the interning property
-test).  Both paths offer each candidate straight to the publication's
-derivation table (:mod:`repro.core.derivation`) as a values tuple and a
-compact step: no event, signature set or description is built for it.
+The stage runs on the knowledge base's
+:class:`~repro.ontology.concept_table.ConceptTable` — the paper's
+"substitute each term with an internal identifier": a value resolves to
+a term id in one dict probe, canonicalization is one id lookup, and
+generalizations are the memoized ancestor closure array.  Values the
+table does not know (free text, numbers) expand to nothing.  The string
+lookups live on only in :mod:`repro.core.reference`, the exhaustive
+oracle ``SemanticConfig(interning=False)`` builds instead.  Candidates
+go straight to the publication's derivation table
+(:mod:`repro.core.derivation`) as a values tuple and a compact step.
 """
 
 from __future__ import annotations
@@ -60,10 +57,10 @@ class HierarchyStage(SemanticStage):
 
     With an interest view bound (see
     :meth:`~repro.core.interfaces.SemanticStage.bind_interest`), every
-    *value* substitution on the interned path is checked before it is
-    offered to the derivation table: a candidate value that cannot reach
-    any live predicate within the chain budget remaining after its own
-    climb is counted in ``candidates_pruned`` and skipped.  Because a
+    *value* substitution is checked before it is offered to the
+    derivation table: a candidate value that cannot reach any live
+    predicate within the chain budget remaining after its own climb is
+    counted in ``candidates_pruned`` and skipped.  Because a
     skipped candidate's only new matching power is its substituted pair
     — its parent already matched everything else more cheaply — and the
     interest closure covers every further built-in step, pruning never
@@ -85,13 +82,11 @@ class HierarchyStage(SemanticStage):
         *,
         value_synonyms: bool = True,
         generalize_attributes: bool = True,
-        interned: bool = True,
     ) -> None:
         super().__init__()
         self._kb = kb
         self._value_synonyms = value_synonyms
         self._generalize_attributes = generalize_attributes
-        self._interned = interned
         #: the concept table, fetched once for one publication (set by
         #: begin_publication); direct expand() callers that never go
         #: through the pipeline fetch it per call.
@@ -112,7 +107,7 @@ class HierarchyStage(SemanticStage):
         self.skip: Collection[str] = ()
 
     def begin_publication(self) -> None:
-        self._table = self._kb.concept_table() if self._interned else None
+        self._table = self._kb.concept_table()
 
     def end_publication(self) -> None:
         # drop the pin: a later direct expand() (outside the pipeline)
@@ -131,7 +126,6 @@ class HierarchyStage(SemanticStage):
         self.stats.events_in += 1
         layout = result._layout[row]
         values = result._values[row]
-        interned = self._interned
         skip = self.skip
         produced = 0
         for attribute, index in zip(layout.names, layout.perm):
@@ -139,12 +133,10 @@ class HierarchyStage(SemanticStage):
                 continue
             value = values[index]
             if isinstance(value, str):
-                found = self._value_ids if interned else self._value_names
-                substitutions = found(attribute, value, budget)
+                substitutions = self._values(attribute, value, budget)
                 produced += self._substitute(result, row, index, attribute, substitutions)
             if self._generalize_attributes and not result.truncated:
-                found = self._attribute_ids if interned else self._attribute_names
-                produced += self._rename(result, row, attribute, found(attribute, budget))
+                produced += self._rename(result, row, attribute, self._names(attribute, budget))
             if result.truncated:
                 break
         self.stats.events_out += produced
@@ -196,9 +188,9 @@ class HierarchyStage(SemanticStage):
                 break
         return count
 
-    # -- interned fast path -------------------------------------------------------
+    # -- lookups ----------------------------------------------------------------
 
-    def _value_ids(self, attribute: str, value: str, budget: int | None) -> Iterator[tuple]:
+    def _values(self, attribute: str, value: str, budget: int | None) -> Iterator[tuple]:
         """Closure-array substitutions of one value term: the term
         resolves to a dense id once; canonicalization and every
         generalization are then array/dict reads."""
@@ -313,8 +305,6 @@ class HierarchyStage(SemanticStage):
     def renameable(self, attribute: str) -> bool:
         """Whether the taxonomy knows a generalization of *attribute*
         as a name (so :meth:`expand` may rename it)."""
-        if not self._interned:
-            return bool(self._kb.generalizations(attribute))
         table = self._current_table()
         tid = table.term_id_of_value(attribute)
         return tid is not None and bool(table.ancestors(tid))
@@ -329,7 +319,7 @@ class HierarchyStage(SemanticStage):
         self.stats.bump("candidates_pruned")
         return False
 
-    def _attribute_ids(self, attribute: str, budget: int | None) -> Iterator[tuple]:
+    def _names(self, attribute: str, budget: int | None) -> Iterator[tuple]:
         """Closure-array generalizations of one attribute *name*."""
         if budget is not None and budget <= 0:
             return
@@ -343,33 +333,7 @@ class HierarchyStage(SemanticStage):
                 continue
             general = table.attribute_form(sid)
             if general is None:
-                # the string path would raise here; keep that contract
+                # the reference raises here; keep that contract
                 normalize_attribute(table.spelling(sid).replace(" ", "_"))
                 continue  # pragma: no cover - normalize_attribute raised
             yield distance, general
-
-    # -- string reference path ----------------------------------------------------
-
-    def _value_names(self, attribute: str, value: str, budget: int | None) -> Iterator[tuple]:
-        """Substitutions of one value term through the knowledge base's
-        string lookups, never interest-pruned: the engine builds no
-        interest index for the string path."""
-        kb = self._kb
-        self.stats.lookups += 1
-        if self._value_synonyms:
-            canonical = kb.canonical_term(value)
-            if canonical is not None and canonical != value:
-                yield CANON, 0, canonical
-        if budget is not None and budget <= 0:
-            return
-        for general, distance in kb.generalizations(value, max_levels=budget).items():
-            yield GENERAL, distance, general
-
-    def _attribute_names(self, attribute: str, budget: int | None) -> Iterator[tuple]:
-        """Generalizations of one attribute *name* through the knowledge
-        base's string lookups."""
-        if budget is not None and budget <= 0:
-            return
-        self.stats.lookups += 1
-        for general, distance in self._kb.generalizations(attribute, max_levels=budget).items():
-            yield distance, normalize_attribute(general.replace(" ", "_"))

@@ -86,10 +86,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.errors import InvalidAttributeError
-from repro.model.attributes import normalize_attribute
 from repro.model.predicates import Operator, Predicate
 from repro.model.values import Value, canonical_value_key
+from repro.ontology.concept_table import pairs
 from repro.ontology.mappingdefs import OutputMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -325,13 +324,14 @@ class InterestIndex:
         if attribute in self._attributes:
             return True
         if self._config.enable_hierarchy and self._config.generalize_attributes:
-            for general in self._kb.generalizations(attribute):
-                try:
-                    form = normalize_attribute(general.replace(" ", "_"))
-                except InvalidAttributeError:
-                    continue
-                if form in self._attributes:
-                    return True
+            # fetched, not the held table: rule analysis runs before the
+            # publish's own fetch, and a fetch drops memos a write staled
+            table = self._kb.concept_table()
+            tid = table.term_id_of_value(attribute)
+            if tid is not None:
+                for sid, _ in pairs(table.ancestors(tid)):
+                    if table.attribute_form(sid) in self._attributes:
+                        return True
         return False
 
     def _analyze_rules(self) -> _RuleState:

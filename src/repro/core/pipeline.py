@@ -40,6 +40,7 @@ always get).  See ``docs/ARCHITECTURE.md``, "Factored expansion".
 
 from __future__ import annotations
 
+import logging
 from functools import partial
 from typing import Collection
 
@@ -49,6 +50,7 @@ from repro.core.hierarchy import HierarchyStage
 from repro.core.interest import split_reads
 from repro.core.interfaces import SemanticStage
 from repro.core.mappings import MappingStage
+from repro.core.reference import ReferenceHierarchyStage, ReferenceSynonymStage
 from repro.core.synonyms import SynonymStage
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
@@ -60,6 +62,8 @@ __all__ = ["SemanticPipeline", "PipelineResult", "Alternative"]
 #: distinct root attribute-name sets remembered per knowledge-base
 #: version before the partition memo starts over
 _PARTITION_MEMO_LIMIT = 1024
+
+_log = logging.getLogger(__name__)
 
 
 class SemanticPipeline:
@@ -74,12 +78,16 @@ class SemanticPipeline:
     ) -> None:
         self.kb = kb
         self.config = config if config is not None else SemanticConfig()
-        self.synonyms = SynonymStage(kb, interned=self.config.interning)
-        self.hierarchy = HierarchyStage(
+        # the one reader of ``interning``: the string reference, or not
+        if self.config.interning:
+            synonyms, hierarchy = SynonymStage, HierarchyStage
+        else:
+            synonyms, hierarchy = ReferenceSynonymStage, ReferenceHierarchyStage
+        self.synonyms = synonyms(kb)
+        self.hierarchy = hierarchy(
             kb,
             value_synonyms=self.config.value_synonyms,
             generalize_attributes=self.config.generalize_attributes,
-            interned=self.config.interning,
         )
         self.mappings = MappingStage(kb, self.config.mapping_context())
         self.extra_stages = extra_stages
@@ -94,13 +102,14 @@ class SemanticPipeline:
 
         The interest closure models only the built-in stage graph, so a
         custom stage that derives events the closure cannot predict
-        would make pruning drop reachable matches.  Every extra stage
-        must declare :attr:`~repro.core.interfaces.SemanticStage.
-        interest_safe` (duck-typed stages without the attribute count
-        as unsafe); otherwise the engine keeps the exhaustive behavior
-        for the whole pipeline.
+        would make pruning drop reachable matches.  The hierarchy stage
+        (the string reference is not) and every extra stage must declare
+        :attr:`~repro.core.interfaces.SemanticStage.interest_safe`
+        (duck-typed stages without it count as unsafe); otherwise the
+        engine keeps the exhaustive behavior for the whole pipeline.
         """
-        return all(getattr(stage, "interest_safe", False) for stage in self.extra_stages)
+        stages = (self.hierarchy, *self.extra_stages)
+        return all(getattr(stage, "interest_safe", False) for stage in stages)
 
     # -- subscription path (Figure 1 left) ----------------------------------------
 
@@ -169,6 +178,13 @@ class SemanticPipeline:
         result.free = free
         if result.truncated:
             self.truncation_count += 1
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug(
+                    "%s truncated at max_derived_events=%d (iterations run: %d)",
+                    event.event_id,
+                    config.max_derived_events,
+                    result.iterations,
+                )
         return result
 
     def _fixpoint(

@@ -9,6 +9,12 @@ The stage is a pure rewrite — it never multiplies events — and it is
 the only stage applied to subscriptions (Figure 1: "root
 subscription").  Per the paper, it "operates only at attribute level";
 value-level equivalences are the hierarchy stage's distance-0 case.
+
+The rewrite map comes from the concept table's ``attribute_roots``
+dictionary — one dict probe per already-normalized name, the paper's
+"substitute each term with an internal identifier" fast path; the
+string lookup that re-normalizes every name per event lives on only in
+:mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -24,15 +30,7 @@ __all__ = ["SynonymStage"]
 
 class SynonymStage(SemanticStage):
     """Root-attribute rewriting backed by the knowledge base's
-    attribute thesaurus (hash lookups only).
-
-    With ``interned=True`` (the default) the rewrite map comes from the
-    concept table's precomputed ``attribute_roots`` dictionary — one
-    dict probe per attribute on the already-normalized event names,
-    the paper's "substitute each term with an internal identifier"
-    fast path — instead of re-normalizing every name through
-    :func:`~repro.ontology.concepts.term_key` per event.
-    """
+    attribute thesaurus (hash lookups only)."""
 
     name = STAGE_SYNONYM
 
@@ -46,14 +44,11 @@ class SynonymStage(SemanticStage):
     #: one probe per candidate sufficient downstream.
     interest_safe = True
 
-    def __init__(self, kb: KnowledgeBase, *, interned: bool = True) -> None:
+    def __init__(self, kb: KnowledgeBase) -> None:
         super().__init__()
         self._kb = kb
-        self._interned = interned
 
     def _rename_map(self, attributes) -> dict[str, str]:
-        if not self._interned:
-            return self._kb.attribute_rename_map(attributes)
         roots = self._kb.concept_table().attribute_roots
         renames: dict[str, str] = {}
         for name in attributes:

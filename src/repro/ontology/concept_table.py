@@ -36,14 +36,13 @@ Two id spaces, deliberately distinct:
 
 Two closure semantics, deliberately distinct:
 
-* **descent** (:meth:`ConceptTable.descent`, :meth:`~ConceptTable.
-  descent_depths`) is *transitive and synonym-bridged*: the spellings an
-  event may carry to reach a term, across every domain, where a
-  value-synonym hop costs 0 and an is-a edge costs 1.  It is a 0-1
-  shortest path over the taxonomies' child rows and the value-synonym
-  groups, and a fill interns nothing.  :func:`descent_closure` is the
-  string reference of the same closure: the ``interning=False`` path
-  and the test oracle.
+* **descent** (:meth:`ConceptTable.descent_depths`) is *transitive and
+  synonym-bridged*: the spellings an event may carry to reach any of a
+  set of terms, across every domain, where a value-synonym hop costs 0
+  and an is-a edge costs 1.  It is a 0-1 shortest path over the
+  taxonomies' child rows and the value-synonym groups, and a pass
+  interns nothing.  :func:`descent_closure` is the string reference of
+  the same closure, per term: the test oracle.
 * **ancestors** (:meth:`ConceptTable.ancestors`) is *per-domain and not
   transitive across synonyms*: the upward walks of each domain from the
   seed's equivalents, merged by minimum, in the order
@@ -53,8 +52,11 @@ Two closure semantics, deliberately distinct:
   order decides which candidates survive ``max_derived_events``
   truncation.
 
-Both closures are memoized **packed**: one ``array('i')`` per term with
-``(spelling id, distance)`` interleaved, read pairwise with
+They are one relation unless a term bridges two domains (see
+:mod:`repro.core.reference`).
+
+The ancestor closure is memoized **packed**: one ``array('i')`` per
+term with ``(spelling id, distance)`` interleaved, read pairwise with
 :func:`pairs` — ids are what the table derives, so ids are what it
 keeps.
 
@@ -71,10 +73,10 @@ touch no term.  Holders that re-fetch per operation (the
 engine does, once per publish) can never observe a stale closure; what
 a holder derived *from* the closures or the value keys it must key on
 ``table.version``, not on the table's identity, which never changes.
-Per-term closures are memoized on first access — large ontologies only
-pay for the terms their traffic actually touches — and the multi-source
-:meth:`~ConceptTable.descent_depths` is not memoized here at all (the
-interest index keeps its one result per attribute).
+Ancestor closures are memoized per term on first access — large
+ontologies only pay for the terms their traffic actually touches — and
+the multi-source :meth:`~ConceptTable.descent_depths` is not memoized
+here at all (the interest index keeps its one result per attribute).
 
 The table holds the store, the taxonomies and the value thesaurus; they
 hold the store and nothing holds the table but its knowledge base, so
@@ -91,11 +93,11 @@ stored); a memo drop swaps whole dicts under the same lock.  A
 knowledge-base *write* edits the store and the rows in place, so it must
 not overlap a publish at all (``docs/CONCURRENCY.md``).
 
-Values that intern to nothing (free text, numbers, spellings the
-knowledge base has not been taught yet) transparently fall back to the
-string path everywhere: :meth:`~ConceptTable.term_id_of_value` returns
-``None`` and :meth:`~ConceptTable.value_key` returns the plain
-:func:`~repro.model.values.canonical_value_key`.
+Values the store does not know (free text, numbers, spellings the
+knowledge base has not been taught yet) have no id:
+:meth:`~ConceptTable.term_id_of_value` returns ``None`` (the stages
+derive nothing from them) and :meth:`~ConceptTable.value_key` returns
+the plain :func:`~repro.model.values.canonical_value_key`.
 """
 
 from __future__ import annotations
@@ -123,9 +125,8 @@ _log = logging.getLogger(__name__)
 
 
 def pairs(packed: array) -> Iterator[tuple[int, int]]:
-    """The pairs of a packed closure (:meth:`ConceptTable.ancestors`,
-    :meth:`ConceptTable.descent`), in order: ``(spelling id, distance)``
-    for each entry."""
+    """The pairs of a packed closure (:meth:`ConceptTable.ancestors`),
+    in order: ``(spelling id, distance)`` for each entry."""
     flat = iter(packed)
     return zip(flat, flat)
 
@@ -142,14 +143,10 @@ def descent_closure(kb: "KnowledgeBase", term: str, bound: int | None) -> dict[s
     in domain B is charged its summed hierarchy distance exactly as the
     event-side engine charges it.
 
-    The string reference: the ``interning=False`` path of the interest
-    index calls it per term with the live bound, and the differential
-    tests hold
-    :meth:`ConceptTable.descent` — the same closure on dense ids — to
-    it.  The interned side computes the unbounded closure and serves
-    bounded queries by depth-filtering — equivalent because the
-    recorded depths are minimal, so any spelling within the bound is
-    reachable by a path whose prefix depths also stay within it.
+    The string reference :meth:`ConceptTable.descent_depths` is tested
+    against.  The id side filters the unbounded closure by depth, which
+    is equivalent because recorded depths are minimal: any spelling
+    within the bound is reachable by a path whose prefixes stay in it.
     """
     taxonomies = [kb.taxonomy(domain) for domain in kb.domains()]
     depths: dict[str, int] = {}
@@ -251,7 +248,7 @@ class TermStore:
         return self._keys[tid]
 
     def display(self, tid: int) -> str:
-        """The first spelling the term was interned with."""
+        """The first spelling a write gave the term."""
         return self._names.get(tid) or self._keys[tid]
 
     def spelling_id(self, spelling: str) -> int | None:
@@ -294,9 +291,8 @@ class ConceptTable:
     Built empty with the knowledge base and never rebuilt: the store,
     the taxonomies (the knowledge base's own ``{domain: Taxonomy}``
     dict, which it adds domains to) and the value thesaurus are read
-    live.  The per-term generalization and descent closures are
-    computed on demand and memoized until :meth:`follow` sees the
-    version move.
+    live.  The per-term generalization closures are computed on demand
+    and memoized until :meth:`follow` sees the version move.
     """
 
     __slots__ = (
@@ -311,7 +307,6 @@ class ConceptTable:
         "_terms_version",
         "_canonical",
         "_up_closure",
-        "_down_closure",
         "_attr_form",
         "_fill_lock",
         "__weakref__",
@@ -333,7 +328,7 @@ class ConceptTable:
         #: synonym-group members; the stage skips identical entries),
         #: kept by the knowledge base's attribute-synonym writes
         self.attribute_roots: dict[str, str] = {}
-        #: terms settled by descent fills so far — a deterministic work
+        #: terms settled by descent passes so far — a deterministic work
         #: counter (same operations, same count, any machine)
         self._fill_steps = 0
         #: closures dropped by version moves so far
@@ -345,8 +340,6 @@ class ConceptTable:
         self._canonical: dict[int, str | None] = {}
         #: term id -> packed (spelling id, min distance) ancestors, lazy
         self._up_closure: dict[int, array] = {}
-        #: term id -> packed (spelling id, min depth) descent set, lazy
-        self._down_closure: dict[int, array] = {}
         #: spelling id -> attribute-normalized form (None = does not
         #: normalize; the stage falls back to raising exactly as the
         #: string path would), lazy; a spelling id never changes, so
@@ -370,10 +363,9 @@ class ConceptTable:
                 return
             previous, dropped = self.version, None
             if terms_version != self._terms_version:
-                dropped = len(self._up_closure) + len(self._down_closure)
+                dropped = len(self._up_closure)
                 self._canonical = {}
                 self._up_closure = {}
-                self._down_closure = {}
                 self._dropped += dropped
                 self._terms_version = terms_version
             self.version = version
@@ -385,7 +377,7 @@ class ConceptTable:
     # -- identity lookups --------------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of distinct terms interned."""
+        """Number of distinct terms in the store."""
         return len(self._terms)
 
     @property
@@ -394,7 +386,7 @@ class ConceptTable:
 
     def term_id_of_value(self, value: str) -> int | None:
         """The term id for an event/subscription value, ``None`` for
-        un-interned values (the string-path fallback).  Exact known
+        values the store does not know (free text, numbers).  Exact known
         spellings resolve by dict probes alone (a spelling that is its
         own term key is found by key); variant spellings pay one
         :func:`~repro.ontology.concepts.term_key` normalization (which
@@ -443,7 +435,7 @@ class ConceptTable:
 
     def canonical_spelling(self, tid: int) -> str | None:
         """Canonical display spelling of a term (value-synonym root,
-        else taxonomy spelling) — the interned form of
+        else taxonomy spelling) — the id form of
         :meth:`KnowledgeBase.canonical_term`: one column read, then a
         membership test per domain, memoized."""
         try:
@@ -584,32 +576,14 @@ class ConceptTable:
                 depths[tid] = depth
         return depths, len(settled)
 
-    def descent(self, tid: int) -> array:
-        """Every spelling an event may carry to reach the value term,
-        packed: ``(spelling id, min total depth)`` interleaved (read with
-        :func:`pairs`) — the unbounded closure :func:`descent_closure`
-        defines, computed on ids and memoized once per term.  Bounded
-        queries filter by depth."""
-        closure = self._down_closure.get(tid)
-        if closure is None:
-            with self._fill_lock:
-                closure = self._down_closure.get(tid)
-                if closure is None:
-                    depths, steps = self._descend((tid,))
-                    self._fill_steps += steps
-                    closure = array("i", chain.from_iterable(depths.items()))
-                    self._down_closure[tid] = closure
-        return closure
-
     def descent_depths(self, terms: Iterable[str]) -> dict:
         """``{value key: min depth}`` of every spelling an event may
-        carry to reach *any* of *terms*: the key-wise minimum over the
-        terms' :meth:`descent_map`, found in one multi-source pass (every
-        known value term seeded at depth 0) instead of one closure per
-        term.  Keys are :meth:`value_key` identities; each literal term
-        reports itself at depth 0, which is all an unknown or
-        attribute-synonym-only term contributes — exactly as
-        :meth:`descent_map` has it.  Nothing is memoized here: the one
+        carry to reach *any* of *terms* — the key-wise minimum of their
+        :func:`descent_closure`, in one multi-source pass.  Keys are
+        :meth:`value_key` identities; each literal term reports itself
+        at depth 0, which is all an unknown term contributes (one known
+        only as an attribute synonym counts as unknown, as it does to the
+        reference's ``value_equivalents`` seeds).  Not memoized: the one
         caller (the interest index) keeps the result per attribute."""
         terms = tuple(terms)
         sources = [tid for tid in map(self._value_term_id, terms) if tid is not None]
@@ -620,29 +594,6 @@ class ConceptTable:
             depths[self.value_key(term)] = 0
         return depths
 
-    def descent_map(self, term: str, bound: int | None) -> dict[str, int]:
-        """``{spelling: min depth}`` within *bound* for *term* — the
-        interned equivalent of the :func:`descent_closure` BFS.
-        Unknown terms report themselves at depth 0 (matching the BFS,
-        whose seed set always contains the literal term).  Terms known
-        *only* as attribute-synonym spellings count as unknown here:
-        the string path's seeds (``value_equivalents``) never consult
-        attribute synonyms, so unifying a spelling variant through one
-        would rewrite predicates the reference path leaves alone."""
-        tid = self._value_term_id(term)
-        if tid is None:
-            return {term: 0}
-        spelling = self._terms.spelling
-        result = {
-            spelling(sid): depth
-            for sid, depth in pairs(self.descent(tid))
-            if bound is None or depth <= bound
-        }
-        # the BFS seeds from value_equivalents(term) ∪ {term}: the exact
-        # queried spelling is always admissible at depth 0.
-        result.setdefault(term, 0)
-        return result
-
     # -- reporting ----------------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
@@ -652,7 +603,7 @@ class ConceptTable:
             "spellings": self._terms.spelling_count,
             "attribute_roots": len(self.attribute_roots),
             "up_closures": len(self._up_closure),
-            "down_closures": len(self._down_closure),
+            "down_closures": 0,  # no descent memo; bench/harness.py sums it
             "closure_fill_steps": self._fill_steps,
             "closures_dropped": self._dropped,
         }

@@ -1,13 +1,14 @@
 """Differential tests for the interned closure kernel.
 
-:meth:`ConceptTable.descent` (one 0-1 BFS on dense ids) and
-:meth:`ConceptTable.descent_depths` (the multi-source pass the interest
-index asks for) must report exactly what the string reference
-:func:`~repro.ontology.concept_table.descent_closure` reports — same
-spellings, same minimum depths — on the shipped worlds and on a small
-hand-built knowledge base that has every awkward case at once: two
-domains, a synonym ring bridging them, spelling variants, an unknown
-term, and a term known only as an attribute synonym.
+:meth:`ConceptTable.descent_depths` (the multi-source 0-1 BFS on dense
+ids the interest index asks for) must report exactly what the string
+reference :func:`~repro.ontology.concept_table.descent_closure` reports
+— same spellings, same minimum depths — on the shipped worlds and on a
+small hand-built knowledge base that has every awkward case at once:
+two domains, a synonym ring bridging them, spelling variants, an
+unknown term, and a term known only as an attribute synonym.  Read
+downward, descent is the ancestor closure, one step for one pair,
+unless a term bridges two domains.
 
 The interleaving legs hold a knowledge base whose one table was read
 — closures filled, memos dropped — between every two writes of a
@@ -40,6 +41,7 @@ from repro.ontology.mappingdefs import MappingRule
 from repro.workload.worlds import build_world
 
 from tests.third_party import MATCHERS, matcher_arg
+from tests.unit.test_concept_table import descent_map
 
 BOUNDS = (0, 1, 3, None)
 
@@ -117,8 +119,12 @@ def spelling_ids(table) -> range:
     return range(len(table) - table.spelling_count, len(table))
 
 
-def as_spellings(table, closure) -> dict[str, int]:
-    return {table.spelling(sid): depth for sid, depth in pairs(closure)}
+def string_descent(kb: KnowledgeBase, term: str, bound: int | None) -> dict[str, int]:
+    """The string BFS, with the literal term at depth 0 (which the
+    kernel always reports)."""
+    expected = descent_closure(kb, term, bound)
+    expected.setdefault(term, 0)
+    return expected
 
 
 def test_descent_equals_string_bfs(world):
@@ -126,7 +132,7 @@ def test_descent_equals_string_bfs(world):
     table = kb.concept_table()
     for tid in value_term_ids(table):
         term = table.term_display(tid)
-        assert as_spellings(table, table.descent(tid)) == descent_closure(kb, term, None), term
+        assert descent_map(table, term, None) == descent_closure(kb, term, None), term
     assert table.stats()["closure_fill_steps"] > 0
 
 
@@ -135,9 +141,7 @@ def test_descent_map_equals_bounded_string_bfs(world, bound):
     kb, terms = world
     table = kb.concept_table()
     for term in terms:
-        expected = descent_closure(kb, term, bound)
-        expected.setdefault(term, 0)
-        assert table.descent_map(term, bound) == expected, (term, bound)
+        assert descent_map(table, term, bound) == string_descent(kb, term, bound), (term, bound)
 
 
 def test_multi_source_is_keywise_min_of_single_source(world):
@@ -146,10 +150,60 @@ def test_multi_source_is_keywise_min_of_single_source(world):
     for chosen in (terms, terms[::3], terms[:1], ()):
         expected: dict = {}
         for term in chosen:
-            for spelling, depth in table.descent_map(term, None).items():
+            for spelling, depth in string_descent(kb, term, None).items():
                 key = table.value_key(spelling)
                 expected[key] = min(depth, expected.get(key, depth))
         assert table.descent_depths(chosen) == expected
+
+
+def class_relations(table) -> tuple[dict, dict]:
+    """Both closures as relations over value-synonym classes (a class is
+    named by its canonical spelling): ``{(general, specific): distance}``
+    of every descent pair at a positive depth, and of every ancestors
+    pair, each at its minimum."""
+
+    def named(sid: int) -> str:
+        return table.canonical_spelling(table.term_id_of_value(table.spelling(sid)))
+
+    down: dict = {}
+    up: dict = {}
+    for tid in value_term_ids(table):
+        term = table.canonical_spelling(tid)
+        for sid, depth in table.descent_depths([table.term_display(tid)]).items():
+            if depth:
+                pair = (term, named(sid))
+                down[pair] = min(depth, down.get(pair, depth))
+        for sid, distance in pairs(table.ancestors(tid)):
+            pair = (named(sid), term)
+            up[pair] = min(distance, up.get(pair, distance))
+    return down, up
+
+
+def test_descent_is_one_ancestors_step_unless_a_term_bridges_domains(world):
+    """The two closure semantics: descent is transitive and bridged
+    through synonyms, ancestors walks each domain on its own and leaves
+    cross-domain chains to the fixpoint.  Every ancestors step is a
+    descent pair at the same distance; a descent pair is one ancestors
+    step unless its path crosses a term two domains share."""
+    kb, _ = world
+    down, up = class_relations(kb.concept_table())
+    assert down and up.items() <= down.items()
+    apart = {pair for pair, depth in down.items() if up.get(pair) != depth}
+    if kb.name != "bridged":
+        assert not apart
+        return
+    # e.g. postdoc reaches graduate degree at 2, but only through the
+    # doctorate ~ PhD ring: two fixpoint steps, not one
+    assert ("graduate degree", "postdoc") in apart and (len(apart), len(down)) == (11, 30)
+
+    def distance(general: str, specific: str) -> float:
+        return 0 if general == specific else down.get((general, specific), float("inf"))
+
+    for general, specific in apart:
+        assert any(
+            distance(general, bridge) + distance(bridge, specific) == down[general, specific]
+            for bridge in ("PhD", "graduate degree")
+        ), (general, specific)
 
 
 def test_ancestors_are_the_generalizations_in_their_order(world):
@@ -205,9 +259,7 @@ def test_derived_state_is_packed_after_a_warm_up(name):
         engine.subscribe(subscription)
     for event in generator.events(10):
         engine.publish(event)
-    table = world.kb.concept_table()
-    table.descent(value_term_ids(table)[0])
-    closures = [*table._up_closure.values(), *table._down_closure.values()]
+    closures = list(world.kb.concept_table()._up_closure.values())
     admissions = [
         entry for key, entry in engine.pipeline.hierarchy._admit_memo.items() if len(key) == 3
     ]
@@ -218,7 +270,7 @@ def test_derived_state_is_packed_after_a_warm_up(name):
 def test_bridged_world_crosses_domains_and_keeps_spellings_apart():
     kb = bridged_kb()
     table = kb.concept_table()
-    down = table.descent_map("degree", None)
+    down = descent_map(table, "degree", None)
     # education: degree > graduate degree > doctorate ~ PhD; jobs: PhD >
     # postdoc > research fellow — the ring carries the descent across
     assert down["doctorate"] == down["PhD"] == down["Ph.D."] == 2
@@ -226,10 +278,10 @@ def test_bridged_world_crosses_domains_and_keeps_spellings_apart():
     # both display spellings of the shared concept, each from its domain
     assert down["graduate degree"] == down["Graduate_Degree"] == 1
     # variants are the same term but not the same spelling
-    assert table.descent_map("phd", 0) == {"phd": 0, "PhD": 0, "doctorate": 0, "Ph.D.": 0}
+    assert descent_map(table, "phd", 0) == {"phd": 0, "PhD": 0, "doctorate": 0, "Ph.D.": 0}
     # unknown and attribute-synonym-only terms report only themselves
-    assert table.descent_map("hovercraft", None) == {"hovercraft": 0}
-    assert table.descent_map("School", None) == {"School": 0}
+    assert descent_map(table, "hovercraft", None) == {"hovercraft": 0}
+    assert descent_map(table, "School", None) == {"School": 0}
     assert table.descent_depths(["hovercraft", "School"]) == {
         table.value_key("hovercraft"): 0,
         table.value_key("School"): 0,
@@ -242,7 +294,7 @@ def test_fills_intern_nothing():
     spellings = table.spelling_count
     for tid in range(len(table)):
         table.ancestors(tid)
-        table.descent(tid)
+        table.descent_depths([table.term_display(tid)])
     table.descent_depths(sample_terms(kb))
     assert table.spelling_count == spellings
 
@@ -250,9 +302,10 @@ def test_fills_intern_nothing():
 def test_version_bump_patches_the_graph_in_place():
     kb = bridged_kb()
     table = kb.concept_table()
-    below_role = table.descent_map("role", None)
+    below_role = descent_map(table, "role", None)
     assert "fellowship" not in below_role
     postdoc = table.value_key("postdoc")
+    table.ancestors(table.term_id_of_value("postdoc"))  # a memo the writes drop
     kb.add_domain("jobs").add_isa("fellowship", "grant")
     kb.add_value_synonyms(["postdoc", "fellowship"])
     assert kb.concept_table() is table and table.version == kb.version
@@ -260,11 +313,9 @@ def test_version_bump_patches_the_graph_in_place():
     # ids handed out before the write still mean what they meant
     assert table.value_key("postdoc") == postdoc
     # the new synonym hop is a distance-0 bridge in the patched graph
-    assert table.descent_map("role", None)["fellowship"] == below_role["postdoc"]
+    assert descent_map(table, "role", None)["fellowship"] == below_role["postdoc"]
     for term in (*BRIDGED_TERMS, "fellowship", "grant"):
-        expected = descent_closure(kb, term, None)
-        expected.setdefault(term, 0)
-        assert table.descent_map(term, None) == expected, term
+        assert descent_map(table, term, None) == string_descent(kb, term, None), term
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +408,9 @@ def _view(table) -> dict:
             table.canonical_spelling(tid),
             # in order: it decides which candidates survive truncation
             list(table.ancestors(tid)),
-            # the attribute-synonym-only terms have no value closure
-            list(table.descent(tid)) if is_value_term(table, tid) else None,
         )
     for term in (*_SPELLINGS, "never heard of it"):
-        view["map", term] = [table.descent_map(term, bound) for bound in _BOUNDS]
+        view["map", term] = [descent_map(table, term, bound) for bound in _BOUNDS]
     for terms in (_SPELLINGS, _SPELLINGS[::3], ["a", "never heard of it"]):
         view["depths", tuple(terms)] = table.descent_depths(terms)
     return view
@@ -401,9 +450,7 @@ def test_interleaved_reads_equal_reads_after_the_writes(writes):
                 (table.spelling(sid), distance) for sid, distance in pairs(table.ancestors(tid))
             ] == list(kb.generalizations(display).items()), display
         for term in _SPELLINGS:
-            expected = descent_closure(kb, term, None)
-            expected.setdefault(term, 0)
-            assert table.descent_map(term, None) == expected, term
+            assert descent_map(table, term, None) == string_descent(kb, term, None), term
     # no write and no fill interns a spelling twice under two ids
     ids = [table.value_key(value) for value in _SPELLINGS]
     interned = [key for key in ids if isinstance(key, int)]
@@ -516,15 +563,26 @@ def test_alternatives_memo_is_stamped_with_the_version():
     assert _match_list(engine, [("kind", "truck")]) == [("s0", 2)]
 
 
+def closures(table, terms) -> dict:
+    """Each term's ancestors (filled into the memo on a miss) and its
+    descent, as plain values in *terms* order."""
+    return {
+        term: (
+            None if tid is None else list(table.ancestors(tid)),
+            descent_map(table, term, None),
+        )
+        for term, tid in zip(terms, map(table.term_id_of_value, terms))
+    }
+
+
 def test_threads_filling_one_shared_table_agree():
     """Many threads missing on the same closures at once: every thread
     must read the same answers a single-threaded fill gives, and no
-    fill may intern a spelling (the engine re-keys its matcher
-    whenever ``spelling_count`` moves)."""
+    fill may intern a spelling."""
     kb = build_world("mega-small").kb
     terms = sample_terms(kb, limit=60)
     reference = build_world("mega-small").kb.concept_table()
-    expected_maps = {term: reference.descent_map(term, None) for term in terms}
+    expected_maps = closures(reference, terms)
     expected_depths = {
         reference.spelling(key) if isinstance(key, int) else key: depth
         for key, depth in reference.descent_depths(terms).items()
@@ -543,7 +601,7 @@ def test_threads_filling_one_shared_table_agree():
             # each thread walks the terms from a different offset, so
             # misses on one closure collide
             order = terms[slot:] + terms[:slot]
-            maps = {term: table.descent_map(term, None) for term in order}
+            maps = closures(table, order)
             depths = table.descent_depths(order)
             results[slot] = (maps, depths)
         except Exception as error:  # surfaced by the assert below
@@ -569,7 +627,7 @@ def test_threads_filling_one_shared_table_agree():
         } == expected_depths
     assert table.spelling_count == spellings
     # the per-term memo filled each closure exactly once
-    assert table.stats()["down_closures"] == reference.stats()["down_closures"]
+    assert table.stats()["up_closures"] == reference.stats()["up_closures"]
 
 
 def _late_writes(kb: KnowledgeBase, root: str) -> None:
@@ -586,16 +644,15 @@ def test_threads_racing_to_one_memo_drop_agree():
     kb = build_world("mega-small").kb
     table = kb.concept_table()
     terms = sample_terms(kb, limit=40)
-    for term in terms:
-        table.descent_map(term, None)  # memos for the drop
-    filled = table.stats()["down_closures"]
+    closures(table, terms)  # memos for the drop
+    filled = table.stats()["up_closures"]
     root = terms[0]
     _late_writes(kb, root)
     batch = build_world("mega-small").kb
     _late_writes(batch, root)
     oracle = batch.concept_table()
     terms = [*terms, f"{root}~late", "late leaf"]
-    expected = {term: oracle.descent_map(term, None) for term in terms}
+    expected = closures(oracle, terms)
 
     workers = 8
     barrier = threading.Barrier(workers)
@@ -607,7 +664,7 @@ def test_threads_racing_to_one_memo_drop_agree():
             barrier.wait(timeout=30)
             fetched = kb.concept_table()
             order = terms[slot:] + terms[:slot]
-            results[slot] = (fetched, {term: fetched.descent_map(term, None) for term in order})
+            results[slot] = (fetched, closures(fetched, order))
         except Exception as error:  # surfaced by the assert below
             errors.append(error)
 

@@ -1,12 +1,15 @@
-"""Property: the interned concept-id path ≡ the string path.
+"""Property: the concept-id stages ≡ the string reference.
 
-The PR 3 tentpole rewrote the publish hot path onto the concept table's
-dense ids (closure-array generalization, id-keyed equality indexes and
-memos).  ``SemanticConfig(interning=False)`` keeps the original string
-implementation alive as the reference; this suite pins the two together
-as a hard invariant — identical match sets and identical reported
+The semantic stages run on the concept table's dense ids
+(closure-array generalization, one dict probe per attribute root).
+``SemanticConfig(interning=False)`` builds :mod:`repro.core.reference`'s
+string-lookup stages instead; this suite pins the two together as a
+hard invariant — identical match sets and identical reported
 generalities across random knowledge bases and workloads, for both
-indexed matchers, with and without tolerance bounds.
+matchers, with and without tolerance bounds, under every stage switch
+the two paths read: value synonyms, attribute-name generalization (an
+attribute that is a taxonomy concept, so renames run) and the
+iteration cap, with a mapping rule composing with the hierarchy.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
+from repro.ontology.mappingdefs import MappingRule
 
 _TERMS = [f"t{i}" for i in range(8)]
 #: spelling variants that must NOT leak across matcher identity; "U"
@@ -28,11 +32,15 @@ _TERMS = [f"t{i}" for i in range(8)]
 #: so the interned path must not either
 _VARIANTS = ["t1", "T1", " t1 ", "t2", "free text", "zzz", "U", "W", "w"]
 _ATTRS = ["u", "v"]
+#: subscriptions may also name "broad", which the attribute "v" may
+#: generalize to, and "x", which the mapping rule may write
+_SUB_ATTRS = _ATTRS + ["broad", "x"]
 
 
 @st.composite
 def knowledge_bases(draw) -> KnowledgeBase:
-    """Random taxonomy edges plus optional value/attribute synonyms."""
+    """Random taxonomy edges plus optional value/attribute synonyms, an
+    attribute name that is a concept, and an equivalence rule."""
     kb = KnowledgeBase()
     taxonomy = kb.add_domain("d")
     for term in _TERMS:
@@ -45,21 +53,30 @@ def knowledge_bases(draw) -> KnowledgeBase:
         kb.add_value_synonyms(["t2", "syn2"], root="t2")
     if draw(st.booleans()):
         kb.add_attribute_synonyms(["u", "w"], root="u")
+    if draw(st.booleans()):
+        kb.add_domain("names").add_chain("v", "broad")
+    if draw(st.booleans()):
+        trigger, output = draw(st.sampled_from(_TERMS)), draw(st.sampled_from(_TERMS))
+        kb.add_rule(MappingRule.equivalence("r", {"u": trigger}, {"x": output}))
     return kb
 
 
 @st.composite
 def term_subscriptions(draw) -> Subscription:
     count = draw(st.integers(min_value=1, max_value=2))
-    attrs = draw(st.lists(st.sampled_from(_ATTRS), min_size=count, max_size=count, unique=True))
-    bound = draw(st.sampled_from([None, None, 0, 1, 2]))
-    return Subscription(
-        [
-            Predicate.eq(attr, draw(st.sampled_from(_TERMS + ["syn2", "zzz", "U", "W"])))
-            for attr in attrs
-        ],
-        max_generality=bound,
+    attrs = draw(
+        st.lists(st.sampled_from(_SUB_ATTRS), min_size=count, max_size=count, unique=True)
     )
+    bound = draw(st.sampled_from([None, None, 0, 1, 2]))
+    # None: an EXISTS predicate, which matches a rename on its own
+    operands = st.sampled_from(_TERMS + ["syn2", "zzz", "U", "W", None])
+    predicates = []
+    for attr in attrs:
+        operand = draw(operands)
+        predicates.append(
+            Predicate.exists(attr) if operand is None else Predicate.eq(attr, operand)
+        )
+    return Subscription(predicates, max_generality=bound)
 
 
 @st.composite
@@ -68,7 +85,7 @@ def term_events(draw) -> Event:
     attrs = draw(
         st.lists(st.sampled_from(_ATTRS + ["w"]), min_size=count, max_size=count, unique=True)
     )
-    pairs = [(attr, draw(st.sampled_from(_TERMS + _VARIANTS))) for attr in attrs]
+    pairs = [(attr, draw(st.sampled_from(_TERMS + _VARIANTS + ["syn2"]))) for attr in attrs]
     # "u" and "w" may be declared attribute synonyms: conflicting values
     # under one root are a publish-time error on BOTH paths, which is
     # not the divergence this suite hunts — keep them agreeing.
@@ -88,10 +105,21 @@ def _published(engine, event) -> dict[str, int]:
     evts=st.lists(term_events(), min_size=1, max_size=4),
     bound=st.sampled_from([None, 0, 1, 2, 3]),
     matcher=st.sampled_from(["counting", "naive"]),
+    value_synonyms=st.booleans(),
+    generalize_attributes=st.booleans(),
+    iterations=st.sampled_from([1, 2, 4]),
 )
-def test_event_side_interned_equals_string(kb, subs, evts, bound, matcher):
+def test_event_side_interned_equals_string(
+    kb, subs, evts, bound, matcher, value_synonyms, generalize_attributes, iterations
+):
     def build(interning):
-        config = SemanticConfig(max_generality=bound, interning=interning)
+        config = SemanticConfig(
+            max_generality=bound,
+            value_synonyms=value_synonyms,
+            generalize_attributes=generalize_attributes,
+            max_iterations=iterations,
+            interning=interning,
+        )
         return SToPSS(kb, matcher=matcher, config=config)
 
     interned, stringly = build(True), build(False)

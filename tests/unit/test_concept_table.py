@@ -37,6 +37,17 @@ def build_kb() -> KnowledgeBase:
     return kb
 
 
+def descent_map(table, term: str, bound: int | None) -> dict[str, int]:
+    """``{spelling: min depth}`` within *bound* below *term*: the one-term
+    pass of :meth:`ConceptTable.descent_depths`, keyed by spelling as
+    :func:`descent_closure` keys it."""
+    return {
+        table.spelling(key) if isinstance(key, int) else term: depth
+        for key, depth in table.descent_depths([term]).items()
+        if bound is None or depth <= bound
+    }
+
+
 class TestIdentity:
     def test_terms_get_dense_ids(self):
         table = build_kb().concept_table()
@@ -210,7 +221,7 @@ class TestFollowsTheKnowledgeBase:
         table = kb.concept_table()
         ids = {s: table.value_key(s) for s in ("sedan", "car", "auto", "vehicle")}
         table.ancestors(table.term_id_of_value("sedan"))
-        table.descent(table.term_id_of_value("car"))
+        table.ancestors(table.term_id_of_value("car"))
         WRITES[kind](kb)
         assert table.version != kb.version
         assert kb.concept_table() is table and table.version == kb.version
@@ -269,7 +280,7 @@ class TestFollowsTheKnowledgeBase:
         live.concept_table().ancestors(0)
         for write in WRITES.values():
             write(live)
-            assert live.concept_table().descent_map("vehicle", None)
+            assert descent_map(live.concept_table(), "vehicle", None)
             write(batch)
         table, reference = live.concept_table(), batch.concept_table()
         assert len(table) == len(reference) and table.spelling_count == reference.spelling_count
@@ -303,7 +314,7 @@ class TestFollowsTheKnowledgeBase:
         kb = build_kb()
         table = kb.concept_table()
         table.ancestors(table.term_id_of_value("sedan"))
-        table.descent(table.term_id_of_value("vehicle"))
+        table.ancestors(table.term_id_of_value("vehicle"))
         with caplog.at_level(logging.DEBUG, logger="repro.ontology.concept_table"):
             kb.concept_table()  # the version has not moved: nothing to drop
             kb.taxonomy("vehicles").add_chain("truck", "vehicle")
@@ -325,9 +336,8 @@ class TestFollowsTheKnowledgeBase:
         assert table.term_display(tid) == "school"  # the store's first spelling
         # ... but the value substrate reports its own
         assert table.canonical_spelling(tid) == "School"
-        assert as_spellings(table, table.descent(tid)) == {"School": 0}
-        assert table.descent_map("School", None) == {"School": 0}
-        assert table.descent_map("vehicle", None)["School"] == 1
+        assert descent_map(table, "School", None) == {"School": 0}
+        assert descent_map(table, "vehicle", None)["School"] == 1
 
     def test_a_dropped_knowledge_base_frees_its_table(self):
         """Nothing the table holds holds it back: with the cycle
@@ -335,7 +345,7 @@ class TestFollowsTheKnowledgeBase:
         kb = build_kb()
         table = kb.concept_table()
         table.ancestors(table.term_id_of_value("sedan"))
-        table.descent(table.term_id_of_value("car"))
+        table.ancestors(table.term_id_of_value("car"))
         watched = weakref.ref(table)
         del table
         enabled = gc.isenabled()
@@ -358,10 +368,6 @@ class TestFollowsTheKnowledgeBase:
         assert matches[0].generality == 1
 
 
-def as_spellings(table, closure) -> dict[str, int]:
-    return {table.spelling(sid): depth for sid, depth in pairs(closure)}
-
-
 class TestDescentClosure:
     def test_descent_map_matches_string_bfs(self):
         kb = build_kb()
@@ -370,10 +376,10 @@ class TestDescentClosure:
         # spelling "school": the string path's seeds (value_equivalents)
         # never consult attribute synonyms, so the interned path must
         # treat it as unknown too
-        assert table.descent_map("SCHOOL", None) == {"SCHOOL": 0}
+        assert descent_map(table, "SCHOOL", None) == {"SCHOOL": 0}
         for term in ("vehicle", "car", "auto", "sedan", "SCHOOL", "unknown term"):
             for bound in (None, 0, 1, 2, 3):
-                assert table.descent_map(term, bound) == descent_closure(kb, term, bound), (
+                assert descent_map(table, term, bound) == descent_closure(kb, term, bound), (
                     f"descent divergence for {term!r} bound={bound}"
                 )
 

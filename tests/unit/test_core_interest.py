@@ -257,7 +257,7 @@ class TestMalformedGeneralizations:
         def broken(name):
             raise RuntimeError("not an attribute error")
 
-        monkeypatch.setattr("repro.core.interest.normalize_attribute", broken)
+        monkeypatch.setattr("repro.ontology.concept_table.normalize_attribute", broken)
         with pytest.raises(RuntimeError, match="not an attribute error"):
             index.rule_relevant("r")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.core.interest import InterestIndex
@@ -411,6 +413,15 @@ class TestTruncationAndPruning:
         assert first.truncated and second.truncated
         assert len(first.derived) == 3
         assert pipeline.truncation_count == 2
+
+    def test_a_truncation_logs_one_debug_record(self, caplog):
+        pipeline = SemanticPipeline(self._wide_kb(), SemanticConfig(max_derived_events=3))
+        with caplog.at_level(logging.DEBUG, logger="repro.core.pipeline"):
+            pipeline.process_event(Event({"v": "t0"}, event_id="wide"))
+            pipeline.process_event(Event({"v": "s2"}, event_id="narrow"))
+        assert [
+            record.getMessage() for record in caplog.records if record.name == "repro.core.pipeline"
+        ] == ["wide truncated at max_derived_events=3 (iterations run: 1)"]
 
     def test_cap_is_exact_and_orderly(self):
         pipeline = SemanticPipeline(self._wide_kb(), SemanticConfig(max_derived_events=5))
