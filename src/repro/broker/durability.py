@@ -56,6 +56,7 @@ import dataclasses
 import io
 import itertools
 import json
+import logging
 import os
 import zlib
 from pathlib import Path
@@ -97,6 +98,8 @@ FORMAT_VERSION = 3
 _SNAPSHOT_KINDS = frozenset({"broker", "client", "sub", "notifier", "text", "log"})
 _JOURNAL_KINDS = frozenset({"client", "remove", "sub", "unsub", "config", "pub", "outs", "acks"})
 _CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(SemanticConfig))
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +474,11 @@ class Durability:
             or last.get("records") != count - 2
             or last.get("last_seq") != head["last_seq"]
         ):
+            _log.warning(
+                "%s: snapshot discarded (damaged or not format %d)",
+                self.snapshot_path,
+                FORMAT_VERSION,
+            )
             return None, 0, True
         return self._snapshot_content(count - 2), head["last_seq"], False
 
@@ -510,8 +518,12 @@ class Durability:
                     seq = max(seq, record.get("i", 0))
             if reader.torn:
                 with open(self.journal_path, "r+b") as handle:
+                    dropped = handle.seek(0, os.SEEK_END) - reader.clean_length
                     handle.truncate(reader.clean_length)
                 self.stats.torn_tail_truncations += 1
+                _log.warning(
+                    "%s: torn tail truncated, %d bytes dropped", self.journal_path, dropped
+                )
             end = reader.clean_length
         self._seq = seq
         return snapshot, discarded, floor, end

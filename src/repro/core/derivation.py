@@ -5,10 +5,13 @@ A derived event is a **row**: its parent row, the compact step from it
 (:mod:`repro.core.provenance`), the chain's generality and depth, and
 its content — a shared *layout* of attribute names, the values in
 sorted-name order and their keys (a string is its own key: an
-all-string row keeps one tuple).  The dedup key ``(sorted names,
-keys)`` is reached by equal content on any path.  No event, signature
-set, description or derived event is built per candidate; a kept match
-holds its row's :class:`~repro.core.provenance.Witness`.
+all-string row keeps one tuple).  The content key ``(sorted names,
+keys)`` is reached by equal content on any path.  A row is written once:
+a content keeps one row per chain length at which it got cheaper, so
+which rows exist does not depend on the order candidates arrive in (see
+:meth:`PipelineResult.offer`).  No event, signature set, description or
+derived event is built per candidate; a kept match holds its row's
+:class:`~repro.core.provenance.Witness`.
 """
 
 from __future__ import annotations
@@ -62,11 +65,12 @@ class _Layout:
 class PipelineResult:
     """Everything the semantic stage produced for one publication.
 
-    The rows are a derivation DAG flattened in discovery order: row 0 is
-    the root, every later row has a parent row (none when a custom
-    stage's candidate broke the chain), and every ancestor's content is
-    itself a row, maybe under a cheaper provenance.  Matchers read the
-    content; ``derived`` builds the DAG as objects on first read.
+    The rows are a derivation tree flattened in discovery order: row 0
+    is the root, every later row has a parent row (none when a custom
+    stage's candidate broke the chain) and its chain is the parent's
+    plus its own step.  A content can be several rows, each cheaper and
+    deeper than the one before.  Matchers read the content; ``derived``
+    builds the tree as objects on first read.
 
     A **factored** result (``free`` non-empty; only handed to matchers
     that declare ``accepts_factored``) stands for more events than it
@@ -75,10 +79,10 @@ class PipelineResult:
     attribute to its :class:`Alternative` values.  The result denotes
     every core event with every combination of alternatives whose
     substitutions — the core event's discovery iteration (its chain
-    depth beyond the root's: the factored path is abandoned on any
-    keep-cheaper adoption, so the two coincide) plus the alternatives'
-    depths — stay within ``step_cap`` and whose summed charge stays
-    within ``budget``.  ``truncated`` then refers to the core events.
+    depth beyond the root's: a row is never re-chained, so the two
+    coincide) plus the alternatives' depths — stay within ``step_cap``
+    and whose summed charge stays within ``budget``.  ``truncated`` then
+    refers to the core events.
     """
 
     def __init__(
@@ -101,8 +105,6 @@ class PipelineResult:
         #: (``None``: no cap / no budget)
         self.step_cap = step_cap
         self.budget = budget
-        #: whether a keep-cheaper adoption replaced a row's provenance
-        self.adopted = False
         #: candidates offered within the budget (the fixpoint's progress)
         self.offered = 0
         self._limit = limit
@@ -118,22 +120,15 @@ class PipelineResult:
         self._layout: list[_Layout] = []
         self._values: list[tuple] = []
         self._keys: list[tuple] = []
-        #: content key -> row
-        self._index: dict[tuple, int] = {}
-        #: row -> the rows derived from it (kept so a keep-cheaper
-        #: adoption can re-chain its descendants)
-        self._children: dict[int, list[int]] = {}
-        #: rows added since the fixpoint last took them (its next frontier)
+        #: content key -> its rows
+        self._index: dict[tuple, list[int]] = {}
+        #: rows added since the fixpoint last took them (its next
+        #: frontier): nothing is derived from them yet
         self.fresh: list[int] = []
-        #: row a longer cheaper chain took to the cap -> its former chain
-        #: from the root, which its own candidates extend (see _rebase)
-        self._basis: dict[int, tuple] = {}
         self._derived: list | None = None
         generality = sum(step[2] for step in root_steps)
         depth = sum(map(step_count, root_steps))
         self._append(-1, *self._content(root), None, generality, depth)
-        #: the deepest chain ``step_cap`` admits
-        self._deepest = None if step_cap is None else depth + step_cap
 
     # -- building -----------------------------------------------------------------
 
@@ -155,7 +150,7 @@ class PipelineResult:
 
     def _append(self, parent, layout, values, keys, step, generality, depth) -> int:
         index = len(self._parent)
-        self._index.setdefault((layout.canon, keys), index)
+        self._index.setdefault((layout.canon, keys), []).append(index)
         self._parent.append(parent)
         self._step.append(step)
         self.charges.append(generality)
@@ -168,33 +163,36 @@ class PipelineResult:
         return index
 
     def offer(self, parent, layout, values, keys, step, generality, depth) -> bool:
-        """Integrate one candidate: new content becomes a row (or, at
-        ``max_derived_events``, sets ``truncated``); known content at a
-        strictly cheaper ``(generality, depth)`` is adopted.  Returns
-        whether either happened; a candidate over the budget is not even
+        """Integrate one candidate of content K at ``(generality,
+        depth)``: dropped when a row of K is no dearer and no deeper;
+        written over a fresh row of K that is no cheaper and no
+        shallower (nothing is derived from it yet); otherwise a new row
+        (at ``max_derived_events``, sets ``truncated``).  Returns whether
+        the table took it; a candidate over the budget is not even
         counted as offered."""
-        if self._basis and depth > self._deepest and parent in self._basis:
-            rebased = self._rebase(parent, step)
-            if rebased is None:
-                return False
-            parent, step, generality, depth = rebased
         if self.budget is not None and generality > self.budget:
             return False
         self.offered += 1
-        index = self._index.get((layout.canon, keys))
-        if index is None:
-            if self._limit is not None and len(self._parent) >= self._limit:
-                self.truncated = True
-                return False
-            index = self._append(parent, layout, values, keys, step, generality, depth)
-            if parent >= 0:
-                self._children.setdefault(parent, []).append(index)
-            self.fresh.append(index)
-            return True
-        if (generality, depth) < (self.charges[index], self.depths[index]):
-            self._adopt(index, parent, layout, values, keys, step, generality, depth)
-            return True
-        return False
+        rows = self._index.get((layout.canon, keys))
+        if rows is not None:
+            charges, depths = self.charges, self.depths
+            first_fresh = len(self._parent) - len(self.fresh)
+            over = None
+            for index in rows:
+                if charges[index] <= generality and depths[index] <= depth:
+                    return False
+                if index >= first_fresh and charges[index] >= generality and depths[index] >= depth:
+                    over = index
+            if over is not None:
+                self._parent[over], self._step[over] = parent, step
+                charges[over], depths[over] = generality, depth
+                self._layout[over], self._values[over], self._keys[over] = layout, values, keys
+                return True
+        if self._limit is not None and len(self._parent) >= self._limit:
+            self.truncated = True
+            return False
+        self.fresh.append(self._append(parent, layout, values, keys, step, generality, depth))
+        return True
 
     def offer_derived(self, row: int, candidate: DerivedEvent) -> bool:
         """:meth:`offer` for a custom stage's candidate, derived from
@@ -210,60 +208,6 @@ class PipelineResult:
         (step,) = custom_steps(steps, candidate.event.items())
         content = self._content(candidate.event)
         return self.offer(row, *content, step, candidate.generality, candidate.depth)
-
-    def _adopt(self, index, parent, layout, values, keys, step, generality, depth) -> None:
-        """Give row *index* the cheaper candidate's provenance and
-        re-chain its descendants (each keeps its own step); the content
-        was expanded already and is not again.  A cheaper chain can be a
-        longer one: a descendant it would take past ``step_cap`` keeps
-        its former chain, as one node under the root, and a row it takes
-        to the cap keeps it as the basis of its own candidates."""
-        self.adopted = True
-        former = None
-        if self._deepest is not None and depth > self.depths[index]:
-            # from the root: a custom stage's parentless chain is outside the cap
-            chain, rooted = self.chain(index)
-            former = chain if rooted else None
-        self._move(index, parent, step)
-        self.charges[index], self.depths[index] = generality, depth
-        self._layout[index], self._values[index], self._keys[index] = layout, values, keys
-        stack = [(index, former)]
-        while stack:
-            top, above = stack.pop()
-            if above is not None and self.depths[top] == self._deepest:
-                self._basis[top] = above
-            for child in tuple(self._children.get(top, ())):
-                step = self._step[child]
-                chain = None if above is None else (*above, step)
-                reach = self.depths[top] + step_count(step)
-                if chain is not None and reach > self._deepest:
-                    self._move(child, 0, (COMPOSE, "", sum(part[2] for part in chain), chain))
-                    continue
-                self.charges[child] = self.charges[top] + step[2]
-                self.depths[child] = reach
-                stack.append((child, chain))
-        self._derived = None
-
-    def _move(self, row: int, parent: int, step: tuple) -> None:
-        """Make *parent* the parent row of *row* (-1: none), by *step*."""
-        old = self._parent[row]
-        if old >= 0:
-            self._children[old].remove(row)
-        if parent >= 0:
-            self._children.setdefault(parent, []).append(row)
-        self._parent[row], self._step[row] = parent, step
-
-    def _rebase(self, parent: int, step: tuple) -> tuple | None:
-        """``(parent, step, generality, depth)`` of a candidate that
-        extends row *parent* past the cap, extended from the row's basis
-        instead (one node under the root); ``None`` when that is past
-        the cap too or re-fires a rule the basis fired."""
-        chain = (*self._basis[parent], step)
-        depth = self.depths[0] + sum(map(step_count, chain))
-        if depth > self._deepest or step[0] == MAPPING and _fires(chain[:-1], step[3]):
-            return None
-        charge = sum(part[2] for part in chain)
-        return 0, (COMPOSE, "", charge, chain), self.charges[0] + charge, depth
 
     # -- reading ------------------------------------------------------------------
 
@@ -339,7 +283,7 @@ class PipelineResult:
 
     def derived_at(self, row: int) -> DerivedEvent:
         """*row* as a :class:`DerivedEvent` whose ``parent`` is its
-        parent row's (built once per row until an adoption)."""
+        parent row's (built once per row)."""
         if self._derived is None:
             self._derived = [None] * len(self._parent)
         made = self._derived[row]
@@ -383,7 +327,9 @@ class PipelineResult:
         return len(self) + sum(len(values) - 1 for values in self.free.values())
 
     def lookup(self, signature: EventSignature) -> DerivedEvent | None:
-        return next((d for d in self.derived if d.event.signature == signature), None)
+        """The cheapest row of content *signature*, then the shortest."""
+        rows = [d for d in self.derived if d.event.signature == signature]
+        return min(rows, key=lambda d: (d.generality, d.depth), default=None)
 
     def dag_edges(self) -> list[tuple[EventSignature, EventSignature]]:
         """``(parent_signature, child_signature)`` pairs of the DAG."""
@@ -403,8 +349,6 @@ def _fires(steps: tuple, name: str) -> bool:
         if step[0] == MAPPING and step[3] == name:
             return True
         if step[0] == CUSTOM and any(fields[4] == name for fields in step[3]):
-            return True
-        if step[0] == COMPOSE and _fires(step[3], name):
             return True
     return False
 

@@ -9,9 +9,11 @@ additional mapping functions exist and vice versa" (paper §3.2).
 :class:`SemanticPipeline` implements exactly that: one synonym rewrite,
 then a breadth-first fixpoint over {hierarchy, mapping} expansion with
 
-* content-keyed deduplication (the cheapest derivation — lowest
-  generality, then shortest chain — is kept when several paths reach
-  the same content),
+* write-once, content-keyed deduplication (a candidate no cheaper and
+  no shorter than a row of the same content is dropped; a cheaper but
+  longer one is a second row, expanded like any other), so each content
+  ends at the least charge over its chains of at most
+  ``max_iterations`` substitutions, whatever order they arrive in,
 * a per-chain generality budget (the tolerance knob, enforced during
   expansion so lower tolerance is genuinely cheaper),
 * iteration and population caps as safety valves (recorded on the
@@ -31,11 +33,10 @@ event's **core** only — the *free* attributes ride along at their root
 values, skipped by the hierarchy stage — and hands each free attribute
 over as its **alternatives**: what the same fixpoint derives for that
 one pair alone (:class:`Alternative`).  Charges and steps both add over
-independent factors, so the matcher recombines them exactly; the one
-case where a chain's length and charge trade off — a keep-cheaper
-adoption — re-runs the publication with nothing free, which is the same
-loop with an empty free set (what every other matcher and ``explain()``
-always get).  See ``docs/ARCHITECTURE.md``, "Factored expansion".
+independent factors, and a row is never re-chained, so the matcher
+recombines them exactly.  Every other matcher and ``explain()`` get the
+same loop with an empty free set.  See ``docs/ARCHITECTURE.md``,
+"Factored expansion".
 """
 
 from __future__ import annotations
@@ -169,12 +170,6 @@ class SemanticPipeline:
             if names:
                 free = self._alternatives_of(root, names, interest)
         result = self._fixpoint(event, root, root_steps, stages, interest, free)
-        if free and result.adopted:
-            # chain length and charge traded off somewhere in the core:
-            # which derivation survives is then path-dependent, so this
-            # publication gets the product it always got
-            free = {}
-            result = self._fixpoint(event, root, root_steps, stages, interest, free)
         result.free = free
         if result.truncated:
             self.truncation_count += 1
@@ -231,8 +226,6 @@ class SemanticPipeline:
                 offered = result.offered
                 result.fresh = []
                 for row in frontier:
-                    # read live: a keep-cheaper adoption earlier in this
-                    # pass may have re-chained the row more cheaply
                     remaining = None if budget_total is None else budget_total - result.charges[row]
                     for expand in expanders:
                         expand(result, row, remaining)
@@ -316,8 +309,8 @@ class SemanticPipeline:
     ) -> dict[str, tuple[Alternative, ...]]:
         """The alternatives of every attribute in *names* that has any
         beyond its root value, in event order — or nothing when one of
-        them cannot be factored (its own fixpoint adopted a cheaper
-        chain or hit ``max_derived_events``).
+        them cannot be factored (its own fixpoint hit
+        ``max_derived_events``).
 
         An attribute's alternatives are a pure function of the pair,
         the budget (this pipeline's ``max_generality``: a root event's
@@ -345,7 +338,7 @@ class SemanticPipeline:
         signature = frozenset(((attribute, canonical_value_key(value)),))
         pair = Event._derived({attribute: value}, signature, None, "")
         alone = self._fixpoint(pair, pair, (), [self.hierarchy], interest, ())
-        if alone.adopted or alone.truncated:
+        if alone.truncated:
             return ()
         charges, depths = alone.charges, alone.depths
         return tuple(

@@ -50,10 +50,9 @@ STAGE_MAPPING = "mapping"
 #: old name (``RENAME``, ``SYNONYM``; ``attribute`` is the new one), the
 #: rule's name, description and content (``MAPPING``), a custom stage's
 #: ``(stage, description, attribute, generality, rule)`` step fields and
-#: content (``CUSTOM``), or several compact steps as one node
-#: (``COMPOSE``: a factored composition's alternatives, or a chain kept
-#: whole under the root).  Content is the pairs after the step (``None``:
-#: as before).
+#: content (``CUSTOM``), or several compact steps as one node of a
+#: witness (``COMPOSE``: a factored composition's alternatives).
+#: Content is the pairs after the step (``None``: as before).
 CANON, GENERAL, RENAME, SYNONYM, MAPPING, CUSTOM, COMPOSE = range(7)
 
 
@@ -85,15 +84,15 @@ class DerivedEvent:
     """An event plus the derivation chain that produced it.
 
     The *original* publication is the chain-less ``DerivedEvent``; each
-    semantic stage extends the chain by one step.  Two different
-    chains reaching the same content are one derived event (the
-    pipeline keeps the cheaper chain); equality is the event's
-    signature and the steps.
+    semantic stage extends the chain by one step.  Of several chains
+    reaching the same content the pipeline keeps only those cheaper
+    than every shorter one; equality is the event's signature and the
+    steps.
 
     ``parent`` is the event this one was expanded from (``None`` for
-    the batch root); the pipeline's keep-cheaper adoption and
-    :meth:`~repro.core.pipeline.PipelineResult.dag_edges` walk it.  It
-    is excluded from equality/hashing — identity remains (event, steps).
+    the batch root); :meth:`~repro.core.pipeline.PipelineResult.dag_edges`
+    walks it.  It is excluded from equality/hashing — identity remains
+    (event, steps).
     """
 
     event: Event
@@ -177,11 +176,10 @@ def derivation_steps(step: tuple, before: dict | None = None) -> tuple[Derivatio
 
 
 def step_count(step: tuple) -> int:
-    """How many :class:`DerivationStep` objects a compact step stands
-    for — what it adds to a chain's depth."""
-    if step[0] == CUSTOM:
-        return len(step[3])
-    return sum(map(step_count, step[3])) if step[0] == COMPOSE else 1
+    """How many :class:`DerivationStep` objects a row's compact step
+    stands for — what it adds to a chain's depth (a ``COMPOSE`` is a
+    witness's node, never a row's step)."""
+    return len(step[3]) if step[0] == CUSTOM else 1
 
 
 def custom_steps(steps: Iterable[DerivationStep], content=None) -> tuple:

@@ -333,9 +333,7 @@ class CountingMatcher(MatchingAlgorithm):
         budget = result.budget
         charges, depths = result.charges, result.depths
         # within[k]: the core rows discovered by iteration k.  A core
-        # row's chain is the root's plus one step per iteration (the
-        # factored path is never taken after a keep-cheaper adoption,
-        # the one thing that re-chains a row).
+        # row's chain is the root's plus one step per iteration.
         base = depths[0]
         within = [0] * (cap + 1)
         bit = 1

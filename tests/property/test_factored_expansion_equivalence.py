@@ -90,8 +90,8 @@ def knowledge_bases(draw) -> KnowledgeBase:
         kb.add_rule(MappingRule.equivalence("r-chain", {"a": "t4"}, {"mid": "t5"}))
         kb.add_rule(MappingRule.equivalence("r-link", {"mid": "t5"}, {"b": "t6"}))
     if draw(st.booleans()):
-        # two rules that undo each other: the cycle whose cheaper-chain
-        # adoptions send a publication back to the product
+        # two rules that undo each other: a cycle that re-derives known
+        # content over a cheaper chain
         kb.add_rule(MappingRule.equivalence("r-there", {"a": "t1"}, {"b": "t7"}))
         kb.add_rule(MappingRule.equivalence("r-back", {"b": "t7"}, {"a": "t1"}))
     if draw(st.booleans()):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import logging
 
+import pytest
+
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.core.interest import InterestIndex
@@ -199,28 +201,28 @@ class TestStageToggles:
 
 
 def _assert_provenance_consistent(result) -> None:
-    """Every entry's parent pointer must be the *live* entry for the
-    parent's content, its step chain must extend that entry's chain by
-    exactly its own step, and every DAG edge must resolve — the
-    invariant the keep-cheaper re-parenting maintains."""
-    for derived in result.derived:
+    """Every row's parent is a row of the result, its step chain
+    extends that row's chain by exactly one step, and every DAG edge
+    resolves — rows are written once, so no chain is ever re-parented."""
+    rows = result.derived
+    for derived in rows:
         if derived.parent is None:
             continue
-        live_parent = result.lookup(derived.parent.event.signature)
-        assert live_parent is derived.parent, (
-            f"stale parent for {derived.event.format()}: chain runs through a "
-            f"replaced provenance"
+        assert any(row is derived.parent for row in rows), (
+            f"parent of {derived.event.format()} is not a row of the result"
         )
-        assert derived.steps[: len(derived.steps) - 1] == live_parent.steps
+        assert len(derived.steps) == len(derived.parent.steps) + 1
+        assert derived.steps[:-1] == derived.parent.steps
     for parent_sig, child_sig in result.dag_edges():
         assert result.lookup(parent_sig) is not None
         assert result.lookup(child_sig) is not None
 
 
 class TestKeepCheaperProvenance:
-    """A cheaper derivation replacing an already-expanded entry must
-    rewrite its descendants' chains too (PR 4 satellite: dag_edges /
-    provenance staleness)."""
+    """A cheaper derivation of content an earlier row already holds is a
+    row of its own, expanded in the next pass like any other: what it
+    derives carries its cheaper chain, and no parent pointer or
+    ``dag_edges`` entry goes stale."""
 
     @staticmethod
     def _kb() -> KnowledgeBase:
@@ -228,7 +230,7 @@ class TestKeepCheaperProvenance:
         kb.add_domain("d").add_chain("v", "w")
         # generality-0 two-step route to the same content the hierarchy
         # reaches at generality 1 — arrives one iteration later, after
-        # the hierarchy's entry has already been expanded by r3
+        # the hierarchy's row has already been expanded by r3
         kb.add_rule(
             MappingRule.equivalence(
                 "r1", {"a": "v"}, {"b": "x"}, mode=OutputMode.REPLACE
@@ -242,20 +244,17 @@ class TestKeepCheaperProvenance:
         kb.add_rule(MappingRule.equivalence("r3", {"a": "w"}, {"c": "z"}))
         return kb
 
-    def test_descendants_reparented_onto_cheaper_chain(self):
+    def test_cheaper_chain_is_a_row_whose_children_inherit_it(self):
         pipeline = SemanticPipeline(self._kb(), SemanticConfig())
         result = pipeline.process_event(Event({"a": "v"}))
-        replaced = result.lookup(Event({"a": "w"}).signature)
-        assert replaced is not None
-        # the mapping route (generality 0) replaced the hierarchy climb
-        assert replaced.generality == 0
-        assert [step.rule for step in replaced.steps] == ["r1", "r2"]
+        cheaper = result.lookup(Event({"a": "w"}).signature)
+        assert cheaper is not None
+        # the mapping route (generality 0) is the cheapest row of (a, w)
+        assert cheaper.generality == 0
+        assert [step.rule for step in cheaper.steps] == ["r1", "r2"]
         child = result.lookup(Event({"a": "w", "c": "z"}).signature)
         assert child is not None
-        # pre-fix the child kept the replaced hierarchy chain: parent
-        # pointed at an object no longer in the result and its summed
-        # generality stayed 1
-        assert child.parent is replaced
+        assert child.parent is cheaper
         assert child.generality == 0
         assert [step.rule for step in child.steps] == ["r1", "r2", "r3"]
         _assert_provenance_consistent(result)
@@ -267,17 +266,14 @@ class TestKeepCheaperProvenance:
         )
         _assert_provenance_consistent(result)
 
-    def test_same_pass_adoption_seen_by_later_frontier_sibling(self):
-        """An adoption can land *before* the replaced entry's own turn in
-        the same frontier pass (the descendant walk cannot help — the
-        children do not exist yet): the sibling must expand under the
-        live cheaper chain, not the superseded object it was enqueued
-        as.  Pre-fix the child below kept the g=2 hierarchy chain and a
-        dead parent pointer."""
+    def test_cheaper_row_found_mid_pass_is_expanded_next_pass(self):
+        """The mapping route reaches ``(p, car)(a, u)`` at generality 0
+        in the same pass that expands its +2 climb: it becomes a second
+        row, and the child below is derived from it, not from the climb."""
         kb = KnowledgeBase()
         kb.add_domain("d").add_chain("v", "w", "u")
         # canonical variant (g0) integrates before the +2 climb (g2),
-        # so its mapping route can replace the climb mid-pass
+        # so its mapping route reaches the climb's content
         kb.add_value_synonyms(["car", "automobile"], root="automobile")
         kb.add_rule(
             MappingRule.equivalence(
@@ -290,33 +286,34 @@ class TestKeepCheaperProvenance:
         kb.add_rule(MappingRule.equivalence("r3", {"a": "u"}, {"c": "z"}))
         pipeline = SemanticPipeline(kb, SemanticConfig())
         result = pipeline.process_event(Event({"p": "car", "a": "v"}))
-        adopted = result.lookup(Event({"p": "car", "a": "u"}).signature)
-        assert adopted is not None and adopted.generality == 0
-        assert [step.rule or step.stage for step in adopted.steps] == ["hierarchy", "r_cheap"]
+        cheaper = result.lookup(Event({"p": "car", "a": "u"}).signature)
+        assert cheaper is not None and cheaper.generality == 0
+        assert [step.rule or step.stage for step in cheaper.steps] == ["hierarchy", "r_cheap"]
         child = result.lookup(Event({"p": "car", "a": "u", "c": "z"}).signature)
         assert child is not None
-        assert child.parent is adopted
+        assert child.parent is cheaper
         assert child.generality == 0
         _assert_provenance_consistent(result)
 
 
 class TestKeepCheaperWithinStepCap:
-    """A keep-cheaper adoption can swap a row's chain for a cheaper but
-    longer one.  ``max_iterations`` caps the substitutions per chain, so
-    neither the row's existing descendants nor the candidates it offers
-    afterwards may run past the cap: they keep the row's former chain."""
-
-    @staticmethod
-    def _rows(result) -> dict:
-        return {d.event.format(): d for d in result.derived}
+    """A content can be reached by a cheaper but longer chain.
+    ``max_iterations`` caps the substitutions per chain, so the cheaper
+    chain is a second row and the first row keeps deriving along its
+    own, shorter chain: nothing runs past the cap."""
 
     @staticmethod
     def _path(derived) -> list[str]:
         return [step.rule or step.description for step in derived.steps]
 
-    def test_candidates_of_a_row_adopted_to_the_cap_extend_its_former_chain(self):
+    @staticmethod
+    def _row(result, **pairs):
+        """The cheapest row of content *pairs*, then the shortest."""
+        return result.lookup(Event(pairs).signature)
+
+    def test_a_row_cheaper_at_the_cap_leaves_its_climb_the_parent(self):
         # (b, t0) costs 3 as one climb, 2 as climb-to-t1 + r-replace; the
-        # cheaper route lands one step from the cap before the row expands
+        # cheaper route lands at the cap, so only the climb is expanded
         kb = KnowledgeBase()
         kb.add_domain("d").add_chain("t4", "t3", "t1", "t0")
         kb.add_rule(
@@ -325,28 +322,30 @@ class TestKeepCheaperWithinStepCap:
         kb.add_rule(MappingRule.equivalence("r4", {"a": "t4", "b": "t0"}, {"e": "y"}))
         pipeline = SemanticPipeline(kb, SemanticConfig(max_iterations=2))
         result = pipeline.process_event(Event({"a": "t4", "b": "t4"}))
-        assert result.adopted
         assert max(d.depth for d in result.derived) == 2
-        rows = self._rows(result)
-        adopted = rows["(a, t4)(b, t0)"]
-        assert (adopted.generality, adopted.depth) == (2, 2)
-        assert self._path(adopted) == ["value 't4' of 'b' generalized to 't1'", "r-replace"]
-        both = rows["(a, t0)(b, t0)"]
+        cheaper = self._row(result, a="t4", b="t0")
+        assert (cheaper.generality, cheaper.depth) == (2, 2)
+        assert self._path(cheaper) == ["value 't4' of 'b' generalized to 't1'", "r-replace"]
+        both = self._row(result, a="t0", b="t0")
         assert (both.generality, both.depth) == (6, 2)
         assert self._path(both) == [
             "value 't4' of 'a' generalized to 't0'",
             "value 't4' of 'b' generalized to 't0'",
         ]
-        # r4 fires on the adopted row alone: on its cheaper chain that is
-        # a third step, so the one-climb chain is extended instead
-        rebased = rows["(a, t4)(b, t0)(e, y)"]
-        assert (rebased.generality, rebased.depth) == (3, 2)
-        assert self._path(rebased) == ["value 't4' of 'b' generalized to 't0'", "r4"]
-        assert rebased.parent is result.derived[0]
+        # r4 fires on (a, t4)(b, t0): on the cheaper chain that would be
+        # a third step, so it extends the one-climb row, a real parent
+        extended = self._row(result, a="t4", b="t0", e="y")
+        assert (extended.generality, extended.depth) == (3, 2)
+        assert self._path(extended) == ["value 't4' of 'b' generalized to 't0'", "r4"]
+        climb = extended.parent
+        assert any(row is climb for row in result.derived)
+        assert (climb.generality, climb.depth) == (3, 1)
+        _assert_provenance_consistent(result)
 
-    def test_descendants_the_cheaper_chain_would_take_past_the_cap_keep_theirs(self):
-        # (b, t0)(c, u1) is expanded (r3, the c climb) before the mapping
-        # route r reaches it at generality 1 and depth 2
+    def test_what_the_dearer_row_derived_keeps_its_chain(self):
+        # (b, t0)(c, u1) is expanded (r3, the c climb) as a one-climb
+        # row before the mapping route r reaches it at generality 1 and
+        # depth 2
         kb = KnowledgeBase()
         kb.add_domain("d").add_chain("t4", "t3", "t0")
         kb.add_domain("e").add_chain("u1", "u2")
@@ -358,18 +357,18 @@ class TestKeepCheaperWithinStepCap:
         kb.add_rule(MappingRule.equivalence("r3", {"b": "t0"}, {"d": "z"}))
         pipeline = SemanticPipeline(kb, SemanticConfig(max_iterations=2))
         result = pipeline.process_event(Event({"b": "t4", "c": "u1"}))
-        assert result.adopted
         assert max(d.depth for d in result.derived) == 2
-        rows = self._rows(result)
-        adopted = rows["(b, t0)(c, u1)"]
-        assert (adopted.generality, adopted.depth) == (1, 2)
-        assert self._path(adopted) == ["value 'u1' of 'c' generalized to 'u2'", "r"]
-        kept = rows["(b, t0)(c, u1)(d, z)"]
+        cheaper = self._row(result, b="t0", c="u1")
+        assert (cheaper.generality, cheaper.depth) == (1, 2)
+        assert self._path(cheaper) == ["value 'u1' of 'c' generalized to 'u2'", "r"]
+        kept = self._row(result, b="t0", c="u1", d="z")
         assert (kept.generality, kept.depth) == (2, 2)
         assert self._path(kept) == ["value 't4' of 'b' generalized to 't0'", "r3"]
-        assert kept.parent is result.derived[0]
-        climbed = rows["(b, t0)(c, u2)"]
+        assert (kept.parent.generality, kept.parent.depth) == (2, 1)
+        assert any(row is kept.parent for row in result.derived)
+        climbed = self._row(result, b="t0", c="u2")
         assert (climbed.generality, climbed.depth) == (3, 2)
+        _assert_provenance_consistent(result)
 
     def test_a_match_reports_the_chain_within_the_cap(self):
         kb = KnowledgeBase()
@@ -381,9 +380,75 @@ class TestKeepCheaperWithinStepCap:
         engine.subscribe(parse_subscription("(a = t0) and (b = t0)"))
         event = Event({"a": "t4", "b": "t4"})
         (match,) = engine.publish(event)
-        assert (match.generality, match.matched_via.depth) == (6, 2)
-        twin = engine.explain(event).lookup(match.matched_via.event.signature)
-        assert twin.steps == match.matched_via.steps
+        via = match.matched_via
+        assert match.generality == 6 and via.depth <= 2
+        product = engine.explain(event)
+        twin = product.lookup(via.event.signature)
+        assert twin.generality == via.generality == match.generality
+        assert via.depth <= product.derived[0].depth + 2
+
+
+#: counting / naive matcher × interest pruning × interning
+_EVERY_CONFIGURATION = pytest.mark.parametrize(
+    "matcher, pruning, interning",
+    [
+        (matcher, pruning, interning)
+        for matcher in ("counting", "naive")
+        for pruning in (True, False)
+        for interning in (True, False)
+    ],
+)
+
+
+class TestTheAnswerDoesNotDependOnDiscoveryOrder:
+    """Two publications on which a cheaper chain arrives after a dearer
+    one has been expanded; the match must be the least charge over the
+    chains within ``max_iterations``, on every configuration."""
+
+    @staticmethod
+    def _match(kb, config, subscription, event, **engine):
+        engine = SToPSS(kb, config=config, **engine)
+        engine.subscribe(parse_subscription(subscription))
+        (match,) = engine.publish(event)
+        return match
+
+    @_EVERY_CONFIGURATION
+    def test_a_cheaper_chain_found_late_still_spends_the_budget(self, matcher, pruning, interning):
+        # (a, w) costs 1 as a climb from v and 0 as r1 then r2; only the
+        # free route leaves the budget for the climb on to u
+        kb = KnowledgeBase()
+        kb.add_domain("d").add_chain("v", "w", "u")
+        kb.add_rule(MappingRule.equivalence("r1", {"a": "v"}, {"b": "x"}, mode=OutputMode.REPLACE))
+        kb.add_rule(MappingRule.equivalence("r2", {"b": "x"}, {"a": "w"}, mode=OutputMode.REPLACE))
+        config = SemanticConfig(max_generality=1, interest_pruning=pruning, interning=interning)
+        match = self._match(kb, config, "(a = u)", Event({"a": "v"}), matcher=matcher)
+        assert match.generality == 1
+        assert [step.rule or step.description for step in match.matched_via.steps] == [
+            "r1",
+            "r2",
+            "value 'w' of 'a' generalized to 'u'",
+        ]
+
+    @_EVERY_CONFIGURATION
+    def test_the_cheapest_chain_within_the_cap_wins(self, matcher, pruning, interning):
+        # (b, t0)(mid, t0) costs 1 in four steps (T1 -> t1, r-replace,
+        # r-chain, t5 -> t0) but 2 in the three max_iterations allows
+        # (T1 -> t0, r-chain, t5 -> t0)
+        kb = KnowledgeBase()
+        taxonomy = kb.add_domain("d")
+        for term in ("t0", "t1", "t4", "t5", "t6"):
+            taxonomy.add_concept(term)
+        taxonomy.add_isa("t1", "t0")
+        taxonomy.add_isa("t5", "t0")
+        kb.add_rule(MappingRule.equivalence("r-chain", {"a": "t4"}, {"mid": "t5"}))
+        kb.add_rule(MappingRule.equivalence("r-link", {"mid": "t5"}, {"b": "t6"}))
+        kb.add_rule(
+            MappingRule.equivalence("r-replace", {"b": "t1"}, {"b": "t0"}, mode=OutputMode.REPLACE)
+        )
+        config = SemanticConfig(max_iterations=3, interest_pruning=pruning, interning=interning)
+        event = Event([("b", "T1"), ("a", "t4")])
+        match = self._match(kb, config, "(b = t0) and (mid = t0)", event, matcher=matcher)
+        assert (match.generality, match.matched_via.depth) == (2, 3)
 
 
 class TestTruncationAndPruning:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import json
+import logging
 import multiprocessing
 import shutil
 import sys
@@ -331,6 +332,27 @@ class TestTornTail:
             finally:
                 recovered.close()
 
+    def test_a_truncation_logs_one_warning(self, kb, tmp_path, caplog):
+        with Broker(kb, durability=tmp_path) as broker:
+            _populate(broker)
+        journal = tmp_path / JOURNAL_NAME
+        raw = journal.read_bytes()
+        torn = b'0badc0de {"k": "to'
+        journal.write_bytes(raw + torn)
+        with caplog.at_level(logging.WARNING, logger="repro.broker.durability"):
+            recover(tmp_path, kb).close()
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == f"{journal}: torn tail truncated, {len(torn)} bytes dropped"
+        assert journal.read_bytes() == raw
+
+    def test_a_clean_journal_logs_nothing(self, kb, tmp_path, caplog):
+        with Broker(kb, durability=tmp_path) as broker:
+            _populate(broker)
+        with caplog.at_level(logging.DEBUG, logger="repro.broker.durability"):
+            recover(tmp_path, kb).close()
+        assert caplog.records == []
+
     def test_whole_journal_torn_recovers_empty(self, kb, tmp_path):
         (tmp_path / JOURNAL_NAME).write_bytes(b"garbage with no frame at all")
         recovered = recover(tmp_path, kb)
@@ -476,13 +498,19 @@ class TestSnapshots:
         finally:
             recovered.close()
 
-    def test_corrupt_snapshot_never_refuses_to_start(self, kb, tmp_path):
+    def test_corrupt_snapshot_never_refuses_to_start(self, kb, tmp_path, caplog):
         with Broker(kb, durability=tmp_path) as broker:
             _populate(broker)
         (tmp_path / SNAPSHOT_NAME).write_bytes(b"not a snapshot")
-        recovered = recover(tmp_path, kb)
+        with caplog.at_level(logging.WARNING, logger="repro.broker.durability"):
+            recovered = recover(tmp_path, kb)
         try:
             assert recovered.recovery.snapshot_discarded is True
+            (record,) = caplog.records
+            assert record.levelno == logging.WARNING
+            assert record.getMessage() == (
+                f"{tmp_path / SNAPSHOT_NAME}: snapshot discarded (damaged or not format 3)"
+            )
             # the journal alone still rebuilds everything (it was never
             # compacted, so no records were lost with the snapshot)
             assert _observable(recovered)["subs"] == ["s-a"]
