@@ -511,10 +511,9 @@ class Durability:
                 for record in reader:
                     stale = _stale(record, _JOURNAL_KINDS)
                     if stale:
-                        raise StateFormatError(
-                            f"journal record i={record.get('i')} {stale}, "
-                            "which this broker does not write"
-                        )
+                        where = f"journal record i={record.get('i')}"
+                        _log.warning("%s: %s refused: %s", self.journal_path, where, stale)
+                        raise StateFormatError(f"{where} {stale}, which this broker does not write")
                     seq = max(seq, record.get("i", 0))
             if reader.torn:
                 with open(self.journal_path, "r+b") as handle:

@@ -16,10 +16,6 @@ Subcommands:
 ``stopss recover``
     Rebuild a broker from a ``--durable`` journal directory and print
     what recovery found.
-``stopss bench``
-    Build a named stress world (``--world``, ``--list`` for the
-    catalog), publish a seeded workload through it, and optionally run
-    a flash-crowd churn storm — see docs/WORKLOADS.md.
 """
 
 from __future__ import annotations
@@ -143,30 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "routing rebuilds for any shard count)",
     )
 
-    bench = sub.add_parser(
-        "bench", help="build a stress world and publish a seeded workload through it"
-    )
-    bench.add_argument(
-        "--world",
-        default="mega-small",
-        metavar="NAME",
-        help="registered world name (see --list and docs/WORKLOADS.md)",
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="print the world catalog and exit"
-    )
-    bench.add_argument("--subscriptions", type=int, default=100)
-    bench.add_argument("--events", type=int, default=20)
-    bench.add_argument("--seed", type=int, default=1709)
-    bench.add_argument(
-        "--churn",
-        type=int,
-        default=0,
-        metavar="OPS",
-        help="also run a flash-crowd churn storm of OPS subscribe/"
-        "unsubscribe operations and report whether the engine footprint "
-        "returned to its pre-storm baseline",
-    )
     return parser
 
 
@@ -439,113 +411,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.workload.worlds import (
-        FlashCrowdDriver,
-        FlashCrowdSpec,
-        build_world,
-        world_names,
-        world_spec,
-    )
-
-    if args.list:
-        catalog = Table(
-            "world catalog (docs/WORKLOADS.md)",
-            ["world", "concepts", "attrs", "depth", "branching", "rules/1k", "seed"],
-        )
-        for name in world_names():
-            try:
-                spec = world_spec(name)
-            except ReproError:
-                catalog.add(name, "-", "-", "-", "-", "-", "-")  # builder-backed
-                continue
-            catalog.add(
-                name,
-                spec.concepts,
-                spec.attributes,
-                spec.depth,
-                spec.branching,
-                spec.rules_per_1000,
-                spec.seed,
-            )
-        catalog.print()
-        return 0
-
-    world = build_world(args.world)
-    shape = Table(
-        f"world {world.name!r}",
-        ["concepts", "edges", "leaves", "depth", "synonyms", "rules", "build-s"],
-    )
-    shape.add(
-        world.counters["world_concepts"],
-        world.counters["world_edges"],
-        world.counters["world_leaves"],
-        world.counters["world_depth"],
-        world.counters["world_synonym_spellings"],
-        world.counters["world_rules"],
-        round(world.build_seconds, 3),
-    )
-    shape.print()
-
-    engine = SToPSS(world.kb)
-    generator = world.generator(seed=args.seed)
-    for subscription in generator.subscriptions(args.subscriptions):
-        engine.subscribe(subscription)
-    events = generator.events(args.events)
-    # the same events twice: the cold leg fills closure and matcher
-    # memos, the warm leg finds them filled (its expansion runs again)
-    passes = []
-    matches = 0
-    for leg in ("cold", "warm"):
-        pruned = engine.interest_info()["candidates_pruned"]
-        started = time.perf_counter()
-        matches = sum(len(engine.publish(event)) for event in events)
-        elapsed = time.perf_counter() - started
-        passes.append((leg, elapsed, engine.interest_info()["candidates_pruned"] - pruned))
-    index_size = engine.interest_info()["interest_index_size"]
-    publish = Table(
-        f"publish ({args.subscriptions} subscriptions, {args.events} events)",
-        ["leg", "seconds", "ev/s", "matches", "pruned", "index"],
-    )
-    for leg, elapsed, pruned in passes:
-        publish.add(
-            leg,
-            round(elapsed, 3),
-            round(args.events / elapsed, 1) if elapsed else 0.0,
-            matches,
-            pruned,
-            index_size,
-        )
-    print()
-    publish.print()
-
-    if args.churn > 0:
-        report = FlashCrowdDriver(
-            world.generator(seed=args.seed + 1),
-            FlashCrowdSpec(churn_ops=args.churn, seed=args.seed),
-        ).run(SToPSS(world.kb))
-        churn = Table(
-            f"flash-crowd churn ({report.churn_ops} ops)",
-            ["ops/s", "peak-crowd", "peak-index", "publishes", "leaked"],
-        )
-        churn.add(
-            round(report.churn_ops_per_second, 1),
-            report.peak_crowd,
-            report.peak_interest_index_size,
-            report.publishes,
-            "YES" if report.leaked else "no",
-        )
-        print()
-        churn.print()
-        return 1 if report.leaked else 0
-    return 0
-
-
 _COMMANDS = {
     "demo": _cmd_demo,
-    "bench": _cmd_bench,
     "match": _cmd_match,
     "explain": _cmd_explain,
     "serve": _cmd_serve,

@@ -36,13 +36,6 @@ class SemanticConfig:
         System-wide cap on hierarchy levels a match may climb
         (``None`` = unbounded).  Also caps the event expansion itself,
         so lower tolerance is genuinely faster, not just filtered.
-    value_synonyms:
-        Whether distance-0 value equivalences ("car" = "automobile")
-        are applied by the hierarchy stage (library extension; the
-        paper's stage 1 is attribute-level only).
-    generalize_attributes:
-        Whether attribute *names* generalize through the taxonomy too
-        ("a concept hierarchy contains … both attributes and values").
     max_iterations:
         Rounds of the hierarchy↔mapping fixpoint loop ("mapping
         function and concept hierarchy stages can be executed multiple
@@ -84,8 +77,6 @@ class SemanticConfig:
     enable_hierarchy: bool = True
     enable_mappings: bool = True
     max_generality: int | None = None
-    value_synonyms: bool = True
-    generalize_attributes: bool = True
     max_iterations: int = 4
     max_derived_events: int = 512
     present_year: int = DEFAULT_PRESENT_YEAR

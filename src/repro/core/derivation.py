@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.core.provenance import (
-    COMPOSE,
     CUSTOM,
     MAPPING,
     DerivedEvent,
@@ -260,24 +259,14 @@ class PipelineResult:
         for: core *row* with the free attributes set to the chosen
         alternatives (*choice* holds one index per free attribute, in
         ``free`` order; 0 keeps the root value), its chain extended by
-        theirs in one node."""
+        theirs, one node per step."""
         picked = [alts[index] for alts, index in zip(self.free.values(), choice) if index]
         witness = self.witness(row)
         if not picked:
             return self.charges[row], witness
         charge = sum(alternative.charge for alternative in picked)
-        steps = tuple(step for alternative in picked for step in alternative.steps)
-        return self.charges[row] + charge, Witness((*witness, (COMPOSE, "", charge, steps)))
-
-    def witness_of(self, via) -> Witness:
-        """The witness of a matcher's answer: a witness, one of
-        :attr:`derived` (its row's) or any other derived event."""
-        if type(via) is Witness:
-            return via
-        for row, made in enumerate(self._derived or ()):
-            if made is via:
-                return self.witness(row)
-        return Witness(custom_steps(via.steps, via.event.items()))
+        steps = (step for alternative in picked for step in alternative.steps)
+        return self.charges[row] + charge, Witness((*witness, *steps))
 
     # -- materialized view ------------------------------------------------------------
 

@@ -248,8 +248,7 @@ class SToPSS:
             bound = original.max_generality
             if bound is not None and generality > bound:
                 continue
-            # the match keeps the compact witness, whatever the matcher answered
-            matches.append(SemanticMatch(original, event, result.witness_of(via), generality))
+            matches.append(SemanticMatch(original, event, via, generality))
         matches.sort(key=lambda match: self._originals[match.subscription.sub_id][0])
         return matches
 

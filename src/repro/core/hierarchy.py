@@ -76,17 +76,9 @@ class HierarchyStage(SemanticStage):
     #: consults the bound interest view before every value substitution
     interest_safe = True
 
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        *,
-        value_synonyms: bool = True,
-        generalize_attributes: bool = True,
-    ) -> None:
+    def __init__(self, kb: KnowledgeBase) -> None:
         super().__init__()
         self._kb = kb
-        self._value_synonyms = value_synonyms
-        self._generalize_attributes = generalize_attributes
         #: the concept table, fetched once for one publication (set by
         #: begin_publication); direct expand() callers that never go
         #: through the pipeline fetch it per call.
@@ -135,7 +127,7 @@ class HierarchyStage(SemanticStage):
             if isinstance(value, str):
                 substitutions = self._values(attribute, value, budget)
                 produced += self._substitute(result, row, index, attribute, substitutions)
-            if self._generalize_attributes and not result.truncated:
+            if not result.truncated:
                 produced += self._rename(result, row, attribute, self._names(attribute, budget))
             if result.truncated:
                 break
@@ -200,11 +192,10 @@ class HierarchyStage(SemanticStage):
         tid = table.term_id_of_value(value)
         if tid is None:
             return
-        if self._value_synonyms:
-            canonical = table.canonical_spelling(tid)
-            if canonical is not None and canonical != value:
-                if interest is None or self._admit(interest, attribute, canonical, budget):
-                    yield CANON, 0, canonical
+        canonical = table.canonical_spelling(tid)
+        if canonical is not None and canonical != value:
+            if interest is None or self._admit(interest, attribute, canonical, budget):
+                yield CANON, 0, canonical
         if budget is not None and budget <= 0:
             return
         if interest is None:

@@ -319,11 +319,11 @@ class InterestIndex:
 
     def _attribute_matters(self, attribute: str) -> bool:
         """Whether values under *attribute* can reach a live predicate:
-        the attribute is constrained, or (with attribute-name
-        generalization on) renames upward to a constrained one."""
+        the attribute is constrained, or (with the hierarchy on) renames
+        upward to a constrained one."""
         if attribute in self._attributes:
             return True
-        if self._config.enable_hierarchy and self._config.generalize_attributes:
+        if self._config.enable_hierarchy:
             # fetched, not the held table: rule analysis runs before the
             # publish's own fetch, and a fetch drops memos a write staled
             table = self._kb.concept_table()

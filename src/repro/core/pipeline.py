@@ -85,11 +85,7 @@ class SemanticPipeline:
         else:
             synonyms, hierarchy = ReferenceSynonymStage, ReferenceHierarchyStage
         self.synonyms = synonyms(kb)
-        self.hierarchy = hierarchy(
-            kb,
-            value_synonyms=self.config.value_synonyms,
-            generalize_attributes=self.config.generalize_attributes,
-        )
+        self.hierarchy = hierarchy(kb)
         self.mappings = MappingStage(kb, self.config.mapping_context())
         self.extra_stages = extra_stages
         self.truncation_count = 0
@@ -294,9 +290,7 @@ class SemanticPipeline:
                     core |= exact | written
                     families |= prefixes
                     present |= written
-        if self.config.generalize_attributes and any(
-            map(self.hierarchy.renameable, present)
-        ):
+        if any(map(self.hierarchy.renameable, present)):
             return frozenset()
         return frozenset(
             name

@@ -48,12 +48,11 @@ STAGE_MAPPING = "mapping"
 #: Compact step kinds: a compact step is ``(kind, attribute, generality,
 #: ...)`` followed by the new value (``CANON``, ``GENERAL``), the
 #: old name (``RENAME``, ``SYNONYM``; ``attribute`` is the new one), the
-#: rule's name, description and content (``MAPPING``), a custom stage's
-#: ``(stage, description, attribute, generality, rule)`` step fields and
-#: content (``CUSTOM``), or several compact steps as one node of a
-#: witness (``COMPOSE``: a factored composition's alternatives).
-#: Content is the pairs after the step (``None``: as before).
-CANON, GENERAL, RENAME, SYNONYM, MAPPING, CUSTOM, COMPOSE = range(7)
+#: rule's name, description and content (``MAPPING``), or a custom
+#: stage's ``(stage, description, attribute, generality, rule)`` step
+#: fields and content (``CUSTOM``).  Content is the pairs after the step
+#: (``None``: as before).
+CANON, GENERAL, RENAME, SYNONYM, MAPPING, CUSTOM = range(6)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,17 +155,11 @@ _TEXT = {
 
 def derivation_steps(step: tuple, before: dict | None = None) -> tuple[DerivationStep, ...]:
     """The :class:`DerivationStep` objects one compact step stands for
-    (one, except a custom stage's or a composition's several); *before*
-    is the content it applied to (a value step names what it replaced)."""
+    (one, except a custom stage's several); *before* is the content it
+    applied to (a value step names what it replaced)."""
     kind = step[0]
     if kind == CUSTOM:
         return tuple(DerivationStep(*fields) for fields in step[3])
-    if kind == COMPOSE:
-        made: tuple = ()
-        for part in step[3]:
-            made += derivation_steps(part, before)
-            before = replay(dict(before), part)
-        return made
     if kind == MAPPING:
         text = f"mapping function {step[3]!r}" + (f": {step[4]}" if step[4] else "")
         return (DerivationStep(STAGE_MAPPING, text, rule=step[3]),)
@@ -176,9 +169,8 @@ def derivation_steps(step: tuple, before: dict | None = None) -> tuple[Derivatio
 
 
 def step_count(step: tuple) -> int:
-    """How many :class:`DerivationStep` objects a row's compact step
-    stands for — what it adds to a chain's depth (a ``COMPOSE`` is a
-    witness's node, never a row's step)."""
+    """How many :class:`DerivationStep` objects a compact step stands
+    for — what it adds to a chain's depth."""
     return len(step[3]) if step[0] == CUSTOM else 1
 
 
@@ -198,9 +190,6 @@ def replay(pairs: dict, step: tuple) -> dict:
     elif kind == RENAME or kind == SYNONYM:
         # a root rewrite may merge two names into one (equal values)
         pairs = {step[1] if name == step[3] else name: v for name, v in pairs.items()}
-    elif kind == COMPOSE:
-        for part in step[3]:
-            pairs = replay(pairs, part)
     elif step[-1] is not None:
         pairs = dict(step[-1])
     return pairs
@@ -213,8 +202,9 @@ def derived_event(pairs: dict, like: Event) -> Event:
 
 
 class Witness(tuple):
-    """How a kept match came about: its compact steps, the root's synonym
-    rewrite (the leading ``SYNONYM`` steps, one node) then one per node.
+    """How a kept match came about: its compact steps, each a single
+    step, the root's synonym rewrite (the leading ``SYNONYM`` steps, one
+    node) then one per node.
     It holds strings, numbers and tuples only (pickles as is, compares by
     content, keeps no event alive): the publication supplies the content."""
 
@@ -258,39 +248,28 @@ class Witness(tuple):
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SemanticMatch:
     """One (subscription, publication) match produced by the engine.
 
     ``subscription`` is the subscriber's *original* subscription (not
     the root-rewritten form); ``event`` the original publication;
-    ``matched_via`` the derived event the syntactic matcher accepted
-    (equal to ``event`` for purely syntactic matches); ``generality``
-    the hierarchy distance of that derivation (0 = exact/synonym/
-    mapping match).  The engine's matches keep the derivation as its
-    :class:`Witness` (``via``), and ``matched_via`` builds the chain at
-    every read; a match constructed with a :class:`DerivedEvent` keeps it.
+    ``via`` the :class:`Witness` of the derivation the syntactic matcher
+    accepted (empty for purely syntactic matches); ``generality`` the
+    hierarchy distance of that derivation (0 = exact/synonym/mapping
+    match).  ``matched_via`` builds the derived event at every read.
     """
 
     subscription: Subscription
     event: Event
-    via: "Witness | DerivedEvent" = field(compare=False, repr=False)
+    via: Witness = field(compare=False, repr=False)
     generality: int = 0
-
-    def __init__(
-        self,
-        subscription: Subscription,
-        event: Event,
-        matched_via: "Witness | DerivedEvent",
-        generality: int = 0,
-    ) -> None:
-        for name, value in zip(self.__slots__, (subscription, event, matched_via, generality)):
-            object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @property
     def matched_via(self) -> DerivedEvent:
-        via = self.via
-        return via.derived(self.event) if type(via) is Witness else via
+        """The derived event the matcher accepted (``event`` itself for
+        a syntactic match), its ``parent`` chain one event per node."""
+        return self.via.derived(self.event)
 
     @property
     def is_semantic(self) -> bool:
@@ -326,9 +305,9 @@ def event_part(event: Event) -> str:
     return f"{event.event_id} [{event.format()}]"
 
 
-def derivation_part(via: "Witness | DerivedEvent", event: Event) -> str:
+def derivation_part(via: Witness, event: Event) -> str:
     """How the match came about for publication *event*: the same for
     every subscription that accepted the same derivation."""
     if via.is_original:
         return " — exact syntactic match"
-    return "\n" + (via.explain(event) if type(via) is Witness else via.explain())
+    return "\n" + via.explain(event)

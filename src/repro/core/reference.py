@@ -50,10 +50,9 @@ class ReferenceHierarchyStage(HierarchyStage):
     def _values(self, attribute: str, value: str, budget: int | None) -> Iterator[tuple]:
         kb = self._kb
         self.stats.lookups += 1
-        if self._value_synonyms:
-            canonical = kb.canonical_term(value)
-            if canonical is not None and canonical != value:
-                yield CANON, 0, canonical
+        canonical = kb.canonical_term(value)
+        if canonical is not None and canonical != value:
+            yield CANON, 0, canonical
         if budget is not None and budget <= 0:
             return
         for general, distance in kb.generalizations(value, max_levels=budget).items():

@@ -21,7 +21,7 @@ from repro.model.subscriptions import Subscription
 
 if TYPE_CHECKING:  # avoid a runtime matching <-> core import cycle
     from repro.core.pipeline import PipelineResult
-    from repro.core.provenance import DerivedEvent
+    from repro.core.provenance import Witness
 
 __all__ = [
     "MatchingAlgorithm",
@@ -122,19 +122,19 @@ class MatchingAlgorithm(abc.ABC):
 
     # -- batched matching --------------------------------------------------------
 
-    def match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, object]]:
+    def match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "Witness"]]:
         """Match one semantic expansion batch in a single pass.
 
         Returns, per matched ``sub_id``, the pair ``(generality,
         witness)`` of the *least general* derivation that reached the
         subscription (first derivation wins ties, following the batch's
         discovery order) — exactly the reduction the engine's per-event
-        loop used to compute.  The witness is one of ``result.derived``
-        or, from a matcher that reads the table itself, the row's
-        :meth:`~repro.core.pipeline.PipelineResult.witness`.
+        loop used to compute.  The witness is the row's
+        :meth:`~repro.core.pipeline.PipelineResult.witness` (or, for a
+        factored batch, :meth:`~repro.core.pipeline.PipelineResult.compose`'s).
 
         The default implementation falls back to one :meth:`match` call
-        per derived event (``result.derived`` builds them), so any
+        per row (``result.event(row)`` builds its event), so any
         third-party matcher keeps working unchanged; indexed matchers
         override :meth:`_match_batch` to share per-``(attribute,
         value)`` predicate satisfaction across the batch's rows.
@@ -163,16 +163,17 @@ class MatchingAlgorithm(abc.ABC):
         pre-storm footprint once a subscriber crowd departs."""
         return 0
 
-    def _match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, object]]:
-        """Serial fallback: full re-match per derived event."""
-        best: dict[str, tuple[int, "DerivedEvent"]] = {}
-        for derived in result.derived:
-            generality = derived.generality
-            for subscription in self.match(derived.event):
+    def _match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "Witness"]]:
+        """Serial fallback: full re-match per row."""
+        best: dict[str, tuple[int, int]] = {}
+        for row, generality in enumerate(result.charges):
+            for subscription in self.match(result.event(row)):
                 known = best.get(subscription.sub_id)
                 if known is None or generality < known[0]:
-                    best[subscription.sub_id] = (generality, derived)
-        return best
+                    best[subscription.sub_id] = (generality, row)
+        # one witness per row, shared by the matches through it
+        witnesses = {row: result.witness(row) for row in {row for _, row in best.values()}}
+        return {sub_id: (generality, witnesses[row]) for sub_id, (generality, row) in best.items()}
 
     # -- extension points ------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
+from repro.core.provenance import Witness
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -146,9 +147,9 @@ def test_match_batch_equals_serial_match(matcher_name, kb, subs, events, config_
         serial = _serial_best(engine, result)
         batch = engine.matcher.match_batch(result)
         assert {sub_id: pair[0] for sub_id, pair in batch.items()} == serial
-        # the batch's witness derivation must realize the generality
-        for sub_id, (generality, derived) in batch.items():
-            assert derived.generality == generality
+        # every matcher answers a witness, which realizes the generality
+        for sub_id, (generality, witness) in batch.items():
+            assert type(witness) is Witness and witness.generality == generality
         # and the full publish path agrees after tolerance filtering
         published = {(m.subscription.sub_id, m.generality) for m in engine.publish(event)}
         expected = set()

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.broker.clients import ClientRegistry
 from repro.broker.notifications import NotificationEngine
 from repro.broker.transports import TcpTransport, TransportRegistry
-from repro.core.provenance import DerivationStep, DerivedEvent, SemanticMatch
+from repro.core.provenance import SYNONYM, SemanticMatch, Witness
 from repro.errors import DeliveryError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
@@ -217,10 +217,8 @@ class _Run:
         event_id = f"e{self.publications}"
         self.publications += 1
         event = Event({"a": "1", "n": self.publications}, event_id=event_id)
-        rewritten = DerivedEvent.original(event).extend(
-            Event({"b": "1", "n": self.publications}, event_id=event_id),
-            DerivationStep("synonym", "attribute 'a' rewritten to root 'b'", "a"),
-        )
+        # attribute 'a' rewritten to root 'b'
+        rewritten = Witness([(SYNONYM, "b", 0, "a")])
         deliveries, rows = [], []
         for index, (included, derived) in enumerate(picks):
             sub_id = f"s{index}"
@@ -228,7 +226,7 @@ class _Run:
             if not included or client_id is None:
                 continue
             sub = Subscription([Predicate.eq("a", "1")], sub_id=sub_id)
-            match = SemanticMatch(sub, event, rewritten if derived else DerivedEvent.original(event))
+            match = SemanticMatch(sub, event, rewritten if derived else Witness())
             deliveries.append((self.registry.get(client_id), match))
             rows.append(self.model.stage(sub_id, client_id, event_id, match.explain()))
         if not deliveries:

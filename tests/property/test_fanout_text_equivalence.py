@@ -27,8 +27,8 @@ The traces (the job-finder cast and a generated ``mega-small`` world)
 are driven so that every way of arriving at a row is covered: exact
 syntactic matches, synonym-, hierarchy- and mapping-derived matches,
 witnesses composed from a core event and free attributes' alternatives
-(PR 21: their chains are concatenated at match time, never integrated
-by the pipeline), result-cache hits (the same content under a new event
+(their chains are concatenated at match time, never integrated by the
+pipeline), result-cache hits (the same content under a new event
 id: the event part must be rendered again, the derivation may be
 shared), a subscriber whose first transport is SMS
 (``SmsTransport.render`` truncates subject + body), and a
@@ -47,8 +47,10 @@ from hypothesis import strategies as st
 from repro.broker.broker import Broker
 from repro.broker.durability import JOURNAL_NAME, _encode_record, _scan_records, recover
 from repro.broker.notifications import PublicationText
-from repro.broker.sharding import ShardedBroker
+from repro.broker.sharding import ShardedBroker, ShardedEngine
 from repro.broker.transports import SmsTransport, TcpTransport, TransportRegistry
+from repro.core.pipeline import SemanticPipeline
+from repro.core.provenance import CANON, GENERAL
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -101,7 +103,13 @@ def _on_the_wire(outcome, subject: str, body: str) -> tuple[str, str]:
 def _drive(broker, subs, events) -> tuple[dict, set]:
     """Run the trace; returns ``{(sub_id, sequence): (subject, body)}``
     rendered the old way, one notification at a time, and the derivation
-    stages the matches went through (``"exact"`` for none)."""
+    stages the matches went through (``"exact"`` for none, ``"composed"``
+    for a value step on an attribute the engine's matcher is handed as
+    free: the core never takes one, so only a witness composed from its
+    alternatives holds it)."""
+    engine = broker.engine
+    engine = engine.engines[0] if isinstance(engine, ShardedEngine) else engine
+    pipeline, factored = SemanticPipeline(broker.kb, engine.config), engine.matcher.accepts_factored
     broker.register_subscriber("Wire", tcp="wire:1", client_id="cl-tcp")
     broker.register_subscriber("Pager", sms="+1-555-0100", tcp="pager:1", client_id="cl-sms")
     broker.register_publisher("Feed", client_id="cl-p")
@@ -113,6 +121,7 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
     expected: dict[tuple[str, int], tuple[str, str]] = {}
     stages: set[str] = set()
     for index, event in enumerate(events):
+        free = pipeline.process_event(event, factored=factored).free
         again = Event(event.items(), event_id=f"again-{index}")  # a result-cache hit
         for publication in (Event(event.items(), event_id=f"first-{index}"), again):
             report = broker.publish("cl-p", publication)
@@ -128,9 +137,7 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
                 stages.update(step.stage for step in via.steps)
                 if not match.is_semantic:
                     stages.add("exact")
-                # a stage extends a chain by one step; only a witness
-                # composed from alternatives extends its parent by more
-                if via.parent is not None and len(via.steps) - len(via.parent.steps) > 1:
+                if any(step[0] in (CANON, GENERAL) and step[1] in free for step in match.via):
                     stages.add("composed")
     assert broker.dispatcher.result_cache_hits == len(events)
     return expected, stages

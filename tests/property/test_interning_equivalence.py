@@ -105,20 +105,12 @@ def _published(engine, event) -> dict[str, int]:
     evts=st.lists(term_events(), min_size=1, max_size=4),
     bound=st.sampled_from([None, 0, 1, 2, 3]),
     matcher=st.sampled_from(["counting", "naive"]),
-    value_synonyms=st.booleans(),
-    generalize_attributes=st.booleans(),
     iterations=st.sampled_from([1, 2, 4]),
 )
-def test_event_side_interned_equals_string(
-    kb, subs, evts, bound, matcher, value_synonyms, generalize_attributes, iterations
-):
+def test_event_side_interned_equals_string(kb, subs, evts, bound, matcher, iterations):
     def build(interning):
         config = SemanticConfig(
-            max_generality=bound,
-            value_synonyms=value_synonyms,
-            generalize_attributes=generalize_attributes,
-            max_iterations=iterations,
-            interning=interning,
+            max_generality=bound, max_iterations=iterations, interning=interning
         )
         return SToPSS(kb, matcher=matcher, config=config)
 

@@ -67,7 +67,7 @@ class _FullKeyDispatcher(EventDispatcher):
             self._result_cache.move_to_end(key)
             self.result_cache_hits += 1
             return [
-                SemanticMatch(match.subscription, stamped, match.matched_via, match.generality)
+                SemanticMatch(match.subscription, stamped, match.via, match.generality)
                 for match in cached[0]
             ], cached[1]
         self.result_cache_misses += 1

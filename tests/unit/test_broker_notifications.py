@@ -16,7 +16,7 @@ from repro.broker.transports import (
     TransportRegistry,
     UdpTransport,
 )
-from repro.core.provenance import DerivationStep, DerivedEvent, SemanticMatch
+from repro.core.provenance import GENERAL, SemanticMatch, Witness
 from repro.errors import DeliveryError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
@@ -26,7 +26,7 @@ from repro.model.subscriptions import Subscription
 def _match() -> SemanticMatch:
     event = Event({"degree": "PhD"}, event_id="e1")
     sub = Subscription([Predicate.eq("degree", "PhD")], sub_id="s1")
-    return SemanticMatch(sub, event, DerivedEvent.original(event), 0)
+    return SemanticMatch(sub, event, Witness(), 0)
 
 
 def _client(*addresses) -> Client:
@@ -148,7 +148,7 @@ class TestBoundedRetention:
     def _sub_match(self, sub_id: str, index: int) -> SemanticMatch:
         event = Event({"degree": "PhD"}, event_id=f"e{index}")
         sub = Subscription([Predicate.eq("degree", "PhD")], sub_id=sub_id)
-        return SemanticMatch(sub, event, DerivedEvent.original(event), 0)
+        return SemanticMatch(sub, event, Witness(), 0)
 
     def test_windows_hold_and_counters_stay_cumulative(self):
         limit = self.LIMIT
@@ -228,8 +228,7 @@ class TestRetainedRowFootprint:
         ]
         for index in range(self.PUBLICATIONS):
             event = Event({"degree": "PhD", "n": index}, event_id=f"e{index}")
-            via = DerivedEvent.original(event)
-            engine.fan_out([(client, SemanticMatch(sub, event, via, 0)) for sub in subs])
+            engine.fan_out([(client, SemanticMatch(sub, event, Witness(), 0)) for sub in subs])
 
     def _bytes_per_row(self, engine) -> float:
         """Traced bytes that forgetting every subscription releases, per
@@ -275,17 +274,12 @@ class TestPackedDerivationFootprint:
     SUBS, PUBLICATIONS = 8, 200
 
     @staticmethod
-    def _derivation(event: Event, index: int) -> DerivedEvent:
+    def _derivation(event: Event, index: int) -> Witness:
         """Three generalization steps, each on one attribute of *event*."""
-        derived = DerivedEvent.original(event)
-        for attribute in ("degree", "university", "position"):
-            value = f"{attribute}-generalization-{index}"
-            pairs = {**dict(derived.event.items()), attribute: value}
-            step = DerivationStep(
-                "hierarchy", f"{attribute}: {event[attribute]} is-a {value}", attribute, 1
-            )
-            derived = derived.extend(Event(pairs, event_id=event.event_id), step)
-        return derived
+        return Witness(
+            (GENERAL, attribute, 1, f"{attribute}-generalization-{index}")
+            for attribute in ("degree", "university", "position")
+        )
 
     def _fan_out(self, engine, client) -> None:
         subs = [

@@ -300,51 +300,6 @@ class TestExplain:
         assert len(unlimited) > len(zero)
 
 
-class TestBench:
-    def test_bench_list_prints_catalog(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("jobfinder", "mega-small", "mega-deep", "mega-100k"):
-            assert name in out
-
-    def test_bench_runs_named_world(self, capsys):
-        code = main(
-            ["bench", "--world", "mega-small", "--subscriptions", "20", "--events", "5"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "world 'mega-small'" in out
-        assert "cold" in out and "warm" in out
-
-    def test_bench_churn_reports_and_stays_leak_free(self, capsys):
-        code = main(
-            [
-                "bench",
-                "--world",
-                "mega-small",
-                "--subscriptions",
-                "20",
-                "--events",
-                "5",
-                "--churn",
-                "200",
-            ]
-        )
-        assert code == 0, "churn storm leaked engine state"
-        out = capsys.readouterr().out
-        assert "flash-crowd churn" in out
-        assert "YES" not in out
-
-    def test_bench_unknown_world_exit_two(self, capsys):
-        assert main(["bench", "--world", "no-such-world"]) == 2
-        assert "unknown world" in capsys.readouterr().err
-
-    def test_bench_defaults_parse(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.world == "mega-small"
-        assert args.churn == 0
-
-
 class TestKb:
     def test_kb_stats(self, capsys):
         assert main(["kb"]) == 0

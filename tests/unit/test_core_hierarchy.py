@@ -73,13 +73,6 @@ class TestValueSynonyms:
         canonical = [d for d in derived if d.event["degree"] == "PhD"]
         assert canonical and canonical[0].generality == 0
 
-    def test_value_synonyms_can_be_disabled(self, stage_class):
-        stage = stage_class(_kb(), value_synonyms=False)
-        derived = _expand(stage, Event({"degree": "doctor of philosophy"}))
-        assert all(d.event["degree"] != "PhD" for d in derived)
-        # generalizations still resolve through the synonym group
-        assert {d.event["degree"] for d in derived} >= {"doctorate"}
-
 
 class TestAttributeGeneralization:
     def _kb_with_attribute_concepts(self) -> KnowledgeBase:
@@ -93,11 +86,6 @@ class TestAttributeGeneralization:
         renamed = [d for d in derived if "date_info" in d.event]
         assert renamed and renamed[0].event["date_info"] == 1990
         assert renamed[0].generality == 1
-
-    def test_attribute_generalization_can_be_disabled(self, stage_class):
-        stage = stage_class(self._kb_with_attribute_concepts(), generalize_attributes=False)
-        derived = _expand(stage, Event({"graduation_year": 1990}))
-        assert all("date_info" not in d.event for d in derived)
 
     def test_collision_with_existing_attribute_skipped(self, stage_class):
         stage = stage_class(self._kb_with_attribute_concepts())

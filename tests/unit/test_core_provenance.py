@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.provenance import DerivationStep, DerivedEvent, SemanticMatch
+from repro.core.provenance import GENERAL, DerivationStep, DerivedEvent, SemanticMatch, Witness
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -65,13 +65,8 @@ class TestSemanticMatch:
     def _match(self, semantic: bool, generality: int = 0) -> SemanticMatch:
         event = Event({"degree": "PhD"}, event_id="e-test")
         sub = Subscription([Predicate.eq("degree", "graduate degree")], sub_id="s-test")
-        if semantic:
-            via = DerivedEvent.original(event).extend(
-                Event({"degree": "graduate degree"}), _step(generality=generality)
-            )
-        else:
-            via = DerivedEvent.original(event)
-        return SemanticMatch(subscription=sub, event=event, matched_via=via, generality=generality)
+        via = Witness([(GENERAL, "degree", generality, "graduate degree")] if semantic else ())
+        return SemanticMatch(subscription=sub, event=event, via=via, generality=generality)
 
     def test_syntactic_match_explanation(self):
         match = self._match(semantic=False)

@@ -659,7 +659,9 @@ class TestStreamedSnapshot:
             finally:
                 recovered.close()
 
-    @pytest.mark.parametrize("form", ["format 2", "unknown kind", "retired config key"])
+    @pytest.mark.parametrize(
+        "form", ["format 2", "unknown kind", "retired config key", "retired semantic switches"]
+    )
     def test_a_snapshot_never_written_is_discarded(self, kb, tmp_path, form):
         """Intact, but not a form this broker writes: discarded whole
         like a damaged file, and recovery runs from the journal."""
@@ -669,8 +671,11 @@ class TestStreamedSnapshot:
         elif form == "unknown kind":
             records.insert(-1, {"k": "outbox", "rows": []})
             records[-1] = dict(records[-1], records=len(records) - 2)
-        else:
+        elif form == "retired config key":
             config = dict(records[1]["config"], matching_backend="numpy")
+            records[1] = dict(records[1], config=config)
+        else:  # the broker record as written before the two switches went
+            config = dict(records[1]["config"], value_synonyms=True, generalize_attributes=True)
             records[1] = dict(records[1], config=config)
         (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
         recovered = recover(tmp_path, kb)
@@ -882,17 +887,16 @@ class TestSharedFanOutText:
 
     def test_eviction_and_forget_release_a_publications_text(self):
         from repro.broker.clients import ClientRegistry
-        from repro.core.provenance import DerivedEvent, SemanticMatch
+        from repro.core.provenance import SemanticMatch, Witness
 
         client = ClientRegistry().register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
         engine = NotificationEngine(history_limit=2)
 
         def publish(event_id: str) -> PublicationText:
             event = Event([("a", "1")], event_id=event_id)
-            via = DerivedEvent.original(event)
             engine.fan_out(
                 [
-                    (client, SemanticMatch(_sub("a", "1", sub_id), event, via, 0))
+                    (client, SemanticMatch(_sub("a", "1", sub_id), event, Witness(), 0))
                     for sub_id in ("s-a", "s-b")
                 ]
             )
@@ -966,10 +970,10 @@ class TestBoundedHistories:
         return registry.register("A", addresses=(("tcp", "a:1"),), client_id=client_id)
 
     def _match(self, sub_id, event_id):
-        from repro.core.provenance import DerivedEvent, SemanticMatch
+        from repro.core.provenance import SemanticMatch, Witness
 
         event = Event([("a", "1")], event_id=event_id)
-        return SemanticMatch(_sub("a", "1", sub_id), event, DerivedEvent.original(event), 0)
+        return SemanticMatch(_sub("a", "1", sub_id), event, Witness(), 0)
 
     def test_outcome_and_log_eviction(self, kb):
         from repro.broker.clients import ClientRegistry
@@ -1074,8 +1078,14 @@ class TestOneFormat:
              "matching_backend"),
             ({"k": "config", "cfg": dict(_encode_config(SemanticConfig()), vector_width=8)},
              "vector_width"),
+            ({"k": "config", "cfg": dict(_encode_config(SemanticConfig()), value_synonyms=True)},
+             "value_synonyms"),
+            ({"k": "config",
+              "cfg": dict(_encode_config(SemanticConfig()), generalize_attributes=True)},
+             "generalize_attributes"),
         ],
-        ids=["out", "ack", "unknown kind", "retired config key", "unknown config key"],
+        ids=["out", "ack", "unknown kind", "retired config key", "unknown config key",
+             "retired value switch", "retired attribute switch"],
     )  # fmt: skip
     def test_a_journal_record_never_written_is_refused(self, kb, tmp_path, record, offender):
         self._written(kb, tmp_path)
@@ -1099,6 +1109,29 @@ class TestOneFormat:
         assert offender in str(refused.value) and f"i={foreign['i']}" in str(refused.value)
         assert built == []
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_a_refused_journal_record_logs_one_warning(self, kb, tmp_path, caplog):
+        """A journal whose ``config`` record still carries the retired
+        semantic switches is refused, and says where and why in one
+        warning first."""
+        self._written(kb, tmp_path)
+        journal = tmp_path / JOURNAL_NAME
+        records, _, _ = _scan_records(journal.read_bytes())
+        retired = dict(
+            _encode_config(SemanticConfig()), value_synonyms=True, generalize_attributes=True
+        )
+        i = records[-1]["i"] + 1
+        record = {"k": "config", "cfg": retired, "i": i}
+        journal.write_bytes(journal.read_bytes() + _encode_record(record))
+        with caplog.at_level(logging.WARNING, logger="repro.broker.durability"):
+            with pytest.raises(StateFormatError):
+                recover(tmp_path, kb)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING and record.name == "repro.broker.durability"
+        assert record.getMessage() == (
+            f"{journal}: journal record i={i} refused: "
+            "carries config keys ['generalize_attributes', 'value_synonyms']"
+        )
 
     @staticmethod
     def _rewrite(path, edit) -> None:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.broker.broker import Broker
 from repro.core.engine import SToPSS
+from repro.core.provenance import GENERAL, MAPPING
 from repro.model.events import Event
 from repro.model.parser import parse_subscription
 from repro.ontology.knowledge_base import KnowledgeBase
@@ -148,6 +149,15 @@ def test_factored_composition_is_exercised():
         factored=True,
     )
     assert list(result.free) == ["level"]
+    # the alternative's step is appended as one more node of single steps:
+    # every node of the chain extends its parent by one step
+    (match,) = [m for m in engine.publish(event) if m.subscription.sub_id == "s6"]
+    assert [step[0] for step in match.via] == [GENERAL, MAPPING, GENERAL]
+    node, depths = match.matched_via, []
+    while node is not None:
+        depths.append(node.depth)
+        node = node.parent
+    assert depths == [3, 2, 1, 0]
 
 
 def test_exact_match_text():

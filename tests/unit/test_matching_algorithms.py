@@ -10,7 +10,16 @@ import pytest
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.core.pipeline import PipelineResult, SemanticPipeline
-from repro.core.provenance import DerivationStep, DerivedEvent
+from repro.core.provenance import (
+    CANON,
+    GENERAL,
+    MAPPING,
+    RENAME,
+    SYNONYM,
+    DerivationStep,
+    DerivedEvent,
+    Witness,
+)
 from repro.matching.base import MatchingAlgorithm
 from repro.matching.counting import CountingMatcher
 from repro.matching.naive import NaiveMatcher
@@ -75,7 +84,7 @@ class TestCountingMatcher:
 
 
 class _SerialCounting(CountingMatcher):
-    """The counting matcher on the per-derived-event fallback."""
+    """The counting matcher on the per-row serial fallback."""
 
     name = "serial-counting"
     _match_batch = MatchingAlgorithm._match_batch
@@ -84,8 +93,8 @@ class _SerialCounting(CountingMatcher):
 def _batch_and_serial(subscriptions, result):
     """One batch through the factored kernel and through the serial
     fold: same subscriptions, same generalities, the same witnesses
-    (the kernel answers a row's witness, the fold the row's derived
-    event).  Returns the kernel's answer."""
+    (both answer the row's :meth:`PipelineResult.witness`).  Returns
+    the kernel's answer."""
     answers = []
     for matcher in (CountingMatcher(), _SerialCounting()):
         for subscription in subscriptions:
@@ -95,7 +104,7 @@ def _batch_and_serial(subscriptions, result):
     assert batch.keys() == serial.keys()
     for sub_id, (generality, witness) in batch.items():
         assert generality == serial[sub_id][0], sub_id
-        assert witness == result.witness_of(serial[sub_id][1]), sub_id
+        assert witness == serial[sub_id][1], sub_id
     return batch
 
 
@@ -188,19 +197,62 @@ class TestCountingBatchKernel:
             return root.extend(root.event.with_value("a", value), step)
 
         derived = [root, child("far", 2), child("first", 1), child("second", 1)]
-        return PipelineResult.from_derived(root.event, derived), derived
+        return PipelineResult.from_derived(root.event, derived)
 
     def test_ties_go_to_the_first_discovered(self):
-        result, (root, far, first, second) = self._tie_batch()
+        result = self._tie_batch()
         subscriptions = [
             _sub("not-leaf", Predicate.ne("a", "leaf"), Predicate.eq("b", 1)),
             _sub("late", Predicate.isin("a", ["second", "far"])),
             _sub("all"),
         ]
         best = _batch_and_serial(subscriptions, result)
-        first, second, root = map(result.witness_of, (first, second, root))
+        root, first, second = map(result.witness, (0, 2, 3))
         assert best == {"not-leaf": (1, first), "late": (1, second), "all": (0, root)}
         assert first != second
+
+
+@pytest.mark.parametrize("world", ["jobfinder", "mega-small"])
+@pytest.mark.parametrize(
+    "matcher_class, factored",
+    [
+        (NaiveMatcher, False),
+        (CountingMatcher, False),
+        (CountingMatcher, True),
+        (_SerialCounting, False),
+    ],
+    ids=["naive", "counting-flat", "counting-factored", "serial-fallback"],
+)
+def test_every_answer_is_a_witness_of_single_steps(matcher_class, factored, world):
+    """Whatever the matcher and the batch's form, ``match_batch``
+    answers a :class:`Witness` of single built-in steps that charges
+    the answered generality, and whose replay on the publication is
+    content the (root-rewritten) subscription matches.  A factored
+    batch composes some of them from free attributes' alternatives."""
+    built = build_world(world)
+    generator = built.generator(seed=7)
+    pipeline = SemanticPipeline(built.kb, SemanticConfig())
+    matcher = matcher_class()
+    subscriptions = {}
+    for subscription in generator.subscriptions(60):
+        rewritten = pipeline.process_subscription(subscription)
+        subscriptions[rewritten.sub_id] = rewritten
+        matcher.insert(rewritten)
+    answered = semantic = composed = 0
+    for event in generator.events(10):
+        result = pipeline.process_event(event, factored=factored)
+        for sub_id, (generality, witness) in matcher.match_batch(result).items():
+            assert type(witness) is Witness, sub_id
+            assert all(step[0] in (CANON, GENERAL, RENAME, SYNONYM, MAPPING) for step in witness)
+            assert witness.generality == generality, sub_id
+            derived = witness.derived(event)
+            assert derived.depth == len(witness), sub_id
+            assert subscriptions[sub_id].matches(derived.event), (sub_id, witness)
+            answered += 1
+            semantic += not witness.is_original
+            free = result.free
+            composed += any(step[0] in (CANON, GENERAL) and step[1] in free for step in witness)
+    assert answered and semantic and (composed or not factored)
 
 
 class TestCrossAlgorithmAgreement:

@@ -19,7 +19,7 @@ import pytest
 from repro.broker.clients import Client, ClientKind
 from repro.broker.notifications import DeliveryOutcome, Notification
 from repro.broker.transports import DeliveryRecord, OutboundMessage
-from repro.core.provenance import DerivationStep, DerivedEvent, SemanticMatch
+from repro.core.provenance import GENERAL, DerivationStep, DerivedEvent, SemanticMatch, Witness
 from repro.model.events import Event
 from repro.model.predicates import Predicate, Range
 from repro.model.subscriptions import Subscription
@@ -41,7 +41,7 @@ def _instances() -> dict[str, object]:
     )
     step = DerivationStep("hierarchy", "PhD -> degree", "degree", 1)
     derived = DerivedEvent.original(event).extend(Event({"degree": "degree"}), step)
-    match = SemanticMatch(subscription, event, derived, derived.generality)
+    match = SemanticMatch(subscription, event, Witness([(GENERAL, "degree", 1, "degree")]), 1)
     client = Client("c1", "Initech", ClientKind.SUBSCRIBER, (("tcp", "h:1"),))
     notification = Notification("n1", client, match, "s1", 1)
     message = OutboundMessage("tcp", "h:1", "subject", "body", "n1", message_id="m1")
