@@ -222,7 +222,7 @@ class SToPSS:
             self._semantic_version = current
             self._matcher.invalidate_memo(reason)
             if self._interest is not None:
-                self._interest.invalidate_semantics()
+                self._interest.invalidate_semantics(reason)
 
     def bump_semantic_epoch(self, reason: str = "external") -> None:
         """Force-invalidate all cached semantic state (matcher memo and

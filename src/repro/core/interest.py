@@ -46,8 +46,10 @@ mapping rules are never relevance-skipped.  Reachability:
   descent composed with distance-0 value-synonym hops — one
   multi-source :meth:`~repro.ontology.concept_table.ConceptTable.
   descent_depths` pass on ids), recording each spelling's minimum climb
-  distance, filtered per query by the chain budget remaining after the
-  candidate's own step;
+  distance in a packed :class:`~repro.ontology.concept_table.Reach`
+  (sorted spelling ids and depths in two ``array('i')``, 8 bytes a
+  reached spelling), filtered per query by the chain budget remaining
+  after the candidate's own step;
 * non-enumerable predicates (``NE``, orderings, ranges, string
   operators, ``EXISTS``) accept open value sets, so they mark their
   attribute **wildcard** — never pruned;
@@ -68,12 +70,14 @@ relevant rule; function-backed rules with unknown output attributes are
 always relevant.
 
 Refcounted contributions keep subscribe/unsubscribe incremental: churn
-adjusts only the touched attributes' accepted multisets and drops only
-their closures; the per-attribute closures and the rule-relevance state
-rebuild lazily on the next query.  Knowledge-base motion (the engine's
-semantic-version/epoch plumbing) drops every derived structure via
-:meth:`invalidate_semantics` while the predicate-derived refcounts
-survive.
+adjusts only the touched attributes' accepted multisets, and drops an
+attribute's closure (and bumps :attr:`InterestIndex.generation`) only
+when its accepted key set or its open flag changes — a refcount moving
+between positive values changes no answer; the per-attribute closures
+and the rule-relevance state rebuild lazily on the next query.
+Knowledge-base motion (the engine's semantic-version/epoch plumbing)
+drops every derived structure via :meth:`invalidate_semantics`, logged
+at DEBUG, while the predicate-derived refcounts survive.
 
 Everything here deliberately **over-approximates** interest: an entry
 too many only costs an unpruned candidate, an entry too few would change
@@ -83,12 +87,13 @@ property test (``tests/property/test_interest_pruning_equivalence.py``).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.model.predicates import Operator, Predicate
 from repro.model.values import Value, canonical_value_key
-from repro.ontology.concept_table import pairs
+from repro.ontology.concept_table import Reach, pairs
 from repro.ontology.mappingdefs import OutputMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,6 +103,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ontology.mappingdefs import MappingRule
 
 __all__ = ["InterestIndex"]
+
+_log = logging.getLogger(__name__)
+
+#: the reach of an attribute nothing can be accepted on, shared
+_NO_REACH = Reach({}, {})
 
 #: operators whose accepted values are enumerable from the operand
 _ENUMERABLE = (Operator.EQ, Operator.IN)
@@ -181,10 +191,12 @@ class InterestIndex:
         self._table = kb.concept_table()
         self._config = config
         self._attributes: dict[str, _AttributeInterest] = {}
-        #: attribute -> {value key: min climb distance to acceptance}
-        self._closures: dict[str, dict] = {}
+        #: attribute -> its packed reach (value key -> min climb
+        #: distance to acceptance)
+        self._closures: dict[str, Reach] = {}
         self._rules: _RuleState | None = None
-        #: bumped on every churn/invalidation — stages key their
+        #: bumped whenever an answer may change (an accepted key set or
+        #: an open flag moved, an invalidation) — stages key their
         #: per-(attribute, term, budget) admission memos on it so a memo
         #: can never serve decisions from a superseded interest set
         self.generation = 0
@@ -198,7 +210,12 @@ class InterestIndex:
         self._apply(subscription.predicates, -1)
 
     def _apply(self, predicates: Iterable[Predicate], sign: int) -> None:
-        self.generation += 1
+        """Move the refcounts.  An attribute's reach depends only on its
+        accepted key set and on whether it has an open predicate, so
+        the reach is dropped, and the generation bumped, only when a
+        refcount crosses zero; one moving between positive values (a
+        second subscription on the same operand) changes no answer."""
+        changed = False
         for predicate in predicates:
             attribute = predicate.attribute
             entry = self._attributes.get(attribute)
@@ -206,6 +223,8 @@ class InterestIndex:
                 entry = self._attributes[attribute] = _AttributeInterest()
                 # a newly constrained attribute can flip rule relevance
                 self._rules = None
+                changed = True
+            moved = False
             if predicate.operator in _ENUMERABLE:
                 for value in _operand_values(predicate):
                     bucket: dict = (
@@ -219,20 +238,38 @@ class InterestIndex:
                         bucket[key] = count
                     else:
                         bucket.pop(key, None)
+                    # a key arrives at 1 and leaves at 0
+                    moved |= count == (1 if sign > 0 else 0)
             else:
+                was_open = entry.open > 0
                 entry.open = max(0, entry.open + sign)
-            self._closures.pop(attribute, None)
+                moved = was_open != (entry.open > 0)
+            if moved:
+                self._closures.pop(attribute, None)
+                changed = True
             if entry.empty:
                 del self._attributes[attribute]
                 self._rules = None
+        if changed:
+            self.generation += 1
 
     # -- knowledge-base motion -----------------------------------------------------
 
-    def invalidate_semantics(self) -> None:
+    def invalidate_semantics(self, reason: str = "external") -> None:
         """Drop every structure derived from the knowledge base (descent
         closures, rule analysis).  The engine
-        calls this whenever its semantic version moves; the refcounted
-        predicate contributions are pure subscription data and stay."""
+        calls this whenever its semantic version moves (*reason* says
+        why); the refcounted predicate contributions are pure
+        subscription data and stay.  Logs one DEBUG record with the
+        closures and entries dropped."""
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug(
+                "%s interest reach dropped (%s): %d closures, %d entries",
+                self._kb.name,
+                reason,
+                len(self._closures),
+                sum(map(len, self._closures.values())),
+            )
         self.generation += 1
         self._closures.clear()
         self._rules = None
@@ -274,12 +311,13 @@ class InterestIndex:
         depth = reach.get(self._table.value_key(value))
         return depth is not None and (remaining is None or depth <= remaining)
 
-    def reach(self, attribute: str) -> dict | None:
+    def reach(self, attribute: str) -> Reach | None:
         """What :meth:`value_interesting` decides for *attribute*, once
         for all its values: ``None`` when every value is interesting
-        (pruning disabled, an open predicate, a wildcard read), else
-        ``{value key: min climb distance to acceptance}`` — empty when
-        nothing on the attribute can be accepted.  Keys are
+        (pruning disabled, an open predicate, a wildcard read), else a
+        packed :class:`~repro.ontology.concept_table.Reach` ``{value
+        key: min climb distance to acceptance}`` — the one shared empty
+        reach when nothing on the attribute can be accepted.  Keys are
         :meth:`~repro.ontology.concept_table.ConceptTable.value_key`
         identities, so a known spelling's id is its own key."""
         state = self._rule_state()
@@ -291,7 +329,7 @@ class InterestIndex:
         if any(attribute.startswith(prefix) for prefix in state.wildcard_prefixes):
             return None
         if entry is None and attribute not in state.accepted:
-            return {}
+            return _NO_REACH
         return self._closure_for(attribute, state)
 
     def rule_relevant(self, rule_name: str) -> bool:
@@ -414,27 +452,26 @@ class InterestIndex:
 
     # -- reachability closures ----------------------------------------------------------
 
-    def _closure_for(self, attribute: str, state: _RuleState) -> dict:
+    def _closure_for(self, attribute: str, state: _RuleState) -> Reach:
+        """The attribute's reach, built on first use: one multi-source
+        descent pass over the region its accepted terms can reach,
+        keyed by value key and packed once; the few non-string keys
+        (all at depth 0, the minimum) go into the reach's side dict."""
         closure = self._closures.get(attribute)
         if closure is not None:
             return closure
-        direct = {}
+        direct: set = set()
         spellings: set[str] = set()
         entry = self._attributes.get(attribute)
         if entry is not None:
             spellings.update(entry.spellings)
-            for key in entry.direct:
-                direct[key] = 0
+            direct.update(entry.direct)
         for value in state.accepted.get(attribute, ()):
             if isinstance(value, str):
                 spellings.add(value)
             else:
-                direct[canonical_value_key(value)] = 0
-        # one multi-source pass over the region the accepted terms can
-        # reach, keyed by value_key; the few non-string keys (all at
-        # depth 0, the minimum) are folded into it
-        closure = self._kb.concept_table().descent_depths(spellings)
-        closure.update(direct)
+                direct.add(canonical_value_key(value))
+        closure = self._kb.concept_table().descent_depths(spellings, direct)
         self._closures[attribute] = closure
         return closure
 
@@ -465,6 +502,7 @@ class InterestIndex:
             + len(wildcard_attributes)
             + len(state.wildcard_prefixes),
             "closure_keys": sum(len(c) for c in self._closures.values()),
+            "closure_bytes": sum(c.nbytes for c in self._closures.values()),
             "relevant_rules": len(state.relevant),
             "pruned_rules": max(0, state.total - len(state.relevant)),
             "disabled": state.disabled_reason or "",

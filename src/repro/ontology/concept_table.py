@@ -23,7 +23,7 @@ Two id spaces, deliberately distinct:
   the hierarchy/synonym stages operate on;
 * **spelling ids** identify exact strings ("PhD" and "phd" differ) —
   the identity predicate equality operates on, the key
-  :meth:`ConceptTable.value_key` gives the interest index's reach maps
+  :meth:`ConceptTable.value_key` gives the interest index's reaches
   (the matcher keys a plain string by itself, which is the same
   identity: a spelling id stands for exactly one string).  A
   spelling that is its own term key ("phd", "car") has its term's id as
@@ -76,7 +76,9 @@ a holder derived *from* the closures or the value keys it must key on
 Ancestor closures are memoized per term on first access — large
 ontologies only pay for the terms their traffic actually touches — and
 the multi-source :meth:`~ConceptTable.descent_depths` is not memoized
-here at all (the interest index keeps its one result per attribute).
+here at all (the interest index keeps its one result per attribute, a
+:class:`Reach`: sorted spelling ids and their depths packed in two
+``array('i')``, probed by bisection).
 
 The table holds the store, the taxonomies and the value thesaurus; they
 hold the store and nothing holds the table but its knowledge base, so
@@ -105,7 +107,9 @@ from __future__ import annotations
 import logging
 import threading
 from array import array
+from bisect import bisect_left
 from collections import deque
+from collections.abc import Mapping
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, KeysView
 
@@ -119,7 +123,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kb imports us)
     from repro.ontology.taxonomy import Taxonomy
     from repro.ontology.thesaurus import Thesaurus
 
-__all__ = ["ConceptTable", "TermStore", "descent_closure", "pairs"]
+__all__ = ["ConceptTable", "Reach", "TermStore", "descent_closure", "pairs"]
 
 _log = logging.getLogger(__name__)
 
@@ -129,6 +133,55 @@ def pairs(packed: array) -> Iterator[tuple[int, int]]:
     in order: ``(spelling id, distance)`` for each entry."""
     flat = iter(packed)
     return zip(flat, flat)
+
+
+class Reach(Mapping):
+    """A read-only ``{value key: min depth}`` map, packed: the int keys
+    (spelling ids) sorted in one ``array('i')`` and their depths in a
+    parallel one, probed by bisection — 8 bytes an entry, where a dict
+    pays a hash slot and a boxed ``int``.  The few other keys (the
+    :func:`~repro.model.values.canonical_value_key` tuples of
+    non-string values and unknown terms) sit in a small side dict.
+    Equal to any mapping with the same items, a ``dict`` included."""
+
+    __slots__ = ("_ids", "_depths", "_other")
+
+    def __init__(self, depths: dict[int, int], other: dict) -> None:
+        """Pack *depths* (spelling id -> depth) beside the *other* keys."""
+        ids = sorted(depths)
+        self._ids = array("i", ids)
+        # from a list, so the array is allocated to size
+        self._depths = array("i", list(map(depths.__getitem__, ids)))
+        self._other = other
+
+    def get(self, key, default=None):
+        if type(key) is int:
+            ids = self._ids
+            index = bisect_left(ids, key)
+            if index < len(ids) and ids[index] == key:
+                return self._depths[index]
+            return default
+        return self._other.get(key, default)
+
+    def __getitem__(self, key):
+        depth = self.get(key)
+        if depth is None:
+            raise KeyError(key)
+        return depth
+
+    def __iter__(self) -> Iterator:
+        return chain(self._ids, self._other)
+
+    def __len__(self) -> int:
+        return len(self._ids) + len(self._other)
+
+    def __repr__(self) -> str:
+        return f"Reach({dict(self.items())!r})"
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the two packed arrays' items."""
+        return 2 * self._ids.itemsize * len(self._ids)
 
 
 def descent_closure(kb: "KnowledgeBase", term: str, bound: int | None) -> dict[str, int]:
@@ -576,23 +629,28 @@ class ConceptTable:
                 depths[tid] = depth
         return depths, len(settled)
 
-    def descent_depths(self, terms: Iterable[str]) -> dict:
-        """``{value key: min depth}`` of every spelling an event may
-        carry to reach *any* of *terms* — the key-wise minimum of their
-        :func:`descent_closure`, in one multi-source pass.  Keys are
+    def descent_depths(self, terms: Iterable[str], keys: Iterable = ()) -> Reach:
+        """The :class:`Reach` of *terms*: ``{value key: min depth}`` of
+        every spelling an event may carry to reach *any* of them — the
+        key-wise minimum of their :func:`descent_closure`, in one
+        multi-source pass, packed once at the end.  Keys are
         :meth:`value_key` identities; each literal term reports itself
         at depth 0, which is all an unknown term contributes (one known
         only as an attribute synonym counts as unknown, as it does to the
-        reference's ``value_equivalents`` seeds).  Not memoized: the one
-        caller (the interest index) keeps the result per attribute."""
+        reference's ``value_equivalents`` seeds), and so does each of the
+        further value *keys* (of non-string operands).  Not memoized:
+        the one caller (the interest index) keeps the result per
+        attribute."""
         terms = tuple(terms)
         sources = [tid for tid in map(self._value_term_id, terms) if tid is not None]
         depths, steps = self._descend(sources)
         with self._fill_lock:
             self._fill_steps += steps
+        other = dict.fromkeys(keys, 0)
         for term in terms:
-            depths[self.value_key(term)] = 0
-        return depths
+            key = self.value_key(term)
+            (depths if type(key) is int else other)[key] = 0
+        return Reach(depths, other)
 
     # -- reporting ----------------------------------------------------------------
 

@@ -5,14 +5,20 @@ relevance fixpoint."""
 
 from __future__ import annotations
 
+import logging
+import tracemalloc
+
 import pytest
 
 from repro.core.config import SemanticConfig
+from repro.core.engine import SToPSS
 from repro.core.interest import InterestIndex
+from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.mappingdefs import MappingRule
+from repro.workload.worlds import build_world
 
 
 def _kb() -> KnowledgeBase:
@@ -108,6 +114,32 @@ class TestChurn:
         index.invalidate_semantics()
         assert index.generation > before
 
+    def test_only_a_refcount_crossing_zero_drops_the_reach(self):
+        a = Subscription([Predicate.eq("x", "top")], sub_id="a")
+        b = Subscription([Predicate.eq("x", "top")], sub_id="b")
+        index = _index(None, None, a)
+        reach, generation = index.reach("x"), index.generation
+        # the same operand again: the accepted key set does not move
+        index.add(b)
+        index.remove(a)
+        assert index.generation == generation
+        assert index.reach("x") is reach
+        # the last one leaves: "top" is no longer accepted
+        index.remove(b)
+        assert index.generation > generation
+        assert index.reach("x") is not reach and not index.reach("x")
+
+    def test_an_open_predicate_drops_the_reach_only_when_it_opens_or_closes(self):
+        a = Subscription([Predicate.ge("x", 1)], sub_id="a")
+        b = Subscription([Predicate.ge("x", 2)], sub_id="b")
+        index = _index(None, None, Subscription([Predicate.eq("x", "top")], sub_id="s"), a)
+        generation = index.generation
+        index.add(b)
+        assert index.generation == generation and index.reach("x") is None
+        index.remove(a)
+        index.remove(b)
+        assert index.generation > generation and index.reach("x")
+
     def test_invalidate_semantics_sees_new_taxonomy(self):
         kb = _kb()
         index = _index(kb, None, Subscription([Predicate.eq("x", "top")], sub_id="s"))
@@ -115,6 +147,24 @@ class TestChurn:
         kb.taxonomy("d").add_chain("fresh", "top")
         index.invalidate_semantics()
         assert index.value_interesting("x", "fresh", 1)
+
+
+class TestInvalidationRecord:
+    def test_kb_motion_logs_the_reach_it_drops(self, caplog):
+        kb = _kb()
+        engine = SToPSS(kb)
+        engine.subscribe(Subscription([Predicate.eq("x", "top")], sub_id="s"))
+        event = Event({"x": "leaf"})
+        with caplog.at_level(logging.DEBUG, logger="repro.core.interest"):
+            engine.publish(event)
+            engine.publish(event)
+            assert caplog.records == []  # a plain publish drops nothing
+            entries = len(engine.interest.reach("x"))
+            kb.taxonomy("d").add_chain("fresh", "top")
+            engine.publish(event)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().endswith(f"(kb-version): 1 closures, {entries} entries")
 
 
 class TestRuleRelevance:
@@ -276,6 +326,42 @@ class TestReach:
         assert not index.reach("nobody")  # nothing can be accepted
 
 
+class TestReachFootprint:
+    """A reach is two packed ``array('i')`` columns (spelling id, min
+    depth): 8 bytes per entry plus a fixed overhead (the reach object,
+    its array headers, its empty side dict and the index's slot for it).
+    Pinned in traced bytes per built reach on the ``mega-small`` world,
+    where a dict of the same 420 entries held 21–27 KB above 8 bytes an
+    entry."""
+
+    SUBSCRIPTIONS, FIXED = 200, 2048
+
+    def test_a_reach_holds_eight_bytes_an_entry(self):
+        world = build_world("mega-small")
+        subscriptions = world.generator(seed=7).subscriptions(self.SUBSCRIPTIONS)
+        index = _index(world.kb, None, *subscriptions)
+        attributes = sorted({p.attribute for s in subscriptions for p in s.predicates})
+        index.stats()  # the rule analysis, outside the measurement
+        built = []
+        tracemalloc.start()
+        try:
+            for attribute in attributes:
+                before = tracemalloc.get_traced_memory()[0]
+                reach = index.reach(attribute)
+                if reach is not None:
+                    held = tracemalloc.get_traced_memory()[0] - before
+                    built.append((attribute, reach, held))
+        finally:
+            tracemalloc.stop()
+        assert len(built) >= 2
+        for attribute, reach, held in built:
+            assert len(reach) == len(dict(reach.items())) > 0
+            assert held <= 8 * len(reach) + self.FIXED, (attribute, len(reach), held)
+        stats = index.stats()
+        assert stats["closure_keys"] == sum(len(reach) for _, reach, _ in built)
+        assert stats["closure_bytes"] == 8 * stats["closure_keys"]  # no non-string operand
+
+
 class TestInterning:
     def test_value_interesting_within_budget(self):
         """The interned path: the string path builds no interest index
@@ -305,6 +391,9 @@ class TestStats:
         assert stats["wildcard_attributes"] == 1
         assert stats["size"] == 2
         assert stats["disabled"] == ""
+        assert stats["closure_bytes"] == 0
         # touching a closure materializes its keys into the stats
         index.value_interesting("x", "leaf", None)
-        assert index.stats()["closure_keys"] >= 3
+        stats = index.stats()
+        assert stats["closure_keys"] >= 3
+        assert stats["closure_bytes"] == 8 * stats["closure_keys"]
