@@ -33,26 +33,29 @@ again only to be read, never to be written: records, snapshots and
 every rendered body are as they were.
 
 A subscription's retained log is a ring of at most ``history_limit``
-rows stored as columns (:class:`_DeliveryLog`): sequence and
-notification number in ``array('q')``, the derivation index in an
-``array('I')``, the status as one byte, the text as one reference —
-29 bytes of columns a row, plus the row's share of its publication's
-packed text — while its subscription id, client id and
-rendered subscription part are kept once per log.  The ``n<N>`` id is
-rendered when a row is sent or exported.  Recovery decodes rows only in
-the form the engine writes them — ``outs`` records and format-3
-snapshot ``log`` rows — and refuses a row that does not fit its log
-with :class:`~repro.errors.StateFormatError`.  :class:`DeliveryEntry`
-remains the row type callers see: :meth:`NotificationEngine
-.delivery_log` and ``replay_from`` hand out copies, and the rows in
-flight (one fan-out's staged rows, recovery's ledger and restored
-pending rows) are transient entries whose settling writes the status
-column through.  The outcome journal and the dead-letter list are
-``deque(maxlen=history_limit)``; everything kept per subscription (log,
-sequence counter, frontier, rendered text) is dropped by
-:meth:`NotificationEngine.forget` when it unsubscribes, so the engine's
-footprint follows the live subscriptions and the window, not the number
-of notifications ever sent.
+rows stored as columns (:class:`_DeliveryLog`): the notification number
+in an ``array('q')``, the derivation index in an ``array('I')``, the
+status as one byte, the text as one reference — 21 bytes of columns a
+row, plus the row's share of its publication's packed text — while its
+subscription id, client id, rendered subscription part and oldest
+sequence are kept once per log (a stream's sequences are contiguous, so
+a row's is derived).  The ``n<N>`` id is rendered when a row is sent or
+exported.  Recovery decodes rows only in the form the engine writes
+them — ``outs`` records and format-3 snapshot ``log`` rows — and
+refuses a row that does not fit its log with
+:class:`~repro.errors.StateFormatError`.  Its replay ledger holds no
+row of its own: per stream, a reference to the log the journaled rows
+were adopted into and the run of sequences they hold there.
+:class:`DeliveryEntry` remains the row type callers see:
+:meth:`NotificationEngine.delivery_log` and ``replay_from`` hand out
+copies, and the rows in flight (one fan-out's staged rows, restored
+pending rows, the rows recovery re-sends) are transient entries whose
+settling writes the status column through.  The outcome journal and the
+dead-letter list are ``deque(maxlen=history_limit)``; everything kept
+per subscription (log, sequence counter, frontier, rendered text) is
+dropped by :meth:`NotificationEngine.forget` when it unsubscribes, so
+the engine's footprint follows the live subscriptions and the window,
+not the number of notifications ever sent.
 
 The notification-id counter is engine-owned (not module-global) and
 restorable from a snapshot, so ids stay unique across a crash-restart.
@@ -232,25 +235,28 @@ class _DeliveryLog:
     appended, after that it takes the oldest row's slot and ``start``
     moves on to the next-oldest.  ``sub_id``, ``client_id`` and
     ``head`` are the log's, not the row's, and a stream's sequences are
-    contiguous; a row decoded from a record must fit that, or it is
-    refused (:meth:`NotificationEngine._log_row`).
+    contiguous, so a row stores none: it is ``first`` (the oldest
+    row's) plus the row's age.  A row decoded from a record must fit
+    that, or it is refused (:meth:`NotificationEngine._log_row`).
+    While recovery replays, rows are appended past ``capacity`` and
+    :meth:`trim` evicts them when it ends.
 
     :meth:`NotificationEngine.retained_log` hands it to tests: its
     :meth:`set_status` is the one way a row's status changes, and
     :meth:`columns` lists every object it holds."""
 
     __slots__ = (
-        "sub_id", "client_id", "head", "capacity", "start",
-        "sequences", "numbers", "vias", "statuses", "texts",
+        "sub_id", "client_id", "head", "capacity", "start", "first",
+        "numbers", "vias", "statuses", "texts",
     )  # fmt: skip
 
-    def __init__(self, sub_id: str, client_id: str, head: str, capacity: int) -> None:
+    def __init__(self, sub_id: str, client_id: str, head: str, capacity: int, first: int) -> None:
         self.sub_id = sub_id
         self.client_id = client_id
         self.head = head
         self.capacity = capacity
         self.start = 0
-        self.sequences = array("q")
+        self.first = first
         #: N of each row's notification id ``n<N>``
         self.numbers = array("q")
         self.vias = array("I")
@@ -258,29 +264,51 @@ class _DeliveryLog:
         self.statuses = bytearray()
         self.texts: list[PublicationText] = []
 
-    def push(self, sequence: int, number: int, via: int, text: PublicationText, status=0) -> bool:
-        """Store a row; True when the log was full and it took the
-        oldest row's slot."""
+    def push(self, number: int, via: int, text: PublicationText, status=0, defer=False) -> bool:
+        """Store the stream's next row; True when the log was full, so
+        the oldest row left it — or, with *defer*, leaves it at
+        :meth:`trim`."""
         count = len(self.texts)
-        if count < self.capacity:
-            self.sequences.append(sequence)
+        if count < self.capacity or defer:
+            if self.start:  # a full ring, in age order from slot 0
+                self.trim()
             self.numbers.append(number)
             self.vias.append(via)
             self.statuses.append(status)
             self.texts.append(text)
-            return False
+            return count >= self.capacity
         slot = self.start
         self.start = (slot + 1) % count
-        self.sequences[slot] = sequence
+        self.first += 1
         self.numbers[slot] = number
         self.vias[slot] = via
         self.statuses[slot] = status
         self.texts[slot] = text
         return True
 
+    def trim(self) -> None:
+        """Keep the newest ``capacity`` rows, the oldest in slot 0."""
+        start, drop = self.start, max(len(self.texts) - self.capacity, 0)
+        if not start and not drop:
+            return
+        for name in ("numbers", "vias", "statuses", "texts"):
+            column = getattr(self, name)
+            setattr(self, name, (column[start:] + column[:start])[drop:])
+        self.start = 0
+        self.first += drop
+
     def _slots(self) -> Iterator[int]:
         """Slots oldest row first."""
         return chain(range(self.start, len(self.texts)), range(self.start))
+
+    def _slot(self, sequence: int) -> int | None:
+        """The slot of the row with *sequence*; None when not retained."""
+        count = len(self.texts)
+        offset = sequence - self.first
+        if not 0 <= offset < count:
+            return None
+        slot = self.start + offset
+        return slot - count if slot >= count else slot
 
     def ordered_texts(self) -> Iterator[PublicationText]:
         return (self.texts[slot] for slot in self._slots())
@@ -288,42 +316,34 @@ class _DeliveryLog:
     def rows(self) -> Iterator[tuple]:
         """``(sequence, notification_id, client_id, head, text, via,
         status)`` per row, oldest first."""
-        numbers, sequences, texts, vias, statuses = (
-            self.numbers, self.sequences, self.texts, self.vias, self.statuses
-        )  # fmt: skip
+        numbers, texts, vias, statuses = self.numbers, self.texts, self.vias, self.statuses
         client_id, head = self.client_id, self.head
-        for slot in self._slots():
+        for sequence, slot in enumerate(self._slots(), self.first):
             yield (
-                sequences[slot], f"n{numbers[slot]}", client_id, head, texts[slot], vias[slot],
+                sequence, f"n{numbers[slot]}", client_id, head, texts[slot], vias[slot],
                 _STATUSES[statuses[slot]],
             )  # fmt: skip
 
+    def entry(self, sequence: int) -> DeliveryEntry:
+        """The retained row with *sequence*, as an entry in flight."""
+        slot = self._slot(sequence)
+        return DeliveryEntry(
+            sequence, f"n{self.numbers[slot]}", self.client_id, self.sub_id, self.head,
+            self.texts[slot], self.vias[slot], _STATUSES[self.statuses[slot]],
+        )  # fmt: skip
+
     def entries(self) -> list[DeliveryEntry]:
         """The rows as (detached) :class:`DeliveryEntry` copies."""
-        sub_id = self.sub_id
-        return [
-            DeliveryEntry(sequence, nid, client_id, sub_id, head, text, via, status)
-            for sequence, nid, client_id, head, text, via, status in self.rows()
-        ]
+        first = self.first
+        return [self.entry(first + age) for age in range(len(self.texts))]
 
     def set_status(self, sequence: int, status: str, text: PublicationText | None = None) -> bool:
         """Write the status of the row with *sequence* — only if it
         references *text*, when given, so a row in flight settles its
         own retained copy and never a later stream's row that re-used
-        its sequence.  False when no such row is retained.  A stream's
-        sequences are contiguous, so the row is found by subtraction
-        from the oldest."""
-        sequences, start = self.sequences, self.start
-        count = len(sequences)
-        if not count:
-            return False
-        offset = sequence - sequences[start]
-        if not 0 <= offset < count:
-            return False
-        slot = start + offset
-        if slot >= count:
-            slot -= count
-        if text is not None and self.texts[slot] is not text:
+        its sequence.  False when no such row is retained."""
+        slot = self._slot(sequence)
+        if slot is None or text is not None and self.texts[slot] is not text:
             return False
         self.statuses[slot] = _CODE[status]
         return True
@@ -331,8 +351,8 @@ class _DeliveryLog:
     def columns(self) -> tuple:
         """Every object the log holds."""
         return (
-            self.sub_id, self.client_id, self.head, self.sequences, self.numbers,
-            self.vias, self.statuses, self.texts,
+            self.sub_id, self.client_id, self.head, self.numbers, self.vias, self.statuses,
+            self.texts,
         )  # fmt: skip
 
 
@@ -410,16 +430,17 @@ class NotificationEngine:
         #: pending entries restored from a snapshot, per subscription
         #: (their publishes were compacted away, so recovery re-sends
         #: them directly)
-        self._restored_pending: dict[str, list[DeliveryEntry]] = {}
+        self._restored_pending: dict[str, dict[int, DeliveryEntry]] = {}
         #: recovery only: the snapshot's ``text`` records in file order,
         #: which its ``log`` rows reference by position
         self._restored_texts: list[PublicationText] = []
-        #: recovery only: per subscription id, the journaled outbox
-        #: entries in append order with one ``None`` per journaled
-        #: unsubscribe of that id, delivery or not.  A replayed
+        #: recovery only: per subscription id, a ``[log, next, last]`` run
+        #: per stream (the journaled rows' sequences in the log they were
+        #: adopted into, which stays reachable after ``forget``) and a
+        #: ``None`` per journaled unsubscribe of that id.  A replayed
         #: unsubscribe pops through the first ``None``; whatever remains
         #: belongs to a later subscription that re-used the id
-        self._replay_ledger: dict[str, deque[DeliveryEntry | None]] | None = None
+        self._replay_ledger: dict[str, deque[list | None]] | None = None
         self._replay_stats = None
 
     # -- bounded history ---------------------------------------------------------
@@ -431,30 +452,30 @@ class NotificationEngine:
             self.stats.history_evictions += 1
         store.append(item)
 
-    def _log_row(self, sub_id, sequence, nid, client_id, head, text, via, status=0) -> int:
+    def _log_row(self, sub_id, sequence, nid, client_id, head, text, via, status=0, defer=False):
         """Retain a row decoded from a record (the live path is
-        :meth:`_stage`); returns the *N* of its ``n<N>`` id.  A row
-        :meth:`_stage` could not have written — another id, or not the
-        next row of its log — raises :class:`~repro.errors.StateFormatError`."""
+        :meth:`_stage`; *defer* is :meth:`_DeliveryLog.push`'s); returns
+        its log.  A row :meth:`_stage` could not have written — another
+        id, or not the next row of its log — raises
+        :class:`~repro.errors.StateFormatError`."""
         digits = nid[1:]
         if nid[:1] != "n" or not digits.isdecimal() or f"n{int(digits)}" != nid:
             raise StateFormatError(f"delivery-log row of {sub_id!r} has id {nid!r}, not n<N>")
         log = self._delivery_log.get(sub_id)
         if log is None:
             log = self._delivery_log[sub_id] = _DeliveryLog(
-                sub_id, intern(client_id), head, self.history_limit
+                sub_id, intern(client_id), head, self.history_limit, sequence
             )
         elif (client_id, head) != (log.client_id, log.head) or (
-            sequence != log.sequences[log.start - 1] + 1
+            sequence != log.first + len(log.texts)
         ):
             raise StateFormatError(
                 f"delivery-log row {nid!r} of {sub_id!r} does not continue its log: another "
                 "client or subscription text, or its sequences are not contiguous"
             )
-        number = int(digits)
-        if log.push(sequence, number, via, text, status):
+        if log.push(int(digits), via, text, status, defer):
             self.stats.history_evictions += 1
-        return number
+        return log
 
     def retained_log(self, sub_id: str) -> _DeliveryLog | None:
         """The column store behind :meth:`delivery_log` — a test seam:
@@ -537,7 +558,11 @@ class NotificationEngine:
             if ledger is not None:
                 queue = ledger.get(sub_id)
                 if queue and queue[0] is not None:
-                    staged.append(queue.popleft())
+                    run = queue[0]
+                    staged.append(run[0].entry(run[1]))
+                    run[1] += 1
+                    if run[1] > run[2]:
+                        queue.popleft()
                     continue
             if text is None:
                 text = PublicationText(match.event.event_id, event_part(match.event), [])
@@ -555,8 +580,10 @@ class NotificationEngine:
             client_id = client.client_id
             log = logs.get(sub_id)
             if log is None:
-                log = logs[sub_id] = _DeliveryLog(sub_id, client_id, head, self.history_limit)
-            if log.push(sequence, number, via, text):
+                log = logs[sub_id] = _DeliveryLog(
+                    sub_id, client_id, head, self.history_limit, sequence
+                )
+            if log.push(number, via, text, defer=ledger is not None):
                 self.stats.history_evictions += 1
             entry = DeliveryEntry(sequence, f"n{number}", client_id, sub_id, head, text, via)
             staged.append(entry)
@@ -737,47 +764,19 @@ class NotificationEngine:
     def begin_replay(self, records, stats) -> None:
         """The ledger pass, then reconciliation mode.  *records* is the
         journal tail in append order: every row of an ``outs`` record
-        is adopted into the delivery log and the sequence/id counters
-        and queued on its subscription's ledger — sharing its
-        publication's text as the row it was staged as did — every row
-        of an ``acks`` record settles its entry (the send reached its
-        terminal state before the crash) — the retained row by
-        sequence, its copy in flight even if the row has left the
-        window — and every ``unsub`` forgets
-        the subscription as the live call did, leaving a ``None`` on its
-        ledger queue where it ended.  From here until
-        :meth:`finish_replay`, regenerated matches consume the ledger
+        is adopted into the delivery log and the sequence/id counters —
+        sharing its publication's text as the row it was staged as did —
+        and extends its stream's run on the ledger; every row of an
+        ``acks`` record settles its retained row (and restored pending
+        copy) by sequence; every ``unsub`` forgets the subscription as
+        the live call did, leaving a ``None`` on its ledger queue.  Logs
+        defer eviction to :meth:`finish_replay`, so a run's rows stay
+        readable.  Until then, regenerated matches consume the ledger
         instead of drawing fresh sequences."""
-        ledger: dict[str, deque[DeliveryEntry | None]] = {}
+        ledger: dict[str, deque[list | None]] = {}
         #: the decoded subscription texts, each once: a subscription's
         #: rows share one string across the tail's ``outs`` records
         heads: dict[str, str] = {}
-
-        def in_flight(sub_id: str, sequence: int) -> DeliveryEntry | None:
-            """The row's copy in flight: queued since its stream's last
-            ``unsub`` (an ack follows its ``outs`` closely, so newest
-            first), or restored pending."""
-            for entry in reversed(ledger.get(sub_id, ())):
-                if entry is None:
-                    break
-                if entry.sequence == sequence:
-                    return entry
-            for entry in self._restored_pending.get(sub_id, ()):
-                if entry.sequence == sequence:
-                    return entry
-            return None
-
-        def settle(sub_id: str, sequence: int, ok: bool) -> None:
-            status = "acked" if ok else "dead"
-            log = self._delivery_log.get(sub_id)
-            if log is not None:
-                log.set_status(sequence, status)
-            entry = in_flight(sub_id, sequence)
-            if entry is not None:
-                entry.status = status
-            if ok:
-                self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
-
         for record in records:
             kind = record["k"]
             if kind == "outs":
@@ -785,15 +784,27 @@ class NotificationEngine:
                 for sub_id, sequence, nid, client_id, head, via in record["rows"]:
                     sub_id, client_id = intern(sub_id), intern(client_id)
                     head = heads.setdefault(head, head)
-                    number = self._log_row(sub_id, sequence, nid, client_id, head, text, via)
-                    self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), sequence + 1)
-                    self._next_notification = max(self._next_notification, number + 1)
-                    ledger.setdefault(sub_id, deque()).append(
-                        DeliveryEntry(sequence, nid, client_id, sub_id, head, text, via)
+                    log = self._log_row(
+                        sub_id, sequence, nid, client_id, head, text, via, defer=True
                     )
+                    self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), sequence + 1)
+                    self._next_notification = max(self._next_notification, int(nid[1:]) + 1)
+                    queue = ledger.setdefault(sub_id, deque())
+                    if queue and queue[-1] is not None and queue[-1][0] is log:
+                        queue[-1][2] = sequence
+                    else:
+                        queue.append([log, sequence, sequence])
             elif kind == "acks":
                 for sub_id, sequence, ok in record["rows"]:
-                    settle(sub_id, sequence, ok)
+                    status = "acked" if ok else "dead"
+                    log = self._delivery_log.get(sub_id)
+                    if log is not None:
+                        log.set_status(sequence, status)
+                    entry = self._restored_pending.get(sub_id, {}).get(sequence)
+                    if entry is not None:
+                        entry.status = status
+                    if ok:
+                        self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
             elif kind == "unsub":
                 sub_id = record["sid"]
                 self.forget(sub_id)
@@ -804,17 +815,22 @@ class NotificationEngine:
     def finish_replay(self, registry) -> None:
         """Leave reconciliation mode; any journaled-but-unacked entry
         replay did not regenerate (snapshot-compacted publishes) is
-        re-sent directly from its stored text — at-least-once."""
+        re-sent directly from its stored text — at-least-once — once
+        every log is trimmed back to ``history_limit``."""
         leftovers = [
-            entry for entries in self._restored_pending.values() for entry in entries
+            entry for entries in self._restored_pending.values() for entry in entries.values()
         ]
         for queue in self._replay_ledger.values():
-            for entry in queue:
-                if entry is not None and entry.status == "pending":
-                    leftovers.append(entry)
+            for run in queue:
+                if run is not None:
+                    log, first, last = run
+                    entries = (log.entry(sequence) for sequence in range(first, last + 1))
+                    leftovers.extend(entry for entry in entries if entry.status == "pending")
         self._replay_ledger = None
         self._restored_pending = {}
         self._restored_texts = []
+        for log in self._delivery_log.values():
+            log.trim()
         for entry in leftovers:
             self._redeliver(entry, registry)
         self._replay_stats = None
@@ -866,8 +882,9 @@ class NotificationEngine:
     def restore(self, record: dict) -> None:
         """Apply one :meth:`durable_state` record; pending entries are
         queued for re-send when recovery finishes.  A row that does not
-        fit its log raises :class:`~repro.errors.StateFormatError`
-        (:meth:`_log_row`)."""
+        fit its log (:meth:`_log_row`), or a log whose last row is not
+        the one before ``next_seq``, raises
+        :class:`~repro.errors.StateFormatError`."""
         kind = record["k"]
         if kind == "notifier":
             self._next_notification = int(record["next_notification"])
@@ -886,9 +903,12 @@ class NotificationEngine:
             head, text = heads[head], self._restored_texts[text]
             self._log_row(sub_id, sequence, nid, client_id, head, text, via, _CODE[status])
             if status == "pending":
-                self._restored_pending.setdefault(sub_id, []).append(
-                    DeliveryEntry(sequence, nid, intern(client_id), sub_id, head, text, via)
+                self._restored_pending.setdefault(sub_id, {})[sequence] = DeliveryEntry(
+                    sequence, nid, intern(client_id), sub_id, head, text, via
                 )
+        log = self._delivery_log.get(sub_id)
+        if log is not None and log.first + len(log.texts) != self._next_seq[sub_id]:
+            raise StateFormatError(f"delivery log of {sub_id!r} does not end before next_seq")
 
     # -- reporting ----------------------------------------------------------------
 

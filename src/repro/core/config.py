@@ -41,8 +41,9 @@ class SemanticConfig:
         function and concept hierarchy stages can be executed multiple
         times", §3.2).
     max_derived_events:
-        Safety valve on the expansion set per publication; exceeding
-        it truncates (recorded on the result) rather than raising.
+        Safety valve on the expansion set per publication (an ``int``,
+        never unbounded); exceeding it truncates (recorded on the
+        result) rather than raising.
     present_year:
         Evaluation date for mapping functions (paper's
         ``present_date``).
@@ -90,12 +91,16 @@ class SemanticConfig:
     interest_pruning: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_generality is not None and self.max_generality < 0:
-            raise ConfigError("max_generality must be >= 0 or None")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.max_derived_events < 1:
-            raise ConfigError("max_derived_events must be >= 1")
+        bounds = (("max_generality", 0), ("max_iterations", 1), ("max_derived_events", 1))
+        for name, least in bounds:
+            value = getattr(self, name)
+            if value is None and name == "max_generality":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                kinds = "an int or None" if name == "max_generality" else "an int"
+                raise ConfigError(f"{name} must be {kinds}, not {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if not (1900 <= self.present_year <= 2200):
             raise ConfigError("present_year out of plausible range")
 

@@ -74,7 +74,8 @@ adjusts only the touched attributes' accepted multisets, and drops an
 attribute's closure (and bumps :attr:`InterestIndex.generation`) only
 when its accepted key set or its open flag changes — a refcount moving
 between positive values changes no answer; the per-attribute closures
-and the rule-relevance state rebuild lazily on the next query.
+and the rule-relevance state rebuild lazily on the next query, and a
+rule analysis that churn re-runs keeps every closure if it comes out equal.
 Knowledge-base motion (the engine's semantic-version/epoch plumbing)
 drops every derived structure via :meth:`invalidate_semantics`, logged
 at DEBUG, while the predicate-derived refcounts survive.
@@ -195,6 +196,8 @@ class InterestIndex:
         #: distance to acceptance)
         self._closures: dict[str, Reach] = {}
         self._rules: _RuleState | None = None
+        #: the last analysis run, kept across churn that re-runs it
+        self._analyzed: _RuleState | None = None
         #: bumped whenever an answer may change (an accepted key set or
         #: an open flag moved, an invalidation) — stages key their
         #: per-(attribute, term, budget) admission memos on it so a memo
@@ -272,7 +275,7 @@ class InterestIndex:
             )
         self.generation += 1
         self._closures.clear()
-        self._rules = None
+        self._rules = self._analyzed = None
 
     # -- queries (the prune hook) -----------------------------------------------------
 
@@ -344,9 +347,11 @@ class InterestIndex:
         state = self._rules
         if state is None:
             state = self._analyze_rules()
-            self._rules = state
-            # rule contributions feed other attributes' closures
-            self._closures.clear()
+            # rule contributions feed other attributes' closures: they
+            # stay only when the analysis came out as it did last time
+            if state != self._analyzed:
+                self._closures.clear()
+            self._rules = self._analyzed = state
         return state
 
     def _output_attributes(self, rule: "MappingRule") -> tuple[str, ...] | None:

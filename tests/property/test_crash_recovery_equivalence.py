@@ -157,21 +157,22 @@ def _run_clean(directory, kb, ops, probe, *, snapshot_every=0):
         return observable, appends, _probe(broker, probe)
 
 
-def _run_crashed(directory, kb, ops, offset, *, snapshot_every=0) -> Broker:
+def _run_crashed(directory, kb, ops, offset, *, snapshot_every=0, broker_factory=Broker) -> Broker:
     """Run the trace against a journal rigged to crash at append
     *offset*, then recover and resume the trace where the journal left
-    off.  Returns the recovered broker (caller closes)."""
+    off.  Both brokers are built by *broker_factory*.  Returns the
+    recovered broker (caller closes)."""
     durability = Durability(
         directory, snapshot_every=snapshot_every, fault_plan=FaultPlan.crash_at(offset)
     )
-    broker = Broker(kb, durability=durability)
+    broker = broker_factory(kb, durability=durability)
     try:
         _apply(broker, ops)
     except SimulatedCrash:
         pass
     finally:
         broker.close()
-    recovered = recover(directory, kb, snapshot_every=snapshot_every)
+    recovered = recover(directory, kb, snapshot_every=snapshot_every, broker_factory=broker_factory)
     _apply(recovered, ops, start=recovered.recovery.next_op_index)
     return recovered
 
@@ -190,14 +191,22 @@ def _ack_rows(records) -> list[tuple[str, int, bool]]:
 
 
 def _assert_acked_at_most_once(directory) -> None:
-    """Effectively-once settlement: no (sub, sequence) is successfully
-    acked twice anywhere in the journal (valid without compaction, when
-    the journal retains the full history)."""
-    seen: set[tuple[str, int]] = set()
-    for sid, n, ok in _ack_rows(_journal(directory)):
-        if ok:
-            assert (sid, n) not in seen, f"sequence acked twice: {(sid, n)}"
-            seen.add((sid, n))
+    """Effectively-once settlement: no (sub, sequence) of one stream is
+    successfully acked twice anywhere in the journal (valid without
+    compaction, when the journal retains the full history).  An id
+    subscribed again after an ``unsub`` starts a new stream at sequence
+    1, so a stream is the id and the number of its ``unsub`` records
+    before the ack."""
+    seen: set[tuple[str, int, int]] = set()
+    ended: dict[str, int] = {}
+    for record in _journal(directory):
+        if record["k"] == "unsub":
+            ended[record["sid"]] = ended.get(record["sid"], 0) + 1
+        for sid, n, ok in record["rows"] if record["k"] == "acks" else ():
+            if ok:
+                key = (sid, ended.get(sid, 0), n)
+                assert key not in seen, f"sequence acked twice: {key}"
+                seen.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +278,81 @@ def test_crash_sweep_with_aggressive_compaction(tmp_path):
         try:
             assert _observable(recovered) == expected, f"state diverged at offset {offset}"
             assert _probe(recovered, probe) == clean_probe
+        finally:
+            recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# windowed leg: a delivery window smaller than one subscription's rows in
+# the journal tail, and an id that ends and starts again inside it
+# ---------------------------------------------------------------------------
+
+#: the rows a subscription's delivery log keeps in this leg
+_WINDOW = 2
+
+
+def _windowed_broker(kb, **kwargs) -> Broker:
+    """A broker whose notifier keeps ``_WINDOW`` rows a subscription,
+    set before the first subscribe (live and when recover() builds it)."""
+    broker = Broker(kb, **kwargs)
+    broker.notifier.history_limit = _WINDOW
+    return broker
+
+
+def _windowed_trace():
+    """Two subscriptions that every publication matches: three
+    publications, then ``s1`` unsubscribes and subscribes again (a new
+    stream under the same id, for the other client), then two more."""
+    ops: list[tuple] = [
+        ("subscriber", "Ann", "cl-s0"),
+        ("subscriber", "Ben", "cl-s1"),
+        ("publisher", "Pia", "cl-p"),
+        ("sub", "cl-s0", Subscription([Predicate.eq("u", "mid")], sub_id="s0")),
+        ("sub", "cl-s1", Subscription([Predicate.eq("u", "leaf")], sub_id="s1")),
+    ]
+    for index in range(5):
+        if index == 3:
+            ops.append(("unsub", "s1"))
+            ops.append(("sub", "cl-s0", Subscription([Predicate.eq("u", "mid")], sub_id="s1")))
+        ops.append(("pub", "cl-p", Event([("u", "root"), ("v", index)], event_id=f"e{index}")))
+    return ops, Event([("u", "root")], event_id="probe")
+
+
+def _logs(broker: Broker) -> dict:
+    """Every live subscription's retained rows, whole."""
+    return {
+        sub.sub_id: [
+            (e.sequence, e.notification_id, e.client_id, e.event_id, e.body, e.status)
+            for e in broker.notifier.delivery_log(sub.sub_id)
+        ]
+        for sub in broker.engine.subscriptions()
+    }
+
+
+def test_a_window_smaller_than_the_tail_recovers_at_every_offset(tmp_path):
+    """Hard invariant #7 when recovery's ledger outruns the window: ``s0``
+    has five rows in the journal tail and keeps two, and ``s1`` ends and
+    starts again inside it.  At every crash offset the recovered broker
+    lands in the uncrashed state, its windowed delivery logs included."""
+    kb = _fixed_kb()
+    ops, probe = _windowed_trace()
+    durability = Durability(tmp_path / "clean", snapshot_every=0)
+    with _windowed_broker(kb, durability=durability) as broker:
+        _apply(broker, ops)
+        expected = _observable(broker), _logs(broker)
+        total_appends = durability.stats.journal_appends
+        clean_probe = _probe(broker, probe)
+    outs = [row for r in _journal(tmp_path / "clean") if r["k"] == "outs" for row in r["rows"]]
+    assert sum(row[0] == "s0" for row in outs) > 2 * _WINDOW
+    assert [len(rows) for rows in expected[1].values()] == [_WINDOW, _WINDOW]
+
+    for offset in range(total_appends + 1):
+        work = tmp_path / f"crash{offset}"
+        recovered = _run_crashed(work, kb, ops, offset, broker_factory=_windowed_broker)
+        try:
+            assert (_observable(recovered), _logs(recovered)) == expected, offset
+            assert _probe(recovered, probe) == clean_probe, offset
+            _assert_acked_at_most_once(work)
         finally:
             recovered.close()
 

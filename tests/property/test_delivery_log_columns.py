@@ -1,18 +1,20 @@
 """Property: the column-stored delivery log keeps what a list of row
 objects would.
 
-Each subscription's retained log is a ring of columns (sequence and
-notification numbers, derivation index, status byte, text reference)
-with the subscription's ids and rendered part kept once.  The reference
-model here is the plain representation: per subscription a list of
-rows, each holding its whole id, client, subject, body and status, at
-most ``history_limit`` of them.  Random sequences of subscribe,
-publish (with dead letters, and fan-outs a dead letter aborts so later
-rows stay pending), ``replay_from``, unsubscribe, re-subscribing the
-same id, checkpoint (``durable_state`` → JSON) and crash (``restore``
-of the checkpoint + the journal tail through ``begin_replay`` /
-``finish_replay``) run against both, at ``history_limit=3`` so the
-ring wraps, and after every step the two agree on ``delivery_log()``,
+Each subscription's retained log is a ring of columns (notification
+number, derivation index, status byte, text reference) with the
+subscription's ids, rendered part and oldest sequence kept once: a
+row's sequence is derived, the oldest one's plus the row's age.  The
+reference model here is the plain representation: per subscription a
+list of rows, each holding its own sequence, whole id, client, subject,
+body and status, at most ``history_limit`` of them.  Random sequences
+of subscribe, publish (with dead letters, and fan-outs a dead letter
+aborts so later rows stay pending), ``replay_from``, unsubscribe,
+re-subscribing the same id, checkpoint (``durable_state`` → JSON) and
+crash (``restore`` of the checkpoint + the journal tail through
+``begin_replay`` / ``finish_replay``) run against both, at
+``history_limit=3`` so the ring wraps and a journal tail outruns the
+window, and after every step the two agree on ``delivery_log()``,
 ``replay_from`` outcomes, the delivered frontiers and the decoded
 ``durable_state()`` records — which a fresh engine restores to the
 same records.
@@ -66,6 +68,7 @@ class _Journal:
 @dataclass
 class _Row:
     sub_id: str
+    #: drawn and kept per row here; the engine derives it from its log
     sequence: int
     nid: str
     client_id: str

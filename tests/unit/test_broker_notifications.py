@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -200,6 +201,37 @@ class TestBoundedRetention:
         # the id, subscribed again, starts a new stream
         assert engine.notify(client, self._sub_match("gone", 9)).notification.sequence == 1
         engine.forget("never-delivered")  # no-op, not an error
+
+    def test_recovery_into_a_narrower_window_keeps_the_newest_rows(self):
+        """A snapshot written under a wider window wraps the log a
+        narrower engine restores it into; the journal tail's rows still
+        follow it in age order, and replay's end trims the log to the
+        newest ``history_limit``."""
+        tail: list[dict] = []
+        journal = SimpleNamespace(
+            append=lambda record: tail.append(json.loads(json.dumps(record))),
+            stats=SimpleNamespace(dedup_drops=0),
+        )
+        wide = _engine(history_limit=5, durability=journal)
+        client = _client(("tcp", "h:1"))
+        for index in range(5):
+            wide.notify(client, self._sub_match("s1", index))
+        snapshot = [json.loads(json.dumps(record)) for record in wide.durable_state()]
+        tail.clear()
+        for index in range(5, 8):
+            wide.notify(client, self._sub_match("s1", index))
+
+        narrow = _engine(history_limit=2)
+        for record in snapshot:
+            narrow.restore(record)
+        assert narrow.retained_log("s1").start == 1  # the ring wrapped
+        narrow.begin_replay(tail, journal.stats)
+        assert [e.sequence for e in narrow.delivery_log("s1")] == [4, 5, 6, 7, 8]
+        narrow.finish_replay(ClientRegistry())
+        rows = narrow.delivery_log("s1")
+        kept = [(e.sequence, e.notification_id, e.event_id, e.status) for e in rows]
+        assert kept == [(7, "n7", "e6", "acked"), (8, "n8", "e7", "acked")]
+        assert narrow.stats.history_evictions == 3 + 3
 
     def test_delivery_entries_are_slotted_and_share_ids(self):
         engine = _engine()

@@ -48,6 +48,29 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SemanticConfig(max_derived_events=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", None),
+            ("max_iterations", "5"),
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("max_derived_events", None),
+            ("max_derived_events", "5"),
+            ("max_derived_events", 2.5),
+            ("max_derived_events", False),
+            ("max_generality", "5"),
+            ("max_generality", 2.5),
+            ("max_generality", True),
+        ],
+    )
+    def test_a_limit_of_another_type_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+            SemanticConfig(**{field: value})
+
+    def test_only_max_generality_may_be_none(self):
+        assert SemanticConfig(max_generality=None).max_generality is None
+
     def test_present_year_sanity(self):
         with pytest.raises(ConfigError):
             SemanticConfig(present_year=1492)

@@ -140,6 +140,36 @@ class TestChurn:
         index.remove(b)
         assert index.generation > generation and index.reach("x")
 
+    def test_an_equal_rule_analysis_keeps_every_reach(self, monkeypatch):
+        """A first predicate on another attribute re-runs the rule
+        analysis; it comes out equal, so the reach already built stays
+        and no descent pass runs again.  Knowledge-base motion still
+        drops it."""
+        from repro.ontology.concept_table import ConceptTable
+
+        kb = _kb()
+        kb.add_rule(MappingRule.equivalence("r", {"a": "leaf"}, {"x": "top"}))
+        calls = []
+        descend = ConceptTable.descent_depths
+
+        def counted(table, *args):
+            calls.append(args)
+            return descend(table, *args)
+
+        monkeypatch.setattr(ConceptTable, "descent_depths", counted)
+        index = _index(kb, None, Subscription([Predicate.eq("x", "top")], sub_id="s"))
+        reach = index.reach("x")
+        assert reach and len(calls) == 1
+        other = Subscription([Predicate.eq("y", "mid")], sub_id="o")
+        for _ in range(3):
+            index.add(other)  # y's first predicate: the analysis re-runs ...
+            assert index.reach("x") is reach  # ... and equals the last one
+            index.remove(other)  # y's last one leaves: it re-runs again
+            assert index.reach("x") is reach
+        assert len(calls) == 1
+        index.invalidate_semantics()
+        assert index.reach("x") == reach and len(calls) == 2
+
     def test_invalidate_semantics_sees_new_taxonomy(self):
         kb = _kb()
         index = _index(kb, None, Subscription([Predicate.eq("x", "top")], sub_id="s"))

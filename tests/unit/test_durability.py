@@ -806,6 +806,42 @@ class TestStreamedSnapshot:
             assert after < large[2] / 3, (name, small, large)
 
 
+    def test_recovery_from_a_journal_tail_holds_no_row_twice(self, kb, tmp_path):
+        """400 publications fanned out to 24 subscriptions and nothing
+        compacted: recovery adopts the tail's 9,600 journaled rows into
+        the delivery logs it rebuilds, and its replay ledger points into
+        them, so what recover() allocates and frees again (traced peak
+        minus what stays live) is a few bytes a tail row, not a second
+        copy of the rows (as an entry, an id string and a queue slot
+        each it was ~100 B a row here)."""
+        publications, subs = 400, 24
+        durability = Durability(tmp_path, snapshot_every=0)
+        with Broker(kb, durability=durability) as broker:
+            broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-f")
+            broker.register_publisher("Press", client_id="cl-p")
+            for index in range(subs):
+                broker.subscribe("cl-f", _sub("university", "Toronto", f"s{index}"))
+            for index in range(publications):
+                event = Event([("school", "Toronto"), ("n", index)], event_id=f"e{index}")
+                assert broker.publish("cl-p", event).delivered_count == subs
+        rows = publications * subs
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            recovered = recover(tmp_path, kb, snapshot_every=0)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            assert not recovered.recovery.snapshot_loaded
+            assert recovered.recovery.dedup_drops == rows
+            assert sum(len(recovered.notifier.delivery_log(f"s{i}")) for i in range(subs)) == rows
+            assert (peak - live) / rows < 48, (peak - live) / rows
+        finally:
+            recovered.close()
+
+
 class TestSharedFanOutText:
     """A delivery-log row holds its ids and references; the text lives
     once per subscription, per publication and per distinct derivation,
@@ -1169,6 +1205,22 @@ class TestOneFormat:
 
         self._rewrite(path, forge)
         with pytest.raises(StateFormatError, match="'n01'|not contiguous"):
+            recover(tmp_path, kb)
+
+    def test_a_log_that_does_not_end_before_its_next_sequence_is_refused(self, kb, tmp_path):
+        """A row's sequence is derived from its log's oldest, so the
+        next row a restored log takes must be the one ``next_seq``
+        names."""
+        self._written(kb, tmp_path)
+        with recover(tmp_path, kb) as recovered:
+            recovered.checkpoint()
+
+        def forge(records):
+            (log,) = [record for record in records if record["k"] == "log"]
+            log["next_seq"] += 1
+
+        self._rewrite(tmp_path / SNAPSHOT_NAME, forge)
+        with pytest.raises(StateFormatError, match="'s-a' does not end before next_seq"):
             recover(tmp_path, kb)
 
     @pytest.mark.parametrize("executor", ["single", "process"])
