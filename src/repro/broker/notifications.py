@@ -4,10 +4,10 @@
 sends a notification to the corresponding subscriber" (paper §1).  This
 engine owns that last hop: it renders a :class:`SemanticMatch` into a
 message, walks the subscriber's transport preferences, retries
-transient failures with bounded attempts, and journals every outcome.
-Undeliverable notifications land in a dead-letter list instead of
-failing the publish path — a slow SMS gateway must not stall the
-matcher.
+transient failures with bounded attempts, and settles every send in its
+subscription's delivery log.  Undeliverable notifications land in a
+dead-letter list instead of failing the publish path — a slow SMS
+gateway must not stall the matcher.
 
 Delivery is *at-least-once with per-subscription sequences*: every
 notification carries a monotonic ``sequence`` scoped to its
@@ -35,7 +35,8 @@ every rendered body are as they were.
 A subscription's retained log is a ring of at most ``history_limit``
 rows stored as columns (:class:`_DeliveryLog`): the notification number
 in an ``array('q')``, the derivation index in an ``array('I')``, the
-status as one byte, the text as one reference — 21 bytes of columns a
+status as one byte (its spare bits name the registry transport that
+delivered the row), the text as one reference — 21 bytes of columns a
 row, plus the row's share of its publication's packed text — while its
 subscription id, client id, rendered subscription part and oldest
 sequence are kept once per log (a stream's sequences are contiguous, so
@@ -50,12 +51,15 @@ were adopted into and the run of sequences they hold there.
 :meth:`NotificationEngine.delivery_log` and ``replay_from`` hand out
 copies, and the rows in flight (one fan-out's staged rows, restored
 pending rows, the rows recovery re-sends) are transient entries whose
-settling writes the status column through.  The outcome journal and the
-dead-letter list are ``deque(maxlen=history_limit)``; everything kept
-per subscription (log, sequence counter, frontier, rendered text) is
-dropped by :meth:`NotificationEngine.forget` when it unsubscribes, so
-the engine's footprint follows the live subscriptions and the window,
-not the number of notifications ever sent.
+settling writes the status column through.  A send's
+:class:`DeliveryOutcome` goes back to its caller (``PublishReport
+.outcomes``) and is not kept: :meth:`NotificationEngine.delivered_to`
+reads the retained logs.  The dead-letter list is the one other store,
+a ``deque(maxlen=history_limit)``; everything kept per subscription
+(log, sequence counter, frontier, rendered text) is dropped by
+:meth:`NotificationEngine.forget` when it unsubscribes, so the engine's
+footprint follows the live subscriptions and the window, not the
+number of notifications ever sent.
 
 The notification-id counter is engine-owned (not module-global) and
 restorable from a snapshot, so ids stay unique across a crash-restart.
@@ -206,6 +210,10 @@ class DeliveryEntry:
     #: which of ``text.derivations()`` explains this row's match
     via: int
     status: str = "pending"  # pending | acked | dead
+    #: the registry transport that delivered an acked row; ``""`` when
+    #: unknown — records do not store it, so a row recovery adopted from
+    #: one reads ``""``, and rows compare equal without it
+    transport: str = field(default="", compare=False)
 
     @property
     def event_id(self) -> str:
@@ -223,9 +231,16 @@ class DeliveryEntry:
         return self.head + text.event + text.derivations()[self.via]
 
 
-#: a row's status, stored in its log as the index into this tuple
+#: a row's status, stored in the low bits of its log's status byte as
+#: the index into this tuple
 _STATUSES = ("pending", "acked", "dead")
 _CODE = {status: code for code, status in enumerate(_STATUSES)}
+#: the status byte's bits above the status hold its carrier: 1 + the
+#: delivering transport's position in the registry, 0 when none is known
+_CARRIER_SHIFT = 2
+_STATUS_MASK = (1 << _CARRIER_SHIFT) - 1
+#: the largest carrier a status byte holds
+_CARRIERS = 0xFF >> _CARRIER_SHIFT
 
 
 class _DeliveryLog:
@@ -260,7 +275,8 @@ class _DeliveryLog:
         #: N of each row's notification id ``n<N>``
         self.numbers = array("q")
         self.vias = array("I")
-        #: indexes into :data:`_STATUSES`
+        #: indexes into :data:`_STATUSES`, the carrier above them
+        #: (:data:`_CARRIER_SHIFT`), so naming a transport costs a row nothing
         self.statuses = bytearray()
         self.texts: list[PublicationText] = []
 
@@ -321,31 +337,39 @@ class _DeliveryLog:
         for sequence, slot in enumerate(self._slots(), self.first):
             yield (
                 sequence, f"n{numbers[slot]}", client_id, head, texts[slot], vias[slot],
-                _STATUSES[statuses[slot]],
+                _STATUSES[statuses[slot] & _STATUS_MASK],
             )  # fmt: skip
 
-    def entry(self, sequence: int) -> DeliveryEntry:
-        """The retained row with *sequence*, as an entry in flight."""
+    def entry(self, sequence: int, transports: tuple[str, ...] = ()) -> DeliveryEntry:
+        """The retained row with *sequence*, as an entry in flight;
+        *transports* (the registry's names) spell its carrier."""
         slot = self._slot(sequence)
+        code = self.statuses[slot]
+        carrier = code >> _CARRIER_SHIFT
         return DeliveryEntry(
             sequence, f"n{self.numbers[slot]}", self.client_id, self.sub_id, self.head,
-            self.texts[slot], self.vias[slot], _STATUSES[self.statuses[slot]],
+            self.texts[slot], self.vias[slot], _STATUSES[code & _STATUS_MASK],
+            transports[carrier - 1] if 0 < carrier <= len(transports) else "",
         )  # fmt: skip
 
-    def entries(self) -> list[DeliveryEntry]:
+    def entries(self, transports: tuple[str, ...] = ()) -> list[DeliveryEntry]:
         """The rows as (detached) :class:`DeliveryEntry` copies."""
         first = self.first
-        return [self.entry(first + age) for age in range(len(self.texts))]
+        return [self.entry(first + age, transports) for age in range(len(self.texts))]
 
-    def set_status(self, sequence: int, status: str, text: PublicationText | None = None) -> bool:
-        """Write the status of the row with *sequence* — only if it
-        references *text*, when given, so a row in flight settles its
-        own retained copy and never a later stream's row that re-used
-        its sequence.  False when no such row is retained."""
+    def set_status(
+        self, sequence: int, status: str, text: PublicationText | None = None, carrier: int = 0
+    ) -> bool:
+        """Write the status of the row with *sequence*, and its
+        *carrier* (1 + the delivering transport's registry position, 0
+        for none) — only if it references *text*, when given, so a row
+        in flight settles its own retained copy and never a later
+        stream's row that re-used its sequence.  False when no such row
+        is retained."""
         slot = self._slot(sequence)
         if slot is None or text is not None and self.texts[slot] is not text:
             return False
-        self.statuses[slot] = _CODE[status]
+        self.statuses[slot] = _CODE[status] | carrier << _CARRIER_SHIFT
         return True
 
     def columns(self) -> tuple:
@@ -387,10 +411,10 @@ class NotificationEngine:
     max_attempts_per_transport: bounded retries for transient failures.
     raise_on_dead_letter: tests may prefer a loud
         :class:`~repro.errors.DeliveryError` over silent dead-lettering.
-    history_limit: capacity of the outcome journal, the dead-letter
-        list, and each subscription's delivery log; the oldest entry is
-        evicted at capacity (counted in ``history_evictions``), which
-        also bounds how far back ``replay_from`` can reach.
+    history_limit: capacity of the dead-letter list and of each
+        subscription's delivery log; the oldest entry is evicted at
+        capacity (counted in ``history_evictions``), which also bounds
+        how far back ``replay_from`` can reach.
     durability: the broker's :class:`~repro.broker.durability
         .Durability` store, when deliveries should be journaled (one
         ``outs`` record per publication before its first send, one
@@ -415,7 +439,6 @@ class NotificationEngine:
         self.raise_on_dead_letter = raise_on_dead_letter
         self.history_limit = history_limit
         self.durability = durability
-        self.outcomes: deque[DeliveryOutcome] = deque(maxlen=history_limit)
         self.dead_letters: deque[Notification] = deque(maxlen=history_limit)
         self.stats = _EngineStats()
         #: engine-owned, snapshot-restorable id counter (a module global
@@ -444,13 +467,6 @@ class NotificationEngine:
         self._replay_stats = None
 
     # -- bounded history ---------------------------------------------------------
-
-    def _bounded_append(self, store: deque, item) -> None:
-        """Append to a ``maxlen=history_limit`` deque, counting the
-        entry it pushes out."""
-        if len(store) == self.history_limit:
-            self.stats.history_evictions += 1
-        store.append(item)
 
     def _log_row(self, sub_id, sequence, nid, client_id, head, text, via, status=0, defer=False):
         """Retain a row decoded from a record (the live path is
@@ -626,19 +642,27 @@ class NotificationEngine:
         outcome = self._walk_transports(notification, entry.subject, entry.body)
         if self._replay_stats is not None:
             self._replay_stats.replayed_deliveries += 1
-        self._settle(entry, outcome.delivered)
+        self._settle(entry, outcome)
         return self._finish(outcome)
 
-    def _settle(self, entry: DeliveryEntry, delivered: bool) -> None:
-        """Terminal bookkeeping for one send: log status and delivered
-        frontier (a dead letter is terminal too: recovery never re-sends
-        it either).  *entry* is a row in flight; the status is written
-        through to its retained copy, if the log still holds it."""
+    def _settle(self, entry: DeliveryEntry, outcome: DeliveryOutcome) -> None:
+        """Terminal bookkeeping for one send: log status, carrier and
+        delivered frontier (a dead letter is terminal too: recovery never
+        re-sends it either).  *entry* is a row in flight; the status is
+        written through to its retained copy, if the log still holds
+        it."""
+        delivered = outcome.delivered
         status = entry.status = "acked" if delivered else "dead"
+        carrier = 0
+        if delivered:
+            entry.transport = outcome.transport
+            carrier = self.transports.names().index(outcome.transport) + 1
+            if carrier > _CARRIERS:  # past what the status byte can name
+                carrier = 0
         sub_id = entry.sub_id
         log = self._delivery_log.get(sub_id)
         if log is not None:
-            log.set_status(entry.sequence, status, entry.text)
+            log.set_status(entry.sequence, status, entry.text, carrier)
         if delivered:
             self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), entry.sequence)
 
@@ -707,9 +731,10 @@ class NotificationEngine:
         return DeliveryOutcome(notification, None, attempts, False, error=last_error)
 
     def _finish(self, outcome: DeliveryOutcome) -> DeliveryOutcome:
-        self._bounded_append(self.outcomes, outcome)
         if not outcome.delivered:
-            self._bounded_append(self.dead_letters, outcome.notification)
+            if len(self.dead_letters) == self.history_limit:
+                self.stats.history_evictions += 1
+            self.dead_letters.append(outcome.notification)
             self.stats.dead_lettered += 1
             if self.raise_on_dead_letter:
                 raise DeliveryError(
@@ -755,7 +780,7 @@ class NotificationEngine:
             if self.durability is not None:
                 self.durability.stats.replayed_deliveries += 1
         if entry.status == "pending":
-            self._settle(entry, outcome.delivered)
+            self._settle(entry, outcome)
             self._journal_acks([entry])
         return outcome
 
@@ -912,15 +937,20 @@ class NotificationEngine:
 
     # -- reporting ----------------------------------------------------------------
 
-    def delivered_to(self, client_id: str) -> list[DeliveryOutcome]:
-        """Delivery outcomes for one subscriber, in order."""
-        return [
-            outcome
-            for outcome in self.outcomes
-            if outcome.notification.client is not None
-            and outcome.notification.client.client_id == client_id
-            and outcome.delivered
+    def delivered_to(self, client_id: str) -> list[DeliveryEntry]:
+        """The retained delivery-log rows of one subscriber that settled
+        ``acked``, as copies, oldest notification first; a row's
+        ``transport`` names the transport that delivered it."""
+        transports = self.transports.names()
+        rows = [
+            entry
+            for log in self._delivery_log.values()
+            if log.client_id == client_id
+            for entry in log.entries(transports)
+            if entry.status == "acked"
         ]
+        rows.sort(key=lambda entry: int(entry.notification_id[1:]))
+        return rows
 
     def delivery_frontiers(self) -> dict[str, int]:
         """Highest acked delivery sequence per subscription — the
@@ -931,7 +961,7 @@ class NotificationEngine:
         """The retained (bounded) delivery log for one subscription, as
         copies of its rows: a row's status changes only by settling."""
         log = self._delivery_log.get(sub_id)
-        return log.entries() if log is not None else []
+        return log.entries(self.transports.names()) if log is not None else []
 
     def snapshot(self) -> dict[str, object]:
         data = self.stats.snapshot()
@@ -940,7 +970,6 @@ class NotificationEngine:
         return data
 
     def reset(self) -> None:
-        self.outcomes.clear()
         self.dead_letters.clear()
         self.stats = _EngineStats()
         self.transports.reset()

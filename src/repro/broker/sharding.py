@@ -74,6 +74,7 @@ chaos-soak CI job, and ``stopss demo --chaos``.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import time
 import zlib
@@ -92,6 +93,8 @@ from repro.metrics.aggregate import merge_stats
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 from repro.ontology.knowledge_base import KnowledgeBase
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "DEFAULT_REQUEST_TIMEOUT",
@@ -340,14 +343,16 @@ class _ProcessDataPlane:
             forked += 1
         return forked
 
-    def _dispose_worker(self, index: int) -> None:
-        """Forget shard *index*'s worker: close the pipe, make sure the
-        process is gone.  The slot stays None until the next publish
-        re-forks it."""
+    def _dispose_worker(self, index: int, fault: str) -> None:
+        """Forget shard *index*'s worker after *fault*: close the pipe,
+        make sure the process is gone.  The slot stays None until the
+        next publish re-forks it."""
         entry = self._workers[index]
         if entry is None:
             return
         self._workers[index] = None
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("shard %d worker disposed: %s", index, fault)
         process, conn = entry
         try:
             conn.close()
@@ -360,7 +365,7 @@ class _ProcessDataPlane:
     def _fault(self, index: int, message: str) -> _ShardFault:
         """The one recovery rule: dispose shard *index*'s worker, and
         hand back the fault for the caller to raise."""
-        self._dispose_worker(index)
+        self._dispose_worker(index, message)
         return _ShardFault(message)
 
     # -- the epoch-tagged round-trip ---------------------------------------------
@@ -449,7 +454,7 @@ class _ProcessDataPlane:
             self._begin(index, op, payload)
             return self._finish(index)
         except BaseException as exc:
-            self._dispose_worker(index)
+            self._dispose_worker(index, f"{op} failed: {exc!r}")
             if not isinstance(exc, Exception):
                 raise
             return None
@@ -771,9 +776,11 @@ class ShardedEngine:
         merged.sort(key=lambda match: seq[match.subscription.sub_id])
         return merged
 
-    def _discard_plane(self) -> None:
+    def _discard_plane(self, reason: str) -> None:
         if self._plane is not None:
             plane, self._plane = self._plane, None
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("worker fleet dropped (%s): %d workers", reason, plane.workers)
             plane.close()
         self._plane_dirty = False
 
@@ -782,10 +789,11 @@ class ShardedEngine:
         marked dirty or when the knowledge base version moved since the
         fork (workers hold a fork-time KB copy and cannot observe
         parent mutations — restart *is* the propagation mechanism)."""
-        if self._plane is not None and (
-            self._plane_dirty or self._plane.kb_version != self.kb.version
-        ):
-            self._discard_plane()
+        plane = self._plane
+        if plane is not None and plane.kb_version != self.kb.version:
+            self._discard_plane(f"knowledge base v{plane.kb_version} -> v{self.kb.version}")
+        elif plane is not None and self._plane_dirty:
+            self._discard_plane("dirty")
         if self._plane is None:
             self._plane = _ProcessDataPlane(
                 self._engines,
@@ -937,7 +945,7 @@ class ShardedEngine:
 
     def close(self) -> None:
         """Stop the worker fleet, if one is running."""
-        self._discard_plane()
+        self._discard_plane("closed")
 
     def __enter__(self) -> "ShardedEngine":
         return self

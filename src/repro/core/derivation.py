@@ -28,9 +28,8 @@ from repro.core.provenance import (
     derived_event,
     step_count,
 )
-from repro.matching.index import equality_key
 from repro.model.events import Event, EventSignature
-from repro.model.values import Value
+from repro.model.values import Value, canonical_value_key
 
 __all__ = ["PipelineResult", "Alternative"]
 
@@ -144,7 +143,7 @@ class PipelineResult:
         values = tuple(map(pairs.__getitem__, layout.canon))
         if all(type(value) is str for value in values):
             return layout, values, values
-        keys = tuple(map(equality_key, values))
+        keys = tuple(map(canonical_value_key, values))
         return layout, values, keys
 
     def _append(self, parent, layout, values, keys, step, generality, depth) -> int:

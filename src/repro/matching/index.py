@@ -33,22 +33,10 @@ from repro.model.values import (
     values_equal,
 )
 
-__all__ = ["PredicateIndex", "PredicateKey", "SatisfactionCache", "equality_key"]
+__all__ = ["PredicateIndex", "PredicateKey", "SatisfactionCache"]
 
 #: Hashable predicate identity (``Predicate.key``).
 PredicateKey = tuple
-
-
-def equality_key(value: Value) -> object:
-    """The hash key under which an EQ operand (or IN member) is indexed
-    and an event value probed: a plain string is its own key, anything
-    else its :func:`~repro.model.values.canonical_value_key` tuple.
-
-    The test is ``type(value) is str``, not ``isinstance``: a ``str``
-    subclass (a ``StrEnum`` member) never :func:`~repro.model.values.
-    values_equal` its plain spelling, so it must not share its key.
-    Strings and tuples never collide, so one table holds both."""
-    return value if type(value) is str else canonical_value_key(value)
 
 
 def _type_bucket(value: Value) -> str | None:
@@ -182,7 +170,7 @@ class _AttributeIndex:
     )
 
     def __init__(self) -> None:
-        #: equality_key(operand) -> predicate keys
+        #: canonical_value_key(operand) -> predicate keys
         self.equalities: dict[object, set[PredicateKey]] = {}
         self.not_equals: dict[PredicateKey, Value] = {}
         # orderings[type_bucket][operator] -> _BoundaryList
@@ -200,7 +188,8 @@ class PredicateIndex:
     """Reference-counted index over predicates of many subscriptions.
 
     EQ operands (and expanded IN members) are stored and probed under
-    :func:`equality_key`, which depends on the value alone: nothing a
+    :func:`~repro.model.values.canonical_value_key` (a plain string is
+    its own key), which depends on the value alone: nothing a
     knowledge-base write teaches can move a key, so no installed entry
     ever needs re-keying.
     """
@@ -247,11 +236,11 @@ class PredicateIndex:
     def _install(self, index: _AttributeIndex, predicate: Predicate) -> None:
         op, key = predicate.operator, predicate.key
         if op is Operator.EQ:
-            value_key = equality_key(predicate.operand)  # type: ignore[arg-type]
+            value_key = canonical_value_key(predicate.operand)  # type: ignore[arg-type]
             index.equalities.setdefault(value_key, set()).add(key)
         elif op is Operator.IN:
             for member in predicate.operand:  # type: ignore[union-attr]
-                index.equalities.setdefault(equality_key(member), set()).add(key)
+                index.equalities.setdefault(canonical_value_key(member), set()).add(key)
         elif op is Operator.NE:
             index.not_equals[key] = predicate.operand  # type: ignore[assignment]
         elif op.is_ordering:
@@ -278,7 +267,7 @@ class PredicateIndex:
     def _uninstall(self, index: _AttributeIndex, predicate: Predicate) -> None:
         op, key = predicate.operator, predicate.key
         if op is Operator.EQ:
-            value_key = equality_key(predicate.operand)  # type: ignore[arg-type]
+            value_key = canonical_value_key(predicate.operand)  # type: ignore[arg-type]
             bucket_set = index.equalities.get(value_key)
             if bucket_set is not None:
                 bucket_set.discard(key)
@@ -286,7 +275,7 @@ class PredicateIndex:
                     del index.equalities[value_key]
         elif op is Operator.IN:
             for member in predicate.operand:  # type: ignore[union-attr]
-                member_key = equality_key(member)
+                member_key = canonical_value_key(member)
                 bucket_set = index.equalities.get(member_key)
                 if bucket_set is not None:
                     bucket_set.discard(key)
@@ -326,7 +315,7 @@ class PredicateIndex:
             return
         self.probes += 1
         yield from index.exists
-        eq_hits = index.equalities.get(equality_key(value))
+        eq_hits = index.equalities.get(canonical_value_key(value))
         if eq_hits:
             yield from eq_hits
         for key, operand in index.not_equals.items():
@@ -402,8 +391,8 @@ class SatisfactionCache:
     (cheap, and the steady-state working set of real traces is far
     below any sane capacity).
 
-    Pairs are keyed ``(attribute, equality_key(value))``, the index's
-    own key.  That is sound because values with one key (``4`` vs
+    Pairs are keyed ``(attribute, canonical_value_key(value))``, the
+    index's own key.  That is sound because values with one key (``4`` vs
     ``4.0``; a plain string and itself) behave identically under every
     predicate operator — the invariant predicate keys are built on —
     and a ``str`` subclass keys apart from its plain spelling, as
@@ -446,7 +435,7 @@ class SatisfactionCache:
     ):
         """The satisfaction set for one pair, memoized — as *transform*
         made it from the satisfied keys, when given."""
-        pair = (attribute, equality_key(value))
+        pair = (attribute, canonical_value_key(value))
         payload = self._cache.get(pair)
         if payload is None:
             self.misses += 1

@@ -16,6 +16,7 @@ one running system (paper §3.2 multi-domain support).
 from __future__ import annotations
 
 import re
+import sys
 
 from repro.errors import InvalidAttributeError
 
@@ -45,6 +46,11 @@ def normalize_attribute(name: str) -> str:
     names that are empty or contain characters outside
     ``[a-z0-9_:]`` after normalization.
 
+    The result is interned: every spelling of one name yields the same
+    string object, so the events and predicates that carry it keep one
+    copy between them (interned strings are freed with their last
+    reference, so distinct names do not accumulate).
+
     >>> normalize_attribute("Work Experience")
     'work_experience'
     >>> normalize_attribute("jobs:Graduation-Year")
@@ -69,7 +75,7 @@ def normalize_attribute(name: str) -> str:
             f"attribute {name!r} does not normalize to a valid name "
             f"(got {collapsed!r})"
         )
-    return collapsed
+    return sys.intern(collapsed)
 
 
 def qualify(domain: str, name: str) -> str:

@@ -281,23 +281,32 @@ def _parses_numeric(text: str) -> bool:
     return True
 
 
-def canonical_value_key(value: Value) -> tuple[str, object]:
+def canonical_value_key(value: Value) -> object:
     """A hashable key under which semantically equal values collide.
 
-    Used for event deduplication in the semantic pipeline: ``4`` and
-    ``4.0`` produce the same key, ``True`` and ``1`` do not, and nor do
-    a ``str`` subclass (a ``StrEnum`` member) and its plain spelling —
-    :func:`values_equal` requires equal types.
+    Used for event deduplication in the semantic pipeline and as the
+    matcher's equality key: ``4`` and ``4.0`` produce the same key,
+    ``True`` and ``1`` do not, and nor do a ``str`` subclass (a
+    ``StrEnum`` member) and its plain spelling — :func:`values_equal`
+    requires equal types, so the test is ``type(value) is str``, not
+    ``isinstance``.
+
+    A plain string is its own key; every other value keys as a tuple, so
+    the two forms never collide.  Numbers stay tuples on purpose: a map
+    that mixes these keys with int ids (the concept table's
+    :meth:`~repro.ontology.concept_table.ConceptTable.value_key`) must
+    not confuse the number ``3`` with the id ``3``.
     """
+    if type(value) is str:
+        return value
     if isinstance(value, bool):
         return ("bool", value)
-    if isinstance(value, _NUMERIC_TYPES):
-        as_float = float(value)
-        if as_float.is_integer():
-            return ("num", int(as_float))
-        return ("num", as_float)
+    if isinstance(value, int):
+        # exact: a float round trip would merge ints past 2**53 with
+        # floats they do not equal, and overflow past 1e308
+        return ("num", value)
+    if isinstance(value, float):
+        return ("num", int(value) if value.is_integer() else value)
     if isinstance(value, Period):
         return ("period", (value.start, value.end))
-    if type(value) is not str:
-        return ("str", type(value), value)
-    return ("str", value)
+    return ("str", type(value), value)

@@ -140,8 +140,9 @@ class Reach(Mapping):
     (spelling ids) sorted in one ``array('i')`` and their depths in a
     parallel one, probed by bisection — 8 bytes an entry, where a dict
     pays a hash slot and a boxed ``int``.  The few other keys (the
-    :func:`~repro.model.values.canonical_value_key` tuples of
-    non-string values and unknown terms) sit in a small side dict.
+    :func:`~repro.model.values.canonical_value_key` of an unknown term,
+    which is the plain string itself, and the tuple of a non-string
+    value) sit in a small side dict.
     Equal to any mapping with the same items, a ``dict`` included."""
 
     __slots__ = ("_ids", "_depths", "_other")
@@ -474,10 +475,11 @@ class ConceptTable:
         """Interned identity of *value*, the key of the closures this
         table derives: the spelling id for exactly-known string
         spellings, the plain :func:`~repro.model.values.
-        canonical_value_key` for everything else.  Int ids and the
-        tuple-shaped canonical keys can never collide, so a map may mix
-        both key forms as long as every probe goes through this
-        function."""
+        canonical_value_key` for everything else — an unknown plain
+        string is its own key, any other value a tuple.  Int ids,
+        strings and tuples never collide (numbers key as tuples, never
+        as bare ints), so a map may mix the key forms as long as every
+        probe goes through this function."""
         if type(value) is str:
             sid = self._terms.spelling_id(value)
             if sid is not None:

@@ -219,22 +219,19 @@ class JobFinderWebApp:
 
         @app.route("GET", "/notifications/<client_id>")
         def notifications(request: Request, client_id: str) -> Response:
-            outcomes = broker.notifier.delivered_to(client_id)
+            rows = broker.notifier.delivered_to(client_id)
             if request.wants_json:
                 return Response.json_response(
                     [
                         {
-                            "notification_id": o.notification.notification_id,
-                            "transport": o.transport,
-                            "subject": o.notification.subject(),
+                            "notification_id": row.notification_id,
+                            "transport": row.transport,
+                            "subject": row.subject,
                         }
-                        for o in outcomes
+                        for row in rows
                     ]
                 )
-            items = "".join(
-                f"<li>[{o.transport}] {escape(o.notification.subject())}</li>"
-                for o in outcomes
-            )
+            items = "".join(f"<li>[{row.transport}] {escape(row.subject)}</li>" for row in rows)
             return _page(f"notifications for {client_id}", f"<ul>{items}</ul>")
 
         @app.route("GET", "/explain")

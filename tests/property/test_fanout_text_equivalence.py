@@ -81,21 +81,45 @@ _BROKERS = {
 }
 
 
-def _transports() -> TransportRegistry:
+class _Recording:
+    """A transport that appends each :class:`DeliveryRecord` it returns
+    to a list: how a test sees the sends recovery makes on its own."""
+
+    def __init__(self, sent: list, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.sent = sent
+
+    def send(self, message):
+        record = super().send(message)
+        self.sent.append(record)
+        return record
+
+
+class _RecordingSms(_Recording, SmsTransport):
+    pass
+
+
+class _RecordingTcp(_Recording, TcpTransport):
+    pass
+
+
+def _transports(sent: list | None = None) -> TransportRegistry:
     # no injected failures: which transport carried a message is then
     # the client's first preference, and the oracle knows what it renders
+    if sent is not None:
+        return TransportRegistry([_RecordingSms(sent, failure_rate=0.0), _RecordingTcp(sent)])
     return TransportRegistry([SmsTransport(failure_rate=0.0), TcpTransport()])
 
 
-def _sent(outcome) -> tuple[str, str]:
-    message = outcome.record.message
+def _sent(record) -> tuple[str, str]:
+    message = record.message
     return message.subject, message.body
 
 
-def _on_the_wire(outcome, subject: str, body: str) -> tuple[str, str]:
-    """What the transport that carried *outcome* is handed for a
+def _on_the_wire(record, subject: str, body: str) -> tuple[str, str]:
+    """What the transport that sent *record* is handed for a
     notification rendered as (*subject*, *body*)."""
-    if outcome.transport == "sms":
+    if record.message.transport == "sms":
         return subject, SmsTransport.render(subject, body)
     return subject, body
 
@@ -131,7 +155,7 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
                 assert outcome.delivered and notification.match is match
                 subject, body = notification.subject(), match.explain()
                 assert "".join(match.explain_parts()) == body
-                assert _sent(outcome) == _on_the_wire(outcome, subject, body)
+                assert _sent(outcome.record) == _on_the_wire(outcome.record, subject, body)
                 expected[notification.sub_id, notification.sequence] = (subject, body)
                 via = match.matched_via
                 stages.update(step.stage for step in via.steps)
@@ -180,7 +204,7 @@ def _assert_retained_text(broker, expected) -> None:
     for sub_id in sub_ids:
         for outcome in broker.replay_from(sub_id, 1):
             key = (sub_id, outcome.notification.sequence)
-            assert _sent(outcome) == _on_the_wire(outcome, *expected[key]), key
+            assert _sent(outcome.record) == _on_the_wire(outcome.record, *expected[key]), key
 
 
 @given(st.lists(st.text(alphabet=st.characters(exclude_categories=()))))
@@ -251,16 +275,20 @@ def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, origi
     (pending_dir / JOURNAL_NAME).write_bytes(
         b"".join(_encode_record(r) for r in records[:last] + records[last + 1 :])
     )
-    resending = recovered_from(pending_dir)
+    sent: list = []
+    resending = recover(pending_dir, kb, broker_factory=factory, transports=_transports(sent))
     try:
-        assert resending.recovery.replayed_deliveries == len(unacked)
-        resent = {
-            (o.notification.sub_id, o.notification.sequence): o
-            for o in resending.notifier.outcomes
+        assert resending.recovery.replayed_deliveries == len(unacked) == len(sent)
+        # recovery's re-sends as its transports saw them, by row
+        row_of = {
+            entry.notification_id: (sub_id, entry.sequence)
+            for sub_id in {sub_id for sub_id, _ in unacked}
+            for entry in resending.notifier.delivery_log(sub_id)
         }
+        resent = {row_of[record.message.notification_id]: record for record in sent}
         assert set(resent) == unacked
-        for key, outcome in resent.items():
-            assert _sent(outcome) == _on_the_wire(outcome, *expected[key]), key
+        for key, record in resent.items():
+            assert _sent(record) == _on_the_wire(record, *expected[key]), key
         _assert_retained_text(resending, expected)
     finally:
         resending.close()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from enum import StrEnum
+
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.model.values import (
@@ -25,12 +27,30 @@ def test_equality_symmetric(a, b):
     assert values_equal(a, b) == values_equal(b, a)
 
 
-@given(a=scalar_value, b=scalar_value)
+#: str members spelled like some drawn plain strings: a member never
+#: equals its spelling, so it must never share its key
+_Kind = StrEnum("Kind", {"RED": "red", "TORONTO": "Toronto", "X": "x", "EMPTY": ""})
+
+keyed_value = st.one_of(
+    scalar_value,
+    st.text(max_size=3),
+    st.sampled_from(list(_Kind)),
+    st.integers(),
+    st.floats(allow_nan=False),
+)
+
+
+@given(a=keyed_value, b=keyed_value)
+@example(a=2**53 + 1, b=2.0**53)  # unequal, and one float apart
+@example(a=10**400, b=1.0)  # past what a float holds
+@example(a=-0.0, b=0)
 def test_canonical_key_consistent_with_equality(a, b):
-    if values_equal(a, b):
-        assert canonical_value_key(a) == canonical_value_key(b)
-    else:
-        assert canonical_value_key(a) != canonical_value_key(b)
+    assert (canonical_value_key(a) == canonical_value_key(b)) == values_equal(a, b)
+    for value in (a, b):
+        if type(value) is str:
+            assert canonical_value_key(value) is value  # a plain string keys as itself
+        else:
+            assert type(canonical_value_key(value)) is tuple
 
 
 @given(a=scalar_value, b=scalar_value)

@@ -11,6 +11,7 @@ from repro.model.attributes import (
     split_qualified,
     strip_qualifier,
 )
+from repro.model.parser import parse_event, parse_subscription
 
 
 class TestNormalization:
@@ -44,6 +45,17 @@ class TestNormalization:
     def test_rejects_non_string(self):
         with pytest.raises(InvalidAttributeError):
             normalize_attribute(42)  # type: ignore[arg-type]
+
+    def test_every_spelling_of_a_name_is_one_object(self):
+        assert normalize_attribute(" Work-Experience ") is normalize_attribute("work experience")
+        # built at run time, so only interning can make it the same object
+        spelled = "".join(["work", "_", "experience"])
+        assert normalize_attribute(spelled) is normalize_attribute("Work Experience")
+
+    def test_a_parsed_event_and_subscription_share_the_name(self):
+        (event_name,) = parse_event("(Work-Experience, 5)").attributes()
+        (predicate,) = parse_subscription("(work experience >= 3)").predicates
+        assert event_name is predicate.attribute
 
 
 class TestQualifiers:

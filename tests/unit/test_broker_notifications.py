@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -115,6 +116,30 @@ class TestReporting:
         assert len(engine.delivered_to("c1")) == 1
         assert engine.delivered_to("other") == []
 
+    def test_delivered_to_reads_the_acked_rows_with_their_transport(self):
+        engine = _engine()
+        client = _client(("pigeon", "coop"), ("smtp", "hr@x"), ("tcp", "h:1"))
+        gone = Client("c1", "Initech", ClientKind.SUBSCRIBER, (("pigeon", "coop"),))
+        subs = [Subscription([Predicate.eq("degree", "PhD")], sub_id=s) for s in ("s1", "s2")]
+        event = Event({"degree": "PhD"}, event_id="e1")
+        engine.notify(client, SemanticMatch(subs[1], event, Witness(), 0))
+        engine.transports.get("smtp").fail_next(engine.max_attempts)
+        engine.notify(client, SemanticMatch(subs[0], event, Witness(), 0))
+        engine.notify(gone, SemanticMatch(subs[1], event, Witness(), 0))  # dead
+        engine.notify(client, SemanticMatch(subs[0], event, Witness(), 0))
+        rows = engine.delivered_to("c1")
+        # oldest notification first, across the client's subscriptions
+        assert [(e.notification_id, e.sub_id, e.transport) for e in rows] == [
+            ("n1", "s2", "smtp"), ("n2", "s1", "tcp"), ("n4", "s1", "smtp"),
+        ]  # fmt: skip
+        assert [e.status for e in engine.delivery_log("s2")] == ["acked", "dead"]
+        # the carrier rides in the status byte: the row stays 21 B
+        log = engine.retained_log("s1")
+        assert len(log.statuses) == len(log.texts) == 2
+        # a status forged without a carrier reads no transport
+        log.set_status(2, "acked")
+        assert [e.transport for e in engine.delivered_to("c1")] == ["smtp", "tcp", ""]
+
     def test_snapshot_shape(self):
         engine = _engine()
         engine.notify(_client(("tcp", "h:1")), _match())
@@ -127,9 +152,12 @@ class TestReporting:
     def test_reset(self):
         engine = _engine()
         engine.notify(_client(("tcp", "h:1")), _match())
+        engine.notify(_client(("pigeon", "coop")), _match())
+        assert len(engine.dead_letters) == 1
         engine.reset()
         assert engine.snapshot()["notifications"] == 0
-        assert not engine.outcomes
+        assert not engine.dead_letters
+        assert not hasattr(engine, "outcomes")  # a send's outcome is the caller's
 
     def test_notification_rendering(self):
         engine = _engine()
@@ -167,14 +195,12 @@ class TestBoundedRetention:
 
         smtp = engine.transports.get("smtp")
         logs = [engine.delivery_log(sub_id) for sub_id in ("s1", "s2", "s3")]
-        assert [len(store) for store in (engine.outcomes, engine.dead_letters, *logs)] == (
-            [limit] * 5
-        )
+        assert [len(store) for store in (engine.dead_letters, *logs)] == [limit] * 4
         # the newest entries are the ones kept
         assert [e.sequence for e in engine.delivery_log("s1")] == list(
             range(sends - limit + 1, sends + 1)
         )
-        assert engine.outcomes[-1].notification.sub_id == "s3"
+        assert engine.dead_letters[-1].sub_id == "s3"
 
         # totals are the true cumulative counts, not the window's
         snapshot = engine.snapshot()
@@ -184,9 +210,34 @@ class TestBoundedRetention:
         assert snapshot["dead_letters"] == limit  # the retained window
         assert snapshot["transports"]["smtp"]["delivered"] == 2 * sends
         assert smtp.delivered_count() == 2 * sends
-        evicted = (3 * sends - limit) + (sends - limit) + 3 * (sends - limit)
+        evicted = (sends - limit) + 3 * (sends - limit)
         assert engine.stats.history_evictions == evicted
         assert engine.delivery_frontiers() == {"s1": sends, "s2": sends}
+
+    def test_traced_memory_does_not_grow_with_the_sends(self):
+        """5,000 sends to one subscription leave nothing behind outside
+        its delivery log: once the subscription is forgotten, the engine
+        holds what it held after one warm-up send (which made every
+        lazily built store), whatever the window."""
+        client = _client(("tcp", "h:1"))
+        tracemalloc.start()
+        try:
+            engine = _engine(history_limit=self.LIMIT)
+            engine.notify(client, self._sub_match("warm", 0))
+            engine.forget("warm")
+            gc.collect()  # the test's own matches form cycles
+            warm = tracemalloc.get_traced_memory()[0]
+            for index in range(5000):
+                engine.notify(client, self._sub_match("s1", index))
+            assert len(engine.delivery_log("s1")) == self.LIMIT
+            engine.forget("s1")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # one kept outcome (its notification, message, rendered body and
+        # match) costs over a kilobyte
+        assert held - warm < 1024, held - warm
 
     def test_forget_drops_every_per_subscription_key(self):
         engine = _engine()

@@ -10,6 +10,7 @@ stats shape the CLI prints.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import time
@@ -1104,6 +1105,51 @@ class TestPlaneTeardown:
         plane.close()
         assert not survivor.is_alive()
         assert engine._plane is None
+
+
+class TestLifecycleLog:
+    """One DEBUG record on ``repro.broker.sharding`` when the worker
+    fleet is dropped (why, and how many workers) and one when a faulted
+    worker is disposed (which shard, which fault)."""
+
+    @staticmethod
+    def _records(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.name == "repro.broker.sharding"]
+
+    def test_one_record_per_kb_write_and_none_on_plain_publishes(self, caplog):
+        kb = chain_kb()
+        with ShardedBroker(kb, shards=2, executor="process", router=digit_router) as broker:
+            subscriber = broker.register_subscriber("Initech", email="hr@initech.example")
+            broker.subscribe(subscriber.client_id, parse_subscription("(x = top)", sub_id="s0"))
+            publisher = broker.register_publisher("Ada")
+            expected = []
+            with caplog.at_level(logging.DEBUG, logger="repro.broker.sharding"):
+                for value in ("leaf", "mid", "top"):
+                    broker.publish(publisher.client_id, f"(x, {value})")
+                assert self._records(caplog) == []
+                for parent, child in (("leaf", "deeper"), ("deeper", "deepest")):
+                    before = kb.version
+                    kb.taxonomy("d").add_isa(child, parent)
+                    expected.append(
+                        f"worker fleet dropped (knowledge base v{before} -> v{kb.version}): "
+                        "2 workers"
+                    )
+                    for value in (child, "top"):
+                        assert broker.publish(publisher.client_id, f"(x, {value})").match_count
+                    assert self._records(caplog) == expected
+
+    def test_a_disposed_worker_names_its_shard_and_fault(self, caplog, no_sleep):
+        engine = _process_engine(FaultPlan([FaultAction("kill", 0, 0)]))
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            with caplog.at_level(logging.DEBUG, logger="repro.broker.sharding"):
+                matches = engine.publish(parse_event("(x, leaf)"))
+                assert [m.subscription.sub_id for m in matches] == ["s0"]  # answered inline
+                assert self._records(caplog) == [
+                    "shard 0 worker disposed: shard 0 worker killed by fault plan"
+                ]
+        finally:
+            engine.close()
 
 
 class TestShardedBroker:
