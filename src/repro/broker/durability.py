@@ -29,17 +29,23 @@ Four design rules keep recovery boring:
    any check anywhere is discarded whole before any of it is applied.
 3. **Deliveries are at-least-once, dedup'd by sequence.**  The
    notification engine journals one ``outs`` record per publication
-   (every delivery's per-subscription sequence, and the text the
-   deliveries share, once) before the first send and one ``acks``
-   record after the last; recovery replays each journaled publish,
-   regenerates its matches deterministically, and reconciles them
-   against the journaled outbox — already-acked sequences are dropped
-   (``dedup_drops``), un-acked ones are re-sent (``replayed_deliveries``).
-4. **One format.**  Recovery reads only what this module writes: a
-   snapshot holding any other format, record kind or configuration key
-   is discarded whole; a journal holding one is refused with
-   :class:`~repro.errors.StateFormatError` before the broker is built or
-   a byte of the directory changes.
+   (every delivery's subscription and per-subscription sequence, and
+   the text the deliveries share, once) before the first send and one
+   ``acks`` record after the last.  A row repeats nothing a ``sub``
+   record holds: recovery takes its client and subscription text from
+   the subscription live at that point of the stream.  Recovery
+   replays each journaled publish, regenerates its matches
+   deterministically, and reconciles them against the journaled
+   outbox — already-acked sequences are dropped (``dedup_drops``),
+   un-acked ones are re-sent (``replayed_deliveries``).
+4. **One format.**  Recovery reads only what this module writes, each
+   record checked against its kind's form (:data:`_FORMS`: keys, field
+   types, row arity, references) in the pass that already reads the
+   file: a snapshot holding any other format, record form or
+   configuration key is discarded whole; a journal holding one is
+   refused with :class:`~repro.errors.StateFormatError` naming the
+   record's ``i``, before the broker is built or a byte of the directory
+   changes.
 
 Fault injection reuses PR 8's :class:`~repro.broker.supervision
 .FaultPlan`: a ``crash`` action at slot ``(0, append_index)`` makes the
@@ -92,11 +98,9 @@ JOURNAL_NAME = "journal.log"
 SNAPSHOT_NAME = "snapshot.json"
 #: snapshot layout, a record stream (head, content records, counting
 #: trailer) whose delivery-log rows reference per-publication ``text``
-#: records; a file of any other format is discarded
-FORMAT_VERSION = 3
-#: the record kinds a snapshot's content and the journal hold
-_SNAPSHOT_KINDS = frozenset({"broker", "client", "sub", "notifier", "text", "log"})
-_JOURNAL_KINDS = frozenset({"client", "remove", "sub", "unsub", "config", "pub", "outs", "acks"})
+#: records and take client and text from their ``sub`` record; a file
+#: of any other format is discarded
+FORMAT_VERSION = 4
 _CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(SemanticConfig))
 
 _log = logging.getLogger(__name__)
@@ -226,21 +230,6 @@ def _encode_config(config: SemanticConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def _stale(record: dict, kinds: frozenset) -> str:
-    """Why *record* is not one this broker writes where *kinds* are
-    written — its kind, or configuration keys that name no
-    :class:`SemanticConfig` field — or ``""`` when it is."""
-    kind = record.get("k")
-    if kind not in kinds:
-        return f"is of kind {kind!r}"
-    config = record.get("config" if kind == "broker" else "cfg")
-    if kind in ("broker", "config") and config is not None:
-        keys = sorted(config.keys() - _CONFIG_FIELDS) if isinstance(config, dict) else [config]
-        if keys:
-            return f"carries config keys {keys}"
-    return ""
-
-
 def _encode_client(client: Client) -> dict:
     return {
         "k": "client",
@@ -264,6 +253,7 @@ def _encode_subscription(subscription: Subscription, client_id: str) -> dict:
 def _decode_subscription(data: dict) -> Subscription:
     return Subscription(
         tuple(_decode_predicate(p) for p in data["preds"]),
+        subscriber_id=data["cid"],
         sub_id=data["sid"],
         max_generality=data["mg"],
     )
@@ -283,6 +273,147 @@ def _decode_event(data: dict) -> Event:
         [(attribute, _decode_value(value)) for attribute, value in data["pairs"]],
         event_id=data["eid"],
     )
+
+
+# ---------------------------------------------------------------------------
+# record forms: each kind's fields, checked before anything is applied
+# ---------------------------------------------------------------------------
+
+#: a check takes a column — the values one field, or one position of a
+#: field's rows, holds across what is checked — and says whether every
+#: value fits; builtins do the per-value work, so a snapshot's thousands
+#: of ``log`` rows cost a few passes at C speed
+_Check = Callable[[Iterable], bool]
+
+
+def _of(*types: type) -> _Check:
+    """Every value exactly of one of *types* (so a ``bool`` is no ``int``)."""
+    allowed = frozenset(types)
+    return lambda values: set(map(type, values)) <= allowed
+
+
+def _ints(low: int) -> _Check:
+    """Every value an ``int`` from *low* that a signed 64-bit column holds."""
+    return lambda values: set(map(type, values)) <= {int} and (
+        not values or low <= min(values) and max(values) < 1 << 63
+    )
+
+
+def _each(check: _Check) -> _Check:
+    """Every value a list whose items pass *check*."""
+    return lambda values: all(type(value) is list and check(value) for value in values)
+
+
+def _rows(*columns: _Check) -> _Check:
+    """Every value a list of rows of ``len(columns)`` items, the items at
+    each position passing that position's check."""
+    width = len(columns)
+    return _each(
+        lambda rows: set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {width}
+        and all(check(column) for check, column in zip(columns, zip(*rows)))
+    )
+
+
+def _configs(values: Iterable) -> bool:
+    """Every value a :class:`SemanticConfig` as ``dataclasses.asdict``
+    spells it: a dict of ``bool``, ``int`` and ``None`` values."""
+    return all(type(value) is dict and _SCALARS(value.values()) for value in values)
+
+
+_STR, _SCALARS, _NATURAL, _COUNT = _of(str), _of(bool, int, type(None)), _ints(0), _ints(1)
+#: per record kind, a check for each of its fields besides ``k``
+_FORMS: dict[str, dict[str, _Check]] = {
+    "broker": {
+        "next_op_index": _NATURAL,
+        "config": lambda values: _configs(value for value in values if value is not None),
+    },
+    "client": {"id": _STR, "name": _STR, "kind": _STR, "addr": _rows(_STR, _STR)},
+    "sub": {"sid": _STR, "cid": _STR, "mg": _of(int, type(None)), "preds": _of(list)},
+    "notifier": {"next_notification": _COUNT},
+    "text": {"eid": _STR, "event": _STR, "via": _each(_STR)},
+    "log": {
+        "sid": _STR,
+        "next_seq": _COUNT,
+        "frontier": _NATURAL,
+        "rows": _rows(_COUNT, _NATURAL, _NATURAL, _STR),
+    },
+    "remove": {"id": _STR},
+    "unsub": {"sid": _STR},
+    "config": {"cfg": _configs},
+    "pub": {"cid": _STR, "eid": _STR, "pairs": _rows(_STR, _of(str, int, float, bool, dict))},
+    "outs": {
+        "eid": _STR,
+        "event": _STR,
+        "via": _each(_STR),
+        "n": _COUNT,
+        "rows": _rows(_STR, _COUNT, _NATURAL),
+    },
+    "acks": {"rows": _rows(_STR, _COUNT, _of(bool))},
+}
+#: the forms a snapshot's content and the journal hold, exactly: a journal
+#: record also carries its sequence ``i`` and, for a broker operation, its
+#: operation index ``oi``
+_SNAPSHOT_FORMS = {
+    kind: _FORMS[kind] for kind in ("broker", "client", "sub", "notifier", "text", "log")
+}
+_JOURNAL_FORMS = {
+    kind: {**_FORMS[kind], "i": _COUNT, **({} if kind in ("outs", "acks") else {"oi": _NATURAL})}
+    for kind in ("client", "remove", "sub", "unsub", "config", "pub", "outs", "acks")
+}
+#: the records whose content is only known good once decoded
+_DECODERS: dict[str, Callable[[dict], object]] = {
+    "client": lambda record: ClientKind(record["kind"]),
+    "sub": _decode_subscription,
+    "pub": _decode_event,
+    "broker": lambda record: record["config"] is None or SemanticConfig(**record["config"]),
+    "config": lambda record: SemanticConfig(**record["cfg"]),
+}
+
+
+def _malformed(record: dict, forms: dict, vias: list[int]) -> str:
+    """Why *record* is not one this broker writes where *forms* are
+    written — its kind, its keys, a field's type, a row's arity, a
+    reference past what it refers to, or content that does not decode —
+    or ``""`` when it is.  *vias* is the snapshot walk's state: the
+    derivation count of each ``text`` record so far, which later
+    ``log`` rows reference by position (the journal walk passes its
+    own, unused)."""
+    kind = record.get("k")
+    if type(kind) is not str or kind not in forms:
+        return f"is of kind {kind!r}"
+    config = record.get("config" if kind == "broker" else "cfg")
+    if type(config) is dict and config.keys() - _CONFIG_FIELDS:
+        return f"carries config keys {sorted(config.keys() - _CONFIG_FIELDS)}"
+    form = forms[kind]
+    if record.keys() - {"k"} != form.keys():
+        return f"holds keys {sorted(record.keys() - {'k'})}, not {sorted(form)}"
+    for name, check in form.items():
+        if not check((record[name],)):
+            return f"has a malformed {name!r}"
+    rows = record.get("rows")
+    if kind == "outs" and rows and max(row[2] for row in rows) >= len(record["via"]):
+        return "names a derivation past its list"
+    if kind == "text":
+        vias.append(len(record["via"]))
+    elif kind == "log" and rows:
+        from repro.broker.notifications import _STATUSES
+
+        _, texts, derivations, statuses = zip(*rows)
+        if (
+            len(rows) >= record["next_seq"]
+            or max(texts) >= len(vias)
+            or not all(map(int.__lt__, derivations, map(vias.__getitem__, texts)))
+            or not set(statuses) <= set(_STATUSES)
+        ):
+            return "has a row past its sequences, texts, derivations or statuses"
+    decode = _DECODERS.get(kind)
+    if decode is not None:
+        try:
+            decode(record)
+        except (ReproError, LookupError, TypeError, ValueError) as exc:
+            return f"does not decode ({type(exc).__name__}: {exc})"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +577,8 @@ class Durability:
         ``(None, 0, True)`` (never refuse to start).  One pass checks
         the framing and CRC of every line, the head's format, that every
         record between head and trailer is a content record this broker
-        writes and that the trailer counts exactly those; only a file
+        writes, in its form (:func:`_malformed`), and that the trailer
+        counts exactly those; only a file
         that passes is handed on, as a second line-at-a-time iterator
         over its content records."""
         try:
@@ -457,12 +589,13 @@ class Durability:
             reader = _RecordReader(handle)
             head = last = None
             count = content = 0
+            vias: list[int] = []
             for record in reader:
                 if head is None:
                     head = record
                 last = record
                 count += 1
-                content += not _stale(record, _SNAPSHOT_KINDS)
+                content += not _malformed(record, _SNAPSHOT_FORMS, vias)
         if (
             reader.torn
             or count < 2
@@ -492,9 +625,10 @@ class Durability:
         """Open existing state for recovery: validate the snapshot, walk
         the journal once to find where its clean prefix ends (physically
         truncating any torn tail), and position the sequence counter so
-        new appends continue the stream; a journal record this broker
-        never writes raises :class:`~repro.errors.StateFormatError`
-        before anything is truncated.  Returns ``(snapshot_content,
+        new appends continue the stream; a journal record of a kind or
+        form this broker never writes raises
+        :class:`~repro.errors.StateFormatError` before anything is
+        truncated.  Returns ``(snapshot_content,
         snapshot_discarded, floor, end)``: the last sequence the snapshot
         folded in and the journal's clean length, which
         :meth:`journal_tail` takes to read the records to replay."""
@@ -509,11 +643,13 @@ class Durability:
             with handle:
                 reader = _RecordReader(handle)
                 for record in reader:
-                    stale = _stale(record, _JOURNAL_KINDS)
-                    if stale:
+                    malformed = _malformed(record, _JOURNAL_FORMS, [])
+                    if malformed:
                         where = f"journal record i={record.get('i')}"
-                        _log.warning("%s: %s refused: %s", self.journal_path, where, stale)
-                        raise StateFormatError(f"{where} {stale}, which this broker does not write")
+                        _log.warning("%s: %s refused: %s", self.journal_path, where, malformed)
+                        raise StateFormatError(
+                            f"{where} {malformed}, which this broker does not write"
+                        )
                     seq = max(seq, record.get("i", 0))
             if reader.torn:
                 with open(self.journal_path, "r+b") as handle:
@@ -612,7 +748,9 @@ def recover(
     try:
         # 1. the compacted baseline, one validated record at a time (the
         #    stream's order — configuration, clients, subscriptions,
-        #    delivery logs — is the order they must be applied in)
+        #    delivery logs — is the order they must be applied in); a
+        #    delivery log's client and text are its subscription's
+        owners: dict[str, Subscription] = {}
         for record in snapshot or ():
             kind = record["k"]
             if kind == "broker":
@@ -622,13 +760,14 @@ def recover(
             elif kind == "client":
                 _register_client(broker, record)
             elif kind == "sub":
-                broker.dispatcher.subscribe(record["cid"], _decode_subscription(record))
+                bound = broker.dispatcher.subscribe(record["cid"], _decode_subscription(record))
+                owners[bound.sub_id] = bound
             else:  # notifier / text / log
-                broker.notifier.restore(record)
+                broker.notifier.restore(record, owners)
 
         # 2. delivery ledger from the journal tail: what was outboxed
         #    and what was acked, per subscription in append order
-        broker.notifier.begin_replay(durability.journal_tail(floor, end), durability.stats)
+        broker.notifier.begin_replay(durability.journal_tail(floor, end), durability.stats, owners)
 
         # 3. replay the operation records through the normal paths
         for record in durability.journal_tail(floor, end):

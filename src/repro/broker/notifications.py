@@ -41,10 +41,10 @@ row, plus the row's share of its publication's packed text — while its
 subscription id, client id, rendered subscription part and oldest
 sequence are kept once per log (a stream's sequences are contiguous, so
 a row's is derived).  The ``n<N>`` id is rendered when a row is sent or
-exported.  Recovery decodes rows only in the form the engine writes
-them — ``outs`` records and format-3 snapshot ``log`` rows — and
-refuses a row that does not fit its log with
-:class:`~repro.errors.StateFormatError`.  Its replay ledger holds no
+exported.  Records say each thing once too: a row carries no client id
+or subscription text — recovery takes both from the subscription live
+at that point of the stream, drops a row of none, and refuses one that
+does not continue its log with :class:`~repro.errors.StateFormatError`.  Its replay ledger holds no
 row of its own: per stream, a reference to the log the journaled rows
 were adopted into and the run of sequences they hold there.
 :class:`DeliveryEntry` remains the row type callers see:
@@ -76,6 +76,7 @@ from sys import intern
 from typing import Iterator, Sequence
 
 from repro.broker.clients import Client
+from repro.broker.durability import _decode_subscription
 from repro.broker.transports import (
     DeliveryRecord,
     OutboundMessage,
@@ -197,8 +198,8 @@ class DeliveryEntry:
     rows of its subscription (:func:`~repro.core.provenance
     .subscription_part`), ``text`` with the rows of its publication —
     which is everything needed to re-send without the original match
-    object (the journal stores the same parts, so replay works across
-    restarts).  ``subject`` and ``body`` put the message together on
+    object (the journal stores the text and the subscription's ``sub``
+    record, so replay works across restarts).  ``subject`` and ``body`` put the message together on
     demand; nothing retains it per row."""
 
     sequence: int
@@ -330,15 +331,10 @@ class _DeliveryLog:
         return (self.texts[slot] for slot in self._slots())
 
     def rows(self) -> Iterator[tuple]:
-        """``(sequence, notification_id, client_id, head, text, via,
-        status)`` per row, oldest first."""
+        """``(number, text, via, status)`` per row, oldest first."""
         numbers, texts, vias, statuses = self.numbers, self.texts, self.vias, self.statuses
-        client_id, head = self.client_id, self.head
-        for sequence, slot in enumerate(self._slots(), self.first):
-            yield (
-                sequence, f"n{numbers[slot]}", client_id, head, texts[slot], vias[slot],
-                _STATUSES[statuses[slot] & _STATUS_MASK],
-            )  # fmt: skip
+        for slot in self._slots():
+            yield numbers[slot], texts[slot], vias[slot], _STATUSES[statuses[slot] & _STATUS_MASK]
 
     def entry(self, sequence: int, transports: tuple[str, ...] = ()) -> DeliveryEntry:
         """The retained row with *sequence*, as an entry in flight;
@@ -447,9 +443,6 @@ class NotificationEngine:
         self._next_seq: dict[str, int] = {}
         self._delivery_log: dict[str, _DeliveryLog] = {}
         self._frontier: dict[str, int] = {}
-        #: sub_id -> its subscription part as :meth:`_stage` rendered it,
-        #: the one string every row staged for the subscription references
-        self._heads: dict[str, str] = {}
         #: pending entries restored from a snapshot, per subscription
         #: (their publishes were compacted away, so recovery re-sends
         #: them directly)
@@ -468,28 +461,28 @@ class NotificationEngine:
 
     # -- bounded history ---------------------------------------------------------
 
-    def _log_row(self, sub_id, sequence, nid, client_id, head, text, via, status=0, defer=False):
+    def _log_row(self, sub_id, sequence, number, owners, text, via, status=0, defer=False):
         """Retain a row decoded from a record (the live path is
         :meth:`_stage`; *defer* is :meth:`_DeliveryLog.push`'s); returns
-        its log.  A row :meth:`_stage` could not have written — another
-        id, or not the next row of its log — raises
-        :class:`~repro.errors.StateFormatError`."""
-        digits = nid[1:]
-        if nid[:1] != "n" or not digits.isdecimal() or f"n{int(digits)}" != nid:
-            raise StateFormatError(f"delivery-log row of {sub_id!r} has id {nid!r}, not n<N>")
+        its log, or ``None`` when *owners* (sub_id -> the subscription,
+        bound to its client) has none for a new log: its stream went
+        with a discarded snapshot.  A row that is not the next of
+        its log raises :class:`~repro.errors.StateFormatError`."""
         log = self._delivery_log.get(sub_id)
         if log is None:
+            subscription = owners.get(sub_id)
+            if subscription is None:
+                return None
             log = self._delivery_log[sub_id] = _DeliveryLog(
-                sub_id, intern(client_id), head, self.history_limit, sequence
-            )
-        elif (client_id, head) != (log.client_id, log.head) or (
-            sequence != log.first + len(log.texts)
-        ):
+                sub_id, intern(subscription.subscriber_id), subscription_part(subscription),
+                self.history_limit, sequence,
+            )  # fmt: skip
+        elif sequence != log.first + len(log.texts):
             raise StateFormatError(
-                f"delivery-log row {nid!r} of {sub_id!r} does not continue its log: another "
-                "client or subscription text, or its sequences are not contiguous"
+                f"delivery-log row {sequence} of {sub_id!r} does not continue its log: "
+                "its sequences are not contiguous"
             )
-        if log.push(int(digits), via, text, status, defer):
+        if log.push(number, via, text, status, defer):
             self.stats.history_evictions += 1
         return log
 
@@ -509,7 +502,6 @@ class NotificationEngine:
         :meth:`finish_replay` cannot re-send it; if more remains, the
         state is a later stream's, already adopted by the ledger pass,
         and is left alone."""
-        self._heads.pop(sub_id, None)
         if self._replay_ledger is not None:
             queue = self._replay_ledger.get(sub_id)
             while queue and queue.popleft() is not None:
@@ -582,9 +574,6 @@ class NotificationEngine:
                     continue
             if text is None:
                 text = PublicationText(match.event.event_id, event_part(match.event), [])
-            head = self._heads.get(sub_id)
-            if head is None:
-                head = self._heads[sub_id] = subscription_part(subscription)
             via = via_of.get(match.via)
             if via is None:
                 via = via_of[match.via] = len(text.via)
@@ -597,11 +586,11 @@ class NotificationEngine:
             log = logs.get(sub_id)
             if log is None:
                 log = logs[sub_id] = _DeliveryLog(
-                    sub_id, client_id, head, self.history_limit, sequence
+                    sub_id, client_id, subscription_part(subscription), self.history_limit, sequence
                 )
             if log.push(number, via, text, defer=ledger is not None):
                 self.stats.history_evictions += 1
-            entry = DeliveryEntry(sequence, f"n{number}", client_id, sub_id, head, text, via)
+            entry = DeliveryEntry(sequence, f"n{number}", client_id, sub_id, log.head, text, via)
             staged.append(entry)
             fresh.append(entry)
         if fresh and self.durability is not None:
@@ -611,10 +600,8 @@ class NotificationEngine:
                     "eid": text.event_id,
                     "event": text.event,
                     "via": text.via,
-                    "rows": [
-                        [e.sub_id, e.sequence, e.notification_id, e.client_id, e.head, e.via]
-                        for e in fresh
-                    ],
+                    "n": self._next_notification - len(fresh),
+                    "rows": [[e.sub_id, e.sequence, e.via] for e in fresh],
                 }
             )
         return staged
@@ -786,7 +773,7 @@ class NotificationEngine:
 
     # -- crash-recovery protocol (driven by durability.recover) --------------------
 
-    def begin_replay(self, records, stats) -> None:
+    def begin_replay(self, records, stats, owners: dict) -> None:
         """The ledger pass, then reconciliation mode.  *records* is the
         journal tail in append order: every row of an ``outs`` record
         is adopted into the delivery log and the sequence/id counters —
@@ -794,26 +781,24 @@ class NotificationEngine:
         and extends its stream's run on the ledger; every row of an
         ``acks`` record settles its retained row (and restored pending
         copy) by sequence; every ``unsub`` forgets the subscription as
-        the live call did, leaving a ``None`` on its ledger queue.  Logs
-        defer eviction to :meth:`finish_replay`, so a run's rows stay
-        readable.  Until then, regenerated matches consume the ledger
+        the live call did, leaving a ``None`` on its ledger queue.
+        *owners* (see :meth:`_log_row`) follows the tail's ``sub`` and
+        ``unsub`` records.  Logs defer eviction to :meth:`finish_replay`,
+        so a run's rows stay readable.  Until then, regenerated matches consume the ledger
         instead of drawing fresh sequences."""
         ledger: dict[str, deque[list | None]] = {}
-        #: the decoded subscription texts, each once: a subscription's
-        #: rows share one string across the tail's ``outs`` records
-        heads: dict[str, str] = {}
         for record in records:
             kind = record["k"]
             if kind == "outs":
                 text = PublicationText(record["eid"], record["event"], record["via"]).pack()
-                for sub_id, sequence, nid, client_id, head, via in record["rows"]:
-                    sub_id, client_id = intern(sub_id), intern(client_id)
-                    head = heads.setdefault(head, head)
-                    log = self._log_row(
-                        sub_id, sequence, nid, client_id, head, text, via, defer=True
-                    )
+                rows, first = record["rows"], record["n"]
+                self._next_notification = max(self._next_notification, first + len(rows))
+                for number, (sub_id, sequence, via) in enumerate(rows, first):
+                    sub_id = intern(sub_id)
+                    log = self._log_row(sub_id, sequence, number, owners, text, via, defer=True)
+                    if log is None:
+                        continue
                     self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), sequence + 1)
-                    self._next_notification = max(self._next_notification, int(nid[1:]) + 1)
                     queue = ledger.setdefault(sub_id, deque())
                     if queue and queue[-1] is not None and queue[-1][0] is log:
                         queue[-1][2] = sequence
@@ -830,9 +815,12 @@ class NotificationEngine:
                         entry.status = status
                     if ok:
                         self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
+            elif kind == "sub":
+                owners[record["sid"]] = _decode_subscription(record)
             elif kind == "unsub":
                 sub_id = record["sid"]
                 self.forget(sub_id)
+                owners.pop(sub_id, None)
                 ledger.setdefault(sub_id, deque()).append(None)
         self._replay_ledger = ledger
         self._replay_stats = stats
@@ -867,13 +855,13 @@ class NotificationEngine:
         ``notifier`` record (the id counter), one ``text`` record per
         publication a retained row still references (its event id, the
         rendered event, its rendered derivations), then one ``log``
-        record per subscription (sequence counter, delivered frontier,
-        the subscription's rendered ``heads`` and at most
-        ``history_limit`` rows of ids and references: ``[sequence,
-        notification_id, client_id, head index, text record number,
+        record per subscription (sequence counter, delivered frontier
+        and at most ``history_limit`` rows, oldest first, of numbers and
+        references: ``[notification number, text record number,
         derivation index, status]``) — so no record grows with the
         number of deliveries ever made, and the file says what is
-        shared."""
+        shared.  A row's sequence is ``next_seq - len(rows)`` plus its
+        age."""
         yield {"k": "notifier", "next_notification": self._next_notification}
         number_of: dict[int, int] = {}  # id(text) -> position among the text records
         for log in self._delivery_log.values():
@@ -895,24 +883,19 @@ class NotificationEngine:
                 "sid": sub_id,
                 "next_seq": next_seq,
                 "frontier": self._frontier.get(sub_id, 0),
-                "heads": [] if log is None else [log.head],
-                "entries": [
-                    [sequence, nid, client_id, 0, number_of[id(text)], via, status]
-                    for sequence, nid, client_id, _, text, via, status in (
-                        () if log is None else log.rows()
-                    )
+                "rows": [
+                    [number, number_of[id(text)], via, status]
+                    for number, text, via, status in (() if log is None else log.rows())
                 ],
             }
 
-    def restore(self, record: dict) -> None:
+    def restore(self, record: dict, owners: dict) -> None:
         """Apply one :meth:`durable_state` record; pending entries are
-        queued for re-send when recovery finishes.  A row that does not
-        fit its log (:meth:`_log_row`), or a log whose last row is not
-        the one before ``next_seq``, raises
-        :class:`~repro.errors.StateFormatError`."""
+        queued for re-send when recovery finishes; a log of no
+        subscription in *owners* (:meth:`_log_row`) is dropped."""
         kind = record["k"]
         if kind == "notifier":
-            self._next_notification = int(record["next_notification"])
+            self._next_notification = record["next_notification"]
             return
         if kind == "text":
             self._restored_texts.append(
@@ -920,20 +903,17 @@ class NotificationEngine:
             )
             return
         sub_id = intern(record["sid"])
-        self._next_seq[sub_id] = int(record["next_seq"])
+        if sub_id not in owners:
+            return
+        next_seq = self._next_seq[sub_id] = record["next_seq"]
         if record["frontier"]:
-            self._frontier[sub_id] = int(record["frontier"])
-        heads = record["heads"]
-        for sequence, nid, client_id, head, text, via, status in record["entries"]:
-            head, text = heads[head], self._restored_texts[text]
-            self._log_row(sub_id, sequence, nid, client_id, head, text, via, _CODE[status])
+            self._frontier[sub_id] = record["frontier"]
+        rows = record["rows"]
+        for sequence, (number, text, via, status) in enumerate(rows, next_seq - len(rows)):
+            text = self._restored_texts[text]
+            log = self._log_row(sub_id, sequence, number, owners, text, via, _CODE[status])
             if status == "pending":
-                self._restored_pending.setdefault(sub_id, {})[sequence] = DeliveryEntry(
-                    sequence, nid, intern(client_id), sub_id, head, text, via
-                )
-        log = self._delivery_log.get(sub_id)
-        if log is not None and log.first + len(log.texts) != self._next_seq[sub_id]:
-            raise StateFormatError(f"delivery log of {sub_id!r} does not end before next_seq")
+                self._restored_pending.setdefault(sub_id, {})[sequence] = log.entry(sequence)
 
     # -- reporting ----------------------------------------------------------------
 

@@ -330,8 +330,9 @@ class _ProcessDataPlane:
         for index in indexes:
             try:
                 self._launch(index)
-            except Exception:
-                pass
+            except Exception as exc:
+                if _log.isEnabledFor(logging.DEBUG):
+                    _log.debug("shard %d worker launch failed: %r", index, exc)
         forked = 0
         for index in indexes:
             if self._workers[index] is None:
@@ -433,6 +434,11 @@ class _ProcessDataPlane:
                 ) from exc
             if epoch != expected:
                 self._stats.stale_replies_discarded += 1
+                if _log.isEnabledFor(logging.DEBUG):
+                    _log.debug(
+                        "shard %d stale reply discarded (epoch %d, expected %d)",
+                        index, epoch, expected,
+                    )  # fmt: skip
                 continue
             if status == "ok":
                 return payload
@@ -476,8 +482,11 @@ class _ProcessDataPlane:
         empty = [index for index in range(shards) if self._workers[index] is None]
         if empty:
             started = time.monotonic()
-            self._stats.worker_restarts += self._fork(empty)
+            forked = self._fork(empty)
+            self._stats.worker_restarts += forked
             self._stats.restart_seconds += time.monotonic() - started
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("shards %s re-forked: %d of %d up", empty, forked, len(empty))
         for index in range(shards):
             if self._workers[index] is not None:
                 try:
@@ -491,7 +500,11 @@ class _ProcessDataPlane:
                     outcomes[index] = self._finish(index)
                 except _ShardFault:
                     pass
-        self._stats.degraded_publishes += outcomes.count(None)
+        degraded = outcomes.count(None)
+        self._stats.degraded_publishes += degraded
+        if degraded and _log.isEnabledFor(logging.DEBUG):
+            inline = [index for index, outcome in enumerate(outcomes) if outcome is None]
+            _log.debug("publish %s degraded: shards %s answered inline", event.event_id, inline)
         return outcomes
 
     def forward(self, index: int | None, op: str, payload=None) -> None:

@@ -30,9 +30,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.broker.clients import ClientRegistry
+from repro.broker.durability import _encode_subscription
 from repro.broker.notifications import NotificationEngine
 from repro.broker.transports import TcpTransport, TransportRegistry
-from repro.core.provenance import SYNONYM, SemanticMatch, Witness
+from repro.core.provenance import SYNONYM, SemanticMatch, Witness, subscription_part
 from repro.errors import DeliveryError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
@@ -51,6 +52,10 @@ def _subject(sub_id: str, event_id: str) -> str:
 
 def _json(record):
     return json.loads(json.dumps(record))
+
+
+def _subscription(sub_id: str, client_id: str | None = None) -> Subscription:
+    return Subscription([Predicate.eq("a", "1")], subscriber_id=client_id, sub_id=sub_id)
 
 
 class _Journal:
@@ -163,8 +168,10 @@ class _Model:
         }
 
 
-def _decoded(records: list[dict]) -> tuple[int, dict[str, tuple]]:
-    """``durable_state()`` records back to whole rows."""
+def _decoded(records: list[dict], live: dict[str, str]) -> tuple[int, dict[str, tuple]]:
+    """``durable_state()`` records back to whole rows: a row's sequence
+    from its age, its client and text from its subscription (*live*
+    maps each to its client)."""
     next_notification, texts, logs = None, [], {}
     for record in records:
         if record["k"] == "notifier":
@@ -172,15 +179,19 @@ def _decoded(records: list[dict]) -> tuple[int, dict[str, tuple]]:
         elif record["k"] == "text":
             texts.append(record)
         else:
-            sub_id, heads, rows = record["sid"], record["heads"], []
-            for sequence, nid, client_id, head, number, via, status in record["entries"]:
-                text = texts[number]
+            sub_id, rows = record["sid"], []
+            head = subscription_part(_subscription(sub_id))
+            first = record["next_seq"] - len(record["rows"])
+            for sequence, (number, text, via, status) in enumerate(record["rows"], first):
+                text = texts[text]
                 subject = _subject(sub_id, text["eid"])
-                body = heads[head] + text["event"] + text["via"][via]
-                rows.append((sequence, nid, client_id, text["eid"], subject, body, status))
+                body = head + text["event"] + text["via"][via]
+                rows.append(
+                    (sequence, f"n{number}", live[sub_id], text["eid"], subject, body, status)
+                )
             logs[sub_id] = (record["next_seq"], record["frontier"], rows)
     # every text record is referenced, by a row that follows it
-    referenced = {e[4] for r in records if r["k"] == "log" for e in r["entries"]}
+    referenced = {row[1] for r in records if r["k"] == "log" for row in r["rows"]}
     assert referenced == set(range(len(texts)))
     return next_notification, logs
 
@@ -197,8 +208,17 @@ class _Run:
         self.live: dict[str, str] = {}  # sub_id -> its client
         self.publications = 0
         self.snapshot = [{"k": "notifier", "next_notification": 1}]
+        #: the subscriptions the snapshot holds, as its ``sub`` records would
+        self.snapshot_owners: dict[str, Subscription] = {}
         self.journal = _Journal()
         self.engine = self._engine()
+
+    def _owners(self) -> dict[str, Subscription]:
+        """The live subscriptions, bound to their clients, as recovery
+        reads them from ``sub`` records."""
+        return {
+            sub_id: _subscription(sub_id, client_id) for sub_id, client_id in self.live.items()
+        }
 
     def _engine(self) -> NotificationEngine:
         transports = TransportRegistry([TcpTransport()])
@@ -207,7 +227,10 @@ class _Run:
     # -- operations ----------------------------------------------------------
 
     def subscribe(self, index: int, client_id: str) -> None:
-        self.live.setdefault(f"s{index}", client_id)
+        sub_id = f"s{index}"
+        if sub_id not in self.live:
+            self.live[sub_id] = client_id
+            self.journal.append(_encode_subscription(_subscription(sub_id), client_id))
 
     def unsubscribe(self, index: int) -> None:
         sub_id = f"s{index}"
@@ -228,8 +251,7 @@ class _Run:
             client_id = self.live.get(sub_id)
             if not included or client_id is None:
                 continue
-            sub = Subscription([Predicate.eq("a", "1")], sub_id=sub_id)
-            match = SemanticMatch(sub, event, rewritten if derived else Witness())
+            match = SemanticMatch(_subscription(sub_id), event, rewritten if derived else Witness())
             deliveries.append((self.registry.get(client_id), match))
             rows.append(self.model.stage(sub_id, client_id, event_id, match.explain()))
         if not deliveries:
@@ -265,6 +287,7 @@ class _Run:
 
     def checkpoint(self) -> None:
         self.snapshot = [_json(record) for record in self.engine.durable_state()]
+        self.snapshot_owners = self._owners()
         self.journal.records.clear()
         self.model.checkpoint()
 
@@ -274,9 +297,10 @@ class _Run:
         unsubscribes replayed, then the re-sends."""
         tail = list(self.journal.records)
         self.engine = self._engine()
+        owners = dict(self.snapshot_owners)
         for record in self.snapshot:
-            self.engine.restore(_json(record))
-        self.engine.begin_replay(tail, self.journal.stats)
+            self.engine.restore(_json(record), owners)
+        self.engine.begin_replay(tail, self.journal.stats, owners)
         for record in tail:
             if record["k"] == "unsub":
                 self.engine.forget(record["sid"])
@@ -298,12 +322,13 @@ class _Run:
             assert got == [row.observed() for row in model.logs.get(sub_id, ())], sub_id
         assert engine.delivery_frontiers() == model.frontier
         records = [_json(record) for record in engine.durable_state()]
-        next_notification, logs = _decoded(records)
+        next_notification, logs = _decoded(records, self.live)
         assert next_notification == model.next_nid
         assert logs == model.log_records()
         fresh = NotificationEngine(history_limit=LIMIT)
+        owners = self._owners()
         for record in records:
-            fresh.restore(_json(record))
+            fresh.restore(_json(record), owners)
         assert [_json(record) for record in fresh.durable_state()] == records
 
 
@@ -352,7 +377,7 @@ def test_a_replayed_row_of_an_ended_stream_settles_only_itself():
     assert [(e.sequence, e.status) for e in run.engine.delivery_log("s1")] == [(1, "dead")]
 
     recovered = run._engine()
-    recovered.begin_replay(list(run.journal.records), run.journal.stats)
+    recovered.begin_replay(list(run.journal.records), run.journal.stats, {})
     outcomes = recovered.fan_out(first)  # the first publication, replayed
     assert [(o.notification.sub_id, o.delivered, o.transport) for o in outcomes] == [
         ("s0", False, "journal"),  # settled before the crash: dropped

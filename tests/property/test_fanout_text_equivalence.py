@@ -11,9 +11,9 @@ to a transport and every retained ``entry.subject`` / ``entry.body``
 equals it:
 
 * live, for every delivery of a trace;
-* after ``checkpoint()`` + ``recover()`` (the format-3 snapshot's text
-  records), and after a journal-only ``recover()`` (the ``outs``
-  records);
+* after ``checkpoint()`` + ``recover()`` (the snapshot's text records,
+  each row's head rendered from its subscription's ``sub`` record),
+  and after a journal-only ``recover()`` (the ``outs`` records);
 * through ``replay_from`` on each of those brokers, and in the
   ``durable_state()`` records each of them would snapshot;
 * for deliveries a recovery re-sends from their stored parts.
@@ -45,12 +45,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.broker.broker import Broker
-from repro.broker.durability import JOURNAL_NAME, _encode_record, _scan_records, recover
+from repro.broker.durability import (
+    JOURNAL_NAME,
+    _decode_subscription,
+    _encode_record,
+    _scan_records,
+    recover,
+)
 from repro.broker.notifications import PublicationText
 from repro.broker.sharding import ShardedBroker, ShardedEngine
 from repro.broker.transports import SmsTransport, TcpTransport, TransportRegistry
 from repro.core.pipeline import SemanticPipeline
-from repro.core.provenance import CANON, GENERAL
+from repro.core.provenance import CANON, GENERAL, subscription_part
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -167,21 +173,25 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
     return expected, stages
 
 
-def _snapshot_text(notifier) -> dict[tuple[str, int], tuple[str, str]]:
-    """``{(sub_id, sequence): (subject, body)}`` as the notifier's
-    ``durable_state()`` records spell them: a row's head, its text
-    record's event and the derivation it indexes."""
+def _snapshot_text(broker) -> dict[tuple[str, int], tuple[str, str]]:
+    """``{(sub_id, sequence): (subject, body)}`` as the broker's snapshot
+    records spell them: the head rendered from the row's ``sub`` record,
+    its text record's event and the derivation it indexes."""
     texts: list[dict] = []
+    heads: dict[str, str] = {}
     spelled = {}
-    for record in notifier.durable_state():
-        if record["k"] == "text":
+    for record in broker._durable_state():
+        if record["k"] == "sub":
+            heads[record["sid"]] = subscription_part(_decode_subscription(record))
+        elif record["k"] == "text":
             texts.append(record)
         elif record["k"] == "log":
-            heads, sub_id = record["heads"], record["sid"]
-            for sequence, _, _, head, number, via, _ in record["entries"]:
+            sub_id, rows = record["sid"], record["rows"]
+            first = record["next_seq"] - len(rows)
+            for sequence, (_, number, via, _) in enumerate(rows, first):
                 text = texts[number]
                 subject = f"S-ToPSS: subscription {sub_id} matched event {text['eid']}"
-                body = heads[head] + text["event"] + text["via"][via]
+                body = heads[sub_id] + text["event"] + text["via"][via]
                 spelled[sub_id, sequence] = (subject, body)
     return spelled
 
@@ -200,7 +210,7 @@ def _assert_retained_text(broker, expected) -> None:
         for entry in notifier.delivery_log(sub_id)
     }
     assert retained == expected
-    assert _snapshot_text(notifier) == expected
+    assert _snapshot_text(broker) == expected
     for sub_id in sub_ids:
         for outcome in broker.replay_from(sub_id, 1):
             key = (sub_id, outcome.notification.sequence)
@@ -246,7 +256,8 @@ def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, origi
         return recover(directory, kb, broker_factory=factory, transports=_transports())
 
     if origin == "snapshot":
-        # the format-3 snapshot: rows referencing per-publication text records
+        # the snapshot: rows referencing per-publication text records and
+        # taking their head from their subscription's sub record
         from_snapshot = recovered_from(live_dir)
         try:
             assert from_snapshot.recovery.snapshot_loaded

@@ -273,10 +273,13 @@ class TestBoundedRetention:
             wide.notify(client, self._sub_match("s1", index))
 
         narrow = _engine(history_limit=2)
+        # the subscription the rows are of, as recovery reads it
+        subscription = self._sub_match("s1", 0).subscription
+        owners = {"s1": Subscription(subscription.predicates, subscriber_id="c1", sub_id="s1")}
         for record in snapshot:
-            narrow.restore(record)
+            narrow.restore(record, owners)
         assert narrow.retained_log("s1").start == 1  # the ring wrapped
-        narrow.begin_replay(tail, journal.stats)
+        narrow.begin_replay(tail, journal.stats, owners)
         assert [e.sequence for e in narrow.delivery_log("s1")] == [4, 5, 6, 7, 8]
         narrow.finish_replay(ClientRegistry())
         rows = narrow.delivery_log("s1")
@@ -304,11 +307,16 @@ class TestRetainedRowFootprint:
 
     SUBS, PUBLICATIONS, BOUND = 64, 100, 64
 
-    def _fan_out(self, engine, client) -> None:
-        subs = [
-            Subscription([Predicate.eq("degree", "PhD")], sub_id=f"s{index}")
+    def _subs(self, client_id: str | None = None) -> list[Subscription]:
+        return [
+            Subscription(
+                [Predicate.eq("degree", "PhD")], subscriber_id=client_id, sub_id=f"s{index}"
+            )
             for index in range(self.SUBS)
         ]
+
+    def _fan_out(self, engine, client) -> None:
+        subs = self._subs()
         for index in range(self.PUBLICATIONS):
             event = Event({"degree": "PhD", "n": index}, event_id=f"e{index}")
             engine.fan_out([(client, SemanticMatch(sub, event, Witness(), 0)) for sub in subs])
@@ -334,10 +342,11 @@ class TestRetainedRowFootprint:
             live_bytes = self._bytes_per_row(live)
 
             restored = _engine(history_limit=1024)
+            owners = {sub.sub_id: sub for sub in self._subs(client.client_id)}
             for record in records:
-                restored.restore(record)
+                restored.restore(record, owners)
             del records
-            restored.begin_replay([], None)
+            restored.begin_replay([], None, owners)
             restored.finish_replay(registry)
             restored_bytes = self._bytes_per_row(restored)
         finally:

@@ -18,9 +18,13 @@ import logging
 import multiprocessing
 import shutil
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.broker.broker import Broker
 from repro.broker.durability import (
@@ -37,7 +41,13 @@ from repro.broker.notifications import NotificationEngine, PublicationText
 from repro.broker.sharding import ShardedBroker
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
-from repro.errors import DeliveryError, DurabilityError, SimulatedCrash, StateFormatError
+from repro.errors import (
+    DeliveryError,
+    DurabilityError,
+    ReproError,
+    SimulatedCrash,
+    StateFormatError,
+)
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
@@ -49,7 +59,7 @@ def kb():
     return build_jobs_knowledge_base()
 
 
-def _sub(attr: str, value: str, sub_id: str) -> Subscription:
+def _sub(attr: str, value: str | int, sub_id: str) -> Subscription:
     # explicit sub_ids: auto ids draw from a module counter and would
     # differ between a run and its recovery
     return Subscription([Predicate.eq(attr, value)], sub_id=sub_id)
@@ -76,6 +86,10 @@ def _observable(broker: Broker) -> dict:
         "subs": sorted(sub.sub_id for sub in broker.engine.subscriptions()),
         "frontiers": broker.notifier.delivery_frontiers(),
     }
+
+
+#: s-a's rendered subscription part, which format 3 wrote on every row
+_HEAD = "subscription s-a [(university = Toronto)] matched event "
 
 
 def _frame(records) -> bytes:
@@ -186,9 +200,15 @@ class TestRecoveryRoundTrip:
     def test_sequences_continue_after_recovery(self, kb, tmp_path):
         with Broker(kb, durability=tmp_path) as broker:
             _populate(broker)
-        # every id the first life drew, from its outs records
+        # every id the first life drew, from its outs records: row j of
+        # a record is number n + j
         records, _, _ = _scan_records((tmp_path / JOURNAL_NAME).read_bytes())
-        nids = {row[2] for record in records if record["k"] == "outs" for row in record["rows"]}
+        nids = {
+            f"n{record['n'] + j}"
+            for record in records
+            if record["k"] == "outs"
+            for j in range(len(record["rows"]))
+        }
         assert nids == {"n1", "n2"}
         recovered = recover(tmp_path, kb)
         try:
@@ -512,7 +532,8 @@ class TestSnapshots:
             (record,) = caplog.records
             assert record.levelno == logging.WARNING
             assert record.getMessage() == (
-                f"{tmp_path / SNAPSHOT_NAME}: snapshot discarded (damaged or not format 3)"
+                f"{tmp_path / SNAPSHOT_NAME}: snapshot discarded (damaged or not format "
+                f"{FORMAT_VERSION})"
             )
             # the journal alone still rebuilds everything (it was never
             # compacted, so no records were lost with the snapshot)
@@ -574,7 +595,7 @@ class TestStreamedSnapshot:
             "snapshot", "broker", "client", "client", "client", "sub", "notifier", "text", "log",
             "end",
         ]  # fmt: skip
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
         assert records[0] == {"k": "snapshot", "format": FORMAT_VERSION, "last_seq": last_seq}
         assert records[-1] == {"k": "end", "records": len(records) - 2, "last_seq": last_seq}
         # s-b unsubscribed before the checkpoint: no log record for it,
@@ -587,14 +608,16 @@ class TestStreamedSnapshot:
             "via": ["\nderived event (university, Toronto) via:\n"
                     "  1. [synonym] attribute 'school' rewritten to root 'university'"],
         }  # fmt: skip
+        # no client id, subscription text or n<N> string: the row's
+        # client and text are the sub record's, its sequence is
+        # next_seq - len(rows) + its age
         assert log == {
             "k": "log",
             "sid": "s-a",
             "next_seq": 2,
             "frontier": 1,
-            "heads": ["subscription s-a [(university = Toronto)] matched event "],
-            # [sequence, nid, client, head index, text number, derivation index, status]
-            "entries": [[1, "n1", "cl-a", 0, 0, 0, "acked"]],
+            # [notification number, text number, derivation index, status]
+            "rows": [[1, 0, 0, "acked"]],
         }
 
     def test_valid_snapshot_is_applied(self, kb, tmp_path):
@@ -644,7 +667,9 @@ class TestStreamedSnapshot:
         damaged["format 1 single record"] = _encode_record(
             {"format": 1, "last_seq": records[0]["last_seq"], "state": {"clients": [records[2]]}}
         )
-        damaged["unknown format"] = _frame([dict(records[0], format=4)] + records[1:])
+        damaged["unknown format"] = _frame(
+            [dict(records[0], format=FORMAT_VERSION + 1)] + records[1:]
+        )
         damaged["empty file"] = b""
 
         for number, (label, raw) in enumerate(damaged.items()):
@@ -663,14 +688,32 @@ class TestStreamedSnapshot:
                 recovered.close()
 
     @pytest.mark.parametrize(
-        "form", ["format 2", "unknown kind", "retired config key", "retired semantic switches"]
-    )
+        "form",
+        [
+            "format 2", "format 3", "format 3 log rows", "unknown kind", "retired config key",
+            "retired semantic switches",
+        ],
+    )  # fmt: skip
     def test_a_snapshot_never_written_is_discarded(self, kb, tmp_path, form):
         """Intact, but not a form this broker writes: discarded whole
         like a damaged file, and recovery runs from the journal."""
         records, expected = self._ghosted(kb, tmp_path)
         if form == "format 2":
             records[0] = dict(records[0], format=2)
+        elif form.startswith("format 3"):
+            # a log record as format 3 wrote it: the subscription text
+            # once per log, and per row its sequence, id and client
+            (at,) = [n for n, record in enumerate(records) if record.get("k") == "log"]
+            log = records[at]
+            rows = log.pop("rows")
+            first = log["next_seq"] - len(rows)
+            log["heads"] = [_HEAD]
+            log["entries"] = [
+                [first + age, f"n{number}", "cl-a", 0, text, via, status]
+                for age, (number, text, via, status) in enumerate(rows)
+            ]
+            if form == "format 3":
+                records[0] = dict(records[0], format=3)
         elif form == "unknown kind":
             records.insert(-1, {"k": "outbox", "rows": []})
             records[-1] = dict(records[-1], records=len(records) - 2)
@@ -720,7 +763,7 @@ class TestStreamedSnapshot:
             content, last_seq, discarded = broker.durability.load_snapshot()
             assert not discarded and last_seq == broker.durability.last_seq
             assert list(content) == written
-            statuses = {e[6] for r in written if r["k"] == "log" for e in r["entries"]}
+            statuses = {row[3] for r in written if r["k"] == "log" for row in r["rows"]}
             assert statuses == {"pending", "acked", "dead"}
             # recovery settles the pending send; do the same here
             last = broker.notifier.delivery_log("s-a")[-1].sequence
@@ -743,7 +786,7 @@ class TestStreamedSnapshot:
     def test_compaction_and_recovery_hold_one_record_not_the_file(self, kb, tmp_path):
         """1,000 publications fanned out to 12 and then to 64
         subscriptions (12k and 64k logged deliveries, each row with its
-        own ``n<N>`` id, so the rows live in the log's columns): the
+        own notification number, so the rows live in the log's columns): the
         traced peak during checkpoint() and the transient during
         load_snapshot() + restore are what one record costs plus an
         index of the publications — the same at both sizes, far below
@@ -755,11 +798,15 @@ class TestStreamedSnapshot:
         def measure(subs: int, directory) -> tuple[int, int, int]:
             broker = Broker(kb, durability=directory)
             broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-f")
+            owners = {}
+            for index in range(subs):
+                owners[f"s{index}"] = broker.subscribe("cl-f", _sub("a", index, f"s{index}"))
             notifier = broker.notifier
             for n in range(1, per_sub + 1):
                 notifier.restore(
                     {"k": "text", "eid": f"e{n}", "event": f"e{n} [{text}]",
-                     "via": [" — exact syntactic match", f"\n{n} {text}"]}
+                     "via": [" — exact syntactic match", f"\n{n} {text}"]},
+                    owners,
                 )  # fmt: skip
             for index in range(subs):
                 notifier.restore(
@@ -768,12 +815,12 @@ class TestStreamedSnapshot:
                         "sid": f"s{index}",
                         "next_seq": per_sub + 1,
                         "frontier": per_sub,
-                        "heads": [f"subscription s{index} [(a = {index})] matched event "],
-                        "entries": [
-                            [n, f"n{index * per_sub + n}", "cl-f", 0, n - 1, index % 2, "acked"]
+                        "rows": [
+                            [index * per_sub + n, n - 1, index % 2, "acked"]
                             for n in range(1, per_sub + 1)
                         ],
-                    }
+                    },
+                    owners,
                 )
             notifier._restored_texts = []
             tracemalloc.start()
@@ -959,7 +1006,7 @@ class TestSharedFanOutText:
         assert sys.getrefcount(text) == held - 1
         engine.forget("s-b")
         assert sys.getrefcount(text) == held - 2
-        assert not engine._heads and not engine._delivery_log
+        assert not engine._delivery_log
 
 
 class TestReplayFrom:
@@ -1090,6 +1137,40 @@ class TestEngineOwnedCounters:
             recovered.close()
 
 
+#: CRC-valid journal records of kinds this broker writes, each in a form
+#: it never writes, and what the refusal names (before the form check,
+#: each made recover() escape with the untyped error its id names)
+_MALFORMED = {
+    "outs row of the wrong arity (ValueError)": ({
+        "k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
+        "via": [" — exact syntactic match"], "n": 9, "rows": [["s-a", 3]],
+    }, "malformed 'rows'"),
+    "outs rows not a list (TypeError)": ({
+        "k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
+        "via": [" — exact syntactic match"], "n": 9, "rows": 5,
+    }, "malformed 'rows'"),
+    "outs without its event (KeyError)": ({
+        "k": "outs", "eid": "e9", "via": [" — exact syntactic match"], "n": 9,
+        "rows": [["s-a", 3, 0]],
+    }, "holds keys"),
+    "via index past its list (IndexError)": ({
+        "k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
+        "via": [" — exact syntactic match"], "n": 9, "rows": [["s-a", 3, 1]],
+    }, "names a derivation past its list"),
+    "string sequence (TypeError)": ({
+        "k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
+        "via": [" — exact syntactic match"], "n": 9, "rows": [["s-a", "3", 0]],
+    }, "malformed 'rows'"),
+    "short acks row (ValueError)": ({"k": "acks", "rows": [["s-a", 3]]}, "malformed 'rows'"),
+    "sub without preds (KeyError)": (
+        {"k": "sub", "sid": "s-z", "cid": "cl-a", "mg": None, "oi": 9}, "holds keys",
+    ),
+    "pub pair of one element (ValueError)": ({
+        "k": "pub", "cid": "cl-p", "eid": "e9", "pairs": [["school"]], "oi": 9,
+    }, "malformed 'pairs'"),
+}  # fmt: skip
+
+
 class TestOneFormat:
     """Recovery reads only what this broker writes.  A journal record
     of any other form is refused before the broker is built, and the
@@ -1113,6 +1194,12 @@ class TestOneFormat:
               "subject": "stored subject", "body": "stored body"}, "'out'"),
             ({"k": "ack", "sid": "s-a", "n": 3, "ok": True}, "'ack'"),
             ({"k": "outbox", "rows": []}, "'outbox'"),
+            ({"k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
+              "via": [" — exact syntactic match"],
+              "rows": [["s-a", 3, "n9", "cl-a", _HEAD, 0]]}, "'i', 'n', 'rows', 'via']"),
+            ({"k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
+              "via": [" — exact syntactic match"], "n": 9,
+              "rows": [["s-a", 3, "n9", "cl-a", _HEAD, 0]]}, "malformed 'rows'"),
             ({"k": "config", "cfg": dict(_encode_config(SemanticConfig()), matching_backend="numpy")},
              "matching_backend"),
             ({"k": "config", "cfg": dict(_encode_config(SemanticConfig()), vector_width=8)},
@@ -1122,9 +1209,11 @@ class TestOneFormat:
             ({"k": "config",
               "cfg": dict(_encode_config(SemanticConfig()), generalize_attributes=True)},
              "generalize_attributes"),
+            *_MALFORMED.values(),
         ],
-        ids=["out", "ack", "unknown kind", "retired config key", "unknown config key",
-             "retired value switch", "retired attribute switch"],
+        ids=["out", "ack", "unknown kind", "format 3 outs", "format 3 outs rows",
+             "retired config key", "unknown config key", "retired value switch",
+             "retired attribute switch", *_MALFORMED],
     )  # fmt: skip
     def test_a_journal_record_never_written_is_refused(self, kb, tmp_path, record, offender):
         self._written(kb, tmp_path)
@@ -1179,67 +1268,55 @@ class TestOneFormat:
         edit(records)
         path.write_bytes(_frame(records))
 
+    def test_a_row_that_does_not_fit_its_log_is_refused(self, kb, tmp_path):
+        """A row's sequence continues its log: one past a gap is
+        refused."""
+        self._written(kb, tmp_path)
+
+        def forge(records):  # [sub_id, sequence, via]
+            (outs,) = [record for record in records if record["k"] == "outs"]
+            assert outs["rows"][0][:2] == ["s-a", 2]
+            outs["rows"][0][1] = 3
+
+        self._rewrite(tmp_path / JOURNAL_NAME, forge)
+        with pytest.raises(StateFormatError, match="not contiguous"):
+            recover(tmp_path, kb)
+
     @pytest.mark.parametrize("where", ["snapshot", "journal"])
-    @pytest.mark.parametrize("fault", ["id n01", "sequence gap"])
-    def test_a_row_that_does_not_fit_its_log_is_refused(self, kb, tmp_path, where, fault):
+    def test_a_row_of_no_live_subscription_is_dropped(self, kb, tmp_path, where):
+        """A row takes its client and text from its subscription; a row
+        of an id no subscription holds at that point of the stream — as
+        a tail left by a discarded snapshot has — is not adopted, and
+        recovery starts."""
         self._written(kb, tmp_path)
-        if where == "snapshot":
-            with recover(tmp_path, kb) as recovered:
-                recovered.checkpoint()  # s-a's second row moves into the snapshot
-            path = tmp_path / SNAPSHOT_NAME
 
-            def second_row(records):  # [sequence, nid, ...]
+        def forge(records):
+            if where == "snapshot":
                 (log,) = [record for record in records if record["k"] == "log"]
-                return log["entries"][1], 0
-        else:
-            path = tmp_path / JOURNAL_NAME
-
-            def second_row(records):  # [sub_id, sequence, nid, ...]
-                (outs,) = [record for record in records if record["k"] == "outs"]
-                return outs["rows"][0], 1
-
-        def forge(records):
-            row, at = second_row(records)
-            assert row[at] == 2
-            if fault == "id n01":
-                row[at + 1] = "n01"
+                log["sid"] = "s-x"
             else:
-                row[at] = 3
+                (outs,) = [record for record in records if record["k"] == "outs"]
+                outs["rows"][0][0] = "s-x"
 
-        self._rewrite(path, forge)
-        with pytest.raises(StateFormatError, match="'n01'|not contiguous"):
-            recover(tmp_path, kb)
-
-    def test_a_log_that_does_not_end_before_its_next_sequence_is_refused(self, kb, tmp_path):
-        """A row's sequence is derived from its log's oldest, so the
-        next row a restored log takes must be the one ``next_seq``
-        names."""
-        self._written(kb, tmp_path)
+        self._rewrite(tmp_path / (SNAPSHOT_NAME if where == "snapshot" else JOURNAL_NAME), forge)
         with recover(tmp_path, kb) as recovered:
-            recovered.checkpoint()
-
-        def forge(records):
-            (log,) = [record for record in records if record["k"] == "log"]
-            log["next_seq"] += 1
-
-        self._rewrite(tmp_path / SNAPSHOT_NAME, forge)
-        with pytest.raises(StateFormatError, match="'s-a' does not end before next_seq"):
-            recover(tmp_path, kb)
+            assert recovered.notifier.delivery_log("s-x") == []
+            # s-a keeps the rows the forge left it: the tail's, or the snapshot's
+            sequences = [entry.sequence for entry in recovered.notifier.delivery_log("s-a")]
+            assert sequences == ([2] if where == "snapshot" else [1, 2])
 
     @pytest.mark.parametrize("executor", ["single", "process"])
     def test_a_failed_recovery_releases_the_broker_it_built(self, kb, tmp_path, executor):
         """The factory takes what a broker may hold by the time a step
         fails — the journal handle, a forked worker fleet — and the
-        refused snapshot row must not leave either behind."""
-        with Broker(kb, durability=tmp_path) as broker:
-            _populate(broker)
-            broker.checkpoint()
+        refused journal row must not leave either behind."""
+        self._written(kb, tmp_path)
 
-        def forge(records):
-            (log,) = [record for record in records if record["k"] == "log"]
-            log["entries"][0][1] = "n01"
+        def forge(records):  # a sequence gap in the journal tail
+            (outs,) = [record for record in records if record["k"] == "outs"]
+            outs["rows"][0][1] = 3
 
-        self._rewrite(tmp_path / SNAPSHOT_NAME, forge)
+        self._rewrite(tmp_path / JOURNAL_NAME, forge)
         built = []
 
         def factory(kb, **kwargs):
@@ -1253,11 +1330,119 @@ class TestOneFormat:
             built.append(broker)
             return broker
 
-        with pytest.raises(StateFormatError, match="'n01'"):
+        with pytest.raises(StateFormatError, match="not contiguous"):
             recover(tmp_path, kb, broker_factory=factory)
         (broker,) = built
         assert broker.durability._handle is None
         assert multiprocessing.active_children() == []
+
+
+#: any JSON value, small
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 1 << 64)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=4,
+)
+
+
+def _mutated(data, value):
+    """*value* with one part somewhere inside replaced by arbitrary
+    JSON or dropped from its container; a dict or list is descended
+    into more often than not."""
+    if isinstance(value, dict):
+        keys = sorted(value)
+    elif isinstance(value, list):
+        keys = list(range(len(value)))
+    else:
+        keys = []
+    if not keys or not data.draw(st.integers(0, 3)):
+        return data.draw(_JSON)
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    at = data.draw(st.sampled_from(keys))
+    how = data.draw(st.sampled_from(["deeper", "replace", "drop"]))
+    if how == "drop":
+        del copy[at]
+    else:
+        copy[at] = _mutated(data, copy[at]) if how == "deeper" else data.draw(_JSON)
+    return copy
+
+
+class TestMalformedRecords:
+    """Every record's form — its kind's keys, field types, row arity and
+    references — is checked where the file is already read: a snapshot
+    content record of another form discards the snapshot (a journal
+    record of another form is refused: ``TestOneFormat``).  Nothing but
+    a :class:`~repro.errors.ReproError` leaves ``recover()``."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"rows": [[1, 0, 0]]}, {"rows": 5}, {"frontier": None}, {"rows": [[1, 0, 1, "acked"]]},
+            {"rows": [["1", 0, 0, "acked"]]}, {"rows": [[1, 1, 0, "acked"]]},
+            {"rows": [[1, 0, 0, "sent"]]}, {"next_seq": 1}, {"heads": []},
+        ],
+        ids=[
+            "row of the wrong arity", "rows not a list", "frontier not a number",
+            "via index past its list", "string number", "text index past the texts",
+            "unknown status", "more rows than sequences", "an extra key",
+        ],
+    )  # fmt: skip
+    def test_a_malformed_log_record_discards_the_snapshot(self, kb, tmp_path, edit):
+        TestOneFormat._written(kb, tmp_path)
+        records, _, _ = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
+        (at,) = [n for n, record in enumerate(records) if record["k"] == "log"]
+        records[at] = dict(records[at], **edit)
+        (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
+        with recover(tmp_path, kb) as recovered:
+            assert recovered.recovery.snapshot_discarded
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """The bytes of a journal that holds every journal kind, and of
+        a snapshot that holds every content kind."""
+        kb = build_jobs_knowledge_base()
+        journal_dir = tmp_path_factory.mktemp("journal")
+        with Broker(kb, durability=journal_dir) as broker:
+            _populate(broker)
+            broker.reconfigure(SemanticConfig(max_generality=2))
+            broker.remove_client("cl-b")
+        snapshot_dir = tmp_path_factory.mktemp("snapshot")
+        TestOneFormat._written(kb, snapshot_dir)
+        return kb, {
+            name: {path.name: path.read_bytes() for path in directory.iterdir()}
+            for name, directory in (("journal", journal_dir), ("snapshot", snapshot_dir))
+        }
+
+    @given(data=st.data())
+    def test_a_mutated_record_escapes_only_as_a_repro_error(self, written, data):
+        kb, sources = written
+        where = data.draw(st.sampled_from(["journal", "snapshot"]))
+        files = dict(sources[where])
+        name = JOURNAL_NAME if where == "journal" else SNAPSHOT_NAME
+        records, _, _ = _scan_records(files[name])
+        # a snapshot's head and trailer stay: the record count is not
+        # what is under test
+        lo, hi = (0, len(records) - 1) if where == "journal" else (1, len(records) - 2)
+        at = data.draw(st.integers(lo, hi))
+        key = data.draw(st.sampled_from(sorted(records[at])))
+        record = dict(records[at])
+        if data.draw(st.booleans()):
+            record[key] = _mutated(data, record[key])
+        else:
+            del record[key]
+        records[at] = record
+        files[name] = _frame(records)
+        with tempfile.TemporaryDirectory() as scratch:
+            for file_name, raw in files.items():
+                (Path(scratch) / file_name).write_bytes(raw)
+            try:
+                recover(scratch, kb).close()
+            except ReproError:
+                pass
 
 
 class TestShardedRecovery:

@@ -1109,8 +1109,11 @@ class TestPlaneTeardown:
 
 class TestLifecycleLog:
     """One DEBUG record on ``repro.broker.sharding`` when the worker
-    fleet is dropped (why, and how many workers) and one when a faulted
-    worker is disposed (which shard, which fault)."""
+    fleet is dropped (why, and how many workers), when a faulted worker
+    is disposed (which shard, which fault), when a publish answers
+    shards inline (which), when a publish re-forks empty slots (which,
+    and how many came up; a launch that failed says why) and when a
+    stale reply is discarded (the shard and the epochs)."""
 
     @staticmethod
     def _records(caplog) -> list[str]:
@@ -1143,10 +1146,79 @@ class TestLifecycleLog:
         try:
             engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
             with caplog.at_level(logging.DEBUG, logger="repro.broker.sharding"):
-                matches = engine.publish(parse_event("(x, leaf)"))
+                event = parse_event("(x, leaf)")
+                matches = engine.publish(event)
                 assert [m.subscription.sub_id for m in matches] == ["s0"]  # answered inline
                 assert self._records(caplog) == [
-                    "shard 0 worker disposed: shard 0 worker killed by fault plan"
+                    "shard 0 worker disposed: shard 0 worker killed by fault plan",
+                    f"publish {event.event_id} degraded: shards [0] answered inline",
+                ]
+        finally:
+            engine.close()
+
+    def test_a_re_fork_says_which_shards_and_how_many_came_up(self, caplog, no_sleep):
+        engine = _process_engine(FaultPlan([FaultAction("kill", 0, 0)]))
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.publish(parse_event("(x, leaf)"))  # shard 0's worker is disposed
+            with caplog.at_level(logging.DEBUG, logger="repro.broker.sharding"):
+                assert len(engine.publish(parse_event("(x, mid)"))) == 1
+                assert self._records(caplog) == ["shards [0] re-forked: 1 of 1 up"]
+        finally:
+            engine.close()
+
+    def test_a_failed_launch_is_said_and_the_shard_answers_inline(
+        self, caplog, monkeypatch, no_sleep
+    ):
+        engine = _process_engine(FaultPlan([FaultAction("kill", 0, 0)]))
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.publish(parse_event("(x, leaf)"))
+            plane = engine._plane
+
+            def refuse(index):
+                raise OSError("no more processes")
+
+            monkeypatch.setattr(plane, "_launch", refuse)
+            with caplog.at_level(logging.DEBUG, logger="repro.broker.sharding"):
+                event = parse_event("(x, mid)")
+                assert [m.subscription.sub_id for m in engine.publish(event)] == ["s0"]
+                assert self._records(caplog) == [
+                    "shard 0 worker launch failed: OSError('no more processes')",
+                    "shards [0] re-forked: 0 of 1 up",
+                    f"publish {event.event_id} degraded: shards [0] answered inline",
+                ]
+        finally:
+            engine.close()
+
+    def test_a_stale_reply_names_its_shard_and_epochs(self, caplog):
+        """Shard 0's worker raises an engine error, so shard 1's reply
+        to the same publish goes unread; the next exchange with shard 1
+        discards it by epoch."""
+
+        class WorkerRejects(SToPSS):
+            def __init__(self, kb, **kwargs):
+                super().__init__(kb, **kwargs)
+                self.built_in = os.getpid()
+
+            def publish(self, event):
+                if os.getpid() != self.built_in and "boom" in event:
+                    raise MatchingError("rejected in the worker")
+                return super().publish(event)
+
+        engine = _process_engine(engine_factory=WorkerRejects)
+        try:
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s0"))
+            engine.subscribe(parse_subscription("(x = top)", sub_id="s1"))
+            engine.publish(parse_event("(x, leaf)"))
+            with pytest.raises(MatchingError):
+                engine.publish(parse_event("(x, leaf)(boom, 1)"))
+            abandoned = engine._plane._expected[1]
+            with caplog.at_level(logging.DEBUG, logger="repro.broker.sharding"):
+                engine.publish(parse_event("(x, leaf)"))
+                assert self._records(caplog) == [
+                    f"shard 1 stale reply discarded (epoch {abandoned}, "
+                    f"expected {abandoned + 1})"
                 ]
         finally:
             engine.close()
