@@ -279,9 +279,9 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
                     "snapshot_loaded": report.snapshot_loaded,
                     "recover_seconds": recover_seconds,
                 })
-            # the journal-only recovery regenerates every delivery and
-            # must dedup all of them; the compacted one folded most of
-            # its history into the snapshot instead
+            # the journal-only recovery settles every journaled delivery
+            # from its acks record; the compacted one folded most of its
+            # history into the snapshot instead
             assert payload["recoveries"][0]["dedup_drops"] > 0
 
             for entry, directory in zip(

@@ -27,17 +27,22 @@ Four design rules keep recovery boring:
    last one folded in, so a crash between rename and truncate merely
    makes replay skip already-folded records.  A snapshot that fails
    any check anywhere is discarded whole before any of it is applied.
-3. **Deliveries are at-least-once, dedup'd by sequence.**  The
-   notification engine journals one ``outs`` record per publication
-   (every delivery's subscription and per-subscription sequence, and
-   the text the deliveries share, once) before the first send and one
-   ``acks`` record after the last.  A row repeats nothing a ``sub``
-   record holds: recovery takes its client and subscription text from
-   the subscription live at that point of the stream.  Recovery
-   replays each journaled publish, regenerates its matches
-   deterministically, and reconciles them against the journaled
-   outbox — already-acked sequences are dropped (``dedup_drops``),
-   un-acked ones are re-sent (``replayed_deliveries``).
+3. **A publication is decided once; deliveries are at-least-once.**
+   The notification engine journals one ``outs`` record per
+   publication (every delivery's subscription and per-subscription
+   sequence, and the text the deliveries share, once) before the first
+   send and one ``acks`` record after the last.  A row repeats nothing
+   a ``sub`` record holds: recovery takes its client and subscription
+   text from the subscription live at that point of the stream.
+   Recovery reads the journal tail once, in order: the ``outs`` rows
+   join their delivery logs, the ``acks`` rows settle theirs
+   (``dedup_drops``), and what is still pending at the end is re-sent
+   (``replayed_deliveries``).  A journaled publish is not matched
+   again — its ``outs`` say what it delivered, and one without
+   ``outs`` delivered nothing — except the tail's last record group, a
+   publish without ``outs``: the crash may have cut it before its
+   ``outs``, so it is decided again, against the knowledge base the
+   caller passes (knowledge-base writes are not journaled).
 4. **One format.**  Recovery reads only what this module writes, each
    record checked against its kind's form (:data:`_FORMS`: keys, field
    types, row arity, references) in the pass that already reads the
@@ -698,6 +703,35 @@ def _register_client(broker: "Broker", record: dict) -> None:
     )
 
 
+def _replay(broker: "Broker", record: dict, owners: dict, stats: DurabilityStats) -> None:
+    """Apply one journaled operation through the broker's normal path;
+    *owners* follows the live subscriptions.  An operation that failed
+    live (or only half-applied before the crash) fails the same way
+    here and is skipped, counted in ``replay_skips``; a journal that
+    fails (:class:`~repro.errors.DurabilityError`, a simulated crash
+    among them) stops recovery."""
+    kind = record["k"]
+    try:
+        if kind == "client":
+            _register_client(broker, record)
+        elif kind == "remove":
+            broker.remove_client(record["id"])
+        elif kind == "sub":
+            bound = broker.subscribe(record["cid"], _decode_subscription(record))
+            owners[bound.sub_id] = bound
+        elif kind == "unsub":
+            broker.unsubscribe(record["sid"])
+            owners.pop(record["sid"], None)
+        elif kind == "config":
+            broker.engine.reconfigure(SemanticConfig(**record["cfg"]))
+        else:  # pub
+            broker.publish(record["cid"], _decode_event(record))
+    except DurabilityError:
+        raise  # the journal itself failed: recovery stops here
+    except ReproError:
+        stats.replay_skips += 1
+
+
 def recover(
     directory: str | os.PathLike,
     kb: "KnowledgeBase",
@@ -711,15 +745,21 @@ def recover(
 
     The snapshot restores the compacted baseline (clients,
     subscriptions, configuration, delivery sequences); the journal tail
-    then replays *through the normal broker paths* — churn through
-    ``subscribe``/``unsubscribe`` (so a sharded engine re-routes and
-    re-indexes exactly as live traffic would), publishes through
-    ``publish`` with the notification engine reconciling regenerated
-    matches against the journaled outbox: acked sequences are dropped
-    (``dedup_drops``), un-acked ones re-sent (``replayed_deliveries``).
-    Journaled records that failed to apply live (e.g. a rejected
-    publish) fail identically on replay and are skipped, which also
-    covers a partially-applied final record.  An empty directory
+    is then read once, in order, as record groups — an operation record
+    and the ``outs`` / ``acks`` records appended before the next one.
+    Churn replays *through the normal broker paths* (``subscribe`` /
+    ``unsubscribe``, so a sharded engine re-routes and re-indexes
+    exactly as live traffic would); each ``outs`` / ``acks`` record goes
+    to :meth:`~repro.broker.notifications.NotificationEngine.adopt`:
+    journaled rows join their logs, acked ones settle
+    (``dedup_drops``).  A publish is decided again through ``publish``
+    only when it is the last group and has no ``outs`` — the one
+    publication a crash can have cut.  What is still pending at the end
+    is re-sent (``replayed_deliveries``).  Journaled records that failed
+    to apply live (e.g. a rejected subscribe) fail identically on
+    replay and are skipped, which also covers a partially-applied final
+    record; a journal failure during recovery (a crash among them)
+    stops it.  An empty directory
     recovers to a fresh durable broker.  A step that raises — e.g.
     :class:`~repro.errors.StateFormatError` for a delivery-log row this
     broker never writes — closes the broker it built first.
@@ -765,40 +805,31 @@ def recover(
             else:  # notifier / text / log
                 broker.notifier.restore(record, owners)
 
-        # 2. delivery ledger from the journal tail: what was outboxed
-        #    and what was acked, per subscription in append order
-        broker.notifier.begin_replay(durability.journal_tail(floor, end), durability.stats, owners)
-
-        # 3. replay the operation records through the normal paths
+        # 2. the journal tail, once, in order: each operation through the
+        #    normal paths, each outs / acks record into the delivery logs
+        #    with the subscriptions live at that point.  A publication is
+        #    not decided again: its outs say what it delivered, and one
+        #    without outs delivered nothing — unless it is the tail's last
+        #    record group, where the crash may have cut it
+        cut = None
         for record in durability.journal_tail(floor, end):
             kind = record["k"]
-            try:
-                if kind == "client":
-                    _register_client(broker, record)
-                elif kind == "remove":
-                    broker.remove_client(record["id"])
-                elif kind == "sub":
-                    broker.subscribe(record["cid"], _decode_subscription(record))
-                elif kind == "unsub":
-                    broker.unsubscribe(record["sid"])
-                elif kind == "config":
-                    broker.engine.reconfigure(SemanticConfig(**record["cfg"]))
-                elif kind == "pub":
-                    broker.publish(record["cid"], _decode_event(record))
-                else:  # outs / acks: the ledger pass took them
-                    continue
-            except ReproError:
-                # the same operation failed the same way live (or only
-                # half-applied before the crash); deterministic replay
-                # converges to the same state by skipping it
-                durability.stats.replay_skips += 1
+            if kind == "outs" or kind == "acks":
+                if kind == "outs":
+                    cut = None
+                broker.notifier.adopt(record, owners, durability.stats)
+                continue
+            cut = record if kind == "pub" else None
             report.records_replayed += 1
-            if "oi" in record:
-                broker._op_index = max(broker._op_index, record["oi"] + 1)
+            broker._op_index = max(broker._op_index, record["oi"] + 1)
+            if kind != "pub":
+                _replay(broker, record, owners, durability.stats)
+        if cut is not None:
+            sent = broker.notifier.stats.notifications
+            _replay(broker, cut, owners, durability.stats)
+            durability.stats.replayed_deliveries += broker.notifier.stats.notifications - sent
 
-        # 4. anything journaled-but-unacked that replay did not
-        #    regenerate (snapshot-compacted publishes, divergent tails)
-        #    is re-sent straight from the stored rendered message
+        # 3. what the tail left pending is re-sent from its stored text
         broker.notifier.finish_replay(broker.registry)
     except BaseException:
         # a step that raises leaves no journal handle or worker behind

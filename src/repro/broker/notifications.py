@@ -14,11 +14,11 @@ notification carries a monotonic ``sequence`` scoped to its
 subscription, the engine keeps a bounded per-subscription delivery log,
 and — when the broker is durable — the deliveries of a publication are
 journaled as one ``outs`` record before the first send and one ``acks``
-record after the last, so crash recovery can reconcile regenerated
-matches against what actually went out (already-acked sequences are
-dropped, un-acked ones re-sent).  ``replay_from`` re-delivers the
-retained log from a sequence number for reconnecting subscribers, who
-dedup by ``(sub_id, sequence)``.
+record after the last, so crash recovery knows what was decided and
+what went out without deciding it again: it adopts the journaled rows,
+settles the acked ones and re-sends the rest.  ``replay_from``
+re-delivers the retained log from a sequence number for reconnecting
+subscribers, who dedup by ``(sub_id, sequence)``.
 
 The fan-out of a publication is *one unit of work*
 (:meth:`NotificationEngine.fan_out`): the event is rendered once, each
@@ -44,14 +44,15 @@ a row's is derived).  The ``n<N>`` id is rendered when a row is sent or
 exported.  Records say each thing once too: a row carries no client id
 or subscription text — recovery takes both from the subscription live
 at that point of the stream, drops a row of none, and refuses one that
-does not continue its log with :class:`~repro.errors.StateFormatError`.  Its replay ledger holds no
-row of its own: per stream, a reference to the log the journaled rows
-were adopted into and the run of sequences they hold there.
+does not continue its log with :class:`~repro.errors.StateFormatError`.
+Recovery keeps nothing of its own: a journaled row joins its log as it
+is read (:meth:`NotificationEngine.adopt`), and what is still pending
+once the whole tail is read is re-sent from there.
 :class:`DeliveryEntry` remains the row type callers see:
 :meth:`NotificationEngine.delivery_log` and ``replay_from`` hand out
-copies, and the rows in flight (one fan-out's staged rows, restored
-pending rows, the rows recovery re-sends) are transient entries whose
-settling writes the status column through.  A send's
+copies, and the rows in flight (one fan-out's staged rows, the rows
+recovery re-sends) are transient entries whose settling writes the
+status column through.  A send's
 :class:`DeliveryOutcome` goes back to its caller (``PublishReport
 .outcomes``) and is not kept: :meth:`NotificationEngine.delivered_to`
 reads the retained logs.  The dead-letter list is the one other store,
@@ -76,7 +77,6 @@ from sys import intern
 from typing import Iterator, Sequence
 
 from repro.broker.clients import Client
-from repro.broker.durability import _decode_subscription
 from repro.broker.transports import (
     DeliveryRecord,
     OutboundMessage,
@@ -254,8 +254,6 @@ class _DeliveryLog:
     contiguous, so a row stores none: it is ``first`` (the oldest
     row's) plus the row's age.  A row decoded from a record must fit
     that, or it is refused (:meth:`NotificationEngine._log_row`).
-    While recovery replays, rows are appended past ``capacity`` and
-    :meth:`trim` evicts them when it ends.
 
     :meth:`NotificationEngine.retained_log` hands it to tests: its
     :meth:`set_status` is the one way a row's status changes, and
@@ -281,19 +279,16 @@ class _DeliveryLog:
         self.statuses = bytearray()
         self.texts: list[PublicationText] = []
 
-    def push(self, number: int, via: int, text: PublicationText, status=0, defer=False) -> bool:
+    def push(self, number: int, via: int, text: PublicationText, status=0) -> bool:
         """Store the stream's next row; True when the log was full, so
-        the oldest row left it — or, with *defer*, leaves it at
-        :meth:`trim`."""
+        the oldest row left it."""
         count = len(self.texts)
-        if count < self.capacity or defer:
-            if self.start:  # a full ring, in age order from slot 0
-                self.trim()
+        if count < self.capacity:
             self.numbers.append(number)
             self.vias.append(via)
             self.statuses.append(status)
             self.texts.append(text)
-            return count >= self.capacity
+            return False
         slot = self.start
         self.start = (slot + 1) % count
         self.first += 1
@@ -302,17 +297,6 @@ class _DeliveryLog:
         self.statuses[slot] = status
         self.texts[slot] = text
         return True
-
-    def trim(self) -> None:
-        """Keep the newest ``capacity`` rows, the oldest in slot 0."""
-        start, drop = self.start, max(len(self.texts) - self.capacity, 0)
-        if not start and not drop:
-            return
-        for name in ("numbers", "vias", "statuses", "texts"):
-            column = getattr(self, name)
-            setattr(self, name, (column[start:] + column[:start])[drop:])
-        self.start = 0
-        self.first += drop
 
     def _slots(self) -> Iterator[int]:
         """Slots oldest row first."""
@@ -443,31 +427,19 @@ class NotificationEngine:
         self._next_seq: dict[str, int] = {}
         self._delivery_log: dict[str, _DeliveryLog] = {}
         self._frontier: dict[str, int] = {}
-        #: pending entries restored from a snapshot, per subscription
-        #: (their publishes were compacted away, so recovery re-sends
-        #: them directly)
-        self._restored_pending: dict[str, dict[int, DeliveryEntry]] = {}
         #: recovery only: the snapshot's ``text`` records in file order,
         #: which its ``log`` rows reference by position
         self._restored_texts: list[PublicationText] = []
-        #: recovery only: per subscription id, a ``[log, next, last]`` run
-        #: per stream (the journaled rows' sequences in the log they were
-        #: adopted into, which stays reachable after ``forget``) and a
-        #: ``None`` per journaled unsubscribe of that id.  A replayed
-        #: unsubscribe pops through the first ``None``; whatever remains
-        #: belongs to a later subscription that re-used the id
-        self._replay_ledger: dict[str, deque[list | None]] | None = None
-        self._replay_stats = None
 
     # -- bounded history ---------------------------------------------------------
 
-    def _log_row(self, sub_id, sequence, number, owners, text, via, status=0, defer=False):
+    def _log_row(self, sub_id, sequence, number, owners, text, via, status=0):
         """Retain a row decoded from a record (the live path is
-        :meth:`_stage`; *defer* is :meth:`_DeliveryLog.push`'s); returns
-        its log, or ``None`` when *owners* (sub_id -> the subscription,
-        bound to its client) has none for a new log: its stream went
-        with a discarded snapshot.  A row that is not the next of
-        its log raises :class:`~repro.errors.StateFormatError`."""
+        :meth:`_stage`); returns its log, or ``None`` when *owners*
+        (sub_id -> the subscription, bound to its client) has none for
+        a new log: its stream went with a discarded snapshot.  A row
+        that is not the next of its log raises
+        :class:`~repro.errors.StateFormatError`."""
         log = self._delivery_log.get(sub_id)
         if log is None:
             subscription = owners.get(sub_id)
@@ -482,7 +454,7 @@ class NotificationEngine:
                 f"delivery-log row {sequence} of {sub_id!r} does not continue its log: "
                 "its sequences are not contiguous"
             )
-        if log.push(number, via, text, status, defer):
+        if log.push(number, via, text, status):
             self.stats.history_evictions += 1
         return log
 
@@ -495,23 +467,10 @@ class NotificationEngine:
     def forget(self, sub_id: str) -> None:
         """Drop what is kept for a subscription that unsubscribed: its
         delivery log, sequence counter, frontier and rendered text (an
-        id subscribed again later starts a new stream at sequence 1).
-
-        While recovery replays a journaled unsubscribe, the ended
-        stream's part of the replay ledger goes first, so
-        :meth:`finish_replay` cannot re-send it; if more remains, the
-        state is a later stream's, already adopted by the ledger pass,
-        and is left alone."""
-        if self._replay_ledger is not None:
-            queue = self._replay_ledger.get(sub_id)
-            while queue and queue.popleft() is not None:
-                pass
-            if queue:
-                return
+        id subscribed again later starts a new stream at sequence 1)."""
         self._delivery_log.pop(sub_id, None)
         self._next_seq.pop(sub_id, None)
         self._frontier.pop(sub_id, None)
-        self._restored_pending.pop(sub_id, None)
 
     # -- delivery --------------------------------------------------------------
 
@@ -526,19 +485,14 @@ class NotificationEngine:
         aborts the fan-out (``raise_on_dead_letter``), so what was
         settled stays settled across a restart."""
         staged = self._stage(deliveries)
-        unsettled = [entry for entry in staged if entry.status == "pending"]
         outcomes = []
         try:
             for (client, match), entry in zip(deliveries, staged):
                 outcomes.append(self.notify(client, match, entry))
         finally:
-            self._journal_acks(unsettled)
-            # the publication is settled: what its rows keep is packed
-            # (rows replayed from the ledger share texts packed already)
-            text = None
-            for entry in staged:
-                if entry.text is not text:
-                    text = entry.text.pack()
+            self._journal_acks(staged)
+            if staged:  # the publication is settled: what its rows keep is packed
+                staged[0].text.pack()
         return outcomes
 
     def _stage(self, deliveries: Sequence[tuple[Client, SemanticMatch]]) -> list[DeliveryEntry]:
@@ -549,29 +503,15 @@ class NotificationEngine:
         text — the event rendered once, a derivation once however many
         subscriptions accepted it (by content, so equal witnesses
         decoded from different shard workers share too), the
-        subscription part once per live subscription — and the new rows
-        go to the journal as a single ``outs`` record.  During
-        crash-recovery replay a regenerated match takes the row the
-        uncrashed run journaled for it instead; only a match without one
-        (the crash came before its ``outs``) is staged anew."""
-        ledger = self._replay_ledger
+        subscription part once per live subscription — and the rows go
+        to the journal as a single ``outs`` record."""
         logs = self._delivery_log
         text: PublicationText | None = None
         via_of: dict[object, int] = {}
         staged: list[DeliveryEntry] = []
-        fresh: list[DeliveryEntry] = []
         for client, match in deliveries:
             subscription = match.subscription
             sub_id = subscription.sub_id
-            if ledger is not None:
-                queue = ledger.get(sub_id)
-                if queue and queue[0] is not None:
-                    run = queue[0]
-                    staged.append(run[0].entry(run[1]))
-                    run[1] += 1
-                    if run[1] > run[2]:
-                        queue.popleft()
-                    continue
             if text is None:
                 text = PublicationText(match.event.event_id, event_part(match.event), [])
             via = via_of.get(match.via)
@@ -588,20 +528,19 @@ class NotificationEngine:
                 log = logs[sub_id] = _DeliveryLog(
                     sub_id, client_id, subscription_part(subscription), self.history_limit, sequence
                 )
-            if log.push(number, via, text, defer=ledger is not None):
+            if log.push(number, via, text):
                 self.stats.history_evictions += 1
             entry = DeliveryEntry(sequence, f"n{number}", client_id, sub_id, log.head, text, via)
             staged.append(entry)
-            fresh.append(entry)
-        if fresh and self.durability is not None:
+        if staged and self.durability is not None:
             self.durability.append(
                 {
                     "k": "outs",
                     "eid": text.event_id,
                     "event": text.event,
                     "via": text.via,
-                    "n": self._next_notification - len(fresh),
-                    "rows": [[e.sub_id, e.sequence, e.via] for e in fresh],
+                    "n": self._next_notification - len(staged),
+                    "rows": [[e.sub_id, e.sequence, e.via] for e in staged],
                 }
             )
         return staged
@@ -611,24 +550,13 @@ class NotificationEngine:
     ) -> DeliveryOutcome:
         """Deliver one match to one subscriber.  Called with a match
         alone this is a fan-out of one; :meth:`fan_out` passes the row it
-        staged for the match, and the call is the send itself.  A row
-        that crash recovery found already settled is dropped, not sent
-        again."""
+        staged for the match, and the call is the send itself."""
         if entry is None:
             return self.fan_out([(client, match)])[0]
         notification = Notification(
             entry.notification_id, client, match, sub_id=entry.sub_id, sequence=entry.sequence
         )
-        if entry.status != "pending":
-            # the uncrashed run already settled this sequence:
-            # idempotent redelivery drops it
-            self._replay_stats.dedup_drops += 1
-            return DeliveryOutcome(
-                notification, None, 0, entry.status == "acked", transport="journal"
-            )
         outcome = self._walk_transports(notification, entry.subject, entry.body)
-        if self._replay_stats is not None:
-            self._replay_stats.replayed_deliveries += 1
         self._settle(entry, outcome)
         return self._finish(outcome)
 
@@ -773,80 +701,48 @@ class NotificationEngine:
 
     # -- crash-recovery protocol (driven by durability.recover) --------------------
 
-    def begin_replay(self, records, stats, owners: dict) -> None:
-        """The ledger pass, then reconciliation mode.  *records* is the
-        journal tail in append order: every row of an ``outs`` record
-        is adopted into the delivery log and the sequence/id counters —
-        sharing its publication's text as the row it was staged as did —
-        and extends its stream's run on the ledger; every row of an
-        ``acks`` record settles its retained row (and restored pending
-        copy) by sequence; every ``unsub`` forgets the subscription as
-        the live call did, leaving a ``None`` on its ledger queue.
-        *owners* (see :meth:`_log_row`) follows the tail's ``sub`` and
-        ``unsub`` records.  Logs defer eviction to :meth:`finish_replay`,
-        so a run's rows stay readable.  Until then, regenerated matches consume the ledger
-        instead of drawing fresh sequences."""
-        ledger: dict[str, deque[list | None]] = {}
-        for record in records:
-            kind = record["k"]
-            if kind == "outs":
-                text = PublicationText(record["eid"], record["event"], record["via"]).pack()
-                rows, first = record["rows"], record["n"]
-                self._next_notification = max(self._next_notification, first + len(rows))
-                for number, (sub_id, sequence, via) in enumerate(rows, first):
-                    sub_id = intern(sub_id)
-                    log = self._log_row(sub_id, sequence, number, owners, text, via, defer=True)
-                    if log is None:
-                        continue
-                    self._next_seq[sub_id] = max(self._next_seq.get(sub_id, 1), sequence + 1)
-                    queue = ledger.setdefault(sub_id, deque())
-                    if queue and queue[-1] is not None and queue[-1][0] is log:
-                        queue[-1][2] = sequence
-                    else:
-                        queue.append([log, sequence, sequence])
-            elif kind == "acks":
-                for sub_id, sequence, ok in record["rows"]:
-                    status = "acked" if ok else "dead"
-                    log = self._delivery_log.get(sub_id)
-                    if log is not None:
-                        log.set_status(sequence, status)
-                    entry = self._restored_pending.get(sub_id, {}).get(sequence)
-                    if entry is not None:
-                        entry.status = status
-                    if ok:
-                        self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
-            elif kind == "sub":
-                owners[record["sid"]] = _decode_subscription(record)
-            elif kind == "unsub":
-                sub_id = record["sid"]
-                self.forget(sub_id)
-                owners.pop(sub_id, None)
-                ledger.setdefault(sub_id, deque()).append(None)
-        self._replay_ledger = ledger
-        self._replay_stats = stats
+    def adopt(self, record: dict, owners: dict, stats) -> None:
+        """Apply one journaled ``outs`` or ``acks`` record, in journal
+        order, as the live run applied what it says.  Each row of an
+        ``outs`` joins its log, pending, and moves the sequence and id
+        counters past it, its publication's text shared and packed; a
+        row of a subscription *owners* (see :meth:`_log_row`: the
+        subscriptions live at this point of the tail) does not hold is
+        dropped.  Each row of an ``acks`` settles its retained row and,
+        acked, moves the delivered frontier; *stats* counts it in
+        ``dedup_drops``."""
+        if record["k"] == "outs":
+            text = PublicationText(record["eid"], record["event"], record["via"]).pack()
+            rows, first = record["rows"], record["n"]
+            self._next_notification = first + len(rows)
+            for number, (sub_id, sequence, via) in enumerate(rows, first):
+                sub_id = intern(sub_id)
+                if self._log_row(sub_id, sequence, number, owners, text, via) is not None:
+                    self._next_seq[sub_id] = sequence + 1
+            return
+        for sub_id, sequence, ok in record["rows"]:
+            log = self._delivery_log.get(sub_id)
+            if log is None or not log.set_status(sequence, "acked" if ok else "dead"):
+                continue
+            stats.dedup_drops += 1
+            if ok:
+                self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
 
     def finish_replay(self, registry) -> None:
-        """Leave reconciliation mode; any journaled-but-unacked entry
-        replay did not regenerate (snapshot-compacted publishes) is
-        re-sent directly from its stored text — at-least-once — once
-        every log is trimmed back to ``history_limit``."""
-        leftovers = [
-            entry for entries in self._restored_pending.values() for entry in entries.values()
-        ]
-        for queue in self._replay_ledger.values():
-            for run in queue:
-                if run is not None:
-                    log, first, last = run
-                    entries = (log.entry(sequence) for sequence in range(first, last + 1))
-                    leftovers.extend(entry for entry in entries if entry.status == "pending")
-        self._replay_ledger = None
-        self._restored_pending = {}
+        """End recovery: every retained row still pending once the whole
+        journal tail is adopted — its ``acks`` never written — is re-sent
+        from its stored text (at-least-once), in the order the rows were
+        first sent."""
         self._restored_texts = []
-        for log in self._delivery_log.values():
-            log.trim()
-        for entry in leftovers:
-            self._redeliver(entry, registry)
-        self._replay_stats = None
+        pending = [
+            (number, log, log.first + age)
+            for log in self._delivery_log.values()
+            for age, (number, _, _, status) in enumerate(log.rows())
+            if status == "pending"
+        ]
+        pending.sort(key=lambda row: row[0])
+        for _, log, sequence in pending:
+            self._redeliver(log.entry(sequence), registry)
 
     # -- durable state -------------------------------------------------------------
 
@@ -890,9 +786,10 @@ class NotificationEngine:
             }
 
     def restore(self, record: dict, owners: dict) -> None:
-        """Apply one :meth:`durable_state` record; pending entries are
-        queued for re-send when recovery finishes; a log of no
-        subscription in *owners* (:meth:`_log_row`) is dropped."""
+        """Apply one :meth:`durable_state` record; a log of no
+        subscription in *owners* (:meth:`_log_row`) is dropped, and a
+        row still pending when recovery finishes is re-sent
+        (:meth:`finish_replay`)."""
         kind = record["k"]
         if kind == "notifier":
             self._next_notification = record["next_notification"]
@@ -911,9 +808,7 @@ class NotificationEngine:
         rows = record["rows"]
         for sequence, (number, text, via, status) in enumerate(rows, next_seq - len(rows)):
             text = self._restored_texts[text]
-            log = self._log_row(sub_id, sequence, number, owners, text, via, _CODE[status])
-            if status == "pending":
-                self._restored_pending.setdefault(sub_id, {})[sequence] = log.entry(sequence)
+            self._log_row(sub_id, sequence, number, owners, text, via, _CODE[status])
 
     # -- reporting ----------------------------------------------------------------
 

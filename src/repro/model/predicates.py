@@ -91,8 +91,8 @@ class Range:
     high: Value
 
     def __post_init__(self) -> None:
-        check_value(self.low)
-        check_value(self.high)
+        object.__setattr__(self, "low", check_value(self.low))
+        object.__setattr__(self, "high", check_value(self.high))
         if not values_comparable(self.low, self.high):
             raise PredicateError(f"range bounds {self.low!r} and {self.high!r} are not comparable")
         if compare_values(self.low, self.high) > 0:
@@ -135,7 +135,7 @@ def _check_operand(operator: Operator, operand: Operand) -> Operand:
         raise PredicateError(
             f"{operator.name} requires a scalar operand, got {type(operand).__name__}"
         )
-    check_value(operand)
+    operand = check_value(operand)
     if operator.is_string and not isinstance(operand, str):
         raise PredicateError(f"{operator.name} requires a string operand, got {operand!r}")
     if operator.is_ordering and isinstance(operand, bool):

@@ -123,6 +123,8 @@ class Period:
 Value = Union[str, int, float, bool, Period]
 
 _NUMERIC_TYPES = (int, float)
+#: the value types :func:`check_value` returns as they are
+_VALUE_TYPES = frozenset({str, int, float, bool, Period})
 
 
 def is_valid_value(value: object) -> bool:
@@ -136,10 +138,21 @@ def is_valid_value(value: object) -> bool:
 
 
 def check_value(value: object) -> Value:
-    """Validate *value*, returning it unchanged or raising
-    :class:`~repro.errors.InvalidValueError`."""
+    """Validate *value*, returning it or raising
+    :class:`~repro.errors.InvalidValueError`.  A ``str``, ``int`` or
+    ``float`` subclass (a ``StrEnum`` or ``IntEnum`` member) comes back
+    as the builtin it extends: a journal record spells it that way, so
+    the value a broker holds live is the one it recovers."""
     if not is_valid_value(value):
         raise InvalidValueError(f"unsupported value {value!r} of type {type(value).__name__}")
+    if type(value) in _VALUE_TYPES:
+        return value  # type: ignore[return-value]
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, int):  # never a bool: bool cannot be subclassed
+        return int.__int__(value)
+    if isinstance(value, float):
+        return float.__float__(value)
     return value  # type: ignore[return-value]
 
 

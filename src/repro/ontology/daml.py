@@ -58,7 +58,7 @@ def _resource_name(reference: str) -> str:
     if "#" in ref:
         ref = ref.rsplit("#", 1)[1]
     elif "/" in ref:
-        ref = ref.rstrip("/").rsplit("/", 1)[1]
+        ref = ref.rstrip("/").rsplit("/", 1)[-1]
     if not ref:
         raise DamlImportError(f"empty rdf resource reference {reference!r}")
     return ref

@@ -33,6 +33,7 @@ refused, not recovered: ``tests/unit/test_durability.py``.)
 from __future__ import annotations
 
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -157,11 +158,9 @@ def _run_clean(directory, kb, ops, probe, *, snapshot_every=0):
         return observable, appends, _probe(broker, probe)
 
 
-def _run_crashed(directory, kb, ops, offset, *, snapshot_every=0, broker_factory=Broker) -> Broker:
+def _crash(directory, kb, ops, offset, *, snapshot_every=0, broker_factory=Broker) -> None:
     """Run the trace against a journal rigged to crash at append
-    *offset*, then recover and resume the trace where the journal left
-    off.  Both brokers are built by *broker_factory*.  Returns the
-    recovered broker (caller closes)."""
+    *offset* (past the trace's appends it never fires)."""
     durability = Durability(
         directory, snapshot_every=snapshot_every, fault_plan=FaultPlan.crash_at(offset)
     )
@@ -172,6 +171,13 @@ def _run_crashed(directory, kb, ops, offset, *, snapshot_every=0, broker_factory
         pass
     finally:
         broker.close()
+
+
+def _run_crashed(directory, kb, ops, offset, *, snapshot_every=0, broker_factory=Broker) -> Broker:
+    """:func:`_crash`, then recover and resume the trace where the
+    journal left off.  Both brokers are built by *broker_factory*.
+    Returns the recovered broker (caller closes)."""
+    _crash(directory, kb, ops, offset, snapshot_every=snapshot_every, broker_factory=broker_factory)
     recovered = recover(directory, kb, snapshot_every=snapshot_every, broker_factory=broker_factory)
     _apply(recovered, ops, start=recovered.recovery.next_op_index)
     return recovered
@@ -280,6 +286,79 @@ def test_crash_sweep_with_aggressive_compaction(tmp_path):
             assert _probe(recovered, probe) == clean_probe
         finally:
             recovered.close()
+
+
+def test_a_crash_during_recovery_recovers_again(tmp_path, monkeypatch):
+    """Recovery appends records of its own: the ``outs`` and ``acks`` of
+    the publication the crash cut, decided again, and an ``acks`` per
+    row it re-sends.  For every offset of the first crash, on the fixed
+    trace and the three-subscriber fan-out, a second crash at each of
+    recovery's own appends is recovered in turn, and the trace resumed
+    lands in the uncrashed state, with no sequence acked twice."""
+    kb = _fixed_kb()
+    append = Durability.append
+    legs = 0
+    for name, (ops, probe) in (("fixed", _fixed_trace()), ("fan-out", _fan_out_trace())):
+        root = tmp_path / name
+        expected, total_appends, clean_probe = _run_clean(root / "clean", kb, ops, probe)
+        for offset in range(total_appends + 1):
+            first = root / f"crash{offset}"
+            _crash(first, kb, ops, offset)
+            shutil.copytree(first, root / f"dry{offset}")
+            with recover(root / f"dry{offset}", kb, snapshot_every=0) as once:
+                appends = once.durability.stats.journal_appends
+            for second in range(appends):
+                work = root / f"crash{offset}-{second}"
+                shutil.copytree(first, work)
+
+                def crashing(self, payload, _at=second):
+                    if self.fault_plan is None:  # the recovery's own store
+                        self.fault_plan = FaultPlan.crash_at(_at)
+                    return append(self, payload)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(Durability, "append", crashing)
+                    with pytest.raises(SimulatedCrash):
+                        recover(work, kb, snapshot_every=0)
+                recovered = recover(work, kb, snapshot_every=0)
+                try:
+                    _apply(recovered, ops, start=recovered.recovery.next_op_index)
+                    assert _observable(recovered) == expected, (name, offset, second)
+                    assert _probe(recovered, probe) == clean_probe, (name, offset, second)
+                    _assert_acked_at_most_once(work)
+                finally:
+                    recovered.close()
+                legs += 1
+    assert legs >= 8
+
+
+def test_a_complete_publication_is_not_decided_again(tmp_path):
+    """A publication whose ``outs`` the journal holds was decided: the
+    rows say what it delivered, and recovery adopts them instead of
+    matching again.  Here the knowledge base recovery is given learned
+    ``crimson`` is-a ``red`` since: deciding again would notify ``s2``,
+    which the run never did."""
+    live_kb = KnowledgeBase()
+    live_kb.add_domain("colour")
+    with Broker(live_kb, durability=tmp_path) as broker:
+        broker.register_subscriber("Ann", tcp="ann:1", client_id="cl-s1")
+        broker.register_subscriber("Ben", tcp="ben:1", client_id="cl-s2")
+        broker.register_publisher("Pia", client_id="cl-p")
+        broker.subscribe("cl-s1", Subscription([Predicate.eq("colour", "crimson")], sub_id="s1"))
+        broker.subscribe("cl-s2", Subscription([Predicate.eq("colour", "red")], sub_id="s2"))
+        report = broker.publish("cl-p", Event([("colour", "crimson")], event_id="e1"))
+        assert [m.subscription.sub_id for m in report.matches] == ["s1"]
+        live = broker.notifier.delivery_frontiers()
+    assert live == {"s1": 1}
+
+    later_kb = KnowledgeBase()
+    later_kb.add_domain("colour").add_chain("crimson", "red")
+    with recover(tmp_path, later_kb) as recovered:
+        assert recovered.notifier.delivery_frontiers() == live
+        assert recovered.notifier.delivery_log("s2") == []
+        assert recovered.notifier.stats.notifications == 0
+        assert recovered.recovery.replayed_deliveries == 0
+        assert recovered.recovery.dedup_drops == 1
 
 
 # ---------------------------------------------------------------------------

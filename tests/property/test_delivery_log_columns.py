@@ -11,8 +11,8 @@ body and status, at most ``history_limit`` of them.  Random sequences
 of subscribe, publish (with dead letters, and fan-outs a dead letter
 aborts so later rows stay pending), ``replay_from``, unsubscribe,
 re-subscribing the same id, checkpoint (``durable_state`` → JSON) and
-crash (``restore`` of the checkpoint + the journal tail through
-``begin_replay`` / ``finish_replay``) run against both, at
+crash (``restore`` of the checkpoint, the journal tail in order through
+``adopt``, then ``finish_replay``) run against both, at
 ``history_limit=3`` so the ring wraps and a journal tail outruns the
 window, and after every step the two agree on ``delivery_log()``,
 ``replay_from`` outcomes, the delivered frontiers and the decoded
@@ -30,7 +30,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.broker.clients import ClientRegistry
-from repro.broker.durability import _encode_subscription
+from repro.broker.durability import _decode_subscription, _encode_subscription
 from repro.broker.notifications import NotificationEngine
 from repro.broker.transports import TcpTransport, TransportRegistry
 from repro.core.provenance import SYNONYM, SemanticMatch, Witness, subscription_part
@@ -81,12 +81,6 @@ class _Row:
     subject: str
     body: str
     status: str = "pending"
-    #: staged since the last checkpoint (recovery reads it from the tail)
-    tail: bool = True
-    #: retained and pending at the last checkpoint (restored pending)
-    snapshot_pending: bool = False
-    #: its stream was forgotten: recovery never re-sends it
-    gone: bool = False
 
     def observed(self) -> tuple:
         return (
@@ -100,7 +94,6 @@ class _Model:
 
     def __init__(self) -> None:
         self.logs: dict[str, list[_Row]] = {}
-        self.every_row: list[_Row] = []
         self.next_seq: dict[str, int] = {}
         self.frontier: dict[str, int] = {}
         self.next_nid = 1
@@ -120,7 +113,6 @@ class _Model:
         log = self.logs.setdefault(row.sub_id, [])
         log.append(row)
         del log[:-LIMIT]
-        self.every_row.append(row)
 
     def settle(self, row: _Row) -> bool:
         delivered = REACHABLE[row.client_id]
@@ -130,32 +122,18 @@ class _Model:
         return delivered
 
     def forget(self, sub_id: str) -> None:
-        for row in self.logs.pop(sub_id, ()):
-            row.gone = True
-        for row in self.every_row:
-            if row.sub_id == sub_id:
-                row.gone = True
+        self.logs.pop(sub_id, None)
         self.next_seq.pop(sub_id, None)
         self.frontier.pop(sub_id, None)
 
-    def checkpoint(self) -> None:
-        retained = {id(row) for log in self.logs.values() for row in log}
-        for row in self.every_row:
-            row.tail = False
-            row.snapshot_pending = id(row) in retained and row.status == "pending"
-
     def recover(self) -> int:
-        """What ``finish_replay`` re-sends, unless the row's stream
-        ended: every row the snapshot held pending (settled if it still
-        is), and every row the tail staged that is still pending.
-        Returns how many sends that is."""
-        sends = 0
-        for row in self.every_row:
-            if not row.gone and (row.snapshot_pending or row.tail and row.status == "pending"):
-                sends += 1
-                if row.status == "pending":
-                    self.settle(row)
-        return sends
+        """What ``finish_replay`` re-sends: every retained row still
+        pending, each settled by its send.  Returns how many sends that
+        is."""
+        pending = [row for log in self.logs.values() for row in log if row.status == "pending"]
+        for row in pending:
+            self.settle(row)
+        return len(pending)
 
     def log_records(self) -> dict[str, tuple]:
         return {
@@ -289,21 +267,25 @@ class _Run:
         self.snapshot = [_json(record) for record in self.engine.durable_state()]
         self.snapshot_owners = self._owners()
         self.journal.records.clear()
-        self.model.checkpoint()
 
     def crash(self) -> None:
         """Recover as ``durability.recover`` does, minus the dispatcher:
-        restore the snapshot, the ledger pass over the tail, the tail's
-        unsubscribes replayed, then the re-sends."""
+        restore the snapshot, walk the tail once in order — a ``sub``
+        adds its owner, an ``unsub`` forgets the stream as the live call
+        did, ``outs`` and ``acks`` are adopted — then the re-sends."""
         tail = list(self.journal.records)
         self.engine = self._engine()
         owners = dict(self.snapshot_owners)
         for record in self.snapshot:
             self.engine.restore(_json(record), owners)
-        self.engine.begin_replay(tail, self.journal.stats, owners)
         for record in tail:
-            if record["k"] == "unsub":
+            if record["k"] == "sub":
+                owners[record["sid"]] = _decode_subscription(record)
+            elif record["k"] == "unsub":
                 self.engine.forget(record["sid"])
+                del owners[record["sid"]]
+            else:
+                self.engine.adopt(record, owners, self.journal.stats)
         sends = self.journal.stats.replayed_deliveries
         self.engine.finish_replay(self.registry)
         assert self.journal.stats.replayed_deliveries - sends == self.model.recover()
@@ -360,27 +342,25 @@ def test_columnar_log_equals_list_of_rows(ops):
         run.check()
 
 
-def test_a_replayed_row_of_an_ended_stream_settles_only_itself():
-    """Recovery re-sends a pending row when its publication is replayed,
-    also when its stream ended later in the journal tail; by then the
-    ledger pass has logged the id's next stream, whose row at the same
-    sequence keeps its own status."""
+def test_a_pending_row_of_an_ended_stream_is_not_resent():
+    """A fan-out a dead letter aborts leaves ``s1``'s row pending; then
+    ``s1`` ends and the id starts a new stream, whose row at the same
+    sequence is a dead letter.  Recovery reads the tail in order: the
+    ended stream's row goes with its stream, as it went live, and the
+    new stream's row keeps its own status — nothing is re-sent."""
     run = _Run()
     run.subscribe(0, "cl-u")
     run.subscribe(1, "cl-a")
     # s0's dead letter aborts the fan-out: s1's row stays pending
-    first = run.publish([(True, False), (True, False), (False, False)], True)
+    run.publish([(True, False), (True, False), (False, False)], True)
     assert [entry.status for entry in run.engine.delivery_log("s1")] == ["pending"]
     run.unsubscribe(1)
     run.subscribe(1, "cl-u")
     run.publish([(False, False), (True, False), (False, False)], False)
     assert [(e.sequence, e.status) for e in run.engine.delivery_log("s1")] == [(1, "dead")]
 
-    recovered = run._engine()
-    recovered.begin_replay(list(run.journal.records), run.journal.stats, {})
-    outcomes = recovered.fan_out(first)  # the first publication, replayed
-    assert [(o.notification.sub_id, o.delivered, o.transport) for o in outcomes] == [
-        ("s0", False, "journal"),  # settled before the crash: dropped
-        ("s1", True, "tcp"),  # re-sent to the ended stream's client
-    ]
-    assert [(e.sequence, e.status) for e in recovered.delivery_log("s1")] == [(1, "dead")]
+    run.crash()
+    assert run.journal.stats.replayed_deliveries == 0
+    assert run.journal.stats.dedup_drops == 2  # s0's dead letter and the new s1 row's
+    assert [(e.sequence, e.status) for e in run.engine.delivery_log("s1")] == [(1, "dead")]
+    run.check()

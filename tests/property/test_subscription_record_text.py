@@ -1,13 +1,16 @@
 """Property: a subscription's ``sub`` record renders the text its
-delivery rows say.
+delivery rows say, and holds the subscription it was made from.
 
 A delivery row in the journal (``outs``) or the snapshot (``log``)
 carries no client id and no subscription text: recovery renders the
 text from the subscription's ``sub`` record
 (:func:`~repro.core.provenance.subscription_part` of the decoded
 subscription).  That is only sound if encoding a subscription loses
-nothing its rendering shows.  Subscriptions are drawn over every
-operator and every value type a predicate takes (``str``, a
+nothing its rendering shows — and recovery subscribes what it decodes,
+so the decoded predicates must be the ones the broker held live.  The
+record goes through the journal's framing (``_encode_record`` /
+``_decode_line``), as recovery reads it.  Subscriptions are drawn over
+every operator and every value type a predicate takes (``str``, a
 ``StrEnum`` member, ``int``, ``float``, ``bool``, ``Period``).
 """
 
@@ -18,7 +21,12 @@ from enum import StrEnum
 from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
-from repro.broker.durability import _decode_subscription, _encode_subscription
+from repro.broker.durability import (
+    _decode_line,
+    _decode_subscription,
+    _encode_record,
+    _encode_subscription,
+)
 from repro.core.provenance import subscription_part
 from repro.errors import ReproError
 from repro.model.predicates import Operator, Predicate, Range
@@ -74,7 +82,12 @@ def _subscriptions(draw) -> Subscription:
 @example(Subscription([Predicate.isin("colour", [_Kind.RED, "blue", 3])], sub_id="s"), "cl")
 @example(Subscription([Predicate.between("year", 1.5, 2)], sub_id="s"), "cl")
 @example(Subscription([Predicate.eq("born", Period(1990, None))], sub_id="s"), "cl")
+@example(
+    Subscription([Predicate.eq("a", ""), Predicate.eq("a", _Kind.EMPTY)], sub_id="s"), "cl"
+)
 def test_a_sub_record_renders_the_rows_text(subscription, client_id):
-    record = _encode_subscription(subscription, client_id)
+    record = _decode_line(_encode_record(_encode_subscription(subscription, client_id)))
     assert record["cid"] == client_id
-    assert subscription_part(_decode_subscription(record)) == subscription_part(subscription)
+    decoded = _decode_subscription(record)
+    assert subscription_part(decoded) == subscription_part(subscription)
+    assert decoded.predicates == subscription.predicates

@@ -256,8 +256,8 @@ class TestBoundedRetention:
     def test_recovery_into_a_narrower_window_keeps_the_newest_rows(self):
         """A snapshot written under a wider window wraps the log a
         narrower engine restores it into; the journal tail's rows still
-        follow it in age order, and replay's end trims the log to the
-        newest ``history_limit``."""
+        follow it in age order, each adopted row evicting the oldest, so
+        the log holds the newest ``history_limit``."""
         tail: list[dict] = []
         journal = SimpleNamespace(
             append=lambda record: tail.append(json.loads(json.dumps(record))),
@@ -279,8 +279,10 @@ class TestBoundedRetention:
         for record in snapshot:
             narrow.restore(record, owners)
         assert narrow.retained_log("s1").start == 1  # the ring wrapped
-        narrow.begin_replay(tail, journal.stats, owners)
-        assert [e.sequence for e in narrow.delivery_log("s1")] == [4, 5, 6, 7, 8]
+        for record in tail:
+            narrow.adopt(record, owners, journal.stats)
+        assert [e.sequence for e in narrow.delivery_log("s1")] == [7, 8]
+        assert journal.stats.dedup_drops == 3  # each tail row, settled by its acks
         narrow.finish_replay(ClientRegistry())
         rows = narrow.delivery_log("s1")
         kept = [(e.sequence, e.notification_id, e.event_id, e.status) for e in rows]
@@ -346,7 +348,6 @@ class TestRetainedRowFootprint:
             for record in records:
                 restored.restore(record, owners)
             del records
-            restored.begin_replay([], None, owners)
             restored.finish_replay(registry)
             restored_bytes = self._bytes_per_row(restored)
         finally:

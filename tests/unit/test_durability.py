@@ -20,6 +20,7 @@ import shutil
 import sys
 import tempfile
 import tracemalloc
+from enum import StrEnum
 from pathlib import Path
 
 import pytest
@@ -190,8 +191,8 @@ class TestRecoveryRoundTrip:
         recovered = recover(tmp_path, kb)
         try:
             assert _observable(recovered) == expected
-            # replayed publishes regenerate both matches; both were
-            # already acked, so both are dedup'd, none re-sent
+            # both journaled deliveries were acked: recovery settles
+            # both from the acks records, re-sends none
             assert recovered.recovery.dedup_drops == 2
             assert recovered.recovery.replayed_deliveries == 0
         finally:
@@ -235,21 +236,22 @@ class TestRecoveryRoundTrip:
 
     def test_replay_resends_unacked_outbox(self, kb, tmp_path):
         """An outboxed-but-never-acked delivery (crash between send and
-        ack) must be re-sent on recovery — at-least-once."""
+        ack) must be re-sent on recovery — at-least-once.  The journal
+        ends as that crash leaves it: at the last publication's
+        ``outs``."""
         with Broker(kb, durability=tmp_path) as broker:
             _populate(broker)
-        # drop the acks records so both deliveries look in-flight
         journal = tmp_path / JOURNAL_NAME
         records, _, _ = _scan_records(journal.read_bytes())
-        kept = [r for r in records if r["k"] != "acks"]
-        assert len(kept) == len(records) - 2
-        journal.write_bytes(_frame(kept))
+        last_outs = max(i for i, record in enumerate(records) if record["k"] == "outs")
+        journal.write_bytes(_frame(records[: last_outs + 1]))
         recovered = recover(tmp_path, kb)
         try:
-            assert recovered.recovery.replayed_deliveries == 2
-            assert recovered.recovery.dedup_drops == 0
-            # s-b was re-sent too, then forgotten by the replayed unsubscribe
-            assert recovered.notifier.delivery_frontiers() == {"s-a": 1}
+            assert recovered.recovery.replayed_deliveries == 1
+            assert recovered.recovery.dedup_drops == 1  # e1's, acked before the crash
+            # s-b's delivery of e2 was re-sent, so it is delivered; the
+            # unsubscribe never reached the journal
+            assert recovered.notifier.delivery_frontiers() == {"s-a": 1, "s-b": 1}
         finally:
             recovered.close()
 
@@ -450,23 +452,46 @@ class TestCrashInjection:
             recovered.close()
 
 
-class TestReplayedChurn:
-    def test_replayed_remove_closes_the_connection_a_resend_opened(self, kb, tmp_path):
-        """Recovery re-sends an unacked delivery, which opens a TCP
-        connection; the replayed ``remove`` that follows closes it."""
+class TestValueSpelling:
+    def test_a_str_enum_operand_matches_live_as_after_recovery(self, kb, tmp_path):
+        """A ``sub`` record spells a ``StrEnum`` operand as its plain
+        value; the live subscription holds that value too, so the
+        publication matches the same before and after recovery."""
+        kind = StrEnum("Kind", {"RED": "red"})
+        red = Event([("colour", "red")], event_id="e1")
         with Broker(kb, durability=tmp_path) as broker:
             broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
             broker.register_publisher("P", client_id="cl-p")
+            broker.subscribe("cl-a", Subscription([Predicate.eq("colour", kind.RED)], sub_id="s"))
+            assert broker.publish("cl-p", red).match_count == 1
+        with recover(tmp_path, kb) as recovered:
+            assert recovered.publish("cl-p", red).match_count == 1
+
+
+class TestReplayedChurn:
+    def test_replayed_remove_ends_the_stream_of_a_pending_row(self, kb, tmp_path):
+        """A dead letter aborts a fan-out and leaves ``s-a``'s row
+        pending; then ``cl-a`` is removed, which ends ``s-a``.  The live
+        run never sent that row, and neither does recovery: the replayed
+        unsubscribe takes the row with its stream, so nothing is re-sent
+        and no TCP connection is opened to the removed client."""
+        with Broker(kb, durability=tmp_path) as broker:
+            broker.notifier.raise_on_dead_letter = True
+            broker.register_subscriber("U", sms="+1", client_id="cl-u")
+            broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+            broker.register_publisher("P", client_id="cl-p")
+            broker.subscribe("cl-u", _sub("university", "Toronto", "s-u"))
             broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
-            broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+            broker.notifier.transports.get("sms").fail_next(broker.notifier.max_attempts)
+            with pytest.raises(DeliveryError):
+                broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+            assert [e.status for e in broker.notifier.delivery_log("s-a")] == ["pending"]
             broker.remove_client("cl-a")
             assert broker.notifier.transports.get("tcp").connections == set()
-        journal = tmp_path / JOURNAL_NAME
-        records, _, _ = _scan_records(journal.read_bytes())
-        journal.write_bytes(_frame(r for r in records if r["k"] != "acks"))
         recovered = recover(tmp_path, kb)
         try:
-            assert recovered.recovery.replayed_deliveries == 1
+            assert recovered.recovery.replayed_deliveries == 0
+            assert recovered.recovery.dedup_drops == 1  # s-u's dead letter
             assert "cl-a" not in recovered.registry
             assert recovered.notifier.transports.get("tcp").connections == set()
         finally:
@@ -1303,7 +1328,7 @@ class TestOneFormat:
             assert recovered.notifier.delivery_log("s-x") == []
             # s-a keeps the rows the forge left it: the tail's, or the snapshot's
             sequences = [entry.sequence for entry in recovered.notifier.delivery_log("s-a")]
-            assert sequences == ([2] if where == "snapshot" else [1, 2])
+            assert sequences == ([2] if where == "snapshot" else [1])
 
     @pytest.mark.parametrize("executor", ["single", "process"])
     def test_a_failed_recovery_releases_the_broker_it_built(self, kb, tmp_path, executor):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from enum import StrEnum
+from enum import IntEnum, StrEnum
 
 import pytest
 
@@ -83,6 +83,19 @@ class TestValidity:
 
     def test_nan_rejected(self):
         assert not is_valid_value(float("nan"))
+
+    def test_a_subclass_is_checked_as_the_builtin_it_extends(self):
+        """A journal record spells a ``StrEnum`` or ``IntEnum`` member
+        as its plain value, so the checked value is that builtin."""
+
+        class Half(float):
+            pass
+
+        lorry = StrEnum("Kind", {"LORRY": "lorry"}).LORRY
+        four = IntEnum("Size", {"FOUR": 4}).FOUR
+        for value, builtin in ((lorry, str), (four, int), (Half(0.5), float), (True, bool)):
+            checked = check_value(value)
+            assert type(checked) is builtin and checked == value
 
     def test_type_names(self):
         assert value_type_name(True) == "bool"
