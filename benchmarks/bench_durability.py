@@ -21,7 +21,12 @@ behind.  Recorded per leg:
   per recovery source, and on the compacting leg ``snapshot_bytes`` and
   ``compact_peak_traced_mb`` — the traced peak of one ``checkpoint()``
   over the recovered state.  Both are a few records' worth since the
-  snapshot is a record stream, whatever ``snapshot_bytes`` is.
+  snapshot is a record stream, whatever ``snapshot_bytes`` is;
+* ``retained_row_bytes`` (record-only), ``live`` after the publish
+  stream and ``restored`` after the journal-only recovery: the traced
+  bytes that forgetting every subscription releases, per retained
+  delivery-log row — its columns plus its share of its publication's
+  text.
 
 Results land in ``BENCH_durability.json``
 (``STOPSS_BENCH_DURABILITY_OUTPUT`` redirects a fresh run).  Wall-clock
@@ -71,11 +76,12 @@ def _journal_volume(durability) -> tuple[int, int]:
     return durability.stats.journal_appends, durability.stats.journal_bytes
 
 
-def _run_leg(jobs_kb, subscriptions, events, durability=None):
+def _run_leg(jobs_kb, subscriptions, events, durability=None, inspect=None):
     """One publish stream through the broker facade; returns the
     per-event match lists, the publish wall-clock, the final delivered
     frontiers, and the journal ``(appends, bytes)`` the stream itself
-    wrote (``(0, 0)`` in memory)."""
+    wrote (``(0, 0)`` in memory).  *inspect*, when given, is called
+    with the broker before it closes."""
     broker = Broker(jobs_kb, matcher=MATCHER, durability=durability)
     try:
         broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-sub")
@@ -93,6 +99,8 @@ def _run_leg(jobs_kb, subscriptions, events, durability=None):
         elapsed = time.perf_counter() - started
         appends_after, volume_after = _journal_volume(durability)
         frontiers = broker.notifier.delivery_frontiers()
+        if inspect is not None:
+            inspect(broker)
     finally:
         broker.close()
     return match_sets, elapsed, frontiers, (appends_after - appends, volume_after - volume)
@@ -108,6 +116,39 @@ def _time_recover(jobs_kb, directory):
     finally:
         broker.close()
     return elapsed, report, frontiers
+
+
+def _retained_row_bytes(broker, sub_ids) -> float:
+    """Traced bytes per retained delivery-log row that forgetting every
+    subscription in *sub_ids* releases (tracemalloc must have seen the
+    rows allocated)."""
+    notifier = broker.notifier
+    rows = sum(len(notifier.delivery_log(sub_id)) for sub_id in sub_ids)
+    held = tracemalloc.get_traced_memory()[0]
+    for sub_id in sub_ids:
+        notifier.forget(sub_id)
+    return (held - tracemalloc.get_traced_memory()[0]) / rows
+
+
+def _traced_row_bytes(jobs_kb, subscriptions, events, directory) -> dict[str, float]:
+    """``retained_row_bytes`` of a traced in-memory publish stream
+    (``live``) and of a traced recovery of *directory* (``restored``)."""
+    sub_ids = [subscription.sub_id for subscription in subscriptions]
+    readings: dict[str, float] = {}
+    tracemalloc.start()
+    try:
+        _run_leg(
+            jobs_kb, subscriptions, events,
+            inspect=lambda broker: readings.update(live=_retained_row_bytes(broker, sub_ids)),
+        )  # fmt: skip
+        broker = recover(directory, jobs_kb, matcher=MATCHER)
+        try:
+            readings["restored"] = _retained_row_bytes(broker, sub_ids)
+        finally:
+            broker.close()
+    finally:
+        tracemalloc.stop()
+    return readings
 
 
 def _traced_peaks(jobs_kb, directory):
@@ -284,6 +325,9 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
             # history into the snapshot instead
             assert payload["recoveries"][0]["dedup_drops"] > 0
 
+            payload["retained_row_bytes"] = _traced_row_bytes(
+                jobs_kb, subscriptions, events, root / "journal"
+            )
             for entry, directory in zip(
                 payload["recoveries"], (root / "journal", root / "compacted")
             ):
@@ -305,4 +349,6 @@ def test_durability_overhead_and_recovery(benchmark, jobs_kb, capsys):
         table.print()
         print()
         recovery_table.print()
+        rows = payload["retained_row_bytes"]
+        print(f"retained row: {rows['live']:.1f} B live, {rows['restored']:.1f} B restored")
         print(f"wrote {out_path}")

@@ -496,8 +496,20 @@ class Durability:
 
     def _open(self):
         if self._handle is None:
+            created = self.fsync and not self.journal_path.exists()
             self._handle = open(self.journal_path, "ab")
+            if created:
+                self._sync_directory()
         return self._handle
+
+    def _sync_directory(self) -> None:
+        """``fsync`` the directory, so a file created or renamed in it
+        survives a power loss."""
+        descriptor = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(descriptor)
+        finally:
+            os.close(descriptor)
 
     def append(self, payload: dict) -> int:
         """Journal one record (the ``i`` sequence field is stamped
@@ -570,6 +582,8 @@ class Durability:
             if self.fsync:
                 os.fsync(handle.fileno())
         os.replace(tmp_path, self.snapshot_path)
+        if self.fsync:  # the rename must be durable before the journal is cut
+            self._sync_directory()
         self.close()
         with open(self.journal_path, "wb"):
             pass  # truncate: everything up to last_seq now lives in the snapshot

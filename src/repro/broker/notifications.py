@@ -34,10 +34,12 @@ every rendered body are as they were.
 
 A subscription's retained log is a ring of at most ``history_limit``
 rows stored as columns (:class:`_DeliveryLog`): the notification number
-in an ``array('q')``, the derivation index in an ``array('I')``, the
-status as one byte (its spare bits name the registry transport that
-delivered the row), the text as one reference — 21 bytes of columns a
-row, plus the row's share of its publication's packed text — while its
+as its offset from the first number of its publication (the text's
+``n``) and the derivation index, each in an ``array`` as narrow as its
+values (a byte until one does not fit), the status as one byte (its
+spare bits name the registry transport that delivered the row), the
+text as one reference — 11 bytes of columns a row, plus the row's share
+of its publication's packed text — while its
 subscription id, client id, rendered subscription part and oldest
 sequence are kept once per log (a stream's sequences are contiguous, so
 a row's is derived).  The ``n<N>`` id is rendered when a row is sent or
@@ -177,6 +179,10 @@ class PublicationText:
     event_id: str
     event: str
     via: list[str] | bytes
+    #: the number of its first notification, which a retained row's is an
+    #: offset from; a snapshot ``text`` record has none, so a restored
+    #: text takes the number of the first row restored against it
+    n: int | None = field(default=None, compare=False)
 
     def derivations(self) -> list[str]:
         """The rendered derivations, inflated if packed."""
@@ -242,6 +248,22 @@ _CARRIER_SHIFT = 2
 _STATUS_MASK = (1 << _CARRIER_SHIFT) - 1
 #: the largest carrier a status byte holds
 _CARRIERS = 0xFF >> _CARRIER_SHIFT
+#: the typecode a column widens to when a value does not fit its own
+_WIDER = {"b": "h", "h": "i", "i": "q", "B": "H", "H": "I", "I": "Q"}
+
+
+def _put(column: array, slot: int, value: int) -> array:
+    """Write *value* at *slot* of *column* (appended when *slot* is its
+    length) and return the column — a copy widened to the next typecode
+    first, for as long as *value* does not fit."""
+    try:
+        if slot == len(column):
+            column.append(value)
+        else:
+            column[slot] = value
+        return column
+    except OverflowError:
+        return _put(array(_WIDER[column.typecode], column), slot, value)
 
 
 class _DeliveryLog:
@@ -253,7 +275,13 @@ class _DeliveryLog:
     ``head`` are the log's, not the row's, and a stream's sequences are
     contiguous, so a row stores none: it is ``first`` (the oldest
     row's) plus the row's age.  A row decoded from a record must fit
-    that, or it is refused (:meth:`NotificationEngine._log_row`).
+    that, or it is refused (:meth:`NotificationEngine._log_row`).  Its
+    notification number is stored as the offset from its text's ``n``
+    (a byte while its publication fans out to at most 128 rows) and its
+    derivation index as itself (a byte below 256); a value past a
+    column's typecode widens that column (:func:`_put`).  With the
+    status byte and the text reference that is 11 bytes of columns a
+    row.
 
     :meth:`NotificationEngine.retained_log` hands it to tests: its
     :meth:`set_status` is the one way a row's status changes, and
@@ -261,7 +289,7 @@ class _DeliveryLog:
 
     __slots__ = (
         "sub_id", "client_id", "head", "capacity", "start", "first",
-        "numbers", "vias", "statuses", "texts",
+        "offsets", "vias", "statuses", "texts",
     )  # fmt: skip
 
     def __init__(self, sub_id: str, client_id: str, head: str, capacity: int, first: int) -> None:
@@ -271,9 +299,11 @@ class _DeliveryLog:
         self.capacity = capacity
         self.start = 0
         self.first = first
-        #: N of each row's notification id ``n<N>``
-        self.numbers = array("q")
-        self.vias = array("I")
+        #: N of each row's notification id ``n<N>``, less its text's ``n``;
+        #: both integer columns start a byte wide and widen as values need
+        #: (:func:`_put`)
+        self.offsets = array("b")
+        self.vias = array("B")
         #: indexes into :data:`_STATUSES`, the carrier above them
         #: (:data:`_CARRIER_SHIFT`), so naming a transport costs a row nothing
         self.statuses = bytearray()
@@ -283,20 +313,19 @@ class _DeliveryLog:
         """Store the stream's next row; True when the log was full, so
         the oldest row left it."""
         count = len(self.texts)
-        if count < self.capacity:
-            self.numbers.append(number)
-            self.vias.append(via)
+        evicts = count >= self.capacity
+        slot = self.start if evicts else count
+        self.offsets = _put(self.offsets, slot, number - text.n)
+        self.vias = _put(self.vias, slot, via)
+        if evicts:
+            self.start = (slot + 1) % count
+            self.first += 1
+            self.statuses[slot] = status
+            self.texts[slot] = text
+        else:
             self.statuses.append(status)
             self.texts.append(text)
-            return False
-        slot = self.start
-        self.start = (slot + 1) % count
-        self.first += 1
-        self.numbers[slot] = number
-        self.vias[slot] = via
-        self.statuses[slot] = status
-        self.texts[slot] = text
-        return True
+        return evicts
 
     def _slots(self) -> Iterator[int]:
         """Slots oldest row first."""
@@ -316,9 +345,10 @@ class _DeliveryLog:
 
     def rows(self) -> Iterator[tuple]:
         """``(number, text, via, status)`` per row, oldest first."""
-        numbers, texts, vias, statuses = self.numbers, self.texts, self.vias, self.statuses
+        offsets, texts, vias, statuses = self.offsets, self.texts, self.vias, self.statuses
         for slot in self._slots():
-            yield numbers[slot], texts[slot], vias[slot], _STATUSES[statuses[slot] & _STATUS_MASK]
+            text = texts[slot]
+            yield text.n + offsets[slot], text, vias[slot], _STATUSES[statuses[slot] & _STATUS_MASK]
 
     def entry(self, sequence: int, transports: tuple[str, ...] = ()) -> DeliveryEntry:
         """The retained row with *sequence*, as an entry in flight;
@@ -326,9 +356,10 @@ class _DeliveryLog:
         slot = self._slot(sequence)
         code = self.statuses[slot]
         carrier = code >> _CARRIER_SHIFT
+        text = self.texts[slot]
         return DeliveryEntry(
-            sequence, f"n{self.numbers[slot]}", self.client_id, self.sub_id, self.head,
-            self.texts[slot], self.vias[slot], _STATUSES[code & _STATUS_MASK],
+            sequence, f"n{text.n + self.offsets[slot]}", self.client_id, self.sub_id, self.head,
+            text, self.vias[slot], _STATUSES[code & _STATUS_MASK],
             transports[carrier - 1] if 0 < carrier <= len(transports) else "",
         )  # fmt: skip
 
@@ -355,7 +386,7 @@ class _DeliveryLog:
     def columns(self) -> tuple:
         """Every object the log holds."""
         return (
-            self.sub_id, self.client_id, self.head, self.numbers, self.vias, self.statuses,
+            self.sub_id, self.client_id, self.head, self.offsets, self.vias, self.statuses,
             self.texts,
         )  # fmt: skip
 
@@ -513,7 +544,9 @@ class NotificationEngine:
             subscription = match.subscription
             sub_id = subscription.sub_id
             if text is None:
-                text = PublicationText(match.event.event_id, event_part(match.event), [])
+                text = PublicationText(
+                    match.event.event_id, event_part(match.event), [], self._next_notification
+                )
             via = via_of.get(match.via)
             if via is None:
                 via = via_of[match.via] = len(text.via)
@@ -539,7 +572,7 @@ class NotificationEngine:
                     "eid": text.event_id,
                     "event": text.event,
                     "via": text.via,
-                    "n": self._next_notification - len(staged),
+                    "n": text.n,
                     "rows": [[e.sub_id, e.sequence, e.via] for e in staged],
                 }
             )
@@ -712,8 +745,8 @@ class NotificationEngine:
         acked, moves the delivered frontier; *stats* counts it in
         ``dedup_drops``."""
         if record["k"] == "outs":
-            text = PublicationText(record["eid"], record["event"], record["via"]).pack()
             rows, first = record["rows"], record["n"]
+            text = PublicationText(record["eid"], record["event"], record["via"], first).pack()
             self._next_notification = first + len(rows)
             for number, (sub_id, sequence, via) in enumerate(rows, first):
                 sub_id = intern(sub_id)
@@ -808,6 +841,8 @@ class NotificationEngine:
         rows = record["rows"]
         for sequence, (number, text, via, status) in enumerate(rows, next_seq - len(rows)):
             text = self._restored_texts[text]
+            if text.n is None:  # its first row: the others are offsets from it
+                text.n = number
             self._log_row(sub_id, sequence, number, owners, text, via, _CODE[status])
 
     # -- reporting ----------------------------------------------------------------

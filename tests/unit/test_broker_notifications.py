@@ -133,7 +133,7 @@ class TestReporting:
             ("n1", "s2", "smtp"), ("n2", "s1", "tcp"), ("n4", "s1", "smtp"),
         ]  # fmt: skip
         assert [e.status for e in engine.delivery_log("s2")] == ["acked", "dead"]
-        # the carrier rides in the status byte: the row stays 21 B
+        # the carrier rides in the status byte: the row stays 11 B
         log = engine.retained_log("s1")
         assert len(log.statuses) == len(log.texts) == 2
         # a status forged without a carrier reads no transport
@@ -301,13 +301,15 @@ class TestBoundedRetention:
 
 
 class TestRetainedRowFootprint:
-    """A retained delivery is a column entry: its numbers, a status byte
-    and one reference to its publication's text (the subscription's ids
-    and rendered part are the log's).  Pinned in traced bytes per row,
-    live and after a ``restore()`` from JSON-decoded records; a row
-    object with its own id string cost 172."""
+    """A retained delivery is a column entry: its notification number as
+    a one-byte offset from its publication's first, a one-byte
+    derivation index, a status byte and one reference to its
+    publication's text (the subscription's ids and rendered part are the
+    log's).  Pinned in traced bytes per row, live and after a
+    ``restore()`` from JSON-decoded records, the row's share of its
+    text included; a row object with its own id string cost 172."""
 
-    SUBS, PUBLICATIONS, BOUND = 64, 100, 64
+    SUBS, PUBLICATIONS, BOUND = 64, 100, 24
 
     def _subs(self, client_id: str | None = None) -> list[Subscription]:
         return [
@@ -333,7 +335,7 @@ class TestRetainedRowFootprint:
             engine.forget(f"s{index}")
         return (held - tracemalloc.get_traced_memory()[0]) / rows
 
-    def test_live_and_restored_rows_cost_at_most_64_bytes(self):
+    def test_live_and_restored_rows_cost_at_most_24_bytes(self):
         registry = ClientRegistry()
         client = registry.register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
         tracemalloc.start()
@@ -354,6 +356,96 @@ class TestRetainedRowFootprint:
             tracemalloc.stop()
         assert live_bytes <= self.BOUND, live_bytes
         assert restored_bytes <= self.BOUND, restored_bytes
+
+
+class TestNarrowColumns:
+    """A row's offset from its publication's first notification number
+    and its derivation index start in one-byte columns; a value that
+    does not fit widens its column.  Each leg forces one widening and
+    reads the same rows before and after ``durable_state()`` →
+    ``restore()``."""
+
+    @staticmethod
+    def _subs(count: int) -> list[Subscription]:
+        return [
+            Subscription([Predicate.eq("degree", "PhD")], subscriber_id="cl-a", sub_id=f"s{index}")
+            for index in range(count)
+        ]
+
+    @staticmethod
+    def _publish(engine, client, subs, index: int, witness=lambda position: Witness()) -> None:
+        event = Event({"degree": "PhD", "n": index}, event_id=f"e{index}")
+        engine.fan_out(
+            [
+                (client, SemanticMatch(sub, event, witness(position), 0))
+                for position, sub in enumerate(subs)
+            ]
+        )
+
+    @staticmethod
+    def _round_trip(engine, registry, subs) -> NotificationEngine:
+        """The rows read the same from *engine* and from an engine
+        restored from its JSON-decoded snapshot records."""
+        records = [json.loads(json.dumps(record)) for record in engine.durable_state()]
+        restored = _engine(history_limit=engine.history_limit)
+        owners = {sub.sub_id: sub for sub in subs}
+        for record in records:
+            restored.restore(record, owners)
+        restored.finish_replay(registry)
+        for sub in subs:
+            assert restored.delivery_log(sub.sub_id) == engine.delivery_log(sub.sub_id)
+        return restored
+
+    @staticmethod
+    def _ids(engine, sub_id: str) -> list[str]:
+        return [entry.notification_id for entry in engine.delivery_log(sub_id)]
+
+    def _setup(self, count: int, history_limit: int = 1024):
+        registry = ClientRegistry()
+        client = registry.register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
+        return registry, client, _engine(history_limit=history_limit), self._subs(count)
+
+    def test_a_fan_out_past_127_rows_widens_the_offsets(self):
+        registry, client, engine, subs = self._setup(151, history_limit=2)
+        target, others = subs[-1:], subs[:-1]
+        self._publish(engine, client, target, 0)
+        self._publish(engine, client, target, 1)
+        assert engine.retained_log("s150").offsets.typecode == "b"
+        # the ring is full: the row takes the oldest slot, 150 past its text's n
+        self._publish(engine, client, others + target, 2)
+        log = engine.retained_log("s150")
+        assert log.offsets.typecode == "h" and sorted(log.offsets) == [0, 150]
+        assert engine.retained_log("s0").offsets.typecode == "b"
+        assert self._ids(engine, "s150") == ["n2", "n153"]
+        restored = self._round_trip(engine, registry, subs)
+        assert self._ids(restored, "s150") == ["n2", "n153"]
+
+    def test_a_256th_derivation_widens_the_vias(self):
+        registry, client, engine, subs = self._setup(257)
+        def witness(position: int) -> Witness:
+            return Witness([(GENERAL, "degree", 1, f"d{position}")])
+
+        self._publish(engine, client, subs, 0, witness)
+        assert engine.retained_log("s255").vias.typecode == "B"
+        assert engine.retained_log("s256").vias.typecode == "H"
+        (row,) = engine.delivery_log("s256")
+        assert row.via == 256 and "d256" in row.body and "d255" not in row.body
+        restored = self._round_trip(engine, registry, subs)
+        assert restored.retained_log("s256").vias.typecode == "H"
+
+    def test_a_restored_text_takes_negative_offsets(self):
+        registry, client, engine, subs = self._setup(152)
+        first, last, middle = subs[0], subs[1], subs[2:]
+        self._publish(engine, client, [first], 0)  # "s0"'s log comes first in the snapshot
+        self._publish(engine, client, [last, *middle, first], 1)
+        assert self._ids(engine, "s0") == ["n1", "n153"]
+        assert self._ids(engine, "s1") == ["n2"]
+        # restored, e1's text takes n153 from s0's row: s1's n2 is 151 below it
+        restored = self._round_trip(engine, registry, subs)
+        log = restored.retained_log("s1")
+        assert log.offsets.typecode == "h" and list(log.offsets) == [-151]
+        assert restored.retained_log("s2").offsets.tolist() == [-150]
+        assert self._ids(restored, "s1") == ["n2"]
 
 
 class TestPackedDerivationFootprint:

@@ -16,7 +16,9 @@ import gc
 import json
 import logging
 import multiprocessing
+import os
 import shutil
+import stat
 import sys
 import tempfile
 import tracemalloc
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.broker import durability as durability_module
 from repro.broker.broker import Broker
 from repro.broker.durability import (
     FORMAT_VERSION,
@@ -545,6 +548,49 @@ class TestSnapshots:
             assert _observable(recovered) == expected
         finally:
             recovered.close()
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_renames_and_creates_are_synced_before_the_journal_is_cut(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        """With ``fsync=True`` the directory is synced after the journal
+        is created and after compaction's rename, before the journal is
+        truncated — so a power loss cannot keep the cut journal and lose
+        the snapshot that replaced it.  Without, nothing is synced."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync_(descriptor):
+            kind = "directory" if stat.S_ISDIR(os.fstat(descriptor).st_mode) else "file"
+            calls.append(f"fsync {kind}")
+            real_fsync(descriptor)
+
+        def replace(source, target):
+            calls.append(f"replace {Path(target).name}")
+            real_replace(source, target)
+
+        def open_(path, mode="r", *args, **kwargs):
+            calls.append(f"open {Path(path).name} {mode}")
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync_)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(durability_module, "open", open_, raising=False)
+        durability = Durability(tmp_path, snapshot_every=0, fsync=fsync)
+        durability.append({"k": "noop"})
+        durability.append({"k": "noop"})
+        durability.compact([{"k": "notifier", "next_notification": 1}])
+        durability.append({"k": "noop"})
+        durability.close()
+        synced = [
+            "open journal.log ab", "fsync directory", "fsync file",  # created, then appended
+            "fsync file",
+            "open snapshot.tmp wb", "fsync file",
+            "replace snapshot.json", "fsync directory",  # the rename is durable ...
+            "open journal.log wb",  # ... before the journal is cut
+            "open journal.log ab", "fsync file",
+        ]  # fmt: skip
+        assert calls == (synced if fsync else [call for call in synced if "fsync" not in call])
 
     def test_corrupt_snapshot_never_refuses_to_start(self, kb, tmp_path, caplog):
         with Broker(kb, durability=tmp_path) as broker:
