@@ -76,12 +76,11 @@ def _journal_volume(durability) -> tuple[int, int]:
     return durability.stats.journal_appends, durability.stats.journal_bytes
 
 
-def _run_leg(jobs_kb, subscriptions, events, durability=None, inspect=None):
+def _run_leg(jobs_kb, subscriptions, events, durability=None):
     """One publish stream through the broker facade; returns the
     per-event match lists, the publish wall-clock, the final delivered
     frontiers, and the journal ``(appends, bytes)`` the stream itself
-    wrote (``(0, 0)`` in memory).  *inspect*, when given, is called
-    with the broker before it closes."""
+    wrote (``(0, 0)`` in memory)."""
     broker = Broker(jobs_kb, matcher=MATCHER, durability=durability)
     try:
         broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-sub")
@@ -99,8 +98,6 @@ def _run_leg(jobs_kb, subscriptions, events, durability=None, inspect=None):
         elapsed = time.perf_counter() - started
         appends_after, volume_after = _journal_volume(durability)
         frontiers = broker.notifier.delivery_frontiers()
-        if inspect is not None:
-            inspect(broker)
     finally:
         broker.close()
     return match_sets, elapsed, frontiers, (appends_after - appends, volume_after - volume)
@@ -134,21 +131,21 @@ def _traced_row_bytes(jobs_kb, subscriptions, events, directory) -> dict[str, fl
     """``retained_row_bytes`` of a traced in-memory publish stream
     (``live``) and of a traced recovery of *directory* (``restored``)."""
     sub_ids = [subscription.sub_id for subscription in subscriptions]
-    readings: dict[str, float] = {}
     tracemalloc.start()
     try:
-        _run_leg(
-            jobs_kb, subscriptions, events,
-            inspect=lambda broker: readings.update(live=_retained_row_bytes(broker, sub_ids)),
-        )  # fmt: skip
-        broker = recover(directory, jobs_kb, matcher=MATCHER)
-        try:
-            readings["restored"] = _retained_row_bytes(broker, sub_ids)
-        finally:
-            broker.close()
+        with Broker(jobs_kb, matcher=MATCHER) as broker:
+            broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-sub")
+            broker.register_publisher("Feed", client_id="cl-pub")
+            for subscription in subscriptions:
+                broker.subscribe("cl-sub", _fresh_subscription(subscription))
+            for event in events:
+                broker.publish("cl-pub", event)
+            live = _retained_row_bytes(broker, sub_ids)
+        with recover(directory, jobs_kb, matcher=MATCHER) as broker:
+            restored = _retained_row_bytes(broker, sub_ids)
     finally:
         tracemalloc.stop()
-    return readings
+    return {"live": live, "restored": restored}
 
 
 def _traced_peaks(jobs_kb, directory):

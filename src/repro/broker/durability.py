@@ -585,8 +585,9 @@ class Durability:
         if self.fsync:  # the rename must be durable before the journal is cut
             self._sync_directory()
         self.close()
-        with open(self.journal_path, "wb"):
-            pass  # truncate: everything up to last_seq now lives in the snapshot
+        if self.journal_path.exists():  # else the next append creates it, and syncs that
+            with open(self.journal_path, "wb"):
+                pass  # truncate: everything up to last_seq now lives in the snapshot
         self.stats.snapshot_compactions += 1
         self._ops_since_snapshot = 0
 

@@ -38,8 +38,8 @@ as its offset from the first number of its publication (the text's
 ``n``) and the derivation index, each in an ``array`` as narrow as its
 values (a byte until one does not fit), the status as one byte (its
 spare bits name the registry transport that delivered the row), the
-text as one reference — 11 bytes of columns a row, plus the row's share
-of its publication's packed text — while its
+text as one reference — 11 bytes of columns a row (12 once its offsets
+widened), plus its share of its publication's packed text — while its
 subscription id, client id, rendered subscription part and oldest
 sequence are kept once per log (a stream's sequences are contiguous, so
 a row's is derived).  The ``n<N>`` id is rendered when a row is sent or
@@ -281,7 +281,7 @@ class _DeliveryLog:
     derivation index as itself (a byte below 256); a value past a
     column's typecode widens that column (:func:`_put`).  With the
     status byte and the text reference that is 11 bytes of columns a
-    row.
+    row, 12 once its offsets widened.
 
     :meth:`NotificationEngine.retained_log` hands it to tests: its
     :meth:`set_status` is the one way a row's status changes, and

@@ -416,6 +416,9 @@ class TestNarrowColumns:
         log = engine.retained_log("s150")
         assert log.offsets.typecode == "h" and sorted(log.offsets) == [0, 150]
         assert engine.retained_log("s0").offsets.typecode == "b"
+        # offsets 0..127 fit a byte: a fan-out of 128 rows widens nothing
+        assert engine.retained_log("s127").offsets.typecode == "b"
+        assert engine.retained_log("s128").offsets.typecode == "h"
         assert self._ids(engine, "s150") == ["n2", "n153"]
         restored = self._round_trip(engine, registry, subs)
         assert self._ids(restored, "s150") == ["n2", "n153"]

@@ -556,7 +556,9 @@ class TestSnapshots:
         """With ``fsync=True`` the directory is synced after the journal
         is created and after compaction's rename, before the journal is
         truncated — so a power loss cannot keep the cut journal and lose
-        the snapshot that replaced it.  Without, nothing is synced."""
+        the snapshot that replaced it.  Without, nothing is synced.  A
+        compaction before the first append creates no journal: the
+        append does, and syncs the directory then."""
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -589,6 +591,17 @@ class TestSnapshots:
             "replace snapshot.json", "fsync directory",  # the rename is durable ...
             "open journal.log wb",  # ... before the journal is cut
             "open journal.log ab", "fsync file",
+        ]  # fmt: skip
+        assert calls == (synced if fsync else [call for call in synced if "fsync" not in call])
+
+        calls.clear()
+        durability = Durability(tmp_path / "fresh", snapshot_every=0, fsync=fsync)
+        durability.compact([{"k": "notifier", "next_notification": 1}])
+        durability.append({"k": "noop"})
+        durability.close()
+        synced = [
+            "open snapshot.tmp wb", "fsync file", "replace snapshot.json", "fsync directory",
+            "open journal.log ab", "fsync directory", "fsync file",  # created, then appended
         ]  # fmt: skip
         assert calls == (synced if fsync else [call for call in synced if "fsync" not in call])
 
