@@ -127,12 +127,7 @@ class EventDispatcher:
         client = self.registry.get(client_id)
         if not client.kind.can_subscribe:
             raise BrokerError(f"client {client_id!r} is not a subscriber")
-        bound = Subscription(
-            subscription.predicates,
-            subscriber_id=client_id,
-            sub_id=subscription.sub_id,
-            max_generality=subscription.max_generality,
-        )
+        bound = subscription.bound_to(client_id)
         self.engine.subscribe(bound)
         self._subscriber_of[bound.sub_id] = client_id
         return bound

@@ -75,7 +75,6 @@ chaos-soak CI job, and ``stopss demo --chaos``.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import time
 import zlib
 from typing import Callable, Iterator
@@ -302,6 +301,8 @@ class _ProcessDataPlane:
     def _launch(self, index: int) -> None:
         """Fork shard *index*'s worker off the parent's replica; its
         readiness reply is the next thing :meth:`_finish` reads."""
+        import multiprocessing
+
         epoch = self._fresh_epoch(index)
         context = multiprocessing.get_context("fork")
         parent_conn, child_conn = context.Pipe()
@@ -640,12 +641,17 @@ class ShardedEngine:
         #: data plane (forked lazily on first publish; re-forked
         #: whenever the knowledge base version drifts)
         self._distributed = executor == "process" and shards > 1
-        if self._distributed and "fork" not in multiprocessing.get_all_start_methods():
-            raise ConfigError(
-                'executor="process" needs the fork start method, which this '
-                "platform does not offer: a shard worker is a fork of its "
-                'parent replica (use executor="serial")'
-            )
+        if self._distributed:
+            # imported here and at the first fork only: a serial or
+            # single-shard broker never loads multiprocessing
+            import multiprocessing
+
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ConfigError(
+                    'executor="process" needs the fork start method, which this '
+                    "platform does not offer: a shard worker is a fork of its "
+                    'parent replica (use executor="serial")'
+                )
         self._plane: _ProcessDataPlane | None = None
         self._plane_dirty = False
         if request_timeout is None:

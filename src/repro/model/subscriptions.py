@@ -115,6 +115,17 @@ class Subscription:
                 return False
         return True
 
+    def bound_to(self, subscriber_id: str) -> "Subscription":
+        """A copy routed to *subscriber_id*, with this one's ``sub_id``,
+        tolerance and predicates tuple: what was checked and
+        de-duplicated once is shared, not checked again."""
+        bound = object.__new__(Subscription)
+        object.__setattr__(bound, "predicates", self.predicates)
+        object.__setattr__(bound, "subscriber_id", subscriber_id)
+        object.__setattr__(bound, "sub_id", self.sub_id)
+        object.__setattr__(bound, "max_generality", self.max_generality)
+        return bound
+
     # -- derivation (synonym stage) ---------------------------------------------
 
     def with_renamed_attributes(self, renames: Mapping[str, str]) -> "Subscription":

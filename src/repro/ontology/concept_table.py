@@ -315,16 +315,20 @@ class TermStore:
     def spelling(self, sid: int) -> str:
         return self._keys[sid] if sid >= 0 else self._odd_spellings[~sid]
 
+    def known_id(self, spelling: str) -> int | None:
+        """The id of the term a known spelling names, by dict probes
+        alone: a stored key not in ``_odd`` is its own key, and an odd
+        spelling names its column's term.  ``None`` for anything else —
+        an odd key ("_a"'s key " a") or a spelling to normalize first."""
+        index = self._odd.get(spelling)
+        if index is None:
+            return self._tid_by_key.get(spelling)
+        return self._odd_tid[index] if index >= 0 else None
+
     def term_id_of_value(self, value: str) -> int | None:
         """See :meth:`ConceptTable.term_id_of_value`."""
-        index = self._odd.get(value)
-        if index is None:
-            tid = self._tid_by_key.get(value)
-            if tid is not None:
-                return tid
-        elif index >= 0:
-            return self._odd_tid[index]
-        return self._tid_by_key.get(term_key(value))
+        tid = self.known_id(value)
+        return tid if tid is not None else self._tid_by_key.get(term_key(value))
 
     def _respelled(self) -> KeysView[int]:
         """The term ids displayed other than as their key (a set-like

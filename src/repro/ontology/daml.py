@@ -23,13 +23,15 @@ form.
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import DamlImportError
 from repro.ontology.knowledge_base import KnowledgeBase
 from repro.ontology.taxonomy import Taxonomy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; parse_daml imports it
+    import xml.etree.ElementTree as ET
 
 __all__ = ["DamlOntology", "parse_daml", "import_daml", "export_daml"]
 
@@ -124,6 +126,8 @@ def parse_daml(document: str) -> DamlOntology:
     Raises :class:`~repro.errors.DamlImportError` on malformed XML or
     structurally invalid definitions.
     """
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:

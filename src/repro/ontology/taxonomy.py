@@ -105,16 +105,18 @@ class Taxonomy:
     def _intern(self, term: str, description: str = "") -> int:
         """The id of *term*'s concept, registering it when new to this
         domain (first spelling and first description win)."""
-        display, key = term_and_key(term)
         terms = self._terms
-        tid = terms.find(key)
         # a member is looked up, not interned: a write that registers
         # nothing teaches the store no spelling (the version would not
-        # move, and maps keyed on spelling ids would not be rebuilt)
-        if tid is not None:
-            up, slot = self._up, tid - self._base
-            if 0 <= slot < len(up) and up[slot] != _ABSENT:
-                return tid
+        # move, and maps keyed on spelling ids would not be rebuilt).
+        # A known spelling is probed as given; any other is normalized.
+        tid = terms.known_id(term) if isinstance(term, str) else None
+        if tid is not None and self._has(tid):
+            return tid
+        display, key = term_and_key(term)
+        tid = terms.find(key)
+        if tid is not None and self._has(tid):
+            return tid
         tid = terms.intern(display, key)
         self._open(tid)
         self._order.append(tid)

@@ -16,6 +16,7 @@ from repro.core.provenance import DerivationStep, DerivedEvent
 from repro.errors import BrokerError, UnknownClientError, UnknownSubscriptionError
 from repro.model.events import Event
 from repro.model.parser import parse_event, parse_subscription
+from repro.model.subscriptions import Subscription
 from repro.ontology.domains import build_jobs_knowledge_base
 from repro.workload.worlds import build_world
 
@@ -82,6 +83,18 @@ class TestSubscriptionBinding:
             company.client_id, parse_subscription("(degree = PhD)"), max_generality=2
         )
         assert sub.max_generality == 2
+
+    def test_binding_shares_the_checked_predicates(self, broker):
+        company = broker.register_subscriber("Initech", email="hr@x")
+        s = parse_subscription(
+            "(degree = PhD) and (degree = PhD) and (x > 1)", sub_id="s-b", max_generality=3
+        )
+        bound = broker.dispatcher.subscribe(company.client_id, s)
+        c = company.client_id
+        assert bound == Subscription(
+            s.predicates, subscriber_id=c, sub_id=s.sub_id, max_generality=s.max_generality
+        )
+        assert bound.predicates is s.predicates
 
 
 class TestPublishing:

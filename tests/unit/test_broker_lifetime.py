@@ -19,6 +19,10 @@ matcher must already be dead, and a collection that saves what it finds
 from __future__ import annotations
 
 import gc
+# a process plane imports multiprocessing at its first fork, and that
+# one-time import leaves cycles of its own (the enum classes signal and
+# socket build), not a broker's: load it before any broker is counted
+import multiprocessing  # noqa: F401
 import os
 import subprocess
 import sys
@@ -39,21 +43,25 @@ from tests.third_party import ScanMatcher
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: import the package, publish through a default broker, and report
-#: whether numpy came along (a fresh interpreter: this process's other
-#: imports must not decide the answer)
-_NUMPY_SCRIPT = """
+#: import the package, publish through a default broker and a serial
+#: sharded one, and report which of numpy, multiprocessing and the XML
+#: parser came along (a fresh interpreter: this process's other imports
+#: must not decide the answer)
+_IMPORT_SCRIPT = """
 import sys
 import repro
 from repro.broker.broker import Broker
+from repro.broker.sharding import ShardedBroker
 from repro.model.parser import parse_event, parse_subscription
 from repro.ontology.domains import build_jobs_knowledge_base
-broker = Broker(build_jobs_knowledge_base())
-broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
-broker.register_publisher("P", client_id="cl-p")
-broker.subscribe("cl-a", parse_subscription("(university = Toronto)", sub_id="s1"))
-assert broker.publish("cl-p", parse_event("(school, Toronto)")).delivered_count == 1
-print("numpy" in sys.modules)
+for make in (Broker, lambda kb: ShardedBroker(kb, shards=2, executor="serial")):
+    broker = make(build_jobs_knowledge_base())
+    broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+    broker.register_publisher("P", client_id="cl-p")
+    broker.subscribe("cl-a", parse_subscription("(university = Toronto)", sub_id="s1"))
+    assert broker.publish("cl-p", parse_event("(school, Toronto)")).delivered_count == 1
+    broker.close()
+print(sorted(set(sys.modules) & {"numpy", "multiprocessing", "xml.etree.ElementTree"}))
 """
 
 _BROKERS = {
@@ -127,16 +135,18 @@ def test_a_closed_broker_is_freed_without_the_cycle_collector(kind, tmp_path, co
     assert garbage == 0
 
 
-def test_the_package_and_a_default_publish_leave_numpy_unimported():
+def test_the_package_and_a_serial_publish_leave_numpy_multiprocessing_and_xml_unimported():
     """Nothing in the package imports numpy, so the lifetime check above
     needs no warm-up import to absorb the cycles numpy's first import
-    leaves."""
+    leaves.  ``multiprocessing`` is imported at a shard worker's first
+    fork and the XML parser by ``parse_daml``: a single-engine or serial
+    sharded broker loads neither."""
     result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_SCRIPT],
+        [sys.executable, "-c", _IMPORT_SCRIPT],
         env={**os.environ, "PYTHONPATH": str(_REPO_ROOT / "src")},
         cwd=_REPO_ROOT,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ from repro.errors import (
     UnknownConceptError,
 )
 from repro.ontology.concept_table import TermStore
-from repro.ontology.concepts import Concept
+from repro.ontology.concepts import Concept, term_key
 from repro.ontology.taxonomy import Taxonomy
 
 
@@ -75,6 +75,44 @@ class TestConstruction:
         for malformed in ("   ", 7):
             with pytest.raises(InvalidValueError):
                 Taxonomy().add_concept(malformed)
+
+    def test_a_known_spelling_re_registers_as_the_normalizing_path_does(self, monkeypatch):
+        """A write naming a member by a spelling the store knows — its
+        own key, a display spelling, the spelling of an odd key — is
+        answered by probes alone, with the ids, version and spellings
+        the normalizing path gives."""
+        import repro.ontology.taxonomy as taxonomy
+
+        normalized = []
+        real = taxonomy.term_and_key
+        monkeypatch.setattr(
+            taxonomy, "term_and_key", lambda term: normalized.append(term) or real(term)
+        )
+
+        def replay():
+            terms = TermStore()
+            t = Taxonomy("jobs", terms)
+            t.add_chain("PhD", "doctorate", "degree")
+            t.add_isa("_a", "degree")
+            normalized.clear()
+            seen = []
+            for spelling in ("doctorate", "PhD", "_a"):
+                seen.append((t.add_concept(spelling, "late gloss"), t.version))
+                t.add_isa(spelling, "degree")
+                seen.append((terms.find(term_key(spelling)), t.version, terms.spelling_count))
+            seen.append(list(t.isa_edges()))
+            return seen, list(normalized)
+
+        probed, probed_normalized = replay()
+        assert probed_normalized == []
+        monkeypatch.setattr(TermStore, "known_id", lambda self, spelling: None)
+        expected, expected_normalized = replay()
+        assert probed == expected and len(expected_normalized) == 9
+        # "_a"'s key " a" is no key of its own (it normalizes to "a"):
+        # the store answers it with None, for the caller to normalize
+        terms = TermStore()
+        Taxonomy("jobs", terms).add_concept("_a")
+        assert terms.find(" a") == 0 and terms.known_id(" a") is None
 
     def test_self_loop_rejected(self, degrees):
         with pytest.raises(DuplicateConceptError):
