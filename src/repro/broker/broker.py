@@ -127,7 +127,7 @@ class Broker:
         for client in self.registry.clients():
             yield _encode_client(client)
         for subscription in self.engine.subscriptions():
-            client_id = self.dispatcher._subscriber_of.get(subscription.sub_id)
+            client_id = subscription.subscriber_id
             if client_id is None:  # engine-only subscription (tests)
                 continue
             yield _encode_subscription(subscription, client_id)

@@ -22,7 +22,7 @@ from repro.broker.clients import Client, ClientRegistry
 from repro.broker.notifications import DeliveryOutcome, NotificationEngine
 from repro.core.engine import SToPSS
 from repro.core.provenance import SemanticMatch
-from repro.errors import BrokerError, UnknownSubscriptionError
+from repro.errors import BrokerError
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
 
@@ -104,8 +104,6 @@ class EventDispatcher:
         self.engine = engine
         self.registry = registry if registry is not None else ClientRegistry()
         self.notifier = notifier if notifier is not None else NotificationEngine()
-        #: sub_id -> subscriber client_id
-        self._subscriber_of: dict[str, str] = {}
         self.publications = 0
         self.publications_truncated = 0
         self.matches = 0
@@ -129,23 +127,15 @@ class EventDispatcher:
             raise BrokerError(f"client {client_id!r} is not a subscriber")
         bound = subscription.bound_to(client_id)
         self.engine.subscribe(bound)
-        self._subscriber_of[bound.sub_id] = client_id
         return bound
 
     def unsubscribe(self, sub_id: str) -> Subscription:
-        if sub_id not in self._subscriber_of:
-            raise UnknownSubscriptionError(f"no subscription {sub_id!r}")
-        del self._subscriber_of[sub_id]
         removed = self.engine.unsubscribe(sub_id)
         self.notifier.forget(sub_id)
         return removed
 
     def subscriptions_of(self, client_id: str) -> list[Subscription]:
-        return [
-            sub
-            for sub in self.engine.subscriptions()
-            if self._subscriber_of.get(sub.sub_id) == client_id
-        ]
+        return [sub for sub in self.engine.subscriptions() if sub.subscriber_id == client_id]
 
     # -- publications ---------------------------------------------------------------
 
@@ -213,7 +203,7 @@ class EventDispatcher:
         matches, truncated = self._matches_for(stamped, client_id)
         deliveries: list[tuple[Client, SemanticMatch]] = []
         for match in matches:
-            subscriber_id = self._subscriber_of.get(match.subscription.sub_id)
+            subscriber_id = match.subscription.subscriber_id
             if subscriber_id is None:  # engine-only subscription (tests)
                 continue
             deliveries.append((self.registry.get(subscriber_id), match))

@@ -86,7 +86,7 @@ from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
 from repro.core.pipeline import PipelineResult
 from repro.core.provenance import SemanticMatch
-from repro.errors import BrokerError, ConfigError, UnknownSubscriptionError
+from repro.errors import BrokerError, ConfigError
 from repro.matching.base import MatchingAlgorithm
 from repro.metrics.aggregate import merge_stats
 from repro.model.events import Event
@@ -584,7 +584,8 @@ class ShardedEngine:
         instances are rejected whenever ``shards > 1``.
     engine_factory:
         ``factory(kb, *, matcher=..., config=...) -> engine`` building
-        one replica — defaults to :class:`~repro.core.engine.SToPSS`.
+        one replica — defaults to :class:`~repro.core.engine.SToPSS`; a replica
+        keeps its ``subscribe(..., seq=...)``, ``matcher.sequence`` and ``original``.
     executor:
         How the publish fan-out runs: ``"serial"`` (default) publishes
         on each replica inline; ``"process"`` routes publishes through
@@ -634,9 +635,6 @@ class ShardedEngine:
                 f"unknown executor {executor!r} (expected one of {list(EXECUTORS)})"
             )
         self._executor = executor
-        #: sub_id -> original subscription (what a worker's match row
-        #: names)
-        self._subs_by_id: dict[str, Subscription] = {}
         #: the process executor moves publishes onto the worker-process
         #: data plane (forked lazily on first publish; re-forked
         #: whenever the knowledge base version drifts)
@@ -663,9 +661,7 @@ class ShardedEngine:
         #: drift discards it) but its recovery history is not
         self._supervision = SupervisionStats()
         self._fault_plan = fault_plan
-        #: sub_id -> global insertion sequence (the merge-sort key that
-        #: restores single-engine reporting order across shards)
-        self._seq_of: dict[str, int] = {}
+        #: the next global insertion sequence: shards merge in its order
         self._next_seq = 0
         self.publications = 0
         #: whether the latest publication's expansion was truncated on
@@ -699,21 +695,17 @@ class ShardedEngine:
     def subscribe(self, subscription: Subscription) -> Subscription:
         """Route a subscription to its owning shard; returns the root
         form that shard's engine inserted."""
-        root = self._engines[self.shard_of(subscription.sub_id)].subscribe(subscription)
-        self._seq_of[subscription.sub_id] = self._next_seq
+        index = self.shard_of(subscription.sub_id)
+        root = self._engines[index].subscribe(subscription, seq=self._next_seq)
         self._next_seq += 1
-        self._subs_by_id[subscription.sub_id] = subscription
-        self._forward(self.shard_of(subscription.sub_id), "subscribe", subscription)
+        self._forward(index, "subscribe", subscription)  # a worker numbers its own
         return root
 
     def unsubscribe(self, sub_id: str) -> Subscription:
         """Remove a subscription from the shard that owns it."""
-        if sub_id not in self._seq_of:
-            raise UnknownSubscriptionError(f"no subscription {sub_id!r}")
-        original = self._engines[self.shard_of(sub_id)].unsubscribe(sub_id)
-        del self._seq_of[sub_id]
-        del self._subs_by_id[sub_id]
-        self._forward(self.shard_of(sub_id), "unsubscribe", sub_id)
+        index = self.shard_of(sub_id)
+        original = self._engines[index].unsubscribe(sub_id)
+        self._forward(index, "unsubscribe", sub_id)
         return original
 
     def _forward(self, index: int | None, op: str, payload) -> None:
@@ -735,12 +727,12 @@ class ShardedEngine:
         return sum(len(engine) for engine in self._engines)
 
     def __contains__(self, sub_id: str) -> bool:
-        return sub_id in self._seq_of
+        return sub_id in self._engines[self.shard_of(sub_id)]
 
     def subscriptions(self) -> Iterator[Subscription]:
         """Original subscriptions in global insertion order."""
         entries = [
-            (self._seq_of[subscription.sub_id], subscription)
+            (engine.matcher.sequence(subscription.sub_id), subscription)
             for engine in self._engines
             for subscription in engine.subscriptions()
         ]
@@ -781,19 +773,19 @@ class ShardedEngine:
             outcomes = (
                 self._publish_local(index, event) for index in range(len(self._engines))
             )
-        merged: list[SemanticMatch] = []
+        merged: list[tuple[int, SemanticMatch]] = []
         slowest = 0.0
         truncated = []
         for index, (matches, span, shard_truncated) in enumerate(outcomes):
-            merged.extend(matches)
+            sequence = self._engines[index].matcher.sequence
+            merged.extend((sequence(match.subscription.sub_id), match) for match in matches)
             self._busy_cpu_seconds[index] += span
             slowest = max(slowest, span)
             truncated.append(shard_truncated)
         self._critical_path_seconds += slowest
         self.last_truncated = any(truncated)
-        seq = self._seq_of
-        merged.sort(key=lambda match: seq[match.subscription.sub_id])
-        return merged
+        merged.sort(key=lambda entry: entry[0])
+        return [match for _, match in merged]
 
     def _discard_plane(self, reason: str) -> None:
         if self._plane is not None:
@@ -841,14 +833,14 @@ class ShardedEngine:
         # each dropping them on its own
         self.kb.concept_table()
         plane = self._ensure_plane()
-        subs = self._subs_by_id
         for index, outcome in enumerate(plane.publish(event)):
             if outcome is None:
                 yield self._publish_local(index, event)
                 continue
             witnesses, rows, span, truncated = outcome
+            original = self._engines[index].original
             yield [
-                SemanticMatch(subs[sub_id], event, witnesses[via_index], generality)
+                SemanticMatch(original(sub_id), event, witnesses[via_index], generality)
                 for sub_id, generality, via_index in rows
             ], span, truncated
 

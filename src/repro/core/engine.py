@@ -44,7 +44,6 @@ from repro.core.config import SemanticConfig
 from repro.core.interest import InterestIndex
 from repro.core.pipeline import PipelineResult, SemanticPipeline
 from repro.core.provenance import SemanticMatch
-from repro.errors import UnknownSubscriptionError
 from repro.matching.base import MatchingAlgorithm, create_matcher
 from repro.model.events import Event
 from repro.model.subscriptions import Subscription
@@ -89,9 +88,8 @@ class SToPSS:
             self._matcher = matcher
         self._extra_stages = tuple(extra_stages)
         self.pipeline = SemanticPipeline(kb, self.config, extra_stages=self._extra_stages)
-        #: sub_id -> (insertion sequence, original subscription)
-        self._originals: dict[str, tuple[int, Subscription]] = {}
-        self._next_seq = 0
+        #: sub_id -> the subscription as subscribed, where its root differs
+        self._originals: dict[str, Subscription] = {}
         self.publications = 0
         #: whether the latest publication's expansion hit
         #: ``max_derived_events`` (``None`` before the first)
@@ -140,38 +138,40 @@ class SToPSS:
 
     # -- subscription management ---------------------------------------------------
 
-    def subscribe(self, subscription: Subscription) -> Subscription:
-        """Register a subscription.  Returns the *root* form actually
-        inserted into the matcher (equal to the input in syntactic
-        mode or when no attribute has synonyms)."""
+    def subscribe(self, subscription: Subscription, seq: int | None = None) -> Subscription:
+        """Register a subscription at *seq* in match order (default:
+        last); returns the *root* form inserted into the matcher (the
+        input itself in syntactic mode or when no attribute has synonyms)."""
         root = self.pipeline.process_subscription(subscription)
-        self._matcher.insert(root)
-        self._originals[subscription.sub_id] = (self._next_seq, subscription)
-        self._next_seq += 1
+        self._matcher.insert(root, seq)
+        if root is not subscription:
+            self._originals[subscription.sub_id] = subscription
         if self._interest is not None:
             self._interest.add(root)
         return root
 
     def unsubscribe(self, sub_id: str) -> Subscription:
         """Remove a subscription by id, returning the original."""
-        if sub_id not in self._originals:
-            raise UnknownSubscriptionError(f"no subscription {sub_id!r}")
         removed_root = self._matcher.remove(sub_id)
-        _, original = self._originals.pop(sub_id)
         if self._interest is not None:
             self._interest.remove(removed_root)
-        return original
+        return self._originals.pop(sub_id, removed_root)
 
     def __len__(self) -> int:
-        return len(self._originals)
+        return len(self._matcher)
 
     def __contains__(self, sub_id: str) -> bool:
-        return sub_id in self._originals
+        return sub_id in self._matcher
 
     def subscriptions(self) -> Iterator[Subscription]:
         """Original subscriptions in insertion order."""
-        for _, (__, subscription) in sorted(self._originals.items(), key=lambda item: item[1][0]):
-            yield subscription
+        for root in self._matcher.subscriptions():
+            yield self._originals.get(root.sub_id, root)
+
+    def original(self, sub_id: str) -> Subscription:
+        """The subscription *sub_id* was subscribed as."""
+        original = self._originals.get(sub_id)
+        return self._matcher.get(sub_id) if original is None else original
 
     # -- publishing -------------------------------------------------------------------
 
@@ -238,18 +238,16 @@ class SToPSS:
         kept when it is within the subscriber's personal bound — the
         pipeline has already charged the system-wide budget per chain
         (paper §3.2's per-user information-loss control)."""
-        best = self._matcher.match_batch(result)
+        matcher = self._matcher
+        best = matcher.match_batch(result)
         matches: list[SemanticMatch] = []
         for sub_id, (generality, via) in best.items():
-            seq_original = self._originals.get(sub_id)
-            if seq_original is None:  # pragma: no cover - defensive
-                continue
-            _, original = seq_original
-            bound = original.max_generality
+            subscription = self.original(sub_id)
+            bound = subscription.max_generality
             if bound is not None and generality > bound:
                 continue
-            matches.append(SemanticMatch(original, event, via, generality))
-        matches.sort(key=lambda match: self._originals[match.subscription.sub_id][0])
+            matches.append(SemanticMatch(subscription, event, via, generality))
+        matches.sort(key=lambda match: matcher.sequence(match.subscription.sub_id))
         return matches
 
     # -- mode control --------------------------------------------------------------------
@@ -278,18 +276,20 @@ class SToPSS:
         # a failing derivation leaves the engine fully functional on
         # the old configuration.
         roots = [new_pipeline.process_subscription(sub) for sub in ordered]
-        old_config, old_pipeline = self.config, self.pipeline
+        old_config, old_pipeline, old_originals = self.config, self.pipeline, self._originals
         matcher = self._matcher
         old_roots = list(matcher.subscriptions())
+        seqs = [matcher.sequence(root.sub_id) for root in old_roots]
         self.config = config
         self.pipeline = new_pipeline
+        self._originals = {sub.sub_id: sub for sub, root in zip(ordered, roots) if root is not sub}
         # a mode switch is an engine-level reason of its own: drop the
         # memo even when there is no subscription for clear() to remove.
         matcher.invalidate_memo("reconfigure")
         matcher.clear()
         try:
-            for root in roots:
-                matcher.insert(root)
+            for seq, root in zip(seqs, roots):
+                matcher.insert(root, seq)
             self._rebuild_interest(roots)
         except BaseException:
             # a matcher that rejects one new root form must not strand
@@ -297,9 +297,10 @@ class SToPSS:
             # roots captured above (no re-derivation, which could
             # itself fail if the KB moved since).
             self.config, self.pipeline = old_config, old_pipeline
+            self._originals = old_originals
             matcher.clear()
-            for root in old_roots:
-                matcher.insert(root)
+            for seq, root in zip(seqs, old_roots):
+                matcher.insert(root, seq)
             self._rebuild_interest(old_roots)
             raise
 
@@ -353,7 +354,7 @@ class SToPSS:
         table size detects lone unsubscribes.  It never repeats, and
         the dispatcher's result cache drops every entry when it moves,
         so no cached match set survives churn."""
-        return (self._next_seq, len(self._originals))
+        return (self._matcher.next_seq, len(self._matcher))
 
     def interest_info(self) -> dict[str, object]:
         """Demand-driven pruning counters: how many candidate
@@ -383,7 +384,7 @@ class SToPSS:
         return {
             "mode": self.mode,
             "matcher": self._matcher_name,
-            "subscriptions": len(self._originals),
+            "subscriptions": len(self._matcher),
             "publications": self.publications,
             "matcher_stats": self._matcher.stats.snapshot(),
             "stage_stats": self.pipeline.stage_stats(),

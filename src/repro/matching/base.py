@@ -51,20 +51,23 @@ class MatchingAlgorithm(abc.ABC):
     accepts_factored = False
 
     def __init__(self) -> None:
-        self._subscriptions: dict[str, tuple[int, Subscription]] = {}
-        self._next_seq = 0
+        #: sub_id -> its :meth:`_record`: the engine's one subscription table
+        self._subscriptions: dict[str, tuple] = {}
+        #: the *seq* a default insert takes; it only grows
+        self.next_seq = 0
         self.stats = MatchStats()
 
     # -- subscription table ----------------------------------------------------
 
-    def insert(self, subscription: Subscription) -> None:
-        """Add a subscription; duplicate ``sub_id`` raises
-        :class:`~repro.errors.DuplicateSubscriptionError`."""
+    def insert(self, subscription: Subscription, seq: int | None = None) -> None:
+        """Add a subscription at *seq* in match order (default: last); a
+        duplicate ``sub_id`` raises :class:`~repro.errors.DuplicateSubscriptionError`."""
         sub_id = subscription.sub_id
         if sub_id in self._subscriptions:
             raise DuplicateSubscriptionError(f"subscription {sub_id!r} already inserted")
-        self._subscriptions[sub_id] = (self._next_seq, subscription)
-        self._next_seq += 1
+        seq = self.next_seq if seq is None else seq
+        self.next_seq = max(self.next_seq, seq + 1)
+        self._subscriptions[sub_id] = self._record(seq, subscription)
         self.stats.inserts += 1
         self._on_insert(subscription)
         self.invalidate_memo("subscription-churn")
@@ -73,11 +76,12 @@ class MatchingAlgorithm(abc.ABC):
         """Remove and return a subscription by id; unknown ids raise
         :class:`~repro.errors.UnknownSubscriptionError`."""
         try:
-            _, subscription = self._subscriptions.pop(sub_id)
+            subscription = self._subscriptions[sub_id][1]
         except KeyError:
             raise UnknownSubscriptionError(f"no subscription {sub_id!r}") from None
         self.stats.removals += 1
         self._on_remove(subscription)
+        del self._subscriptions[sub_id]
         self.invalidate_memo("subscription-churn")
         return subscription
 
@@ -89,16 +93,18 @@ class MatchingAlgorithm(abc.ABC):
 
     def subscriptions(self) -> Iterator[Subscription]:
         """Iterate stored subscriptions in insertion order."""
-        for _, (__, subscription) in sorted(
-            self._subscriptions.items(), key=lambda item: item[1][0]
-        ):
-            yield subscription
+        for record in sorted(self._subscriptions.values(), key=lambda record: record[0]):
+            yield record[1]
 
     def get(self, sub_id: str) -> Subscription:
         try:
             return self._subscriptions[sub_id][1]
         except KeyError:
             raise UnknownSubscriptionError(f"no subscription {sub_id!r}") from None
+
+    def sequence(self, sub_id: str) -> int:
+        """The place of stored *sub_id* in match order."""
+        return self._subscriptions[sub_id][0]
 
     def clear(self) -> None:
         """Drop every subscription (keeps cumulative stats)."""
@@ -181,16 +187,16 @@ class MatchingAlgorithm(abc.ABC):
     def _match(self, event: Event) -> list[Subscription]:
         """Return matching subscriptions in any order (base sorts)."""
 
+    def _record(self, seq: int, subscription: Subscription) -> tuple:
+        """Hook: the table row of *subscription*; a matcher may append
+        what it derives from it to ``(seq, subscription)``."""
+        return (seq, subscription)
+
     def _on_insert(self, subscription: Subscription) -> None:
         """Hook: index maintenance on insert."""
 
     def _on_remove(self, subscription: Subscription) -> None:
-        """Hook: index maintenance on removal."""
-
-    def _ordered(self, sub_ids) -> list[Subscription]:
-        """Resolve ids to subscriptions (order handled by :meth:`match`)."""
-        table = self._subscriptions
-        return [table[sub_id][1] for sub_id in sub_ids]
+        """Hook: index maintenance on removal (its record still stored)."""
 
 
 # ---------------------------------------------------------------------------

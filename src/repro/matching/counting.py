@@ -80,14 +80,13 @@ class CountingMatcher(MatchingAlgorithm):
     def __init__(self) -> None:
         super().__init__()
         self._index = PredicateIndex()
-        #: predicate key -> {sub_id: times used in that subscription}
-        self._usages: dict[PredicateKey, dict[str, int]] = {}
-        #: sub_id -> number of predicates to satisfy
-        self._sizes: dict[str, int] = {}
+        #: predicate key -> the sub_ids using it, newest first: a removal
+        #: scans only the users that came later (a crowd, not residents)
+        self._users: dict[PredicateKey, list[str]] = {}
         #: subscriptions with zero predicates match every event
         self._universal: set[str] = set()
-        #: sub_id -> {attribute: number of predicates on it}
-        self._attribute_sizes: dict[str, dict[str, int]] = {}
+        #: attribute tuple -> [the tuple, how many records share it]
+        self._shapes: dict[tuple, list] = {}
         #: (attribute, equality key) -> subscriptions the pair
         #: satisfies completely on that attribute; survives across
         #: match_batch calls until churn.  Every lookup passes
@@ -104,54 +103,62 @@ class CountingMatcher(MatchingAlgorithm):
     def memo_size(self) -> int:
         return len(self._memo)
 
+    def _record(self, seq: int, subscription: Subscription) -> tuple:
+        """``(seq, subscription, shape)``, the shape being the distinct
+        constrained attributes: a shared tuple when each has one
+        predicate, else ``{attribute: predicates on it}``."""
+        attributes = subscription.attributes()
+        if len(attributes) < len(subscription.predicates):
+            return (seq, subscription, dict(Counter(p.attribute for p in subscription.predicates)))
+        entry = self._shapes.setdefault(attributes, [attributes, 0])
+        entry[1] += 1
+        return (seq, subscription, entry[0])
+
     def _on_insert(self, subscription: Subscription) -> None:
-        size = len(subscription.predicates)
-        self._sizes[subscription.sub_id] = size
-        if size == 0:
-            self._universal.add(subscription.sub_id)
-            return
         sub_id = subscription.sub_id
-        usages = self._usages
-        per_attribute: dict[str, int] = {}
+        if not subscription.predicates:
+            self._universal.add(sub_id)
+        users, add = self._users, self._index.add
         for predicate in subscription.predicates:
-            self._index.add(predicate)
-            key = predicate.key
-            users = usages.get(key)
-            if users is None:
-                users = usages[key] = {}
-            users[sub_id] = users.get(sub_id, 0) + 1
-            attribute = predicate.attribute
-            per_attribute[attribute] = per_attribute.get(attribute, 0) + 1
-        self._attribute_sizes[sub_id] = per_attribute
+            key = add(predicate)
+            using = users.get(key)
+            if using is None:
+                users[key] = [sub_id]
+            else:
+                using.insert(0, sub_id)
 
     def _on_remove(self, subscription: Subscription) -> None:
-        self._sizes.pop(subscription.sub_id, None)
-        self._attribute_sizes.pop(subscription.sub_id, None)
-        self._universal.discard(subscription.sub_id)
+        sub_id = subscription.sub_id
+        self._universal.discard(sub_id)
+        shape = self._subscriptions[sub_id][2]
+        if type(shape) is tuple:  # interned; a dict shape is its own
+            entry = self._shapes[shape]
+            entry[1] -= 1
+            if not entry[1]:
+                del self._shapes[shape]
         for predicate in subscription.predicates:
-            self._index.discard(predicate)
-            users = self._usages.get(predicate.key)
-            if users is None:
-                continue
-            users.pop(subscription.sub_id, None)
-            if not users:
-                del self._usages[predicate.key]
+            key = self._index.discard(predicate)
+            using = self._users.get(key)
+            if using is not None:  # None: _on_insert refused this subscription
+                using.remove(sub_id)
+                if not using:
+                    del self._users[key]
 
     def _match(self, event: Event) -> list[Subscription]:
         stats = self.stats
         probes_before = self._index.probes
         counters: dict[str, int] = {}
-        usages = self._usages
+        users = self._users
         for key in self._index.satisfied_by_event(event):
             stats.predicate_evaluations += 1
-            for sub_id, uses in usages[key].items():
-                counters[sub_id] = counters.get(sub_id, 0) + uses
+            for sub_id in users[key]:
+                counters[sub_id] = counters.get(sub_id, 0) + 1
         stats.index_probes += self._index.probes - probes_before
-        sizes = self._sizes
-        matched_ids = [sub_id for sub_id, count in counters.items() if count == sizes[sub_id]]
+        table = self._subscriptions
+        matched_ids = [s for s, count in counters.items() if count == len(table[s][1].predicates)]
         stats.candidates += len(counters)
         matched_ids.extend(self._universal)
-        return self._ordered(matched_ids)
+        return [table[sub_id][1] for sub_id in matched_ids]
 
     # -- batched matching ---------------------------------------------------------
 
@@ -160,13 +167,18 @@ class CountingMatcher(MatchingAlgorithm):
         among the satisfied *keys* of one pair (the per-pair payload
         the batch memoizes)."""
         self.stats.predicate_evaluations += len(keys)
-        usages = self._usages
+        users = self._users
         credit: dict[str, int] = {}
         for key in keys:
-            for sub_id, uses in usages[key].items():
-                credit[sub_id] = credit.get(sub_id, 0) + uses
-        needed = self._attribute_sizes
-        return tuple(s for s, count in credit.items() if count == needed[s][attribute])
+            for sub_id in users[key]:
+                credit[sub_id] = credit.get(sub_id, 0) + 1
+        # a tuple shape has one predicate on the attribute: any credit is all
+        table = self._subscriptions
+        return tuple(
+            s
+            for s, count in credit.items()
+            if type(shape := table[s][2]) is tuple or shape[attribute] == count
+        )
 
     def _match_batch(self, result: "PipelineResult") -> dict[str, tuple[int, "Witness"]]:
         stats = self.stats
@@ -174,7 +186,7 @@ class CountingMatcher(MatchingAlgorithm):
         cache = self._memo
         satisfied = cache.satisfied
         fully = self._fully_satisfied
-        needed = self._attribute_sizes
+        table = self._subscriptions
         charges = result.charges
         #: free attribute -> its alternatives (a factored result)
         free = result.free
@@ -235,7 +247,7 @@ class CountingMatcher(MatchingAlgorithm):
         for cheapest in options.values():
             covered.update(cheapest.keys())
         stats.candidates += len(covered)
-        complete = [s for s, count in covered.items() if count == len(needed[s])]
+        complete = [s for s, count in covered.items() if count == len(table[s][2])]
         #: sub_id -> bitmask of the ranked rows it matches
         masks: dict[str, int]
         if on_attribute is None:
@@ -244,7 +256,7 @@ class CountingMatcher(MatchingAlgorithm):
             masks = {}
             for sub_id in complete:
                 mask = -1
-                for attribute in needed[sub_id]:
+                for attribute in table[sub_id][2]:
                     mask &= on_attribute[attribute][sub_id]
                 if mask:
                     masks[sub_id] = mask
@@ -343,13 +355,13 @@ class CountingMatcher(MatchingAlgorithm):
         for k in range(1, cap + 1):
             within[k] |= within[k - 1]
         slots = {attribute: slot for slot, attribute in enumerate(result.free)}
-        needed = self._attribute_sizes
+        table = self._subscriptions
         masks: dict[str, int] = {}
         through: dict[str, tuple[int, ...]] = {}
         for sub_id in complete:
             mask = within[cap]
             picks = []
-            for attribute in needed[sub_id]:
+            for attribute in table[sub_id][2]:
                 cheapest = options.get(attribute)
                 if cheapest is None:
                     mask &= on_attribute[attribute][sub_id]

@@ -209,32 +209,33 @@ class PredicateIndex:
 
     # -- maintenance -----------------------------------------------------------
 
-    def add(self, predicate: Predicate) -> None:
+    def add(self, predicate: Predicate) -> PredicateKey:
+        """Count one more use of *predicate*; returns its key."""
         key = predicate.key
         count = self._refcounts.get(key, 0)
         self._refcounts[key] = count + 1
-        if count:
-            return
-        self._predicates[key] = predicate
-        attr_index = self._attributes.setdefault(predicate.attribute, _AttributeIndex())
-        self._install(attr_index, predicate)
+        if not count:
+            self._predicates[key] = predicate
+            attr_index = self._attributes.setdefault(predicate.attribute, _AttributeIndex())
+            self._install(attr_index, predicate, key)
+        return key
 
-    def discard(self, predicate: Predicate) -> None:
+    def discard(self, predicate: Predicate) -> PredicateKey:
+        """Count one use of *predicate* less; returns its key."""
         key = predicate.key
         count = self._refcounts.get(key, 0)
-        if count == 0:
-            return
         if count > 1:
             self._refcounts[key] = count - 1
-            return
-        del self._refcounts[key]
-        del self._predicates[key]
-        attr_index = self._attributes.get(predicate.attribute)
-        if attr_index is not None:
-            self._uninstall(attr_index, predicate)
+        elif count:
+            del self._refcounts[key]
+            del self._predicates[key]
+            attr_index = self._attributes.get(predicate.attribute)
+            if attr_index is not None:
+                self._uninstall(attr_index, predicate, key)
+        return key
 
-    def _install(self, index: _AttributeIndex, predicate: Predicate) -> None:
-        op, key = predicate.operator, predicate.key
+    def _install(self, index: _AttributeIndex, predicate: Predicate, key: PredicateKey) -> None:
+        op = predicate.operator
         if op is Operator.EQ:
             value_key = canonical_value_key(predicate.operand)  # type: ignore[arg-type]
             index.equalities.setdefault(value_key, set()).add(key)
@@ -264,8 +265,8 @@ class PredicateIndex:
         elif op is Operator.EXISTS:
             index.exists.add(key)
 
-    def _uninstall(self, index: _AttributeIndex, predicate: Predicate) -> None:
-        op, key = predicate.operator, predicate.key
+    def _uninstall(self, index: _AttributeIndex, predicate: Predicate, key: PredicateKey) -> None:
+        op = predicate.operator
         if op is Operator.EQ:
             value_key = canonical_value_key(predicate.operand)  # type: ignore[arg-type]
             bucket_set = index.equalities.get(value_key)

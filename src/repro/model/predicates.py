@@ -18,7 +18,7 @@ stages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import IncomparableValuesError, PredicateError
@@ -56,6 +56,10 @@ class Operator(enum.Enum):
     SUFFIX = "suffix"
     CONTAINS = "contains"
     EXISTS = "exists"
+
+    # a member compares by identity: hash it so, in C (``Enum.__hash__``
+    # is a Python call, made by every dict probe of a predicate key)
+    __hash__ = object.__hash__
 
     @property
     def is_ordering(self) -> bool:
@@ -157,12 +161,10 @@ class Predicate:
     attribute: str
     operator: Operator
     operand: Operand = None
-    _key: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attribute", normalize_attribute(self.attribute))
         object.__setattr__(self, "operand", _check_operand(self.operator, self.operand))
-        object.__setattr__(self, "_key", self._compute_key())
 
     # -- construction helpers ------------------------------------------------
 
@@ -257,35 +259,30 @@ class Predicate:
 
     # -- identity ------------------------------------------------------------
 
-    def _compute_key(self) -> tuple:
-        if self.operator is Operator.EXISTS:
-            operand_key: object = None
-        elif self.operator is Operator.RANGE:
-            rng = self.operand
-            low_key = canonical_value_key(rng.low)  # type: ignore[union-attr]
-            high_key = canonical_value_key(rng.high)  # type: ignore[union-attr]
-            operand_key = (low_key, high_key)
-        elif self.operator is Operator.IN:
-            members = self.operand  # type: ignore[union-attr]
-            operand_key = frozenset(canonical_value_key(v) for v in members)
-        else:
-            operand_key = canonical_value_key(self.operand)  # type: ignore[arg-type]
-        return (self.attribute, self.operator, operand_key)
-
     @property
     def key(self) -> tuple:
         """A hashable identity key; predicates with semantically equal
         operands (``4`` vs ``4.0``) share a key so matchers can share
-        index entries between them."""
-        return self._key
+        index entries between them.  Built on each read, not kept:
+        subscribe and unsubscribe read it, publish does not."""
+        # by the operand's type, which ``_check_operand`` pairs with the
+        # operator: reading an ``Operator`` member costs more on 3.11
+        operand = self.operand
+        if isinstance(operand, Range):
+            operand = (canonical_value_key(operand.low), canonical_value_key(operand.high))
+        elif type(operand) is frozenset:  # IN
+            operand = frozenset(map(canonical_value_key, operand))
+        elif operand is not None:  # EXISTS has none
+            operand = canonical_value_key(operand)
+        return (self.attribute, self.operator, operand)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Predicate):
             return NotImplemented
-        return self._key == other._key
+        return self.key == other.key
 
     # -- reasoning -----------------------------------------------------------
 

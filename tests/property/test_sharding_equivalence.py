@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker.sharding import ShardedEngine
+from repro.broker.sharding import ShardedEngine, default_router
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
 from repro.core.engine import SToPSS
@@ -121,6 +121,43 @@ def test_sharded_tracks_churn(kb, subs, evts, shards, matcher):
             engine.subscribe(Subscription(subs[index].predicates, sub_id=f"r{index}"))
     for event in evts:
         assert _match_list(sharded, event) == _match_list(single, event)
+
+
+#: sub_ids the churn leg toggles: the first three on shard 0 of two,
+#: the last three on shard 1 (the default CRC-32 router)
+_SPREAD = ("c4", "c5", "c6", "c0", "c1", "c2")
+
+
+@given(
+    kb=knowledge_bases(),
+    subs=st.lists(term_subscriptions(), min_size=1, max_size=4),
+    evts=st.lists(term_events(), min_size=1, max_size=3),
+    toggles=st.lists(
+        st.tuples(st.sampled_from(_SPREAD), st.integers(0, 3)), min_size=1, max_size=12
+    ),
+    matcher=st.sampled_from(["counting", "naive"]),
+)
+def test_merged_order_follows_churn_interleaved_across_shards(
+    kb, subs, evts, toggles, matcher
+):
+    """Each toggle subscribes an id that is not live (re-subscribing it,
+    maybe with other predicates) or unsubscribes one that is, on either
+    shard.  A shard's matcher stores the global sequence it is handed,
+    so the merged order must equal the single engine's after every
+    step: a re-subscribed id moves to the end on both."""
+    assert [default_router(sub_id, 2) for sub_id in _SPREAD] == [0, 0, 0, 1, 1, 1]
+    single, sharded = _build_pair(kb, matcher, SemanticConfig(), 2, "serial")
+    for sub_id, pick in toggles:
+        for engine in (single, sharded):
+            if sub_id in engine:
+                engine.unsubscribe(sub_id)
+            else:
+                predicates = subs[pick % len(subs)].predicates
+                engine.subscribe(Subscription(predicates, sub_id=sub_id))
+        order = [sub.sub_id for sub in single.subscriptions()]
+        assert [sub.sub_id for sub in sharded.subscriptions()] == order
+        for event in evts:
+            assert _match_list(sharded, event) == _match_list(single, event)
 
 
 @settings(deadline=None)

@@ -63,8 +63,10 @@ class TestCountingMatcher:
         matcher.insert(_sub("s2", Predicate.eq("a", 1)))
         matcher.remove("s2")
         assert len(matcher._index) == 1
+        assert matcher._users == {Predicate.eq("a", 1).key: ["s1"]}
         matcher.remove("s1")
         assert len(matcher._index) == 0
+        assert matcher._users == {} and matcher._shapes == {}
         assert matcher.match(Event({"a": 1})) == []
 
     def test_universal_subscriptions(self):

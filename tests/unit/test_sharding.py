@@ -767,10 +767,10 @@ class TestOneRecoveryRule:
                 super().__init__(kb, **kwargs)
                 self.built_in = os.getpid()
 
-            def subscribe(self, subscription):
+            def subscribe(self, subscription, seq=None):
                 if os.getpid() != self.built_in and subscription.sub_id == "t0":
                     raise MatchingError("rejected in the worker")
-                return super().subscribe(subscription)
+                return super().subscribe(subscription, seq)
 
         engine = _process_engine(engine_factory=WorkerRejects)
         try:
