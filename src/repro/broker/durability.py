@@ -30,10 +30,12 @@ Four design rules keep recovery boring:
 3. **A publication is decided once; deliveries are at-least-once.**
    The notification engine journals one ``outs`` record per
    publication (every delivery's subscription and per-subscription
-   sequence, and the text the deliveries share, once) before the first
-   send and one ``acks`` record after the last.  A row repeats nothing
-   a ``sub`` record holds: recovery takes its client and subscription
-   text from the subscription live at that point of the stream.
+   sequence, and once what the deliveries share: the event's pairs and
+   each distinct witness's compact steps, rendered only when read)
+   before the first send and one ``acks`` record after the last.  A
+   row repeats nothing a ``sub`` record holds: recovery takes its
+   client and subscription text from the subscription live at that
+   point of the stream.
    Recovery reads the journal tail once, in order: the ``outs`` rows
    join their delivery logs, the ``acks`` rows settle theirs
    (``dedup_drops``), and what is still pending at the end is re-sent
@@ -74,6 +76,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from repro.broker.clients import Client, ClientKind
+from repro.broker.notifications import _STATUSES, decode_text
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
 from repro.errors import DurabilityError, ReproError, SimulatedCrash, StateFormatError
@@ -103,9 +106,10 @@ JOURNAL_NAME = "journal.log"
 SNAPSHOT_NAME = "snapshot.json"
 #: snapshot layout, a record stream (head, content records, counting
 #: trailer) whose delivery-log rows reference per-publication ``text``
-#: records and take client and text from their ``sub`` record; a file
-#: of any other format is discarded
-FORMAT_VERSION = 4
+#: records (the event's pairs and its witnesses' compact steps) and take
+#: client and subscription from their ``sub`` record; a file of any
+#: other format is discarded
+FORMAT_VERSION = 5
 _CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(SemanticConfig))
 
 _log = logging.getLogger(__name__)
@@ -166,7 +170,10 @@ class RecoveryReport:
 # ---------------------------------------------------------------------------
 
 def _encode_record(payload: dict) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    """*payload* framed; a value JSON cannot spell (a ``Period``) goes
+    through :func:`_encode_value`."""
+    text = json.dumps(payload, separators=(",", ":"), sort_keys=True, default=_encode_value)
+    body = text.encode("utf-8")
     return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
 
 
@@ -280,6 +287,11 @@ def _decode_event(data: dict) -> Event:
     )
 
 
+def _decode_text(data: dict) -> tuple:
+    """An ``outs`` or ``text`` record's publication and witnesses."""
+    return decode_text(data["eid"], data["pairs"], data["via"])
+
+
 # ---------------------------------------------------------------------------
 # record forms: each kind's fields, checked before anything is applied
 # ---------------------------------------------------------------------------
@@ -327,6 +339,8 @@ def _configs(values: Iterable) -> bool:
 
 
 _STR, _SCALARS, _NATURAL, _COUNT = _of(str), _of(bool, int, type(None)), _ints(0), _ints(1)
+#: an event's pairs, values in :func:`_encode_value`'s form
+_PAIRS = _rows(_STR, _of(str, int, float, bool, dict))
 #: per record kind, a check for each of its fields besides ``k``
 _FORMS: dict[str, dict[str, _Check]] = {
     "broker": {
@@ -336,7 +350,7 @@ _FORMS: dict[str, dict[str, _Check]] = {
     "client": {"id": _STR, "name": _STR, "kind": _STR, "addr": _rows(_STR, _STR)},
     "sub": {"sid": _STR, "cid": _STR, "mg": _of(int, type(None)), "preds": _of(list)},
     "notifier": {"next_notification": _COUNT},
-    "text": {"eid": _STR, "event": _STR, "via": _each(_STR)},
+    "text": {"eid": _STR, "pairs": _PAIRS, "via": _each(_of(list))},
     "log": {
         "sid": _STR,
         "next_seq": _COUNT,
@@ -346,11 +360,11 @@ _FORMS: dict[str, dict[str, _Check]] = {
     "remove": {"id": _STR},
     "unsub": {"sid": _STR},
     "config": {"cfg": _configs},
-    "pub": {"cid": _STR, "eid": _STR, "pairs": _rows(_STR, _of(str, int, float, bool, dict))},
+    "pub": {"cid": _STR, "eid": _STR, "pairs": _PAIRS},
     "outs": {
         "eid": _STR,
-        "event": _STR,
-        "via": _each(_STR),
+        "pairs": _PAIRS,
+        "via": _each(_of(list)),
         "n": _COUNT,
         "rows": _rows(_STR, _COUNT, _NATURAL),
     },
@@ -371,6 +385,8 @@ _DECODERS: dict[str, Callable[[dict], object]] = {
     "client": lambda record: ClientKind(record["kind"]),
     "sub": _decode_subscription,
     "pub": _decode_event,
+    "outs": _decode_text,
+    "text": _decode_text,
     "broker": lambda record: record["config"] is None or SemanticConfig(**record["config"]),
     "config": lambda record: SemanticConfig(**record["cfg"]),
 }
@@ -381,9 +397,9 @@ def _malformed(record: dict, forms: dict, vias: list[int]) -> str:
     written — its kind, its keys, a field's type, a row's arity, a
     reference past what it refers to, or content that does not decode —
     or ``""`` when it is.  *vias* is the snapshot walk's state: the
-    derivation count of each ``text`` record so far, which later
-    ``log`` rows reference by position (the journal walk passes its
-    own, unused)."""
+    witness count of each ``text`` record so far, which later ``log``
+    rows reference by position (the journal walk passes its own,
+    unused)."""
     kind = record.get("k")
     if type(kind) is not str or kind not in forms:
         return f"is of kind {kind!r}"
@@ -402,8 +418,6 @@ def _malformed(record: dict, forms: dict, vias: list[int]) -> str:
     if kind == "text":
         vias.append(len(record["via"]))
     elif kind == "log" and rows:
-        from repro.broker.notifications import _STATUSES
-
         _, texts, derivations, statuses = zip(*rows)
         if (
             len(rows) >= record["next_seq"]

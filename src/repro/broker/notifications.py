@@ -2,7 +2,7 @@
 
 "When the incoming event verifies a subscription, the event dispatcher
 sends a notification to the corresponding subscriber" (paper §1).  This
-engine owns that last hop: it renders a :class:`SemanticMatch` into a
+engine owns that last hop: it turns a :class:`SemanticMatch` into a
 message, walks the subscriber's transport preferences, retries
 transient failures with bounded attempts, and settles every send in its
 subscription's delivery log.  Undeliverable notifications land in a
@@ -21,16 +21,17 @@ re-delivers the retained log from a sequence number for reconnecting
 subscribers, who dedup by ``(sub_id, sequence)``.
 
 The fan-out of a publication is *one unit of work*
-(:meth:`NotificationEngine.fan_out`): the event is rendered once, each
-distinct derivation once, each subscription once for as long as it
-lives, and a retained delivery holds its numbers plus a reference to
-the publication's shared text — in memory, in the journal and in the
-snapshot alike — so what the log costs follows the text there is to
-say, not the number of notifications that said it.  Once the fan-out
-ends, the text's derivations — most of what a broker retains — are
-packed into one zlib blob (:class:`PublicationText`); they are inflated
-again only to be read, never to be written: records, snapshots and
-every rendered body are as they were.
+(:meth:`NotificationEngine.fan_out`): the event's pairs and each
+distinct witness's compact steps are stored once
+(:class:`PublicationText`, one zlib blob), and a retained delivery holds
+its numbers plus a reference to that shared text — in memory, in the
+journal and in the snapshot alike — so what the log costs follows what
+there is to say, not the number of notifications that said it.  Nothing
+is rendered while the publisher waits: a message's subject and body,
+and every retained row's, are rendered from the stored form when
+someone reads them — a transport that uses them (SMS), a
+:meth:`~NotificationEngine.delivery_log` or ``replay_from`` reader —
+each part once per fan-out however many sends read it.
 
 A subscription's retained log is a ring of at most ``history_limit``
 rows stored as columns (:class:`_DeliveryLog`): the notification number
@@ -39,14 +40,15 @@ as its offset from the first number of its publication (the text's
 values (a byte until one does not fit), the status as one byte (its
 spare bits name the registry transport that delivered the row), the
 text as one reference — 11 bytes of columns a row (12 once its offsets
-widened), plus its share of its publication's packed text — while its
-subscription id, client id, rendered subscription part and oldest
-sequence are kept once per log (a stream's sequences are contiguous, so
-a row's is derived).  The ``n<N>`` id is rendered when a row is sent or
-exported.  Records say each thing once too: a row carries no client id
-or subscription text — recovery takes both from the subscription live
-at that point of the stream, drops a row of none, and refuses one that
-does not continue its log with :class:`~repro.errors.StateFormatError`.
+widened), plus its share of its publication's text — while its
+subscription id, client id, bound subscription, delivered frontier and
+oldest sequence are kept once per log (a stream's sequences are
+contiguous, so a row's is derived, and so is the next one).  The
+``n<N>`` id is rendered when a row is sent or exported.  Records say
+each thing once too: a row carries no client id or subscription text —
+recovery takes both from the subscription live at that point of the
+stream, drops a row of none, and refuses one that does not continue its
+log with :class:`~repro.errors.StateFormatError`.
 Recovery keeps nothing of its own: a journaled row joins its log as it
 is read (:meth:`NotificationEngine.adopt`), and what is still pending
 once the whole tail is read is re-sent from there.
@@ -59,7 +61,7 @@ status column through.  A send's
 .outcomes``) and is not kept: :meth:`NotificationEngine.delivered_to`
 reads the retained logs.  The dead-letter list is the one other store,
 a ``deque(maxlen=history_limit)``; everything kept per subscription
-(log, sequence counter, frontier, rendered text) is dropped by
+(its log, which holds its sequence counter and frontier) is dropped by
 :meth:`NotificationEngine.forget` when it unsubscribes, so the engine's
 footprint follows the live subscriptions and the window, not the
 number of notifications ever sent.
@@ -70,6 +72,7 @@ restorable from a snapshot, so ids stay unique across a crash-restart.
 
 from __future__ import annotations
 
+import json
 import zlib
 from array import array
 from collections import deque
@@ -82,17 +85,24 @@ from repro.broker.clients import Client
 from repro.broker.transports import (
     DeliveryRecord,
     OutboundMessage,
-    SmsTransport,
     TransportRegistry,
     default_transports,
 )
 from repro.core.provenance import (
+    GENERAL,
     SemanticMatch,
+    Witness,
     derivation_part,
     event_part,
+    replay,
+    step_from,
     subscription_part,
 )
 from repro.errors import DeliveryError, StateFormatError, TransportError, UnknownClientError
+from repro.model.events import Event
+from repro.model.subscriptions import Subscription
+from repro.model.values import check_value
+from repro.ontology.serialization import _decode_value, _encode_value
 
 __all__ = [
     "Notification",
@@ -139,82 +149,118 @@ class DeliveryOutcome:
     error: str = ""
 
 
-#: zlib level of a packed :class:`PublicationText`: the derivations of
-#: one publication repeat each other's steps, so the fastest level
-#: already packs them ~12x
+#: zlib level of a :class:`PublicationText` blob: a publication's
+#: witnesses repeat each other's steps, so the fastest level packs them
+#: well already
 _PACK_LEVEL = 1
 
 
-def _pack(parts: list[str]) -> bytes:
-    """*parts* as one zlib blob that :func:`_unpack` inverts exactly.
-    Each part is UTF-8 (lone surrogates passed through) behind a
-    ``0xFF`` byte, which UTF-8 never produces."""
-    raw = b"".join(b"\xff" + part.encode("utf-8", "surrogatepass") for part in parts)
-    return zlib.compress(raw, _PACK_LEVEL)
+def _value(raw):
+    return check_value(_decode_value(raw))
 
 
-def _unpack(blob: bytes) -> list[str]:
-    return [
-        part.decode("utf-8", "surrogatepass") for part in zlib.decompress(blob).split(b"\xff")[1:]
-    ]
+def _pack(pairs, via) -> bytes:
+    """A :class:`PublicationText` blob: the JSON ``[pairs, via]``, values
+    through :func:`_encode_value`, zlib-packed.  Strings are UTF-8 with
+    surrogates passed through, not ``\\u`` escapes, which would join two
+    lone surrogates into one character."""
+    raw = json.dumps([pairs, via], ensure_ascii=False, separators=(",", ":"), default=_encode_value)
+    return zlib.compress(raw.encode("utf-8", "surrogatepass"), _PACK_LEVEL)
+
+
+def decode_text(event_id: str, pairs: list, via: list) -> tuple[Event, list[Witness]]:
+    """The publication and the witnesses a text's stored form spells
+    (:meth:`PublicationText.form`), checked: a pair or value that is not
+    an event's, a step of an unknown kind, a wrong arity, a field of the
+    wrong type or a value step on an attribute its content lacks raises
+    (a :class:`~repro.errors.ReproError`, ``ValueError`` or
+    ``TypeError``) — so recovery refuses such a record before any read
+    would."""
+    event = Event([(name, _decode_value(value)) for name, value in pairs], event_id=event_id)
+    witnesses = []
+    for steps in via:
+        witness = Witness(step_from(step, _value) for step in steps)
+        content = dict(event.items())
+        for step in witness:
+            if step[0] <= GENERAL and step[1] not in content:
+                raise ValueError(f"a step on {step[1]!r}, which its content does not hold")
+            content = replay(content, step)
+        witnesses.append(witness)
+    return event, witnesses
 
 
 @dataclass(slots=True)
 class PublicationText:
-    """The text the notifications of one publication share: the rendered
-    event (:func:`~repro.core.provenance.event_part`) and one rendered
-    derivation per distinct witness a subscription accepted
-    (:func:`~repro.core.provenance.derivation_part`).  One object per
-    publication, referenced by each of its delivery-log rows and alive
-    as long as any of them is retained.
+    """The text the notifications of one publication share, in its one
+    stored form: the event id, the number of its first notification and
+    one zlib blob of the JSON ``[pairs, via]`` — the event's pairs and,
+    per distinct witness a subscription accepted, its compact steps
+    (:class:`~repro.core.provenance.Witness`), values in the journal's
+    codec.  An ``outs`` or snapshot ``text`` record holds the same two
+    lists.  One object per publication, referenced by each of its
+    delivery-log rows and alive as long as any of them is retained.
 
-    ``via`` is a list of the derivations only while the publication is
-    in flight — staged, journaled in its ``outs`` record, sent, acked.
-    :meth:`pack` then replaces it, in place, with one zlib blob:
-    :meth:`NotificationEngine.fan_out` packs in its ``finally``, and
-    recovery packs a text as it decodes it from an ``outs`` or snapshot
-    ``text`` record.  :meth:`derivations` reads either form; nothing
-    packed is ever written to a record or handed to a transport."""
+    Nothing is rendered until it is read: :meth:`event_part` and
+    :meth:`derivation_part` decode the blob and render what
+    :func:`~repro.core.provenance.event_part` and
+    :func:`~repro.core.provenance.derivation_part` rendered from the
+    live match.  While the publication fans out, each part is rendered
+    at most once however many sends read it."""
 
     event_id: str
-    event: str
-    via: list[str] | bytes
+    blob: bytes
     #: the number of its first notification, which a retained row's is an
     #: offset from; a snapshot ``text`` record has none, so a restored
     #: text takes the number of the first row restored against it
     n: int | None = field(default=None, compare=False)
+    #: while its fan-out is in flight, what was decoded and rendered
+    #: (``None``: the decoded content; ``-1``: the event part; ``i``:
+    #: derivation ``i``); ``None`` otherwise
+    _shown: dict | None = field(default=None, compare=False, repr=False)
 
-    def derivations(self) -> list[str]:
-        """The rendered derivations, inflated if packed."""
-        via = self.via
-        return via if type(via) is list else _unpack(via)
+    def form(self) -> tuple[list, list]:
+        """``(pairs, via)`` as a record spells them."""
+        pairs, via = json.loads(zlib.decompress(self.blob).decode("utf-8", "surrogatepass"))
+        return pairs, via
 
-    def pack(self) -> "PublicationText":
-        """Replace the derivation list by its zlib blob (a no-op when
-        already packed); returns the text."""
-        if type(self.via) is list:
-            self.via = _pack(self.via)
-        return self
+    def event_part(self) -> str:
+        return self._part(-1)
+
+    def derivation_part(self, via: int) -> str:
+        return self._part(via)
+
+    def _part(self, key: int) -> str:
+        shown = self._shown if self._shown is not None else {}
+        part = shown.get(key)
+        if part is None:
+            read = shown.get(None)
+            if read is None:
+                read = shown[None] = decode_text(self.event_id, *self.form())
+            event, witnesses = read
+            part = event_part(event) if key < 0 else derivation_part(witnesses[key], event)
+            shown[key] = part
+        return part
 
 
 @dataclass(slots=True)
 class DeliveryEntry:
     """One row of the per-subscription delivery log: its ids plus
-    references to the text it shares with other rows — ``head`` with the
-    rows of its subscription (:func:`~repro.core.provenance
-    .subscription_part`), ``text`` with the rows of its publication —
-    which is everything needed to re-send without the original match
-    object (the journal stores the text and the subscription's ``sub``
-    record, so replay works across restarts).  ``subject`` and ``body`` put the message together on
-    demand; nothing retains it per row."""
+    references to what it shares with other rows — ``subscription`` with
+    the rows of its subscription, ``text`` with the rows of its
+    publication — which is everything needed to re-send without the
+    original match object (the journal stores the text and the
+    subscription's ``sub`` record, so replay works across restarts).
+    ``subject`` and ``body`` put the message together on demand; nothing
+    retains it per row."""
 
     sequence: int
     notification_id: str
     client_id: str
     sub_id: str
-    head: str
+    #: the subscription bound to its client; rows compare by ``sub_id``
+    subscription: Subscription = field(compare=False, repr=False)
     text: PublicationText
-    #: which of ``text.derivations()`` explains this row's match
+    #: which of the text's witnesses explains this row's match
     via: int
     status: str = "pending"  # pending | acked | dead
     #: the registry transport that delivered an acked row; ``""`` when
@@ -235,7 +281,11 @@ class DeliveryEntry:
         """Byte for byte what :meth:`SemanticMatch.explain
         <repro.core.provenance.SemanticMatch.explain>` rendered."""
         text = self.text
-        return self.head + text.event + text.derivations()[self.via]
+        return (
+            subscription_part(self.subscription)
+            + text.event_part()
+            + text.derivation_part(self.via)
+        )
 
 
 #: a row's status, stored in the low bits of its log's status byte as
@@ -271,11 +321,14 @@ class _DeliveryLog:
 
     A ring of at most ``capacity`` rows: until it is full a row is
     appended, after that it takes the oldest row's slot and ``start``
-    moves on to the next-oldest.  ``sub_id``, ``client_id`` and
-    ``head`` are the log's, not the row's, and a stream's sequences are
-    contiguous, so a row stores none: it is ``first`` (the oldest
-    row's) plus the row's age.  A row decoded from a record must fit
-    that, or it is refused (:meth:`NotificationEngine._log_row`).  Its
+    moves on to the next-oldest.  ``sub_id``, ``client_id``,
+    ``subscription`` (the subscription bound to its client, rendered
+    when a row is read) and ``frontier`` (the highest acked sequence) are
+    the log's, not the row's, and a stream's sequences are contiguous, so
+    a row stores none: it is ``first`` (the oldest row's) plus the row's
+    age, and the stream's next one is ``first`` plus the row count.  A
+    row decoded from a record must fit that, or it is refused
+    (:meth:`NotificationEngine._log_row`).  Its
     notification number is stored as the offset from its text's ``n``
     (a byte while its publication fans out to at most 128 rows) and its
     derivation index as itself (a byte below 256); a value past a
@@ -288,17 +341,20 @@ class _DeliveryLog:
     :meth:`columns` lists every object it holds."""
 
     __slots__ = (
-        "sub_id", "client_id", "head", "capacity", "start", "first",
+        "sub_id", "client_id", "subscription", "capacity", "start", "first", "frontier",
         "offsets", "vias", "statuses", "texts",
     )  # fmt: skip
 
-    def __init__(self, sub_id: str, client_id: str, head: str, capacity: int, first: int) -> None:
+    def __init__(
+        self, sub_id: str, client_id: str, subscription: Subscription, capacity: int, first: int
+    ) -> None:
         self.sub_id = sub_id
         self.client_id = client_id
-        self.head = head
+        self.subscription = subscription
         self.capacity = capacity
         self.start = 0
         self.first = first
+        self.frontier = 0
         #: N of each row's notification id ``n<N>``, less its text's ``n``;
         #: both integer columns start a byte wide and widen as values need
         #: (:func:`_put`)
@@ -326,6 +382,11 @@ class _DeliveryLog:
             self.statuses.append(status)
             self.texts.append(text)
         return evicts
+
+    @property
+    def next_seq(self) -> int:
+        """The sequence the stream's next row takes."""
+        return self.first + len(self.texts)
 
     def _slots(self) -> Iterator[int]:
         """Slots oldest row first."""
@@ -358,8 +419,8 @@ class _DeliveryLog:
         carrier = code >> _CARRIER_SHIFT
         text = self.texts[slot]
         return DeliveryEntry(
-            sequence, f"n{text.n + self.offsets[slot]}", self.client_id, self.sub_id, self.head,
-            text, self.vias[slot], _STATUSES[code & _STATUS_MASK],
+            sequence, f"n{text.n + self.offsets[slot]}", self.client_id, self.sub_id,
+            self.subscription, text, self.vias[slot], _STATUSES[code & _STATUS_MASK],
             transports[carrier - 1] if 0 < carrier <= len(transports) else "",
         )  # fmt: skip
 
@@ -386,7 +447,7 @@ class _DeliveryLog:
     def columns(self) -> tuple:
         """Every object the log holds."""
         return (
-            self.sub_id, self.client_id, self.head, self.offsets, self.vias, self.statuses,
+            self.sub_id, self.client_id, self.subscription, self.offsets, self.vias, self.statuses,
             self.texts,
         )  # fmt: skip
 
@@ -455,9 +516,7 @@ class NotificationEngine:
         #: engine-owned, snapshot-restorable id counter (a module global
         #: would restart at 1 after recovery and collide)
         self._next_notification = 1
-        self._next_seq: dict[str, int] = {}
         self._delivery_log: dict[str, _DeliveryLog] = {}
-        self._frontier: dict[str, int] = {}
         #: recovery only: the snapshot's ``text`` records in file order,
         #: which its ``log`` rows reference by position
         self._restored_texts: list[PublicationText] = []
@@ -476,17 +535,20 @@ class NotificationEngine:
             subscription = owners.get(sub_id)
             if subscription is None:
                 return None
-            log = self._delivery_log[sub_id] = _DeliveryLog(
-                sub_id, intern(subscription.subscriber_id), subscription_part(subscription),
-                self.history_limit, sequence,
-            )  # fmt: skip
-        elif sequence != log.first + len(log.texts):
+            log = self._new_log(sub_id, subscription.subscriber_id, subscription, sequence)
+        elif sequence != log.next_seq:
             raise StateFormatError(
                 f"delivery-log row {sequence} of {sub_id!r} does not continue its log: "
                 "its sequences are not contiguous"
             )
         if log.push(number, via, text, status):
             self.stats.history_evictions += 1
+        return log
+
+    def _new_log(self, sub_id, client_id, subscription, first) -> _DeliveryLog:
+        log = self._delivery_log[sub_id] = _DeliveryLog(
+            sub_id, intern(client_id), subscription, self.history_limit, first
+        )
         return log
 
     def retained_log(self, sub_id: str) -> _DeliveryLog | None:
@@ -497,11 +559,10 @@ class NotificationEngine:
 
     def forget(self, sub_id: str) -> None:
         """Drop what is kept for a subscription that unsubscribed: its
-        delivery log, sequence counter, frontier and rendered text (an
-        id subscribed again later starts a new stream at sequence 1)."""
+        delivery log, which holds its sequence counter and frontier too
+        (an id subscribed again later starts a new stream at sequence
+        1)."""
         self._delivery_log.pop(sub_id, None)
-        self._next_seq.pop(sub_id, None)
-        self._frontier.pop(sub_id, None)
 
     # -- delivery --------------------------------------------------------------
 
@@ -509,12 +570,12 @@ class NotificationEngine:
         self, deliveries: Sequence[tuple[Client, SemanticMatch]]
     ) -> list[DeliveryOutcome]:
         """Deliver one publication's matches, each to its subscriber, as
-        one unit of work: :meth:`_stage` draws the sequences, renders
-        what the notifications share and journals the one ``outs``
-        record; every row is then sent through :meth:`notify`; one
-        ``acks`` record closes the publication — also when a send
-        aborts the fan-out (``raise_on_dead_letter``), so what was
-        settled stays settled across a restart."""
+        one unit of work: :meth:`_stage` draws the sequences, stores what
+        the notifications share and journals the one ``outs`` record;
+        every row is then sent through :meth:`notify`; one ``acks``
+        record closes the publication — also when a send aborts the
+        fan-out (``raise_on_dead_letter``), so what was settled stays
+        settled across a restart."""
         staged = self._stage(deliveries)
         outcomes = []
         try:
@@ -522,57 +583,57 @@ class NotificationEngine:
                 outcomes.append(self.notify(client, match, entry))
         finally:
             self._journal_acks(staged)
-            if staged:  # the publication is settled: what its rows keep is packed
-                staged[0].text.pack()
+            if staged:  # the publication is settled: what its sends rendered goes
+                staged[0].text._shown = None
         return outcomes
 
     def _stage(self, deliveries: Sequence[tuple[Client, SemanticMatch]]) -> list[DeliveryEntry]:
         """The once-per-publication half of :meth:`fan_out`: one
         delivery-log row per match, in order, retained in the log's
-        columns and returned as an entry in flight.  A new row draws the next
-        sequence of its subscription and references the publication's
-        text — the event rendered once, a derivation once however many
-        subscriptions accepted it (by content, so equal witnesses
-        decoded from different shard workers share too), the
-        subscription part once per live subscription — and the rows go
-        to the journal as a single ``outs`` record."""
+        columns and returned as an entry in flight.  A new row draws the
+        next sequence of its subscription and references the
+        publication's text — the event's pairs and each distinct witness
+        once however many subscriptions accepted it (by content, so equal
+        witnesses decoded from different shard workers share too), in
+        their stored form; nothing is rendered — and the rows go to the
+        journal as a single ``outs`` record."""
+        if not deliveries:
+            return []
         logs = self._delivery_log
-        text: PublicationText | None = None
-        via_of: dict[object, int] = {}
+        event = deliveries[0][1].event
+        text = PublicationText(event.event_id, b"", self._next_notification, _shown={})
+        via_of: dict[Witness, int] = {}
         staged: list[DeliveryEntry] = []
         for client, match in deliveries:
             subscription = match.subscription
             sub_id = subscription.sub_id
-            if text is None:
-                text = PublicationText(
-                    match.event.event_id, event_part(match.event), [], self._next_notification
-                )
             via = via_of.get(match.via)
             if via is None:
-                via = via_of[match.via] = len(text.via)
-                text.via.append(derivation_part(match.via, match.event))
-            sequence = self._next_seq.get(sub_id, 1)
-            self._next_seq[sub_id] = sequence + 1
+                via = via_of[match.via] = len(via_of)
             number = self._next_notification
             self._next_notification = number + 1
             client_id = client.client_id
             log = logs.get(sub_id)
             if log is None:
-                log = logs[sub_id] = _DeliveryLog(
-                    sub_id, client_id, subscription_part(subscription), self.history_limit, sequence
-                )
+                log = self._new_log(sub_id, client_id, subscription, 1)
+            sequence = log.next_seq
             if log.push(number, via, text):
                 self.stats.history_evictions += 1
-            entry = DeliveryEntry(sequence, f"n{number}", client_id, sub_id, log.head, text, via)
+            entry = DeliveryEntry(
+                sequence, f"n{number}", client_id, sub_id, log.subscription, text, via
+            )
             staged.append(entry)
-        if staged and self.durability is not None:
+        # the journal's value codec applies as each is written
+        pairs, witnesses = event.items(), list(via_of)
+        text.blob = _pack(pairs, witnesses)
+        if self.durability is not None:
             self.durability.append(
                 {
                     "k": "outs",
                     "eid": text.event_id,
-                    "event": text.event,
-                    "via": text.via,
                     "n": text.n,
+                    "pairs": pairs,
+                    "via": witnesses,
                     "rows": [[e.sub_id, e.sequence, e.via] for e in staged],
                 }
             )
@@ -589,7 +650,7 @@ class NotificationEngine:
         notification = Notification(
             entry.notification_id, client, match, sub_id=entry.sub_id, sequence=entry.sequence
         )
-        outcome = self._walk_transports(notification, entry.subject, entry.body)
+        outcome = self._walk_transports(notification, entry)
         self._settle(entry, outcome)
         return self._finish(outcome)
 
@@ -607,12 +668,11 @@ class NotificationEngine:
             carrier = self.transports.names().index(outcome.transport) + 1
             if carrier > _CARRIERS:  # past what the status byte can name
                 carrier = 0
-        sub_id = entry.sub_id
-        log = self._delivery_log.get(sub_id)
+        log = self._delivery_log.get(entry.sub_id)
         if log is not None:
             log.set_status(entry.sequence, status, entry.text, carrier)
-        if delivered:
-            self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), entry.sequence)
+            if delivered:
+                log.frontier = max(log.frontier, entry.sequence)
 
     def _journal_acks(self, entries: list[DeliveryEntry]) -> None:
         """One ``acks`` record for those of *entries* that reached a
@@ -627,11 +687,11 @@ class NotificationEngine:
         if rows:
             self.durability.append({"k": "acks", "rows": rows})
 
-    def _walk_transports(
-        self, notification: Notification, subject: str, rendered_body: str
-    ) -> DeliveryOutcome:
+    def _walk_transports(self, notification: Notification, row: DeliveryEntry) -> DeliveryOutcome:
         """The transport-preference walk with bounded retries; returns
-        the outcome without recording it (callers settle + finish)."""
+        the outcome without recording it (callers settle + finish).  A
+        message carries *row*, as its transport's payload: its subject
+        and body are rendered only if something reads them."""
         client = notification.client
         self.stats.notifications += 1
         attempts = 0
@@ -647,20 +707,13 @@ class NotificationEngine:
                 self.stats.fallbacks += 1
             transport = self.transports.get(transport_name)
             address = client.address_for(transport_name) or ""
-            body = rendered_body
-            if isinstance(transport, SmsTransport):
-                body = SmsTransport.render(subject, body)
+            payload = transport.payload(row)
             for attempt in range(1, self.max_attempts + 1):
                 attempts += 1
                 if attempt > 1:
                     self.stats.retries += 1
                 message = OutboundMessage(
-                    transport=transport_name,
-                    address=address,
-                    subject=subject,
-                    body=body,
-                    notification_id=notification.notification_id,
-                    attempt=attempt,
+                    transport_name, address, payload, notification.notification_id, attempt
                 )
                 try:
                     record = transport.send(message)
@@ -724,7 +777,7 @@ class NotificationEngine:
                 notification, None, 0, False, error=f"client {entry.client_id!r} removed"
             )
         else:
-            outcome = self._walk_transports(notification, entry.subject, entry.body)
+            outcome = self._walk_transports(notification, entry)
             if self.durability is not None:
                 self.durability.stats.replayed_deliveries += 1
         if entry.status == "pending":
@@ -738,7 +791,7 @@ class NotificationEngine:
         """Apply one journaled ``outs`` or ``acks`` record, in journal
         order, as the live run applied what it says.  Each row of an
         ``outs`` joins its log, pending, and moves the sequence and id
-        counters past it, its publication's text shared and packed; a
+        counters past it, its publication's text shared; a
         row of a subscription *owners* (see :meth:`_log_row`: the
         subscriptions live at this point of the tail) does not hold is
         dropped.  Each row of an ``acks`` settles its retained row and,
@@ -746,12 +799,10 @@ class NotificationEngine:
         ``dedup_drops``."""
         if record["k"] == "outs":
             rows, first = record["rows"], record["n"]
-            text = PublicationText(record["eid"], record["event"], record["via"], first).pack()
+            text = PublicationText(record["eid"], _pack(record["pairs"], record["via"]), first)
             self._next_notification = first + len(rows)
             for number, (sub_id, sequence, via) in enumerate(rows, first):
-                sub_id = intern(sub_id)
-                if self._log_row(sub_id, sequence, number, owners, text, via) is not None:
-                    self._next_seq[sub_id] = sequence + 1
+                self._log_row(intern(sub_id), sequence, number, owners, text, via)
             return
         for sub_id, sequence, ok in record["rows"]:
             log = self._delivery_log.get(sub_id)
@@ -759,7 +810,7 @@ class NotificationEngine:
                 continue
             stats.dedup_drops += 1
             if ok:
-                self._frontier[sub_id] = max(self._frontier.get(sub_id, 0), sequence)
+                log.frontier = max(log.frontier, sequence)
 
     def finish_replay(self, registry) -> None:
         """End recovery: every retained row still pending once the whole
@@ -782,14 +833,14 @@ class NotificationEngine:
     def durable_state(self) -> Iterator[dict]:
         """Snapshot-side state as a stream of small records: one
         ``notifier`` record (the id counter), one ``text`` record per
-        publication a retained row still references (its event id, the
-        rendered event, its rendered derivations), then one ``log``
-        record per subscription (sequence counter, delivered frontier
-        and at most ``history_limit`` rows, oldest first, of numbers and
-        references: ``[notification number, text record number,
-        derivation index, status]``) — so no record grows with the
-        number of deliveries ever made, and the file says what is
-        shared.  A row's sequence is ``next_seq - len(rows)`` plus its
+        publication a retained row still references (its event id and
+        its stored form: the event's pairs and its witnesses' steps),
+        then one ``log`` record per subscription (sequence counter,
+        delivered frontier and at most ``history_limit`` rows, oldest
+        first, of numbers and references: ``[notification number, text
+        record number, witness index, status]``) — so no record grows
+        with the number of deliveries ever made, and the file says what
+        is shared.  A row's sequence is ``next_seq - len(rows)`` plus its
         age."""
         yield {"k": "notifier", "next_notification": self._next_notification}
         number_of: dict[int, int] = {}  # id(text) -> position among the text records
@@ -798,52 +849,48 @@ class NotificationEngine:
                 if id(text) in number_of:
                     continue
                 number_of[id(text)] = len(number_of)
-                yield {
-                    "k": "text",
-                    "eid": text.event_id,
-                    "event": text.event,
-                    "via": text.derivations(),
-                }
-        # every subscription with a log or a frontier drew a sequence first
-        for sub_id, next_seq in self._next_seq.items():
-            log = self._delivery_log.get(sub_id)
+                pairs, via = text.form()
+                yield {"k": "text", "eid": text.event_id, "pairs": pairs, "via": via}
+        for sub_id, log in self._delivery_log.items():
             yield {
                 "k": "log",
                 "sid": sub_id,
-                "next_seq": next_seq,
-                "frontier": self._frontier.get(sub_id, 0),
+                "next_seq": log.next_seq,
+                "frontier": log.frontier,
                 "rows": [
                     [number, number_of[id(text)], via, status]
-                    for number, text, via, status in (() if log is None else log.rows())
+                    for number, text, via, status in log.rows()
                 ],
             }
 
     def restore(self, record: dict, owners: dict) -> None:
         """Apply one :meth:`durable_state` record; a log of no
-        subscription in *owners* (:meth:`_log_row`) is dropped, and a
-        row still pending when recovery finishes is re-sent
-        (:meth:`finish_replay`)."""
+        subscription in *owners* (sub_id -> the subscription, bound to
+        its client) is dropped, and a row still pending when recovery
+        finishes is re-sent (:meth:`finish_replay`)."""
         kind = record["k"]
         if kind == "notifier":
             self._next_notification = record["next_notification"]
             return
         if kind == "text":
             self._restored_texts.append(
-                PublicationText(record["eid"], record["event"], record["via"]).pack()
+                PublicationText(record["eid"], _pack(record["pairs"], record["via"]))
             )
             return
         sub_id = intern(record["sid"])
-        if sub_id not in owners:
+        subscription = owners.get(sub_id)
+        if subscription is None:
             return
-        next_seq = self._next_seq[sub_id] = record["next_seq"]
-        if record["frontier"]:
-            self._frontier[sub_id] = record["frontier"]
         rows = record["rows"]
-        for sequence, (number, text, via, status) in enumerate(rows, next_seq - len(rows)):
+        first = record["next_seq"] - len(rows)
+        log = self._new_log(sub_id, subscription.subscriber_id, subscription, first)
+        log.frontier = record["frontier"]
+        for number, text, via, status in rows:
             text = self._restored_texts[text]
             if text.n is None:  # its first row: the others are offsets from it
                 text.n = number
-            self._log_row(sub_id, sequence, number, owners, text, via, _CODE[status])
+            if log.push(number, via, text, _CODE[status]):
+                self.stats.history_evictions += 1
 
     # -- reporting ----------------------------------------------------------------
 
@@ -865,7 +912,7 @@ class NotificationEngine:
     def delivery_frontiers(self) -> dict[str, int]:
         """Highest acked delivery sequence per subscription — the
         quantity crash recovery must preserve exactly."""
-        return dict(self._frontier)
+        return {sub_id: log.frontier for sub_id, log in self._delivery_log.items() if log.frontier}
 
     def delivery_log(self, sub_id: str) -> list[DeliveryEntry]:
         """The retained (bounded) delivery log for one subscription, as

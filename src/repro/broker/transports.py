@@ -16,8 +16,11 @@ notification engine must handle:
   *dropped* silently (counted, invisible to callers).
 
 A transport keeps per-status counters, not the records it sent: each
-send's :class:`DeliveryRecord` goes back to its caller.  All randomness
-is seeded, so tests and benchmarks are reproducible.
+send's :class:`DeliveryRecord` goes back to its caller.  A message
+carries its text as a payload that renders the subject and body only
+when something reads them (an SMS payload is its merged text; the
+simulated TCP, UDP and SMTP sends read neither).  All randomness is
+seeded, so tests and benchmarks are reproducible.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.errors import TransportError
 
 __all__ = [
+    "Text",
     "OutboundMessage",
     "DeliveryRecord",
     "Transport",
@@ -49,17 +53,33 @@ DROPPED = "dropped"
 FAILED = "failed"
 
 
+class Text(NamedTuple):
+    """A payload whose subject and body are already rendered."""
+
+    subject: str
+    body: str
+
+
 @dataclass(frozen=True, slots=True)
 class OutboundMessage:
-    """One message handed to a transport."""
+    """One message handed to a transport; its ``subject`` and ``body``
+    are read from ``payload`` — anything with both, a :class:`Text` or a
+    delivery-log row that renders them — when something reads them."""
 
     transport: str
     address: str
-    subject: str
-    body: str
+    payload: Any
     notification_id: str = ""
     attempt: int = 1
     message_id: str = field(default_factory=lambda: f"m{next(_message_counter)}")
+
+    @property
+    def subject(self) -> str:
+        return self.payload.subject
+
+    @property
+    def body(self) -> str:
+        return self.payload.body
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +140,11 @@ class Transport:
             raise TransportError(f"{self.name}: transient failure for {message.address!r}")
         return self._record(self._transmit(message))
 
+    def payload(self, content: Any) -> Any:
+        """What a message of this transport carries for *content* (see
+        :class:`OutboundMessage`): the content itself."""
+        return content
+
     def _record(self, record: DeliveryRecord) -> DeliveryRecord:
         self._counts[record.status] += 1
         return record
@@ -168,6 +193,12 @@ class SmsTransport(Transport):
         if len(payload) > self.MAX_LENGTH:
             detail = f"truncated to {self.MAX_LENGTH} characters"
         return DeliveryRecord(message, DELIVERED, self._latency(), detail)
+
+    def payload(self, content: Any) -> Text:
+        """*content*'s subject, and its subject and body merged and
+        truncated (:meth:`render`): an SMS send reads it."""
+        subject = content.subject
+        return Text(subject, self.render(subject, content.body))
 
     @classmethod
     def render(cls, subject: str, body: str) -> str:

@@ -181,6 +181,53 @@ def custom_steps(steps: Iterable[DerivationStep], content=None) -> tuple:
     return ((CUSTOM, "", sum(f[3] for f in fields), fields, content),) if fields else ()
 
 
+def step_from(raw, decode) -> tuple:
+    """The compact step *raw* spells — as JSON does, lists for tuples —
+    with *decode* applied to each value it holds (a value step's new
+    value, a rule's or custom stage's content); raises ``ValueError`` or
+    ``TypeError`` for one of an unknown kind, a wrong arity or a field of
+    the wrong type."""
+    kind = raw[0] if type(raw) is list and raw else None
+    tails = _TAILS.get(kind, False) if type(kind) is int else False
+    if tails is False:
+        raise ValueError(f"not a compact step: {raw!r}")
+    types = tuple(map(type, raw))
+    if types[:3] != _HEAD or (len(raw) != 4 if tails is None else types[3:] not in tails):
+        raise ValueError(f"a compact step of kind {kind} of the wrong form: {raw!r}")
+    if kind <= GENERAL:
+        return (*raw[:3], decode(raw[3]))
+    if kind <= SYNONYM:
+        return tuple(raw)
+    content = raw[-1]
+    if content is not None:
+        pairs = [pair for pair in content if type(pair) is list and len(pair) == 2]
+        if len(pairs) != len(content) or {type(name) for name, _ in pairs} - {str}:
+            raise TypeError(f"content that is not pairs: {content!r}")
+        content = tuple((name, decode(value)) for name, value in pairs)
+    if kind == MAPPING:
+        return (*raw[:5], content)
+    fields = raw[3]
+    if any(type(step) is not list or tuple(map(type, step)) != _CUSTOM for step in fields):
+        raise TypeError(f"custom steps of the wrong form: {fields!r}")
+    return (*raw[:3], tuple(map(tuple, fields)), content)
+
+
+#: the field types every compact step starts with, and per kind the
+#: forms of the fields after them (``None``: one value, which the
+#: decoder checks)
+_HEAD = (int, str, int)
+_TAILS = {
+    CANON: None,
+    GENERAL: None,
+    RENAME: ((str,),),
+    SYNONYM: ((str,),),
+    MAPPING: ((str, str, list),),
+    CUSTOM: ((list, list), (list, type(None))),
+}
+#: a custom stage's ``(stage, description, attribute, generality, rule)``
+_CUSTOM = (str, str, str, int, str)
+
+
 def replay(pairs: dict, step: tuple) -> dict:
     """The event pairs after *step*, given the pairs before it (the
     argument may be changed in place and is returned)."""

@@ -80,8 +80,9 @@ class SynonymStage(SemanticStage):
     def rewrite_subscription(self, subscription: Subscription) -> Subscription:
         """Figure 1's "root subscription": predicate attributes are
         rewritten to roots; ids and tolerance are preserved."""
-        renames = self._rename_map(subscription.attributes())
-        self.stats.lookups += len(subscription.attributes())
+        attributes = subscription.attributes()
+        renames = self._rename_map(attributes)
+        self.stats.lookups += len(attributes)
         if not renames:
             return subscription
         self.stats.rewrites += len(renames)

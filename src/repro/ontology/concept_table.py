@@ -85,13 +85,10 @@ hold the store and nothing holds the table but its knowledge base, so
 no cycle runs through any of them and a dropped knowledge base is freed
 by reference counting, table and all.
 
-One table is shared by many engines publishing concurrently (every
-engine on a knowledge base holds it, and callers may drive them from
-different threads), so the lazy fills are guarded by a lock: each
-closure is filled once and the fill counters stay exact.  Reads of
-already-memoized entries stay lock-free (dict access is atomic under
-the interpreter lock, and a memoized value is never changed once
-stored); a memo drop swaps whole dicts under the same lock.  A
+One table is shared by every engine on a knowledge base, all driven
+from one thread (a process executor's workers each hold a forked copy),
+so the lazy fills take no lock: each closure is filled once and the
+fill counters stay exact.  A memo drop swaps whole dicts.  A
 knowledge-base *write* edits the store and the rows in place, so it must
 not overlap a publish at all (``docs/CONCURRENCY.md``).
 
@@ -105,7 +102,6 @@ the plain :func:`~repro.model.values.canonical_value_key`.
 from __future__ import annotations
 
 import logging
-import threading
 from array import array
 from bisect import bisect_left
 from collections import deque
@@ -366,7 +362,6 @@ class ConceptTable:
         "_canonical",
         "_up_closure",
         "_attr_form",
-        "_fill_lock",
         "__weakref__",
     )
 
@@ -403,9 +398,6 @@ class ConceptTable:
         #: string path would), lazy; a spelling id never changes, so
         #: this memo is never dropped
         self._attr_form: dict[int, str | None] = {}
-        #: guards every lazy fill and a drop; the memoized-hit path
-        #: never takes it
-        self._fill_lock = threading.Lock()
 
     def follow(self, version: int, terms_version: int) -> None:
         """Follow a knowledge base now at *version*, of which
@@ -413,20 +405,17 @@ class ConceptTable:
         (:meth:`KnowledgeBase.concept_table` calls this when the version
         has moved; nobody else should).  The closure memos are dropped
         when *terms_version* has moved — a mapping rule moves only the
-        version and keeps them.  ``version`` moves last: a lock-free
-        ``table.version != kb.version`` fetch that sees the new number
-        finds the memos gone."""
-        with self._fill_lock:
-            if self.version == version:
-                return
-            previous, dropped = self.version, None
-            if terms_version != self._terms_version:
-                dropped = len(self._up_closure)
-                self._canonical = {}
-                self._up_closure = {}
-                self._dropped += dropped
-                self._terms_version = terms_version
-            self.version = version
+        version and keeps them."""
+        if self.version == version:
+            return
+        previous, dropped = self.version, None
+        if terms_version != self._terms_version:
+            dropped = len(self._up_closure)
+            self._canonical = {}
+            self._up_closure = {}
+            self._dropped += dropped
+            self._terms_version = terms_version
+        self.version = version
         if dropped is not None:
             _log.debug(
                 "%s v%d -> v%d: dropped %d closures", self.name, previous, version, dropped
@@ -507,7 +496,6 @@ class ConceptTable:
             canonical = synonyms._name(root)
         else:
             canonical = next((t._name(tid) for t in self._taxonomies.values() if t._has(tid)), None)
-        # a race stores the same answer twice: no lock needed
         self._canonical[tid] = canonical
         return canonical
 
@@ -519,11 +507,8 @@ class ConceptTable:
         equivalent because distances are minimal."""
         closure = self._up_closure.get(tid)
         if closure is None:
-            with self._fill_lock:
-                closure = self._up_closure.get(tid)
-                if closure is None:
-                    closure = array("i", chain.from_iterable(self._generalize(tid).items()))
-                    self._up_closure[tid] = closure
+            closure = array("i", chain.from_iterable(self._generalize(tid).items()))
+            self._up_closure[tid] = closure
         return closure
 
     def _generalize(self, tid: int) -> dict[int, int]:
@@ -563,14 +548,11 @@ class ConceptTable:
         generalization), ``None`` when it does not normalize."""
         form = self._attr_form.get(sid, False)
         if form is False:
-            with self._fill_lock:
-                form = self._attr_form.get(sid, False)
-                if form is False:
-                    try:
-                        form = normalize_attribute(self.spelling(sid).replace(" ", "_"))
-                    except InvalidAttributeError:
-                        form = None
-                    self._attr_form[sid] = form
+            try:
+                form = normalize_attribute(self.spelling(sid).replace(" ", "_"))
+            except InvalidAttributeError:
+                form = None
+            self._attr_form[sid] = form
         return form
 
     def _reported(self, tid: int) -> list[int]:
@@ -592,8 +574,8 @@ class ConceptTable:
         settles its group on the same level and one level-by-level pass
         finds the shortest paths; child edges weigh 1 and open the next
         level.  The rows are walked in declaration order, which no hash
-        seed moves.  Reads the rows only — safe without the fill lock;
-        the caller adds the settled count to ``_fill_steps`` under it."""
+        seed moves.  Reads the rows only; the caller adds the settled
+        count to ``_fill_steps``."""
         taxonomies = list(self._taxonomies.values())
         synonyms = self._value_synonyms
         settled: dict[int, int] = {}
@@ -650,8 +632,7 @@ class ConceptTable:
         terms = tuple(terms)
         sources = [tid for tid in map(self._value_term_id, terms) if tid is not None]
         depths, steps = self._descend(sources)
-        with self._fill_lock:
-            self._fill_steps += steps
+        self._fill_steps += steps
         other = dict.fromkeys(keys, 0)
         for term in terms:
             key = self.value_key(term)

@@ -20,8 +20,6 @@ built equal-content knowledge base.
 
 from __future__ import annotations
 
-import sys
-import threading
 from array import array
 
 import pytest
@@ -562,129 +560,3 @@ def test_alternatives_memo_is_stamped_with_the_version():
     kb.taxonomy("vehicles").add_isa("vehicle", "machine")
     assert _match_list(engine, [("kind", "truck")]) == [("s0", 2)]
 
-
-def closures(table, terms) -> dict:
-    """Each term's ancestors (filled into the memo on a miss) and its
-    descent, as plain values in *terms* order."""
-    return {
-        term: (
-            None if tid is None else list(table.ancestors(tid)),
-            descent_map(table, term, None),
-        )
-        for term, tid in zip(terms, map(table.term_id_of_value, terms))
-    }
-
-
-def test_threads_filling_one_shared_table_agree():
-    """Many threads missing on the same closures at once: every thread
-    must read the same answers a single-threaded fill gives, and no
-    fill may intern a spelling."""
-    kb = build_world("mega-small").kb
-    terms = sample_terms(kb, limit=60)
-    reference = build_world("mega-small").kb.concept_table()
-    expected_maps = closures(reference, terms)
-    expected_depths = {
-        reference.spelling(key) if isinstance(key, int) else key: depth
-        for key, depth in reference.descent_depths(terms).items()
-    }
-
-    table = kb.concept_table()
-    spellings = table.spelling_count
-    workers = 8
-    barrier = threading.Barrier(workers)
-    results: list = [None] * workers
-    errors: list = []
-
-    def fill(slot: int) -> None:
-        try:
-            barrier.wait(timeout=30)
-            # each thread walks the terms from a different offset, so
-            # misses on one closure collide
-            order = terms[slot:] + terms[:slot]
-            maps = closures(table, order)
-            depths = table.descent_depths(order)
-            results[slot] = (maps, depths)
-        except Exception as error:  # surfaced by the assert below
-            errors.append(error)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=fill, args=(slot,)) for slot in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors
-    assert not any(thread.is_alive() for thread in threads)
-    for maps, depths in results:
-        assert maps == expected_maps
-        assert {
-            table.spelling(key) if isinstance(key, int) else key: depth
-            for key, depth in depths.items()
-        } == expected_depths
-    assert table.spelling_count == spellings
-    # the per-term memo filled each closure exactly once
-    assert table.stats()["up_closures"] == reference.stats()["up_closures"]
-
-
-def _late_writes(kb: KnowledgeBase, root: str) -> None:
-    kb.add_value_synonyms([root, f"{root}~late"])
-    kb.add_domain("late").add_chain("late leaf", f"{root}~late")
-
-
-def test_threads_racing_to_one_memo_drop_agree():
-    """After a write, every replica's next fetch finds the version
-    moved at once: exactly one of them drops the memos, under the
-    table's lock, and every thread — fetching, then filling closures
-    the drop took away — reads what a knowledge base that took the
-    write before its first read answers."""
-    kb = build_world("mega-small").kb
-    table = kb.concept_table()
-    terms = sample_terms(kb, limit=40)
-    closures(table, terms)  # memos for the drop
-    filled = table.stats()["up_closures"]
-    root = terms[0]
-    _late_writes(kb, root)
-    batch = build_world("mega-small").kb
-    _late_writes(batch, root)
-    oracle = batch.concept_table()
-    terms = [*terms, f"{root}~late", "late leaf"]
-    expected = closures(oracle, terms)
-
-    workers = 8
-    barrier = threading.Barrier(workers)
-    results: list = [None] * workers
-    errors: list = []
-
-    def fetch_and_fill(slot: int) -> None:
-        try:
-            barrier.wait(timeout=30)
-            fetched = kb.concept_table()
-            order = terms[slot:] + terms[:slot]
-            results[slot] = (fetched, closures(fetched, order))
-        except Exception as error:  # surfaced by the assert below
-            errors.append(error)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=fetch_and_fill, args=(slot,)) for slot in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors
-    assert not any(thread.is_alive() for thread in threads)
-    for fetched, maps in results:
-        assert fetched is table
-        assert maps == expected
-    # one drop: a second would have taken the refilled memos too
-    assert table.stats()["closures_dropped"] == filled > 0
-    assert table.spelling_count == oracle.spelling_count

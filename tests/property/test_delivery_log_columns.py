@@ -31,9 +31,16 @@ from hypothesis import strategies as st
 
 from repro.broker.clients import ClientRegistry
 from repro.broker.durability import _decode_subscription, _encode_subscription
-from repro.broker.notifications import NotificationEngine
+from repro.broker.notifications import NotificationEngine, decode_text
 from repro.broker.transports import TcpTransport, TransportRegistry
-from repro.core.provenance import SYNONYM, SemanticMatch, Witness, subscription_part
+from repro.core.provenance import (
+    SYNONYM,
+    SemanticMatch,
+    Witness,
+    derivation_part,
+    event_part,
+    subscription_part,
+)
 from repro.errors import DeliveryError
 from repro.model.events import Event
 from repro.model.predicates import Predicate
@@ -149,7 +156,8 @@ class _Model:
 def _decoded(records: list[dict], live: dict[str, str]) -> tuple[int, dict[str, tuple]]:
     """``durable_state()`` records back to whole rows: a row's sequence
     from its age, its client and text from its subscription (*live*
-    maps each to its client)."""
+    maps each to its client), its event and derivation rendered from its
+    text record's pairs and witness steps."""
     next_notification, texts, logs = None, [], {}
     for record in records:
         if record["k"] == "notifier":
@@ -163,7 +171,8 @@ def _decoded(records: list[dict], live: dict[str, str]) -> tuple[int, dict[str, 
             for sequence, (number, text, via, status) in enumerate(record["rows"], first):
                 text = texts[text]
                 subject = _subject(sub_id, text["eid"])
-                body = head + text["event"] + text["via"][via]
+                event, witnesses = decode_text(text["eid"], text["pairs"], text["via"])
+                body = head + event_part(event) + derivation_part(witnesses[via], event)
                 rows.append(
                     (sequence, f"n{number}", live[sub_id], text["eid"], subject, body, status)
                 )

@@ -18,10 +18,11 @@ equals it:
   ``durable_state()`` records each of them would snapshot;
 * for deliveries a recovery re-sends from their stored parts.
 
-Every retained text holds its derivations packed (one zlib blob per
-publication, once its fan-out has ended or as recovery decodes it), so
-each of those reads goes through the unpacking; a separate property
-holds the packing itself lossless for any list of strings.
+Every retained text holds one stored form — one zlib blob per
+publication of the event's pairs and its witnesses' compact steps — and
+nothing rendered once its fan-out has ended, so each of those reads
+renders from that form; a separate property holds the form lossless
+for any string values, names and rule descriptions.
 
 The traces (the job-finder cast and a generated ``mega-small`` world)
 are driven so that every way of arriving at a row is covered: exact
@@ -52,14 +53,24 @@ from repro.broker.durability import (
     _scan_records,
     recover,
 )
-from repro.broker.notifications import PublicationText
+from repro.broker.notifications import PublicationText, _pack, decode_text
 from repro.broker.sharding import ShardedBroker, ShardedEngine
 from repro.broker.transports import SmsTransport, TcpTransport, TransportRegistry
 from repro.core.pipeline import SemanticPipeline
-from repro.core.provenance import CANON, GENERAL, subscription_part
+from repro.core.provenance import (
+    CANON,
+    GENERAL,
+    MAPPING,
+    SYNONYM,
+    Witness,
+    derivation_part,
+    event_part,
+    subscription_part,
+)
 from repro.model.events import Event
 from repro.model.predicates import Predicate
 from repro.model.subscriptions import Subscription
+from repro.model.values import Period
 from repro.ontology.domains import build_jobs_knowledge_base
 from repro.workload.jobfinder import JobFinderScenario, JobFinderSpec
 from repro.workload.worlds import build_world
@@ -176,7 +187,7 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
 def _snapshot_text(broker) -> dict[tuple[str, int], tuple[str, str]]:
     """``{(sub_id, sequence): (subject, body)}`` as the broker's snapshot
     records spell them: the head rendered from the row's ``sub`` record,
-    its text record's event and the derivation it indexes."""
+    the event and the witness it indexes rendered from its text record."""
     texts: list[dict] = []
     heads: dict[str, str] = {}
     spelled = {}
@@ -191,19 +202,21 @@ def _snapshot_text(broker) -> dict[tuple[str, int], tuple[str, str]]:
             for sequence, (_, number, via, _) in enumerate(rows, first):
                 text = texts[number]
                 subject = f"S-ToPSS: subscription {sub_id} matched event {text['eid']}"
-                body = heads[sub_id] + text["event"] + text["via"][via]
+                event, witnesses = decode_text(text["eid"], text["pairs"], text["via"])
+                body = heads[sub_id] + event_part(event) + derivation_part(witnesses[via], event)
                 spelled[sub_id, sequence] = (subject, body)
     return spelled
 
 
 def _assert_retained_text(broker, expected) -> None:
-    """Every retained row holds its derivations packed and reads as the
-    oracle rendered it, and so does every snapshot record and every
-    message ``replay_from`` sends from the rows."""
+    """Every retained row holds its text's stored form alone, nothing
+    rendered, and reads as the oracle rendered it, and so does every
+    snapshot record and every message ``replay_from`` sends from the
+    rows."""
     sub_ids = sorted({sub_id for sub_id, _ in expected})
     notifier = broker.notifier
     texts = [text for sub_id in sub_ids for text in notifier.retained_log(sub_id).ordered_texts()]
-    assert texts and all(type(text.via) is bytes for text in texts)
+    assert texts and all(type(text.blob) is bytes and text._shown is None for text in texts)
     retained = {
         (sub_id, entry.sequence): (entry.subject, entry.body)
         for sub_id in sub_ids
@@ -217,16 +230,28 @@ def _assert_retained_text(broker, expected) -> None:
             assert _sent(outcome.record) == _on_the_wire(outcome.record, *expected[key]), key
 
 
-@given(st.lists(st.text(alphabet=st.characters(exclude_categories=()))))
-@example(["\x00", "a\x00b", "\n\nline\n", ""])
-@example(["\U0001f600", "\ud83d\ude00", "\ud800", "\udfff tail", "\uffff\U0010ffff"])
-@example([])
-@example([""])
-def test_packing_derivations_is_lossless(derivations):
-    text = PublicationText("e", "event", list(derivations)).pack()
-    assert type(text.via) is bytes
-    assert text.derivations() == derivations
-    assert text.pack().derivations() == derivations  # packing twice is a no-op
+_TEXT = st.text(alphabet=st.characters(exclude_categories=()))
+
+
+@given(value=_TEXT, general=_TEXT, rule=_TEXT, description=_TEXT)
+@example("\x00", "a\x00b", "\n\nline\n", "")
+@example("\U0001f600", "\ud83d\ude00", "\ud800", "\udfff tail")
+@example("", "\uffff\U0010ffff", "", "")
+def test_the_stored_form_renders_what_the_match_did(value, general, rule, description):
+    """Any string a value, a generalization, a rule name or a rule
+    description holds — control characters, lone surrogates — and a
+    period (through the value codec) renders from a text's stored form
+    as it does from the live event and witness."""
+    event = Event([("school", value), ("n", 4.5), ("term", Period(1994, 1997))], event_id="e")
+    witnesses = [
+        Witness(),
+        Witness([(SYNONYM, "university", 0, "school"), (GENERAL, "university", 2, general)]),
+        Witness([(MAPPING, "", 0, rule, description, (("flag", True), ("term", Period(3, 4))))]),
+    ]
+    text = PublicationText("e", _pack(event.items(), witnesses))
+    assert text.event_part() == event_part(event)
+    for index, witness in enumerate(witnesses):
+        assert text.derivation_part(index) == derivation_part(witness, event)
 
 
 @pytest.mark.parametrize("origin", ["live", "journal", "snapshot"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import tracemalloc
+import zlib
 from types import SimpleNamespace
 
 import pytest
@@ -243,11 +244,12 @@ class TestBoundedRetention:
         engine = _engine()
         client = _client(("tcp", "h:1"))
         engine.notify(client, self._sub_match("kept", 0))
-        before = (set(engine._delivery_log), set(engine._next_seq), set(engine._frontier))
+        before = (set(engine._delivery_log), engine.delivery_frontiers())
         for index in range(3):
             engine.notify(client, self._sub_match("gone", index))
+        assert engine.retained_log("gone").next_seq == 4
         engine.forget("gone")
-        assert (set(engine._delivery_log), set(engine._next_seq), set(engine._frontier)) == before
+        assert (set(engine._delivery_log), engine.delivery_frontiers()) == before
         assert engine.delivery_log("gone") == []
         # the id, subscribed again, starts a new stream
         assert engine.notify(client, self._sub_match("gone", 9)).notification.sequence == 1
@@ -452,12 +454,12 @@ class TestNarrowColumns:
 
 
 class TestPackedDerivationFootprint:
-    """Once a publication's fan-out ends its derivations are kept as one
-    zlib blob.  Pinned in traced bytes: what the retained texts' ``via``
-    fields hold, against the same derivations as the list of rendered
-    strings each text held before packing.  Derivations of one
-    publication repeat its event and each other's steps, as derivations
-    do."""
+    """A publication's text is kept as one zlib blob of its event's
+    pairs and its witnesses' steps, never as prose.  Pinned in traced
+    bytes: what the retained texts' blobs hold, against the event and
+    derivations they render to, and against that prose zlib-packed (the
+    form a text was kept in before).  Witnesses of one publication
+    repeat each other's steps, as derivations do."""
 
     SUBS, PUBLICATIONS = 8, 200
 
@@ -507,19 +509,26 @@ class TestPackedDerivationFootprint:
                 }.values()
             )
             assert len(texts) == self.PUBLICATIONS
-            assert all(len(text.derivations()) == self.SUBS for text in texts)
+            assert all(len(text.form()[1]) == self.SUBS for text in texts)
 
             before = tracemalloc.get_traced_memory()[0]
-            unpacked = [text.derivations() for text in texts]
-            unpacked_bytes = tracemalloc.get_traced_memory()[0] - before
-            del unpacked
+            prose = [
+                [text.event_part(), *map(text.derivation_part, range(self.SUBS))]
+                for text in texts
+            ]
+            prose_bytes = tracemalloc.get_traced_memory()[0] - before
+            packed_prose = sum(
+                len(zlib.compress("\xff".join(parts).encode(), 1)) for parts in prose
+            )
+            del prose
 
             held = tracemalloc.get_traced_memory()[0]
             for text in texts:
-                text.via = b""
+                text.blob = b""
             retained_bytes = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         # ~390 characters a derivation (~480 on the benchmark's workloads)
-        assert unpacked_bytes > self.PUBLICATIONS * self.SUBS * 350, unpacked_bytes
-        assert retained_bytes * 4 <= unpacked_bytes, (retained_bytes, unpacked_bytes)
+        assert prose_bytes > self.PUBLICATIONS * self.SUBS * 350, prose_bytes
+        assert retained_bytes * 4 <= prose_bytes, (retained_bytes, prose_bytes)
+        assert retained_bytes < packed_prose, (retained_bytes, packed_prose)

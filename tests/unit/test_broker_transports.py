@@ -10,6 +10,7 @@ from repro.broker.transports import (
     FAILED,
     OutboundMessage,
     SmsTransport,
+    Text,
     SmtpTransport,
     TcpTransport,
     TransportRegistry,
@@ -20,7 +21,7 @@ from repro.errors import TransportError
 
 
 def _message(transport="tcp", body="hello", address="addr:1") -> OutboundMessage:
-    return OutboundMessage(transport=transport, address=address, subject="subj", body=body)
+    return OutboundMessage(transport=transport, address=address, payload=Text("subj", body))
 
 
 class TestBaseBehaviour:

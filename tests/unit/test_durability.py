@@ -42,6 +42,7 @@ from repro.broker.durability import (
     recover,
 )
 from repro.broker.notifications import NotificationEngine, PublicationText
+from repro.core.provenance import CUSTOM, GENERAL, MAPPING, SYNONYM
 from repro.broker.sharding import ShardedBroker
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
@@ -628,12 +629,12 @@ class TestSnapshots:
     def test_compacted_pending_delivery_resent_from_snapshot(self, kb, tmp_path):
         """A pending (unacked) delivery folded into a snapshot has no
         journal record left to replay — recovery must re-send it from
-        the snapshot's stored rendered message."""
+        the snapshot's stored text."""
         with Broker(kb, durability=tmp_path) as broker:
             _populate(broker)
             # forge in-flight state: mark s-a's delivery un-acked
             assert broker.notifier.retained_log("s-a").set_status(1, "pending")
-            broker.notifier._frontier.pop("s-a")
+            broker.notifier.retained_log("s-a").frontier = 0
             broker.checkpoint()
         recovered = recover(tmp_path, kb)
         try:
@@ -679,19 +680,19 @@ class TestStreamedSnapshot:
             "snapshot", "broker", "client", "client", "client", "sub", "notifier", "text", "log",
             "end",
         ]  # fmt: skip
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         assert records[0] == {"k": "snapshot", "format": FORMAT_VERSION, "last_seq": last_seq}
         assert records[-1] == {"k": "end", "records": len(records) - 2, "last_seq": last_seq}
         # s-b unsubscribed before the checkpoint: no log record for it,
         # and no text record for the publication only it was sent
         text, log = records[-3], records[-2]
+        # the event's pairs and one witness: [SYNONYM, new name, 0, old name]
         assert text == {
             "k": "text",
             "eid": "e1",
-            "event": "e1 [(school, Toronto)]",
-            "via": ["\nderived event (university, Toronto) via:\n"
-                    "  1. [synonym] attribute 'school' rewritten to root 'university'"],
-        }  # fmt: skip
+            "pairs": [["school", "Toronto"]],
+            "via": [[[SYNONYM, "university", 0, "school"]]],
+        }
         # no client id, subscription text or n<N> string: the row's
         # client and text are the sub record's, its sequence is
         # next_seq - len(rows) + its age
@@ -835,7 +836,7 @@ class TestStreamedSnapshot:
         assert {entry.status for entry in notifier.delivery_log("s-b2")} == {"acked"}
         last = notifier.delivery_log("s-a")[-1].sequence
         assert notifier.retained_log("s-a").set_status(last, "pending")  # forge an in-flight send
-        broker.notifier._frontier["s-a"] = 1
+        broker.notifier.retained_log("s-a").frontier = 1
         return broker
 
     def test_roundtrip_record_for_record(self, kb, tmp_path):
@@ -852,7 +853,7 @@ class TestStreamedSnapshot:
             # recovery settles the pending send; do the same here
             last = broker.notifier.delivery_log("s-a")[-1].sequence
             assert broker.notifier.retained_log("s-a").set_status(last, "acked")
-            broker.notifier._frontier["s-a"] = 2
+            broker.notifier.retained_log("s-a").frontier = 2
             expected = list(broker.notifier.durable_state())
         finally:
             broker.close()
@@ -877,7 +878,7 @@ class TestStreamedSnapshot:
         the snapshot's size (the single-record format peaked at ~2.7x
         the file)."""
         per_sub = 1000
-        text = "a derivation chain that renders to a few hundred characters " * 5
+        text = ("a derivation chain that renders to a few hundred characters " * 5).strip()
 
         def measure(subs: int, directory) -> tuple[int, int, int]:
             broker = Broker(kb, durability=directory)
@@ -888,8 +889,8 @@ class TestStreamedSnapshot:
             notifier = broker.notifier
             for n in range(1, per_sub + 1):
                 notifier.restore(
-                    {"k": "text", "eid": f"e{n}", "event": f"e{n} [{text}]",
-                     "via": [" — exact syntactic match", f"\n{n} {text}"]},
+                    {"k": "text", "eid": f"e{n}", "pairs": [["t", text]],
+                     "via": [[], [[GENERAL, "t", 1, f"g{n}"]]]},
                     owners,
                 )  # fmt: skip
             for index in range(subs):
@@ -925,7 +926,9 @@ class TestStreamedSnapshot:
                 logged = sum(len(recovered.notifier.delivery_log(f"s{i}")) for i in range(subs))
                 assert logged == subs * per_sub
                 assert recovered.notifier.delivery_log("s1")[6].body == (
-                    f"subscription s1 [(a = 1)] matched event e7 [{text}]\n7 {text}"
+                    f"subscription s1 [(a = 1)] matched event e7 [(t, {text})]\n"
+                    "derived event (t, g7) via:\n"
+                    f"  1. [hierarchy] value '{text}' of 't' generalized to 'g7' (+1 level)"
                 )
             finally:
                 recovered.close()
@@ -1221,29 +1224,37 @@ class TestEngineOwnedCounters:
             recovered.close()
 
 
+_PAIRS = [["school", "Toronto"]]
+#: compact steps, as a record spells them, that no witness holds
+_BAD_STEPS = {
+    "of an unknown kind": [9, "university", 0, "school"],
+    "of the wrong arity": [SYNONYM, "university", 0],
+    "with a value that does not decode": [GENERAL, "school", 1, {"__period__": "x"}],
+    "with a value that is none": [GENERAL, "school", 1, {"x": 1}],
+    "with a name that is no string": [SYNONYM, 7, 0, "school"],
+    "on an attribute its content lacks": [GENERAL, "degree", 1, "degree"],
+    "with a custom field of the wrong type": [CUSTOM, "", 0, [["s", "d", "a", "1", "r"]], None],
+    "with content pairs of one element": [MAPPING, "", 0, "r", "", [["flag"]]],
+}
+
 #: CRC-valid journal records of kinds this broker writes, each in a form
 #: it never writes, and what the refusal names (before the form check,
 #: each made recover() escape with the untyped error its id names)
 _MALFORMED = {
     "outs row of the wrong arity (ValueError)": ({
-        "k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
-        "via": [" — exact syntactic match"], "n": 9, "rows": [["s-a", 3]],
+        "k": "outs", "eid": "e9", "pairs": _PAIRS, "via": [[]], "n": 9, "rows": [["s-a", 3]],
     }, "malformed 'rows'"),
     "outs rows not a list (TypeError)": ({
-        "k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
-        "via": [" — exact syntactic match"], "n": 9, "rows": 5,
+        "k": "outs", "eid": "e9", "pairs": _PAIRS, "via": [[]], "n": 9, "rows": 5,
     }, "malformed 'rows'"),
-    "outs without its event (KeyError)": ({
-        "k": "outs", "eid": "e9", "via": [" — exact syntactic match"], "n": 9,
-        "rows": [["s-a", 3, 0]],
+    "outs without its pairs (KeyError)": ({
+        "k": "outs", "eid": "e9", "via": [[]], "n": 9, "rows": [["s-a", 3, 0]],
     }, "holds keys"),
     "via index past its list (IndexError)": ({
-        "k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
-        "via": [" — exact syntactic match"], "n": 9, "rows": [["s-a", 3, 1]],
+        "k": "outs", "eid": "e9", "pairs": _PAIRS, "via": [[]], "n": 9, "rows": [["s-a", 3, 1]],
     }, "names a derivation past its list"),
     "string sequence (TypeError)": ({
-        "k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
-        "via": [" — exact syntactic match"], "n": 9, "rows": [["s-a", "3", 0]],
+        "k": "outs", "eid": "e9", "pairs": _PAIRS, "via": [[]], "n": 9, "rows": [["s-a", "3", 0]],
     }, "malformed 'rows'"),
     "short acks row (ValueError)": ({"k": "acks", "rows": [["s-a", 3]]}, "malformed 'rows'"),
     "sub without preds (KeyError)": (
@@ -1252,6 +1263,14 @@ _MALFORMED = {
     "pub pair of one element (ValueError)": ({
         "k": "pub", "cid": "cl-p", "eid": "e9", "pairs": [["school"]], "oi": 9,
     }, "malformed 'pairs'"),
+    # a step a read would fail on, or render from what was never written
+    **{
+        f"outs step {name}": ({
+            "k": "outs", "eid": "e9", "pairs": _PAIRS, "via": [[step]], "n": 9,
+            "rows": [["s-a", 3, 0]],
+        }, "does not decode")
+        for name, step in _BAD_STEPS.items()
+    },
 }  # fmt: skip
 
 
@@ -1280,10 +1299,12 @@ class TestOneFormat:
             ({"k": "outbox", "rows": []}, "'outbox'"),
             ({"k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
               "via": [" — exact syntactic match"],
-              "rows": [["s-a", 3, "n9", "cl-a", _HEAD, 0]]}, "'i', 'n', 'rows', 'via']"),
-            ({"k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
-              "via": [" — exact syntactic match"], "n": 9,
+              "rows": [["s-a", 3, "n9", "cl-a", _HEAD, 0]]}, "'n', 'pairs', 'rows', 'via']"),
+            ({"k": "outs", "eid": "e9", "pairs": _PAIRS, "via": [[]], "n": 9,
               "rows": [["s-a", 3, "n9", "cl-a", _HEAD, 0]]}, "malformed 'rows'"),
+            ({"k": "outs", "eid": "e9", "event": "e9 [(school, Toronto)]",
+              "via": [" — exact syntactic match"], "n": 9, "rows": [["s-a", 3, 0]]},
+             "'n', 'pairs', 'rows', 'via']"),
             ({"k": "config", "cfg": dict(_encode_config(SemanticConfig()), matching_backend="numpy")},
              "matching_backend"),
             ({"k": "config", "cfg": dict(_encode_config(SemanticConfig()), vector_width=8)},
@@ -1295,7 +1316,7 @@ class TestOneFormat:
              "generalize_attributes"),
             *_MALFORMED.values(),
         ],
-        ids=["out", "ack", "unknown kind", "format 3 outs", "format 3 outs rows",
+        ids=["out", "ack", "unknown kind", "format 3 outs", "format 3 outs rows", "format 4 outs",
              "retired config key", "unknown config key", "retired value switch",
              "retired attribute switch", *_MALFORMED],
     )  # fmt: skip
@@ -1483,6 +1504,29 @@ class TestMalformedRecords:
         (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
         with recover(tmp_path, kb) as recovered:
             assert recovered.recovery.snapshot_discarded
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            *({"via": [[step]]} for step in _BAD_STEPS.values()),
+            {"pairs": [["school"]]}, {"via": ["a rendered derivation"]},
+            {"event": "e1 [(school, Toronto)]"},
+        ],
+        ids=[*(f"step {name}" for name in _BAD_STEPS), "pair of one element",
+             "prose for a witness", "format 4 event"],
+    )  # fmt: skip
+    def test_a_damaged_text_record_discards_the_snapshot(self, kb, tmp_path, edit):
+        """A ``text`` record a read could not render — or would render
+        from what was never written — discards the whole snapshot, not
+        just its rows; recovery runs from the journal."""
+        TestOneFormat._written(kb, tmp_path)
+        records, _, _ = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
+        (at,) = [n for n, record in enumerate(records) if record["k"] == "text"]
+        records[at] = dict(records[at], **edit)
+        (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
+        with recover(tmp_path, kb) as recovered:
+            assert recovered.recovery.snapshot_discarded
+            assert not recovered.recovery.snapshot_loaded
 
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):

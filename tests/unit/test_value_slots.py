@@ -19,7 +19,7 @@ import pytest
 
 from repro.broker.clients import Client, ClientKind
 from repro.broker.notifications import DeliveryOutcome, Notification
-from repro.broker.transports import DeliveryRecord, OutboundMessage
+from repro.broker.transports import DeliveryRecord, OutboundMessage, Text
 from repro.core.provenance import GENERAL, DerivationStep, DerivedEvent, SemanticMatch, Witness
 from repro.model.events import Event
 from repro.model.predicates import Predicate, Range
@@ -45,7 +45,7 @@ def _instances() -> dict[str, object]:
     match = SemanticMatch(subscription, event, Witness([(GENERAL, "degree", 1, "degree")]), 1)
     client = Client("c1", "Initech", ClientKind.SUBSCRIBER, (("tcp", "h:1"),))
     notification = Notification("n1", client, match, "s1", 1)
-    message = OutboundMessage("tcp", "h:1", "subject", "body", "n1", message_id="m1")
+    message = OutboundMessage("tcp", "h:1", Text("subject", "body"), "n1", message_id="m1")
     record = DeliveryRecord(message, "delivered", 1.5)
     return {
         "Predicate": subscription.predicates[0],

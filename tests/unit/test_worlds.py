@@ -341,7 +341,8 @@ class TestFlashCrowd:
         broker.register_subscriber("Crowd", tcp="crowd:1", client_id="cl-s")
         broker.register_publisher("Feed", client_id="cl-p")
         notifier = broker.notifier
-        stores = (notifier._delivery_log, notifier._next_seq, notifier._frontier)
+        # the log holds the sequence counter and frontier too
+        stores = (notifier._delivery_log,)
         before_crowd = None
         crowd_keys_peak = 0
         for kind, payload in FlashCrowdDriver(world.generator(seed=9), spec).ops():
@@ -354,7 +355,7 @@ class TestFlashCrowd:
             else:
                 broker.publish("cl-p", payload)
                 crowd_keys_peak = max(
-                    crowd_keys_peak, sum(key.startswith("crowd-") for key in notifier._next_seq)
+                    crowd_keys_peak, sum(key.startswith("crowd-") for key in notifier._delivery_log)
                 )
         residents = {sub.sub_id for sub in broker.engine.subscriptions()}
         assert len(residents) == spec.residents
