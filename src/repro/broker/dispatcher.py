@@ -199,7 +199,9 @@ class EventDispatcher:
         client = self.registry.get(client_id)
         if not client.kind.can_publish:
             raise BrokerError(f"client {client_id!r} is not a publisher")
-        stamped = Event(event.items(), event_id=event.event_id, publisher_id=client_id)
+        # its pairs were checked when *event* was built: the stamped copy
+        # shares them and their signature
+        stamped = Event._derived(event._pairs, event._signature, client_id, event.event_id)
         matches, truncated = self._matches_for(stamped, client_id)
         deliveries: list[tuple[Client, SemanticMatch]] = []
         for match in matches:

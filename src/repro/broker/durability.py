@@ -171,9 +171,14 @@ class RecoveryReport:
 
 def _encode_record(payload: dict) -> bytes:
     """*payload* framed; a value JSON cannot spell (a ``Period``) goes
-    through :func:`_encode_value`."""
-    text = json.dumps(payload, separators=(",", ":"), sort_keys=True, default=_encode_value)
-    body = text.encode("utf-8")
+    through :func:`_encode_value`.  Strings are UTF-8 with surrogates
+    passed through, not ``\\u`` escapes, which ``json.loads`` would join
+    into one character when a lone high surrogate precedes a lone low
+    one."""
+    text = json.dumps(
+        payload, ensure_ascii=False, separators=(",", ":"), sort_keys=True, default=_encode_value
+    )
+    body = text.encode("utf-8", "surrogatepass")
     return b"%08x " % (zlib.crc32(body) & 0xFFFFFFFF) + body + b"\n"
 
 
@@ -191,7 +196,7 @@ def _decode_line(line: bytes) -> dict | None:
     if zlib.crc32(body) & 0xFFFFFFFF != expected:
         return None
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(body.decode("utf-8", "surrogatepass"))
     except (UnicodeDecodeError, ValueError):
         return None
     return payload if isinstance(payload, dict) else None

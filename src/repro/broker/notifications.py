@@ -24,9 +24,12 @@ The fan-out of a publication is *one unit of work*
 (:meth:`NotificationEngine.fan_out`): the event's pairs and each
 distinct witness's compact steps are stored once
 (:class:`PublicationText`, one zlib blob), and a retained delivery holds
-its numbers plus a reference to that shared text — in memory, in the
-journal and in the snapshot alike — so what the log costs follows what
-there is to say, not the number of notifications that said it.  Nothing
+its numbers plus the ordinal of that shared text — in memory; a record
+number in the journal and in the snapshot — so what the log costs
+follows what there is to say, not the number of notifications that said
+it.  The engine keeps each text a retained row names in one table,
+keyed by ordinal, with a count of the rows that name it; a text leaves
+the table when the last of them does.  Nothing
 is rendered while the publisher waits: a message's subject and body,
 and every retained row's, are rendered from the stored form when
 someone reads them — a transport that uses them (SMS), a
@@ -34,13 +37,13 @@ someone reads them — a transport that uses them (SMS), a
 each part once per fan-out however many sends read it.
 
 A subscription's retained log is a ring of at most ``history_limit``
-rows stored as columns (:class:`_DeliveryLog`): the notification number
-as its offset from the first number of its publication (the text's
-``n``) and the derivation index, each in an ``array`` as narrow as its
-values (a byte until one does not fit), the status as one byte (its
-spare bits name the registry transport that delivered the row), the
-text as one reference — 11 bytes of columns a row (12 once its offsets
-widened), plus its share of its publication's text — while its
+rows stored as columns (:class:`_DeliveryLog`), each an ``array`` as
+narrow as its values: the notification number as its offset from the
+first number of its publication (the text's ``n``), a mark — the status
+byte, whose spare bits name the registry transport that delivered the
+row, with the derivation index above it — and the text's ordinal as its
+offset from the log's ``base``: 4 to 5 bytes of columns a row, plus its
+share of its publication's text — while its
 subscription id, client id, bound subscription, delivered frontier and
 oldest sequence are kept once per log (a stream's sequences are
 contiguous, so a row's is derived, and so is the next one).  The
@@ -197,8 +200,9 @@ class PublicationText:
     per distinct witness a subscription accepted, its compact steps
     (:class:`~repro.core.provenance.Witness`), values in the journal's
     codec.  An ``outs`` or snapshot ``text`` record holds the same two
-    lists.  One object per publication, referenced by each of its
-    delivery-log rows and alive as long as any of them is retained.
+    lists.  One object per publication, named by its ``ordinal`` in each
+    of its delivery-log rows and kept in its engine's text table as long
+    as any of them is retained (``refs`` counts them).
 
     Nothing is rendered until it is read: :meth:`event_part` and
     :meth:`derivation_part` decode the blob and render what
@@ -213,6 +217,11 @@ class PublicationText:
     #: offset from; a snapshot ``text`` record has none, so a restored
     #: text takes the number of the first row restored against it
     n: int | None = field(default=None, compare=False)
+    #: its key in its engine's text table, drawn in the order texts are made
+    ordinal: int = field(default=-1, compare=False)
+    #: the retained rows that name it (and, while recovery runs, the
+    #: snapshot record it was restored from); at zero it leaves the table
+    refs: int = field(default=0, compare=False, repr=False)
     #: while its fan-out is in flight, what was decoded and rendered
     #: (``None``: the decoded content; ``-1``: the event part; ``i``:
     #: derivation ``i``); ``None`` otherwise
@@ -288,8 +297,8 @@ class DeliveryEntry:
         )
 
 
-#: a row's status, stored in the low bits of its log's status byte as
-#: the index into this tuple
+#: a row's status, stored in the low bits of its mark (its status byte)
+#: as the index into this tuple
 _STATUSES = ("pending", "acked", "dead")
 _CODE = {status: code for code, status in enumerate(_STATUSES)}
 #: the status byte's bits above the status hold its carrier: 1 + the
@@ -298,6 +307,8 @@ _CARRIER_SHIFT = 2
 _STATUS_MASK = (1 << _CARRIER_SHIFT) - 1
 #: the largest carrier a status byte holds
 _CARRIERS = 0xFF >> _CARRIER_SHIFT
+#: a mark's bits above its status byte hold the row's derivation index
+_VIA_SHIFT = 8
 #: the typecode a column widens to when a value does not fit its own
 _WIDER = {"b": "h", "h": "i", "i": "q", "B": "H", "H": "I", "I": "Q"}
 
@@ -316,6 +327,15 @@ def _put(column: array, slot: int, value: int) -> array:
         return _put(array(_WIDER[column.typecode], column), slot, value)
 
 
+def _release(texts: dict[int, PublicationText], ordinal: int) -> None:
+    """One reference to the text with *ordinal* is gone: at the last,
+    the text leaves *texts*."""
+    text = texts[ordinal]
+    text.refs -= 1
+    if not text.refs:
+        del texts[ordinal]
+
+
 class _DeliveryLog:
     """One subscription's retained delivery rows, stored as columns.
 
@@ -328,13 +348,18 @@ class _DeliveryLog:
     a row stores none: it is ``first`` (the oldest row's) plus the row's
     age, and the stream's next one is ``first`` plus the row count.  A
     row decoded from a record must fit that, or it is refused
-    (:meth:`NotificationEngine._log_row`).  Its
-    notification number is stored as the offset from its text's ``n``
-    (a byte while its publication fans out to at most 128 rows) and its
-    derivation index as itself (a byte below 256); a value past a
-    column's typecode widens that column (:func:`_put`).  With the
-    status byte and the text reference that is 11 bytes of columns a
-    row, 12 once its offsets widened.
+    (:meth:`NotificationEngine._log_row`).  Three columns hold a row:
+    its notification number as the offset from its text's ``n`` (a byte
+    while its publication fans out to at most 128 rows), its mark — the
+    status byte with its derivation index above it (a byte while that
+    index is 0, two below 256) — and its text as the text's ordinal less
+    ``base`` (a byte while the log spans at most 256 publications),
+    which ``table``, the engine's text table shared by every log,
+    resolves.  A value past a column's typecode widens that column
+    (:func:`_put`): 4 to 5 bytes of columns a row, a byte more in a log
+    whose offsets widened.  A row takes a reference to its text when it
+    is stored and lets it go when it leaves the ring or the log is
+    dropped (:meth:`release`).
 
     :meth:`NotificationEngine.retained_log` hands it to tests: its
     :meth:`set_status` is the one way a row's status changes, and
@@ -342,11 +367,18 @@ class _DeliveryLog:
 
     __slots__ = (
         "sub_id", "client_id", "subscription", "capacity", "start", "first", "frontier",
-        "offsets", "vias", "statuses", "texts",
+        "table", "base", "offsets", "marks", "ordinals",
     )  # fmt: skip
 
     def __init__(
-        self, sub_id: str, client_id: str, subscription: Subscription, capacity: int, first: int
+        self,
+        sub_id: str,
+        client_id: str,
+        subscription: Subscription,
+        capacity: int,
+        first: int,
+        table: dict[int, PublicationText],
+        base: int,
     ) -> None:
         self.sub_id = sub_id
         self.client_id = client_id
@@ -355,100 +387,127 @@ class _DeliveryLog:
         self.start = 0
         self.first = first
         self.frontier = 0
+        self.table = table
+        #: no row names a text of a lower ordinal
+        self.base = base
         #: N of each row's notification id ``n<N>``, less its text's ``n``;
-        #: both integer columns start a byte wide and widen as values need
-        #: (:func:`_put`)
+        #: the columns start a byte wide and widen as values need (:func:`_put`)
         self.offsets = array("b")
-        self.vias = array("B")
-        #: indexes into :data:`_STATUSES`, the carrier above them
-        #: (:data:`_CARRIER_SHIFT`), so naming a transport costs a row nothing
-        self.statuses = bytearray()
-        self.texts: list[PublicationText] = []
+        #: the status byte — an index into :data:`_STATUSES`, the carrier
+        #: above it (:data:`_CARRIER_SHIFT`), so naming a transport costs a
+        #: row nothing — and the derivation index above that (:data:`_VIA_SHIFT`)
+        self.marks = array("B")
+        #: each row's text ordinal less ``base``
+        self.ordinals = array("B")
 
     def push(self, number: int, via: int, text: PublicationText, status=0) -> bool:
         """Store the stream's next row; True when the log was full, so
         the oldest row left it."""
-        count = len(self.texts)
+        count = len(self.marks)
         evicts = count >= self.capacity
         slot = self.start if evicts else count
-        self.offsets = _put(self.offsets, slot, number - text.n)
-        self.vias = _put(self.vias, slot, via)
-        if evicts:
-            self.start = (slot + 1) % count
-            self.first += 1
-            self.statuses[slot] = status
-            self.texts[slot] = text
-        else:
-            self.statuses.append(status)
-            self.texts.append(text)
+        if not text.refs:  # its first row: the text joins the table
+            self.table[text.ordinal] = text
+        text.refs += 1
+        offset = number - text.n
+        mark = via << _VIA_SHIFT | status
+        ordinal = text.ordinal - self.base
+        try:
+            if evicts:
+                _release(self.table, self.base + self.ordinals[slot])
+                self.start = (slot + 1) % count
+                self.first += 1
+                self.offsets[slot] = offset
+                self.marks[slot] = mark
+                self.ordinals[slot] = ordinal
+            else:
+                self.offsets.append(offset)
+                self.marks.append(mark)
+                self.ordinals.append(ordinal)
+        except OverflowError:  # a value past its column's typecode: _put widens
+            # that column and writes the others again, appended or not
+            self.offsets = _put(self.offsets, slot, offset)
+            self.marks = _put(self.marks, slot, mark)
+            self.ordinals = _put(self.ordinals, slot, ordinal)
         return evicts
+
+    def release(self) -> None:
+        """Let go of every row's text: the log is being dropped."""
+        base, table = self.base, self.table
+        for ordinal in self.ordinals:
+            _release(table, base + ordinal)
 
     @property
     def next_seq(self) -> int:
         """The sequence the stream's next row takes."""
-        return self.first + len(self.texts)
+        return self.first + len(self.marks)
 
     def _slots(self) -> Iterator[int]:
         """Slots oldest row first."""
-        return chain(range(self.start, len(self.texts)), range(self.start))
+        return chain(range(self.start, len(self.marks)), range(self.start))
 
     def _slot(self, sequence: int) -> int | None:
         """The slot of the row with *sequence*; None when not retained."""
-        count = len(self.texts)
+        count = len(self.marks)
         offset = sequence - self.first
         if not 0 <= offset < count:
             return None
         slot = self.start + offset
         return slot - count if slot >= count else slot
 
+    def _text(self, slot: int) -> PublicationText:
+        return self.table[self.base + self.ordinals[slot]]
+
     def ordered_texts(self) -> Iterator[PublicationText]:
-        return (self.texts[slot] for slot in self._slots())
+        return map(self._text, self._slots())
 
     def rows(self) -> Iterator[tuple]:
         """``(number, text, via, status)`` per row, oldest first."""
-        offsets, texts, vias, statuses = self.offsets, self.texts, self.vias, self.statuses
+        offsets, marks, ordinals = self.offsets, self.marks, self.ordinals
+        table, base = self.table, self.base
         for slot in self._slots():
-            text = texts[slot]
-            yield text.n + offsets[slot], text, vias[slot], _STATUSES[statuses[slot] & _STATUS_MASK]
+            text, mark = table[base + ordinals[slot]], marks[slot]
+            yield text.n + offsets[slot], text, mark >> _VIA_SHIFT, _STATUSES[mark & _STATUS_MASK]
 
     def entry(self, sequence: int, transports: tuple[str, ...] = ()) -> DeliveryEntry:
         """The retained row with *sequence*, as an entry in flight;
         *transports* (the registry's names) spell its carrier."""
         slot = self._slot(sequence)
-        code = self.statuses[slot]
-        carrier = code >> _CARRIER_SHIFT
-        text = self.texts[slot]
+        mark = self.marks[slot]
+        carrier = mark >> _CARRIER_SHIFT & _CARRIERS
+        text = self._text(slot)
         return DeliveryEntry(
             sequence, f"n{text.n + self.offsets[slot]}", self.client_id, self.sub_id,
-            self.subscription, text, self.vias[slot], _STATUSES[code & _STATUS_MASK],
+            self.subscription, text, mark >> _VIA_SHIFT, _STATUSES[mark & _STATUS_MASK],
             transports[carrier - 1] if 0 < carrier <= len(transports) else "",
         )  # fmt: skip
 
     def entries(self, transports: tuple[str, ...] = ()) -> list[DeliveryEntry]:
         """The rows as (detached) :class:`DeliveryEntry` copies."""
         first = self.first
-        return [self.entry(first + age, transports) for age in range(len(self.texts))]
+        return [self.entry(first + age, transports) for age in range(len(self.marks))]
 
     def set_status(
         self, sequence: int, status: str, text: PublicationText | None = None, carrier: int = 0
     ) -> bool:
         """Write the status of the row with *sequence*, and its
         *carrier* (1 + the delivering transport's registry position, 0
-        for none) — only if it references *text*, when given, so a row
-        in flight settles its own retained copy and never a later
-        stream's row that re-used its sequence.  False when no such row
-        is retained."""
+        for none) — only if it names *text*, when given, so a row in
+        flight settles its own retained copy and never a later stream's
+        row that re-used its sequence.  False when no such row is
+        retained."""
         slot = self._slot(sequence)
-        if slot is None or text is not None and self.texts[slot] is not text:
+        if slot is None or text is not None and self.base + self.ordinals[slot] != text.ordinal:
             return False
-        self.statuses[slot] = _CODE[status] | carrier << _CARRIER_SHIFT
+        via = self.marks[slot] >> _VIA_SHIFT
+        self.marks[slot] = via << _VIA_SHIFT | _CODE[status] | carrier << _CARRIER_SHIFT
         return True
 
     def columns(self) -> tuple:
         """Every object the log holds."""
         return (
-            self.sub_id, self.client_id, self.subscription, self.offsets, self.vias, self.statuses,
-            self.texts,
+            self.sub_id, self.client_id, self.subscription, self.table, self.offsets, self.marks,
+            self.ordinals,
         )  # fmt: skip
 
 
@@ -517,9 +576,13 @@ class NotificationEngine:
         #: would restart at 1 after recovery and collide)
         self._next_notification = 1
         self._delivery_log: dict[str, _DeliveryLog] = {}
-        #: recovery only: the snapshot's ``text`` records in file order,
-        #: which its ``log`` rows reference by position
-        self._restored_texts: list[PublicationText] = []
+        #: the texts retained rows name, by ordinal (each log's ``table``)
+        self._texts: dict[int, PublicationText] = {}
+        self._next_ordinal = 0
+        #: recovery only: the ordinals of the snapshot's ``text`` records,
+        #: in file order, which its ``log`` rows name by position; each
+        #: record holds its text until :meth:`finish_replay`
+        self._snapshot_texts = range(0)
 
     # -- bounded history ---------------------------------------------------------
 
@@ -535,7 +598,9 @@ class NotificationEngine:
             subscription = owners.get(sub_id)
             if subscription is None:
                 return None
-            log = self._new_log(sub_id, subscription.subscriber_id, subscription, sequence)
+            log = self._new_log(
+                sub_id, subscription.subscriber_id, subscription, sequence, text.ordinal
+            )
         elif sequence != log.next_seq:
             raise StateFormatError(
                 f"delivery-log row {sequence} of {sub_id!r} does not continue its log: "
@@ -545,11 +610,18 @@ class NotificationEngine:
             self.stats.history_evictions += 1
         return log
 
-    def _new_log(self, sub_id, client_id, subscription, first) -> _DeliveryLog:
+    def _new_log(self, sub_id, client_id, subscription, first, base) -> _DeliveryLog:
         log = self._delivery_log[sub_id] = _DeliveryLog(
-            sub_id, intern(client_id), subscription, self.history_limit, first
+            sub_id, intern(client_id), subscription, self.history_limit, first, self._texts, base
         )
         return log
+
+    def _new_text(self, event_id: str, blob: bytes, n: int | None = None) -> PublicationText:
+        """A text with the next ordinal; its first row puts it in the
+        table."""
+        ordinal = self._next_ordinal
+        self._next_ordinal = ordinal + 1
+        return PublicationText(event_id, blob, n, ordinal)
 
     def retained_log(self, sub_id: str) -> _DeliveryLog | None:
         """The column store behind :meth:`delivery_log` — a test seam:
@@ -561,8 +633,10 @@ class NotificationEngine:
         """Drop what is kept for a subscription that unsubscribed: its
         delivery log, which holds its sequence counter and frontier too
         (an id subscribed again later starts a new stream at sequence
-        1)."""
-        self._delivery_log.pop(sub_id, None)
+        1), and its rows' references to their texts."""
+        log = self._delivery_log.pop(sub_id, None)
+        if log is not None:
+            log.release()
 
     # -- delivery --------------------------------------------------------------
 
@@ -601,7 +675,8 @@ class NotificationEngine:
             return []
         logs = self._delivery_log
         event = deliveries[0][1].event
-        text = PublicationText(event.event_id, b"", self._next_notification, _shown={})
+        text = self._new_text(event.event_id, b"", self._next_notification)
+        text._shown = {}
         via_of: dict[Witness, int] = {}
         staged: list[DeliveryEntry] = []
         for client, match in deliveries:
@@ -615,7 +690,7 @@ class NotificationEngine:
             client_id = client.client_id
             log = logs.get(sub_id)
             if log is None:
-                log = self._new_log(sub_id, client_id, subscription, 1)
+                log = self._new_log(sub_id, client_id, subscription, 1, text.ordinal)
             sequence = log.next_seq
             if log.push(number, via, text):
                 self.stats.history_evictions += 1
@@ -665,7 +740,7 @@ class NotificationEngine:
         carrier = 0
         if delivered:
             entry.transport = outcome.transport
-            carrier = self.transports.names().index(outcome.transport) + 1
+            carrier = self.transports.position(outcome.transport) + 1
             if carrier > _CARRIERS:  # past what the status byte can name
                 carrier = 0
         log = self._delivery_log.get(entry.sub_id)
@@ -799,7 +874,7 @@ class NotificationEngine:
         ``dedup_drops``."""
         if record["k"] == "outs":
             rows, first = record["rows"], record["n"]
-            text = PublicationText(record["eid"], _pack(record["pairs"], record["via"]), first)
+            text = self._new_text(record["eid"], _pack(record["pairs"], record["via"]), first)
             self._next_notification = first + len(rows)
             for number, (sub_id, sequence, via) in enumerate(rows, first):
                 self._log_row(intern(sub_id), sequence, number, owners, text, via)
@@ -816,8 +891,11 @@ class NotificationEngine:
         """End recovery: every retained row still pending once the whole
         journal tail is adopted — its ``acks`` never written — is re-sent
         from its stored text (at-least-once), in the order the rows were
-        first sent."""
-        self._restored_texts = []
+        first sent.  The snapshot's texts are let go: from here on a
+        text is kept only while a retained row names it."""
+        for ordinal in self._snapshot_texts:
+            _release(self._texts, ordinal)
+        self._snapshot_texts = range(0)
         pending = [
             (number, log, log.first + age)
             for log in self._delivery_log.values()
@@ -843,12 +921,12 @@ class NotificationEngine:
         is shared.  A row's sequence is ``next_seq - len(rows)`` plus its
         age."""
         yield {"k": "notifier", "next_notification": self._next_notification}
-        number_of: dict[int, int] = {}  # id(text) -> position among the text records
+        number_of: dict[int, int] = {}  # ordinal -> position among the text records
         for log in self._delivery_log.values():
             for text in log.ordered_texts():
-                if id(text) in number_of:
+                if text.ordinal in number_of:
                     continue
-                number_of[id(text)] = len(number_of)
+                number_of[text.ordinal] = len(number_of)
                 pairs, via = text.form()
                 yield {"k": "text", "eid": text.event_id, "pairs": pairs, "via": via}
         for sub_id, log in self._delivery_log.items():
@@ -858,7 +936,7 @@ class NotificationEngine:
                 "next_seq": log.next_seq,
                 "frontier": log.frontier,
                 "rows": [
-                    [number, number_of[id(text)], via, status]
+                    [number, number_of[text.ordinal], via, status]
                     for number, text, via, status in log.rows()
                 ],
             }
@@ -873,20 +951,25 @@ class NotificationEngine:
             self._next_notification = record["next_notification"]
             return
         if kind == "text":
-            self._restored_texts.append(
-                PublicationText(record["eid"], _pack(record["pairs"], record["via"]))
-            )
+            text = self._new_text(record["eid"], _pack(record["pairs"], record["via"]))
+            text.refs = 1  # the record's hold
+            self._texts[text.ordinal] = text
+            held = self._snapshot_texts
+            self._snapshot_texts = range(held.start if held else text.ordinal, text.ordinal + 1)
             return
         sub_id = intern(record["sid"])
         subscription = owners.get(sub_id)
         if subscription is None:
             return
-        rows = record["rows"]
+        self.forget(sub_id)  # a second log record of one stream replaces the first
+        rows, held, texts = record["rows"], self._snapshot_texts, self._texts
         first = record["next_seq"] - len(rows)
-        log = self._new_log(sub_id, subscription.subscriber_id, subscription, first)
+        ordinals = [held[text] for _, text, _, _ in rows]
+        base = min(ordinals, default=self._next_ordinal)
+        log = self._new_log(sub_id, subscription.subscriber_id, subscription, first, base)
         log.frontier = record["frontier"]
-        for number, text, via, status in rows:
-            text = self._restored_texts[text]
+        for (number, _, via, status), ordinal in zip(rows, ordinals):
+            text = texts[ordinal]
             if text.n is None:  # its first row: the others are offsets from it
                 text.n = number
             if log.push(number, via, text, _CODE[status]):

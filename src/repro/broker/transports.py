@@ -267,12 +267,15 @@ class TransportRegistry:
 
     def __init__(self, transports: Iterator[Transport] | list[Transport] = ()) -> None:
         self._transports: dict[str, Transport] = {}
+        #: name -> its position among :meth:`names`
+        self._positions: dict[str, int] = {}
         for transport in transports:
             self.add(transport)
 
     def add(self, transport: Transport) -> Transport:
         if transport.name in self._transports:
             raise TransportError(f"transport {transport.name!r} already registered")
+        self._positions[transport.name] = len(self._transports)
         self._transports[transport.name] = transport
         return transport
 
@@ -287,6 +290,10 @@ class TransportRegistry:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._transports)
+
+    def position(self, name: str) -> int:
+        """The index of *name* in :meth:`names`."""
+        return self._positions[name]
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {name: t.stats() for name, t in self._transports.items()}

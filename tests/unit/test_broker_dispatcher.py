@@ -105,6 +105,21 @@ class TestPublishing:
         report = broker.publish(candidate.client_id, "(degree, PhD)")
         assert report.event.publisher_id == candidate.client_id
 
+    def test_the_stamped_event_shares_what_was_checked(self, broker):
+        """Stamping the publisher rebuilds nothing: the copy shares the
+        event's checked pairs and signature, and compares and hashes as
+        the event does."""
+        company = broker.register_subscriber("Initech", email="hr@x")
+        broker.subscribe(company.client_id, "(degree = PhD)")
+        candidate = broker.register_publisher("Ada")
+        event = Event([("Degree", "PhD"), ("n", 4)], event_id="e-stamp")
+        stamped = broker.publish(candidate.client_id, event).event
+        assert stamped is not event and event.publisher_id is None
+        assert stamped._pairs is event._pairs and stamped._signature is event._signature
+        assert stamped.publisher_id == candidate.client_id and stamped.event_id == "e-stamp"
+        assert stamped == event and hash(stamped) == hash(event)
+        assert stamped.items() == (("degree", "PhD"), ("n", 4))
+
     def test_notifications_reach_subscriber(self, broker):
         company = broker.register_subscriber("Initech", email="hr@x")
         broker.subscribe(company.client_id, "(degree = PhD)")

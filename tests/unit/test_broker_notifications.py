@@ -6,12 +6,13 @@ import gc
 import json
 import tracemalloc
 import zlib
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from repro.broker.clients import Client, ClientKind, ClientRegistry
-from repro.broker.notifications import NotificationEngine
+from repro.broker.notifications import NotificationEngine, PublicationText
 from repro.broker.transports import (
     SmsTransport,
     SmtpTransport,
@@ -134,9 +135,10 @@ class TestReporting:
             ("n1", "s2", "smtp"), ("n2", "s1", "tcp"), ("n4", "s1", "smtp"),
         ]  # fmt: skip
         assert [e.status for e in engine.delivery_log("s2")] == ["acked", "dead"]
-        # the carrier rides in the status byte: the row stays 11 B
+        # the carrier rides in the status byte: the row stays 3 B
         log = engine.retained_log("s1")
-        assert len(log.statuses) == len(log.texts) == 2
+        assert len(log.marks) == len(log.ordinals) == 2
+        assert log.marks.typecode == "B"  # every derivation index is 0
         # a status forged without a carrier reads no transport
         log.set_status(2, "acked")
         assert [e.transport for e in engine.delivered_to("c1")] == ["smtp", "tcp", ""]
@@ -305,13 +307,15 @@ class TestBoundedRetention:
 class TestRetainedRowFootprint:
     """A retained delivery is a column entry: its notification number as
     a one-byte offset from its publication's first, a one-byte
-    derivation index, a status byte and one reference to its
-    publication's text (the subscription's ids and rendered part are the
-    log's).  Pinned in traced bytes per row, live and after a
-    ``restore()`` from JSON-decoded records, the row's share of its
-    text included; a row object with its own id string cost 172."""
+    derivation index, a status byte and its publication's text ordinal
+    as a one-byte offset from its log's oldest (the subscription's ids
+    and rendered part are the log's, the text is the engine's table's).
+    Pinned in traced bytes per row, live and after a ``restore()`` from
+    JSON-decoded records, the row's share of its text included; a row
+    object with its own id string cost 172, a row that referenced its
+    text ~20."""
 
-    SUBS, PUBLICATIONS, BOUND = 64, 100, 24
+    SUBS, PUBLICATIONS, BOUND = 64, 100, 16
 
     def _subs(self, client_id: str | None = None) -> list[Subscription]:
         return [
@@ -337,7 +341,7 @@ class TestRetainedRowFootprint:
             engine.forget(f"s{index}")
         return (held - tracemalloc.get_traced_memory()[0]) / rows
 
-    def test_live_and_restored_rows_cost_at_most_24_bytes(self):
+    def test_live_and_restored_rows_cost_at_most_16_bytes(self):
         registry = ClientRegistry()
         client = registry.register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
         tracemalloc.start()
@@ -358,6 +362,76 @@ class TestRetainedRowFootprint:
             tracemalloc.stop()
         assert live_bytes <= self.BOUND, live_bytes
         assert restored_bytes <= self.BOUND, restored_bytes
+
+
+class TestTextTable:
+    """The engine keeps a publication's text while, and only while, a
+    retained row names it: after ring eviction, after ``forget`` and
+    after recovery, its table holds exactly the texts some row names,
+    each counting the rows that name it, and a log holds no text of its
+    own."""
+
+    LIMIT = 4
+
+    @staticmethod
+    def _publish(engine, client, subs, index: int) -> None:
+        event = Event({"degree": "PhD", "n": index}, event_id=f"e{index}")
+        engine.fan_out([(client, SemanticMatch(sub, event, Witness(), 0)) for sub in subs])
+
+    @staticmethod
+    def _assert_named_texts_only(engine, sub_ids) -> None:
+        named = Counter()
+        for sub_id in sub_ids:
+            log = engine.retained_log(sub_id)
+            assert not any(isinstance(held, (list, PublicationText)) for held in log.columns())
+            named.update(text.ordinal for text in log.ordered_texts())
+        assert {ordinal: text.refs for ordinal, text in engine._texts.items()} == dict(named)
+
+    def test_an_idle_and_a_busy_subscription_keep_just_their_rows_texts(self):
+        registry = ClientRegistry()
+        client = registry.register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
+        idle, busy = (
+            Subscription([Predicate.eq("degree", "PhD")], subscriber_id="cl-a", sub_id=sub_id)
+            for sub_id in ("idle", "busy")
+        )
+        engine = _engine(history_limit=self.LIMIT)
+        self._publish(engine, client, [idle, busy], 0)
+        for index in range(1, 10 * self.LIMIT):
+            self._publish(engine, client, [busy], index)
+            self._assert_named_texts_only(engine, ("idle", "busy"))
+        # idle's one row keeps e0; busy's ring keeps its last LIMIT
+        event_ids = sorted(int(text.event_id[1:]) for text in engine._texts.values())
+        assert event_ids == [0, *range(9 * self.LIMIT, 10 * self.LIMIT)]
+
+        records = [json.loads(json.dumps(record)) for record in engine.durable_state()]
+        restored = _engine(history_limit=self.LIMIT - 1)  # a narrower window evicts as it restores
+        # a second log record of one stream replaces the first
+        for record in records + [records[-1]]:
+            restored.restore(record, {sub.sub_id: sub for sub in (idle, busy)})
+        restored.finish_replay(registry)
+        self._assert_named_texts_only(restored, ("idle", "busy"))
+        assert len(restored._texts) == self.LIMIT
+
+        engine.forget("busy")
+        self._assert_named_texts_only(engine, ("idle",))
+        assert [text.event_id for text in engine._texts.values()] == ["e0"]
+        engine.forget("idle")
+        assert engine._texts == {}
+
+    def test_forgetting_every_subscription_empties_the_table(self):
+        registry = ClientRegistry()
+        client = registry.register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
+        subs = [
+            Subscription([Predicate.eq("degree", "PhD")], subscriber_id="cl-a", sub_id=f"s{i}")
+            for i in range(5)
+        ]
+        engine = _engine(history_limit=self.LIMIT)
+        for index in range(3 * self.LIMIT):
+            self._publish(engine, client, subs[index % 3 :], index)
+        self._assert_named_texts_only(engine, [sub.sub_id for sub in subs])
+        for sub in subs:
+            engine.forget(sub.sub_id)
+        assert engine._texts == {} and engine._delivery_log == {}
 
 
 class TestNarrowColumns:
@@ -425,18 +499,36 @@ class TestNarrowColumns:
         restored = self._round_trip(engine, registry, subs)
         assert self._ids(restored, "s150") == ["n2", "n153"]
 
-    def test_a_256th_derivation_widens_the_vias(self):
+    def test_a_256th_derivation_widens_the_marks(self):
+        """A mark is the status byte with the derivation index above it:
+        a byte while the index is 0, two below 256, four past it."""
         registry, client, engine, subs = self._setup(257)
         def witness(position: int) -> Witness:
             return Witness([(GENERAL, "degree", 1, f"d{position}")])
 
         self._publish(engine, client, subs, 0, witness)
-        assert engine.retained_log("s255").vias.typecode == "B"
-        assert engine.retained_log("s256").vias.typecode == "H"
+        assert engine.retained_log("s0").marks.typecode == "B"
+        assert engine.retained_log("s255").marks.typecode == "H"
+        assert engine.retained_log("s256").marks.typecode == "I"
         (row,) = engine.delivery_log("s256")
         assert row.via == 256 and "d256" in row.body and "d255" not in row.body
+        assert row.status == "acked" and row.transport == "tcp"
         restored = self._round_trip(engine, registry, subs)
-        assert restored.retained_log("s256").vias.typecode == "H"
+        assert restored.retained_log("s256").marks.typecode == "I"
+
+    def test_a_257th_publication_widens_the_ordinals(self):
+        registry, client, engine, subs = self._setup(1)
+        for index in range(256):
+            self._publish(engine, client, subs, index)
+        log = engine.retained_log("s0")
+        assert log.ordinals.typecode == "B" and log.ordinals[-1] == 255
+        self._publish(engine, client, subs, 256)
+        log = engine.retained_log("s0")
+        assert log.ordinals.typecode == "H" and log.ordinals.tolist() == list(range(257))
+        assert self._ids(engine, "s0") == [f"n{n}" for n in range(1, 258)]
+        assert [entry.event_id for entry in engine.delivery_log("s0")][-2:] == ["e255", "e256"]
+        restored = self._round_trip(engine, registry, subs)
+        assert restored.retained_log("s0").ordinals.typecode == "H"
 
     def test_a_restored_text_takes_negative_offsets(self):
         registry, client, engine, subs = self._setup(152)

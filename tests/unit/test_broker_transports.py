@@ -156,6 +156,13 @@ class TestRegistry:
         assert registry.get("tcp").name == "tcp"
         assert "sms" in registry
 
+    def test_position_follows_the_order_of_adding(self):
+        registry = default_transports()
+        assert [registry.position(name) for name in registry.names()] == [0, 1, 2, 3]
+        registry = TransportRegistry([UdpTransport()])
+        registry.add(TcpTransport())
+        assert (registry.position("udp"), registry.position("tcp")) == (0, 1)
+
     def test_unknown_transport(self):
         with pytest.raises(TransportError):
             default_transports().get("pigeon")

@@ -472,6 +472,50 @@ class TestValueSpelling:
             assert recovered.publish("cl-p", red).match_count == 1
 
 
+class TestLoneSurrogates:
+    """A string is journaled as the code units it holds: a lone high
+    surrogate followed by a lone low one stays two code units across
+    recovery, in the ``outs`` record recovery adopts and in the ``pub``
+    record it decides again, never joined into one character."""
+
+    PAIR = chr(0xD83D) + chr(0xDE00)
+
+    def _publish(self, broker: Broker) -> None:
+        broker.register_subscriber("A", tcp="a:1", client_id="cl-a")
+        broker.register_publisher("P", client_id="cl-p")
+        broker.subscribe("cl-a", _sub("degree", "PhD", "s-a"))
+        broker.publish("cl-p", Event([("degree", "PhD"), ("note", self.PAIR)], event_id="e1"))
+
+    @staticmethod
+    def _note(broker: Broker) -> str:
+        (row,) = broker.notifier.delivery_log("s-a")
+        pairs, _ = row.text.form()
+        return dict(pairs)["note"]
+
+    def test_an_outs_record_keeps_them_apart(self, kb, tmp_path):
+        with Broker(kb, durability=tmp_path) as broker:
+            self._publish(broker)
+            assert self._note(broker) == self.PAIR
+        with recover(tmp_path, kb) as recovered:
+            assert recovered.recovery.dedup_drops == 1
+            assert self._note(recovered) == self.PAIR
+
+    def test_a_pub_record_keeps_them_apart(self, kb, tmp_path):
+        """A crash on the ``outs`` record leaves the publication to be
+        decided again from its ``pub`` record."""
+        probe = Durability(tmp_path / "probe")
+        with Broker(kb, durability=probe) as broker:
+            self._publish(broker)
+        outs_offset = probe._append_index - 2  # its pub, outs and acks were the last appends
+        durability = Durability(tmp_path / "crash", fault_plan=FaultPlan.crash_at(outs_offset))
+        with Broker(kb, durability=durability) as crashing:
+            with pytest.raises(SimulatedCrash):
+                self._publish(crashing)
+        with recover(tmp_path / "crash", kb) as recovered:
+            assert recovered.recovery.replayed_deliveries == 1
+            assert self._note(recovered) == self.PAIR
+
+
 class TestReplayedChurn:
     def test_replayed_remove_ends_the_stream_of_a_pending_row(self, kb, tmp_path):
         """A dead letter aborts a fan-out and leaves ``s-a``'s row
@@ -907,7 +951,7 @@ class TestStreamedSnapshot:
                     },
                     owners,
                 )
-            notifier._restored_texts = []
+            notifier.finish_replay(broker.registry)  # every row acked: nothing re-sent
             tracemalloc.start()
             try:
                 baseline = tracemalloc.get_traced_memory()[0]
@@ -1077,23 +1121,25 @@ class TestSharedFanOutText:
             assert first.text is second.text and first.body == second.body.replace("s-b", "s-a")
             return first.text
 
-        # a row's reference is the only thing that keeps the text: the
-        # window moving past the publication in both logs releases it
+        # the rows that name a text are the only thing that keeps it in
+        # the engine's table: the window moving past the publication in
+        # both logs releases it
         text = publish("e0")
         held = sys.getrefcount(text)
         publish("e1")
-        assert sys.getrefcount(text) == held
+        assert text.refs == 2 and sys.getrefcount(text) == held
         publish("e2")  # history_limit=2: e0's row leaves each log
-        assert sys.getrefcount(text) == held - 2
+        assert text.refs == 0 and text.ordinal not in engine._texts
+        assert sys.getrefcount(text) == held - 1  # the table's reference
 
         # and so does forgetting the subscriptions that hold the rows
         text = publish("e3")
         held = sys.getrefcount(text)
         engine.forget("s-a")
-        assert sys.getrefcount(text) == held - 1
+        assert text.refs == 1 and sys.getrefcount(text) == held
         engine.forget("s-b")
-        assert sys.getrefcount(text) == held - 2
-        assert not engine._delivery_log
+        assert text.refs == 0 and sys.getrefcount(text) == held - 1
+        assert not engine._delivery_log and not engine._texts
 
 
 class TestReplayFrom:
