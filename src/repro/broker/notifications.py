@@ -353,10 +353,12 @@ class _DeliveryLog:
     while its publication fans out to at most 128 rows), its mark — the
     status byte with its derivation index above it (a byte while that
     index is 0, two below 256) — and its text as the text's ordinal less
-    ``base`` (a byte while the log spans at most 256 publications),
-    which ``table``, the engine's text table shared by every log,
-    resolves.  A value past a column's typecode widens that column
-    (:func:`_put`): 4 to 5 bytes of columns a row, a byte more in a log
+    ``base``, which ``table``, the engine's text table shared by every
+    log, resolves.  A value past the offsets' or the marks' typecode
+    widens that column (:func:`_put`); one past the ordinals' moves
+    ``base`` instead (:meth:`_rebase_ordinals`), so that column is a
+    byte while the ring spans fewer than 128 publications, however long
+    the log lives.  4 to 5 bytes of columns a row, a byte more in a log
     whose offsets widened.  A row takes a reference to its text when it
     is stored and lets it go when it leaves the ring or the log is
     dropped (:meth:`release`).
@@ -409,27 +411,35 @@ class _DeliveryLog:
         if not text.refs:  # its first row: the text joins the table
             self.table[text.ordinal] = text
         text.refs += 1
-        offset = number - text.n
-        mark = via << _VIA_SHIFT | status
+        if evicts:
+            _release(self.table, self.base + self.ordinals[slot])
+            self.start = (slot + 1) % count
+            self.first += 1
+        self.offsets = _put(self.offsets, slot, number - text.n)
+        self.marks = _put(self.marks, slot, via << _VIA_SHIFT | status)
         ordinal = text.ordinal - self.base
-        try:
-            if evicts:
-                _release(self.table, self.base + self.ordinals[slot])
-                self.start = (slot + 1) % count
-                self.first += 1
-                self.offsets[slot] = offset
-                self.marks[slot] = mark
-                self.ordinals[slot] = ordinal
-            else:
-                self.offsets.append(offset)
-                self.marks.append(mark)
-                self.ordinals.append(ordinal)
-        except OverflowError:  # a value past its column's typecode: _put widens
-            # that column and writes the others again, appended or not
-            self.offsets = _put(self.offsets, slot, offset)
-            self.marks = _put(self.marks, slot, mark)
+        if ordinal >> 8 * self.ordinals.itemsize:  # below 0 or past the typecode
+            self._rebase_ordinals(slot, text.ordinal)
+        else:
             self.ordinals = _put(self.ordinals, slot, ordinal)
         return evicts
+
+    def _rebase_ordinals(self, slot: int, ordinal: int) -> None:
+        """Write *ordinal* at *slot* when its offset from ``base`` does
+        not fit the ordinal column: ``base`` moves to the lowest ordinal
+        the rows then name, and the column is rewritten in the narrowest
+        typecode that holds twice their span.  So a log keeps a byte a
+        row while its rows span fewer than 128 publications, however long
+        it lives; a column narrows again once a wide span has left it;
+        and the next rewrite is at least half a column's range of
+        publications away."""
+        ordinals = array("q", self.ordinals)  # offsets from the old base
+        ordinals[slot : slot + 1] = array("q", [ordinal - self.base])  # the slot's row, or one more
+        low = min(ordinals)
+        span = 2 * (max(ordinals) - low)
+        typecode = next((code for code in "BHI" if not span >> 8 * array(code).itemsize), "Q")
+        self.base += low
+        self.ordinals = array(typecode, (value - low for value in ordinals))
 
     def release(self) -> None:
         """Let go of every row's text: the log is being dropped."""

@@ -530,6 +530,35 @@ class TestNarrowColumns:
         restored = self._round_trip(engine, registry, subs)
         assert restored.retained_log("s0").ordinals.typecode == "H"
 
+    def test_a_long_lived_log_keeps_its_ordinals_a_byte_wide(self):
+        """Every publication that delivers draws an ordinal, so a log's
+        offsets from a fixed base would outgrow any column; a value that
+        does not fit moves ``base`` to the lowest its rows name instead,
+        and a column widened by a wide span narrows once it has left."""
+        registry, client, engine, subs = self._setup(2, history_limit=2)
+        quiet, busy = subs
+        self._publish(engine, client, [quiet], 0)
+        for index in range(1, 300):
+            self._publish(engine, client, [busy], index)
+        self._publish(engine, client, [quiet], 300)
+        assert engine.retained_log("s0").ordinals.typecode == "H"
+        assert engine.retained_log("s0").ordinals.tolist() == [0, 300]
+        event = Event({"degree": "PhD"}, event_id="e")
+        batch = [(client, SemanticMatch(sub, event, Witness(), 0)) for sub in subs]
+        for count in range(1, 1 << 16 | 1):
+            engine.fan_out(batch)
+            if not count % 4096:
+                assert engine.retained_log("s1").ordinals.typecode == "B", count
+        last = engine._next_ordinal - 1
+        assert last > 1 << 16
+        for sub in subs:
+            log = engine.retained_log(sub.sub_id)
+            assert log.ordinals.typecode == "B"
+            assert sorted(log.base + offset for offset in log.ordinals) == [last - 1, last]
+        assert sorted(engine._texts) == [last - 1, last]
+        restored = self._round_trip(engine, registry, subs)
+        assert restored.retained_log("s0").ordinals.typecode == "B"
+
     def test_a_restored_text_takes_negative_offsets(self):
         registry, client, engine, subs = self._setup(152)
         first, last, middle = subs[0], subs[1], subs[2:]
