@@ -32,19 +32,21 @@ Four design rules keep recovery boring:
    publication (every delivery's subscription and per-subscription
    sequence, and once what the deliveries share: the event's pairs and
    each distinct witness's compact steps, rendered only when read)
-   before the first send and one ``acks`` record after the last.  A
-   row repeats nothing a ``sub`` record holds: recovery takes its
-   client and subscription text from the subscription live at that
-   point of the stream.
-   Recovery reads the journal tail once, in order: the ``outs`` rows
-   join their delivery logs, the ``acks`` rows settle theirs
-   (``dedup_drops``), and what is still pending at the end is re-sent
-   (``replayed_deliveries``).  A journaled publish is not matched
-   again — its ``outs`` say what it delivered, and one without
-   ``outs`` delivered nothing — except the tail's last record group, a
-   publish without ``outs``: the crash may have cut it before its
-   ``outs``, so it is decided again, against the knowledge base the
-   caller passes (knowledge-base writes are not journaled).
+   before the first send and one ``close`` record after the last,
+   which lists only the rows that did not ack; the snapshot writes the
+   retained rows in the same records.  A row repeats nothing a ``sub``
+   record holds: recovery takes its client and subscription text from
+   the subscription live at that point of the stream.  Recovery reads
+   the snapshot, then the journal tail, once, in order: the ``outs``
+   rows join their delivery logs, settled by their ``close`` (and any
+   ``acks``; the tail's count in ``dedup_drops``), and what is still
+   pending at the end is re-sent (``replayed_deliveries``).  A
+   journaled publish is not matched again — its ``outs`` say what it
+   delivered, and one without ``outs`` delivered nothing — except the
+   tail's last record group, a publish without ``outs``: the crash may
+   have cut it before its ``outs``, so it is decided again, against the
+   knowledge base the caller passes (knowledge-base writes are not
+   journaled).
 4. **One format.**  Recovery reads only what this module writes, each
    record checked against its kind's form (:data:`_FORMS`: keys, field
    types, row arity, references) in the pass that already reads the
@@ -76,7 +78,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator
 
 from repro.broker.clients import Client, ClientKind
-from repro.broker.notifications import _STATUSES, decode_text
+from repro.broker.notifications import decode_text
 from repro.broker.supervision import FaultPlan
 from repro.core.config import SemanticConfig
 from repro.errors import DurabilityError, ReproError, SimulatedCrash, StateFormatError
@@ -105,11 +107,10 @@ __all__ = [
 JOURNAL_NAME = "journal.log"
 SNAPSHOT_NAME = "snapshot.json"
 #: snapshot layout, a record stream (head, content records, counting
-#: trailer) whose delivery-log rows reference per-publication ``text``
-#: records (the event's pairs and its witnesses' compact steps) and take
-#: client and subscription from their ``sub`` record; a file of any
-#: other format is discarded
-FORMAT_VERSION = 5
+#: trailer) whose retained deliveries are the journal's ``outs`` and
+#: ``close`` records, their rows taking client and subscription from
+#: their ``sub`` record; a file of any other format is discarded
+FORMAT_VERSION = 6
 _CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(SemanticConfig))
 
 _log = logging.getLogger(__name__)
@@ -292,19 +293,14 @@ def _decode_event(data: dict) -> Event:
     )
 
 
-def _decode_text(data: dict) -> tuple:
-    """An ``outs`` or ``text`` record's publication and witnesses."""
-    return decode_text(data["eid"], data["pairs"], data["via"])
-
-
 # ---------------------------------------------------------------------------
 # record forms: each kind's fields, checked before anything is applied
 # ---------------------------------------------------------------------------
 
 #: a check takes a column — the values one field, or one position of a
 #: field's rows, holds across what is checked — and says whether every
-#: value fits; builtins do the per-value work, so a snapshot's thousands
-#: of ``log`` rows cost a few passes at C speed
+#: value fits; builtins do the per-value work, so a fan-out's hundreds
+#: of ``outs`` rows cost a few passes at C speed
 _Check = Callable[[Iterable], bool]
 
 
@@ -326,15 +322,21 @@ def _each(check: _Check) -> _Check:
     return lambda values: all(type(value) is list and check(value) for value in values)
 
 
-def _rows(*columns: _Check) -> _Check:
+def _rows(*columns: _Check, gaps: bool = False) -> _Check:
     """Every value a list of rows of ``len(columns)`` items, the items at
-    each position passing that position's check."""
+    each position passing that position's check; with *gaps*, a row may
+    be ``None`` instead."""
     width = len(columns)
-    return _each(
-        lambda rows: set(map(type, rows)) <= {list}
-        and set(map(len, rows)) <= {width}
-        and all(check(column) for check, column in zip(columns, zip(*rows)))
-    )
+
+    def fit(rows: list) -> bool:
+        rows = [row for row in rows if row is not None] if gaps else rows
+        return (
+            set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {width}
+            and all(check(column) for check, column in zip(columns, zip(*rows)))
+        )
+
+    return _each(fit)
 
 
 def _configs(values: Iterable) -> bool:
@@ -354,14 +356,8 @@ _FORMS: dict[str, dict[str, _Check]] = {
     },
     "client": {"id": _STR, "name": _STR, "kind": _STR, "addr": _rows(_STR, _STR)},
     "sub": {"sid": _STR, "cid": _STR, "mg": _of(int, type(None)), "preds": _of(list)},
+    "frontier": {"sid": _STR, "seq": _COUNT},
     "notifier": {"next_notification": _COUNT},
-    "text": {"eid": _STR, "pairs": _PAIRS, "via": _each(_of(list))},
-    "log": {
-        "sid": _STR,
-        "next_seq": _COUNT,
-        "frontier": _NATURAL,
-        "rows": _rows(_COUNT, _NATURAL, _NATURAL, _STR),
-    },
     "remove": {"id": _STR},
     "unsub": {"sid": _STR},
     "config": {"cfg": _configs},
@@ -371,40 +367,43 @@ _FORMS: dict[str, dict[str, _Check]] = {
         "pairs": _PAIRS,
         "via": _each(_of(list)),
         "n": _COUNT,
-        "rows": _rows(_STR, _COUNT, _NATURAL),
+        "rows": _rows(_STR, _COUNT, _NATURAL, gaps=True),
     },
+    # the rows of the outs before it that did not ack: [position, status]
+    "close": {"rows": _rows(_NATURAL, _STR)},
     "acks": {"rows": _rows(_STR, _COUNT, _of(bool))},
 }
 #: the forms a snapshot's content and the journal hold, exactly: a journal
 #: record also carries its sequence ``i`` and, for a broker operation, its
 #: operation index ``oi``
 _SNAPSHOT_FORMS = {
-    kind: _FORMS[kind] for kind in ("broker", "client", "sub", "notifier", "text", "log")
+    kind: _FORMS[kind]
+    for kind in ("broker", "client", "sub", "outs", "close", "frontier", "notifier")
 }
+_DELIVERY_KINDS = ("outs", "close", "acks")
+#: the statuses a ``close`` record names a row with
+_UNACKED = ("pending", "dead")
 _JOURNAL_FORMS = {
-    kind: {**_FORMS[kind], "i": _COUNT, **({} if kind in ("outs", "acks") else {"oi": _NATURAL})}
-    for kind in ("client", "remove", "sub", "unsub", "config", "pub", "outs", "acks")
+    kind: {**_FORMS[kind], "i": _COUNT, **({} if kind in _DELIVERY_KINDS else {"oi": _NATURAL})}
+    for kind in ("client", "remove", "sub", "unsub", "config", "pub", *_DELIVERY_KINDS)
 }
 #: the records whose content is only known good once decoded
 _DECODERS: dict[str, Callable[[dict], object]] = {
     "client": lambda record: ClientKind(record["kind"]),
     "sub": _decode_subscription,
     "pub": _decode_event,
-    "outs": _decode_text,
-    "text": _decode_text,
+    "outs": lambda record: decode_text(record["eid"], record["pairs"], record["via"]),
     "broker": lambda record: record["config"] is None or SemanticConfig(**record["config"]),
     "config": lambda record: SemanticConfig(**record["cfg"]),
 }
 
 
-def _malformed(record: dict, forms: dict, vias: list[int]) -> str:
+def _malformed(record: dict, forms: dict, previous: dict | None) -> str:
     """Why *record* is not one this broker writes where *forms* are
     written — its kind, its keys, a field's type, a row's arity, a
     reference past what it refers to, or content that does not decode —
-    or ``""`` when it is.  *vias* is the snapshot walk's state: the
-    witness count of each ``text`` record so far, which later ``log``
-    rows reference by position (the journal walk passes its own,
-    unused)."""
+    or ``""`` when it is.  *previous* is the record before it, the
+    ``outs`` whose rows a ``close`` names by position."""
     kind = record.get("k")
     if type(kind) is not str or kind not in forms:
         return f"is of kind {kind!r}"
@@ -418,19 +417,12 @@ def _malformed(record: dict, forms: dict, vias: list[int]) -> str:
         if not check((record[name],)):
             return f"has a malformed {name!r}"
     rows = record.get("rows")
-    if kind == "outs" and rows and max(row[2] for row in rows) >= len(record["via"]):
+    if kind == "outs" and max((row[2] for row in rows if row), default=-1) >= len(record["via"]):
         return "names a derivation past its list"
-    if kind == "text":
-        vias.append(len(record["via"]))
-    elif kind == "log" and rows:
-        _, texts, derivations, statuses = zip(*rows)
-        if (
-            len(rows) >= record["next_seq"]
-            or max(texts) >= len(vias)
-            or not all(map(int.__lt__, derivations, map(vias.__getitem__, texts)))
-            or not set(statuses) <= set(_STATUSES)
-        ):
-            return "has a row past its sequences, texts, derivations or statuses"
+    if kind == "close":
+        outs = previous["rows"] if previous is not None and previous.get("k") == "outs" else []
+        if not all(at < len(outs) and outs[at] and status in _UNACKED for at, status in rows):
+            return "names a row its outs does not hold, or a status other than pending or dead"
     decode = _DECODERS.get(kind)
     if decode is not None:
         try:
@@ -438,6 +430,30 @@ def _malformed(record: dict, forms: dict, vias: list[int]) -> str:
         except (ReproError, LookupError, TypeError, ValueError) as exc:
             return f"does not decode ({type(exc).__name__}: {exc})"
     return ""
+
+
+def _breaks_stream(record: dict, streams: dict[str, int]) -> bool:
+    """Whether a well-formed snapshot record does not fit the delivery
+    streams before it — an ``outs`` row that does not continue its
+    stream, or a ``frontier`` past its stream's rows — where *streams*
+    maps each stream to its next sequence, and takes *record*'s rows."""
+    if record["k"] == "frontier":
+        return record["seq"] >= streams.get(record["sid"], 0)
+    for sub_id, sequence, _ in filter(None, record["rows"] if record["k"] == "outs" else ()):
+        if streams.setdefault(sub_id, sequence) != sequence:
+            return True
+        streams[sub_id] = sequence + 1
+    return False
+
+
+def _with_close(records: Iterable[dict]) -> Iterator[tuple[dict, dict | None]]:
+    """*records* in order, each with the ``close`` after it or ``None``:
+    an ``outs`` comes with its ``close``, which is not yielded again."""
+    closed = None
+    for record, after in itertools.pairwise(itertools.chain(records, [{"k": None}])):
+        if record is not closed:
+            closed = after if after["k"] == "close" else None
+            yield record, closed
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +632,9 @@ class Durability:
         ``(None, 0, True)`` (never refuse to start).  One pass checks
         the framing and CRC of every line, the head's format, that every
         record between head and trailer is a content record this broker
-        writes, in its form (:func:`_malformed`), and that the trailer
-        counts exactly those; only a file
+        writes, in its form (:func:`_malformed`) and continuing the
+        delivery streams before it (:func:`_breaks_stream`), and that
+        the trailer counts exactly those; only a file
         that passes is handed on, as a second line-at-a-time iterator
         over its content records."""
         try:
@@ -628,13 +645,15 @@ class Durability:
             reader = _RecordReader(handle)
             head = last = None
             count = content = 0
-            vias: list[int] = []
+            streams: dict[str, int] = {}
             for record in reader:
                 if head is None:
                     head = record
+                content += not (
+                    _malformed(record, _SNAPSHOT_FORMS, last) or _breaks_stream(record, streams)
+                )
                 last = record
                 count += 1
-                content += not _malformed(record, _SNAPSHOT_FORMS, vias)
         if (
             reader.torn
             or count < 2
@@ -681,8 +700,9 @@ class Durability:
         else:
             with handle:
                 reader = _RecordReader(handle)
+                previous = None
                 for record in reader:
-                    malformed = _malformed(record, _JOURNAL_FORMS, [])
+                    malformed = _malformed(record, _JOURNAL_FORMS, previous)
                     if malformed:
                         where = f"journal record i={record.get('i')}"
                         _log.warning("%s: %s refused: %s", self.journal_path, where, malformed)
@@ -690,6 +710,7 @@ class Durability:
                             f"{where} {malformed}, which this broker does not write"
                         )
                     seq = max(seq, record.get("i", 0))
+                    previous = record
             if reader.torn:
                 with open(self.journal_path, "r+b") as handle:
                     dropped = handle.seek(0, os.SEEK_END) - reader.clean_length
@@ -778,18 +799,20 @@ def recover(
     """Rebuild a broker from the durable state in *directory*.
 
     The snapshot restores the compacted baseline (clients,
-    subscriptions, configuration, delivery sequences); the journal tail
-    is then read once, in order, as record groups — an operation record
-    and the ``outs`` / ``acks`` records appended before the next one.
-    Churn replays *through the normal broker paths* (``subscribe`` /
+    subscriptions, configuration, and the retained deliveries as
+    ``outs`` / ``close`` records); the journal tail is then read once,
+    in order, as record groups — an operation record and the ``outs`` /
+    ``close`` / ``acks`` records appended before the next one.  Churn
+    replays *through the normal broker paths* (``subscribe`` /
     ``unsubscribe``, so a sharded engine re-routes and re-indexes
-    exactly as live traffic would); each ``outs`` / ``acks`` record goes
-    to :meth:`~repro.broker.notifications.NotificationEngine.adopt`:
-    journaled rows join their logs, acked ones settle
-    (``dedup_drops``).  A publish is decided again through ``publish``
-    only when it is the last group and has no ``outs`` — the one
-    publication a crash can have cut.  What is still pending at the end
-    is re-sent (``replayed_deliveries``).  Journaled records that failed
+    exactly as live traffic would); each delivery record, the
+    snapshot's and the tail's alike, goes to
+    :meth:`~repro.broker.notifications.NotificationEngine.adopt`, an
+    ``outs`` with its ``close``: rows join their logs, closed and acked
+    ones settled (the tail's in ``dedup_drops``).  A publish is decided
+    again through ``publish`` only when it is the last group and has no
+    ``outs`` — the one publication a crash can have cut.  What is still
+    pending at the end is re-sent (``replayed_deliveries``).  Journaled records that failed
     to apply live (e.g. a rejected subscribe) fail identically on
     replay and are skipped, which also covers a partially-applied final
     record; a journal failure during recovery (a crash among them)
@@ -822,10 +845,11 @@ def recover(
     try:
         # 1. the compacted baseline, one validated record at a time (the
         #    stream's order — configuration, clients, subscriptions,
-        #    delivery logs — is the order they must be applied in); a
-        #    delivery log's client and text are its subscription's
+        #    delivery records — is the order they must be applied in); a
+        #    delivery row's client and text are its subscription's, and
+        #    what the snapshot's records settle is not the tail's count
         owners: dict[str, Subscription] = {}
-        for record in snapshot or ():
+        for record, close in _with_close(snapshot or ()):
             kind = record["k"]
             if kind == "broker":
                 if record["config"] is not None:
@@ -836,22 +860,22 @@ def recover(
             elif kind == "sub":
                 bound = broker.dispatcher.subscribe(record["cid"], _decode_subscription(record))
                 owners[bound.sub_id] = bound
-            else:  # notifier / text / log
-                broker.notifier.restore(record, owners)
+            else:  # outs (with its close) / frontier / notifier
+                broker.notifier.adopt(record, owners, close)
 
         # 2. the journal tail, once, in order: each operation through the
-        #    normal paths, each outs / acks record into the delivery logs
-        #    with the subscriptions live at that point.  A publication is
-        #    not decided again: its outs say what it delivered, and one
-        #    without outs delivered nothing — unless it is the tail's last
-        #    record group, where the crash may have cut it
+        #    normal paths, each outs (with its close) / acks record into
+        #    the delivery logs with the subscriptions live at that point.
+        #    A publication is not decided again: its outs say what it
+        #    delivered, and one without outs delivered nothing — unless it
+        #    is the tail's last record group, where the crash may have cut it
         cut = None
-        for record in durability.journal_tail(floor, end):
+        for record, close in _with_close(durability.journal_tail(floor, end)):
             kind = record["k"]
             if kind == "outs" or kind == "acks":
                 if kind == "outs":
                     cut = None
-                broker.notifier.adopt(record, owners, durability.stats)
+                durability.stats.dedup_drops += broker.notifier.adopt(record, owners, close)
                 continue
             cut = record if kind == "pub" else None
             report.records_replayed += 1

@@ -13,10 +13,11 @@ Delivery is *at-least-once with per-subscription sequences*: every
 notification carries a monotonic ``sequence`` scoped to its
 subscription, the engine keeps a bounded per-subscription delivery log,
 and — when the broker is durable — the deliveries of a publication are
-journaled as one ``outs`` record before the first send and one ``acks``
-record after the last, so crash recovery knows what was decided and
-what went out without deciding it again: it adopts the journaled rows,
-settles the acked ones and re-sends the rest.  ``replay_from``
+journaled as one ``outs`` record before the first send and one
+``close`` record after the last, which names only the rows that did
+not ack, so crash recovery knows what was decided and what went out
+without deciding it again: it adopts the journaled rows, settles the
+closed ones and re-sends the rest.  ``replay_from``
 re-delivers the retained log from a sequence number for reconnecting
 subscribers, who dedup by ``(sub_id, sequence)``.
 
@@ -24,8 +25,8 @@ The fan-out of a publication is *one unit of work*
 (:meth:`NotificationEngine.fan_out`): the event's pairs and each
 distinct witness's compact steps are stored once
 (:class:`PublicationText`, one zlib blob), and a retained delivery holds
-its numbers plus the ordinal of that shared text — in memory; a record
-number in the journal and in the snapshot — so what the log costs
+its numbers plus the ordinal of that shared text (its publication's
+``outs`` record, on disk) — so what the log costs
 follows what there is to say, not the number of notifications that said
 it.  The engine keeps each text a retained row names in one table,
 keyed by ordinal, with a count of the rows that name it; a text leaves
@@ -52,9 +53,10 @@ each thing once too: a row carries no client id or subscription text —
 recovery takes both from the subscription live at that point of the
 stream, drops a row of none, and refuses one that does not continue its
 log with :class:`~repro.errors.StateFormatError`.
-Recovery keeps nothing of its own: a journaled row joins its log as it
-is read (:meth:`NotificationEngine.adopt`), and what is still pending
-once the whole tail is read is re-sent from there.
+Recovery keeps nothing of its own: a row, the journal's or the
+snapshot's (written in the journal's records), joins its log as it is
+read (:meth:`NotificationEngine.adopt`), and what is still pending once
+the whole tail is read is re-sent from there.
 :class:`DeliveryEntry` remains the row type callers see:
 :meth:`NotificationEngine.delivery_log` and ``replay_from`` hand out
 copies, and the rows in flight (one fan-out's staged rows, the rows
@@ -78,9 +80,8 @@ from __future__ import annotations
 import json
 import zlib
 from array import array
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import chain
 from sys import intern
 from typing import Iterator, Sequence
 
@@ -199,10 +200,10 @@ class PublicationText:
     one zlib blob of the JSON ``[pairs, via]`` — the event's pairs and,
     per distinct witness a subscription accepted, its compact steps
     (:class:`~repro.core.provenance.Witness`), values in the journal's
-    codec.  An ``outs`` or snapshot ``text`` record holds the same two
-    lists.  One object per publication, named by its ``ordinal`` in each
-    of its delivery-log rows and kept in its engine's text table as long
-    as any of them is retained (``refs`` counts them).
+    codec.  An ``outs`` record holds the same two lists.  One object
+    per publication, named by its ``ordinal`` in each of its
+    delivery-log rows and kept in its engine's text table as long as any
+    of them is retained (``refs`` counts them).
 
     Nothing is rendered until it is read: :meth:`event_part` and
     :meth:`derivation_part` decode the blob and render what
@@ -213,14 +214,12 @@ class PublicationText:
 
     event_id: str
     blob: bytes
-    #: the number of its first notification, which a retained row's is an
-    #: offset from; a snapshot ``text`` record has none, so a restored
-    #: text takes the number of the first row restored against it
-    n: int | None = field(default=None, compare=False)
+    #: the number of its first notification (of its first retained one,
+    #: adopted from a snapshot), which a retained row's is an offset from
+    n: int = field(compare=False)
     #: its key in its engine's text table, drawn in the order texts are made
     ordinal: int = field(default=-1, compare=False)
-    #: the retained rows that name it (and, while recovery runs, the
-    #: snapshot record it was restored from); at zero it leaves the table
+    #: the retained rows that name it; at zero it leaves the table
     refs: int = field(default=0, compare=False, repr=False)
     #: while its fan-out is in flight, what was decoded and rendered
     #: (``None``: the decoded content; ``-1``: the event part; ``i``:
@@ -310,7 +309,7 @@ _CARRIERS = 0xFF >> _CARRIER_SHIFT
 #: a mark's bits above its status byte hold the row's derivation index
 _VIA_SHIFT = 8
 #: the typecode a column widens to when a value does not fit its own
-_WIDER = {"b": "h", "h": "i", "i": "q", "B": "H", "H": "I", "I": "Q"}
+_WIDER = {"B": "H", "H": "I", "I": "Q"}
 
 
 def _put(column: array, slot: int, value: int) -> array:
@@ -350,7 +349,7 @@ class _DeliveryLog:
     row decoded from a record must fit that, or it is refused
     (:meth:`NotificationEngine._log_row`).  Three columns hold a row:
     its notification number as the offset from its text's ``n`` (a byte
-    while its publication fans out to at most 128 rows), its mark — the
+    while its publication fans out to at most 256 rows), its mark — the
     status byte with its derivation index above it (a byte while that
     index is 0, two below 256) — and its text as the text's ordinal less
     ``base``, which ``table``, the engine's text table shared by every
@@ -394,7 +393,7 @@ class _DeliveryLog:
         self.base = base
         #: N of each row's notification id ``n<N>``, less its text's ``n``;
         #: the columns start a byte wide and widen as values need (:func:`_put`)
-        self.offsets = array("b")
+        self.offsets = array("B")
         #: the status byte — an index into :data:`_STATUSES`, the carrier
         #: above it (:data:`_CARRIER_SHIFT`), so naming a transport costs a
         #: row nothing — and the derivation index above that (:data:`_VIA_SHIFT`)
@@ -402,9 +401,9 @@ class _DeliveryLog:
         #: each row's text ordinal less ``base``
         self.ordinals = array("B")
 
-    def push(self, number: int, via: int, text: PublicationText, status=0) -> bool:
-        """Store the stream's next row; True when the log was full, so
-        the oldest row left it."""
+    def push(self, number: int, via: int, text: PublicationText, status: int = 0) -> bool:
+        """Store the stream's next row, its status byte *status*; True
+        when the log was full, so the oldest row left it."""
         count = len(self.marks)
         evicts = count >= self.capacity
         slot = self.start if evicts else count
@@ -452,10 +451,6 @@ class _DeliveryLog:
         """The sequence the stream's next row takes."""
         return self.first + len(self.marks)
 
-    def _slots(self) -> Iterator[int]:
-        """Slots oldest row first."""
-        return chain(range(self.start, len(self.marks)), range(self.start))
-
     def _slot(self, sequence: int) -> int | None:
         """The slot of the row with *sequence*; None when not retained."""
         count = len(self.marks)
@@ -465,19 +460,17 @@ class _DeliveryLog:
         slot = self.start + offset
         return slot - count if slot >= count else slot
 
-    def _text(self, slot: int) -> PublicationText:
-        return self.table[self.base + self.ordinals[slot]]
-
-    def ordered_texts(self) -> Iterator[PublicationText]:
-        return map(self._text, self._slots())
-
-    def rows(self) -> Iterator[tuple]:
-        """``(number, text, via, status)`` per row, oldest first."""
-        offsets, marks, ordinals = self.offsets, self.marks, self.ordinals
-        table, base = self.table, self.base
-        for slot in self._slots():
-            text, mark = table[base + ordinals[slot]], marks[slot]
-            yield text.n + offsets[slot], text, mark >> _VIA_SHIFT, _STATUSES[mark & _STATUS_MASK]
+    def row(self, sequence: int) -> tuple | None:
+        """``(number, text ordinal, sub_id, sequence, via, status)`` of
+        the row with *sequence*; None when not retained."""
+        slot = self._slot(sequence)
+        if slot is None:
+            return None
+        ordinal, mark = self.base + self.ordinals[slot], self.marks[slot]
+        return (
+            self.table[ordinal].n + self.offsets[slot], ordinal, self.sub_id, sequence,
+            mark >> _VIA_SHIFT, _STATUSES[mark & _STATUS_MASK],
+        )  # fmt: skip
 
     def entry(self, sequence: int, transports: tuple[str, ...] = ()) -> DeliveryEntry:
         """The retained row with *sequence*, as an entry in flight;
@@ -485,7 +478,7 @@ class _DeliveryLog:
         slot = self._slot(sequence)
         mark = self.marks[slot]
         carrier = mark >> _CARRIER_SHIFT & _CARRIERS
-        text = self._text(slot)
+        text = self.table[self.base + self.ordinals[slot]]
         return DeliveryEntry(
             sequence, f"n{text.n + self.offsets[slot]}", self.client_id, self.sub_id,
             self.subscription, text, mark >> _VIA_SHIFT, _STATUSES[mark & _STATUS_MASK],
@@ -559,7 +552,7 @@ class NotificationEngine:
     durability: the broker's :class:`~repro.broker.durability
         .Durability` store, when deliveries should be journaled (one
         ``outs`` record per publication before its first send, one
-        ``acks`` record after its last).
+        ``close`` record after its last).
     """
 
     def __init__(
@@ -589,25 +582,21 @@ class NotificationEngine:
         #: the texts retained rows name, by ordinal (each log's ``table``)
         self._texts: dict[int, PublicationText] = {}
         self._next_ordinal = 0
-        #: recovery only: the ordinals of the snapshot's ``text`` records,
-        #: in file order, which its ``log`` rows name by position; each
-        #: record holds its text until :meth:`finish_replay`
-        self._snapshot_texts = range(0)
 
     # -- bounded history ---------------------------------------------------------
 
-    def _log_row(self, sub_id, sequence, number, owners, text, via, status=0):
+    def _log_row(self, sub_id, sequence, via, number, owners, text, status) -> bool:
         """Retain a row decoded from a record (the live path is
-        :meth:`_stage`); returns its log, or ``None`` when *owners*
-        (sub_id -> the subscription, bound to its client) has none for
-        a new log: its stream went with a discarded snapshot.  A row
-        that is not the next of its log raises
+        :meth:`_stage`) with *status* — unless *owners* (sub_id -> the
+        subscription, bound to its client) has none for a new log: its
+        stream went with a discarded snapshot.  True when it settled a
+        row.  A row that is not the next of its log raises
         :class:`~repro.errors.StateFormatError`."""
         log = self._delivery_log.get(sub_id)
         if log is None:
             subscription = owners.get(sub_id)
             if subscription is None:
-                return None
+                return False
             log = self._new_log(
                 sub_id, subscription.subscriber_id, subscription, sequence, text.ordinal
             )
@@ -616,17 +605,20 @@ class NotificationEngine:
                 f"delivery-log row {sequence} of {sub_id!r} does not continue its log: "
                 "its sequences are not contiguous"
             )
-        if log.push(number, via, text, status):
+        if log.push(number, via, text, _CODE[status]):
             self.stats.history_evictions += 1
-        return log
+        if status == "acked" and sequence > log.frontier:
+            log.frontier = sequence
+        return status != "pending"
 
     def _new_log(self, sub_id, client_id, subscription, first, base) -> _DeliveryLog:
+        sub_id = intern(sub_id)
         log = self._delivery_log[sub_id] = _DeliveryLog(
             sub_id, intern(client_id), subscription, self.history_limit, first, self._texts, base
         )
         return log
 
-    def _new_text(self, event_id: str, blob: bytes, n: int | None = None) -> PublicationText:
+    def _new_text(self, event_id: str, blob: bytes, n: int) -> PublicationText:
         """A text with the next ordinal; its first row puts it in the
         table."""
         ordinal = self._next_ordinal
@@ -656,7 +648,7 @@ class NotificationEngine:
         """Deliver one publication's matches, each to its subscriber, as
         one unit of work: :meth:`_stage` draws the sequences, stores what
         the notifications share and journals the one ``outs`` record;
-        every row is then sent through :meth:`notify`; one ``acks``
+        every row is then sent through :meth:`notify`; one ``close``
         record closes the publication — also when a send aborts the
         fan-out (``raise_on_dead_letter``), so what was settled stays
         settled across a restart."""
@@ -666,7 +658,7 @@ class NotificationEngine:
             for (client, match), entry in zip(deliveries, staged):
                 outcomes.append(self.notify(client, match, entry))
         finally:
-            self._journal_acks(staged)
+            self._journal_close(staged)
             if staged:  # the publication is settled: what its sends rendered goes
                 staged[0].text._shown = None
         return outcomes
@@ -759,18 +751,13 @@ class NotificationEngine:
             if delivered:
                 log.frontier = max(log.frontier, entry.sequence)
 
-    def _journal_acks(self, entries: list[DeliveryEntry]) -> None:
-        """One ``acks`` record for those of *entries* that reached a
-        terminal state (``ok=False`` is a dead letter)."""
-        if self.durability is None:
-            return
-        rows = [
-            [entry.sub_id, entry.sequence, entry.status == "acked"]
-            for entry in entries
-            if entry.status != "pending"
-        ]
-        if rows:
-            self.durability.append({"k": "acks", "rows": rows})
+    def _journal_close(self, staged: list[DeliveryEntry]) -> None:
+        """The ``close`` record of a fan-out's ``outs``: each *staged* row
+        not ``acked``, by position, with its status (``dead``, or
+        ``pending`` after an aborted fan-out)."""
+        if self.durability is not None and staged:
+            rows = [[at, row.status] for at, row in enumerate(staged) if row.status != "acked"]
+            self.durability.append({"k": "close", "rows": rows})
 
     def _walk_transports(self, notification: Notification, row: DeliveryEntry) -> DeliveryOutcome:
         """The transport-preference walk with bounded retries; returns
@@ -865,125 +852,106 @@ class NotificationEngine:
             outcome = self._walk_transports(notification, entry)
             if self.durability is not None:
                 self.durability.stats.replayed_deliveries += 1
-        if entry.status == "pending":
+        if entry.status == "pending":  # settled, and journaled as a one-row acks
             self._settle(entry, outcome)
-            self._journal_acks([entry])
+            if self.durability is not None:
+                row = [entry.sub_id, entry.sequence, entry.status == "acked"]
+                self.durability.append({"k": "acks", "rows": [row]})
         return outcome
 
     # -- crash-recovery protocol (driven by durability.recover) --------------------
 
-    def adopt(self, record: dict, owners: dict, stats) -> None:
-        """Apply one journaled ``outs`` or ``acks`` record, in journal
-        order, as the live run applied what it says.  Each row of an
-        ``outs`` joins its log, pending, and moves the sequence and id
-        counters past it, its publication's text shared; a
-        row of a subscription *owners* (see :meth:`_log_row`: the
-        subscriptions live at this point of the tail) does not hold is
-        dropped.  Each row of an ``acks`` settles its retained row and,
-        acked, moves the delivered frontier; *stats* counts it in
-        ``dedup_drops``."""
-        if record["k"] == "outs":
+    def adopt(self, record: dict, owners: dict, close: dict | None = None) -> int:
+        """Apply one delivery record, journaled or :meth:`durable_state`'s,
+        in file order, as the live run did; returns how many rows it
+        settled.  Each row of an ``outs`` (but a ``null`` one) joins its
+        log through :meth:`_log_row`, its publication's text shared,
+        settled by *close*, the ``close`` record after it — ``acked`` but
+        the rows it lists — or pending without one.  An ``acks`` settles
+        each ``[sub_id, sequence, ok]``; ``frontier`` and ``notifier``
+        set a stream's delivered frontier and the id counter."""
+        kind = record["k"]
+        if kind == "outs":
             rows, first = record["rows"], record["n"]
             text = self._new_text(record["eid"], _pack(record["pairs"], record["via"]), first)
             self._next_notification = first + len(rows)
-            for number, (sub_id, sequence, via) in enumerate(rows, first):
-                self._log_row(intern(sub_id), sequence, number, owners, text, via)
-            return
-        for sub_id, sequence, ok in record["rows"]:
+            listed = dict(close["rows"]) if close is not None else None
+            settled = 0
+            for at, row in enumerate(rows):
+                if row is not None:
+                    status = "pending" if listed is None else listed.get(at, "acked")
+                    settled += self._log_row(*row, first + at, owners, text, status)
+            return settled
+        if kind == "frontier":
+            log = self._delivery_log.get(record["sid"])
+            if log is not None:
+                log.frontier = record["seq"]
+            return 0
+        if kind == "notifier":
+            self._next_notification = record["next_notification"]
+            return 0
+        count = 0
+        for sub_id, sequence, ok in record["rows"]:  # acks
             log = self._delivery_log.get(sub_id)
-            if log is None or not log.set_status(sequence, "acked" if ok else "dead"):
-                continue
-            stats.dedup_drops += 1
-            if ok:
-                log.frontier = max(log.frontier, sequence)
+            if log is not None and log.set_status(sequence, "acked" if ok else "dead"):
+                count += 1
+                if ok:
+                    log.frontier = max(log.frontier, sequence)
+        return count
 
     def finish_replay(self, registry) -> None:
-        """End recovery: every retained row still pending once the whole
-        journal tail is adopted — its ``acks`` never written — is re-sent
-        from its stored text (at-least-once), in the order the rows were
-        first sent.  The snapshot's texts are let go: from here on a
-        text is kept only while a retained row names it."""
-        for ordinal in self._snapshot_texts:
-            _release(self._texts, ordinal)
-        self._snapshot_texts = range(0)
-        pending = [
-            (number, log, log.first + age)
+        """End recovery: every retained row still pending once the
+        snapshot and the whole journal tail are adopted — its fan-out
+        never closed, or closed with the row pending — is re-sent from
+        its stored text (at-least-once), in the order the rows were
+        first sent."""
+        pending = sorted(
+            log.row(log.first + (slot - log.start) % len(log.marks))
             for log in self._delivery_log.values()
-            for age, (number, _, _, status) in enumerate(log.rows())
-            if status == "pending"
-        ]
-        pending.sort(key=lambda row: row[0])
-        for _, log, sequence in pending:
-            self._redeliver(log.entry(sequence), registry)
+            for slot, mark in enumerate(log.marks)
+            if mark & _STATUS_MASK == _CODE["pending"]
+        )
+        for _, _, sub_id, sequence, _, _ in pending:
+            self._redeliver(self._delivery_log[sub_id].entry(sequence), registry)
 
     # -- durable state -------------------------------------------------------------
 
     def durable_state(self) -> Iterator[dict]:
-        """Snapshot-side state as a stream of small records: one
-        ``notifier`` record (the id counter), one ``text`` record per
-        publication a retained row still references (its event id and
-        its stored form: the event's pairs and its witnesses' steps),
-        then one ``log`` record per subscription (sequence counter,
-        delivered frontier and at most ``history_limit`` rows, oldest
-        first, of numbers and references: ``[notification number, text
-        record number, witness index, status]``) — so no record grows
-        with the number of deliveries ever made, and the file says what
-        is shared.  A row's sequence is ``next_seq - len(rows)`` plus its
-        age."""
-        yield {"k": "notifier", "next_notification": self._next_notification}
-        number_of: dict[int, int] = {}  # ordinal -> position among the text records
+        """Snapshot-side state as the records :meth:`adopt` reads: per
+        publication a retained row names, in notification order, its
+        ``outs`` — from its first retained row, a row gone between two
+        written ``null`` — and ``close``; then a ``frontier`` per stream
+        that acked a row, and the id counter (``notifier``).  A log's rows
+        name texts in ordinal order, so each log waits, with its next row,
+        under that row's ordinal: the walk holds a record and a row a log."""
+        waiting = defaultdict(list)  # text ordinal -> [(next row, log)]
         for log in self._delivery_log.values():
-            for text in log.ordered_texts():
-                if text.ordinal in number_of:
-                    continue
-                number_of[text.ordinal] = len(number_of)
-                pairs, via = text.form()
-                yield {"k": "text", "eid": text.event_id, "pairs": pairs, "via": via}
+            row = log.row(log.first)
+            waiting[row[1]].append((row, log))
+        while waiting:
+            ordinal = min(waiting)
+            found = []
+            for row, log in waiting.pop(ordinal):
+                while row is not None and row[1] == ordinal:
+                    found.append(row)
+                    row = log.row(row[3] + 1)
+                if row is not None:
+                    waiting[row[1]].append((row, log))
+            found.sort()  # by notification number
+            n = found[0][0]
+            rows, exceptions = [None] * (found[-1][0] + 1 - n), []  # None: a row gone
+            for number, _, sub_id, sequence, via, status in found:
+                rows[number - n] = [sub_id, sequence, via]
+                if status != "acked":
+                    exceptions.append([number - n, status])
+            text = self._texts[ordinal]
+            pairs, via = text.form()
+            yield dict(k="outs", eid=text.event_id, n=n, pairs=pairs, via=via, rows=rows)
+            yield {"k": "close", "rows": exceptions}
         for sub_id, log in self._delivery_log.items():
-            yield {
-                "k": "log",
-                "sid": sub_id,
-                "next_seq": log.next_seq,
-                "frontier": log.frontier,
-                "rows": [
-                    [number, number_of[text.ordinal], via, status]
-                    for number, text, via, status in log.rows()
-                ],
-            }
-
-    def restore(self, record: dict, owners: dict) -> None:
-        """Apply one :meth:`durable_state` record; a log of no
-        subscription in *owners* (sub_id -> the subscription, bound to
-        its client) is dropped, and a row still pending when recovery
-        finishes is re-sent (:meth:`finish_replay`)."""
-        kind = record["k"]
-        if kind == "notifier":
-            self._next_notification = record["next_notification"]
-            return
-        if kind == "text":
-            text = self._new_text(record["eid"], _pack(record["pairs"], record["via"]))
-            text.refs = 1  # the record's hold
-            self._texts[text.ordinal] = text
-            held = self._snapshot_texts
-            self._snapshot_texts = range(held.start if held else text.ordinal, text.ordinal + 1)
-            return
-        sub_id = intern(record["sid"])
-        subscription = owners.get(sub_id)
-        if subscription is None:
-            return
-        self.forget(sub_id)  # a second log record of one stream replaces the first
-        rows, held, texts = record["rows"], self._snapshot_texts, self._texts
-        first = record["next_seq"] - len(rows)
-        ordinals = [held[text] for _, text, _, _ in rows]
-        base = min(ordinals, default=self._next_ordinal)
-        log = self._new_log(sub_id, subscription.subscriber_id, subscription, first, base)
-        log.frontier = record["frontier"]
-        for (number, _, via, status), ordinal in zip(rows, ordinals):
-            text = texts[ordinal]
-            if text.n is None:  # its first row: the others are offsets from it
-                text.n = number
-            if log.push(number, via, text, _CODE[status]):
-                self.stats.history_evictions += 1
+            if log.frontier:
+                yield {"k": "frontier", "sid": sub_id, "seq": log.frontier}
+        yield {"k": "notifier", "next_notification": self._next_notification}
 
     # -- reporting ----------------------------------------------------------------
 

@@ -2,9 +2,9 @@
 invariant #7, the PR 9 acceptance criterion).
 
 A durable broker journals every state-changing operation write-ahead
-and outboxes/acks every publication's deliveries (one ``outs`` record
-before the first send, one ``acks`` record after the last).  The
-invariant: for a seeded trace of
+and outboxes/closes every publication's deliveries (one ``outs`` record
+before the first send, one ``close`` record after the last, naming the
+rows that did not ack).  The invariant: for a seeded trace of
 client registrations, subscription churn, reconfiguration, and
 publishes, crashing the journal at *any* append offset, recovering with
 :func:`~repro.broker.durability.recover`, and resuming the trace from
@@ -15,7 +15,9 @@ the run that never crashed —
 * identical (sub_id, generality) match lists for a probe publication,
 * identical per-subscription delivered-sequence frontiers, and
 * every delivery sequence acked at most once across the whole journal
-  (at-least-once sending, effectively-once settlement).
+  (at-least-once sending, effectively-once settlement), and
+* each stream's first sends, across the crashed run and the recovered
+  broker, reaching a transport in sequence order (per-stream FIFO).
 
 A torn final record must never prevent recovery — the crash fault
 writes a half record precisely to pin that down.
@@ -25,7 +27,7 @@ trace (exhaustive, so no crash point can hide), and a hypothesis leg
 that re-randomizes the knowledge base, the trace, and the crash offset
 using the same generators as the interest-pruning invariant.  Then the
 cases the offset axis cannot express by itself: what a half-written
-``outs`` and a half-written ``acks`` each mean, and a fan-out a dead
+``outs`` and a half-written ``close`` each mean, and a fan-out a dead
 letter aborts part-way.  (Input in a form this broker never writes is
 refused, not recovered: ``tests/unit/test_durability.py``.)
 """
@@ -36,6 +38,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -50,6 +53,7 @@ from repro.broker.durability import (
     recover,
 )
 from repro.broker.supervision import FaultPlan
+from repro.broker.transports import TcpTransport, TransportRegistry
 from repro.core.config import SemanticConfig
 from repro.errors import DeliveryError, ReproError, SimulatedCrash
 from repro.model.events import Event
@@ -188,31 +192,85 @@ def _journal(directory) -> list[dict]:
     return records
 
 
+def _settlements(records) -> Iterator[tuple[dict, list[tuple[str, int, bool]]]]:
+    """Each record with the ``(sub_id, sequence, ok)`` it settles: an
+    ``acks`` record its rows; a ``close`` record every row of the
+    ``outs`` straight before it — acked, or a dead letter where it lists
+    the row ``dead``; a row it lists ``pending`` is not settled; any other
+    record nothing."""
+    previous = None
+    for record in records:
+        rows = []
+        if record["k"] == "acks":
+            rows = [tuple(row) for row in record["rows"]]
+        elif record["k"] == "close":
+            assert previous is not None and previous["k"] == "outs", "a close that follows no outs"
+            listed = dict(record["rows"])
+            rows = [
+                (sid, n, at not in listed)
+                for at, (sid, n, _) in enumerate(previous["rows"])
+                if listed.get(at) != "pending"
+            ]
+        yield record, rows
+        previous = record
+
+
 def _ack_rows(records) -> list[tuple[str, int, bool]]:
-    """Every ``(sub_id, sequence, ok)`` the journal's ``acks`` records
-    acked, in order."""
-    return [
-        (sid, n, ok) for record in records if record["k"] == "acks" for sid, n, ok in record["rows"]
-    ]
+    """Every ``(sub_id, sequence, ok)`` the journal settles, in order."""
+    return [row for _, rows in _settlements(records) for row in rows]
 
 
 def _assert_acked_at_most_once(directory) -> None:
     """Effectively-once settlement: no (sub, sequence) of one stream is
-    successfully acked twice anywhere in the journal (valid without
-    compaction, when the journal retains the full history).  An id
-    subscribed again after an ``unsub`` starts a new stream at sequence
-    1, so a stream is the id and the number of its ``unsub`` records
-    before the ack."""
+    successfully acked twice anywhere in the journal, by an ``acks``
+    record or a ``close`` (valid without compaction, when the journal
+    retains the full history).  An id subscribed again after an
+    ``unsub`` starts a new stream at sequence 1, so a stream is the id
+    and the number of its ``unsub`` records before the ack."""
     seen: set[tuple[str, int, int]] = set()
     ended: dict[str, int] = {}
-    for record in _journal(directory):
+    for record, rows in _settlements(_journal(directory)):
         if record["k"] == "unsub":
             ended[record["sid"]] = ended.get(record["sid"], 0) + 1
-        for sid, n, ok in record["rows"] if record["k"] == "acks" else ():
+        for sid, n, ok in rows:
             if ok:
                 key = (sid, ended.get(sid, 0), n)
                 assert key not in seen, f"sequence acked twice: {key}"
                 seen.add(key)
+
+
+class _FirstSends(TcpTransport):
+    """A TCP transport that notes, per subscription, the sequence of each
+    row it is handed for the first time (a re-send of a row already sent
+    is not noted)."""
+
+    def __init__(self, firsts: dict[str, list[int]]) -> None:
+        super().__init__()
+        self.firsts = firsts
+
+    def send(self, message):
+        record = super().send(message)
+        row = message.payload
+        sent = self.firsts.setdefault(row.sub_id, [])
+        if row.sequence not in sent:
+            sent.append(row.sequence)
+        return record
+
+
+def _noting_first_sends(firsts: dict[str, list[int]]):
+    """A broker factory whose brokers send over one :class:`_FirstSends`
+    transport each, noting into *firsts*."""
+    return lambda kb, **kwargs: Broker(
+        kb, transports=TransportRegistry([_FirstSends(firsts)]), **kwargs
+    )
+
+
+def _assert_first_sends_in_order(firsts: dict[str, list[int]]) -> None:
+    """Per-stream FIFO: across the crashed run and the recovered broker,
+    each stream's rows first reach a transport in sequence order (the
+    traces subscribe no id twice, so a subscription id is a stream)."""
+    for sub_id, sequences in firsts.items():
+        assert sequences == sorted(sequences), f"{sub_id} first sent out of order: {sequences}"
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +308,8 @@ def test_every_crash_offset_recovers_to_the_uncrashed_state(tmp_path):
 
     for offset in range(total_appends + 1):
         work = tmp_path / f"crash{offset}"
-        recovered = _run_crashed(work, kb, ops, offset)
+        firsts: dict[str, list[int]] = {}
+        recovered = _run_crashed(work, kb, ops, offset, broker_factory=_noting_first_sends(firsts))
         try:
             assert _observable(recovered) == expected, f"state diverged at offset {offset}"
             assert _probe(recovered, probe) == clean_probe, (
@@ -261,6 +320,8 @@ def test_every_crash_offset_recovers_to_the_uncrashed_state(tmp_path):
                 # recovery truncated it rather than refusing to start
                 assert recovered.recovery.torn_tail_truncations <= 1
             _assert_acked_at_most_once(work)
+            assert firsts, "nothing was sent"
+            _assert_first_sends_in_order(firsts)
         finally:
             recovered.close()
 
@@ -270,7 +331,7 @@ def test_crash_sweep_with_aggressive_compaction(tmp_path):
     crashes now land before, between, and after compactions, so
     recovery exercises the snapshot + journal-tail reconciliation at
     every point (ack uniqueness is out of scope — compaction discards
-    journal history by design)."""
+    journal history by design; per-stream FIFO is not)."""
     kb = _fixed_kb()
     ops, probe = _fixed_trace()
     expected, total_appends, clean_probe = _run_clean(
@@ -278,18 +339,21 @@ def test_crash_sweep_with_aggressive_compaction(tmp_path):
     )
 
     for offset in range(total_appends + 1):
+        firsts: dict[str, list[int]] = {}
         recovered = _run_crashed(
-            tmp_path / f"crash{offset}", kb, ops, offset, snapshot_every=2
-        )
+            tmp_path / f"crash{offset}", kb, ops, offset, snapshot_every=2,
+            broker_factory=_noting_first_sends(firsts),
+        )  # fmt: skip
         try:
             assert _observable(recovered) == expected, f"state diverged at offset {offset}"
             assert _probe(recovered, probe) == clean_probe
+            _assert_first_sends_in_order(firsts)
         finally:
             recovered.close()
 
 
 def test_a_crash_during_recovery_recovers_again(tmp_path, monkeypatch):
-    """Recovery appends records of its own: the ``outs`` and ``acks`` of
+    """Recovery appends records of its own: the ``outs`` and ``close`` of
     the publication the crash cut, decided again, and an ``acks`` per
     row it re-sends.  For every offset of the first crash, on the fixed
     trace and the three-subscriber fan-out, a second crash at each of
@@ -437,7 +501,7 @@ def test_a_window_smaller_than_the_tail_recovers_at_every_offset(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# mid-batch cases: what a torn ``outs``, a torn ``acks`` and an aborted
+# mid-batch cases: what a torn ``outs``, a torn ``close`` and an aborted
 # fan-out each mean
 # ---------------------------------------------------------------------------
 
@@ -502,12 +566,12 @@ def test_half_written_outs_means_no_send_happened(tmp_path):
         recovered.close()
 
 
-def test_half_written_acks_resends_every_row_once(tmp_path):
-    """``outs`` without a complete ``acks``: every row of the
+def test_half_written_close_resends_every_row_once(tmp_path):
+    """``outs`` without a complete ``close``: every row of the
     publication is pending, is re-sent once and settled once (the
     subscribers dedup by ``(sub_id, sequence)``), and the frontiers end
     where the uncrashed run's did."""
-    kb, ops, expected, clean, crashed, work = _crash_in_first("acks", tmp_path)
+    kb, ops, expected, clean, crashed, work = _crash_in_first("close", tmp_path)
     assert crashed.notifier.stats.notifications == 3  # all three went out before the crash
     recovered = recover(work, kb, snapshot_every=0)
     try:
@@ -524,11 +588,11 @@ def test_half_written_acks_resends_every_row_once(tmp_path):
         recovered.close()
 
 
-def test_dead_letter_abort_mid_fan_out_still_acks_what_it_settled(tmp_path):
+def test_dead_letter_abort_mid_fan_out_still_closes_what_it_settled(tmp_path):
     """``raise_on_dead_letter`` aborts the fan-out at the second of
-    three rows: the ``acks`` record is still written, for the two rows
-    that reached a terminal state, so recovery drops those and re-sends
-    only the row the abort never got to."""
+    three rows: the ``close`` record is still written, naming the dead
+    row and the one the abort never got to, so recovery drops the two
+    settled rows and re-sends only the pending one."""
     kb = _fixed_kb()
     ops, _ = _fan_out_trace()
     broker = Broker(kb, durability=tmp_path)
@@ -543,6 +607,7 @@ def test_dead_letter_abort_mid_fan_out_still_acks_what_it_settled(tmp_path):
     records = _journal(tmp_path)
     (outs,) = [record for record in records if record["k"] == "outs"]
     assert [row[:2] for row in outs["rows"]] == [["s0", 1], ["s1", 1], ["s2", 1]]
+    assert records[-1] == {"k": "close", "rows": [[1, "dead"], [2, "pending"]], "i": outs["i"] + 1}
     assert _ack_rows(records) == [("s0", 1, True), ("s1", 1, False)]
     assert [entry.status for entry in broker.notifier.delivery_log("s2")] == ["pending"]
     broker.close()
@@ -579,11 +644,15 @@ def test_random_crash_offset_recovers_to_the_uncrashed_state(kb, subs, evts, off
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
         expected, _, clean_probe = _run_clean(root / "clean", kb, ops, probe)
-        recovered = _run_crashed(root / "crash", kb, ops, offset)
+        firsts: dict[str, list[int]] = {}
+        recovered = _run_crashed(
+            root / "crash", kb, ops, offset, broker_factory=_noting_first_sends(firsts)
+        )
         try:
             assert _observable(recovered) == expected
             assert _probe(recovered, probe) == clean_probe
             _assert_acked_at_most_once(root / "crash")
+            _assert_first_sends_in_order(firsts)
         finally:
             recovered.close()
 

@@ -11,13 +11,13 @@ body and status, at most ``history_limit`` of them.  Random sequences
 of subscribe, publish (with dead letters, and fan-outs a dead letter
 aborts so later rows stay pending), ``replay_from``, unsubscribe,
 re-subscribing the same id, checkpoint (``durable_state`` → JSON) and
-crash (``restore`` of the checkpoint, the journal tail in order through
-``adopt``, then ``finish_replay``) run against both, at
+crash (the checkpoint's records, then the journal tail, in order
+through ``adopt``, then ``finish_replay``) run against both, at
 ``history_limit=3`` so the ring wraps and a journal tail outruns the
 window, and after every step the two agree on ``delivery_log()``,
 ``replay_from`` outcomes, the delivered frontiers and the decoded
-``durable_state()`` records — which a fresh engine restores to the
-same records.
+``durable_state()`` records — which a fresh engine adopts back into
+the same records.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.broker.clients import ClientRegistry
-from repro.broker.durability import _decode_subscription, _encode_subscription
+from repro.broker.durability import _decode_subscription, _encode_subscription, _with_close
 from repro.broker.notifications import NotificationEngine, decode_text
 from repro.broker.transports import TcpTransport, TransportRegistry
 from repro.core.provenance import (
@@ -154,32 +154,39 @@ class _Model:
 
 
 def _decoded(records: list[dict], live: dict[str, str]) -> tuple[int, dict[str, tuple]]:
-    """``durable_state()`` records back to whole rows: a row's sequence
-    from its age, its client and text from its subscription (*live*
-    maps each to its client), its event and derivation rendered from its
-    text record's pairs and witness steps."""
-    next_notification, texts, logs = None, [], {}
+    """``durable_state()`` records back to whole rows: a row's number
+    from its position in its ``outs``, its status from the ``close``
+    record straight after it, its client and text from its subscription
+    (*live* maps each to its client), its event and derivation rendered
+    from its ``outs`` record's pairs and witness steps; a stream's
+    frontier is its ``frontier`` record's, or 0."""
+    next_notification, rows_of, frontiers, previous = None, {}, {}, None
+    assert records[-1]["k"] == "notifier"
     for record in records:
-        if record["k"] == "notifier":
+        kind = record["k"]
+        if kind == "notifier":
             next_notification = record["next_notification"]
-        elif record["k"] == "text":
-            texts.append(record)
+        elif kind == "frontier":
+            frontiers[record["sid"]] = record["seq"]
+        elif kind == "close":
+            outs, listed = previous, dict(record["rows"])
+            assert outs["k"] == "outs" and None not in (outs["rows"][0], outs["rows"][-1])
+            eid = outs["eid"]
+            event, witnesses = decode_text(eid, outs["pairs"], outs["via"])
+            for at, row in enumerate(outs["rows"]):
+                if row is not None:
+                    sub_id, sequence, via = row
+                    head = subscription_part(_subscription(sub_id))
+                    body = head + event_part(event) + derivation_part(witnesses[via], event)
+                    rows_of.setdefault(sub_id, []).append(
+                        (sequence, f"n{outs['n'] + at}", live[sub_id], eid,
+                         _subject(sub_id, eid), body, listed.get(at, "acked"))
+                    )  # fmt: skip
         else:
-            sub_id, rows = record["sid"], []
-            head = subscription_part(_subscription(sub_id))
-            first = record["next_seq"] - len(record["rows"])
-            for sequence, (number, text, via, status) in enumerate(record["rows"], first):
-                text = texts[text]
-                subject = _subject(sub_id, text["eid"])
-                event, witnesses = decode_text(text["eid"], text["pairs"], text["via"])
-                body = head + event_part(event) + derivation_part(witnesses[via], event)
-                rows.append(
-                    (sequence, f"n{number}", live[sub_id], text["eid"], subject, body, status)
-                )
-            logs[sub_id] = (record["next_seq"], record["frontier"], rows)
-    # every text record is referenced, by a row that follows it
-    referenced = {row[1] for r in records if r["k"] == "log" for row in r["rows"]}
-    assert referenced == set(range(len(texts)))
+            assert kind == "outs"
+        previous = record
+    # a stream's next sequence follows its newest row
+    logs = {sid: (rows[-1][0] + 1, frontiers.get(sid, 0), rows) for sid, rows in rows_of.items()}
     return next_notification, logs
 
 
@@ -279,22 +286,23 @@ class _Run:
 
     def crash(self) -> None:
         """Recover as ``durability.recover`` does, minus the dispatcher:
-        restore the snapshot, walk the tail once in order — a ``sub``
-        adds its owner, an ``unsub`` forgets the stream as the live call
-        did, ``outs`` and ``acks`` are adopted — then the re-sends."""
+        adopt the snapshot's records, walk the tail once in order — a
+        ``sub`` adds its owner, an ``unsub`` forgets the stream as the
+        live call did, an ``outs`` (with its ``close``) and an ``acks``
+        are adopted — then the re-sends."""
         tail = list(self.journal.records)
         self.engine = self._engine()
         owners = dict(self.snapshot_owners)
-        for record in self.snapshot:
-            self.engine.restore(_json(record), owners)
-        for record in tail:
+        for record, close in _with_close(_json(self.snapshot)):
+            self.engine.adopt(record, owners, close)
+        for record, close in _with_close(tail):
             if record["k"] == "sub":
                 owners[record["sid"]] = _decode_subscription(record)
             elif record["k"] == "unsub":
                 self.engine.forget(record["sid"])
                 del owners[record["sid"]]
             else:
-                self.engine.adopt(record, owners, self.journal.stats)
+                self.journal.stats.dedup_drops += self.engine.adopt(record, owners, close)
         sends = self.journal.stats.replayed_deliveries
         self.engine.finish_replay(self.registry)
         assert self.journal.stats.replayed_deliveries - sends == self.model.recover()
@@ -318,8 +326,8 @@ class _Run:
         assert logs == model.log_records()
         fresh = NotificationEngine(history_limit=LIMIT)
         owners = self._owners()
-        for record in records:
-            fresh.restore(_json(record), owners)
+        for record, close in _with_close(_json(records)):
+            fresh.adopt(record, owners, close)
         assert [_json(record) for record in fresh.durable_state()] == records
 
 

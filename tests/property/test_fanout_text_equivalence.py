@@ -11,9 +11,9 @@ to a transport and every retained ``entry.subject`` / ``entry.body``
 equals it:
 
 * live, for every delivery of a trace;
-* after ``checkpoint()`` + ``recover()`` (the snapshot's text records,
-  each row's head rendered from its subscription's ``sub`` record),
-  and after a journal-only ``recover()`` (the ``outs`` records);
+* after ``checkpoint()`` + ``recover()`` (the snapshot's ``outs``
+  records, each row's head rendered from its subscription's ``sub``
+  record), and after a journal-only ``recover()`` (the journal's);
 * through ``replay_from`` on each of those brokers, and in the
   ``durable_state()`` records each of them would snapshot;
 * for deliveries a recovery re-sends from their stored parts.
@@ -187,22 +187,17 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
 def _snapshot_text(broker) -> dict[tuple[str, int], tuple[str, str]]:
     """``{(sub_id, sequence): (subject, body)}`` as the broker's snapshot
     records spell them: the head rendered from the row's ``sub`` record,
-    the event and the witness it indexes rendered from its text record."""
-    texts: list[dict] = []
+    the event and the witness it indexes rendered from its ``outs``
+    record."""
     heads: dict[str, str] = {}
     spelled = {}
     for record in broker._durable_state():
         if record["k"] == "sub":
             heads[record["sid"]] = subscription_part(_decode_subscription(record))
-        elif record["k"] == "text":
-            texts.append(record)
-        elif record["k"] == "log":
-            sub_id, rows = record["sid"], record["rows"]
-            first = record["next_seq"] - len(rows)
-            for sequence, (_, number, via, _) in enumerate(rows, first):
-                text = texts[number]
-                subject = f"S-ToPSS: subscription {sub_id} matched event {text['eid']}"
-                event, witnesses = decode_text(text["eid"], text["pairs"], text["via"])
+        elif record["k"] == "outs":
+            event, witnesses = decode_text(record["eid"], record["pairs"], record["via"])
+            for sub_id, sequence, via in filter(None, record["rows"]):
+                subject = f"S-ToPSS: subscription {sub_id} matched event {record['eid']}"
                 body = heads[sub_id] + event_part(event) + derivation_part(witnesses[via], event)
                 spelled[sub_id, sequence] = (subject, body)
     return spelled
@@ -215,7 +210,7 @@ def _assert_retained_text(broker, expected) -> None:
     rows."""
     sub_ids = sorted({sub_id for sub_id, _ in expected})
     notifier = broker.notifier
-    texts = [text for sub_id in sub_ids for text in notifier.retained_log(sub_id).ordered_texts()]
+    texts = list(notifier._texts.values())  # the texts the retained rows name
     assert texts and all(type(text.blob) is bytes and text._shown is None for text in texts)
     retained = {
         (sub_id, entry.sequence): (entry.subject, entry.body)
@@ -248,7 +243,7 @@ def test_the_stored_form_renders_what_the_match_did(value, general, rule, descri
         Witness([(SYNONYM, "university", 0, "school"), (GENERAL, "university", 2, general)]),
         Witness([(MAPPING, "", 0, rule, description, (("flag", True), ("term", Period(3, 4))))]),
     ]
-    text = PublicationText("e", _pack(event.items(), witnesses))
+    text = PublicationText("e", _pack(event.items(), witnesses), 1)
     assert text.event_part() == event_part(event)
     for index, witness in enumerate(witnesses):
         assert text.derivation_part(index) == derivation_part(witness, event)
@@ -281,8 +276,8 @@ def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, origi
         return recover(directory, kb, broker_factory=factory, transports=_transports())
 
     if origin == "snapshot":
-        # the snapshot: rows referencing per-publication text records and
-        # taking their head from their subscription's sub record
+        # the snapshot: a publication's rows in its outs record, taking
+        # their head from their subscription's sub record
         from_snapshot = recovered_from(live_dir)
         try:
             assert from_snapshot.recovery.snapshot_loaded
@@ -302,11 +297,12 @@ def test_fan_out_text_equals_per_notification_rendering(cast, broker_kind, origi
     finally:
         from_journal.close()
 
-    # the journal without its last acks record: that publication's rows
+    # the journal without its last close record: that publication's rows
     # are re-sent by recovery, from the parts its outs record stored
     records, _, _ = _scan_records((journal_dir / JOURNAL_NAME).read_bytes())
-    last = max(index for index, record in enumerate(records) if record["k"] == "acks")
-    unacked = {(sid, n) for sid, n, _ in records[last]["rows"]}
+    last = max(index for index, record in enumerate(records) if record["k"] == "close")
+    assert records[last - 1]["k"] == "outs"
+    unacked = {(sid, n) for sid, n, _ in records[last - 1]["rows"]}
     pending_dir.mkdir()
     (pending_dir / JOURNAL_NAME).write_bytes(
         b"".join(_encode_record(r) for r in records[:last] + records[last + 1 :])

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.broker.clients import Client, ClientKind, ClientRegistry
+from repro.broker.durability import _with_close
 from repro.broker.notifications import NotificationEngine, PublicationText
 from repro.broker.transports import (
     SmsTransport,
@@ -35,6 +36,16 @@ def _match() -> SemanticMatch:
 
 def _client(*addresses) -> Client:
     return Client("c1", "Initech", ClientKind.SUBSCRIBER, tuple(addresses))
+
+
+def _adopted(engine, records, owners, registry) -> NotificationEngine:
+    """*engine* once it adopted the JSON-decoded snapshot *records* — an
+    ``outs`` with its ``close`` — as ``recover()`` hands them over, and
+    re-sent what they left pending."""
+    for record, close in _with_close(records):
+        engine.adopt(record, owners, close)
+    engine.finish_replay(registry)
+    return engine
 
 
 def _engine(**kwargs) -> NotificationEngine:
@@ -259,14 +270,11 @@ class TestBoundedRetention:
 
     def test_recovery_into_a_narrower_window_keeps_the_newest_rows(self):
         """A snapshot written under a wider window wraps the log a
-        narrower engine restores it into; the journal tail's rows still
+        narrower engine adopts it into; the journal tail's rows still
         follow it in age order, each adopted row evicting the oldest, so
         the log holds the newest ``history_limit``."""
         tail: list[dict] = []
-        journal = SimpleNamespace(
-            append=lambda record: tail.append(json.loads(json.dumps(record))),
-            stats=SimpleNamespace(dedup_drops=0),
-        )
+        journal = SimpleNamespace(append=lambda record: tail.append(json.loads(json.dumps(record))))
         wide = _engine(history_limit=5, durability=journal)
         client = _client(("tcp", "h:1"))
         for index in range(5):
@@ -280,13 +288,12 @@ class TestBoundedRetention:
         # the subscription the rows are of, as recovery reads it
         subscription = self._sub_match("s1", 0).subscription
         owners = {"s1": Subscription(subscription.predicates, subscriber_id="c1", sub_id="s1")}
-        for record in snapshot:
-            narrow.restore(record, owners)
+        for record, close in _with_close(snapshot):
+            narrow.adopt(record, owners, close)
         assert narrow.retained_log("s1").start == 1  # the ring wrapped
-        for record in tail:
-            narrow.adopt(record, owners, journal.stats)
+        settled = sum(narrow.adopt(record, owners, close) for record, close in _with_close(tail))
         assert [e.sequence for e in narrow.delivery_log("s1")] == [7, 8]
-        assert journal.stats.dedup_drops == 3  # each tail row, settled by its acks
+        assert settled == 3  # each tail row, settled by its close record
         narrow.finish_replay(ClientRegistry())
         rows = narrow.delivery_log("s1")
         kept = [(e.sequence, e.notification_id, e.event_id, e.status) for e in rows]
@@ -310,8 +317,8 @@ class TestRetainedRowFootprint:
     derivation index, a status byte and its publication's text ordinal
     as a one-byte offset from its log's oldest (the subscription's ids
     and rendered part are the log's, the text is the engine's table's).
-    Pinned in traced bytes per row, live and after a ``restore()`` from
-    JSON-decoded records, the row's share of its text included; a row
+    Pinned in traced bytes per row, live and after an ``adopt()`` of
+    JSON-decoded snapshot records, the row's share of its text included; a row
     object with its own id string cost 172, a row that referenced its
     text ~20."""
 
@@ -351,12 +358,9 @@ class TestRetainedRowFootprint:
             records = [json.loads(json.dumps(record)) for record in live.durable_state()]
             live_bytes = self._bytes_per_row(live)
 
-            restored = _engine(history_limit=1024)
             owners = {sub.sub_id: sub for sub in self._subs(client.client_id)}
-            for record in records:
-                restored.restore(record, owners)
+            restored = _adopted(_engine(history_limit=1024), records, owners, registry)
             del records
-            restored.finish_replay(registry)
             restored_bytes = self._bytes_per_row(restored)
         finally:
             tracemalloc.stop()
@@ -384,7 +388,7 @@ class TestTextTable:
         for sub_id in sub_ids:
             log = engine.retained_log(sub_id)
             assert not any(isinstance(held, (list, PublicationText)) for held in log.columns())
-            named.update(text.ordinal for text in log.ordered_texts())
+            named.update(log.row(sequence)[1] for sequence in range(log.first, log.next_seq))
         assert {ordinal: text.refs for ordinal, text in engine._texts.items()} == dict(named)
 
     def test_an_idle_and_a_busy_subscription_keep_just_their_rows_texts(self):
@@ -404,11 +408,9 @@ class TestTextTable:
         assert event_ids == [0, *range(9 * self.LIMIT, 10 * self.LIMIT)]
 
         records = [json.loads(json.dumps(record)) for record in engine.durable_state()]
-        restored = _engine(history_limit=self.LIMIT - 1)  # a narrower window evicts as it restores
-        # a second log record of one stream replaces the first
-        for record in records + [records[-1]]:
-            restored.restore(record, {sub.sub_id: sub for sub in (idle, busy)})
-        restored.finish_replay(registry)
+        # a narrower window evicts as it adopts
+        owners = {sub.sub_id: sub for sub in (idle, busy)}
+        restored = _adopted(_engine(history_limit=self.LIMIT - 1), records, owners, registry)
         self._assert_named_texts_only(restored, ("idle", "busy"))
         assert len(restored._texts) == self.LIMIT
 
@@ -439,7 +441,7 @@ class TestNarrowColumns:
     and its derivation index start in one-byte columns; a value that
     does not fit widens its column.  Each leg forces one widening and
     reads the same rows before and after ``durable_state()`` →
-    ``restore()``."""
+    ``adopt()``."""
 
     @staticmethod
     def _subs(count: int) -> list[Subscription]:
@@ -460,14 +462,11 @@ class TestNarrowColumns:
 
     @staticmethod
     def _round_trip(engine, registry, subs) -> NotificationEngine:
-        """The rows read the same from *engine* and from an engine
-        restored from its JSON-decoded snapshot records."""
+        """The rows read the same from *engine* and from an engine that
+        adopted its JSON-decoded snapshot records."""
         records = [json.loads(json.dumps(record)) for record in engine.durable_state()]
-        restored = _engine(history_limit=engine.history_limit)
         owners = {sub.sub_id: sub for sub in subs}
-        for record in records:
-            restored.restore(record, owners)
-        restored.finish_replay(registry)
+        restored = _adopted(_engine(history_limit=engine.history_limit), records, owners, registry)
         for sub in subs:
             assert restored.delivery_log(sub.sub_id) == engine.delivery_log(sub.sub_id)
         return restored
@@ -481,23 +480,25 @@ class TestNarrowColumns:
         client = registry.register("A", addresses=(("tcp", "a:1"),), client_id="cl-a")
         return registry, client, _engine(history_limit=history_limit), self._subs(count)
 
-    def test_a_fan_out_past_127_rows_widens_the_offsets(self):
-        registry, client, engine, subs = self._setup(151, history_limit=2)
+    def test_a_fan_out_past_256_rows_widens_the_offsets(self):
+        """No row's number is below its text's ``n``, so the offsets are
+        unsigned: a fan-out of 256 rows keeps them a byte wide."""
+        registry, client, engine, subs = self._setup(258, history_limit=2)
         target, others = subs[-1:], subs[:-1]
         self._publish(engine, client, target, 0)
         self._publish(engine, client, target, 1)
-        assert engine.retained_log("s150").offsets.typecode == "b"
-        # the ring is full: the row takes the oldest slot, 150 past its text's n
+        assert engine.retained_log("s257").offsets.typecode == "B"
+        # the ring is full: the row takes the oldest slot, 257 past its text's n
         self._publish(engine, client, others + target, 2)
-        log = engine.retained_log("s150")
-        assert log.offsets.typecode == "h" and sorted(log.offsets) == [0, 150]
-        assert engine.retained_log("s0").offsets.typecode == "b"
-        # offsets 0..127 fit a byte: a fan-out of 128 rows widens nothing
-        assert engine.retained_log("s127").offsets.typecode == "b"
-        assert engine.retained_log("s128").offsets.typecode == "h"
-        assert self._ids(engine, "s150") == ["n2", "n153"]
+        log = engine.retained_log("s257")
+        assert log.offsets.typecode == "H" and sorted(log.offsets) == [0, 257]
+        assert engine.retained_log("s0").offsets.typecode == "B"
+        # offsets 0..255 fit a byte: a fan-out of 256 rows widens nothing
+        assert engine.retained_log("s255").offsets.typecode == "B"
+        assert engine.retained_log("s256").offsets.typecode == "H"
+        assert self._ids(engine, "s257") == ["n2", "n260"]
         restored = self._round_trip(engine, registry, subs)
-        assert self._ids(restored, "s150") == ["n2", "n153"]
+        assert self._ids(restored, "s257") == ["n2", "n260"]
 
     def test_a_256th_derivation_widens_the_marks(self):
         """A mark is the status byte with the derivation index above it:
@@ -559,19 +560,27 @@ class TestNarrowColumns:
         restored = self._round_trip(engine, registry, subs)
         assert restored.retained_log("s0").ordinals.typecode == "B"
 
-    def test_a_restored_text_takes_negative_offsets(self):
+    def test_an_adopted_text_counts_from_its_first_retained_row(self):
+        """A snapshot ``outs`` starts at the first row any log still
+        retains, and a row no log retains between two that are is
+        ``null``: the adopted text's ``n`` is the first retained row's
+        number, and every offset from it is what the live one was, less
+        the rows that went."""
         registry, client, engine, subs = self._setup(152)
-        first, last, middle = subs[0], subs[1], subs[2:]
-        self._publish(engine, client, [first], 0)  # "s0"'s log comes first in the snapshot
-        self._publish(engine, client, [last, *middle, first], 1)
+        self._publish(engine, client, subs[:1], 0)
+        self._publish(engine, client, [*subs[1:], subs[0]], 1)
         assert self._ids(engine, "s0") == ["n1", "n153"]
-        assert self._ids(engine, "s1") == ["n2"]
-        # restored, e1's text takes n153 from s0's row: s1's n2 is 151 below it
+        engine.forget("s1")  # e1's first row
+        engine.forget("s3")  # one between two retained rows
+        records = [json.loads(json.dumps(record)) for record in engine.durable_state()]
+        (outs,) = [record for record in records if record["k"] == "outs" and record["eid"] == "e1"]
+        assert outs["n"] == 3 and outs["rows"][:3] == [["s2", 1, 0], None, ["s4", 1, 0]]
         restored = self._round_trip(engine, registry, subs)
-        log = restored.retained_log("s1")
-        assert log.offsets.typecode == "h" and list(log.offsets) == [-151]
-        assert restored.retained_log("s2").offsets.tolist() == [-150]
-        assert self._ids(restored, "s1") == ["n2"]
+        assert restored.retained_log("s2").offsets.tolist() == [0]
+        assert restored.retained_log("s4").offsets.tolist() == [2]
+        log = restored.retained_log("s0")
+        assert log.offsets.typecode == "B" and log.offsets.tolist() == [0, 150]
+        assert self._ids(restored, "s0") == ["n1", "n153"]
 
 
 class TestPackedDerivationFootprint:
@@ -622,13 +631,7 @@ class TestPackedDerivationFootprint:
         tracemalloc.start()
         try:
             self._fan_out(engine, client)
-            texts = list(
-                {
-                    id(text): text
-                    for index in range(self.SUBS)
-                    for text in engine.retained_log(f"s{index}").ordered_texts()
-                }.values()
-            )
+            texts = list(engine._texts.values())  # the texts the retained rows name
             assert len(texts) == self.PUBLICATIONS
             assert all(len(text.form()[1]) == self.SUBS for text in texts)
 

@@ -456,6 +456,31 @@ class TestCrashInjection:
             recovered.close()
 
 
+class TestClosingRecord:
+    """A fan-out's ``close`` record names only the rows of its ``outs``
+    that did not ack."""
+
+    def test_an_all_acked_close_is_one_size_however_wide_the_fan_out(self, kb, tmp_path):
+        closes = []
+        for width in (1, 200):
+            directory = tmp_path / f"w{width}"
+            with Broker(kb, durability=directory) as broker:
+                broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-f")
+                broker.register_publisher("Press", client_id="cl-p")
+                for index in range(width):
+                    broker.subscribe("cl-f", _sub("university", "Toronto", f"s{index}"))
+                report = broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+                assert report.delivered_count == width
+            lines = (directory / JOURNAL_NAME).read_bytes().splitlines(keepends=True)
+            records, _, _ = _scan_records(b"".join(lines))
+            outs, close = records[-2:]
+            assert len(outs["rows"]) == width
+            assert close == {"k": "close", "rows": [], "i": outs["i"] + 1}
+            # its size, less the digits of its journal sequence
+            closes.append(len(lines[-1]) - len(str(close["i"])))
+        assert closes[0] == closes[1]
+
+
 class TestValueSpelling:
     def test_a_str_enum_operand_matches_live_as_after_recovery(self, kb, tmp_path):
         """A ``sub`` record spells a ``StrEnum`` operand as its plain
@@ -689,10 +714,11 @@ class TestSnapshots:
 
 
 class TestStreamedSnapshot:
-    """Snapshot format 3: a stream of small CRC-framed records between a
-    head and a counting trailer, validated whole before any is applied,
-    written and read one record at a time; delivery-log rows reference
-    per-publication ``text`` records instead of inlining their text."""
+    """The snapshot: a stream of small CRC-framed records between a head
+    and a counting trailer, validated whole before any is applied,
+    written and read one record at a time; the retained deliveries are
+    the journal's own ``outs`` and ``close`` records, one pair per
+    publication, read by ``adopt()`` as the journal's are."""
 
     def _ghosted(self, kb, directory) -> tuple[list[dict], dict]:
         """A directory whose snapshot AND journal each hold the full
@@ -720,34 +746,82 @@ class TestStreamedSnapshot:
             last_seq = broker.durability.last_seq
         records, _, torn = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
         assert not torn
+        # only the kinds recovery applies before the tail, and the
+        # retained deliveries in the journal's own forms
         assert [record["k"] for record in records] == [
-            "snapshot", "broker", "client", "client", "client", "sub", "notifier", "text", "log",
-            "end",
+            "snapshot", "broker", "client", "client", "client", "sub", "outs", "close",
+            "frontier", "notifier", "end",
         ]  # fmt: skip
-        assert FORMAT_VERSION == 5
+        assert FORMAT_VERSION == 6
         assert records[0] == {"k": "snapshot", "format": FORMAT_VERSION, "last_seq": last_seq}
         assert records[-1] == {"k": "end", "records": len(records) - 2, "last_seq": last_seq}
-        # s-b unsubscribed before the checkpoint: no log record for it,
-        # and no text record for the publication only it was sent
-        text, log = records[-3], records[-2]
-        # the event's pairs and one witness: [SYNONYM, new name, 0, old name]
-        assert text == {
-            "k": "text",
+        # s-b unsubscribed before the checkpoint: no row of it, and no
+        # outs for the publication only it was sent
+        outs, close, frontier, notifier = records[-5:-1]
+        # a journal outs without its i: the event's pairs, one witness
+        # ([SYNONYM, new name, 0, old name]), and per row [sub_id,
+        # sequence, derivation index], numbered from n; the row's client
+        # and text are the sub record's
+        assert outs == {
+            "k": "outs",
             "eid": "e1",
+            "n": 1,
             "pairs": [["school", "Toronto"]],
             "via": [[[SYNONYM, "university", 0, "school"]]],
+            "rows": [["s-a", 1, 0]],
         }
-        # no client id, subscription text or n<N> string: the row's
-        # client and text are the sub record's, its sequence is
-        # next_seq - len(rows) + its age
-        assert log == {
-            "k": "log",
-            "sid": "s-a",
-            "next_seq": 2,
-            "frontier": 1,
-            # [notification number, text number, derivation index, status]
-            "rows": [[1, 0, 0, "acked"]],
-        }
+        assert close == {"k": "close", "rows": []}  # every row acked
+        assert frontier == {"k": "frontier", "sid": "s-a", "seq": 1}
+        assert notifier == {"k": "notifier", "next_notification": 3}
+
+    def test_a_row_gone_from_the_middle_of_a_publication_is_written_null(self, kb, tmp_path):
+        """``e1`` fans out to three subscriptions and the middle one
+        unsubscribes: the snapshot's ``outs`` keeps the publication's
+        numbering with a ``null`` row, and the recovered broker holds the
+        same rows, notification ids and frontiers, and draws the next id
+        the live one would."""
+        with Broker(kb, durability=tmp_path) as broker:
+            broker.register_subscriber("Fleet", tcp="fleet:1", client_id="cl-f")
+            broker.register_publisher("Press", client_id="cl-p")
+            for index in range(3):
+                broker.subscribe("cl-f", _sub("university", "Toronto", f"s{index}"))
+            broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+            broker.unsubscribe("s1")
+            broker.checkpoint()
+            logs = {sub_id: broker.notifier.delivery_log(sub_id) for sub_id in ("s0", "s2")}
+            frontiers = broker.notifier.delivery_frontiers()
+        records, _, _ = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
+        (outs,) = [record for record in records if record["k"] == "outs"]
+        assert (outs["n"], outs["rows"]) == (1, [["s0", 1, 0], None, ["s2", 1, 0]])
+        with recover(tmp_path, kb) as recovered:
+            assert recovered.recovery.snapshot_loaded and recovered.recovery.records_replayed == 0
+            assert recovered.recovery.dedup_drops == 0  # it counts the tail's settlements only
+            assert {sub_id: recovered.notifier.delivery_log(sub_id) for sub_id in logs} == logs
+            assert [log[0].notification_id for log in logs.values()] == ["n1", "n3"]
+            assert recovered.notifier.delivery_frontiers() == frontiers == {"s0": 1, "s2": 1}
+            report = recovered.publish("cl-p", Event([("school", "Toronto")], event_id="e2"))
+            assert [o.notification.notification_id for o in report.outcomes] == ["n4", "n5"]
+
+    def test_a_frontier_past_the_retained_rows_survives(self, kb, tmp_path):
+        """A one-row window: ``s-a``'s acked row 1 is evicted by its dead
+        row 2, so no retained row says the stream acked 1; its
+        ``frontier`` record does."""
+        with Broker(kb, durability=tmp_path) as broker:
+            broker.notifier.history_limit = 1
+            broker.register_subscriber("Alice", tcp="alice:9", client_id="cl-a")
+            broker.register_publisher("Press", client_id="cl-p")
+            broker.subscribe("cl-a", _sub("university", "Toronto", "s-a"))
+            broker.publish("cl-p", Event([("school", "Toronto")], event_id="e1"))
+            broker.notifier.transports.get("tcp").fail_next(broker.notifier.max_attempts)
+            broker.publish("cl-p", Event([("school", "Toronto")], event_id="e2"))
+            log = broker.notifier.delivery_log("s-a")
+            assert [(entry.sequence, entry.status) for entry in log] == [(2, "dead")]
+            broker.checkpoint()
+        with recover(tmp_path, kb) as recovered:
+            assert recovered.recovery.snapshot_loaded
+            assert recovered.notifier.delivery_frontiers() == {"s-a": 1}
+            (row,) = recovered.notifier.delivery_log("s-a")
+            assert (row.sequence, row.notification_id, row.status) == (2, "n2", "dead")
 
     def test_valid_snapshot_is_applied(self, kb, tmp_path):
         records, expected = self._ghosted(kb, tmp_path)
@@ -819,8 +893,8 @@ class TestStreamedSnapshot:
     @pytest.mark.parametrize(
         "form",
         [
-            "format 2", "format 3", "format 3 log rows", "unknown kind", "retired config key",
-            "retired semantic switches",
+            "format 2", "format 5", "format 5 text and log records", "unknown kind",
+            "retired config key", "retired semantic switches",
         ],
     )  # fmt: skip
     def test_a_snapshot_never_written_is_discarded(self, kb, tmp_path, form):
@@ -829,20 +903,21 @@ class TestStreamedSnapshot:
         records, expected = self._ghosted(kb, tmp_path)
         if form == "format 2":
             records[0] = dict(records[0], format=2)
-        elif form.startswith("format 3"):
-            # a log record as format 3 wrote it: the subscription text
-            # once per log, and per row its sequence, id and client
-            (at,) = [n for n, record in enumerate(records) if record.get("k") == "log"]
-            log = records[at]
-            rows = log.pop("rows")
-            first = log["next_seq"] - len(rows)
-            log["heads"] = [_HEAD]
-            log["entries"] = [
-                [first + age, f"n{number}", "cl-a", 0, text, via, status]
-                for age, (number, text, via, status) in enumerate(rows)
-            ]
-            if form == "format 3":
-                records[0] = dict(records[0], format=3)
+        elif form.startswith("format 5"):
+            # the deliveries as format 5 wrote them: the id counter, a
+            # text record per publication, and a log record per stream
+            # whose rows name their text record by position
+            at = next(n for n, record in enumerate(records) if record.get("k") == "outs")
+            outs = records[at]
+            records[at:-1] = [
+                {"k": "notifier", "next_notification": 3},
+                {"k": "text", "eid": outs["eid"], "pairs": outs["pairs"], "via": outs["via"]},
+                {"k": "log", "sid": "s-a", "next_seq": 2, "frontier": 1,
+                 "rows": [[1, 0, 0, "acked"]]},
+            ]  # fmt: skip
+            records[-1] = dict(records[-1], records=len(records) - 2)
+            if form == "format 5":
+                records[0] = dict(records[0], format=5)
         elif form == "unknown kind":
             records.insert(-1, {"k": "outbox", "rows": []})
             records[-1] = dict(records[-1], records=len(records) - 2)
@@ -892,8 +967,11 @@ class TestStreamedSnapshot:
             content, last_seq, discarded = broker.durability.load_snapshot()
             assert not discarded and last_seq == broker.durability.last_seq
             assert list(content) == written
-            statuses = {row[3] for r in written if r["k"] == "log" for row in r["rows"]}
-            assert statuses == {"pending", "acked", "dead"}
+            # a close names the rows that did not ack; one of a
+            # publication every row of which acked names none
+            closes = [record["rows"] for record in written if record["k"] == "close"]
+            assert {status for rows in closes for _, status in rows} == {"pending", "dead"}
+            assert [] in closes
             # recovery settles the pending send; do the same here
             last = broker.notifier.delivery_log("s-a")[-1].sequence
             assert broker.notifier.retained_log("s-a").set_status(last, "acked")
@@ -917,10 +995,11 @@ class TestStreamedSnapshot:
         subscriptions (12k and 64k logged deliveries, each row with its
         own notification number, so the rows live in the log's columns): the
         traced peak during checkpoint() and the transient during
-        load_snapshot() + restore are what one record costs plus an
-        index of the publications — the same at both sizes, far below
-        the snapshot's size (the single-record format peaked at ~2.7x
-        the file)."""
+        load_snapshot() + adopt are what one publication's record costs
+        plus a cursor per log — under 1.5 KB more for each log added,
+        while each log adds ~14 KB of rows to the file — far below the
+        snapshot's size (the single-record format peaked at ~2.7x the
+        file; a log record per subscription, at ~0.3x: 518 KB here)."""
         per_sub = 1000
         text = ("a derivation chain that renders to a few hundred characters " * 5).strip()
 
@@ -931,26 +1010,13 @@ class TestStreamedSnapshot:
             for index in range(subs):
                 owners[f"s{index}"] = broker.subscribe("cl-f", _sub("a", index, f"s{index}"))
             notifier = broker.notifier
-            for n in range(1, per_sub + 1):
-                notifier.restore(
-                    {"k": "text", "eid": f"e{n}", "pairs": [["t", text]],
-                     "via": [[], [[GENERAL, "t", 1, f"g{n}"]]]},
-                    owners,
-                )  # fmt: skip
-            for index in range(subs):
-                notifier.restore(
-                    {
-                        "k": "log",
-                        "sid": f"s{index}",
-                        "next_seq": per_sub + 1,
-                        "frontier": per_sub,
-                        "rows": [
-                            [index * per_sub + n, n - 1, index % 2, "acked"]
-                            for n in range(1, per_sub + 1)
-                        ],
-                    },
-                    owners,
-                )
+            for n in range(1, per_sub + 1):  # each publication's outs, adopted with its close
+                outs = {
+                    "k": "outs", "eid": f"e{n}", "n": (n - 1) * subs + 1, "pairs": [["t", text]],
+                    "via": [[], [[GENERAL, "t", 1, f"g{n}"]]],
+                    "rows": [[f"s{index}", n, index % 2] for index in range(subs)],
+                }  # fmt: skip
+                notifier.adopt(outs, owners, {"k": "close", "rows": []})
             notifier.finish_replay(broker.registry)  # every row acked: nothing re-sent
             tracemalloc.start()
             try:
@@ -982,8 +1048,8 @@ class TestStreamedSnapshot:
         large = measure(64, tmp_path / "large")
         assert large[2] > 2 * small[2]  # the file grew with the deliveries ...
         for name, before, after in zip(("compact", "recover"), small, large):
-            # ... what writing and reading it costs did not
-            assert after < 1.25 * before, (name, small, large)
+            # ... what writing and reading it costs grew by a cursor a log
+            assert after - before < 1536 * (64 - 12), (name, small, large)
             assert after < large[2] / 3, (name, small, large)
 
 
@@ -1303,6 +1369,9 @@ _MALFORMED = {
         "k": "outs", "eid": "e9", "pairs": _PAIRS, "via": [[]], "n": 9, "rows": [["s-a", "3", 0]],
     }, "malformed 'rows'"),
     "short acks row (ValueError)": ({"k": "acks", "rows": [["s-a", 3]]}, "malformed 'rows'"),
+    "short close row (ValueError)": ({"k": "close", "rows": [[0]]}, "malformed 'rows'"),
+    # the journal written ends with a close: nothing for another to close
+    "close after no outs (TypeError)": ({"k": "close", "rows": [[0, "dead"]]}, "names a row"),
     "sub without preds (KeyError)": (
         {"k": "sub", "sid": "s-z", "cid": "cl-a", "mg": None, "oi": 9}, "holds keys",
     ),
@@ -1443,8 +1512,9 @@ class TestOneFormat:
 
         def forge(records):
             if where == "snapshot":
-                (log,) = [record for record in records if record["k"] == "log"]
-                log["sid"] = "s-x"
+                (outs,) = [record for record in records if record["k"] == "outs"]
+                (frontier,) = [record for record in records if record["k"] == "frontier"]
+                outs["rows"][0][0] = frontier["sid"] = "s-x"
             else:
                 (outs,) = [record for record in records if record["k"] == "outs"]
                 outs["rows"][0][0] = "s-x"
@@ -1530,26 +1600,50 @@ class TestMalformedRecords:
     a :class:`~repro.errors.ReproError` leaves ``recover()``."""
 
     @pytest.mark.parametrize(
-        "edit",
+        "kind, edit",
         [
-            {"rows": [[1, 0, 0]]}, {"rows": 5}, {"frontier": None}, {"rows": [[1, 0, 1, "acked"]]},
-            {"rows": [["1", 0, 0, "acked"]]}, {"rows": [[1, 1, 0, "acked"]]},
-            {"rows": [[1, 0, 0, "sent"]]}, {"next_seq": 1}, {"heads": []},
+            ("outs", {"rows": [["s-a", 1]]}), ("outs", {"rows": 5}), ("outs", {"n": None}),
+            ("outs", {"rows": [["s-a", 1, 1]]}), ("outs", {"rows": [["s-a", "1", 0]]}),
+            ("outs", {"rows": [["s-a", 0, 0]]}), ("outs", {"heads": []}),
+            ("close", {"rows": [[0, "acked"]]}), ("close", {"rows": [[1, "dead"]]}),
+            ("close", {"rows": [[0, "sent"]]}), ("close", {"rows": [[0]]}),
+            ("frontier", {"seq": None}), ("frontier", {"seq": 2}), ("frontier", {"sid": "s-x"}),
+            ("notifier", {"next_notification": 0}),
         ],
         ids=[
-            "row of the wrong arity", "rows not a list", "frontier not a number",
-            "via index past its list", "string number", "text index past the texts",
-            "unknown status", "more rows than sequences", "an extra key",
+            "outs row of the wrong arity", "outs rows not a list", "outs n not a number",
+            "via index past its list", "string sequence", "sequence 0", "an extra key",
+            "close naming an acked row", "close naming a row past its outs",
+            "close naming an unknown status", "close row of the wrong arity",
+            "frontier not a number", "frontier past its stream's rows",
+            "frontier of a stream with no rows", "id counter at 0",
         ],
     )  # fmt: skip
-    def test_a_malformed_log_record_discards_the_snapshot(self, kb, tmp_path, edit):
+    def test_a_malformed_delivery_record_discards_the_snapshot(self, kb, tmp_path, kind, edit):
         TestOneFormat._written(kb, tmp_path)
         records, _, _ = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
-        (at,) = [n for n, record in enumerate(records) if record["k"] == "log"]
+        (at,) = [n for n, record in enumerate(records) if record["k"] == kind]
         records[at] = dict(records[at], **edit)
         (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
         with recover(tmp_path, kb) as recovered:
             assert recovered.recovery.snapshot_discarded
+
+    def test_a_row_that_does_not_continue_its_stream_discards_the_snapshot(self, kb, tmp_path):
+        """The snapshot's rows of one stream follow each other as the
+        journal's did: a publication's ``outs`` and ``close`` written
+        twice put ``s-a``'s sequence 1 after itself, and the pass that
+        reads the file discards it (a damaged snapshot never refuses to
+        start); recovery runs from the journal."""
+        records, expected = TestStreamedSnapshot()._ghosted(kb, tmp_path)
+        at = next(n for n, record in enumerate(records) if record["k"] == "outs")
+        assert records[at]["rows"] == [["s-a", 1, 0]] and records[at + 1]["k"] == "close"
+        records[at + 2 : at + 2] = records[at : at + 2]
+        records[-1] = dict(records[-1], records=len(records) - 2)
+        (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
+        with recover(tmp_path, kb) as recovered:
+            assert recovered.recovery.snapshot_discarded
+            assert "cl-ghost" not in recovered.registry
+            assert _observable(recovered) == expected
 
     @pytest.mark.parametrize(
         "edit",
@@ -1561,13 +1655,13 @@ class TestMalformedRecords:
         ids=[*(f"step {name}" for name in _BAD_STEPS), "pair of one element",
              "prose for a witness", "format 4 event"],
     )  # fmt: skip
-    def test_a_damaged_text_record_discards_the_snapshot(self, kb, tmp_path, edit):
-        """A ``text`` record a read could not render — or would render
-        from what was never written — discards the whole snapshot, not
-        just its rows; recovery runs from the journal."""
+    def test_a_damaged_outs_record_discards_the_snapshot(self, kb, tmp_path, edit):
+        """A snapshot ``outs`` record a read could not render — or would
+        render from what was never written — discards the whole
+        snapshot, not just its rows; recovery runs from the journal."""
         TestOneFormat._written(kb, tmp_path)
         records, _, _ = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
-        (at,) = [n for n, record in enumerate(records) if record["k"] == "text"]
+        (at,) = [n for n, record in enumerate(records) if record["k"] == "outs"]
         records[at] = dict(records[at], **edit)
         (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
         with recover(tmp_path, kb) as recovered:
