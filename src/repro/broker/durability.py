@@ -643,15 +643,18 @@ class Durability:
             return None, 0, False
         with handle:
             reader = _RecordReader(handle)
-            head = last = None
+            head = last = previous = None
             count = content = 0
             streams: dict[str, int] = {}
             for record in reader:
                 if head is None:
                     head = record
-                content += not (
-                    _malformed(record, _SNAPSHOT_FORMS, last) or _breaks_stream(record, streams)
+                well_formed = not (
+                    _malformed(record, _SNAPSHOT_FORMS, previous) or _breaks_stream(record, streams)
                 )
+                content += well_formed
+                # a close is read against the outs before it only when that outs is well formed
+                previous = record if well_formed else None
                 last = record
                 count += 1
         if (

@@ -1628,6 +1628,22 @@ class TestMalformedRecords:
         with recover(tmp_path, kb) as recovered:
             assert recovered.recovery.snapshot_discarded
 
+    @pytest.mark.parametrize("rows", [None, 5], ids=["outs without rows", "outs rows not a list"])
+    def test_a_close_after_a_malformed_outs_discards_the_snapshot(self, kb, tmp_path, rows):
+        """A ``close`` is read against the ``outs`` before it only when
+        that ``outs`` is well formed: one without its rows, or with rows
+        that are not a list, discards the snapshot, not the read."""
+        TestOneFormat._written(kb, tmp_path)
+        records, _, _ = _scan_records((tmp_path / SNAPSHOT_NAME).read_bytes())
+        (at,) = [n for n, record in enumerate(records) if record["k"] == "outs"]
+        assert records[at + 1]["k"] == "close"
+        records[at] = {key: value for key, value in records[at].items() if key != "rows"}
+        if rows is not None:
+            records[at]["rows"] = rows
+        (tmp_path / SNAPSHOT_NAME).write_bytes(_frame(records))
+        with recover(tmp_path, kb) as recovered:
+            assert recovered.recovery.snapshot_discarded
+
     def test_a_row_that_does_not_continue_its_stream_discards_the_snapshot(self, kb, tmp_path):
         """The snapshot's rows of one stream follow each other as the
         journal's did: a publication's ``outs`` and ``close`` written
