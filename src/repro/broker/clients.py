@@ -54,12 +54,6 @@ class Client:
     kind: ClientKind = ClientKind.BOTH
     addresses: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
-    def address_for(self, transport: str) -> str | None:
-        for name, address in self.addresses:
-            if name == transport:
-                return address
-        return None
-
     def preferred_transports(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.addresses)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass
+from zlib import crc32
 
 from repro.broker.clients import Client, ClientRegistry
 from repro.broker.notifications import DeliveryOutcome, NotificationEngine
@@ -65,28 +66,27 @@ class EventDispatcher:
     The dispatcher keeps a bounded LRU **result cache** of one
     **generation**: match sets memoized by ``(event content signature,
     publisher, active configuration)`` under the engine's current
-    ``(semantic_version, subscription_epoch)`` pair.  Workload traces
-    repeat publications, and for a repeated event the entire engine
-    pass — expansion *and* matching — is redundant as long as nothing
-    the match set depends on has moved.  Knowledge-base edits, epoch
-    bumps (refresh) and any subscribe/unsubscribe move the pair, and
-    the next lookup drops every entry before the engine runs: nothing
-    computed under an old generation stays reachable, so a re-forked
-    shard worker inherits an empty cache.  The shipped engines never
-    repeat a pair, so the drop loses no hit; a custom engine's pair need
-    only differ from the one the previous lookup saw whenever its match
-    sets may have changed — returning to an older pair costs hits, never
-    correctness (``docs/EXTENDING.md``).  Reconfiguration does not move
-    the pair — the configuration is in the key, so a round trip A→B→A
-    hits again.  Cached hits re-stamp the match set onto the fresh
-    publication's event object, so delivery reports always carry the
-    real event id; the derivation is the first publication's compact
-    witness, which holds no event or derivation object (``matched_via``
-    builds its chain for the fresh event on read).  A dropped generation
-    is logged at DEBUG on this module's logger with what moved and how
-    many entries went.  ``result_cache_size`` is read
-    at every lookup: ``0`` disables the cache and empties it, a lowered
-    size trims it.
+    ``(semantic_version, subscription_epoch)`` pair, which spares a
+    repeated event the whole engine pass.  Most publications are new
+    content, so a repeat is cached from its second sighting: a miss is
+    stored only if its content missed before, else it joins a FIFO of
+    seen keys (TinyLFU's doorkeeper) that outlives a generation.
+    Knowledge-base edits, epoch bumps (refresh) and any
+    subscribe/unsubscribe move the pair, and the next lookup drops every
+    entry before the engine runs, so a re-forked shard worker inherits
+    an empty cache.  The shipped engines never repeat a pair, so the
+    drop loses no hit; a custom engine's pair need only differ from the
+    one the previous lookup saw whenever its match sets may have changed
+    (returning to an older pair costs hits, never correctness:
+    ``docs/EXTENDING.md``).  The configuration is in the key, so a
+    reconfiguration round trip A→B→A finds A's entries again.  A hit
+    re-stamps the match set onto the fresh publication's event object,
+    so delivery reports carry the real event id; the derivation is the
+    first publication's compact witness, which holds no event or
+    derivation object.  A dropped generation is logged at DEBUG with
+    what moved and how many entries went.  ``result_cache_size`` bounds
+    the seen keys too and is read at every lookup: ``0`` empties both
+    and disables the cache, a lowered size trims both.
 
     The dispatcher keeps no per-publication history: the caller holds
     the :class:`PublishReport`, and ``stats()`` totals are running
@@ -115,6 +115,8 @@ class EventDispatcher:
         #: the engine's ``(semantic_version, subscription_epoch)`` the
         #: cached entries were computed under
         self._generation: tuple | None = None
+        #: (checksum of the content, publisher, config) per miss, oldest first
+        self._seen: OrderedDict[tuple, None] = OrderedDict()
         self.result_cache_hits = 0
         self.result_cache_misses = 0
 
@@ -143,9 +145,8 @@ class EventDispatcher:
         """The result cache without what it can no longer serve: every
         entry once the engine's generation has moved, and the least
         recently used beyond a capacity lowered (or zeroed) since the
-        last look."""
-        cache = self._result_cache
-        engine = self.engine
+        last look (and the oldest seen keys beyond it)."""
+        cache, engine = self._result_cache, self.engine
         generation = (engine.semantic_version, engine.subscription_epoch)
         if generation != self._generation:
             if self._generation is not None and _log.isEnabledFor(logging.DEBUG):
@@ -157,8 +158,9 @@ class EventDispatcher:
                 _log.debug("result cache dropped (%s): %d entries", moved, len(cache))
             cache.clear()
             self._generation = generation
-        while len(cache) > max(self.result_cache_size, 0):
-            cache.popitem(last=False)
+        for kept in (cache, self._seen):
+            while len(kept) > max(self.result_cache_size, 0):
+                kept.popitem(last=False)
         return cache
 
     def _matches_for(
@@ -167,11 +169,11 @@ class EventDispatcher:
         """The engine's match set for *stamped* and whether its
         expansion was truncated, served from the result cache when this
         content was already matched under the exact same semantic
-        state."""
+        state, and stored there if its key missed before."""
         engine = self.engine
         # before the engine runs, so a fleet re-forked by this publish
         # inherits no entry of the old generation
-        cache = self._live_cache()
+        cache, seen = self._live_cache(), self._seen
         capacity = self.result_cache_size
         if capacity <= 0:
             return engine.publish(stamped), getattr(engine, "last_truncated", None)
@@ -189,9 +191,15 @@ class EventDispatcher:
         self.result_cache_misses += 1
         matches = engine.publish(stamped)
         truncated = getattr(engine, "last_truncated", None)
-        if len(cache) == capacity:
-            cache.popitem(last=False)
-        cache[key] = (tuple(matches), truncated)
+        # a checksum of the sorted pairs: it pins none, and is alike in every process
+        sighting = (crc32(repr(sorted(stamped.signature)).encode()), client_id, engine.config)
+        if sighting in seen:
+            store, key, value = cache, key, (tuple(matches), truncated)
+        else:
+            store, key, value = seen, sighting, None
+        if len(store) == capacity:
+            store.popitem(last=False)
+        store[key] = value
         return matches, truncated
 
     def publish(self, client_id: str, event: Event) -> PublishReport:

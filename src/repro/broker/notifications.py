@@ -701,18 +701,12 @@ class NotificationEngine:
             )
             staged.append(entry)
         # the journal's value codec applies as each is written
-        pairs, witnesses = event.items(), list(via_of)
-        text.blob = _pack(pairs, witnesses)
+        pairs, via = event.items(), list(via_of)
+        text.blob = _pack(pairs, via)
         if self.durability is not None:
+            rows = [[e.sub_id, e.sequence, e.via] for e in staged]
             self.durability.append(
-                {
-                    "k": "outs",
-                    "eid": text.event_id,
-                    "n": text.n,
-                    "pairs": pairs,
-                    "via": witnesses,
-                    "rows": [[e.sub_id, e.sequence, e.via] for e in staged],
-                }
+                dict(k="outs", eid=text.event_id, n=text.n, pairs=pairs, via=via, rows=rows)
             )
         return staged
 
@@ -766,19 +760,16 @@ class NotificationEngine:
         and body are rendered only if something reads them."""
         client = notification.client
         self.stats.notifications += 1
-        attempts = 0
-        last_error = ""
-        preferences = client.preferred_transports()
-        if not preferences:
+        attempts, last_error = 0, ""
+        if not client.addresses:
             return DeliveryOutcome(notification, None, 0, False, error="client has no addresses")
-        for position, transport_name in enumerate(preferences):
+        for position, (transport_name, address) in enumerate(client.addresses):
             if transport_name not in self.transports:
                 last_error = f"unknown transport {transport_name!r}"
                 continue
             if position > 0:
                 self.stats.fallbacks += 1
             transport = self.transports.get(transport_name)
-            address = client.address_for(transport_name) or ""
             payload = transport.payload(row)
             for attempt in range(1, self.max_attempts + 1):
                 attempts += 1
@@ -922,30 +913,34 @@ class NotificationEngine:
         ``outs`` — from its first retained row, a row gone between two
         written ``null`` — and ``close``; then a ``frontier`` per stream
         that acked a row, and the id counter (``notifier``).  A log's rows
-        name texts in ordinal order, so each log waits, with its next row,
-        under that row's ordinal: the walk holds a record and a row a log."""
-        waiting = defaultdict(list)  # text ordinal -> [(next row, log)]
+        name texts in ordinal order, so each log waits, with the age of its
+        next row, under that row's ordinal: the walk reads each run of rows
+        that name one text straight off the log's columns."""
+        waiting = defaultdict(list)  # text ordinal -> [(log, age of its next row)]
         for log in self._delivery_log.values():
-            row = log.row(log.first)
-            waiting[row[1]].append((row, log))
+            waiting[log.base + log.ordinals[log.start]].append((log, 0))
         while waiting:
             ordinal = min(waiting)
-            found = []
-            for row, log in waiting.pop(ordinal):
-                while row is not None and row[1] == ordinal:
-                    found.append(row)
-                    row = log.row(row[3] + 1)
-                if row is not None:
-                    waiting[row[1]].append((row, log))
+            found = []  # (offset from the text's n, sub_id, sequence, mark)
+            for log, age in waiting.pop(ordinal):
+                count, local = len(log.marks), ordinal - log.base
+                slot = (log.start + age) % count
+                while age < count and log.ordinals[slot] == local:  # its run naming the text
+                    found.append((log.offsets[slot], log.sub_id, log.first + age, log.marks[slot]))
+                    age, slot = age + 1, (slot + 1) % count
+                if age < count:
+                    waiting[log.base + log.ordinals[slot]].append((log, age))
             found.sort()  # by notification number
-            n = found[0][0]
-            rows, exceptions = [None] * (found[-1][0] + 1 - n), []  # None: a row gone
-            for number, _, sub_id, sequence, via, status in found:
-                rows[number - n] = [sub_id, sequence, via]
+            low = found[0][0]
+            rows, exceptions = [None] * (found[-1][0] + 1 - low), []  # None: a row gone
+            for offset, sub_id, sequence, mark in found:
+                rows[offset - low] = [sub_id, sequence, mark >> _VIA_SHIFT]
+                status = _STATUSES[mark & _STATUS_MASK]
                 if status != "acked":
-                    exceptions.append([number - n, status])
+                    exceptions.append([offset - low, status])
             text = self._texts[ordinal]
             pairs, via = text.form()
+            n = text.n + low
             yield dict(k="outs", eid=text.event_id, n=n, pairs=pairs, via=via, rows=rows)
             yield {"k": "close", "rows": exceptions}
         for sub_id, log in self._delivery_log.items():

@@ -80,9 +80,9 @@ class SynonymStage(SemanticStage):
     def rewrite_subscription(self, subscription: Subscription) -> Subscription:
         """Figure 1's "root subscription": predicate attributes are
         rewritten to roots; ids and tolerance are preserved."""
-        attributes = subscription.attributes()
-        renames = self._rename_map(attributes)
-        self.stats.lookups += len(attributes)
+        predicates = subscription.predicates  # attributes() is the matcher's to build
+        renames = self._rename_map(p.attribute for p in predicates)
+        self.stats.lookups += len(predicates)
         if not renames:
             return subscription
         self.stats.rewrites += len(renames)

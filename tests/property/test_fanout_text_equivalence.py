@@ -163,8 +163,9 @@ def _drive(broker, subs, events) -> tuple[dict, set]:
     stages: set[str] = set()
     for index, event in enumerate(events):
         free = pipeline.process_event(event, factored=factored).free
+        seen = Event(event.items(), event_id=f"seen-{index}")  # a first sighting stores nothing
         again = Event(event.items(), event_id=f"again-{index}")  # a result-cache hit
-        for publication in (Event(event.items(), event_id=f"first-{index}"), again):
+        for publication in (seen, Event(event.items(), event_id=f"first-{index}"), again):
             report = broker.publish("cl-p", publication)
             assert len(report.outcomes) == len(report.matches)
             for outcome, match in zip(report.outcomes, report.matches):

@@ -4,7 +4,10 @@ The dispatcher keys its result cache on ``(signature, publisher,
 config)`` and drops every entry once the engine's ``(semantic_version,
 subscription_epoch)`` pair moves.  The model is the design it replaced:
 one LRU keyed on all five inputs, whose stranded entries stay until the
-LRU ages them out.  The shipped engines never repeat that pair, so
+LRU ages them out.  Both admit a miss only when its content — signature,
+publisher and config, no generation — missed before, among the last
+``capacity`` contents that missed (the model keeps them in a list of
+its own).  The shipped engines never repeat that pair, so
 dropping a generation can lose no hit: after every step of a random
 interleaving of repeated and distinct publishes, subscribe,
 unsubscribe, knowledge-base writes, epoch bumps and a reconfigure round
@@ -51,7 +54,13 @@ OPS = ("publish",) * 5 + ("subscribe",) * 2 + ("unsubscribe", "kb_write", "epoch
 
 class _FullKeyDispatcher(EventDispatcher):
     """The model: every input the match set depends on is in the key,
-    and nothing is dropped but by the LRU."""
+    and nothing is dropped but by the LRU; a miss is stored only if its
+    content is among the last ``result_cache_size`` contents that
+    missed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sightings: list[tuple] = []  # contents that missed, oldest first
 
     def _matches_for(self, stamped, client_id):
         engine = self.engine
@@ -73,6 +82,10 @@ class _FullKeyDispatcher(EventDispatcher):
         self.result_cache_misses += 1
         matches = engine.publish(stamped)
         truncated = getattr(engine, "last_truncated", None)
+        content = (stamped.signature, client_id, engine.config)
+        if content not in self.sightings:
+            self.sightings = (self.sightings + [content])[-self.result_cache_size :]
+            return matches, truncated
         self._result_cache[key] = (tuple(matches), truncated)
         while len(self._result_cache) > self.result_cache_size:
             self._result_cache.popitem(last=False)

@@ -21,8 +21,7 @@ class TestClient:
             "c1", "Initech", ClientKind.SUBSCRIBER,
             (("smtp", "hr@initech.example"), ("sms", "+1-555")),
         )
-        assert client.address_for("smtp") == "hr@initech.example"
-        assert client.address_for("udp") is None
+        assert dict(client.addresses) == {"smtp": "hr@initech.example", "sms": "+1-555"}
         assert client.preferred_transports() == ("smtp", "sms")
 
     def test_str(self):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import gc
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -251,26 +254,30 @@ class TestResultCache:
 
     def test_repeat_publication_hits_the_cache(self, broker):
         candidate = self._setup(broker)
+        broker.publish(candidate.client_id, "(degree, PhD)")  # a first sighting stores nothing
         first = broker.publish(candidate.client_id, "(degree, PhD)")
         second = broker.publish(candidate.client_id, "(degree, PhD)")
         info = broker.dispatcher.result_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
-        assert info["hit_rate"] == 0.5
+        assert info["hits"] == 1 and info["misses"] == 2
+        assert info["hit_rate"] == 1 / 3
         assert first.match_count == second.match_count == 1
-        # the engine only ran once; the dispatcher served the repeat
-        assert broker.engine.publications == 1
+        # the engine ran for the two misses; the dispatcher served the repeat
+        assert broker.engine.publications == 2
 
     def test_cached_matches_carry_the_fresh_event(self, broker):
         candidate = self._setup(broker)
+        broker.publish(candidate.client_id, parse_event("(degree, PhD)", event_id="zeroth"))
         broker.publish(candidate.client_id, parse_event("(degree, PhD)", event_id="first"))
         report = broker.publish(
             candidate.client_id, parse_event("(degree, PhD)", event_id="second")
         )
         assert report.matches[0].event.event_id == "second"
         assert report.delivered_count == 1
+        assert broker.dispatcher.result_cache_hits == 1
 
     def test_subscription_churn_invalidates(self, broker):
         candidate = self._setup(broker)
+        broker.publish(candidate.client_id, "(degree, PhD)")  # a first sighting stores nothing
         broker.publish(candidate.client_id, "(degree, PhD)")
         company2 = broker.register_subscriber("Globex", email="jobs@x")
         broker.subscribe(company2.client_id, "(degree = PhD)")
@@ -282,6 +289,7 @@ class TestResultCache:
         candidate = self._setup(broker)
         company2 = broker.register_subscriber("Globex", email="jobs@x")
         sub = broker.subscribe(company2.client_id, "(degree = PhD)")
+        broker.publish(candidate.client_id, "(degree, PhD)")  # a first sighting stores nothing
         assert broker.publish(candidate.client_id, "(degree, PhD)").match_count == 2
         broker.unsubscribe(sub.sub_id)
         assert broker.publish(candidate.client_id, "(degree, PhD)").match_count == 1
@@ -295,6 +303,7 @@ class TestResultCache:
         candidate = self._setup(broker)
         company = broker.register_subscriber("Hooli", email="h@x")
         broker.subscribe(company.client_id, "(degree = doctorate)")
+        broker.publish(candidate.client_id, "(degree, PhD)")  # a first sighting stores nothing
         broker.publish(candidate.client_id, "(degree, PhD)")
         before = broker.publish(candidate.client_id, "(degree, PhD)").match_count
         assert broker.dispatcher.result_cache_info()["hits"] == 1
@@ -314,7 +323,7 @@ class TestResultCache:
         broker = Broker(build_jobs_knowledge_base())
         broker.dispatcher.result_cache_size = 2
         candidate = broker.register_publisher("Ada")
-        for year in (1, 2, 3):
+        for year in (1, 1, 2, 2, 3, 3):  # each second sighting is stored
             broker.publish(candidate.client_id, f"(graduation_year, {year})")
         assert broker.dispatcher.result_cache_info()["size"] == 2
         # a capacity lowered at runtime trims before the next insert:
@@ -324,7 +333,7 @@ class TestResultCache:
         broker.publish(candidate.client_id, "(graduation_year, 3)")
         broker.publish(candidate.client_id, "(graduation_year, 2)")
         info = broker.dispatcher.result_cache_info()
-        assert (info["hits"], info["misses"], info["size"]) == (1, 4, 1)
+        assert (info["hits"], info["misses"], info["size"]) == (1, 7, 1)
 
     def test_zero_capacity_disables(self):
         broker = Broker(build_jobs_knowledge_base())
@@ -337,16 +346,16 @@ class TestResultCache:
         assert broker.engine.publications == 2
         # switched off at runtime, a filled cache lets its entries go
         broker.dispatcher.result_cache_size = 256
-        for text in ("(degree, PhD)", "(degree, MSc)", "(degree, PhD)"):
-            broker.publish(candidate.client_id, text)
+        for text in ("(degree, PhD)", "(degree, MSc)") * 2 + ("(degree, PhD)",):
+            broker.publish(candidate.client_id, text)  # each second sighting is stored
         assert broker.dispatcher.result_cache_info()["size"] == 2
         broker.dispatcher.result_cache_size = 0
         assert broker.dispatcher.result_cache_info()["size"] == 0
         broker.publish(candidate.client_id, "(degree, PhD)")
-        assert not broker.dispatcher._result_cache
+        assert not broker.dispatcher._result_cache and not broker.dispatcher._seen
         info = broker.dispatcher.result_cache_info()
-        assert (info["hits"], info["misses"]) == (1, 2)
-        assert broker.engine.publications == 5
+        assert (info["hits"], info["misses"]) == (1, 4)
+        assert broker.engine.publications == 7
 
     def test_a_generation_move_drops_every_entry(self, broker):
         """Churn, a knowledge-base write and an epoch bump each strand
@@ -360,6 +369,7 @@ class TestResultCache:
             for text in ("(degree, PhD)", "(degree, MSc)", "(degree, BSc)"):
                 broker.publish(candidate.client_id, text)
 
+        fill()  # first sightings store nothing; seen keys outlive a generation
         fill()
         assert len(dispatcher._result_cache) == 3
         sub = broker.subscribe(company.client_id, "(degree = MSc)")
@@ -382,13 +392,15 @@ class TestResultCache:
         """Reconfiguration keeps the generation: the configuration is
         part of the key, so entries cached under A serve A again."""
         candidate = self._setup(broker)
+        broker.publish(candidate.client_id, "(diploma, PhD)")  # a first sighting stores nothing
         broker.publish(candidate.client_id, "(diploma, PhD)")
         broker.set_syntactic_mode()
+        broker.publish(candidate.client_id, "(diploma, PhD)")  # a first sighting stores nothing
         assert broker.publish(candidate.client_id, "(diploma, PhD)").match_count == 0
         broker.set_semantic_mode()
         assert broker.publish(candidate.client_id, "(diploma, PhD)").match_count == 1
         info = broker.dispatcher.result_cache_info()
-        assert (info["hits"], info["misses"], info["size"]) == (1, 2, 2)
+        assert (info["hits"], info["misses"], info["size"]) == (1, 4, 2)
 
     def test_stranded_match_sets_are_released(self):
         """A cached match set lives one generation.  Pinned in traced
@@ -401,6 +413,9 @@ class TestResultCache:
         # engine-only subscriptions: matches are cached, nothing is delivered
         broker.engine.subscribe(parse_subscription("(degree = degree)", sub_id="wide"))
         broker.publish(candidate.client_id, "(degree, PhD)(n, -1)")
+        # first sightings, untraced: each content below is stored at its second
+        for text in [f"(degree, PhD)(n, {index})" for index in range(200)] + ["(degree, MSc)"]:
+            broker.publish(candidate.client_id, text)
         gc.collect()
         tracemalloc.start()
         try:
@@ -423,6 +438,8 @@ class TestResultCache:
         candidate = self._setup(broker)
         company = broker.register_subscriber("Globex", email="jobs@x")
         with caplog.at_level(logging.DEBUG, logger="repro.broker.dispatcher"):
+            broker.publish(candidate.client_id, "(degree, PhD)")  # first sightings store nothing
+            broker.publish(candidate.client_id, "(degree, MSc)")
             broker.publish(candidate.client_id, "(degree, PhD)")
             broker.publish(candidate.client_id, "(degree, MSc)")
             assert caplog.records == []  # the first generation drops nothing
@@ -448,6 +465,8 @@ class TestResultCache:
         for subscription in generator.subscriptions(60):
             broker.subscribe(client, subscription)
         events = generator.events(40)
+        for event in events:  # first sightings store nothing
+            broker.publish(client, Event(event.items()))
         reports = [broker.publish(client, event) for event in events]
         cache = broker.dispatcher._result_cache
         assert len(cache) == len({event.signature for event in events}) > 10
@@ -474,12 +493,114 @@ class TestResultCache:
 
     def test_stats_surface_result_cache(self, broker):
         candidate = self._setup(broker)
-        broker.publish(candidate.client_id, "(degree, PhD)")
-        broker.publish(candidate.client_id, "(degree, PhD)")
+        for _ in range(3):  # a first sighting stores nothing, the second stores
+            broker.publish(candidate.client_id, "(degree, PhD)")
         stats = broker.stats()
         assert stats["result_cache_hits"] == 1
-        assert stats["result_cache_hit_rate"] == 0.5
+        assert stats["result_cache_hit_rate"] == 1 / 3
         assert stats["result_cache"]["capacity"] == 256
+
+
+class TestResultCacheAdmission:
+    """A miss is stored only when its key missed before: most
+    publications are new content, and a first sighting leaves behind
+    just its key in a FIFO bounded by ``result_cache_size``."""
+
+    def _setup(self, broker):
+        company = broker.register_subscriber("Initech", email="hr@x")
+        broker.subscribe(company.client_id, "(degree = PhD)")
+        return broker.register_publisher("Ada").client_id
+
+    @staticmethod
+    def _state(broker) -> tuple:
+        dispatcher = broker.dispatcher
+        info = dispatcher.result_cache_info()
+        return info["hits"], info["misses"], info["size"], len(dispatcher._seen)
+
+    def test_a_first_sighting_stores_nothing_a_second_stores_a_third_hits(self, broker):
+        candidate = self._setup(broker)
+        states = []
+        for _ in range(3):
+            broker.publish(candidate, "(degree, PhD)")
+            states.append(self._state(broker))
+        assert states == [(0, 1, 0, 1), (0, 2, 1, 1), (1, 2, 1, 1)]
+        assert broker.engine.publications == 2
+
+    def test_seen_keys_survive_a_generation_drop_and_entries_do_not(self, broker):
+        candidate = self._setup(broker)
+        for text in ("(degree, PhD)", "(degree, PhD)", "(degree, MSc)"):
+            broker.publish(candidate, text)
+        assert self._state(broker) == (0, 3, 1, 2)
+        company = broker.register_subscriber("Globex", email="jobs@x")
+        broker.subscribe(company.client_id, "(degree = MSc)")
+        assert self._state(broker) == (0, 3, 0, 2)
+        # both keys were seen in the old generation: each first miss stores
+        assert broker.publish(candidate, "(degree, MSc)").match_count == 1
+        assert broker.publish(candidate, "(degree, PhD)").match_count == 1
+        assert self._state(broker) == (0, 5, 2, 2)
+        broker.kb.add_value_synonyms(["PhD", "doctorate"])
+        broker.engine.bump_semantic_epoch()
+        assert self._state(broker) == (0, 5, 0, 2)
+        broker.publish(candidate, "(degree, PhD)")
+        broker.publish(candidate, "(degree, PhD)")
+        assert self._state(broker) == (1, 6, 1, 2)
+
+    def test_capacity_bounds_the_seen_keys_and_zero_keeps_none(self, broker):
+        candidate = self._setup(broker)
+        dispatcher = broker.dispatcher
+        dispatcher.result_cache_size = 2
+        for year in (1, 2, 3):
+            broker.publish(candidate, f"(graduation_year, {year})")
+        assert self._state(broker) == (0, 3, 0, 2)
+        broker.publish(candidate, "(graduation_year, 1)")  # aged out: seen again, not stored
+        assert self._state(broker) == (0, 4, 0, 2)
+        broker.publish(candidate, "(graduation_year, 3)")
+        assert self._state(broker) == (0, 5, 1, 2)
+        dispatcher.result_cache_size = 1  # a lowered size trims both
+        assert self._state(broker) == (0, 5, 1, 1)
+        dispatcher.result_cache_size = 0
+        broker.publish(candidate, "(graduation_year, 3)")
+        assert self._state(broker) == (0, 5, 0, 0)
+        dispatcher.result_cache_size = 2
+        broker.publish(candidate, "(graduation_year, 3)")
+        assert self._state(broker) == (0, 6, 0, 1)
+
+    def test_a_stream_of_distinct_events_stores_nothing(self, broker):
+        """More distinct publications than the capacity leave no entry,
+        and the seen keys hold nothing of them: a key names the content
+        by a checksum of its sorted pairs."""
+        candidate = self._setup(broker)
+        broker.dispatcher.result_cache_size = 8
+        events = [parse_event(f"(degree, PhD)(n, {index})") for index in range(20)]
+        for event in events:
+            broker.publish(candidate, event)
+        assert self._state(broker) == (0, 20, 0, 8)
+        assert broker.dispatcher.result_cache_info()["size"] == 0
+        held = {id(event) for event in events} | {id(event.signature) for event in events}
+        held |= {id(pair) for event in events for pair in event.signature}
+        reached = [gc.get_referents(key) for key in broker.dispatcher._seen]
+        assert not held & {id(obj) for objs in reached for obj in objs}
+
+    def test_seen_keys_do_not_depend_on_the_hash_seed(self):
+        """The checksum is over the sorted pairs' text, so two processes
+        with different hash seeds see the same keys."""
+        script = (
+            "from repro.broker.broker import Broker\n"
+            "from repro.ontology.domains import build_jobs_knowledge_base\n"
+            "broker = Broker(build_jobs_knowledge_base())\n"
+            "ada = broker.register_publisher('Ada', client_id='ada').client_id\n"
+            "broker.publish(ada, '(school, Toronto)(degree, PhD)(n, 1.5)(w, \"x y\")')\n"
+            "print([key[0] for key in broker.dispatcher._seen])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        seen = {
+            subprocess.run(
+                [sys.executable, "-c", script], env=dict(env, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }  # fmt: skip
+        assert len(seen) == 1 and seen.pop().startswith("[")
 
 
 class TestClientChurn:

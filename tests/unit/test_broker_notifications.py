@@ -105,6 +105,23 @@ class TestDelivery:
         outcome = engine.notify(_client(("pigeon", "coop"), ("tcp", "host:1")), _match())
         assert outcome.delivered and outcome.transport == "tcp"
 
+    def test_fallback_order_and_counters_after_an_unknown_first_transport(self):
+        """The walk skips an unknown transport without counting it, and
+        every known one past the first address counts a fallback — so
+        the first known transport, second in line, is one."""
+        engine = _engine()
+        engine.transports.get("smtp").fail_next(3)
+        client = _client(("pigeon", "coop"), ("smtp", "hr@x"), ("tcp", "host:1"), ("sms", "+1"))
+        outcome = engine.notify(client, _match())
+        assert outcome.delivered and outcome.transport == "tcp"
+        assert outcome.record.message.address == "host:1"
+        assert outcome.attempts == 4  # three on smtp, one on tcp
+        assert (engine.stats.fallbacks, engine.stats.retries) == (2, 2)
+        lost = engine.notify(_client(("pigeon", "coop"), ("owl", "tower")), _match())
+        assert not lost.delivered and lost.attempts == 0
+        assert lost.error == "unknown transport 'owl'"
+        assert (engine.stats.fallbacks, engine.stats.retries) == (2, 2)
+
     def test_udp_drop_counts_as_sent(self):
         registry = TransportRegistry([UdpTransport(drop_rate=0.999999, seed=3)])
         engine = NotificationEngine(registry)

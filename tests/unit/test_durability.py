@@ -22,6 +22,7 @@ import stat
 import sys
 import tempfile
 import tracemalloc
+from collections import defaultdict
 from enum import StrEnum
 from pathlib import Path
 
@@ -91,6 +92,40 @@ def _observable(broker: Broker) -> dict:
         "subs": sorted(sub.sub_id for sub in broker.engine.subscriptions()),
         "frontiers": broker.notifier.delivery_frontiers(),
     }
+
+
+def _durable_state_by_rows(notifier):
+    """The notifier's snapshot records as an earlier writer walked them:
+    every retained row built as a tuple through ``_DeliveryLog.row``,
+    each log waiting with its next row under that row's text ordinal."""
+    waiting = defaultdict(list)  # text ordinal -> [(next row, log)]
+    for log in notifier._delivery_log.values():
+        row = log.row(log.first)
+        waiting[row[1]].append((row, log))
+    while waiting:
+        ordinal = min(waiting)
+        found = []
+        for row, log in waiting.pop(ordinal):
+            while row is not None and row[1] == ordinal:
+                found.append(row)
+                row = log.row(row[3] + 1)
+            if row is not None:
+                waiting[row[1]].append((row, log))
+        found.sort()  # by notification number
+        n = found[0][0]
+        rows, exceptions = [None] * (found[-1][0] + 1 - n), []  # None: a row gone
+        for number, _, sub_id, sequence, via, status in found:
+            rows[number - n] = [sub_id, sequence, via]
+            if status != "acked":
+                exceptions.append([number - n, status])
+        text = notifier._texts[ordinal]
+        pairs, via = text.form()
+        yield dict(k="outs", eid=text.event_id, n=n, pairs=pairs, via=via, rows=rows)
+        yield {"k": "close", "rows": exceptions}
+    for sub_id, log in notifier._delivery_log.items():
+        if log.frontier:
+            yield {"k": "frontier", "sid": sub_id, "seq": log.frontier}
+    yield {"k": "notifier", "next_notification": notifier._next_notification}
 
 
 #: s-a's rendered subscription part, which format 3 wrote on every row
@@ -989,6 +1024,45 @@ class TestStreamedSnapshot:
             assert first.client_id is second.client_id and first.status is second.status
         finally:
             recovered.close()
+
+    def test_the_snapshot_is_byte_for_byte_what_the_row_walk_wrote(
+        self, kb, tmp_path, monkeypatch
+    ):
+        """``durable_state`` reads each log's run of rows that name one
+        text straight off its columns; the file it writes is byte for
+        byte the one the row-by-row walk wrote (``_durable_state_by_rows``)
+        over wrapped rings, rows gone between two retained ones, dead and
+        pending rows, and a log whose ordinal column widened."""
+        broker = Broker(kb, durability=tmp_path)
+        try:
+            broker.notifier.history_limit = 3
+            broker.register_subscriber("Alice", tcp="alice:9", client_id="cl-a")
+            broker.register_subscriber("Bob", tcp="bob:9", client_id="cl-b")
+            broker.registry.register("U", addresses=(("pigeon", "roof"),), client_id="cl-u")
+            broker.register_publisher("Press", client_id="cl-p")
+            broker.subscribe("cl-b", Subscription([], sub_id="s-c"))  # every publication
+            broker.subscribe("cl-a", _sub("degree", "PhD", "s-a"))
+            broker.subscribe("cl-b", Subscription([], sub_id="s-b"))
+            broker.dispatcher.subscribe("cl-u", _sub("degree", "PhD", "s-u"))
+            for index in range(301):  # every ring wrapped: no log starts at slot 0
+                degree = "PhD" if index in (0, 100, 150, 298) else "MSc"
+                broker.publish("cl-p", Event([("degree", degree), ("n", index)]))
+            logs = [broker.notifier.retained_log(sub_id) for sub_id in ("s-a", "s-b", "s-u")]
+            assert all(log.start for log in logs) and logs[0].ordinals.typecode != "B"
+            assert logs[0].set_status(logs[0].next_seq - 1, "pending")
+            records = list(broker.notifier.durable_state())
+            assert list(_durable_state_by_rows(broker.notifier)) == records
+            outs = [record["rows"] for record in records if record["k"] == "outs"]
+            assert any(None in rows for rows in outs)
+            closes = [record["rows"] for record in records if record["k"] == "close"]
+            assert {status for rows in closes for _, status in rows} == {"dead", "pending"}
+            broker.checkpoint()
+            written = (tmp_path / SNAPSHOT_NAME).read_bytes()
+            monkeypatch.setattr(NotificationEngine, "durable_state", _durable_state_by_rows)
+            broker.checkpoint()
+            assert (tmp_path / SNAPSHOT_NAME).read_bytes() == written
+        finally:
+            broker.close()
 
     def test_compaction_and_recovery_hold_one_record_not_the_file(self, kb, tmp_path):
         """1,000 publications fanned out to 12 and then to 64

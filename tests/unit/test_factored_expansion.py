@@ -439,14 +439,15 @@ def _over_the_cap(value: str = "r0") -> Event:
 def test_publish_report_says_truncated_and_the_cache_repeats_it():
     # the naive matcher keeps the product, which overflows the cap
     broker = _wide_broker(Broker(_ladder_kb(), matcher="naive"))
+    broker.publish("pub", _over_the_cap())  # a first sighting stores nothing
     first = broker.publish("pub", _over_the_cap())
     again = broker.publish("pub", _over_the_cap())
     small = broker.publish("pub", Event({"w": "r0"}))
     assert (first.truncated, again.truncated, small.truncated) == (True, True, False)
     stats = broker.stats()
     assert stats["result_cache"]["hits"] == 1
-    assert stats["publications_truncated"] == 2
-    assert stats["engine"]["truncations"] == 1
+    assert stats["publications_truncated"] == 3
+    assert stats["engine"]["truncations"] == 2
 
 
 def test_factored_broker_reports_the_same_publication_complete():

@@ -178,6 +178,7 @@ def test_cache_hit_explains_like_the_miss():
     for sub_id, text in _SUBSCRIPTIONS.items():
         broker.subscribe(client, parse_subscription(text, sub_id=sub_id))
     event = {"degree": "PhD", "level": "doctorate"}
+    broker.publish(client, Event(event, event_id="z"))  # a first sighting stores nothing
     first = broker.publish(client, Event(event, event_id="a"))
     second = broker.publish(client, Event(event, event_id="b"))
     assert broker.dispatcher.result_cache_info()["hits"] == 1

@@ -1244,6 +1244,7 @@ class TestShardedBroker:
                 subscriber.client_id, parse_subscription("(x = top)", sub_id="s0")
             )
             publisher = broker.register_publisher("Ada")
+            broker.publish(publisher.client_id, "(x, leaf)")  # a first sighting stores nothing
             assert broker.publish(publisher.client_id, "(x, leaf)").match_count == 1
             # a repeat is served from the dispatcher result cache
             assert broker.publish(publisher.client_id, "(x, leaf)").match_count == 1
