@@ -194,7 +194,7 @@ class EventDispatcher:
         # a checksum of the sorted pairs: it pins none, and is alike in every process
         sighting = (crc32(repr(sorted(stamped.signature)).encode()), client_id, engine.config)
         if sighting in seen:
-            store, key, value = cache, key, (tuple(matches), truncated)
+            store, value = cache, (tuple(matches), truncated)
         else:
             store, key, value = seen, sighting, None
         if len(store) == capacity:
