@@ -912,10 +912,11 @@ class NotificationEngine:
         publication a retained row names, in notification order, its
         ``outs`` — from its first retained row, a row gone between two
         written ``null`` — and ``close``; then a ``frontier`` per stream
-        that acked a row, and the id counter (``notifier``).  A log's rows
-        name texts in ordinal order, so each log waits, with the age of its
-        next row, under that row's ordinal: the walk reads each run of rows
-        that name one text straight off the log's columns."""
+        that acked a row, by subscription id, and the id counter
+        (``notifier``).  A log's rows name texts in ordinal order, so each
+        log waits, with the age of its next row, under that row's ordinal:
+        the walk reads each run of rows that name one text straight off the
+        log's columns."""
         waiting = defaultdict(list)  # text ordinal -> [(log, age of its next row)]
         for log in self._delivery_log.values():
             waiting[log.base + log.ordinals[log.start]].append((log, 0))
@@ -943,9 +944,9 @@ class NotificationEngine:
             n = text.n + low
             yield dict(k="outs", eid=text.event_id, n=n, pairs=pairs, via=via, rows=rows)
             yield {"k": "close", "rows": exceptions}
-        for sub_id, log in self._delivery_log.items():
-            if log.frontier:
-                yield {"k": "frontier", "sid": sub_id, "seq": log.frontier}
+        for sub_id in sorted(self._delivery_log):  # not creation order: adopt's differs
+            if frontier := self._delivery_log[sub_id].frontier:
+                yield {"k": "frontier", "sid": sub_id, "seq": frontier}
         yield {"k": "notifier", "next_notification": self._next_notification}
 
     # -- reporting ----------------------------------------------------------------

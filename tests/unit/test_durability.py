@@ -122,9 +122,9 @@ def _durable_state_by_rows(notifier):
         pairs, via = text.form()
         yield dict(k="outs", eid=text.event_id, n=n, pairs=pairs, via=via, rows=rows)
         yield {"k": "close", "rows": exceptions}
-    for sub_id, log in notifier._delivery_log.items():
-        if log.frontier:
-            yield {"k": "frontier", "sid": sub_id, "seq": log.frontier}
+    for sub_id in sorted(notifier._delivery_log):
+        if frontier := notifier._delivery_log[sub_id].frontier:
+            yield {"k": "frontier", "sid": sub_id, "seq": frontier}
     yield {"k": "notifier", "next_notification": notifier._next_notification}
 
 
